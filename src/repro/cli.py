@@ -329,7 +329,9 @@ def _serve(args: argparse.Namespace) -> int:
     """
     import os
     import shutil
+    import signal
     import tempfile
+    import threading
     from pathlib import Path
 
     from repro.exceptions import StartupError
@@ -409,6 +411,10 @@ def _serve(args: argparse.Namespace) -> int:
     if durability is not None:
         print(f"  WAL  {durability.data_dir}  durable state "
               f"(sync={args.wal_sync})")
+    if threading.current_thread() is threading.main_thread():
+        # A plain ``kill`` takes the Ctrl-C path: drain, stop the pool's
+        # workers, remove the temporary snapshot directory.
+        signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         server.start()
         if durability is not None:

@@ -14,12 +14,15 @@ preprocessing-on-load workflow.
 
 from __future__ import annotations
 
+import hashlib
 import json
+import operator
 import os
 import time
 import zipfile
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -104,8 +107,6 @@ def _checksum_arrays(named_arrays) -> str:
     the zip layer's per-entry CRC happens to miss (or a tampered,
     re-zipped archive) still surface as a checksum mismatch on load.
     """
-    import hashlib
-
     digest = hashlib.sha256()
     for key, arr in named_arrays:
         digest.update(key.encode())
@@ -194,7 +195,7 @@ def _grown(
     raises the floor when one append must fit more than double.
     """
     capacity = max(minimum, 2 * used, needed)
-    grown = np.empty((capacity,) + array.shape[1:], dtype=np.float64)
+    grown = np.empty((capacity,) + array.shape[1:], dtype=array.dtype)
     grown[:used] = array[:used]
     return grown
 
@@ -360,6 +361,62 @@ class RepresentativeSummary:
         return np.maximum(kim, lb_keogh_reverse_batch(qs, lo, hi))
 
 
+class _LazyGroups(Sequence):
+    """``bucket.groups`` of a read-only attached bucket.
+
+    The bucket's handle and offset arrays stay the source of truth: a
+    :class:`SimilarityGroup` (and its tuple of ``SubsequenceRef``) is
+    built, and memoised, only when indexed — attaching costs nothing per
+    group and a query pays for the handful of groups it refines.
+    Concurrent readers at worst build the same group twice.  Holds the
+    arrays, not the bucket, so dropping a base frees its map at once.
+    """
+
+    __slots__ = ("_length", "_handles", "_offsets", "_stacks", "_built")
+
+    def __init__(
+        self,
+        length: int,
+        handles: np.ndarray,
+        offsets: np.ndarray,
+        stacks: tuple[np.ndarray, np.ndarray, np.ndarray],
+    ) -> None:
+        self._length = length
+        self._handles = handles
+        self._offsets = offsets
+        self._stacks = stacks  # (centroids, ed_radii, cheb_radii)
+        self._built: dict[int, SimilarityGroup] = {}
+
+    def __len__(self) -> int:
+        return self._offsets.shape[0] - 1
+
+    def __getitem__(self, index):
+        count = len(self)
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(count))]
+        i = operator.index(index)
+        if i < 0:
+            i += count
+        if not 0 <= i < count:
+            raise IndexError("group index out of range")
+        group = self._built.get(i)
+        if group is None:
+            lo, hi = self._offsets[i : i + 2].tolist()
+            length = self._length
+            centroids, ed_radii, cheb_radii = self._stacks
+            group = self._built[i] = SimilarityGroup(
+                length=length,
+                centroid=centroids[i],
+                members=tuple(
+                    SubsequenceRef(si, st, length)
+                    for si, st in self._handles[lo:hi].tolist()
+                ),
+                ed_radius=float(ed_radii[i]),
+                cheb_radius=float(cheb_radii[i]),
+            )
+        return group
+
+
 class LengthBucket:
     """All similarity groups for one subsequence length.
 
@@ -371,14 +428,23 @@ class LengthBucket:
     — lower-bound cascade and batched DTW — without resolving members one
     at a time.
 
-    Both the centroid stack and the member stack are *growable*: incremental
-    ingestion (``OnexBase.add_series`` and the :mod:`repro.stream`
-    subsystem) appends rows in place with amortised doubling instead of
-    re-gathering every member.  At build/load time each group's rows are
-    one contiguous slice of ``member_matrix``; rows appended later land at
-    the end of the matrix, so a group's rows are tracked as either a
-    ``slice`` (the common contiguous case, returned without a copy) or an
-    explicit row-index list.
+    **Arrays are the truth.**  Beside the value stack the bucket keeps,
+    one row per member and in the same (physical) row order, the
+    ``(series_index, start)`` handle and the owning group index, plus the
+    cumulative member offsets of the groups in logical order.  Counts,
+    the structure fingerprint and the snapshot writer read only these;
+    ``groups`` holds the per-group Python objects — a real list on a
+    writable bucket, built on demand (:class:`_LazyGroups`) on a
+    read-only attached one.
+
+    All the stacks are *growable*: incremental ingestion
+    (``OnexBase.add_series`` and the :mod:`repro.stream` subsystem)
+    appends rows in place with amortised doubling instead of re-gathering
+    every member.  The rows a bucket was constructed with are
+    group-contiguous (``_base_offsets`` delimits them, so a group without
+    appends resolves to a slice of the store, no copy); rows appended
+    later land at the end of the store in arrival order and are tracked
+    per group in ``_extra_rows``.
     """
 
     #: Initial row capacity of the growable stacks.
@@ -391,6 +457,7 @@ class LengthBucket:
         member_matrix: np.ndarray | None = None,
         stacks: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
         channels: int = 1,
+        handles: np.ndarray | None = None,
     ) -> None:
         self.length = length
         #: Channels per time step; multivariate buckets store every row
@@ -398,7 +465,7 @@ class LengthBucket:
         #: ``length * channels``) so clustering, radii, and persistence
         #: are identical to the univariate layout.
         self.channels = int(channels)
-        self.groups = list(groups)
+        self.groups: list[SimilarityGroup] | _LazyGroups = list(groups)
         count = len(self.groups)
         cap = max(self._MIN_CAPACITY, count)
         width = length * self.channels
@@ -417,13 +484,19 @@ class LengthBucket:
                 self._centroid_store[g] = group.centroid
                 self._ed_store[g] = group.ed_radius
                 self._cheb_store[g] = group.cheb_radius
-        offsets = np.cumsum([0] + [g.cardinality for g in self.groups])
-        # Per-group physical rows of the member store: a slice while the
-        # group's rows are contiguous, else a list of row indices.
-        self._rows: list[slice | list[int]] = [
-            slice(int(offsets[g]), int(offsets[g + 1])) for g in range(count)
-        ]
-        self._row_count = int(offsets[-1])
+        cards = np.fromiter(
+            (g.cardinality for g in self.groups), np.int64, count
+        )
+        self._offset_store = np.zeros(cap + 1, dtype=np.int64)
+        np.cumsum(cards, out=self._offset_store[1 : count + 1])
+        if handles is None:
+            # (series_index, start) of every member, group by group; the
+            # build pipeline passes the array it already holds instead.
+            handles = np.array(
+                [(m.series_index, m.start) for g in self.groups for m in g.members],
+                dtype=np.int64,
+            ).reshape(-1, 2)
+        self._adopt_rows(self._offset_store[: count + 1].copy(), handles)
         # Representative summaries (envelopes/endpoints/minmax) are built
         # lazily on first use and kept in sync by append_group; load()
         # attaches the persisted arrays instead.
@@ -442,32 +515,51 @@ class LengthBucket:
         else:
             self._member_store = None
 
+    def _adopt_rows(self, offsets: np.ndarray, handles: np.ndarray) -> None:
+        """Install the group-contiguous construction rows *offsets* delimit."""
+        self._base_offsets = offsets
+        self._row_count = int(offsets[-1])
+        if handles.shape != (self._row_count, 2):
+            raise ValidationError(
+                f"member handles shape {handles.shape} != {(self._row_count, 2)}"
+            )
+        self._handle_store = handles
+        #: Owning group of every store row; built by the first append
+        #: (until then the rows are exactly the construction rows).
+        self._row_group: np.ndarray | None = None
+        self._extra_rows: dict[int, list[int]] = {}
+
     @classmethod
     def attached(
         cls,
         length: int,
-        groups: list[SimilarityGroup],
+        handles: np.ndarray,
+        offsets: np.ndarray,
         member_matrix: np.ndarray,
         centroids: np.ndarray,
         ed_radii: np.ndarray,
         cheb_radii: np.ndarray,
         channels: int = 1,
+        *,
+        writable: bool = False,
     ) -> "LengthBucket":
         """Adopt already-stacked stores *without copying them*.
 
-        The zero-copy sibling of ``__init__``: the centroid/radius/member
-        stores are the given arrays themselves (capacity == count), so
-        mmap-backed arrays stay mmap-backed and N worker processes share
-        one page-cache copy.  Appends remain safe — the very first one
-        finds the store full and reallocates through ``_grown``, which
-        copies into a fresh private array — but a read-only base never
-        appends (its mutation paths are gated upstream).
+        The zero-copy sibling of ``__init__``: the stores are the given
+        arrays themselves (capacity == count), so mmap-backed arrays stay
+        mmap-backed and N worker processes share one page-cache copy.
+        *handles* is the ``(M, 2)`` member-handle array and *offsets* the
+        ``(G+1,)`` group offsets into it; no per-group Python object is
+        built — ``groups`` materialises them on demand and appends raise
+        :class:`~repro.exceptions.ReadOnlyBaseError`.  With *writable*
+        (the arrays must then be private copies) ``groups`` is a real
+        list and appends work: the first one finds each store full and
+        reallocates it through ``_grown``.
         """
         self = object.__new__(cls)
         self.length = int(length)
         self.channels = int(channels)
-        self.groups = list(groups)
-        count = len(self.groups)
+        count = int(offsets.shape[0]) - 1
         width = self.length * self.channels
         if centroids.shape != (count, width):
             raise ValidationError(
@@ -476,11 +568,8 @@ class LengthBucket:
         self._centroid_store = centroids
         self._ed_store = ed_radii
         self._cheb_store = cheb_radii
-        offsets = np.cumsum([0] + [g.cardinality for g in self.groups])
-        self._rows = [
-            slice(int(offsets[g]), int(offsets[g + 1])) for g in range(count)
-        ]
-        self._row_count = int(offsets[-1])
+        self._offset_store = offsets
+        self._adopt_rows(offsets.copy() if writable else offsets, handles)
         self._rep_summary = None
         expected = (self._row_count, width)
         if member_matrix.shape != expected:
@@ -488,6 +577,10 @@ class LengthBucket:
                 f"member matrix shape {member_matrix.shape} != {expected}"
             )
         self._member_store = member_matrix
+        groups = _LazyGroups(
+            self.length, handles, self._base_offsets, (centroids, ed_radii, cheb_radii)
+        )
+        self.groups = list(groups) if writable else groups
         return self
 
     @property
@@ -547,8 +640,45 @@ class LengthBucket:
 
     @property
     def member_offsets(self) -> np.ndarray:
-        """Cumulative member counts delimiting groups in logical order."""
-        return np.cumsum([0] + [g.cardinality for g in self.groups], dtype=np.int64)
+        """Cumulative member counts delimiting groups in logical order.
+
+        A live ``(G+1,)`` view (do not mutate): group ``g`` has
+        ``offsets[g+1] - offsets[g]`` members.
+        """
+        return self._offset_store[: len(self.groups) + 1]
+
+    @property
+    def cardinalities(self) -> np.ndarray:
+        """Member count of every group, as a fresh ``(G,)`` array."""
+        return np.diff(self.member_offsets)
+
+    def members_in(self, g_list: list[int]) -> int:
+        """Combined member count of the groups *g_list* (builds no group)."""
+        offset = self._offset_store.item
+        return sum(offset(g + 1) - offset(g) for g in g_list)
+
+    def _logical_order(self) -> np.ndarray | None:
+        """Store rows in group-contiguous order; None while they already are.
+
+        A group's rows ascend in arrival order, so a stable sort of the
+        per-row group index is exactly "group by group, members in
+        ``members`` order".
+        """
+        if self._row_group is None:
+            return None
+        group_of = self._row_group[: self._row_count]
+        if (group_of[1:] >= group_of[:-1]).all():
+            return None
+        return np.argsort(group_of, kind="stable")
+
+    @property
+    def member_handles(self) -> np.ndarray:
+        """``(M, 2)`` ``(series_index, start)`` of every member, group by
+        group as :attr:`member_offsets` delimits (a view while no append
+        has interleaved the rows, else a gathered copy)."""
+        order = self._logical_order()
+        handles = self._handle_store[: self._row_count]
+        return handles if order is None else handles[order]
 
     @property
     def member_matrix(self) -> np.ndarray | None:
@@ -566,15 +696,23 @@ class LengthBucket:
     def member_rows(self, g_idx: int) -> np.ndarray:
         """Values of group *g_idx*'s members, ordered as its ``members``.
 
-        A contiguous slice (no copy) while the group has no interleaved
-        appends — always the case at build/load time — else a gathered
-        copy of the group's rows.
+        A contiguous slice (no copy) while the group has had no appends —
+        always the case at build/load time — else a gathered copy of the
+        group's rows.
         """
         if self._member_store is None:
             raise NotBuiltError("member matrix not attached to this bucket")
-        rows = self._rows[g_idx]
-        if isinstance(rows, slice):
-            return self._member_store[rows]
+        extra = self._extra_rows.get(g_idx)
+        base = self._base_offsets
+        if g_idx + 1 < base.shape[0]:
+            lo, hi = base.item(g_idx), base.item(g_idx + 1)
+            if extra is None:
+                return self._member_store[lo:hi]
+            rows = [*range(lo, hi), *extra]
+        elif extra is None:
+            raise IndexError(f"group index {g_idx} out of range")
+        else:
+            rows = extra
         return self._member_store[np.fromiter(rows, np.int64, len(rows))]
 
     def ensure_member_matrix(self, dataset: TimeSeriesDataset) -> np.ndarray:
@@ -587,13 +725,10 @@ class LengthBucket:
         pre-v2 archive that carries no persisted matrix).
         """
         if self._member_store is None:
-            refs = [ref for group in self.groups for ref in group.members]
             width = self.length * self.channels
             matrix = np.empty((self._row_count, width), dtype=np.float64)
-            series = np.fromiter(
-                (r.series_index for r in refs), np.int64, len(refs)
-            )
-            starts = np.fromiter((r.start for r in refs), np.int64, len(refs))
+            series = self._handle_store[: self._row_count, 0]
+            starts = self._handle_store[: self._row_count, 1]
             for si in np.unique(series).tolist():
                 rows = np.nonzero(series == si)[0]
                 windows = window_view(dataset[si].values, self.length)
@@ -604,19 +739,13 @@ class LengthBucket:
     def stacked_member_matrix(self, dataset: TimeSeriesDataset) -> np.ndarray:
         """Member values in group-contiguous order (for persistence).
 
-        Returns the store itself (no copy) while every group is still a
-        contiguous ascending slice; after interleaved appends the rows are
-        gathered group by group.
+        Returns the store itself (no copy) while its rows are still
+        group-contiguous; after interleaved appends one fancy-index
+        gather over the logical row order.
         """
-        self.ensure_member_matrix(dataset)
-        expected = 0
-        for rows in self._rows:
-            if not isinstance(rows, slice) or rows.start != expected:
-                return np.vstack(
-                    [self.member_rows(g) for g in range(len(self.groups))]
-                )
-            expected = rows.stop
-        return self._member_store[: self._row_count]
+        matrix = self.ensure_member_matrix(dataset)
+        order = self._logical_order()
+        return matrix if order is None else matrix[order]
 
     # ------------------------------------------------------------------
     # Incremental growth (amortised-doubling appends)
@@ -625,6 +754,12 @@ class LengthBucket:
     def append_member(self, g_idx: int, ref: SubsequenceRef, values: np.ndarray) -> None:
         """Add one member to group *g_idx*, growing the stores in place."""
         self.append_members(g_idx, [ref], values[None, :])
+
+    def _require_writable(self) -> None:
+        if isinstance(self.groups, _LazyGroups):
+            raise ReadOnlyBaseError(
+                f"length-{self.length} bucket is attached read-only"
+            )
 
     def append_members(
         self, g_idx: int, refs: list[SubsequenceRef], rows: np.ndarray
@@ -638,8 +773,7 @@ class LengthBucket:
         group's members tuple, so callers assigning many windows at once
         (``add_series``, a chunked stream append) stay linear.
         """
-        from dataclasses import replace
-
+        self._require_writable()
         group = self.groups[g_idx]
         deviations = np.abs(rows - group.centroid)
         self.groups[g_idx] = replace(
@@ -650,45 +784,58 @@ class LengthBucket:
         )
         self._ed_store[g_idx] = self.groups[g_idx].ed_radius
         self._cheb_store[g_idx] = self.groups[g_idx].cheb_radius
-        for row in rows:
-            phys = self._append_row(row)
-            existing = self._rows[g_idx]
-            if isinstance(existing, slice):
-                if existing.stop == phys:  # still contiguous (newest group)
-                    self._rows[g_idx] = slice(existing.start, phys + 1)
-                else:
-                    self._rows[g_idx] = list(range(existing.start, existing.stop)) + [phys]
-            else:
-                existing.append(phys)
+        self._offset_store[g_idx + 1 : len(self.groups) + 1] += len(refs)
+        extra = self._extra_rows.setdefault(g_idx, [])
+        for ref, row in zip(refs, rows):
+            extra.append(self._append_row(g_idx, ref, row))
 
     def append_group(self, group: SimilarityGroup, values: np.ndarray) -> int:
         """Add a new (singleton) group seeded by *values*; returns its index."""
+        self._require_writable()
         g_idx = len(self.groups)
         if g_idx == self._centroid_store.shape[0]:
             self._centroid_store = _grown(self._centroid_store, g_idx)
             self._ed_store = _grown(self._ed_store, g_idx)
             self._cheb_store = _grown(self._cheb_store, g_idx)
+        if g_idx + 1 == self._offset_store.shape[0]:
+            self._offset_store = _grown(self._offset_store, g_idx + 1)
         self._centroid_store[g_idx] = group.centroid
         self._ed_store[g_idx] = group.ed_radius
         self._cheb_store[g_idx] = group.cheb_radius
+        self._offset_store[g_idx + 1] = self._offset_store[g_idx] + 1
         self.groups.append(group)
         if self._rep_summary is not None and self._rep_summary.count == g_idx:
             # Keep the prunable summaries live under streaming appends;
             # centroids never move, so existing rows stay valid.
             self._rep_summary.extend(group.centroid[None, :])
-        phys = self._append_row(values)
-        self._rows.append(slice(phys, phys + 1))
+        self._extra_rows[g_idx] = [
+            self._append_row(g_idx, group.members[0], values)
+        ]
         return g_idx
 
-    def _append_row(self, values: np.ndarray) -> int:
-        """Append one row to the member store (doubling); returns its index."""
+    def _append_row(
+        self, g_idx: int, ref: SubsequenceRef, values: np.ndarray
+    ) -> int:
+        """Append one member row to the per-row stores (doubling together);
+        returns its physical index."""
         if self._member_store is None:
             raise NotBuiltError("member matrix not attached to this bucket")
-        if self._row_count == self._member_store.shape[0]:
-            self._member_store = _grown(self._member_store, self._row_count)
-        self._member_store[self._row_count] = values
-        self._row_count += 1
-        return self._row_count - 1
+        row = self._row_count
+        if self._row_group is None:
+            self._row_group = np.repeat(
+                np.arange(self._base_offsets.shape[0] - 1, dtype=np.int64),
+                np.diff(self._base_offsets),
+            )
+        if row == self._member_store.shape[0]:
+            self._member_store = _grown(self._member_store, row)
+        if row == self._handle_store.shape[0]:
+            self._handle_store = _grown(self._handle_store, row)
+            self._row_group = _grown(self._row_group, row)
+        self._member_store[row] = values
+        self._handle_store[row] = (ref.series_index, ref.start)
+        self._row_group[row] = g_idx
+        self._row_count = row + 1
+        return row
 
 
 def _build_length_shard(
@@ -965,6 +1112,7 @@ class OnexBase:
             matrix[member_rows],
             stacks=(centroids, payload["ed_radii"], payload["cheb_radii"]),
             channels=self._dataset.channels,
+            handles=np.column_stack((series_idx, starts)).astype(np.int64, copy=False),
         )
 
     @classmethod
@@ -1346,13 +1494,8 @@ class OnexBase:
             payload[f"{prefix}_centroids"] = bucket.centroids
             payload[f"{prefix}_ed_radii"] = bucket.ed_radii
             payload[f"{prefix}_cheb_radii"] = bucket.cheb_radii
-            offsets = [0]
-            members = []
-            for g in bucket.groups:
-                members.extend((m.series_index, m.start) for m in g.members)
-                offsets.append(len(members))
-            payload[f"{prefix}_members"] = np.array(members, dtype=np.int64)
-            payload[f"{prefix}_offsets"] = np.array(offsets, dtype=np.int64)
+            payload[f"{prefix}_members"] = bucket.member_handles
+            payload[f"{prefix}_offsets"] = bucket.member_offsets
             payload[f"{prefix}_member_matrix"] = bucket.stacked_member_matrix(
                 self._dataset
             )
@@ -1490,7 +1633,11 @@ class OnexBase:
                     archive[matrix_key] if matrix_key in archive.files else None
                 )
                 bucket = LengthBucket(
-                    int(length), groups, member_matrix, channels=channels
+                    int(length),
+                    groups,
+                    member_matrix,
+                    channels=channels,
+                    handles=members.astype(np.int64, copy=False).reshape(-1, 2),
                 )
                 bucket.ensure_member_matrix(base._dataset)
                 env_key = f"{prefix}_rep_env_lo"
@@ -1528,8 +1675,6 @@ class OnexBase:
 
     def _fingerprint(self) -> str:
         """Cheap content hash binding a saved base to its dataset."""
-        import hashlib
-
         digest = hashlib.sha256()
         for series in self._dataset:
             digest.update(series.name.encode())
@@ -1547,26 +1692,19 @@ class OnexBase:
         determinism gate (serial vs thread-pool vs process-pool builds,
         E18 and ``run_all.py``) compares these.
         """
-        import hashlib
-
         self._require_built()
         digest = hashlib.sha256()
         for length in self.lengths:
             bucket = self._buckets[length]
             digest.update(np.int64(length).tobytes())
-            digest.update(np.ascontiguousarray(bucket.centroids).tobytes())
-            digest.update(np.ascontiguousarray(bucket.ed_radii).tobytes())
-            digest.update(np.ascontiguousarray(bucket.cheb_radii).tobytes())
-            digest.update(bucket.member_offsets.tobytes())
-            members = np.array(
-                [
-                    (m.series_index, m.start)
-                    for g in bucket.groups
-                    for m in g.members
-                ],
-                dtype=np.int64,
-            )
-            digest.update(members.tobytes())
+            for array in (
+                bucket.centroids,
+                bucket.ed_radii,
+                bucket.cheb_radii,
+                bucket.member_offsets,
+                bucket.member_handles,
+            ):
+                digest.update(np.ascontiguousarray(array))
         return digest.hexdigest()
 
     def __repr__(self) -> str:

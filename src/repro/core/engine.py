@@ -436,15 +436,15 @@ class OnexEngine:
         if length is None:
             length = base.lengths[-1]
         bucket = base.bucket(length)
-        ranked = sorted(
-            range(bucket.group_count),
-            key=lambda g: -bucket.groups[g].cardinality,
-        )[:limit]
+        cardinalities = bucket.cardinalities
+        # Stable: equal cardinalities keep ascending group order.
+        ranked = np.argsort(-cardinalities, kind="stable")[:limit].tolist()
+        centroids = bucket.centroids
         return [
             {
                 "group": (length, g),
-                "cardinality": bucket.groups[g].cardinality,
-                "representative": bucket.groups[g].centroid.tolist(),
+                "cardinality": int(cardinalities[g]),
+                "representative": centroids[g].tolist(),
             }
             for g in ranked
         ]

@@ -3,53 +3,65 @@
 The ``.npz`` archive (:meth:`OnexBase.save`) is compact but *copies* on
 load: every array is decompressed into fresh private pages per process.
 The worker pool needs the opposite trade — N processes serving the same
-base should share one page-cache copy of the big stacks.  This module
-persists a base as a **directory of raw ``.npy`` files plus one
-``meta.json``**, so ``np.load(..., mmap_mode="r")`` maps each array
-directly:
+base should share one page-cache copy of the big stacks, and a new
+epoch must be cheap to publish and cheap to attach.  This module
+persists a base as a directory of **two files**::
 
-- cold start is an ``mmap(2)`` per array — no decompression, no copy;
+    arrays.bin   every array of the base, C-contiguous, back to back,
+                 each starting on a 64-byte boundary
+    meta.json    format tag, build config, stats, dataset and series
+                 names/metadata, normalisation bounds, indexed lengths,
+                 per-length envelope radii, the structure fingerprint,
+                 and ``arrays``: name -> [dtype, shape, byte offset]
+
+so publishing is one sequential dump and attaching is one ``mmap(2)``
+plus a view per directory entry — neither costs anything per group:
+
 - every worker's member/centroid/summary stacks are views over the same
   physical pages (the kernel shares the page cache across processes);
 - the mapping is write-protected, so an accidental in-place mutation in
-  a worker raises instead of corrupting sibling processes.
+  a worker raises instead of corrupting sibling processes;
+- **groups are materialised on demand**: an attached bucket keeps the
+  ``(M, 2)`` member-handle array and ``(G+1,)`` offsets as its source of
+  truth and builds a ``SimilarityGroup`` only when a query indexes
+  ``bucket.groups`` (see ``LengthBucket.attached``); counts, the
+  structure fingerprint and this module's writer read the arrays.
 
-Layout of one snapshot directory::
+Arrays in the directory (``<L>`` = subsequence length)::
 
-    meta.json                   config, stats, dataset names/metadata,
-                                fingerprints, per-length radii
-    raw_<i>.npy                 raw series values, one file per series
-    norm_<i>.npy                normalised values (only when the base
+    raw_<i>                     raw series values, one entry per series
+    norm_<i>                    normalised values (only when the base
                                 normalises; else raw_<i> is shared)
-    len<L>_centroids.npy        stacked group representatives
-    len<L>_ed_radii.npy         per-group ED_n radii
-    len<L>_cheb_radii.npy       per-group Chebyshev radii
-    len<L>_members.npy          (M, 2) int64 member handles
-    len<L>_offsets.npy          (G+1,) int64 group row offsets
-    len<L>_member_matrix.npy    stacked member values, group-contiguous
-    len<L>_rep_env_lo.npy       persisted representative summaries
-    len<L>_rep_env_hi.npy
-    len<L>_rep_endpoints.npy
-    len<L>_rep_minmax.npy
+    len<L>_centroids            stacked group representatives
+    len<L>_ed_radii             per-group ED_n radii
+    len<L>_cheb_radii           per-group Chebyshev radii
+    len<L>_members              (M, 2) int64 member handles
+    len<L>_offsets              (G+1,) int64 group row offsets
+    len<L>_member_matrix        stacked member values, group-contiguous
+    len<L>_rep_env_lo/_rep_env_hi/_rep_endpoints/_rep_minmax
+                                persisted representative summaries
 
 Snapshots are written to a ``<dir>.tmp`` sibling and ``os.replace``\\ d
 into place, so a crash mid-write never publishes a half-written
 directory; :func:`clean_stale_snapshots` sweeps leftover ``*.tmp``
-debris (and superseded epochs) at supervisor start.
+debris (and superseded epochs) at supervisor start.  Nothing outlives a
+supervisor run — every start republishes — so there is one layout and
+no migration: a directory of another ``SNAPSHOT_FORMAT`` is refused.
 
 Loading with ``mmap_mode="r"`` produces a **read-only** base: the
 mutation paths (:meth:`OnexBase.add_series`, streaming ingestion) raise
-:class:`~repro.exceptions.ReadOnlyBaseError`.  The attach path copies
-nothing — buckets and summaries adopt the mapped arrays via
-``LengthBucket.attached`` / ``RepresentativeSummary.attached``, and the
-dataset wraps them through ``TimeSeries._wrap``.
+:class:`~repro.exceptions.ReadOnlyBaseError`.  ``mmap_mode=None`` reads
+the file into private memory instead and yields an ordinary writable
+base (real group lists).
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import shutil
+from collections.abc import Callable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -63,8 +75,7 @@ from repro.core.base import (
     RepresentativeSummary,
 )
 from repro.core.config import BuildConfig
-from repro.core.grouping import SimilarityGroup
-from repro.data.dataset import SubsequenceRef, TimeSeriesDataset
+from repro.data.dataset import TimeSeriesDataset
 from repro.data.timeseries import TimeSeries
 from repro.exceptions import PersistenceError
 from repro.obs.logs import get_logger, log_event
@@ -78,12 +89,40 @@ __all__ = [
 
 _LOG = get_logger("mmap")
 
-#: Version tag written into ``meta.json`` and checked on load.
-SNAPSHOT_FORMAT = 1
+#: Version tag written into ``meta.json`` and checked on load.  Format 2
+#: replaced format 1's one ``.npy`` per array (300 files at the 50-series
+#: floor, whose open/parse/map overhead was the whole attach) with the
+#: single ``arrays.bin`` + directory in ``meta.json``.
+SNAPSHOT_FORMAT = 2
+
+_ARRAYS_FILE = "arrays.bin"
+#: Every array starts on a cache-line boundary of the (page-aligned) map.
+_ALIGN = 64
 
 
-def _write_array(directory: Path, name: str, array: np.ndarray) -> None:
-    np.save(directory / f"{name}.npy", np.ascontiguousarray(array))
+def _snapshot_arrays(base: OnexBase) -> Iterator[tuple[str, np.ndarray]]:
+    """Every ``(name, array)`` of *base*'s snapshot, in file order."""
+    raw = base.raw_dataset
+    norm = base.dataset
+    for i, series in enumerate(raw):
+        yield f"raw_{i}", series.values
+    if norm is not raw:
+        for i, series in enumerate(norm):
+            yield f"norm_{i}", series.values
+    for length in base.lengths:
+        bucket = base.bucket(length)
+        prefix = f"len{length}"
+        yield f"{prefix}_centroids", bucket.centroids
+        yield f"{prefix}_ed_radii", bucket.ed_radii
+        yield f"{prefix}_cheb_radii", bucket.cheb_radii
+        yield f"{prefix}_members", bucket.member_handles
+        yield f"{prefix}_offsets", bucket.member_offsets
+        yield f"{prefix}_member_matrix", bucket.stacked_member_matrix(norm)
+        summary = bucket.rep_summary
+        yield f"{prefix}_rep_env_lo", summary.env_lo
+        yield f"{prefix}_rep_env_hi", summary.env_hi
+        yield f"{prefix}_rep_endpoints", summary.endpoints
+        yield f"{prefix}_rep_minmax", summary.minmax
 
 
 def save_base_snapshot(base: OnexBase, directory: str | Path) -> Path:
@@ -93,7 +132,8 @@ def save_base_snapshot(base: OnexBase, directory: str | Path) -> Path:
     is renamed into place, so *directory* either does not exist or holds
     a complete snapshot.  *directory* must not already exist (publishers
     use a fresh epoch directory per publication).  Returns the final
-    path.
+    path; the structure fingerprint of what was written is in its
+    ``meta.json``, where every attaching process reads it.
     """
     final = Path(directory)
     if final.exists():
@@ -104,42 +144,18 @@ def save_base_snapshot(base: OnexBase, directory: str | Path) -> Path:
         shutil.rmtree(tmp)
     tmp.mkdir(parents=True)
     try:
+        arrays: dict[str, list] = {}
+        offset = 0
+        with open(tmp / _ARRAYS_FILE, "wb") as fh:
+            for name, array in _snapshot_arrays(base):
+                array = np.ascontiguousarray(array)
+                padding = -offset % _ALIGN
+                fh.write(bytes(padding))
+                offset += padding
+                arrays[name] = [array.dtype.str, list(array.shape), offset]
+                fh.write(array.data)
+                offset += array.nbytes
         raw = base.raw_dataset
-        norm = base.dataset
-        normalized_stored = norm is not raw
-        for i, series in enumerate(raw):
-            _write_array(tmp, f"raw_{i}", series.values)
-        if normalized_stored:
-            for i, series in enumerate(norm):
-                _write_array(tmp, f"norm_{i}", series.values)
-        rep_radius: dict[str, int] = {}
-        for length in base.lengths:
-            bucket = base.bucket(length)
-            prefix = f"len{length}"
-            _write_array(tmp, f"{prefix}_centroids", bucket.centroids)
-            _write_array(tmp, f"{prefix}_ed_radii", bucket.ed_radii)
-            _write_array(tmp, f"{prefix}_cheb_radii", bucket.cheb_radii)
-            members = np.array(
-                [
-                    (m.series_index, m.start)
-                    for g in bucket.groups
-                    for m in g.members
-                ],
-                dtype=np.int64,
-            ).reshape(-1, 2)
-            _write_array(tmp, f"{prefix}_members", members)
-            _write_array(tmp, f"{prefix}_offsets", bucket.member_offsets)
-            _write_array(
-                tmp,
-                f"{prefix}_member_matrix",
-                bucket.stacked_member_matrix(norm),
-            )
-            summary = bucket.rep_summary
-            _write_array(tmp, f"{prefix}_rep_env_lo", summary.env_lo)
-            _write_array(tmp, f"{prefix}_rep_env_hi", summary.env_hi)
-            _write_array(tmp, f"{prefix}_rep_endpoints", summary.endpoints)
-            _write_array(tmp, f"{prefix}_rep_minmax", summary.minmax)
-            rep_radius[str(length)] = summary.radius
         stats = base.stats
         meta = {
             "format": SNAPSHOT_FORMAT,
@@ -169,13 +185,17 @@ def save_base_snapshot(base: OnexBase, directory: str | Path) -> Path:
                 if base.normalization_bounds is not None
                 else None
             ),
-            "normalized_stored": normalized_stored,
+            "normalized_stored": base.dataset is not raw,
             "lengths": list(base.lengths),
-            "rep_radius": rep_radius,
+            "rep_radius": {
+                str(length): base.bucket(length).rep_summary.radius
+                for length in base.lengths
+            },
             "structure_fingerprint": base.structure_fingerprint(),
+            "arrays": arrays,
         }
         with open(tmp / "meta.json", "w") as fh:
-            json.dump(meta, fh, sort_keys=True)
+            fh.write(json.dumps(meta, sort_keys=True))
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, final)
@@ -186,16 +206,39 @@ def save_base_snapshot(base: OnexBase, directory: str | Path) -> Path:
     return final
 
 
-def _load_array(
-    directory: Path, name: str, mmap_mode: str | None
-) -> np.ndarray:
-    path = directory / f"{name}.npy"
+def _open_arrays(
+    directory: Path, index: dict, mmap_mode: str | None
+) -> Callable[[str], np.ndarray]:
+    """Map (or, with ``mmap_mode=None``, read) ``arrays.bin``; returns the
+    lookup ``name -> array`` over it, each array a view of the one buffer."""
+    path = directory / _ARRAYS_FILE
     try:
-        return np.load(path, mmap_mode=mmap_mode, allow_pickle=False)
+        if mmap_mode is None:
+            blob = np.fromfile(path, dtype=np.uint8)
+        else:
+            # Plain-ndarray view: the hundreds of slices below then skip
+            # the memmap subclass's per-view bookkeeping.
+            blob = np.memmap(path, dtype=np.uint8, mode=mmap_mode).view(np.ndarray)
     except (OSError, ValueError) as exc:
         raise PersistenceError(
-            f"snapshot array {path} is missing or unreadable: {exc}"
+            f"snapshot arrays {path} are missing or unreadable: {exc}"
         ) from exc
+
+    def array(name: str) -> np.ndarray:
+        try:
+            dtype, shape, offset = index[name]
+            dtype = np.dtype(dtype)
+            stop = offset + dtype.itemsize * math.prod(shape)
+            if not 0 <= offset <= stop <= blob.shape[0]:
+                raise ValueError(f"bytes {offset}..{stop} of {blob.shape[0]}")
+            return blob[offset:stop].view(dtype).reshape(shape)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise PersistenceError(
+                f"snapshot array {name!r} of {path} is missing or "
+                f"malformed: {exc!r}"
+            ) from exc
+
+    return array
 
 
 def load_base_snapshot(
@@ -206,9 +249,10 @@ def load_base_snapshot(
 ) -> tuple[OnexBase, dict]:
     """Open a snapshot directory; returns ``(base, meta)``.
 
-    With the default ``mmap_mode="r"`` every array is a write-protected
-    memory map and the base is **read-only** (mutations raise); pass
-    ``mmap_mode=None`` to materialise private writable copies instead.
+    With the default ``mmap_mode="r"`` every array is a view of one
+    write-protected memory map, the base is **read-only** (mutations
+    raise) and its groups are materialised on demand; pass
+    ``mmap_mode=None`` to read a private writable copy instead.
     *verify* recomputes the structure fingerprint against the stored one
     — it touches every page, so it is off by default (cold start stays
     an mmap) and turned on by tests and offline integrity checks.
@@ -222,79 +266,71 @@ def load_base_snapshot(
         raise PersistenceError(
             f"snapshot meta {meta_path} is missing or unreadable: {exc}"
         ) from exc
-    if meta.get("format") != SNAPSHOT_FORMAT:
+    if not isinstance(meta, dict) or meta.get("format") != SNAPSHOT_FORMAT:
+        found = meta.get("format") if isinstance(meta, dict) else meta
         raise PersistenceError(
-            f"snapshot {directory} has format {meta.get('format')!r}, "
+            f"snapshot {directory} has format {found!r}, "
             f"expected {SNAPSHOT_FORMAT}"
         )
-    ds_meta = meta["dataset"]
-    raw_series = [
-        TimeSeries._wrap(
-            entry["name"],
-            _load_array(directory, f"raw_{i}", mmap_mode),
-            entry.get("metadata") or {},
+    try:
+        base = _attach(directory, meta, mmap_mode)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise PersistenceError(
+            f"snapshot meta {meta_path} is malformed: {exc!r}"
+        ) from exc
+    if verify and base.structure_fingerprint() != meta["structure_fingerprint"]:
+        raise PersistenceError(
+            f"snapshot {directory} failed its structure fingerprint "
+            "(truncated or tampered with)"
         )
-        for i, entry in enumerate(ds_meta["series"])
-    ]
-    raw_dataset = TimeSeriesDataset(raw_series, name=ds_meta["name"])
-    if meta["normalized_stored"]:
-        norm_series = [
-            TimeSeries._wrap(
-                entry["name"],
-                _load_array(directory, f"norm_{i}", mmap_mode),
-                entry.get("metadata") or {},
-            )
-            for i, entry in enumerate(ds_meta["series"])
-        ]
-        norm_dataset = TimeSeriesDataset(norm_series, name=ds_meta["name"])
-    else:
-        norm_dataset = raw_dataset
+    return base, meta
+
+
+def _attach(directory: Path, meta: dict, mmap_mode: str | None) -> OnexBase:
+    """Assemble the base *meta* describes over the arrays of *directory*."""
+    array = _open_arrays(directory, meta["arrays"], mmap_mode)
+    ds_meta = meta["dataset"]
+
+    def dataset(prefix: str) -> TimeSeriesDataset:
+        return TimeSeriesDataset(
+            [
+                TimeSeries._wrap(
+                    entry["name"],
+                    array(f"{prefix}_{i}"),
+                    entry.get("metadata") or {},
+                )
+                for i, entry in enumerate(ds_meta["series"])
+            ],
+            name=ds_meta["name"],
+        )
+
+    raw_dataset = dataset("raw")
+    norm_dataset = dataset("norm") if meta["normalized_stored"] else raw_dataset
     channels = int(meta.get("channels", 1))
+    read_only = mmap_mode == "r"
     buckets: dict[int, LengthBucket] = {}
     for length in meta["lengths"]:
         length = int(length)
         prefix = f"len{length}"
-        centroids = _load_array(directory, f"{prefix}_centroids", mmap_mode)
-        ed_radii = _load_array(directory, f"{prefix}_ed_radii", mmap_mode)
-        cheb_radii = _load_array(directory, f"{prefix}_cheb_radii", mmap_mode)
-        # Handles and offsets are small and drive python-level group
-        # reconstruction anyway — materialise them outright.
-        members = np.asarray(_load_array(directory, f"{prefix}_members", None))
-        offsets = np.asarray(
-            _load_array(directory, f"{prefix}_offsets", None)
-        ).tolist()
-        groups = []
-        for g in range(len(offsets) - 1):
-            chunk = members[offsets[g] : offsets[g + 1]]
-            refs = tuple(
-                SubsequenceRef(int(si), int(st), length) for si, st in chunk
-            )
-            groups.append(
-                SimilarityGroup(
-                    length=length,
-                    centroid=centroids[g],
-                    members=refs,
-                    ed_radius=float(ed_radii[g]),
-                    cheb_radius=float(cheb_radii[g]),
-                )
-            )
         bucket = LengthBucket.attached(
             length,
-            groups,
-            _load_array(directory, f"{prefix}_member_matrix", mmap_mode),
-            centroids,
-            ed_radii,
-            cheb_radii,
+            array(f"{prefix}_members"),
+            array(f"{prefix}_offsets"),
+            array(f"{prefix}_member_matrix"),
+            array(f"{prefix}_centroids"),
+            array(f"{prefix}_ed_radii"),
+            array(f"{prefix}_cheb_radii"),
             channels=channels,
+            writable=not read_only,
         )
         bucket.attach_rep_summary(
             RepresentativeSummary.attached(
                 length,
                 int(meta["rep_radius"][str(length)]),
-                _load_array(directory, f"{prefix}_rep_env_lo", mmap_mode),
-                _load_array(directory, f"{prefix}_rep_env_hi", mmap_mode),
-                _load_array(directory, f"{prefix}_rep_endpoints", mmap_mode),
-                _load_array(directory, f"{prefix}_rep_minmax", mmap_mode),
+                array(f"{prefix}_rep_env_lo"),
+                array(f"{prefix}_rep_env_hi"),
+                array(f"{prefix}_rep_endpoints"),
+                array(f"{prefix}_rep_minmax"),
             )
         )
         buckets[length] = bucket
@@ -310,23 +346,15 @@ def load_base_snapshot(
         ),
     )
     norm_bounds = meta.get("norm_bounds")
-    base = OnexBase.from_attached(
+    return OnexBase.from_attached(
         raw_dataset,
         norm_dataset,
         BuildConfig(**meta["config"]),
         tuple(norm_bounds) if norm_bounds is not None else None,
         buckets,
         stats,
-        read_only=(mmap_mode == "r"),
+        read_only=read_only,
     )
-    if verify:
-        actual = base.structure_fingerprint()
-        if actual != meta["structure_fingerprint"]:
-            raise PersistenceError(
-                f"snapshot {directory} failed its structure fingerprint "
-                "(truncated or tampered with)"
-            )
-    return base, meta
 
 
 def clean_stale_snapshots(root: str | Path, *, keep_latest: int = 1) -> list[str]:

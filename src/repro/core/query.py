@@ -898,10 +898,7 @@ class QueryProcessor:
         cfg = self._config
         if not cfg.use_member_batching:
             return True
-        return (
-            sum(bucket.groups[g].cardinality for g in g_list)
-            < cfg.batch_min_members
-        )
+        return bucket.members_in(g_list) < cfg.batch_min_members
 
     def _threshold_refine(
         self, q, bucket, g_list, threshold, stats, envelopes
@@ -1072,7 +1069,7 @@ class QueryProcessor:
         also the ablation reference.
         """
         stats.groups_refined += len(g_list)
-        members = sum(len(bucket.groups[g].members) for g in g_list)
+        members = bucket.members_in(g_list)
         with span(
             "cascade.refine",
             length=bucket.length,

@@ -433,24 +433,8 @@ def _make_handler(
             pass  # request logging is the structured logger's job
 
         def _pool_summary(self) -> dict | None:
-            if pool_status is None:
-                return None
-            status = pool_status()
-            return {
-                "size": status["size"],
-                "live": status["live"],
-                "failovers": status["failovers"],
-                "workers": [
-                    {
-                        "slot": w["slot"],
-                        "pid": w["pid"],
-                        "state": w["state"],
-                        "restarts": w["restarts"],
-                        "crashes": w["crashes"],
-                    }
-                    for w in status["workers"]
-                ],
-            }
+            """Per-slot state, and each slot's epochs beside the published."""
+            return pool_status() if pool_status is not None else None
 
         def _send(self, status: int, payload: dict, headers: dict | None = None) -> None:
             body = json.dumps(payload).encode()

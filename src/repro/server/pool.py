@@ -10,6 +10,13 @@ kernel's page cache makes every worker's member/centroid/summary stacks
 views over the same physical pages, so adding a worker adds parallelism
 without adding copies of the base.
 
+Snapshots reach workers *with the requests*: every dispatched frame
+carries the published ``[dataset, path, epoch]`` of its dataset (and the
+names unloaded since the worker's last frame), the worker maps that
+epoch first if it holds another, and its reply reports the epoch it
+answered from and what the attach cost.  There is no control channel
+and no broadcast, so no worker can miss a publication.
+
 Fault containment and failover:
 
 - **Crash detection** — the dispatching thread sees EOF on the worker's
@@ -52,17 +59,17 @@ from __future__ import annotations
 import json
 import os
 import select
-import signal
 import socket
 import struct
 import threading
 import time
 from collections import deque
+from functools import partial
 from typing import Any, Callable
 
 from multiprocessing import get_context
 
-from repro.exceptions import OverloadedError, WorkerCrashedError
+from repro.exceptions import OverloadedError, PersistenceError, WorkerCrashedError
 from repro.obs.logs import get_logger, log_event
 from repro.obs.metrics import REGISTRY
 from repro.server.protocol import READ_ONLY_OPERATIONS, Request, Response
@@ -90,7 +97,17 @@ _CRASHES_TOTAL = REGISTRY.counter(
 )
 _DISPATCH_TOTAL = REGISTRY.counter(
     "onex_pool_dispatch_total",
-    "Dispatch outcomes (ok | failover | crashed | no_capacity)",
+    "Dispatch outcomes (ok | failover | crashed | no_capacity | attach_failed)",
+)
+
+_ATTACH_MS = REGISTRY.histogram(
+    "onex_pool_snapshot_attach_ms",
+    "Worker-side attach of a newly published epoch (the other half of "
+    "onex_pool_snapshot_publish_ms)",
+)
+_WORKER_EPOCH = REGISTRY.gauge(
+    "onex_pool_worker_epoch",
+    "Snapshot epoch the slot answered its last dispatch from",
 )
 
 _FRAME_HEADER = struct.Struct(">I")
@@ -176,7 +193,8 @@ class _WorkerClock:
             return time.monotonic() - self.request_started
 
 
-def _worker_register(service: Any, name: str, path: str, fingerprint: str | None) -> None:
+def _worker_attach(service: Any, name: str, path: str) -> None:
+    """Map *name*'s snapshot at *path* read-only, replacing any older epoch."""
     from repro.core.mmap_layout import load_base_snapshot
 
     base, meta = load_base_snapshot(path, mmap_mode="r")
@@ -184,9 +202,7 @@ def _worker_register(service: Any, name: str, path: str, fingerprint: str | None
     if name in engine.dataset_names:
         engine.unload_dataset(name)
     engine.restore_dataset(
-        base.raw_dataset,
-        base,
-        fingerprint=fingerprint or meta.get("structure_fingerprint"),
+        base.raw_dataset, base, fingerprint=meta.get("structure_fingerprint")
     )
 
 
@@ -195,11 +211,21 @@ def _worker_main(
     conn: socket.socket,
     heartbeat_fd: int,
     service_config: dict,
-    snapshot_table: list[tuple[str, str, str | None]],
+    snapshot_table: dict[str, tuple[str, int]],
+    supervisor_ends: list[Callable[[], None]],
 ) -> None:
     """Entry point of one forked worker (never returns normally)."""
     from repro.core.config import QueryConfig
     from repro.server.service import OnexService
+
+    # The fork copied the supervisor's ends of every slot's channel (this
+    # one's included).  Drop them, or the supervisor's death would never
+    # read as EOF here and an unsupervised worker would live on.
+    for close_end in supervisor_ends:
+        try:
+            close_end()
+        except OSError:
+            pass  # closed by the supervisor between snapshot and fork
 
     clock = _WorkerClock()
     interval = float(service_config.get("heartbeat_interval_s", 0.2))
@@ -221,52 +247,52 @@ def _worker_main(
             QueryConfig(**(service_config.get("query_config") or {})),
             default_timeout_ms=service_config.get("default_timeout_ms"),
         )
-        for name, path, fingerprint in snapshot_table:
-            _worker_register(service, name, path, fingerprint)
+        #: dataset -> snapshot path this worker currently maps.
+        attached: dict[str, str] = {}
+        for name, (path, _epoch) in sorted(snapshot_table.items()):
+            _worker_attach(service, name, path)
+            attached[name] = path
         threading.Thread(target=beat, daemon=True).start()
         _send_frame(conn, {"ctl": "ready", "pid": os.getpid()})
         while True:
             frame = _recv_frame(conn)
             if frame is None:  # supervisor closed the pair: shut down
                 os._exit(0)
-            ctl = frame.get("ctl")
-            if ctl == "remap":
-                try:
-                    _worker_register(
-                        service,
-                        str(frame["dataset"]),
-                        str(frame["path"]),
-                        frame.get("fingerprint"),
-                    )
-                    _send_frame(conn, {"ok": True})
-                except Exception as exc:
-                    _send_frame(conn, {"ok": False, "error": str(exc)})
-                continue
-            if ctl == "unload":
-                name = str(frame["dataset"])
+            for name in frame.get("drop", ()):  # unloaded since our last frame
+                attached.pop(name, None)
                 if name in service.engine.dataset_names:
                     service.engine.unload_dataset(name)
-                _send_frame(conn, {"ok": True})
-                continue
-            if ctl == "ping":
-                _send_frame(conn, {"ok": True, "pid": os.getpid()})
-                continue
-            if ctl == "shutdown":
-                _send_frame(conn, {"ok": True})
-                os._exit(0)
             request = frame.get("req")
             if not isinstance(request, dict):
                 _send_frame(conn, {"ok": False, "error": "bad frame"})
                 continue
             op = request.get("op")
+            served: dict = {}
             clock.begin()
             try:
+                # The frame names the epoch published for the request's
+                # dataset: map it first if this worker holds another, so
+                # it never answers from an older epoch than it was asked.
+                if "epoch" in frame:
+                    name, path, served["epoch"] = frame["epoch"]
+                    if attached.get(name) != path:
+                        started = time.monotonic()
+                        try:
+                            _worker_attach(service, name, path)
+                        except Exception as exc:
+                            attached.pop(name, None)
+                            _send_frame(
+                                conn, {"ctl": "attach_failed", "error": str(exc)}
+                            )
+                            continue
+                        attached[name] = path
+                        served["attach_ms"] = (time.monotonic() - started) * 1e3
                 faults.fire("worker.kill", op=op)
                 faults.fire("worker.hang", op=op)
                 response = service.handle(request)
             finally:
                 clock.end()
-            _send_frame(conn, response.to_dict())
+            _send_frame(conn, {**response.to_dict(), **served})
     except (OSError, ConnectionError, KeyboardInterrupt):
         os._exit(0)
     except BaseException:  # never unwind back into forked interpreter state
@@ -302,6 +328,10 @@ class _Slot:
         #: dispatcher's EOF path reports the death, but the *cause* was
         #: the hang, and status/metrics must say so.
         self.pending_kind: str | None = None
+        #: dataset -> epoch this worker last reported answering from.
+        self.epochs: dict[str, int] = {}
+        #: Unloaded datasets the worker is told to drop with its next frame.
+        self.dropped: list[str] = []
 
     def status(self) -> dict:
         return {
@@ -309,6 +339,7 @@ class _Slot:
             "pid": self.proc.pid if self.proc is not None else None,
             "state": self.state,
             "busy": self.busy,
+            "epochs": dict(self.epochs),
             "restarts": self.restarts,
             "crashes": self.crashes,
             "consecutive_failures": self.consecutive_failures,
@@ -323,8 +354,8 @@ class WorkerPool:
     See the module docstring for the fault model.  *service_config*
     carries ``query_config`` kwargs and ``default_timeout_ms`` into each
     worker's :class:`~repro.server.service.OnexService`; snapshots are
-    announced with :meth:`remap` (re-announced automatically to every
-    restarted worker).  *on_capacity_change* is invoked as
+    recorded with :meth:`remap` and reach a worker with the next request
+    it is handed (or at spawn).  *on_capacity_change* is invoked as
     ``callback(live, size)`` on every live-count transition.
     """
 
@@ -372,7 +403,8 @@ class WorkerPool:
         self.on_capacity_change = on_capacity_change
         self._cond = threading.Condition()
         self._slots = [_Slot(i) for i in range(self.size)]
-        self._snapshot_table: dict[str, tuple[str, str | None]] = {}
+        #: dataset -> (snapshot path, epoch) currently published.
+        self._snapshot_table: dict[str, tuple[str, int]] = {}
         self._closed = False
         self._monitor: threading.Thread | None = None
         self._ctx = get_context("fork")
@@ -434,12 +466,6 @@ class WorkerPool:
             self._monitor = None
         _POOL_LIVE.set(0.0)
 
-    def __enter__(self) -> "WorkerPool":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
@@ -473,66 +499,26 @@ class WorkerPool:
     # Snapshot announcements
     # ------------------------------------------------------------------
 
-    def remap(self, dataset: str, path: str, fingerprint: str | None = None) -> None:
-        """Announce (or re-announce) *dataset*'s snapshot to every worker.
+    def remap(self, dataset: str, path: str, epoch: int) -> None:
+        """Record *dataset*'s published snapshot; nothing is sent.
 
-        The table entry is recorded first, so workers restarted mid-
-        broadcast pick it up at spawn; the broadcast then walks every
-        live worker, taking each slot exclusively (a slot mid-query is
-        remapped right after its in-flight dispatch completes).
+        Every dispatch carries its dataset's entry and the worker maps
+        it before answering (new workers read the table at spawn).  Keep
+        *path* on disk until a newer entry is recorded **and** no
+        dispatch tagged with the old one is in flight — the supervisor's
+        per-dataset read/write lock guarantees both.
         """
         with self._cond:
-            self._snapshot_table[dataset] = (str(path), fingerprint)
-        self._broadcast(
-            {
-                "ctl": "remap",
-                "dataset": dataset,
-                "path": str(path),
-                "fingerprint": fingerprint,
-            }
-        )
+            self._snapshot_table[dataset] = (str(path), int(epoch))
 
     def unload(self, dataset: str) -> None:
+        """Retract *dataset*; each worker drops its mapping with the next
+        frame it is sent (it is never asked about *dataset* before that)."""
         with self._cond:
             self._snapshot_table.pop(dataset, None)
-        self._broadcast({"ctl": "unload", "dataset": dataset})
-
-    def _broadcast(self, frame: dict) -> None:
-        for slot in self._slots:
-            with self._cond:
-                deadline = time.monotonic() + self.dispatch_wait_s
-                while (
-                    slot.state == "live"
-                    and slot.busy
-                    and time.monotonic() < deadline
-                ):
-                    self._cond.wait(0.1)
-                if slot.state != "live" or slot.busy:
-                    continue
-                slot.busy = True
-                conn, proc = slot.conn, slot.proc
-            ok = False
-            try:
-                _send_frame(conn, frame)
-                reply = _recv_frame(conn)
-                ok = reply is not None
-                if reply is not None and not reply.get("ok", False):
-                    log_event(
-                        _LOG,
-                        "error",
-                        "pool.ctl_failed",
-                        slot=slot.index,
-                        ctl=frame.get("ctl"),
-                        error=reply.get("error"),
-                    )
-            except (OSError, ConnectionError, ValueError):
-                ok = False
-            finally:
-                with self._cond:
-                    slot.busy = False
-                    if not ok:
-                        self._note_death(slot, proc, kind="exit", op=frame.get("ctl"))
-                    self._cond.notify_all()
+            for slot in self._slots:
+                slot.epochs.pop(dataset, None)
+                slot.dropped.append(dataset)
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -545,18 +531,32 @@ class WorkerPool:
         pool size plus one); any other operation interrupted by a worker
         death raises :class:`WorkerCrashedError` — retryable, absorbed
         by the client's request-id idempotency window.
+
+        The frame is tagged with the published epoch of the request's
+        dataset, so whichever worker takes it answers from that epoch —
+        read-your-writes per request.  A worker that cannot map it
+        raises :class:`~repro.exceptions.PersistenceError` here and the
+        supervisor answers from its own service.
         """
         envelope: dict = {"op": request.op, "params": request.params}
         if request.request_id is not None:
             envelope["request_id"] = request.request_id
+        frame: dict = {"req": envelope}
+        dataset = str(request.params.get("dataset", ""))
+        with self._cond:
+            entry = self._snapshot_table.get(dataset)
+        if entry is not None:
+            frame["epoch"] = [dataset, *entry]
         attempts = 0
         max_attempts = self.size + 1
         while True:
             slot = self._acquire_slot()
             conn, proc = slot.conn, slot.proc
+            with self._cond:
+                drop, slot.dropped = slot.dropped, []
             ok = False
             try:
-                _send_frame(conn, {"req": envelope})
+                _send_frame(conn, {**frame, "drop": drop} if drop else frame)
                 reply = _recv_frame(conn)
                 if reply is None:
                     raise ConnectionError("worker closed mid-request")
@@ -590,7 +590,18 @@ class WorkerPool:
                 if ok:
                     with self._cond:
                         slot.busy = False
+                        if "epoch" in reply:
+                            slot.epochs[dataset] = reply["epoch"]
                         self._cond.notify_all()
+            if reply.get("ctl") == "attach_failed":
+                _DISPATCH_TOTAL.inc(outcome="attach_failed")
+                raise PersistenceError(
+                    f"worker {slot.index} cannot attach {entry}: {reply['error']}"
+                )
+            if "epoch" in reply:
+                _WORKER_EPOCH.set(float(reply["epoch"]), slot=str(slot.index))
+            if "attach_ms" in reply:
+                _ATTACH_MS.observe(float(reply["attach_ms"]))
             self.dispatched += 1
             _DISPATCH_TOTAL.inc(outcome="ok")
             return _response_from_dict(reply)
@@ -643,10 +654,12 @@ class WorkerPool:
         hb_read, hb_write = os.pipe()
         os.set_blocking(hb_read, False)
         os.set_blocking(hb_write, False)
-        table = [
-            (name, path, fingerprint)
-            for name, (path, fingerprint) in sorted(self._snapshot_table.items())
-        ]
+        supervisor_ends = [parent_sock.close, partial(os.close, hb_read)]
+        for other in self._slots:
+            if other.conn is not None:
+                supervisor_ends.append(other.conn.close)
+            if other.heartbeat_fd is not None:
+                supervisor_ends.append(partial(os.close, other.heartbeat_fd))
         proc = self._ctx.Process(
             target=_worker_main,
             args=(
@@ -654,7 +667,8 @@ class WorkerPool:
                 child_sock,
                 hb_write,
                 dict(self._service_config),
-                table,
+                dict(self._snapshot_table),
+                supervisor_ends,
             ),
             daemon=True,
             name=f"onex-worker-{slot.index}",
@@ -667,6 +681,8 @@ class WorkerPool:
         slot.heartbeat_fd = hb_read
         slot.state = "starting"
         slot.busy = False
+        slot.epochs = {name: epoch for name, (_, epoch) in self._snapshot_table.items()}
+        slot.dropped = []
         slot.started_at = time.monotonic()
         slot.last_beat = slot.started_at
         slot.restarts += 1

@@ -16,16 +16,23 @@ Routing:
 - Everything else — mutations, dataset lifecycle, streaming — executes
   in the supervisor's own service.
 
-Read-your-writes across processes comes from *lazy republication*: a
-successful mutation marks its dataset dirty, and the next dispatched
-read first republishes the base as a fresh ``epoch-<n>`` mmap snapshot
-(:func:`~repro.core.mmap_layout.save_base_snapshot`) and broadcasts a
-``remap`` to every worker before any of them answers again.  The HTTP
-layer's per-dataset read/write lock already serialises mutations
-against reads, so the base is quiescent while it is being published;
-the per-dataset publish mutex only collapses concurrent readers onto a
-single publication.  Superseded epochs are deleted immediately — a
-worker still mapping one keeps the inode alive until it remaps.
+Read-your-writes across processes comes from *lazy republication* plus
+*epoch-tagged dispatch*: a successful mutation marks its dataset dirty,
+and the next dispatched read first republishes the base as a fresh
+``epoch-<n>`` snapshot (:func:`~repro.core.mmap_layout.save_base_snapshot`,
+one array dump) and records its path in the pool's snapshot table.
+Nothing is broadcast: every dispatched frame carries its dataset's table
+entry and the worker that takes it maps that epoch first if it holds
+another (one ``mmap``; groups are built on demand), so a publication
+costs the reading worker one attach and idle workers nothing.  The HTTP
+layer's per-dataset read/write lock serialises mutations against reads,
+so the base is quiescent while it is published and no newer epoch can
+supersede the tagged one while a read is in flight; the per-dataset
+publish mutex only collapses concurrent readers onto one publication.
+Superseded epochs are deleted off the read's path — a worker still
+mapping one keeps the inode alive.  A worker that cannot map its tagged
+epoch says so and the supervisor answers that request itself: degraded,
+never stale.
 
 Failure surface: :class:`~repro.exceptions.OverloadedError` (no live
 workers / all busy) and :class:`~repro.exceptions.WorkerCrashedError`
@@ -36,9 +43,10 @@ workers / all busy) and :class:`~repro.exceptions.WorkerCrashedError`
 from __future__ import annotations
 
 import hashlib
-import json
 import re
+import shutil
 import threading
+import time
 from pathlib import Path
 from typing import Any
 
@@ -76,7 +84,6 @@ class _Publication:
         self.lock = threading.Lock()
         self.epoch = 0
         self.path: Path | None = None
-        self.fingerprint: str | None = None
         self.dirty = True
 
 
@@ -161,7 +168,18 @@ class Supervisor:
             dataset = str(request.params.get("dataset", ""))
             if dataset in self._service.engine.dataset_names:
                 if self._ensure_published(dataset):
-                    return self.pool.dispatch(request)
+                    try:
+                        return self.pool.dispatch(request)
+                    except PersistenceError as exc:
+                        # The worker could not map the tagged epoch:
+                        # answer locally, degraded but never stale.
+                        log_event(
+                            _LOG,
+                            "error",
+                            "supervisor.attach_failed",
+                            dataset=dataset,
+                            error=str(exc),
+                        )
         response = self._service.handle(request)
         if response.ok:
             self._after_local_success(request)
@@ -177,7 +195,9 @@ class Supervisor:
 
     def start(self, *, timeout: float | None = 60.0) -> "Supervisor":
         """Sweep stale snapshots, publish loaded datasets, start workers."""
-        removed = clean_stale_snapshots(self._root)
+        # Every start republishes, so nothing of a previous run is kept
+        # and epoch numbering can restart.
+        removed = clean_stale_snapshots(self._root, keep_latest=0)
         if removed:
             log_event(
                 _LOG, "info", "supervisor.swept_stale", removed=len(removed)
@@ -205,15 +225,6 @@ class Supervisor:
         )
         return self
 
-    def stop(self) -> None:
-        self.pool.stop()
-
-    def __enter__(self) -> "Supervisor":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
-
     # ------------------------------------------------------------------
     # Health / status
     # ------------------------------------------------------------------
@@ -228,6 +239,7 @@ class Supervisor:
                     "path": str(pub.path) if pub.path is not None else None,
                 }
                 for name, pub in sorted(self._pubs.items())
+                if name in self._service.engine.dataset_names
             }
         return status
 
@@ -300,38 +312,25 @@ class Supervisor:
         return True
 
     def _publish_locked(self, name: str, pub: _Publication) -> None:
-        import time as _time
-
-        started = _time.monotonic()
+        started = time.monotonic()
         base = self._service.engine.base(name)
-        dataset_dir = self._root / _dataset_slug(name)
-        dataset_dir.mkdir(parents=True, exist_ok=True)
-        if pub.epoch == 0:  # first publish this run: resume numbering
-            existing = [
-                int(p.name[len("epoch-") :])
-                for p in dataset_dir.iterdir()
-                if p.is_dir()
-                and p.name.startswith("epoch-")
-                and p.name[len("epoch-") :].isdigit()
-            ]
-            pub.epoch = max(existing, default=0)
         epoch = pub.epoch + 1
-        path = save_base_snapshot(base, dataset_dir / f"epoch-{epoch}")
-        with open(path / "meta.json") as fh:
-            fingerprint = json.load(fh)["structure_fingerprint"]
-        self.pool.remap(name, str(path), fingerprint)
+        path = save_base_snapshot(
+            base, self._root / _dataset_slug(name) / f"epoch-{epoch}"
+        )
+        self.pool.remap(name, str(path), epoch)
         old = pub.path
         pub.epoch = epoch
         pub.path = path
-        pub.fingerprint = fingerprint
         pub.dirty = False
         if old is not None and old != path:
-            import shutil
-
-            # Safe while workers still map it: the inode outlives the
-            # directory entry until the last worker remaps.
-            shutil.rmtree(old, ignore_errors=True)
-        elapsed_ms = (_time.monotonic() - started) * 1000.0
+            # Safe while workers still map it (the inode outlives the
+            # directory entry) and off this read's path; whatever a
+            # shutdown interrupts, the sweep at the next start removes.
+            threading.Thread(
+                target=shutil.rmtree, args=(old, True), daemon=True
+            ).start()
+        elapsed_ms = (time.monotonic() - started) * 1000.0
         _PUBLISH_TOTAL.inc(dataset=name)
         _PUBLISH_MS.observe(elapsed_ms)
         log_event(
@@ -344,24 +343,23 @@ class Supervisor:
         )
 
     def _after_local_success(self, request: Request) -> None:
-        """Keep publication state consistent after a local mutation."""
+        """Keep publication state consistent after a local mutation.
+
+        A freshly loaded dataset needs nothing here: its publication is
+        created dirty on first use, and a loaded name cannot be loaded
+        over (the service refuses), only unloaded first.
+        """
         op = request.op
         if op in ("add_series", "append_points"):
-            name = str(request.params.get("dataset", ""))
-            pub = self._publication(name)
-            pub.dirty = True
-        elif op == "load_dataset":
-            # The dataset name comes from the source, not the params;
-            # mark every unpublished dataset dirty (cheap, idempotent).
-            for name in self._service.engine.dataset_names:
-                self._publication(name)
+            self._publication(str(request.params.get("dataset", ""))).dirty = True
         elif op == "unload_dataset":
             name = str(request.params.get("dataset", ""))
-            with self._pubs_lock:
-                pub = self._pubs.pop(name, None)
-            if pub is not None:
-                self.pool.unload(name)
-                if pub.path is not None:
-                    import shutil
-
-                    shutil.rmtree(pub.path.parent, ignore_errors=True)
+            pub = self._publication(name)
+            self.pool.unload(name)
+            if pub.path is not None:
+                shutil.rmtree(pub.path.parent, ignore_errors=True)
+            # The entry stays: epoch numbers, hence snapshot paths, are
+            # not reused if the name is loaded again, so no worker can
+            # mistake a mapping of the old dataset for the new one.
+            pub.path = None
+            pub.dirty = True

@@ -1,8 +1,8 @@
 """The raw mmap-able snapshot layout (worker-pool shared bases, PR 10).
 
-The pool's zero-copy contract: a snapshot loads as write-protected
-memory maps (cold start is an ``mmap`` per array, page-cache shared
-across forked workers), queries against the attached base are
+The pool's zero-copy contract: a snapshot loads as views of one
+write-protected memory map (cold start is a single ``mmap``, page-cache
+shared across forked workers), queries against the attached base are
 bit-identical to the original, and every mutation path raises
 ``ReadOnlyBaseError`` instead of corrupting sibling processes.
 """
@@ -73,9 +73,16 @@ class TestRoundTrip:
         length = base.lengths[0]
         bucket = base.bucket(length)
         matrix = bucket.stacked_member_matrix(base.dataset)
-        assert isinstance(matrix, np.memmap)
+
+        def backing(array):
+            while array.base is not None and not isinstance(array, np.memmap):
+                array = array.base
+            return array
+
+        # Views of the one mapped arrays.bin, not copies of it.
+        assert isinstance(backing(matrix), np.memmap)
+        assert backing(matrix) is backing(bucket.centroids)
         assert not matrix.flags.writeable
-        assert isinstance(bucket.centroids, np.memmap)
         with pytest.raises(ValueError):
             matrix[0, 0] = 1.0  # write-protected: raises, never corrupts
 
@@ -114,11 +121,12 @@ class TestDurabilityOfWrites:
     def test_verify_detects_tampering(self, built_base, tmp_path):
         path = save_base_snapshot(built_base, tmp_path / "epoch-1")
         length = built_base.lengths[0]
-        victim = path / f"len{length}_centroids.npy"
-        data = np.load(victim)
-        data = np.ascontiguousarray(data)
-        data[0, 0] += 1.0
-        np.save(victim, data)
+        meta = json.loads((path / "meta.json").read_text())
+        _, _, offset = meta["arrays"][f"len{length}_centroids"]
+        blob = np.memmap(path / "arrays.bin", dtype=np.uint8, mode="r+")
+        blob[offset : offset + 8].view(np.float64)[0] += 1.0
+        blob.flush()
+        del blob
         with pytest.raises(PersistenceError):
             load_base_snapshot(path, verify=True)
         # Without verify the mmap open stays cheap and trusting.

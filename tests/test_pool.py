@@ -9,6 +9,7 @@ lazy snapshot republication (read-your-writes after mutations).
 import os
 import signal
 import socket
+import threading
 import time
 
 import numpy as np
@@ -302,6 +303,146 @@ class TestReadYourWrites:
         after = supervisor.pool_status()["published"]["pool-toy"]
         assert after["epoch"] == before + 1
         assert after["dirty"] is False
+
+    def test_busy_worker_cannot_answer_from_a_superseded_epoch(self, tmp_path):
+        """Regression: the remap broadcast skipped a worker that was still
+        busy when its wait ran out, and that worker then answered from the
+        superseded epoch forever.  Epoch-tagged dispatch has no broadcast
+        to miss: the worker maps the tagged epoch before it answers."""
+        service = make_service()
+        sup = Supervisor(
+            service,
+            workers=2,
+            snapshot_root=tmp_path / "snaps",
+            # The old broadcast gave a busy slot this long, then moved on.
+            pool_options={"backoff_base_s": 0.05, "dispatch_wait_s": 0.3},
+        )
+        sup.start(timeout=60)
+        try:
+            # Arm the hang in slot 0 only: kill it while the fault is
+            # armed here, so just its replacement inherits the fault.
+            victim = sup.pool.worker_pids()[0]
+            faults.arm("worker.hang", "sleep", seconds=1.5, times=1)
+            try:
+                os.kill(victim, signal.SIGKILL)
+                assert wait_for(
+                    lambda: sup.pool.live_workers == 2
+                    and sup.pool.worker_pids()[0] not in (None, victim)
+                )
+            finally:
+                faults.disarm("worker.hang")
+            describe = Request("describe", {"dataset": "pool-toy"})
+            held = threading.Thread(target=sup.handle, args=(describe,))
+            held.start()
+            assert wait_for(lambda: sup.pool_status()["workers"][0]["busy"])
+            # Slot 0 sleeps inside its request; write, then read: the
+            # read publishes a new epoch and is served by slot 1.
+            added = sup.handle(
+                Request(
+                    "add_series",
+                    {
+                        "dataset": "pool-toy",
+                        "name": "fresh",
+                        "values": np.random.default_rng(2)
+                        .normal(size=40)
+                        .cumsum()
+                        .tolist(),
+                    },
+                )
+            )
+            assert added.ok
+            fresh = sup.handle(describe)
+            assert fresh.ok and fresh.result["series"] == 5
+            status = sup.pool_status()
+            epoch = status["published"]["pool-toy"]["epoch"]
+            assert status["workers"][1]["epochs"] == {"pool-toy": epoch}
+            assert status["workers"][0]["epochs"] == {"pool-toy": epoch - 1}
+            held.join(timeout=30)
+            assert not held.is_alive()
+            # Both idle: the first free slot, 0, takes the next request.
+            after = sup.handle(describe)
+            assert sup.pool_status()["workers"][0]["epochs"] == {"pool-toy": epoch}
+            assert after.ok
+            assert after.result["series"] == 5
+            assert after.result["total_points"] == fresh.result["total_points"]
+            assert (
+                after.result["structure_fingerprint"]
+                == service.engine.base("pool-toy").structure_fingerprint()
+            )
+        finally:
+            sup.close()
+
+    def test_idle_workers_skip_intermediate_epochs(self, supervisor):
+        """A publication costs only the worker that serves the read."""
+        first = supervisor.pool_status()["published"]["pool-toy"]["epoch"]
+        for i in range(3):
+            assert supervisor.handle(
+                Request(
+                    "append_points",
+                    {"dataset": "pool-toy", "series": "s0", "values": [0.5, 0.25]},
+                )
+            ).ok
+            assert supervisor.handle(
+                Request("describe", {"dataset": "pool-toy"})
+            ).ok
+        status = supervisor.pool_status()
+        assert status["published"]["pool-toy"]["epoch"] == first + 3
+        # One client, so slot 0 served every read; slot 1 never attached
+        # anything after the epoch it was spawned with.
+        assert status["workers"][0]["epochs"] == {"pool-toy": first + 3}
+        assert status["workers"][1]["epochs"] == {"pool-toy": first}
+        rendered = REGISTRY.render()
+        assert f'onex_pool_worker_epoch{{slot="0"}} {first + 3}\n' in rendered
+        assert "onex_pool_snapshot_attach_ms_count" in rendered
+
+    def test_unmappable_epoch_is_answered_locally(self, supervisor):
+        """A worker that cannot map its tagged epoch never answers stale:
+        it says so, and the supervisor serves the read itself."""
+        assert supervisor.handle(
+            Request(
+                "append_points",
+                {"dataset": "pool-toy", "series": "s0", "values": [0.5, 0.25]},
+            )
+        ).ok
+        # Publish, then break the snapshot before any worker maps it.
+        assert supervisor._ensure_published("pool-toy")
+        path = supervisor.pool_status()["published"]["pool-toy"]["path"]
+        os.unlink(os.path.join(path, "arrays.bin"))
+        response = supervisor.handle(Request("describe", {"dataset": "pool-toy"}))
+        assert response.ok
+        assert response.result["total_points"] == (
+            supervisor._service.handle(
+                Request("describe", {"dataset": "pool-toy"})
+            ).result["total_points"]
+        )
+        assert supervisor.pool.live_workers == 2  # a typed refusal, not a crash
+        # The next write heals it: a fresh epoch, served by the pool again.
+        assert supervisor.handle(
+            Request(
+                "append_points",
+                {"dataset": "pool-toy", "series": "s1", "values": [0.1]},
+            )
+        ).ok
+        before = supervisor.pool.dispatched
+        assert supervisor.handle(Request("describe", {"dataset": "pool-toy"})).ok
+        assert supervisor.pool.dispatched == before + 1
+
+    def test_reload_after_unload_gets_a_new_snapshot_path(self, supervisor):
+        old = supervisor.pool_status()["published"]["pool-toy"]
+        assert supervisor.handle(
+            Request("unload_dataset", {"dataset": "pool-toy"})
+        ).ok
+        reloaded = make_service(seed=6).engine
+        supervisor._service.engine.restore_dataset(
+            reloaded.base("pool-toy").raw_dataset, reloaded.base("pool-toy")
+        )
+        described = supervisor.handle(Request("describe", {"dataset": "pool-toy"}))
+        assert described.ok
+        assert described.result["structure_fingerprint"] == (
+            reloaded.base("pool-toy").structure_fingerprint()
+        )
+        new = supervisor.pool_status()["published"]["pool-toy"]
+        assert new["epoch"] == old["epoch"] + 1 and new["path"] != old["path"]
 
     def test_unload_retracts_publication(self, supervisor):
         response = supervisor.handle(

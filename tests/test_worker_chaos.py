@@ -304,3 +304,51 @@ class TestServeWorkersEndToEnd:
             payload = json.loads(resp.read())
         assert payload["ready"] is True
         assert payload["pool"]["live"] == 2
+
+
+def _alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    # A zombie still answers signal 0; it is reaped by init, not serving.
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+class TestNoOrphanedWorkers:
+    """A stopped supervisor — gracefully or not — leaves no worker behind."""
+
+    def _worker_pids(self, server):
+        pids = [w["pid"] for w in server.health()["pool"]["workers"]]
+        assert len(pids) == 2 and all(pids)
+        return pids
+
+    def test_sigterm_drains_stops_workers_and_removes_snapshots(self):
+        server = ServerProcess("--workers", "2")
+        try:
+            server.wait_ready()
+            pids = self._worker_pids(server)
+            server.proc.send_signal(signal.SIGTERM)
+            assert server.proc.wait(timeout=30) == 0
+            rest = server.proc.stdout.read()
+            snapshot_root = re.search(r"snapshots in (\S+?)\)", rest).group(1)
+            assert "onex-pool-" in snapshot_root
+            assert not os.path.exists(snapshot_root)
+            assert wait_for(lambda: not any(map(_alive, pids)), timeout=10)
+        finally:
+            server.cleanup()
+
+    def test_workers_exit_when_the_supervisor_is_killed(self):
+        server = ServerProcess("--workers", "2")
+        try:
+            server.wait_ready()
+            pids = self._worker_pids(server)
+            server.proc.kill()  # no handler runs: only EOF tells the workers
+            server.proc.wait(timeout=30)
+            assert wait_for(lambda: not any(map(_alive, pids)), timeout=10)
+        finally:
+            server.cleanup()

@@ -1,7 +1,9 @@
-"""Static type-discipline gate for ``repro.server`` (PR 10, stdlib-only).
+"""Static type-discipline gate for the serving hot path (stdlib-only).
 
-The serving stack — supervisor, pool, HTTP front end — is the code that
-runs unattended, so it gets the strictest gate in the repo.  ``mypy``
+The serving stack — supervisor, pool, HTTP front end (``repro.server``)
+and the snapshot layout every publication and attach goes through
+(``repro.core.mmap_layout``) — is the code that runs unattended, so it
+gets the strictest gate in the repo.  ``mypy``
 is not part of the baked toolchain, so this checker enforces the
 *strict-mode surface rules* with the stdlib ``ast`` module:
 
@@ -24,7 +26,11 @@ import ast
 import sys
 from pathlib import Path
 
-TARGET = Path(__file__).resolve().parents[1] / "src" / "repro" / "server"
+ROOT = Path(__file__).resolve().parents[1]
+TARGETS = (
+    ROOT / "src" / "repro" / "server",
+    ROOT / "src" / "repro" / "core" / "mmap_layout.py",
+)
 
 #: Decorators whose functions legitimately drop the return annotation
 #: (pytest fixtures do not appear under src/, so this stays tiny).
@@ -136,11 +142,12 @@ class _Checker(ast.NodeVisitor):
 
 
 def check_file(path: Path) -> list[str]:
+    path = path.resolve()
     source = path.read_text()
     tree = ast.parse(source, filename=str(path))
     checker = _Checker(path, source)
     checker.check_module(tree)
-    rel = path.relative_to(TARGET.parents[2])
+    rel = path.relative_to(ROOT) if path.is_relative_to(ROOT) else path
     return [
         f"{rel}:{lineno}: {message}"
         for lineno, message in sorted(checker.problems)
@@ -148,7 +155,7 @@ def check_file(path: Path) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    roots = [Path(p) for p in (argv or [])] or [TARGET]
+    roots = [Path(p) for p in (argv or [])] or list(TARGETS)
     problems: list[str] = []
     checked = 0
     for root in roots:
