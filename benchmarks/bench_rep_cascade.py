@@ -5,9 +5,10 @@ Three measurements pin the PR-3 rearchitecture:
 - the **representative prefilter** (cheap summary bounds + lazy chunked
   exact DTW + stacked member refinement) against the PR-1 eager path on
   the headline configuration — result-identical and >= 3x faster;
-- the **band-limited batch kernel** against the full anti-diagonal
-  kernel on banded workloads — bit-identical and faster once the band
-  excludes cells;
+- the **batch DTW kernel** in ns per cell at the three stack shapes the
+  serving benchmark's cascade produces (a representative chunk, a member
+  refinement with path lengths, a whole-bucket scan), bit-identical to
+  the row-scan oracle ``dtw_path``;
 - **``query_batch`` throughput** against sequential single-query
   submission over the real HTTP server at 8 concurrent queries on the
   interactive configuration — identical answers, >= 2x throughput (one
@@ -28,10 +29,10 @@ from repro.core.base import OnexBase
 from repro.core.config import BuildConfig, QueryConfig
 from repro.core.query import QueryProcessor
 from repro.data.matters import STATE_ABBREVIATIONS, build_matters_collection
-from repro.distances.dtw import _dtw_batch_banded, _dtw_batch_full, effective_band
+from repro.distances.dtw import dtw_distance_batch, dtw_path
 from repro.server.http import OnexHttpServer
 from repro.server.service import OnexService
-from run_all import _post
+from run_all import _post, _timed
 
 SOFT = os.environ.get("ONEX_BENCH_SOFT") == "1"
 
@@ -82,31 +83,48 @@ def test_rep_prefilter_speedup(benchmark):
         assert speedup >= 3.0, f"prefilter cascade only {speedup:.1f}x vs PR-1 path"
 
 
-def test_banded_kernel_speed(benchmark):
-    """Band-limited kernel vs the full kernel at a 10% warping window."""
+#: ``(candidates, length, with_path_length, ns-per-cell ceiling)``: about
+#: twice what the reference host measures (28, 7.5 and 2.6 ns per cell).
+KERNEL_SHAPES = (
+    (19, 15, False, 60.0),
+    (260, 20, True, 16.0),
+    (1100, 24, False, 6.0),
+)
+
+
+def _best_seconds(call, repeats: int = 5, inner: int = 20) -> float:
+    """Best-of-*repeats* seconds per call, *inner* calls per timing."""
+    return _timed(lambda: [call() for _ in range(inner)], repeats) / inner
+
+
+def test_kernel_ns_per_cell(benchmark):
+    """The one batch kernel: cost per cell at the serving benchmark's shapes."""
     rng = np.random.default_rng(7)
-    n = 128
-    query = rng.normal(size=n).cumsum()
-    rows = rng.normal(size=(64, n)).cumsum(axis=1)
-    band = effective_band(n, n, max(1, n // 10))
 
     def measure():
-        start = time.perf_counter()
-        banded = _dtw_batch_banded(query, rows, band, False, True)
-        t_banded = time.perf_counter() - start
-        start = time.perf_counter()
-        full = _dtw_batch_full(query, rows, band, False, True)
-        t_full = time.perf_counter() - start
-        return t_banded, t_full, banded, full
+        out = {}
+        for g, n, with_plen, _ in KERNEL_SHAPES:
+            query = rng.normal(size=n).cumsum()
+            rows = rng.normal(size=(g, n)).cumsum(axis=1)
+            got = dtw_distance_batch(query, rows, with_path_length=with_plen)
+            dists, plens = got if with_plen else (got, None)
+            for r in range(0, g, max(1, g // 8)):
+                want = dtw_path(query, rows[r])
+                assert dists[r] == want.distance, "kernel diverged from dtw_path"
+                assert plens is None or plens[r] == want.path_length
+            seconds = _best_seconds(
+                lambda: dtw_distance_batch(query, rows, with_path_length=with_plen)
+            )
+            out[g, n] = seconds * 1e9 / (g * n * n)
+        return out
 
-    t_banded, t_full, banded, full = benchmark.pedantic(measure, rounds=3, iterations=1)
-    assert np.array_equal(banded[0], full[0]), "banded kernel diverged"
-    assert np.array_equal(banded[1], full[1]), "banded path lengths diverged"
-    benchmark.extra_info["banded_seconds"] = round(t_banded, 4)
-    benchmark.extra_info["full_seconds"] = round(t_full, 4)
-    benchmark.extra_info["banded_speedup"] = round(t_full / t_banded, 2)
-    if not SOFT:
-        assert t_banded < t_full, "banded kernel slower than full on banded work"
+    out = benchmark.pedantic(measure, rounds=1, iterations=1)
+    for g, n, with_plen, ceiling in KERNEL_SHAPES:
+        ns = out[g, n]
+        suffix = "_with_path_length" if with_plen else ""
+        benchmark.extra_info[f"ns_per_cell_{g}x{n}x{n}{suffix}"] = round(ns, 2)
+        if not SOFT:
+            assert ns <= ceiling, f"{g}x{n}x{n}: {ns:.1f} ns per cell > {ceiling}"
 
 
 def test_query_batch_throughput(benchmark):

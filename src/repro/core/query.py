@@ -24,8 +24,9 @@ LB_Kim / LB_Keogh lower bounds on ``DTW(query, representative)`` without
 any DTW kernel call; combined with the ED→DTW transfer bound they
 lower-bound every *member* of the group.  Representatives are then visited
 best-first with **lazy exact DTW**: a representative's exact distance is
-only computed (in chunked batches, so the kernel stays amortised) when its
-cheap bound undercuts the current cutoff — representatives whose bound
+only computed (in bound-ordered chunks, each one ragged kernel call
+however many length buckets it spans) when its cheap bound undercuts the
+current cutoff — representatives whose bound
 exceeds the running k-th best distance never get a DTW call at all.
 
 **Member layer** (both strategies, and the threshold query): surviving
@@ -1236,28 +1237,49 @@ class QueryProcessor:
         (counted in ``rep_dtw_calls``); otherwise the cheap summary
         bounds, no kernel call at all.
         """
-        qlen = q.shape[0]
-        cfg = self._config
-        bound_vecs: list[np.ndarray] = []
+        qlen, window = q.shape[0], self._config.window
+        counts = np.array([b.group_count for b in live])
+        owners = np.repeat(np.arange(len(live)), counts)
+        gids = np.arange(owners.size) - (np.cumsum(counts) - counts)[owners]
         with span("cascade.rep_bounds", eager=eager, buckets=len(live)):
-            for bucket in live:
-                if eager:
-                    raw = dtw_distance_batch(
-                        q, bucket.centroids, window=cfg.window
-                    )
-                    stats.rep_dtw_calls += bucket.group_count
-                    bound_vecs.append(raw)
-                else:
-                    band = effective_band(qlen, bucket.length, cfg.window)
-                    bound_vecs.append(bucket.rep_summary.cheap_bounds(q, band))
-        bounds = np.concatenate(bound_vecs)
-        owners = np.concatenate(
-            [np.full(b.group_count, i, dtype=np.int64) for i, b in enumerate(live)]
-        )
-        gids = np.concatenate(
-            [np.arange(b.group_count, dtype=np.int64) for b in live]
-        )
+            if eager:
+                bounds = self._rep_dtw(q, live, owners, gids, stats)
+            else:
+                bounds = np.concatenate(
+                    [
+                        b.rep_summary.cheap_bounds(
+                            q, effective_band(qlen, b.length, window)
+                        )
+                        for b in live
+                    ]
+                )
         return bounds, owners, gids
+
+    def _rep_dtw(
+        self,
+        q: np.ndarray,
+        live: list[LengthBucket],
+        owners: np.ndarray,
+        gids: np.ndarray,
+        stats: QueryStats,
+    ) -> np.ndarray:
+        """Exact DTW from *q* to representatives ``(owners[i], gids[i])``.
+
+        One ragged kernel call however many length buckets the selection
+        spans: centroids are gathered per bucket into one array padded to
+        the longest.  Assembled per call, so nothing needs invalidating
+        when a bucket grows.
+        """
+        stats.rep_dtw_calls += owners.size
+        lengths = np.array([b.length for b in live], dtype=np.int64)[owners]
+        padded = np.zeros((owners.size, int(lengths.max(initial=1))))
+        for b_i in np.unique(owners):
+            at = np.flatnonzero(owners == b_i)
+            bucket = live[b_i]
+            padded[at, : bucket.length] = bucket.centroids[gids[at]]
+        return dtw_distance_batch(
+            q, padded, window=self._config.window, lengths=lengths
+        )
 
     def _search_exact(
         self,
@@ -1277,17 +1299,15 @@ class QueryProcessor:
         if not live:
             return heap
         max_paths = np.array([qlen + b.length - 1 for b in live], dtype=np.float64)
+        radii = np.concatenate([b.cheb_radii for b in live])
 
         if not cfg.use_rep_prefilter:
             # PR-1 eager path: exact DTW for every representative up
             # front, groups visited in ascending transfer lower bound.
             raws, owners, gids = self._rep_bound_table(q, live, stats, eager=True)
-            bounds = np.maximum(
-                raws
-                - max_paths[owners]
-                * np.concatenate([b.cheb_radii for b in live]),
-                0.0,
-            ) / max_paths[owners]
+            bounds = (
+                np.maximum(raws - max_paths[owners] * radii, 0.0) / max_paths[owners]
+            )
             order = np.argsort(bounds, kind="stable")
             for pos in range(order.size):
                 faults.fire("query.refine_unit")
@@ -1310,11 +1330,7 @@ class QueryProcessor:
         # whose cheap bound undercuts the running cutoff, and verified
         # groups drain into stacked member refinements.
         cheap, owners, gids = self._rep_bound_table(q, live, stats, eager=False)
-        bounds = np.maximum(
-            cheap
-            - max_paths[owners] * np.concatenate([b.cheb_radii for b in live]),
-            0.0,
-        ) / max_paths[owners]
+        bounds = np.maximum(cheap - max_paths[owners] * radii, 0.0) / max_paths[owners]
         order = np.argsort(bounds, kind="stable")
         ordered_bounds = bounds[order]
         total = order.size
@@ -1351,27 +1367,13 @@ class QueryProcessor:
                     take = take[: max(viable, 1)]
                 ptr += take.size
                 chunk *= 2
-                take_owners = owners[take]
                 with span("cascade.rep_dtw", batch=int(take.size)):
-                    for b_i in np.unique(take_owners):
-                        sel = gids[take[take_owners == b_i]]
-                        bucket = live[b_i]
-                        raws = dtw_distance_batch(
-                            q, bucket.centroids[sel], window=cfg.window
-                        )
-                        stats.rep_dtw_calls += sel.size
-                        tight = (
-                            np.maximum(
-                                raws - max_paths[b_i] * bucket.cheb_radii[sel],
-                                0.0,
-                            )
-                            / max_paths[b_i]
-                        )
-                        for pos in range(sel.size):
-                            heapq.heappush(
-                                exact_heap,
-                                (float(tight[pos]), int(b_i), int(sel[pos])),
-                            )
+                    b_is, g_ids = owners[take], gids[take]
+                    raws = self._rep_dtw(q, live, b_is, g_ids, stats)
+                    paths = max_paths[b_is]
+                    tight = np.maximum(raws - paths * radii[take], 0.0) / paths
+                    for entry in zip(tight.tolist(), b_is.tolist(), g_ids.tolist()):
+                        heapq.heappush(exact_heap, entry)
             else:
                 # Drain verified groups (tight bound within the cutoff and
                 # under every unevaluated cheap bound) into one stacked
@@ -1472,21 +1474,11 @@ class QueryProcessor:
                 take = order[ptr : ptr + chunk]
                 ptr += take.size
                 chunk *= 2
-                take_owners = owners[take]
                 with span("cascade.rep_dtw", batch=int(take.size)):
-                    for b_i in np.unique(take_owners):
-                        sel = gids[take[take_owners == b_i]]
-                        bucket = live[b_i]
-                        raws = dtw_distance_batch(
-                            q, bucket.centroids[sel], window=cfg.window
-                        )
-                        stats.rep_dtw_calls += sel.size
-                        est = raws / scales[b_i]
-                        for pos in range(sel.size):
-                            heapq.heappush(
-                                exact_heap,
-                                (float(est[pos]), int(b_i), int(sel[pos])),
-                            )
+                    b_is, g_ids = owners[take], gids[take]
+                    est = self._rep_dtw(q, live, b_is, g_ids, stats) / scales[b_is]
+                    for entry in zip(est.tolist(), b_is.tolist(), g_ids.tolist()):
+                        heapq.heappush(exact_heap, entry)
             if not exact_heap:
                 break
             _, b_i, g_idx = heapq.heappop(exact_heap)

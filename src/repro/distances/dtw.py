@@ -8,21 +8,36 @@ paths of the summed ground cost; the *normalised* DTW divides by the length
 of the optimal path, which is what makes a single similarity threshold
 ``ST`` comparable across sequence lengths in ONEX.
 
-Three implementations are deliberately kept side by side:
+Three families of implementation, each for a different job:
 
-- :func:`dtw_distance` — anti-diagonal vectorised DP (no path), the fast
-  kernel used by the ONEX query processor.
+- :func:`dtw_distance_batch` (and :func:`dtw_distance`, its one-pair
+  form) — **one** anti-diagonal kernel, the workhorse of the ONEX query
+  processor.  Layout: the candidate axis is last and contiguous; three
+  rotating ``(n + 1, g)`` buffers hold the last three diagonals and the
+  candidate matrix is reversed and transposed once per call, so every
+  operand of a diagonal — ground cost, the three predecessors, the write
+  — is one contiguous block of rows and a diagonal is a handful of
+  ``out=`` ufunc calls on scratch allocated per call (the kernel runs
+  from thread pools).  *Ragged stacks* (``lengths=``) ride the same loop:
+  cell ``(i, j)`` depends only on columns ``<= j``, so pad columns are
+  inert and candidate ``c`` is read off row ``n - 1`` on diagonal
+  ``n + m_c - 2``.  *Bands*: a Sakoe–Chiba window narrows each diagonal's
+  row range; ragged candidates whose own band is narrower than the widest
+  are masked to ``inf``.  *Tie-break*: tracked path lengths follow
+  ``dtw_path``'s diagonal → vertical → horizontal order through the two
+  comparisons ``up <= left`` and ``diag <= min(up, left)``.
 - :func:`dtw_cost_matrix` / :func:`dtw_path` — straightforward row-scan DP
   with traceback, used where the warping path itself is needed (the visual
-  "matched points" connectors of Fig. 2 and the ED→DTW transfer bounds).
+  "matched points" connectors of Fig. 2 and the ED→DTW transfer bounds),
+  and the independent oracle the batch kernel is tested against.
 - :func:`dtw_distance_early_abandon` — row-scan with a best-so-far
   threshold and optional cumulative lower bounds, used by the UCR Suite
   baseline and kept as the scalar fallback of ONEX's member refinement
   (the default batched cascade is LB_Kim → LB_Keogh → :func:`dtw_distance_batch`,
   see :mod:`repro.core.query`).
 
-The row-scan and vectorised kernels are cross-checked against each other in
-the property-test suite.
+The batch kernel is held to :func:`dtw_path` bit for bit — distances and
+path lengths, every radius, ragged or not — in the property-test suite.
 """
 
 from __future__ import annotations
@@ -31,6 +46,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from repro.distances.metrics import as_sequence
 from repro.exceptions import ValidationError
@@ -40,7 +56,6 @@ __all__ = [
     "dtw_cost_matrix",
     "dtw_distance",
     "dtw_distance_batch",
-    "dtw_distance_batch_banded",
     "dtw_distance_condensed",
     "dtw_distance_early_abandon",
     "dtw_path",
@@ -109,7 +124,9 @@ class DtwResult:
         return counts
 
 
-def dtw_cost_matrix(x, y, *, window: int | None = None, ground: str = "l1") -> np.ndarray:
+def dtw_cost_matrix(
+    x: ArrayLike, y: ArrayLike, *, window: int | None = None, ground: str = "l1"
+) -> np.ndarray:
     """Full cumulative-cost matrix ``C`` with ``C[i, j] = DTW(x[:i+1], y[:j+1])``.
 
     Cells outside the Sakoe–Chiba band are ``inf``.  Quadratic memory; use
@@ -144,18 +161,7 @@ def dtw_cost_matrix(x, y, *, window: int | None = None, ground: str = "l1") -> n
     return cost
 
 
-#: Adaptive-dispatch threshold for :func:`dtw_distance_batch`, tuned with
-#: the microbenchmarks behind ``benchmarks/bench_rep_cascade.py``.  The
-#: vectorised kernels pay a fixed numpy dispatch cost per anti-diagonal
-#: while the scalar row scan pays per cell, so the scalar path wins while
-#: the *cells per diagonal* stay small: total cells at most this factor
-#: times the diagonal count (measured crossover ≈ 170; kept conservative
-#: for hosts with cheaper numpy dispatch).  This is what fixed the
-#: BENCH_pr2 `batched_vs_legacy` regression at small member counts.
-_SCALAR_CELLS_PER_DIAGONAL = 128
-
-
-def _as_batch_rows(rows) -> np.ndarray:
+def _as_batch_rows(rows: ArrayLike) -> np.ndarray:
     mat = np.asarray(rows, dtype=np.float64)
     if mat.ndim != 2:
         raise ValidationError(f"rows must be 2-D, got shape {mat.shape}")
@@ -166,7 +172,7 @@ def _as_batch_rows(rows) -> np.ndarray:
     return mat
 
 
-def _as_query_stack(x) -> np.ndarray:
+def _as_query_stack(x: ArrayLike) -> np.ndarray:
     """*x* as a 1-D query or a paired 2-D query stack (see paired mode)."""
     probe = np.asarray(x, dtype=np.float64)
     if probe.ndim == 2:
@@ -178,22 +184,39 @@ def _as_query_stack(x) -> np.ndarray:
     return as_sequence(x, name="x")
 
 
+def _as_row_lengths(lengths: ArrayLike, mat: np.ndarray) -> np.ndarray:
+    """Validated per-row candidate lengths of a ragged (padded) stack."""
+    lens = np.asarray(lengths)
+    if lens.shape != (mat.shape[0],) or lens.dtype.kind not in "iu":
+        raise ValidationError(
+            f"lengths must be {mat.shape[0]} integers (one per row), got "
+            f"shape {lens.shape} of dtype {lens.dtype}"
+        )
+    if lens.size and not (1 <= lens.min() and lens.max() <= mat.shape[1]):
+        raise ValidationError(
+            f"lengths must lie in 1..{mat.shape[1]} (the padded width), "
+            f"got {int(lens.min())}..{int(lens.max())}"
+        )
+    return lens.astype(np.int64, copy=False)
+
+
 def dtw_distance_batch(
-    x,
-    rows,
+    x: ArrayLike,
+    rows: ArrayLike,
     *,
     window: int | None = None,
     ground: str = "l1",
     with_path_length: bool = False,
+    lengths: ArrayLike | None = None,
 ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """DTW from *x* to every row of *rows* in one vectorised dynamic program.
 
     Each anti-diagonal of the cost matrix depends only elementwise on the
     two previous anti-diagonals, and the recurrence is identical across
     candidates, so evaluating the query against a whole stack of
-    equal-length sequences (e.g. every group representative of a length in
-    the ONEX base) costs ``n + m - 1`` vector operations total.  This is
-    the kernel that makes "DTW over the compact base" interactive.
+    sequences (e.g. a bound-ordered chunk of group representatives of the
+    ONEX base) costs ``n + m - 1`` rounds of vector operations total.
+    This is the kernel that makes "DTW over the compact base" interactive.
 
     With ``with_path_length=True`` the kernel also tracks, per cell, the
     length of the warping path :func:`dtw_path` would trace back — same
@@ -210,13 +233,17 @@ def dtw_distance_batch(
     layer stack several queries' candidate sets into a single dynamic
     program instead of paying the kernel dispatch per query.
 
-    Three result-identical implementations sit behind this entry point,
-    picked adaptively: a scalar row scan for stacks whose whole dynamic
-    program is tiny (numpy dispatch overhead would dominate), the
-    band-limited kernel of :func:`dtw_distance_batch_banded` when a
-    Sakoe–Chiba window covers a sliver of each matrix, and the full
-    anti-diagonal kernel otherwise.  The property-test suite asserts
-    bitwise agreement between all three.
+    **Ragged stacks**: with ``lengths=`` (one integer per row) row ``i``
+    is the candidate ``rows[i, :lengths[i]]`` and the columns beyond it
+    are padding of any finite value.  Cell ``(i, j)`` of a cost matrix
+    depends only on columns ``<= j``, so the padding never reaches a
+    candidate's corner cell, and a finite *window* applies per candidate
+    as ``effective_band(n, lengths[i], window)``.  This is what lets the
+    representative cascade verify one bound-ordered chunk spanning many
+    length buckets in a single call.
+
+    The property-test suite holds every mode to :func:`dtw_path`, bit
+    for bit.
     """
     a = _as_query_stack(x)
     mat = _as_batch_rows(rows)
@@ -225,307 +252,147 @@ def dtw_distance_batch(
             f"paired mode needs matching row counts, got {a.shape[0]} "
             f"queries for {mat.shape[0]} candidates"
         )
-    if mat.shape[0] == 0:
-        empty = np.empty(0)
-        return (empty, np.empty(0, dtype=np.int64)) if with_path_length else empty
+    lens = None if lengths is None else _as_row_lengths(lengths, mat)
     squared = _ground_is_squared(ground)
-    n, m = a.shape[-1], mat.shape[1]
-    band = effective_band(n, m, window)
-    if mat.shape[0] * n * m <= _SCALAR_CELLS_PER_DIAGONAL * (n + m - 1):
-        return _dtw_batch_scalar(a, mat, band, squared, with_path_length)
-    if band is not None and band < max(n, m) - 1:
-        # Any band that excludes at least one cell shrinks the banded
-        # kernel's working strips below the full kernel's buffers; the
-        # microbenchmarks show it ahead across the whole radius range.
-        return _dtw_batch_banded(a, mat, band, squared, with_path_length)
-    return _dtw_batch_full(a, mat, band, squared, with_path_length)
-
-
-def dtw_distance_batch_banded(
-    x,
-    rows,
-    *,
-    window: int,
-    ground: str = "l1",
-    with_path_length: bool = False,
-) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """Band-limited batch DTW: ``O(B·(2r+1))`` state per anti-diagonal.
-
-    Same contract as :func:`dtw_distance_batch` but *window* is required:
-    only cells inside the (widened, see :func:`effective_band`) Sakoe–Chiba
-    band are ever materialised, so the per-diagonal working set is the band
-    width instead of the full sequence length — the memory-traffic win that
-    makes narrow-band batch DTW cheap on long sequences.  Results
-    (distances and tracked path lengths) are bit-identical to the full
-    kernel's; the property-test suite sweeps every radius.
-    """
-    if window is None:
-        raise ValidationError("dtw_distance_batch_banded requires a finite window")
-    a = _as_query_stack(x)
-    mat = _as_batch_rows(rows)
-    if a.ndim == 2 and a.shape[0] != mat.shape[0]:
-        raise ValidationError(
-            f"paired mode needs matching row counts, got {a.shape[0]} "
-            f"queries for {mat.shape[0]} candidates"
-        )
+    if window is not None and window < 0:
+        raise ValidationError(f"window must be >= 0, got {window}")
     if mat.shape[0] == 0:
         empty = np.empty(0)
         return (empty, np.empty(0, dtype=np.int64)) if with_path_length else empty
-    band = effective_band(a.shape[-1], mat.shape[1], window)
-    return _dtw_batch_banded(
-        a, mat, band, _ground_is_squared(ground), with_path_length
-    )
+    return _dtw_batch_diagonal(a, mat, lens, window, squared, with_path_length)
 
 
-def _dtw_batch_full(
+def _dtw_batch_diagonal(
     a: np.ndarray,
     mat: np.ndarray,
-    band: int | None,
+    lens: np.ndarray | None,
+    window: int | None,
     squared: bool,
     with_path_length: bool,
 ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """Full-width anti-diagonal kernel (three rotating ``(g, n)`` buffers)."""
-    n, m = a.shape[-1], mat.shape[1]
-    g = mat.shape[0]
-    aq = a if a.ndim == 2 else a[None, :]
+    """The anti-diagonal kernel: candidate axis last, slices only.
 
-    # prev / prevprev hold anti-diagonals k-1 and k-2; axis 0 is the
-    # candidate, axis 1 the row index i of the cost matrix.  The three
-    # buffers rotate in place instead of reallocating per diagonal.
-    prev = np.full((g, n), _INF)
-    prevprev = np.full((g, n), _INF)
-    spare = np.empty((g, n))
-    pad = np.full((g, 1), _INF)
-    if with_path_length:
-        # Path lengths of the tie-broken optimal prefix path per cell.
-        plen_prev = np.zeros((g, n), dtype=np.int64)
-        plen_prevprev = np.zeros((g, n), dtype=np.int64)
-        plen_spare = np.empty((g, n), dtype=np.int64)
-        plen_pad = np.zeros((g, 1), dtype=np.int64)
-    for k in range(n + m - 1):
-        i_lo = max(0, k - m + 1)
-        i_hi = min(n - 1, k)
-        idx = np.arange(i_lo, i_hi + 1)
-        # Ground costs for cells (i, k-i) on this diagonal.
-        d = aq[:, i_lo : i_hi + 1] - mat[:, k - idx]
-        d = d * d if squared else np.abs(d)
+    Three rotating ``(n + 1, g)`` buffers hold diagonals ``k``, ``k - 1``
+    and ``k - 2``; buffer row ``i + 1`` is matrix row ``i`` and row ``0``
+    an ``inf`` guard.  With the candidate matrix reversed and transposed
+    once, the cells ``(i, k - i)`` of a diagonal, their ground costs and
+    their three predecessors are each one contiguous block of buffer
+    rows, so a diagonal is a fixed handful of ``out=`` ufunc calls on
+    preallocated scratch — no index arrays, gathers or scatters.
 
-        cur = spare
-        cur.fill(_INF)
-        if with_path_length:
-            plen_cur = plen_spare
-            plen_cur.fill(0)
-        if k == 0:
-            cur[:, 0] = d[:, 0]
-            if with_path_length:
-                plen_cur[:, 0] = 1
+    A rotated buffer still holds diagonal ``k - 3``, but the row range
+    ``[i_lo, i_hi]`` of a diagonal never moves down: rows above it were
+    never written and are still ``inf``, and without a band ``i_lo``
+    rises with every diagonal once it has left 0, so no row below it is
+    read.  A band can hold ``i_lo`` still for two diagonals, so the row
+    under the range is reset to ``inf`` as each diagonal is written.
+
+    """
+    if lens is not None:
+        mat = mat[:, : lens.max()]  # columns no candidate reaches
+    g, m = mat.shape
+    n = a.shape[-1]
+    # Diagonals on which candidates finish (corner cell (n-1, m_c-1)).
+    if lens is None:
+        ends: dict[int, slice | np.ndarray] = {n + m - 2: slice(None)}
+    else:
+        ends = {
+            n + int(m_c) - 2: np.flatnonzero(lens == m_c) for m_c in np.unique(lens)
+        }
+    band = None  # widest per-candidate band: bounds every diagonal's rows
+    narrower = None  # per-candidate bands, when they differ
+    if window is not None:
+        if lens is None:
+            band = effective_band(n, m, window)
         else:
-            if i_lo > 0:
-                up = prev[:, idx - 1]
-                diag = prevprev[:, idx - 1]
+            narrower = np.maximum(window, np.abs(n - lens))
+            band = int(narrower.max())
+            if int(narrower.min()) == band:
+                narrower = None
             else:
-                up = np.concatenate([pad, prev[:, idx[1:] - 1]], axis=1)
-                diag = np.concatenate([pad, prevprev[:, idx[1:] - 1]], axis=1)
-            left = prev[:, idx]
-            best = np.minimum(np.minimum(up, left), diag)
-            cur[:, idx] = d + best
-            if with_path_length:
-                if i_lo > 0:
-                    lup = plen_prev[:, idx - 1]
-                    ldiag = plen_prevprev[:, idx - 1]
-                else:
-                    lup = np.concatenate([plen_pad, plen_prev[:, idx[1:] - 1]], axis=1)
-                    ldiag = np.concatenate(
-                        [plen_pad, plen_prevprev[:, idx[1:] - 1]], axis=1
-                    )
-                lleft = plen_prev[:, idx]
-                # Predecessor choice mirrors dtw_path's traceback order:
-                # diagonal wins ties, then vertical, then horizontal.
-                from_pred = np.where(
-                    (diag <= up) & (diag <= left),
-                    ldiag,
-                    np.where(up <= left, lup, lleft),
-                )
-                plen_cur[:, idx] = from_pred + 1
-        if band is not None:
-            outside = np.abs(idx - (k - idx)) > band
-            if outside.any():
-                cur[:, idx[outside]] = _INF
-        spare, prevprev, prev = prevprev, prev, cur
-        if with_path_length:
-            plen_spare, plen_prevprev, plen_prev = (
-                plen_prevprev,
-                plen_prev,
-                plen_cur,
-            )
-    if with_path_length:
-        return prev[:, n - 1].copy(), plen_prev[:, n - 1].copy()
-    return prev[:, n - 1].copy()
+                twice_i = 2 * np.arange(n)[:, None]
 
-
-def _band_rows(k: int, n: int, m: int, band: int) -> tuple[int, int]:
-    """Row range ``[i_lo, i_hi]`` of diagonal *k*'s in-band cells.
-
-    Cell ``(i, k - i)`` is in the matrix when ``max(0, k-m+1) <= i <=
-    min(n-1, k)`` and inside the band when ``|2i - k| <= band``.
-    """
-    i_lo = max(0, k - m + 1, -((band - k) // 2) if k > band else 0)
-    i_hi = min(n - 1, k, (k + band) // 2)
-    return i_lo, i_hi
-
-
-def _shifted(
-    arr: np.ndarray, lo: int, i_lo: int, i_hi: int, fill
-) -> np.ndarray:
-    """Values for rows ``[i_lo, i_hi]`` from a diagonal buffer.
-
-    *arr* holds one value per row in ``[lo, lo + arr.shape[1] - 1]``;
-    requested rows outside that coverage read as *fill* (``inf`` cost /
-    ``0`` path length, matching the full kernel's uninitialised cells).
-    Row ranges are contiguous, so this is pure slicing — no gathers.
-    """
-    width = i_hi - i_lo + 1
-    s0 = max(i_lo, lo)
-    s1 = min(i_hi, lo + arr.shape[1] - 1)
-    if s0 == i_lo and s1 == i_hi:
-        return arr[:, s0 - lo : s1 - lo + 1]
-    out = np.full((arr.shape[0], width), fill, dtype=arr.dtype)
-    if s0 <= s1:
-        out[:, s0 - i_lo : s1 - i_lo + 1] = arr[:, s0 - lo : s1 - lo + 1]
-    return out
-
-
-def _dtw_batch_banded(
-    a: np.ndarray,
-    mat: np.ndarray,
-    band: int,
-    squared: bool,
-    with_path_length: bool,
-) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """Band-limited anti-diagonal kernel.
-
-    Only in-band cells of each diagonal are materialised, as a ``(g, w)``
-    strip plus the row offset it starts at; predecessors are recovered by
-    re-aligning the two previous strips (:func:`_shifted`).  Cost per
-    diagonal is ``O(g * band)`` instead of ``O(g * n)``.
-    """
-    n, m = a.shape[-1], mat.shape[1]
-    g = mat.shape[0]
-    aq = a if a.ndim == 2 else a[None, :]
-    prev = prevprev = None
-    prev_lo = prevprev_lo = 0
-    plen_prev = plen_prevprev = None
-    for k in range(n + m - 1):
-        i_lo, i_hi = _band_rows(k, n, m, band)
-        idx = np.arange(i_lo, i_hi + 1)
-        d = aq[:, i_lo : i_hi + 1] - mat[:, k - idx]
-        d = d * d if squared else np.abs(d)
-        if k == 0:
-            cur = d
-            if with_path_length:
-                plen_cur = np.ones((g, 1), dtype=np.int64)
-        else:
-            up = _shifted(prev, prev_lo + 1, i_lo, i_hi, _INF)
-            left = _shifted(prev, prev_lo, i_lo, i_hi, _INF)
-            if prevprev is not None:
-                diag = _shifted(prevprev, prevprev_lo + 1, i_lo, i_hi, _INF)
-            else:
-                diag = np.full((g, i_hi - i_lo + 1), _INF)
-            best = np.minimum(np.minimum(up, left), diag)
-            cur = d + best
-            if with_path_length:
-                lup = _shifted(plen_prev, prev_lo + 1, i_lo, i_hi, 0)
-                lleft = _shifted(plen_prev, prev_lo, i_lo, i_hi, 0)
-                if plen_prevprev is not None:
-                    ldiag = _shifted(plen_prevprev, prevprev_lo + 1, i_lo, i_hi, 0)
-                else:
-                    ldiag = np.zeros((g, i_hi - i_lo + 1), dtype=np.int64)
-                from_pred = np.where(
-                    (diag <= up) & (diag <= left),
-                    ldiag,
-                    np.where(up <= left, lup, lleft),
-                )
-                plen_cur = from_pred + 1
-        prevprev, prev = prev, cur
-        prevprev_lo, prev_lo = prev_lo, i_lo
-        if with_path_length:
-            plen_prevprev, plen_prev = plen_prev, plen_cur
-    if with_path_length:
-        return prev[:, -1].copy(), plen_prev[:, -1].copy()
-    return prev[:, -1].copy()
-
-
-def _dtw_batch_scalar(
-    a: np.ndarray,
-    mat: np.ndarray,
-    band: int | None,
-    squared: bool,
-    with_path_length: bool,
-) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """Row-scan fallback for tiny stacks (numpy overhead would dominate).
-
-    Plain Python floats throughout; the arithmetic (and the diagonal →
-    vertical → horizontal tie-break of the tracked path length) is the
-    same double-precision sequence as the vectorised kernels', so the
-    results are bit-identical.
-    """
-    n, m = a.shape[-1], mat.shape[1]
-    g = mat.shape[0]
-    paired = a.ndim == 2
+    rev = np.ascontiguousarray(mat[:, ::-1].T)  # rev[t] is column m - 1 - t
+    q = np.ascontiguousarray(a.T) if a.ndim == 2 else a[:, None]
+    prev = np.full((n + 1, g), _INF)
+    prevprev = np.full((n + 1, g), _INF)
+    cur = np.full((n + 1, g), _INF)
+    ground = np.empty((n, g))
     out = np.empty(g)
-    plens = np.empty(g, dtype=np.int64)
-    stack = a.tolist()
-    for r in range(g):
-        xs = stack[r] if paired else stack
-        ys = mat[r].tolist()
-        cost_prev = [_INF] * m
-        plen_prev = [0] * m
-        for i in range(n):
-            j_lo, j_hi = 0, m - 1
-            if band is not None:
-                j_lo, j_hi = max(0, i - band), min(m - 1, i + band)
-            cost_cur = [_INF] * m
-            plen_cur = [0] * m if with_path_length else plen_prev
-            xi = xs[i]
-            for j in range(j_lo, j_hi + 1):
-                diff = xi - ys[j]
-                d = diff * diff if squared else abs(diff)
-                if i == 0 and j == 0:
-                    cost_cur[0] = d
-                    if with_path_length:
-                        plen_cur[0] = 1
-                    continue
-                up = cost_prev[j]
-                diag = cost_prev[j - 1] if j > 0 else _INF
-                left = cost_cur[j - 1] if j > 0 else _INF
-                if with_path_length:
-                    if diag <= up and diag <= left:
-                        best, plen = diag, plen_prev[j - 1]
-                    elif up <= left:
-                        best, plen = up, plen_prev[j]
-                    else:
-                        best, plen = left, plen_cur[j - 1]
-                    cost_cur[j] = d + best
-                    plen_cur[j] = plen + 1
-                else:
-                    cost_cur[j] = d + (
-                        diag
-                        if diag <= up and diag <= left
-                        else up if up <= left else left
-                    )
-            cost_prev = cost_cur
+    if with_path_length:
+        # Path length of the tie-broken optimal prefix path per cell; the
+        # two comparison masks land in the same dtype so the predecessor
+        # choice below is plain arithmetic (masked copies cost 3x more).
+        plen_prev = np.zeros((n + 1, g), dtype=np.int32)
+        plen_prevprev = np.zeros((n + 1, g), dtype=np.int32)
+        plen_cur = np.zeros((n + 1, g), dtype=np.int32)
+        up_wins = np.empty((n, g), dtype=np.int32)
+        diag_wins = np.empty((n, g), dtype=np.int32)
+        delta = np.empty((n, g), dtype=np.int32)
+        plens = np.empty(g, dtype=np.int64)
+
+    for k in range(n + m - 1):
+        i_lo, i_hi = max(0, k - m + 1), min(n - 1, k)
+        if band is not None:
+            # In band iff |i - (k - i)| <= band.
+            i_lo, i_hi = max(i_lo, (k - band + 1) // 2), min(i_hi, (k + band) // 2)
+        width = i_hi - i_lo + 1
+        lo, hi = slice(i_lo, i_hi + 1), slice(i_lo + 1, i_hi + 2)
+        d = ground[:width]
+        t_lo = m - 1 - k + i_lo
+        np.subtract(rev[t_lo : t_lo + width], q[lo], out=d)
+        if squared:
+            np.multiply(d, d, out=d)
+        else:
+            np.abs(d, out=d)
+        cell = cur[hi]
+        if k == 0:
+            cell[...] = d
             if with_path_length:
-                plen_prev = plen_cur
-        out[r] = cost_prev[m - 1]
+                plen_cur[hi] = 1
+        else:
+            # (i-1, j) and (i, j-1) sit on diagonal k-1, (i-1, j-1) on k-2.
+            up, left, diag = prev[lo], prev[hi], prevprev[lo]
+            if with_path_length:
+                # dtw_path's traceback order: the diagonal wins ties, then
+                # the vertical step, then the horizontal.
+                u, w, plen = up_wins[:width], diag_wins[:width], plen_cur[hi]
+                np.less_equal(up, left, out=u)
+                np.minimum(up, left, out=cell)
+                np.less_equal(diag, cell, out=w)
+                np.minimum(cell, diag, out=cell)
+                # plen = left + u * (up - left), then += w * (diag - plen).
+                np.subtract(plen_prev[lo], plen_prev[hi], out=plen)
+                plen *= u
+                plen += plen_prev[hi]
+                step = delta[:width]
+                np.subtract(plen_prevprev[lo], plen, out=step)
+                step *= w
+                plen += step
+                plen += 1
+            else:
+                np.minimum(up, left, out=cell)
+                np.minimum(cell, diag, out=cell)
+            cell += d
+        if band is not None:
+            cur[i_lo] = _INF
+            if narrower is not None:
+                np.copyto(cell, _INF, where=np.abs(twice_i[lo] - k) > narrower)
+        done = ends.get(k)
+        if done is not None:
+            out[done] = cur[n, done]
+            if with_path_length:
+                plens[done] = plen_cur[n, done]
+        prevprev, prev, cur = prev, cur, prevprev
         if with_path_length:
-            plens[r] = plen_prev[m - 1]
+            plen_prevprev, plen_prev, plen_cur = plen_prev, plen_cur, plen_prevprev
     if with_path_length:
         return out, plens
     return out
 
 
 def dtw_distance_condensed(
-    rows,
+    rows: ArrayLike,
     *,
     pairs: tuple[np.ndarray, np.ndarray] | None = None,
     window: int | None = None,
@@ -577,8 +444,8 @@ def dtw_distance_condensed(
 
 
 def dtw_distance(
-    x,
-    y,
+    x: ArrayLike,
+    y: ArrayLike,
     *,
     window: int | None = None,
     ground: str = "l1",
@@ -596,7 +463,9 @@ def dtw_distance(
     return float(dtw_distance_batch(x, b[None, :], window=window, ground=ground)[0])
 
 
-def dtw_path(x, y, *, window: int | None = None, ground: str = "l1") -> DtwResult:
+def dtw_path(
+    x: ArrayLike, y: ArrayLike, *, window: int | None = None, ground: str = "l1"
+) -> DtwResult:
     """DTW distance plus the optimal warping path (traceback).
 
     Tie-breaking prefers the diagonal step, then the vertical, then the
@@ -629,8 +498,8 @@ def dtw_path(x, y, *, window: int | None = None, ground: str = "l1") -> DtwResul
 
 
 def dtw_distance_early_abandon(
-    x,
-    y,
+    x: ArrayLike,
+    y: ArrayLike,
     threshold: float,
     *,
     window: int | None = None,

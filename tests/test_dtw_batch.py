@@ -5,20 +5,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.distances.dtw import dtw_cost_matrix, dtw_distance, dtw_distance_batch
+from repro.distances.dtw import (
+    dtw_cost_matrix,
+    dtw_distance_batch,
+    dtw_path,
+)
 from repro.exceptions import ValidationError
 
 finite_floats = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
 
 class TestBatchKernel:
-    def test_matches_scalar_kernel(self):
+    def test_matches_row_scan_oracle(self):
         rng = np.random.default_rng(141)
         q = rng.normal(size=9)
         rows = rng.normal(size=(20, 12))
-        got = dtw_distance_batch(q, rows)
+        got, plens = dtw_distance_batch(q, rows, with_path_length=True)
         for k in range(20):
-            assert got[k] == pytest.approx(dtw_distance(q, rows[k]))
+            want = dtw_path(q, rows[k])
+            assert got[k] == want.distance
+            assert plens[k] == want.path_length
 
     def test_matches_row_scan_matrix(self):
         rng = np.random.default_rng(142)
@@ -33,9 +39,13 @@ class TestBatchKernel:
         q = rng.normal(size=10)
         rows = rng.normal(size=(8, 10))
         for window in (0, 1, 3):
-            got = dtw_distance_batch(q, rows, window=window)
+            got, plens = dtw_distance_batch(
+                q, rows, window=window, with_path_length=True
+            )
             for k in range(8):
-                assert got[k] == pytest.approx(dtw_distance(q, rows[k], window=window))
+                want = dtw_path(q, rows[k], window=window)
+                assert got[k] == want.distance
+                assert plens[k] == want.path_length
 
     def test_squared_ground(self):
         rng = np.random.default_rng(144)
@@ -43,9 +53,7 @@ class TestBatchKernel:
         rows = rng.normal(size=(4, 9))
         got = dtw_distance_batch(q, rows, ground="squared")
         for k in range(4):
-            assert got[k] == pytest.approx(
-                dtw_distance(q, rows[k], ground="squared")
-            )
+            assert got[k] == dtw_path(q, rows[k], ground="squared").distance
 
     def test_single_row_and_single_column(self):
         assert dtw_distance_batch([1.0, 2.0], np.array([[1.5]]))[0] == pytest.approx(1.0)
@@ -76,11 +84,14 @@ class TestBatchKernel:
         st.lists(finite_floats, min_size=4, max_size=4), min_size=1, max_size=6
     ),
 )
-def test_batch_agrees_with_scalar_property(q, rows):
+def test_batch_agrees_with_oracle_property(q, rows):
     mat = np.asarray(rows)
-    got = dtw_distance_batch(q, mat)
+    got, plens = dtw_distance_batch(q, mat, with_path_length=True)
+    assert np.array_equal(got, dtw_distance_batch(q, mat))
     for k in range(mat.shape[0]):
-        assert got[k] == pytest.approx(dtw_distance(q, mat[k]), abs=1e-9)
+        want = dtw_path(q, mat[k])
+        assert got[k] == want.distance
+        assert plens[k] == want.path_length
 
 
 @settings(max_examples=60, deadline=None)
@@ -89,15 +100,71 @@ def test_batch_agrees_with_scalar_property(q, rows):
     st.lists(
         st.lists(finite_floats, min_size=6, max_size=6), min_size=1, max_size=4
     ),
-    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=0, max_value=13),
 )
 def test_batch_banded_property(q, rows, window):
     mat = np.asarray(rows)
-    got = dtw_distance_batch(q, mat, window=window)
+    got, plens = dtw_distance_batch(q, mat, window=window, with_path_length=True)
+    assert np.array_equal(got, dtw_distance_batch(q, mat, window=window))
     for k in range(mat.shape[0]):
-        assert got[k] == pytest.approx(
-            dtw_distance(q, mat[k], window=window), abs=1e-9
+        want = dtw_path(q, mat[k], window=window)
+        assert got[k] == want.distance
+        assert plens[k] == want.path_length
+
+
+#: Quantised values: ties between the three predecessors on most cells.
+tied_values = st.integers(min_value=-3, max_value=3).map(lambda v: v / 2)
+
+
+@st.composite
+def ragged_stacks(draw):
+    """``(x, padded rows, lengths)``: 1-6 candidates of lengths 1-30."""
+    lengths = draw(st.lists(st.integers(1, 30), min_size=1, max_size=6))
+    n = draw(st.integers(1, 30))
+    paired = draw(st.booleans())
+    values = st.lists(tied_values, min_size=n, max_size=n)
+    x = draw(st.lists(values, min_size=len(lengths), max_size=len(lengths)) if paired else values)
+    width = max(lengths) + draw(st.integers(0, 2))
+    rows = np.empty((len(lengths), width))
+    for i, m in enumerate(lengths):
+        rows[i, :m] = draw(st.lists(tied_values, min_size=m, max_size=m))
+    return np.asarray(x), rows, np.asarray(lengths)
+
+
+class TestRaggedKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        stack=ragged_stacks(),
+        window=st.sampled_from([None, 0, 1, 3, 8]),
+        ground=st.sampled_from(["l1", "squared"]),
+        with_path_length=st.booleans(),
+    )
+    def test_each_row_equals_dtw_path(self, stack, window, ground, with_path_length):
+        x, rows, lengths = stack
+        # A pad that reached any candidate's corner cell would swamp it
+        # (1e150 under the squared ground: its square is still finite).
+        pad = 1e150 if ground == "squared" else 1e300
+        for i, m in enumerate(lengths):
+            rows[i, m:] = pad
+        got = dtw_distance_batch(
+            x, rows, window=window, ground=ground,
+            with_path_length=with_path_length, lengths=lengths,
         )
+        dists, plens = got if with_path_length else (got, None)
+        for i, m in enumerate(lengths):
+            want = dtw_path(
+                x[i] if x.ndim == 2 else x, rows[i, :m], window=window, ground=ground
+            )
+            assert dists[i] == want.distance
+            if with_path_length:
+                assert plens[i] == want.path_length
+
+    def test_lengths_validation(self):
+        rows = np.zeros((3, 4))
+        for bad in ([4, 4], [[4, 4, 4]], [4, 0, 4], [4, 5, 4], [4.0, 4.0, 4.0]):
+            with pytest.raises(ValidationError, match="lengths"):
+                dtw_distance_batch([1.0, 2.0], rows, lengths=bad)
+        assert dtw_distance_batch([1.0, 2.0], rows, lengths=[4, 1, 2]).shape == (3,)
 
 
 class TestCondensedPairwise:
@@ -110,7 +177,7 @@ class TestCondensedPairwise:
         iu, ju = np.triu_indices(7, k=1)
         assert got.shape == (iu.size,)
         for p in range(iu.size):
-            assert got[p] == pytest.approx(dtw_distance(rows[iu[p]], rows[ju[p]]))
+            assert got[p] == dtw_path(rows[iu[p]], rows[ju[p]]).distance
 
     def test_normalized_matches_dtw_path(self):
         from repro.distances.dtw import dtw_distance_condensed, dtw_path
@@ -131,9 +198,7 @@ class TestCondensedPairwise:
         pairs = (np.array([0, 3, 1]), np.array([4, 2, 1]))
         got = dtw_distance_condensed(rows, pairs=pairs, window=2)
         for p, (i, j) in enumerate(zip(*pairs)):
-            assert got[p] == pytest.approx(
-                dtw_distance(rows[i], rows[j], window=2)
-            )
+            assert got[p] == dtw_path(rows[i], rows[j], window=2).distance
 
     def test_empty_pairs(self):
         from repro.distances.dtw import dtw_distance_condensed

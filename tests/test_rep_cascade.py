@@ -1,7 +1,8 @@
 """Representative-layer cascade, banded/paired kernels, and batch queries.
 
-Property tests for the PR-3 surface: the band-limited batch kernel is
-bit-identical to the full kernel at every window radius, the persisted
+Property tests for the PR-3 surface: the batch kernel (vectorised and
+scalar) is bit-identical to the row-scan oracle ``dtw_path`` at every
+window radius, the persisted
 representative summaries give provable lower bounds and survive
 persistence (including pre-v3 archives without them), the centroid
 prefilter is result-preserving in exact mode, and the multi-query
@@ -25,12 +26,9 @@ from repro.core.query import QueryProcessor
 from repro.data.dataset import TimeSeriesDataset
 from repro.data.timeseries import TimeSeries
 from repro.distances.dtw import (
-    _dtw_batch_banded,
-    _dtw_batch_full,
-    _dtw_batch_scalar,
     dtw_distance,
     dtw_distance_batch,
-    dtw_distance_batch_banded,
+    dtw_path,
     effective_band,
 )
 from repro.distances.envelope import keogh_envelope, keogh_envelope_batch
@@ -47,50 +45,32 @@ def sequences(min_size=1, max_size=10):
     return st.lists(finite_floats, min_size=min_size, max_size=max_size)
 
 
-class TestBandedKernel:
-    """The banded kernel matches the full kernel for *every* radius."""
+def assert_rows_match_oracle(got, x, mat, window):
+    """Distances and path lengths of a batch result equal ``dtw_path``'s."""
+    got_d, got_p = got
+    for i, row in enumerate(mat):
+        want = dtw_path(x[i] if np.ndim(x) == 2 else x, row, window=window)
+        assert got_d[i] == want.distance
+        assert got_p[i] == want.path_length
+
+
+class TestKernels:
+    """``dtw_distance_batch`` equals the row-scan oracle ``dtw_path``."""
 
     @given(
         x=sequences(),
         rows=st.lists(sequences(min_size=4, max_size=4), min_size=1, max_size=4),
     )
     @settings(max_examples=100, deadline=None)
-    def test_banded_matches_full_for_every_radius(self, x, rows):
+    def test_kernel_matches_oracle_for_every_radius(self, x, rows):
         a = np.asarray(x)
         mat = np.asarray(rows)
         n, m = a.shape[0], mat.shape[1]
         for window in range(0, n + m):
-            band = effective_band(n, m, window)
-            want_d, want_p = _dtw_batch_full(a, mat, band, False, True)
-            got_d, got_p = _dtw_batch_banded(a, mat, band, False, True)
-            assert np.array_equal(want_d, got_d)
-            assert np.array_equal(want_p, got_p)
-
-    @given(
-        x=sequences(min_size=2, max_size=8),
-        rows=st.lists(sequences(min_size=6, max_size=6), min_size=1, max_size=3),
-        window=st.integers(min_value=0, max_value=12),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_scalar_and_dispatch_match_full(self, x, rows, window):
-        a = np.asarray(x)
-        mat = np.asarray(rows)
-        band = effective_band(a.shape[0], mat.shape[1], window)
-        want_d, want_p = _dtw_batch_full(a, mat, band, False, True)
-        scal_d, scal_p = _dtw_batch_scalar(a, mat, band, False, True)
-        disp_d, disp_p = dtw_distance_batch(
-            a, mat, window=window, with_path_length=True
-        )
-        pub_d, pub_p = dtw_distance_batch_banded(
-            a, mat, window=window, with_path_length=True
-        )
-        for got_d, got_p in ((scal_d, scal_p), (disp_d, disp_p), (pub_d, pub_p)):
-            assert np.array_equal(want_d, got_d)
-            assert np.array_equal(want_p, got_p)
-
-    def test_banded_requires_window(self):
-        with pytest.raises(ValidationError):
-            dtw_distance_batch_banded([1.0, 2.0], np.ones((2, 2)), window=None)
+            assert_rows_match_oracle(
+                dtw_distance_batch(a, mat, window=window, with_path_length=True),
+                a, mat, window,
+            )
 
     @given(
         pairs=st.lists(
@@ -104,13 +84,10 @@ class TestBandedKernel:
     def test_paired_mode_matches_per_pair(self, pairs, window):
         X = np.asarray([p[0] for p in pairs])
         M = np.asarray([p[1] for p in pairs])
-        got_d, got_p = dtw_distance_batch(X, M, window=window, with_path_length=True)
-        for i in range(len(pairs)):
-            want_d, want_p = dtw_distance_batch(
-                X[i], M[i : i + 1], window=window, with_path_length=True
-            )
-            assert got_d[i] == want_d[0]
-            assert got_p[i] == want_p[0]
+        assert_rows_match_oracle(
+            dtw_distance_batch(X, M, window=window, with_path_length=True),
+            X, M, window,
+        )
 
     def test_paired_mode_row_count_mismatch(self):
         with pytest.raises(ValidationError):

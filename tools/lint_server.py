@@ -1,8 +1,9 @@
 """Static type-discipline gate for the serving hot path (stdlib-only).
 
-The serving stack — supervisor, pool, HTTP front end (``repro.server``)
-and the snapshot layout every publication and attach goes through
-(``repro.core.mmap_layout``) — is the code that runs unattended, so it
+The serving stack — supervisor, pool, HTTP front end (``repro.server``),
+the snapshot layout every publication and attach goes through
+(``repro.core.mmap_layout``) and the DTW kernel under every read
+(``repro.distances.dtw``) — is the code that runs unattended, so it
 gets the strictest gate in the repo.  ``mypy``
 is not part of the baked toolchain, so this checker enforces the
 *strict-mode surface rules* with the stdlib ``ast`` module:
@@ -30,6 +31,7 @@ ROOT = Path(__file__).resolve().parents[1]
 TARGETS = (
     ROOT / "src" / "repro" / "server",
     ROOT / "src" / "repro" / "core" / "mmap_layout.py",
+    ROOT / "src" / "repro" / "distances" / "dtw.py",
 )
 
 #: Decorators whose functions legitimately drop the return annotation
