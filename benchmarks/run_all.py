@@ -3,9 +3,10 @@
 ``python benchmarks/run_all.py --quick`` runs a small, deterministic
 subset of the E1/E5/E15/E16 measurements directly (no pytest) and prints
 one JSON document: base-construction time, per-query latency of the
-representative-cascade, PR-1 batched, and legacy member-refinement paths,
-the UCR Suite baseline, the cross-checks that every refinement path
-returns the same best match, the streaming subsystem's sustained
+exact cascade with and without the representative prefilter, the
+brute-force scan and the UCR Suite baseline, the cross-check that the
+cascade returns the brute-force scan's best match, the streaming
+subsystem's sustained
 per-append cost vs rebuild-per-append with a monitor-exactness gate
 against brute-force SPRING, and the multi-query section — ``query_batch``
 throughput against sequential single-query submission over the real HTTP
@@ -33,6 +34,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np
 
+from repro.baselines.brute_force import BruteForceSearcher
 from repro.baselines.spring import SpringMatcher
 from repro.baselines.ucr_suite import UcrSuiteSearcher
 from repro.core.base import OnexBase
@@ -89,39 +91,33 @@ def run(config: dict) -> dict:
     rng = np.random.default_rng(55)
     queries = [rng.uniform(size=6) for _ in range(config["queries"])]
     cascade = QueryProcessor(base, QueryConfig(mode="exact"))
-    pr1 = QueryProcessor(base, QueryConfig(mode="exact", use_rep_prefilter=False))
-    legacy = QueryProcessor(
-        base,
-        QueryConfig(mode="exact", use_rep_prefilter=False, use_member_batching=False),
+    no_prefilter = QueryProcessor(
+        base, QueryConfig(mode="exact", use_rep_prefilter=False)
     )
     fast = QueryProcessor(base, QueryConfig(mode="fast", refine_groups=1))
+    brute = BruteForceSearcher(base.dataset)
     ucr = UcrSuiteSearcher(base.dataset)
 
     results_cascade = [cascade.best_match(q, normalize=False) for q in queries]
-    results_pr1 = [pr1.best_match(q, normalize=False) for q in queries]
-    results_legacy = [legacy.best_match(q, normalize=False) for q in queries]
+    results_no_prefilter = [no_prefilter.best_match(q, normalize=False) for q in queries]
+    results_brute = [brute.best_match(q, base.lengths) for q in queries]
 
     def same(got, want):
-        return all(
-            a.ref == b.ref and abs(a.distance - b.distance) < 1e-9
-            for a, b in zip(got, want)
-        )
+        return all(a.ref == b.ref and a.distance == b.distance for a, b in zip(got, want))
 
-    identical = same(results_pr1, results_legacy) and same(
-        results_cascade, results_legacy
-    )
-    prefilter_identical = same(results_cascade, results_pr1)
+    exact = same(results_cascade, results_brute)
+    prefilter_identical = same(results_cascade, results_no_prefilter)
 
     t_cascade = _timed(
         lambda: [cascade.best_match(q, normalize=False) for q in queries],
         config["repeats"],
     )
-    t_pr1 = _timed(
-        lambda: [pr1.best_match(q, normalize=False) for q in queries],
+    t_no_prefilter = _timed(
+        lambda: [no_prefilter.best_match(q, normalize=False) for q in queries],
         config["repeats"],
     )
-    t_legacy = _timed(
-        lambda: [legacy.best_match(q, normalize=False) for q in queries],
+    t_brute = _timed(
+        lambda: [brute.best_match(q, base.lengths) for q in queries],
         config["repeats"],
     )
     t_fast = _timed(
@@ -186,15 +182,14 @@ def run(config: dict) -> dict:
         },
         "query_seconds": {
             "onex_exact_cascade": round(t_cascade, 4),
-            "onex_exact_pr1_batched": round(t_pr1, 4),
-            "onex_exact_legacy": round(t_legacy, 4),
+            "onex_exact_no_prefilter": round(t_no_prefilter, 4),
             "onex_fast": round(t_fast, 4),
+            "brute_force": round(t_brute, 4),
             "ucr_suite": round(t_ucr, 4),
         },
         "speedups": {
-            "rep_cascade_vs_pr1": round(t_pr1 / t_cascade, 2),
-            "batched_vs_legacy": round(t_legacy / t_pr1, 2),
-            "cascade_vs_legacy": round(t_legacy / t_cascade, 2),
+            "prefilter_on_vs_off": round(t_no_prefilter / t_cascade, 2),
+            "cascade_vs_brute_force": round(t_brute / t_cascade, 2),
             "fast_vs_ucr": round(t_ucr / t_fast, 2),
         },
         "rep_cascade": {
@@ -204,7 +199,7 @@ def run(config: dict) -> dict:
             "rep_lb_prunes": rep_stats.rep_lb_prunes,
         },
         "batch_query": batch_report,
-        "refinement_paths_identical": identical,
+        "exact_equals_brute_force": exact,
         "prefilter_paths_identical": prefilter_identical,
     }
 
@@ -226,8 +221,8 @@ def run_batch_queries(config: dict) -> dict:
     configuration, submitted one request at a time and as one
     ``query_batch`` request; the batch must return identical matches.
     One batched request pays the HTTP round trip, JSON envelope, and
-    dataset lock once, and the engine's multi-query planner stacks the
-    batch's kernel work (paired batch DTW across queries).
+    dataset lock once; the engine then runs the single-query search per
+    query, over as many threads as the process has CPUs.
     """
     rng = np.random.default_rng(55)
     queries = [[float(v) for v in rng.uniform(size=6)] for _ in range(8)]
@@ -702,16 +697,16 @@ def main(argv: list[str] | None = None) -> int:
         "config": report["config"],
         "exact_query_seconds": {
             "rep_cascade": report["query_seconds"]["onex_exact_cascade"],
-            "pr1_batched": report["query_seconds"]["onex_exact_pr1_batched"],
-            "legacy_scalar": report["query_seconds"]["onex_exact_legacy"],
+            "no_prefilter": report["query_seconds"]["onex_exact_no_prefilter"],
+            "brute_force": report["query_seconds"]["brute_force"],
         },
         "speedups": {
-            "rep_cascade_vs_pr1": report["speedups"]["rep_cascade_vs_pr1"],
-            "cascade_vs_legacy": report["speedups"]["cascade_vs_legacy"],
+            "prefilter_on_vs_off": report["speedups"]["prefilter_on_vs_off"],
+            "cascade_vs_brute_force": report["speedups"]["cascade_vs_brute_force"],
         },
         "rep_cascade": report["rep_cascade"],
         "batch_query": report["batch_query"],
-        "refinement_paths_identical": report["refinement_paths_identical"],
+        "exact_equals_brute_force": report["exact_equals_brute_force"],
         "prefilter_paths_identical": report["prefilter_paths_identical"],
     }
     args.pr3_output.write_text(json.dumps(pr3, indent=2) + "\n")
@@ -803,8 +798,11 @@ def main(argv: list[str] | None = None) -> int:
                 file=sys.stderr,
             )
             return 1
-    if not report["refinement_paths_identical"]:
-        print("ERROR: batched and legacy refinement disagree", file=sys.stderr)
+    if not report["exact_equals_brute_force"]:
+        print(
+            "ERROR: the exact cascade's best match is not the brute-force scan's",
+            file=sys.stderr,
+        )
         return 1
     if not report["prefilter_paths_identical"]:
         print(

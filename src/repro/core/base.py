@@ -335,31 +335,6 @@ class RepresentativeSummary:
             hi = self._minmax[start : self._count, 1:]
         return np.maximum(bound, lb_keogh_reverse_batch(query, lo, hi))
 
-    def cheap_bounds_multi(
-        self, queries: np.ndarray, band: int | None
-    ) -> np.ndarray:
-        """:meth:`cheap_bounds` for a stack of equal-length queries at once.
-
-        *queries* is ``(Q, n)``; returns ``(Q, G)`` — row ``i`` equals
-        ``cheap_bounds(queries[i], band)``.  One broadcasted evaluation
-        replaces ``Q`` per-query calls; the multi-query planner uses this
-        so the bound stage costs one numpy dispatch per (bucket, query
-        length) instead of per query.
-        """
-        qs = np.asarray(queries, dtype=np.float64)
-        if qs.ndim != 2:
-            raise ValidationError(f"queries must be 2-D, got shape {qs.shape}")
-        if self._count == 0:
-            return np.empty((qs.shape[0], 0))
-        kim = lb_kim_endpoints_batch(qs, self._endpoints[: self._count], self.length)
-        if qs.shape[1] == self.length and band is not None and band <= self.radius:
-            lo = self._env_lo[: self._count]
-            hi = self._env_hi[: self._count]
-        else:
-            lo = self._minmax[: self._count, :1]
-            hi = self._minmax[: self._count, 1:]
-        return np.maximum(kim, lb_keogh_reverse_batch(qs, lo, hi))
-
 
 class _LazyGroups(Sequence):
     """``bucket.groups`` of a read-only attached bucket.
@@ -656,6 +631,32 @@ class LengthBucket:
         """Combined member count of the groups *g_list* (builds no group)."""
         offset = self._offset_store.item
         return sum(offset(g + 1) - offset(g) for g in g_list)
+
+    def group_rows(
+        self, g_idx: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Where the members of groups *g_idx* live: their store rows (to
+        index :attr:`member_matrix`), ``(series_index, start)`` handles
+        and owning groups, row for row — index arithmetic only, no group
+        is built.
+
+        While no append has happened the rows are the construction
+        ranges ``_base_offsets`` delimits; afterwards ``_row_group``
+        names every row's owner, appended ones included.
+        """
+        if self._row_group is None:
+            lo = self._base_offsets[g_idx]
+            counts = self._base_offsets[g_idx + 1] - lo
+            owner = np.repeat(g_idx, counts)
+            first = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+            rows = first + np.arange(owner.size)
+        else:
+            wanted = np.zeros(len(self.groups), dtype=bool)
+            wanted[g_idx] = True
+            row_group = self._row_group[: self._row_count]
+            rows = np.flatnonzero(wanted[row_group])
+            owner = row_group[rows]
+        return rows, self._handle_store[rows], owner
 
     def _logical_order(self) -> np.ndarray | None:
         """Store rows in group-contiguous order; None while they already are.

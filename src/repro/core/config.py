@@ -104,16 +104,10 @@ class QueryConfig:
     window:
         Optional Sakoe–Chiba radius for all DTW evaluations.
     use_lower_bounds:
-        Toggle LB_Kim/LB_Keogh pre-filters on representative evaluations
-        (ablation E9 switches this off).
+        Toggle the LB_Kim/LB_Keogh pre-filters of the member-refinement
+        stage (ablation E9 switches this off).
     use_group_pruning:
         Toggle the transfer-inequality group pruning (ablation E9).
-    use_member_batching:
-        Refine group members through the vectorised lower-bound cascade
-        and batched DTW kernel (the default).  ``False`` falls back to the
-        legacy one-member-at-a-time scan with scalar early-abandon DTW —
-        kept for ablation benchmarks and the exactness cross-check; both
-        paths return identical matches.
     use_rep_prefilter:
         Rank and prune representatives with the persisted summary bounds
         (centroid Keogh envelopes + LB_Kim endpoints + the transfer
@@ -124,14 +118,6 @@ class QueryConfig:
         front — kept for ablations and the exactness cross-check; both
         paths return identical matches in exact mode and identical
         rankings in fast mode.
-    batch_min_members:
-        Refinement units (a group, or an exact-mode chunk of groups)
-        with fewer stacked member rows than this run the legacy scalar
-        early-abandon scan instead of the batched cascade: below the
-        threshold the batched kernels' fixed per-call dispatch overhead
-        exceeds the whole computation.  The default was picked from
-        ``benchmarks/bench_rep_cascade.py`` (see DESIGN.md §1); ``0``
-        forces every unit through the batched path.
     use_analytics_batching:
         Run the analytics operations — seasonal verification, the
         sensitivity profile, and threshold recommendation — on the
@@ -163,9 +149,7 @@ class QueryConfig:
     window: int | None = None
     use_lower_bounds: bool = True
     use_group_pruning: bool = True
-    use_member_batching: bool = True
     use_rep_prefilter: bool = True
-    batch_min_members: int = 8
     use_analytics_batching: bool = True
     deadline: Deadline | None = None
     metric: str = "dtw"
@@ -182,10 +166,6 @@ class QueryConfig:
             )
         if self.window is not None and self.window < 0:
             raise ValidationError(f"window must be >= 0, got {self.window}")
-        if self.batch_min_members < 0:
-            raise ValidationError(
-                f"batch_min_members must be >= 0, got {self.batch_min_members}"
-            )
         if self.deadline is not None and not isinstance(self.deadline, Deadline):
             raise ValidationError(
                 f"deadline must be a Deadline, got {type(self.deadline).__name__}"

@@ -14,52 +14,53 @@ strategies are provided (:class:`repro.core.config.QueryConfig`):
     contain a better match.  Returns the true DTW best match over all
     indexed subsequences, usually still far cheaper than a raw scan.
 
-The search is a **two-layer pruning cascade**, cheap bounds first at both
-layers:
+The search is a **staged pruning cascade**, cheap bounds first at every
+stage (DESIGN.md §1):
 
-**Representative layer** (``use_rep_prefilter``, the default): each
-bucket's persisted summaries (:class:`repro.core.base.RepresentativeSummary`
-— centroid Keogh envelopes, endpoint and min/max summaries) yield batched
-LB_Kim / LB_Keogh lower bounds on ``DTW(query, representative)`` without
-any DTW kernel call; combined with the ED→DTW transfer bound they
-lower-bound every *member* of the group.  Representatives are then visited
-best-first with **lazy exact DTW**: a representative's exact distance is
-only computed (in bound-ordered chunks, each one ragged kernel call
-however many length buckets it spans) when its cheap bound undercuts the
-current cutoff — representatives whose bound
-exceeds the running k-th best distance never get a DTW call at all.
+**Rank** (``use_rep_prefilter``, the default): each bucket's persisted
+summaries (:class:`repro.core.base.RepresentativeSummary` — centroid
+Keogh envelopes, endpoint and min/max summaries) yield batched LB_Kim /
+LB_Keogh lower bounds on ``DTW(query, representative)`` without any DTW
+kernel call; combined with the ED→DTW transfer bound they lower-bound
+every *member* of the group.
 
-**Member layer** (both strategies, and the threshold query): surviving
-groups are refined through a batched pruning cascade over their stacked
-member rows (:attr:`repro.core.base.LengthBucket.member_matrix`); in exact
-mode whole *chunks* of verified groups refine through one stacked kernel
-call:
+**Lazy verify**: representatives are visited best-first and a
+representative's exact distance is only computed (in bound-ordered
+chunks, each one ragged kernel call however many length buckets it
+spans) when its cheap bound undercuts the current cutoff —
+representatives whose bound exceeds the running k-th best distance never
+get a DTW call at all.
 
-1. ``lb_kim_batch`` — constant-time endpoint bound, every member at once;
-2. ``lb_keogh_batch`` — envelope bound (equal-length candidates), with
-   the query envelope computed once per (length, window) and cached;
-3. ``dtw_distance_batch(..., with_path_length=True)`` — exact DTW for all
-   surviving members in one anti-diagonal dynamic program, with the
-   optimal warping-path length tracked alongside so normalised distances
-   need no per-member traceback;
+**Refine** (:meth:`QueryProcessor._refine`, the one member stage every
+operation drives): a chunk of ``(bucket, group)`` units of *any* lengths
+is gathered from the buckets' row arrays into one padded stack, then
+
+1. LB_Kim from the rows' endpoints, and LB_Keogh against the cached query
+   envelope for the rows of the query's own length — one vectorised pass;
+2. one ragged cost-only ``dtw_distance_batch(..., lengths=)`` call for
+   the survivors;
+3. a second, path-length-tracking call only for rows whose
+   ``raw / (n + m - 1)`` is within the cut — a necessary condition for
+   ``raw / path_length`` to be, since no warping path is longer;
 4. ``dtw_path`` — warping-path traceback deferred to the handful of
    matches actually returned to the caller.
 
-Refinement units smaller than ``QueryConfig.batch_min_members`` rows run
-the legacy scalar early-abandon scan instead — below that size the batched
-kernels' fixed dispatch overhead exceeds the whole computation.
-
-Every stage is provably result-preserving, so the cascade returns exactly
-the matches the legacy one-member-at-a-time scan
-(``QueryConfig(use_member_batching=False)``) returns — the ablation
-benchmarks cross-check this, as they do with the representative prefilter
-toggled off.  :class:`QueryStats` counts the work each stage actually
-performed, at both layers.
+The operations differ in their stopping rule only.  Exact k-best drains
+verified groups best-first — ascending ``(tight bound, representative
+distance)`` — in doubling chunks that start small, so the closest groups
+set a near-final cutoff before the bulk of the base meets the member
+bounds; fast mode refines its top ``refine_groups`` groups in one call;
+the threshold query calls the stage once per length bucket with the
+threshold as the cut.  Every prune is a strict ``bound > cut`` on a sound
+lower bound and the heap breaks distance ties by reference, so any
+refinement order returns exactly what a brute-force scan returns.
+:class:`QueryStats` counts the work each stage actually performed.
 
 :meth:`QueryProcessor.batch_matches` answers many queries in one call:
 shared read-only state (member matrices, representative summaries) is
-prepared once, then the queries fan out over a thread pool — the numpy
-kernels release the GIL — with results identical to per-query submission.
+prepared once, then each query runs the single-query path — fanned over
+a thread pool when the process may use more than one CPU — so results
+are those of per-query submission by construction.
 
 Distances reported to callers are **normalised DTW** (cost divided by
 warping-path length), the unit in which ONEX similarity thresholds are
@@ -72,23 +73,21 @@ import heapq
 import math
 import os
 import time
+from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from repro.core.base import LengthBucket, OnexBase
 from repro.core.config import QueryConfig
 from repro.core.deadline import Deadline
 from repro.data.dataset import SubsequenceRef
-from repro.distances.dtw import (
-    dtw_distance_batch,
-    dtw_distance_early_abandon,
-    dtw_path,
-    effective_band,
-)
+from repro.distances.dtw import dtw_distance_batch, dtw_path, effective_band
 from repro.distances.envelope import QueryEnvelopeCache
-from repro.distances.lower_bounds import lb_keogh_batch, lb_kim, lb_kim_batch
+from repro.distances.lower_bounds import lb_keogh_batch, lb_kim_endpoints_batch
 from repro.distances.metrics import as_sequence
 from repro.distances.normalize import minmax_normalize
 from repro.distances.registry import MetricSpec, get_metric
@@ -101,11 +100,12 @@ __all__ = ["Match", "QueryProcessor", "QueryStats"]
 
 _INF = math.inf
 
-#: Representatives evaluated (lazy exact DTW) or drained (refinement) per
-#: round of the representative cascade.  Grows geometrically within one
-#: query, so adversarial bound distributions cost O(log groups) rounds
-#: while the first rounds stay small enough to establish a cutoff before
-#: most representatives are touched.
+#: First chunk of each of the cascade's two schedules — representatives
+#: verified (lazy exact DTW) per round, and verified groups drained into
+#: one refinement call.  Each doubles on its own within one query, so
+#: adversarial bound distributions cost O(log groups) rounds while the
+#: first rounds stay small enough to establish a cutoff before most
+#: representatives, or most members, are touched.
 _REP_CHUNK = 16
 
 
@@ -146,7 +146,11 @@ class QueryStats:
     representatives whose exact DTW never ran (pruned or left unranked by
     the lazy cascade), ``rep_dtw_calls`` those whose exact DTW did run.
     ``groups_pruned`` totals the provable group-level prunes of either
-    kind.  ``batch_queries`` is the number of queries merged into this
+    kind.  Member layer: of the ``members_scanned`` rows gathered,
+    ``member_lb_prunes`` fell to LB_Kim/LB_Keogh, ``member_dtw_calls`` got
+    a raw DTW cost and ``member_path_calls`` — those whose raw cost could
+    still be within the cut — a tracked path length as well.
+    ``batch_queries`` is the number of queries merged into this
     record by :meth:`QueryProcessor.batch_matches` (0 for single queries).
     """
 
@@ -159,6 +163,7 @@ class QueryStats:
     members_scanned: int = 0
     member_lb_prunes: int = 0
     member_dtw_calls: int = 0
+    member_path_calls: int = 0
     batch_queries: int = 0
     partial_results: int = 0
 
@@ -200,6 +205,15 @@ def _publish_query(
             _CASCADE_TOTAL.inc(float(value), event=name)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on — its affinity mask where the
+    platform has one (a server pinned to one core has ``cpu_count() ==
+    2`` on a two-core host), else the host's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 @dataclass(order=True)
 class _Candidate:
     """Heap entry; ordered by (distance, ref) for deterministic ties."""
@@ -207,8 +221,22 @@ class _Candidate:
     distance: float
     ref: SubsequenceRef = field(compare=True)
     raw: float = field(compare=False)
-    path: tuple = field(compare=False)
     group: tuple = field(compare=False)
+
+
+class _Refined(NamedTuple):
+    """Member rows one refinement call verified, as parallel arrays.
+
+    Row ``i`` is the window ``handles[i] = (series_index, start)`` of
+    ``lengths[i]`` points in group ``gids[i]`` of its length bucket, at
+    normalised distance ``norms[i]`` (raw cost ``raws[i]``).
+    """
+
+    norms: np.ndarray
+    raws: np.ndarray
+    handles: np.ndarray
+    lengths: np.ndarray
+    gids: np.ndarray
 
 
 class QueryProcessor:
@@ -242,9 +270,9 @@ class QueryProcessor:
 
     def best_match(
         self,
-        query,
+        query: ArrayLike | SubsequenceRef,
         *,
-        lengths=None,
+        lengths: Iterable[int] | None = None,
         normalize: bool = True,
         deadline: Deadline | None = None,
     ) -> Match:
@@ -264,10 +292,10 @@ class QueryProcessor:
 
     def k_best_matches(
         self,
-        query,
+        query: ArrayLike | SubsequenceRef,
         k: int,
         *,
-        lengths=None,
+        lengths: Iterable[int] | None = None,
         normalize: bool = True,
         deadline: Deadline | None = None,
     ) -> list[Match]:
@@ -306,29 +334,33 @@ class QueryProcessor:
 
     def batch_matches(
         self,
-        queries,
+        queries: Iterable[ArrayLike | SubsequenceRef],
         k: int = 1,
         *,
-        lengths=None,
+        lengths: Iterable[int] | None = None,
         normalize: bool = True,
         max_workers: int | None = None,
         deadline: Deadline | None = None,
     ) -> list[list[Match]]:
         """The *k* best matches for every query of a batch, in one call.
 
-        The multi-query execution layer.  Shared read-only state — each
-        bucket's stacked member matrix and representative summaries — is
-        prepared once up front.  Exact-mode batches then run the shared
-        planner (:meth:`_batch_search_exact`): the heavy kernel stages of
-        *all* queries stack into paired batch-DTW calls, per length
-        bucket, and those per-bucket kernel jobs fan out over a thread
-        pool (the numpy kernels release the GIL, so buckets genuinely
-        overlap on multicore hosts).  Fast-mode batches fan whole queries
-        out over the pool instead — their per-query work is dominated by
-        the ranked refinement walk, which does not stack.  Results are
-        identical to submitting each query through
-        :meth:`k_best_matches`, in input order; ``last_stats`` afterwards
-        holds the merged work counters with ``batch_queries`` set.
+        The multi-query driver.  Shared read-only state — each bucket's
+        stacked member matrix and representative summaries — is prepared
+        once up front, then every query runs the single-query search
+        (:meth:`_run_search`), so results are those of submitting each
+        query through :meth:`k_best_matches`, in input order.  The
+        queries fan out over a thread pool (the numpy kernels release
+        the GIL) sized by the CPUs this process may run on, and run
+        inline when that is one — two threads on one core only trade the
+        GIL back and forth.  ``last_stats`` afterwards holds the summed
+        work counters with ``batch_queries`` set.
+
+        A fired *deadline* raises as in :meth:`k_best_matches`; with
+        ``allow_partial`` the batch degrades per query instead, as long
+        as some query has verified candidates — finished queries keep
+        their exact answers, an interrupted one returns its best so far
+        flagged ``exact=False``, and one with nothing verified yet
+        returns an empty list.
         """
         if k < 1:
             raise ValidationError(f"k must be >= 1, got {k}")
@@ -348,43 +380,25 @@ class QueryProcessor:
             if self._config.use_rep_prefilter and not self._metric_scan:
                 bucket.rep_summary
         if max_workers is None:
-            max_workers = min(len(resolved), os.cpu_count() or 1)
+            max_workers = _usable_cpus()
+        max_workers = min(max_workers, len(resolved))
 
-        if self._config.mode == "exact" and not self._metric_scan:
-            # One executor serves every kernel wave of the planner.
-            pool = (
-                ThreadPoolExecutor(max_workers=max_workers)
-                if max_workers > 1
-                else None
-            )
-            try:
-                with span(
-                    "query.batch", queries=len(resolved), k=k, mode="exact"
-                ):
-                    results, per_query = self._batch_search_exact(
-                        resolved, buckets, k, pool, deadline
-                    )
-            finally:
-                if pool is not None:
-                    pool.shutdown(wait=True)
-            for one in per_query:
-                stats.merge(one)
-            self.last_stats = stats
-            _publish_query("batch", "exact", stats, started, self._config.metric)
-            return results
-
-        def run_one(q: np.ndarray) -> tuple[list[Match], QueryStats]:
+        def run_one(q: np.ndarray) -> tuple[list[Match] | DeadlineExceeded, QueryStats]:
             one = QueryStats()
-            return self._run_search(q, buckets, k, one, deadline=deadline), one
+            try:
+                return self._run_search(q, buckets, k, one, deadline=deadline), one
+            except DeadlineExceeded as exc:
+                if not deadline.allow_partial:
+                    raise
+                return exc, one
 
-        # Per-query fan-out (fast mode, and every metric-scan batch):
-        # worker threads never see the caller's thread-local trace, so
-        # only this enclosing span records — per-query telemetry still
-        # merges through the stats objects.
+        # Worker threads never see the caller's thread-local trace, so
+        # only this enclosing span records when the batch fans out —
+        # per-query telemetry still merges through the stats objects.
         with span(
             "query.batch", queries=len(resolved), k=k, mode=self._config.mode
         ):
-            if max_workers > 1 and len(resolved) > 1:
+            if max_workers > 1:
                 with ThreadPoolExecutor(max_workers=max_workers) as pool:
                     outcomes = list(pool.map(run_one, resolved))
             else:
@@ -395,279 +409,10 @@ class QueryProcessor:
         _publish_query(
             "batch", self._config.mode, stats, started, self._config.metric
         )
-        return [matches for matches, _ in outcomes]
-
-    def _batch_search_exact(
-        self,
-        qs: list[np.ndarray],
-        buckets: list[LengthBucket],
-        k: int,
-        pool: ThreadPoolExecutor | None,
-        deadline: Deadline | None = None,
-    ) -> tuple[list[list[Match]], list[QueryStats]]:
-        """Shared exact-mode planner: one set of kernel calls for a batch.
-
-        Three rounds, all provably result-preserving:
-
-        1. **Seed** — each query refines its single most-promising group
-           (smallest cheap representative bound), establishing a finite
-           pruning cutoff before any representative DTW runs.
-        2. **Representative DTW** — every (query, group) pair whose cheap
-           bound survives its query's cutoff is verified exactly, with all
-           pairs of a (bucket, query-length) class stacked into one paired
-           kernel call; pairs over the cutoff are pruned with no DTW.
-        3. **Bulk refinement** — surviving pairs' member rows run the
-           lower-bound cascade per query, then one paired DTW call per
-           (bucket, class) covers every query's survivors at once.
-
-        Compared to the single-query lazy cascade this trades one round of
-        cutoff tightening for cross-query kernel stacking — the per-call
-        dispatch cost is paid per *batch* instead of per query.  The
-        stacked kernel jobs of rounds 2/3 are pure numpy (GIL released)
-        and fan out over a thread pool; every heap update happens on the
-        calling thread, so results are deterministic and identical to
-        sequential submission.
-        """
-        cfg = self._config
-        Q = len(qs)
-        stats = [QueryStats() for _ in qs]
-        heaps: list[list[_Negated]] = [[] for _ in qs]
-        envs = [QueryEnvelopeCache(q) for q in qs]
-        for one in stats:
-            for bucket in buckets:
-                one.representatives_total += bucket.group_count
-        live = [b for b in buckets if b.group_count]
-        classes: dict[int, list[int]] = {}
-        for qi, q in enumerate(qs):
-            classes.setdefault(q.shape[0], []).append(qi)
-
-        def run_jobs(jobs: list) -> list:
-            """Run paired-DTW jobs, fanned over the shared pool if any."""
-            if pool is not None and len(jobs) > 1:
-                return list(pool.map(lambda j: j(), jobs))
-            return [job() for job in jobs]
-
-        def assemble(partial: bool) -> tuple[list[list[Match]], list[QueryStats]]:
-            results: list[list[Match]] = []
-            for qi, heap in enumerate(heaps):
-                if not heap:
-                    if partial:
-                        # This query had no verified candidate when the
-                        # budget fired; partial mode degrades it to empty.
-                        results.append([])
-                        continue
-                    raise ValidationError(
-                        "no indexed subsequences matched the query"
-                    )
-                candidates = sorted(wrapper.candidate for wrapper in heap)
-                results.append(
-                    [self._to_match(c, qs[qi], exact=not partial) for c in candidates]
-                )
-            return results, stats
-
-        def barrier(stage: str) -> bool:
-            """Deadline check between planner rounds (True = stop, partial)."""
-            faults.fire("query.rep_chunk")
-            if deadline is None or not deadline.expired:
-                return False
-            if deadline.allow_partial and any(heaps):
-                for one in stats:
-                    one.partial_results += 1
-                return True
-            merged = QueryStats()
-            for one in stats:
-                merged.merge(one)
-            best = None
-            for heap in heaps:
-                if heap:
-                    c = min(wrapper.candidate for wrapper in heap)
-                    if best is None or c.distance < best["distance"]:
-                        best = self._best_summary(c)
-            self._raise_deadline(deadline, stage, merged, best)
-            return True  # unreachable
-
-        # Cheap group lower bounds per (query, bucket): (Q, G_b) tables,
-        # one broadcasted evaluation per (bucket, query-length class).
-        glb: list[np.ndarray] = []
-        refined: list[np.ndarray] = []
-        for bucket in live:
-            refined.append(np.zeros((Q, bucket.group_count), dtype=bool))
-            table = np.zeros((Q, bucket.group_count))
-            if cfg.use_rep_prefilter:
-                for qlen, members in classes.items():
-                    band = effective_band(qlen, bucket.length, cfg.window)
-                    cheap = bucket.rep_summary.cheap_bounds_multi(
-                        np.vstack([qs[qi] for qi in members]), band
-                    )
-                    max_path = qlen + bucket.length - 1
-                    table[members] = (
-                        np.maximum(cheap - max_path * bucket.cheb_radii, 0.0)
-                        / max_path
-                    )
-            glb.append(table)
-
-        # Round 1: seed each query's cutoff from its best-bound group,
-        # all seed refinements stacked like a bulk round.
-        if cfg.use_rep_prefilter and live:
-            plan: dict[tuple[int, int], list[tuple[int, list[int]]]] = {}
-            for qi, q in enumerate(qs):
-                b_best = min(
-                    range(len(live)), key=lambda b_i: float(glb[b_i][qi].min())
-                )
-                g_best = int(np.argmin(glb[b_best][qi]))
-                refined[b_best][qi, g_best] = True
-                plan.setdefault((b_best, q.shape[0]), []).append((qi, [g_best]))
-            with span("batch.seed", queries=Q):
-                self._batch_refine_stacked(
-                    plan, live, qs, k, heaps, stats, envs, run_jobs
-                )
-        if barrier("batch seed refinement"):
-            return assemble(True)
-
-        # Round 2: paired representative DTW for pairs under the cutoff.
-        tight: list[np.ndarray] = [
-            np.full((Q, b.group_count), _INF) for b in live
-        ]
-        jobs = []
-        job_meta = []
-        for b_i, bucket in enumerate(live):
-            for qlen, members in classes.items():
-                max_path = qlen + bucket.length - 1
-                xs, mats, owner_q, owner_g = [], [], [], []
-                for qi in members:
-                    mask = ~refined[b_i][qi]
-                    if cfg.use_rep_prefilter and cfg.use_group_pruning:
-                        cutoff = self._cutoff(heaps[qi], k)
-                        if math.isfinite(cutoff):
-                            passing = mask & (glb[b_i][qi] <= cutoff)
-                            pruned = int(mask.sum()) - int(passing.sum())
-                            stats[qi].rep_lb_prunes += pruned
-                            stats[qi].rep_dtw_skipped += pruned
-                            stats[qi].groups_pruned += pruned
-                            mask = passing
-                    sel = np.nonzero(mask)[0]
-                    if not sel.size:
-                        continue
-                    xs.append(np.broadcast_to(qs[qi], (sel.size, qlen)))
-                    mats.append(bucket.centroids[sel])
-                    owner_q.append(np.full(sel.size, qi, dtype=np.int64))
-                    owner_g.append(sel)
-                    stats[qi].rep_dtw_calls += sel.size
-                if not xs:
-                    continue
-                X = np.concatenate(xs)
-                M = np.concatenate(mats)
-                jobs.append(
-                    lambda X=X, M=M: dtw_distance_batch(X, M, window=cfg.window)
-                )
-                job_meta.append(
-                    (b_i, max_path, np.concatenate(owner_q), np.concatenate(owner_g))
-                )
-        with span("batch.rep_dtw", jobs=len(jobs)) as sp:
-            for raws, (b_i, max_path, oq, og) in zip(run_jobs(jobs), job_meta):
-                bucket = live[b_i]
-                tight[b_i][oq, og] = (
-                    np.maximum(raws - max_path * bucket.cheb_radii[og], 0.0)
-                    / max_path
-                )
-                sp.add(pairs=int(oq.size))
-        if barrier("batch representative DTW"):
-            return assemble(True)
-
-        # Round 3: bulk member refinement — surviving pairs grouped into
-        # one stacked cascade per (bucket, class).
-        plan = {}
-        for b_i, bucket in enumerate(live):
-            for qlen, members in classes.items():
-                for qi in members:
-                    candidates = ~refined[b_i][qi] & np.isfinite(tight[b_i][qi])
-                    cutoff = self._cutoff(heaps[qi], k)
-                    if cfg.use_group_pruning and math.isfinite(cutoff):
-                        passing = candidates & (tight[b_i][qi] <= cutoff)
-                        stats[qi].groups_pruned += int(candidates.sum()) - int(
-                            passing.sum()
-                        )
-                        candidates = passing
-                    g_list = [int(g) for g in np.nonzero(candidates)[0]]
-                    if g_list:
-                        plan.setdefault((b_i, qlen), []).append((qi, g_list))
-        with span(
-            "batch.refine", units=sum(len(v) for v in plan.values())
-        ):
-            self._batch_refine_stacked(
-                plan, live, qs, k, heaps, stats, envs, run_jobs
-            )
-        return assemble(False)
-
-    def _batch_refine_stacked(
-        self,
-        plan: dict[tuple[int, int], list[tuple[int, list[int]]]],
-        live: list[LengthBucket],
-        qs: list[np.ndarray],
-        k: int,
-        heaps: list[list["_Negated"]],
-        stats: list[QueryStats],
-        envs: list[QueryEnvelopeCache],
-        run_jobs,
-    ) -> None:
-        """Run one wave of member refinements stacked across queries.
-
-        *plan* maps ``(bucket position, query length)`` to the queries
-        refining there and their group lists.  The lower-bound stages run
-        per query slice (each against its own cached envelope and
-        cutoff); the exact member DTW of every query in a (bucket, class)
-        is one paired kernel call, dispatched through *run_jobs* so
-        independent buckets can overlap on multicore hosts.  Heap updates
-        happen on the calling thread only.
-        """
-        cfg = self._config
-        jobs = []
-        job_meta = []
-        for (b_i, qlen), entries in plan.items():
-            bucket = live[b_i]
-            max_path = qlen + bucket.length - 1
-            seg_rows: list[tuple[np.ndarray, np.ndarray]] = []
-            seg_meta = []
-            for qi, g_list in entries:
-                if self._scalar_unit(bucket, g_list):
-                    # Tiny unit: the scalar path beats any stacking.
-                    self._refine_members(
-                        qs[qi], bucket, g_list, k, heaps[qi], stats[qi], envs[qi]
-                    )
-                    continue
-                cutoff = self._cutoff(heaps[qi], k)
-                stats[qi].groups_refined += len(g_list)
-                rows, refs, group_of = self._stacked_members(bucket, g_list)
-                survivors = self._member_bound_filter(
-                    qs[qi], bucket, rows, stats[qi], envs[qi],
-                    cut=cutoff, scale=max_path,
-                )
-                if not survivors.size:
-                    continue
-                stats[qi].member_dtw_calls += survivors.size
-                seg_rows.append((qs[qi], rows[survivors]))
-                seg_meta.append((qi, refs, group_of, survivors, cutoff))
-            if not seg_rows:
-                continue
-            X = np.concatenate(
-                [np.broadcast_to(q, (r.shape[0], q.shape[0])) for q, r in seg_rows]
-            )
-            M = np.concatenate([r for _, r in seg_rows])
-            jobs.append(
-                lambda X=X, M=M: dtw_distance_batch(
-                    X, M, window=cfg.window, with_path_length=True
-                )
-            )
-            job_meta.append((bucket.length, seg_meta))
-        for (raws, plens), (length, seg_meta) in zip(run_jobs(jobs), job_meta):
-            offset = 0
-            for qi, refs, group_of, survivors, cutoff in seg_meta:
-                part = slice(offset, offset + survivors.size)
-                offset += survivors.size
-                self._push_batch_candidates(
-                    heaps[qi], k, cutoff, length, refs, group_of,
-                    survivors, raws[part], plens[part],
-                )
+        expired = [out for out, _ in outcomes if isinstance(out, DeadlineExceeded)]
+        if len(expired) == len(outcomes):
+            raise expired[0]
+        return [[] if isinstance(out, DeadlineExceeded) else out for out, _ in outcomes]
 
     def _run_search(
         self,
@@ -694,10 +439,10 @@ class QueryProcessor:
 
     def matches_within(
         self,
-        query,
+        query: ArrayLike | SubsequenceRef,
         threshold: float,
         *,
-        lengths=None,
+        lengths: Iterable[int] | None = None,
         normalize: bool = True,
         deadline: Deadline | None = None,
     ) -> list[Match]:
@@ -792,18 +537,23 @@ class QueryProcessor:
             lower = (rep_raws - max_path * bucket.cheb_radii[candidates]) / max_path
             keep = lower <= threshold
             stats.groups_pruned += int(candidates.size - keep.sum())
-            g_list = [int(g) for g in candidates[keep]]
-            if g_list:
+            g_ids = candidates[keep]
+            if g_ids.size:
                 with span(
                     "cascade.threshold_bucket",
                     length=bucket.length,
-                    groups=len(g_list),
+                    groups=int(g_ids.size),
                 ):
-                    out.extend(
-                        self._threshold_refine(
-                            q, bucket, g_list, threshold, stats, envelopes
-                        )
+                    found = self._refine(
+                        q,
+                        [bucket],
+                        np.zeros(g_ids.size, dtype=np.int64),
+                        g_ids,
+                        threshold,
+                        stats,
+                        envelopes,
                     )
+                    out.extend(self._matches_within(found, threshold, q))
         return out, partial
 
     # ------------------------------------------------------------------
@@ -888,372 +638,189 @@ class QueryProcessor:
     # Member-layer refinement
     # ------------------------------------------------------------------
 
-    def _scalar_unit(self, bucket: LengthBucket, g_list: list[int]) -> bool:
-        """Whether a refinement unit takes the scalar member path.
+    def _gather(
+        self, live: list[LengthBucket], b_is: np.ndarray, g_ids: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Member rows of the groups ``(live[b_is[i]], g_ids[i])``, stacked.
 
-        The single home of the tiny-unit routing rule: the legacy scalar
-        scan when member batching is off, or when the unit's combined
-        member count is under ``batch_min_members`` (below which the
-        batched kernels' fixed dispatch overhead exceeds the work).
+        Returns ``(rows, lengths, handles, gids)``: the members' values
+        padded to the widest bucket, each row's subsequence length, its
+        ``(series_index, start)`` handle and its group index — read
+        straight off the buckets' row arrays, so no ``SimilarityGroup``
+        or ``SubsequenceRef`` is built.
         """
-        cfg = self._config
-        if not cfg.use_member_batching:
-            return True
-        return bucket.members_in(g_list) < cfg.batch_min_members
+        parts = []
+        for b_i in np.unique(b_is):
+            bucket = live[b_i]
+            parts.append((bucket, *bucket.group_rows(g_ids[b_is == b_i])))
+        count = sum(at.size for _, at, _, _ in parts)
+        width = max(b.length * b.channels for b, _, _, _ in parts)
+        rows = np.zeros((count, width))
+        lengths = np.empty(count, dtype=np.int64)
+        handles = np.empty((count, 2), dtype=np.int64)
+        gids = np.empty(count, dtype=np.int64)
+        stop = 0
+        for bucket, at, at_handles, owner in parts:
+            start, stop = stop, stop + at.size
+            matrix = bucket.ensure_member_matrix(self._base.dataset)
+            rows[start:stop, : matrix.shape[1]] = matrix[at]
+            lengths[start:stop] = bucket.length
+            handles[start:stop] = at_handles
+            gids[start:stop] = owner
+        return rows, lengths, handles, gids
 
-    def _threshold_refine(
-        self, q, bucket, g_list, threshold, stats, envelopes
-    ) -> list[Match]:
-        """Refine surviving groups of one bucket against the threshold."""
-        stats.groups_refined += len(g_list)
-        if self._scalar_unit(bucket, g_list):
-            out: list[Match] = []
-            for g_idx in g_list:
-                out.extend(
-                    self._threshold_refine_scalar(q, bucket, g_idx, threshold, stats)
-                )
-            return out
-        return self._threshold_refine_batched(
-            q, bucket, g_list, threshold, stats, envelopes
-        )
-
-    def _threshold_refine_scalar(
-        self, q, bucket, g_idx, threshold, stats
-    ) -> list[Match]:
-        """Legacy per-member threshold refinement (scalar early-abandon DTW)."""
-        group = bucket.groups[g_idx]
-        max_path = q.shape[0] + bucket.length - 1
-        raw_cut = threshold * max_path
-        out: list[Match] = []
-        for ref in group.members:
-            stats.members_scanned += 1
-            values = self._base.member_values(ref)
-            raw = dtw_distance_early_abandon(
-                q, values, raw_cut, window=self._config.window
-            )
-            if math.isinf(raw):
-                stats.member_lb_prunes += 1
-                continue
-            stats.member_dtw_calls += 1
-            res = dtw_path(q, values, window=self._config.window)
-            if res.normalized_distance <= threshold:
-                out.append(
-                    self._to_match(
-                        _Candidate(
-                            distance=res.normalized_distance,
-                            ref=ref,
-                            raw=res.distance,
-                            path=res.path,
-                            group=(bucket.length, g_idx),
-                        )
-                    )
-                )
-        return out
-
-    def _threshold_refine_batched(
-        self, q, bucket, g_list, threshold, stats, envelopes
-    ) -> list[Match]:
-        """Batched threshold refinement: one stacked cascade per bucket."""
-        rows, refs, group_of = self._stacked_members(bucket, g_list)
-        max_path = q.shape[0] + bucket.length - 1
-        raw_cut = threshold * max_path
-        survivors, raws, plens = self._cascade_rows(
-            q, bucket, rows, stats, envelopes, cut=raw_cut, scale=1.0
-        )
-        out: list[Match] = []
-        for pos in np.nonzero(raws <= raw_cut)[0]:
-            normalized = raws[pos] / plens[pos]
-            if normalized <= threshold:
-                row = survivors[pos]
-                out.append(
-                    self._to_match(
-                        _Candidate(
-                            distance=float(normalized),
-                            ref=refs[row],
-                            raw=float(raws[pos]),
-                            path=None,
-                            group=(bucket.length, group_of[row]),
-                        ),
-                        q,
-                    )
-                )
-        return out
-
-    def _stacked_members(
-        self, bucket: LengthBucket, g_list: list[int]
-    ) -> tuple[np.ndarray, list[SubsequenceRef], list[int]]:
-        """Member rows of several groups stacked, with per-row provenance."""
-        bucket.ensure_member_matrix(self._base.dataset)
-        refs: list[SubsequenceRef] = []
-        group_of: list[int] = []
-        for g_idx in g_list:
-            members = bucket.groups[g_idx].members
-            refs.extend(members)
-            group_of.extend([g_idx] * len(members))
-        if len(g_list) == 1:
-            rows = bucket.member_rows(g_list[0])
-        else:
-            rows = np.vstack([bucket.member_rows(g) for g in g_list])
-        return rows, refs, group_of
-
-    def _cascade_rows(
+    def _refine(
         self,
         q: np.ndarray,
-        bucket: LengthBucket,
-        rows: np.ndarray,
+        live: list[LengthBucket],
+        b_is: np.ndarray,
+        g_ids: np.ndarray,
+        cut: float,
         stats: QueryStats,
         envelopes: QueryEnvelopeCache,
-        cut: float,
-        scale: float,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Run the lower-bound cascade and batched DTW over stacked rows.
+        k: int | None = None,
+    ) -> _Refined:
+        """The member stage: every member of the given groups that can
+        still be within *cut*, verified exactly.
 
-        A row is pruned when ``bound / scale > cut`` — the k-best path
-        passes the normalised-distance cutoff with ``scale = max_path``
-        (dividing the bound down is conservative in floats, so a tie the
-        legacy path kept is never over-pruned), the threshold path passes
-        its raw-cost cut with ``scale = 1``.  Returns ``(survivor_indices,
-        raw_distances, path_lengths)`` with counters updated for the work
-        performed.
+        The units ``(live[b_is[i]], g_ids[i])`` may span any lengths.
+        *cut* is a normalised distance — the running k-th best of a
+        k-best search (``inf`` until k are found) or the threshold of a
+        range query — and every test against it is a strict prune on a
+        sound lower bound of ``raw / path_length``: the member bounds and
+        then the raw cost itself, each divided by the longest possible
+        path ``n + m - 1`` (dividing down is conservative in floats too,
+        so a tie is never pruned).  With *k*, the call's own k-th
+        smallest ``raw / max(n, m)`` — an upper bound on its k-th
+        normalised distance, no path being shorter — tightens the cut
+        before path lengths are tracked.  Returns the rows that passed,
+        which is a superset of the members within *cut*, with the raw
+        costs and path lengths of the one call that tracked both.
         """
-        survivors = self._member_bound_filter(
-            q, bucket, rows, stats, envelopes, cut, scale
-        )
-        if not survivors.size:
-            return survivors, np.empty(0), np.empty(0, dtype=np.int64)
-        raws, plens = dtw_distance_batch(
-            q, rows[survivors], window=self._config.window, with_path_length=True
-        )
-        stats.member_dtw_calls += survivors.size
-        return survivors, raws, plens
-
-    def _member_bound_filter(
-        self,
-        q: np.ndarray,
-        bucket: LengthBucket,
-        rows: np.ndarray,
-        stats: QueryStats,
-        envelopes: QueryEnvelopeCache,
-        cut: float,
-        scale: float,
-    ) -> np.ndarray:
-        """Indices of *rows* surviving the LB_Kim → LB_Keogh stages."""
         cfg = self._config
-        count = rows.shape[0]
+        qlen = q.shape[0]
+        stats.groups_refined += b_is.size
+        rows, lengths, handles, gids = self._gather(live, b_is, g_ids)
+        count = lengths.size
         stats.members_scanned += count
+        max_paths = (qlen + lengths - 1).astype(np.float64)
         alive = np.ones(count, dtype=bool)
         if cfg.use_lower_bounds and math.isfinite(cut):
-            alive &= lb_kim_batch(q, rows) / scale <= cut
-            idx = np.nonzero(alive)[0]
-            keogh = self._keogh_bounds(q, bucket, rows, idx, envelopes)
-            if keogh is not None:
-                alive[idx[keogh / scale > cut]] = False
+            every = np.arange(count)
+            ends = np.stack(
+                [rows[:, 0], rows[:, 1], rows[every, lengths - 2], rows[every, lengths - 1]],
+                axis=1,
+            )
+            # The shortest row decides how many endpoint terms apply:
+            # fewer terms is still a bound for the longer rows.
+            kim = lb_kim_endpoints_batch(q, ends, int(lengths.min()))
+            alive = kim / max_paths <= cut
+            same = np.flatnonzero(alive & (lengths == qlen))
+            if same.size:
+                # Equal lengths: the envelope radius covers the effective
+                # DTW band — the full length when DTW is unconstrained —
+                # which is what makes LB_Keogh provable.
+                band = effective_band(qlen, qlen, cfg.window)
+                lower, upper = envelopes.get(qlen - 1 if band is None else band)
+                keogh = lb_keogh_batch(rows[same, :qlen], lower, upper)
+                alive[same[keogh / max_paths[same] > cut]] = False
             stats.member_lb_prunes += count - int(alive.sum())
-        return np.nonzero(alive)[0]
-
-    def _refine_members(
-        self,
-        q: np.ndarray,
-        bucket: LengthBucket,
-        g_list: list[int],
-        k: int,
-        heap: list["_Negated"],
-        stats: QueryStats,
-        envelopes: QueryEnvelopeCache,
-    ) -> None:
-        """Refine the members of *g_list* (one bucket) against the heap.
-
-        One stacked cascade across all the groups' members when the
-        combined row count clears ``batch_min_members`` (and member
-        batching is on); the legacy scalar early-abandon scan otherwise.
-        Either path yields identical heap contents — the scalar twin is
-        also the ablation reference.
-        """
-        stats.groups_refined += len(g_list)
-        members = bucket.members_in(g_list)
-        with span(
-            "cascade.refine",
-            length=bucket.length,
-            groups=len(g_list),
-            members=members,
-        ):
-            if self._scalar_unit(bucket, g_list):
-                for g_idx in g_list:
-                    self._refine_group_scalar(q, bucket, g_idx, k, heap, stats)
-                return
-            rows, refs, group_of = self._stacked_members(bucket, g_list)
-            max_path = q.shape[0] + bucket.length - 1
-            cutoff = self._cutoff(heap, k)  # cascade never touches the heap
-            survivors, raws, plens = self._cascade_rows(
-                q, bucket, rows, stats, envelopes, cut=cutoff, scale=max_path
+        at = np.flatnonzero(alive)
+        stats.member_dtw_calls += at.size
+        # Raw cost first — unless no row can fail the raw test anyway (no
+        # cut yet, and no k-th row to take one from): then the
+        # path-length call below is the only one needed.
+        if at.size and (math.isfinite(cut) or (k is not None and at.size > k)):
+            raws = dtw_distance_batch(
+                q, rows[at], window=cfg.window, lengths=lengths[at]
             )
-            if not survivors.size:
-                return
-            self._push_batch_candidates(
-                heap,
-                k,
-                cutoff,
-                bucket.length,
-                refs,
-                group_of,
-                survivors,
-                raws,
-                plens,
+            if k is not None and at.size >= k:
+                optimistic = raws / np.maximum(qlen, lengths[at])
+                cut = min(cut, float(np.partition(optimistic, k - 1)[k - 1]))
+            at = at[raws / max_paths[at] <= cut]
+        raws = plens = np.empty(0)
+        if at.size:
+            stats.member_path_calls += at.size
+            raws, plens = dtw_distance_batch(
+                q,
+                rows[at],
+                window=cfg.window,
+                with_path_length=True,
+                lengths=lengths[at],
             )
+        return _Refined(raws / plens, raws, handles[at], lengths[at], gids[at])
 
     @staticmethod
-    def _push_batch_candidates(
-        heap: list["_Negated"],
-        k: int,
-        cutoff: float,
-        length: int,
-        refs: list[SubsequenceRef],
-        group_of: list[int],
-        survivors: np.ndarray,
-        raws: np.ndarray,
-        plens: np.ndarray,
-    ) -> None:
-        """Fold one refinement batch's exact distances into the k-best heap.
+    def _candidates(found: _Refined, positions: np.ndarray) -> Iterator[_Candidate]:
+        """Heap entries for the rows *positions* of one refinement's output."""
+        for pos in positions.tolist():
+            series, start = found.handles[pos].tolist()
+            length = int(found.lengths[pos])
+            yield _Candidate(
+                distance=float(found.norms[pos]),
+                ref=SubsequenceRef(series, start, length),
+                raw=float(found.raws[pos]),
+                group=(length, int(found.gids[pos])),
+            )
 
-        Normalised distances come straight out of the batch kernel (the
-        tracked path length makes them bit-identical to ``dtw_path``'s),
-        so heap maintenance is pure comparisons; a candidate above the
-        cutoff can never displace a heap entry and is skipped outright.
+    def _matches_within(
+        self, found: _Refined, threshold: float, q: np.ndarray
+    ) -> list[Match]:
+        """The rows of one refinement's output within *threshold*, as matches."""
+        within = np.flatnonzero(found.norms <= threshold)
+        return [self._to_match(c, q) for c in self._candidates(found, within)]
+
+    def _push(self, heap: list["_Negated"], k: int, found: _Refined) -> None:
+        """Fold one refinement's exact distances into the k-best heap.
+
+        Heap maintenance is pure comparisons on ``(distance, ref)``; a
+        candidate above the cutoff can never displace a heap entry and is
+        skipped outright.
         """
-        norms = raws / plens
-        viable = (
-            np.nonzero(norms <= cutoff)[0]
-            if math.isfinite(cutoff)
-            else np.arange(survivors.size)
-        )
+        norms = found.norms
+        viable = np.flatnonzero(norms <= self._cutoff(heap, k))
         if viable.size > k:
             # Only the k best of this batch can enter the global k-best;
             # keeping everything tied with the k-th smallest distance
             # preserves the deterministic (distance, ref) tie-break.
             kth = np.partition(norms[viable], k - 1)[k - 1]
             viable = viable[norms[viable] <= kth]
-        for pos in viable:
-            row = survivors[pos]
-            candidate = _Candidate(
-                distance=float(norms[pos]),
-                ref=refs[row],
-                raw=float(raws[pos]),
-                path=None,
-                group=(length, group_of[row]),
-            )
+        for candidate in self._candidates(found, viable):
             if len(heap) < k:
                 heapq.heappush(heap, _Negated(candidate))
             elif candidate < heap[0].candidate:
                 heapq.heapreplace(heap, _Negated(candidate))
-
-    def _refine_group_scalar(
-        self,
-        q: np.ndarray,
-        bucket: LengthBucket,
-        g_idx: int,
-        k: int,
-        heap: list["_Negated"],
-        stats: QueryStats,
-    ) -> None:
-        """Legacy one-member-at-a-time refinement (scalar early-abandon DTW).
-
-        Kept as the cross-check twin of the batched cascade — ablation
-        benchmarks assert both return identical matches — and as the
-        cheaper path for tiny refinement units (``batch_min_members``).
-        """
-        cfg = self._config
-        group = bucket.groups[g_idx]
-        qlen = q.shape[0]
-        max_path = qlen + bucket.length - 1
-        for ref in group.members:
-            stats.members_scanned += 1
-            cutoff = self._cutoff(heap, k)
-            values = self._base.member_values(ref)
-            if cfg.use_lower_bounds and math.isfinite(cutoff):
-                if lb_kim(q, values) / max_path > cutoff:
-                    stats.member_lb_prunes += 1
-                    continue
-            if math.isfinite(cutoff):
-                raw = dtw_distance_early_abandon(
-                    q, values, cutoff * max_path, window=cfg.window
-                )
-                if math.isinf(raw):
-                    stats.member_lb_prunes += 1
-                    continue
-            stats.member_dtw_calls += 1
-            res = dtw_path(q, values, window=cfg.window)
-            candidate = _Candidate(
-                distance=res.normalized_distance,
-                ref=ref,
-                raw=res.distance,
-                path=res.path,
-                group=(bucket.length, g_idx),
-            )
-            if len(heap) < k:
-                heapq.heappush(heap, _Negated(candidate))
-            elif candidate < heap[0].candidate:
-                heapq.heapreplace(heap, _Negated(candidate))
-
-    def _keogh_bounds(
-        self,
-        q: np.ndarray,
-        bucket: LengthBucket,
-        rows: np.ndarray,
-        idx: np.ndarray,
-        envelopes: QueryEnvelopeCache,
-    ) -> np.ndarray | None:
-        """LB_Keogh of the *idx* rows against the cached query envelope.
-
-        Returns ``None`` when the bound does not apply (candidate length
-        differs from the query's).  The envelope radius covers the
-        effective DTW band — the full length when DTW is unconstrained —
-        which is what makes the bound provable.
-        """
-        qlen = q.shape[0]
-        if qlen != bucket.length or not idx.size:
-            return None
-        band = effective_band(qlen, bucket.length, self._config.window)
-        radius = band if band is not None else bucket.length - 1
-        lower, upper = envelopes.get(radius)
-        return lb_keogh_batch(rows[idx], lower, upper)
 
     # ------------------------------------------------------------------
     # Representative-layer search strategies
     # ------------------------------------------------------------------
 
-    def _rep_bound_table(
-        self,
-        q: np.ndarray,
-        live: list[LengthBucket],
-        stats: QueryStats,
-        *,
-        eager: bool,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-representative bound vectors, concatenated across buckets.
-
-        Returns ``(bounds, owners, gids)`` where ``owners``/``gids``
-        locate each entry's (bucket position in *live*, group index).
-        With ``eager=True`` the bounds are exact representative DTW raws
-        (counted in ``rep_dtw_calls``); otherwise the cheap summary
-        bounds, no kernel call at all.
-        """
-        qlen, window = q.shape[0], self._config.window
-        counts = np.array([b.group_count for b in live])
+    def _live_buckets(
+        self, buckets: list[LengthBucket], stats: QueryStats
+    ) -> tuple[list[LengthBucket], np.ndarray, np.ndarray]:
+        """The non-empty buckets and the ``(owners, gids)`` index locating
+        every representative's (position in the live list, group)."""
+        for bucket in buckets:
+            stats.representatives_total += bucket.group_count
+        live = [b for b in buckets if b.group_count]
+        counts = np.array([b.group_count for b in live], dtype=np.int64)
         owners = np.repeat(np.arange(len(live)), counts)
         gids = np.arange(owners.size) - (np.cumsum(counts) - counts)[owners]
-        with span("cascade.rep_bounds", eager=eager, buckets=len(live)):
-            if eager:
-                bounds = self._rep_dtw(q, live, owners, gids, stats)
-            else:
-                bounds = np.concatenate(
-                    [
-                        b.rep_summary.cheap_bounds(
-                            q, effective_band(qlen, b.length, window)
-                        )
-                        for b in live
-                    ]
-                )
-        return bounds, owners, gids
+        return live, owners, gids
+
+    def _cheap_rep_bounds(self, q: np.ndarray, live: list[LengthBucket]) -> np.ndarray:
+        """Summary lower bounds on raw ``DTW(q, representative)``,
+        concatenated across *live* — no kernel call at all."""
+        qlen, window = q.shape[0], self._config.window
+        with span("cascade.rep_bounds", buckets=len(live)):
+            return np.concatenate(
+                [
+                    b.rep_summary.cheap_bounds(
+                        q, effective_band(qlen, b.length, window)
+                    )
+                    for b in live
+                ]
+            )
 
     def _rep_dtw(
         self,
@@ -1293,50 +860,46 @@ class QueryProcessor:
         cfg = self._config
         qlen = q.shape[0]
         heap: list[_Negated] = []
-        for bucket in buckets:
-            stats.representatives_total += bucket.group_count
-        live = [b for b in buckets if b.group_count]
+        live, owners, gids = self._live_buckets(buckets, stats)
         if not live:
             return heap
         max_paths = np.array([qlen + b.length - 1 for b in live], dtype=np.float64)
         radii = np.concatenate([b.cheb_radii for b in live])
+        # Verified groups, best first: (transfer lower bound on any
+        # member, representative's own optimistic distance, bucket, group).
+        # The bound is 0 for every group whose representative lies within
+        # its radius of the query — at a coarse threshold, nearly all —
+        # and there the representative's distance is what says where the
+        # best members are.
+        exact_heap: list[tuple[float, float, int, int]] = []
 
-        if not cfg.use_rep_prefilter:
-            # PR-1 eager path: exact DTW for every representative up
-            # front, groups visited in ascending transfer lower bound.
-            raws, owners, gids = self._rep_bound_table(q, live, stats, eager=True)
-            bounds = (
-                np.maximum(raws - max_paths[owners] * radii, 0.0) / max_paths[owners]
-            )
-            order = np.argsort(bounds, kind="stable")
-            for pos in range(order.size):
-                faults.fire("query.refine_unit")
-                if self._deadline_fired(
-                    deadline, "eager representative refinement", stats, heap
+        def verify(take: np.ndarray) -> None:
+            with span("cascade.rep_dtw", batch=int(take.size)):
+                b_is, g_ids = owners[take], gids[take]
+                paths = max_paths[b_is]
+                raws = self._rep_dtw(q, live, b_is, g_ids, stats)
+                tight = np.maximum(raws - paths * radii[take], 0.0) / paths
+                for entry in zip(
+                    tight.tolist(), (raws / paths).tolist(), b_is.tolist(), g_ids.tolist()
                 ):
-                    return heap
-                idx = order[pos]
-                cutoff = self._cutoff(heap, k)
-                if cfg.use_group_pruning and bounds[idx] > cutoff:
-                    stats.groups_pruned += order.size - pos
-                    break
-                self._refine_members(
-                    q, live[owners[idx]], [int(gids[idx])], k, heap, stats, envelopes
-                )
-            return heap
+                    heapq.heappush(exact_heap, entry)
 
-        # Two-layer lazy cascade: cheap summary bounds rank every group,
-        # exact representative DTW runs in chunked batches only for groups
-        # whose cheap bound undercuts the running cutoff, and verified
-        # groups drain into stacked member refinements.
-        cheap, owners, gids = self._rep_bound_table(q, live, stats, eager=False)
-        bounds = np.maximum(cheap - max_paths[owners] * radii, 0.0) / max_paths[owners]
-        order = np.argsort(bounds, kind="stable")
-        ordered_bounds = bounds[order]
+        if cfg.use_rep_prefilter:
+            # Cheap summary bounds rank every group; exact representative
+            # DTW runs in chunks only for groups whose cheap bound
+            # undercuts the running cutoff.
+            cheap = self._cheap_rep_bounds(q, live)
+            bounds = np.maximum(cheap - max_paths[owners] * radii, 0.0) / max_paths[owners]
+            order = np.argsort(bounds, kind="stable")
+            ordered_bounds = bounds[order]
+        else:
+            # Ablation: exact DTW for every representative up front.
+            verify(np.arange(owners.size))
+            order = ordered_bounds = np.empty(0, dtype=np.int64)
         total = order.size
         ptr = 0
-        chunk = _REP_CHUNK
-        exact_heap: list[tuple[float, int, int]] = []
+        rep_chunk = _REP_CHUNK
+        drain_chunk = _REP_CHUNK
         while ptr < total or exact_heap:
             faults.fire("query.rep_chunk")
             if self._deadline_fired(
@@ -1353,7 +916,7 @@ class QueryProcessor:
                 stats.groups_pruned += remaining + len(exact_heap)
                 break
             if next_cheap <= next_exact:
-                take = order[ptr : ptr + chunk]
+                take = order[ptr : ptr + rep_chunk]
                 if cfg.use_group_pruning and math.isfinite(cutoff):
                     # The chunk is sorted by bound: only the prefix at or
                     # under the cutoff can still matter this round.
@@ -1366,43 +929,26 @@ class QueryProcessor:
                     )
                     take = take[: max(viable, 1)]
                 ptr += take.size
-                chunk *= 2
-                with span("cascade.rep_dtw", batch=int(take.size)):
-                    b_is, g_ids = owners[take], gids[take]
-                    raws = self._rep_dtw(q, live, b_is, g_ids, stats)
-                    paths = max_paths[b_is]
-                    tight = np.maximum(raws - paths * radii[take], 0.0) / paths
-                    for entry in zip(tight.tolist(), b_is.tolist(), g_ids.tolist()):
-                        heapq.heappush(exact_heap, entry)
-            else:
-                # Drain verified groups (tight bound within the cutoff and
-                # under every unevaluated cheap bound) into one stacked
-                # refinement per bucket.  The top entry is always
-                # drainable here: this branch implies next_exact <
-                # next_cheap, and the prune check above (same guard, same
-                # cutoff) would have stopped the loop were it over the
-                # cutoff.
-                _, b_i, g_idx = heapq.heappop(exact_heap)
-                drained: dict[int, list[int]] = {b_i: [g_idx]}
-                count = 1
-                while exact_heap and count < chunk:
-                    tight, b_i, g_idx = exact_heap[0]
-                    if tight > next_cheap:
-                        break
-                    if cfg.use_group_pruning and tight > cutoff:
-                        break
-                    heapq.heappop(exact_heap)
-                    drained.setdefault(b_i, []).append(g_idx)
-                    count += 1
-                for b_i, g_list in drained.items():
-                    faults.fire("query.refine_unit")
-                    if self._deadline_fired(
-                        deadline, "member refinement", stats, heap
-                    ):
-                        return heap
-                    self._refine_members(
-                        q, live[b_i], g_list, k, heap, stats, envelopes
-                    )
+                rep_chunk *= 2
+                verify(take)
+                continue
+            # Drain verified groups (tight bound within the cutoff and
+            # under every unevaluated cheap bound) into ONE refinement
+            # call, whatever lengths they span.  The top entry is always
+            # drainable here: this branch implies next_exact < next_cheap,
+            # and the prune check above (same guard, same cutoff) would
+            # have stopped the loop were it over the cutoff.
+            faults.fire("query.refine_unit")
+            if self._deadline_fired(deadline, "member refinement", stats, heap):
+                return heap
+            units = [heapq.heappop(exact_heap)]
+            while exact_heap and len(units) < drain_chunk:
+                tight = exact_heap[0][0]
+                if tight > next_cheap or (cfg.use_group_pruning and tight > cutoff):
+                    break
+                units.append(heapq.heappop(exact_heap))
+            drain_chunk *= 2
+            self._refine_into(heap, k, q, live, units, stats, envelopes)
         return heap
 
     def _search_fast(
@@ -1417,54 +963,46 @@ class QueryProcessor:
         cfg = self._config
         qlen = q.shape[0]
         heap: list[_Negated] = []
-        for bucket in buckets:
-            stats.representatives_total += bucket.group_count
-        live = [b for b in buckets if b.group_count]
+        live, owners, gids = self._live_buckets(buckets, stats)
         if not live:
             return heap
         # The ranking estimate divides raw DTW by the minimum possible
         # warping-path length — a consistent estimator, exact whenever the
         # optimal path takes no detours.
         scales = np.array([max(qlen, b.length) for b in live], dtype=np.float64)
+        exact_heap: list[tuple[float, int, int]] = []
 
-        if not cfg.use_rep_prefilter:
-            # Eager ranking: exact DTW to every representative, then
-            # refine in ascending estimate order.
-            raws, owners, gids = self._rep_bound_table(q, live, stats, eager=True)
-            order = np.argsort(raws / scales[owners], kind="stable")
-            for rank in range(order.size):
-                faults.fire("query.refine_unit")
-                if self._deadline_fired(
-                    deadline, "eager representative refinement", stats, heap
-                ):
-                    return heap
-                if rank >= cfg.refine_groups and len(heap) >= k:
-                    break
-                idx = order[rank]
-                self._refine_members(
-                    q, live[owners[idx]], [int(gids[idx])], k, heap, stats, envelopes
-                )
-            return heap
+        def rank(take: np.ndarray) -> None:
+            with span("cascade.rep_dtw", batch=int(take.size)):
+                b_is, g_ids = owners[take], gids[take]
+                est = self._rep_dtw(q, live, b_is, g_ids, stats) / scales[b_is]
+                for entry in zip(est.tolist(), b_is.tolist(), g_ids.tolist()):
+                    heapq.heappush(exact_heap, entry)
 
-        # Lazy ranking: cheap bounds on the estimate order the queue; a
-        # representative's exact DTW runs (chunk-batched) only while its
-        # bound could still place it among the refined groups.
-        cheap, owners, gids = self._rep_bound_table(q, live, stats, eager=False)
-        bounds = cheap / scales[owners]
-        order = np.argsort(bounds, kind="stable")
-        ordered_bounds = bounds[order]
+        if cfg.use_rep_prefilter:
+            # Lazy ranking: cheap bounds on the estimate order the queue;
+            # a representative's exact DTW runs (chunk-batched) only while
+            # its bound could still place it among the refined groups.
+            bounds = self._cheap_rep_bounds(q, live) / scales[owners]
+            order = np.argsort(bounds, kind="stable")
+            ordered_bounds = bounds[order]
+        else:
+            # Ablation: exact DTW to every representative up front.
+            rank(np.arange(owners.size))
+            order = ordered_bounds = np.empty(0, dtype=np.int64)
         total = order.size
         ptr = 0
         chunk = _REP_CHUNK
-        exact_heap: list[tuple[float, int, int]] = []
-        refined = 0
+        # The refined set is the top ``refine_groups`` groups of the
+        # ranking, extended until it holds k members: known from the
+        # cardinalities alone, so it refines in one call — and until that
+        # call nothing is verified, so a fired deadline always raises.
+        units: list[tuple[float, int, int]] = []
+        members = 0
         while ptr < total or exact_heap:
             faults.fire("query.rep_chunk")
-            if self._deadline_fired(
-                deadline, "representative ranking", stats, heap
-            ):
-                break
-            if refined >= cfg.refine_groups and len(heap) >= k:
+            self._deadline_fired(deadline, "representative ranking", stats, heap)
+            if len(units) >= cfg.refine_groups and members >= k:
                 break
             # An exact entry is the true next-best only once no
             # unevaluated bound can undercut or tie it.
@@ -1474,18 +1012,35 @@ class QueryProcessor:
                 take = order[ptr : ptr + chunk]
                 ptr += take.size
                 chunk *= 2
-                with span("cascade.rep_dtw", batch=int(take.size)):
-                    b_is, g_ids = owners[take], gids[take]
-                    est = self._rep_dtw(q, live, b_is, g_ids, stats) / scales[b_is]
-                    for entry in zip(est.tolist(), b_is.tolist(), g_ids.tolist()):
-                        heapq.heappush(exact_heap, entry)
-            if not exact_heap:
-                break
-            _, b_i, g_idx = heapq.heappop(exact_heap)
-            self._refine_members(q, live[b_i], [g_idx], k, heap, stats, envelopes)
-            refined += 1
+                rank(take)
+            _, b_i, g_idx = unit = heapq.heappop(exact_heap)
+            units.append(unit)
+            members += live[b_i].members_in([g_idx])
         stats.rep_dtw_skipped += total - ptr
+        faults.fire("query.refine_unit")
+        self._deadline_fired(deadline, "member refinement", stats, heap)
+        self._refine_into(heap, k, q, live, units, stats, envelopes)
         return heap
+
+    def _refine_into(
+        self,
+        heap: list["_Negated"],
+        k: int,
+        q: np.ndarray,
+        live: list[LengthBucket],
+        units: list[tuple],
+        stats: QueryStats,
+        envelopes: QueryEnvelopeCache,
+    ) -> None:
+        """Refine the ``(..., bucket, group)`` *units* in one stage call
+        against the heap's cutoff and fold the result into the heap."""
+        with span("cascade.refine", groups=len(units)):
+            b_is = np.array([unit[-2] for unit in units], dtype=np.int64)
+            g_ids = np.array([unit[-1] for unit in units], dtype=np.int64)
+            found = self._refine(
+                q, live, b_is, g_ids, self._cutoff(heap, k), stats, envelopes, k
+            )
+            self._push(heap, k, found)
 
     @staticmethod
     def _cutoff(heap: list, k: int) -> float:
@@ -1565,44 +1120,18 @@ class QueryProcessor:
             rep_norms, bucket.ed_radii, bucket.cheb_radii
         )
 
-    def _metric_refine(
-        self,
-        q: np.ndarray,
-        bucket: LengthBucket,
-        g_list: list[int],
-        k: int,
-        heap: list["_Negated"],
-        stats: QueryStats,
-    ) -> None:
-        """Verify every member of *g_list* exactly and fold into the heap."""
-        stats.groups_refined += len(g_list)
-        rows, refs, group_of = self._stacked_members(bucket, g_list)
-        stats.members_scanned += rows.shape[0]
-        raws, norms = self._metric_distances(q, rows, bucket.length)
-        stats.member_dtw_calls += rows.shape[0]
-        cutoff = self._cutoff(heap, k)
-        viable = (
-            np.nonzero(norms <= cutoff)[0]
-            if math.isfinite(cutoff)
-            else np.arange(norms.size)
+    def _metric_verify(
+        self, q: np.ndarray, bucket: LengthBucket, g_ids: np.ndarray, stats: QueryStats
+    ) -> _Refined:
+        """Exact metric distances to every member of groups *g_ids*."""
+        stats.groups_refined += g_ids.size
+        rows, lengths, handles, gids = self._gather(
+            [bucket], np.zeros(g_ids.size, dtype=np.int64), g_ids
         )
-        if viable.size > k:
-            kth = np.partition(norms[viable], k - 1)[k - 1]
-            viable = viable[norms[viable] <= kth]
-        for pos in viable:
-            candidate = _Candidate(
-                distance=float(norms[pos]),
-                ref=refs[pos],
-                raw=float(raws[pos]),
-                # Non-DTW metrics (and the multivariate scan) define no
-                # warping path; matches carry an empty one.
-                path=(),
-                group=(bucket.length, group_of[pos]),
-            )
-            if len(heap) < k:
-                heapq.heappush(heap, _Negated(candidate))
-            elif candidate < heap[0].candidate:
-                heapq.heapreplace(heap, _Negated(candidate))
+        stats.members_scanned += lengths.size
+        raws, norms = self._metric_distances(q, rows, bucket.length)
+        stats.member_dtw_calls += lengths.size
+        return _Refined(norms, raws, handles, lengths, gids)
 
     def _metric_search(
         self,
@@ -1631,12 +1160,11 @@ class QueryProcessor:
                 faults.fire("query.refine_unit")
                 if self._deadline_fired(deadline, "metric scan", stats, heap):
                     return heap
-                bucket.ensure_member_matrix(self._base.dataset)
                 if self._spec.lower_bound is not None and cfg.use_group_pruning:
                     lbs = self._metric_group_bounds(q, bucket, stats)
                     order = np.argsort(lbs, kind="stable")
-                    self._metric_refine(
-                        q, bucket, [int(order[0])], k, heap, stats
+                    self._push(
+                        heap, k, self._metric_verify(q, bucket, order[:1], stats)
                     )
                     rest = order[1:]
                     cutoff = self._cutoff(heap, k)
@@ -1646,11 +1174,10 @@ class QueryProcessor:
                         stats.rep_lb_prunes += pruned
                         stats.groups_pruned += pruned
                         rest = keep
-                    g_list = [int(g) for g in rest]
                 else:
-                    g_list = list(range(bucket.group_count))
-                if g_list:
-                    self._metric_refine(q, bucket, g_list, k, heap, stats)
+                    rest = np.arange(bucket.group_count)
+                if rest.size:
+                    self._push(heap, k, self._metric_verify(q, bucket, rest, stats))
         return heap
 
     def _metric_threshold_scan(
@@ -1690,7 +1217,6 @@ class QueryProcessor:
                         "exact": False,
                     }
                 self._raise_deadline(deadline, "metric threshold scan", stats, best)
-            bucket.ensure_member_matrix(self._base.dataset)
             candidates = np.arange(bucket.group_count)
             if self._spec.lower_bound is not None and cfg.use_group_pruning:
                 lbs = self._metric_group_bounds(q, bucket, stats)
@@ -1701,31 +1227,17 @@ class QueryProcessor:
                 candidates = candidates[keep]
             if not candidates.size:
                 continue
-            g_list = [int(g) for g in candidates]
-            stats.groups_refined += len(g_list)
-            rows, refs, group_of = self._stacked_members(bucket, g_list)
-            stats.members_scanned += rows.shape[0]
-            raws, norms = self._metric_distances(q, rows, bucket.length)
-            stats.member_dtw_calls += rows.shape[0]
-            for pos in np.nonzero(norms <= threshold)[0]:
-                out.append(
-                    self._to_match(
-                        _Candidate(
-                            distance=float(norms[pos]),
-                            ref=refs[pos],
-                            raw=float(raws[pos]),
-                            path=(),
-                            group=(bucket.length, group_of[pos]),
-                        )
-                    )
-                )
+            found = self._metric_verify(q, bucket, candidates, stats)
+            out.extend(self._matches_within(found, threshold, q))
         return out, partial
 
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
 
-    def _resolve_query(self, query, normalize: bool) -> np.ndarray:
+    def _resolve_query(
+        self, query: ArrayLike | SubsequenceRef, normalize: bool
+    ) -> np.ndarray:
         channels = self._base.channels
         if isinstance(query, SubsequenceRef):
             values = self._base.dataset.values(query)
@@ -1755,31 +1267,32 @@ class QueryProcessor:
             q = minmax_normalize(q, lo=bounds[0], hi=bounds[1])
         return q
 
-    def _select_buckets(self, lengths) -> list[LengthBucket]:
+    def _select_buckets(self, lengths: Iterable[int] | None) -> list[LengthBucket]:
         if lengths is None:
             return self._base.buckets()
         chosen = sorted(set(int(n) for n in lengths))
         return [self._base.bucket(n) for n in chosen]
 
     def _to_match(
-        self, candidate, q: np.ndarray | None = None, *, exact: bool = True
+        self, candidate: _Candidate, q: np.ndarray, *, exact: bool = True
     ) -> Match:
-        inner = candidate.candidate if isinstance(candidate, _Negated) else candidate
-        series = self._base.dataset[inner.ref.series_index]
-        path = inner.path
-        if path is None:
-            # Batched refinement defers the warping-path traceback to the
-            # few matches actually returned; resolve it here.
+        if self._metric_scan:
+            # Non-DTW metrics (and the multivariate scan) define no
+            # warping path; matches carry an empty one.
+            path: tuple = ()
+        else:
+            # Refinement defers the warping-path traceback to the few
+            # matches actually returned; resolve it here.
             path = dtw_path(
-                q, self._base.member_values(inner.ref), window=self._config.window
+                q, self._base.member_values(candidate.ref), window=self._config.window
             ).path
         return Match(
-            ref=inner.ref,
-            series_name=series.name,
-            distance=inner.distance,
-            raw_distance=inner.raw,
+            ref=candidate.ref,
+            series_name=self._base.dataset[candidate.ref.series_index].name,
+            distance=candidate.distance,
+            raw_distance=candidate.raw,
             path=path,
-            group=inner.group,
+            group=candidate.group,
             exact=exact,
         )
 

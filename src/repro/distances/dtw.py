@@ -229,9 +229,9 @@ def dtw_distance_batch(
     **Paired mode**: *x* may itself be a 2-D stack with the same row count
     as *rows*, in which case row ``i`` of the result is ``DTW(x[i],
     rows[i])`` — one kernel invocation evaluates an arbitrary set of
-    equal-shape *pairs*.  This is what lets the multi-query execution
-    layer stack several queries' candidate sets into a single dynamic
-    program instead of paying the kernel dispatch per query.
+    equal-shape *pairs*.  This is what lets
+    :func:`dtw_distance_condensed` run every pair of a stack as a single
+    dynamic program.
 
     **Ragged stacks**: with ``lengths=`` (one integer per row) row ``i``
     is the candidate ``rows[i, :lengths[i]]`` and the columns beyond it

@@ -145,8 +145,8 @@ def lb_kim_endpoints_batch(
     (property-tested); this is the form the representative-layer cascade
     uses so the constant-time bound never touches the centroid matrix.
     *x* may also be a ``(Q, n)`` stack of equal-length queries, giving a
-    ``(Q, G)`` bound table in one broadcasted evaluation (the multi-query
-    planner's bound stage).
+    ``(Q, G)`` bound table in one broadcasted evaluation
+    (:func:`lb_pairwise_table` passes the stack itself).
     """
     qs, single = _as_query_rows(x)
     pts = np.asarray(endpoints, dtype=np.float64)

@@ -47,8 +47,8 @@ safe.
 
 Throughput-sensitive clients should prefer ``query_batch`` over a stream
 of single-query requests: one request pays the HTTP round trip, JSON
-envelope, and lock acquisition once for the whole batch, and the engine's
-multi-query planner stacks the batch's kernel work (see
+envelope, and lock acquisition once for the whole batch, and the engine
+runs the batch's queries over the shared prepared state (see
 ``QueryProcessor.batch_matches``) — it holds the same shared read lock,
 so it never blocks other readers.
 

@@ -37,8 +37,10 @@ scoped with the :func:`inject` context manager::
 Registered failpoint names (kept in sync with the call sites):
 
 - ``query.rep_chunk`` — per chunk of the lazy representative cascade
-  (exact and fast search loops, and each batch-planner round);
-- ``query.refine_unit`` — per member-refinement unit;
+  (exact and fast search loops);
+- ``query.refine_unit`` — per member-refinement call, before its gather:
+  once per drained chunk of a k-best search, once per length bucket of a
+  threshold scan;
 - ``seasonal.pair_chunk`` — per condensed-pair DTW chunk of the
   pairwise-worst finder;
 - ``seasonal.group`` — per candidate group of the seasonal miner;

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.brute_force import BruteForceSearcher
 from repro.core.base import OnexBase
 from repro.core.config import BuildConfig, QueryConfig
 from repro.core.query import QueryProcessor
@@ -196,47 +197,63 @@ def _as_tuples(matches):
 
 
 class TestRefinementEquivalence:
-    @pytest.mark.parametrize("mode", ["fast", "exact"])
-    def test_k_best_identical(self, random_base, mode):
+    """The refinement stage answers to the brute-force scan."""
+
+    def test_exact_k_best_is_brute_force(self, random_base):
         rng = np.random.default_rng(42)
-        batched = QueryProcessor(
-            random_base, QueryConfig(mode=mode, refine_groups=4)
+        processor = QueryProcessor(
+            random_base, QueryConfig(mode="exact", refine_groups=4)
         )
-        legacy = QueryProcessor(
-            random_base,
-            QueryConfig(mode=mode, refine_groups=4, use_member_batching=False),
+        oracle = BruteForceSearcher(random_base.dataset)
+        for _ in range(6):
+            q = rng.uniform(size=7)
+            got = processor.k_best_matches(q, 4, normalize=False)
+            want = oracle.k_best_matches(q, 4, random_base.lengths)
+            assert _as_tuples(got) == _as_tuples(want)
+
+    def test_fast_k_best_reports_true_distances(self, random_base):
+        """Fast mode may miss the optimum; what it returns is exact DTW."""
+        rng = np.random.default_rng(42)
+        processor = QueryProcessor(
+            random_base, QueryConfig(mode="fast", refine_groups=4)
         )
         for _ in range(6):
             q = rng.uniform(size=7)
-            got = batched.k_best_matches(q, 4, normalize=False)
-            want = legacy.k_best_matches(q, 4, normalize=False)
-            assert _as_tuples(got) == _as_tuples(want)
+            got = processor.k_best_matches(q, 4, normalize=False)
+            assert len(got) == 4
+            assert got == sorted(got, key=lambda m: (m.distance, m.ref))
+            for m in got:
+                want = dtw_path(q, random_base.dataset.values(m.ref))
+                assert (m.distance, m.raw_distance, m.path) == (
+                    want.normalized_distance,
+                    want.distance,
+                    want.path,
+                )
 
-    def test_k_best_identical_with_window(self, random_base):
+    def test_k_best_is_brute_force_with_window(self, random_base):
         rng = np.random.default_rng(43)
+        oracle = BruteForceSearcher(random_base.dataset)
         for window in (1, 3):
-            batched = QueryProcessor(
+            processor = QueryProcessor(
                 random_base, QueryConfig(mode="exact", window=window)
             )
-            legacy = QueryProcessor(
-                random_base,
-                QueryConfig(mode="exact", window=window, use_member_batching=False),
-            )
             q = rng.uniform(size=6)
-            assert _as_tuples(batched.k_best_matches(q, 3, normalize=False)) == (
-                _as_tuples(legacy.k_best_matches(q, 3, normalize=False))
+            assert _as_tuples(processor.k_best_matches(q, 3, normalize=False)) == (
+                _as_tuples(
+                    oracle.k_best_matches(q, 3, random_base.lengths, window=window)
+                )
             )
 
-    def test_matches_within_identical(self, random_base):
+    def test_matches_within_is_brute_force(self, random_base):
         rng = np.random.default_rng(44)
-        batched = QueryProcessor(random_base, QueryConfig(mode="exact"))
-        legacy = QueryProcessor(
-            random_base, QueryConfig(mode="exact", use_member_batching=False)
-        )
+        processor = QueryProcessor(random_base, QueryConfig(mode="exact"))
+        oracle = BruteForceSearcher(random_base.dataset)
+        everything = random_base.stats.subsequences
         for threshold in (0.02, 0.05, 0.1):
             q = rng.uniform(size=6)
-            got = batched.matches_within(q, threshold, normalize=False)
-            want = legacy.matches_within(q, threshold, normalize=False)
+            got = processor.matches_within(q, threshold, normalize=False)
+            ranked = oracle.k_best_matches(q, everything, random_base.lengths)
+            want = [m for m in ranked if m.distance <= threshold]
             assert _as_tuples(got) == _as_tuples(want)
 
     def test_stats_consistent_with_work(self, random_base):
@@ -252,19 +269,6 @@ class TestRefinementEquivalence:
         assert stats.groups_refined + stats.groups_pruned <= (
             stats.representatives_total
         )
-
-    def test_scanned_members_equal_across_paths(self, random_base):
-        q = np.linspace(0.2, 0.8, 6)
-        batched = QueryProcessor(random_base, QueryConfig(mode="exact"))
-        legacy = QueryProcessor(
-            random_base, QueryConfig(mode="exact", use_member_batching=False)
-        )
-        batched.best_match(q, normalize=False)
-        legacy.best_match(q, normalize=False)
-        assert (
-            batched.last_stats.members_scanned == legacy.last_stats.members_scanned
-        )
-        assert batched.last_stats.groups_refined == legacy.last_stats.groups_refined
 
 
 class TestMemberMatrixPersistence:

@@ -1,16 +1,22 @@
-"""The representative cascade answers exactly and does exactly the pinned work.
+"""The staged cascade answers exactly and does exactly the pinned work.
 
 Two small bases, both query modes, every read operation.  Exact-mode
 answers are checked against a brute-force scan that shares no code with
 the cascade beyond the row-scan ``dtw_path``; the work counters are
-pinned to what the per-length cascade (one kernel call per length bucket
-of a chunk) counted before the ragged kernel replaced it, so a change to
-*which* representatives or members get a DTW call shows up here.
+pinned, so a change to *which* representatives or members get a DTW call
+shows up here.  The rest of the file pins what the member stage promises
+about its own work: path lengths only for rows that pass the raw test,
+no gather or kernel call ahead of a deadline check, and the brute-force
+order under exact distance ties.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.core.query as query_module
+from repro.baselines.brute_force import BruteForceSearcher
 from repro.core.base import OnexBase
 from repro.core.config import BuildConfig, QueryConfig
 from repro.core.deadline import CancellationToken, Deadline
@@ -21,6 +27,7 @@ from repro.data.timeseries import TimeSeries
 from repro.distances.dtw import dtw_path
 from repro.exceptions import DeadlineExceeded
 from repro.stream.ingest import StreamIngestor
+from repro.testing import faults
 
 PINNED_FIELDS = (
     "rep_dtw_calls",
@@ -30,24 +37,38 @@ PINNED_FIELDS = (
     "rep_dtw_skipped",
 )
 
-#: ``(base, mode, op) -> PINNED_FIELDS`` values counted at commit 152ae78.
+#: ``(base, mode, op) -> PINNED_FIELDS`` values, re-pinned when member
+#: refinement became one best-first, raw-first stage (previous pins: commit
+#: 152ae78).  What moved, and why:
+#:
+#: - ``matches_within`` — nothing, in either mode.
+#: - fast mode — the representative counters are unchanged; ``walk``
+#:   verifies a few more members (13 -> 14, 6 -> 11) because the top
+#:   ``refine_groups`` groups now refine in ONE call with no cutoff between
+#:   them, and because units under eight rows no longer take the deleted
+#:   scalar early-abandoning scan.
+#: - exact mode — ``member_dtw_calls`` only went DOWN (316 -> 254,
+#:   289 -> 232, 1100 -> 739, 903 -> 700): groups drain in ascending
+#:   (tight bound, representative distance), so the cutoff is near-final
+#:   after the first small chunk.  ``groups_refined`` fell on ``matters``
+#:   (213 -> 149) for the same reason.  ``rep_dtw_calls``,
+#:   ``rep_lb_prunes`` and ``rep_dtw_skipped`` are unchanged: the
+#:   representative-verify schedule was not touched.
+#: - ``query_batch`` has no pin of its own: it is the single-query path per
+#:   query, asserted below as the sum of its ``k_best`` counters.
 PINNED = {
-    ("walk", "fast", "k_best"): [112, 13, 5, 0, 662],
-    ("walk", "fast", "best_match"): [112, 6, 3, 0, 662],
+    ("walk", "fast", "k_best"): [112, 14, 5, 0, 662],
+    ("walk", "fast", "best_match"): [112, 11, 3, 0, 662],
     ("walk", "fast", "matches_within"): [463, 685, 326, 311, 311],
-    ("walk", "fast", "query_batch"): [112, 13, 5, 0, 662],
-    ("walk", "exact", "k_best"): [200, 316, 110, 574, 574],
-    ("walk", "exact", "best_match"): [177, 289, 106, 597, 597],
+    ("walk", "exact", "k_best"): [200, 254, 110, 574, 574],
+    ("walk", "exact", "best_match"): [177, 232, 106, 597, 597],
     ("walk", "exact", "matches_within"): [463, 685, 326, 311, 311],
-    ("walk", "exact", "query_batch"): [384, 490, 262, 387, 387],
     ("matters", "fast", "k_best"): [80, 25, 3, 0, 133],
     ("matters", "fast", "best_match"): [80, 25, 3, 0, 133],
     ("matters", "fast", "matches_within"): [180, 1064, 159, 33, 33],
-    ("matters", "fast", "query_batch"): [80, 25, 3, 0, 133],
-    ("matters", "exact", "k_best"): [213, 1100, 213, 0, 0],
-    ("matters", "exact", "best_match"): [213, 903, 213, 0, 0],
+    ("matters", "exact", "k_best"): [213, 739, 149, 0, 0],
+    ("matters", "exact", "best_match"): [213, 700, 149, 0, 0],
     ("matters", "exact", "matches_within"): [180, 1064, 159, 33, 33],
-    ("matters", "exact", "query_batch"): [202, 1708, 187, 8, 8],
 }
 
 
@@ -135,8 +156,11 @@ def test_answers_and_work_counters(named_base, mode):
     name, base = named_base
     qs = queries_for(base)
     ran = run_ops(QueryProcessor(base, QueryConfig(mode=mode)), qs)
-    for op, (answers, counters) in ran.items():
+    for op in ("k_best", "best_match", "matches_within"):
+        counters = ran[op][1]
         assert counters == PINNED[name, mode, op], (op, dict(zip(PINNED_FIELDS, counters)))
+    # The batch is a driver of the single-query path: same k, same work.
+    assert ran["query_batch"][1] == ran["k_best"][1]
     truths = [brute_force(base, q) for q in qs]
     for q, truth, within in zip(qs, truths, ran["matches_within"][0]):
         # The threshold sweep verifies every survivor in either mode.
@@ -151,16 +175,172 @@ def test_answers_and_work_counters(named_base, mode):
                 assert set(got) <= set(truth)
 
 
-def test_threshold_scan_checks_the_deadline_before_any_kernel_work():
-    """The per-bucket check comes first: a cancelled scan has run no DTW."""
+CANCELLED_OPS = {
+    "k_best": lambda p, q, d: p.k_best_matches(q, 3, deadline=d),
+    "query_batch": lambda p, q, d: p.batch_matches([q, q], 3, deadline=d),
+    "matches_within": lambda p, q, d: p.matches_within(q, 0.05, deadline=d),
+}
+
+
+@pytest.mark.parametrize("mode", ["fast", "exact"])
+@pytest.mark.parametrize("op", sorted(CANCELLED_OPS))
+def test_a_cancelled_query_has_run_no_dtw(op, mode):
+    """The check comes first: cancelled before its first chunk, an
+    operation has verified no representative and refined no member."""
     base = walk_base()
     token = CancellationToken()
     token.cancel()
     with pytest.raises(DeadlineExceeded) as raised:
-        QueryProcessor(base, QueryConfig(mode="exact")).matches_within(
-            queries_for(base)[0], 0.05, deadline=Deadline(token=token)
+        CANCELLED_OPS[op](
+            QueryProcessor(base, QueryConfig(mode=mode)),
+            queries_for(base)[0],
+            Deadline(token=token),
         )
     assert raised.value.progress["rep_dtw_calls"] == 0
+    assert raised.value.progress["member_dtw_calls"] == 0
+
+
+class _WatchedToken:
+    """A never-cancelled token that logs every deadline check."""
+
+    def __init__(self, events: list) -> None:
+        self._events = events
+
+    @property
+    def cancelled(self) -> bool:
+        self._events.append("check")
+        return False
+
+
+def watched_run(monkeypatch, call) -> tuple[list, QueryProcessor]:
+    """Run *call(processor, deadline)*, logging failpoints, deadline
+    checks, member gathers and kernel calls in the order they happen."""
+    events: list = []
+    base = matters_base()
+    processor = QueryProcessor(base, QueryConfig(mode="exact"))
+    gather = QueryProcessor._gather
+    kernel = query_module.dtw_distance_batch
+
+    def logged_gather(self, *args):
+        events.append("gather")
+        return gather(self, *args)
+
+    def logged_kernel(*args, **kwargs):
+        events.append("kernel")
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(faults, "fire", lambda point, **ctx: events.append(point))
+    monkeypatch.setattr(QueryProcessor, "_gather", logged_gather)
+    monkeypatch.setattr(query_module, "dtw_distance_batch", logged_kernel)
+    call(processor, Deadline(token=_WatchedToken(events)))
+    return events, processor
+
+
+def assert_every_gather_follows_its_check(events: list) -> None:
+    for at, event in enumerate(events):
+        if event == "gather":
+            assert events[at - 2 : at] == ["query.refine_unit", "check"], events[: at + 1]
+
+
+def test_k_best_checks_once_per_drained_chunk(monkeypatch):
+    q = queries_for(matters_base())[1]
+    events, processor = watched_run(
+        monkeypatch, lambda p, d: p.k_best_matches(q, 3, normalize=False, deadline=d)
+    )
+    gathers = events.count("gather")
+    assert gathers > 1, "one chunk would not show the per-chunk boundary"
+    assert events.count("query.refine_unit") == gathers
+    assert_every_gather_follows_its_check(events)
+    # One ragged cost call per chunk, plus at most one path-length call.
+    member_kernels = [
+        events[at + 1 : at + 3].count("kernel")
+        for at, event in enumerate(events)
+        if event == "gather"
+    ]
+    assert all(1 <= n <= 2 for n in member_kernels), member_kernels
+
+
+def test_threshold_scan_checks_once_per_bucket(monkeypatch):
+    base = matters_base()
+    q = queries_for(base)[1]
+    events, _ = watched_run(
+        monkeypatch, lambda p, d: p.matches_within(q, 0.05, normalize=False, deadline=d)
+    )
+    assert events.count("query.refine_unit") == len(base.lengths)
+    assert events.count("check") == len(base.lengths)
+    assert 0 < events.count("gather") <= len(base.lengths)
+    for at, event in enumerate(events):
+        if event == "query.refine_unit":
+            # Nothing of the bucket — not even its representatives' DTW —
+            # runs between the failpoint and the deadline check.
+            assert events[at + 1] == "check"
+
+
+@pytest.mark.parametrize("mode", ["fast", "exact"])
+def test_path_lengths_only_for_rows_that_pass_the_raw_test(named_base, mode, monkeypatch):
+    """The kernel tracks path lengths for ``member_path_calls`` rows, which
+    is never more than the rows whose raw cost was computed."""
+    _, base = named_base
+    rows = {"cost": 0, "path": 0}
+    kernel = query_module.dtw_distance_batch
+
+    def counting_kernel(x, mat, **kwargs):
+        rows["path" if kwargs.get("with_path_length") else "cost"] += len(mat)
+        return kernel(x, mat, **kwargs)
+
+    monkeypatch.setattr(query_module, "dtw_distance_batch", counting_kernel)
+    processor = QueryProcessor(base, QueryConfig(mode=mode))
+    for q in queries_for(base):
+        rows.update(cost=0, path=0)
+        processor.k_best_matches(q, 3, normalize=False)
+        stats = processor.last_stats
+        assert rows["path"] == stats.member_path_calls
+        # A call in which no row could fail the raw test skips it.
+        assert 0 <= rows["cost"] - stats.rep_dtw_calls <= stats.member_dtw_calls
+        assert 3 <= stats.member_path_calls <= stats.member_dtw_calls
+    if mode == "exact":
+        # Raw-first is the point: most verified members never need one.
+        assert stats.member_path_calls * 2 < stats.member_dtw_calls
+
+
+def test_k_best_is_prefix_monotone(named_base):
+    """Asking for fewer matches returns a prefix of asking for more."""
+    _, base = named_base
+    processor = QueryProcessor(base, QueryConfig(mode="exact"))
+    for q in queries_for(base):
+        full = [key(m) for m in processor.k_best_matches(q, 12, normalize=False)]
+        for k in (1, 2, 5, 11):
+            got = processor.k_best_matches(q, k, normalize=False)
+            assert [key(m) for m in got] == full[:k]
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    k=st.integers(min_value=1, max_value=9),
+    copies=st.integers(min_value=2, max_value=4),
+)
+@settings(max_examples=25, deadline=None)
+def test_exact_distance_ties_come_back_in_brute_force_order(seed, k, copies):
+    """Duplicated windows tie exactly; ``(distance, ref)`` decides, in
+    the refinement stage as in the brute-force scan."""
+    rng = np.random.default_rng(seed)
+    # Few distinct values and repeated series: many windows are equal.
+    motif = rng.integers(0, 3, size=9).astype(float)
+    arrays = [motif.copy() for _ in range(copies)]
+    arrays.append(np.concatenate([motif[:5], motif[:5]]))
+    dataset = TimeSeriesDataset.from_arrays(arrays, name="ties")
+    base = OnexBase(
+        dataset,
+        BuildConfig(similarity_threshold=0.3, min_length=4, max_length=6, normalize=False),
+    )
+    base.build()
+    oracle = BruteForceSearcher(base.dataset)
+    processor = QueryProcessor(base, QueryConfig(mode="exact"))
+    start = int(rng.integers(0, 4))
+    for q in (motif[start : start + 5], motif[start : start + 4] + 0.5):
+        got = processor.k_best_matches(q, k, normalize=False)
+        want = oracle.k_best_matches(q, k, base.lengths)
+        assert [(m.distance, m.ref) for m in got] == [(m.distance, m.ref) for m in want]
 
 
 def test_new_groups_are_searched_straight_away():

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.query as query_module
 from repro.core.base import OnexBase
 from repro.core.config import BuildConfig, QueryConfig
 from repro.core.deadline import CancellationToken, Deadline
@@ -52,6 +53,25 @@ def base():
     )
     b.build()
     return b
+
+
+def cancel_on_refine_unit(monkeypatch, nth: int) -> CancellationToken:
+    """A token cancelled when ``query.refine_unit`` fires for the *nth* time.
+
+    Expiry by count, not by clock: the checks before that failpoint pass
+    and the one right after it fires, however loaded the runner is.
+    """
+    token = CancellationToken()
+    fired = []
+
+    def fire(point, **ctx):
+        if point == "query.refine_unit":
+            fired.append(point)
+            if len(fired) == nth:
+                token.cancel()
+
+    monkeypatch.setattr(faults, "fire", fire)
+    return token
 
 
 def _as_tuples(matches):
@@ -165,19 +185,11 @@ class TestDeadlineFiresPerStage:
                 )
         self._expect(excinfo, "representative ranking")
 
-    def test_eager_representative_refinement(self, base):
+    @pytest.mark.parametrize("prefilter", [True, False])
+    def test_member_refinement(self, base, prefilter):
         processor = QueryProcessor(
-            base, QueryConfig(mode="exact", use_rep_prefilter=False)
+            base, QueryConfig(mode="exact", use_rep_prefilter=prefilter)
         )
-        with faults.inject("query.refine_unit", "sleep", seconds=0.05):
-            with pytest.raises(DeadlineExceeded) as excinfo:
-                processor.k_best_matches(
-                    [0.1, 0.4, 0.2, 0.5], 3, deadline=Deadline.after(1.0)
-                )
-        self._expect(excinfo, "eager representative refinement")
-
-    def test_member_refinement(self, base):
-        processor = QueryProcessor(base, QueryConfig(mode="exact"))
         with faults.inject("query.refine_unit", "sleep", seconds=0.3):
             with pytest.raises(DeadlineExceeded) as excinfo:
                 processor.k_best_matches(
@@ -185,7 +197,7 @@ class TestDeadlineFiresPerStage:
                 )
         self._expect(excinfo, "member refinement")
 
-    def test_batch_seed_refinement(self, base):
+    def test_batch_raises_its_first_query_s_stage(self, base):
         processor = QueryProcessor(base, QueryConfig(mode="exact"))
         with faults.inject("query.rep_chunk", "sleep", seconds=0.05):
             with pytest.raises(DeadlineExceeded) as excinfo:
@@ -194,7 +206,7 @@ class TestDeadlineFiresPerStage:
                     2,
                     deadline=Deadline.after(1.0),
                 )
-        self._expect(excinfo, "batch seed refinement")
+        self._expect(excinfo, "representative cascade")
 
     def test_threshold_scan(self, base):
         processor = QueryProcessor(base, QueryConfig(mode="exact"))
@@ -290,9 +302,10 @@ class TestPartialResults:
                 )
         assert excinfo.value.best is None
 
-    def test_k_best_degrades_to_verified_partial(self, base):
+    @pytest.mark.parametrize("prefilter", [True, False])
+    def test_k_best_degrades_to_verified_partial(self, base, prefilter):
         processor = QueryProcessor(
-            base, QueryConfig(mode="exact", use_rep_prefilter=False)
+            base, QueryConfig(mode="exact", use_rep_prefilter=prefilter)
         )
         with faults.inject("query.refine_unit", "sleep", seconds=0.1):
             matches = processor.k_best_matches(
@@ -311,18 +324,32 @@ class TestPartialResults:
         for m in matches:
             assert full[m.ref] == m.distance
 
-    def test_batch_degrades_per_query(self, base):
+    def test_batch_degrades_per_query(self, base, monkeypatch):
+        processor = QueryProcessor(base, QueryConfig(mode="exact"))
+        queries = [[0.1, 0.4, 0.2, 0.5], [0.5, 0.2, 0.4, 0.1]]
+        token = cancel_on_refine_unit(monkeypatch, 2)
+        results = processor.batch_matches(
+            queries,
+            2,
+            max_workers=1,
+            deadline=Deadline(token=token, allow_partial=True),
+        )
+        # The first query's second drain found the budget spent; the
+        # second query never verified anything.
+        first, second = results
+        assert first and all(not m.exact for m in first)
+        assert second == []
+        assert processor.last_stats.partial_results == 1
+
+    def test_batch_with_nothing_verified_raises(self, base):
         processor = QueryProcessor(base, QueryConfig(mode="exact"))
         with faults.inject("query.rep_chunk", "sleep", seconds=0.05):
-            results = processor.batch_matches(
-                [[0.1, 0.4, 0.2, 0.5], [0.5, 0.2, 0.4, 0.1]],
-                2,
-                deadline=Deadline.after(1.0, allow_partial=True),
-            )
-        assert len(results) == 2
-        assert any(results)  # round 1 seeded at least one query's heap
-        for matches in results:
-            assert all(not m.exact for m in matches)
+            with pytest.raises(DeadlineExceeded):
+                processor.batch_matches(
+                    [[0.1, 0.4, 0.2, 0.5], [0.5, 0.2, 0.4, 0.1]],
+                    2,
+                    deadline=Deadline.after(1.0, allow_partial=True),
+                )
 
     def test_matches_within_flags_partial(self, base):
         processor = QueryProcessor(base, QueryConfig(mode="exact"))
@@ -409,20 +436,31 @@ class TestServiceDeadlines:
         rebuilt = Response.from_json(resp.to_json())
         assert rebuilt.error_details == resp.error_details
 
-    def test_partial_over_protocol(self, service):
-        with faults.inject("query.rep_chunk", "sleep", seconds=0.05):
-            resp = service.handle(
-                Request(
-                    "query_batch",
-                    {"dataset": "ElectricityLoad-sim",
-                     "queries": [[0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1]],
-                     "k": 2, "timeout_ms": 1, "allow_partial": True},
-                )
+    def test_partial_over_protocol(self, service, monkeypatch):
+        # The service builds its own deadline from ``timeout_ms``; hang the
+        # counting token on it so the first query's second drain is where
+        # it expires — queries one after another, as on a one-core server.
+        token = cancel_on_refine_unit(monkeypatch, 2)
+        monkeypatch.setattr(query_module, "_usable_cpus", lambda: 1)
+        after = Deadline.after
+        monkeypatch.setattr(
+            Deadline,
+            "after",
+            classmethod(lambda cls, ms, **kw: after(ms, token=token, **kw)),
+        )
+        resp = service.handle(
+            Request(
+                "query_batch",
+                {"dataset": "ElectricityLoad-sim",
+                 "queries": [[0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1]],
+                 "k": 2, "timeout_ms": 120_000, "allow_partial": True},
             )
+        )
         assert resp.ok, resp.error_message
         payloads = [
             m for entry in resp.result["results"] for m in entry["matches"]
         ]
+        # Whatever a query cut short had verified comes back flagged.
         assert payloads and all(m["exact"] is False for m in payloads)
 
     def test_ample_request_marks_exact(self, service):

@@ -203,6 +203,41 @@ class TestStatsAndPruning:
         assert processor.last_stats.batch_queries == 4
         assert [m[0].ref for m in batched] == [m.ref for m in single]
 
+    @pytest.mark.parametrize(
+        ("cpus", "queries", "max_workers", "pool_size"),
+        [
+            ({0}, 4, None, None),  # pinned to one core: inline
+            ({0, 1, 2}, 1, None, None),  # one query: inline
+            ({0, 1, 2}, 2, None, 2),  # never more threads than queries
+            ({3, 5}, 4, None, 2),  # the mask, not the host's CPU count
+            ({0}, 4, 3, 3),  # an explicit size is taken as given
+        ],
+    )
+    def test_batch_fan_out_follows_the_cpu_mask(
+        self, base, monkeypatch, cpus, queries, max_workers, pool_size
+    ):
+        import repro.core.query as query_module
+
+        created = []
+
+        class RecordingPool(query_module.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                created.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(
+            query_module.os, "sched_getaffinity", lambda pid: cpus, raising=False
+        )
+        monkeypatch.setattr(query_module.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(query_module, "ThreadPoolExecutor", RecordingPool)
+        rng = np.random.default_rng(82)
+        qs = [rng.uniform(size=6) for _ in range(queries)]
+        processor = QueryProcessor(base, QueryConfig(mode="fast"))
+        want = [processor.k_best_matches(q, 2, normalize=False) for q in qs]
+        got = processor.batch_matches(qs, 2, normalize=False, max_workers=max_workers)
+        assert created == ([] if pool_size is None else [pool_size])
+        assert [[m.ref for m in ms] for ms in got] == [[m.ref for m in ms] for ms in want]
+
     def test_group_pruning_reduces_work(self, base):
         q = SubsequenceRef(1, 1, 7)
         with_pruning = QueryProcessor(

@@ -137,20 +137,6 @@ class TestRepresentativeSummary:
             exact = dtw_distance(q, mat[g], window=window)
             assert bounds[g] <= exact + 1e-9
 
-    def test_cheap_bounds_multi_matches_single(self):
-        rng = np.random.default_rng(17)
-        mat = rng.normal(size=(7, 8))
-        summary = RepresentativeSummary(8)
-        summary.extend(mat)
-        for n in (5, 8, 11):
-            queries = rng.normal(size=(4, n))
-            for band in (None, 1, default_envelope_radius(8), 7):
-                multi = summary.cheap_bounds_multi(queries, band)
-                for i in range(queries.shape[0]):
-                    assert np.array_equal(
-                        multi[i], summary.cheap_bounds(queries[i], band)
-                    )
-
     def test_extend_matches_bulk_build(self):
         rng = np.random.default_rng(18)
         mat = rng.normal(size=(9, 10))
@@ -286,10 +272,9 @@ class TestBatchMatches:
             QueryConfig(mode="exact"),
             QueryConfig(mode="exact", use_rep_prefilter=False),
             QueryConfig(mode="exact", use_group_pruning=False),
-            QueryConfig(mode="exact", batch_min_members=0),
             QueryConfig(mode="fast", refine_groups=2),
         ],
-        ids=["exact", "no-prefilter", "no-pruning", "always-batched", "fast"],
+        ids=["exact", "no-prefilter", "no-pruning", "fast"],
     )
     def test_batch_identical_to_sequential(self, walk_base, config):
         rng = np.random.default_rng(13)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.brute_force import BruteForceSearcher
 from repro.core.base import OnexBase
 from repro.core.config import BuildConfig, QueryConfig
 from repro.core.query import QueryProcessor
@@ -322,22 +323,19 @@ class TestMemberMatrixGrowth:
                 lo, hi = offsets[g_idx], offsets[g_idx + 1]
                 assert np.array_equal(stacked[lo:hi], bucket.member_rows(g_idx))
 
-    def test_batched_and_scalar_refinement_agree_after_streaming(self):
+    def test_refinement_is_brute_force_after_streaming(self):
         base = make_base()
         ing = StreamIngestor(base)
         rng = np.random.default_rng(12)
         for v in rng.normal(size=12).cumsum():
             ing.append_points("live", [v])
-        batched = QueryProcessor(base, QueryConfig(mode="exact"))
-        scalar = QueryProcessor(
-            base, QueryConfig(mode="exact", use_member_batching=False)
-        )
+        processor = QueryProcessor(base, QueryConfig(mode="exact"))
+        oracle = BruteForceSearcher(base.dataset)
         for _ in range(5):
             q = rng.uniform(size=5)
-            a = batched.best_match(q, normalize=False)
-            b = scalar.best_match(q, normalize=False)
-            assert a.ref == b.ref
-            assert a.distance == pytest.approx(b.distance, abs=1e-9)
+            a = processor.best_match(q, normalize=False)
+            b = oracle.best_match(q, base.lengths)
+            assert (a.ref, a.distance) == (b.ref, b.distance)
 
 
 def test_rejected_first_append_leaves_series_usable():

@@ -2,7 +2,8 @@
 
 The serving stack — supervisor, pool, HTTP front end (``repro.server``),
 the snapshot layout every publication and attach goes through
-(``repro.core.mmap_layout``) and the DTW kernel under every read
+(``repro.core.mmap_layout``), the query cascade every read runs
+(``repro.core.query``) and the DTW kernel under it
 (``repro.distances.dtw``) — is the code that runs unattended, so it
 gets the strictest gate in the repo.  ``mypy``
 is not part of the baked toolchain, so this checker enforces the
@@ -31,6 +32,7 @@ ROOT = Path(__file__).resolve().parents[1]
 TARGETS = (
     ROOT / "src" / "repro" / "server",
     ROOT / "src" / "repro" / "core" / "mmap_layout.py",
+    ROOT / "src" / "repro" / "core" / "query.py",
     ROOT / "src" / "repro" / "distances" / "dtw.py",
 )
 
