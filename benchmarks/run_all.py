@@ -628,6 +628,18 @@ def run_stream(config: dict) -> dict:
     }
 
 
+#: ``--<flag>-output`` -> (report key of that PR's section, what it holds).
+_SECTION_FLAGS = {
+    "pr4": ("analytics", "E17 analytics"),
+    "pr5": ("build_pipeline", "E18 build-pipeline"),
+    "pr6": ("resilience", "E19 resilience"),
+    "pr7": ("observability", "E20 observability"),
+    "pr8": ("durability", "E21 durability"),
+    "pr9": ("metrics", "E22 metric-registry"),
+    "pr10": ("pool", "E23 worker-pool"),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -641,51 +653,16 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--pr3-output",
         type=Path,
-        default=Path("BENCH_pr3.json"),
-        help="where the representative-cascade + batch-query section lands",
+        default=None,
+        help="write the representative-cascade + batch-query section here",
     )
-    parser.add_argument(
-        "--pr4-output",
-        type=Path,
-        default=Path("BENCH_pr4.json"),
-        help="where the E17 analytics section lands",
-    )
-    parser.add_argument(
-        "--pr5-output",
-        type=Path,
-        default=Path("BENCH_pr5.json"),
-        help="where the E18 build-pipeline section lands",
-    )
-    parser.add_argument(
-        "--pr6-output",
-        type=Path,
-        default=Path("BENCH_pr6.json"),
-        help="where the E19 resilience section lands",
-    )
-    parser.add_argument(
-        "--pr7-output",
-        type=Path,
-        default=Path("BENCH_pr7.json"),
-        help="where the E20 observability section lands",
-    )
-    parser.add_argument(
-        "--pr8-output",
-        type=Path,
-        default=Path("BENCH_pr8.json"),
-        help="where the E21 durability section lands",
-    )
-    parser.add_argument(
-        "--pr9-output",
-        type=Path,
-        default=Path("BENCH_pr9.json"),
-        help="where the E22 metric-registry section lands",
-    )
-    parser.add_argument(
-        "--pr10-output",
-        type=Path,
-        default=Path("BENCH_pr10.json"),
-        help="where the E23 worker-pool section lands",
-    )
+    for flag, (key, what) in _SECTION_FLAGS.items():
+        parser.add_argument(
+            f"--{flag}-output",
+            type=Path,
+            default=None,
+            help=f"write the {what} section here",
+        )
     args = parser.parse_args(argv)
 
     report = run(QUICK if args.quick else FULL)
@@ -709,42 +686,15 @@ def main(argv: list[str] | None = None) -> int:
         "exact_equals_brute_force": report["exact_equals_brute_force"],
         "prefilter_paths_identical": report["prefilter_paths_identical"],
     }
-    args.pr3_output.write_text(json.dumps(pr3, indent=2) + "\n")
-    pr4 = {
-        "config": report["config"],
-        "analytics": report["analytics"],
-    }
-    args.pr4_output.write_text(json.dumps(pr4, indent=2) + "\n")
-    pr5 = {
-        "config": report["config"],
-        "build_pipeline": report["build_pipeline"],
-    }
-    args.pr5_output.write_text(json.dumps(pr5, indent=2) + "\n")
-    pr6 = {
-        "config": report["config"],
-        "resilience": report["resilience"],
-    }
-    args.pr6_output.write_text(json.dumps(pr6, indent=2) + "\n")
-    pr7 = {
-        "config": report["config"],
-        "observability": report["observability"],
-    }
-    args.pr7_output.write_text(json.dumps(pr7, indent=2) + "\n")
-    pr8 = {
-        "config": report["config"],
-        "durability": report["durability"],
-    }
-    args.pr8_output.write_text(json.dumps(pr8, indent=2) + "\n")
-    pr9 = {
-        "config": report["config"],
-        "metrics": report["metrics"],
-    }
-    args.pr9_output.write_text(json.dumps(pr9, indent=2) + "\n")
-    pr10 = {
-        "config": report["config"],
-        "pool": report["pool"],
-    }
-    args.pr10_output.write_text(json.dumps(pr10, indent=2) + "\n")
+    # A section file is written only when its flag names a path (CI
+    # passes every one); a bare ``--quick`` touches no tracked file.
+    if args.pr3_output is not None:
+        args.pr3_output.write_text(json.dumps(pr3, indent=2) + "\n")
+    for flag, (key, _) in _SECTION_FLAGS.items():
+        target = getattr(args, f"{flag}_output")
+        if target is not None:
+            section = {"config": report["config"], key: report[key]}
+            target.write_text(json.dumps(section, indent=2) + "\n")
     metrics = report["metrics"]
     if not metrics["all_metrics_exact"]:
         print(

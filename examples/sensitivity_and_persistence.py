@@ -45,13 +45,14 @@ def main() -> None:
               f"{point.exact:>6}  {point.possible:>9}")
     print(f"Suggested knee threshold: ST = {profile.knee()}")
 
-    # --- Persistence: save once, reattach instantly.
+    # --- Persistence: save once (base and dataset, one snapshot
+    # directory at a fresh path), reload instantly.
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "matters-growth-base.npz"
+        path = Path(tmp) / "matters-growth-base"
         base.save(path)
-        size_kb = path.stat().st_size / 1024
+        size_kb = sum(f.stat().st_size for f in path.iterdir()) / 1024
         started = time.perf_counter()
-        reloaded = OnexBase.load(path, dataset)
+        reloaded = OnexBase.load(path)
         load_seconds = time.perf_counter() - started
         print(f"\nSaved base: {size_kb:.0f} KiB; reloaded in "
               f"{load_seconds * 1000:.1f} ms "

@@ -7,27 +7,23 @@ only the group representatives (centroids), radii, and member handles —
 typically orders of magnitude fewer representatives than raw subsequences,
 which is what makes DTW-based online exploration interactive.
 
-The base can be persisted with :meth:`OnexBase.save` and reattached to the
-same dataset with :meth:`OnexBase.load`, mirroring the demo's server-side
+The base is persisted, dataset included, with :meth:`OnexBase.save` and
+read back with :meth:`OnexBase.load` (the one on-disk layout lives in
+:mod:`repro.core.mmap_layout`), mirroring the demo's server-side
 preprocessing-on-load workflow.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import operator
-import os
 import time
-import zipfile
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
-from repro.core import persist
 from repro.core.config import BuildConfig
 from repro.core.deadline import Deadline
 from repro.core.grouping import SimilarityGroup, cluster_subsequence_rows
@@ -45,7 +41,6 @@ from repro.exceptions import (
     BuildWorkerError,
     DatasetError,
     NotBuiltError,
-    PersistenceError,
     ReadOnlyBaseError,
     ValidationError,
 )
@@ -88,32 +83,6 @@ __all__ = [
     "default_envelope_radius",
 ]
 
-#: ``.npz`` layout version written by :meth:`OnexBase.save`.  Version 2
-#: added the stacked member-value matrices (PR 1); version 3 adds the
-#: persisted representative summaries (centroid Keogh envelopes, endpoint
-#: and min/max summaries); version 4 adds a content checksum over every
-#: stored array, verified on load; version 5 adds the dataset channel
-#: count (multivariate bases store channel-flattened rows of width
-#: ``length * channels``).  :meth:`OnexBase.load` accepts any older
-#: archive and rebuilds (or skips verifying) the missing pieces — a v4
-#: univariate archive loads unchanged with ``channels == 1``.
-FORMAT_VERSION = 5
-
-
-def _checksum_arrays(named_arrays) -> str:
-    """sha256 over ``(key, array)`` pairs — the archive content checksum.
-
-    Covers key, shape, and raw bytes of every stored array, so bit flips
-    the zip layer's per-entry CRC happens to miss (or a tampered,
-    re-zipped archive) still surface as a checksum mismatch on load.
-    """
-    digest = hashlib.sha256()
-    for key, arr in named_arrays:
-        digest.update(key.encode())
-        digest.update(str(arr.shape).encode())
-        digest.update(np.ascontiguousarray(arr).tobytes())
-    return digest.hexdigest()
-
 
 def default_envelope_radius(length: int) -> int:
     """Persisted centroid-envelope radius for one subsequence length.
@@ -143,14 +112,6 @@ class LengthBuildStats:
     subsequences: int
     groups: int
     seconds: float
-
-    def as_dict(self) -> dict:
-        return {
-            "length": self.length,
-            "subsequences": self.subsequences,
-            "groups": self.groups,
-            "seconds": self.seconds,
-        }
 
 
 @dataclass(frozen=True)
@@ -217,15 +178,13 @@ class RepresentativeSummary:
 
     The stores grow by amortised doubling exactly like the bucket's
     centroid stack (representatives never move, so rows never need
-    recomputation), are persisted in the ``.npz`` archive, and are shared
-    read-only by concurrent queries.
+    recomputation), are persisted with the base, and are shared read-only
+    by concurrent queries.
     """
 
-    def __init__(
-        self, length: int, radius: int | None = None, width: int | None = None
-    ) -> None:
+    def __init__(self, length: int, width: int | None = None) -> None:
         self.length = length
-        self.radius = default_envelope_radius(length) if radius is None else int(radius)
+        self.radius = default_envelope_radius(length)
         #: Stored row width — ``length`` for univariate buckets,
         #: ``length * channels`` for channel-flattened multivariate rows
         #: (the summaries then bound the flattened-row geometry, which the
@@ -251,11 +210,9 @@ class RepresentativeSummary:
     ) -> "RepresentativeSummary":
         """Adopt persisted summary arrays *without copying them*.
 
-        The zero-copy sibling of the ``_grown``-based load path: the
-        stores are the given arrays themselves (capacity == count), so
-        mmap-backed arrays stay mmap-backed.  Only valid for read-only
-        bases — the first ``extend`` would try to write the stores in
-        place (and raise on a write-protected mmap).
+        The stores are the given arrays themselves (capacity == count),
+        so mmap-backed arrays stay mmap-backed; on a writable base the
+        first ``extend`` finds them full and reallocates.
         """
         self = object.__new__(cls)
         self.length = int(length)
@@ -429,7 +386,7 @@ class LengthBucket:
         self,
         length: int,
         groups: list[SimilarityGroup],
-        member_matrix: np.ndarray | None = None,
+        member_matrix: np.ndarray,
         stacks: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
         channels: int = 1,
         handles: np.ndarray | None = None,
@@ -476,19 +433,14 @@ class LengthBucket:
         # lazily on first use and kept in sync by append_group; load()
         # attaches the persisted arrays instead.
         self._rep_summary: RepresentativeSummary | None = None
-        if member_matrix is not None:
-            expected = (self._row_count, width)
-            if member_matrix.shape != expected:
-                raise ValidationError(
-                    f"member matrix shape {member_matrix.shape} != {expected}"
-                )
-            # Take ownership: appends only ever write past the current row
-            # count (after reallocating when capacity is exhausted).
-            self._member_store: np.ndarray | None = np.ascontiguousarray(
-                member_matrix, dtype=np.float64
+        expected = (self._row_count, width)
+        if member_matrix.shape != expected:
+            raise ValidationError(
+                f"member matrix shape {member_matrix.shape} != {expected}"
             )
-        else:
-            self._member_store = None
+        # Take ownership: appends only ever write past the current row
+        # count (after reallocating when capacity is exhausted).
+        self._member_store = np.ascontiguousarray(member_matrix, dtype=np.float64)
 
     def _adopt_rows(self, offsets: np.ndarray, handles: np.ndarray) -> None:
         """Install the group-contiguous construction rows *offsets* delimit."""
@@ -540,6 +492,10 @@ class LengthBucket:
             raise ValidationError(
                 f"centroid stack shape {centroids.shape} != {(count, width)}"
             )
+        if ed_radii.shape != (count,) or cheb_radii.shape != (count,):
+            raise ValidationError(
+                f"radius vectors {ed_radii.shape}, {cheb_radii.shape} != {(count,)}"
+            )
         self._centroid_store = centroids
         self._ed_store = ed_radii
         self._cheb_store = cheb_radii
@@ -587,21 +543,17 @@ class LengthBucket:
 
         Always in sync with the current group count.  Appends extend the
         summary in place under the callers' exclusive (write-side) lock;
-        this accessor, which concurrent *readers* share, never mutates an
-        already-published summary — when out of sync (first touch, or a
-        pre-v3 archive) it builds a complete replacement locally and
-        publishes it with one assignment, so racing readers at worst
-        build twice and last-write-wins with an equivalent object.
+        this accessor, which concurrent *readers* share, never mutates a
+        published summary — on the first touch after a build it fills a
+        complete one locally and publishes it with one assignment, so
+        racing readers at worst build twice and last-write-wins with an
+        equivalent object.
         """
         summary = self._rep_summary
-        if summary is None or summary.count < len(self.groups):
-            fresh = RepresentativeSummary(
-                self.length,
-                summary.radius if summary is not None else None,
-                width=self._centroid_store.shape[1],
-            )
-            fresh.extend(self.centroids)
-            self._rep_summary = summary = fresh
+        if summary is None:
+            summary = RepresentativeSummary(self.length, self._centroid_store.shape[1])
+            summary.extend(self.centroids)
+            self._rep_summary = summary
         return summary
 
     def attach_rep_summary(self, summary: RepresentativeSummary) -> None:
@@ -682,16 +634,14 @@ class LengthBucket:
         return handles if order is None else handles[order]
 
     @property
-    def member_matrix(self) -> np.ndarray | None:
-        """Every member's values as one 2-D array (live view), or None.
+    def member_matrix(self) -> np.ndarray:
+        """Every member's values as one 2-D array (live view).
 
         Row order is group-contiguous right after ``build()``/``load()``;
         rows appended by incremental ingestion live at the end, in arrival
         order — resolve a group's rows with :meth:`member_rows`, and use
         :meth:`stacked_member_matrix` where group-contiguous order matters.
         """
-        if self._member_store is None:
-            return None
         return self._member_store[: self._row_count]
 
     def member_rows(self, g_idx: int) -> np.ndarray:
@@ -701,8 +651,6 @@ class LengthBucket:
         always the case at build/load time — else a gathered copy of the
         group's rows.
         """
-        if self._member_store is None:
-            raise NotBuiltError("member matrix not attached to this bucket")
         extra = self._extra_rows.get(g_idx)
         base = self._base_offsets
         if g_idx + 1 < base.shape[0]:
@@ -716,37 +664,15 @@ class LengthBucket:
             rows = extra
         return self._member_store[np.fromiter(rows, np.int64, len(rows))]
 
-    def ensure_member_matrix(self, dataset: TimeSeriesDataset) -> np.ndarray:
-        """Build (once) and return the stacked member-value matrix.
-
-        Rows are gathered through the strided extraction kernel — one
-        :func:`~repro.data.windows.window_view` per touched series with a
-        fancy-indexed start gather — instead of resolving members one
-        ``dataset.values`` call at a time (only relevant when loading a
-        pre-v2 archive that carries no persisted matrix).
-        """
-        if self._member_store is None:
-            width = self.length * self.channels
-            matrix = np.empty((self._row_count, width), dtype=np.float64)
-            series = self._handle_store[: self._row_count, 0]
-            starts = self._handle_store[: self._row_count, 1]
-            for si in np.unique(series).tolist():
-                rows = np.nonzero(series == si)[0]
-                windows = window_view(dataset[si].values, self.length)
-                matrix[rows] = windows[starts[rows]].reshape(rows.shape[0], -1)
-            self._member_store = matrix
-        return self._member_store[: self._row_count]
-
-    def stacked_member_matrix(self, dataset: TimeSeriesDataset) -> np.ndarray:
+    def stacked_member_matrix(self) -> np.ndarray:
         """Member values in group-contiguous order (for persistence).
 
         Returns the store itself (no copy) while its rows are still
         group-contiguous; after interleaved appends one fancy-index
         gather over the logical row order.
         """
-        matrix = self.ensure_member_matrix(dataset)
         order = self._logical_order()
-        return matrix if order is None else matrix[order]
+        return self.member_matrix if order is None else self.member_matrix[order]
 
     # ------------------------------------------------------------------
     # Incremental growth (amortised-doubling appends)
@@ -819,8 +745,6 @@ class LengthBucket:
     ) -> int:
         """Append one member row to the per-row stores (doubling together);
         returns its physical index."""
-        if self._member_store is None:
-            raise NotBuiltError("member matrix not attached to this bucket")
         row = self._row_count
         if self._row_group is None:
             self._row_group = np.repeat(
@@ -1387,7 +1311,6 @@ class OnexBase:
         if windows.ndim == 3:
             # Channel-flatten multivariate windows to the stored row layout.
             windows = windows.reshape(count, -1)
-        bucket.ensure_member_matrix(self._dataset)
         out: list[WindowAssignment] = []
         joins: dict[int, list[int]] = {}
         for b0 in range(0, count, self._ASSIGN_BLOCK):
@@ -1445,242 +1368,34 @@ class OnexBase:
     # Persistence
     # ------------------------------------------------------------------
 
-    def save(self, path) -> None:
-        """Serialise the built base to a single ``.npz`` file, atomically.
+    def save(self, path) -> dict[str, str]:
+        """Persist the built base **and its dataset** as a snapshot directory.
 
-        Stores config, group centroids, radii, member handles, and the
-        stacked per-length member-value matrices (``len{n}_member_matrix``,
-        rows ordered group by group as ``len{n}_offsets`` delimits) so a
-        loaded base can refine groups batched without re-gathering values.
-        The dataset itself is not stored; :meth:`load` re-attaches to an
-        equal dataset and rebuilds the matrices when loading an archive
-        from before they were persisted.
-
-        The archive is written to a same-directory temp file, fsynced,
-        and renamed into place — a crash mid-save never clobbers a
-        previously saved base.  A sha256 checksum over every stored array
-        rides in the metadata and is verified by :meth:`load`.
+        A thin delegate to the one on-disk writer
+        (:mod:`repro.core.mmap_layout`, durable mode): *path* becomes a
+        directory of ``arrays.bin`` + ``meta.json``, fsynced and hashed.
+        *path* must not exist — a directory cannot be replaced atomically,
+        so an earlier save is kept intact by never touching it
+        (:class:`~repro.exceptions.PersistenceError`; save to a fresh path).
+        Returns ``{file name: sha256}`` of the two files as written (the
+        checkpoint manifest's hashes, at no second read).
         """
-        self._require_built()
-        path = Path(path)
-        if not path.name.endswith(".npz"):
-            # np.savez appends the suffix when handed a filename; writing
-            # through a file object (for the atomic rename) must match.
-            path = Path(str(path) + ".npz")
-        payload: dict[str, np.ndarray] = {}
-        meta = {
-            "format_version": FORMAT_VERSION,
-            "config": {
-                "similarity_threshold": self._config.similarity_threshold,
-                "min_length": self._config.min_length,
-                "max_length": self._config.max_length,
-                "step": self._config.step,
-                "normalize": self._config.normalize,
-            },
-            "stats": {
-                "subsequences": self.stats.subsequences,
-                "groups": self.stats.groups,
-                "lengths": self.stats.lengths,
-                "build_seconds": self.stats.build_seconds,
-                "per_length": [s.as_dict() for s in self.stats.per_length],
-            },
-            "dataset_fingerprint": self._fingerprint(),
-            "lengths": self.lengths,
-            "norm_bounds": list(self._norm_bounds) if self._norm_bounds else None,
-            "channels": self.channels,
-        }
-        for length in self.lengths:
-            bucket = self._buckets[length]
-            prefix = f"len{length}"
-            payload[f"{prefix}_centroids"] = bucket.centroids
-            payload[f"{prefix}_ed_radii"] = bucket.ed_radii
-            payload[f"{prefix}_cheb_radii"] = bucket.cheb_radii
-            payload[f"{prefix}_members"] = bucket.member_handles
-            payload[f"{prefix}_offsets"] = bucket.member_offsets
-            payload[f"{prefix}_member_matrix"] = bucket.stacked_member_matrix(
-                self._dataset
-            )
-            # Format v3: the representative-layer prune summaries, so a
-            # loaded base answers its first query with zero preparation.
-            summary = bucket.rep_summary
-            payload[f"{prefix}_rep_env_lo"] = summary.env_lo
-            payload[f"{prefix}_rep_env_hi"] = summary.env_hi
-            payload[f"{prefix}_rep_endpoints"] = summary.endpoints
-            payload[f"{prefix}_rep_minmax"] = summary.minmax
-            payload[f"{prefix}_rep_env_radius"] = np.array(
-                summary.radius, dtype=np.int64
-            )
-        meta["content_checksum"] = _checksum_arrays(sorted(payload.items()))
-        payload["meta"] = np.array(json.dumps(meta))
-        tmp = path.with_name(path.name + ".tmp")
-        try:
-            with open(tmp, "wb") as fh:
-                np.savez_compressed(fh, **payload)
-                fh.flush()
-                os.fsync(fh.fileno())
-            faults.fire("persist.save", path=str(tmp))
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        # The rename is atomic but not yet durable: the directory entry
-        # lives in the page cache until the directory itself is fsynced,
-        # so a power cut here could resurrect the pre-save archive.
-        faults.fire("persist.rename", path=str(path))
-        persist.fsync_dir(path.parent)
+        from repro.core.mmap_layout import _write_snapshot
+
+        return _write_snapshot(self, path, durable=True)
 
     @classmethod
-    def load(cls, path, dataset: TimeSeriesDataset) -> "OnexBase":
-        """Load a saved base and attach it to *dataset*.
+    def load(cls, path) -> "OnexBase":
+        """Load a saved base as a private, writable base over its own dataset.
 
-        The dataset must be the one the base was built from (checked with a
-        content fingerprint) — the base stores member *handles*, not values.
-
-        A truncated, tampered, or otherwise unreadable archive raises
-        :class:`~repro.exceptions.PersistenceError` (wrapping the varied
-        zipfile/numpy error surface); v4 archives additionally verify the
-        stored content checksum.  A missing file stays
-        ``FileNotFoundError``.
+        ``arrays.bin`` is checked against the recorded sha256 and the
+        assembled structure against the stored fingerprint; anything
+        unreadable (missing, truncated, a ``.npz`` archive, another
+        format) raises :class:`~repro.exceptions.PersistenceError`.
         """
-        path = Path(path)
-        try:
-            return cls._load_archive(path, dataset)
-        except FileNotFoundError:
-            raise
-        except (DatasetError, PersistenceError):
-            raise
-        except (
-            zipfile.BadZipFile,
-            EOFError,
-            OSError,
-            ValueError,
-            KeyError,
-            TypeError,
-        ) as exc:
-            raise PersistenceError(
-                f"corrupt or unreadable base archive {path}: {exc}"
-            ) from exc
+        from repro.core.mmap_layout import load_base_snapshot
 
-    @classmethod
-    def _load_archive(cls, path: Path, dataset: TimeSeriesDataset) -> "OnexBase":
-        with np.load(path, allow_pickle=False) as archive:
-            meta = json.loads(str(archive["meta"]))
-            stored_checksum = meta.get("content_checksum")
-            if stored_checksum is not None:
-                actual = _checksum_arrays(
-                    (key, archive[key])
-                    for key in sorted(archive.files)
-                    if key != "meta"
-                )
-                if actual != stored_checksum:
-                    raise PersistenceError(
-                        f"base archive {path} failed its content checksum "
-                        "(truncated or tampered with)"
-                    )
-            config = BuildConfig(**meta["config"])
-            base = cls(dataset, config)
-            # Pre-v5 archives are always univariate; v5 stores the count.
-            channels = int(meta.get("channels", 1))
-            if dataset.channels != channels:
-                raise DatasetError(
-                    f"base was built over {channels}-channel series, "
-                    f"dataset has {dataset.channels}"
-                )
-            saved_bounds = meta.get("norm_bounds")
-            if saved_bounds is not None and tuple(saved_bounds) != base._norm_bounds:
-                # The saved base was normalised with earlier bounds (e.g.
-                # add_series widened the collection afterwards); reproduce
-                # exactly the value space it was built in.
-                lo, hi = saved_bounds
-                base._norm_bounds = (lo, hi)
-                renormalized = TimeSeriesDataset(name=dataset.name)
-                for s in dataset:
-                    renormalized.add(
-                        s.with_values(minmax_normalize(s.values, lo=lo, hi=hi))
-                    )
-                base._dataset = renormalized
-            if base._fingerprint() != meta["dataset_fingerprint"]:
-                raise DatasetError(
-                    "dataset does not match the one this base was built from"
-                )
-            for length in meta["lengths"]:
-                prefix = f"len{length}"
-                centroids = archive[f"{prefix}_centroids"]
-                ed_radii = archive[f"{prefix}_ed_radii"]
-                cheb_radii = archive[f"{prefix}_cheb_radii"]
-                members = archive[f"{prefix}_members"]
-                offsets = archive[f"{prefix}_offsets"]
-                groups = []
-                for g in range(len(offsets) - 1):
-                    chunk = members[offsets[g] : offsets[g + 1]]
-                    refs = tuple(
-                        SubsequenceRef(int(si), int(st), int(length))
-                        for si, st in chunk
-                    )
-                    groups.append(
-                        SimilarityGroup(
-                            length=int(length),
-                            centroid=centroids[g],
-                            members=refs,
-                            ed_radius=float(ed_radii[g]),
-                            cheb_radius=float(cheb_radii[g]),
-                        )
-                    )
-                matrix_key = f"{prefix}_member_matrix"
-                member_matrix = (
-                    archive[matrix_key] if matrix_key in archive.files else None
-                )
-                bucket = LengthBucket(
-                    int(length),
-                    groups,
-                    member_matrix,
-                    channels=channels,
-                    handles=members.astype(np.int64, copy=False).reshape(-1, 2),
-                )
-                bucket.ensure_member_matrix(base._dataset)
-                env_key = f"{prefix}_rep_env_lo"
-                if env_key in archive.files:
-                    summary = RepresentativeSummary(
-                        int(length),
-                        int(archive[f"{prefix}_rep_env_radius"]),
-                        width=int(length) * channels,
-                    )
-                    count = len(groups)
-                    cap = max(LengthBucket._MIN_CAPACITY, count)
-                    summary._env_lo = _grown(archive[env_key], count, cap)
-                    summary._env_hi = _grown(archive[f"{prefix}_rep_env_hi"], count, cap)
-                    summary._endpoints = _grown(
-                        archive[f"{prefix}_rep_endpoints"], count, cap
-                    )
-                    summary._minmax = _grown(archive[f"{prefix}_rep_minmax"], count, cap)
-                    summary._count = count
-                    bucket.attach_rep_summary(summary)
-                # Pre-v3 archives carry no summaries: rep_summary rebuilds
-                # them lazily from the centroids on first use.
-                base._buckets[int(length)] = bucket
-        stats = meta["stats"]
-        base._stats = BaseStats(
-            subsequences=stats["subsequences"],
-            groups=stats["groups"],
-            lengths=stats["lengths"],
-            build_seconds=stats["build_seconds"],
-            per_length=tuple(
-                LengthBuildStats(**entry)
-                for entry in stats.get("per_length", ())
-            ),
-        )
-        return base
-
-    def _fingerprint(self) -> str:
-        """Cheap content hash binding a saved base to its dataset."""
-        digest = hashlib.sha256()
-        for series in self._dataset:
-            digest.update(series.name.encode())
-            digest.update(np.ascontiguousarray(series.values).tobytes())
-        return digest.hexdigest()
+        return load_base_snapshot(path, mmap_mode=None, verify=True)[0]
 
     def structure_fingerprint(self) -> str:
         """Content hash of the built structure (groups, radii, members).

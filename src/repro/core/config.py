@@ -39,7 +39,7 @@ class BuildConfig:
         and merged deterministically, so every setting builds an
         identical base (``OnexBase.structure_fingerprint``) — this is an
         execution knob, not a semantic parameter, and it is deliberately
-        **not** persisted in saved archives.
+        **not** persisted in saved bases.
     build_executor:
         Pool flavour for ``num_workers > 1``: ``"process"`` (the default;
         sidesteps the GIL — the clustering scan keeps Python-level

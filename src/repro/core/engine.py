@@ -134,9 +134,9 @@ class OnexEngine:
     ) -> BaseStats:
         """Register an already-built *base* (checkpoint recovery path).
 
-        Unlike :meth:`load_dataset` nothing is rebuilt: *base* comes from
-        :meth:`~repro.core.base.OnexBase.load` against a checkpoint's
-        dataset snapshot.  *monitors* / *event_seq* / *stream_counters*
+        Unlike :meth:`load_dataset` nothing is rebuilt: *base* and its
+        *dataset* come out of a checkpoint's snapshot directory.
+        *monitors* / *event_seq* / *stream_counters*
         re-seed the streaming layer from the checkpoint manifest so a
         restarted server continues event numbering monotonically; the
         ingestor is created eagerly whenever any of them is present.

@@ -1,23 +1,24 @@
-"""Raw, mmap-able on-disk layout of a built ONEX base.
+"""The on-disk layout of a built ONEX base — the only one.
 
-The ``.npz`` archive (:meth:`OnexBase.save`) is compact but *copies* on
-load: every array is decompressed into fresh private pages per process.
-The worker pool needs the opposite trade — N processes serving the same
-base should share one page-cache copy of the big stacks, and a new
-epoch must be cheap to publish and cheap to attach.  This module
-persists a base as a directory of **two files**::
+:meth:`OnexBase.save`, the durability checkpoints and the worker pool's
+epochs all persist a base with this module's one writer and read it back
+with its one reader; nothing else in the package knows a file name or a
+byte offset of a stored base.  A snapshot is a directory of **two
+files**::
 
-    arrays.bin   every array of the base, C-contiguous, back to back,
-                 each starting on a 64-byte boundary
+    arrays.bin   every array of the base and its dataset, C-contiguous,
+                 back to back, each starting on a 64-byte boundary
     meta.json    format tag, build config, stats, dataset and series
                  names/metadata, normalisation bounds, indexed lengths,
                  per-length envelope radii, the structure fingerprint,
-                 and ``arrays``: name -> [dtype, shape, byte offset]
+                 ``arrays``: name -> [dtype, shape, byte offset], and
+                 ``arrays_sha256`` (durable snapshots only)
 
-so publishing is one sequential dump and attaching is one ``mmap(2)``
-plus a view per directory entry — neither costs anything per group:
+so writing is one sequential dump and attaching is one ``mmap(2)`` (or
+one read) plus a view per directory entry — neither costs anything per
+group:
 
-- every worker's member/centroid/summary stacks are views over the same
+- N pool workers' member/centroid/summary stacks are views over the same
   physical pages (the kernel shares the page cache across processes);
 - the mapping is write-protected, so an accidental in-place mutation in
   a worker raises instead of corrupting sibling processes;
@@ -41,27 +42,39 @@ Arrays in the directory (``<L>`` = subsequence length)::
     len<L>_rep_env_lo/_rep_env_hi/_rep_endpoints/_rep_minmax
                                 persisted representative summaries
 
-Snapshots are written to a ``<dir>.tmp`` sibling and ``os.replace``\\ d
-into place, so a crash mid-write never publishes a half-written
-directory; :func:`clean_stale_snapshots` sweeps leftover ``*.tmp``
-debris (and superseded epochs) at supervisor start.  Nothing outlives a
-supervisor run — every start republishes — so there is one layout and
-no migration: a directory of another ``SNAPSHOT_FORMAT`` is refused.
+Every snapshot is written to a ``<dir>.tmp`` sibling and renamed into
+place with ``os.replace``, so the target either does not exist or is
+complete; an existing target is refused, not replaced (a directory
+cannot be swapped atomically — never touching the old one is what keeps
+it intact through a crash).  The two kinds of write differ in one
+keyword of the one writer:
 
-Loading with ``mmap_mode="r"`` produces a **read-only** base: the
-mutation paths (:meth:`OnexBase.add_series`, streaming ingestion) raise
-:class:`~repro.exceptions.ReadOnlyBaseError`.  ``mmap_mode=None`` reads
-the file into private memory instead and yields an ordinary writable
-base (real group lists).
+- an **epoch** (:func:`save_base_snapshot`, the pool's publications) dies
+  with its supervisor, so ``arrays.bin`` is neither fsynced nor hashed;
+  :func:`clean_stale_snapshots` sweeps leftovers at supervisor start;
+- a **durable** snapshot (:meth:`OnexBase.save`, which checkpoints call
+  too) fsyncs both files and both directories and records the sha256 of
+  ``arrays.bin``, hashed while writing.
+
+There is one format and no migration: a ``.npz`` archive (the removed
+formats v2–v5) or a directory of another ``SNAPSHOT_FORMAT`` is refused
+with a :class:`PersistenceError` naming what was found.
+
+``mmap_mode="r"`` yields a **read-only** base (mutation paths raise
+:class:`~repro.exceptions.ReadOnlyBaseError`); ``mmap_mode=None`` reads
+the file into private memory and yields an ordinary writable base — what
+:meth:`OnexBase.load` and checkpoint recovery return.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
 import shutil
 from collections.abc import Callable, Iterator
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -77,10 +90,13 @@ from repro.core.base import (
 from repro.core.config import BuildConfig
 from repro.data.dataset import TimeSeriesDataset
 from repro.data.timeseries import TimeSeries
-from repro.exceptions import PersistenceError
+from repro.exceptions import OnexError, PersistenceError
 from repro.obs.logs import get_logger, log_event
+from repro.testing import faults
 
 __all__ = [
+    "ARRAYS_FILE",
+    "META_FILE",
     "SNAPSHOT_FORMAT",
     "clean_stale_snapshots",
     "load_base_snapshot",
@@ -95,9 +111,30 @@ _LOG = get_logger("mmap")
 #: single ``arrays.bin`` + directory in ``meta.json``.
 SNAPSHOT_FORMAT = 2
 
-_ARRAYS_FILE = "arrays.bin"
+ARRAYS_FILE = "arrays.bin"
+META_FILE = "meta.json"
 #: Every array starts on a cache-line boundary of the (page-aligned) map.
 _ALIGN = 64
+
+
+#: Per-length arrays, in file order and in the positional order of
+#: ``LengthBucket.attached`` (first six) + ``RepresentativeSummary.attached``.
+_BUCKET_ARRAYS = (
+    "members",
+    "offsets",
+    "member_matrix",
+    "centroids",
+    "ed_radii",
+    "cheb_radii",
+    "rep_env_lo",
+    "rep_env_hi",
+    "rep_endpoints",
+    "rep_minmax",
+)
+#: The ``BuildConfig`` fields that describe the base (not how it was built).
+_CONFIG_FIELDS = (
+    "similarity_threshold", "min_length", "max_length", "step", "normalize",
+)
 
 
 def _snapshot_arrays(base: OnexBase) -> Iterator[tuple[str, np.ndarray]]:
@@ -109,32 +146,42 @@ def _snapshot_arrays(base: OnexBase) -> Iterator[tuple[str, np.ndarray]]:
     if norm is not raw:
         for i, series in enumerate(norm):
             yield f"norm_{i}", series.values
-    for length in base.lengths:
-        bucket = base.bucket(length)
-        prefix = f"len{length}"
-        yield f"{prefix}_centroids", bucket.centroids
-        yield f"{prefix}_ed_radii", bucket.ed_radii
-        yield f"{prefix}_cheb_radii", bucket.cheb_radii
-        yield f"{prefix}_members", bucket.member_handles
-        yield f"{prefix}_offsets", bucket.member_offsets
-        yield f"{prefix}_member_matrix", bucket.stacked_member_matrix(norm)
+    for bucket in base.buckets():
         summary = bucket.rep_summary
-        yield f"{prefix}_rep_env_lo", summary.env_lo
-        yield f"{prefix}_rep_env_hi", summary.env_hi
-        yield f"{prefix}_rep_endpoints", summary.endpoints
-        yield f"{prefix}_rep_minmax", summary.minmax
+        arrays = (
+            bucket.member_handles,
+            bucket.member_offsets,
+            bucket.stacked_member_matrix(),
+            bucket.centroids,
+            bucket.ed_radii,
+            bucket.cheb_radii,
+            summary.env_lo,
+            summary.env_hi,
+            summary.endpoints,
+            summary.minmax,
+        )
+        for name, array in zip(_BUCKET_ARRAYS, arrays):
+            yield f"len{bucket.length}_{name}", array
 
 
 def save_base_snapshot(base: OnexBase, directory: str | Path) -> Path:
-    """Persist *base* (and its dataset) as an mmap-able snapshot directory.
+    """Publish *base* (and its dataset) as an epoch snapshot directory.
 
-    Written atomically: everything lands in ``<directory>.tmp`` first and
-    is renamed into place, so *directory* either does not exist or holds
-    a complete snapshot.  *directory* must not already exist (publishers
-    use a fresh epoch directory per publication).  Returns the final
-    path; the structure fingerprint of what was written is in its
+    *directory* must not exist yet (publishers use a fresh epoch
+    directory per publication) and afterwards holds a complete snapshot;
+    ``arrays.bin`` is neither fsynced nor hashed.  Returns the final path;
+    the structure fingerprint of what was written is in its
     ``meta.json``, where every attaching process reads it.
     """
+    _write_snapshot(base, directory, durable=False)
+    return Path(directory)
+
+
+def _write_snapshot(
+    base: OnexBase, directory: str | Path, *, durable: bool
+) -> dict[str, str]:
+    """The one writer (see the module docstring for what *durable* adds);
+    returns ``{file name: sha256}`` of the two files — empty unless *durable*."""
     final = Path(directory)
     if final.exists():
         raise PersistenceError(f"snapshot directory {final} already exists")
@@ -143,36 +190,33 @@ def save_base_snapshot(base: OnexBase, directory: str | Path) -> Path:
     if tmp.exists():
         shutil.rmtree(tmp)
     tmp.mkdir(parents=True)
+    digests: dict[str, str] = {}
     try:
         arrays: dict[str, list] = {}
         offset = 0
-        with open(tmp / _ARRAYS_FILE, "wb") as fh:
+        digest = hashlib.sha256() if durable else None
+        with open(tmp / ARRAYS_FILE, "wb") as fh:
             for name, array in _snapshot_arrays(base):
                 array = np.ascontiguousarray(array)
-                padding = -offset % _ALIGN
-                fh.write(bytes(padding))
-                offset += padding
-                arrays[name] = [array.dtype.str, list(array.shape), offset]
+                padding = bytes(-offset % _ALIGN)
+                fh.write(padding)
                 fh.write(array.data)
+                if digest is not None:
+                    digest.update(padding)
+                    digest.update(array.data)
+                offset += len(padding)
+                arrays[name] = [array.dtype.str, list(array.shape), offset]
                 offset += array.nbytes
+            if digest is not None:
+                fh.flush()
+                os.fsync(fh.fileno())
+                digests[ARRAYS_FILE] = digest.hexdigest()
         raw = base.raw_dataset
-        stats = base.stats
+        bounds = base.normalization_bounds
         meta = {
             "format": SNAPSHOT_FORMAT,
-            "config": {
-                "similarity_threshold": base.config.similarity_threshold,
-                "min_length": base.config.min_length,
-                "max_length": base.config.max_length,
-                "step": base.config.step,
-                "normalize": base.config.normalize,
-            },
-            "stats": {
-                "subsequences": stats.subsequences,
-                "groups": stats.groups,
-                "lengths": stats.lengths,
-                "build_seconds": stats.build_seconds,
-                "per_length": [s.as_dict() for s in stats.per_length],
-            },
+            "config": {f: getattr(base.config, f) for f in _CONFIG_FIELDS},
+            "stats": asdict(base.stats),
             "dataset": {
                 "name": raw.name,
                 "series": [
@@ -180,38 +224,42 @@ def save_base_snapshot(base: OnexBase, directory: str | Path) -> Path:
                 ],
             },
             "channels": base.channels,
-            "norm_bounds": (
-                list(base.normalization_bounds)
-                if base.normalization_bounds is not None
-                else None
-            ),
+            "norm_bounds": list(bounds) if bounds is not None else None,
             "normalized_stored": base.dataset is not raw,
-            "lengths": list(base.lengths),
-            "rep_radius": {
-                str(length): base.bucket(length).rep_summary.radius
-                for length in base.lengths
-            },
+            "lengths": base.lengths,
+            "rep_radius": {str(b.length): b.rep_summary.radius for b in base.buckets()},
             "structure_fingerprint": base.structure_fingerprint(),
             "arrays": arrays,
+            "arrays_sha256": digests.get(ARRAYS_FILE),
         }
-        with open(tmp / "meta.json", "w") as fh:
-            fh.write(json.dumps(meta, sort_keys=True))
+        data = json.dumps(meta, sort_keys=True).encode()
+        with open(tmp / META_FILE, "wb") as fh:
+            fh.write(data)
             fh.flush()
             os.fsync(fh.fileno())
+        if durable:
+            digests[META_FILE] = hashlib.sha256(data).hexdigest()
+            persist.fsync_dir(tmp)
+        faults.fire("persist.save", path=str(tmp / ARRAYS_FILE))
         os.replace(tmp, final)
     except BaseException:
         shutil.rmtree(tmp, ignore_errors=True)
         raise
+    # The rename is atomic but not yet durable: the directory entry lives
+    # in the page cache until the parent directory itself is fsynced.
+    faults.fire("persist.rename", path=str(final))
     persist.fsync_dir(final.parent)
-    return final
+    return digests
 
 
 def _open_arrays(
-    directory: Path, index: dict, mmap_mode: str | None
+    directory: Path, meta: dict, mmap_mode: str | None, verify: bool
 ) -> Callable[[str], np.ndarray]:
     """Map (or, with ``mmap_mode=None``, read) ``arrays.bin``; returns the
-    lookup ``name -> array`` over it, each array a view of the one buffer."""
-    path = directory / _ARRAYS_FILE
+    lookup ``name -> array`` over it, each array a view of the one buffer.
+    *verify* first checks the whole file against the recorded sha256."""
+    path = directory / ARRAYS_FILE
+    index = meta["arrays"]
     try:
         if mmap_mode is None:
             blob = np.fromfile(path, dtype=np.uint8)
@@ -223,11 +271,20 @@ def _open_arrays(
         raise PersistenceError(
             f"snapshot arrays {path} are missing or unreadable: {exc}"
         ) from exc
+    recorded = meta.get("arrays_sha256")
+    if verify and recorded is not None and hashlib.sha256(blob).hexdigest() != recorded:
+        raise PersistenceError(
+            f"snapshot arrays {path} failed their sha256 (truncated or tampered with)"
+        )
 
     def array(name: str) -> np.ndarray:
         try:
             dtype, shape, offset = index[name]
             dtype = np.dtype(dtype)
+            if dtype.kind not in "fiu":  # no object/void/str from a hostile meta
+                raise ValueError(f"dtype {dtype} is not numeric")
+            if min(shape, default=0) < 0:
+                raise ValueError(f"negative dimension in shape {shape}")
             stop = offset + dtype.itemsize * math.prod(shape)
             if not 0 <= offset <= stop <= blob.shape[0]:
                 raise ValueError(f"bytes {offset}..{stop} of {blob.shape[0]}")
@@ -253,12 +310,22 @@ def load_base_snapshot(
     write-protected memory map, the base is **read-only** (mutations
     raise) and its groups are materialised on demand; pass
     ``mmap_mode=None`` to read a private writable copy instead.
-    *verify* recomputes the structure fingerprint against the stored one
-    — it touches every page, so it is off by default (cold start stays
-    an mmap) and turned on by tests and offline integrity checks.
+    *verify* checks ``arrays.bin`` against the sha256 a durable write
+    recorded and recomputes the structure fingerprint against the stored
+    one — it touches every page, so it is off by default (epoch attach
+    stays an mmap; a checkpoint's files are hash-checked against the
+    manifest before they get here) and on for :meth:`OnexBase.load`.
+    Anything but a readable snapshot of this ``SNAPSHOT_FORMAT`` raises
+    :class:`PersistenceError`.
     """
     directory = Path(directory)
-    meta_path = directory / "meta.json"
+    if directory.is_file():
+        raise PersistenceError(
+            f"{directory} is a file, not a snapshot directory: the .npz "
+            "archive formats (v2-v5) are no longer read and there is no "
+            "migration — rebuild the base and save it to a fresh path"
+        )
+    meta_path = directory / META_FILE
     try:
         with open(meta_path) as fh:
             meta = json.load(fh)
@@ -269,16 +336,27 @@ def load_base_snapshot(
     if not isinstance(meta, dict) or meta.get("format") != SNAPSHOT_FORMAT:
         found = meta.get("format") if isinstance(meta, dict) else meta
         raise PersistenceError(
-            f"snapshot {directory} has format {found!r}, "
-            f"expected {SNAPSHOT_FORMAT}"
+            f"snapshot {directory} has format {found!r}; only format "
+            f"{SNAPSHOT_FORMAT} is read (no migration: rebuild the base)"
         )
     try:
-        base = _attach(directory, meta, mmap_mode)
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        base = _attach(directory, meta, mmap_mode, verify)
+        fingerprint = meta["structure_fingerprint"]
+    except PersistenceError:
+        raise
+    except (
+        OnexError,
+        KeyError,
+        TypeError,
+        ValueError,
+        AttributeError,
+        IndexError,
+        OverflowError,
+    ) as exc:
         raise PersistenceError(
             f"snapshot meta {meta_path} is malformed: {exc!r}"
         ) from exc
-    if verify and base.structure_fingerprint() != meta["structure_fingerprint"]:
+    if verify and base.structure_fingerprint() != fingerprint:
         raise PersistenceError(
             f"snapshot {directory} failed its structure fingerprint "
             "(truncated or tampered with)"
@@ -286,21 +364,21 @@ def load_base_snapshot(
     return base, meta
 
 
-def _attach(directory: Path, meta: dict, mmap_mode: str | None) -> OnexBase:
+def _attach(
+    directory: Path, meta: dict, mmap_mode: str | None, verify: bool
+) -> OnexBase:
     """Assemble the base *meta* describes over the arrays of *directory*."""
-    array = _open_arrays(directory, meta["arrays"], mmap_mode)
+    array = _open_arrays(directory, meta, mmap_mode, verify)
     ds_meta = meta["dataset"]
+
+    def series(name: str, entry: dict) -> TimeSeries:
+        values = array(name)
+        values.flags.writeable = False  # as TimeSeries() guarantees, copy or not
+        return TimeSeries._wrap(entry["name"], values, entry.get("metadata") or {})
 
     def dataset(prefix: str) -> TimeSeriesDataset:
         return TimeSeriesDataset(
-            [
-                TimeSeries._wrap(
-                    entry["name"],
-                    array(f"{prefix}_{i}"),
-                    entry.get("metadata") or {},
-                )
-                for i, entry in enumerate(ds_meta["series"])
-            ],
+            [series(f"{prefix}_{i}", e) for i, e in enumerate(ds_meta["series"])],
             name=ds_meta["name"],
         )
 
@@ -311,40 +389,18 @@ def _attach(directory: Path, meta: dict, mmap_mode: str | None) -> OnexBase:
     buckets: dict[int, LengthBucket] = {}
     for length in meta["lengths"]:
         length = int(length)
-        prefix = f"len{length}"
+        stacks = [array(f"len{length}_{name}") for name in _BUCKET_ARRAYS]
         bucket = LengthBucket.attached(
-            length,
-            array(f"{prefix}_members"),
-            array(f"{prefix}_offsets"),
-            array(f"{prefix}_member_matrix"),
-            array(f"{prefix}_centroids"),
-            array(f"{prefix}_ed_radii"),
-            array(f"{prefix}_cheb_radii"),
-            channels=channels,
-            writable=not read_only,
+            length, *stacks[:6], channels=channels, writable=not read_only
         )
         bucket.attach_rep_summary(
             RepresentativeSummary.attached(
-                length,
-                int(meta["rep_radius"][str(length)]),
-                array(f"{prefix}_rep_env_lo"),
-                array(f"{prefix}_rep_env_hi"),
-                array(f"{prefix}_rep_endpoints"),
-                array(f"{prefix}_rep_minmax"),
+                length, int(meta["rep_radius"][str(length)]), *stacks[6:]
             )
         )
         buckets[length] = bucket
-    stats_meta = meta["stats"]
-    stats = BaseStats(
-        subsequences=stats_meta["subsequences"],
-        groups=stats_meta["groups"],
-        lengths=stats_meta["lengths"],
-        build_seconds=stats_meta["build_seconds"],
-        per_length=tuple(
-            LengthBuildStats(**entry)
-            for entry in stats_meta.get("per_length", ())
-        ),
-    )
+    stats = dict(meta["stats"])
+    stats["per_length"] = tuple(LengthBuildStats(**e) for e in stats["per_length"])
     norm_bounds = meta.get("norm_bounds")
     return OnexBase.from_attached(
         raw_dataset,
@@ -352,7 +408,7 @@ def _attach(directory: Path, meta: dict, mmap_mode: str | None) -> OnexBase:
         BuildConfig(**meta["config"]),
         tuple(norm_bounds) if norm_bounds is not None else None,
         buckets,
-        stats,
+        BaseStats(**stats),
         read_only=read_only,
     )
 

@@ -1,8 +1,8 @@
 """Crash-safe filesystem primitives shared by persistence layers.
 
-:meth:`repro.core.base.OnexBase.save` and the durability subsystem
-(:mod:`repro.durability`) all follow the same discipline when making a
-file durable:
+The snapshot writer (:mod:`repro.core.mmap_layout`) and the durability
+subsystem (:mod:`repro.durability`) follow the same discipline when
+making a file durable:
 
 1. write the complete content to a same-directory temp file,
 2. flush and ``fsync`` the temp file (its *bytes* are on stable storage),
@@ -27,13 +27,12 @@ from pathlib import Path
 
 __all__ = [
     "atomic_json_write",
-    "atomic_npz_write",
     "fsync_dir",
     "sha256_file",
 ]
 
 
-def fsync_dir(path) -> None:
+def fsync_dir(path: str | Path) -> None:
     """fsync the directory at *path* so renames inside it are durable."""
     try:
         fd = os.open(str(path), os.O_RDONLY)
@@ -45,13 +44,14 @@ def fsync_dir(path) -> None:
         os.close(fd)
 
 
-def _atomic_write(path: Path, write_fn) -> None:
-    """Temp-write / fsync / rename / dir-fsync around *write_fn(fh)*."""
+def atomic_json_write(path: str | Path, obj: object) -> None:
+    """Durably replace *path* with *obj* as JSON (see module docstring)."""
+    data = json.dumps(obj, indent=2, sort_keys=True, default=float).encode()
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "wb") as fh:
-            write_fn(fh)
+            fh.write(data)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -59,25 +59,12 @@ def _atomic_write(path: Path, write_fn) -> None:
         try:
             os.unlink(tmp)
         except OSError:
-            pass
+            pass  # the original error matters; leftovers are swept as *.tmp
         raise
     fsync_dir(path.parent)
 
 
-def atomic_json_write(path, obj) -> None:
-    """Durably replace *path* with *obj* as JSON (see module docstring)."""
-    data = json.dumps(obj, indent=2, sort_keys=True, default=float).encode()
-    _atomic_write(Path(path), lambda fh: fh.write(data))
-
-
-def atomic_npz_write(path, arrays: dict) -> None:
-    """Durably replace *path* with an uncompressed ``.npz`` of *arrays*."""
-    import numpy as np
-
-    _atomic_write(Path(path), lambda fh: np.savez(fh, **arrays))
-
-
-def sha256_file(path) -> str:
+def sha256_file(path: str | Path) -> str:
     """Content hash of one file, streamed in 1 MiB chunks."""
     digest = hashlib.sha256()
     with open(path, "rb") as fh:

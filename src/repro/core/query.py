@@ -375,9 +375,8 @@ class QueryProcessor:
         buckets = self._select_buckets(lengths)
         # Pre-warm everything worker threads would otherwise build
         # concurrently; afterwards the searches only read shared state.
-        for bucket in buckets:
-            bucket.ensure_member_matrix(self._base.dataset)
-            if self._config.use_rep_prefilter and not self._metric_scan:
+        if self._config.use_rep_prefilter and not self._metric_scan:
+            for bucket in buckets:
                 bucket.rep_summary
         if max_workers is None:
             max_workers = _usable_cpus()
@@ -662,7 +661,7 @@ class QueryProcessor:
         stop = 0
         for bucket, at, at_handles, owner in parts:
             start, stop = stop, stop + at.size
-            matrix = bucket.ensure_member_matrix(self._base.dataset)
+            matrix = bucket.member_matrix
             rows[start:stop, : matrix.shape[1]] = matrix[at]
             lengths[start:stop] = bucket.length
             handles[start:stop] = at_handles

@@ -222,7 +222,6 @@ def _profile_batched(
             continue
         max_path = qlen + length - 1
         min_path = max(qlen, length)
-        bucket.ensure_member_matrix(base.dataset)
         band = effective_band(qlen, length, window)
         cheap = bucket.rep_summary.cheap_bounds(q, band)
         # Conservative against the per-member transfer lower bound: the

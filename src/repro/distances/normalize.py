@@ -28,6 +28,10 @@ __all__ = [
 #: by a denormal spread and exploding round-off noise).
 _FLAT_EPS = 1e-12
 
+#: A running-sum variance below this fraction of the series' mean square
+#: per window is within reach of float64 cancellation error.
+_CANCELLATION_FLOOR = 1e-6
+
 
 def minmax_params(values) -> tuple[float, float]:
     """Return ``(lo, hi)`` bounds used for min–max scaling of *values*."""
@@ -108,7 +112,17 @@ def sliding_mean_std(values, window: int) -> tuple[np.ndarray, np.ndarray]:
     mean = totals / window
     # Clamp tiny negative round-off before the sqrt.
     var = np.maximum(squares / window - mean * mean, 0.0)
-    return mean, np.sqrt(var)
+    std = np.sqrt(var)
+    # The cumulative-sum differences cancel catastrophically for a window
+    # whose spread is tiny next to the series' magnitude (it would read as
+    # flat, or as noise): recompute those few windows two-pass, exactly as
+    # :func:`znormalize` does, so both agree on which windows are flat.
+    suspect = np.flatnonzero(var <= _CANCELLATION_FLOOR * csq[-1] / window)
+    if suspect.size:
+        windows = np.lib.stride_tricks.sliding_window_view(arr, window)[suspect]
+        mean[suspect] = windows.mean(axis=1)
+        std[suspect] = windows.std(axis=1)
+    return mean, std
 
 
 class RunningStats:

@@ -6,9 +6,9 @@ mutating slice of the API survive process death (see DESIGN.md §8):
 - :mod:`repro.durability.wal` — per-dataset append-only write-ahead log
   with CRC-per-record framing, group-commit fsync, and a torn-tail
   tolerant scanner;
-- :mod:`repro.durability.checkpoint` — periodic atomic checkpoints that
-  reuse :meth:`repro.core.base.OnexBase.save` plus a monitor/event-seq
-  manifest, after which the log is compacted;
+- :mod:`repro.durability.checkpoint` — periodic atomic checkpoints: a
+  durable snapshot directory (the writer :meth:`OnexBase.save` uses)
+  plus a monitor/event-seq manifest, after which the log is compacted;
 - :mod:`repro.durability.recovery` — restore each dataset from its
   latest valid checkpoint and replay the WAL tail;
 - :mod:`repro.durability.manager` — the per-server façade the service

@@ -3,35 +3,41 @@
 One dataset's durability directory holds::
 
     wal.log            the write-ahead log (repro.durability.wal)
-    base-<seq>.npz     OnexBase.save archive as of WAL seq <seq>
-    data-<seq>.npz     raw dataset snapshot (values + metadata) at <seq>
+    base-<seq>/        durable snapshot directory (repro.core.mmap_layout:
+                       arrays.bin + meta.json) of the base *and its
+                       dataset* as of WAL seq <seq>
     manifest.json      the commit point: list of checkpoint entries
 
 A checkpoint is *committed* by the atomic replace of ``manifest.json`` —
-until then the new ``base-<seq>``/``data-<seq>`` files are invisible
-garbage a crash can leave behind harmlessly.  The manifest retains the
-TWO newest entries: should the newest checkpoint's files turn out
-unreadable (bitrot, torn by an unsynced disk), recovery falls back to
-the previous entry and simply replays a longer WAL tail.  For the same
-reason the WAL is compacted only up to the *previous* checkpoint's seq.
+until then the new ``base-<seq>/`` is invisible garbage a crash can
+leave behind harmlessly (:func:`sweep_debris` removes it at the next
+attach or checkpoint).  The manifest retains the TWO
+newest entries: should the newest checkpoint's files turn out unreadable
+(bitrot, torn by an unsynced disk), recovery falls back to the previous
+entry and simply replays a longer WAL tail.  For the same reason the WAL
+is compacted only up to the *previous* checkpoint's seq.  A committed
+snapshot directory is never written to again and is deleted only after
+the manifest that drops it has been committed.
 
-Each entry records a sha256 per artifact so recovery can *prove* an
-entry valid before trusting it, the monitor/event-seq snapshot, and the
-stream counters — everything :func:`repro.durability.recovery` needs to
-reconstruct the serving state at that WAL position.
+Each entry names the snapshot's two files (``base_file`` its
+``arrays.bin``, ``data_file`` its ``meta.json``, relative to the
+durability directory) with a sha256 apiece — taken while writing — so
+recovery can *prove* an entry valid before trusting it, plus the
+monitor/event-seq snapshot and the stream counters: everything
+:func:`repro.durability.recovery` needs to reconstruct the serving state
+at that WAL position.
 """
 
 from __future__ import annotations
 
+import json
+import shutil
 import time
 from pathlib import Path
 
-import numpy as np
-
 from repro.core.base import OnexBase
-from repro.core.persist import atomic_json_write, atomic_npz_write, sha256_file
-from repro.data.dataset import TimeSeriesDataset
-from repro.data.timeseries import TimeSeries
+from repro.core.mmap_layout import ARRAYS_FILE, META_FILE, load_base_snapshot
+from repro.core.persist import atomic_json_write, sha256_file
 from repro.exceptions import PersistenceError
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import span
@@ -41,11 +47,14 @@ __all__ = [
     "latest_valid_checkpoint",
     "load_checkpoint",
     "read_manifest",
+    "sweep_debris",
     "write_checkpoint",
 ]
 
 MANIFEST_NAME = "manifest.json"
-MANIFEST_FORMAT = 1
+#: Format 2: entries point into ``base-<seq>/`` snapshot directories
+#: (format 1 named a ``base-<seq>.npz`` + ``data-<seq>.npz`` pair).
+MANIFEST_FORMAT = 2
 KEEP_CHECKPOINTS = 2
 
 _CHECKPOINTS_TOTAL = REGISTRY.counter(
@@ -56,48 +65,15 @@ _CHECKPOINT_SECONDS = REGISTRY.gauge(
 )
 
 
-def _save_dataset_snapshot(path: Path, dataset: TimeSeriesDataset) -> None:
-    """Write the *raw* dataset (values + metadata) as one npz, atomically."""
-    import json
-
-    arrays = {
-        f"series_{i}": series.values for i, series in enumerate(dataset)
-    }
-    meta = {
-        "name": dataset.name,
-        "series": [
-            {"name": s.name, "metadata": dict(s.metadata)} for s in dataset
-        ],
-    }
-    arrays["meta"] = np.array(json.dumps(meta, sort_keys=True))
-    atomic_npz_write(path, arrays)
-
-
-def _load_dataset_snapshot(path: Path) -> TimeSeriesDataset:
-    import json
-
-    with np.load(path, allow_pickle=False) as archive:
-        meta = json.loads(str(archive["meta"]))
-        series = [
-            TimeSeries(
-                entry["name"],
-                archive[f"series_{i}"],
-                entry.get("metadata") or None,
-            )
-            for i, entry in enumerate(meta["series"])
-        ]
-    return TimeSeriesDataset(series, name=meta["name"])
-
-
-def read_manifest(directory) -> dict | None:
+def read_manifest(directory: str | Path) -> dict | None:
     """The parsed manifest of *directory*, or None when absent/garbled.
 
     A garbled manifest is treated as "no checkpoints" rather than an
     error: the WAL still holds the full history from seq 0 until the
-    first compaction, and recovery reports the condition.
+    first compaction, and recovery reports the condition.  A readable
+    manifest of another ``MANIFEST_FORMAT`` — a data dir written before
+    checkpoints became snapshot directories — is refused by name.
     """
-    import json
-
     path = Path(directory) / MANIFEST_NAME
     try:
         with open(path) as fh:
@@ -106,11 +82,50 @@ def read_manifest(directory) -> dict | None:
         return None
     if not isinstance(manifest, dict) or "checkpoints" not in manifest:
         return None
+    if manifest.get("format") != MANIFEST_FORMAT:
+        raise PersistenceError(
+            f"checkpoint manifest {path} has format {manifest.get('format')!r}; "
+            f"only format {MANIFEST_FORMAT} (snapshot-directory checkpoints) is "
+            "read and .npz checkpoints are not migrated — reload the dataset "
+            "into a fresh data dir"
+        )
     return manifest
 
 
+def _snapshot_dir(entry: dict) -> str:
+    """Name of the snapshot directory a manifest *entry* points into."""
+    return Path(entry["base_file"]).parts[0]
+
+
+def sweep_debris(directory: str | Path) -> list[str]:
+    """Remove what a crash between writing and committing left behind.
+
+    Every ``*.tmp`` and every ``base-*`` that no committed manifest entry
+    names (a later checkpoint at the same seq would collide with it).
+    Nothing is touched while a manifest exists but cannot be read.
+    Returns the removed names.
+    """
+    directory = Path(directory)
+    manifest = read_manifest(directory)
+    if manifest is None and (directory / MANIFEST_NAME).exists():
+        return []
+    committed = {_snapshot_dir(c) for c in (manifest or {}).get("checkpoints", [])}
+    removed = []
+    for entry in sorted(directory.iterdir()):
+        name = entry.name
+        if name.endswith(".tmp") or (
+            name.startswith("base-") and name not in committed
+        ):
+            if entry.is_dir():
+                shutil.rmtree(entry, ignore_errors=True)
+            else:
+                entry.unlink(missing_ok=True)
+            removed.append(name)
+    return removed
+
+
 def write_checkpoint(
-    directory,
+    directory: str | Path,
     base: OnexBase,
     *,
     wal_seq: int,
@@ -125,54 +140,48 @@ def write_checkpoint(
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     started = time.monotonic()
-    base_file = f"base-{wal_seq}.npz"
-    data_file = f"data-{wal_seq}.npz"
+    state = stream_state or {}
     with span("wal.checkpoint", wal_seq=wal_seq):
-        base.save(directory / base_file)
-        _save_dataset_snapshot(directory / data_file, base.raw_dataset)
-        entry = {
-            "seq": int(wal_seq),
-            "base_file": base_file,
-            "data_file": data_file,
-            "base_sha256": sha256_file(directory / base_file),
-            "data_sha256": sha256_file(directory / data_file),
-            "event_seq": int((stream_state or {}).get("event_seq", 0)),
-            "monitors": list((stream_state or {}).get("monitors", [])),
-            "stream_counters": dict(
-                (stream_state or {}).get("stream_counters", {})
-            ),
-            "created": time.time(),
-        }
+        sweep_debris(directory)
         manifest = read_manifest(directory) or {
             "format": MANIFEST_FORMAT,
             "dataset": base.raw_dataset.name,
             "checkpoints": [],
         }
-        checkpoints = [
-            c for c in manifest["checkpoints"] if c["seq"] != entry["seq"]
-        ]
-        checkpoints.append(entry)
+        previous = manifest["checkpoints"]
+        name = f"base-{wal_seq}"
+        if name in map(_snapshot_dir, previous):
+            # Re-checkpointing an unchanged WAL position: the committed
+            # directory stays untouched until its successor is committed.
+            name += ".1"
+        digests = base.save(directory / name)
+        entry = {
+            "seq": int(wal_seq),
+            "base_file": f"{name}/{ARRAYS_FILE}",
+            "data_file": f"{name}/{META_FILE}",
+            "base_sha256": digests[ARRAYS_FILE],
+            "data_sha256": digests[META_FILE],
+            "event_seq": int(state.get("event_seq", 0)),
+            "monitors": list(state.get("monitors", [])),
+            "stream_counters": dict(state.get("stream_counters", {})),
+            "created": time.time(),
+        }
+        checkpoints = [c for c in previous if c["seq"] != entry["seq"]] + [entry]
         checkpoints.sort(key=lambda c: c["seq"])
-        retained = checkpoints[-KEEP_CHECKPOINTS:]
-        dropped = checkpoints[:-KEEP_CHECKPOINTS]
-        manifest["checkpoints"] = retained
+        manifest["checkpoints"] = checkpoints[-KEEP_CHECKPOINTS:]
         manifest_path = directory / MANIFEST_NAME
         faults.fire("checkpoint.manifest", path=str(manifest_path))
         atomic_json_write(manifest_path, manifest)
-        # Only after the manifest commit are superseded artifacts garbage.
-        for old in dropped:
-            for name in (old.get("base_file"), old.get("data_file")):
-                if name:
-                    try:
-                        (directory / name).unlink()
-                    except OSError:
-                        pass
+        # Only after the manifest commit are superseded snapshots garbage.
+        for old in previous:
+            if old not in manifest["checkpoints"]:
+                shutil.rmtree(directory / _snapshot_dir(old), ignore_errors=True)
     _CHECKPOINTS_TOTAL.inc()
     _CHECKPOINT_SECONDS.set(time.monotonic() - started)
     return entry
 
 
-def latest_valid_checkpoint(directory) -> dict | None:
+def latest_valid_checkpoint(directory: str | Path) -> dict | None:
     """Newest manifest entry whose artifacts exist and hash-verify.
 
     Falls back entry by entry (newest first); None when no entry
@@ -186,26 +195,19 @@ def latest_valid_checkpoint(directory) -> dict | None:
         manifest["checkpoints"], key=lambda c: c["seq"], reverse=True
     ):
         try:
-            ok = sha256_file(directory / entry["base_file"]) == entry[
-                "base_sha256"
-            ] and sha256_file(directory / entry["data_file"]) == entry[
-                "data_sha256"
-            ]
+            if all(
+                sha256_file(directory / entry[f"{k}_file"]) == entry[f"{k}_sha256"]
+                for k in ("base", "data")
+            ):
+                return entry
         except OSError:
-            ok = False
-        if ok:
-            return entry
+            continue  # a file is missing: fall back to the previous entry
     return None
 
 
-def load_checkpoint(directory, entry: dict) -> tuple[TimeSeriesDataset, OnexBase]:
-    """Materialise one verified checkpoint entry into (dataset, base)."""
-    directory = Path(directory)
-    dataset = _load_dataset_snapshot(directory / entry["data_file"])
-    try:
-        base = OnexBase.load(directory / entry["base_file"], dataset)
-    except Exception as exc:
-        raise PersistenceError(
-            f"checkpoint {entry['base_file']} failed to load: {exc}"
-        ) from exc
-    return dataset, base
+def load_checkpoint(directory: str | Path, entry: dict) -> OnexBase:
+    """Materialise one verified checkpoint entry: a private writable base
+    over the snapshot's own dataset.  The bytes were hash-checked by
+    :func:`latest_valid_checkpoint`; the load verifies nothing again."""
+    path = Path(directory) / _snapshot_dir(entry)
+    return load_base_snapshot(path, mmap_mode=None)[0]

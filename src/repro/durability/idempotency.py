@@ -40,7 +40,7 @@ class IdempotencyWindow:
         with self._lock:
             return len(self._entries)
 
-    def lookup(self, request_id: str | None):
+    def lookup(self, request_id: str | None) -> object | None:
         """The recorded response for *request_id*, or None."""
         if not request_id:
             return None
@@ -51,7 +51,7 @@ class IdempotencyWindow:
                 self._entries.move_to_end(request_id)
             return entry
 
-    def record(self, request_id: str | None, response) -> None:
+    def record(self, request_id: str | None, response: object | None) -> None:
         """Remember *response* as the outcome of *request_id*."""
         if not request_id or response is None:
             return

@@ -6,8 +6,7 @@ The service layer talks to a single :class:`DurabilityManager` rooted at
     <data-dir>/<slug>/
         dataset.json     identity file: the (unslugged) dataset name
         wal.log          write-ahead log
-        base-<seq>.npz   checkpoint artifacts (see checkpoint.py)
-        data-<seq>.npz
+        base-<seq>/      checkpoint snapshot directories (see checkpoint.py)
         manifest.json
 
 The slug is the dataset name with non-``[A-Za-z0-9._-]`` characters
@@ -30,9 +29,10 @@ import shutil
 import threading
 from pathlib import Path
 
+from repro.core.base import OnexBase
 from repro.core.persist import atomic_json_write
 from repro.durability import checkpoint as checkpoint_mod
-from repro.durability.wal import WalScanResult, WriteAheadLog
+from repro.durability.wal import WalRecord, WalScanResult, WriteAheadLog
 from repro.exceptions import PersistenceError
 from repro.obs.logs import get_logger, log_event
 from repro.obs.metrics import REGISTRY
@@ -73,13 +73,15 @@ class DatasetDurability:
         self.checkpoint_seq = checkpoint_seq
         self.appends_since_checkpoint = 0
 
-    def log(self, op: str, params: dict, request_id: str | None = None):
+    def log(
+        self, op: str, params: dict, request_id: str | None = None
+    ) -> WalRecord:
         record = self.wal.append(op, params, request_id)
         self.appends_since_checkpoint += 1
         _WAL_SIZE.set(self.wal.size())
         return record
 
-    def checkpoint(self, base, stream_state: dict | None = None) -> dict:
+    def checkpoint(self, base: OnexBase, stream_state: dict | None = None) -> dict:
         """Commit a checkpoint at the current WAL position; compact.
 
         The WAL is fsynced first so the manifest never claims coverage
@@ -93,10 +95,8 @@ class DatasetDurability:
             wal_seq=self.wal.last_seq,
             stream_state=stream_state,
         )
-        manifest = checkpoint_mod.read_manifest(self.directory)
-        retained = [c["seq"] for c in (manifest or {}).get("checkpoints", [])]
-        keep_after = min(retained) if retained else 0
-        freed = self.wal.compact(keep_after)
+        retained = checkpoint_mod.read_manifest(self.directory)["checkpoints"]
+        freed = self.wal.compact(min(c["seq"] for c in retained))
         self.checkpoint_seq = entry["seq"]
         self.appends_since_checkpoint = 0
         _WAL_SIZE.set(self.wal.size())
@@ -127,7 +127,7 @@ class DurabilityManager:
 
     def __init__(
         self,
-        data_dir,
+        data_dir: str | Path,
         *,
         wal_sync: str = "interval",
         wal_sync_interval_ms: float = 50.0,
@@ -150,12 +150,17 @@ class DurabilityManager:
         empty; an existing directory (recovery) yields the tail to
         replay.  The identity file is (re)written before any append so
         recovery can always map the directory back to its dataset.
+        Crash debris (temp files, uncommitted snapshot directories) is
+        swept first; a manifest of another format is refused before
+        anything is touched.  ``checkpoint_seq`` starts at 0: recovery
+        sets it from the entry it verified, a load from its checkpoint.
         """
         with self._lock:
             if name in self._datasets:
                 raise PersistenceError(f"dataset {name!r} already attached")
             directory = self.data_dir / dataset_slug(name)
             directory.mkdir(parents=True, exist_ok=True)
+            checkpoint_mod.sweep_debris(directory)
             atomic_json_write(directory / IDENTITY_NAME, {"dataset": name})
             wal = WriteAheadLog(
                 directory / "wal.log",
@@ -163,13 +168,7 @@ class DurabilityManager:
                 interval_ms=self.wal_sync_interval_ms,
             )
             scan = wal.open()
-            entry = checkpoint_mod.latest_valid_checkpoint(directory)
-            handle = DatasetDurability(
-                name,
-                directory,
-                wal,
-                checkpoint_seq=entry["seq"] if entry else 0,
-            )
+            handle = DatasetDurability(name, directory, wal)
             self._datasets[name] = handle
             return handle, scan
 
@@ -189,13 +188,17 @@ class DurabilityManager:
 
     # -- hooks the service calls --------------------------------------
 
-    def log(self, name: str, op: str, params: dict, request_id: str | None):
+    def log(
+        self, name: str, op: str, params: dict, request_id: str | None
+    ) -> WalRecord:
         handle = self.get(name)
         if handle is None:
             raise PersistenceError(f"dataset {name!r} has no durability state")
         return handle.log(op, params, request_id)
 
-    def maybe_checkpoint(self, name: str, base, stream_state=None) -> dict | None:
+    def maybe_checkpoint(
+        self, name: str, base: OnexBase, stream_state: dict | None = None
+    ) -> dict | None:
         """Checkpoint when the append-count cadence says so."""
         handle = self.get(name)
         if handle is None:

@@ -30,9 +30,13 @@ replayed (the WAL stores deltas, not a base) — it is reported in
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
+from repro.core.engine import OnexEngine
 from repro.durability import checkpoint as checkpoint_mod
+from repro.durability.manager import DurabilityManager
+from repro.durability.wal import WalRecord
 from repro.exceptions import PersistenceError
 from repro.obs.logs import get_logger, log_event
 from repro.obs.metrics import REGISTRY
@@ -42,6 +46,9 @@ from repro.testing import faults
 __all__ = ["RecoveryReport", "recover_all"]
 
 _LOGGER = get_logger("durability")
+
+#: ``hook(dataset_name, wal_record)`` — the service's replay / mark callbacks.
+_Hook = Callable[[str, WalRecord], object]
 
 _REPLAYED_TOTAL = REGISTRY.counter(
     "onex_recovery_replayed_records_total", "WAL records replayed at recovery"
@@ -78,7 +85,12 @@ class RecoveryReport:
         }
 
 
-def recover_all(manager, engine, apply, mark=None) -> RecoveryReport:
+def recover_all(
+    manager: DurabilityManager,
+    engine: OnexEngine,
+    apply: _Hook,
+    mark: _Hook | None = None,
+) -> RecoveryReport:
     """Restore every stored dataset into *engine* (see module docstring).
 
     *apply* is ``apply(dataset_name, record)`` — the service's replay
@@ -129,7 +141,13 @@ def recover_all(manager, engine, apply, mark=None) -> RecoveryReport:
     return report
 
 
-def _recover_one(manager, engine, apply, mark, name: str) -> dict:
+def _recover_one(
+    manager: DurabilityManager,
+    engine: OnexEngine,
+    apply: _Hook,
+    mark: _Hook | None,
+    name: str,
+) -> dict:
     # Chaos hook: the recovery x serving interleaving tests stretch this
     # window (sleep) to observe /ready=false + clean 503s mid-recovery,
     # or fail one dataset (raise) to observe degraded partial recovery.
@@ -140,9 +158,9 @@ def _recover_one(manager, engine, apply, mark, name: str) -> dict:
         raise PersistenceError(
             f"dataset {name!r} has no valid checkpoint to restore from"
         )
-    dataset, base = checkpoint_mod.load_checkpoint(handle.directory, entry)
+    base = checkpoint_mod.load_checkpoint(handle.directory, entry)
     engine.restore_dataset(
-        dataset,
+        base.raw_dataset,
         base,
         monitors=entry.get("monitors", ()),
         event_seq=entry.get("event_seq", 0),

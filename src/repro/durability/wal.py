@@ -111,7 +111,7 @@ class WalScanResult:
         return self.records[-1].seq if self.records else 0
 
 
-def scan(path) -> WalScanResult:
+def scan(path: str | Path) -> WalScanResult:
     """Read every valid record of the log at *path* (torn-tail tolerant).
 
     Raises :class:`PersistenceError` only for damage that cannot be a
@@ -159,7 +159,7 @@ class WriteAheadLog:
 
     def __init__(
         self,
-        path,
+        path: str | Path,
         *,
         sync: str = "interval",
         interval_ms: float = 50.0,
@@ -212,7 +212,7 @@ class WriteAheadLog:
                     try:
                         os.fsync(self._fh.fileno())
                     except OSError:
-                        pass
+                        pass  # closing anyway; the next open rescans the tail
                 self._fh.close()
                 self._fh = None
 
@@ -318,7 +318,7 @@ class WriteAheadLog:
                 try:
                     os.unlink(tmp)
                 except OSError:
-                    pass
+                    pass  # the original error matters; attach sweeps *.tmp
                 raise
             fsync_dir(self.path.parent)
             self._fh.close()

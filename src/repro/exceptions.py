@@ -72,12 +72,13 @@ class DeadlineExceeded(OnexError):
 
 
 class PersistenceError(OnexError):
-    """Raised when a persisted base archive is truncated, tampered with,
+    """Raised when a persisted base snapshot is truncated, tampered with,
     or otherwise unreadable.
 
-    Wraps the varied zipfile/numpy surface of a corrupt ``.npz`` into one
-    typed error; a checksum mismatch (content tampering the zip layer
-    cannot see) raises it too.  A missing file stays ``FileNotFoundError``.
+    The one error of the on-disk reader (:mod:`repro.core.mmap_layout`)
+    and the checkpoint manifest: a missing path, hostile ``meta.json``
+    entries, a hash mismatch, a ``.npz`` archive or another format all
+    raise it; so does saving onto a path that already exists.
     """
 
 

@@ -10,7 +10,7 @@ loads archive-format files.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import asdict, replace
 from typing import TYPE_CHECKING, Any
 
 from repro.core.config import QueryConfig
@@ -460,7 +460,7 @@ class OnexService:
         info["compaction_ratio"] = stats.compaction_ratio
         info["series_names"] = self._engine.base(name).dataset.names
         info["build_seconds"] = stats.build_seconds
-        info["per_length"] = [s.as_dict() for s in stats.per_length]
+        info["per_length"] = [asdict(s) for s in stats.per_length]
         # Live structure fingerprint (unlike the engine's load-time
         # snapshot): the determinism handle the durability chaos suite
         # compares across a crash/recover boundary.

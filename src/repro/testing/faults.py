@@ -47,10 +47,11 @@ Registered failpoint names (kept in sync with the call sites):
 - ``sensitivity.bucket`` — per length bucket of the similarity profile;
 - ``build.shard`` — inside each per-length build shard (worker side);
 - ``build.merge`` — per merged shard payload (parent side);
-- ``persist.save`` — between writing the temp archive and renaming it
-  into place (receives ``path``);
-- ``persist.rename`` — after the rename, before the directory fsync that
-  makes it durable (receives ``path``);
+- ``persist.save`` — in the snapshot writer, between writing (and
+  fsyncing) the ``<dir>.tmp`` directory and renaming it into place
+  (receives the temp ``arrays.bin`` as ``path``);
+- ``persist.rename`` — after the rename, before the parent-directory
+  fsync that makes it durable (receives the final directory as ``path``);
 - ``stream.step`` — per window assignment in the monitor step loop;
 - ``server.handle`` — around request dispatch in the HTTP handler;
 - ``wal.append`` — before a WAL record's bytes are written (receives
@@ -60,8 +61,9 @@ Registered failpoint names (kept in sync with the call sites):
   natural target for ``torn-tail``);
 - ``wal.fsync`` — immediately before the WAL file is fsynced (receives
   ``path``);
-- ``checkpoint.manifest`` — after checkpoint artifacts are written,
-  before the manifest rename commits them (receives ``path``);
+- ``checkpoint.manifest`` — after the checkpoint's ``base-<seq>/``
+  snapshot is written, before the manifest replace commits it (receives
+  the manifest ``path``);
 - ``recovery.dataset`` — at the top of each dataset's recovery pass
   (receives ``dataset``); ``sleep`` stretches the not-ready window for
   the recovery x serving tests, ``raise`` degrades one dataset;

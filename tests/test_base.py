@@ -8,7 +8,12 @@ from repro.core.config import BuildConfig
 from repro.data.dataset import TimeSeriesDataset
 from repro.data.matters import build_matters_collection
 from repro.data.timeseries import TimeSeries
-from repro.exceptions import DatasetError, NotBuiltError, ValidationError
+from repro.exceptions import (
+    DatasetError,
+    NotBuiltError,
+    PersistenceError,
+    ValidationError,
+)
 
 
 @pytest.fixture(scope="module")
@@ -126,9 +131,9 @@ class TestBuild:
 
 class TestPersistence:
     def test_save_load_round_trip(self, built_base, small_dataset, tmp_path):
-        path = tmp_path / "base.npz"
+        path = tmp_path / "base"
         built_base.save(path)
-        loaded = OnexBase.load(path, small_dataset)
+        loaded = OnexBase.load(path)
         assert loaded.lengths == built_base.lengths
         assert loaded.stats.groups == built_base.stats.groups
         for length in built_base.lengths:
@@ -141,11 +146,31 @@ class TestPersistence:
         loaded.validate()
 
     def test_load_rejects_wrong_dataset(self, built_base, tmp_path):
-        path = tmp_path / "base.npz"
+        """A snapshot carries its own dataset; one whose arrays were
+        swapped for another dataset's is refused, not silently bound."""
+        path = tmp_path / "base"
         built_base.save(path)
-        other = TimeSeriesDataset([TimeSeries("x", [1.0, 2.0, 3.0, 4.0, 5.0] * 3)])
-        with pytest.raises(DatasetError, match="does not match"):
-            OnexBase.load(path, other)
+        other = OnexBase(
+            TimeSeriesDataset([TimeSeries("x", [1.0, 2.0, 3.0, 4.0, 5.0] * 3)]),
+            built_base.config,
+        )
+        other.build()
+        other.save(tmp_path / "other")
+        (tmp_path / "other" / "arrays.bin").replace(path / "arrays.bin")
+        with pytest.raises(PersistenceError):
+            OnexBase.load(path)
+
+    def test_loaded_base_carries_its_dataset(self, built_base, small_dataset, tmp_path):
+        built_base.save(tmp_path / "base")
+        loaded = OnexBase.load(tmp_path / "base")
+        assert loaded.raw_dataset.name == small_dataset.name
+        assert loaded.raw_dataset.names == small_dataset.names
+        for a, b in zip(loaded.raw_dataset, small_dataset):
+            assert np.array_equal(a.values, b.values)
+        for a, b in zip(loaded.dataset, built_base.dataset):
+            assert np.array_equal(a.values, b.values)
+        assert loaded.normalization_bounds == built_base.normalization_bounds
+        assert not loaded.read_only
 
     def test_save_unbuilt_raises(self, small_dataset, tmp_path):
         base = OnexBase(
@@ -153,7 +178,7 @@ class TestPersistence:
             BuildConfig(similarity_threshold=0.1, min_length=4, max_length=6),
         )
         with pytest.raises(NotBuiltError):
-            base.save(tmp_path / "nope.npz")
+            base.save(tmp_path / "nope")
 
 
 class TestBuildConfigValidation:

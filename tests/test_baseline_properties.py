@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.paa_index import PaaIndex, paa_transform
@@ -74,6 +74,13 @@ def test_spring_finds_the_global_optimum(pattern, stream):
 @given(
     st.lists(values, min_size=4, max_size=8),
     st.lists(st.lists(values, min_size=10, max_size=16), min_size=1, max_size=3),
+)
+@example(
+    # The window [0, 0, 0, 7.8e-11] has spread ~3e-11: not flat to the
+    # two-pass ``znormalize``, but the running sums (which have 1s behind
+    # them) used to cancel it to exactly 0 and call it flat.
+    query=[-1.0, 0.0, -1.0, 0.0],
+    arrays=[[0.0] * 10, [0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 7.8e-11]],
 )
 def test_ucr_suite_returns_true_minimum(query, arrays):
     dataset = TimeSeriesDataset(

@@ -12,7 +12,6 @@ Three layers of guarantees are pinned here:
   from before the matrices were stored).
 """
 
-import json
 import math
 
 import numpy as np
@@ -273,37 +272,14 @@ class TestRefinementEquivalence:
 
 class TestMemberMatrixPersistence:
     def test_round_trip_preserves_member_matrix(self, random_base, tmp_path):
-        path = tmp_path / "base.npz"
+        path = tmp_path / "base"
         random_base.save(path)
-        loaded = OnexBase.load(path, random_base.raw_dataset)
+        loaded = OnexBase.load(path)
         for length in random_base.lengths:
             a = random_base.bucket(length)
             b = loaded.bucket(length)
             assert np.array_equal(a.member_matrix, b.member_matrix)
             assert np.array_equal(a.member_offsets, b.member_offsets)
-
-    def test_legacy_archive_without_member_matrix(self, random_base, tmp_path):
-        """Archives from before the matrices were persisted still load."""
-        path = tmp_path / "base.npz"
-        random_base.save(path)
-        stripped = tmp_path / "legacy.npz"
-        with np.load(path, allow_pickle=False) as archive:
-            kept = {
-                name: archive[name]
-                for name in archive.files
-                if not name.endswith("_member_matrix")
-            }
-        # A real pre-v2 archive predates the content checksum too.
-        meta = json.loads(str(kept["meta"]))
-        meta.pop("content_checksum", None)
-        kept["meta"] = np.array(json.dumps(meta))
-        np.savez_compressed(stripped, **kept)
-        loaded = OnexBase.load(stripped, random_base.raw_dataset)
-        for length in random_base.lengths:
-            assert np.array_equal(
-                random_base.bucket(length).member_matrix,
-                loaded.bucket(length).member_matrix,
-            )
 
     def test_member_rows_match_dataset_values(self, random_base):
         for bucket in random_base.buckets():

@@ -217,7 +217,6 @@ class TestParallelBuild:
             == process.structure_fingerprint()
             == threads.structure_fingerprint()
         )
-        assert serial._fingerprint() == process._fingerprint()
         assert serial.stats.subsequences == process.stats.subsequences
         assert serial.stats.groups == process.stats.groups
         assert serial.stats.lengths == process.stats.lengths
@@ -231,23 +230,23 @@ class TestParallelBuild:
     def test_parallel_build_saves_and_loads_like_serial(self, tmp_path):
         serial = built(walks(33))
         parallel = built(walks(33), num_workers=3)
-        serial.save(tmp_path / "serial.npz")
-        parallel.save(tmp_path / "parallel.npz")
-        loaded_serial = OnexBase.load(tmp_path / "serial.npz", walks(33))
-        loaded_parallel = OnexBase.load(tmp_path / "parallel.npz", walks(33))
+        serial.save(tmp_path / "serial")
+        parallel.save(tmp_path / "parallel")
+        loaded_serial = OnexBase.load(tmp_path / "serial")
+        loaded_parallel = OnexBase.load(tmp_path / "parallel")
         assert (
             loaded_serial.structure_fingerprint()
             == loaded_parallel.structure_fingerprint()
             == serial.structure_fingerprint()
         )
-        # The archives themselves are interchangeable modulo timings.
+        # The snapshots themselves are interchangeable modulo timings.
         assert loaded_parallel.config == loaded_serial.config
         loaded_parallel.validate()
 
     def test_num_workers_not_persisted(self, tmp_path):
         parallel = built(walks(34), num_workers=4)
-        parallel.save(tmp_path / "base.npz")
-        loaded = OnexBase.load(tmp_path / "base.npz", walks(34))
+        parallel.save(tmp_path / "base")
+        loaded = OnexBase.load(tmp_path / "base")
         assert loaded.config.num_workers == 1
 
     def test_invalid_scheduling_config_rejected(self):
@@ -270,8 +269,8 @@ class TestPerLengthTelemetry:
 
     def test_breakdown_round_trips_through_save(self, tmp_path):
         base = built(walks(42))
-        base.save(tmp_path / "base.npz")
-        loaded = OnexBase.load(tmp_path / "base.npz", walks(42))
+        base.save(tmp_path / "base")
+        loaded = OnexBase.load(tmp_path / "base")
         assert loaded.stats.per_length == base.stats.per_length
 
     def test_incremental_ingestion_updates_breakdown(self):
@@ -368,9 +367,9 @@ class TestStridedStep:
     ):
         from repro.core.config import QueryConfig
 
-        path = tmp_path / "strided.npz"
+        path = tmp_path / "strided"
         strided_base.save(path)
-        loaded = OnexBase.load(path, walks(55, sizes=(30, 26, 22)))
+        loaded = OnexBase.load(path)
         assert loaded.config.step == 3
         assert (
             loaded.structure_fingerprint()
@@ -394,26 +393,3 @@ class TestStridedStep:
         assert (
             serial.structure_fingerprint() == parallel.structure_fingerprint()
         )
-
-
-# ----------------------------------------------------------------------
-# Member-matrix rebuild path (pre-v2 archives)
-# ----------------------------------------------------------------------
-
-
-def test_ensure_member_matrix_strided_rebuild_matches_values():
-    from repro.core.base import LengthBucket
-
-    base = built(walks(61))
-    for length in base.lengths:
-        bucket = base.bucket(length)
-        rebuilt = LengthBucket(length, list(bucket.groups), None)
-        matrix = rebuilt.ensure_member_matrix(base.dataset)
-        expected = np.vstack(
-            [
-                base.dataset.values(ref)
-                for g in bucket.groups
-                for ref in g.members
-            ]
-        )
-        assert np.array_equal(matrix, expected)

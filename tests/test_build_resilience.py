@@ -14,7 +14,7 @@ import pytest
 from repro.core.base import OnexBase
 from repro.core.config import BuildConfig
 from repro.data.dataset import TimeSeriesDataset
-from repro.exceptions import BuildWorkerError
+from repro.exceptions import BuildWorkerError, PersistenceError
 from repro.testing import faults
 
 
@@ -82,29 +82,61 @@ class TestWorkerCrashRecovery:
                 base.build()
 
 
+def _tree_bytes(path):
+    return {f.name: f.read_bytes() for f in sorted(path.iterdir())}
+
+
 class TestCrashSafeSave:
+    """``save`` never touches an earlier save: it writes a ``.tmp``
+    sibling of a path that must not exist yet and renames it into place,
+    so a crash at any moment leaves earlier saves intact and loadable."""
+
     def test_torn_write_leaves_previous_archive_loadable(self, tmp_path):
-        dataset = _dataset()
-        base = OnexBase(dataset, _config())
+        base = OnexBase(_dataset(), _config())
         base.build()
-        path = tmp_path / "base.npz"
-        base.save(path)
-        good_bytes = path.read_bytes()
+        first = tmp_path / "base"
+        base.save(first)
+        good_bytes = _tree_bytes(first)
 
         with faults.inject("persist.save", "torn-write"):
             with pytest.raises(faults.FaultInjectedError, match="torn write"):
-                base.save(path)
+                base.save(tmp_path / "second")
 
-        # The torn temp file was cleaned up and never replaced the real
-        # archive, which still loads byte-for-byte.
+        # The torn temp directory was cleaned up and never became a
+        # snapshot; the earlier one still loads byte-for-byte.
+        assert list(tmp_path.iterdir()) == [first]
+        assert _tree_bytes(first) == good_bytes
+        reloaded = OnexBase.load(first)
+        assert reloaded.structure_fingerprint() == base.structure_fingerprint()
+
+    def test_save_onto_existing_path_is_refused_untouched(self, tmp_path):
+        base = OnexBase(_dataset(), _config())
+        base.build()
+        path = tmp_path / "base"
+        base.save(path)
+        good_bytes = _tree_bytes(path)
+        with pytest.raises(PersistenceError, match="already exists"):
+            base.save(path)
         assert list(tmp_path.iterdir()) == [path]
-        assert path.read_bytes() == good_bytes
-        reloaded = OnexBase.load(path, dataset)
+        assert _tree_bytes(path) == good_bytes
+
+    def test_crash_before_directory_fsync_leaves_complete_save(self, tmp_path):
+        """``persist.rename`` fires after the rename, before the parent
+        directory fsync: what is visible is a finished, loadable save."""
+        base = OnexBase(_dataset(), _config())
+        base.build()
+        path = tmp_path / "base"
+        with faults.inject("persist.rename", "raise"):
+            with pytest.raises(faults.FaultInjectedError):
+                base.save(path)
+        assert list(tmp_path.iterdir()) == [path]
+        reloaded = OnexBase.load(path)
         assert reloaded.structure_fingerprint() == base.structure_fingerprint()
 
     def test_successful_save_leaves_no_temp_file(self, tmp_path):
         base = OnexBase(_dataset(), _config())
         base.build()
-        path = tmp_path / "base.npz"
+        path = tmp_path / "base"
         base.save(path)
         assert list(tmp_path.iterdir()) == [path]
+        assert sorted(f.name for f in path.iterdir()) == ["arrays.bin", "meta.json"]

@@ -16,9 +16,11 @@ import pytest
 
 from repro.core.base import OnexBase
 from repro.core.config import BuildConfig
+from repro.core.persist import sha256_file
 from repro.data.dataset import TimeSeriesDataset
 from repro.durability import DurabilityManager, dataset_slug
 from repro.durability import checkpoint as cp
+from repro.exceptions import PersistenceError
 from repro.server.protocol import Request
 from repro.server.service import OnexService
 from repro.testing import faults
@@ -58,8 +60,8 @@ class TestCheckpointModule:
         assert entry["seq"] == 5 and entry["event_seq"] == 7
         picked = cp.latest_valid_checkpoint(tmp_path)
         assert picked == entry
-        dataset, loaded = cp.load_checkpoint(tmp_path, picked)
-        assert dataset.name == base.raw_dataset.name
+        loaded = cp.load_checkpoint(tmp_path, picked)
+        assert loaded.raw_dataset.name == base.raw_dataset.name
         assert loaded.structure_fingerprint() == base.structure_fingerprint()
 
     def test_retention_keeps_two_and_unlinks_older_artifacts(self, tmp_path):
@@ -68,25 +70,36 @@ class TestCheckpointModule:
             cp.write_checkpoint(tmp_path, base, wal_seq=seq)
         manifest = cp.read_manifest(tmp_path)
         assert [c["seq"] for c in manifest["checkpoints"]] == [2, 3]
-        assert not (tmp_path / "base-1.npz").exists()
-        assert not (tmp_path / "data-1.npz").exists()
-        assert (tmp_path / "base-2.npz").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "base-2",
+            "base-3",
+            cp.MANIFEST_NAME,
+        ]
+
+    def test_entry_names_the_two_snapshot_files(self, tmp_path):
+        entry = cp.write_checkpoint(tmp_path, make_base(), wal_seq=4)
+        assert entry["base_file"] == "base-4/arrays.bin"
+        assert entry["data_file"] == "base-4/meta.json"
+        for key in ("base", "data"):
+            path = tmp_path / entry[f"{key}_file"]
+            assert path.is_file()
+            assert sha256_file(path) == entry[f"{key}_sha256"]
 
     def test_falls_back_when_newest_artifact_is_corrupt(self, tmp_path):
         base = make_base()
         cp.write_checkpoint(tmp_path, base, wal_seq=1)
         cp.write_checkpoint(tmp_path, base, wal_seq=2)
-        (tmp_path / "base-2.npz").write_bytes(b"bitrot")
+        (tmp_path / "base-2" / "arrays.bin").write_bytes(b"bitrot")
         picked = cp.latest_valid_checkpoint(tmp_path)
         assert picked["seq"] == 1
-        dataset, loaded = cp.load_checkpoint(tmp_path, picked)
+        loaded = cp.load_checkpoint(tmp_path, picked)
         assert loaded.structure_fingerprint() == base.structure_fingerprint()
 
     def test_falls_back_when_newest_artifact_is_missing(self, tmp_path):
         base = make_base()
         cp.write_checkpoint(tmp_path, base, wal_seq=1)
         cp.write_checkpoint(tmp_path, base, wal_seq=2)
-        (tmp_path / "data-2.npz").unlink()
+        (tmp_path / "base-2" / "meta.json").unlink()
         assert cp.latest_valid_checkpoint(tmp_path)["seq"] == 1
 
     def test_manifest_failpoint_leaves_previous_commit(self, tmp_path):
@@ -100,6 +113,74 @@ class TestCheckpointModule:
         manifest = cp.read_manifest(tmp_path)
         assert [c["seq"] for c in manifest["checkpoints"]] == [1]
         assert cp.latest_valid_checkpoint(tmp_path)["seq"] == 1
+
+    def test_uncommitted_directory_is_swept_not_collided_with(self, tmp_path):
+        """The garbage of a crash before the commit is removed by the
+        sweep (attach runs it; so does the next checkpoint), so a later
+        checkpoint at the same seq does not collide with it."""
+        base = make_base()
+        cp.write_checkpoint(tmp_path, base, wal_seq=1)
+        with faults.inject("checkpoint.manifest", "raise"):
+            with pytest.raises(faults.FaultInjectedError):
+                cp.write_checkpoint(tmp_path, base, wal_seq=2)
+        (tmp_path / "base-9.tmp").mkdir()
+        (tmp_path / "manifest.json.tmp").write_text("{")
+        assert (tmp_path / "base-2").is_dir()
+        assert cp.sweep_debris(tmp_path) == ["base-2", "base-9.tmp", "manifest.json.tmp"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["base-1", cp.MANIFEST_NAME]
+        # ... and without an explicit sweep the next checkpoint does it.
+        with faults.inject("checkpoint.manifest", "raise"):
+            with pytest.raises(faults.FaultInjectedError):
+                cp.write_checkpoint(tmp_path, base, wal_seq=2)
+        entry = cp.write_checkpoint(tmp_path, base, wal_seq=2)
+        assert cp.latest_valid_checkpoint(tmp_path) == entry
+
+    def test_recheckpoint_at_same_seq_never_touches_the_committed_one(self, tmp_path):
+        base = make_base()
+        first = cp.write_checkpoint(tmp_path, base, wal_seq=5)
+        with faults.inject("checkpoint.manifest", "raise"):
+            with pytest.raises(faults.FaultInjectedError):
+                cp.write_checkpoint(tmp_path, base, wal_seq=5)
+        # The failed attempt wrote beside, not over, the committed one.
+        assert cp.latest_valid_checkpoint(tmp_path) == first
+        second = cp.write_checkpoint(tmp_path, base, wal_seq=5)
+        assert second["base_file"] != first["base_file"]
+        assert cp.read_manifest(tmp_path)["checkpoints"] == [second]
+        assert not (tmp_path / first["base_file"]).exists()
+        third = cp.write_checkpoint(tmp_path, base, wal_seq=5)
+        assert third["base_file"] == first["base_file"]
+        loaded = cp.load_checkpoint(tmp_path, cp.latest_valid_checkpoint(tmp_path))
+        assert loaded.structure_fingerprint() == base.structure_fingerprint()
+
+    def test_sweep_touches_nothing_under_an_unreadable_manifest(self, tmp_path):
+        cp.write_checkpoint(tmp_path, make_base(), wal_seq=1)
+        (tmp_path / cp.MANIFEST_NAME).write_text("{not json")
+        assert cp.sweep_debris(tmp_path) == []
+        assert (tmp_path / "base-1" / "arrays.bin").is_file()
+
+    def test_old_manifest_format_is_refused_by_name(self, tmp_path):
+        """A data dir from before checkpoints were snapshot directories
+        fails with a message naming the format — not as a hash mismatch
+        — and nothing in it is swept."""
+        (tmp_path / "base-3.npz").write_bytes(b"PK")
+        (tmp_path / "data-3.npz").write_bytes(b"PK")
+        old = {
+            "format": 1,
+            "dataset": "ckpt-base",
+            "checkpoints": [
+                {"seq": 3, "base_file": "base-3.npz", "data_file": "data-3.npz"}
+            ],
+        }
+        (tmp_path / cp.MANIFEST_NAME).write_text(json.dumps(old))
+        for call in (
+            cp.read_manifest,
+            cp.latest_valid_checkpoint,
+            cp.sweep_debris,
+            lambda d: cp.write_checkpoint(d, make_base(), wal_seq=4),
+        ):
+            with pytest.raises(PersistenceError, match="format 1"):
+                call(tmp_path)
+        assert (tmp_path / "base-3.npz").exists()
 
     def test_garbled_manifest_reads_as_no_checkpoints(self, tmp_path):
         (tmp_path / cp.MANIFEST_NAME).write_text("{not json")
@@ -350,6 +431,84 @@ class TestServiceRecovery:
             request_id="req-torn",
         )
         assert "deduplicated" not in result
+
+    def test_crash_before_manifest_commit_then_checkpoint_at_same_seq(self, tmp_path):
+        """Crash between writing ``base-<seq>/`` and the manifest replace,
+        recover, checkpoint again at the same seq, recover again."""
+        service = make_service(tmp_path, checkpoint_every=100)
+        before = seed_state(service)
+        handle = service.durability.get(_DATASET)
+        seq = handle.wal.last_seq
+        with faults.inject("checkpoint.manifest", "raise"):
+            with pytest.raises(faults.FaultInjectedError):
+                handle.checkpoint(
+                    service.engine.base(_DATASET),
+                    service.engine.stream_state(_DATASET),
+                )
+        debris = handle.directory / f"base-{seq}"
+        assert debris.is_dir()  # written, never committed
+
+        revived = make_service(tmp_path, checkpoint_every=100)
+        report = revived.recover()
+        assert not report.errors
+        assert report.datasets[_DATASET]["checkpoint_seq"] == 0
+        assert report.datasets[_DATASET]["fingerprint"] == before["fingerprint"]
+        assert not debris.exists()  # swept at attach
+        handle = revived.durability.get(_DATASET)
+        assert handle.wal.last_seq == seq
+        entry = handle.checkpoint(
+            revived.engine.base(_DATASET), revived.engine.stream_state(_DATASET)
+        )
+        assert entry["seq"] == seq and debris.is_dir()
+
+        third = make_service(tmp_path, checkpoint_every=100)
+        report = third.recover()
+        assert not report.errors
+        summary = report.datasets[_DATASET]
+        assert summary["checkpoint_seq"] == seq and summary["replayed"] == 0
+        assert summary["fingerprint"] == before["fingerprint"]
+        assert call(third, "k_best", _QUERY)["matches"] == before["matches"]
+        events = call(third, "poll_events", {"dataset": _DATASET})
+        assert events["last_seq"] == before["events"]["last_seq"]
+
+    def test_unreadable_checkpoints_register_nothing(self, tmp_path):
+        """Both retained checkpoints hash-verify but hold a ``meta.json``
+        the reader refuses: a typed error in the report, no dataset half
+        registered, no durability handle left attached."""
+        service = make_service(tmp_path, checkpoint_every=3)
+        seed_state(service)
+        directory = service.durability.get(_DATASET).directory
+        manifest = cp.read_manifest(directory)
+        assert len(manifest["checkpoints"]) == 2
+        for entry in manifest["checkpoints"]:
+            meta_path = directory / entry["data_file"]
+            meta = json.loads(meta_path.read_text())
+            name = next(n for n in meta["arrays"] if n.endswith("_member_matrix"))
+            meta["arrays"][name][2] = 1 << 40  # offset far past the end
+            meta_path.write_text(json.dumps(meta))
+            entry["data_sha256"] = sha256_file(meta_path)
+        (directory / cp.MANIFEST_NAME).write_text(json.dumps(manifest))
+
+        revived = make_service(tmp_path, checkpoint_every=3)
+        report = revived.recover()
+        assert report.datasets == {}
+        assert [e["dataset"] for e in report.errors] == [_DATASET]
+        assert "malformed" in report.errors[0]["error"]
+        assert revived.engine.dataset_names == []
+        assert revived.durability.get(_DATASET) is None
+
+    def test_data_dir_of_the_old_format_is_refused(self, tmp_path):
+        slug_dir = tmp_path / "old"
+        slug_dir.mkdir()
+        (slug_dir / "dataset.json").write_text(json.dumps({"dataset": "old"}))
+        (slug_dir / "base-0.npz").write_bytes(b"PK")
+        (slug_dir / cp.MANIFEST_NAME).write_text(
+            json.dumps({"format": 1, "dataset": "old", "checkpoints": []})
+        )
+        report = make_service(tmp_path).recover()
+        assert report.datasets == {}
+        assert "format 1" in report.errors[0]["error"]
+        assert (slug_dir / "base-0.npz").exists()
 
     def test_dataset_without_checkpoint_reports_error(self, tmp_path):
         slug_dir = tmp_path / "ghost"

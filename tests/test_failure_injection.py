@@ -15,6 +15,7 @@ import pytest
 
 from repro.core.base import OnexBase
 from repro.core.config import BuildConfig
+from repro.core.mmap_layout import load_base_snapshot
 from repro.core.query import QueryProcessor
 from repro.data.dataset import TimeSeriesDataset
 from repro.data.timeseries import TimeSeries
@@ -41,53 +42,169 @@ def base():
     return b
 
 
+def _edit_meta(path, edit):
+    meta = json.loads((path / "meta.json").read_text())
+    edit(meta)
+    (path / "meta.json").write_text(json.dumps(meta))
+
+
+def _set_entry(name_suffix, position, value):
+    """Edit: put *value* at *position* of the first array entry whose
+    name ends with *name_suffix* (entries are [dtype, shape, offset])."""
+
+    def edit(meta):
+        name = next(n for n in sorted(meta["arrays"]) if n.endswith(name_suffix))
+        meta["arrays"][name][position] = value
+
+    return edit
+
+
+def _drop(*keys):
+    def edit(meta):
+        target = meta
+        for key in keys[:-1]:
+            target = target[key]
+        del target[keys[-1]]
+
+    return edit
+
+
+#: Hostile ``meta.json`` edits; every one must surface as PersistenceError.
+_HOSTILE_META = {
+    "offset-past-end": _set_entry("_centroids", 2, 1 << 40),
+    "offset-negative": _set_entry("_centroids", 2, -64),
+    "offset-not-a-number": _set_entry("_centroids", 2, "0"),
+    "shape-negative": _set_entry("_members", 1, [-1, 2]),
+    "shape-two-negatives": _set_entry("_members", 1, [-3, -2]),
+    "shape-overflowing": _set_entry("_member_matrix", 1, [1 << 62, 1 << 62]),
+    "shape-fractional": _set_entry("_offsets", 1, [2.5]),
+    "shape-wrong": _set_entry("_ed_radii", 1, [1]),
+    "shape-scalar": _set_entry("_offsets", 1, []),
+    "dtype-unknown": _set_entry("_centroids", 0, "<q9"),
+    "dtype-object": _set_entry("_centroids", 0, "|O"),
+    "dtype-void": _set_entry("_centroids", 0, "|V8"),
+    "entry-not-a-triple": _set_entry("_centroids", slice(None), ["<f8"]),
+    "array-missing": lambda meta: meta["arrays"].pop(sorted(meta["arrays"])[0]),
+    "no-arrays-key": _drop("arrays"),
+    "no-config": _drop("config"),
+    "no-stats-key": _drop("stats", "groups"),
+    "no-dataset-name": _drop("dataset", "name"),
+    "no-rep-radius": _drop("rep_radius"),
+    "config-unknown-field": lambda meta: meta["config"].update(bogus=1),
+    "config-invalid": lambda meta: meta["config"].update(min_length=-4),
+    "lengths-not-numbers": lambda meta: meta.update(lengths=["four"]),
+    "lengths-infinite": lambda meta: meta.update(lengths=[float("inf")]),
+    "duplicate-series-names": lambda meta: [
+        e.update(name="dup") for e in meta["dataset"]["series"]
+    ],
+    "channels-mismatch": lambda meta: meta.update(channels=2),
+    "swapped-radius-arrays": lambda meta: meta["arrays"].update(
+        len4_ed_radii=meta["arrays"]["len4_cheb_radii"],
+        len4_cheb_radii=meta["arrays"]["len4_ed_radii"],
+    ),
+}
+
+
 class TestCorruptedBaseFiles:
+    """Hostile bytes for the one on-disk reader: always a
+    ``PersistenceError`` — never another exception, never a base."""
+
     def test_truncated_npz(self, base, tmp_path):
+        """Any regular file — here half of a real zip archive — is not a
+        snapshot directory; the refusal names the removed format."""
         path = tmp_path / "base.npz"
-        base.save(path)
+        np.savez_compressed(path, centroids=np.arange(64.0))
         data = path.read_bytes()
         path.write_bytes(data[: len(data) // 2])
-        # The varied zipfile/numpy error surface is wrapped in one type.
-        with pytest.raises(PersistenceError, match="corrupt or unreadable"):
-            OnexBase.load(path, base.raw_dataset)
+        with pytest.raises(PersistenceError, match=r"\.npz"):
+            OnexBase.load(path)
 
     def test_not_an_npz(self, base, tmp_path):
         path = tmp_path / "base.npz"
         path.write_bytes(b"this is not a zip archive")
-        with pytest.raises(PersistenceError, match="corrupt or unreadable"):
-            OnexBase.load(path, base.raw_dataset)
+        with pytest.raises(PersistenceError, match="not a snapshot directory"):
+            OnexBase.load(path)
 
     def test_missing_file(self, base, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            OnexBase.load(tmp_path / "ghost.npz", base.raw_dataset)
+        with pytest.raises(PersistenceError, match="missing or unreadable"):
+            OnexBase.load(tmp_path / "ghost")
+
+    def test_missing_arrays_file(self, base, tmp_path):
+        base.save(tmp_path / "base")
+        (tmp_path / "base" / "arrays.bin").unlink()
+        with pytest.raises(PersistenceError, match="missing or unreadable"):
+            OnexBase.load(tmp_path / "base")
+
+    @pytest.mark.parametrize("kept", ["nothing", "one-byte", "half", "all-but-one"])
+    def test_truncated_arrays(self, base, tmp_path, kept):
+        path = tmp_path / "base"
+        base.save(path)
+        data = (path / "arrays.bin").read_bytes()
+        cut = {"nothing": 0, "one-byte": 1, "half": len(data) // 2}.get(kept, len(data) - 1)
+        (path / "arrays.bin").write_bytes(data[:cut])
+        with pytest.raises(PersistenceError):
+            OnexBase.load(path)
+        # The unverified open (an attaching pool worker, a checkpoint
+        # whose hash already passed) bounds-checks every directory entry.
+        with pytest.raises(PersistenceError):
+            load_base_snapshot(path, mmap_mode="r")
 
     def test_content_tampering_detected(self, base, tmp_path):
-        """Flipping array bytes the zip layer accepts trips the checksum."""
-        path = tmp_path / "base.npz"
+        """One flipped byte anywhere in ``arrays.bin`` trips the sha256."""
+        path = tmp_path / "base"
         base.save(path)
-        with np.load(path, allow_pickle=False) as archive:
-            arrays = {name: archive[name] for name in archive.files}
-        victim = next(
-            name
-            for name in sorted(arrays)
-            if name != "meta" and arrays[name].size
+        data = bytearray((path / "arrays.bin").read_bytes())
+        for position in (0, len(data) // 2, len(data) - 1):
+            flipped = bytearray(data)
+            flipped[position] ^= 0x01
+            (path / "arrays.bin").write_bytes(flipped)
+            with pytest.raises(PersistenceError, match="sha256"):
+                OnexBase.load(path)
+        (path / "arrays.bin").write_bytes(data)
+        assert (
+            OnexBase.load(path).structure_fingerprint()
+            == base.structure_fingerprint()
         )
-        tampered = arrays[victim].copy()
-        tampered.flat[0] += 1
-        arrays[victim] = tampered
-        np.savez_compressed(path, **arrays)
-        with pytest.raises(PersistenceError, match="checksum"):
-            OnexBase.load(path, base.raw_dataset)
 
     def test_meta_tampering_detected(self, base, tmp_path):
-        """A base saved from different data must refuse to attach."""
-        path = tmp_path / "base.npz"
+        """A ``meta.json`` re-pointed at the wrong (same-shaped) arrays
+        passes every bounds check and the content hash; the structure
+        fingerprint catches it."""
+        path = tmp_path / "base"
         base.save(path)
-        other = TimeSeriesDataset.from_arrays(
-            [np.arange(14.0) for _ in range(3)], name="fi"
-        )
-        with pytest.raises(DatasetError, match="does not match"):
-            OnexBase.load(path, other)
+        _edit_meta(path, _HOSTILE_META["swapped-radius-arrays"])
+        with pytest.raises(PersistenceError, match="structure fingerprint"):
+            OnexBase.load(path)
+
+    @pytest.mark.parametrize("case", sorted(_HOSTILE_META))
+    @pytest.mark.parametrize("mmap_mode", [None, "r"])
+    def test_hostile_meta_is_a_persistence_error(self, base, tmp_path, case, mmap_mode):
+        path = tmp_path / "base"
+        base.save(path)
+        _edit_meta(path, _HOSTILE_META[case])
+        with pytest.raises(PersistenceError):
+            load_base_snapshot(path, mmap_mode=mmap_mode, verify=True)
+
+    @pytest.mark.parametrize(
+        "text", ["", "{not json", "[]", "null", '"meta"', '{"format": 2}']
+    )
+    def test_garbled_meta(self, base, tmp_path, text):
+        path = tmp_path / "base"
+        base.save(path)
+        (path / "meta.json").write_text(text)
+        with pytest.raises(PersistenceError):
+            OnexBase.load(path)
+
+    def test_other_snapshot_format_refused_by_name(self, base, tmp_path):
+        """A format-1 directory (one ``.npy`` per array) is not migrated."""
+        path = tmp_path / "epoch-1"
+        path.mkdir()
+        np.save(path / "len4_centroids.npy", np.zeros((2, 4)))
+        (path / "meta.json").write_text(json.dumps({"format": 1, "lengths": [4]}))
+        with pytest.raises(PersistenceError, match="format 1"):
+            OnexBase.load(path)
+        with pytest.raises(PersistenceError, match="format 1"):
+            load_base_snapshot(path)
 
 
 class TestHostileQueries:

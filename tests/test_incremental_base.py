@@ -116,9 +116,9 @@ class TestAddSeries:
         base = make_base()
         rng = np.random.default_rng(208)
         base.add_series(TimeSeries("extra", rng.normal(size=9).cumsum()))
-        path = tmp_path / "inc.npz"
+        path = tmp_path / "inc"
         base.save(path)
-        loaded = OnexBase.load(path, base.raw_dataset)
+        loaded = OnexBase.load(path)
         assert loaded.stats.groups == base.stats.groups
         loaded.validate()
 

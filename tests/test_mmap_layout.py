@@ -1,6 +1,7 @@
-"""The raw mmap-able snapshot layout (worker-pool shared bases, PR 10).
+"""The one on-disk layout of a base (``repro.core.mmap_layout``).
 
-The pool's zero-copy contract: a snapshot loads as views of one
+Durable saves and pool epochs share it; ``OnexBase.save``/``load``
+round-trip the whole mutable state.  The pool's zero-copy contract: a snapshot loads as views of one
 write-protected memory map (cold start is a single ``mmap``, page-cache
 shared across forked workers), queries against the attached base are
 bit-identical to the original, and every mutation path raises
@@ -12,17 +13,20 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.config import QueryConfig
+from repro.core.base import OnexBase
+from repro.core.config import BuildConfig, QueryConfig
 from repro.core.engine import OnexEngine
 from repro.core.mmap_layout import (
     clean_stale_snapshots,
     load_base_snapshot,
     save_base_snapshot,
 )
+from repro.core.persist import sha256_file
 from repro.core.query import QueryProcessor
 from repro.data.dataset import TimeSeriesDataset
 from repro.data.timeseries import TimeSeries
 from repro.exceptions import PersistenceError, ReadOnlyBaseError
+from repro.stream import StreamIngestor
 
 
 @pytest.fixture(scope="module")
@@ -72,7 +76,7 @@ class TestRoundTrip:
         base, _ = load_base_snapshot(snapshot)
         length = base.lengths[0]
         bucket = base.bucket(length)
-        matrix = bucket.stacked_member_matrix(base.dataset)
+        matrix = bucket.stacked_member_matrix()
 
         def backing(array):
             while array.base is not None and not isinstance(array, np.memmap):
@@ -140,6 +144,95 @@ class TestDurabilityOfWrites:
         (path / "meta.json").write_text(json.dumps(meta))
         with pytest.raises(PersistenceError):
             load_base_snapshot(path)
+
+
+class TestDurableRoundTrip:
+    """``OnexBase.save`` / ``load`` over the same layout: the whole
+    mutable state — rows appended after the build included — survives,
+    twice, and the loaded base keeps growing."""
+
+    @staticmethod
+    def grown_base():
+        rng = np.random.default_rng(19)
+        dataset = TimeSeriesDataset(
+            [TimeSeries(f"s{i}", rng.normal(size=40).cumsum()) for i in range(4)],
+            name="grown",
+        )
+        base = OnexBase(
+            dataset,
+            BuildConfig(similarity_threshold=0.2, min_length=6, max_length=9),
+        )
+        base.build()
+        # Wider than the build-time bounds, so the saved bounds differ
+        # from the collection's current extremes.
+        base.add_series(TimeSeries("wide", 10.0 * rng.normal(size=30).cumsum()))
+        ingestor = StreamIngestor(base)
+        for chunk in np.split(rng.normal(size=24).cumsum(), 6):
+            ingestor.append_points("live", chunk)
+        ingestor.append_points("s1", rng.normal(size=5))
+        assert any(b._row_group is not None for b in base.buckets())
+        return base, rng
+
+    @staticmethod
+    def answers(base, queries):
+        processor = QueryProcessor(base, QueryConfig(mode="exact"))
+        return [
+            [(m.distance, m.ref) for m in processor.k_best_matches(q, 4)]
+            for q in queries
+        ]
+
+    def test_save_load_append_save_load(self, tmp_path):
+        base, rng = self.grown_base()
+        queries = [rng.normal(size=n).cumsum() for n in (6, 8, 11)]
+        base.save(tmp_path / "first")
+        loaded = OnexBase.load(tmp_path / "first")
+        assert not loaded.read_only
+        assert loaded.structure_fingerprint() == base.structure_fingerprint()
+        assert loaded.normalization_bounds == base.normalization_bounds
+        assert loaded.normalization_bounds != loaded.raw_dataset.global_bounds()
+        assert loaded.stats.per_length == base.stats.per_length
+        assert loaded.raw_dataset.names == base.raw_dataset.names
+        assert self.answers(loaded, queries) == self.answers(base, queries)
+        loaded.validate()
+
+        # Both keep growing, identically.
+        tail = rng.normal(size=7).cumsum()
+        extra = TimeSeries("late", rng.normal(size=20).cumsum())
+        for target in (base, loaded):
+            summary = StreamIngestor(target).append_points("live", tail)
+            assert summary["windows"] > 0
+            target.add_series(extra)
+        assert loaded.structure_fingerprint() == base.structure_fingerprint()
+
+        loaded.save(tmp_path / "second")
+        again = OnexBase.load(tmp_path / "second")
+        assert again.structure_fingerprint() == base.structure_fingerprint()
+        assert self.answers(again, queries) == self.answers(base, queries)
+        again.validate()
+
+    def test_durable_snapshot_attaches_read_only(self, tmp_path):
+        base, rng = self.grown_base()
+        queries = [rng.normal(size=n).cumsum() for n in (7, 9)]
+        base.save(tmp_path / "saved")
+        attached, meta = load_base_snapshot(tmp_path / "saved", mmap_mode="r", verify=True)
+        assert attached.read_only and meta["arrays_sha256"]
+        assert attached.structure_fingerprint() == base.structure_fingerprint()
+        assert self.answers(attached, queries) == self.answers(base, queries)
+
+    def test_durable_write_records_the_file_hashes(self, built_base, tmp_path):
+        digests = built_base.save(tmp_path / "saved")
+        assert digests == {
+            name: sha256_file(tmp_path / "saved" / name)
+            for name in ("arrays.bin", "meta.json")
+        }
+        meta = json.loads((tmp_path / "saved" / "meta.json").read_text())
+        assert meta["arrays_sha256"] == digests["arrays.bin"]
+        # An epoch is the same layout, unhashed.
+        epoch = save_base_snapshot(built_base, tmp_path / "epoch-1")
+        assert json.loads((epoch / "meta.json").read_text())["arrays_sha256"] is None
+        assert (epoch / "arrays.bin").read_bytes() == (
+            tmp_path / "saved" / "arrays.bin"
+        ).read_bytes()
 
 
 class TestStaleSweep:

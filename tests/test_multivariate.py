@@ -15,14 +15,14 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.base import FORMAT_VERSION, OnexBase
+from repro.core.base import OnexBase
 from repro.core.config import BuildConfig
 from repro.core.engine import OnexEngine
 from repro.data.dataset import TimeSeriesDataset
 from repro.data.timeseries import TimeSeries
 from repro.data.windows import window_matrix, window_view
 from repro.distances.registry import get_metric
-from repro.exceptions import DatasetError, ValidationError
+from repro.exceptions import PersistenceError, ValidationError
 from repro.stream.ingest import StreamIngestor
 
 
@@ -203,9 +203,9 @@ class TestPersistence:
     def test_v5_roundtrip_preserves_answers(self, tmp_path):
         ds = _mv_dataset(seed=21)
         base = _build(ds)
-        path = tmp_path / "mv-base.npz"
+        path = tmp_path / "mv-base"
         base.save(path)
-        loaded = OnexBase.load(path, ds)
+        loaded = OnexBase.load(path)
         assert loaded.channels == 2
         assert (
             loaded.structure_fingerprint() == base.structure_fingerprint()
@@ -218,60 +218,20 @@ class TestPersistence:
         assert a.distance == b.distance and a.ref == b.ref
 
     def test_channel_mismatch_rejected_on_load(self, tmp_path):
-        ds = _mv_dataset(seed=22)
-        base = _build(ds)
-        path = tmp_path / "mv-base.npz"
-        base.save(path)
-        uni = TimeSeriesDataset(
-            [TimeSeries(s.name, s.values[:, 0]) for s in ds], name=ds.name
-        )
-        with pytest.raises(DatasetError, match="channel"):
-            OnexBase.load(path, uni)
-
-    def test_v4_univariate_archive_loads_and_answers_identically(
-        self, tmp_path
-    ):
-        """Regression: a pre-PR-9 (format v4, no channels key) archive
-        round-trips with backward-compatible defaults and answers
-        queries exactly like the v5 save of the same base."""
+        """The channel count rides in the snapshot; one that disagrees
+        with the stored row widths is refused."""
         import json
 
-        rng = np.random.default_rng(33)
-        ds = TimeSeriesDataset(
-            [TimeSeries(f"u{i}", rng.normal(size=30)) for i in range(5)],
-            name="v4-regress",
-        )
+        ds = _mv_dataset(seed=22)
         base = _build(ds)
-        v5_path = tmp_path / "v5.npz"
-        base.save(v5_path)
-
-        # Synthesize the v4 layout: same arrays, meta without the v5
-        # additions (the content checksum covers arrays only, so it
-        # stays valid).
-        v4_path = tmp_path / "v4.npz"
-        with np.load(v5_path, allow_pickle=False) as archive:
-            arrays = {k: archive[k] for k in archive.files if k != "meta"}
-            meta = json.loads(str(archive["meta"]))
-        assert meta["format_version"] == FORMAT_VERSION
-        meta["format_version"] = 4
-        del meta["channels"]
-        arrays["meta"] = np.array(json.dumps(meta))
-        with open(v4_path, "wb") as fh:
-            np.savez_compressed(fh, **arrays)
-
-        loaded = OnexBase.load(v4_path, ds)
-        assert loaded.channels == 1
-        assert loaded.structure_fingerprint() == base.structure_fingerprint()
-
-        from repro.core.query import QueryProcessor
-
-        q = rng.normal(size=9)
-        original = QueryProcessor(base).k_best_matches(q, 3)
-        recovered = QueryProcessor(loaded).k_best_matches(q, 3)
-        assert [m.distance for m in original] == [
-            m.distance for m in recovered
-        ]
-        assert [m.ref for m in original] == [m.ref for m in recovered]
+        path = tmp_path / "mv-base"
+        base.save(path)
+        meta = json.loads((path / "meta.json").read_text())
+        assert meta["channels"] == 2
+        meta["channels"] = 1
+        (path / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(PersistenceError, match="shape"):
+            OnexBase.load(path)
 
 
 class TestCheckpointRecovery:
@@ -288,8 +248,8 @@ class TestCheckpointRecovery:
         write_checkpoint(tmp_path, base, wal_seq=7)
         entry = latest_valid_checkpoint(tmp_path)
         assert entry is not None and entry["seq"] == 7
-        dataset, restored = load_checkpoint(tmp_path, entry)
-        assert dataset.channels == 2
+        restored = load_checkpoint(tmp_path, entry)
+        assert restored.raw_dataset.channels == 2
         assert restored.channels == 2
         assert (
             restored.structure_fingerprint() == base.structure_fingerprint()

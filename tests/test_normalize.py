@@ -92,6 +92,18 @@ class TestSlidingMeanStd:
         assert (std >= 0).all()
 
 
+    def test_near_flat_window_behind_large_values_matches_two_pass(self):
+        """A spread of ~1e-11 after values of magnitude 1 is below what
+        the cumulative sums can resolve; those windows are recomputed."""
+        values = np.array([0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 7.8e-11])
+        mean, std = sliding_mean_std(values, 4)
+        for i in range(values.size - 3):
+            chunk = values[i : i + 4]
+            assert mean[i] == pytest.approx(chunk.mean(), rel=1e-9, abs=1e-30)
+            assert std[i] == pytest.approx(chunk.std(), rel=1e-9)
+        assert std[-1] > 1e-12  # not flat, as znormalize decides too
+
+
 class TestRunningStats:
     def test_matches_numpy(self):
         rng = np.random.default_rng(11)

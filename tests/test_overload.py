@@ -282,7 +282,7 @@ class TestClientRetries:
         blocker = self._occupy(server, 0.4)
         client = OnexClient(server.url, max_retries=5, sleep=lambda s: None)
         with pytest.raises(OverloadedError):
-            client.call("save_base", {"dataset": _DATASET, "path": "/tmp/x.npz"})
+            client.call("save_base", {"dataset": _DATASET, "path": "/tmp/x"})
         blocker.join(timeout=30)
         assert client.retries_performed == 0
 

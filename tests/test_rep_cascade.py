@@ -9,7 +9,6 @@ prefilter is result-preserving in exact mode, and the multi-query
 execution layer returns exactly what per-query submission returns.
 """
 
-import json
 
 import numpy as np
 import pytest
@@ -223,37 +222,31 @@ class TestPrefilterResultPreserving:
 
 
 class TestSummaryPersistence:
-    def test_roundtrip_and_backward_compat(self, walk_base, tmp_path):
-        path = tmp_path / "base.npz"
+    def test_roundtrip_and_backward_compat(self, walk_base, tmp_path, monkeypatch):
+        path = tmp_path / "base"
         walk_base.save(path)
-        loaded = OnexBase.load(path, walk_base.raw_dataset)
+        loaded = OnexBase.load(path)
         for length in walk_base.lengths:
             want = walk_base.bucket(length).rep_summary
             got = loaded.bucket(length).rep_summary
             assert got.radius == want.radius
             for attr in ("env_lo", "env_hi", "endpoints", "minmax"):
                 assert np.array_equal(getattr(got, attr), getattr(want, attr))
-        # Strip the v3 summary arrays to simulate an older archive: the
-        # load succeeds and the summaries rebuild lazily, identically.
-        with np.load(path, allow_pickle=False) as archive:
-            kept = {k: archive[k] for k in archive.files if "_rep_" not in k}
-        # A real pre-v3 archive predates the content checksum too.
-        meta = json.loads(str(kept["meta"]))
-        meta.pop("content_checksum", None)
-        kept["meta"] = np.array(json.dumps(meta))
-        old_path = tmp_path / "pre_v3.npz"
-        np.savez_compressed(old_path, **kept)
-        old = OnexBase.load(old_path, walk_base.raw_dataset)
-        for length in walk_base.lengths:
-            want = walk_base.bucket(length).rep_summary
-            got = old.bucket(length).rep_summary
-            for attr in ("env_lo", "env_hi", "endpoints", "minmax"):
-                assert np.array_equal(getattr(got, attr), getattr(want, attr))
+        # The persisted summaries are attached, not rebuilt: the first
+        # query after a load constructs no RepresentativeSummary.
+        built = []
+        monkeypatch.setattr(
+            RepresentativeSummary,
+            "extend",
+            lambda self, centroids: built.append(self.length),
+        )
+        QueryProcessor(loaded).best_match(np.linspace(0.2, 0.8, 6), normalize=False)
+        assert built == []
 
     def test_summary_stays_live_under_appends(self, walk_base, tmp_path):
-        path = tmp_path / "base.npz"
+        path = tmp_path / "base"
         walk_base.save(path)
-        loaded = OnexBase.load(path, walk_base.raw_dataset)
+        loaded = OnexBase.load(path)
         rng = np.random.default_rng(12)
         loaded.add_series(TimeSeries("appended", rng.normal(size=24).cumsum()))
         for bucket in loaded.buckets():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.base import OnexBase
 from repro.server.protocol import Request
 from repro.server.service import OnexService
 
@@ -281,12 +282,21 @@ class TestExploration:
         assert match.result["distance"] <= 0.1
 
     def test_save_base(self, service, tmp_path):
-        path = tmp_path / "matters-base.npz"
-        resp = service.handle(
-            Request("save_base", {"dataset": "MATTERS-sim", "path": str(path)})
-        )
+        path = tmp_path / "matters-base"
+        request = Request("save_base", {"dataset": "MATTERS-sim", "path": str(path)})
+        resp = service.handle(request)
         assert resp.ok, resp.error_message
-        assert path.exists()
+        assert sorted(f.name for f in path.iterdir()) == ["arrays.bin", "meta.json"]
+        fingerprint = service.handle(
+            Request("describe", {"dataset": "MATTERS-sim"})
+        ).result["structure_fingerprint"]
+        assert OnexBase.load(path).structure_fingerprint() == fingerprint
+        # A save never replaces an earlier one: the same path is refused
+        # with a typed error and the snapshot stays as it was.
+        before = (path / "meta.json").read_bytes()
+        again = service.handle(request)
+        assert not again.ok and again.error_type == "PersistenceError"
+        assert (path / "meta.json").read_bytes() == before
 
     def test_engine_error_becomes_response(self, service):
         resp = service.handle(Request("describe", {"dataset": "missing"}))

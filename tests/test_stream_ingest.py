@@ -162,9 +162,9 @@ class TestStreamIngestor:
         rng = np.random.default_rng(3)
         for v in rng.normal(size=9).cumsum():
             ing.append_points("live", [v])
-        path = tmp_path / "streamed.npz"
+        path = tmp_path / "streamed"
         base.save(path)
-        loaded = OnexBase.load(path, base.raw_dataset)
+        loaded = OnexBase.load(path)
         loaded.validate()
         assert loaded.stats.groups == base.stats.groups
         q = rng.uniform(size=5)
@@ -317,7 +317,7 @@ class TestMemberMatrixGrowth:
         for v in rng.normal(size=10).cumsum():
             ing.append_points("live", [v])
         for bucket in base.buckets():
-            stacked = bucket.stacked_member_matrix(base.dataset)
+            stacked = bucket.stacked_member_matrix()
             offsets = bucket.member_offsets
             for g_idx in range(bucket.group_count):
                 lo, hi = offsets[g_idx], offsets[g_idx + 1]

@@ -1,10 +1,11 @@
 """Static type-discipline gate for the serving hot path (stdlib-only).
 
 The serving stack — supervisor, pool, HTTP front end (``repro.server``),
-the snapshot layout every publication and attach goes through
-(``repro.core.mmap_layout``), the query cascade every read runs
-(``repro.core.query``) and the DTW kernel under it
-(``repro.distances.dtw``) — is the code that runs unattended, so it
+the one on-disk layout every save, checkpoint, publication and attach
+goes through (``repro.core.mmap_layout``, ``repro.core.persist``), the
+WAL/checkpoint/recovery subsystem (``repro.durability``), the query
+cascade every read runs (``repro.core.query``) and the DTW kernel under
+it (``repro.distances.dtw``) — is the code that runs unattended, so it
 gets the strictest gate in the repo.  ``mypy``
 is not part of the baked toolchain, so this checker enforces the
 *strict-mode surface rules* with the stdlib ``ast`` module:
@@ -31,7 +32,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 TARGETS = (
     ROOT / "src" / "repro" / "server",
+    ROOT / "src" / "repro" / "durability",
     ROOT / "src" / "repro" / "core" / "mmap_layout.py",
+    ROOT / "src" / "repro" / "core" / "persist.py",
     ROOT / "src" / "repro" / "core" / "query.py",
     ROOT / "src" / "repro" / "distances" / "dtw.py",
 )
