@@ -1,6 +1,6 @@
 """E16: the staged cascade's kernel budget and multi-query throughput.
 
-Four measurements:
+Five measurements:
 
 - the **representative prefilter** (cheap summary bounds + lazy chunked
   exact DTW) against the ``use_rep_prefilter=False`` ablation on the
@@ -11,6 +11,12 @@ Four measurements:
   23 740 subsequences, ST 0.2): one ragged call per representative chunk
   and per drained member chunk, plus a path-length call for the rows
   that pass the raw test;
+- the **rank stage** at ST 0.05 on the same floor (21 741 groups, the
+  serving benchmark's ``explore_fine`` base): µs per representative of
+  the one table pass (ragged LB_Kim + closed-form min/max band), held to
+  the per-bucket breach-tensor bounds it replaced — never above them,
+  within 1e-12 — and kernel calls per ``matches_within``, answers
+  identical to the ``use_rep_prefilter=False`` ablation;
 - the **batch DTW kernel** in ns per cell at the three stack shapes the
   serving benchmark's cascade produces (a representative chunk, a member
   refinement with path lengths, a whole-bucket scan), bit-identical to
@@ -37,6 +43,7 @@ from repro.core.config import BuildConfig, QueryConfig
 from repro.core.query import QueryProcessor
 from repro.data.matters import STATE_ABBREVIATIONS, build_matters_collection
 from repro.distances.dtw import dtw_distance_batch, dtw_path
+from repro.distances.lower_bounds import lb_kim_endpoints_batch
 from repro.server.http import OnexHttpServer
 from repro.server.service import OnexService
 from run_all import _post, _timed
@@ -44,7 +51,9 @@ from run_all import _post, _timed
 SOFT = os.environ.get("ONEX_BENCH_SOFT") == "1"
 
 
-def make_base(states: int, years: int, max_length: int = 8) -> OnexBase:
+def make_base(
+    states: int, years: int, max_length: int = 8, threshold: float = 0.2
+) -> OnexBase:
     dataset = build_matters_collection(
         indicators=("GrowthRate",),
         states=STATE_ABBREVIATIONS[:states],
@@ -54,7 +63,9 @@ def make_base(states: int, years: int, max_length: int = 8) -> OnexBase:
     )
     base = OnexBase(
         dataset,
-        BuildConfig(similarity_threshold=0.2, min_length=5, max_length=max_length),
+        BuildConfig(
+            similarity_threshold=threshold, min_length=5, max_length=max_length
+        ),
     )
     base.build()
     return base
@@ -95,17 +106,20 @@ def test_rep_prefilter_speedup(benchmark):
 KERNEL_CALLS_CEILING = 16.0
 
 
-def test_kernel_calls_per_exact_k_best(benchmark, monkeypatch):
-    """One ragged call per chunk, not one per length bucket of a chunk."""
-    base = make_base(50, 40, max_length=24)
+def floor_queries(base: OnexBase, count: int = 20) -> list[np.ndarray]:
+    """Noisy windows of the floor dataset, lengths 6..24."""
     rng = np.random.default_rng(3)
     queries = []
-    for _ in range(20):
+    for _ in range(count):
         values = base.dataset[int(rng.integers(len(base.dataset)))].values
         length = int(rng.integers(6, 25))
         start = int(rng.integers(0, len(values) - length + 1))
         queries.append(values[start : start + length] + rng.normal(scale=0.005, size=length))
-    processor = QueryProcessor(base, QueryConfig(mode="exact"))
+    return queries
+
+
+def count_kernel_calls(monkeypatch) -> list:
+    """Route the cascade's kernel through a counter; returns its call log."""
     kernel = query_module.dtw_distance_batch
     calls = []
 
@@ -114,6 +128,15 @@ def test_kernel_calls_per_exact_k_best(benchmark, monkeypatch):
         return kernel(*args, **kwargs)
 
     monkeypatch.setattr(query_module, "dtw_distance_batch", counting_kernel)
+    return calls
+
+
+def test_kernel_calls_per_exact_k_best(benchmark, monkeypatch):
+    """One ragged call per chunk, not one per length bucket of a chunk."""
+    base = make_base(50, 40, max_length=24)
+    queries = floor_queries(base)
+    processor = QueryProcessor(base, QueryConfig(mode="exact"))
+    calls = count_kernel_calls(monkeypatch)
 
     def measure():
         calls.clear()
@@ -128,6 +151,70 @@ def test_kernel_calls_per_exact_k_best(benchmark, monkeypatch):
     if not SOFT:
         assert per_query <= KERNEL_CALLS_CEILING, (
             f"{per_query:.1f} kernel calls per exact k_best > {KERNEL_CALLS_CEILING}"
+        )
+
+
+#: One table pass over the 21 741 representatives of the ST 0.05 floor:
+#: 0.045 µs per representative measured (1 ms a query; the twenty
+#: per-bucket breach tensors it replaced took 0.27 µs), ceiling about twice.
+RANK_US_PER_REP_CEILING = 0.1
+#: Kernel calls per ``matches_within`` there: 10.1 measured — four
+#: length-sorted chunks of a representative, a cost and a path-length
+#: call, the last skipped by a chunk nothing survives in — where a call
+#: triple per length bucket made 46.3.
+RANGE_KERNEL_CALLS_CEILING = 12.0
+
+
+def breach_tensor_bounds(base: OnexBase, q: np.ndarray) -> np.ndarray:
+    """The rank bounds as they were computed before the closed form: per
+    bucket, LB_Kim and the summed ``(G, n)`` min/max-band breach tensor."""
+    parts = []
+    for bucket in base.buckets():
+        summary = bucket.rep_summary
+        lo, hi = summary.minmax[:, :1], summary.minmax[:, 1:]
+        breach = np.where(q > hi, q - hi, np.where(q < lo, lo - q, 0.0))
+        kim = lb_kim_endpoints_batch(q, summary.endpoints, bucket.length)
+        parts.append(np.maximum(kim, breach.sum(axis=1)))
+    return np.concatenate(parts)
+
+
+def test_rank_stage_at_a_fine_threshold(benchmark, monkeypatch):
+    """One pass over one table ranks the base; a range query is a dozen
+    kernel calls, not three per length bucket."""
+    base = make_base(50, 40, max_length=24, threshold=0.05)
+    assert base.stats.subsequences == 23_740 and base.stats.groups > 20_000
+    queries = floor_queries(base)
+    table = base.rep_table
+    for q in queries:
+        bounds, oracle = table.cheap_bounds(q), breach_tensor_bounds(base, q)
+        assert (bounds <= oracle).all(), "closed form above the breach sum"
+        assert np.abs(oracle - bounds).max() <= 1e-12
+    cascade = QueryProcessor(base, QueryConfig())
+    eager = QueryProcessor(base, QueryConfig(use_rep_prefilter=False))
+    for q in queries[:5]:
+        got = cascade.matches_within(q, 0.02, normalize=False)
+        want = eager.matches_within(q, 0.02, normalize=False)
+        assert [(m.ref, m.distance) for m in got] == [(m.ref, m.distance) for m in want]
+    calls = count_kernel_calls(monkeypatch)
+
+    def measure():
+        seconds = min(_best_seconds(lambda: table.cheap_bounds(q), inner=5) for q in queries)
+        calls.clear()
+        for q in queries:
+            cascade.matches_within(q, 0.02, normalize=False)
+        return seconds * 1e6 / table.count, len(calls) / len(queries)
+
+    us_per_rep, calls_per_query = benchmark.pedantic(measure, rounds=1, iterations=1)
+    benchmark.extra_info["representatives"] = table.count
+    benchmark.extra_info["rank_us_per_representative"] = round(us_per_rep, 4)
+    benchmark.extra_info["kernel_calls_per_matches_within"] = round(calls_per_query, 2)
+    if not SOFT:
+        assert us_per_rep <= RANK_US_PER_REP_CEILING, (
+            f"rank pass {us_per_rep:.3f} us per representative > {RANK_US_PER_REP_CEILING}"
+        )
+        assert calls_per_query <= RANGE_KERNEL_CALLS_CEILING, (
+            f"{calls_per_query:.1f} kernel calls per matches_within > "
+            f"{RANGE_KERNEL_CALLS_CEILING}"
         )
 
 

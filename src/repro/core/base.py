@@ -18,16 +18,20 @@ from __future__ import annotations
 import hashlib
 import operator
 import time
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from pathlib import Path
+from typing import SupportsIndex
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from repro.core.config import BuildConfig
 from repro.core.deadline import Deadline
 from repro.core.grouping import SimilarityGroup, cluster_subsequence_rows
 from repro.data.dataset import SubsequenceRef, TimeSeriesDataset
+from repro.data.timeseries import TimeSeries
 from repro.data.windows import (
     rows_to_series_starts,
     window_counts,
@@ -79,6 +83,7 @@ __all__ = [
     "LengthBuildStats",
     "OnexBase",
     "RepresentativeSummary",
+    "RepresentativeTable",
     "WindowAssignment",
     "default_envelope_radius",
 ]
@@ -293,6 +298,93 @@ class RepresentativeSummary:
         return np.maximum(bound, lb_keogh_reverse_batch(query, lo, hi))
 
 
+class RepresentativeTable:
+    """Every representative of a base, all lengths, in one table.
+
+    One row per similarity group in arrival order — the buckets' groups
+    by ascending length as of the first use, then every group ingestion
+    seeds, as it is seeded — so the table only ever grows at its end and
+    nothing invalidates it.  The columns are what the rank stage of the
+    query cascade reads for *all* lengths at once: the LB_Kim
+    ``endpoints`` ``(G, 4)`` and the min/max band ``lo``/``hi`` (copied
+    from the buckets' :class:`RepresentativeSummary`, so equal to them bit
+    for bit), the Chebyshev ``radii`` of the transfer bound, and the
+    ``(lengths, gids)`` address of each row's group — its bucket's length
+    and its index there.  :class:`OnexBase` owns it and keeps it current
+    at the one place groups are seeded and grown (``_assign_windows``).
+    """
+
+    _COLUMNS = ("endpoints", "lo", "hi", "radii", "lengths", "gids")
+    #: Rows held; the columns below are views of that many rows.
+    count: int
+    endpoints: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    radii: np.ndarray
+    lengths: np.ndarray
+    gids: np.ndarray
+
+    def __init__(self, buckets: list["LengthBucket"]) -> None:
+        total = sum(b.group_count for b in buckets)
+        self._endpoints = np.empty((total, 4))
+        self._lo, self._hi, self._radii = np.empty((3, total))
+        self._lengths, self._gids = np.empty((2, total), dtype=np.int64)
+        #: ``length -> table rows`` of that bucket's groups, in group order.
+        self._rows: dict[int, np.ndarray] = {}
+        self._publish(0)
+        for bucket in buckets:
+            self.sync(bucket)
+
+    def _publish(self, count: int) -> None:
+        """Expose the first *count* rows of every store as the columns."""
+        self.count = count
+        for name in self._COLUMNS:
+            setattr(self, name, getattr(self, "_" + name)[:count])
+
+    def rows_of(self, lengths: Iterable[int]) -> np.ndarray:
+        """Table rows of every group of the given bucket *lengths*, ascending."""
+        held = [self._rows[n] for n in lengths if n in self._rows]
+        return np.sort(np.concatenate(held)) if held else np.empty(0, dtype=np.int64)
+
+    def sync(self, bucket: "LengthBucket", grown: ArrayLike = ()) -> None:
+        """Append the rows of *bucket*'s groups the table does not hold
+        yet and re-read the radii of its groups *grown* (by new members)."""
+        known = self._rows.get(bucket.length, np.empty(0, dtype=np.int64))
+        first, start = known.size, self.count
+        stop = start + bucket.group_count - first
+        if stop > start:
+            if stop > self._lengths.shape[0]:
+                for name in self._COLUMNS:
+                    store = _grown(getattr(self, "_" + name), start, needed=stop)
+                    setattr(self, "_" + name, store)
+            summary = bucket.rep_summary
+            self._endpoints[start:stop] = summary.endpoints[first:]
+            self._lo[start:stop] = summary.minmax[first:, 0]
+            self._hi[start:stop] = summary.minmax[first:, 1]
+            self._radii[start:stop] = bucket.cheb_radii[first:]
+            self._lengths[start:stop] = bucket.length
+            self._gids[start:stop] = np.arange(first, bucket.group_count)
+            known = np.concatenate([known, np.arange(start, stop)])
+            self._rows[bucket.length] = known
+            self._publish(stop)
+        grown = np.asarray(grown, dtype=np.int64)
+        self._radii[known[grown]] = bucket.cheb_radii[grown]
+
+    def cheap_bounds(
+        self, query: np.ndarray, rows: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Lower bounds on raw ``DTW(query, representative)`` for *rows*
+        (default: all) — LB_Kim from the endpoints and the min/max band
+        bound, the two that hold for any length and any warping band."""
+        endpoints, lengths, lo, hi = self.endpoints, self.lengths, self.lo, self.hi
+        if rows is not None:
+            endpoints, lengths, lo, hi = endpoints[rows], lengths[rows], lo[rows], hi[rows]
+        return np.maximum(
+            lb_kim_endpoints_batch(query, endpoints, lengths),
+            lb_keogh_reverse_batch(query, lo[:, None], hi[:, None]),
+        )
+
+
 class _LazyGroups(Sequence):
     """``bucket.groups`` of a read-only attached bucket.
 
@@ -322,7 +414,9 @@ class _LazyGroups(Sequence):
     def __len__(self) -> int:
         return self._offsets.shape[0] - 1
 
-    def __getitem__(self, index):
+    def __getitem__(
+        self, index: SupportsIndex | slice
+    ) -> SimilarityGroup | list[SimilarityGroup]:
         count = len(self)
         if isinstance(index, slice):
             return [self[i] for i in range(*index.indices(count))]
@@ -823,6 +917,7 @@ class OnexBase:
         self._norm_bounds = dataset.global_bounds() if config.normalize else None
         self._dataset = dataset.normalized() if config.normalize else dataset
         self._buckets: dict[int, LengthBucket] = {}
+        self._rep_table: RepresentativeTable | None = None
         self._stats: BaseStats | None = None
         #: Shards re-run serially after a worker crash in the last build.
         self.build_shard_retries = 0
@@ -860,6 +955,7 @@ class OnexBase:
         """
         started = time.perf_counter()
         self._buckets = {}
+        self._rep_table = None
         self.build_shard_retries = 0
         cfg = self._config
         lengths = list(range(cfg.min_length, cfg.max_length + 1))
@@ -869,7 +965,7 @@ class OnexBase:
         total_groups = 0
         per_length: list[LengthBuildStats] = []
 
-        def merge(payloads) -> None:
+        def merge(payloads: Iterable[dict | None]) -> None:
             # Consumed lazily and in submission (= ascending length)
             # order, so at most one shard's window matrix is alive on
             # the parent at a time — the serial build's peak memory.
@@ -929,7 +1025,7 @@ class OnexBase:
                     for length in lengths
                 ]
 
-                def drain():
+                def drain() -> Iterator[dict | None]:
                     # Still ascending length order — submit-per-shard
                     # (instead of pool.map) is what lets one crashed
                     # worker lose only its own shard.
@@ -1065,6 +1161,7 @@ class OnexBase:
         self._norm_bounds = norm_bounds
         self._dataset = norm_dataset
         self._buckets = dict(buckets)
+        self._rep_table = None
         self._stats = stats
         self.build_shard_retries = 0
         self.read_only = read_only
@@ -1132,6 +1229,22 @@ class OnexBase:
         self._require_built()
         return [self._buckets[length] for length in self.lengths]
 
+    @property
+    def rep_table(self) -> RepresentativeTable:
+        """The base-wide representative table the rank stage reads.
+
+        Built on first use after ``build()`` or an attach (a pass of
+        slice copies over the buckets' summaries) and from then on only
+        extended, under the callers' exclusive write-side lock, where
+        ingestion seeds and grows groups.  Readers never mutate a
+        published table: racing first readers at worst each build one
+        and the last assignment wins with an equivalent object.
+        """
+        table = self._rep_table
+        if table is None:
+            table = self._rep_table = RepresentativeTable(self.buckets())
+        return table
+
     def group(self, length: int, index: int) -> SimilarityGroup:
         bucket = self.bucket(length)
         if not 0 <= index < bucket.group_count:
@@ -1166,7 +1279,7 @@ class OnexBase:
     # Incremental updates
     # ------------------------------------------------------------------
 
-    def add_series(self, series) -> dict:
+    def add_series(self, series: TimeSeries) -> dict:
         """Index one new series into the built base without a rebuild.
 
         New windows are assigned with **fixed** representatives: a window
@@ -1187,8 +1300,6 @@ class OnexBase:
 
         Returns a summary dict (windows indexed, groups joined/created).
         """
-        from repro.data.timeseries import TimeSeries
-
         self._require_built()
         self._require_writable()
         if not isinstance(series, TimeSeries):
@@ -1362,13 +1473,15 @@ class OnexBase:
                 [SubsequenceRef(series_index, starts[w], length) for w in indices],
                 windows[indices],
             )
+        if self._rep_table is not None:
+            self._rep_table.sync(bucket, grown=list(joins))
         return out
 
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
 
-    def save(self, path) -> dict[str, str]:
+    def save(self, path: str | Path) -> dict[str, str]:
         """Persist the built base **and its dataset** as a snapshot directory.
 
         A thin delegate to the one on-disk writer
@@ -1385,7 +1498,7 @@ class OnexBase:
         return _write_snapshot(self, path, durable=True)
 
     @classmethod
-    def load(cls, path) -> "OnexBase":
+    def load(cls, path: str | Path) -> "OnexBase":
         """Load a saved base as a private, writable base over its own dataset.
 
         ``arrays.bin`` is checked against the recorded sha256 and the

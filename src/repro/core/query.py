@@ -17,12 +17,14 @@ strategies are provided (:class:`repro.core.config.QueryConfig`):
 The search is a **staged pruning cascade**, cheap bounds first at every
 stage (DESIGN.md §1):
 
-**Rank** (``use_rep_prefilter``, the default): each bucket's persisted
-summaries (:class:`repro.core.base.RepresentativeSummary` — centroid
-Keogh envelopes, endpoint and min/max summaries) yield batched LB_Kim /
-LB_Keogh lower bounds on ``DTW(query, representative)`` without any DTW
-kernel call; combined with the ED→DTW transfer bound they lower-bound
-every *member* of the group.
+**Rank** (``use_rep_prefilter``, the default): one pass over the base's
+:class:`repro.core.base.RepresentativeTable` — every representative of
+every length, one row each — yields LB_Kim (ragged, from the endpoints)
+and min/max-band LB_Keogh (closed form, ``O(G log n)``) lower bounds on
+``DTW(query, representative)`` without any DTW kernel call; combined
+with the ED→DTW transfer bound they lower-bound every *member* of the
+group.  The bound order is consumed lazily (:class:`_LazyOrder`): only
+the prefix a search reaches is ever sorted.
 
 **Lazy verify**: representatives are visited best-first and a
 representative's exact distance is only computed (in bound-ordered
@@ -50,15 +52,15 @@ verified groups best-first — ascending ``(tight bound, representative
 distance)`` — in doubling chunks that start small, so the closest groups
 set a near-final cutoff before the bulk of the base meets the member
 bounds; fast mode refines its top ``refine_groups`` groups in one call;
-the threshold query calls the stage once per length bucket with the
-threshold as the cut.  Every prune is a strict ``bound > cut`` on a sound
+the threshold query verifies the groups its rank pass leaves alive in
+length-sorted chunks, one representative call and one stage call per
+chunk with the threshold as the cut.  Every prune is a strict ``bound > cut`` on a sound
 lower bound and the heap breaks distance ties by reference, so any
 refinement order returns exactly what a brute-force scan returns.
 :class:`QueryStats` counts the work each stage actually performed.
 
 :meth:`QueryProcessor.batch_matches` answers many queries in one call:
-shared read-only state (member matrices, representative summaries) is
-prepared once, then each query runs the single-query path — fanned over
+shared read-only state (the representative table) is prepared once, then each query runs the single-query path — fanned over
 a thread pool when the process may use more than one CPU — so results
 are those of per-query submission by construction.
 
@@ -87,7 +89,11 @@ from repro.core.deadline import Deadline
 from repro.data.dataset import SubsequenceRef
 from repro.distances.dtw import dtw_distance_batch, dtw_path, effective_band
 from repro.distances.envelope import QueryEnvelopeCache
-from repro.distances.lower_bounds import lb_keogh_batch, lb_kim_endpoints_batch
+from repro.distances.lower_bounds import (
+    lb_keogh_batch,
+    lb_keogh_reverse_batch,
+    lb_kim_endpoints_batch,
+)
 from repro.distances.metrics import as_sequence
 from repro.distances.normalize import minmax_normalize
 from repro.distances.registry import MetricSpec, get_metric
@@ -107,6 +113,19 @@ _INF = math.inf
 #: first rounds stay small enough to establish a cutoff before most
 #: representatives, or most members, are touched.
 _REP_CHUNK = 16
+#: Bound-ordered prefix the lazy rank order sorts first; it doubles on
+#: demand.  The representative schedule above has consumed 1008 rows after
+#: six rounds, which is where a k-best over the 21 741-group floor stops
+#: (~950 representatives verified), so the usual query sorts one block.
+_ORDER_BLOCK = 1024
+#: A threshold chunk spans the lengths ``L .. 1.5 L``: the ragged kernel
+#: computes every row at the chunk's widest length, so no row is padded by
+#: more than half its own width.  Over the 5..24 floor that is four chunks
+#: (5-7, 8-12, 13-19, 20-24): measured at ST 0.05, 10.1 kernel calls per
+#: range query instead of 46.3 for 1.15x its ``dtw.cells`` (span 1.25:
+#: 14.8 calls, 1.09x; span 2: 7.5 calls, 1.28x; wall time flat from 1.25
+#: to 1.6, worse outside — benchmarks/bench_rep_cascade.py gates the calls).
+_THRESHOLD_SPAN = 1.5
 
 
 @dataclass(frozen=True)
@@ -239,6 +258,57 @@ class _Refined(NamedTuple):
     gids: np.ndarray
 
 
+class _Reps(NamedTuple):
+    """The representatives one query ranks: aligned columns of the base's
+    :class:`~repro.core.base.RepresentativeTable` — the table's own when
+    every length is searched (*rows* ``None``), else its *rows*."""
+
+    rows: np.ndarray | None
+    lengths: np.ndarray
+    gids: np.ndarray
+    radii: np.ndarray
+
+
+class _LazyOrder:
+    """``np.argsort(bounds, kind="stable")``, sorted a prefix at a time.
+
+    ``order[:ready]`` / ``values[:ready]`` are, element for element, the
+    head of the full stable argsort and the bounds in that order.  A
+    search that stops after a few hundred of 20 000 representatives pays
+    one O(G) partition and a sort of the block it reaches instead of the
+    full O(G log G) sort.  Each extension splits the unsorted rest at a
+    pivot *value* (ties with the pivot all come along, so a block
+    boundary never separates equal bounds) and stable-sorts the block;
+    the rest stays in index order, which is what makes every block's
+    sort the global tie-break.
+    """
+
+    def __init__(self, bounds: np.ndarray, block: int = _ORDER_BLOCK) -> None:
+        self.size = bounds.size
+        self._block = block
+        self.order = np.empty(self.size, dtype=np.int64)
+        self.values = np.empty(self.size)
+        self.ready = 0
+        self._rest = np.arange(self.size)
+        self._rest_values = bounds
+
+    def upto(self, stop: int) -> None:
+        """Make ``order[:stop]`` and ``values[:stop]`` valid."""
+        stop = min(stop, self.size)
+        while self.ready < stop:
+            rest, values = self._rest, self._rest_values
+            want = max(stop - self.ready, self.ready, self._block)
+            if want < rest.size:
+                block = values <= np.partition(values, want - 1)[want - 1]
+                self._rest, self._rest_values = rest[~block], values[~block]
+                rest, values = rest[block], values[block]
+            by_bound = np.argsort(values, kind="stable")
+            end = self.ready + rest.size
+            self.order[self.ready : end] = rest[by_bound]
+            self.values[self.ready : end] = values[by_bound]
+            self.ready = end
+
+
 class QueryProcessor:
     """Executes similarity queries against a built :class:`OnexBase`."""
 
@@ -344,9 +414,8 @@ class QueryProcessor:
     ) -> list[list[Match]]:
         """The *k* best matches for every query of a batch, in one call.
 
-        The multi-query driver.  Shared read-only state — each bucket's
-        stacked member matrix and representative summaries — is prepared
-        once up front, then every query runs the single-query search
+        The multi-query driver.  Shared read-only state — the base's
+        representative table — is prepared once up front, then every query runs the single-query search
         (:meth:`_run_search`), so results are those of submitting each
         query through :meth:`k_best_matches`, in input order.  The
         queries fan out over a thread pool (the numpy kernels release
@@ -373,11 +442,10 @@ class QueryProcessor:
             self.last_stats = stats
             return []
         buckets = self._select_buckets(lengths)
-        # Pre-warm everything worker threads would otherwise build
-        # concurrently; afterwards the searches only read shared state.
-        if self._config.use_rep_prefilter and not self._metric_scan:
-            for bucket in buckets:
-                bucket.rep_summary
+        # Pre-warm what worker threads would otherwise each build on
+        # first use; afterwards the searches only read shared state.
+        if not self._metric_scan:
+            self._base.rep_table
         if max_workers is None:
             max_workers = _usable_cpus()
         max_workers = min(max_workers, len(resolved))
@@ -451,9 +519,11 @@ class QueryProcessor:
         groups whose *cheap* representative bound already exceeds the
         threshold are skipped without any DTW at all, groups whose exact
         representative bound exceeds it are skipped without member work,
-        and every surviving member is verified exactly.  A fired
-        *deadline* with ``allow_partial`` returns the (complete) matches
-        of the buckets scanned so far, flagged ``exact=False``.
+        and every surviving member is verified exactly.  Candidates are
+        verified in length-sorted chunks (lengths ``L .. 1.5 L``) and the
+        deadline is checked before each: a fired *deadline* with
+        ``allow_partial`` returns the (complete) matches of the chunks
+        verified so far — the shortest lengths — flagged ``exact=False``.
         """
         if not threshold > 0:
             raise ValidationError(f"threshold must be > 0, got {threshold}")
@@ -483,77 +553,61 @@ class QueryProcessor:
         buckets: list[LengthBucket],
         deadline: Deadline | None,
     ) -> tuple[list[Match], bool]:
-        """The per-bucket threshold sweep behind :meth:`matches_within`."""
+        """The range driver of the cascade behind :meth:`matches_within`.
+
+        One rank pass over the table marks the groups whose cheap bound
+        cannot rule them out; they are then verified a length-sorted
+        chunk at a time (``_THRESHOLD_SPAN``): one ragged representative
+        DTW call, then one member refinement of the groups it keeps, with
+        the threshold as the cut.  The failpoint and the deadline check
+        open every chunk, ahead of its first kernel call.
+        """
         if self._metric_scan:
             return self._metric_threshold_scan(
                 q, threshold, stats, buckets, deadline
             )
-        qlen = q.shape[0]
-        cfg = self._config
         envelopes = QueryEnvelopeCache(q)
         out: list[Match] = []
-        partial = False
-        for bucket in buckets:
+        reps = self._reps(buckets, stats)
+        max_paths = (q.shape[0] + reps.lengths - 1).astype(np.float64)
+        if self._config.use_rep_prefilter:
+            cheap = self._rank_bounds(q, reps)
+            alive = (cheap - max_paths * reps.radii) / max_paths <= threshold
+            candidates = np.flatnonzero(alive)
+            skipped = alive.size - candidates.size
+            stats.rep_lb_prunes += skipped
+            stats.rep_dtw_skipped += skipped
+            stats.groups_pruned += skipped
+        else:
+            candidates = np.arange(reps.gids.size)
+        candidates = candidates[np.argsort(reps.lengths[candidates], kind="stable")]
+        lengths = reps.lengths[candidates]
+        stop = 0
+        while stop < candidates.size:
             faults.fire("query.refine_unit")
-            if deadline is not None and deadline.expired:
-                if deadline.allow_partial and out:
-                    stats.partial_results += 1
-                    partial = True
-                    break
-                best = None
-                if out:
-                    m = min(out, key=lambda m: (m.distance, m.ref))
-                    best = {
-                        "series": m.series_name,
-                        "start": m.start,
-                        "length": m.length,
-                        "distance": m.distance,
-                        "exact": False,
-                    }
-                self._raise_deadline(deadline, "threshold scan", stats, best)
-            count = bucket.group_count
-            stats.representatives_total += count
-            if not count:
-                continue
-            max_path = qlen + bucket.length - 1
-            if cfg.use_rep_prefilter:
-                band = effective_band(qlen, bucket.length, cfg.window)
-                cheap = bucket.rep_summary.cheap_bounds(q, band)
-                alive = (cheap - max_path * bucket.cheb_radii) / max_path <= threshold
-                skipped = count - int(alive.sum())
-                stats.rep_lb_prunes += skipped
-                stats.rep_dtw_skipped += skipped
-                stats.groups_pruned += skipped
-                candidates = np.nonzero(alive)[0]
-            else:
-                candidates = np.arange(count)
-            if not candidates.size:
-                continue
-            rep_raws = dtw_distance_batch(
-                q, bucket.centroids[candidates], window=cfg.window
-            )
-            stats.rep_dtw_calls += candidates.size
-            lower = (rep_raws - max_path * bucket.cheb_radii[candidates]) / max_path
-            keep = lower <= threshold
-            stats.groups_pruned += int(candidates.size - keep.sum())
-            g_ids = candidates[keep]
-            if g_ids.size:
+            if self._scan_deadline_fired(deadline, "threshold scan", stats, out):
+                return out, True
+            start, widest = stop, int(lengths[stop] * _THRESHOLD_SPAN)
+            stop = int(np.searchsorted(lengths, widest, side="right"))
+            take = candidates[start:stop]
+            raws = self._rep_dtw(q, lengths[start:stop], reps.gids[take], stats)
+            lower = (raws - max_paths[take] * reps.radii[take]) / max_paths[take]
+            keep = take[lower <= threshold]
+            stats.groups_pruned += take.size - keep.size
+            if keep.size:
                 with span(
-                    "cascade.threshold_bucket",
-                    length=bucket.length,
-                    groups=int(g_ids.size),
+                    "cascade.threshold_bucket", groups=int(keep.size), widest=widest
                 ):
                     found = self._refine(
                         q,
-                        [bucket],
-                        np.zeros(g_ids.size, dtype=np.int64),
-                        g_ids,
+                        reps.lengths[keep],
+                        reps.gids[keep],
                         threshold,
                         stats,
                         envelopes,
                     )
                     out.extend(self._matches_within(found, threshold, q))
-        return out, partial
+        return out, False
 
     # ------------------------------------------------------------------
     # Deadline handling
@@ -609,6 +663,33 @@ class QueryProcessor:
         self._raise_deadline(deadline, stage, stats, best)
         return True  # unreachable
 
+    def _scan_deadline_fired(
+        self,
+        deadline: Deadline | None,
+        stage: str,
+        stats: QueryStats,
+        out: list[Match],
+    ) -> bool:
+        """:meth:`_deadline_fired` for the threshold scans, whose verified
+        state is the match list *out* instead of a k-best heap."""
+        if deadline is None or not deadline.expired:
+            return False
+        if deadline.allow_partial and out:
+            stats.partial_results += 1
+            return True
+        best = None
+        if out:
+            m = min(out, key=lambda m: (m.distance, m.ref))
+            best = {
+                "series": m.series_name,
+                "start": m.start,
+                "length": m.length,
+                "distance": m.distance,
+                "exact": False,
+            }
+        self._raise_deadline(deadline, stage, stats, best)
+        return True  # unreachable
+
     @staticmethod
     def _raise_deadline(
         deadline: Deadline, stage: str, stats: QueryStats, best: dict | None
@@ -638,9 +719,10 @@ class QueryProcessor:
     # ------------------------------------------------------------------
 
     def _gather(
-        self, live: list[LengthBucket], b_is: np.ndarray, g_ids: np.ndarray
+        self, unit_lengths: np.ndarray, g_ids: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Member rows of the groups ``(live[b_is[i]], g_ids[i])``, stacked.
+        """Member rows of the groups ``g_ids[i]`` of the length-
+        ``unit_lengths[i]`` buckets, stacked.
 
         Returns ``(rows, lengths, handles, gids)``: the members' values
         padded to the widest bucket, each row's subsequence length, its
@@ -649,9 +731,9 @@ class QueryProcessor:
         or ``SubsequenceRef`` is built.
         """
         parts = []
-        for b_i in np.unique(b_is):
-            bucket = live[b_i]
-            parts.append((bucket, *bucket.group_rows(g_ids[b_is == b_i])))
+        for length in np.unique(unit_lengths).tolist():
+            bucket = self._base.bucket(length)
+            parts.append((bucket, *bucket.group_rows(g_ids[unit_lengths == length])))
         count = sum(at.size for _, at, _, _ in parts)
         width = max(b.length * b.channels for b, _, _, _ in parts)
         rows = np.zeros((count, width))
@@ -671,8 +753,7 @@ class QueryProcessor:
     def _refine(
         self,
         q: np.ndarray,
-        live: list[LengthBucket],
-        b_is: np.ndarray,
+        unit_lengths: np.ndarray,
         g_ids: np.ndarray,
         cut: float,
         stats: QueryStats,
@@ -682,7 +763,8 @@ class QueryProcessor:
         """The member stage: every member of the given groups that can
         still be within *cut*, verified exactly.
 
-        The units ``(live[b_is[i]], g_ids[i])`` may span any lengths.
+        The units — group ``g_ids[i]`` of the length-``unit_lengths[i]``
+        bucket — may span any lengths.
         *cut* is a normalised distance — the running k-th best of a
         k-best search (``inf`` until k are found) or the threshold of a
         range query — and every test against it is a strict prune on a
@@ -698,8 +780,8 @@ class QueryProcessor:
         """
         cfg = self._config
         qlen = q.shape[0]
-        stats.groups_refined += b_is.size
-        rows, lengths, handles, gids = self._gather(live, b_is, g_ids)
+        stats.groups_refined += g_ids.size
+        rows, lengths, handles, gids = self._gather(unit_lengths, g_ids)
         count = lengths.size
         stats.members_scanned += count
         max_paths = (qlen + lengths - 1).astype(np.float64)
@@ -710,9 +792,7 @@ class QueryProcessor:
                 [rows[:, 0], rows[:, 1], rows[every, lengths - 2], rows[every, lengths - 1]],
                 axis=1,
             )
-            # The shortest row decides how many endpoint terms apply:
-            # fewer terms is still a bound for the longer rows.
-            kim = lb_kim_endpoints_batch(q, ends, int(lengths.min()))
+            kim = lb_kim_endpoints_batch(q, ends, lengths)
             alive = kim / max_paths <= cut
             same = np.flatnonzero(alive & (lengths == qlen))
             if same.size:
@@ -794,58 +874,71 @@ class QueryProcessor:
     # Representative-layer search strategies
     # ------------------------------------------------------------------
 
-    def _live_buckets(
-        self, buckets: list[LengthBucket], stats: QueryStats
-    ) -> tuple[list[LengthBucket], np.ndarray, np.ndarray]:
-        """The non-empty buckets and the ``(owners, gids)`` index locating
-        every representative's (position in the live list, group)."""
-        for bucket in buckets:
-            stats.representatives_total += bucket.group_count
-        live = [b for b in buckets if b.group_count]
-        counts = np.array([b.group_count for b in live], dtype=np.int64)
-        owners = np.repeat(np.arange(len(live)), counts)
-        gids = np.arange(owners.size) - (np.cumsum(counts) - counts)[owners]
-        return live, owners, gids
+    def _reps(self, buckets: list[LengthBucket], stats: QueryStats) -> _Reps:
+        """The rank stage's input: the table columns of *buckets*' groups
+        (the shared entry of the exact, fast and threshold drivers)."""
+        table = self._base.rep_table
+        reps = _Reps(None, table.lengths, table.gids, table.radii)
+        if len(buckets) != len(self._base.lengths):
+            rows = table.rows_of(b.length for b in buckets)
+            reps = _Reps(rows, table.lengths[rows], table.gids[rows], table.radii[rows])
+        stats.representatives_total += reps.gids.size
+        return reps
 
-    def _cheap_rep_bounds(self, q: np.ndarray, live: list[LengthBucket]) -> np.ndarray:
-        """Summary lower bounds on raw ``DTW(q, representative)``,
-        concatenated across *live* — no kernel call at all."""
-        qlen, window = q.shape[0], self._config.window
-        with span("cascade.rep_bounds", buckets=len(live)):
-            return np.concatenate(
-                [
-                    b.rep_summary.cheap_bounds(
-                        q, effective_band(qlen, b.length, window)
+    def _rank_bounds(self, q: np.ndarray, reps: _Reps) -> np.ndarray:
+        """Summary lower bounds on raw ``DTW(q, representative)`` for every
+        row of *reps* — one pass over the base table, no kernel call.
+
+        LB_Kim and the min/max band hold for every length and band.  The
+        one bucket of the query's own length is tightened by its
+        persisted centroid envelopes when the DTW band is finite and fits
+        inside their radius.
+        """
+        qlen = q.shape[0]
+        with span("cascade.rep_bounds", reps=int(reps.gids.size)):
+            bounds = self._base.rep_table.cheap_bounds(q, reps.rows)
+            band = effective_band(qlen, qlen, self._config.window)
+            if band is None:
+                return bounds
+            same = np.flatnonzero(reps.lengths == qlen)
+            if same.size:
+                summary = self._base.bucket(qlen).rep_summary
+                if band <= summary.radius:
+                    at = reps.gids[same]
+                    keogh = lb_keogh_reverse_batch(
+                        q, summary.env_lo[at], summary.env_hi[at]
                     )
-                    for b in live
-                ]
-            )
+                    bounds[same] = np.maximum(bounds[same], keogh)
+            return bounds
 
     def _rep_dtw(
-        self,
-        q: np.ndarray,
-        live: list[LengthBucket],
-        owners: np.ndarray,
-        gids: np.ndarray,
-        stats: QueryStats,
+        self, q: np.ndarray, lengths: np.ndarray, gids: np.ndarray, stats: QueryStats
     ) -> np.ndarray:
-        """Exact DTW from *q* to representatives ``(owners[i], gids[i])``.
+        """Exact DTW from *q* to the representatives ``gids[i]`` of the
+        length-``lengths[i]`` buckets.
 
         One ragged kernel call however many length buckets the selection
-        spans: centroids are gathered per bucket into one array padded to
-        the longest.  Assembled per call, so nothing needs invalidating
-        when a bucket grows.
+        spans.  The rows are taken bucket by bucket (a stable sort by
+        length), so each bucket's centroids fill one slice of the stack
+        padded to the longest; the result is put back in the callers'
+        order.  Assembled per call, so nothing needs invalidating when a
+        bucket grows.
         """
-        stats.rep_dtw_calls += owners.size
-        lengths = np.array([b.length for b in live], dtype=np.int64)[owners]
-        padded = np.zeros((owners.size, int(lengths.max(initial=1))))
-        for b_i in np.unique(owners):
-            at = np.flatnonzero(owners == b_i)
-            bucket = live[b_i]
-            padded[at, : bucket.length] = bucket.centroids[gids[at]]
-        return dtw_distance_batch(
+        stats.rep_dtw_calls += gids.size
+        raws = np.empty(gids.size)
+        if not gids.size:
+            return raws
+        by_length = np.argsort(lengths, kind="stable")
+        lengths, gids = lengths[by_length], gids[by_length]
+        padded = np.zeros((gids.size, int(lengths[-1])))
+        edges = [0, *(np.flatnonzero(np.diff(lengths)) + 1).tolist(), gids.size]
+        for lo, hi in zip(edges, edges[1:]):
+            length = int(lengths[lo])
+            padded[lo:hi, :length] = self._base.bucket(length).centroids[gids[lo:hi]]
+        raws[by_length] = dtw_distance_batch(
             q, padded, window=self._config.window, lengths=lengths
         )
+        return raws
 
     def _search_exact(
         self,
@@ -857,15 +950,12 @@ class QueryProcessor:
         deadline: Deadline | None = None,
     ) -> list["_Negated"]:
         cfg = self._config
-        qlen = q.shape[0]
         heap: list[_Negated] = []
-        live, owners, gids = self._live_buckets(buckets, stats)
-        if not live:
-            return heap
-        max_paths = np.array([qlen + b.length - 1 for b in live], dtype=np.float64)
-        radii = np.concatenate([b.cheb_radii for b in live])
+        reps = self._reps(buckets, stats)
+        lengths, gids, radii = reps.lengths, reps.gids, reps.radii
+        max_paths = (q.shape[0] + lengths - 1).astype(np.float64)
         # Verified groups, best first: (transfer lower bound on any
-        # member, representative's own optimistic distance, bucket, group).
+        # member, representative's own optimistic distance, length, group).
         # The bound is 0 for every group whose representative lies within
         # its radius of the query — at a coarse threshold, nearly all —
         # and there the representative's distance is what says where the
@@ -874,12 +964,11 @@ class QueryProcessor:
 
         def verify(take: np.ndarray) -> None:
             with span("cascade.rep_dtw", batch=int(take.size)):
-                b_is, g_ids = owners[take], gids[take]
-                paths = max_paths[b_is]
-                raws = self._rep_dtw(q, live, b_is, g_ids, stats)
+                paths, at, g_ids = max_paths[take], lengths[take], gids[take]
+                raws = self._rep_dtw(q, at, g_ids, stats)
                 tight = np.maximum(raws - paths * radii[take], 0.0) / paths
                 for entry in zip(
-                    tight.tolist(), (raws / paths).tolist(), b_is.tolist(), g_ids.tolist()
+                    tight.tolist(), (raws / paths).tolist(), at.tolist(), g_ids.tolist()
                 ):
                     heapq.heappush(exact_heap, entry)
 
@@ -887,15 +976,13 @@ class QueryProcessor:
             # Cheap summary bounds rank every group; exact representative
             # DTW runs in chunks only for groups whose cheap bound
             # undercuts the running cutoff.
-            cheap = self._cheap_rep_bounds(q, live)
-            bounds = np.maximum(cheap - max_paths[owners] * radii, 0.0) / max_paths[owners]
-            order = np.argsort(bounds, kind="stable")
-            ordered_bounds = bounds[order]
+            cheap = self._rank_bounds(q, reps)
+            ranked = _LazyOrder(np.maximum(cheap - max_paths * radii, 0.0) / max_paths)
         else:
             # Ablation: exact DTW for every representative up front.
-            verify(np.arange(owners.size))
-            order = ordered_bounds = np.empty(0, dtype=np.int64)
-        total = order.size
+            verify(np.arange(gids.size))
+            ranked = _LazyOrder(np.empty(0))
+        total = ranked.size
         ptr = 0
         rep_chunk = _REP_CHUNK
         drain_chunk = _REP_CHUNK
@@ -906,7 +993,8 @@ class QueryProcessor:
             ):
                 return heap
             cutoff = self._cutoff(heap, k)
-            next_cheap = float(ordered_bounds[ptr]) if ptr < total else _INF
+            ranked.upto(ptr + rep_chunk)
+            next_cheap = float(ranked.values[ptr]) if ptr < total else _INF
             next_exact = exact_heap[0][0] if exact_heap else _INF
             if cfg.use_group_pruning and min(next_cheap, next_exact) > cutoff:
                 remaining = total - ptr
@@ -915,13 +1003,13 @@ class QueryProcessor:
                 stats.groups_pruned += remaining + len(exact_heap)
                 break
             if next_cheap <= next_exact:
-                take = order[ptr : ptr + rep_chunk]
+                take = ranked.order[ptr : ptr + rep_chunk]
                 if cfg.use_group_pruning and math.isfinite(cutoff):
                     # The chunk is sorted by bound: only the prefix at or
                     # under the cutoff can still matter this round.
                     viable = int(
                         np.searchsorted(
-                            ordered_bounds[ptr : ptr + take.size],
+                            ranked.values[ptr : ptr + take.size],
                             cutoff,
                             side="right",
                         )
@@ -947,7 +1035,7 @@ class QueryProcessor:
                     break
                 units.append(heapq.heappop(exact_heap))
             drain_chunk *= 2
-            self._refine_into(heap, k, q, live, units, stats, envelopes)
+            self._refine_into(heap, k, q, units, stats, envelopes)
         return heap
 
     def _search_fast(
@@ -960,36 +1048,32 @@ class QueryProcessor:
         deadline: Deadline | None = None,
     ) -> list["_Negated"]:
         cfg = self._config
-        qlen = q.shape[0]
         heap: list[_Negated] = []
-        live, owners, gids = self._live_buckets(buckets, stats)
-        if not live:
-            return heap
+        reps = self._reps(buckets, stats)
+        lengths, gids = reps.lengths, reps.gids
         # The ranking estimate divides raw DTW by the minimum possible
         # warping-path length — a consistent estimator, exact whenever the
         # optimal path takes no detours.
-        scales = np.array([max(qlen, b.length) for b in live], dtype=np.float64)
+        scales = np.maximum(q.shape[0], lengths).astype(np.float64)
         exact_heap: list[tuple[float, int, int]] = []
 
         def rank(take: np.ndarray) -> None:
             with span("cascade.rep_dtw", batch=int(take.size)):
-                b_is, g_ids = owners[take], gids[take]
-                est = self._rep_dtw(q, live, b_is, g_ids, stats) / scales[b_is]
-                for entry in zip(est.tolist(), b_is.tolist(), g_ids.tolist()):
+                at, g_ids = lengths[take], gids[take]
+                est = self._rep_dtw(q, at, g_ids, stats) / scales[take]
+                for entry in zip(est.tolist(), at.tolist(), g_ids.tolist()):
                     heapq.heappush(exact_heap, entry)
 
         if cfg.use_rep_prefilter:
             # Lazy ranking: cheap bounds on the estimate order the queue;
             # a representative's exact DTW runs (chunk-batched) only while
             # its bound could still place it among the refined groups.
-            bounds = self._cheap_rep_bounds(q, live) / scales[owners]
-            order = np.argsort(bounds, kind="stable")
-            ordered_bounds = bounds[order]
+            ranked = _LazyOrder(self._rank_bounds(q, reps) / scales)
         else:
             # Ablation: exact DTW to every representative up front.
-            rank(np.arange(owners.size))
-            order = ordered_bounds = np.empty(0, dtype=np.int64)
-        total = order.size
+            rank(np.arange(gids.size))
+            ranked = _LazyOrder(np.empty(0))
+        total = ranked.size
         ptr = 0
         chunk = _REP_CHUNK
         # The refined set is the top ``refine_groups`` groups of the
@@ -1005,20 +1089,22 @@ class QueryProcessor:
                 break
             # An exact entry is the true next-best only once no
             # unevaluated bound can undercut or tie it.
-            while ptr < total and (
-                not exact_heap or ordered_bounds[ptr] <= exact_heap[0][0]
-            ):
-                take = order[ptr : ptr + chunk]
+            while ptr < total:
+                ranked.upto(ptr + chunk)
+                if exact_heap and ranked.values[ptr] > exact_heap[0][0]:
+                    break
+                take = ranked.order[ptr : ptr + chunk]
                 ptr += take.size
                 chunk *= 2
                 rank(take)
-            _, b_i, g_idx = unit = heapq.heappop(exact_heap)
+            _, length, g_idx = unit = heapq.heappop(exact_heap)
             units.append(unit)
-            members += live[b_i].members_in([g_idx])
+            members += self._base.bucket(length).members_in([g_idx])
         stats.rep_dtw_skipped += total - ptr
-        faults.fire("query.refine_unit")
-        self._deadline_fired(deadline, "member refinement", stats, heap)
-        self._refine_into(heap, k, q, live, units, stats, envelopes)
+        if units:
+            faults.fire("query.refine_unit")
+            self._deadline_fired(deadline, "member refinement", stats, heap)
+            self._refine_into(heap, k, q, units, stats, envelopes)
         return heap
 
     def _refine_into(
@@ -1026,18 +1112,17 @@ class QueryProcessor:
         heap: list["_Negated"],
         k: int,
         q: np.ndarray,
-        live: list[LengthBucket],
         units: list[tuple],
         stats: QueryStats,
         envelopes: QueryEnvelopeCache,
     ) -> None:
-        """Refine the ``(..., bucket, group)`` *units* in one stage call
+        """Refine the ``(..., length, group)`` *units* in one stage call
         against the heap's cutoff and fold the result into the heap."""
         with span("cascade.refine", groups=len(units)):
-            b_is = np.array([unit[-2] for unit in units], dtype=np.int64)
+            unit_lengths = np.array([unit[-2] for unit in units], dtype=np.int64)
             g_ids = np.array([unit[-1] for unit in units], dtype=np.int64)
             found = self._refine(
-                q, live, b_is, g_ids, self._cutoff(heap, k), stats, envelopes, k
+                q, unit_lengths, g_ids, self._cutoff(heap, k), stats, envelopes, k
             )
             self._push(heap, k, found)
 
@@ -1125,7 +1210,7 @@ class QueryProcessor:
         """Exact metric distances to every member of groups *g_ids*."""
         stats.groups_refined += g_ids.size
         rows, lengths, handles, gids = self._gather(
-            [bucket], np.zeros(g_ids.size, dtype=np.int64), g_ids
+            np.full(g_ids.size, bucket.length), g_ids
         )
         stats.members_scanned += lengths.size
         raws, norms = self._metric_distances(q, rows, bucket.length)
@@ -1197,25 +1282,12 @@ class QueryProcessor:
         """
         cfg = self._config
         out: list[Match] = []
-        partial = False
         for bucket in self._metric_buckets(q, buckets, stats):
             faults.fire("query.refine_unit")
-            if deadline is not None and deadline.expired:
-                if deadline.allow_partial and out:
-                    stats.partial_results += 1
-                    partial = True
-                    break
-                best = None
-                if out:
-                    m = min(out, key=lambda m: (m.distance, m.ref))
-                    best = {
-                        "series": m.series_name,
-                        "start": m.start,
-                        "length": m.length,
-                        "distance": m.distance,
-                        "exact": False,
-                    }
-                self._raise_deadline(deadline, "metric threshold scan", stats, best)
+            if self._scan_deadline_fired(
+                deadline, "metric threshold scan", stats, out
+            ):
+                return out, True
             candidates = np.arange(bucket.group_count)
             if self._spec.lower_bound is not None and cfg.use_group_pruning:
                 lbs = self._metric_group_bounds(q, bucket, stats)
@@ -1228,7 +1300,7 @@ class QueryProcessor:
                 continue
             found = self._metric_verify(q, bucket, candidates, stats)
             out.extend(self._matches_within(found, threshold, q))
-        return out, partial
+        return out, False
 
     # ------------------------------------------------------------------
     # Helpers

@@ -471,6 +471,14 @@ def dtw_path(
     Tie-breaking prefers the diagonal step, then the vertical, then the
     horizontal — producing the shortest path among optimal ones in the
     common case, which keeps the Fig. 2 "matched points" connectors tidy.
+
+    The tie-break is **not operand-symmetric**: swapping *x* and *y*
+    swaps which step is "vertical", so among equal-cost optimal paths the
+    two orders may trace paths of different lengths.  ``distance`` is
+    symmetric; ``path_length`` and therefore ``normalized_distance`` need
+    not be (``x = [0, 0, -1, 0, 0, 0]``, ``y = [-1, 1, 0, 0, 0]``: raw 3.0
+    both ways, normalised 3/6 against 3/7).  Every caller ranks with the
+    query as *x*, so answers are deterministic either way.
     """
     a = as_sequence(x, name="x")
     b = as_sequence(y, name="y")

@@ -20,6 +20,7 @@ from __future__ import annotations
 from collections import deque
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from repro.distances.metrics import as_sequence
 from repro.exceptions import ValidationError
@@ -56,7 +57,7 @@ def _sliding_extreme(arr: np.ndarray, radius: int, *, take_max: bool) -> np.ndar
     return out
 
 
-def sliding_max(values, radius: int) -> np.ndarray:
+def sliding_max(values: ArrayLike, radius: int) -> np.ndarray:
     """Centred sliding maximum with the given radius, O(n)."""
     arr = as_sequence(values, name="values")
     if radius < 0:
@@ -64,7 +65,7 @@ def sliding_max(values, radius: int) -> np.ndarray:
     return _sliding_extreme(arr, radius, take_max=True)
 
 
-def sliding_min(values, radius: int) -> np.ndarray:
+def sliding_min(values: ArrayLike, radius: int) -> np.ndarray:
     """Centred sliding minimum with the given radius, O(n)."""
     arr = as_sequence(values, name="values")
     if radius < 0:
@@ -72,7 +73,7 @@ def sliding_min(values, radius: int) -> np.ndarray:
     return _sliding_extreme(arr, radius, take_max=False)
 
 
-def keogh_envelope(values, radius: int) -> tuple[np.ndarray, np.ndarray]:
+def keogh_envelope(values: ArrayLike, radius: int) -> tuple[np.ndarray, np.ndarray]:
     """Return ``(lower, upper)`` Keogh envelope arrays for *values*.
 
     ``radius`` is the Sakoe–Chiba band radius the envelope must cover; with
@@ -87,7 +88,7 @@ def keogh_envelope(values, radius: int) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def keogh_envelope_batch(rows, radius: int) -> tuple[np.ndarray, np.ndarray]:
+def keogh_envelope_batch(rows: ArrayLike, radius: int) -> tuple[np.ndarray, np.ndarray]:
     """Keogh envelopes of every row of a 2-D stack at once.
 
     Returns ``(lower, upper)`` with the same shape as *rows*; row ``g`` is
@@ -123,7 +124,7 @@ class QueryEnvelopeCache:
     must treat them as read-only.
     """
 
-    def __init__(self, query) -> None:
+    def __init__(self, query: ArrayLike) -> None:
         self._query = as_sequence(query, name="query")
         self._by_radius: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 

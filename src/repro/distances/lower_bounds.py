@@ -22,6 +22,7 @@ All bounds take a ``ground`` argument matching :mod:`repro.distances.dtw`:
 from __future__ import annotations
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from repro.distances.dtw import _as_query_stack, _ground_is_squared
 from repro.distances.envelope import keogh_envelope, keogh_envelope_batch
@@ -45,7 +46,7 @@ def _cost(diff: np.ndarray, squared: bool) -> np.ndarray:
     return diff * diff if squared else np.abs(diff)
 
 
-def lb_kim(x, y, *, ground: str = "l1") -> float:
+def lb_kim(x: ArrayLike, y: ArrayLike, *, ground: str = "l1") -> float:
     """Constant-time bound from the endpoints of both sequences.
 
     Every warping path matches ``x[0]`` with ``y[0]`` and ``x[-1]`` with
@@ -76,7 +77,7 @@ def lb_kim(x, y, *, ground: str = "l1") -> float:
     return float(bound)
 
 
-def _as_candidate_stack(rows) -> np.ndarray:
+def _as_candidate_stack(rows: ArrayLike) -> np.ndarray:
     mat = np.asarray(rows, dtype=np.float64)
     if mat.ndim != 2:
         raise ValidationError(f"rows must be 2-D, got shape {mat.shape}")
@@ -87,7 +88,7 @@ def _as_candidate_stack(rows) -> np.ndarray:
     return mat
 
 
-def lb_kim_batch(x, rows, *, ground: str = "l1") -> np.ndarray:
+def lb_kim_batch(x: ArrayLike, rows: ArrayLike, *, ground: str = "l1") -> np.ndarray:
     """:func:`lb_kim` of *x* against every row of a 2-D stack at once.
 
     Semantically identical to calling :func:`lb_kim` per row (the property
@@ -101,9 +102,8 @@ def lb_kim_batch(x, rows, *, ground: str = "l1") -> np.ndarray:
         return np.empty(0)
     squared = _ground_is_squared(ground)
 
-    def d(u, v) -> np.ndarray:
-        diff = u - v
-        return diff * diff if squared else np.abs(diff)
+    def d(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return _cost(u - v, squared)
 
     bound = d(a[0], mat[:, 0])
     n, m = a.shape[0], mat.shape[1]
@@ -121,7 +121,7 @@ def lb_kim_batch(x, rows, *, ground: str = "l1") -> np.ndarray:
     return bound.astype(np.float64, copy=False)
 
 
-def _as_query_rows(x) -> tuple[np.ndarray, bool]:
+def _as_query_rows(x: ArrayLike) -> tuple[np.ndarray, bool]:
     """*x* as a ``(Q, n)`` stack plus whether the input was a single query.
 
     Shares the batch kernel's validator so "what counts as a query
@@ -134,57 +134,108 @@ def _as_query_rows(x) -> tuple[np.ndarray, bool]:
 
 
 def lb_kim_endpoints_batch(
-    x, endpoints: np.ndarray, m: int, *, ground: str = "l1"
+    x: ArrayLike, endpoints: ArrayLike, m: int | np.ndarray, *, ground: str = "l1"
 ) -> np.ndarray:
     """:func:`lb_kim_batch` evaluated from persisted endpoint summaries.
 
     *endpoints* is a ``(G, 4)`` array whose columns are each candidate's
     first, second, penultimate, and last value (``rows[:, [0, 1, -2, -1]]``
     — well defined for any length >= 2) and *m* the candidates' common
-    length.  Bitwise identical to :func:`lb_kim_batch` on the full stack
-    (property-tested); this is the form the representative-layer cascade
-    uses so the constant-time bound never touches the centroid matrix.
-    *x* may also be a ``(Q, n)`` stack of equal-length queries, giving a
-    ``(Q, G)`` bound table in one broadcasted evaluation
-    (:func:`lb_pairwise_table` passes the stack itself).
+    length — or a ``(G,)`` integer array of per-candidate lengths, for a
+    ragged table spanning many length buckets (each row then equals the
+    per-length call, bit for bit).  Bitwise identical to
+    :func:`lb_kim_batch` on the full stack (property-tested); this is the
+    form the representative-layer cascade uses so the constant-time bound
+    never touches the centroid matrix.  *x* may also be a ``(Q, n)`` stack
+    of equal-length queries, giving a ``(Q, G)`` bound table in one
+    broadcasted evaluation (:func:`lb_pairwise_table` passes the stack
+    itself).
     """
     qs, single = _as_query_rows(x)
     pts = np.asarray(endpoints, dtype=np.float64)
     if pts.ndim != 2 or (pts.shape[0] and pts.shape[1] != 4):
         raise ValidationError(f"endpoints must be (G, 4), got shape {pts.shape}")
-    if m < 2:
-        raise ValidationError(f"candidate length must be >= 2, got {m}")
+    lens = np.asarray(m)
+    if lens.ndim and (lens.shape != pts.shape[:1] or lens.dtype.kind not in "iu"):
+        raise ValidationError(
+            f"per-candidate lengths must be {pts.shape[0]} integers, got "
+            f"shape {lens.shape} of dtype {lens.dtype}"
+        )
     if pts.shape[0] == 0:
         return np.empty(0) if single else np.empty((qs.shape[0], 0))
+    shortest = int(lens.min())
+    if shortest < 2:
+        raise ValidationError(f"candidate length must be >= 2, got {shortest}")
     squared = _ground_is_squared(ground)
 
-    def d(u, v) -> np.ndarray:
+    def d(u: np.ndarray, v: np.ndarray) -> np.ndarray:
         # u: one value per query (Q,); v: one value per candidate (G,).
-        diff = u[:, None] - v[None, :]
-        return diff * diff if squared else np.abs(diff)
+        return _cost(u[:, None] - v[None, :], squared)
 
     first, second, penult, last = (pts[:, c] for c in range(4))
-    bound = d(qs[:, 0], first)
+    # Candidates have >= 2 points, so the two endpoint cells are distinct.
+    bound = d(qs[:, 0], first) + d(qs[:, -1], last)
     n = qs.shape[1]
-    if n > 1 or m > 1:
-        bound = bound + d(qs[:, -1], last)
-    if n >= 3 and m >= 3 and (n >= 4 or m >= 4):
-        # See lb_kim for why one side must have >= 4 points: it keeps the
-        # second/penultimate candidate cell sets disjoint from the
-        # endpoint cells, so no ground cost is double counted.
-        bound = bound + np.minimum(
+    # The second/penultimate terms need three points on both sides and
+    # four on one (see lb_kim: that keeps their candidate cell sets
+    # disjoint from the endpoint cells, so no ground cost is double
+    # counted), i.e. candidates of at least ``needed`` points.
+    needed = 3 if n >= 4 else 4
+    if n >= 3 and lens.max() >= needed:
+        full = bound + np.minimum(
             np.minimum(d(qs[:, 1], first), d(qs[:, 1], second)),
             d(qs[:, 0], second),
         )
-        bound = bound + np.minimum(
+        full = full + np.minimum(
             np.minimum(d(qs[:, -2], last), d(qs[:, -2], penult)),
             d(qs[:, -1], penult),
         )
+        bound = full if shortest >= needed else np.where(lens >= needed, full, bound)
     return bound[0] if single else bound
 
 
+def _band_breach(
+    q: np.ndarray, lo: np.ndarray, hi: np.ndarray, squared: bool
+) -> np.ndarray:
+    """Total cost of *q* escaping each band ``[lo[g], hi[g]]``, in closed form.
+
+    ``sum_i cost(max(q_i - hi, 0) + max(lo - q_i, 0))`` needs only *how
+    many* points of *q* lie beyond each edge and their power sums: sort
+    *q* once, take prefix sums, and two ``searchsorted`` calls give every
+    band's answer — ``O(n log n + G log n)`` with ``(G,)`` temporaries,
+    where the breach tensor is ``O(G n)``.
+
+    Prefix-sum differences round differently from the term-by-term breach
+    sum, so a margin is shaved off (and the result clipped at 0): with
+    ``u = 2**-53`` and ``scale >= |every intermediate|`` the closed form is
+    within ``(4n + 12) u scale`` of the exact sum and the breach sum no
+    more than ``(n + 2) u scale`` under it, so shaving ``4 (n + 2) eps
+    scale = (8n + 16) u scale`` never leaves the result above the breach
+    sum — the quantity the DTW soundness argument is about (DESIGN.md
+    §1).  A band no point escapes gets exactly 0: both counts are 0 and
+    every term vanishes.
+    """
+    n = q.shape[0]
+    pts = np.sort(q)
+    above = np.searchsorted(pts, hi, side="right")  # pts[above:] > hi
+    below = np.searchsorted(pts, lo, side="left")  # pts[:below] < lo
+    sums = np.concatenate(([0.0], np.cumsum(pts)))
+    over, under = sums[n] - sums[above], sums[below]
+    reach = np.maximum(-lo, hi)  # max(|lo|, |hi|), as lo <= hi
+    if squared:
+        squares = np.concatenate(([0.0], np.cumsum(pts * pts)))
+        out = ((squares[n] - squares[above]) - 2.0 * hi * over + (n - above) * hi * hi) + (
+            squares[below] - 2.0 * lo * under + below * lo * lo
+        )
+        scale = squares[n] + 2.0 * reach * np.abs(pts).sum() + n * reach * reach
+    else:
+        out = (over - (n - above) * hi) + (below * lo - under)
+        scale = np.abs(pts).sum() + n * reach
+    return np.maximum(out - 4.0 * (n + 2) * np.finfo(np.float64).eps * scale, 0.0)
+
+
 def lb_keogh_reverse_batch(
-    x, lower: np.ndarray, upper: np.ndarray, *, ground: str = "l1"
+    x: ArrayLike, lower: ArrayLike, upper: ArrayLike, *, ground: str = "l1"
 ) -> np.ndarray:
     """Keogh bound of a sequence against many candidate envelopes.
 
@@ -196,6 +247,10 @@ def lb_keogh_reverse_batch(
     min/max band covers any radius, including unconstrained DTW: every
     warping path matches each ``x[i]`` to *some* candidate point).  *x*
     may also be a ``(Q, n)`` query stack, giving a ``(Q, G)`` table.
+
+    A ``(G, 1)`` band is evaluated in closed form (:func:`_band_breach`,
+    ``O(G log n)``, never above the breach sum); only true ``(G, n)``
+    envelopes build the ``(Q, G, n)`` breach tensor.
     """
     qs, single = _as_query_rows(x)
     lo = np.asarray(lower, dtype=np.float64)
@@ -209,18 +264,22 @@ def lb_keogh_reverse_batch(
             f"envelope width {lo.shape[1]} matches neither the sequence "
             f"length {qs.shape[1]} nor a (G, 1) min/max band"
         )
-    # (G, n) envelopes broadcast elementwise against each query; (G, 1)
-    # min/max bands broadcast every point against the same band.  Either
-    # way the breach tensor is (Q, G, n), summed to (Q, G).
-    stacked = qs[:, None, :]
-    breach = np.where(
-        stacked > hi, stacked - hi, np.where(stacked < lo, lo - stacked, 0.0)
-    )
-    out = _cost(breach, _ground_is_squared(ground)).sum(axis=2)
+    squared = _ground_is_squared(ground)
+    if lo.shape[1] == 1:
+        rows = [_band_breach(q, lo[:, 0], hi[:, 0], squared) for q in qs]
+        out = rows if single else np.stack(rows)
+    else:
+        stacked = qs[:, None, :]
+        breach = np.where(
+            stacked > hi, stacked - hi, np.where(stacked < lo, lo - stacked, 0.0)
+        )
+        out = _cost(breach, squared).sum(axis=2)
     return out[0] if single else out
 
 
-def lb_keogh_terms(candidate, lower: np.ndarray, upper: np.ndarray, *, ground: str = "l1") -> np.ndarray:
+def lb_keogh_terms(
+    candidate: ArrayLike, lower: ArrayLike, upper: ArrayLike, *, ground: str = "l1"
+) -> np.ndarray:
     """Per-point envelope breach costs (the summands of LB_Keogh).
 
     The UCR Suite accumulates these in a best-order traversal and also
@@ -240,7 +299,9 @@ def lb_keogh_terms(candidate, lower: np.ndarray, upper: np.ndarray, *, ground: s
     return _cost(breach, squared)
 
 
-def lb_keogh(candidate, lower: np.ndarray, upper: np.ndarray, *, ground: str = "l1") -> float:
+def lb_keogh(
+    candidate: ArrayLike, lower: ArrayLike, upper: ArrayLike, *, ground: str = "l1"
+) -> float:
     """LB_Keogh: total cost of a candidate escaping the query envelope.
 
     *lower*/*upper* must come from :func:`repro.distances.envelope.keogh_envelope`
@@ -251,7 +312,9 @@ def lb_keogh(candidate, lower: np.ndarray, upper: np.ndarray, *, ground: str = "
     return float(lb_keogh_terms(candidate, lower, upper, ground=ground).sum())
 
 
-def lb_keogh_batch(rows, lower: np.ndarray, upper: np.ndarray, *, ground: str = "l1") -> np.ndarray:
+def lb_keogh_batch(
+    rows: ArrayLike, lower: ArrayLike, upper: ArrayLike, *, ground: str = "l1"
+) -> np.ndarray:
     """:func:`lb_keogh` of every row of a 2-D stack against one envelope.
 
     *lower*/*upper* are the query's Keogh envelope (radius >= the DTW band
@@ -274,7 +337,7 @@ def lb_keogh_batch(rows, lower: np.ndarray, upper: np.ndarray, *, ground: str = 
 
 
 def lb_pairwise_table(
-    rows, *, radius: int | None = None, ground: str = "l1"
+    rows: ArrayLike, *, radius: int | None = None, ground: str = "l1"
 ) -> np.ndarray:
     """Pairwise DTW lower-bound table over all rows of one stack.
 
@@ -310,8 +373,8 @@ def lb_pairwise_table(
 
 
 def lb_cascade(
-    query,
-    candidate,
+    query: ArrayLike,
+    candidate: ArrayLike,
     threshold: float,
     *,
     radius: int = 0,

@@ -6,8 +6,9 @@ the cascade beyond the row-scan ``dtw_path``; the work counters are
 pinned, so a change to *which* representatives or members get a DTW call
 shows up here.  The rest of the file pins what the member stage promises
 about its own work: path lengths only for rows that pass the raw test,
-no gather or kernel call ahead of a deadline check, and the brute-force
-order under exact distance ties.
+no gather or kernel call ahead of a deadline check (per drained chunk in
+k-best, per length-sorted chunk in the threshold scan), and the
+brute-force order under exact distance ties.
 """
 
 import numpy as np
@@ -260,20 +261,27 @@ def test_k_best_checks_once_per_drained_chunk(monkeypatch):
     assert all(1 <= n <= 2 for n in member_kernels), member_kernels
 
 
-def test_threshold_scan_checks_once_per_bucket(monkeypatch):
+def test_threshold_scan_checks_once_per_chunk(monkeypatch):
     base = matters_base()
     q = queries_for(base)[1]
     events, _ = watched_run(
         monkeypatch, lambda p, d: p.matches_within(q, 0.05, normalize=False, deadline=d)
     )
-    assert events.count("query.refine_unit") == len(base.lengths)
-    assert events.count("check") == len(base.lengths)
-    assert 0 < events.count("gather") <= len(base.lengths)
+    # Lengths 5-7 verify as one chunk, length 8 as the next: the boundary
+    # is the chunk, not the length bucket.
+    chunks = events.count("query.refine_unit")
+    assert chunks == 2 < len(base.lengths)
+    assert events.count("check") == chunks
+    assert events.count("gather") == chunks
     for at, event in enumerate(events):
         if event == "query.refine_unit":
-            # Nothing of the bucket — not even its representatives' DTW —
-            # runs between the failpoint and the deadline check.
-            assert events[at + 1] == "check"
+            # Nothing of the chunk — not even its representatives' DTW —
+            # runs between the failpoint and the deadline check, and the
+            # chunk is one representative call, one gather and at most a
+            # cost and a path-length call.
+            assert events[at + 1 : at + 4] == ["check", "kernel", "gather"]
+            after = events[at + 4 : at + 7]
+            assert 1 <= (after + ["query.refine_unit"]).index("query.refine_unit") <= 2
 
 
 @pytest.mark.parametrize("mode", ["fast", "exact"])

@@ -351,17 +351,30 @@ class TestPartialResults:
                     deadline=Deadline.after(1.0, allow_partial=True),
                 )
 
-    def test_matches_within_flags_partial(self, base):
-        processor = QueryProcessor(base, QueryConfig(mode="exact"))
-        with faults.inject("query.refine_unit", "sleep", seconds=0.1):
-            matches = processor.matches_within(
-                [0.1, 0.4, 0.2, 0.5],
-                10.0,
-                deadline=Deadline.after(150.0, allow_partial=True),
-            )
-        assert matches and all(not m.exact for m in matches)
+    def test_matches_within_flags_partial(self, monkeypatch):
+        # Lengths 4-6 verify as one chunk and 7-8 as the next; the scan's
+        # deadline boundary is the chunk, so the budget is spent at the
+        # second one and the first chunk's (complete) matches come back.
+        rng = np.random.default_rng(61)
+        arrays = [rng.normal(size=n).cumsum() for n in (30, 28, 26, 32)]
+        wide = OnexBase(
+            TimeSeriesDataset.from_arrays(arrays, name="deadline-walks"),
+            BuildConfig(similarity_threshold=0.1, min_length=4, max_length=8),
+        )
+        wide.build()
+        processor = QueryProcessor(wide, QueryConfig(mode="exact"))
         full = processor.matches_within([0.1, 0.4, 0.2, 0.5], 10.0)
-        assert len(matches) < len(full)
+        token = cancel_on_refine_unit(monkeypatch, 2)
+        matches = processor.matches_within(
+            [0.1, 0.4, 0.2, 0.5],
+            10.0,
+            deadline=Deadline(token=token, allow_partial=True),
+        )
+        assert matches and all(not m.exact for m in matches)
+        assert [(m.ref, m.distance) for m in matches] == [
+            (m.ref, m.distance) for m in full if m.length <= 6
+        ]
+        assert processor.last_stats.partial_results == 1
 
     def test_seasonal_returns_verified_prefix(self):
         series = TimeSeries("periodic", np.tile(np.sin(np.linspace(0, 6, 8)), 5))

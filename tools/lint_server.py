@@ -4,8 +4,11 @@ The serving stack — supervisor, pool, HTTP front end (``repro.server``),
 the one on-disk layout every save, checkpoint, publication and attach
 goes through (``repro.core.mmap_layout``, ``repro.core.persist``), the
 WAL/checkpoint/recovery subsystem (``repro.durability``), the query
-cascade every read runs (``repro.core.query``) and the DTW kernel under
-it (``repro.distances.dtw``) — is the code that runs unattended, so it
+cascade every read runs (``repro.core.query``) with the base and its
+representative table it ranks over (``repro.core.base``), the bounds of
+the rank stage (``repro.distances.lower_bounds``,
+``repro.distances.envelope``) and the DTW kernel under it
+(``repro.distances.dtw``) — is the code that runs unattended, so it
 gets the strictest gate in the repo.  ``mypy``
 is not part of the baked toolchain, so this checker enforces the
 *strict-mode surface rules* with the stdlib ``ast`` module:
@@ -36,7 +39,10 @@ TARGETS = (
     ROOT / "src" / "repro" / "core" / "mmap_layout.py",
     ROOT / "src" / "repro" / "core" / "persist.py",
     ROOT / "src" / "repro" / "core" / "query.py",
+    ROOT / "src" / "repro" / "core" / "base.py",
     ROOT / "src" / "repro" / "distances" / "dtw.py",
+    ROOT / "src" / "repro" / "distances" / "lower_bounds.py",
+    ROOT / "src" / "repro" / "distances" / "envelope.py",
 )
 
 #: Decorators whose functions legitimately drop the return annotation
