@@ -69,8 +69,17 @@ def seed_build(base: OnexBase) -> None:
             matrix[k] = dataset.values(ref)
         groups = cluster_subsequences(matrix, refs, cfg.group_radius, batched=False)
         row_of = {ref: k for k, ref in enumerate(refs)}
-        member_rows = [row_of[m] for g in groups for m in g.members]
-        base._buckets[length] = LengthBucket(length, groups, matrix[member_rows])
+        members = [m for g in groups for m in g.members]
+        base._buckets[length] = LengthBucket(
+            length,
+            np.array([(m.series_index, m.start) for m in members], dtype=np.int64),
+            np.cumsum([0] + [g.cardinality for g in groups]),
+            matrix[[row_of[m] for m in members]],
+            np.array([g.centroid for g in groups]),
+            np.array([g.ed_radius for g in groups]),
+            np.array([g.cheb_radius for g in groups]),
+            writable=True,
+        )
 
 
 def build_with(dataset, **overrides) -> OnexBase:

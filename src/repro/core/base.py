@@ -20,7 +20,7 @@ import operator
 import time
 from collections.abc import Iterable, Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import SupportsIndex
 
@@ -84,7 +84,7 @@ __all__ = [
     "OnexBase",
     "RepresentativeSummary",
     "RepresentativeTable",
-    "WindowAssignment",
+    "WindowAssignments",
     "default_envelope_radius",
 ]
 
@@ -136,18 +136,24 @@ class BaseStats:
 
 
 @dataclass(frozen=True)
-class WindowAssignment:
-    """One newly indexed window and where it landed.
+class WindowAssignments:
+    """The windows one ingestion call indexed and where each landed.
 
-    ``distance`` is the ``ED_n`` to the assigned group's representative
-    (0.0 when the window seeded a new group).  The streaming monitors use
-    these records as their group-level prefilter input.
+    Parallel arrays, one entry per window of series ``series_index`` in
+    (length, start) order: the window's ``lengths`` and ``starts``, the
+    ``groups`` it was assigned to within its length's bucket and whether
+    it ``created`` its group.  The streaming monitors use these as their
+    group-level prefilter input.
     """
 
-    ref: SubsequenceRef
-    group_index: int
-    distance: float
-    created: bool
+    series_index: int
+    lengths: np.ndarray
+    starts: np.ndarray
+    groups: np.ndarray
+    created: np.ndarray
+
+    def __len__(self) -> int:
+        return self.lengths.shape[0]
 
 
 def _grown(
@@ -187,6 +193,9 @@ class RepresentativeSummary:
     by concurrent queries.
     """
 
+    #: Initial row capacity of the growable stacks.
+    _MIN_CAPACITY = 16
+
     def __init__(self, length: int, width: int | None = None) -> None:
         self.length = length
         self.radius = default_envelope_radius(length)
@@ -197,7 +206,7 @@ class RepresentativeSummary:
         #: multivariate buckets).
         self.width = length if width is None else int(width)
         self._count = 0
-        cap = LengthBucket._MIN_CAPACITY
+        cap = self._MIN_CAPACITY
         self._env_lo = np.empty((cap, self.width), dtype=np.float64)
         self._env_hi = np.empty((cap, self.width), dtype=np.float64)
         self._endpoints = np.empty((cap, 4), dtype=np.float64)
@@ -385,39 +394,32 @@ class RepresentativeTable:
         )
 
 
-class _LazyGroups(Sequence):
-    """``bucket.groups`` of a read-only attached bucket.
+class _GroupsView(Sequence):
+    """``bucket.groups``: a bucket's groups as a sequence, made on demand.
 
-    The bucket's handle and offset arrays stay the source of truth: a
+    The bucket's arrays are its only stored state: a
     :class:`SimilarityGroup` (and its tuple of ``SubsequenceRef``) is
-    built, and memoised, only when indexed — attaching costs nothing per
-    group and a query pays for the handful of groups it refines.
-    Concurrent readers at worst build the same group twice.  Holds the
-    arrays, not the bucket, so dropping a base frees its map at once.
+    built from them, and memoised on the bucket, only when indexed — so
+    building, attaching and appending cost nothing per group and a reader
+    pays for the handful of groups it looks at.  Concurrent readers at
+    worst build the same group twice.  A view is made per access and the
+    bucket keeps none, so no reference cycle delays the unmapping of a
+    dropped read-only base.
     """
 
-    __slots__ = ("_length", "_handles", "_offsets", "_stacks", "_built")
+    __slots__ = ("_bucket",)
 
-    def __init__(
-        self,
-        length: int,
-        handles: np.ndarray,
-        offsets: np.ndarray,
-        stacks: tuple[np.ndarray, np.ndarray, np.ndarray],
-    ) -> None:
-        self._length = length
-        self._handles = handles
-        self._offsets = offsets
-        self._stacks = stacks  # (centroids, ed_radii, cheb_radii)
-        self._built: dict[int, SimilarityGroup] = {}
+    def __init__(self, bucket: "LengthBucket") -> None:
+        self._bucket = bucket
 
     def __len__(self) -> int:
-        return self._offsets.shape[0] - 1
+        return self._bucket.group_count
 
     def __getitem__(
         self, index: SupportsIndex | slice
     ) -> SimilarityGroup | list[SimilarityGroup]:
-        count = len(self)
+        bucket = self._bucket
+        count = bucket.group_count
         if isinstance(index, slice):
             return [self[i] for i in range(*index.indices(count))]
         i = operator.index(index)
@@ -425,20 +427,18 @@ class _LazyGroups(Sequence):
             i += count
         if not 0 <= i < count:
             raise IndexError("group index out of range")
-        group = self._built.get(i)
+        group = bucket._built.get(i)
         if group is None:
-            lo, hi = self._offsets[i : i + 2].tolist()
-            length = self._length
-            centroids, ed_radii, cheb_radii = self._stacks
-            group = self._built[i] = SimilarityGroup(
+            length = bucket.length
+            _, handles, _ = bucket.group_rows(np.array([i]))
+            group = bucket._built[i] = SimilarityGroup(
                 length=length,
-                centroid=centroids[i],
+                centroid=bucket.centroids[i],
                 members=tuple(
-                    SubsequenceRef(si, st, length)
-                    for si, st in self._handles[lo:hi].tolist()
+                    SubsequenceRef(si, st, length) for si, st in handles.tolist()
                 ),
-                ed_radius=float(ed_radii[i]),
-                cheb_radius=float(cheb_radii[i]),
+                ed_radius=float(bucket.ed_radii[i]),
+                cheb_radius=float(bucket.cheb_radii[i]),
             )
         return group
 
@@ -446,113 +446,29 @@ class _LazyGroups(Sequence):
 class LengthBucket:
     """All similarity groups for one subsequence length.
 
-    Keeps the group centroids stacked in one matrix so the query processor
-    can evaluate cheap bounds against every representative of a length in
-    a single vectorised operation.  The member *values* are stacked the
-    same way: ``member_matrix`` holds every member of every group as one
-    2-D array.  This is what lets the query processor refine a whole group
-    — lower-bound cascade and batched DTW — without resolving members one
-    at a time.
+    **Arrays are the only stored state.**  One row per group: the stacked
+    representatives (``centroids``), both radius vectors and the
+    cumulative ``member_offsets``; one row per member, in one physical
+    row order: its values (``member_matrix``), its ``(series_index,
+    start)`` handle and — once anything was appended — its owning group.
+    Stacking is what lets the query processor bound every representative
+    of a length, and refine whole groups, in single vectorised
+    operations.  Counts, the structure fingerprint, the snapshot writer
+    and every query read only these arrays; ``groups`` is a view that
+    builds a :class:`SimilarityGroup` when one is asked for, and nothing
+    on the build, load, append, query or save path asks.
 
-    **Arrays are the truth.**  Beside the value stack the bucket keeps,
-    one row per member and in the same (physical) row order, the
-    ``(series_index, start)`` handle and the owning group index, plus the
-    cumulative member offsets of the groups in logical order.  Counts,
-    the structure fingerprint and the snapshot writer read only these;
-    ``groups`` holds the per-group Python objects — a real list on a
-    writable bucket, built on demand (:class:`_LazyGroups`) on a
-    read-only attached one.
-
-    All the stacks are *growable*: incremental ingestion
-    (``OnexBase.add_series`` and the :mod:`repro.stream` subsystem)
-    appends rows in place with amortised doubling instead of re-gathering
-    every member.  The rows a bucket was constructed with are
-    group-contiguous (``_base_offsets`` delimits them, so a group without
-    appends resolves to a slice of the store, no copy); rows appended
-    later land at the end of the store in arrival order and are tracked
-    per group in ``_extra_rows``.
+    The rows a bucket is constructed with are group-contiguous, so a
+    group's rows are index arithmetic over the offsets.  A *writable*
+    bucket grows in place with amortised doubling (``append``, driven by
+    ``OnexBase.add_series`` and the :mod:`repro.stream` subsystem): new
+    rows land at the end of the stores in arrival order and ``_row_group``
+    names every row's owner from then on.  One lookup, :meth:`group_rows`,
+    resolves groups to rows in both regimes.
     """
-
-    #: Initial row capacity of the growable stacks.
-    _MIN_CAPACITY = 16
 
     def __init__(
         self,
-        length: int,
-        groups: list[SimilarityGroup],
-        member_matrix: np.ndarray,
-        stacks: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-        channels: int = 1,
-        handles: np.ndarray | None = None,
-    ) -> None:
-        self.length = length
-        #: Channels per time step; multivariate buckets store every row
-        #: channel-flattened (C-order ``(length, channels)``, width
-        #: ``length * channels``) so clustering, radii, and persistence
-        #: are identical to the univariate layout.
-        self.channels = int(channels)
-        self.groups: list[SimilarityGroup] | _LazyGroups = list(groups)
-        count = len(self.groups)
-        cap = max(self._MIN_CAPACITY, count)
-        width = length * self.channels
-        self._centroid_store = np.empty((cap, width), dtype=np.float64)
-        self._ed_store = np.empty(cap, dtype=np.float64)
-        self._cheb_store = np.empty(cap, dtype=np.float64)
-        if stacks is not None:
-            # Already-stacked (centroids, ed_radii, cheb_radii) matching
-            # *groups* — the build pipeline hands its shard arrays over
-            # so a many-group bucket skips the per-group copy loop.
-            self._centroid_store[:count] = stacks[0]
-            self._ed_store[:count] = stacks[1]
-            self._cheb_store[:count] = stacks[2]
-        else:
-            for g, group in enumerate(self.groups):
-                self._centroid_store[g] = group.centroid
-                self._ed_store[g] = group.ed_radius
-                self._cheb_store[g] = group.cheb_radius
-        cards = np.fromiter(
-            (g.cardinality for g in self.groups), np.int64, count
-        )
-        self._offset_store = np.zeros(cap + 1, dtype=np.int64)
-        np.cumsum(cards, out=self._offset_store[1 : count + 1])
-        if handles is None:
-            # (series_index, start) of every member, group by group; the
-            # build pipeline passes the array it already holds instead.
-            handles = np.array(
-                [(m.series_index, m.start) for g in self.groups for m in g.members],
-                dtype=np.int64,
-            ).reshape(-1, 2)
-        self._adopt_rows(self._offset_store[: count + 1].copy(), handles)
-        # Representative summaries (envelopes/endpoints/minmax) are built
-        # lazily on first use and kept in sync by append_group; load()
-        # attaches the persisted arrays instead.
-        self._rep_summary: RepresentativeSummary | None = None
-        expected = (self._row_count, width)
-        if member_matrix.shape != expected:
-            raise ValidationError(
-                f"member matrix shape {member_matrix.shape} != {expected}"
-            )
-        # Take ownership: appends only ever write past the current row
-        # count (after reallocating when capacity is exhausted).
-        self._member_store = np.ascontiguousarray(member_matrix, dtype=np.float64)
-
-    def _adopt_rows(self, offsets: np.ndarray, handles: np.ndarray) -> None:
-        """Install the group-contiguous construction rows *offsets* delimit."""
-        self._base_offsets = offsets
-        self._row_count = int(offsets[-1])
-        if handles.shape != (self._row_count, 2):
-            raise ValidationError(
-                f"member handles shape {handles.shape} != {(self._row_count, 2)}"
-            )
-        self._handle_store = handles
-        #: Owning group of every store row; built by the first append
-        #: (until then the rows are exactly the construction rows).
-        self._row_group: np.ndarray | None = None
-        self._extra_rows: dict[int, list[int]] = {}
-
-    @classmethod
-    def attached(
-        cls,
         length: int,
         handles: np.ndarray,
         offsets: np.ndarray,
@@ -562,55 +478,67 @@ class LengthBucket:
         cheb_radii: np.ndarray,
         channels: int = 1,
         *,
-        writable: bool = False,
-    ) -> "LengthBucket":
-        """Adopt already-stacked stores *without copying them*.
+        writable: bool,
+    ) -> None:
+        """Adopt the stacked arrays of a bucket *without copying them*.
 
-        The zero-copy sibling of ``__init__``: the stores are the given
-        arrays themselves (capacity == count), so mmap-backed arrays stay
-        mmap-backed and N worker processes share one page-cache copy.
-        *handles* is the ``(M, 2)`` member-handle array and *offsets* the
-        ``(G+1,)`` group offsets into it; no per-group Python object is
-        built — ``groups`` materialises them on demand and appends raise
-        :class:`~repro.exceptions.ReadOnlyBaseError`.  With *writable*
-        (the arrays must then be private copies) ``groups`` is a real
-        list and appends work: the first one finds each store full and
-        reallocates it through ``_grown``.
+        *handles* is the ``(M, 2)`` member-handle array, *offsets* the
+        ``(G+1,)`` group offsets into it and into the ``(M, width)``
+        *member_matrix*; the other three are the per-group stacks.  The
+        stores are the given arrays themselves (capacity == count), so
+        mmap-backed arrays stay mmap-backed and N worker processes share
+        one page-cache copy.  Only a *writable* bucket accepts appends
+        (the arrays must then be private: radii and offsets are updated
+        in place, and the first append finds each store full and
+        reallocates it through ``_grown``); otherwise they raise
+        :class:`~repro.exceptions.ReadOnlyBaseError`.
         """
-        self = object.__new__(cls)
         self.length = int(length)
+        #: Channels per time step; multivariate buckets store every row
+        #: channel-flattened (C-order ``(length, channels)``, width
+        #: ``length * channels``) so clustering, radii, and persistence
+        #: are identical to the univariate layout.
         self.channels = int(channels)
+        self.writable = writable
         count = int(offsets.shape[0]) - 1
+        rows = int(offsets[-1])
         width = self.length * self.channels
-        if centroids.shape != (count, width):
-            raise ValidationError(
-                f"centroid stack shape {centroids.shape} != {(count, width)}"
-            )
-        if ed_radii.shape != (count,) or cheb_radii.shape != (count,):
-            raise ValidationError(
-                f"radius vectors {ed_radii.shape}, {cheb_radii.shape} != {(count,)}"
-            )
+        for name, array, shape in (
+            ("member handles", handles, (rows, 2)),
+            ("member matrix", member_matrix, (rows, width)),
+            ("centroid stack", centroids, (count, width)),
+            ("ED radius vector", ed_radii, (count,)),
+            ("Chebyshev radius vector", cheb_radii, (count,)),
+        ):
+            if array.shape != shape:
+                raise ValidationError(f"{name} shape {array.shape} != {shape}")
+        self._group_count = count
+        self._row_count = rows
+        self._handle_store = handles
+        self._offset_store = offsets
+        self._member_store = member_matrix
         self._centroid_store = centroids
         self._ed_store = ed_radii
         self._cheb_store = cheb_radii
-        self._offset_store = offsets
-        self._adopt_rows(offsets.copy() if writable else offsets, handles)
-        self._rep_summary = None
-        expected = (self._row_count, width)
-        if member_matrix.shape != expected:
-            raise ValidationError(
-                f"member matrix shape {member_matrix.shape} != {expected}"
-            )
-        self._member_store = member_matrix
-        groups = _LazyGroups(
-            self.length, handles, self._base_offsets, (centroids, ed_radii, cheb_radii)
-        )
-        self.groups = list(groups) if writable else groups
-        return self
+        #: Owning group of every store row; built by the first append
+        #: (until then the rows are exactly the construction rows).
+        self._row_group: np.ndarray | None = None
+        #: Groups the ``groups`` view has built; an append drops the ones
+        #: it grows.
+        self._built: dict[int, SimilarityGroup] = {}
+        # Representative summaries (envelopes/endpoints/minmax) are built
+        # lazily on first use and kept in sync by append; the snapshot
+        # reader attaches the persisted arrays instead.
+        self._rep_summary: RepresentativeSummary | None = None
+
+    @property
+    def groups(self) -> _GroupsView:
+        """The groups as :class:`SimilarityGroup` values, built on demand."""
+        return _GroupsView(self)
 
     @property
     def group_count(self) -> int:
-        return len(self.groups)
+        return self._group_count
 
     @property
     def member_count(self) -> int:
@@ -619,17 +547,17 @@ class LengthBucket:
     @property
     def centroids(self) -> np.ndarray:
         """Stacked group representatives (live view; do not mutate)."""
-        return self._centroid_store[: len(self.groups)]
+        return self._centroid_store[: self._group_count]
 
     @property
     def ed_radii(self) -> np.ndarray:
         """Per-group max ``ED_n(member, representative)`` (live view)."""
-        return self._ed_store[: len(self.groups)]
+        return self._ed_store[: self._group_count]
 
     @property
     def cheb_radii(self) -> np.ndarray:
         """Per-group Chebyshev radius feeding the transfer bounds (view)."""
-        return self._cheb_store[: len(self.groups)]
+        return self._cheb_store[: self._group_count]
 
     @property
     def rep_summary(self) -> RepresentativeSummary:
@@ -652,10 +580,10 @@ class LengthBucket:
 
     def attach_rep_summary(self, summary: RepresentativeSummary) -> None:
         """Adopt persisted representative summaries (see ``OnexBase.load``)."""
-        if summary.count != len(self.groups):
+        if summary.count != self._group_count:
             raise ValidationError(
                 f"representative summary covers {summary.count} groups, "
-                f"bucket has {len(self.groups)}"
+                f"bucket has {self._group_count}"
             )
         self._rep_summary = summary
 
@@ -666,7 +594,7 @@ class LengthBucket:
         A live ``(G+1,)`` view (do not mutate): group ``g`` has
         ``offsets[g+1] - offsets[g]`` members.
         """
-        return self._offset_store[: len(self.groups) + 1]
+        return self._offset_store[: self._group_count + 1]
 
     @property
     def cardinalities(self) -> np.ndarray:
@@ -684,20 +612,25 @@ class LengthBucket:
         """Where the members of groups *g_idx* live: their store rows (to
         index :attr:`member_matrix`), ``(series_index, start)`` handles
         and owning groups, row for row — index arithmetic only, no group
-        is built.
+        is built.  The one lookup everything that resolves a group goes
+        through; *g_idx* indexes like ``groups[i]`` (negatives wrap, out
+        of range raises ``IndexError``).
 
         While no append has happened the rows are the construction
-        ranges ``_base_offsets`` delimits; afterwards ``_row_group``
-        names every row's owner, appended ones included.
+        ranges the offsets delimit, group by group as *g_idx* names
+        them; afterwards ``_row_group`` names every row's owner, appended
+        ones included, and the rows come in store order (within a group
+        that is arrival order, the order of its ``members``).
         """
         if self._row_group is None:
-            lo = self._base_offsets[g_idx]
-            counts = self._base_offsets[g_idx + 1] - lo
-            owner = np.repeat(g_idx, counts)
+            offsets = self.member_offsets
+            lo = offsets[:-1][g_idx]
+            counts = offsets[1:][g_idx] - lo
+            owner = np.repeat(g_idx % self._group_count, counts)
             first = np.repeat(lo - (np.cumsum(counts) - counts), counts)
             rows = first + np.arange(owner.size)
         else:
-            wanted = np.zeros(len(self.groups), dtype=bool)
+            wanted = np.zeros(self._group_count, dtype=bool)
             wanted[g_idx] = True
             row_group = self._row_group[: self._row_count]
             rows = np.flatnonzero(wanted[row_group])
@@ -733,30 +666,14 @@ class LengthBucket:
 
         Row order is group-contiguous right after ``build()``/``load()``;
         rows appended by incremental ingestion live at the end, in arrival
-        order — resolve a group's rows with :meth:`member_rows`, and use
+        order — resolve groups' rows with :meth:`group_rows`, and use
         :meth:`stacked_member_matrix` where group-contiguous order matters.
         """
         return self._member_store[: self._row_count]
 
     def member_rows(self, g_idx: int) -> np.ndarray:
-        """Values of group *g_idx*'s members, ordered as its ``members``.
-
-        A contiguous slice (no copy) while the group has had no appends —
-        always the case at build/load time — else a gathered copy of the
-        group's rows.
-        """
-        extra = self._extra_rows.get(g_idx)
-        base = self._base_offsets
-        if g_idx + 1 < base.shape[0]:
-            lo, hi = base.item(g_idx), base.item(g_idx + 1)
-            if extra is None:
-                return self._member_store[lo:hi]
-            rows = [*range(lo, hi), *extra]
-        elif extra is None:
-            raise IndexError(f"group index {g_idx} out of range")
-        else:
-            rows = extra
-        return self._member_store[np.fromiter(rows, np.int64, len(rows))]
+        """Values of group *g_idx*'s members, ordered as its ``members``."""
+        return self._member_store[self.group_rows(np.array([g_idx]))[0]]
 
     def stacked_member_matrix(self) -> np.ndarray:
         """Member values in group-contiguous order (for persistence).
@@ -768,93 +685,72 @@ class LengthBucket:
         order = self._logical_order()
         return self.member_matrix if order is None else self.member_matrix[order]
 
-    # ------------------------------------------------------------------
-    # Incremental growth (amortised-doubling appends)
-    # ------------------------------------------------------------------
+    def _reserve(self, stores: tuple[str, ...], used: int, needed: int) -> None:
+        """Reallocate each of the named *stores* that cannot hold *needed*
+        rows, keeping its first *used* (amortised doubling)."""
+        for name in stores:
+            store = getattr(self, name)
+            if needed > store.shape[0]:
+                setattr(self, name, _grown(store, used, needed=needed))
 
-    def append_member(self, g_idx: int, ref: SubsequenceRef, values: np.ndarray) -> None:
-        """Add one member to group *g_idx*, growing the stores in place."""
-        self.append_members(g_idx, [ref], values[None, :])
+    def append(
+        self, owners: np.ndarray, handles: np.ndarray, rows: np.ndarray
+    ) -> None:
+        """Append members — *rows* of values with their ``(series_index,
+        start)`` *handles* — to the groups *owners*, growing the stores in
+        place with amortised doubling.
 
-    def _require_writable(self) -> None:
-        if isinstance(self.groups, _LazyGroups):
+        An owner at or past ``group_count`` seeds the next new group with
+        its row as the representative; such owners must come ascending
+        from ``group_count``, one row each.  For a join the caller
+        guarantees the construction invariant (``ED_n`` to the
+        representative within the group radius).  Radii are updated
+        exactly and no representative moves, so existing members'
+        guarantees are untouched.
+        """
+        if not self.writable:
             raise ReadOnlyBaseError(
                 f"length-{self.length} bucket is attached read-only"
             )
-
-    def append_members(
-        self, g_idx: int, refs: list[SubsequenceRef], rows: np.ndarray
-    ) -> None:
-        """Add a batch of members to group *g_idx*, growing in place.
-
-        The caller guarantees the construction invariant (``ED_n`` to the
-        representative within the group radius); radii are updated exactly
-        and the representative is **not** moved, so existing members'
-        guarantees are untouched.  One batch costs a single rebuild of the
-        group's members tuple, so callers assigning many windows at once
-        (``add_series``, a chunked stream append) stay linear.
-        """
-        self._require_writable()
-        group = self.groups[g_idx]
-        deviations = np.abs(rows - group.centroid)
-        self.groups[g_idx] = replace(
-            group,
-            members=group.members + tuple(refs),
-            ed_radius=max(group.ed_radius, float(deviations.mean(axis=1).max())),
-            cheb_radius=max(group.cheb_radius, float(deviations.max())),
-        )
-        self._ed_store[g_idx] = self.groups[g_idx].ed_radius
-        self._cheb_store[g_idx] = self.groups[g_idx].cheb_radius
-        self._offset_store[g_idx + 1 : len(self.groups) + 1] += len(refs)
-        extra = self._extra_rows.setdefault(g_idx, [])
-        for ref, row in zip(refs, rows):
-            extra.append(self._append_row(g_idx, ref, row))
-
-    def append_group(self, group: SimilarityGroup, values: np.ndarray) -> int:
-        """Add a new (singleton) group seeded by *values*; returns its index."""
-        self._require_writable()
-        g_idx = len(self.groups)
-        if g_idx == self._centroid_store.shape[0]:
-            self._centroid_store = _grown(self._centroid_store, g_idx)
-            self._ed_store = _grown(self._ed_store, g_idx)
-            self._cheb_store = _grown(self._cheb_store, g_idx)
-        if g_idx + 1 == self._offset_store.shape[0]:
-            self._offset_store = _grown(self._offset_store, g_idx + 1)
-        self._centroid_store[g_idx] = group.centroid
-        self._ed_store[g_idx] = group.ed_radius
-        self._cheb_store[g_idx] = group.cheb_radius
-        self._offset_store[g_idx + 1] = self._offset_store[g_idx] + 1
-        self.groups.append(group)
-        if self._rep_summary is not None and self._rep_summary.count == g_idx:
-            # Keep the prunable summaries live under streaming appends;
-            # centroids never move, so existing rows stay valid.
-            self._rep_summary.extend(group.centroid[None, :])
-        self._extra_rows[g_idx] = [
-            self._append_row(g_idx, group.members[0], values)
-        ]
-        return g_idx
-
-    def _append_row(
-        self, g_idx: int, ref: SubsequenceRef, values: np.ndarray
-    ) -> int:
-        """Append one member row to the per-row stores (doubling together);
-        returns its physical index."""
-        row = self._row_count
+        known = self._group_count
+        total = max(known, int(owners.max()) + 1)
         if self._row_group is None:
             self._row_group = np.repeat(
-                np.arange(self._base_offsets.shape[0] - 1, dtype=np.int64),
-                np.diff(self._base_offsets),
+                np.arange(known, dtype=np.int64), self.cardinalities
             )
-        if row == self._member_store.shape[0]:
-            self._member_store = _grown(self._member_store, row)
-        if row == self._handle_store.shape[0]:
-            self._handle_store = _grown(self._handle_store, row)
-            self._row_group = _grown(self._row_group, row)
-        self._member_store[row] = values
-        self._handle_store[row] = (ref.series_index, ref.start)
-        self._row_group[row] = g_idx
-        self._row_count = row + 1
-        return row
+        if total > known:
+            fresh = owners >= known
+            if not np.array_equal(owners[fresh], np.arange(known, total)):
+                raise ValidationError(
+                    f"new groups must be seeded once each, ascending from {known}"
+                )
+            seeds = rows[fresh]
+            self._reserve(("_centroid_store", "_ed_store", "_cheb_store"), known, total)
+            self._reserve(("_offset_store",), known + 1, total + 1)
+            self._centroid_store[known:total] = seeds
+            self._ed_store[known:total] = 0.0
+            self._cheb_store[known:total] = 0.0
+            self._offset_store[known + 1 : total + 1] = self._offset_store[known]
+            self._group_count = total
+            if self._rep_summary is not None:
+                # Keep the prunable summaries live under streaming appends;
+                # centroids never move, so existing rows stay valid.
+                self._rep_summary.extend(seeds)
+        start, stop = self._row_count, self._row_count + rows.shape[0]
+        self._reserve(("_member_store", "_handle_store", "_row_group"), start, stop)
+        self._member_store[start:stop] = rows
+        self._handle_store[start:stop] = handles
+        self._row_group[start:stop] = owners
+        self._row_count = stop
+        deviations = np.abs(rows - self._centroid_store[owners])
+        np.maximum.at(self._ed_store, owners, deviations.mean(axis=1))
+        np.maximum.at(self._cheb_store, owners, deviations.max(axis=1))
+        self._offset_store[1 : total + 1] += np.cumsum(
+            np.bincount(owners, minlength=total)
+        )
+        if self._built:
+            for g_idx in owners.tolist():
+                self._built.pop(g_idx, None)
 
 
 def _build_length_shard(
@@ -871,8 +767,8 @@ def _build_length_shard(
     arrays — stacked centroids, radii, and flat member-row indices with
     group offsets — so the result pickles cheaply across a
     :class:`~concurrent.futures.ProcessPoolExecutor` boundary.  No handle
-    objects are created here; the parent resolves rows to
-    :class:`SubsequenceRef`\\ s arithmetically during reassembly.  The
+    is created here; the parent resolves rows to ``(series_index, start)``
+    handles arithmetically during reassembly.  The
     window matrix rides along only for in-process callers
     (*keep_matrix*); worker processes drop it — re-extracting on the
     parent is cheaper than pickling it through the result pipe.  Returns
@@ -1085,13 +981,13 @@ class OnexBase:
     def _assemble_bucket(self, payload: dict) -> LengthBucket:
         """Reassemble one shard payload into a live :class:`LengthBucket`.
 
-        Runs on the parent: member rows are resolved to
-        :class:`SubsequenceRef` handles with one ``searchsorted`` over the
-        per-series window counts, the groups are rebuilt from the stacked
-        arrays, and the bucket's refinement matrix is gathered from the
-        shard's window matrix.  Bit-identical to what an in-process build
-        of the same length produces (the payload arrays round-trip
-        through pickle exactly).
+        Runs on the parent: member rows are resolved to ``(series_index,
+        start)`` handles with one ``searchsorted`` over the per-series
+        window counts and the bucket's refinement matrix is gathered from
+        the shard's window matrix; the payload's stacked arrays become
+        the bucket's stores as they are.  Bit-identical to what an
+        in-process build of the same length produces (the payload arrays
+        round-trip through pickle exactly).
         """
         length = payload["length"]
         step = self._config.step
@@ -1105,35 +1001,16 @@ class OnexBase:
         )
         member_rows = payload["member_rows"]
         series_idx, starts = rows_to_series_starts(member_rows, counts, step)
-        refs = list(
-            map(
-                SubsequenceRef,
-                series_idx.tolist(),
-                starts.tolist(),
-                [length] * member_rows.shape[0],
-            )
-        )
-        offsets = payload["offsets"].tolist()
-        centroids = payload["centroids"]
-        ed_radii = payload["ed_radii"].tolist()
-        cheb_radii = payload["cheb_radii"].tolist()
-        groups = [
-            SimilarityGroup(
-                length=length,
-                centroid=centroids[g],
-                members=tuple(refs[offsets[g] : offsets[g + 1]]),
-                ed_radius=ed_radii[g],
-                cheb_radius=cheb_radii[g],
-            )
-            for g in range(len(offsets) - 1)
-        ]
         return LengthBucket(
             length,
-            groups,
+            np.column_stack((series_idx, starts)).astype(np.int64, copy=False),
+            payload["offsets"],
             matrix[member_rows],
-            stacks=(centroids, payload["ed_radii"], payload["cheb_radii"]),
+            payload["centroids"],
+            payload["ed_radii"],
+            payload["cheb_radii"],
             channels=self._dataset.channels,
-            handles=np.column_stack((series_idx, starts)).astype(np.int64, copy=False),
+            writable=True,
         )
 
     @classmethod
@@ -1317,7 +1194,7 @@ class OnexBase:
             self._dataset.add(normalized)
         series_index = self._dataset.index_of(series.name)
         assignments = self.index_new_windows(series_index, 0)
-        created = sum(a.created for a in assignments)
+        created = int(assignments.created.sum())
         return {
             "series": series.name,
             "windows": len(assignments),
@@ -1327,7 +1204,7 @@ class OnexBase:
 
     def index_new_windows(
         self, series_index: int, previous_length: int
-    ) -> list[WindowAssignment]:
+    ) -> WindowAssignments:
         """Index every window of series *series_index* completed by growth
         beyond *previous_length* points (0 indexes the whole series).
 
@@ -1336,7 +1213,7 @@ class OnexBase:
         the bucket's stacked centroid matrix (one chunked ``ED_n`` kernel
         per length, as in the offline builder) and appended to their
         groups — or seeded as new singleton groups — in place.  Returns
-        one :class:`WindowAssignment` per indexed window, in (length,
+        the :class:`WindowAssignments` of the indexed windows, in (length,
         start) order; stats are updated to match.
         """
         self._require_built()
@@ -1344,47 +1221,51 @@ class OnexBase:
         cfg = self._config
         values = self._dataset[series_index].values
         n = values.shape[0]
-        out: list[WindowAssignment] = []
+        channels = self.channels
+        per_length = {s.length: s for s in self.stats.per_length}
+        empty = np.empty(0, dtype=np.int64)
+        parts = [(empty, empty, empty, np.empty(0, dtype=bool))]
         for length in range(cfg.min_length, min(cfg.max_length, n) + 1):
             # Windows already indexed have starts <= previous_length - length
             # on the step grid; resume from the next grid point.
             first = max(0, previous_length - length + 1)
             first = -(-first // cfg.step) * cfg.step
-            starts = range(first, n - length + 1, cfg.step)
-            if not starts:
+            starts = np.arange(first, n - length + 1, cfg.step)
+            if not starts.size:
                 continue
             bucket = self._buckets.get(length)
             if bucket is None:
-                bucket = LengthBucket(
+                bucket = self._buckets[length] = LengthBucket(
                     length,
-                    [],
-                    np.empty((0, length * self.channels)),
-                    channels=self.channels,
+                    np.empty((0, 2), dtype=np.int64),
+                    np.zeros(1, dtype=np.int64),
+                    np.empty((0, length * channels)),
+                    np.empty((0, length * channels)),
+                    np.empty(0),
+                    np.empty(0),
+                    channels=channels,
+                    writable=True,
                 )
-                self._buckets[length] = bucket
-            out.extend(
-                self._assign_windows(bucket, series_index, starts, values)
+            groups, created = self._assign_windows(
+                bucket, series_index, starts, values
             )
-        if out:
-            created = sum(a.created for a in out)
+            parts.append((np.full(starts.size, length), starts, groups, created))
+            prev = per_length.get(length)
+            per_length[length] = LengthBuildStats(
+                length=length,
+                subsequences=(prev.subsequences if prev else 0) + starts.size,
+                groups=(prev.groups if prev else 0) + int(created.sum()),
+                seconds=prev.seconds if prev else 0.0,
+            )
+        out = WindowAssignments(series_index, *map(np.concatenate, zip(*parts)))
+        if len(out):
             old = self.stats
-            per_length = {s.length: s for s in old.per_length}
-            for a in out:
-                prev = per_length.get(a.ref.length)
-                per_length[a.ref.length] = LengthBuildStats(
-                    length=a.ref.length,
-                    subsequences=(prev.subsequences if prev else 0) + 1,
-                    groups=(prev.groups if prev else 0) + int(a.created),
-                    seconds=prev.seconds if prev else 0.0,
-                )
             self._stats = BaseStats(
                 subsequences=old.subsequences + len(out),
-                groups=old.groups + created,
+                groups=old.groups + int(out.created.sum()),
                 lengths=len(self._buckets),
                 build_seconds=old.build_seconds,
-                per_length=tuple(
-                    per_length[length] for length in sorted(per_length)
-                ),
+                per_length=tuple(per_length[n] for n in sorted(per_length)),
             )
         return out
 
@@ -1399,31 +1280,30 @@ class OnexBase:
         self,
         bucket: LengthBucket,
         series_index: int,
-        starts: range,
+        starts: np.ndarray,
         values: np.ndarray,
-    ) -> list[WindowAssignment]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Assign same-length windows to *bucket* with fixed representatives.
 
         Windows are processed in row blocks, each batch-evaluated against
         the centroid table as of block start; groups seeded mid-block are
         candidates for the block's remaining windows via an incremental
         scan (ties keep the lowest group index, as one combined argmin
-        over all centroids would).  Joins are buffered and applied per
-        group at the end — one members-tuple rebuild per touched group per
-        call — while creates take effect immediately so later windows can
-        join them.
+        over all centroids would).  A block's new groups reach the bucket
+        in one append at its end, so later blocks can join them; joins are
+        buffered and reach it in one append at the end of the call.
+        Returns each window's group and whether it seeded the group.
         """
         length = bucket.length
         radius = self._config.group_radius
-        windows = window_view(values, length)[
-            starts.start : starts.stop : starts.step
-        ]
+        windows = window_view(values, length)[starts]
         count = windows.shape[0]
         if windows.ndim == 3:
             # Channel-flatten multivariate windows to the stored row layout.
             windows = windows.reshape(count, -1)
-        out: list[WindowAssignment] = []
-        joins: dict[int, list[int]] = {}
+        handles = np.column_stack((np.full(count, series_index), starts))
+        groups = np.empty(count, dtype=np.int64)
+        created = np.zeros(count, dtype=bool)
         for b0 in range(0, count, self._ASSIGN_BLOCK):
             block = windows[b0 : b0 + self._ASSIGN_BLOCK]
             nb = block.shape[0]
@@ -1441,41 +1321,38 @@ class OnexBase:
             else:
                 best_idx = np.zeros(nb, dtype=np.int64)
                 best = np.full(nb, np.inf)
+            fresh = np.empty_like(block)  # representatives seeded by this block
+            seeded = 0
             for bi in range(nb):
-                w = b0 + bi
-                row = windows[w]
+                row = block[bi]
                 g_idx, dist = int(best_idx[bi]), float(best[bi])
-                if bucket.group_count > existing:
-                    fresh = bucket.centroids[existing:]
-                    fresh_d = np.abs(fresh - row).mean(axis=1)
+                if seeded:
+                    fresh_d = np.abs(fresh[:seeded] - row).mean(axis=1)
                     f_idx = int(np.argmin(fresh_d))
                     if float(fresh_d[f_idx]) < dist:
                         g_idx, dist = existing + f_idx, float(fresh_d[f_idx])
-                ref = SubsequenceRef(series_index, starts[w], length)
                 if dist <= radius:
-                    joins.setdefault(g_idx, []).append(w)
-                    out.append(WindowAssignment(ref, g_idx, dist, created=False))
+                    groups[b0 + bi] = g_idx
                 else:
-                    g_idx = bucket.append_group(
-                        SimilarityGroup(
-                            length=length,
-                            centroid=row.copy(),
-                            members=(ref,),
-                            ed_radius=0.0,
-                            cheb_radius=0.0,
-                        ),
-                        row,
-                    )
-                    out.append(WindowAssignment(ref, g_idx, 0.0, created=True))
-        for g_idx, indices in joins.items():
-            bucket.append_members(
-                g_idx,
-                [SubsequenceRef(series_index, starts[w], length) for w in indices],
-                windows[indices],
+                    fresh[seeded] = row
+                    groups[b0 + bi] = existing + seeded
+                    created[b0 + bi] = True
+                    seeded += 1
+            if seeded:
+                at = b0 + np.flatnonzero(created[b0 : b0 + nb])
+                bucket.append(groups[at], handles[at], fresh[:seeded])
+        joined = np.flatnonzero(~created)
+        if joined.size:
+            # Group by group in order of each group's first join, window
+            # order within: the store order joins have always had.
+            _, first, inverse = np.unique(
+                groups[joined], return_index=True, return_inverse=True
             )
+            joined = joined[np.argsort(first[inverse], kind="stable")]
+            bucket.append(groups[joined], handles[joined], windows[joined])
         if self._rep_table is not None:
-            self._rep_table.sync(bucket, grown=list(joins))
-        return out
+            self._rep_table.sync(bucket, grown=groups[joined])
+        return groups, created
 
     # ------------------------------------------------------------------
     # Persistence

@@ -118,14 +118,6 @@ class QueryConfig:
         front — kept for ablations and the exactness cross-check; both
         paths return identical matches in exact mode and identical
         rankings in fast mode.
-    use_analytics_batching:
-        Run the analytics operations — seasonal verification, the
-        sensitivity profile, and threshold recommendation — on the
-        batched cascade (condensed pairwise DTW, summary-bound group
-        prescreen, stacked member verification; the default).  ``False``
-        routes them through the retained seed scalar implementations —
-        identical results, kept for ablations and the exactness
-        cross-checks (``benchmarks/run_all.py`` E17).
     deadline:
         Default cooperative :class:`~repro.core.deadline.Deadline` for
         every operation run under this config, checked at the cascade's
@@ -150,7 +142,6 @@ class QueryConfig:
     use_lower_bounds: bool = True
     use_group_pruning: bool = True
     use_rep_prefilter: bool = True
-    use_analytics_batching: bool = True
     deadline: Deadline | None = None
     metric: str = "dtw"
 

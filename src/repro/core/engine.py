@@ -397,18 +397,14 @@ class OnexEngine:
         if threshold is None:
             threshold = entry.base.config.similarity_threshold
         series = entry.dataset[series_name]
-        kwargs.setdefault("use_batching", self._query_config.use_analytics_batching)
         return find_seasonal_patterns(series, length, threshold, **kwargs)
 
     def recommend_thresholds(
         self, dataset_name: str, length: int, **kwargs
     ) -> ThresholdRecommendation:
         entry = self._entry(dataset_name)
-        # The built base can answer the sampling from its normalised value
-        # store; the scalar config flag keeps the standalone path
-        # reachable for cross-checks.
-        if self._query_config.use_analytics_batching:
-            kwargs.setdefault("base", entry.base)
+        # The built base answers the sampling from its normalised value store.
+        kwargs.setdefault("base", entry.base)
         return recommend_thresholds(entry.dataset, length, **kwargs)
 
     def similarity_profile(
@@ -416,7 +412,6 @@ class OnexEngine:
     ) -> SensitivityProfile:
         """Match-count sensitivity across thresholds (§2's "varying
         parameters" exploration)."""
-        kwargs.setdefault("use_batching", self._query_config.use_analytics_batching)
         return similarity_profile(
             self._entry(dataset_name).base, query, thresholds, **kwargs
         )

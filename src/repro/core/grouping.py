@@ -44,6 +44,7 @@ Each finalized group also records two radii the query processor needs:
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -465,7 +466,7 @@ _RUN_SWITCH_STREAK = 16
 
 def _newborn_runs(
     brows: np.ndarray,
-    scan_positions,
+    scan_positions: Iterable[int],
     block_ids: list[int],
     group_radius: float,
     length: int,

@@ -22,11 +22,11 @@ group:
   physical pages (the kernel shares the page cache across processes);
 - the mapping is write-protected, so an accidental in-place mutation in
   a worker raises instead of corrupting sibling processes;
-- **groups are materialised on demand**: an attached bucket keeps the
-  ``(M, 2)`` member-handle array and ``(G+1,)`` offsets as its source of
-  truth and builds a ``SimilarityGroup`` only when a query indexes
-  ``bucket.groups`` (see ``LengthBucket.attached``); counts, the
-  structure fingerprint and this module's writer read the arrays.
+- **groups are materialised on demand**: a bucket's arrays — here the
+  ``(M, 2)`` member handles and ``(G+1,)`` offsets — are its only stored
+  state and a ``SimilarityGroup`` is built only when something indexes
+  ``bucket.groups`` (see ``LengthBucket``); counts, the structure
+  fingerprint and this module's writer read the arrays.
 
 Arrays in the directory (``<L>`` = subsequence length)::
 
@@ -118,7 +118,7 @@ _ALIGN = 64
 
 
 #: Per-length arrays, in file order and in the positional order of
-#: ``LengthBucket.attached`` (first six) + ``RepresentativeSummary.attached``.
+#: ``LengthBucket`` (first six) + ``RepresentativeSummary.attached``.
 _BUCKET_ARRAYS = (
     "members",
     "offsets",
@@ -390,7 +390,7 @@ def _attach(
     for length in meta["lengths"]:
         length = int(length)
         stacks = [array(f"len{length}_{name}") for name in _BUCKET_ARRAYS]
-        bucket = LengthBucket.attached(
+        bucket = LengthBucket(
             length, *stacks[:6], channels=channels, writable=not read_only
         )
         bucket.attach_rep_summary(

@@ -33,9 +33,11 @@ renders as a sensitivity band.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from repro.core.base import OnexBase
 from repro.core.deadline import Deadline
@@ -114,10 +116,10 @@ class SensitivityProfile:
 
 def similarity_profile(
     base: OnexBase,
-    query,
-    thresholds,
+    query: ArrayLike | SubsequenceRef,
+    thresholds: Iterable[float],
     *,
-    lengths=None,
+    lengths: Iterable[int] | None = None,
     window: int | None = None,
     verify: bool = False,
     normalize: bool = True,
@@ -229,29 +231,25 @@ def _profile_batched(
         # radius never understates a member's, so a group failing this
         # test has every member's scalar lower bound above the grid.
         alive = (cheap - max_path * bucket.cheb_radii) / max_path <= st_max
-        bucket_rows: list[np.ndarray] = []
-        with span(
-            "sensitivity.bucket", length=length, groups=int(alive.sum())
-        ):
-            for g_idx in np.nonzero(alive)[0]:
-                group = bucket.groups[int(g_idx)]
-                rep = dtw_path(q, group.centroid, window=window)
+        g_ids = np.flatnonzero(alive)
+        # One lookup for the bucket; the stable sort puts the rows group
+        # by group, members in arrival order, whatever the store order.
+        rows, _, owner = bucket.group_rows(g_ids)
+        stacked = bucket.member_matrix[rows[np.argsort(owner, kind="stable")]]
+        stops = np.cumsum(bucket.cardinalities[g_ids]).tolist()
+        with span("sensitivity.bucket", length=length, groups=g_ids.size):
+            for g_idx, lo, hi in zip(g_ids.tolist(), [0] + stops, stops):
+                centroid = bucket.centroids[g_idx]
+                rep = dtw_path(q, centroid, window=window)
                 mult = path_multiplicities(rep.path, length, axis=1)
-                rows = bucket.member_rows(int(g_idx))
-                diffs = np.abs(rows - group.centroid)
+                diffs = np.abs(stacked[lo:hi] - centroid)
                 slack = diffs @ mult
                 cheb = diffs.max(axis=1)
                 uppers.append((rep.distance + slack) / min_path)
                 lowers.append(
                     np.maximum(rep.distance - max_path * cheb, 0.0) / max_path
                 )
-                bucket_rows.append(rows)
-        if verify and bucket_rows:
-            stacked = (
-                bucket_rows[0]
-                if len(bucket_rows) == 1
-                else np.vstack(bucket_rows)
-            )
+        if verify and g_ids.size:
             verify_units.append((bucket, stacked, offset))
             offset += stacked.shape[0]
 
@@ -387,7 +385,9 @@ def _decided_everywhere(lo: float, hi: float, grid: tuple[float, ...]) -> bool:
     return all(hi <= st or lo > st for st in grid)
 
 
-def _resolve_query(base: OnexBase, query, normalize: bool) -> np.ndarray:
+def _resolve_query(
+    base: OnexBase, query: ArrayLike | SubsequenceRef, normalize: bool
+) -> np.ndarray:
     if isinstance(query, SubsequenceRef):
         return base.dataset.values(query)
     q = as_sequence(query, name="query")

@@ -13,6 +13,7 @@ per append without copying the history.
 from __future__ import annotations
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from repro.core.base import _grown
 from repro.distances.normalize import minmax_normalize
@@ -104,7 +105,7 @@ class SeriesBuffer:
     def __len__(self) -> int:
         return len(self._raw)
 
-    def extend(self, values) -> np.ndarray:
+    def extend(self, values: ArrayLike) -> np.ndarray:
         """Append a chunk; returns the normalised chunk just appended."""
         chunk = np.asarray(values, dtype=np.float64)
         if self._channels == 1:

@@ -21,6 +21,8 @@ performance, not results.  The property-test suite asserts both halves.
 
 from __future__ import annotations
 
+from numpy.typing import ArrayLike
+
 from repro.core.base import OnexBase
 from repro.core.deadline import Deadline
 from repro.data.timeseries import TimeSeries
@@ -65,7 +67,7 @@ class StreamIngestor:
         return sorted(self._buffers)
 
     def append_points(
-        self, series_name: str, values, deadline: Deadline | None = None
+        self, series_name: str, values: ArrayLike, deadline: Deadline | None = None
     ) -> dict:
         """Append *values* to *series_name*, creating it on first contact.
 
@@ -124,7 +126,7 @@ class StreamIngestor:
         _POINTS_TOTAL.inc(int(normalized_chunk.shape[0]))
         _WINDOWS_TOTAL.inc(len(assignments))
         _EVENTS_TOTAL.inc(len(events))
-        created_groups = sum(a.created for a in assignments)
+        created_groups = int(assignments.created.sum())
         return {
             "series": series_name,
             "points": int(normalized_chunk.shape[0]),

@@ -39,8 +39,9 @@ from collections import deque
 from typing import Iterable
 
 import numpy as np
+from numpy.typing import ArrayLike
 
-from repro.core.base import OnexBase, WindowAssignment
+from repro.core.base import LengthBucket, OnexBase, WindowAssignments
 from repro.core.deadline import Deadline
 from repro.distances.dtw import dtw_distance
 from repro.distances.metrics import as_sequence
@@ -79,7 +80,7 @@ class PatternMonitor:
         self,
         name: str,
         base: OnexBase,
-        pattern,
+        pattern: ArrayLike,
         epsilon: float,
         series: str | None = None,
     ) -> None:
@@ -156,14 +157,14 @@ class PatternMonitor:
 
     def on_windows(
         self,
-        assignments: Iterable[WindowAssignment],
+        assignments: WindowAssignments,
         deadline: Deadline | None = None,
     ) -> list[tuple[str, int, int, float]]:
         """Group-prefilter the newly indexed windows; return verified hits.
 
-        A *deadline* is checked per window and always raises: a silently
-        skipped window would be a lost match event, so there is no
-        partial degrade on the monitor path.
+        A *deadline* is checked per pattern-length window and always
+        raises: a silently skipped window would be a lost match event, so
+        there is no partial degrade on the monitor path.
         """
         m = self.pattern_length
         out: list[tuple[str, int, int, float]] = []
@@ -173,22 +174,25 @@ class PatternMonitor:
             return out  # pattern length not indexed: no window-aligned view
         max_path = 2 * m - 1
         dataset = self._base.dataset
+        series = dataset[assignments.series_index]
+        series_name = series.name
+        if not self.watches(series_name):
+            return out
         before = (self.windows_checked, self.windows_pruned, self.rep_dtw_calls)
-        for scanned, assignment in enumerate(assignments):
+        aligned = assignments.lengths == m
+        for scanned, (start, g) in enumerate(
+            zip(
+                assignments.starts[aligned].tolist(),
+                assignments.groups[aligned].tolist(),
+            )
+        ):
             faults.fire("stream.step")
             if deadline is not None:
                 deadline.check(
                     "stream window scan",
                     {"windows_scanned": scanned, "hits": len(out)},
                 )
-            ref = assignment.ref
-            if ref.length != m:
-                continue
-            series_name = dataset[ref.series_index].name
-            if not self.watches(series_name):
-                continue
             self.windows_checked += 1
-            g = assignment.group_index
             if g >= self._rep_lb.shape[0]:
                 self._extend_rep_cache(bucket)
             cheb = float(bucket.cheb_radii[g])
@@ -211,9 +215,9 @@ class PatternMonitor:
                 # the exact distance (fresh singletons hit this path).
                 raw = raw_rep
             else:
-                raw = float(dtw_distance(self._pattern, dataset.values(ref)))
+                raw = float(dtw_distance(self._pattern, series.subsequence(start, m)))
             if raw <= self._epsilon:
-                out.append((series_name, ref.start, ref.stop - 1, raw))
+                out.append((series_name, start, start + m - 1, raw))
         _CHECKED_TOTAL.inc(self.windows_checked - before[0])
         _PRUNED_TOTAL.inc(self.windows_pruned - before[1])
         _MONITOR_DTW_TOTAL.inc(self.rep_dtw_calls - before[2])
@@ -234,7 +238,7 @@ class PatternMonitor:
             )
         return out
 
-    def _extend_rep_cache(self, bucket) -> None:
+    def _extend_rep_cache(self, bucket: LengthBucket) -> None:
         """Extend the cheap-bound cache to newly spawned groups.
 
         The cheap bounds come from the bucket's persisted representative
@@ -310,7 +314,7 @@ class MonitorRegistry:
 
     def register(
         self,
-        pattern,
+        pattern: ArrayLike,
         epsilon: float,
         *,
         series: str | None = None,
@@ -348,7 +352,7 @@ class MonitorRegistry:
         series_name: str,
         origin: int,
         values: np.ndarray,
-        assignments: list[WindowAssignment],
+        assignments: WindowAssignments,
         deadline: Deadline | None = None,
     ) -> list[StreamEvent]:
         """Notify every applicable monitor of one append; emit its events.

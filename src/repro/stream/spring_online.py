@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from repro.baselines.spring import SpringMatch
 from repro.distances.metrics import as_sequence
@@ -54,7 +55,7 @@ class OnlineSpringMatcher:
     the last pending candidate.
     """
 
-    def __init__(self, pattern, epsilon: float) -> None:
+    def __init__(self, pattern: ArrayLike, epsilon: float) -> None:
         self._pattern = as_sequence(pattern, name="pattern")
         if self._pattern.shape[0] < 2:
             raise ValidationError("pattern must have at least 2 points")
@@ -131,7 +132,7 @@ class OnlineSpringMatcher:
         self._d_prev, self._s_prev = d_cur, s_cur
         return reports
 
-    def extend(self, values) -> list[SpringMatch]:
+    def extend(self, values: ArrayLike) -> list[SpringMatch]:
         """Consume many samples; return all matches reported along the way."""
         out: list[SpringMatch] = []
         for value in np.asarray(values, dtype=np.float64):

@@ -1,12 +1,17 @@
-"""Lazy group attach: arrays are the truth, groups are built on demand.
+"""Arrays are the only truth of a bucket; groups are built on demand.
 
-A read-only attached base (``load_base_snapshot(..., mmap_mode="r")``,
-what every pool worker serves from) must cost nothing per group at
-attach time and build only the groups a request actually looks at —
-asserted here as *counts* of ``SimilarityGroup`` constructions, never
-as times — while answering every read operation exactly like a fully
-materialised copy of the same snapshot.
+No bucket — built, loaded writable, or attached read-only
+(``load_base_snapshot(..., mmap_mode="r")``, what every pool worker
+serves from) — stores a ``SimilarityGroup`` or a ``SubsequenceRef``:
+building, loading, appending, querying and saving must construct none in
+bucket code, asserted here as *counts* of constructions, never as times,
+while a read-only attach answers every read operation exactly like a
+writable copy of the same snapshot and ``bucket.groups`` stays a correct
+view of the arrays through appends.
 """
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -14,6 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import base as core_base
+from repro.core.base import OnexBase
 from repro.core.config import QueryConfig
 from repro.core.engine import OnexEngine
 from repro.core.mmap_layout import load_base_snapshot, save_base_snapshot
@@ -27,29 +33,44 @@ from repro.server.service import OnexService
 
 @pytest.fixture()
 def group_builds(monkeypatch):
-    """Counts every ``SimilarityGroup`` a bucket builds from its arrays."""
+    """Records every ``SimilarityGroup`` and every ``SubsequenceRef``
+    constructed inside ``core/base.py`` (bucket and base code)."""
     built = []
-    real = core_base.SimilarityGroup
+    real_group = core_base.SimilarityGroup
+    real_ref = core_base.SubsequenceRef
 
-    def counting(**kwargs):
-        built.append(kwargs["length"])
-        return real(**kwargs)
+    def counting_group(**kwargs):
+        built.append(("group", kwargs["length"]))
+        return real_group(**kwargs)
 
-    monkeypatch.setattr(core_base, "SimilarityGroup", counting)
+    def counting_ref(*args):
+        built.append(("ref", args))
+        return real_ref(*args)
+
+    monkeypatch.setattr(core_base, "SimilarityGroup", counting_group)
+    monkeypatch.setattr(core_base, "SubsequenceRef", counting_ref)
     return built
 
 
-@pytest.fixture(scope="module")
-def floor_snapshot(tmp_path_factory):
-    """The benchmark's base: 50 MATTERS series, lengths 5-24, ST 0.05."""
+def floor_engine(similarity_threshold=0.05):
+    """The benchmark's base: 50 MATTERS series, lengths 5-24."""
     dataset = build_matters_collection(
         seed=5, years=40, min_years=34, indicators=("GrowthRate",)
     )
     engine = OnexEngine(QueryConfig())
     engine.load_dataset(
-        dataset, similarity_threshold=0.05, min_length=5, max_length=24
+        dataset,
+        similarity_threshold=similarity_threshold,
+        min_length=5,
+        max_length=24,
     )
-    base = engine.base(dataset.name)
+    return engine, dataset.name
+
+
+@pytest.fixture(scope="module")
+def floor_snapshot(tmp_path_factory):
+    engine, name = floor_engine()
+    base = engine.base(name)
     assert base.stats.groups > 20_000
     path = tmp_path_factory.mktemp("floor") / "epoch-1"
     return base, save_base_snapshot(base, path)
@@ -92,11 +113,84 @@ class TestLazinessIsACount:
         # Member rows, handles and group ids come off the bucket arrays.
         assert group_builds == []
 
-    def test_materialised_copy_builds_every_group(self, floor_snapshot, group_builds):
+    def test_materialised_copy_builds_no_group(self, floor_snapshot, group_builds):
         built_base, path = floor_snapshot
         base, _ = load_base_snapshot(path, mmap_mode=None)
-        assert len(group_builds) == built_base.stats.groups
-        assert all(isinstance(b.groups, list) for b in base.buckets())
+        assert base.stats.groups == built_base.stats.groups
+        assert group_builds == []
+        assert not any(isinstance(b.groups, list) for b in base.buckets())
+        assert all(b.writable for b in base.buckets())
+
+    def test_write_path_builds_no_group_and_no_ref(self, tmp_path, group_builds):
+        """build, load, add_series, append_points, k_best and save."""
+        engine, name = floor_engine()
+        built = engine.base(name)
+        assert built.stats.groups > 20_000
+        built.save(tmp_path / "built")
+        base = OnexBase.load(tmp_path / "built")
+        engine = OnexEngine(QueryConfig())
+        engine.restore_dataset(base.raw_dataset, base, fingerprint="x")
+        rng = np.random.default_rng(8)
+        summary = engine.add_series(
+            name, TimeSeries("late", base.raw_dataset[0].values[:30] + 0.1)
+        )
+        assert summary["windows"] > 0
+        target = base.raw_dataset[4].name
+        for _ in range(20):
+            tail = base.raw_dataset[target].values[-4:]
+            engine.append_points(name, target, tail + rng.normal(scale=0.5, size=4))
+        query = base.raw_dataset[3].values[2:14]
+        assert len(engine.k_best_matches(name, query, 5)) == 5
+        assert engine.last_query_stats(name)["groups_refined"] > 0
+        base.save(tmp_path / "grown")
+        assert base.stats.groups > built.stats.groups
+        assert group_builds == []
+        assert not any(isinstance(b.groups, list) for b in base.buckets())
+
+
+# ----------------------------------------------------------------------
+# Golden structure fingerprints, taken at the commit before the arrays
+# became the only stored state (PR 18, b0609ab)
+# ----------------------------------------------------------------------
+
+_GOLDEN = {
+    0.05: (
+        "6927214043fc93ee7e00eb90571559190b3278440de0f9949280e9989487d01b",
+        "d01787a334472e10fbf8428ab29e9e18056962dc7e7ced0a12ad5b34117a2395",
+    ),
+    0.2: (
+        "0e38ec4203a04281d8713ad08d6beba3cc31dd5b1b0ab43e60b07d7bc2007558",
+        "f95db12f43b5174aec130a08ca8fd74b9c73bb8e19e68a8f26349ef4aeb7a687",
+    ),
+}
+
+
+def apply_forty_operations(engine, name):
+    """36 four-point ``append_points`` and 4 ``add_series``, fixed."""
+    rng = np.random.default_rng(19)
+    raw = engine.base(name).raw_dataset
+    names = [s.name for s in raw][:6]
+    for op in range(40):
+        if op % 10 == 9:
+            values = raw[op % 7].values[:30] + rng.normal(scale=0.3, size=30)
+            engine.add_series(name, TimeSeries(f"late-{op}", values))
+        else:
+            target = names[op % len(names)]
+            tail = raw[target].values[-4:]
+            engine.append_points(name, target, tail + rng.normal(scale=0.5, size=4))
+
+
+@pytest.mark.parametrize("similarity_threshold", sorted(_GOLDEN))
+def test_golden_structure_fingerprints(similarity_threshold, tmp_path):
+    built, appended = _GOLDEN[similarity_threshold]
+    engine, name = floor_engine(similarity_threshold)
+    base = engine.base(name)
+    assert base.structure_fingerprint() == built
+    apply_forty_operations(engine, name)
+    assert base.stats.subsequences == 27_940
+    assert base.structure_fingerprint() == appended
+    base.save(tmp_path / "snap")
+    assert OnexBase.load(tmp_path / "snap").structure_fingerprint() == appended
 
 
 # ----------------------------------------------------------------------
@@ -289,8 +383,134 @@ class TestLazySequenceSemantics:
 
     def test_bucket_appends_are_refused(self, buckets):
         lazy, real = buckets
-        group = real.groups[0]
-        with pytest.raises(ReadOnlyBaseError):
-            lazy.append_group(group, group.centroid)
-        with pytest.raises(ReadOnlyBaseError):
-            lazy.append_member(0, group.members[0], group.centroid)
+        assert real.writable and not lazy.writable
+        for owner in (0, lazy.group_count):  # a join, a new group
+            with pytest.raises(ReadOnlyBaseError):
+                lazy.append(
+                    np.array([owner]), lazy.member_handles[:1], lazy.centroids[:1]
+                )
+
+
+# ----------------------------------------------------------------------
+# The view and the one row lookup stay correct through appends
+# ----------------------------------------------------------------------
+
+
+def toy_base(tmp_path=None):
+    """A small built base — or, with *tmp_path*, its writable reload."""
+    rng = np.random.default_rng(33)
+    dataset = TimeSeriesDataset(
+        [TimeSeries(f"s{i}", rng.normal(size=40).cumsum()) for i in range(4)],
+        name="view-toy",
+    )
+    engine = OnexEngine(QueryConfig())
+    engine.load_dataset(
+        dataset, similarity_threshold=0.15, min_length=5, max_length=8
+    )
+    if tmp_path is not None:
+        engine.base("view-toy").save(tmp_path / "toy")
+        base = OnexBase.load(tmp_path / "toy")
+        engine = OnexEngine(QueryConfig())
+        engine.restore_dataset(base.raw_dataset, base, fingerprint="x")
+    return engine
+
+
+def expected_members(bucket, g):
+    """Group *g*'s ``(series_index, start)`` list, off the logical arrays."""
+    lo, hi = bucket.member_offsets[g : g + 2].tolist()
+    return [tuple(h) for h in bucket.member_handles[lo:hi].tolist()]
+
+
+@pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded-writable"])
+def test_groups_view_follows_appends(loaded, tmp_path):
+    engine = toy_base(tmp_path if loaded else None)
+    base = engine.base("view-toy")
+    before = {b.length: b.group_count for b in base.buckets()}
+    cards = {b.length: b.cardinalities for b in base.buckets()}
+    # Memoise every group, so a stale memo would be caught below.
+    memo = {b.length: list(b.groups) for b in base.buckets()}
+    rng = np.random.default_rng(2)
+    engine.add_series("view-toy", TimeSeries("late", rng.normal(size=30).cumsum()))
+    tail = base.raw_dataset["s1"].values[-1]
+    engine.append_points("view-toy", "s1", tail + rng.normal(size=6))
+    grown = seeded = 0
+    for bucket in base.buckets():
+        assert not isinstance(bucket.groups, list)
+        assert len(bucket.groups) == bucket.group_count
+        for g, group in enumerate(bucket.groups):
+            assert group.cardinality == bucket.cardinalities[g]
+            assert [(m.series_index, m.start) for m in group.members] == (
+                expected_members(bucket, g)
+            )
+            assert all(m.length == bucket.length for m in group.members)
+            assert np.array_equal(group.centroid, bucket.centroids[g])
+            assert group.ed_radius == bucket.ed_radii[g]
+            assert group.cheb_radius == bucket.cheb_radii[g]
+            if g >= before[bucket.length]:
+                seeded += 1
+            elif group.cardinality > cards[bucket.length][g]:
+                grown += 1
+                assert group is not memo[bucket.length][g]
+            else:
+                assert group is memo[bucket.length][g]
+    assert grown and seeded
+    base.validate()
+
+
+def test_dropped_attached_base_needs_no_collector(tmp_path):
+    """The view and its memo form no cycle with the bucket, so dropping
+    a read-only base frees its buckets (and their map) by refcount alone."""
+    path = save_base_snapshot(toy_base().base("view-toy"), tmp_path / "epoch-1")
+    base, _ = load_base_snapshot(path, mmap_mode="r")
+    bucket = base.bucket(6)
+    view, group = bucket.groups, bucket.groups[1]
+    assert bucket.groups[1] is group
+    dropped = weakref.ref(bucket)
+    gc.disable()
+    try:
+        del base, bucket, view
+        assert dropped() is None
+    finally:
+        gc.enable()
+    assert group.cardinality >= 1  # a handed-out group outlives its bucket
+
+
+def indexed_buckets(tmp_path):
+    built = toy_base().base("view-toy").bucket(6)
+    engine = toy_base()
+    engine.add_series(
+        "view-toy", TimeSeries("late", np.random.default_rng(2).normal(size=30).cumsum())
+    )
+    appended = engine.base("view-toy").bucket(6)
+    path = save_base_snapshot(engine.base("view-toy"), tmp_path / "epoch-1")
+    attached = load_base_snapshot(path, mmap_mode="r")[0].bucket(6)
+    return {"built": built, "appended": appended, "attached": attached}
+
+
+@pytest.mark.parametrize("kind", ["built", "appended", "attached"])
+def test_rows_index_like_groups(kind, tmp_path):
+    """``member_rows`` and ``group_rows`` wrap negatives and raise
+    ``IndexError`` out of range, exactly like ``groups[i]``."""
+    bucket = indexed_buckets(tmp_path)[kind]
+    count = bucket.group_count
+    assert (bucket._row_group is not None) == (kind == "appended")
+    dataset_rows = {
+        g: [(m.series_index, m.start) for m in bucket.groups[g].members]
+        for g in (0, count - 1)
+    }
+    for negative, positive in ((-1, count - 1), (-count, 0)):
+        assert bucket.groups[negative] is bucket.groups[positive]
+        rows = bucket.member_rows(negative)
+        assert rows.shape == (bucket.groups[positive].cardinality, bucket.length)
+        assert np.array_equal(rows, bucket.member_rows(positive))
+        at, handles, owner = bucket.group_rows(np.array([negative]))
+        assert np.array_equal(bucket.member_matrix[at], rows)
+        assert [tuple(h) for h in handles.tolist()] == dataset_rows[positive]
+        assert owner.tolist() == [positive] * len(rows)
+    for bad in (count, count + 3, -count - 1):
+        with pytest.raises(IndexError):
+            bucket.groups[bad]
+        with pytest.raises(IndexError):
+            bucket.member_rows(bad)
+        with pytest.raises(IndexError):
+            bucket.group_rows(np.array([0, bad]))

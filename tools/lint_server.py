@@ -5,8 +5,10 @@ the one on-disk layout every save, checkpoint, publication and attach
 goes through (``repro.core.mmap_layout``, ``repro.core.persist``), the
 WAL/checkpoint/recovery subsystem (``repro.durability``), the query
 cascade every read runs (``repro.core.query``) with the base and its
-representative table it ranks over (``repro.core.base``), the bounds of
-the rank stage (``repro.distances.lower_bounds``,
+representative table it ranks over (``repro.core.base``), the write
+path that grows that base (``repro.stream``, the clustering in
+``repro.core.grouping``) and the sensitivity profile that reads its
+arrays (``repro.core.sensitivity``), the bounds of the rank stage (``repro.distances.lower_bounds``,
 ``repro.distances.envelope``) and the DTW kernel under it
 (``repro.distances.dtw``) — is the code that runs unattended, so it
 gets the strictest gate in the repo.  ``mypy``
@@ -40,6 +42,9 @@ TARGETS = (
     ROOT / "src" / "repro" / "core" / "persist.py",
     ROOT / "src" / "repro" / "core" / "query.py",
     ROOT / "src" / "repro" / "core" / "base.py",
+    ROOT / "src" / "repro" / "core" / "grouping.py",
+    ROOT / "src" / "repro" / "core" / "sensitivity.py",
+    ROOT / "src" / "repro" / "stream",
     ROOT / "src" / "repro" / "distances" / "dtw.py",
     ROOT / "src" / "repro" / "distances" / "lower_bounds.py",
     ROOT / "src" / "repro" / "distances" / "envelope.py",
