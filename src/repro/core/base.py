@@ -29,14 +29,17 @@ from numpy.typing import ArrayLike
 
 from repro.core.config import BuildConfig
 from repro.core.deadline import Deadline
-from repro.core.grouping import SimilarityGroup, cluster_subsequence_rows
+from repro.core.grouping import (
+    SimilarityGroup,
+    cluster_subsequence_rows,
+    mean_prescreen_cutoff,
+)
 from repro.data.dataset import SubsequenceRef, TimeSeriesDataset
 from repro.data.timeseries import TimeSeries
 from repro.data.windows import (
     rows_to_series_starts,
     window_counts,
     window_matrix,
-    window_view,
 )
 from repro.distances.envelope import keogh_envelope_batch
 from repro.distances.lower_bounds import lb_keogh_reverse_batch, lb_kim_endpoints_batch
@@ -143,7 +146,9 @@ class WindowAssignments:
     (length, start) order: the window's ``lengths`` and ``starts``, the
     ``groups`` it was assigned to within its length's bucket and whether
     it ``created`` its group.  The streaming monitors use these as their
-    group-level prefilter input.
+    group-level prefilter input.  Of ``centroids`` (window, same-length
+    representative) pairs in scope, the mean prescreen let ``evaluated``
+    through to exact ``ED_n``.
     """
 
     series_index: int
@@ -151,6 +156,8 @@ class WindowAssignments:
     starts: np.ndarray
     groups: np.ndarray
     created: np.ndarray
+    centroids: int = 0
+    evaluated: int = 0
 
     def __len__(self) -> int:
         return self.lengths.shape[0]
@@ -211,6 +218,7 @@ class RepresentativeSummary:
         self._env_hi = np.empty((cap, self.width), dtype=np.float64)
         self._endpoints = np.empty((cap, 4), dtype=np.float64)
         self._minmax = np.empty((cap, 2), dtype=np.float64)
+        self._means: np.ndarray | None = None
 
     @classmethod
     def attached(
@@ -236,6 +244,7 @@ class RepresentativeSummary:
         self._env_hi = env_hi
         self._endpoints = endpoints
         self._minmax = minmax
+        self._means = None
         self._count = int(env_lo.shape[0])
         return self
 
@@ -259,6 +268,15 @@ class RepresentativeSummary:
     def minmax(self) -> np.ndarray:
         return self._minmax[: self._count]
 
+    def means(self, centroids: np.ndarray) -> np.ndarray:
+        """Row means of the bucket's *centroids*: the column incremental
+        assignment prescreens with.  Not persisted — the first call (under
+        the write-side lock) fills it, ``extend`` keeps it current."""
+        if self._means is None:
+            self._means = np.empty(self._minmax.shape[0])
+            self._means[: self._count] = centroids.mean(axis=1)
+        return self._means[: self._count]
+
     def extend(self, centroids: np.ndarray) -> None:
         """Append summaries for freshly added centroid rows."""
         rows = np.atleast_2d(np.asarray(centroids, dtype=np.float64))
@@ -271,6 +289,8 @@ class RepresentativeSummary:
             self._env_hi = _grown(self._env_hi, self._count, needed=needed)
             self._endpoints = _grown(self._endpoints, self._count, needed=needed)
             self._minmax = _grown(self._minmax, self._count, needed=needed)
+            if self._means is not None:
+                self._means = _grown(self._means, self._count, needed=needed)
         lo, hi = keogh_envelope_batch(rows, self.radius)
         sl = slice(self._count, needed)
         self._env_lo[sl] = lo
@@ -278,6 +298,8 @@ class RepresentativeSummary:
         self._endpoints[sl] = rows[:, [0, 1, -2, -1]]
         self._minmax[sl, 0] = rows.min(axis=1)
         self._minmax[sl, 1] = rows.max(axis=1)
+        if self._means is not None:
+            self._means[sl] = rows.mean(axis=1)
         self._count = needed
 
     def cheap_bounds(
@@ -320,7 +342,7 @@ class RepresentativeTable:
     for bit), the Chebyshev ``radii`` of the transfer bound, and the
     ``(lengths, gids)`` address of each row's group — its bucket's length
     and its index there.  :class:`OnexBase` owns it and keeps it current
-    at the one place groups are seeded and grown (``_assign_windows``).
+    at the one place groups are seeded and grown (``index_new_windows``).
     """
 
     _COLUMNS = ("endpoints", "lo", "hi", "radii", "lengths", "gids")
@@ -341,8 +363,7 @@ class RepresentativeTable:
         #: ``length -> table rows`` of that bucket's groups, in group order.
         self._rows: dict[int, np.ndarray] = {}
         self._publish(0)
-        for bucket in buckets:
-            self.sync(bucket)
+        self.sync((bucket, ()) for bucket in buckets)
 
     def _publish(self, count: int) -> None:
         """Expose the first *count* rows of every store as the columns."""
@@ -355,29 +376,31 @@ class RepresentativeTable:
         held = [self._rows[n] for n in lengths if n in self._rows]
         return np.sort(np.concatenate(held)) if held else np.empty(0, dtype=np.int64)
 
-    def sync(self, bucket: "LengthBucket", grown: ArrayLike = ()) -> None:
-        """Append the rows of *bucket*'s groups the table does not hold
-        yet and re-read the radii of its groups *grown* (by new members)."""
-        known = self._rows.get(bucket.length, np.empty(0, dtype=np.int64))
-        first, start = known.size, self.count
-        stop = start + bucket.group_count - first
-        if stop > start:
-            if stop > self._lengths.shape[0]:
-                for name in self._COLUMNS:
-                    store = _grown(getattr(self, "_" + name), start, needed=stop)
-                    setattr(self, "_" + name, store)
-            summary = bucket.rep_summary
-            self._endpoints[start:stop] = summary.endpoints[first:]
-            self._lo[start:stop] = summary.minmax[first:, 0]
-            self._hi[start:stop] = summary.minmax[first:, 1]
-            self._radii[start:stop] = bucket.cheb_radii[first:]
-            self._lengths[start:stop] = bucket.length
-            self._gids[start:stop] = np.arange(first, bucket.group_count)
-            known = np.concatenate([known, np.arange(start, stop)])
-            self._rows[bucket.length] = known
-            self._publish(stop)
-        grown = np.asarray(grown, dtype=np.int64)
-        self._radii[known[grown]] = bucket.cheb_radii[grown]
+    def sync(self, touched: Iterable[tuple["LengthBucket", ArrayLike]]) -> None:
+        """For each ``(bucket, grown)``: append the rows of the bucket's
+        groups the table does not hold yet and re-read the radii of its
+        groups *grown* (by new members)."""
+        for bucket, grown in touched:
+            known = self._rows.get(bucket.length, np.empty(0, dtype=np.int64))
+            first, start = known.size, self.count
+            stop = start + bucket.group_count - first
+            if stop > start:
+                if stop > self._lengths.shape[0]:
+                    for name in self._COLUMNS:
+                        store = _grown(getattr(self, "_" + name), start, needed=stop)
+                        setattr(self, "_" + name, store)
+                summary = bucket.rep_summary
+                self._endpoints[start:stop] = summary.endpoints[first:]
+                self._lo[start:stop] = summary.minmax[first:, 0]
+                self._hi[start:stop] = summary.minmax[first:, 1]
+                self._radii[start:stop] = bucket.cheb_radii[first:]
+                self._lengths[start:stop] = bucket.length
+                self._gids[start:stop] = np.arange(first, bucket.group_count)
+                known = np.concatenate([known, np.arange(start, stop)])
+                self._rows[bucket.length] = known
+                self._publish(stop)
+            grown = np.asarray(grown, dtype=np.int64)
+            self._radii[known[grown]] = bucket.cheb_radii[grown]
 
     def cheap_bounds(
         self, query: np.ndarray, rows: np.ndarray | None = None
@@ -700,10 +723,10 @@ class LengthBucket:
         start)`` *handles* — to the groups *owners*, growing the stores in
         place with amortised doubling.
 
-        An owner at or past ``group_count`` seeds the next new group with
-        its row as the representative; such owners must come ascending
-        from ``group_count``, one row each.  For a join the caller
-        guarantees the construction invariant (``ED_n`` to the
+        Owners at or past ``group_count`` name new groups: their seeds —
+        one row each, the representative — lead the call, ascending from
+        ``group_count``, and any later row may join them.  For a join the
+        caller guarantees the construction invariant (``ED_n`` to the
         representative within the group radius).  Radii are updated
         exactly and no representative moves, so existing members'
         guarantees are untouched.
@@ -719,12 +742,11 @@ class LengthBucket:
                 np.arange(known, dtype=np.int64), self.cardinalities
             )
         if total > known:
-            fresh = owners >= known
-            if not np.array_equal(owners[fresh], np.arange(known, total)):
+            if not np.array_equal(owners[: total - known], np.arange(known, total)):
                 raise ValidationError(
-                    f"new groups must be seeded once each, ascending from {known}"
+                    f"new groups must be seeded first, ascending from {known}"
                 )
-            seeds = rows[fresh]
+            seeds = rows[: total - known]
             self._reserve(("_centroid_store", "_ed_store", "_cheb_store"), known, total)
             self._reserve(("_offset_store",), known + 1, total + 1)
             self._centroid_store[known:total] = seeds
@@ -1208,13 +1230,14 @@ class OnexBase:
         """Index every window of series *series_index* completed by growth
         beyond *previous_length* points (0 indexes the whole series).
 
-        The incremental-ingestion kernel shared by :meth:`add_series` and
-        the streaming ingestor: new windows are batch-evaluated against
-        the bucket's stacked centroid matrix (one chunked ``ED_n`` kernel
-        per length, as in the offline builder) and appended to their
-        groups — or seeded as new singleton groups — in place.  Returns
-        the :class:`WindowAssignments` of the indexed windows, in (length,
-        start) order; stats are updated to match.
+        The incremental-ingestion kernel shared by :meth:`add_series`,
+        the streaming ingestor and WAL replay: :meth:`_assign_windows`
+        decides each length's windows and the bucket takes them in one
+        ``append``.  What does not depend on the length — the window
+        means of the prescreen, the handles, the representative-table
+        sync, the stats — is done once per call.  Returns the
+        :class:`WindowAssignments` of the indexed windows, in (length,
+        start) order.
         """
         self._require_built()
         self._require_writable()
@@ -1222,17 +1245,38 @@ class OnexBase:
         values = self._dataset[series_index].values
         n = values.shape[0]
         channels = self.channels
-        per_length = {s.length: s for s in self.stats.per_length}
-        empty = np.empty(0, dtype=np.int64)
-        parts = [(empty, empty, empty, np.empty(0, dtype=bool))]
+        plan: list[tuple[int, np.ndarray]] = []
         for length in range(cfg.min_length, min(cfg.max_length, n) + 1):
             # Windows already indexed have starts <= previous_length - length
             # on the step grid; resume from the next grid point.
             first = max(0, previous_length - length + 1)
             first = -(-first // cfg.step) * cfg.step
-            starts = np.arange(first, n - length + 1, cfg.step)
-            if not starts.size:
-                continue
+            if first <= n - length:
+                plan.append((length, np.arange(first, n - length + 1, cfg.step)))
+        if not plan:
+            none = np.empty(0, dtype=np.int64)
+            return WindowAssignments(series_index, none, none, none, none > 0)
+        sizes = [at.size for _, at in plan]
+        lengths = np.repeat([length for length, _ in plan], sizes)
+        starts = np.concatenate([at for _, at in plan])
+        handles = np.column_stack((np.full(starts.size, series_index), starts))
+        # Every window mean from one running sum over the tail the windows
+        # cover.  A running sum of m terms is off by at most m * eps *
+        # sum|v| and a mean is the difference of two over the window's
+        # width: the prescreen is widened by that much (slack).
+        tail = int(starts.min())
+        flat = values[tail:].reshape(n - tail, -1).sum(axis=1)
+        csum = np.concatenate(([0.0], np.cumsum(flat)))
+        widths = lengths * channels
+        means = (csum[starts + lengths - tail] - csum[starts - tail]) / widths
+        slack = 2.0 * flat.size * np.finfo(float).eps * np.abs(flat).sum() / widths[0]
+        groups = np.empty(starts.size, dtype=np.int64)
+        created = np.zeros(starts.size, dtype=bool)
+        scope = evaluated = 0
+        touched: list[tuple[LengthBucket, np.ndarray]] = []
+        per_length = {s.length: s for s in self.stats.per_length}
+        for (length, at), size, stop in zip(plan, sizes, np.cumsum(sizes).tolist()):
+            rows = slice(stop - size, stop)
             bucket = self._buckets.get(length)
             if bucket is None:
                 bucket = self._buckets[length] = LengthBucket(
@@ -1246,113 +1290,105 @@ class OnexBase:
                     channels=channels,
                     writable=True,
                 )
-            groups, created = self._assign_windows(
-                bucket, series_index, starts, values
+            # Channel-flatten multivariate windows to the stored row layout.
+            windows = values[at[:, None] + np.arange(length)].reshape(size, -1)
+            scope += size * bucket.group_count
+            owners, seeds, joined, scanned = self._assign_windows(
+                bucket, windows, means[rows], slack
             )
-            parts.append((np.full(starts.size, length), starts, groups, created))
-            prev = per_length.get(length)
+            evaluated += scanned
+            groups[rows] = owners
+            created[rows][seeds] = True  # a slice is a view
+            # Store order: the call's seeds, then its joins.
+            order = np.array(seeds + joined)
+            bucket.append(owners[order], handles[rows][order], windows[order])
+            touched.append((bucket, owners[joined]))
+            prev = per_length.get(length) or LengthBuildStats(length, 0, 0, 0.0)
             per_length[length] = LengthBuildStats(
-                length=length,
-                subsequences=(prev.subsequences if prev else 0) + starts.size,
-                groups=(prev.groups if prev else 0) + int(created.sum()),
-                seconds=prev.seconds if prev else 0.0,
+                length, prev.subsequences + size, prev.groups + len(seeds), prev.seconds
             )
-        out = WindowAssignments(series_index, *map(np.concatenate, zip(*parts)))
-        if len(out):
-            old = self.stats
-            self._stats = BaseStats(
-                subsequences=old.subsequences + len(out),
-                groups=old.groups + int(out.created.sum()),
-                lengths=len(self._buckets),
-                build_seconds=old.build_seconds,
-                per_length=tuple(per_length[n] for n in sorted(per_length)),
-            )
-        return out
+        if self._rep_table is not None:
+            self._rep_table.sync(touched)
+        old = self.stats
+        self._stats = BaseStats(
+            subsequences=old.subsequences + starts.size,
+            groups=old.groups + int(created.sum()),
+            lengths=len(self._buckets),
+            build_seconds=old.build_seconds,
+            per_length=tuple(per_length[n] for n in sorted(per_length)),
+        )
+        return WindowAssignments(
+            series_index, lengths, starts, groups, created, scope, evaluated
+        )
 
-    #: Windows per row block and centroid columns per chunk of the batched
-    #: assignment — together they bound the distance temporaries at
-    #: block x groups and block x chunk x length, mirroring the offline
-    #: builder's ``_ASSIGN_BLOCK`` / ``_CHUNK_COLS``.
+    #: Windows per row block of the assignment; bounds the distance
+    #: temporary at block x prescreened centroids x length.
     _ASSIGN_BLOCK = 128
-    _ASSIGN_CHUNK = 128
 
     def _assign_windows(
-        self,
-        bucket: LengthBucket,
-        series_index: int,
-        starts: np.ndarray,
-        values: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Assign same-length windows to *bucket* with fixed representatives.
+        self, bucket: LengthBucket, windows: np.ndarray, means: np.ndarray, slack: float
+    ) -> tuple[np.ndarray, list[int], list[int], int]:
+        """Decide the groups of same-length *windows* against *bucket*'s
+        fixed representatives (the bucket is read, not changed).
 
-        Windows are processed in row blocks, each batch-evaluated against
-        the centroid table as of block start; groups seeded mid-block are
-        candidates for the block's remaining windows via an incremental
-        scan (ties keep the lowest group index, as one combined argmin
-        over all centroids would).  A block's new groups reach the bucket
-        in one append at its end, so later blocks can join them; joins are
-        buffered and reach it in one append at the end of the call.
-        Returns each window's group and whether it seeded the group.
+        The rule: nearest representative by ``ED_n``, groups seeded
+        earlier in the call included, lowest group on ties; join within
+        the group radius, else seed.  Exact ``ED_n`` runs only where it
+        can matter: ``ED_n(w, c) >= |mean(w) - mean(c)|``, so each row
+        block is evaluated against the ascending columns whose mean is
+        within the radius (plus the builder's float margin, plus *slack*
+        for how *means* were summed) of some window of the block.  A
+        minimum within the radius survives with all of its ties, so the
+        first-of-ties argmin over the survivors is the full table's; a
+        minimum beyond it seeds either way, unless an incremental scan of
+        the call's own seeds — winning on strictly smaller distance only
+        — finds one within the radius.
+
+        Returns each window's group, the windows that seeded theirs (new
+        groups count up from ``bucket.group_count`` in that order), the
+        joining windows group by group in order of each group's first
+        join, and how many (window, representative) pairs were evaluated.
         """
-        length = bucket.length
         radius = self._config.group_radius
-        windows = window_view(values, length)[starts]
-        count = windows.shape[0]
-        if windows.ndim == 3:
-            # Channel-flatten multivariate windows to the stored row layout.
-            windows = windows.reshape(count, -1)
-        handles = np.column_stack((np.full(count, series_index), starts))
-        groups = np.empty(count, dtype=np.int64)
-        created = np.zeros(count, dtype=bool)
-        for b0 in range(0, count, self._ASSIGN_BLOCK):
+        existing, width = bucket.group_count, windows.shape[1]
+        centroids = bucket.centroids
+        cmeans = bucket.rep_summary.means(centroids)
+        cutoff = mean_prescreen_cutoff(radius, means, cmeans) + slack
+        fresh = np.empty_like(windows)  # representatives seeded by this call
+        owners: list[int] = []
+        seeds: list[int] = []
+        joins: dict[int, list[int]] = {}
+        evaluated = 0
+        for b0 in range(0, windows.shape[0], self._ASSIGN_BLOCK):
             block = windows[b0 : b0 + self._ASSIGN_BLOCK]
             nb = block.shape[0]
-            existing = bucket.group_count
-            if existing:
-                dists = np.empty((nb, existing))
-                centroids = bucket.centroids
-                for c0 in range(0, existing, self._ASSIGN_CHUNK):
-                    c1 = min(existing, c0 + self._ASSIGN_CHUNK)
-                    dists[:, c0:c1] = np.abs(
-                        block[:, None, :] - centroids[None, c0:c1, :]
-                    ).mean(axis=2)
-                best_idx = np.argmin(dists, axis=1)
-                best = dists[np.arange(nb), best_idx]
-            else:
-                best_idx = np.zeros(nb, dtype=np.int64)
-                best = np.full(nb, np.inf)
-            fresh = np.empty_like(block)  # representatives seeded by this block
-            seeded = 0
-            for bi in range(nb):
-                row = block[bi]
-                g_idx, dist = int(best_idx[bi]), float(best[bi])
-                if seeded:
-                    fresh_d = np.abs(fresh[:seeded] - row).mean(axis=1)
+            near = np.abs(cmeans - means[b0 : b0 + nb, None]) <= cutoff
+            cols = np.flatnonzero(near.any(axis=0))
+            best_idx, best = [0] * nb, [np.inf] * nb
+            if cols.size:
+                # sum / width is mean() without its Python-level wrapper.
+                dists = np.abs(
+                    block[:, None, :] - centroids[None, cols, :]
+                ).sum(axis=2) / width
+                best_idx = cols[np.argmin(dists, axis=1)].tolist()
+                best = dists.min(axis=1).tolist()
+                evaluated += dists.size
+            for at, (g_idx, dist) in enumerate(zip(best_idx, best), b0):
+                row = windows[at]
+                if seeds:
+                    fresh_d = np.abs(fresh[: len(seeds)] - row).sum(axis=1) / width
                     f_idx = int(np.argmin(fresh_d))
                     if float(fresh_d[f_idx]) < dist:
                         g_idx, dist = existing + f_idx, float(fresh_d[f_idx])
                 if dist <= radius:
-                    groups[b0 + bi] = g_idx
+                    joins.setdefault(g_idx, []).append(at)
                 else:
-                    fresh[seeded] = row
-                    groups[b0 + bi] = existing + seeded
-                    created[b0 + bi] = True
-                    seeded += 1
-            if seeded:
-                at = b0 + np.flatnonzero(created[b0 : b0 + nb])
-                bucket.append(groups[at], handles[at], fresh[:seeded])
-        joined = np.flatnonzero(~created)
-        if joined.size:
-            # Group by group in order of each group's first join, window
-            # order within: the store order joins have always had.
-            _, first, inverse = np.unique(
-                groups[joined], return_index=True, return_inverse=True
-            )
-            joined = joined[np.argsort(first[inverse], kind="stable")]
-            bucket.append(groups[joined], handles[joined], windows[joined])
-        if self._rep_table is not None:
-            self._rep_table.sync(bucket, grown=groups[joined])
-        return groups, created
+                    g_idx = existing + len(seeds)
+                    fresh[len(seeds)] = row
+                    seeds.append(at)
+                owners.append(g_idx)
+        joined = [at for members in joins.values() for at in members]
+        return np.array(owners), seeds, joined, evaluated
 
     # ------------------------------------------------------------------
     # Persistence

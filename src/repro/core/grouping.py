@@ -193,6 +193,16 @@ _CHUNK_COLS = 128
 _LB_MARGIN = 1e-9
 
 
+def mean_prescreen_cutoff(
+    group_radius: float, row_means: np.ndarray, centroid_means: np.ndarray
+) -> float:
+    """Largest ``|mean(row) - mean(centroid)|`` at which a centroid may
+    still absorb a row: the radius plus :data:`_LB_MARGIN` at the scale
+    of the means (shared with :mod:`repro.core.base`'s assignment)."""
+    peak = max(np.abs(row_means).max(), np.abs(centroid_means).max(initial=0.0))
+    return group_radius + _LB_MARGIN * (1.0 + float(peak))
+
+
 def _block_distances(brows: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Column-chunked ``ED_n`` of every block row to every centroid row."""
     g0 = centroids.shape[0]
@@ -329,13 +339,11 @@ def _scan_batched(
         brows = matrix[block]
         block_ids = block.tolist()
         rmeans = brows.mean(axis=1)
-        scale = 1.0 + float(np.abs(rmeans).max())
         join_pos = np.empty(0, dtype=np.int64)
         best_idx = None
         if g_count:
             live_means = tmeans[:g_count]
-            scale = max(scale, 1.0 + float(np.abs(live_means).max()))
-            cutoff = group_radius + _LB_MARGIN * scale
+            cutoff = mean_prescreen_cutoff(group_radius, rmeans, live_means)
             if g_count <= _SMALL_TABLE:
                 dists = _block_distances(brows, table[:g_count])
                 best_idx = np.argmin(dists, axis=1)

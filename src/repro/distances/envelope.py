@@ -95,22 +95,22 @@ def keogh_envelope_batch(rows: ArrayLike, radius: int) -> tuple[np.ndarray, np.n
     exactly ``keogh_envelope(rows[g], radius)`` (cross-checked by the
     property tests).  Used to build the persisted per-representative
     envelopes of :class:`repro.core.base.RepresentativeSummary` without a
-    Python loop over groups: the stack is edge-padded with ``±inf`` and a
-    sliding-window view reduces each centred window in one vector
-    operation per row block.
+    Python loop over groups: round ``k`` of ``radius`` folds the stack
+    shifted ``k`` columns left and right into the running extremes, in
+    place over slices — min/max are exact, so the order of folding does
+    not show in the result.
     """
     mat = np.asarray(rows, dtype=np.float64)
     if mat.ndim != 2:
         raise ValidationError(f"rows must be 2-D, got shape {mat.shape}")
     if radius < 0:
         raise ValidationError(f"radius must be >= 0, got {radius}")
-    if mat.shape[0] == 0 or radius == 0:
-        return mat.copy(), mat.copy()
-    lo_pad = np.pad(mat, ((0, 0), (radius, radius)), constant_values=np.inf)
-    hi_pad = np.pad(mat, ((0, 0), (radius, radius)), constant_values=-np.inf)
-    window = 2 * radius + 1
-    lower = np.lib.stride_tricks.sliding_window_view(lo_pad, window, axis=1).min(axis=2)
-    upper = np.lib.stride_tricks.sliding_window_view(hi_pad, window, axis=1).max(axis=2)
+    lower, upper = mat.copy(), mat.copy()
+    # A shift of the full width or more reaches no column.
+    for k in range(1, min(radius, mat.shape[1] - 1) + 1):
+        for fold, out in ((np.minimum, lower), (np.maximum, upper)):
+            fold(out[:, k:], mat[:, :-k], out=out[:, k:])
+            fold(out[:, :-k], mat[:, k:], out=out[:, :-k])
     return lower, upper
 
 

@@ -68,11 +68,12 @@ OPERATIONS: dict[str, tuple[str, ...]] = {
 #:     The sensitivity profile and ``load_dataset`` always raise: a
 #:     partial profile or a partially built base would be misleading.
 #: ``explain``
-#:     Boolean (query family + analytics).  The operation runs inside an
-#:     activated trace and the result payload carries an ``"explain"``
-#:     object — request ID, span tree, and cascade counters.  Tracing is
-#:     pure observation: the matches are bit-identical to the
-#:     unexplained call (property-tested).
+#:     Boolean (query family, analytics, ``append_points``).  The
+#:     operation runs inside an activated trace and the result payload
+#:     carries an ``"explain"`` object — request ID, span tree, and (for
+#:     queries) cascade counters.  Tracing is pure observation: the
+#:     matches are bit-identical to the unexplained call
+#:     (property-tested).
 #: ``metric``
 #:     Distance metric name (query family).  Must be registered in
 #:     :data:`repro.distances.registry.REGISTRY` (e.g. ``"dtw"``,
@@ -88,7 +89,7 @@ OPERATION_OPTIONS: dict[str, tuple[str, ...]] = {
     "seasonal": ("timeout_ms", "allow_partial", "explain"),
     "sensitivity": ("timeout_ms", "explain"),
     "load_dataset": ("timeout_ms",),
-    "append_points": ("timeout_ms",),
+    "append_points": ("timeout_ms", "explain"),
 }
 
 #: Operations that only read engine state.  The HTTP front end grants

@@ -45,6 +45,14 @@ _WINDOWS_TOTAL = REGISTRY.counter(
 _EVENTS_TOTAL = REGISTRY.counter(
     "onex_stream_events_total", "Monitor events emitted by live ingestion"
 )
+_ASSIGN_CENTROIDS = REGISTRY.counter(
+    "onex_stream_assign_centroids_total",
+    "(window, same-length representative) pairs in scope of live assignment",
+)
+_ASSIGN_EVALUATED = REGISTRY.counter(
+    "onex_stream_assign_evaluated_total",
+    "Pairs in scope the mean prescreen let through to exact ED_n",
+)
 
 
 class StreamIngestor:
@@ -108,9 +116,14 @@ class StreamIngestor:
         self._buffers[series_name] = buffer
         self._publish(series_name, created_series)
         series_index = self._base.dataset.index_of(series_name)
-        with span("stream.index", points=int(normalized_chunk.shape[0])):
+        with span("stream.index", points=int(normalized_chunk.shape[0])) as sp:
             assignments = self._base.index_new_windows(
                 series_index, previous_length
+            )
+            sp.add(
+                windows=len(assignments),
+                centroids=assignments.centroids,
+                evaluated=assignments.evaluated,
             )
         with span("stream.scan", windows=len(assignments)) as sp:
             events = self.registry.on_points(
@@ -126,6 +139,8 @@ class StreamIngestor:
         _POINTS_TOTAL.inc(int(normalized_chunk.shape[0]))
         _WINDOWS_TOTAL.inc(len(assignments))
         _EVENTS_TOTAL.inc(len(events))
+        _ASSIGN_CENTROIDS.inc(assignments.centroids)
+        _ASSIGN_EVALUATED.inc(assignments.evaluated)
         created_groups = int(assignments.created.sum())
         return {
             "series": series_name,

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.distances.envelope import keogh_envelope, sliding_max, sliding_min
+from repro.distances.envelope import (
+    keogh_envelope,
+    keogh_envelope_batch,
+    sliding_max,
+    sliding_min,
+)
 from repro.exceptions import ValidationError
 
 
@@ -69,3 +74,39 @@ class TestSlidingExtremes:
             sliding_max([1.0], -2)
         with pytest.raises(ValidationError):
             sliding_min([1.0], -2)
+
+
+class TestEnvelopeBatch:
+    """Every row of the batch equals the scalar envelope, bit for bit."""
+
+    @pytest.mark.parametrize("width", [1, 2, 7, 24])
+    @pytest.mark.parametrize("radius", [0, 1, 2, 6, 7, 23, 24, 100])
+    def test_rows_equal_scalar_envelope(self, width, radius):
+        # Radii reach and pass the row width (every column sees the whole
+        # row); width 1 is the single-column stack.
+        rng = np.random.default_rng(35 + width)
+        rows = rng.normal(size=(9, width)).round(1)  # rounded: ties occur
+        lower, upper = keogh_envelope_batch(rows, radius)
+        assert lower.shape == upper.shape == rows.shape
+        for row, lo, hi in zip(rows, lower, upper):
+            want_lo, want_hi = keogh_envelope(row, radius)
+            assert np.array_equal(lo, want_lo)
+            assert np.array_equal(hi, want_hi)
+
+    def test_result_does_not_alias_the_input(self):
+        rows = np.arange(12.0).reshape(3, 4)
+        for radius in (0, 2):
+            lower, upper = keogh_envelope_batch(rows, radius)
+            lower += 1.0
+            upper += 1.0
+            assert np.array_equal(rows, np.arange(12.0).reshape(3, 4))
+
+    def test_empty_stack(self):
+        lower, upper = keogh_envelope_batch(np.empty((0, 5)), 2)
+        assert lower.shape == upper.shape == (0, 5)
+
+    def test_invalid_arguments_rejected(self):
+        with pytest.raises(ValidationError):
+            keogh_envelope_batch(np.ones(4), 1)
+        with pytest.raises(ValidationError):
+            keogh_envelope_batch(np.ones((2, 4)), -1)

@@ -141,6 +141,28 @@ class TestMetricsEndpoint:
         )
         assert served >= 1.0
 
+    def test_assignment_selectivity_counters_move_on_append(self, server):
+        client = OnexClient(server.url)
+
+        def scrape():
+            parsed = parse_exposition(client.scrape_metrics())
+            return [
+                sum(parsed.get(f"onex_stream_assign_{kind}_total", {}).values())
+                for kind in ("centroids", "evaluated")
+            ]
+
+        before = scrape()
+        series = client.call("describe", {"dataset": "MATTERS-sim"})["series_names"][0]
+        summary = client.call(
+            "append_points",
+            {"dataset": "MATTERS-sim", "series": series, "values": [0.4, 0.5]},
+        )
+        centroids, evaluated = (a - b for a, b in zip(scrape(), before))
+        # Every new window had same-length representatives in scope and
+        # the prescreen let at most all of those pairs through.
+        assert centroids >= summary["windows"] > 0
+        assert 0 <= evaluated <= centroids
+
     def test_health_reports_version_uptime_fingerprints(self, server):
         health = OnexClient(server.url).health()
         assert health["version"] == repro.__version__
@@ -248,6 +270,33 @@ class TestExplain:
         explain = resp.result["explain"]
         assert "stats" not in explain
         assert explain["spans"]["children"][0]["name"] == "op.sensitivity"
+
+    def test_explain_on_append_shows_the_assignment_selectivity(self, service):
+        series = service.handle(
+            Request("describe", {"dataset": "MATTERS-sim"})
+        ).result["series_names"][0]
+        resp = service.handle(
+            Request(
+                "append_points",
+                {
+                    "dataset": "MATTERS-sim",
+                    "series": series,
+                    "values": [0.4, 0.5],
+                    "explain": True,
+                },
+            )
+        )
+        assert resp.ok, resp.error_message
+        explain = resp.result["explain"]
+        assert "stats" not in explain
+        op = explain["spans"]["children"][0]
+        assert op["name"] == "op.append_points"
+        (index,) = [c for c in op["children"] if c["name"] == "stream.index"]
+        attrs = index["attrs"]
+        assert attrs["points"] == 2
+        assert attrs["windows"] == resp.result["windows"] > 0
+        assert 0 <= attrs["evaluated"] <= attrs["centroids"]
+        assert attrs["centroids"] >= attrs["windows"]
 
     def test_explain_rejected_where_unsupported(self, service):
         resp = service.handle(
