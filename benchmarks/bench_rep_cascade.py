@@ -170,10 +170,10 @@ def breach_tensor_bounds(base: OnexBase, q: np.ndarray) -> np.ndarray:
     bucket, LB_Kim and the summed ``(G, n)`` min/max-band breach tensor."""
     parts = []
     for bucket in base.buckets():
-        summary = bucket.rep_summary
-        lo, hi = summary.minmax[:, :1], summary.minmax[:, 1:]
+        rows = bucket.centroids
+        lo, hi = rows.min(axis=1, keepdims=True), rows.max(axis=1, keepdims=True)
         breach = np.where(q > hi, q - hi, np.where(q < lo, lo - q, 0.0))
-        kim = lb_kim_endpoints_batch(q, summary.endpoints, bucket.length)
+        kim = lb_kim_endpoints_batch(q, rows[:, [0, 1, -2, -1]], bucket.length)
         parts.append(np.maximum(kim, breach.sum(axis=1)))
     return np.concatenate(parts)
 

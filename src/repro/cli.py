@@ -7,7 +7,7 @@ operations so everything the HTTP API offers is scriptable:
 - ``query`` — best matches for a brushed series window; ``--starts``
   brushes several windows and submits them as one ``query_batch``;
   ``--window`` constrains every DTW to a Sakoe-Chiba band (engaging the
-  persisted centroid envelopes and the band-limited kernel);
+  exact-band centroid envelopes and the band-limited kernel);
   ``--metric`` swaps the distance metric (any registry name).
 - ``seasonal`` — recurring patterns within one series.
 - ``thresholds`` — data-driven similarity-threshold suggestions.
@@ -79,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--window", type=int, default=None,
                        help="Sakoe-Chiba band radius for all DTW "
                             "evaluations (default: unconstrained; banded "
-                            "queries engage the persisted centroid "
+                            "queries engage the exact-band centroid "
                             "envelopes and the band-limited kernel)")
         p.add_argument("--build-workers", type=int, default=None,
                        help="fan the per-length base-construction shards "

@@ -85,24 +85,9 @@ __all__ = [
     "LengthBucket",
     "LengthBuildStats",
     "OnexBase",
-    "RepresentativeSummary",
     "RepresentativeTable",
     "WindowAssignments",
-    "default_envelope_radius",
 ]
-
-
-def default_envelope_radius(length: int) -> int:
-    """Persisted centroid-envelope radius for one subsequence length.
-
-    Roughly a 10% Sakoe–Chiba band (the classic warping-window regime),
-    never below 1 so the envelope is strictly wider than the centroid and
-    never beyond ``length - 1`` (full warping).  Queries whose effective
-    band fits inside this radius use the persisted envelopes; wider or
-    unconstrained bands fall back to the per-centroid min/max band, which
-    bounds DTW at any radius.
-    """
-    return max(1, min(length - 1, length // 10))
 
 
 @dataclass(frozen=True)
@@ -179,170 +164,21 @@ def _grown(
     return grown
 
 
-class RepresentativeSummary:
-    """Prunable summaries of one bucket's representatives, stacked.
-
-    Three cheap-to-evaluate stand-ins for each group centroid, used by the
-    representative-layer cascade to lower-bound ``DTW(query, centroid)``
-    without running the DTW kernel:
-
-    - ``endpoints`` — ``(G, 4)`` first/second/penultimate/last values
-      feeding the constant-time LB_Kim bound;
-    - ``env_lo`` / ``env_hi`` — ``(G, length)`` Keogh envelopes at a fixed
-      ``radius`` (:func:`default_envelope_radius`), valid whenever the
-      query's effective DTW band fits inside that radius;
-    - ``minmax`` — ``(G, 2)`` per-centroid global min/max, the radius-∞
-      envelope that bounds DTW at *any* band including unconstrained.
-
-    The stores grow by amortised doubling exactly like the bucket's
-    centroid stack (representatives never move, so rows never need
-    recomputation), are persisted with the base, and are shared read-only
-    by concurrent queries.
-    """
-
-    #: Initial row capacity of the growable stacks.
-    _MIN_CAPACITY = 16
-
-    def __init__(self, length: int, width: int | None = None) -> None:
-        self.length = length
-        self.radius = default_envelope_radius(length)
-        #: Stored row width — ``length`` for univariate buckets,
-        #: ``length * channels`` for channel-flattened multivariate rows
-        #: (the summaries then bound the flattened-row geometry, which the
-        #: DTW cascade never consults; only the metric scan serves
-        #: multivariate buckets).
-        self.width = length if width is None else int(width)
-        self._count = 0
-        cap = self._MIN_CAPACITY
-        self._env_lo = np.empty((cap, self.width), dtype=np.float64)
-        self._env_hi = np.empty((cap, self.width), dtype=np.float64)
-        self._endpoints = np.empty((cap, 4), dtype=np.float64)
-        self._minmax = np.empty((cap, 2), dtype=np.float64)
-        self._means: np.ndarray | None = None
-
-    @classmethod
-    def attached(
-        cls,
-        length: int,
-        radius: int,
-        env_lo: np.ndarray,
-        env_hi: np.ndarray,
-        endpoints: np.ndarray,
-        minmax: np.ndarray,
-    ) -> "RepresentativeSummary":
-        """Adopt persisted summary arrays *without copying them*.
-
-        The stores are the given arrays themselves (capacity == count),
-        so mmap-backed arrays stay mmap-backed; on a writable base the
-        first ``extend`` finds them full and reallocates.
-        """
-        self = object.__new__(cls)
-        self.length = int(length)
-        self.radius = int(radius)
-        self.width = int(env_lo.shape[1])
-        self._env_lo = env_lo
-        self._env_hi = env_hi
-        self._endpoints = endpoints
-        self._minmax = minmax
-        self._means = None
-        self._count = int(env_lo.shape[0])
-        return self
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    @property
-    def env_lo(self) -> np.ndarray:
-        return self._env_lo[: self._count]
-
-    @property
-    def env_hi(self) -> np.ndarray:
-        return self._env_hi[: self._count]
-
-    @property
-    def endpoints(self) -> np.ndarray:
-        return self._endpoints[: self._count]
-
-    @property
-    def minmax(self) -> np.ndarray:
-        return self._minmax[: self._count]
-
-    def means(self, centroids: np.ndarray) -> np.ndarray:
-        """Row means of the bucket's *centroids*: the column incremental
-        assignment prescreens with.  Not persisted — the first call (under
-        the write-side lock) fills it, ``extend`` keeps it current."""
-        if self._means is None:
-            self._means = np.empty(self._minmax.shape[0])
-            self._means[: self._count] = centroids.mean(axis=1)
-        return self._means[: self._count]
-
-    def extend(self, centroids: np.ndarray) -> None:
-        """Append summaries for freshly added centroid rows."""
-        rows = np.atleast_2d(np.asarray(centroids, dtype=np.float64))
-        fresh = rows.shape[0]
-        if not fresh:
-            return
-        needed = self._count + fresh
-        if needed > self._env_lo.shape[0]:
-            self._env_lo = _grown(self._env_lo, self._count, needed=needed)
-            self._env_hi = _grown(self._env_hi, self._count, needed=needed)
-            self._endpoints = _grown(self._endpoints, self._count, needed=needed)
-            self._minmax = _grown(self._minmax, self._count, needed=needed)
-            if self._means is not None:
-                self._means = _grown(self._means, self._count, needed=needed)
-        lo, hi = keogh_envelope_batch(rows, self.radius)
-        sl = slice(self._count, needed)
-        self._env_lo[sl] = lo
-        self._env_hi[sl] = hi
-        self._endpoints[sl] = rows[:, [0, 1, -2, -1]]
-        self._minmax[sl, 0] = rows.min(axis=1)
-        self._minmax[sl, 1] = rows.max(axis=1)
-        if self._means is not None:
-            self._means[sl] = rows.mean(axis=1)
-        self._count = needed
-
-    def cheap_bounds(
-        self, query: np.ndarray, band: int | None, start: int = 0
-    ) -> np.ndarray:
-        """Per-representative lower bounds on raw ``DTW(query, centroid)``.
-
-        The tightest applicable combination of LB_Kim (endpoints, any
-        lengths) and a Keogh-style envelope bound: the persisted envelopes
-        when the query has the bucket length and its effective *band* fits
-        inside ``self.radius``, else the min/max band (valid at any band
-        width and for unequal lengths).  *start* restricts the evaluation
-        to representatives ``start:`` (the streaming monitors extend their
-        caches incrementally as ingestion spawns groups).
-        """
-        if start >= self._count:
-            return np.empty(0)
-        bound = lb_kim_endpoints_batch(
-            query, self._endpoints[start : self._count], self.length
-        )
-        if query.shape[0] == self.length and band is not None and band <= self.radius:
-            lo = self._env_lo[start : self._count]
-            hi = self._env_hi[start : self._count]
-        else:
-            lo = self._minmax[start : self._count, :1]
-            hi = self._minmax[start : self._count, 1:]
-        return np.maximum(bound, lb_keogh_reverse_batch(query, lo, hi))
-
-
 class RepresentativeTable:
     """Every representative of a base, all lengths, in one table.
 
     One row per similarity group in arrival order — the buckets' groups
     by ascending length as of the first use, then every group ingestion
     seeds, as it is seeded — so the table only ever grows at its end and
-    nothing invalidates it.  The columns are what the rank stage of the
-    query cascade reads for *all* lengths at once: the LB_Kim
-    ``endpoints`` ``(G, 4)`` and the min/max band ``lo``/``hi`` (copied
-    from the buckets' :class:`RepresentativeSummary`, so equal to them bit
-    for bit), the Chebyshev ``radii`` of the transfer bound, and the
-    ``(lengths, gids)`` address of each row's group — its bucket's length
-    and its index there.  :class:`OnexBase` owns it and keeps it current
-    at the one place groups are seeded and grown (``index_new_windows``).
+    nothing invalidates it.  A bucket's centroid stack is the only stored
+    description of its representatives; every column here is derived from
+    it (and from the radii) and is what the rank stage of the query
+    cascade reads for *all* lengths at once: the LB_Kim ``endpoints``
+    ``(G, 4)``, the min/max band ``lo``/``hi``, the Chebyshev ``radii``
+    of the transfer bound, and the ``(lengths, gids)`` address of each
+    row's group — its bucket's length and its index there.
+    :class:`OnexBase` owns it and keeps it current at the one place
+    groups are seeded and grown (``index_new_windows``).
     """
 
     _COLUMNS = ("endpoints", "lo", "hi", "radii", "lengths", "gids")
@@ -362,6 +198,8 @@ class RepresentativeTable:
         self._lengths, self._gids = np.empty((2, total), dtype=np.int64)
         #: ``length -> table rows`` of that bucket's groups, in group order.
         self._rows: dict[int, np.ndarray] = {}
+        #: ``length -> bucket``: where a banded bound reads its centroids.
+        self._buckets: dict[int, "LengthBucket"] = {}
         self._publish(0)
         self.sync((bucket, ()) for bucket in buckets)
 
@@ -389,32 +227,59 @@ class RepresentativeTable:
                     for name in self._COLUMNS:
                         store = _grown(getattr(self, "_" + name), start, needed=stop)
                         setattr(self, "_" + name, store)
-                summary = bucket.rep_summary
-                self._endpoints[start:stop] = summary.endpoints[first:]
-                self._lo[start:stop] = summary.minmax[first:, 0]
-                self._hi[start:stop] = summary.minmax[first:, 1]
+                fresh = bucket.centroids[first:]
+                self._endpoints[start:stop] = fresh[:, [0, 1, -2, -1]]
+                # min/max over the short axis as a fold over its columns:
+                # the same values as ``fresh.min(axis=1)``/``.max(axis=1)``
+                # (min and max are exact) at a third of the cost.
+                lo, hi = self._lo[start:stop], self._hi[start:stop]
+                lo[:] = hi[:] = fresh[:, 0]
+                for column in fresh.T[1:]:
+                    np.minimum(lo, column, out=lo)
+                    np.maximum(hi, column, out=hi)
                 self._radii[start:stop] = bucket.cheb_radii[first:]
                 self._lengths[start:stop] = bucket.length
                 self._gids[start:stop] = np.arange(first, bucket.group_count)
                 known = np.concatenate([known, np.arange(start, stop)])
                 self._rows[bucket.length] = known
+                self._buckets[bucket.length] = bucket
                 self._publish(stop)
             grown = np.asarray(grown, dtype=np.int64)
             self._radii[known[grown]] = bucket.cheb_radii[grown]
 
     def cheap_bounds(
-        self, query: np.ndarray, rows: np.ndarray | None = None
+        self,
+        query: np.ndarray,
+        rows: np.ndarray | None = None,
+        band: int | None = None,
     ) -> np.ndarray:
         """Lower bounds on raw ``DTW(query, representative)`` for *rows*
-        (default: all) — LB_Kim from the endpoints and the min/max band
-        bound, the two that hold for any length and any warping band."""
+        (default: all), with no DTW kernel call.
+
+        LB_Kim from the endpoints and the min/max band bound hold for any
+        length and any warping band.  Under a finite Sakoe–Chiba *band*
+        the rows of the query's own length are tightened by LB_Keogh
+        against their centroids' envelopes, computed here at exactly that
+        radius — so they are valid for every band and as tight as the
+        band allows.
+        """
         endpoints, lengths, lo, hi = self.endpoints, self.lengths, self.lo, self.hi
         if rows is not None:
             endpoints, lengths, lo, hi = endpoints[rows], lengths[rows], lo[rows], hi[rows]
-        return np.maximum(
+        bounds = np.maximum(
             lb_kim_endpoints_batch(query, endpoints, lengths),
             lb_keogh_reverse_batch(query, lo[:, None], hi[:, None]),
         )
+        if band is not None:
+            same = np.flatnonzero(lengths == query.shape[0])
+            if same.size:
+                gids = self.gids[same if rows is None else rows[same]]
+                centroids = self._buckets[query.shape[0]].centroids[gids]
+                keogh = lb_keogh_reverse_batch(
+                    query, *keogh_envelope_batch(centroids, band)
+                )
+                bounds[same] = np.maximum(bounds[same], keogh)
+        return bounds
 
 
 class _GroupsView(Sequence):
@@ -549,10 +414,10 @@ class LengthBucket:
         #: Groups the ``groups`` view has built; an append drops the ones
         #: it grows.
         self._built: dict[int, SimilarityGroup] = {}
-        # Representative summaries (envelopes/endpoints/minmax) are built
-        # lazily on first use and kept in sync by append; the snapshot
-        # reader attaches the persisted arrays instead.
-        self._rep_summary: RepresentativeSummary | None = None
+        #: Row means of the centroids, the column incremental assignment
+        #: prescreens with: derived, never persisted, and kept only where
+        #: assignment can happen.
+        self._mean_store = centroids.mean(axis=1) if writable else None
 
     @property
     def groups(self) -> _GroupsView:
@@ -583,32 +448,9 @@ class LengthBucket:
         return self._cheb_store[: self._group_count]
 
     @property
-    def rep_summary(self) -> RepresentativeSummary:
-        """Prunable representative summaries, built lazily and kept live.
-
-        Always in sync with the current group count.  Appends extend the
-        summary in place under the callers' exclusive (write-side) lock;
-        this accessor, which concurrent *readers* share, never mutates a
-        published summary — on the first touch after a build it fills a
-        complete one locally and publishes it with one assignment, so
-        racing readers at worst build twice and last-write-wins with an
-        equivalent object.
-        """
-        summary = self._rep_summary
-        if summary is None:
-            summary = RepresentativeSummary(self.length, self._centroid_store.shape[1])
-            summary.extend(self.centroids)
-            self._rep_summary = summary
-        return summary
-
-    def attach_rep_summary(self, summary: RepresentativeSummary) -> None:
-        """Adopt persisted representative summaries (see ``OnexBase.load``)."""
-        if summary.count != self._group_count:
-            raise ValidationError(
-                f"representative summary covers {summary.count} groups, "
-                f"bucket has {self._group_count}"
-            )
-        self._rep_summary = summary
+    def centroid_means(self) -> np.ndarray:
+        """Row mean of every representative (live view; writable buckets)."""
+        return self._mean_store[: self._group_count]
 
     @property
     def member_offsets(self) -> np.ndarray:
@@ -747,17 +589,18 @@ class LengthBucket:
                     f"new groups must be seeded first, ascending from {known}"
                 )
             seeds = rows[: total - known]
-            self._reserve(("_centroid_store", "_ed_store", "_cheb_store"), known, total)
+            self._reserve(
+                ("_centroid_store", "_ed_store", "_cheb_store", "_mean_store"),
+                known,
+                total,
+            )
             self._reserve(("_offset_store",), known + 1, total + 1)
             self._centroid_store[known:total] = seeds
             self._ed_store[known:total] = 0.0
             self._cheb_store[known:total] = 0.0
+            self._mean_store[known:total] = seeds.mean(axis=1)
             self._offset_store[known + 1 : total + 1] = self._offset_store[known]
             self._group_count = total
-            if self._rep_summary is not None:
-                # Keep the prunable summaries live under streaming appends;
-                # centroids never move, so existing rows stay valid.
-                self._rep_summary.extend(seeds)
         start, stop = self._row_count, self._row_count + rows.shape[0]
         self._reserve(("_member_store", "_handle_store", "_row_group"), start, stop)
         self._member_store[start:stop] = rows
@@ -1132,9 +975,9 @@ class OnexBase:
     def rep_table(self) -> RepresentativeTable:
         """The base-wide representative table the rank stage reads.
 
-        Built on first use after ``build()`` or an attach (a pass of
-        slice copies over the buckets' summaries) and from then on only
-        extended, under the callers' exclusive write-side lock, where
+        Built on first use after ``build()`` or an attach (one pass of
+        column reads over the buckets' centroid stacks) and from then on
+        only extended, under the callers' exclusive write-side lock, where
         ingestion seeds and grows groups.  Readers never mutate a
         published table: racing first readers at worst each build one
         and the last assignment wins with an equivalent object.
@@ -1352,7 +1195,7 @@ class OnexBase:
         radius = self._config.group_radius
         existing, width = bucket.group_count, windows.shape[1]
         centroids = bucket.centroids
-        cmeans = bucket.rep_summary.means(centroids)
+        cmeans = bucket.centroid_means
         cutoff = mean_prescreen_cutoff(radius, means, cmeans) + slack
         fresh = np.empty_like(windows)  # representatives seeded by this call
         owners: list[int] = []

@@ -109,9 +109,11 @@ class QueryConfig:
     use_group_pruning:
         Toggle the transfer-inequality group pruning (ablation E9).
     use_rep_prefilter:
-        Rank and prune representatives with the persisted summary bounds
-        (centroid Keogh envelopes + LB_Kim endpoints + the transfer
-        inequality) and run exact representative DTW *lazily*, so
+        Rank and prune representatives with the representative table's
+        cheap bounds (LB_Kim endpoints + min/max band, tightened by
+        centroid Keogh envelopes at the query's own band when ``window``
+        is finite, + the transfer inequality), all derived from the
+        centroid stacks, and run exact representative DTW *lazily*, so
         representatives whose cheap bound exceeds the running cutoff
         never get a DTW call (the default).  ``False`` restores the
         eager PR-1 behaviour — exact DTW against every representative up

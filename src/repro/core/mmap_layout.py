@@ -10,7 +10,7 @@ files**::
                  back to back, each starting on a 64-byte boundary
     meta.json    format tag, build config, stats, dataset and series
                  names/metadata, normalisation bounds, indexed lengths,
-                 per-length envelope radii, the structure fingerprint,
+                 the structure fingerprint,
                  ``arrays``: name -> [dtype, shape, byte offset], and
                  ``arrays_sha256`` (durable snapshots only)
 
@@ -18,7 +18,7 @@ so writing is one sequential dump and attaching is one ``mmap(2)`` (or
 one read) plus a view per directory entry — neither costs anything per
 group:
 
-- N pool workers' member/centroid/summary stacks are views over the same
+- N pool workers' member and centroid stacks are views over the same
   physical pages (the kernel shares the page cache across processes);
 - the mapping is write-protected, so an accidental in-place mutation in
   a worker raises instead of corrupting sibling processes;
@@ -39,8 +39,13 @@ Arrays in the directory (``<L>`` = subsequence length)::
     len<L>_members              (M, 2) int64 member handles
     len<L>_offsets              (G+1,) int64 group row offsets
     len<L>_member_matrix        stacked member values, group-contiguous
-    len<L>_rep_env_lo/_rep_env_hi/_rep_endpoints/_rep_minmax
-                                persisted representative summaries
+
+Nothing derivable from a centroid row is stored (the rank stage's table
+is rebuilt from the centroid stacks on first use), and the reader looks
+up these names only: a directory entry or meta key under any other name
+— earlier format-2 writers also stored per-representative summary stacks
+and their envelope radius — is never dereferenced, so such a snapshot
+still loads.
 
 Every snapshot is written to a ``<dir>.tmp`` sibling and renamed into
 place with ``os.replace``, so the target either does not exist or is
@@ -85,7 +90,6 @@ from repro.core.base import (
     LengthBucket,
     LengthBuildStats,
     OnexBase,
-    RepresentativeSummary,
 )
 from repro.core.config import BuildConfig
 from repro.data.dataset import TimeSeriesDataset
@@ -118,7 +122,7 @@ _ALIGN = 64
 
 
 #: Per-length arrays, in file order and in the positional order of
-#: ``LengthBucket`` (first six) + ``RepresentativeSummary.attached``.
+#: ``LengthBucket``.
 _BUCKET_ARRAYS = (
     "members",
     "offsets",
@@ -126,10 +130,6 @@ _BUCKET_ARRAYS = (
     "centroids",
     "ed_radii",
     "cheb_radii",
-    "rep_env_lo",
-    "rep_env_hi",
-    "rep_endpoints",
-    "rep_minmax",
 )
 #: The ``BuildConfig`` fields that describe the base (not how it was built).
 _CONFIG_FIELDS = (
@@ -147,7 +147,6 @@ def _snapshot_arrays(base: OnexBase) -> Iterator[tuple[str, np.ndarray]]:
         for i, series in enumerate(norm):
             yield f"norm_{i}", series.values
     for bucket in base.buckets():
-        summary = bucket.rep_summary
         arrays = (
             bucket.member_handles,
             bucket.member_offsets,
@@ -155,10 +154,6 @@ def _snapshot_arrays(base: OnexBase) -> Iterator[tuple[str, np.ndarray]]:
             bucket.centroids,
             bucket.ed_radii,
             bucket.cheb_radii,
-            summary.env_lo,
-            summary.env_hi,
-            summary.endpoints,
-            summary.minmax,
         )
         for name, array in zip(_BUCKET_ARRAYS, arrays):
             yield f"len{bucket.length}_{name}", array
@@ -227,7 +222,6 @@ def _write_snapshot(
             "norm_bounds": list(bounds) if bounds is not None else None,
             "normalized_stored": base.dataset is not raw,
             "lengths": base.lengths,
-            "rep_radius": {str(b.length): b.rep_summary.radius for b in base.buckets()},
             "structure_fingerprint": base.structure_fingerprint(),
             "arrays": arrays,
             "arrays_sha256": digests.get(ARRAYS_FILE),
@@ -390,15 +384,9 @@ def _attach(
     for length in meta["lengths"]:
         length = int(length)
         stacks = [array(f"len{length}_{name}") for name in _BUCKET_ARRAYS]
-        bucket = LengthBucket(
-            length, *stacks[:6], channels=channels, writable=not read_only
+        buckets[length] = LengthBucket(
+            length, *stacks, channels=channels, writable=not read_only
         )
-        bucket.attach_rep_summary(
-            RepresentativeSummary.attached(
-                length, int(meta["rep_radius"][str(length)]), *stacks[6:]
-            )
-        )
-        buckets[length] = bucket
     stats = dict(meta["stats"])
     stats["per_length"] = tuple(LengthBuildStats(**e) for e in stats["per_length"])
     norm_bounds = meta.get("norm_bounds")

@@ -91,7 +91,6 @@ from repro.distances.dtw import dtw_distance_batch, dtw_path, effective_band
 from repro.distances.envelope import QueryEnvelopeCache
 from repro.distances.lower_bounds import (
     lb_keogh_batch,
-    lb_keogh_reverse_batch,
     lb_kim_endpoints_batch,
 )
 from repro.distances.metrics import as_sequence
@@ -886,30 +885,12 @@ class QueryProcessor:
         return reps
 
     def _rank_bounds(self, q: np.ndarray, reps: _Reps) -> np.ndarray:
-        """Summary lower bounds on raw ``DTW(q, representative)`` for every
-        row of *reps* — one pass over the base table, no kernel call.
-
-        LB_Kim and the min/max band hold for every length and band.  The
-        one bucket of the query's own length is tightened by its
-        persisted centroid envelopes when the DTW band is finite and fits
-        inside their radius.
-        """
-        qlen = q.shape[0]
+        """Lower bounds on raw ``DTW(q, representative)`` for every row of
+        *reps* — one pass over the base table, no kernel call."""
         with span("cascade.rep_bounds", reps=int(reps.gids.size)):
-            bounds = self._base.rep_table.cheap_bounds(q, reps.rows)
-            band = effective_band(qlen, qlen, self._config.window)
-            if band is None:
-                return bounds
-            same = np.flatnonzero(reps.lengths == qlen)
-            if same.size:
-                summary = self._base.bucket(qlen).rep_summary
-                if band <= summary.radius:
-                    at = reps.gids[same]
-                    keogh = lb_keogh_reverse_batch(
-                        q, summary.env_lo[at], summary.env_hi[at]
-                    )
-                    bounds[same] = np.maximum(bounds[same], keogh)
-            return bounds
+            return self._base.rep_table.cheap_bounds(
+                q, reps.rows, self._config.window
+            )
 
     def _rep_dtw(
         self, q: np.ndarray, lengths: np.ndarray, gids: np.ndarray, stats: QueryStats

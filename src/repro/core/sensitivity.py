@@ -15,7 +15,7 @@ yields, via the transfer inequality, a **certain** interval and a
 - members between the bounds are ambiguous until verified.
 
 The default implementation rides the batched pruning cascade (DESIGN.md
-§6): groups whose :class:`~repro.core.base.RepresentativeSummary` cheap
+§6): groups whose :meth:`~repro.core.base.RepresentativeTable.cheap_bounds`
 bound already clears the whole grid are skipped without the per-group
 ``dtw_path``, member rows come straight from the bucket's stacked member
 matrix, and ``verify=True`` resolves every still-ambiguous member with an
@@ -216,6 +216,7 @@ def _profile_batched(
     uppers: list[np.ndarray] = []
     verify_units: list[tuple] = []  # (bucket, rows, base offset into arrays)
     offset = 0
+    table = base.rep_table
     for scanned, bucket in enumerate(chosen):
         _check_bucket_deadline(deadline, scanned, len(chosen))
         length = bucket.length
@@ -225,7 +226,7 @@ def _profile_batched(
         max_path = qlen + length - 1
         min_path = max(qlen, length)
         band = effective_band(qlen, length, window)
-        cheap = bucket.rep_summary.cheap_bounds(q, band)
+        cheap = table.cheap_bounds(q, table.rows_of([length]), band)
         # Conservative against the per-member transfer lower bound: the
         # cheap bound never exceeds DTW(q, rep) and the group Chebyshev
         # radius never understates a member's, so a group failing this

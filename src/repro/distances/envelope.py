@@ -93,9 +93,10 @@ def keogh_envelope_batch(rows: ArrayLike, radius: int) -> tuple[np.ndarray, np.n
 
     Returns ``(lower, upper)`` with the same shape as *rows*; row ``g`` is
     exactly ``keogh_envelope(rows[g], radius)`` (cross-checked by the
-    property tests).  Used to build the persisted per-representative
-    envelopes of :class:`repro.core.base.RepresentativeSummary` without a
-    Python loop over groups: round ``k`` of ``radius`` folds the stack
+    property tests).  Used by
+    :meth:`repro.core.base.RepresentativeTable.cheap_bounds` for the
+    centroid envelopes of a banded query, without a Python loop over
+    groups: round ``k`` of ``radius`` folds the stack
     shifted ``k`` columns left and right into the running extremes, in
     place over slices — min/max are exact, so the order of folding does
     not show in the result.

@@ -136,7 +136,7 @@ def _as_query_rows(x: ArrayLike) -> tuple[np.ndarray, bool]:
 def lb_kim_endpoints_batch(
     x: ArrayLike, endpoints: ArrayLike, m: int | np.ndarray, *, ground: str = "l1"
 ) -> np.ndarray:
-    """:func:`lb_kim_batch` evaluated from persisted endpoint summaries.
+    """:func:`lb_kim_batch` evaluated from endpoint summaries.
 
     *endpoints* is a ``(G, 4)`` array whose columns are each candidate's
     first, second, penultimate, and last value (``rows[:, [0, 1, -2, -1]]``

@@ -667,6 +667,18 @@ def _make_handler(
     return Handler
 
 
+class _ThreadingServer(ThreadingHTTPServer):
+    """The stdlib server with a listen backlog that outlasts a burst.
+
+    With the default of 5 the kernel drops the SYNs of a burst past the
+    backlog and those clients stall for the 1 s TCP retry — by then a
+    slot is free, so they are admitted late where the
+    :class:`AdmissionGate` was meant to shed them at once with a 503.
+    """
+
+    request_queue_size = 128
+
+
 class OnexHttpServer:
     """Threaded HTTP wrapper around one :class:`OnexService`.
 
@@ -697,7 +709,7 @@ class OnexHttpServer:
             self._ready.set()
         self.started_monotonic = time.monotonic()
         try:
-            self._httpd = ThreadingHTTPServer(
+            self._httpd = _ThreadingServer(
                 (host, port),
                 _make_handler(
                     self.service,

@@ -13,12 +13,12 @@ two complementary event kinds (:class:`~repro.stream.events.StreamEvent`):
 ``"window"`` — the ONEX group-level prefilter.  The ingestor assigns each
     newly completed pattern-length window to a similarity group anyway;
     the monitor prunes in two representative-layer stages.  First the
-    bucket's persisted summaries
-    (:class:`repro.core.base.RepresentativeSummary`, shared with the
-    query processor's prefilter; monitor DTW is unconstrained, so the
-    applicable bounds are the endpoint LB_Kim and per-centroid min/max
-    band — the fixed-radius Keogh envelopes only engage banded queries)
-    give a *cheap* lower bound on ``DTW(pattern, rep)`` with no DTW at
+    base's representative table
+    (:meth:`repro.core.base.RepresentativeTable.cheap_bounds`, shared
+    with the query processor's rank stage; monitor DTW is unconstrained,
+    so the applicable bounds are the endpoint LB_Kim and per-centroid
+    min/max band — centroid Keogh envelopes only engage banded queries)
+    gives a *cheap* lower bound on ``DTW(pattern, rep)`` with no DTW at
     all; a window whose group satisfies ``cheap - (2m-1) * cheb_radius >
     epsilon`` is discarded without the representative ever being
     DTW-evaluated.  Surviving groups get their exact representative DTW
@@ -241,13 +241,15 @@ class PatternMonitor:
     def _extend_rep_cache(self, bucket: LengthBucket) -> None:
         """Extend the cheap-bound cache to newly spawned groups.
 
-        The cheap bounds come from the bucket's persisted representative
-        summaries in one batched evaluation (no DTW); the exact slots are
-        seeded NaN and filled one group at a time when the cheap bound
-        cannot prune.
+        The cheap bounds come from the base's representative table in one
+        batched evaluation (no DTW); the exact slots are seeded NaN and
+        filled one group at a time when the cheap bound cannot prune.
         """
+        table = self._base.rep_table
         known = self._rep_lb.shape[0]
-        fresh = bucket.rep_summary.cheap_bounds(self._pattern, None, start=known)
+        fresh = table.cheap_bounds(
+            self._pattern, table.rows_of([bucket.length])[known:]
+        )
         self._rep_lb = np.concatenate([self._rep_lb, fresh])
         self._rep_dtw = np.concatenate(
             [self._rep_dtw, np.full(fresh.shape[0], np.nan)]

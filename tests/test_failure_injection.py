@@ -7,6 +7,7 @@ a typed error or a clean error response, never a crash or silent wrong
 answer.
 """
 
+import hashlib
 import json
 import urllib.request
 
@@ -20,6 +21,7 @@ from repro.core.query import QueryProcessor
 from repro.data.dataset import TimeSeriesDataset
 from repro.data.timeseries import TimeSeries
 from repro.data.ucr_format import load_ucr_file
+from repro.distances.envelope import keogh_envelope_batch
 from repro.exceptions import (
     DatasetError,
     OnexError,
@@ -89,7 +91,6 @@ _HOSTILE_META = {
     "no-config": _drop("config"),
     "no-stats-key": _drop("stats", "groups"),
     "no-dataset-name": _drop("dataset", "name"),
-    "no-rep-radius": _drop("rep_radius"),
     "config-unknown-field": lambda meta: meta["config"].update(bogus=1),
     "config-invalid": lambda meta: meta["config"].update(min_length=-4),
     "lengths-not-numbers": lambda meta: meta.update(lengths=["four"]),
@@ -184,6 +185,50 @@ class TestCorruptedBaseFiles:
         _edit_meta(path, _HOSTILE_META[case])
         with pytest.raises(PersistenceError):
             load_base_snapshot(path, mmap_mode=mmap_mode, verify=True)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [None, ["<f8", [4, 4], 1 << 40], ["|O", [1], 0]],
+        ids=["as-written", "out-of-range", "non-numeric"],
+    )
+    @pytest.mark.parametrize("mmap_mode", [None, "r"])
+    def test_legacy_summary_entries_are_never_dereferenced(
+        self, base, tmp_path, entry, mmap_mode
+    ):
+        """Format-2 snapshots written before the per-representative
+        summary stacks were dropped carry four more arrays per length and
+        a ``rep_radius`` key.  The reader never looks those names up, so
+        such a directory loads, hash and fingerprint verified, and answers
+        the same — whatever their entries say."""
+        path = tmp_path / "base"
+        base.save(path)
+        blob = bytearray((path / "arrays.bin").read_bytes())
+        meta = json.loads((path / "meta.json").read_text())
+        for bucket in base.buckets():
+            rows = bucket.centroids
+            lo, hi = keogh_envelope_batch(rows, 1)
+            legacy = {
+                "rep_env_lo": lo,
+                "rep_env_hi": hi,
+                "rep_endpoints": rows[:, [0, 1, -2, -1]],
+                "rep_minmax": np.column_stack((rows.min(axis=1), rows.max(axis=1))),
+            }
+            for name, array in legacy.items():
+                blob.extend(bytes(-len(blob) % 64))
+                meta["arrays"][f"len{bucket.length}_{name}"] = entry or [
+                    array.dtype.str, list(array.shape), len(blob)
+                ]
+                blob.extend(array.tobytes())
+        meta["rep_radius"] = {str(b.length): 1 for b in base.buckets()}
+        meta["arrays_sha256"] = hashlib.sha256(blob).hexdigest()
+        (path / "arrays.bin").write_bytes(blob)
+        (path / "meta.json").write_text(json.dumps(meta))
+        loaded, _ = load_base_snapshot(path, mmap_mode=mmap_mode, verify=True)
+        assert loaded.structure_fingerprint() == base.structure_fingerprint()
+        q = base.dataset[0].values[2:7]
+        want = QueryProcessor(base).k_best_matches(q, 3, normalize=False)
+        got = QueryProcessor(loaded).k_best_matches(q, 3, normalize=False)
+        assert [(m.ref, m.distance) for m in got] == [(m.ref, m.distance) for m in want]
 
     @pytest.mark.parametrize(
         "text", ["", "{not json", "[]", "null", '"meta"', '{"format": 2}']

@@ -277,5 +277,8 @@ class TestAssignmentAgainstSequentialOracle:
             at = table.rows_of([bucket.length])
             assert np.array_equal(table.gids[at], np.arange(bucket.group_count))
             assert np.array_equal(table.radii[at], bucket.cheb_radii)
-            assert np.array_equal(table.lo[at], bucket.rep_summary.minmax[:, 0])
-            assert np.array_equal(table.endpoints[at], bucket.rep_summary.endpoints)
+            centroids = bucket.centroids
+            assert np.array_equal(table.lo[at], centroids.min(axis=1))
+            assert np.array_equal(table.hi[at], centroids.max(axis=1))
+            assert np.array_equal(table.endpoints[at], centroids[:, [0, 1, -2, -1]])
+            assert np.array_equal(bucket.centroid_means, centroids.mean(axis=1))

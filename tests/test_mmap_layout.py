@@ -235,6 +235,35 @@ class TestDurableRoundTrip:
         ).read_bytes()
 
 
+    def test_only_what_is_not_derivable_is_stored(self, tmp_path):
+        """The directory names the dataset's series and six arrays per
+        length — nothing computed from a centroid row — and a loaded base
+        writes the same bytes back."""
+        base, _ = self.grown_base()
+        base.rep_table  # built or not, never written
+        base.save(tmp_path / "first")
+        meta = json.loads((tmp_path / "first" / "meta.json").read_text())
+        series = range(len(base.raw_dataset))
+        per_length = (
+            "members", "offsets", "member_matrix", "centroids", "ed_radii", "cheb_radii",
+        )  # fmt: skip
+        assert set(meta["arrays"]) == (
+            {f"raw_{i}" for i in series}
+            | {f"norm_{i}" for i in series}
+            | {f"len{n}_{name}" for n in base.lengths for name in per_length}
+        )
+        nbytes = sum(
+            np.dtype(dtype).itemsize * int(np.prod(shape))
+            for dtype, shape, _ in meta["arrays"].values()
+        )
+        size = (tmp_path / "first" / "arrays.bin").stat().st_size
+        assert nbytes <= size < nbytes + 64 * len(meta["arrays"])
+        OnexBase.load(tmp_path / "first").save(tmp_path / "second")
+        assert (tmp_path / "second" / "arrays.bin").read_bytes() == (
+            tmp_path / "first" / "arrays.bin"
+        ).read_bytes()
+
+
 class TestStaleSweep:
     def test_removes_tmp_debris_and_old_epochs(self, tmp_path):
         root = tmp_path / "snaps"

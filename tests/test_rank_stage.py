@@ -171,19 +171,23 @@ def walk_base() -> OnexBase:
 
 
 def assert_table_matches_buckets(base: OnexBase) -> None:
-    """Every table row carries its group's summary numbers and radius,
-    and each bucket's rows appear in group order."""
+    """Every table column equals its recomputation from the buckets'
+    centroid stacks and radii — the only stored description of a
+    representative — each bucket's rows appear in group order, and a
+    writable bucket's means are its centroids' row means."""
     table = base.rep_table
     assert table.count == base.stats.groups == sum(b.group_count for b in base.buckets())
     for bucket in base.buckets():
         rows = table.rows_of([bucket.length])
+        centroids = bucket.centroids
         assert (table.lengths[rows] == bucket.length).all()
         assert np.array_equal(table.gids[rows], np.arange(bucket.group_count))
-        summary = bucket.rep_summary
-        assert np.array_equal(table.endpoints[rows], summary.endpoints)
-        assert np.array_equal(table.lo[rows], summary.minmax[:, 0])
-        assert np.array_equal(table.hi[rows], summary.minmax[:, 1])
+        assert np.array_equal(table.endpoints[rows], centroids[:, [0, 1, -2, -1]])
+        assert np.array_equal(table.lo[rows], centroids.min(axis=1))
+        assert np.array_equal(table.hi[rows], centroids.max(axis=1))
         assert np.array_equal(table.radii[rows], bucket.cheb_radii)
+        if bucket.writable:
+            assert np.array_equal(bucket.centroid_means, centroids.mean(axis=1))
 
 
 class TestRepresentativeTable:
@@ -191,10 +195,10 @@ class TestRepresentativeTable:
         base = build_walk_base()
         assert_table_matches_buckets(base)
         built = base.rep_table
-        # Freshly built, the table is the buckets' summaries concatenated.
+        # Freshly built, the table is the buckets' rows by ascending length.
         assert np.array_equal(
             built.endpoints,
-            np.concatenate([b.rep_summary.endpoints for b in base.buckets()]),
+            np.concatenate([b.centroids[:, [0, 1, -2, -1]] for b in base.buckets()]),
         )
 
         rng = np.random.default_rng(12)

@@ -2,28 +2,25 @@
 
 Property tests for the PR-3 surface: the batch kernel (vectorised and
 scalar) is bit-identical to the row-scan oracle ``dtw_path`` at every
-window radius, the persisted
-representative summaries give provable lower bounds and survive
-persistence (including pre-v3 archives without them), the centroid
-prefilter is result-preserving in exact mode, and the multi-query
+window radius, the representative table's cheap bounds provably
+lower-bound DTW at every band, the centroid prefilter is
+result-preserving in exact mode (windowed or not), and the multi-query
 execution layer returns exactly what per-query submission returns.
 """
 
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.base import (
-    OnexBase,
-    RepresentativeSummary,
-    default_envelope_radius,
-)
+from repro.baselines.brute_force import BruteForceSearcher
+from repro.core.base import LengthBucket, OnexBase, RepresentativeTable
 from repro.core.config import BuildConfig, QueryConfig
 from repro.core.query import QueryProcessor
 from repro.data.dataset import TimeSeriesDataset
-from repro.data.timeseries import TimeSeries
 from repro.distances.dtw import (
     dtw_distance,
     dtw_distance_batch,
@@ -94,6 +91,10 @@ class TestKernels:
 
 
 class TestRepresentativeSummary:
+    """The pieces of ``RepresentativeTable.cheap_bounds`` — the one
+    function combining LB_Kim endpoints with a band bound — and the bound
+    itself."""
+
     @given(
         rows=st.lists(sequences(min_size=6, max_size=6), min_size=1, max_size=6),
         radius=st.integers(min_value=0, max_value=8),
@@ -119,33 +120,34 @@ class TestRepresentativeSummary:
         assert np.array_equal(got, lb_kim_batch(x, mat))
 
     @given(
-        x=sequences(min_size=2, max_size=8),
+        # Half the draws have the rows' own length, where the exact-band
+        # centroid envelopes engage.
+        x=st.one_of(sequences(min_size=6, max_size=6), sequences(min_size=2, max_size=8)),
         rows=st.lists(sequences(min_size=6, max_size=6), min_size=1, max_size=5),
-        window=st.one_of(st.none(), st.integers(min_value=0, max_value=8)),
     )
     @settings(max_examples=100, deadline=None)
-    def test_cheap_bounds_never_exceed_dtw(self, x, rows, window):
-        """The summary bounds provably lower-bound (banded) DTW."""
+    def test_cheap_bounds_never_exceed_dtw(self, x, rows):
+        """The table bounds provably lower-bound DTW at *every* band."""
         mat = np.asarray(rows)
-        summary = RepresentativeSummary(mat.shape[1])
-        summary.extend(mat)
+        count, length = mat.shape
+        bucket = LengthBucket(
+            length,
+            np.zeros((count, 2), dtype=np.int64),
+            np.arange(count + 1),
+            mat,
+            mat,
+            np.zeros(count),
+            np.zeros(count),
+            writable=False,
+        )
+        table = RepresentativeTable([bucket])
         q = np.asarray(x)
-        band = effective_band(q.shape[0], mat.shape[1], window)
-        bounds = summary.cheap_bounds(q, band)
-        for g in range(mat.shape[0]):
-            exact = dtw_distance(q, mat[g], window=window)
-            assert bounds[g] <= exact + 1e-9
-
-    def test_extend_matches_bulk_build(self):
-        rng = np.random.default_rng(18)
-        mat = rng.normal(size=(9, 10))
-        bulk = RepresentativeSummary(10)
-        bulk.extend(mat)
-        incremental = RepresentativeSummary(10)
-        for row in mat:
-            incremental.extend(row[None, :])
-        for attr in ("env_lo", "env_hi", "endpoints", "minmax"):
-            assert np.array_equal(getattr(bulk, attr), getattr(incremental, attr))
+        for window in (None, *range(9)):
+            band = effective_band(q.shape[0], length, window)
+            bounds = table.cheap_bounds(q, band=band)
+            for g in range(count):
+                exact = dtw_distance(q, mat[g], window=window)
+                assert bounds[g] <= exact + 1e-9, (window, g)
 
 
 @pytest.fixture(scope="module")
@@ -221,41 +223,44 @@ class TestPrefilterResultPreserving:
         assert skipped > 0, "prefilter never skipped a representative DTW"
 
 
-class TestSummaryPersistence:
-    def test_roundtrip_and_backward_compat(self, walk_base, tmp_path, monkeypatch):
-        path = tmp_path / "base"
-        walk_base.save(path)
-        loaded = OnexBase.load(path)
-        for length in walk_base.lengths:
-            want = walk_base.bucket(length).rep_summary
-            got = loaded.bucket(length).rep_summary
-            assert got.radius == want.radius
-            for attr in ("env_lo", "env_hi", "endpoints", "minmax"):
-                assert np.array_equal(getattr(got, attr), getattr(want, attr))
-        # The persisted summaries are attached, not rebuilt: the first
-        # query after a load constructs no RepresentativeSummary.
-        built = []
-        monkeypatch.setattr(
-            RepresentativeSummary,
-            "extend",
-            lambda self, centroids: built.append(self.length),
-        )
-        QueryProcessor(loaded).best_match(np.linspace(0.2, 0.8, 6), normalize=False)
-        assert built == []
+#: ``rep_dtw_calls`` summed over ``_windowed_queries()`` at the parent
+#: commit, whose envelopes had one persisted radius (1 at these lengths):
+#: used for bands <= 1, min/max band only beyond.  The exact-band
+#: envelope may only lower them.
+_PARENT_REP_DTW_CALLS = {
+    (0, "exact"): 1255, (0, "fast"): 624,
+    (1, "exact"): 1248, (1, "fast"): 624,
+    (2, "exact"): 1286, (2, "fast"): 656,
+    (5, "exact"): 1214, (5, "fast"): 656,
+}  # fmt: skip
 
-    def test_summary_stays_live_under_appends(self, walk_base, tmp_path):
-        path = tmp_path / "base"
-        walk_base.save(path)
-        loaded = OnexBase.load(path)
-        rng = np.random.default_rng(12)
-        loaded.add_series(TimeSeries("appended", rng.normal(size=24).cumsum()))
-        for bucket in loaded.buckets():
-            summary = bucket.rep_summary
-            assert summary.count == bucket.group_count
-            rebuilt = RepresentativeSummary(bucket.length)
-            rebuilt.extend(bucket.centroids)
-            for attr in ("env_lo", "env_hi", "endpoints", "minmax"):
-                assert np.array_equal(getattr(summary, attr), getattr(rebuilt, attr))
+
+def _windowed_queries() -> list[np.ndarray]:
+    rng = np.random.default_rng(77)
+    return [rng.uniform(size=n) for n in (5, 6, 7, 8, 9, 6, 7)]
+
+
+class TestWindowedCascade:
+    @pytest.mark.parametrize("mode", ["exact", "fast"])
+    @pytest.mark.parametrize("window", [0, 1, 2, 5])
+    def test_banded_answers_and_rep_dtw_calls(self, walk_base, window, mode):
+        """Under a finite band the cascade answers as the eager path does
+        (and, in exact mode, as a brute-force scan), with no more
+        representative DTW calls than the fixed-radius envelopes cost."""
+        config = QueryConfig(mode=mode, window=window, refine_groups=3)
+        on = QueryProcessor(walk_base, config)
+        off = QueryProcessor(walk_base, replace(config, use_rep_prefilter=False))
+        oracle = BruteForceSearcher(walk_base.dataset)
+        calls = 0
+        for q in _windowed_queries():
+            got = [(m.ref, m.distance) for m in on.k_best_matches(q, 3, normalize=False)]
+            calls += on.last_stats.rep_dtw_calls
+            want = off.k_best_matches(q, 3, normalize=False)
+            assert got == [(m.ref, m.distance) for m in want]
+            if mode == "exact":  # fast mode is approximate by design
+                truth = oracle.k_best_matches(q, 3, walk_base.lengths, window=window)
+                assert got == [(m.ref, m.distance) for m in truth]
+        assert calls <= _PARENT_REP_DTW_CALLS[window, mode]
 
 
 class TestBatchMatches:
