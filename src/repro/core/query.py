@@ -44,8 +44,9 @@ is gathered from the buckets' row arrays into one padded stack, then
 3. a second, path-length-tracking call only for rows whose
    ``raw / (n + m - 1)`` is within the cut — a necessary condition for
    ``raw / path_length`` to be, since no warping path is longer;
-4. ``dtw_path`` — warping-path traceback deferred to the handful of
-   matches actually returned to the caller.
+4. one ``dtw_path_batch`` call — the warping paths of the matches
+   actually returned, all of them at once, when the answer is final
+   (:meth:`QueryProcessor._matches`).
 
 The operations differ in their stopping rule only.  Exact k-best drains
 verified groups best-first — ascending ``(tight bound, representative
@@ -77,7 +78,7 @@ import os
 import time
 from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -87,7 +88,7 @@ from repro.core.base import LengthBucket, OnexBase
 from repro.core.config import QueryConfig
 from repro.core.deadline import Deadline
 from repro.data.dataset import SubsequenceRef
-from repro.distances.dtw import dtw_distance_batch, dtw_path, effective_band
+from repro.distances.dtw import dtw_distance_batch, dtw_path_batch, effective_band
 from repro.distances.envelope import QueryEnvelopeCache
 from repro.distances.lower_bounds import (
     lb_keogh_batch,
@@ -501,7 +502,7 @@ class QueryProcessor:
             raise ValidationError("no indexed subsequences matched the query")
         partial = stats.partial_results > before
         candidates = sorted(wrapper.candidate for wrapper in heap)
-        return [self._to_match(c, q, exact=not partial) for c in candidates]
+        return self._matches(q, candidates, exact=not partial)
 
     def matches_within(
         self,
@@ -533,16 +534,15 @@ class QueryProcessor:
         with span(
             "query.threshold", threshold=float(threshold), mode=self._config.mode
         ):
-            out, partial = self._threshold_scan(
+            found, partial = self._threshold_scan(
                 q, threshold, stats, self._select_buckets(lengths), deadline
             )
+            matches = self._matches(q, sorted(found), exact=not partial)
         self.last_stats = stats
         _publish_query(
             "threshold", self._config.mode, stats, started, self._config.metric
         )
-        if partial:
-            out = [replace(m, exact=False) for m in out]
-        return sorted(out, key=lambda m: (m.distance, m.ref))
+        return matches
 
     def _threshold_scan(
         self,
@@ -551,7 +551,7 @@ class QueryProcessor:
         stats: QueryStats,
         buckets: list[LengthBucket],
         deadline: Deadline | None,
-    ) -> tuple[list[Match], bool]:
+    ) -> tuple[list[_Candidate], bool]:
         """The range driver of the cascade behind :meth:`matches_within`.
 
         One rank pass over the table marks the groups whose cheap bound
@@ -559,14 +559,16 @@ class QueryProcessor:
         chunk at a time (``_THRESHOLD_SPAN``): one ragged representative
         DTW call, then one member refinement of the groups it keeps, with
         the threshold as the cut.  The failpoint and the deadline check
-        open every chunk, ahead of its first kernel call.
+        open every chunk, ahead of its first kernel call.  Returns the
+        verified candidates of every chunk and whether a deadline cut the
+        scan short; the caller resolves their warping paths in one call.
         """
         if self._metric_scan:
             return self._metric_threshold_scan(
                 q, threshold, stats, buckets, deadline
             )
         envelopes = QueryEnvelopeCache(q)
-        out: list[Match] = []
+        out: list[_Candidate] = []
         reps = self._reps(buckets, stats)
         max_paths = (q.shape[0] + reps.lengths - 1).astype(np.float64)
         if self._config.use_rep_prefilter:
@@ -605,7 +607,7 @@ class QueryProcessor:
                         stats,
                         envelopes,
                     )
-                    out.extend(self._matches_within(found, threshold, q))
+                    out.extend(self._within(found, threshold))
         return out, False
 
     # ------------------------------------------------------------------
@@ -667,25 +669,16 @@ class QueryProcessor:
         deadline: Deadline | None,
         stage: str,
         stats: QueryStats,
-        out: list[Match],
+        out: list[_Candidate],
     ) -> bool:
         """:meth:`_deadline_fired` for the threshold scans, whose verified
-        state is the match list *out* instead of a k-best heap."""
+        state is the candidate list *out* instead of a k-best heap."""
         if deadline is None or not deadline.expired:
             return False
         if deadline.allow_partial and out:
             stats.partial_results += 1
             return True
-        best = None
-        if out:
-            m = min(out, key=lambda m: (m.distance, m.ref))
-            best = {
-                "series": m.series_name,
-                "start": m.start,
-                "length": m.length,
-                "distance": m.distance,
-                "exact": False,
-            }
+        best = self._best_summary(min(out)) if out else None
         self._raise_deadline(deadline, stage, stats, best)
         return True  # unreachable
 
@@ -841,12 +834,9 @@ class QueryProcessor:
                 group=(length, int(found.gids[pos])),
             )
 
-    def _matches_within(
-        self, found: _Refined, threshold: float, q: np.ndarray
-    ) -> list[Match]:
-        """The rows of one refinement's output within *threshold*, as matches."""
-        within = np.flatnonzero(found.norms <= threshold)
-        return [self._to_match(c, q) for c in self._candidates(found, within)]
+    def _within(self, found: _Refined, threshold: float) -> Iterator[_Candidate]:
+        """The rows of one refinement's output within *threshold*."""
+        return self._candidates(found, np.flatnonzero(found.norms <= threshold))
 
     def _push(self, heap: list["_Negated"], k: int, found: _Refined) -> None:
         """Fold one refinement's exact distances into the k-best heap.
@@ -1252,7 +1242,7 @@ class QueryProcessor:
         stats: QueryStats,
         buckets: list[LengthBucket],
         deadline: Deadline | None,
-    ) -> tuple[list[Match], bool]:
+    ) -> tuple[list[_Candidate], bool]:
         """Threshold sweep under the registry metric (exact matches).
 
         Group-level pruning against the *threshold* itself where the
@@ -1262,7 +1252,7 @@ class QueryProcessor:
         flagged inexact.
         """
         cfg = self._config
-        out: list[Match] = []
+        out: list[_Candidate] = []
         for bucket in self._metric_buckets(q, buckets, stats):
             faults.fire("query.refine_unit")
             if self._scan_deadline_fired(
@@ -1280,7 +1270,7 @@ class QueryProcessor:
             if not candidates.size:
                 continue
             found = self._metric_verify(q, bucket, candidates, stats)
-            out.extend(self._matches_within(found, threshold, q))
+            out.extend(self._within(found, threshold))
         return out, False
 
     # ------------------------------------------------------------------
@@ -1325,28 +1315,39 @@ class QueryProcessor:
         chosen = sorted(set(int(n) for n in lengths))
         return [self._base.bucket(n) for n in chosen]
 
-    def _to_match(
-        self, candidate: _Candidate, q: np.ndarray, *, exact: bool = True
-    ) -> Match:
-        if self._metric_scan:
-            # Non-DTW metrics (and the multivariate scan) define no
-            # warping path; matches carry an empty one.
-            path: tuple = ()
+    def _matches(
+        self, q: np.ndarray, candidates: list[_Candidate], *, exact: bool
+    ) -> list[Match]:
+        """A final answer's *candidates* as matches, in their order.
+
+        The cascade ranks on tracked path *lengths*; the paths themselves
+        are traced here, for the returned candidates only and all of them
+        in one ragged kernel call.  Non-DTW metrics (and the multivariate
+        scan) define no warping path: their matches carry an empty one.
+        """
+        base = self._base
+        if self._metric_scan or not candidates:
+            paths: list[tuple] = [()] * len(candidates)
         else:
-            # Refinement defers the warping-path traceback to the few
-            # matches actually returned; resolve it here.
-            path = dtw_path(
-                q, self._base.member_values(candidate.ref), window=self._config.window
-            ).path
-        return Match(
-            ref=candidate.ref,
-            series_name=self._base.dataset[candidate.ref.series_index].name,
-            distance=candidate.distance,
-            raw_distance=candidate.raw,
-            path=path,
-            group=candidate.group,
-            exact=exact,
-        )
+            lengths = np.array([c.ref.length for c in candidates])
+            rows = np.zeros((lengths.size, int(lengths.max())))
+            for row, c in zip(rows, candidates):
+                row[: c.ref.length] = base.member_values(c.ref)
+            paths = dtw_path_batch(
+                q, rows, window=self._config.window, lengths=lengths
+            ).paths()
+        return [
+            Match(
+                ref=c.ref,
+                series_name=base.dataset[c.ref.series_index].name,
+                distance=c.distance,
+                raw_distance=c.raw,
+                path=path,
+                group=c.group,
+                exact=exact,
+            )
+            for c, path in zip(candidates, paths)
+        ]
 
 
 class _Negated:

@@ -16,9 +16,10 @@ yields, via the transfer inequality, a **certain** interval and a
 
 The default implementation rides the batched pruning cascade (DESIGN.md
 §6): groups whose :meth:`~repro.core.base.RepresentativeTable.cheap_bounds`
-bound already clears the whole grid are skipped without the per-group
-``dtw_path``, member rows come straight from the bucket's stacked member
-matrix, and ``verify=True`` resolves every still-ambiguous member with an
+bound already clears the whole grid are skipped, the live groups'
+representatives get their warping paths from **one** ``dtw_path_batch``
+call per bucket, member rows come straight from the bucket's stacked
+member matrix, and ``verify=True`` resolves every still-ambiguous member with an
 LB_Kim/LB_Keogh prescreen followed by **one** stacked batch-DTW call per
 bucket — where the seed implementation paid one scalar ``dtw_path`` per
 ambiguous member.  Counts are identical either way; the scalar twin stays
@@ -44,7 +45,7 @@ from repro.core.deadline import Deadline
 from repro.core.validation import as_optional_int_arg
 from repro.data.dataset import SubsequenceRef
 from repro.distances.bounds import path_multiplicities
-from repro.distances.dtw import dtw_distance_batch, dtw_path, effective_band
+from repro.distances.dtw import dtw_distance_batch, dtw_path, dtw_path_batch, effective_band
 from repro.distances.lower_bounds import lb_keogh_batch, lb_kim_batch
 from repro.distances.envelope import keogh_envelope
 from repro.distances.metrics import as_sequence
@@ -193,13 +194,14 @@ def _profile_batched(
     verify: bool,
     deadline: Deadline | None = None,
 ) -> SensitivityProfile:
-    """Cascade implementation: cheap group bounds, stacked member rows,
-    and (under ``verify``) one batched member-DTW call per bucket.
+    """Cascade implementation: cheap group bounds, one batched
+    warping-path call per bucket, stacked member rows, and (under
+    ``verify``) one batched member-DTW call per bucket.
 
     Every shortcut is conservative against the scalar path's own bounds,
     so the emitted counts are identical:
 
-    - a group is skipped (no ``dtw_path``) only when its summary cheap
+    - a group is skipped (no warping path) only when its summary cheap
       bound proves every member's scalar *lower* bound would already
       exceed the whole grid — such members count toward nothing but the
       candidate total either way;
@@ -239,16 +241,19 @@ def _profile_batched(
         stacked = bucket.member_matrix[rows[np.argsort(owner, kind="stable")]]
         stops = np.cumsum(bucket.cardinalities[g_ids]).tolist()
         with span("sensitivity.bucket", length=length, groups=g_ids.size):
-            for g_idx, lo, hi in zip(g_ids.tolist(), [0] + stops, stops):
-                centroid = bucket.centroids[g_idx]
-                rep = dtw_path(q, centroid, window=window)
-                mult = path_multiplicities(rep.path, length, axis=1)
+            centroids = bucket.centroids[g_ids]
+            reps = dtw_path_batch(q, centroids, window=window)
+            units = zip(
+                centroids, reps.distances, reps.multiplicities(1, length),
+                [0] + stops, stops,
+            )
+            for centroid, distance, mult, lo, hi in units:
                 diffs = np.abs(stacked[lo:hi] - centroid)
                 slack = diffs @ mult
                 cheb = diffs.max(axis=1)
-                uppers.append((rep.distance + slack) / min_path)
+                uppers.append((distance + slack) / min_path)
                 lowers.append(
-                    np.maximum(rep.distance - max_path * cheb, 0.0) / max_path
+                    np.maximum(distance - max_path * cheb, 0.0) / max_path
                 )
         if verify and g_ids.size:
             verify_units.append((bucket, stacked, offset))

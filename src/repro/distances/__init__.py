@@ -25,12 +25,14 @@ from repro.distances.bounds import (
     transfer_bounds,
 )
 from repro.distances.dtw import (
+    DtwPathBatch,
     DtwResult,
     dtw_cost_matrix,
     dtw_distance,
     dtw_distance_batch,
     dtw_distance_early_abandon,
     dtw_path,
+    dtw_path_batch,
 )
 from repro.distances.envelope import QueryEnvelopeCache, keogh_envelope
 from repro.distances.lower_bounds import (
@@ -68,6 +70,7 @@ from repro.distances.variants import (
 
 __all__ = [
     "DistanceRegistry",
+    "DtwPathBatch",
     "DtwResult",
     "MetricSpec",
     "QueryEnvelopeCache",
@@ -82,6 +85,7 @@ __all__ = [
     "dtw_distance_batch",
     "dtw_distance_early_abandon",
     "dtw_path",
+    "dtw_path_batch",
     "euclidean",
     "euclidean_l1",
     "euclidean_l2",

@@ -23,9 +23,11 @@ verified by hypothesis property tests against exact DTW.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from repro.distances.dtw import DtwResult, dtw_path
 from repro.distances.metrics import as_sequence
@@ -40,7 +42,9 @@ __all__ = [
 ]
 
 
-def path_multiplicities(path, length: int, *, axis: int = 1) -> np.ndarray:
+def path_multiplicities(
+    path: Sequence[tuple[int, int]], length: int, *, axis: int = 1
+) -> np.ndarray:
     """Count how many warping-path cells touch each index along *axis*.
 
     ``axis=1`` (default) counts per index of the second sequence, which is
@@ -48,16 +52,18 @@ def path_multiplicities(path, length: int, *, axis: int = 1) -> np.ndarray:
     """
     if axis not in (0, 1):
         raise ValidationError(f"axis must be 0 or 1, got {axis}")
-    counts = np.zeros(length, dtype=np.int64)
-    for cell in path:
-        idx = cell[axis]
-        if idx < 0 or idx >= length:
-            raise ValidationError(f"path index {idx} out of range 0..{length - 1}")
-        counts[idx] += 1
-    return counts
+    index = np.asarray(path, dtype=np.int64).reshape(-1, 2)[:, axis]
+    outside = index[(index < 0) | (index >= length)]
+    if outside.size:
+        raise ValidationError(
+            f"path index {int(outside[0])} out of range 0..{length - 1}"
+        )
+    return np.bincount(index, minlength=length)
 
 
-def transfer_slack(path, r, s, *, axis: int = 1) -> float:
+def transfer_slack(
+    path: Sequence[tuple[int, int]], r: ArrayLike, s: ArrayLike, *, axis: int = 1
+) -> float:
     """``sum_j m_j * |r_j - s_j|`` — the slack term of the transfer lemma."""
     rv = as_sequence(r, name="r")
     sv = as_sequence(s, name="s")
@@ -93,9 +99,9 @@ class TransferBound:
 
 
 def transfer_bounds(
-    q,
-    r,
-    s,
+    q: ArrayLike,
+    r: ArrayLike,
+    s: ArrayLike,
     *,
     window: int | None = None,
     rep_result: DtwResult | None = None,

@@ -26,24 +26,29 @@ Three families of implementation, each for a different job:
   are masked to ``inf``.  *Tie-break*: tracked path lengths follow
   ``dtw_path``'s diagonal → vertical → horizontal order through the two
   comparisons ``up <= left`` and ``diag <= min(up, left)``.
+  :func:`dtw_path_batch` keeps those two comparisons per cell and walks
+  every candidate's warping path back from them at once: the Fig. 2
+  connectors of a whole response, or the transfer-bound paths of a
+  bucket's representatives, for the price of one kernel call.
 - :func:`dtw_cost_matrix` / :func:`dtw_path` — straightforward row-scan DP
-  with traceback, used where the warping path itself is needed (the visual
-  "matched points" connectors of Fig. 2 and the ED→DTW transfer bounds),
-  and the independent oracle the batch kernel is tested against.
+  with traceback: the path of the reference implementations, and the
+  independent oracle the batch kernel is tested against.
 - :func:`dtw_distance_early_abandon` — row-scan with a best-so-far
   threshold and optional cumulative lower bounds, used by the UCR Suite
   baseline and kept as the scalar fallback of ONEX's member refinement
   (the default batched cascade is LB_Kim → LB_Keogh → :func:`dtw_distance_batch`,
   see :mod:`repro.core.query`).
 
-The batch kernel is held to :func:`dtw_path` bit for bit — distances and
-path lengths, every radius, ragged or not — in the property-test suite.
+The batch kernel is held to :func:`dtw_path` bit for bit — distances,
+path lengths and paths, every radius, ragged or not — in the
+property-test suite.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Literal
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -52,6 +57,7 @@ from repro.distances.metrics import as_sequence
 from repro.exceptions import ValidationError
 
 __all__ = [
+    "DtwPathBatch",
     "DtwResult",
     "dtw_cost_matrix",
     "dtw_distance",
@@ -59,10 +65,18 @@ __all__ = [
     "dtw_distance_condensed",
     "dtw_distance_early_abandon",
     "dtw_path",
+    "dtw_path_batch",
     "effective_band",
 ]
 
 _INF = math.inf
+
+#: Direction code of cell (0, 0); every other cell of a cube holds
+#: ``up_wins + 2 * diag_wins`` (0 left, 1 up, 2 and 3 diagonal).
+_AT_ORIGIN = 4
+#: int8 cells per direction cube: :func:`dtw_path_batch` runs a larger
+#: stack a chunk of candidates at a time.
+_PATH_CELL_BUDGET = 1 << 22
 
 
 def _ground_is_squared(ground: str) -> bool:
@@ -118,10 +132,10 @@ class DtwResult:
         This is the ``m_j`` vector of the ED→DTW transfer lemma
         (DESIGN.md §2).
         """
-        counts = np.zeros(length, dtype=np.int64)
-        for pair in self.path:
-            counts[pair[axis]] += 1
-        return counts
+        # Imported here: bounds.py builds on this module.
+        from repro.distances.bounds import path_multiplicities
+
+        return path_multiplicities(self.path, length, axis=axis)
 
 
 def dtw_cost_matrix(
@@ -200,6 +214,18 @@ def _as_row_lengths(lengths: ArrayLike, mat: np.ndarray) -> np.ndarray:
     return lens.astype(np.int64, copy=False)
 
 
+def _as_candidates(
+    rows: ArrayLike, lengths: ArrayLike | None, window: int | None, ground: str
+) -> tuple[np.ndarray, np.ndarray | None, bool]:
+    """A batch call's validated ``(rows, lengths, squared ground?)``."""
+    mat = _as_batch_rows(rows)
+    lens = None if lengths is None else _as_row_lengths(lengths, mat)
+    squared = _ground_is_squared(ground)
+    if window is not None and window < 0:
+        raise ValidationError(f"window must be >= 0, got {window}")
+    return mat, lens, squared
+
+
 def dtw_distance_batch(
     x: ArrayLike,
     rows: ArrayLike,
@@ -246,20 +272,18 @@ def dtw_distance_batch(
     for bit.
     """
     a = _as_query_stack(x)
-    mat = _as_batch_rows(rows)
+    mat, lens, squared = _as_candidates(rows, lengths, window, ground)
     if a.ndim == 2 and a.shape[0] != mat.shape[0]:
         raise ValidationError(
             f"paired mode needs matching row counts, got {a.shape[0]} "
             f"queries for {mat.shape[0]} candidates"
         )
-    lens = None if lengths is None else _as_row_lengths(lengths, mat)
-    squared = _ground_is_squared(ground)
-    if window is not None and window < 0:
-        raise ValidationError(f"window must be >= 0, got {window}")
     if mat.shape[0] == 0:
         empty = np.empty(0)
         return (empty, np.empty(0, dtype=np.int64)) if with_path_length else empty
-    return _dtw_batch_diagonal(a, mat, lens, window, squared, with_path_length)
+    return _dtw_batch_diagonal(
+        a, mat, lens, window, squared, "length" if with_path_length else None
+    )
 
 
 def _dtw_batch_diagonal(
@@ -268,7 +292,7 @@ def _dtw_batch_diagonal(
     lens: np.ndarray | None,
     window: int | None,
     squared: bool,
-    with_path_length: bool,
+    track: Literal["length", "codes"] | None,
 ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """The anti-diagonal kernel: candidate axis last, slices only.
 
@@ -287,6 +311,12 @@ def _dtw_batch_diagonal(
     read.  A band can hold ``i_lo`` still for two diagonals, so the row
     under the range is reset to ``inf`` as each diagonal is written.
 
+    *track* says what to keep of the two comparisons that pick every
+    cell's predecessor: ``None`` nothing (distances only); ``"length"``
+    the tie-broken path's running length, returned second; ``"codes"``
+    the comparisons themselves, as ``up_wins + 2 * diag_wins`` in an int8
+    cube indexed ``[diagonal, row, candidate]``, returned second for
+    :func:`_trace_paths` to walk back.
     """
     if lens is not None:
         mat = mat[:, : lens.max()]  # columns no candidate reaches
@@ -296,8 +326,16 @@ def _dtw_batch_diagonal(
     if lens is None:
         ends: dict[int, slice | np.ndarray] = {n + m - 2: slice(None)}
     else:
+        # One stable sort, split where the sorted length changes.
+        by_length = np.argsort(lens, kind="stable")
+        sorted_lens = lens[by_length]
+        changes = np.flatnonzero(sorted_lens[1:] != sorted_lens[:-1]) + 1
+        edges = [0, *changes.tolist(), g]
         ends = {
-            n + int(m_c) - 2: np.flatnonzero(lens == m_c) for m_c in np.unique(lens)
+            k: by_length[lo:hi]
+            for k, lo, hi in zip(
+                (n - 2 + sorted_lens[edges[:-1]]).tolist(), edges, edges[1:]
+            )
         }
     band = None  # widest per-candidate band: bounds every diagonal's rows
     narrower = None  # per-candidate bands, when they differ
@@ -319,7 +357,14 @@ def _dtw_batch_diagonal(
     cur = np.full((n + 1, g), _INF)
     ground = np.empty((n, g))
     out = np.empty(g)
-    if with_path_length:
+    codes = plens = None
+    if track == "codes":
+        # Cells outside a candidate's band are never on its path, so
+        # whatever the cube holds there is never read.
+        codes = np.empty((n + m - 1, n, g), dtype=np.int8)
+        up_wins = np.empty((n, g), dtype=np.int8)
+        diag_wins = np.empty((n, g), dtype=np.int8)
+    elif track == "length":
         # Path length of the tie-broken optimal prefix path per cell; the
         # two comparison masks land in the same dtype so the predecessor
         # choice below is plain arithmetic (masked copies cost 3x more).
@@ -348,28 +393,35 @@ def _dtw_batch_diagonal(
         cell = cur[hi]
         if k == 0:
             cell[...] = d
-            if with_path_length:
+            if codes is not None:
+                codes[0, 0] = _AT_ORIGIN
+            elif plens is not None:
                 plen_cur[hi] = 1
         else:
             # (i-1, j) and (i, j-1) sit on diagonal k-1, (i-1, j-1) on k-2.
             up, left, diag = prev[lo], prev[hi], prevprev[lo]
-            if with_path_length:
+            if track:
                 # dtw_path's traceback order: the diagonal wins ties, then
                 # the vertical step, then the horizontal.
-                u, w, plen = up_wins[:width], diag_wins[:width], plen_cur[hi]
+                u, w = up_wins[:width], diag_wins[:width]
                 np.less_equal(up, left, out=u)
                 np.minimum(up, left, out=cell)
                 np.less_equal(diag, cell, out=w)
                 np.minimum(cell, diag, out=cell)
-                # plen = left + u * (up - left), then += w * (diag - plen).
-                np.subtract(plen_prev[lo], plen_prev[hi], out=plen)
-                plen *= u
-                plen += plen_prev[hi]
-                step = delta[:width]
-                np.subtract(plen_prevprev[lo], plen, out=step)
-                step *= w
-                plen += step
-                plen += 1
+                if codes is not None:
+                    np.add(w, w, out=w)
+                    np.add(w, u, out=codes[k, lo])
+                else:
+                    # plen = left + u * (up - left), then += w * (diag - plen).
+                    plen = plen_cur[hi]
+                    np.subtract(plen_prev[lo], plen_prev[hi], out=plen)
+                    plen *= u
+                    plen += plen_prev[hi]
+                    step = delta[:width]
+                    np.subtract(plen_prevprev[lo], plen, out=step)
+                    step *= w
+                    plen += step
+                    plen += 1
             else:
                 np.minimum(up, left, out=cell)
                 np.minimum(cell, diag, out=cell)
@@ -381,14 +433,119 @@ def _dtw_batch_diagonal(
         done = ends.get(k)
         if done is not None:
             out[done] = cur[n, done]
-            if with_path_length:
+            if plens is not None:
                 plens[done] = plen_cur[n, done]
         prevprev, prev, cur = prev, cur, prevprev
-        if with_path_length:
+        if plens is not None:
             plen_prevprev, plen_prev, plen_cur = plen_prev, plen_cur, plen_prevprev
-    if with_path_length:
-        return out, plens
+    if track:
+        return out, (codes if plens is None else plens)
     return out
+
+
+@dataclass(frozen=True)
+class DtwPathBatch:
+    """Outcome of :func:`dtw_path_batch`: one warping path per candidate.
+
+    ``distances[c]`` and ``path_lengths[c]`` are :func:`dtw_path`'s for
+    candidate ``c``; its path cells are ``(i[c, p], j[c, p])`` in path
+    order for ``p < path_lengths[c]``, and ``-1`` out to the longest
+    possible path.
+    """
+
+    distances: np.ndarray
+    path_lengths: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
+
+    def paths(self) -> list[tuple[tuple[int, int], ...]]:
+        """Every candidate's path as :class:`DtwResult` spells it."""
+        cells = zip(self.i.tolist(), self.j.tolist(), self.path_lengths.tolist())
+        return [tuple(zip(xs[:length], ys[:length])) for xs, ys, length in cells]
+
+    def multiplicities(self, axis: int, length: int) -> np.ndarray:
+        """Row ``c`` is ``path_multiplicities(paths()[c], length, axis=axis)``."""
+        if axis not in (0, 1):
+            raise ValidationError(f"axis must be 0 or 1, got {axis}")
+        index = self.j if axis else self.i
+        if index.size and index.max() >= length:
+            raise ValidationError(
+                f"path index {int(index.max())} out of range 0..{length - 1}"
+            )
+        owner, at = np.nonzero(index >= 0)
+        flat = owner * length + index[owner, at]
+        return np.bincount(flat, minlength=len(index) * length).reshape(-1, length)
+
+
+def dtw_path_batch(
+    x: ArrayLike,
+    rows: ArrayLike,
+    *,
+    window: int | None = None,
+    ground: str = "l1",
+    lengths: ArrayLike | None = None,
+) -> DtwPathBatch:
+    """:func:`dtw_path` from *x* to every row of *rows*, in one call.
+
+    The anti-diagonal kernel decides every cell's predecessor with
+    :func:`dtw_path`'s tie-break; here it keeps those decisions (an int8
+    code per cell, ``(n + m - 1) * n`` bytes per candidate) and one walk,
+    vectorised *across candidates*, reads every path off them.  Bit for
+    bit :func:`dtw_path`'s distances and paths, for every *window*, both
+    grounds and ragged ``lengths=`` stacks (as in
+    :func:`dtw_distance_batch`).
+    """
+    a = as_sequence(x, name="x")
+    mat, lens, squared = _as_candidates(rows, lengths, window, ground)
+    g, n = mat.shape[0], a.shape[0]
+    widths = np.full(g, mat.shape[1]) if lens is None else lens
+    longest = n + int(widths.max(initial=1)) - 1
+    distances = np.empty(g)
+    path_lengths = np.empty(g, dtype=np.int64)
+    i = np.full((g, longest), -1, dtype=np.intp)
+    j = np.full((g, longest), -1, dtype=np.intp)
+    per_call = max(1, _PATH_CELL_BUDGET // (longest * n))
+    for lo in range(0, g, per_call):
+        part = slice(lo, lo + per_call)
+        distances[part], codes = _dtw_batch_diagonal(
+            a, mat[part], None if lens is None else lens[part], window, squared, "codes"
+        )
+        path_lengths[part], i_part, j_part = _trace_paths(codes, widths[part])
+        i[part, : i_part.shape[1]] = i_part
+        j[part, : j_part.shape[1]] = j_part
+    return DtwPathBatch(distances, path_lengths, i, j)
+
+
+def _trace_paths(
+    codes: np.ndarray, widths: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Walk a direction cube back from every candidate's corner cell.
+
+    Cell ``(i, j)`` of candidate ``c`` is at flat offset ``(i + j) * n * g
+    + i * g + c``, linear in ``i`` and ``j``: the walk keeps one offset per
+    candidate, a step is a code lookup and a subtraction, and a walk that
+    has reached ``(0, 0)`` stays there.  Returns the path lengths and the
+    ``i`` and ``j`` rows of :class:`DtwPathBatch`, as wide as the longest.
+    """
+    _, n, g = codes.shape
+    flat = codes.reshape(-1)
+    row, diagonal = g, n * g
+    diag = 2 * diagonal + row
+    back = np.array([diagonal, diagonal + row, diag, diag, 0])
+    cols = np.arange(g)
+    trail = np.empty((n + int(widths.max()) - 1, g), dtype=np.intp)
+    trail[0] = (n - 1) * (diagonal + row) + (widths - 1) * diagonal + cols
+    for s in range(1, len(trail)):
+        np.subtract(trail[s - 1], back.take(flat.take(trail[s - 1])), out=trail[s])
+    plens = 1 + np.count_nonzero(trail[1:] != trail[:-1], axis=0)
+    k, rest = np.divmod(trail[: plens.max()] - cols, diagonal)
+    i_back = rest // row
+    # Path position p of candidate c is walk step plens[c] - 1 - p.
+    src = plens[:, None] - 1 - np.arange(len(k))
+    i, j = i_back[src, cols[:, None]], (k - i_back)[src, cols[:, None]]
+    i[src < 0] = -1
+    j[src < 0] = -1
+    return plens, i, j
 
 
 def dtw_distance_condensed(

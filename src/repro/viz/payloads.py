@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from repro.core.query import Match
 from repro.core.seasonal import SeasonalPattern
@@ -68,7 +69,7 @@ def query_preview_payload(series: TimeSeries, start: int, length: int) -> dict:
     }
 
 
-def _view_values(values, *, name: str) -> np.ndarray:
+def _view_values(values: ArrayLike, *, name: str) -> np.ndarray:
     """Like :func:`as_sequence` but also admits 2-D multichannel values."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim == 1:
@@ -83,7 +84,18 @@ def _view_values(values, *, name: str) -> np.ndarray:
     return arr
 
 
-def similarity_view_payload(query, match_values, match: Match) -> dict:
+def _path_cells(match: Match, n: int, m: int) -> np.ndarray:
+    """``match.path`` as a ``(cells, 2)`` index array that fits an
+    ``n``-point query and an ``m``-point match."""
+    cells = np.array(match.path, dtype=np.intp).reshape(-1, 2)
+    if ((cells < 0) | (cells >= (n, m))).any():
+        raise ValidationError("warping path does not fit the given values")
+    return cells
+
+
+def similarity_view_payload(
+    query: ArrayLike, match_values: ArrayLike, match: Match
+) -> dict:
     """Results Pane "multiple lines" chart with warped-point connectors.
 
     The dotted connectors of Fig. 2 are the warping path: index pairs
@@ -94,9 +106,7 @@ def similarity_view_payload(query, match_values, match: Match) -> dict:
     """
     q = _view_values(query, name="query")
     m = _view_values(match_values, name="match_values")
-    for i, j in match.path:
-        if not (0 <= i < q.shape[0] and 0 <= j < m.shape[0]):
-            raise ValidationError("warping path does not fit the given values")
+    cells = _path_cells(match, q.shape[0], m.shape[0])
     return {
         "view": "similarity",
         "query": q.tolist(),
@@ -104,11 +114,11 @@ def similarity_view_payload(query, match_values, match: Match) -> dict:
         "match_series": match.series_name,
         "match_start": match.start,
         "distance": match.distance,
-        "connectors": [list(pair) for pair in match.path],
+        "connectors": cells.tolist(),
     }
 
 
-def radial_chart_payload(values, *, label: str = "") -> dict:
+def radial_chart_payload(values: ArrayLike, *, label: str = "") -> dict:
     """Radial Chart (Fig. 3a): the series wrapped around a circle.
 
     Point ``k`` of ``n`` sits at angle ``2*pi*k/(n-1)`` with radius equal
@@ -134,23 +144,31 @@ def radial_chart_payload(values, *, label: str = "") -> dict:
     }
 
 
-def connected_scatter_payload(query, match_values, match: Match) -> dict:
+def connected_scatter_payload(
+    query: ArrayLike, match_values: ArrayLike, match: Match
+) -> dict:
     """Connected Scatter Plot (Fig. 3b): matched values against each other.
 
     Each warping-path cell contributes the point
     ``(query[i], match[j])``; consecutive points are connected to show
     ordering.  Points on the 45-degree diagonal have identical values in
     both series — the demo's closeness diagnostic, summarised here as the
-    mean absolute deviation from the diagonal.
+    mean absolute deviation from the diagonal.  A match without a warping
+    path (any non-DTW metric, the multivariate scan) has no such plot.
     """
     q = as_sequence(query, name="query")
     m = as_sequence(match_values, name="match_values")
-    points = [[float(q[i]), float(m[j])] for i, j in match.path]
-    deviation = float(np.mean([abs(x - y) for x, y in points]))
+    if not match.path:
+        raise ValidationError(
+            "match carries no warping path (only univariate DTW matches "
+            "have one); the connected scatter plot needs it"
+        )
+    cells = _path_cells(match, q.shape[0], m.shape[0])
+    points = np.column_stack([q[cells[:, 0]], m[cells[:, 1]]])
     return {
         "view": "connected-scatter",
-        "points": points,
-        "diagonal_deviation": deviation,
+        "points": points.tolist(),
+        "diagonal_deviation": float(np.abs(points[:, 0] - points[:, 1]).mean()),
     }
 
 

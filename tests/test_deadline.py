@@ -364,6 +364,14 @@ class TestPartialResults:
         wide.build()
         processor = QueryProcessor(wide, QueryConfig(mode="exact"))
         full = processor.matches_within([0.1, 0.4, 0.2, 0.5], 10.0)
+        path_calls = []
+        path_batch = query_module.dtw_path_batch
+
+        def counting(x, rows, **kwargs):
+            path_calls.append(len(rows))
+            return path_batch(x, rows, **kwargs)
+
+        monkeypatch.setattr(query_module, "dtw_path_batch", counting)
         token = cancel_on_refine_unit(monkeypatch, 2)
         matches = processor.matches_within(
             [0.1, 0.4, 0.2, 0.5],
@@ -371,10 +379,20 @@ class TestPartialResults:
             deadline=Deadline(token=token, allow_partial=True),
         )
         assert matches and all(not m.exact for m in matches)
-        assert [(m.ref, m.distance) for m in matches] == [
-            (m.ref, m.distance) for m in full if m.length <= 6
+        assert [(m.ref, m.distance, m.path) for m in matches] == [
+            (m.ref, m.distance, m.path) for m in full if m.length <= 6
         ]
         assert processor.last_stats.partial_results == 1
+        # Paths are traced once, for the answer that is returned ...
+        assert path_calls == [len(matches)]
+        # ... and a deadline that raises never pays for a traceback.
+        with pytest.raises(DeadlineExceeded):
+            processor.matches_within(
+                [0.1, 0.4, 0.2, 0.5],
+                10.0,
+                deadline=Deadline(token=cancel_on_refine_unit(monkeypatch, 2)),
+            )
+        assert path_calls == [len(matches)]
 
     def test_seasonal_returns_verified_prefix(self):
         series = TimeSeries("periodic", np.tile(np.sin(np.linspace(0, 6, 8)), 5))

@@ -1,14 +1,19 @@
 """Unit and property tests for the batched anti-diagonal DTW kernel."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.distances import dtw
+from repro.distances.bounds import path_multiplicities
 from repro.distances.dtw import (
     dtw_cost_matrix,
     dtw_distance_batch,
     dtw_path,
+    dtw_path_batch,
 )
 from repro.exceptions import ValidationError
 
@@ -165,6 +170,102 @@ class TestRaggedKernel:
             with pytest.raises(ValidationError, match="lengths"):
                 dtw_distance_batch([1.0, 2.0], rows, lengths=bad)
         assert dtw_distance_batch([1.0, 2.0], rows, lengths=[4, 1, 2]).shape == (3,)
+
+
+#: Quarter steps: most cells tie between two or three predecessors.
+quarter_values = st.integers(min_value=-6, max_value=6).map(lambda v: v / 4)
+
+
+@st.composite
+def path_stacks(draw):
+    """``(x, padded rows, lengths)``: 1-5 candidates of lengths 1-14."""
+    lengths = draw(st.lists(st.integers(1, 14), min_size=1, max_size=5))
+    n = draw(st.integers(1, 14))
+    x = draw(st.lists(quarter_values, min_size=n, max_size=n))
+    rows = np.full((len(lengths), max(lengths) + draw(st.integers(0, 2))), 1e150)
+    for i, m in enumerate(lengths):
+        rows[i, :m] = draw(st.lists(quarter_values, min_size=m, max_size=m))
+    return np.asarray(x), rows, np.asarray(lengths)
+
+
+class TestPathBatch:
+    """`dtw_path_batch` against the scalar oracle, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        stack=path_stacks(),
+        window=st.sampled_from([None, *range(9)]),
+        ground=st.sampled_from(["l1", "squared"]),
+        cell_budget=st.sampled_from([1, 400, 1 << 22]),
+    )
+    # dtw_path's own worked example of the asymmetric tie-break.
+    @example(
+        stack=(
+            np.array([0.0, 0, -1, 0, 0, 0]),
+            np.array([[-1.0, 1, 0, 0, 0]]),
+            np.array([5]),
+        ),
+        window=None,
+        ground="l1",
+        cell_budget=1 << 22,
+    )
+    def test_each_row_equals_dtw_path(self, stack, window, ground, cell_budget):
+        x, rows, lengths = stack
+        # A budget of 1 puts every candidate in its own chunk; 400 splits
+        # the larger stacks mid-way.
+        with mock.patch.object(dtw, "_PATH_CELL_BUDGET", cell_budget):
+            got = dtw_path_batch(
+                x, rows, window=window, ground=ground, lengths=lengths
+            )
+        paths = got.paths()
+        on_x = got.multiplicities(0, x.shape[0])
+        on_y = got.multiplicities(1, rows.shape[1])
+        for c, m in enumerate(lengths):
+            want = dtw_path(x, rows[c, :m], window=window, ground=ground)
+            assert got.distances[c] == want.distance
+            assert got.path_lengths[c] == want.path_length
+            assert paths[c] == want.path
+            assert on_x[c].tolist() == path_multiplicities(
+                want.path, x.shape[0], axis=0
+            ).tolist()
+            assert on_y[c].tolist() == path_multiplicities(
+                want.path, rows.shape[1], axis=1
+            ).tolist()
+
+    def test_dense_stack_and_padding_columns(self):
+        rng = np.random.default_rng(151)
+        q = rng.normal(size=9)
+        rows = rng.normal(size=(7, 12))
+        got = dtw_path_batch(q, rows, window=2)
+        assert got.i.shape == got.j.shape == (7, 9 + 12 - 1)
+        for c, path in enumerate(got.paths()):
+            want = dtw_path(q, rows[c], window=2)
+            assert path == want.path
+            assert all(type(v) is int for cell in path for v in cell)
+            assert (got.i[c, want.path_length :] == -1).all()
+            assert (got.j[c, want.path_length :] == -1).all()
+
+    def test_empty_batch(self):
+        got = dtw_path_batch([1.0, 2.0], np.empty((0, 5)))
+        assert got.paths() == []
+        assert got.distances.shape == got.path_lengths.shape == (0,)
+        assert got.multiplicities(1, 5).shape == (0, 5)
+
+    def test_validation(self):
+        rows = np.zeros((2, 3))
+        with pytest.raises(ValidationError, match="1-D"):
+            dtw_path_batch(rows, rows)
+        with pytest.raises(ValidationError, match="window"):
+            dtw_path_batch([1.0], rows, window=-1)
+        with pytest.raises(ValidationError, match="ground"):
+            dtw_path_batch([1.0], rows, ground="l2")
+        with pytest.raises(ValidationError, match="lengths"):
+            dtw_path_batch([1.0], rows, lengths=[3, 4])
+        got = dtw_path_batch([1.0, 2.0], rows)
+        with pytest.raises(ValidationError, match="axis"):
+            got.multiplicities(2, 3)
+        with pytest.raises(ValidationError, match="out of range"):
+            got.multiplicities(1, 2)
 
 
 class TestCondensedPairwise:

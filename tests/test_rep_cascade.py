@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from repro.baselines.brute_force import BruteForceSearcher
 from repro.core.base import LengthBucket, OnexBase, RepresentativeTable
 from repro.core.config import BuildConfig, QueryConfig
+from repro.core.mmap_layout import load_base_snapshot, save_base_snapshot
 from repro.core.query import QueryProcessor
 from repro.data.dataset import TimeSeriesDataset
 from repro.distances.dtw import (
@@ -33,6 +34,7 @@ from repro.distances.lower_bounds import (
     lb_kim_endpoints_batch,
 )
 from repro.exceptions import ValidationError
+from repro.stream.ingest import StreamIngestor
 
 finite_floats = st.floats(min_value=-25.0, max_value=25.0, allow_nan=False)
 
@@ -150,8 +152,7 @@ class TestRepresentativeSummary:
                 assert bounds[g] <= exact + 1e-9, (window, g)
 
 
-@pytest.fixture(scope="module")
-def walk_base():
+def build_walk_base() -> OnexBase:
     rng = np.random.default_rng(71)
     arrays = [rng.normal(size=n).cumsum() for n in (30, 26, 22, 28)]
     dataset = TimeSeriesDataset.from_arrays(arrays, name="cascade-walks")
@@ -160,6 +161,11 @@ def walk_base():
     )
     base.build()
     return base
+
+
+@pytest.fixture(scope="module")
+def walk_base():
+    return build_walk_base()
 
 
 class TestPrefilterResultPreserving:
@@ -303,3 +309,46 @@ class TestBatchMatches:
             [rng.uniform(size=6) for _ in range(3)], 2, lengths=[5], normalize=False
         )
         assert all(m.length == 5 for matches in results for m in matches)
+
+
+class TestReturnedPaths:
+    """Every ``Match.path`` a driver returns — traced by one batched call
+    per answer — is the scalar oracle's path of that (query, member) pair."""
+
+    @staticmethod
+    def assert_paths_are_the_oracles(base: OnexBase, window: int | None) -> None:
+        queries = _windowed_queries()
+        checked = 0
+        for mode in ("exact", "fast"):
+            processor = QueryProcessor(
+                base, QueryConfig(mode=mode, window=window, refine_groups=3)
+            )
+            answers = [processor.k_best_matches(q, 4, normalize=False) for q in queries]
+            answers += [processor.matches_within(q, 0.06, normalize=False) for q in queries]
+            answers += processor.batch_matches(queries, 2, normalize=False)
+            for q, matches in zip(queries * 3, answers):
+                for m in matches:
+                    want = dtw_path(q, base.member_values(m.ref), window=window)
+                    assert m.path == want.path
+                    assert m.raw_distance == want.distance
+                    checked += 1
+        assert checked > 12 * len(queries)  # the range queries answered too
+
+    @pytest.mark.parametrize("window", [None, 1, 3])
+    def test_on_a_built_base(self, walk_base, window):
+        self.assert_paths_are_the_oracles(walk_base, window)
+
+    @pytest.mark.parametrize("window", [None, 1, 3])
+    def test_after_append_points(self, window):
+        base = build_walk_base()
+        ingestor = StreamIngestor(base)
+        rng = np.random.default_rng(72)
+        ingestor.append_points(base.raw_dataset[1].name, rng.normal(size=4).cumsum())
+        ingestor.append_points("live", rng.normal(size=12).cumsum())
+        self.assert_paths_are_the_oracles(base, window)
+
+    @pytest.mark.parametrize("window", [None, 1, 3])
+    def test_on_an_mmap_attached_base(self, walk_base, tmp_path, window):
+        epoch = save_base_snapshot(walk_base, tmp_path / "epoch-1")
+        attached, _ = load_base_snapshot(epoch, mmap_mode="r")
+        self.assert_paths_are_the_oracles(attached, window)

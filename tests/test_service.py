@@ -530,3 +530,42 @@ class TestUnexpectedErrorGuard:
         resp = service.handle(Request("describe", {"dataset": "missing"}))
         assert not resp.ok
         assert resp.error_type == "DatasetError"
+
+
+@pytest.mark.parametrize("mode", ["exact", "fast"])
+def test_served_requests_run_no_scalar_dp(monkeypatch, mode):
+    """The three cascade drivers, ``query_batch`` and ``sensitivity`` get
+    their warping paths from the batched kernel: the scalar row-scan DP
+    (``dtw_cost_matrix``, the one thing ``dtw_path`` stands on) never runs."""
+    from repro.core.config import QueryConfig
+    from repro.distances import dtw
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("scalar dtw_cost_matrix ran on a served request")
+
+    monkeypatch.setattr(dtw, "dtw_cost_matrix", forbidden)
+    svc = OnexService(QueryConfig(mode=mode))
+    loaded = svc.handle(
+        Request(
+            "load_dataset",
+            {"source": "matters", "similarity_threshold": 0.08, "min_length": 4,
+             "max_length": 6, "years": 12, "min_years": 8},
+        )
+    )
+    assert loaded.ok, loaded.error_message
+    brushed = {"series": "MA/GrowthRate", "start": 1, "length": 5}
+    values = [0.2, 0.4, 0.5, 0.3, 0.1, 0.2]
+    requests = [
+        ("best_match", {"query": brushed}),
+        ("k_best", {"query": values, "k": 3}),
+        ("matches_within", {"query": brushed, "threshold": 0.05}),
+        ("query_batch", {"queries": [brushed, values], "k": 2}),
+        ("sensitivity", {"query": brushed, "thresholds": [0.02, 0.05, 0.1], "verify": True}),
+    ]
+    for op, params in requests:
+        resp = svc.handle(Request(op, {"dataset": "MATTERS-sim", **params}))
+        assert resp.ok, (op, resp.error_message)
+    matches = svc.handle(
+        Request("k_best", {"dataset": "MATTERS-sim", "query": values, "k": 3})
+    ).result["matches"]
+    assert all(m["connectors"][0] == [0, 0] for m in matches)

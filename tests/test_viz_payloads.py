@@ -23,7 +23,7 @@ from repro.viz.payloads import (
 
 def make_match(path, distance=0.1):
     return Match(
-        ref=SubsequenceRef(0, 2, 1 + max(j for _, j in path)),
+        ref=SubsequenceRef(0, 2, 1 + max((j for _, j in path), default=1)),
         series_name="ARK/TechEmployment",
         distance=distance,
         raw_distance=distance * len(path),
@@ -81,6 +81,20 @@ class TestSimilarityView:
         match = make_match([(0, 0), (1, 5)])
         with pytest.raises(ValidationError, match="warping path"):
             similarity_view_payload([0.1, 0.2], [0.1, 0.2], match)
+        with pytest.raises(ValidationError, match="warping path"):
+            similarity_view_payload([0.1, 0.2], [0.1, 0.2], make_match([(-1, 0)]))
+
+    def test_match_without_a_path_has_no_connectors(self):
+        # What every non-DTW metric and the multivariate scan return.
+        payload = similarity_view_payload([0.1, 0.2], [0.1, 0.2], make_match([]))
+        assert payload["connectors"] == []
+        json.dumps(payload)
+
+    def test_connectors_are_plain_ints(self):
+        payload = similarity_view_payload(
+            [0.1, 0.2, 0.3], [0.1, 0.3], make_match([(0, 0), (1, 0), (2, 1)])
+        )
+        assert all(type(v) is int for pair in payload["connectors"] for v in pair)
 
 
 class TestRadial:
@@ -117,6 +131,16 @@ class TestConnectedScatter:
         match = make_match([(0, 0), (1, 1)])
         payload = connected_scatter_payload([1.0, 2.0], [2.0, 4.0], match)
         assert payload["diagonal_deviation"] == pytest.approx(1.5)
+
+    def test_match_without_a_path_is_rejected(self, recwarn):
+        # Used to return "diagonal_deviation": NaN (invalid JSON) and warn.
+        with pytest.raises(ValidationError, match="no warping path"):
+            connected_scatter_payload([1.0, 2.0], [1.0, 2.0], make_match([]))
+        assert not recwarn.list
+
+    def test_path_outside_values_rejected(self):
+        with pytest.raises(ValidationError, match="does not fit"):
+            connected_scatter_payload([1.0, 2.0], [1.0, 2.0], make_match([(0, 0), (1, 2)]))
 
 
 class TestSeasonalView:

@@ -9,8 +9,10 @@ representative table it ranks over (``repro.core.base``), the write
 path that grows that base (``repro.stream``, the clustering in
 ``repro.core.grouping``) and the sensitivity profile that reads its
 arrays (``repro.core.sensitivity``), the bounds of the rank stage (``repro.distances.lower_bounds``,
-``repro.distances.envelope``) and the DTW kernel under it
-(``repro.distances.dtw``) — is the code that runs unattended, so it
+``repro.distances.envelope``), the DTW kernel under it
+(``repro.distances.dtw``) with the transfer bounds built on its paths
+(``repro.distances.bounds``) and the payload builders every match
+leaves through (``repro.viz.payloads``) — is the code that runs unattended, so it
 gets the strictest gate in the repo.  ``mypy``
 is not part of the baked toolchain, so this checker enforces the
 *strict-mode surface rules* with the stdlib ``ast`` module:
@@ -45,9 +47,11 @@ TARGETS = (
     ROOT / "src" / "repro" / "core" / "grouping.py",
     ROOT / "src" / "repro" / "core" / "sensitivity.py",
     ROOT / "src" / "repro" / "stream",
+    ROOT / "src" / "repro" / "distances" / "bounds.py",
     ROOT / "src" / "repro" / "distances" / "dtw.py",
     ROOT / "src" / "repro" / "distances" / "lower_bounds.py",
     ROOT / "src" / "repro" / "distances" / "envelope.py",
+    ROOT / "src" / "repro" / "viz" / "payloads.py",
 )
 
 #: Decorators whose functions legitimately drop the return annotation
