@@ -33,7 +33,7 @@ GRID = (0.01, 0.02, 0.05, 0.1, 0.15, 0.2)
 
 @pytest.fixture(scope="module")
 def headline_growth():
-    """The 50-states x 40-years headline collection (run_all's FULL config)."""
+    """The 50-states x 40-years headline collection."""
     return build_matters_collection(
         indicators=("GrowthRate",),
         states=STATE_ABBREVIATIONS[:50],

@@ -7,14 +7,14 @@ Two measurements back the multivariate + metric-registry claims:
    a naive scan that applies the metric's own pair kernel to every
    indexed member.  For the metrics without a lower-bound family
    (``derivative_dtw``, ``weighted_dtw``) this brute-force agreement is
-   the *only* correctness guarantee, so the run-all harness gates on it.
+   the *only* correctness guarantee, so this script exits non-zero on it.
 
 2. **Multivariate overhead.**  The same series indexed once as C
    univariate channels-concatenated rows and once as a single C-channel
    base; the ratio of per-query DTW latency is the cost of the
    channel-flattened layout (DESIGN.md §9).
 
-Importable (``run_metrics``) for ``run_all.py`` and runnable directly::
+Runnable directly (CI's ``paper-benchmarks`` job does)::
 
     PYTHONPATH=src python benchmarks/bench_metrics.py --quick
 """

@@ -44,9 +44,10 @@ from repro.core.query import QueryProcessor
 from repro.data.matters import STATE_ABBREVIATIONS, build_matters_collection
 from repro.distances.dtw import dtw_distance_batch, dtw_path
 from repro.distances.lower_bounds import lb_kim_endpoints_batch
+from repro.server.client import OnexClient
 from repro.server.http import OnexHttpServer
 from repro.server.service import OnexService
-from run_all import _post, _timed
+from conftest import _timed
 
 SOFT = os.environ.get("ONEX_BENCH_SOFT") == "1"
 
@@ -268,56 +269,42 @@ def test_query_batch_throughput(benchmark):
     queries = [[float(v) for v in rng.uniform(size=6)] for _ in range(8)]
     service = OnexService(QueryConfig(mode="exact"))
     with OnexHttpServer(service) as server:
-        loaded = _post(
-            server.url,
+        client = OnexClient(server.url)
+        name = client.call(
+            "load_dataset",
             {
-                "op": "load_dataset",
-                "params": {
-                    "source": "matters",
-                    "seed": 5,
-                    "years": 16,
-                    "min_years": 10,
-                    "indicators": ["GrowthRate"],
-                    "similarity_threshold": 0.2,
-                    "min_length": 5,
-                    "max_length": 8,
-                },
+                "source": "matters",
+                "seed": 5,
+                "years": 16,
+                "min_years": 10,
+                "indicators": ["GrowthRate"],
+                "similarity_threshold": 0.2,
+                "min_length": 5,
+                "max_length": 8,
             },
-        )
-        assert loaded["ok"], loaded
-        name = loaded["result"]["dataset"]
+        )["dataset"]
         # Warm both paths (first-touch builds member matrices/summaries).
-        _post(
-            server.url,
-            {"op": "query_batch", "params": {"dataset": name, "queries": queries}},
-        )
+        client.call("query_batch", {"dataset": name, "queries": queries})
         rounds: list[tuple[float, float]] = []
 
         def measure():
             start = time.perf_counter()
             singles = [
-                _post(
-                    server.url,
-                    {"op": "best_match", "params": {"dataset": name, "query": q}},
-                )
+                client.call("best_match", {"dataset": name, "query": q})
                 for q in queries
             ]
             t_seq = time.perf_counter() - start
             start = time.perf_counter()
-            batch = _post(
-                server.url,
-                {"op": "query_batch", "params": {"dataset": name, "queries": queries}},
-            )
+            batch = client.call("query_batch", {"dataset": name, "queries": queries})
             rounds.append((t_seq, time.perf_counter() - start))
             return singles, batch
 
         singles, batch = benchmark.pedantic(measure, rounds=5, iterations=1)
-    assert batch["ok"], batch
-    for single, entry in zip(singles, batch["result"]["results"]):
+    for single, entry in zip(singles, batch["results"]):
         best = entry["matches"][0]
-        assert best["match_series"] == single["result"]["match_series"]
-        assert best["match_start"] == single["result"]["match_start"]
-        assert abs(best["distance"] - single["result"]["distance"]) < 1e-9
+        assert best["match_series"] == single["match_series"]
+        assert best["match_start"] == single["match_start"]
+        assert abs(best["distance"] - single["distance"]) < 1e-9
     # Wall-clock per round is noisy (HTTP + thread spawn per request);
     # gate on the best round of each side, as `_timed` does elsewhere.
     t_seq = min(t for t, _ in rounds)

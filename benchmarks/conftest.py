@@ -12,6 +12,8 @@ Numbers land in the pytest-benchmark table; experiment-level findings
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,15 @@ def matters_exact_processor(matters_base) -> QueryProcessor:
 @pytest.fixture(scope="session")
 def electricity() -> TimeSeriesDataset:
     return build_electricity_collection(households=2, seed=417)
+
+
+def _timed(fn, repeats: int) -> float:
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
 
 
 def make_warped_workload(

@@ -1275,7 +1275,7 @@ class OnexBase:
         read, nothing timing-dependent.  Two bases are result-identical
         iff their structure fingerprints match; the build scheduler's
         determinism gate (serial vs thread-pool vs process-pool builds,
-        E18 and ``run_all.py``) compares these.
+        E18 and ``tests/test_build_pipeline.py``) compares these.
         """
         self._require_built()
         digest = hashlib.sha256()

@@ -18,7 +18,7 @@ returning its best verified candidate flagged ``exact=False``.
 
 Checks are pure control flow: a query that finishes inside its budget is
 bit-identical to the same query with no deadline at all (property-tested
-in ``tests/test_deadline.py`` and gated in ``benchmarks/run_all.py``).
+in ``tests/test_deadline.py``).
 """
 
 from __future__ import annotations

@@ -318,6 +318,22 @@ class TestServiceRecovery:
         assert summary["fingerprint"] == before["fingerprint"]
         assert call(revived, "k_best", _QUERY)["matches"] == before["matches"]
 
+    def test_cadence_bounds_the_wal_and_the_replay(self, tmp_path):
+        """However long the stream, compaction keeps at most two cadence
+        intervals of records (the tail behind the *previous* retained
+        checkpoint) and recovery replays at most one."""
+        every = 3
+        service = make_service(tmp_path, checkpoint_every=every)
+        before = seed_state(service, appends=12)  # 14 records in all
+        retained = list(service.durability.get(_DATASET).wal.records())
+        assert len(retained) <= 2 * every
+        revived = make_service(tmp_path, checkpoint_every=every)
+        report = revived.recover()
+        assert not report.errors
+        summary = report.datasets[_DATASET]
+        assert summary["replayed"] <= every
+        assert summary["fingerprint"] == before["fingerprint"]
+
     def test_event_seq_monotonic_across_restart(self, tmp_path):
         service = make_service(tmp_path, checkpoint_every=100)
         before = seed_state(service)

@@ -141,6 +141,7 @@ class TestOverloadShedding:
 
     def test_sheds_past_capacity_and_accepted_stay_exact(self, server):
         """4x the in-flight cap: extras get 503s, accepted answers exact."""
+        unloaded = _post(server.url, "k_best", _QUERY)[2]["result"]["matches"]
         results = []
         lock = threading.Lock()
 
@@ -160,9 +161,14 @@ class TestOverloadShedding:
         shed = [(headers, body) for status, headers, body in results if status == 503]
         assert accepted and shed
         assert len(shed) >= 6  # cap 1 + queue 1 admit at most 2 of the burst
+        # A shed answer never waits on the slow in-flight work: every 503
+        # came back before the first accepted request finished.
+        statuses = [status for status, _, _ in results]
+        assert statuses == sorted(statuses, reverse=True)
         for body in accepted:
             assert body["ok"]
             assert all(m["exact"] for m in body["result"]["matches"])
+            assert body["result"]["matches"] == unloaded
         for headers, body in shed:
             assert headers.get("Retry-After") == "1"
             assert body["error"]["type"] == "OverloadedError"

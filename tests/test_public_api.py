@@ -8,6 +8,9 @@ README's example scripts actually exist.
 
 import importlib
 import inspect
+import os
+import re
+from fnmatch import fnmatch
 from pathlib import Path
 
 import pytest
@@ -113,3 +116,32 @@ class TestRepositoryLayout:
             assert bench.name in design, (
                 f"{bench.name} not referenced in DESIGN.md's experiment index"
             )
+
+    def test_every_documented_path_resolves(self):
+        """The converse: a backticked ``*.py``, ``BENCH_*.json`` or
+        ``dir/file.ext`` in the three documents names a file of this tree
+        (a bare name anywhere in it, a partial path by suffix), and the
+        names after a ``file.py::`` are defined in that file.  Names a
+        running server writes (``wal.log``, ``meta.json``) and templates
+        (``<data-dir>/...``) are not repo paths and are not checked."""
+        root = Path(repro.__file__).resolve().parents[2]
+        files = []
+        for directory, subdirs, names in os.walk(root):
+            subdirs[:] = [d for d in subdirs if d not in (".git", ".bench_work")]
+            files += [Path(directory, name).as_posix() for name in names]
+        for doc in ("README.md", "DESIGN.md", "EXPERIMENTS.md"):
+            text = (root / doc).read_text()
+            for path, names in set(re.findall(r"`([\w./-]+)(?:::([\w:]+))?`", text)):
+                if not (
+                    path.endswith(".py")
+                    or fnmatch(path, "BENCH_*.json")
+                    or ("/" in path and re.search(r"\.\w+$", path))
+                ):
+                    continue
+                found = [f for f in files if f.endswith("/" + path)]
+                assert found, f"{doc} names `{path}`, which is not in the tree"
+                source = Path(found[0]).read_text() if names else ""
+                for name in filter(None, names.split("::")):
+                    assert re.search(rf"^\s*(def|class) {name}\b", source, re.M), (
+                        f"{doc} names `{path}::{names}`; {path} defines no {name}"
+                    )
