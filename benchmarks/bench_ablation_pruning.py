@@ -5,6 +5,8 @@ lower bounds and early pruning of unpromising candidate groups (the
 ED→DTW transfer inequality).  We run the exact-mode query with each
 toggled and record both latency and the work counters, verifying results
 never change (the bounds are provable, so pruning is free accuracy-wise).
+The rank stage has no toggle: its rows run the same cascade under the
+zero bound (``ZeroBoundProcessor``), which verifies every representative.
 """
 
 import pytest
@@ -12,23 +14,33 @@ import pytest
 from repro.core.config import QueryConfig
 from repro.core.query import QueryProcessor
 from repro.data.dataset import SubsequenceRef
+from conftest import ZeroBoundProcessor
 
+#: name -> (processor class, config)
 CONFIGS = {
-    "all-on": QueryConfig(mode="exact", use_lower_bounds=True, use_group_pruning=True),
-    "no-lower-bounds": QueryConfig(
-        mode="exact", use_lower_bounds=False, use_group_pruning=True
+    "all-on": (
+        QueryProcessor,
+        QueryConfig(mode="exact", use_lower_bounds=True, use_group_pruning=True),
     ),
-    "no-group-pruning": QueryConfig(
-        mode="exact", use_lower_bounds=True, use_group_pruning=False
+    "no-lower-bounds": (
+        QueryProcessor,
+        QueryConfig(mode="exact", use_lower_bounds=False, use_group_pruning=True),
     ),
-    "no-rep-prefilter": QueryConfig(mode="exact", use_rep_prefilter=False),
-    "all-off": QueryConfig(
-        mode="exact",
-        use_lower_bounds=False,
-        use_group_pruning=False,
-        use_rep_prefilter=False,
+    "no-group-pruning": (
+        QueryProcessor,
+        QueryConfig(mode="exact", use_lower_bounds=True, use_group_pruning=False),
+    ),
+    "zero-rank-bound": (ZeroBoundProcessor, QueryConfig(mode="exact")),
+    "all-off": (
+        ZeroBoundProcessor,
+        QueryConfig(mode="exact", use_lower_bounds=False, use_group_pruning=False),
     ),
 }
+
+
+def make_processor(base, name: str) -> QueryProcessor:
+    cls, config = CONFIGS[name]
+    return cls(base, config)
 
 
 @pytest.fixture(scope="module")
@@ -39,7 +51,7 @@ def query_ref(matters_base):
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_pruning_ablation(benchmark, matters_base, query_ref, name):
-    processor = QueryProcessor(matters_base, CONFIGS[name])
+    processor = make_processor(matters_base, name)
     match = benchmark(processor.best_match, query_ref)
     stats = processor.last_stats
     benchmark.extra_info["config"] = name
@@ -54,8 +66,8 @@ def test_ablation_results_identical(benchmark, matters_base, query_ref):
 
     def run():
         return [
-            QueryProcessor(matters_base, cfg).best_match(query_ref)
-            for cfg in CONFIGS.values()
+            make_processor(matters_base, name).best_match(query_ref)
+            for name in CONFIGS
         ]
 
     matches = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -67,8 +79,8 @@ def test_pruning_saves_member_scans(benchmark, matters_base, query_ref):
     """Quantify the work saved by the transfer-inequality group pruning."""
 
     def run():
-        on = QueryProcessor(matters_base, CONFIGS["all-on"])
-        off = QueryProcessor(matters_base, CONFIGS["all-off"])
+        on = make_processor(matters_base, "all-on")
+        off = make_processor(matters_base, "all-off")
         on.best_match(query_ref)
         off.best_match(query_ref)
         return on.last_stats.members_scanned, off.last_stats.members_scanned

@@ -2,11 +2,13 @@
 
 The seasonal verification, the verified sensitivity profile, and the
 threshold recommendation were rebuilt on the PR1–PR3 batched machinery
-(DESIGN.md §4) with the seed scalar implementations retained behind
-``use_batching=False`` / ``base=None``.  This experiment measures both
-sides of each operation on the interactive demo configuration and *gates
-on exactness*: every timed pair must return identical results, so the
-speedups are pure execution-strategy wins.
+(DESIGN.md §4) with the seed scalar verifier / profile kept as private
+same-signature references (``_verify_scalar``, ``_profile_scalar``) that
+only a substitution reaches.  This experiment measures both sides of each
+operation on the interactive demo configuration — the scalar side by
+``monkeypatch.setattr``, the recommender with and without ``base=`` — and
+*gates on exactness*: every timed pair must return identical results, so
+the speedups are pure execution-strategy wins.
 
 Ratio floors are asserted locally and reported-only on shared CI runners
 (``ONEX_BENCH_SOFT=1``); the exactness gates always hold.
@@ -18,6 +20,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.core import seasonal, sensitivity
 from repro.core.base import OnexBase
 from repro.core.config import BuildConfig
 from repro.core.seasonal import find_seasonal_patterns
@@ -72,20 +75,16 @@ def _timed(fn, repeats: int = 3):
     return best, out
 
 
-def test_seasonal_batched_vs_scalar(benchmark, growth_panel):
+def test_seasonal_batched_vs_scalar(benchmark, growth_panel, monkeypatch):
     """Condensed-pairwise verification vs the seed per-pair scalar scan."""
     args = (growth_panel, 12, 0.1)
 
     patterns = benchmark.pedantic(
-        find_seasonal_patterns, args=args, kwargs={"use_batching": True},
-        rounds=3, iterations=1,
+        find_seasonal_patterns, args=args, rounds=3, iterations=1
     )
-    t_scalar, scalar = _timed(
-        lambda: find_seasonal_patterns(*args, use_batching=False)
-    )
-    t_batched, _ = _timed(
-        lambda: find_seasonal_patterns(*args, use_batching=True)
-    )
+    t_batched, _ = _timed(lambda: find_seasonal_patterns(*args))
+    monkeypatch.setattr(seasonal, "_verify_batched", seasonal._verify_scalar)
+    t_scalar, scalar = _timed(lambda: find_seasonal_patterns(*args))
 
     assert [(p.starts, p.max_pairwise_dtw) for p in patterns] == [
         (p.starts, p.max_pairwise_dtw) for p in scalar
@@ -98,24 +97,22 @@ def test_seasonal_batched_vs_scalar(benchmark, growth_panel):
         assert speedup >= 3.0, f"seasonal cascade only {speedup:.2f}x"
 
 
-def test_verified_profile_batched_vs_scalar(benchmark, headline_base):
+def test_verified_profile_batched_vs_scalar(benchmark, headline_base, monkeypatch):
     """One stacked member-DTW call per bucket vs one scalar ``dtw_path``
     per ambiguous member."""
     rng = np.random.default_rng(55)
     queries = [rng.uniform(size=6) for _ in range(3)]
 
-    def run(use_batching: bool):
+    def run():
         return [
-            similarity_profile(
-                headline_base, q, GRID, verify=True, normalize=False,
-                use_batching=use_batching,
-            )
+            similarity_profile(headline_base, q, GRID, verify=True, normalize=False)
             for q in queries
         ]
 
-    batched = benchmark.pedantic(run, args=(True,), rounds=3, iterations=1)
-    t_scalar, scalar = _timed(lambda: run(False))
-    t_batched, _ = _timed(lambda: run(True))
+    batched = benchmark.pedantic(run, rounds=3, iterations=1)
+    t_batched, _ = _timed(run)
+    monkeypatch.setattr(sensitivity, "_profile_batched", sensitivity._profile_scalar)
+    t_scalar, scalar = _timed(run)
 
     for a, b in zip(batched, scalar):
         assert a.points == b.points and a.candidates == b.candidates, (
@@ -130,8 +127,8 @@ def test_verified_profile_batched_vs_scalar(benchmark, headline_base):
 
 
 def test_recommend_base_sampler_vs_standalone(benchmark, headline_growth, headline_base):
-    """Window sampling through the base's normalised store vs materialising
-    every window of a freshly re-normalised collection."""
+    """The one sampler over the base's normalised store vs over a freshly
+    re-normalised collection: ``base=`` changes the cost, not the answer."""
     via_base = benchmark.pedantic(
         recommend_thresholds,
         args=(headline_growth, 6),

@@ -27,7 +27,9 @@ import os
 import time
 
 import numpy as np
+import pytest
 
+from repro.core import grouping
 from repro.core.base import LengthBucket, OnexBase
 from repro.core.config import BuildConfig
 from repro.core.grouping import cluster_subsequences
@@ -52,34 +54,38 @@ def headline_dataset(states=50, years=40):
 def seed_build(base: OnexBase) -> None:
     """Replica of the seed's serial build loop, on the same invariants.
 
-    Scalar per-window extraction, the retained reference clustering path
-    (``batched=False`` — the row-at-a-time scan and per-draft repair),
-    and the ref-keyed dict assembly; this is the "current serial"
-    baseline the PR-5 acceptance factors are measured against.
+    Scalar per-window extraction, the reference clustering (the private
+    row-at-a-time scan and per-draft round evaluation, substituted for
+    the one production path for the duration of this call), and the
+    ref-keyed dict assembly; this is the "current serial" baseline the
+    PR-5 acceptance factors are measured against.
     """
     cfg = base.config
     dataset = base.dataset
     base._buckets = {}
-    for length in range(cfg.min_length, cfg.max_length + 1):
-        refs = list(dataset.iter_subsequences(length, step=cfg.step))
-        if not refs:
-            continue
-        matrix = np.empty((len(refs), length), dtype=np.float64)
-        for k, ref in enumerate(refs):
-            matrix[k] = dataset.values(ref)
-        groups = cluster_subsequences(matrix, refs, cfg.group_radius, batched=False)
-        row_of = {ref: k for k, ref in enumerate(refs)}
-        members = [m for g in groups for m in g.members]
-        base._buckets[length] = LengthBucket(
-            length,
-            np.array([(m.series_index, m.start) for m in members], dtype=np.int64),
-            np.cumsum([0] + [g.cardinality for g in groups]),
-            matrix[[row_of[m] for m in members]],
-            np.array([g.centroid for g in groups]),
-            np.array([g.ed_radius for g in groups]),
-            np.array([g.cheb_radius for g in groups]),
-            writable=True,
-        )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(grouping, "_scan_batched", grouping._scan_reference)
+        patch.setattr(grouping, "_evaluate_round", grouping._evaluate_round_reference)
+        for length in range(cfg.min_length, cfg.max_length + 1):
+            refs = list(dataset.iter_subsequences(length, step=cfg.step))
+            if not refs:
+                continue
+            matrix = np.empty((len(refs), length), dtype=np.float64)
+            for k, ref in enumerate(refs):
+                matrix[k] = dataset.values(ref)
+            groups = cluster_subsequences(matrix, refs, cfg.group_radius)
+            row_of = {ref: k for k, ref in enumerate(refs)}
+            members = [m for g in groups for m in g.members]
+            base._buckets[length] = LengthBucket(
+                length,
+                np.array([(m.series_index, m.start) for m in members], dtype=np.int64),
+                np.cumsum([0] + [g.cardinality for g in groups]),
+                matrix[[row_of[m] for m in members]],
+                np.array([g.centroid for g in groups]),
+                np.array([g.ed_radius for g in groups]),
+                np.array([g.cheb_radius for g in groups]),
+                writable=True,
+            )
 
 
 def build_with(dataset, **overrides) -> OnexBase:

@@ -2,11 +2,12 @@
 
 Five measurements:
 
-- the **representative prefilter** (cheap summary bounds + lazy chunked
-  exact DTW) against the ``use_rep_prefilter=False`` ablation on the
-  headline configuration — result-identical, never more representative
-  DTW; both sides share the member stage, so the time ratio is the rank
-  stage's own effect (about 1 at ST 0.2, where no bound is positive);
+- the **rank bounds** (cheap summary bounds + lazy chunked exact DTW)
+  against the same path under the zero bound (``ZeroBoundProcessor``,
+  which verifies every representative up front) on the headline
+  configuration — result-identical, never more representative DTW; both
+  sides share the member stage, so the time ratio is the rank stage's
+  own effect (about 1 at ST 0.2, where no bound is positive);
 - **kernel calls per exact ``k_best``** on the MATTERS floor (50 series,
   23 740 subsequences, ST 0.2): one ragged call per representative chunk
   and per drained member chunk, plus a path-length call for the rows
@@ -16,7 +17,7 @@ Five measurements:
   the one table pass (ragged LB_Kim + closed-form min/max band), held to
   the per-bucket breach-tensor bounds it replaced — never above them,
   within 1e-12 — and kernel calls per ``matches_within``, answers
-  identical to the ``use_rep_prefilter=False`` ablation;
+  identical to the zero-bound witness;
 - the **batch DTW kernel** in ns per cell at the three stack shapes the
   serving benchmark's cascade produces (a representative chunk, a member
   refinement with path lengths, a whole-bucket scan), bit-identical to
@@ -47,7 +48,7 @@ from repro.distances.lower_bounds import lb_kim_endpoints_batch
 from repro.server.client import OnexClient
 from repro.server.http import OnexHttpServer
 from repro.server.service import OnexService
-from conftest import _timed
+from conftest import ZeroBoundProcessor, _timed
 
 SOFT = os.environ.get("ONEX_BENCH_SOFT") == "1"
 
@@ -78,7 +79,7 @@ def test_rep_prefilter_speedup(benchmark):
     rng = np.random.default_rng(55)
     queries = [rng.uniform(size=6) for _ in range(3)]
     cascade = QueryProcessor(base, QueryConfig(mode="exact"))
-    eager = QueryProcessor(base, QueryConfig(mode="exact", use_rep_prefilter=False))
+    eager = ZeroBoundProcessor(base, QueryConfig(mode="exact"))
 
     def timed(processor):
         start = time.perf_counter()
@@ -92,7 +93,7 @@ def test_rep_prefilter_speedup(benchmark):
 
     t_new, t_old, m_new, m_old = benchmark.pedantic(measure, rounds=3, iterations=1)
     for got, want in zip(m_new, m_old):
-        assert got.ref == want.ref, "prefilter changed the exact best match"
+        assert got.ref == want.ref, "rank pruning changed the exact best match"
         assert abs(got.distance - want.distance) < 1e-9
     assert cascade.last_stats.rep_dtw_calls <= eager.last_stats.rep_dtw_calls
     benchmark.extra_info["cascade_seconds"] = round(t_new, 4)
@@ -191,7 +192,7 @@ def test_rank_stage_at_a_fine_threshold(benchmark, monkeypatch):
         assert (bounds <= oracle).all(), "closed form above the breach sum"
         assert np.abs(oracle - bounds).max() <= 1e-12
     cascade = QueryProcessor(base, QueryConfig())
-    eager = QueryProcessor(base, QueryConfig(use_rep_prefilter=False))
+    eager = ZeroBoundProcessor(base, QueryConfig())
     for q in queries[:5]:
         got = cascade.matches_within(q, 0.02, normalize=False)
         want = eager.matches_within(q, 0.02, normalize=False)

@@ -30,6 +30,14 @@ from repro.data.timeseries import TimeSeries
 MATTERS_BUILD = dict(similarity_threshold=0.1, min_length=5, max_length=8)
 
 
+class ZeroBoundProcessor(QueryProcessor):
+    """The rank-stage witness (DESIGN.md §1): the one lazy cascade under the
+    trivial sound bound, which verifies every representative up front."""
+
+    def _rank_bounds(self, q, reps):
+        return np.zeros(reps.gids.size)
+
+
 @pytest.fixture(scope="session")
 def matters_growth() -> TimeSeriesDataset:
     """The demo's "MATTERS GrowthRate" dataset (50 states, 10-16 years)."""

@@ -108,18 +108,9 @@ class QueryConfig:
         stage (ablation E9 switches this off).
     use_group_pruning:
         Toggle the transfer-inequality group pruning (ablation E9).
-    use_rep_prefilter:
-        Rank and prune representatives with the representative table's
-        cheap bounds (LB_Kim endpoints + min/max band, tightened by
-        centroid Keogh envelopes at the query's own band when ``window``
-        is finite, + the transfer inequality), all derived from the
-        centroid stacks, and run exact representative DTW *lazily*, so
-        representatives whose cheap bound exceeds the running cutoff
-        never get a DTW call (the default).  ``False`` restores the
-        eager PR-1 behaviour — exact DTW against every representative up
-        front — kept for ablations and the exactness cross-check; both
-        paths return identical matches in exact mode and identical
-        rankings in fast mode.
+        These two are the paper's §3.3 optimisations and the only
+        execution toggles: no field selects between two implementations
+        of one stage (DESIGN.md §1).
     deadline:
         Default cooperative :class:`~repro.core.deadline.Deadline` for
         every operation run under this config, checked at the cascade's
@@ -143,7 +134,6 @@ class QueryConfig:
     window: int | None = None
     use_lower_bounds: bool = True
     use_group_pruning: bool = True
-    use_rep_prefilter: bool = True
     deadline: Deadline | None = None
     metric: str = "dtw"
 

@@ -23,17 +23,17 @@ makes the per-length build jobs picklable — a worker process ships group
 arrays plus member-row index arrays back to the parent, never handle
 objects (:mod:`repro.core.base`).
 
-Two execution strategies produce **bit-identical** groups:
-
-- ``batched=True`` (default) — block joins are applied with one ordered
-  ``np.add.at`` scatter per block (sequential accumulation in block
-  order, so centroid drift is reproduced exactly), and each repair round
-  evaluates every draft's member→centroid deviations in a single flat
-  masked operation with ``reduceat`` segment maxima.
-- ``batched=False`` — the original row-at-a-time joins and per-draft
-  repair loop, retained for ablation benchmarks and the result-identity
-  cross-checks (Hypothesis property tests assert both paths return the
-  same groups).
+There is one execution path: block joins are applied with one ordered
+``np.add.at`` scatter per block (sequential accumulation in block order,
+so every centroid is its members' sequential row sum over their count,
+bit for bit), and each repair round evaluates every draft's
+member→centroid deviations in a single flat masked operation with
+``reduceat`` segment maxima (:func:`_scan_batched`,
+:func:`_evaluate_round`).  The original row-at-a-time scan and per-draft
+evaluation stay as same-signature private references
+(:func:`_scan_reference`, :func:`_evaluate_round_reference`) that nothing
+here calls: the Hypothesis suite substitutes them and asserts
+**bit-identical** groups (DESIGN.md §1).
 
 Each finalized group also records two radii the query processor needs:
 
@@ -215,49 +215,14 @@ def _block_distances(brows: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return dists
 
 
-def _online_scan(
-    matrix: np.ndarray,
-    row_order: np.ndarray,
-    group_radius: float,
-    length: int,
-    batched: bool,
-) -> list[_DraftGroup]:
-    """One mini-batched pass of the paper's online clustering.
-
-    Rows are processed in blocks of ``_ASSIGN_BLOCK``: every row's
-    distance to every existing centroid is evaluated in one
-    (column-chunked) vectorised operation against the table *as of block
-    start*, rows within the radius of their nearest centroid join that
-    group, and centroid moves are applied once at block end.  Rows no
-    existing group can absorb fall through to a sequential scan among the
-    block's own newborn groups (so near-duplicate rows in one block still
-    share a group, as in the row-at-a-time scan).
-
-    Assigning against a frozen table means a joining row may land in a
-    group whose centroid drifted earlier in the same block — the same
-    kind of drift the row-at-a-time scan accrues as members move each
-    centroid, just coarser-grained.  Strictness does not depend on it
-    either way: the repair pass in :func:`cluster_subsequence_rows`
-    evicts and re-clusters any member outside the radius of its *final*
-    representative, so the published invariants hold exactly while the
-    assignment's distance work runs entirely through block-sized kernels.
-
-    *batched* dispatches between two decision-identical implementations:
-    :func:`_scan_batched` (prescreened distance evaluation, ordered
-    scatter joins) and :func:`_scan_reference` (the original row-at-a-
-    time bookkeeping, retained as the cross-check baseline).
-    """
-    scan = _scan_batched if batched else _scan_reference
-    return scan(matrix, np.asarray(row_order), group_radius, length)
-
-
 def _scan_reference(
     matrix: np.ndarray,
     order: np.ndarray,
     group_radius: float,
     length: int,
 ) -> list[_DraftGroup]:
-    """The original scan: full distance table, row-at-a-time bookkeeping."""
+    """The original scan: full distance table, row-at-a-time bookkeeping.
+    The reference tests substitute for :func:`_scan_batched`."""
     drafts: list[_DraftGroup] = []
     table = _CentroidTable(length)
     for b0 in range(0, order.shape[0], _ASSIGN_BLOCK):
@@ -307,7 +272,24 @@ def _scan_batched(
     group_radius: float,
     length: int,
 ) -> list[_DraftGroup]:
-    """The vectorised scan: prescreened distances, ordered scatter joins.
+    """One mini-batched pass of the paper's online clustering over the
+    rows *order* of *matrix*: prescreened distances, ordered scatter joins.
+
+    Rows are processed in blocks of ``_ASSIGN_BLOCK``: every row's
+    distance to the existing centroids is evaluated against the table *as
+    of block start*, rows within the radius of their nearest centroid
+    join that group, and centroid moves are applied once at block end.
+    Rows no existing group can absorb fall through to a sequential scan
+    among the block's own newborn groups (so near-duplicate rows in one
+    block still share a group, as in a row-at-a-time scan).
+
+    Assigning against a frozen table means a joining row may land in a
+    group whose centroid drifted earlier in the same block.  Strictness
+    does not depend on it: the repair pass in
+    :func:`cluster_subsequence_rows` evicts and re-clusters any member
+    outside the radius of its *final* representative, so the published
+    invariants hold exactly while the assignment's distance work runs
+    entirely through block-sized kernels.
 
     Decision-identical to :func:`_scan_reference`, block by block:
 
@@ -580,21 +562,73 @@ def _newborn_runs(
     return new_drafts, centroids[:ncols], ncols
 
 
+class _RoundEval(NamedTuple):
+    """One repair round's member→centroid evaluation of the pending drafts.
+
+    Per draft: its ``centroids`` row and the ``ed_maxima`` / ``cheb_maxima``
+    over its members.  Per member, drafts concatenated in member order:
+    ``bad`` marks the rows outside the radius, and draft ``d`` owns
+    ``bad[offsets[d] : offsets[d + 1]]``.
+    """
+
+    centroids: np.ndarray
+    ed_maxima: np.ndarray
+    cheb_maxima: np.ndarray
+    bad: np.ndarray
+    offsets: np.ndarray
+
+
+def _evaluate_round(
+    matrix: np.ndarray, pending: list[_DraftGroup], group_radius: float
+) -> _RoundEval:
+    """One flat masked evaluation covers every draft of the round: member
+    deviations against each draft's centroid in a single gather, per-draft
+    maxima via ``reduceat`` segments."""
+    counts = np.fromiter((d.count for d in pending), np.int64, len(pending))
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    flat_rows = np.concatenate(
+        [np.asarray(d.row_indices, dtype=np.int64) for d in pending]
+    )
+    centroids = np.vstack([d.centroid for d in pending])
+    deviations = np.abs(matrix[flat_rows] - np.repeat(centroids, counts, axis=0))
+    eds = deviations.mean(axis=1)
+    return _RoundEval(
+        centroids,
+        np.maximum.reduceat(eds, offsets[:-1]),
+        np.maximum.reduceat(deviations.max(axis=1), offsets[:-1]),
+        eds > group_radius + _EPS,
+        offsets,
+    )
+
+
+def _evaluate_round_reference(
+    matrix: np.ndarray, pending: list[_DraftGroup], group_radius: float
+) -> _RoundEval:
+    """The original per-draft evaluation loop.  The reference tests
+    substitute for :func:`_evaluate_round`."""
+    deviations = [np.abs(matrix[d.row_indices] - d.centroid) for d in pending]
+    eds = [dev.mean(axis=1) for dev in deviations]
+    return _RoundEval(
+        np.vstack([d.centroid for d in pending]),
+        np.array([e.max() for e in eds]),
+        np.array([dev.max(axis=1).max() for dev in deviations]),
+        np.concatenate(eds) > group_radius + _EPS,
+        np.cumsum([0] + [d.count for d in pending]),
+    )
+
+
 def cluster_subsequence_rows(
     matrix: np.ndarray,
     group_radius: float,
     *,
     max_repair_rounds: int = 4,
-    batched: bool = True,
 ) -> list[RowGroup]:
     """Cluster equal-length window rows into finalized groups.
 
     The handle-free clustering core: *matrix* rows are the subsequence
     values, *group_radius* is ``ST/2``, and the returned
     :class:`RowGroup`\\ s carry member *row indices* instead of refs.
-    Invariants (see module docstring) hold strictly; *batched* picks the
-    vectorised or the original scalar execution of the scan joins and the
-    repair rounds — results are bit-identical either way.
+    Invariants (see module docstring) hold strictly.
     """
     if matrix.ndim != 2:
         raise ValidationError(f"matrix must be 2-D, got shape {matrix.shape}")
@@ -604,9 +638,7 @@ def cluster_subsequence_rows(
         return []
     length = matrix.shape[1]
 
-    drafts = _online_scan(
-        matrix, np.arange(matrix.shape[0]), group_radius, length, batched
-    )
+    drafts = _scan_batched(matrix, np.arange(matrix.shape[0]), group_radius, length)
 
     final: list[RowGroup] = []
 
@@ -622,32 +654,6 @@ def cluster_subsequence_rows(
             )
         )
 
-    def repair_split(
-        draft: _DraftGroup, bad: np.ndarray, rows: np.ndarray
-    ) -> tuple[_DraftGroup | None, list[int]]:
-        """Split one violating draft into its conforming core + evictions.
-
-        In batched mode the core's running total is taken from the last
-        row of a ``cumsum`` over the conforming rows — a strictly
-        sequential scan, so it matches, bit for bit, what the retained
-        per-row ``total += row`` rebuild (the scalar branch below)
-        accumulates.
-        """
-        good = np.nonzero(~bad)[0]
-        evicted = [draft.row_indices[j] for j in np.nonzero(bad)[0]]
-        if not good.size:
-            return None, evicted
-        if batched:
-            core = _DraftGroup(length)
-            core.row_indices = [draft.row_indices[j] for j in good.tolist()]
-            core.total = np.cumsum(rows[good], axis=0)[-1]
-            core.count = int(good.size)
-            return core, evicted
-        core = _DraftGroup(length)
-        for j in good:
-            core.add(draft.row_indices[j], rows[j])
-        return core, evicted
-
     # Repair: re-establish the strict member-to-final-centroid invariant.
     # Each round keeps the conforming core of every violating draft and
     # re-clusters the evicted members from scratch; after the round budget
@@ -658,62 +664,29 @@ def cluster_subsequence_rows(
     for round_no in range(max_repair_rounds):
         violator_rows: list[int] = []
         next_pending: list[_DraftGroup] = []
-        if batched:
-            # One flat masked evaluation covers every draft of the round:
-            # member deviations against each draft's centroid in a single
-            # gather, per-draft maxima via reduceat segments.  Per-row
-            # values (and therefore the eviction decisions and recorded
-            # radii) are identical to the per-draft loop below.
-            counts = np.fromiter(
-                (d.count for d in pending), np.int64, len(pending)
-            )
-            offsets = np.concatenate(([0], np.cumsum(counts)))
-            flat_rows = np.concatenate(
-                [np.asarray(d.row_indices, dtype=np.int64) for d in pending]
-            )
-            centroids = np.vstack([d.centroid for d in pending])
-            deviations = np.abs(
-                matrix[flat_rows]
-                - np.repeat(centroids, counts, axis=0)
-            )
-            eds = deviations.mean(axis=1)
-            chebs = deviations.max(axis=1)
-            bad = eds > group_radius + _EPS
-            bad_counts = np.add.reduceat(bad.astype(np.int64), offsets[:-1])
-            ed_maxima = np.maximum.reduceat(eds, offsets[:-1])
-            cheb_maxima = np.maximum.reduceat(chebs, offsets[:-1])
-            for d, draft in enumerate(pending):
-                if not bad_counts[d]:
-                    finalize(draft, centroids[d], ed_maxima[d], cheb_maxima[d])
-                    continue
-                seg = slice(offsets[d], offsets[d + 1])
-                core, evicted = repair_split(
-                    draft, bad[seg], matrix[flat_rows[seg]]
-                )
-                if core is not None:
-                    next_pending.append(core)
-                violator_rows.extend(evicted)
-        else:
-            for draft in pending:
-                centroid = draft.centroid
-                rows = matrix[draft.row_indices]
-                deviations = np.abs(rows - centroid)
-                eds = deviations.mean(axis=1)
-                bad = eds > group_radius + _EPS
-                if not bad.any():
-                    finalize(
-                        draft, centroid, eds.max(), deviations.max(axis=1).max()
-                    )
-                    continue
-                core, evicted = repair_split(draft, bad, rows)
-                if core is not None:
-                    next_pending.append(core)
-                violator_rows.extend(evicted)
+        centroids, ed_maxima, cheb_maxima, bad_rows, offsets = _evaluate_round(
+            matrix, pending, group_radius
+        )
+        violates = np.logical_or.reduceat(bad_rows, offsets[:-1])
+        for d, draft in enumerate(pending):
+            if not violates[d]:
+                finalize(draft, centroids[d], ed_maxima[d], cheb_maxima[d])
+                continue
+            bad = bad_rows[offsets[d] : offsets[d + 1]]
+            violator_rows.extend(draft.row_indices[j] for j in np.nonzero(bad)[0])
+            good = np.nonzero(~bad)[0]
+            if good.size:
+                # The conforming core.  ``cumsum`` is a strictly sequential
+                # scan, so its last row is the per-row ``total += row``
+                # rebuild, bit for bit.
+                core = _DraftGroup(length)
+                core.row_indices = [draft.row_indices[j] for j in good.tolist()]
+                core.total = np.cumsum(matrix[core.row_indices], axis=0)[-1]
+                core.count = int(good.size)
+                next_pending.append(core)
         if violator_rows:
             next_pending.extend(
-                _online_scan(
-                    matrix, np.array(violator_rows), group_radius, length, batched
-                )
+                _scan_batched(matrix, np.array(violator_rows), group_radius, length)
             )
         if not next_pending:
             return final
@@ -750,7 +723,6 @@ def cluster_subsequences(
     group_radius: float,
     *,
     max_repair_rounds: int = 4,
-    batched: bool = True,
 ) -> list[SimilarityGroup]:
     """Cluster equal-length subsequences into finalized similarity groups.
 
@@ -773,9 +745,6 @@ def cluster_subsequences(
             cheb_radius=group.cheb_radius,
         )
         for group in cluster_subsequence_rows(
-            matrix,
-            group_radius,
-            max_repair_rounds=max_repair_rounds,
-            batched=batched,
+            matrix, group_radius, max_repair_rounds=max_repair_rounds
         )
     ]

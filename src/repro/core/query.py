@@ -17,14 +17,18 @@ strategies are provided (:class:`repro.core.config.QueryConfig`):
 The search is a **staged pruning cascade**, cheap bounds first at every
 stage (DESIGN.md §1):
 
-**Rank** (``use_rep_prefilter``, the default): one pass over the base's
+**Rank**: one pass over the base's
 :class:`repro.core.base.RepresentativeTable` — every representative of
 every length, one row each — yields LB_Kim (ragged, from the endpoints)
 and min/max-band LB_Keogh (closed form, ``O(G log n)``) lower bounds on
 ``DTW(query, representative)`` without any DTW kernel call; combined
 with the ED→DTW transfer bound they lower-bound every *member* of the
 group.  The bound order is consumed lazily (:class:`_LazyOrder`): only
-the prefix a search reaches is ever sorted.
+the prefix a search reaches is ever sorted.  There is no eager twin:
+under the trivial sound bound (zeros from
+:meth:`QueryProcessor._rank_bounds`) this one path verifies every
+representative up front, which is how the tests witness that rank
+pruning changes no answer (DESIGN.md §1).
 
 **Lazy verify**: representatives are visited best-first and a
 representative's exact distance is only computed (in bound-ordered
@@ -55,15 +59,17 @@ set a near-final cutoff before the bulk of the base meets the member
 bounds; fast mode refines its top ``refine_groups`` groups in one call;
 the threshold query verifies the groups its rank pass leaves alive in
 length-sorted chunks, one representative call and one stage call per
-chunk with the threshold as the cut.  Every prune is a strict ``bound > cut`` on a sound
-lower bound and the heap breaks distance ties by reference, so any
-refinement order returns exactly what a brute-force scan returns.
-:class:`QueryStats` counts the work each stage actually performed.
+chunk with the threshold as the cut.  Every prune is a strict
+``bound > cut`` on a sound lower bound and the heap breaks distance ties
+by reference, so any refinement order returns exactly what a brute-force
+scan returns.  :class:`QueryStats` counts the work each stage actually
+performed.
 
 :meth:`QueryProcessor.batch_matches` answers many queries in one call:
-shared read-only state (the representative table) is prepared once, then each query runs the single-query path — fanned over
-a thread pool when the process may use more than one CPU — so results
-are those of per-query submission by construction.
+shared read-only state (the representative table) is prepared once, then
+each query runs the single-query path — fanned over a thread pool when
+the process may use more than one CPU — so results are those of
+per-query submission by construction.
 
 Distances reported to callers are **normalised DTW** (cost divided by
 warping-path length), the unit in which ONEX similarity thresholds are
@@ -415,9 +421,10 @@ class QueryProcessor:
         """The *k* best matches for every query of a batch, in one call.
 
         The multi-query driver.  Shared read-only state — the base's
-        representative table — is prepared once up front, then every query runs the single-query search
-        (:meth:`_run_search`), so results are those of submitting each
-        query through :meth:`k_best_matches`, in input order.  The
+        representative table — is prepared once up front, then every
+        query runs the single-query search (:meth:`_run_search`), so
+        results are those of submitting each query through
+        :meth:`k_best_matches`, in input order.  The
         queries fan out over a thread pool (the numpy kernels release
         the GIL) sized by the CPUs this process may run on, and run
         inline when that is one — two threads on one core only trade the
@@ -571,16 +578,13 @@ class QueryProcessor:
         out: list[_Candidate] = []
         reps = self._reps(buckets, stats)
         max_paths = (q.shape[0] + reps.lengths - 1).astype(np.float64)
-        if self._config.use_rep_prefilter:
-            cheap = self._rank_bounds(q, reps)
-            alive = (cheap - max_paths * reps.radii) / max_paths <= threshold
-            candidates = np.flatnonzero(alive)
-            skipped = alive.size - candidates.size
-            stats.rep_lb_prunes += skipped
-            stats.rep_dtw_skipped += skipped
-            stats.groups_pruned += skipped
-        else:
-            candidates = np.arange(reps.gids.size)
+        cheap = self._rank_bounds(q, reps)
+        alive = (cheap - max_paths * reps.radii) / max_paths <= threshold
+        candidates = np.flatnonzero(alive)
+        skipped = alive.size - candidates.size
+        stats.rep_lb_prunes += skipped
+        stats.rep_dtw_skipped += skipped
+        stats.groups_pruned += skipped
         candidates = candidates[np.argsort(reps.lengths[candidates], kind="stable")]
         lengths = reps.lengths[candidates]
         stop = 0
@@ -876,7 +880,8 @@ class QueryProcessor:
 
     def _rank_bounds(self, q: np.ndarray, reps: _Reps) -> np.ndarray:
         """Lower bounds on raw ``DTW(q, representative)`` for every row of
-        *reps* — one pass over the base table, no kernel call."""
+        *reps* — one pass over the base table, no kernel call.  Any sound
+        bound returns the same answers; all zeros is the tests' witness."""
         with span("cascade.rep_bounds", reps=int(reps.gids.size)):
             return self._base.rep_table.cheap_bounds(
                 q, reps.rows, self._config.window
@@ -943,16 +948,11 @@ class QueryProcessor:
                 ):
                     heapq.heappush(exact_heap, entry)
 
-        if cfg.use_rep_prefilter:
-            # Cheap summary bounds rank every group; exact representative
-            # DTW runs in chunks only for groups whose cheap bound
-            # undercuts the running cutoff.
-            cheap = self._rank_bounds(q, reps)
-            ranked = _LazyOrder(np.maximum(cheap - max_paths * radii, 0.0) / max_paths)
-        else:
-            # Ablation: exact DTW for every representative up front.
-            verify(np.arange(gids.size))
-            ranked = _LazyOrder(np.empty(0))
+        # Cheap summary bounds rank every group; exact representative DTW
+        # runs in chunks only for groups whose cheap bound undercuts the
+        # running cutoff.
+        cheap = self._rank_bounds(q, reps)
+        ranked = _LazyOrder(np.maximum(cheap - max_paths * radii, 0.0) / max_paths)
         total = ranked.size
         ptr = 0
         rep_chunk = _REP_CHUNK
@@ -1035,15 +1035,10 @@ class QueryProcessor:
                 for entry in zip(est.tolist(), at.tolist(), g_ids.tolist()):
                     heapq.heappush(exact_heap, entry)
 
-        if cfg.use_rep_prefilter:
-            # Lazy ranking: cheap bounds on the estimate order the queue;
-            # a representative's exact DTW runs (chunk-batched) only while
-            # its bound could still place it among the refined groups.
-            ranked = _LazyOrder(self._rank_bounds(q, reps) / scales)
-        else:
-            # Ablation: exact DTW to every representative up front.
-            rank(np.arange(gids.size))
-            ranked = _LazyOrder(np.empty(0))
+        # Lazy ranking: cheap bounds on the estimate order the queue; a
+        # representative's exact DTW runs (chunk-batched) only while its
+        # bound could still place it among the refined groups.
+        ranked = _LazyOrder(self._rank_bounds(q, reps) / scales)
         total = ranked.size
         ptr = 0
         chunk = _REP_CHUNK

@@ -16,8 +16,9 @@ decide the group's worst pairwise distance, stacked into condensed
 paired-kernel calls (:func:`~repro.distances.dtw.dtw_distance_condensed`).
 Tight groups resolve with a handful of kernel invocations where the seed
 implementation paid one scalar ``dtw_path`` per pair per drop iteration;
-results are identical (the scalar twin stays reachable with
-``use_batching=False`` and the property suite cross-checks them).
+results are identical.  :func:`_verify_scalar`, the seed's verifier, has
+:func:`_verify_batched`'s signature and nothing here calls it: the
+property suite substitutes it to cross-check them (DESIGN.md §1).
 
 :func:`find_seasonal_patterns` is self-contained (it builds its own
 per-series groups) so the seasonal operation does not require the whole
@@ -32,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core import analytics_metrics
 from repro.core.deadline import Deadline
 from repro.core.grouping import cluster_subsequences
 from repro.core.validation import as_int_arg, as_optional_int_arg
@@ -40,19 +42,8 @@ from repro.data.timeseries import TimeSeries
 from repro.distances.dtw import dtw_distance, dtw_distance_condensed
 from repro.distances.lower_bounds import lb_pairwise_table
 from repro.exceptions import DeadlineExceeded, ValidationError
-from repro.obs.metrics import REGISTRY
 from repro.obs.trace import span
 from repro.testing import faults
-
-# Shared across the analytics modules (seasonal / sensitivity /
-# threshold): one labelled counter + latency histogram, idempotently
-# re-registered by each importer.
-_ANALYTICS_TOTAL = REGISTRY.counter(
-    "onex_analytics_total", "Completed analytics operations by op"
-)
-_ANALYTICS_MS = REGISTRY.histogram(
-    "onex_analytics_ms", "Analytics operation wall time (milliseconds)"
-)
 
 __all__ = ["SeasonalPattern", "find_seasonal_patterns"]
 
@@ -283,7 +274,7 @@ def _verify_scalar(
     deadline: Deadline | None = None,
 ) -> tuple[list[SubsequenceRef], float] | None:
     """Seed scalar verify-and-drop: one ``dtw_distance`` call per pair per
-    iteration.  Kept as the cross-check twin of :func:`_verify_batched`."""
+    iteration.  The reference tests substitute for :func:`_verify_batched`."""
     chosen = list(chosen)
     active = list(range(len(chosen)))
     while len(chosen) >= min_occurrences:
@@ -327,7 +318,6 @@ def find_seasonal_patterns(
     normalize: bool = True,
     remove_level: bool = False,
     ed_threshold: float | None = None,
-    use_batching: bool = True,
     deadline: Deadline | None = None,
 ) -> list[SeasonalPattern]:
     """Find recurring patterns of *length* within one series.
@@ -349,10 +339,6 @@ def find_seasonal_patterns(
     a habit recurring at different seasonal levels (winter vs summer
     electricity usage, as in the paper's Fig. 4 narrative) still matches on
     shape.
-
-    *use_batching* selects the condensed-pairwise verifier (the default);
-    ``False`` runs the retained scalar scan — identical results, kept for
-    ablations and the property-suite cross-check.
 
     A *deadline* is checked per candidate group and per pair-DTW chunk;
     with ``allow_partial`` the miner returns the (fully verified)
@@ -388,7 +374,6 @@ def find_seasonal_patterns(
     row_of = {ref: k for k, ref in enumerate(refs)}
     with span("seasonal.cluster", windows=len(refs)):
         groups = cluster_subsequences(matrix, refs, ed_threshold / 2.0)
-    verify = _verify_batched if use_batching else _verify_scalar
 
     patterns: list[SeasonalPattern] = []
     for scanned, group in enumerate(groups):
@@ -414,7 +399,7 @@ def find_seasonal_patterns(
         chosen_rows = matrix[[row_of[r] for r in chosen]]
         try:
             with span("seasonal.group", occurrences=len(chosen)):
-                verified = verify(
+                verified = _verify_batched(
                     chosen,
                     group.centroid,
                     chosen_rows,
@@ -444,6 +429,5 @@ def find_seasonal_patterns(
     patterns.sort(key=lambda p: (-p.occurrences, p.max_pairwise_dtw))
     if max_patterns is not None:
         patterns = patterns[:max_patterns]
-    _ANALYTICS_TOTAL.inc(op="seasonal")
-    _ANALYTICS_MS.observe((time.perf_counter() - started) * 1000.0, op="seasonal")
+    analytics_metrics.record("seasonal", started)
     return patterns

@@ -22,9 +22,10 @@ call per bucket, member rows come straight from the bucket's stacked
 member matrix, and ``verify=True`` resolves every still-ambiguous member with an
 LB_Kim/LB_Keogh prescreen followed by **one** stacked batch-DTW call per
 bucket — where the seed implementation paid one scalar ``dtw_path`` per
-ambiguous member.  Counts are identical either way; the scalar twin stays
-reachable with ``use_batching=False`` and the property suite cross-checks
-them.
+ambiguous member.  Counts are identical either way:
+:func:`_profile_scalar`, the seed's implementation, has
+:func:`_profile_batched`'s signature and nothing here calls it — the
+property suite substitutes it to cross-check them (DESIGN.md §1).
 
 :func:`similarity_profile` returns both count curves over a threshold
 grid (plus exact counts when ``verify=True``), which the Similarity View
@@ -40,6 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import ArrayLike
 
+from repro.core import analytics_metrics
 from repro.core.base import OnexBase
 from repro.core.deadline import Deadline
 from repro.core.validation import as_optional_int_arg
@@ -51,16 +53,8 @@ from repro.distances.envelope import keogh_envelope
 from repro.distances.metrics import as_sequence
 from repro.distances.normalize import minmax_normalize
 from repro.exceptions import ValidationError
-from repro.obs.metrics import REGISTRY
 from repro.obs.trace import span
 from repro.testing import faults
-
-_ANALYTICS_TOTAL = REGISTRY.counter(
-    "onex_analytics_total", "Completed analytics operations by op"
-)
-_ANALYTICS_MS = REGISTRY.histogram(
-    "onex_analytics_ms", "Analytics operation wall time (milliseconds)"
-)
 
 __all__ = ["SensitivityPoint", "SensitivityProfile", "similarity_profile"]
 
@@ -124,7 +118,6 @@ def similarity_profile(
     window: int | None = None,
     verify: bool = False,
     normalize: bool = True,
-    use_batching: bool = True,
     deadline: Deadline | None = None,
 ) -> SensitivityProfile:
     """Match-count bounds for *query* across candidate *thresholds*.
@@ -133,9 +126,6 @@ def similarity_profile(
     member's normalised DTW from both sides; ``verify=True`` additionally
     resolves the ambiguous members with exact DTW so ``exact`` counts are
     populated (still only touching members the bounds cannot decide).
-    *use_batching* selects the cascade implementation (the default);
-    ``False`` runs the retained scalar path — identical counts, kept for
-    ablations and the property-suite cross-check.
 
     A *deadline* is checked at every length-bucket boundary and always
     raises when it fires: a profile over a subset of buckets would
@@ -158,18 +148,8 @@ def similarity_profile(
         thresholds=len(grid),
         verify=verify,
     ):
-        if use_batching:
-            profile = _profile_batched(
-                base, q, grid, chosen, window, verify, deadline
-            )
-        else:
-            profile = _profile_scalar(
-                base, q, grid, chosen, window, verify, deadline
-            )
-    _ANALYTICS_TOTAL.inc(op="sensitivity")
-    _ANALYTICS_MS.observe(
-        (time.perf_counter() - started) * 1000.0, op="sensitivity"
-    )
+        profile = _profile_batched(base, q, grid, chosen, window, verify, deadline)
+    analytics_metrics.record("sensitivity", started)
     return profile
 
 
@@ -316,7 +296,8 @@ def _profile_scalar(
     verify: bool,
     deadline: Deadline | None = None,
 ) -> SensitivityProfile:
-    """Seed scalar implementation, kept as the cross-check twin."""
+    """Seed scalar implementation: the reference tests substitute for
+    :func:`_profile_batched`."""
     qlen = q.shape[0]
     lowers: list[np.ndarray] = []
     uppers: list[np.ndarray] = []

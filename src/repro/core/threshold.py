@@ -8,32 +8,29 @@ in the (normalised) collection and reporting low quantiles: a threshold at
 the q-th quantile makes roughly a q fraction of random subsequence pairs
 "similar", which is the operational meaning analysts care about.
 
-When a built :class:`~repro.core.base.OnexBase` over the same collection
-is supplied, the sampler reuses the base's already-normalised value store
-instead of re-normalising the whole dataset and materialising every
-window: only the sampled windows are gathered (window offsets are pure
-arithmetic over the per-series window counts), which is what makes the
-served ``thresholds`` operation cheap at collection scale.  The sampled
-pairs, and therefore the recommendation, are bit-identical to the
-standalone path — the property suite cross-checks them.
+There is one sampler (:class:`_WindowSampler`): only the sampled windows
+are gathered — window offsets are pure arithmetic over the per-series
+window counts, so no window matrix is materialised.  A built
+:class:`~repro.core.base.OnexBase` over the same collection is an *input*
+to it, not a second algorithm: its already-normalised value store saves
+re-normalising the dataset, which is what makes the served ``thresholds``
+operation cheap at collection scale, and the recommendation is
+bit-identical with and without it — the property suite cross-checks them.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core import analytics_metrics
 from repro.core.validation import as_int_arg
 from repro.data.dataset import TimeSeriesDataset
 from repro.distances.normalize import RunningStats
 from repro.exceptions import DatasetError, ValidationError
-from repro.obs.metrics import REGISTRY
 from repro.obs.trace import span
-
-_ANALYTICS_TOTAL = REGISTRY.counter(
-    "onex_analytics_total", "Completed analytics operations by op"
-)
 
 __all__ = ["ThresholdRecommendation", "recommend_thresholds"]
 
@@ -74,13 +71,13 @@ class ThresholdRecommendation:
 
 
 def _base_value_source(dataset: TimeSeriesDataset, normalize: bool, base):
-    """The base's normalised dataset when it can stand in for the slow path.
+    """The base's value store when it can stand in for *dataset*'s own.
 
     Valid only when *base* indexes exactly this dataset object and was
-    normalised the same way with the same bounds the standalone path would
-    derive right now — then every window it serves is bitwise the window
-    ``dataset.normalized()`` would produce.  Returns ``None`` otherwise
-    (the caller falls back to materialising the windows itself).
+    normalised the same way with the same bounds ``dataset.normalized()``
+    would derive right now — then every window it serves is bitwise the
+    window the caller would otherwise normalise for itself.  Returns
+    ``None`` otherwise.
     """
     if base is None or dataset is not getattr(base, "raw_dataset", None):
         return None
@@ -98,7 +95,9 @@ class _WindowSampler:
     to a (series, start) pair through the cumulative per-series window
     counts; the series values are stitched into one array once, so a batch
     of sampled windows resolves as a single strided gather — no window
-    other than the sampled ones is ever materialised.
+    other than the sampled ones is ever materialised.  Rows are what
+    ``source.subsequence_matrix(length)`` holds at the same ranks
+    (multivariate windows channel-flattened, time-major).
     """
 
     def __init__(self, source: TimeSeriesDataset, length: int) -> None:
@@ -107,14 +106,19 @@ class _WindowSampler:
         self.total = int(counts.sum())
         self._win_offsets = np.concatenate([[0], np.cumsum(counts)])
         self._val_offsets = np.concatenate([[0], np.cumsum(sizes)])
-        self._concat = np.concatenate([s.values for s in source])
+        values = [s.values for s in source]
+        self._concat = np.concatenate(values) if values else np.empty(0)
         self._length = length
 
     def rows(self, idx: np.ndarray) -> np.ndarray:
         s_of = np.searchsorted(self._win_offsets, idx, side="right") - 1
         starts = self._val_offsets[s_of] + (idx - self._win_offsets[s_of])
-        view = np.lib.stride_tricks.sliding_window_view(self._concat, self._length)
-        return view[starts]
+        view = np.lib.stride_tricks.sliding_window_view(
+            self._concat, self._length, axis=0
+        )
+        # The window axis comes last; time-major rows want it ahead of
+        # the channel axis a multivariate collection has.
+        return np.moveaxis(view[starts], -1, 1).reshape(starts.shape[0], -1)
 
 
 def recommend_thresholds(
@@ -133,9 +137,9 @@ def recommend_thresholds(
     subsequences, computes their length-normalised L1 distances, and
     returns the requested distribution *quantiles* as candidate thresholds.
     *base* optionally supplies a built :class:`~repro.core.base.OnexBase`
-    over the same collection whose normalised value store answers the
-    sampling without re-normalising or materialising every window
-    (bit-identical results; ignored when it cannot stand in).
+    over the same collection whose normalised value store spares the
+    sampler a re-normalisation (bit-identical results; ignored when it
+    cannot stand in).
     """
     length = as_int_arg(length, "length")
     samples = as_int_arg(samples, "samples")
@@ -146,16 +150,12 @@ def recommend_thresholds(
     if not quantiles or any(not 0.0 < q < 1.0 for q in quantiles):
         raise ValidationError("quantiles must lie strictly inside (0, 1)")
 
+    started = time.perf_counter()
     source = _base_value_source(dataset, normalize, base)
-    sampler = None
     if source is None:
-        if normalize:
-            dataset = dataset.normalized()
-        matrix, refs = dataset.subsequence_matrix(length)
-        n = len(refs)
-    else:
-        sampler = _WindowSampler(source, length)
-        n = sampler.total
+        source = dataset.normalized() if normalize else dataset
+    sampler = _WindowSampler(source, length)
+    n = sampler.total
     if n < 2:
         raise DatasetError(
             f"need >= 2 subsequences of length {length} to sample distances"
@@ -167,18 +167,13 @@ def recommend_thresholds(
     right = rng.integers(0, n - 1, size=count)
     right = np.where(right >= left, right + 1, right)  # distinct partner
     with span("threshold.sample", pairs=int(count), length=length):
-        if sampler is None:
-            distances = np.abs(matrix[left] - matrix[right]).mean(axis=1)
-        else:
-            distances = np.abs(
-                sampler.rows(left) - sampler.rows(right)
-            ).mean(axis=1)
-    _ANALYTICS_TOTAL.inc(op="thresholds")
+        distances = np.abs(sampler.rows(left) - sampler.rows(right)).mean(axis=1)
 
     stats = RunningStats()
     stats.extend(distances)
     ordered = tuple(sorted(quantiles))
     values = tuple(float(v) for v in np.quantile(distances, ordered))
+    analytics_metrics.record("thresholds", started)
     return ThresholdRecommendation(
         length=length,
         samples=count,

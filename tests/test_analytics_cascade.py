@@ -1,11 +1,13 @@
 """Property tests: the batched analytics paths equal the seed scalar paths.
 
-The seasonal / sensitivity / threshold rebuild (DESIGN.md §6) keeps the
-seed scalar implementations reachable — ``use_batching=False`` on the
-analytics entry points, ``base=None`` on the recommender — precisely so
-these properties can assert, over randomised collections, lengths,
-windows, and threshold grids, that the cascade changes *nothing* about
-the results, only how fast they arrive.
+The seasonal / sensitivity rebuild (DESIGN.md §4) keeps the seed scalar
+implementations as private same-signature references that no production
+code calls; these properties substitute them (DESIGN.md §1: a witness is
+a test substitution, never an argument) and assert, over randomised
+collections, lengths, windows, and threshold grids, that the cascade
+changes *nothing* about the results, only how fast they arrive.  The
+recommender has one sampler, held to the materialised window matrix, and
+``base=`` changes nothing but cost.
 """
 
 import numpy as np
@@ -13,11 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import seasonal, sensitivity
 from repro.core.base import OnexBase
 from repro.core.config import BuildConfig
 from repro.core.seasonal import find_seasonal_patterns
 from repro.core.sensitivity import similarity_profile
-from repro.core.threshold import recommend_thresholds
+from repro.core.threshold import _WindowSampler, recommend_thresholds
 from repro.core.validation import as_int_arg, as_optional_int_arg
 from repro.data.dataset import TimeSeriesDataset
 from repro.data.timeseries import TimeSeries
@@ -32,6 +35,14 @@ def walk(seed: int, n: int) -> np.ndarray:
     return np.random.default_rng(seed).normal(size=n).cumsum()
 
 
+def with_reference(module, production: str, reference: str, call):
+    """``call()`` with *module*'s *production* function replaced by its
+    private same-signature *reference*."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(module, production, getattr(module, reference))
+        return call()
+
+
 class TestSeasonalEquivalence:
     @settings(max_examples=30, deadline=None)
     @given(
@@ -44,13 +55,13 @@ class TestSeasonalEquivalence:
     )
     def test_batched_equals_scalar(self, seed, n, length, threshold, window, step):
         series = TimeSeries("s", walk(seed, n))
-        kwargs = dict(step=step, window=window)
-        batched = find_seasonal_patterns(
-            series, length, threshold, use_batching=True, **kwargs
-        )
-        scalar = find_seasonal_patterns(
-            series, length, threshold, use_batching=False, **kwargs
-        )
+        def mine():
+            return find_seasonal_patterns(
+                series, length, threshold, step=step, window=window
+            )
+
+        batched = mine()
+        scalar = with_reference(seasonal, "_verify_batched", "_verify_scalar", mine)
         assert len(batched) == len(scalar)
         for a, b in zip(batched, scalar):
             assert a.starts == b.starts
@@ -66,12 +77,11 @@ class TestSeasonalEquivalence:
             dict(ed_threshold=0.4),
             dict(remove_level=True, ed_threshold=0.3, min_occurrences=3),
         ):
-            a = find_seasonal_patterns(
-                series, 10, 0.1, use_batching=True, **kwargs
-            )
-            b = find_seasonal_patterns(
-                series, 10, 0.1, use_batching=False, **kwargs
-            )
+            def mine():
+                return find_seasonal_patterns(series, 10, 0.1, **kwargs)
+
+            a = mine()
+            b = with_reference(seasonal, "_verify_batched", "_verify_scalar", mine)
             assert [(p.starts, p.max_pairwise_dtw) for p in a] == [
                 (p.starts, p.max_pairwise_dtw) for p in b
             ]
@@ -102,13 +112,15 @@ class TestSensitivityEquivalence:
     )
     def test_batched_equals_scalar(self, base, qseed, qlen, grid, verify, window):
         q = np.random.default_rng(qseed).uniform(size=qlen)
-        batched = similarity_profile(
-            base, q, grid, verify=verify, window=window, normalize=False,
-            use_batching=True,
-        )
-        scalar = similarity_profile(
-            base, q, grid, verify=verify, window=window, normalize=False,
-            use_batching=False,
+
+        def profile():
+            return similarity_profile(
+                base, q, grid, verify=verify, window=window, normalize=False
+            )
+
+        batched = profile()
+        scalar = with_reference(
+            sensitivity, "_profile_batched", "_profile_scalar", profile
         )
         assert batched.candidates == scalar.candidates
         assert batched.thresholds == scalar.thresholds
@@ -116,6 +128,36 @@ class TestSensitivityEquivalence:
             assert (a.certain, a.possible, a.exact) == (
                 b.certain, b.possible, b.exact
             )
+
+
+class TestWindowSampler:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        sizes=st.lists(st.integers(2, 14), min_size=1, max_size=5),
+        length=st.integers(2, 10),
+        channels=st.integers(1, 2),
+        normalize=st.booleans(),
+    )
+    def test_rows_are_the_window_matrix_rows(
+        self, seed, sizes, length, channels, normalize
+    ):
+        """The one sampler, by rank, is bitwise the materialised window
+        matrix — ragged collections, series shorter than the window,
+        multivariate, normalised or not."""
+        rng = np.random.default_rng(seed)
+        arrays = [rng.normal(size=(n, channels)).cumsum(axis=0) for n in sizes]
+        if channels == 1:
+            arrays = [a[:, 0] for a in arrays]
+        source = TimeSeriesDataset.from_arrays(arrays, name="ragged")
+        if normalize:
+            source = source.normalized()
+        matrix, refs = source.subsequence_matrix(length)
+        sampler = _WindowSampler(source, length)
+        assert sampler.total == len(refs)
+        if refs:
+            idx = rng.integers(0, len(refs), size=3 * len(refs))
+            assert np.array_equal(sampler.rows(idx), matrix[idx])
 
 
 class TestThresholdEquivalence:

@@ -4,11 +4,13 @@ Covers the three layers of the rebuild:
 
 - **Extraction** — the strided window kernel (:mod:`repro.data.windows`)
   against the definitional per-ref gather, at unit and non-unit steps.
-- **Clustering** — Hypothesis properties that the batched execution of
-  :func:`cluster_subsequence_rows` is *bit-identical* to the retained
-  scalar reference, and that the repair rounds re-establish the strict
-  mean-L1 radius invariant for every finalized group (including the
-  singleton-fallback round at an exhausted budget).
+- **Clustering** — Hypothesis properties that
+  :func:`cluster_subsequence_rows` is *bit-identical* with its scan and
+  its round evaluation replaced by their private row-at-a-time
+  references, that the repair rounds re-establish the strict mean-L1
+  radius invariant for every finalized group (including the
+  singleton-fallback round at an exhausted budget), and that every
+  centroid is its members' sequential row sum over their count.
 - **Scheduling** — serial, thread-pool, and process-pool builds produce
   structure-fingerprint-identical bases, persist identically, and report
   the per-length telemetry.
@@ -21,9 +23,10 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core import grouping
 from repro.core.base import LengthBuildStats, OnexBase
 from repro.core.config import BuildConfig
 from repro.core.grouping import cluster_subsequence_rows, cluster_subsequences
@@ -132,13 +135,16 @@ def matrices(draw):
     st.integers(min_value=0, max_value=4),
 )
 def test_batched_repair_identical_to_reference(matrix, radius, rounds):
-    """Satellite: batched repair/scan == the retained per-draft path."""
-    batched = cluster_subsequence_rows(
-        matrix, radius, max_repair_rounds=rounds, batched=True
-    )
-    reference = cluster_subsequence_rows(
-        matrix, radius, max_repair_rounds=rounds, batched=False
-    )
+    """The one build path == itself with the row-at-a-time scan and the
+    per-draft round evaluation substituted (DESIGN.md §1: a witness is a
+    test substitution, never an argument)."""
+    batched = cluster_subsequence_rows(matrix, radius, max_repair_rounds=rounds)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(grouping, "_scan_batched", grouping._scan_reference)
+        patch.setattr(grouping, "_evaluate_round", grouping._evaluate_round_reference)
+        reference = cluster_subsequence_rows(
+            matrix, radius, max_repair_rounds=rounds
+        )
     assert len(batched) == len(reference)
     for a, b in zip(batched, reference):
         assert np.array_equal(a.rows, b.rows)
@@ -152,18 +158,25 @@ def test_batched_repair_identical_to_reference(matrix, radius, rounds):
     matrices(),
     st.floats(min_value=0.01, max_value=1.2),
     st.integers(min_value=0, max_value=3),
-    st.booleans(),
 )
-def test_repair_establishes_radius_invariant(matrix, radius, rounds, batched):
+# A draw whose repair keeps conforming cores of three or more rows — where
+# the order of a float sum shows.
+@example(np.random.default_rng(32).normal(size=(180, 5)).cumsum(axis=1), 0.8, 3)
+def test_repair_establishes_radius_invariant(matrix, radius, rounds):
     """After any round budget — including 0, which exercises the
     singleton-fallback path directly — every finalized group strictly
-    satisfies the mean-L1 radius invariant and covers every row once."""
-    groups = cluster_subsequence_rows(
-        matrix, radius, max_repair_rounds=rounds, batched=batched
-    )
+    satisfies the mean-L1 radius invariant and covers every row once,
+    and its centroid is, bit for bit, its members' rows summed one at a
+    time in member order over their count (what the scatter joins and
+    the repair's ``cumsum`` must both reproduce)."""
+    groups = cluster_subsequence_rows(matrix, radius, max_repair_rounds=rounds)
     seen = np.concatenate([g.rows for g in groups])
     assert sorted(seen.tolist()) == list(range(matrix.shape[0]))
     for g in groups:
+        total = np.zeros(matrix.shape[1])
+        for row in matrix[g.rows]:
+            total += row
+        assert np.array_equal(g.centroid, total / g.rows.size)
         deviations = np.abs(matrix[g.rows] - g.centroid)
         eds = deviations.mean(axis=1)
         assert float(eds.max(initial=0.0)) <= radius + _EPS

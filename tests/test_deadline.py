@@ -185,11 +185,8 @@ class TestDeadlineFiresPerStage:
                 )
         self._expect(excinfo, "representative ranking")
 
-    @pytest.mark.parametrize("prefilter", [True, False])
-    def test_member_refinement(self, base, prefilter):
-        processor = QueryProcessor(
-            base, QueryConfig(mode="exact", use_rep_prefilter=prefilter)
-        )
+    def test_member_refinement(self, base):
+        processor = QueryProcessor(base, QueryConfig(mode="exact"))
         with faults.inject("query.refine_unit", "sleep", seconds=0.3):
             with pytest.raises(DeadlineExceeded) as excinfo:
                 processor.k_best_matches(
@@ -302,11 +299,8 @@ class TestPartialResults:
                 )
         assert excinfo.value.best is None
 
-    @pytest.mark.parametrize("prefilter", [True, False])
-    def test_k_best_degrades_to_verified_partial(self, base, prefilter):
-        processor = QueryProcessor(
-            base, QueryConfig(mode="exact", use_rep_prefilter=prefilter)
-        )
+    def test_k_best_degrades_to_verified_partial(self, base):
+        processor = QueryProcessor(base, QueryConfig(mode="exact"))
         with faults.inject("query.refine_unit", "sleep", seconds=0.1):
             matches = processor.k_best_matches(
                 [0.1, 0.4, 0.2, 0.5],

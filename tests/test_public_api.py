@@ -6,6 +6,7 @@ advertised name resolves, everything callable is documented, and the
 README's example scripts actually exist.
 """
 
+import dataclasses
 import importlib
 import inspect
 import os
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.core.grouping import cluster_subsequence_rows, cluster_subsequences
 
 SUBPACKAGES = [
     "repro.analytics",
@@ -62,6 +64,38 @@ class TestTopLevel:
             "build_electricity_collection",
         ):
             assert name in repro.__all__, f"{name} missing from repro.__all__"
+
+
+class TestNoExecutionSelectors:
+    """DESIGN.md §1: production code has one path per operation, and a
+    correctness witness is a private same-signature function a test
+    substitutes — never an argument or a config field.  A new selector
+    has to edit this test, and say why one path is not enough."""
+
+    def test_config_fields_are_exactly_these(self):
+        assert {f.name for f in dataclasses.fields(repro.QueryConfig)} == {
+            "mode", "refine_groups", "window", "use_lower_bounds",
+            "use_group_pruning", "deadline", "metric",
+        }  # fmt: skip
+        assert {f.name for f in dataclasses.fields(repro.BuildConfig)} == {
+            "similarity_threshold", "min_length", "max_length", "step",
+            "normalize", "num_workers", "build_executor",
+        }  # fmt: skip
+
+    @pytest.mark.parametrize(
+        "function",
+        [
+            repro.find_seasonal_patterns,
+            repro.similarity_profile,
+            repro.recommend_thresholds,
+            cluster_subsequences,
+            cluster_subsequence_rows,
+        ],
+    )
+    def test_no_signature_selects_an_implementation(self, function):
+        """The batched-or-scalar switches these five once took."""
+        parameters = inspect.signature(function).parameters
+        assert not [name for name in parameters if "batch" in name]
 
 
 class TestSubpackages:

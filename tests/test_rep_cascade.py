@@ -3,13 +3,13 @@
 Property tests for the PR-3 surface: the batch kernel (vectorised and
 scalar) is bit-identical to the row-scan oracle ``dtw_path`` at every
 window radius, the representative table's cheap bounds provably
-lower-bound DTW at every band, the centroid prefilter is
-result-preserving in exact mode (windowed or not), and the multi-query
-execution layer returns exactly what per-query submission returns.
+lower-bound DTW at every band, rank pruning is result-preserving
+(windowed or not: the real bounds against the zero-bound witness and,
+in exact mode, brute force), and the multi-query execution layer returns
+exactly what per-query submission returns.
 """
 
-
-from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,7 +20,8 @@ from repro.baselines.brute_force import BruteForceSearcher
 from repro.core.base import LengthBucket, OnexBase, RepresentativeTable
 from repro.core.config import BuildConfig, QueryConfig
 from repro.core.mmap_layout import load_base_snapshot, save_base_snapshot
-from repro.core.query import QueryProcessor
+import repro.core.query as query_module
+from repro.core.query import QueryProcessor, QueryStats, _LazyOrder
 from repro.data.dataset import TimeSeriesDataset
 from repro.distances.dtw import (
     dtw_distance,
@@ -168,71 +169,18 @@ def walk_base():
     return build_walk_base()
 
 
-class TestPrefilterResultPreserving:
-    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-    @settings(max_examples=40, deadline=None)
-    def test_exact_mode_identical_prefilter_on_vs_off(self, walk_base, seed):
-        rng = np.random.default_rng(seed)
-        q = rng.uniform(size=int(rng.integers(5, 10)))
-        k = int(rng.integers(1, 6))
-        on = QueryProcessor(walk_base, QueryConfig(mode="exact"))
-        off = QueryProcessor(
-            walk_base, QueryConfig(mode="exact", use_rep_prefilter=False)
-        )
-        got = on.k_best_matches(q, k, normalize=False)
-        want = off.k_best_matches(q, k, normalize=False)
-        assert [(m.ref, m.distance) for m in got] == [
-            (m.ref, m.distance) for m in want
-        ]
+class ZeroBoundProcessor(QueryProcessor):
+    """The witness (DESIGN.md §1): the one lazy path under the trivial
+    sound bound, which verifies every representative up front."""
 
-    def test_fast_mode_identical_prefilter_on_vs_off(self, walk_base):
-        rng = np.random.default_rng(9)
-        on = QueryProcessor(walk_base, QueryConfig(mode="fast", refine_groups=3))
-        off = QueryProcessor(
-            walk_base,
-            QueryConfig(mode="fast", refine_groups=3, use_rep_prefilter=False),
-        )
-        for _ in range(10):
-            q = rng.uniform(size=7)
-            got = on.k_best_matches(q, 4, normalize=False)
-            want = off.k_best_matches(q, 4, normalize=False)
-            assert [(m.ref, m.distance) for m in got] == [
-                (m.ref, m.distance) for m in want
-            ]
-
-    def test_threshold_query_identical_prefilter_on_vs_off(self, walk_base):
-        rng = np.random.default_rng(10)
-        on = QueryProcessor(walk_base, QueryConfig(mode="exact"))
-        off = QueryProcessor(
-            walk_base, QueryConfig(mode="exact", use_rep_prefilter=False)
-        )
-        for _ in range(5):
-            q = rng.uniform(size=6)
-            got = on.matches_within(q, 0.06, normalize=False)
-            want = off.matches_within(q, 0.06, normalize=False)
-            assert [(m.ref, m.distance) for m in got] == [
-                (m.ref, m.distance) for m in want
-            ]
-
-    def test_prefilter_skips_representative_dtw(self, walk_base):
-        rng = np.random.default_rng(11)
-        processor = QueryProcessor(walk_base, QueryConfig(mode="exact"))
-        skipped = 0
-        for _ in range(5):
-            processor.best_match(rng.uniform(size=6), normalize=False)
-            stats = processor.last_stats
-            assert (
-                stats.rep_dtw_calls + stats.rep_dtw_skipped
-                <= stats.representatives_total
-            )
-            skipped += stats.rep_dtw_skipped
-        assert skipped > 0, "prefilter never skipped a representative DTW"
+    def _rank_bounds(self, q, reps):
+        return np.zeros(reps.gids.size)
 
 
-#: ``rep_dtw_calls`` summed over ``_windowed_queries()`` at the parent
-#: commit, whose envelopes had one persisted radius (1 at these lengths):
-#: used for bands <= 1, min/max band only beyond.  The exact-band
-#: envelope may only lower them.
+#: ``rep_dtw_calls`` summed over ``_windowed_queries()`` when the
+#: envelopes had one persisted radius (1 at these lengths): used for
+#: bands <= 1, min/max band only beyond.  The exact-band envelope may
+#: only lower them.
 _PARENT_REP_DTW_CALLS = {
     (0, "exact"): 1255, (0, "fast"): 624,
     (1, "exact"): 1248, (1, "fast"): 624,
@@ -246,27 +194,75 @@ def _windowed_queries() -> list[np.ndarray]:
     return [rng.uniform(size=n) for n in (5, 6, 7, 8, 9, 6, 7)]
 
 
-class TestWindowedCascade:
+def _answer(matches) -> list[tuple]:
+    return [(m.ref, m.distance, m.raw_distance, m.path) for m in matches]
+
+
+def _run(processor, operation, queries):
+    """One answer per query, and the work counters summed over them."""
+    if operation == "batch_matches":
+        return processor.batch_matches(queries, 3, normalize=False), processor.last_stats
+    answers, total = [], QueryStats()
+    for q in queries:
+        if operation == "k_best":
+            answers.append(processor.k_best_matches(q, 3, normalize=False))
+        else:
+            answers.append(processor.matches_within(q, 0.06, normalize=False))
+        total.merge(processor.last_stats)
+    return answers, total
+
+
+class TestRankPruningChangesNoAnswer:
+    @pytest.mark.parametrize("operation", ["k_best", "matches_within", "batch_matches"])
     @pytest.mark.parametrize("mode", ["exact", "fast"])
-    @pytest.mark.parametrize("window", [0, 1, 2, 5])
-    def test_banded_answers_and_rep_dtw_calls(self, walk_base, window, mode):
-        """Under a finite band the cascade answers as the eager path does
-        (and, in exact mode, as a brute-force scan), with no more
-        representative DTW calls than the fixed-radius envelopes cost."""
+    @pytest.mark.parametrize("window", [None, 0, 1, 2, 5])
+    def test_real_bound_equals_zero_bound(
+        self, walk_base, window, mode, operation, monkeypatch
+    ):
+        """The rank bound is a property of the one path: with the real
+        bounds and with all-zero bounds every driver returns the same
+        matches — distances, raw costs and warping paths included — the
+        zero bound verifies every representative, the real one never
+        more, and in exact mode both are the brute-force scan's answer.
+        Under a finite band the real bound costs no more representative
+        DTW than the fixed-radius envelopes did."""
+        # Blocks of 8 make this base's few hundred groups span as many
+        # blocks of the lazy order as a served base's 1024-row ones do.
+        monkeypatch.setattr(query_module, "_LazyOrder", partial(_LazyOrder, block=8))
         config = QueryConfig(mode=mode, window=window, refine_groups=3)
-        on = QueryProcessor(walk_base, config)
-        off = QueryProcessor(walk_base, replace(config, use_rep_prefilter=False))
-        oracle = BruteForceSearcher(walk_base.dataset)
-        calls = 0
-        for q in _windowed_queries():
-            got = [(m.ref, m.distance) for m in on.k_best_matches(q, 3, normalize=False)]
-            calls += on.last_stats.rep_dtw_calls
-            want = off.k_best_matches(q, 3, normalize=False)
-            assert got == [(m.ref, m.distance) for m in want]
-            if mode == "exact":  # fast mode is approximate by design
-                truth = oracle.k_best_matches(q, 3, walk_base.lengths, window=window)
-                assert got == [(m.ref, m.distance) for m in truth]
-        assert calls <= _PARENT_REP_DTW_CALLS[window, mode]
+        queries = _windowed_queries()
+        got, real = _run(QueryProcessor(walk_base, config), operation, queries)
+        want, zero = _run(ZeroBoundProcessor(walk_base, config), operation, queries)
+        assert [_answer(a) for a in got] == [_answer(a) for a in want]
+        assert zero.rep_dtw_calls == zero.representatives_total
+        assert real.rep_dtw_calls <= zero.rep_dtw_calls
+        assert real.representatives_total == zero.representatives_total
+        if mode == "exact" or operation == "matches_within":
+            # Fast k-best is approximate by design; the range query is
+            # exact in either mode.
+            oracle = BruteForceSearcher(walk_base.dataset)
+            k = walk_base.stats.subsequences if operation == "matches_within" else 3
+            for q, answer in zip(queries, got):
+                truth = oracle.k_best_matches(q, k, walk_base.lengths, window=window)
+                if operation == "matches_within":
+                    truth = [m for m in truth if m.distance <= 0.06]
+                assert _answer(answer) == _answer(truth)
+        if operation == "k_best" and window is not None:
+            assert real.rep_dtw_calls <= _PARENT_REP_DTW_CALLS[window, mode]
+
+    def test_real_bound_skips_representative_dtw(self, walk_base):
+        rng = np.random.default_rng(11)
+        processor = QueryProcessor(walk_base, QueryConfig(mode="exact"))
+        skipped = 0
+        for _ in range(5):
+            processor.best_match(rng.uniform(size=6), normalize=False)
+            stats = processor.last_stats
+            assert (
+                stats.rep_dtw_calls + stats.rep_dtw_skipped
+                <= stats.representatives_total
+            )
+            skipped += stats.rep_dtw_skipped
+        assert skipped > 0, "the rank bound never skipped a representative DTW"
 
 
 class TestBatchMatches:
@@ -274,11 +270,10 @@ class TestBatchMatches:
         "config",
         [
             QueryConfig(mode="exact"),
-            QueryConfig(mode="exact", use_rep_prefilter=False),
             QueryConfig(mode="exact", use_group_pruning=False),
             QueryConfig(mode="fast", refine_groups=2),
         ],
-        ids=["exact", "no-prefilter", "no-pruning", "fast"],
+        ids=["exact", "no-pruning", "fast"],
     )
     def test_batch_identical_to_sequential(self, walk_base, config):
         rng = np.random.default_rng(13)

@@ -8,6 +8,7 @@ from repro.data.dataset import TimeSeriesDataset
 from repro.data.matters import build_matters_collection
 from repro.data.timeseries import TimeSeries
 from repro.exceptions import DatasetError, ValidationError
+from repro.obs.metrics import REGISTRY
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +56,21 @@ class TestRecommendation:
         assert payload["length"] == 8
         assert "5%" in payload["suggestions"]
         assert payload["default"] == payload["suggestions"]["5%"]
+
+    def test_one_call_is_one_latency_observation(self, dataset):
+        """The recommender reports to ``onex_analytics_ms`` as the other
+        two analytics operations do, not only to the counter."""
+
+
+        def seen():
+            return (
+                REGISTRY.get("onex_analytics_ms").snapshot(op="thresholds")["count"],
+                REGISTRY.get("onex_analytics_total").value(op="thresholds"),
+            )
+
+        observed, counted = seen()
+        recommend_thresholds(dataset, 8, seed=4)
+        assert seen() == (observed + 1, counted + 1)
 
     def test_scale_invariance_through_normalization(self):
         """Same shapes at different scales give the same recommendation."""
