@@ -11,9 +11,10 @@ the moment a time-warped occurrence completes — without ever buffering
 the stream or recomputing DTW from scratch.
 """
 
+import numpy as np
+
 from repro.baselines.spring import SpringMatcher
 from repro.data.electricity import build_electricity_collection
-from repro.data.resample import detrend_moving_average
 from repro.viz.ascii_chart import sparkline
 
 
@@ -25,7 +26,7 @@ def main() -> None:
 
     # Detrend the yearly seasonal level so the habit's *shape* is the
     # signal (same preprocessing a deployment would stream through).
-    values = detrend_moving_average(series.values, 45)
+    values = series.values - np.convolve(series.values, np.ones(45) / 45, mode="same")
 
     template = values[starts[0] : starts[0] + length]
     print(f"Monitoring for a {length}-day habit pattern: {sparkline(template)}")

@@ -19,11 +19,10 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record.
 """
 
-from repro.analytics import ClusteringResult, KnnClassifier, kmedoids
+from repro.analytics import KnnClassifier
 from repro.baselines import (
     BruteForceSearcher,
     EmbeddingSearcher,
-    PaaIndex,
     SpringMatcher,
     UcrSuiteSearcher,
 )
@@ -75,10 +74,8 @@ __all__ = [
     "BaseStats",
     "BruteForceSearcher",
     "BuildConfig",
-    "ClusteringResult",
     "EmbeddingSearcher",
     "KnnClassifier",
-    "PaaIndex",
     "SpringMatcher",
     "UcrSuiteSearcher",
     "DatasetError",
@@ -109,7 +106,6 @@ __all__ = [
     "build_matters_collection",
     "find_seasonal_patterns",
     "load_ucr_file",
-    "kmedoids",
     "recommend_thresholds",
     "save_ucr_file",
     "similarity_profile",

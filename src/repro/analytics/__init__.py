@@ -1,11 +1,5 @@
 """Collection-level analytics on top of the distance substrate.
 
-The demo's overview pane groups whole series by similarity; this package
-provides the two standard collection analyses that sit one step further:
-
-- :mod:`repro.analytics.kmedoids` — k-medoids clustering under any
-  distance (DTW by default), e.g. "cluster the fifty states by the shape
-  of their growth-rate trajectory".
 - :mod:`repro.analytics.knn` — k-nearest-neighbour classification, the
   canonical evaluation for time series distances (1-NN DTW is the UCR
   archive yardstick) — used by experiment E14 to demonstrate the paper's
@@ -13,7 +7,6 @@ provides the two standard collection analyses that sit one step further:
   data.
 """
 
-from repro.analytics.kmedoids import ClusteringResult, kmedoids
 from repro.analytics.knn import KnnClassifier
 
-__all__ = ["ClusteringResult", "KnnClassifier", "kmedoids"]
+__all__ = ["KnnClassifier"]

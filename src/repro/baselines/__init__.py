@@ -5,8 +5,6 @@
 - :mod:`repro.baselines.ucr_suite` — the UCR Suite of Rakthanmanon et al.
   (SIGKDD 2012), "the fastest known method" the paper benchmarks against
   (S11).
-- :mod:`repro.baselines.paa_index` — FRM-style PAA feature index
-  (Faloutsos et al. 1994), the Euclidean-camp representative (S12).
 - :mod:`repro.baselines.embedding` — EBSM-style landmark embedding
   (Athitsos et al., SIGMOD 2008), the approximate-camp representative
   (S13).
@@ -16,15 +14,12 @@
 
 from repro.baselines.brute_force import BruteForceSearcher
 from repro.baselines.embedding import EmbeddingSearcher
-from repro.baselines.paa_index import PaaIndex
-from repro.baselines.spring import SpringMatch, SpringMatcher
+from repro.baselines.spring import SpringMatcher
 from repro.baselines.ucr_suite import UcrSuiteSearcher
 
 __all__ = [
     "BruteForceSearcher",
     "EmbeddingSearcher",
-    "PaaIndex",
-    "SpringMatch",
     "SpringMatcher",
     "UcrSuiteSearcher",
 ]

@@ -50,6 +50,7 @@ __all__ = ["build_parser", "main"]
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The ``repro`` argument parser: global flags and one subcommand each."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="ONEX interactive time series analytics (SIGMOD 2017 reproduction)",
@@ -441,6 +442,7 @@ def _serve(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one ``repro`` command line; returns the process exit status."""
     args = build_parser().parse_args(argv)
     if args.log_level is not None:
         configure_logging(args.log_level, json_mode=args.log_json)

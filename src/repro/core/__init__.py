@@ -18,11 +18,7 @@ from repro.core.engine import OnexEngine
 from repro.core.grouping import SimilarityGroup
 from repro.core.query import Match, QueryProcessor, QueryStats
 from repro.core.seasonal import SeasonalPattern, find_seasonal_patterns
-from repro.core.sensitivity import (
-    SensitivityPoint,
-    SensitivityProfile,
-    similarity_profile,
-)
+from repro.core.sensitivity import SensitivityProfile, similarity_profile
 from repro.core.threshold import ThresholdRecommendation, recommend_thresholds
 
 __all__ = [
@@ -35,7 +31,6 @@ __all__ = [
     "QueryProcessor",
     "QueryStats",
     "SeasonalPattern",
-    "SensitivityPoint",
     "SensitivityProfile",
     "SimilarityGroup",
     "ThresholdRecommendation",

@@ -12,6 +12,8 @@ import time
 
 from repro.obs.metrics import REGISTRY
 
+__all__ = ["record"]
+
 _ANALYTICS_TOTAL = REGISTRY.counter(
     "onex_analytics_total", "Completed analytics operations by op"
 )

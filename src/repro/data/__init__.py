@@ -4,6 +4,7 @@
 - :mod:`repro.data.dataset` — :class:`TimeSeriesDataset`, a heterogeneous
   variable-length collection with subsequence enumeration (the raw material
   of the ONEX base) and collection-level min–max normalisation.
+- :mod:`repro.data.windows` — strided window extraction for the builder.
 - :mod:`repro.data.synthetic` — reusable signal generators.
 - :mod:`repro.data.matters` — simulated MATTERS economic panel (DESIGN.md
   substitution S3).
@@ -14,41 +15,16 @@
 
 from repro.data.dataset import SubsequenceRef, TimeSeriesDataset
 from repro.data.electricity import build_electricity_collection
-from repro.data.matters import STATE_ABBREVIATIONS, build_matters_collection
-from repro.data.resample import (
-    detrend_moving_average,
-    moving_average,
-    resample_linear,
-)
-from repro.data.synthetic import (
-    cylinder_bell_funnel,
-    noisy_sine,
-    planted_motif_series,
-    random_walk,
-    seasonal_series,
-    trend_series,
-    warped_copy,
-)
+from repro.data.matters import build_matters_collection
 from repro.data.timeseries import TimeSeries
 from repro.data.ucr_format import load_ucr_file, save_ucr_file
 
 __all__ = [
-    "STATE_ABBREVIATIONS",
     "SubsequenceRef",
     "TimeSeries",
     "TimeSeriesDataset",
     "build_electricity_collection",
     "build_matters_collection",
-    "cylinder_bell_funnel",
-    "detrend_moving_average",
     "load_ucr_file",
-    "moving_average",
-    "noisy_sine",
-    "planted_motif_series",
-    "random_walk",
-    "resample_linear",
     "save_ucr_file",
-    "seasonal_series",
-    "trend_series",
-    "warped_copy",
 ]

@@ -2,11 +2,12 @@
 
 Everything here is deterministic given a seed (or an explicit
 ``numpy.random.Generator``), so tests, examples, and benchmarks are
-reproducible.  The generators cover the signal families the paper's
-datasets exhibit: trends with shocks (economic indicators), periodic loads
-(electricity), and classic shape families (cylinder–bell–funnel) used to
-validate shape matching, plus :func:`warped_copy` which produces
-time-warped variants — the misalignment that motivates DTW over ED.
+reproducible.  The generators are the fixtures of the tests and
+benchmarks: random walks and noisy sines, a recurring motif planted at
+known positions (the seasonal ground truth), and classic shape families
+(cylinder–bell–funnel) used to validate shape matching, plus
+:func:`warped_copy` which produces time-warped variants — the
+misalignment that motivates DTW over ED.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ __all__ = [
     "noisy_sine",
     "planted_motif_series",
     "random_walk",
-    "seasonal_series",
-    "trend_series",
     "warped_copy",
 ]
 
@@ -63,55 +62,6 @@ def noisy_sine(
     t = np.arange(n, dtype=np.float64)
     clean = amplitude * np.sin(2.0 * np.pi * t / period + phase)
     return clean + rng.normal(scale=noise, size=n)
-
-
-def trend_series(
-    n: int,
-    *,
-    start: float = 0.0,
-    slope: float = 0.1,
-    noise: float = 0.05,
-    shock_probability: float = 0.0,
-    shock_scale: float = 1.0,
-    seed=None,
-) -> np.ndarray:
-    """Linear trend with noise and optional rare level shocks.
-
-    The shock mechanism mimics recessions / policy changes in economic
-    indicator series: with probability *shock_probability* per step, the
-    level jumps by a ``N(0, shock_scale)`` amount and stays shifted.
-    """
-    _check_length(n)
-    if not 0.0 <= shock_probability <= 1.0:
-        raise ValidationError("shock_probability must be in [0, 1]")
-    rng = _rng(seed)
-    t = np.arange(n, dtype=np.float64)
-    values = start + slope * t + rng.normal(scale=noise, size=n)
-    if shock_probability > 0.0:
-        shocks = rng.random(n) < shock_probability
-        jumps = np.where(shocks, rng.normal(scale=shock_scale, size=n), 0.0)
-        values = values + np.cumsum(jumps)
-    return values
-
-
-def seasonal_series(
-    n: int,
-    *,
-    components: tuple[tuple[float, float], ...] = ((24.0, 1.0),),
-    trend_slope: float = 0.0,
-    noise: float = 0.1,
-    seed=None,
-) -> np.ndarray:
-    """Sum of sinusoidal components ``(period, amplitude)`` plus trend/noise."""
-    _check_length(n)
-    rng = _rng(seed)
-    t = np.arange(n, dtype=np.float64)
-    values = trend_slope * t + rng.normal(scale=noise, size=n)
-    for period, amplitude in components:
-        if period <= 0:
-            raise ValidationError(f"component period must be positive, got {period}")
-        values = values + amplitude * np.sin(2.0 * np.pi * t / period)
-    return values
 
 
 def cylinder_bell_funnel(kind: str, n: int = 128, *, noise: float = 0.1, seed=None) -> np.ndarray:

@@ -18,10 +18,10 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "rows_to_series_starts",
     "window_counts",
     "window_matrix",
     "window_view",
-    "rows_to_series_starts",
 ]
 
 

@@ -34,10 +34,10 @@ Three families of implementation, each for a different job:
   with traceback: the path of the reference implementations, and the
   independent oracle the batch kernel is tested against.
 - :func:`dtw_distance_early_abandon` — row-scan with a best-so-far
-  threshold and optional cumulative lower bounds, used by the UCR Suite
-  baseline and kept as the scalar fallback of ONEX's member refinement
-  (the default batched cascade is LB_Kim → LB_Keogh → :func:`dtw_distance_batch`,
-  see :mod:`repro.core.query`).
+  threshold and optional cumulative lower bounds, the one-pair scan of
+  the UCR Suite baseline, the brute-force searcher and the k-NN
+  classifier.  ONEX's own cascade never calls it: its members are
+  refined by :func:`dtw_distance_batch` (:mod:`repro.core.query`).
 
 The batch kernel is held to :func:`dtw_path` bit for bit — distances,
 path lengths and paths, every radius, ragged or not — in the

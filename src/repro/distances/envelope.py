@@ -29,8 +29,6 @@ __all__ = [
     "QueryEnvelopeCache",
     "keogh_envelope",
     "keogh_envelope_batch",
-    "sliding_max",
-    "sliding_min",
 ]
 
 
@@ -55,22 +53,6 @@ def _sliding_extreme(arr: np.ndarray, radius: int, *, take_max: bool) -> np.ndar
                 window.popleft()
             out[i] = arr[window[0]]
     return out
-
-
-def sliding_max(values: ArrayLike, radius: int) -> np.ndarray:
-    """Centred sliding maximum with the given radius, O(n)."""
-    arr = as_sequence(values, name="values")
-    if radius < 0:
-        raise ValidationError(f"radius must be >= 0, got {radius}")
-    return _sliding_extreme(arr, radius, take_max=True)
-
-
-def sliding_min(values: ArrayLike, radius: int) -> np.ndarray:
-    """Centred sliding minimum with the given radius, O(n)."""
-    arr = as_sequence(values, name="values")
-    if radius < 0:
-        raise ValidationError(f"radius must be >= 0, got {radius}")
-    return _sliding_extreme(arr, radius, take_max=False)
 
 
 def keogh_envelope(values: ArrayLike, radius: int) -> tuple[np.ndarray, np.ndarray]:

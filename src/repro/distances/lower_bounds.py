@@ -25,12 +25,11 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from repro.distances.dtw import _as_query_stack, _ground_is_squared
-from repro.distances.envelope import keogh_envelope, keogh_envelope_batch
+from repro.distances.envelope import keogh_envelope_batch
 from repro.distances.metrics import as_sequence
 from repro.exceptions import ValidationError
 
 __all__ = [
-    "lb_cascade",
     "lb_keogh",
     "lb_keogh_batch",
     "lb_keogh_reverse_batch",
@@ -370,34 +369,3 @@ def lb_pairwise_table(
     keogh = lb_keogh_reverse_batch(mat, lo, hi, ground=ground)
     table = np.maximum(kim, np.maximum(keogh, keogh.T))
     return table
-
-
-def lb_cascade(
-    query: ArrayLike,
-    candidate: ArrayLike,
-    threshold: float,
-    *,
-    radius: int = 0,
-    ground: str = "l1",
-    envelope: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[bool, float]:
-    """Apply LB_Kim then LB_Keogh against a pruning *threshold*.
-
-    Returns ``(pruned, tightest_bound)``.  ``pruned=True`` means the banded
-    DTW distance provably exceeds *threshold* and the candidate can be
-    skipped.  The query envelope is computed on demand unless supplied
-    (callers answering many candidates should pass it in).
-    """
-    q = as_sequence(query, name="query")
-    c = as_sequence(candidate, name="candidate")
-    bound = lb_kim(q, c, ground=ground)
-    if bound > threshold:
-        return True, bound
-    if q.shape[0] == c.shape[0]:
-        if envelope is None:
-            envelope = keogh_envelope(q, radius)
-        keogh = lb_keogh(c, envelope[0], envelope[1], ground=ground)
-        bound = max(bound, keogh)
-        if keogh > threshold:
-            return True, bound
-    return False, bound

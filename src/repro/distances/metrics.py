@@ -22,7 +22,6 @@ __all__ = [
     "euclidean_l1",
     "euclidean_l2",
     "normalized_euclidean",
-    "pairwise_euclidean",
 ]
 
 
@@ -104,26 +103,4 @@ def euclidean(x, y, *, order: int = 1, normalized: bool = True) -> float:
         return euclidean_l1(x, y)
     if order == 2:
         return euclidean_l2(x, y)
-    raise ValidationError(f"order must be 1 or 2, got {order!r}")
-
-
-def pairwise_euclidean(rows: np.ndarray, *, order: int = 1) -> np.ndarray:
-    """Dense pairwise length-normalised ED matrix for a stack of rows.
-
-    *rows* is a 2-D array whose rows are equal-length sequences.  Returns an
-    ``(n, n)`` symmetric matrix with zero diagonal.  Used by the threshold
-    recommender and by tests; O(n^2 * m) time, vectorised over columns.
-    """
-    mat = np.asarray(rows, dtype=np.float64)
-    if mat.ndim != 2:
-        raise ValidationError(f"rows must be 2-D, got shape {mat.shape}")
-    if mat.size == 0:
-        raise ValidationError("rows must be non-empty")
-    if not np.all(np.isfinite(mat)):
-        raise ValidationError("rows contain NaN or infinite values")
-    diff = mat[:, None, :] - mat[None, :, :]
-    if order == 1:
-        return np.abs(diff).mean(axis=2)
-    if order == 2:
-        return np.sqrt((diff**2).mean(axis=2))
     raise ValidationError(f"order must be 1 or 2, got {order!r}")

@@ -13,7 +13,7 @@ discussion motivates directly:
 - :func:`dtw_barycenter` — DBA (Petitjean, Ketterlin & Gançarski, 2011):
   an average *under DTW*.  ONEX summarises similarity groups by their
   arithmetic centroid (cheap, ED-faithful); DBA is the natural
-  alternative representative, and the E12 ablation benchmark quantifies
+  alternative representative, and the E10 ablation benchmark quantifies
   the trade-off.
 """
 
@@ -27,7 +27,7 @@ from repro.distances.dtw import dtw_distance, dtw_path
 from repro.distances.metrics import as_sequence
 from repro.exceptions import ValidationError
 
-__all__ = ["dtw_barycenter", "derivative", "derivative_dtw", "weighted_dtw"]
+__all__ = ["derivative", "derivative_dtw", "dtw_barycenter", "weighted_dtw"]
 
 
 def derivative(values) -> np.ndarray:

@@ -17,23 +17,6 @@ mutating slice of the API survive process death (see DESIGN.md §8):
   window that makes mutating retries safe.
 """
 
-from repro.durability.idempotency import IdempotencyWindow
-from repro.durability.manager import (
-    DatasetDurability,
-    DurabilityManager,
-    dataset_slug,
-)
-from repro.durability.recovery import RecoveryReport, recover_all
-from repro.durability.wal import WalRecord, WalScanResult, WriteAheadLog
+from repro.durability.manager import DurabilityManager, dataset_slug
 
-__all__ = [
-    "DatasetDurability",
-    "DurabilityManager",
-    "IdempotencyWindow",
-    "RecoveryReport",
-    "WalRecord",
-    "WalScanResult",
-    "WriteAheadLog",
-    "dataset_slug",
-    "recover_all",
-]
+__all__ = ["DurabilityManager", "dataset_slug"]

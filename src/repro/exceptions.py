@@ -7,6 +7,25 @@ unknown names) from internal invariant violations.
 
 from __future__ import annotations
 
+__all__ = [
+    "BuildWorkerError",
+    "DatasetError",
+    "DeadlineExceeded",
+    "InvariantError",
+    "NotBuiltError",
+    "NotReadyError",
+    "OnexError",
+    "OverloadedError",
+    "PersistenceError",
+    "ProtocolError",
+    "ReadOnlyBaseError",
+    "RemoteError",
+    "ShutdownTimeoutError",
+    "StartupError",
+    "ValidationError",
+    "WorkerCrashedError",
+]
+
 
 class OnexError(Exception):
     """Base class for all errors raised by this library."""

@@ -13,43 +13,3 @@ Three cooperating pieces, all stdlib-only:
 See DESIGN.md §7 for the span taxonomy, metric names, and cardinality
 rules.
 """
-
-from repro.obs.logs import configure_logging, get_logger, log_event
-from repro.obs.metrics import (
-    REGISTRY,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    histogram_quantile,
-    parse_exposition,
-)
-from repro.obs.trace import (
-    NULL_SPAN,
-    Span,
-    Trace,
-    current_trace,
-    new_request_id,
-    span,
-    tracing,
-)
-
-__all__ = [
-    "configure_logging",
-    "get_logger",
-    "log_event",
-    "REGISTRY",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "histogram_quantile",
-    "parse_exposition",
-    "NULL_SPAN",
-    "Span",
-    "Trace",
-    "current_trace",
-    "new_request_id",
-    "span",
-    "tracing",
-]

@@ -23,7 +23,7 @@ import sys
 import time
 from typing import Any
 
-__all__ = ["configure_logging", "get_logger", "log_event", "JsonFormatter"]
+__all__ = ["JsonFormatter", "configure_logging", "get_logger", "log_event"]
 
 ROOT_LOGGER = "repro"
 _FIELDS_ATTR = "onex_fields"

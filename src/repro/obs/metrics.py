@@ -37,9 +37,9 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "REGISTRY",
-    "render",
-    "parse_exposition",
     "histogram_quantile",
+    "parse_exposition",
+    "render",
 ]
 
 # Default buckets suit millisecond-scale request latencies.

@@ -33,13 +33,13 @@ import uuid
 from typing import Any
 
 __all__ = [
+    "NULL_SPAN",
     "Span",
     "Trace",
-    "span",
-    "tracing",
     "current_trace",
     "new_request_id",
-    "NULL_SPAN",
+    "span",
+    "tracing",
 ]
 
 _STATE = threading.local()

@@ -15,28 +15,3 @@
   authoritative single-process service and the pool; publishes base
   snapshots lazily after mutations for read-your-writes.
 """
-
-from repro.server.client import OnexClient
-from repro.server.http import (
-    AdmissionGate,
-    DatasetLockManager,
-    OnexHttpServer,
-    ReadWriteLock,
-)
-from repro.server.pool import WorkerPool
-from repro.server.protocol import Request, Response
-from repro.server.service import OnexService
-from repro.server.supervisor import Supervisor
-
-__all__ = [
-    "AdmissionGate",
-    "DatasetLockManager",
-    "OnexClient",
-    "OnexHttpServer",
-    "OnexService",
-    "ReadWriteLock",
-    "Request",
-    "Response",
-    "Supervisor",
-    "WorkerPool",
-]

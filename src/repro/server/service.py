@@ -596,9 +596,8 @@ class OnexService:
         for key in ("step", "min_occurrences", "max_patterns"):
             if key in params:
                 kwargs[key] = int(params[key])
-        for key in ("remove_level",):
-            if key in params:
-                kwargs[key] = bool(params[key])
+        if "remove_level" in params:
+            kwargs["remove_level"] = as_bool_arg(params["remove_level"], "remove_level")
         for key in ("ed_threshold",):
             if key in params:
                 kwargs[key] = float(params[key])
@@ -620,7 +619,7 @@ class OnexService:
             name,
             query,
             [float(t) for t in params["thresholds"]],
-            verify=bool(params.get("verify", False)),
+            verify=as_bool_arg(params.get("verify", False), "verify"),
             deadline=self._deadline(params),
         )
         return profile.as_dict()

@@ -8,47 +8,3 @@
 - :mod:`repro.viz.svg` — a dependency-free SVG writer regenerating the
   paper's figure styles as files.
 """
-
-from repro.viz.ascii_chart import (
-    line_chart,
-    multi_line_chart,
-    overview_strip,
-    radial_chart,
-    seasonal_chart,
-    sparkline,
-)
-from repro.viz.payloads import (
-    connected_scatter_payload,
-    overview_payload,
-    query_preview_payload,
-    radial_chart_payload,
-    seasonal_view_payload,
-    similarity_view_payload,
-)
-from repro.viz.svg import (
-    svg_connected_scatter,
-    svg_line_chart,
-    svg_radial_chart,
-    svg_seasonal_view,
-    svg_similarity_view,
-)
-
-__all__ = [
-    "connected_scatter_payload",
-    "line_chart",
-    "multi_line_chart",
-    "overview_payload",
-    "overview_strip",
-    "query_preview_payload",
-    "radial_chart",
-    "radial_chart_payload",
-    "seasonal_chart",
-    "seasonal_view_payload",
-    "similarity_view_payload",
-    "sparkline",
-    "svg_connected_scatter",
-    "svg_line_chart",
-    "svg_radial_chart",
-    "svg_seasonal_view",
-    "svg_similarity_view",
-]

@@ -1,8 +1,8 @@
 """Terminal chart renderers.
 
 The demo's web charts have headless stand-ins here so the example scripts
-can *show* similarity results in any terminal: block-character sparklines,
-grid line charts, and two-series overlays marking warped matches.
+can *show* similarity results in any terminal: block-character sparklines
+and two-series overlays marking warped matches.
 """
 
 from __future__ import annotations
@@ -12,14 +12,7 @@ import numpy as np
 from repro.distances.metrics import as_sequence
 from repro.exceptions import ValidationError
 
-__all__ = [
-    "line_chart",
-    "multi_line_chart",
-    "overview_strip",
-    "radial_chart",
-    "seasonal_chart",
-    "sparkline",
-]
+__all__ = ["multi_line_chart", "sparkline"]
 
 _BLOCKS = "▁▂▃▄▅▆▇█"
 
@@ -46,92 +39,6 @@ def _resample(values: np.ndarray, width: int) -> np.ndarray:
         return values
     idx = np.linspace(0, values.shape[0] - 1, width)
     return np.interp(idx, np.arange(values.shape[0]), values)
-
-
-def line_chart(values, *, width: int = 60, height: int = 12, marker: str = "*") -> str:
-    """Multi-row character plot of one series."""
-    if width < 2 or height < 2:
-        raise ValidationError("width and height must be >= 2")
-    v = _resample(as_sequence(values, name="values"), width)
-    rows = _scale_to_rows(v, height, float(v.min()), float(v.max()))
-    grid = [[" "] * width for _ in range(height)]
-    for col, row in enumerate(rows):
-        grid[height - 1 - row][col] = marker
-    return "\n".join("".join(line) for line in grid)
-
-
-def radial_chart(values, *, size: int = 21, marker: str = "*") -> str:
-    """Character-grid polar rendering of a series (Fig. 3a, headless).
-
-    Point ``k`` sits at angle ``2*pi*k/(n-1)`` with radius proportional
-    to its min–max scaled value — the same mapping as the SVG and JSON
-    radial views, so the three stay comparable.
-    """
-    import math
-
-    v = as_sequence(values, name="values")
-    if size < 5 or size % 2 == 0:
-        raise ValidationError("size must be an odd number >= 5")
-    lo, hi = float(v.min()), float(v.max())
-    center = size // 2
-    grid = [[" "] * size for _ in range(size)]
-    grid[center][center] = "+"
-    n = v.shape[0]
-    for k, value in enumerate(v):
-        angle = 0.0 if n == 1 else 2.0 * math.pi * k / (n - 1)
-        if hi - lo <= 0:
-            radius = 0.5 * center
-        else:
-            radius = center * (0.2 + 0.8 * (value - lo) / (hi - lo))
-        col = center + int(round(radius * math.cos(angle)))
-        row = center - int(round(radius * math.sin(angle)))
-        if 0 <= row < size and 0 <= col < size:
-            grid[row][col] = marker
-    return "\n".join("".join(line) for line in grid)
-
-
-def seasonal_chart(values, segments, *, width: int = 60, height: int = 10) -> str:
-    """Line chart plus an occurrence ruler (Fig. 4, headless).
-
-    *segments* are ``(start, stop)`` index pairs; the extra bottom row
-    marks their extents with alternating ``=`` / ``#`` runs, mirroring
-    the demo's alternating blue/green shading.
-    """
-    v = as_sequence(values, name="values")
-    for start, stop in segments:
-        if not (0 <= start < stop <= v.shape[0]):
-            raise ValidationError(f"segment ({start}, {stop}) outside the series")
-    chart = line_chart(v, width=width, height=height)
-    ruler = [" "] * width
-    scale = width / v.shape[0]
-    for k, (start, stop) in enumerate(segments):
-        mark = "=" if k % 2 == 0 else "#"
-        lo = int(start * scale)
-        hi = max(int(stop * scale), lo + 1)
-        for col in range(lo, min(hi, width)):
-            ruler[col] = mark
-    return chart + "\n" + "".join(ruler)
-
-
-def overview_strip(representatives, *, labels=None) -> str:
-    """Overview-pane strip: one sparkline per group, intensity-annotated.
-
-    *representatives* is a list of ``(values, cardinality)`` pairs (what
-    the engine's overview returns); output is one line per group with
-    the cardinality bar the pane encodes as colour intensity.
-    """
-    reps = list(representatives)
-    if not reps:
-        return "(no groups)"
-    top = max(card for _, card in reps)
-    lines = []
-    for k, (values, cardinality) in enumerate(reps):
-        label = labels[k] if labels is not None else f"group {k}"
-        bar = "#" * max(1, round(10 * cardinality / top))
-        lines.append(
-            f"{label:<12} {sparkline(values)}  x{cardinality:<5} {bar}"
-        )
-    return "\n".join(lines)
 
 
 def multi_line_chart(

@@ -19,7 +19,6 @@ from repro.exceptions import ValidationError
 
 __all__ = [
     "svg_connected_scatter",
-    "svg_line_chart",
     "svg_radial_chart",
     "svg_seasonal_view",
     "svg_similarity_view",
@@ -60,16 +59,6 @@ def _write(path, content: str) -> Path:
     path = Path(path)
     path.write_text(content, encoding="utf-8")
     return path
-
-
-def svg_line_chart(values, path, *, color: str = "#1f77b4", title: str = "") -> Path:
-    """Single-series line chart."""
-    v = as_sequence(values, name="values")
-    xs, ys = _xy(v, float(v.min()), float(v.max()))
-    body = _polyline(xs, ys, color)
-    if title:
-        body += f'\n<text x="{_PAD}" y="24" font-size="16">{title}</text>'
-    return _write(path, _document(body))
 
 
 def svg_similarity_view(query, match_values, connectors, path, *, title: str = "") -> Path:

@@ -1,9 +1,8 @@
-"""Unit tests for repro.analytics (k-medoids and k-NN)."""
+"""Unit tests for repro.analytics.knn (k-NN classification)."""
 
 import numpy as np
 import pytest
 
-from repro.analytics.kmedoids import kmedoids
 from repro.analytics.knn import KnnClassifier
 from repro.data.synthetic import cylinder_bell_funnel, noisy_sine
 from repro.distances.metrics import normalized_euclidean
@@ -19,70 +18,6 @@ def make_cbf(kinds, count, noise=0.2, start_seed=0, n=64):
             labels.append(kind)
             seed += 1
     return data, labels
-
-
-class TestKMedoids:
-    def test_recovers_planted_sine_clusters(self):
-        members = []
-        for period in (8.0, 40.0):
-            for s in range(6):
-                members.append(
-                    noisy_sine(60, period=period, noise=0.05, seed=s + int(period))
-                )
-        result = kmedoids(members, 2, seed=3)
-        first = set(result.assignments[:6])
-        second = set(result.assignments[6:])
-        assert len(first) == 1
-        assert len(second) == 1
-        assert first != second
-
-    def test_k_equals_n_gives_zero_objective(self):
-        members = [noisy_sine(20, seed=s) for s in range(4)]
-        result = kmedoids(members, 4, seed=0)
-        assert result.objective == pytest.approx(0.0)
-        assert sorted(result.medoid_indices) == [0, 1, 2, 3]
-
-    def test_k_one_picks_central_member(self):
-        members = [np.full(10, v) for v in (0.0, 0.1, 0.2, 5.0)]
-        result = kmedoids(members, 1, seed=0)
-        # The medoid minimising total distance is one of the tight trio.
-        assert result.medoid_indices[0] in (0, 1, 2)
-        assert set(result.assignments) == {0}
-
-    def test_custom_distance(self):
-        members = [np.arange(10.0) + off for off in (0.0, 0.1, 10.0, 10.1)]
-        result = kmedoids(members, 2, distance=normalized_euclidean, seed=1)
-        assert result.assignments[0] == result.assignments[1]
-        assert result.assignments[2] == result.assignments[3]
-        assert result.assignments[0] != result.assignments[2]
-
-    def test_deterministic_given_seed(self):
-        members = [noisy_sine(30, seed=s) for s in range(8)]
-        a = kmedoids(members, 3, seed=5)
-        b = kmedoids(members, 3, seed=5)
-        assert a == b
-
-    def test_variable_length_members(self):
-        members = [noisy_sine(n, period=10.0, seed=n) for n in (20, 25, 30, 35)]
-        result = kmedoids(members, 2, seed=0)
-        assert len(result.assignments) == 4
-
-    def test_cluster_members_accessor(self):
-        members = [np.zeros(5), np.zeros(5), np.full(5, 9.0)]
-        result = kmedoids(members, 2, seed=0)
-        sizes = sorted(len(result.cluster_members(c)) for c in range(2))
-        assert sizes == [1, 2]
-        with pytest.raises(ValidationError):
-            result.cluster_members(7)
-
-    def test_validation(self):
-        members = [np.zeros(5)]
-        with pytest.raises(ValidationError):
-            kmedoids(members, 0)
-        with pytest.raises(ValidationError):
-            kmedoids(members, 2)
-        with pytest.raises(ValidationError):
-            kmedoids(members, 1, max_iterations=0)
 
 
 class TestKnn:

@@ -2,9 +2,8 @@
 
 Soundness and exactness contracts that must hold on *any* input, not
 just the benchmark workloads: SPRING reports true subsequence-DTW
-distances under its threshold, the UCR Suite returns the true
-z-normalised banded minimum, and the PAA feature distance never
-overestimates the Euclidean distance it stands in for.
+distances under its threshold, and the UCR Suite returns the true
+z-normalised banded minimum.
 """
 
 import math
@@ -14,7 +13,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.paa_index import PaaIndex, paa_transform
 from repro.baselines.spring import SpringMatcher
 from repro.baselines.ucr_suite import UcrSuiteSearcher
 from repro.data.dataset import TimeSeriesDataset
@@ -99,20 +97,3 @@ def test_ucr_suite_returns_true_minimum(query, arrays):
             c = znormalize(series.values[start : start + m])
             best = min(best, dtw_distance(q, c, window=radius, ground="squared"))
     assert match.squared_distance == pytest.approx(best, abs=1e-9)
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    st.lists(values, min_size=4, max_size=12),
-    st.lists(values, min_size=4, max_size=12),
-    st.integers(min_value=1, max_value=6),
-)
-def test_paa_lower_bounds_euclidean(x, y, segments):
-    n = min(len(x), len(y))
-    x, y = np.asarray(x[:n]), np.asarray(y[:n])
-    segments = min(segments, n)
-    dataset = TimeSeriesDataset([TimeSeries("one", y)])
-    index = PaaIndex(dataset, n, segments=segments)
-    bound = index.feature_lower_bound(paa_transform(x, segments))[0]
-    true = math.sqrt(float(((x - y) ** 2).sum()))
-    assert bound <= true + 1e-9

@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.distances.envelope import (
-    keogh_envelope,
-    keogh_envelope_batch,
-    sliding_max,
-    sliding_min,
-)
+from repro.distances.envelope import keogh_envelope, keogh_envelope_batch
 from repro.exceptions import ValidationError
 
 
@@ -28,8 +23,8 @@ def naive_envelope(values, radius):
 class TestSlidingExtremes:
     def test_radius_zero_is_identity(self):
         values = [3.0, 1.0, 4.0, 1.0, 5.0]
-        assert sliding_max(values, 0).tolist() == values
-        assert sliding_min(values, 0).tolist() == values
+        lower, upper = keogh_envelope(values, 0)
+        assert lower.tolist() == upper.tolist() == values
 
     def test_matches_naive_on_random_data(self):
         rng = np.random.default_rng(31)
@@ -70,10 +65,6 @@ class TestSlidingExtremes:
     def test_negative_radius_rejected(self):
         with pytest.raises(ValidationError):
             keogh_envelope([1.0], -1)
-        with pytest.raises(ValidationError):
-            sliding_max([1.0], -2)
-        with pytest.raises(ValidationError):
-            sliding_min([1.0], -2)
 
 
 class TestEnvelopeBatch:

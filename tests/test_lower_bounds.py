@@ -5,7 +5,7 @@ import pytest
 
 from repro.distances.dtw import dtw_distance
 from repro.distances.envelope import keogh_envelope
-from repro.distances.lower_bounds import lb_cascade, lb_keogh, lb_keogh_terms, lb_kim
+from repro.distances.lower_bounds import lb_keogh, lb_keogh_terms, lb_kim
 from repro.exceptions import ValidationError
 
 
@@ -86,41 +86,3 @@ class TestLbKeogh:
         lower, upper = keogh_envelope([1.0, 2.0], 0)
         with pytest.raises(ValidationError, match="lengths differ"):
             lb_keogh([1.0, 2.0, 3.0], lower, upper)
-
-
-class TestLbCascade:
-    def test_never_prunes_true_matches(self):
-        rng = np.random.default_rng(47)
-        for _ in range(40):
-            q = rng.normal(size=14)
-            c = rng.normal(size=14)
-            radius = 2
-            true = dtw_distance(q, c, window=radius)
-            pruned, bound = lb_cascade(q, c, true, radius=radius)
-            assert not pruned
-            assert bound <= true + 1e-9
-
-    def test_prunes_clearly_far_candidates(self):
-        q = np.zeros(10)
-        c = np.full(10, 50.0)
-        pruned, bound = lb_cascade(q, c, 1.0, radius=1)
-        assert pruned
-        assert bound > 1.0
-
-    def test_uses_supplied_envelope(self):
-        rng = np.random.default_rng(48)
-        q = rng.normal(size=10)
-        c = rng.normal(size=10)
-        env = keogh_envelope(q, 1)
-        pruned_a, bound_a = lb_cascade(q, c, 1e9, radius=1, envelope=env)
-        pruned_b, bound_b = lb_cascade(q, c, 1e9, radius=1)
-        assert pruned_a == pruned_b
-        assert bound_a == pytest.approx(bound_b)
-
-    def test_different_lengths_skip_keogh(self):
-        # LB_Keogh needs equal lengths; cascade must fall back to LB_Kim.
-        q = np.zeros(8)
-        c = np.zeros(5)
-        pruned, bound = lb_cascade(q, c, 0.5)
-        assert not pruned
-        assert bound == 0.0

@@ -10,7 +10,6 @@ from repro.distances.metrics import (
     euclidean_l1,
     euclidean_l2,
     normalized_euclidean,
-    pairwise_euclidean,
 )
 from repro.exceptions import ValidationError
 
@@ -90,28 +89,3 @@ class TestEuclideanFamily:
     def test_euclidean_invalid_order(self):
         with pytest.raises(ValidationError):
             euclidean([1], [2], order=0, normalized=False)
-
-
-class TestPairwiseEuclidean:
-    def test_matches_scalar_function(self):
-        rows = np.array([[0.0, 1.0], [2.0, 3.0], [1.0, 1.0]])
-        mat = pairwise_euclidean(rows)
-        for i in range(3):
-            for j in range(3):
-                expected = normalized_euclidean(rows[i], rows[j])
-                assert mat[i, j] == pytest.approx(expected)
-
-    def test_symmetric_zero_diagonal(self):
-        rng = np.random.default_rng(7)
-        rows = rng.normal(size=(5, 8))
-        mat = pairwise_euclidean(rows, order=2)
-        assert np.allclose(mat, mat.T)
-        assert np.allclose(np.diag(mat), 0.0)
-
-    def test_rejects_1d(self):
-        with pytest.raises(ValidationError, match="2-D"):
-            pairwise_euclidean(np.array([1.0, 2.0]))
-
-    def test_rejects_nan(self):
-        with pytest.raises(ValidationError):
-            pairwise_euclidean(np.array([[np.nan, 1.0]]))

@@ -1,16 +1,20 @@
 """Contract tests for the public API surface.
 
 A downstream user's view of the library is ``repro.__all__`` and the
-subpackage ``__all__`` lists; these tests pin that surface: every
-advertised name resolves, everything callable is documented, and the
-README's example scripts actually exist.
+``__all__`` of each module; these tests pin that surface: every
+advertised name resolves, everything callable is documented, every
+module has a consumer named in DESIGN.md §3, and the README's example
+scripts run.
 """
 
 import dataclasses
 import importlib
 import inspect
 import os
+import pkgutil
 import re
+import subprocess
+import sys
 from fnmatch import fnmatch
 from pathlib import Path
 
@@ -19,16 +23,22 @@ import pytest
 import repro
 from repro.core.grouping import cluster_subsequence_rows, cluster_subsequences
 
-SUBPACKAGES = [
-    "repro.analytics",
-    "repro.baselines",
-    "repro.core",
-    "repro.data",
-    "repro.distances",
-    "repro.server",
-    "repro.stream",
-    "repro.viz",
-]
+ROOT = Path(repro.__file__).resolve().parents[2]
+
+# ``repro.__main__`` runs the CLI when imported.
+MODULES = sorted(
+    info.name
+    for info in pkgutil.walk_packages(repro.__path__, "repro.")
+    if info.name != "repro.__main__"
+)
+
+README_EXAMPLES = sorted(
+    {
+        line.split("examples/")[1].split()[0]
+        for line in (ROOT / "README.md").read_text().splitlines()
+        if "python examples/" in line
+    }
+)
 
 
 class TestTopLevel:
@@ -56,7 +66,6 @@ class TestTopLevel:
             "MonitorRegistry",
             "OnlineSpringMatcher",
             "KnnClassifier",
-            "kmedoids",
             "similarity_profile",
             "find_seasonal_patterns",
             "recommend_thresholds",
@@ -98,55 +107,80 @@ class TestNoExecutionSelectors:
         assert not [name for name in parameters if "batch" in name]
 
 
-class TestSubpackages:
-    @pytest.mark.parametrize("module_name", SUBPACKAGES)
+class TestModules:
+    @pytest.mark.parametrize("module_name", MODULES)
     def test_all_resolves_and_is_sorted(self, module_name):
         module = importlib.import_module(module_name)
-        assert hasattr(module, "__all__"), f"{module_name} lacks __all__"
+        if not hasattr(module, "__all__"):
+            # A package re-exports only what some file imports through it,
+            # which may be nothing; a module always states its surface.
+            assert hasattr(module, "__path__"), f"{module_name} lacks __all__"
+            return
         for name in module.__all__:
             assert hasattr(module, name), f"{module_name}.{name} missing"
         assert list(module.__all__) == sorted(module.__all__), (
             f"{module_name}.__all__ is not sorted"
         )
 
-    @pytest.mark.parametrize("module_name", SUBPACKAGES)
+    @pytest.mark.parametrize("module_name", MODULES)
     def test_public_objects_documented(self, module_name):
         module = importlib.import_module(module_name)
-        for name in module.__all__:
+        for name in getattr(module, "__all__", ()):
             obj = getattr(module, name)
             if inspect.isclass(obj) or inspect.isfunction(obj):
                 assert inspect.getdoc(obj), f"{module_name}.{name} lacks a docstring"
 
-    @pytest.mark.parametrize("module_name", SUBPACKAGES)
+    @pytest.mark.parametrize("module_name", MODULES)
     def test_module_docstrings(self, module_name):
         module = importlib.import_module(module_name)
         assert module.__doc__ and module.__doc__.strip()
 
 
 class TestRepositoryLayout:
-    def test_readme_examples_exist(self):
-        root = Path(repro.__file__).resolve().parents[2]
-        readme = (root / "README.md").read_text()
-        examples_dir = root / "examples"
-        referenced = {
-            line.split("examples/")[1].split()[0]
-            for line in readme.splitlines()
-            if "python examples/" in line
+    @pytest.mark.parametrize("example", README_EXAMPLES)
+    def test_readme_examples_run(self, example):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+        )
+        done = subprocess.run(
+            [sys.executable, str(ROOT / "examples" / example)],
+            cwd=ROOT,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert done.returncode == 0, f"{example} failed:\n{done.stderr[-2000:]}"
+
+    def test_every_module_has_a_consumer_row(self):
+        """DESIGN.md §3's consumer table names every module of
+        ``src/repro`` and nothing else: a module no row can name goes."""
+        package = ROOT / "src" / "repro"
+        section = (ROOT / "DESIGN.md").read_text().split("\n## §3 ", 1)[1]
+        section = section.split("\n## ", 1)[0]
+        table = section.split("\n| module | consumer |\n", 1)[1].split("\n\n", 1)[0]
+        listed = {
+            path
+            for row in table.splitlines()[1:]
+            for path in re.findall(r"`([\w/]+\.py)`", row.split("|")[1])
         }
-        assert referenced, "README should reference example scripts"
-        for name in referenced:
-            assert (examples_dir / name).exists(), f"README references missing {name}"
+        modules = {
+            path.relative_to(package).as_posix()
+            for path in package.rglob("*.py")
+            if path.name not in ("__init__.py", "__main__.py")
+        }
+        assert sorted(modules - listed) == [], "modules without a consumer row"
+        assert sorted(listed - modules) == [], "rows naming no module"
 
     def test_design_and_experiments_present(self):
-        root = Path(repro.__file__).resolve().parents[2]
         for doc in ("DESIGN.md", "EXPERIMENTS.md", "README.md"):
-            text = (root / doc).read_text()
+            text = (ROOT / doc).read_text()
             assert len(text) > 1000, f"{doc} looks unexpectedly thin"
 
     def test_every_benchmark_maps_to_design_index(self):
-        root = Path(repro.__file__).resolve().parents[2]
-        design = (root / "DESIGN.md").read_text()
-        for bench in sorted((root / "benchmarks").glob("bench_*.py")):
+        design = (ROOT / "DESIGN.md").read_text()
+        for bench in sorted((ROOT / "benchmarks").glob("bench_*.py")):
             assert bench.name in design, (
                 f"{bench.name} not referenced in DESIGN.md's experiment index"
             )
@@ -158,13 +192,12 @@ class TestRepositoryLayout:
         names after a ``file.py::`` are defined in that file.  Names a
         running server writes (``wal.log``, ``meta.json``) and templates
         (``<data-dir>/...``) are not repo paths and are not checked."""
-        root = Path(repro.__file__).resolve().parents[2]
         files = []
-        for directory, subdirs, names in os.walk(root):
+        for directory, subdirs, names in os.walk(ROOT):
             subdirs[:] = [d for d in subdirs if d not in (".git", ".bench_work")]
             files += [Path(directory, name).as_posix() for name in names]
         for doc in ("README.md", "DESIGN.md", "EXPERIMENTS.md"):
-            text = (root / doc).read_text()
+            text = (ROOT / doc).read_text()
             for path, names in set(re.findall(r"`([\w./-]+)(?:::([\w:]+))?`", text)):
                 if not (
                     path.endswith(".py")

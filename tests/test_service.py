@@ -251,6 +251,23 @@ class TestExploration:
         ):
             assert certain <= exact <= possible
 
+    @pytest.mark.parametrize(
+        "op, params",
+        [
+            ("seasonal", {"series": "MA/GrowthRate", "length": 4,
+                          "remove_level": "no"}),
+            ("sensitivity", {"query": [0.2, 0.4, 0.5, 0.3], "thresholds": [0.05],
+                             "verify": "false"}),
+        ],
+    )
+    def test_boolean_options_reject_strings(self, service, op, params):
+        """A truthy string must not switch on the level removal or the
+        verified (more expensive) profile."""
+        resp = service.handle(Request(op, {"dataset": "MATTERS-sim", **params}))
+        assert not resp.ok
+        assert resp.error_type == "ValidationError"
+        assert "must be a boolean" in resp.error_message
+
     def test_add_series_then_query(self):
         svc = OnexService()
         svc.handle(

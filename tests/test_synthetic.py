@@ -8,8 +8,6 @@ from repro.data.synthetic import (
     noisy_sine,
     planted_motif_series,
     random_walk,
-    seasonal_series,
-    trend_series,
     warped_copy,
 )
 from repro.distances.dtw import dtw_distance
@@ -22,8 +20,6 @@ class TestDeterminism:
         [
             lambda seed: random_walk(50, seed=seed),
             lambda seed: noisy_sine(50, seed=seed),
-            lambda seed: trend_series(50, shock_probability=0.1, seed=seed),
-            lambda seed: seasonal_series(50, seed=seed),
             lambda seed: cylinder_bell_funnel("bell", 50, seed=seed),
             lambda seed: warped_copy(np.arange(20.0), seed=seed),
         ],
@@ -49,16 +45,6 @@ class TestShapes:
         # Zero crossings every half period.
         assert clean[0] == pytest.approx(0.0, abs=1e-9)
         assert clean[25] / max(abs(clean).max(), 1e-9) == pytest.approx(0.0, abs=0.05)
-
-    def test_trend_series_slope(self):
-        values = trend_series(200, slope=0.5, noise=0.0, seed=0)
-        assert values[-1] - values[0] == pytest.approx(0.5 * 199)
-
-    def test_seasonal_series_components(self):
-        values = seasonal_series(96, components=((24.0, 2.0), (8.0, 0.5)), noise=0.0, seed=0)
-        assert values.shape == (96,)
-        # Dominant component should create visible 24-step periodicity.
-        assert np.corrcoef(values[:-24], values[24:])[0, 1] > 0.9
 
     @pytest.mark.parametrize("kind", ["cylinder", "bell", "funnel"])
     def test_cbf_kinds(self, kind):
@@ -134,8 +120,6 @@ class TestValidation:
         [
             lambda: random_walk(0),
             lambda: noisy_sine(10, period=0.0),
-            lambda: trend_series(10, shock_probability=1.5),
-            lambda: seasonal_series(10, components=((0.0, 1.0),)),
         ],
     )
     def test_bad_arguments_raise(self, call):

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ValidationError
-from repro.viz.ascii_chart import line_chart, multi_line_chart, sparkline
+from repro.viz.ascii_chart import multi_line_chart, sparkline
 from repro.viz.svg import (
     svg_connected_scatter,
-    svg_line_chart,
     svg_radial_chart,
     svg_seasonal_view,
     svg_similarity_view,
@@ -27,17 +26,6 @@ class TestSparkline:
 
 
 class TestLineCharts:
-    def test_grid_dimensions(self):
-        out = line_chart(np.sin(np.arange(30.0)), width=40, height=8)
-        lines = out.split("\n")
-        assert len(lines) == 8
-        assert all(len(line) == 40 for line in lines)
-
-    def test_every_column_has_marker(self):
-        out = line_chart(np.arange(10.0), width=20, height=6)
-        cols = list(zip(*out.split("\n")))
-        assert all("*" in "".join(col) for col in cols)
-
     def test_multi_line_shares_scale(self):
         a = np.zeros(10)
         b = np.full(10, 10.0)
@@ -54,76 +42,12 @@ class TestLineCharts:
 
     def test_validation(self):
         with pytest.raises(ValidationError):
-            line_chart([1.0, 2.0], width=1)
+            multi_line_chart([1.0, 2.0], [1.0, 2.0], width=1)
         with pytest.raises(ValidationError):
             multi_line_chart([1.0], [1.0], height=1)
 
 
-class TestRadialChartAscii:
-    def test_grid_shape(self):
-        from repro.viz.ascii_chart import radial_chart
-
-        out = radial_chart(np.sin(np.arange(24.0)), size=15)
-        lines = out.split("\n")
-        assert len(lines) == 15
-        assert all(len(line) == 15 for line in lines)
-        assert "+" in out  # centre marker
-        assert "*" in out
-
-    def test_validation(self):
-        from repro.viz.ascii_chart import radial_chart
-
-        with pytest.raises(ValidationError):
-            radial_chart([1.0, 2.0], size=4)  # even
-        with pytest.raises(ValidationError):
-            radial_chart([1.0, 2.0], size=3)  # too small
-
-
-class TestSeasonalChartAscii:
-    def test_ruler_marks_segments(self):
-        from repro.viz.ascii_chart import seasonal_chart
-
-        values = np.sin(np.arange(100.0) / 5.0)
-        out = seasonal_chart(values, [(0, 20), (50, 70)], width=50, height=6)
-        lines = out.split("\n")
-        assert len(lines) == 7  # chart + ruler
-        ruler = lines[-1]
-        assert "=" in ruler
-        assert "#" in ruler
-
-    def test_bad_segment_rejected(self):
-        from repro.viz.ascii_chart import seasonal_chart
-
-        with pytest.raises(ValidationError):
-            seasonal_chart(np.arange(10.0), [(5, 50)])
-
-
-class TestOverviewStrip:
-    def test_one_line_per_group_with_bars(self):
-        from repro.viz.ascii_chart import overview_strip
-
-        reps = [(np.arange(5.0), 10), (np.ones(5), 5)]
-        out = overview_strip(reps, labels=["big", "small"])
-        lines = out.split("\n")
-        assert len(lines) == 2
-        assert lines[0].startswith("big")
-        assert lines[0].count("#") == 10
-        assert lines[1].count("#") == 5
-
-    def test_empty(self):
-        from repro.viz.ascii_chart import overview_strip
-
-        assert overview_strip([]) == "(no groups)"
-
-
 class TestSvg:
-    def test_line_chart_file(self, tmp_path):
-        path = svg_line_chart(np.arange(20.0), tmp_path / "line.svg", title="t")
-        text = path.read_text()
-        assert text.startswith("<svg")
-        assert "polyline" in text
-        assert ">t<" in text
-
     def test_similarity_view_connectors(self, tmp_path):
         path = svg_similarity_view(
             [0.0, 1.0, 2.0],
