@@ -11,8 +11,16 @@ of the optimal path, which is what makes a single similarity threshold
 Three families of implementation, each for a different job:
 
 - :func:`dtw_distance_batch` (and :func:`dtw_distance`, its one-pair
-  form) — **one** anti-diagonal kernel, the workhorse of the ONEX query
-  processor.  Layout: the candidate axis is last and contiguous; three
+  form, :func:`dtw_path_batch` and :func:`dtw_distance_condensed`) —
+  **one** kernel entry point, ``_dtw_batch_diagonal``, the workhorse of
+  the ONEX query processor, with two backends bit-identical to each
+  other: the **native** one, ``_dtw_kernel.c`` compiled on first import
+  (:mod:`repro.distances.native`: a row scan with the candidates
+  innermost, 3–30x faster per call, most on small stacks), and the
+  **NumPy** anti-diagonal
+  kernel below, which runs wherever the C one did not load and is the
+  oracle it is held to.  Load success alone picks the backend.  NumPy
+  layout: the candidate axis is last and contiguous; three
   rotating ``(n + 1, g)`` buffers hold the last three diagonals and the
   candidate matrix is reversed and transposed once per call, so every
   operand of a diagonal — ground cost, the three predecessors, the write
@@ -40,8 +48,8 @@ Three families of implementation, each for a different job:
   refined by :func:`dtw_distance_batch` (:mod:`repro.core.query`).
 
 The batch kernel is held to :func:`dtw_path` bit for bit — distances,
-path lengths and paths, every radius, ragged or not — in the
-property-test suite.
+path lengths and paths, every radius, ragged or not, on both backends —
+in the property-test suite.
 """
 
 from __future__ import annotations
@@ -53,6 +61,7 @@ from typing import Literal
 import numpy as np
 from numpy.typing import ArrayLike
 
+from repro.distances import native
 from repro.distances.metrics import as_sequence
 from repro.exceptions import ValidationError
 
@@ -292,8 +301,30 @@ def _dtw_batch_diagonal(
     lens: np.ndarray | None,
     window: int | None,
     squared: bool,
-    track: Literal["length", "codes"] | None,
-) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    track: Literal["length", "path"] | None,
+) -> np.ndarray | tuple[np.ndarray, object]:
+    """The one kernel entry point: native when it loaded, else NumPy.
+
+    Both kernels keep this contract bit for bit: distances; with
+    ``track="length"`` also the tie-broken path lengths; with
+    ``track="path"`` also ``(path_lengths, i, j)`` as
+    :class:`DtwPathBatch` holds them (``i`` and ``j`` at least as wide as
+    the longest path).  Load success alone picks the kernel
+    (:mod:`repro.distances.native`).
+    """
+    if native.KERNEL is not None:
+        return native.dtw_batch(a, mat, lens, window, squared, track)
+    return _dtw_batch_numpy(a, mat, lens, window, squared, track)
+
+
+def _dtw_batch_numpy(
+    a: np.ndarray,
+    mat: np.ndarray,
+    lens: np.ndarray | None,
+    window: int | None,
+    squared: bool,
+    track: Literal["length", "path"] | None,
+) -> np.ndarray | tuple[np.ndarray, object]:
     """The anti-diagonal kernel: candidate axis last, slices only.
 
     Three rotating ``(n + 1, g)`` buffers hold diagonals ``k``, ``k - 1``
@@ -313,10 +344,10 @@ def _dtw_batch_diagonal(
 
     *track* says what to keep of the two comparisons that pick every
     cell's predecessor: ``None`` nothing (distances only); ``"length"``
-    the tie-broken path's running length, returned second; ``"codes"``
+    the tie-broken path's running length, returned second; ``"path"``
     the comparisons themselves, as ``up_wins + 2 * diag_wins`` in an int8
-    cube indexed ``[diagonal, row, candidate]``, returned second for
-    :func:`_trace_paths` to walk back.
+    cube indexed ``[diagonal, row, candidate]``, which
+    :func:`_trace_paths` walks back into the second return value.
     """
     if lens is not None:
         mat = mat[:, : lens.max()]  # columns no candidate reaches
@@ -358,7 +389,7 @@ def _dtw_batch_diagonal(
     ground = np.empty((n, g))
     out = np.empty(g)
     codes = plens = None
-    if track == "codes":
+    if track == "path":
         # Cells outside a candidate's band are never on its path, so
         # whatever the cube holds there is never read.
         codes = np.empty((n + m - 1, n, g), dtype=np.int8)
@@ -438,8 +469,11 @@ def _dtw_batch_diagonal(
         prevprev, prev, cur = prev, cur, prevprev
         if plens is not None:
             plen_prevprev, plen_prev, plen_cur = plen_prev, plen_cur, plen_prevprev
+    if track == "path":
+        widths = np.full(g, m) if lens is None else lens
+        return out, _trace_paths(codes, widths)
     if track:
-        return out, (codes if plens is None else plens)
+        return out, plens
     return out
 
 
@@ -487,10 +521,11 @@ def dtw_path_batch(
 ) -> DtwPathBatch:
     """:func:`dtw_path` from *x* to every row of *rows*, in one call.
 
-    The anti-diagonal kernel decides every cell's predecessor with
+    The batch kernel decides every cell's predecessor with
     :func:`dtw_path`'s tie-break; here it keeps those decisions (an int8
-    code per cell, ``(n + m - 1) * n`` bytes per candidate) and one walk,
-    vectorised *across candidates*, reads every path off them.  Bit for
+    code per cell, about ``(n + m) * n`` bytes per candidate) and walks
+    every candidate's path back from them (NumPy: one walk vectorised
+    *across candidates*; native: one loop per candidate in C).  Bit for
     bit :func:`dtw_path`'s distances and paths, for every *window*, both
     grounds and ragged ``lengths=`` stacks (as in
     :func:`dtw_distance_batch`).
@@ -507,10 +542,9 @@ def dtw_path_batch(
     per_call = max(1, _PATH_CELL_BUDGET // (longest * n))
     for lo in range(0, g, per_call):
         part = slice(lo, lo + per_call)
-        distances[part], codes = _dtw_batch_diagonal(
-            a, mat[part], None if lens is None else lens[part], window, squared, "codes"
+        distances[part], (path_lengths[part], i_part, j_part) = _dtw_batch_diagonal(
+            a, mat[part], None if lens is None else lens[part], window, squared, "path"
         )
-        path_lengths[part], i_part, j_part = _trace_paths(codes, widths[part])
         i[part, : i_part.shape[1]] = i_part
         j[part, : j_part.shape[1]] = j_part
     return DtwPathBatch(distances, path_lengths, i, j)
@@ -608,7 +642,7 @@ def dtw_distance(
     ground: str = "l1",
     normalized: bool = False,
 ) -> float:
-    """DTW distance via the vectorised anti-diagonal kernel.
+    """DTW distance via the batch kernel, one candidate.
 
     With ``normalized=True`` the summed cost is divided by the optimal
     warping-path length (requires a traceback, so it delegates to

@@ -8,8 +8,9 @@ Endpoints:
   admission gate sheds map to 503 with a ``Retry-After`` header and an
   ``OverloadedError`` envelope.
 - ``GET /health`` — liveness plus loaded dataset names (with build-base
-  fingerprints), server version and uptime, in-flight and shed counts,
-  and per-operation p50/p99 latency from a ring buffer.
+  fingerprints), server version, DTW kernel (``native`` or ``numpy``) and
+  uptime, in-flight and shed counts, and per-operation p50/p99 latency
+  from a ring buffer.
 - ``GET /ready`` — 200 while the gate admits requests, 503 once the
   server is draining for shutdown (load balancers stop routing here
   before ``stop()`` aborts anything).
@@ -70,6 +71,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 
 import repro
+from repro.distances import native
 from repro.exceptions import (
     NotReadyError,
     OverloadedError,
@@ -113,7 +115,9 @@ _UPTIME = REGISTRY.gauge(
     "onex_server_uptime_seconds", "Seconds since the HTTP server was created"
 )
 _INFO = REGISTRY.gauge(
-    "onex_server_info", "Constant 1; the version label carries the build"
+    "onex_server_info",
+    "Constant 1; the version label carries the build, kernel the DTW "
+    "kernel that loaded (native or numpy)",
 )
 
 
@@ -466,6 +470,7 @@ def _make_handler(
                 payload = {
                     "status": "ok",
                     "version": repro.__version__,
+                    "kernel": native.backend(),
                     "uptime_s": round(uptime_s(), 3),
                     "datasets": datasets,
                     "fingerprints": fingerprints,
@@ -489,7 +494,7 @@ def _make_handler(
                 # histograms accumulate at their sources.
                 _IN_FLIGHT.set(gate.in_flight)
                 _UPTIME.set(uptime_s())
-                _INFO.set(1.0, version=repro.__version__)
+                _INFO.set(1.0, version=repro.__version__, kernel=native.backend())
                 self._send_text(
                     200,
                     REGISTRY.render(),

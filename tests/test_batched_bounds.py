@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.brute_force import BruteForceSearcher
@@ -127,7 +127,12 @@ def test_bounds_below_dtw_property(q, rows, window):
         assert np.all(keogh <= dists + 1e-9)
 
 
-@settings(max_examples=60, deadline=None)
+@pytest.mark.usefixtures("kernel_backend")
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
 @given(
     st.lists(finite_floats, min_size=1, max_size=9),
     st.lists(
@@ -210,6 +215,7 @@ class TestRefinementEquivalence:
             want = oracle.k_best_matches(q, 4, random_base.lengths)
             assert _as_tuples(got) == _as_tuples(want)
 
+    @pytest.mark.usefixtures("kernel_backend")
     def test_fast_k_best_reports_true_distances(self, random_base):
         """Fast mode may miss the optimum; what it returns is exact DTW."""
         rng = np.random.default_rng(42)

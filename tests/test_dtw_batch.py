@@ -1,10 +1,15 @@
-"""Unit and property tests for the batched anti-diagonal DTW kernel."""
+"""Unit and property tests for the batched DTW kernel, on both backends.
+
+Every test here runs once on the compiled kernel and once on the NumPy
+one (the ``kernel_backend`` fixture), and both answer to the row-scan
+oracle ``dtw_path`` bit for bit.
+"""
 
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.distances import dtw
@@ -17,7 +22,29 @@ from repro.distances.dtw import (
 )
 from repro.exceptions import ValidationError
 
+pytestmark = pytest.mark.usefixtures("kernel_backend")
+
+#: The backend fixture is set once per test, not per Hypothesis example.
+per_backend = settings(
+    deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
 finite_floats = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
+#: Integer-valued draws: most cells tie, and only ties exercise the
+#: ``up <= left`` / ``diag <= min(up, left)`` tie-break.
+integer_valued = st.integers(min_value=-3, max_value=3).map(float)
+
+
+def query_and_rows(n_max, m, g_max, n_min=1):
+    """``(query, rows)`` whose values are all floats or all integers."""
+    return st.sampled_from([finite_floats, integer_valued]).flatmap(
+        lambda values: st.tuples(
+            st.lists(values, min_size=n_min, max_size=n_max),
+            st.lists(
+                st.lists(values, min_size=m, max_size=m), min_size=1, max_size=g_max
+            ),
+        )
+    )
 
 
 class TestBatchKernel:
@@ -82,14 +109,10 @@ class TestBatchKernel:
             dtw_distance_batch([1.0], np.array([[np.nan]]))
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    st.lists(finite_floats, min_size=1, max_size=10),
-    st.lists(
-        st.lists(finite_floats, min_size=4, max_size=4), min_size=1, max_size=6
-    ),
-)
-def test_batch_agrees_with_oracle_property(q, rows):
+@settings(per_backend, max_examples=100)
+@given(query_and_rows(n_max=10, m=4, g_max=6))
+def test_batch_agrees_with_oracle_property(stack):
+    q, rows = stack
     mat = np.asarray(rows)
     got, plens = dtw_distance_batch(q, mat, with_path_length=True)
     assert np.array_equal(got, dtw_distance_batch(q, mat))
@@ -99,15 +122,13 @@ def test_batch_agrees_with_oracle_property(q, rows):
         assert plens[k] == want.path_length
 
 
-@settings(max_examples=60, deadline=None)
+@settings(per_backend, max_examples=60)
 @given(
-    st.lists(finite_floats, min_size=2, max_size=8),
-    st.lists(
-        st.lists(finite_floats, min_size=6, max_size=6), min_size=1, max_size=4
-    ),
+    query_and_rows(n_max=8, m=6, g_max=4, n_min=2),
     st.integers(min_value=0, max_value=13),
 )
-def test_batch_banded_property(q, rows, window):
+def test_batch_banded_property(stack, window):
+    q, rows = stack
     mat = np.asarray(rows)
     got, plens = dtw_distance_batch(q, mat, window=window, with_path_length=True)
     assert np.array_equal(got, dtw_distance_batch(q, mat, window=window))
@@ -137,7 +158,7 @@ def ragged_stacks(draw):
 
 
 class TestRaggedKernel:
-    @settings(max_examples=200, deadline=None)
+    @settings(per_backend, max_examples=200)
     @given(
         stack=ragged_stacks(),
         window=st.sampled_from([None, 0, 1, 3, 8]),
@@ -191,7 +212,7 @@ def path_stacks(draw):
 class TestPathBatch:
     """`dtw_path_batch` against the scalar oracle, bit for bit."""
 
-    @settings(max_examples=200, deadline=None)
+    @settings(per_backend, max_examples=200)
     @given(
         stack=path_stacks(),
         window=st.sampled_from([None, *range(9)]),

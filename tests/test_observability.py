@@ -4,11 +4,13 @@ request-ID propagation, query EXPLAIN, and structured logging."""
 import io
 import json
 import logging
+import shutil
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 import repro
+from repro.distances import native
 from repro.exceptions import ProtocolError
 from repro.obs.logs import (
     JsonFormatter,
@@ -116,8 +118,25 @@ class TestMetricsEndpoint:
         assert "onex_queries_total" in parsed or "onex_server_requests_total" in parsed
         assert "onex_builds_total" in parsed
         assert "onex_server_uptime_seconds" in parsed
-        assert parsed["onex_server_info"][(("version", repro.__version__),)] == 1.0
+        info = (("kernel", native.backend()), ("version", repro.__version__))
+        assert parsed["onex_server_info"][info] == 1.0
         assert "# HELP" in text and "# TYPE" in text
+
+    def test_kernel_is_named_on_the_scrape_and_health(self, server, monkeypatch):
+        """``native`` wherever a compiler is on PATH; ``numpy`` when the
+        compiled kernel is substituted away."""
+        client = OnexClient(server.url)
+
+        def info_series():
+            parsed = parse_exposition(client.scrape_metrics())
+            return {dict(key)["kernel"]: v for key, v in parsed["onex_server_info"].items()}
+
+        expected = "native" if shutil.which("gcc") else "numpy"
+        assert client.health()["kernel"] == expected
+        assert info_series()[expected] == 1.0
+        monkeypatch.setattr(native, "KERNEL", None)
+        assert client.health()["kernel"] == "numpy"
+        assert info_series()["numpy"] == 1.0
 
     def test_counters_are_monotone_across_requests(self, server):
         client = OnexClient(server.url)

@@ -1,8 +1,8 @@
 """Representative-layer cascade, banded/paired kernels, and batch queries.
 
-Property tests for the PR-3 surface: the batch kernel (vectorised and
-scalar) is bit-identical to the row-scan oracle ``dtw_path`` at every
-window radius, the representative table's cheap bounds provably
+Property tests for the PR-3 surface: the batch kernel (native and NumPy,
+through the ``kernel_backend`` fixture) is bit-identical to the row-scan
+oracle ``dtw_path`` at every window radius, the representative table's cheap bounds provably
 lower-bound DTW at every band, rank pruning is result-preserving
 (windowed or not: the real bounds against the zero-bound witness and,
 in exact mode, brute force), and the multi-query execution layer returns
@@ -13,7 +13,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.brute_force import BruteForceSearcher
@@ -53,6 +53,13 @@ def assert_rows_match_oracle(got, x, mat, window):
         assert got_p[i] == want.path_length
 
 
+#: The backend fixture is set once per test, not per Hypothesis example.
+per_backend = settings(
+    deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+@pytest.mark.usefixtures("kernel_backend")
 class TestKernels:
     """``dtw_distance_batch`` equals the row-scan oracle ``dtw_path``."""
 
@@ -60,7 +67,7 @@ class TestKernels:
         x=sequences(),
         rows=st.lists(sequences(min_size=4, max_size=4), min_size=1, max_size=4),
     )
-    @settings(max_examples=100, deadline=None)
+    @settings(per_backend, max_examples=100)
     def test_kernel_matches_oracle_for_every_radius(self, x, rows):
         a = np.asarray(x)
         mat = np.asarray(rows)
@@ -79,7 +86,7 @@ class TestKernels:
         ),
         window=st.one_of(st.none(), st.integers(min_value=0, max_value=10)),
     )
-    @settings(max_examples=75, deadline=None)
+    @settings(per_backend, max_examples=75)
     def test_paired_mode_matches_per_pair(self, pairs, window):
         X = np.asarray([p[0] for p in pairs])
         M = np.asarray([p[1] for p in pairs])
@@ -306,6 +313,7 @@ class TestBatchMatches:
         assert all(m.length == 5 for matches in results for m in matches)
 
 
+@pytest.mark.usefixtures("kernel_backend")
 class TestReturnedPaths:
     """Every ``Match.path`` a driver returns — traced by one batched call
     per answer — is the scalar oracle's path of that (query, member) pair."""

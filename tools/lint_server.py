@@ -10,7 +10,8 @@ path that grows that base (``repro.stream``, the clustering in
 ``repro.core.grouping``) and the sensitivity profile that reads its
 arrays (``repro.core.sensitivity``), the bounds of the rank stage (``repro.distances.lower_bounds``,
 ``repro.distances.envelope``), the DTW kernel under it
-(``repro.distances.dtw``) with the transfer bounds built on its paths
+(``repro.distances.dtw``, with its compiled twin's loader
+``repro.distances.native``) with the transfer bounds built on its paths
 (``repro.distances.bounds``) and the payload builders every match
 leaves through (``repro.viz.payloads``) — is the code that runs unattended, so it
 gets the strictest gate in the repo.  ``mypy``
@@ -49,6 +50,7 @@ TARGETS = (
     ROOT / "src" / "repro" / "stream",
     ROOT / "src" / "repro" / "distances" / "bounds.py",
     ROOT / "src" / "repro" / "distances" / "dtw.py",
+    ROOT / "src" / "repro" / "distances" / "native.py",
     ROOT / "src" / "repro" / "distances" / "lower_bounds.py",
     ROOT / "src" / "repro" / "distances" / "envelope.py",
     ROOT / "src" / "repro" / "viz" / "payloads.py",
