@@ -16,10 +16,10 @@
  * 2 843-candidate stack per row scan ran 1.2-1.5x slower.
  *
  * The tie-break is dtw_path's: the diagonal wins if diag <= min(up, left),
- * else the vertical step if up <= left, else the horizontal.  Compile with
- * -ffp-contract=off, or d * d + best may fuse into an FMA and round
- * differently from NumPy.  All scratch is allocated per call: ctypes drops
- * the GIL, so concurrent calls share nothing.
+ * else the vertical step if up <= left, else the horizontal.  The flags
+ * it must be built with, and why, are native.py's _FLAGS.  All scratch is
+ * allocated per call: ctypes drops the GIL, so concurrent calls share
+ * nothing.
  */
 
 #include <math.h>
@@ -97,7 +97,13 @@ static void mask_band(int64_t nb, double offset, const double *restrict band,
         out[c] = offset > band[c] ? INFINITY : out[c];
 }
 
-/* Walk one candidate back from (n - 1, m_c - 1); returns the path length. */
+/*
+ * Walk one candidate back from (n - 1, m_c - 1); returns the path length.
+ * Row 0 steps left and column 0 steps up whatever the cell's code says, as
+ * dtw_path does: where costs overflow to inf every comparison ties and
+ * the code reads "diagonal" there too.  Each step lowers i + j and keeps
+ * both >= 0, so the walk ends at (0, 0) within n + m_c - 1 cells.
+ */
 static int64_t trace(const int8_t *codes, int64_t nb, int64_t m, int64_t c,
                      int64_t i, int64_t j, int64_t *restrict pi,
                      int64_t *restrict pj)
@@ -109,7 +115,7 @@ static int64_t trace(const int8_t *codes, int64_t nb, int64_t m, int64_t c,
         p++;
         if (i == 0 && j == 0)
             break;
-        int code = codes[(i * m + j) * nb + c];
+        int code = i && j ? codes[(i * m + j) * nb + c] : i ? 1 : 0;
         if (code >= 2) {
             i--;
             j--;

@@ -14,12 +14,10 @@ Three families of implementation, each for a different job:
   form, :func:`dtw_path_batch` and :func:`dtw_distance_condensed`) —
   **one** kernel entry point, ``_dtw_batch_diagonal``, the workhorse of
   the ONEX query processor, with two backends bit-identical to each
-  other: the **native** one, ``_dtw_kernel.c`` compiled on first import
-  (:mod:`repro.distances.native`: a row scan with the candidates
-  innermost, 3–30x faster per call, most on small stacks), and the
-  **NumPy** anti-diagonal
-  kernel below, which runs wherever the C one did not load and is the
-  oracle it is held to.  Load success alone picks the backend.  NumPy
+  other: the **native** one (:mod:`repro.distances.native`, 3–30x faster
+  per call) and the **NumPy** anti-diagonal kernel below, which runs
+  wherever the C one did not load and is the oracle it is held to.
+  Load success alone picks the backend.  NumPy
   layout: the candidate axis is last and contiguous; three
   rotating ``(n + 1, g)`` buffers hold the last three diagonals and the
   candidate matrix is reversed and transposed once per call, so every
@@ -558,10 +556,16 @@ def _trace_paths(
     Cell ``(i, j)`` of candidate ``c`` is at flat offset ``(i + j) * n * g
     + i * g + c``, linear in ``i`` and ``j``: the walk keeps one offset per
     candidate, a step is a code lookup and a subtraction, and a walk that
-    has reached ``(0, 0)`` stays there.  Returns the path lengths and the
-    ``i`` and ``j`` rows of :class:`DtwPathBatch`, as wide as the longest.
+    has reached ``(0, 0)`` stays there.  Row 0 steps left and column 0
+    steps up whatever the comparisons said, as in :func:`dtw_path`: where
+    costs overflow to ``inf`` they all tie, and a "diagonal" step off an
+    edge would leave the cube.  Returns the path lengths and the ``i`` and
+    ``j`` rows of :class:`DtwPathBatch`, as wide as the longest.
     """
     _, n, g = codes.shape
+    codes[1:, 0] = 0  # cell (0, k): left
+    edge = np.arange(1, n)
+    codes[edge, edge] = 1  # cell (k, 0): up
     flat = codes.reshape(-1)
     row, diagonal = g, n * g
     diag = 2 * diagonal + row

@@ -124,8 +124,8 @@ def _load() -> ctypes._CFuncPtr | None:
     try:
         name = _library_name(compiler)
         directories = _cache_dirs()
-    except (OSError, RuntimeError):
-        return None  # no source beside this file, or no home directory
+    except (OSError, RuntimeError, AttributeError):
+        return None  # no source beside this file, no home, no os.getuid
     for directory in directories:
         path = directory / name
         try:

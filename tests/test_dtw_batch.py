@@ -266,6 +266,28 @@ class TestPathBatch:
             assert (got.i[c, want.path_length :] == -1).all()
             assert (got.j[c, want.path_length :] == -1).all()
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("window", [None, 1])
+    @pytest.mark.parametrize("ground, big", [("l1", 1e308), ("squared", 1e155)])
+    def test_overflowing_costs_walk_corner_to_origin(self, ground, big, window):
+        # Finite inputs whose every cost overflows to inf: each comparison
+        # ties and every code reads "diagonal", even on row 0 and column 0.
+        x = np.full(3, big)
+        rows = np.full((3, 5), -big)
+        lengths = np.array([5, 1, 3])
+        got = dtw_path_batch(x, rows, window=window, ground=ground, lengths=lengths)
+        assert np.isinf(got.distances).all()
+        for c, m in enumerate(lengths):
+            # Diagonal while it can, then along the edge it reached.
+            i, j = 2, m - 1
+            want = [(i, j)]
+            while (i, j) != (0, 0):
+                i, j = (i - 1, j - 1) if i and j else (i - bool(i), j - bool(j))
+                want.append((i, j))
+            assert got.paths()[c] == tuple(reversed(want))
+            assert (got.i[c, len(want) :] == -1).all()
+            assert (got.j[c, len(want) :] == -1).all()
+
     def test_empty_batch(self):
         got = dtw_path_batch([1.0, 2.0], np.empty((0, 5)))
         assert got.paths() == []

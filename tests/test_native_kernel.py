@@ -1,11 +1,12 @@
 """The native kernel's loader: every failure ends in a working kernel.
 
-Each loader test imports ``repro`` in a fresh subprocess with its own
+Most loader tests import ``repro`` in a fresh subprocess with its own
 ``XDG_CACHE_HOME`` (and ``TMPDIR``); a ``PATH`` without ``gcc`` is how the
 compiler is hidden.  Whatever goes wrong — no compiler, an unwritable
-cache, a truncated cached library, two processes compiling at once — the
-import succeeds and the kernel is either ``native`` or ``numpy``, never
-an exception; and importing writes nothing under the repository tree.
+cache, a truncated cached library, two processes compiling at once, no
+``os.getuid`` — the import succeeds and the kernel is either ``native``
+or ``numpy``, never an exception; and importing writes nothing under the
+repository tree.
 """
 
 import json
@@ -110,12 +111,15 @@ def test_unwritable_cache_falls_back_to_the_temp_directory(tmp_path):
     assert [name.endswith(".so") for name in _libraries(private)] == [True]
 
 
-@pytest.mark.skipif(not HAS_GCC, reason="needs a compiler")
+@pytest.mark.skipif(native.KERNEL is None, reason="needs a loaded kernel")
 def test_truncated_library_is_rebuilt(tmp_path):
-    assert _kernel_of(_import_repro(tmp_path)) == "native"
+    name = native._library_name(shutil.which("gcc"))
+    # The library this process loaded, instead of a compile of its own.
+    ours = next(d / name for d in native._cache_dirs() if (d / name).exists())
+    whole = ours.read_bytes()
     cache = tmp_path / "cache" / "repro"
-    library = cache / native._library_name(shutil.which("gcc"))
-    whole = library.read_bytes()
+    cache.mkdir(parents=True)
+    library = cache / name
     library.write_bytes(whole[: len(whole) // 2])
     assert _kernel_of(_import_repro(tmp_path)) == "native"
     assert library.read_bytes() == whole
@@ -128,6 +132,12 @@ def test_processes_racing_the_first_compile_both_load_it(tmp_path):
     assert [_kernel_of(p) for p in racers] == ["native", "native"]
     libraries = _libraries(tmp_path / "cache" / "repro")
     assert len(libraries) == 1 and libraries[0].endswith(".so")  # no temp left
+
+
+def test_no_getuid_means_no_kernel_not_an_exception(monkeypatch):
+    # As on a platform with a compiler but without os.getuid.
+    monkeypatch.delattr(os, "getuid")
+    assert native._load() is None
 
 
 @pytest.mark.skipif(
