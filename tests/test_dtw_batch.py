@@ -158,7 +158,7 @@ def ragged_stacks(draw):
 
 
 class TestRaggedKernel:
-    @settings(per_backend, max_examples=200)
+    @settings(per_backend, max_examples=120)
     @given(
         stack=ragged_stacks(),
         window=st.sampled_from([None, 0, 1, 3, 8]),
@@ -212,7 +212,7 @@ def path_stacks(draw):
 class TestPathBatch:
     """`dtw_path_batch` against the scalar oracle, bit for bit."""
 
-    @settings(per_backend, max_examples=200)
+    @settings(per_backend, max_examples=120)
     @given(
         stack=path_stacks(),
         window=st.sampled_from([None, *range(9)]),

@@ -86,17 +86,48 @@ def _libraries(directory):
     return sorted(p.name for p in Path(directory).glob("*") if p.is_file())
 
 
-def test_no_compiler_falls_back_to_numpy_with_equal_answers(tmp_path):
-    no_gcc = tmp_path / "bin"
-    no_gcc.mkdir()
-    hidden = _kernel_of(_import_repro(tmp_path, tmp_path / "numpy.npz", path=no_gcc))
-    assert hidden == "numpy"
-    assert not (tmp_path / "cache").exists()  # nothing was attempted
-    # This process's own cache, warm since it imported repro.
-    warm = native._cache_dirs()[0].parent
-    shown = _kernel_of(_import_repro(tmp_path, tmp_path / "native.npz", cache=warm))
-    assert shown == native.backend()
-    want, got = np.load(tmp_path / "native.npz"), np.load(tmp_path / "numpy.npz")
+def _git_status():
+    if shutil.which("git") is None or not (ROOT / ".git").exists():
+        return None
+    return subprocess.run(
+        ["git", "status", "--porcelain", "--untracked-files=all"],
+        cwd=ROOT, capture_output=True, text=True, check=True,
+    ).stdout
+
+
+@pytest.fixture(scope="module")
+def first_imports(tmp_path_factory):
+    """Three imports started at once, each into an empty cache.
+
+    Two race the first compile into one cache from the repository root
+    (the first also saves its answers); the third has ``gcc`` hidden and
+    saves the NumPy kernel's answers.  The repository's git status is
+    taken before and after.
+    """
+    racing = tmp_path_factory.mktemp("racing")
+    hidden = tmp_path_factory.mktemp("hidden")
+    (hidden / "bin").mkdir()
+    before = _git_status()
+    racers = [
+        _import_repro(racing, racing / "native.npz", cwd=ROOT),
+        _import_repro(racing, cwd=ROOT),
+    ]
+    no_gcc = _import_repro(hidden, hidden / "numpy.npz", path=hidden / "bin")
+    return {
+        "racing": racing,
+        "racers": [_kernel_of(p) for p in racers],
+        "hidden": hidden,
+        "no_gcc": _kernel_of(no_gcc),
+        "status": (before, _git_status()),
+    }
+
+
+def test_no_compiler_falls_back_to_numpy_with_equal_answers(first_imports):
+    assert first_imports["no_gcc"] == "numpy"
+    hidden = first_imports["hidden"]
+    assert not (hidden / "cache").exists()  # nothing was attempted
+    want = np.load(first_imports["racing"] / "native.npz")
+    got = np.load(hidden / "numpy.npz")
     assert sorted(want.files) == sorted(got.files)
     for name in want.files:
         assert np.array_equal(want[name], got[name]), name
@@ -127,10 +158,9 @@ def test_truncated_library_is_rebuilt(tmp_path):
 
 
 @pytest.mark.skipif(not HAS_GCC, reason="needs a compiler")
-def test_processes_racing_the_first_compile_both_load_it(tmp_path):
-    racers = [_import_repro(tmp_path) for _ in range(2)]
-    assert [_kernel_of(p) for p in racers] == ["native", "native"]
-    libraries = _libraries(tmp_path / "cache" / "repro")
+def test_processes_racing_the_first_compile_both_load_it(first_imports):
+    assert first_imports["racers"] == ["native", "native"]
+    libraries = _libraries(first_imports["racing"] / "cache" / "repro")
     assert len(libraries) == 1 and libraries[0].endswith(".so")  # no temp left
 
 
@@ -144,16 +174,9 @@ def test_no_getuid_means_no_kernel_not_an_exception(monkeypatch):
     shutil.which("git") is None or not (ROOT / ".git").exists(),
     reason="needs the git checkout",
 )
-def test_import_writes_nothing_under_the_repository(tmp_path):
-    def status():
-        return subprocess.run(
-            ["git", "status", "--porcelain", "--untracked-files=all"],
-            cwd=ROOT, capture_output=True, text=True, check=True,
-        ).stdout
-
-    before = status()
-    _kernel_of(_import_repro(tmp_path, cwd=ROOT))  # a cold compile
-    assert status() == before
+def test_import_writes_nothing_under_the_repository(first_imports):
+    before, after = first_imports["status"]  # around two cold compiles
+    assert after == before
 
 
 @pytest.mark.usefixtures("kernel_backend")
