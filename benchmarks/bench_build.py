@@ -5,7 +5,7 @@ windows one Python loop iteration at a time, clustered with row-at-a-time
 join bookkeeping, and repaired drafts one by one.  PR 5 rebuilt it as a
 per-length shard pipeline (strided extraction, batched scan joins with
 prescreened distance evaluation, one flat masked repair evaluation per
-round) fanned over a process or thread pool — **result-identical** at
+round) fanned over a process pool — **result-identical** at
 every setting, which is the hard gate here: each timed variant must
 produce the same :meth:`OnexBase.structure_fingerprint` as a replica of
 the seed's build loop.
@@ -15,7 +15,7 @@ tight accuracy threshold (ST = 0.05, the middle of the E17 analytics
 grid) over lengths 5..24 — the preprocessing regime the paper's
 "huge number of subsequences" challenge describes, where the seed build
 collapses.  Factor floors (vectorised single-worker >= 1.5x, the 4-worker
-build on its best backend >= 2x; the PR-5 target is 3x, which this box
+process build >= 2x; the PR-5 target is 3x, which this box
 reaches on good runs and multi-core hardware reaches with margin — a
 single-core container only sees the vectorisation share of the sharding)
 are asserted locally and soft-gated on shared CI runners
@@ -106,38 +106,32 @@ def test_build_pipeline_speedup(benchmark):
 
     one = build_with(dataset)
     proc = build_with(dataset, num_workers=4)
-    thr = build_with(dataset, num_workers=4, build_executor="thread")
 
     def measure():
         # Interleaved best-of-3: each round times every variant back to
         # back, so frequency scaling / cache state drift hits them all
         # alike and the minima are comparable.
-        times = {"seed": [], "one": [], "proc": [], "thr": []}
+        times = {"seed": [], "one": [], "proc": []}
         for _ in range(3):
             times["seed"].append(timed(lambda: seed_build(seed_base)))
             times["one"].append(timed(one.build))
             times["proc"].append(timed(proc.build))
-            times["thr"].append(timed(thr.build))
         return {k: min(v) for k, v in times.items()}
 
     best = benchmark.pedantic(measure, rounds=1, iterations=1)
-    t_seed, t_one, t_proc, t_thr = (
-        best["seed"], best["one"], best["proc"], best["thr"]
-    )
+    t_seed, t_one, t_proc = best["seed"], best["one"], best["proc"]
     # Hard gate: every execution strategy builds the identical base.
     want = one.structure_fingerprint()
     assert proc.structure_fingerprint() == want
-    assert thr.structure_fingerprint() == want
     assert seed_base.structure_fingerprint() == want
 
     ratio_one = t_seed / t_one
-    ratio_par = t_seed / min(t_proc, t_thr)
+    ratio_par = t_seed / t_proc
     benchmark.extra_info["seed_seconds"] = round(t_seed, 4)
     benchmark.extra_info["vectorised_1w_seconds"] = round(t_one, 4)
     benchmark.extra_info["parallel_4w_process_seconds"] = round(t_proc, 4)
-    benchmark.extra_info["parallel_4w_thread_seconds"] = round(t_thr, 4)
     benchmark.extra_info["speedup_vectorised_1w"] = round(ratio_one, 2)
-    benchmark.extra_info["speedup_parallel_4w_best"] = round(ratio_par, 2)
+    benchmark.extra_info["speedup_parallel_4w"] = round(ratio_par, 2)
     benchmark.extra_info["cpu_count"] = os.cpu_count()
     if not SOFT:
         assert ratio_one >= 1.5

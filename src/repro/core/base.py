@@ -19,7 +19,7 @@ import hashlib
 import operator
 import time
 from collections.abc import Iterable, Iterator, Sequence
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import SupportsIndex
@@ -623,7 +623,6 @@ def _build_length_shard(
     length: int,
     step: int,
     group_radius: float,
-    keep_matrix: bool = True,
 ) -> dict | None:
     """Build one length's groups from raw series values (shared-nothing).
 
@@ -633,11 +632,10 @@ def _build_length_shard(
     group offsets — so the result pickles cheaply across a
     :class:`~concurrent.futures.ProcessPoolExecutor` boundary.  No handle
     is created here; the parent resolves rows to ``(series_index, start)``
-    handles arithmetically during reassembly.  The
-    window matrix rides along only for in-process callers
-    (*keep_matrix*); worker processes drop it — re-extracting on the
-    parent is cheaper than pickling it through the result pipe.  Returns
-    ``None`` when no series is long enough for *length*.
+    handles arithmetically during reassembly.  The window matrix stays
+    behind: re-extracting it on the parent is cheaper than pickling it
+    through the result pipe.  Returns ``None`` when no series is long
+    enough for *length*.
     """
     started = time.perf_counter()
     faults.fire("build.shard", length=length)
@@ -655,7 +653,6 @@ def _build_length_shard(
     return {
         "length": length,
         "windows": matrix.shape[0],
-        "matrix": matrix if keep_matrix else None,
         "centroids": centroids,
         "ed_radii": np.fromiter((g.ed_radius for g in groups), np.float64, count),
         "cheb_radii": np.fromiter(
@@ -698,14 +695,12 @@ class OnexBase:
         range: each length is an independent, shared-nothing job
         (:func:`_build_length_shard` — strided extraction plus the batched
         clustering) and ``BuildConfig.num_workers`` fans the jobs over a
-        :class:`~concurrent.futures.ProcessPoolExecutor`
-        (``build_executor="thread"`` swaps in a thread pool;
-        ``num_workers=1`` runs the same jobs in-process with no executor).
-        Shard payloads are merged in ascending length order regardless of
-        completion order, and the clustering itself is deterministic, so
-        every backend produces an identical base —
-        :meth:`structure_fingerprint` equality is asserted by the tests
-        and the E18 benchmark gate.
+        :class:`~concurrent.futures.ProcessPoolExecutor` (``num_workers=1``
+        runs the same jobs in-process with no executor).  Shard payloads
+        are merged in ascending length order regardless of completion
+        order, and the clustering itself is deterministic, so every worker
+        count produces an identical base — :meth:`structure_fingerprint`
+        equality is asserted by the tests and the E18 benchmark gate.
 
         A crashed or killed pool worker loses only its shard: the build
         re-runs that length serially in the parent (determinism makes the
@@ -768,9 +763,7 @@ class OnexBase:
                 for length in lengths
             )
         else:
-            processes = cfg.build_executor != "thread"
-            pool_cls = ProcessPoolExecutor if processes else ThreadPoolExecutor
-            with pool_cls(max_workers=workers) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = [
                     pool.submit(
                         _build_length_shard,
@@ -778,10 +771,6 @@ class OnexBase:
                         length,
                         cfg.step,
                         cfg.group_radius,
-                        # Worker processes drop the window matrix from
-                        # the payload: the parent re-extracts it in one
-                        # strided gather instead of paying the pickle.
-                        not processes,
                     )
                     for length in lengths
                 ]
@@ -795,8 +784,8 @@ class OnexBase:
                             yield future.result()
                         except Exception as exc:
                             # A killed worker surfaces as BrokenExecutor
-                            # (and poisons every later future of a
-                            # process pool); each failed shard re-runs
+                            # (and poisons every later future of the
+                            # pool); each failed shard re-runs
                             # serially in the parent, bit-identically.
                             self.build_shard_retries += 1
                             _BUILD_RETRIES.inc()
@@ -849,18 +838,14 @@ class OnexBase:
         Runs on the parent: member rows are resolved to ``(series_index,
         start)`` handles with one ``searchsorted`` over the per-series
         window counts and the bucket's refinement matrix is gathered from
-        the shard's window matrix; the payload's stacked arrays become
-        the bucket's stores as they are.  Bit-identical to what an
-        in-process build of the same length produces (the payload arrays
-        round-trip through pickle exactly).
+        a re-extracted window matrix; the payload's stacked arrays become
+        the bucket's stores as they are.  Bit-identical whether the shard
+        ran in-process or in a worker (the payload arrays round-trip
+        through pickle exactly).
         """
         length = payload["length"]
         step = self._config.step
-        matrix = payload["matrix"]
-        if matrix is None:
-            matrix, _ = window_matrix(
-                [s.values for s in self._dataset], length, step
-            )
+        matrix, _ = window_matrix([s.values for s in self._dataset], length, step)
         counts = window_counts(
             [len(s) for s in self._dataset], length, step
         )
@@ -1274,8 +1259,8 @@ class OnexBase:
         ``(series_index, start)`` handle — everything the query layers
         read, nothing timing-dependent.  Two bases are result-identical
         iff their structure fingerprints match; the build scheduler's
-        determinism gate (serial vs thread-pool vs process-pool builds,
-        E18 and ``tests/test_build_pipeline.py``) compares these.
+        determinism gate (serial vs process-pool builds, E18 and
+        ``tests/test_build_pipeline.py``) compares these.
         """
         self._require_built()
         digest = hashlib.sha256()

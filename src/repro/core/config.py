@@ -33,19 +33,13 @@ class BuildConfig:
         Min–max normalise the dataset (collection-level bounds) at load
         time; the paper always does.
     num_workers:
-        Fan the per-length build jobs over this many workers.  ``1`` (the
-        default) runs the jobs in-process with no executor; higher values
-        engage the configured pool.  Per-length jobs are shared-nothing
-        and merged deterministically, so every setting builds an
-        identical base (``OnexBase.structure_fingerprint``) — this is an
-        execution knob, not a semantic parameter, and it is deliberately
-        **not** persisted in saved bases.
-    build_executor:
-        Pool flavour for ``num_workers > 1``: ``"process"`` (the default;
-        sidesteps the GIL — the clustering scan keeps Python-level
-        bookkeeping per block) or ``"thread"`` (no fork/pickle overhead;
-        useful when the dataset is large relative to the clustering
-        work, or where subprocesses are unavailable).
+        Fan the per-length build jobs over this many worker processes.
+        ``1`` (the default) runs the jobs in-process with no executor.
+        Per-length jobs are shared-nothing and merged deterministically,
+        so every setting builds an identical base
+        (``OnexBase.structure_fingerprint``) — this is an execution knob,
+        not a semantic parameter, and it is deliberately **not**
+        persisted in saved bases.
     """
 
     similarity_threshold: float
@@ -54,7 +48,6 @@ class BuildConfig:
     step: int = 1
     normalize: bool = True
     num_workers: int = 1
-    build_executor: str = "process"
 
     def __post_init__(self) -> None:
         if not self.similarity_threshold > 0:
@@ -72,11 +65,6 @@ class BuildConfig:
         if self.num_workers < 1:
             raise ValidationError(
                 f"num_workers must be >= 1, got {self.num_workers}"
-            )
-        if self.build_executor not in ("process", "thread"):
-            raise ValidationError(
-                "build_executor must be 'process' or 'thread', "
-                f"got {self.build_executor!r}"
             )
 
     @property

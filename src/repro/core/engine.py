@@ -9,19 +9,26 @@ this class; examples and benchmarks drive it directly.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from repro.core.base import BaseStats, OnexBase
 from repro.core.config import BuildConfig, QueryConfig
+from repro.core.deadline import Deadline
 from repro.core.query import Match, QueryProcessor
 from repro.core.seasonal import SeasonalPattern, find_seasonal_patterns
 from repro.core.sensitivity import SensitivityProfile, similarity_profile
 from repro.core.threshold import ThresholdRecommendation, recommend_thresholds
-from repro.data.dataset import SubsequenceRef, TimeSeriesDataset
+from repro.data.dataset import SubsequenceRef, TimeSeries, TimeSeriesDataset
 from repro.distances.normalize import minmax_normalize
 from repro.exceptions import DatasetError, ValidationError
+
+if TYPE_CHECKING:
+    from repro.stream import MonitorRegistry, StreamIngestor
 
 __all__ = ["LoadedDataset", "OnexEngine"]
 
@@ -72,8 +79,7 @@ class OnexEngine:
         step: int = 1,
         normalize: bool = True,
         num_workers: int = 1,
-        build_executor: str = "process",
-        deadline=None,
+        deadline: Deadline | None = None,
     ) -> BaseStats:
         """Register *dataset* and build its ONEX base.
 
@@ -83,9 +89,9 @@ class OnexEngine:
         both ends widened down to half of it — a pragmatic default that
         keeps preprocessing proportional to the data.
 
-        *num_workers* fans the per-length build shards over a process (or
-        thread, per *build_executor*) pool; every setting produces an
-        identical base, so it is purely a build-latency knob.  A
+        *num_workers* fans the per-length build shards over a process
+        pool; every setting produces an identical base, so it is purely a
+        build-latency knob.  A
         *deadline* (:class:`~repro.core.deadline.Deadline`) bounds the
         build cooperatively, checked between merged shards; when it
         fires, no partially built dataset is registered.
@@ -109,7 +115,6 @@ class OnexEngine:
             step=step,
             normalize=normalize,
             num_workers=num_workers,
-            build_executor=build_executor,
         )
         base = OnexBase(dataset, config)
         stats = base.build(deadline)
@@ -127,7 +132,7 @@ class OnexEngine:
         dataset: TimeSeriesDataset,
         base: OnexBase,
         *,
-        monitors=(),
+        monitors: Iterable[dict] = (),
         event_seq: int = 0,
         stream_counters: dict | None = None,
         fingerprint: str | None = None,
@@ -168,7 +173,7 @@ class OnexEngine:
             entry.ingestor = ingestor
         return entry.stats
 
-    def add_series(self, dataset_name: str, series) -> dict:
+    def add_series(self, dataset_name: str, series: TimeSeries) -> dict:
         """Index one new series into a loaded dataset incrementally.
 
         Uses the base's fixed-representative update (invariant-safe, no
@@ -184,7 +189,7 @@ class OnexEngine:
     # Streaming ingestion and live monitoring (repro.stream)
     # ------------------------------------------------------------------
 
-    def stream(self, dataset_name: str):
+    def stream(self, dataset_name: str) -> StreamIngestor:
         """The dataset's :class:`~repro.stream.StreamIngestor` (lazy)."""
         from repro.stream import StreamIngestor
 
@@ -194,7 +199,11 @@ class OnexEngine:
         return entry.ingestor
 
     def append_points(
-        self, dataset_name: str, series_name: str, values, deadline=None
+        self,
+        dataset_name: str,
+        series_name: str,
+        values: ArrayLike,
+        deadline: Deadline | None = None,
     ) -> dict:
         """Append live points to a series, indexing completed windows.
 
@@ -207,7 +216,7 @@ class OnexEngine:
     def register_monitor(
         self,
         dataset_name: str,
-        pattern,
+        pattern: ArrayLike | SubsequenceRef,
         epsilon: float | None = None,
         *,
         series: str | None = None,
@@ -265,7 +274,7 @@ class OnexEngine:
             "stream_counters": ingestor.counters(),
         }
 
-    def stream_registry(self, dataset_name: str):
+    def stream_registry(self, dataset_name: str) -> MonitorRegistry | None:
         """The dataset's monitor registry, or None before any streaming.
 
         Unlike :meth:`stream` this never creates the ingestor, so
@@ -356,41 +365,70 @@ class OnexEngine:
     # Exploratory operations (§3.3)
     # ------------------------------------------------------------------
 
-    def best_match(self, dataset_name: str, query, *, metric=None, **kwargs) -> Match:
+    def best_match(
+        self,
+        dataset_name: str,
+        query: ArrayLike | SubsequenceRef,
+        *,
+        metric: str | None = None,
+        **kwargs: Any,
+    ) -> Match:
         """Best match for a sample sequence (Fig. 2's similarity search)."""
         return self._processor(dataset_name, metric).best_match(query, **kwargs)
 
     def k_best_matches(
-        self, dataset_name: str, query, k: int, *, metric=None, **kwargs
+        self,
+        dataset_name: str,
+        query: ArrayLike | SubsequenceRef,
+        k: int,
+        *,
+        metric: str | None = None,
+        **kwargs: Any,
     ) -> list[Match]:
         return self._processor(dataset_name, metric).k_best_matches(
             query, k, **kwargs
         )
 
     def batch_best_matches(
-        self, dataset_name: str, queries, k: int = 1, *, metric=None, **kwargs
+        self,
+        dataset_name: str,
+        queries: Iterable[ArrayLike | SubsequenceRef],
+        k: int = 1,
+        *,
+        metric: str | None = None,
+        **kwargs: Any,
     ) -> list[list[Match]]:
         """The *k* best matches for every query of a batch, in one call.
 
-        The multi-query execution layer
-        (:meth:`repro.core.query.QueryProcessor.batch_matches`): shared
-        prune state is prepared once, kernel stages stack across queries,
-        and per-bucket kernel jobs fan out over a thread pool.  Results
-        are identical to per-query :meth:`k_best_matches` calls.
+        Runs :meth:`repro.core.query.QueryProcessor.batch_matches`, which
+        answers the queries one after another through the single-query
+        search, so results are identical to per-query
+        :meth:`k_best_matches` calls.
         """
         return self._processor(dataset_name, metric).batch_matches(
             queries, k, **kwargs
         )
 
     def matches_within(
-        self, dataset_name: str, query, threshold: float, *, metric=None, **kwargs
+        self,
+        dataset_name: str,
+        query: ArrayLike | SubsequenceRef,
+        threshold: float,
+        *,
+        metric: str | None = None,
+        **kwargs: Any,
     ) -> list[Match]:
         return self._processor(dataset_name, metric).matches_within(
             query, threshold, **kwargs
         )
 
     def seasonal_patterns(
-        self, dataset_name: str, series_name: str, length: int, threshold: float | None = None, **kwargs
+        self,
+        dataset_name: str,
+        series_name: str,
+        length: int,
+        threshold: float | None = None,
+        **kwargs: Any,
     ) -> list[SeasonalPattern]:
         """Recurring patterns within one series (Fig. 4's Seasonal View)."""
         entry = self._entry(dataset_name)
@@ -400,7 +438,7 @@ class OnexEngine:
         return find_seasonal_patterns(series, length, threshold, **kwargs)
 
     def recommend_thresholds(
-        self, dataset_name: str, length: int, **kwargs
+        self, dataset_name: str, length: int, **kwargs: Any
     ) -> ThresholdRecommendation:
         entry = self._entry(dataset_name)
         # The built base answers the sampling from its normalised value store.
@@ -408,7 +446,11 @@ class OnexEngine:
         return recommend_thresholds(entry.dataset, length, **kwargs)
 
     def similarity_profile(
-        self, dataset_name: str, query, thresholds, **kwargs
+        self,
+        dataset_name: str,
+        query: ArrayLike | SubsequenceRef,
+        thresholds: Iterable[float],
+        **kwargs: Any,
     ) -> SensitivityProfile:
         """Match-count sensitivity across thresholds (§2's "varying
         parameters" exploration)."""

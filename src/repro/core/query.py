@@ -65,11 +65,9 @@ by reference, so any refinement order returns exactly what a brute-force
 scan returns.  :class:`QueryStats` counts the work each stage actually
 performed.
 
-:meth:`QueryProcessor.batch_matches` answers many queries in one call:
-shared read-only state (the representative table) is prepared once, then
-each query runs the single-query path — fanned over a thread pool when
-the process may use more than one CPU — so results are those of
-per-query submission by construction.
+:meth:`QueryProcessor.batch_matches` answers many queries in one call by
+running the single-query path on each, inline and in input order, so
+results are those of per-query submission by construction.
 
 Distances reported to callers are **normalised DTW** (cost divided by
 warping-path length), the unit in which ONEX similarity thresholds are
@@ -80,10 +78,8 @@ from __future__ import annotations
 
 import heapq
 import math
-import os
 import time
 from collections.abc import Iterable, Iterator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -175,7 +171,7 @@ class QueryStats:
     ``member_lb_prunes`` fell to LB_Kim/LB_Keogh, ``member_dtw_calls`` got
     a raw DTW cost and ``member_path_calls`` — those whose raw cost could
     still be within the cut — a tracked path length as well.
-    ``batch_queries`` is the number of queries merged into this
+    ``batch_queries`` is the number of queries summed into this
     record by :meth:`QueryProcessor.batch_matches` (0 for single queries).
     """
 
@@ -191,10 +187,6 @@ class QueryStats:
     member_path_calls: int = 0
     batch_queries: int = 0
     partial_results: int = 0
-
-    def merge(self, other: "QueryStats") -> None:
-        for name in vars(other):
-            setattr(self, name, getattr(self, name) + getattr(other, name))
 
     def as_dict(self) -> dict:
         return dict(vars(self))
@@ -228,15 +220,6 @@ def _publish_query(
     for name, value in vars(stats).items():
         if value:
             _CASCADE_TOTAL.inc(float(value), event=name)
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on — its affinity mask where the
-    platform has one (a server pinned to one core has ``cpu_count() ==
-    2`` on a two-core host), else the host's count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 @dataclass(order=True)
@@ -415,21 +398,15 @@ class QueryProcessor:
         *,
         lengths: Iterable[int] | None = None,
         normalize: bool = True,
-        max_workers: int | None = None,
         deadline: Deadline | None = None,
     ) -> list[list[Match]]:
         """The *k* best matches for every query of a batch, in one call.
 
-        The multi-query driver.  Shared read-only state — the base's
-        representative table — is prepared once up front, then every
-        query runs the single-query search (:meth:`_run_search`), so
-        results are those of submitting each query through
-        :meth:`k_best_matches`, in input order.  The
-        queries fan out over a thread pool (the numpy kernels release
-        the GIL) sized by the CPUs this process may run on, and run
-        inline when that is one — two threads on one core only trade the
-        GIL back and forth.  ``last_stats`` afterwards holds the summed
-        work counters with ``batch_queries`` set.
+        The multi-query driver: every query runs the single-query search
+        (:meth:`_run_search`) inline, in input order, so results are those
+        of submitting each query through :meth:`k_best_matches`.
+        ``last_stats`` afterwards holds the summed work counters with
+        ``batch_queries`` set.
 
         A fired *deadline* raises as in :meth:`k_best_matches`; with
         ``allow_partial`` the batch degrades per query instead, as long
@@ -449,44 +426,27 @@ class QueryProcessor:
             self.last_stats = stats
             return []
         buckets = self._select_buckets(lengths)
-        # Pre-warm what worker threads would otherwise each build on
-        # first use; afterwards the searches only read shared state.
-        if not self._metric_scan:
-            self._base.rep_table
-        if max_workers is None:
-            max_workers = _usable_cpus()
-        max_workers = min(max_workers, len(resolved))
-
-        def run_one(q: np.ndarray) -> tuple[list[Match] | DeadlineExceeded, QueryStats]:
-            one = QueryStats()
-            try:
-                return self._run_search(q, buckets, k, one, deadline=deadline), one
-            except DeadlineExceeded as exc:
-                if not deadline.allow_partial:
-                    raise
-                return exc, one
-
-        # Worker threads never see the caller's thread-local trace, so
-        # only this enclosing span records when the batch fans out —
-        # per-query telemetry still merges through the stats objects.
+        outcomes: list[list[Match] | DeadlineExceeded] = []
         with span(
             "query.batch", queries=len(resolved), k=k, mode=self._config.mode
         ):
-            if max_workers > 1:
-                with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                    outcomes = list(pool.map(run_one, resolved))
-            else:
-                outcomes = [run_one(q) for q in resolved]
-        for _, one in outcomes:
-            stats.merge(one)
+            for q in resolved:
+                try:
+                    outcomes.append(
+                        self._run_search(q, buckets, k, stats, deadline=deadline)
+                    )
+                except DeadlineExceeded as exc:
+                    if not deadline.allow_partial:
+                        raise
+                    outcomes.append(exc)
         self.last_stats = stats
         _publish_query(
             "batch", self._config.mode, stats, started, self._config.metric
         )
-        expired = [out for out, _ in outcomes if isinstance(out, DeadlineExceeded)]
+        expired = [out for out in outcomes if isinstance(out, DeadlineExceeded)]
         if len(expired) == len(outcomes):
             raise expired[0]
-        return [[] if isinstance(out, DeadlineExceeded) else out for out, _ in outcomes]
+        return [[] if isinstance(out, DeadlineExceeded) else out for out in outcomes]
 
     def _run_search(
         self,

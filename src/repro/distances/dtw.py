@@ -24,8 +24,8 @@ Three families of implementation, each for a different job:
   operand of a diagonal — ground cost, the three predecessors, the write
   — is one contiguous block of rows and a diagonal is a handful of
   ``out=`` ufunc calls on scratch allocated per call (the kernel runs
-  from thread pools).  *Ragged stacks* (``lengths=``) ride the same loop:
-  cell ``(i, j)`` depends only on columns ``<= j``, so pad columns are
+  from concurrent handler threads).  *Ragged stacks* (``lengths=``)
+  ride the same loop: cell ``(i, j)`` depends only on columns ``<= j``, so pad columns are
   inert and candidate ``c`` is read off row ``n - 1`` on diagonal
   ``n + m_c - 2``.  *Bands*: a Sakoe–Chiba window narrows each diagonal's
   row range; ragged candidates whose own band is narrower than the widest

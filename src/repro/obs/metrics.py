@@ -10,10 +10,11 @@ Three instrument kinds, all label-aware and thread-safe:
 
 The module-level :data:`REGISTRY` is the single process-wide instance
 that the query cascade, base build, stream layer, and HTTP server all
-publish into; ``GET /metrics`` renders it with :func:`render`.  The
-pre-existing telemetry silos (``QueryStats``, the server latency ring,
-``LengthBuildStats``) remain as per-call *views* — their totals are
-folded into this registry at operation boundaries.
+publish into; ``GET /metrics`` renders it with :func:`render`, and
+``GET /health`` reads its request figures from the same histogram.  The
+per-call telemetry (``QueryStats``, ``LengthBuildStats``) remains as
+*views* — their totals are folded into this registry at operation
+boundaries.
 
 A small exposition parser (:func:`parse_exposition`) lives here too so
 tests and the load benchmark can round-trip the text format without an

@@ -9,8 +9,10 @@ Endpoints:
   ``OverloadedError`` envelope.
 - ``GET /health`` — liveness plus loaded dataset names (with build-base
   fingerprints), server version, DTW kernel (``native`` or ``numpy``) and
-  uptime, in-flight and shed counts, and per-operation p50/p99 latency
-  from a ring buffer.
+  uptime, in-flight and shed counts, and per-operation request counts
+  and p50/p99 latency read from the ``onex_server_request_ms`` histogram
+  (cumulative since process start and interpolated within buckets, the
+  figures ``histogram_quantile`` gives over a ``/metrics`` scrape).
 - ``GET /ready`` — 200 while the gate admits requests, 503 once the
   server is draining for shutdown (load balancers stop routing here
   before ``stop()`` aborts anything).
@@ -24,6 +26,10 @@ Every ``/api`` response carries a correlation ID: the client's
 the service runs.  It is echoed in the JSON envelope, the
 ``X-Request-Id`` header, and the structured log lines the request
 produces.
+
+Every body is strict JSON: a payload holding a non-finite float cannot
+be encoded, and goes out as a 500 ``InternalError`` envelope (request ID
+and headers kept) instead of a body with a bare ``Infinity``.
 
 Probe endpoints (``/health``, ``/ready``, ``/metrics``) bypass the
 admission gate on purpose: an overloaded or draining server must still
@@ -48,8 +54,7 @@ safe.
 
 Throughput-sensitive clients should prefer ``query_batch`` over a stream
 of single-query requests: one request pays the HTTP round trip, JSON
-envelope, and lock acquisition once for the whole batch, and the engine
-runs the batch's queries over the shared prepared state (see
+envelope, and lock acquisition once for the whole batch (see
 ``QueryProcessor.batch_matches``) — it holds the same shared read lock,
 so it never blocks other readers.
 
@@ -63,7 +68,6 @@ from __future__ import annotations
 import json
 import threading
 import time
-from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import replace
@@ -82,7 +86,7 @@ from repro.exceptions import (
     WorkerCrashedError,
 )
 from repro.obs.logs import get_logger, log_event
-from repro.obs.metrics import REGISTRY
+from repro.obs.metrics import REGISTRY, histogram_quantile
 from repro.obs.trace import new_request_id
 from repro.server.protocol import READ_ONLY_OPERATIONS, Request, Response
 from repro.server.service import OnexService
@@ -359,58 +363,22 @@ class AdmissionGate:
             return 0
 
 
-def _quantile(ordered: list[float], q: float) -> float | None:
-    """Nearest-rank quantile of an already-sorted non-empty list."""
-    if not ordered:
-        return None
-    idx = min(len(ordered) - 1, int(round(q * (len(ordered) - 1))))
-    return ordered[idx]
-
-
-class _ServerMetrics:
-    """Per-operation latency rings plus a total-handled counter.
-
-    Rings are bounded (*ring_size* most recent samples per operation), so
-    the health endpoint's p50/p99 reflect recent behaviour and memory
-    stays O(operations), not O(requests).  ``record`` also publishes each
-    sample to the process-wide registry (``onex_server_requests_total`` /
-    ``onex_server_request_ms``), making the ring a bounded view over the
-    same stream ``/metrics`` exposes cumulatively.
-    """
-
-    def __init__(self, ring_size: int = 256) -> None:
-        self._mutex = threading.Lock()
-        self._ring_size = ring_size
-        self._rings: dict[str, deque] = {}
-        self.handled = 0
-
-    def record(self, op: str, elapsed_ms: float, code: int = 200) -> None:
-        _REQUESTS_TOTAL.inc(op=op, code=str(code))
-        _REQUEST_MS.observe(float(elapsed_ms), op=op)
-        with self._mutex:
-            self.handled += 1
-            ring = self._rings.get(op)
-            if ring is None:
-                ring = self._rings[op] = deque(maxlen=self._ring_size)
-            ring.append(float(elapsed_ms))
-
-    def latency_snapshot(self) -> dict:
-        with self._mutex:
-            out = {}
-            for op in sorted(self._rings):
-                ordered = sorted(self._rings[op])
-                out[op] = {
-                    "count": len(ordered),
-                    "p50_ms": _quantile(ordered, 0.50),
-                    "p99_ms": _quantile(ordered, 0.99),
-                }
-            return out
+def _latency_by_op() -> dict:
+    """``/health``'s per-operation figures, read from ``_REQUEST_MS``."""
+    out = {}
+    for labels in _REQUEST_MS.labels_seen():
+        snap = _REQUEST_MS.snapshot(**labels)
+        out[labels["op"]] = {
+            "count": snap["count"],
+            "p50_ms": histogram_quantile(snap["buckets"], 0.50),
+            "p99_ms": histogram_quantile(snap["buckets"], 0.99),
+        }
+    return out
 
 
 def _make_handler(
     service: OnexService,
     gate: AdmissionGate,
-    metrics: _ServerMetrics,
     uptime_s: Callable[[], float] | None = None,
     ready_fn: Callable[[], bool] | None = None,
     read_timeout_s: float | None = 30.0,
@@ -441,7 +409,22 @@ def _make_handler(
             return pool_status() if pool_status is not None else None
 
         def _send(self, status: int, payload: dict, headers: dict | None = None) -> None:
-            body = json.dumps(payload).encode()
+            try:
+                body = json.dumps(payload, allow_nan=False).encode()
+            except ValueError as exc:  # a non-finite float: no JSON value
+                log_event(
+                    _LOG,
+                    "error",
+                    "server.encode_failed",
+                    request_id=payload.get("request_id"),
+                    error=str(exc),
+                )
+                status = 500
+                body = json.dumps(
+                    Response.internal_error(exc)
+                    .with_request_id(payload.get("request_id"))
+                    .to_dict()
+                ).encode()
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
@@ -467,6 +450,7 @@ def _make_handler(
                     datasets = service.engine.dataset_names
                     fingerprints = service.engine.fingerprints()
                     durability = service.durability_status()
+                latency = _latency_by_op()
                 payload = {
                     "status": "ok",
                     "version": repro.__version__,
@@ -476,8 +460,8 @@ def _make_handler(
                     "fingerprints": fingerprints,
                     "in_flight": gate.in_flight,
                     "shed": gate.shed,
-                    "handled": metrics.handled,
-                    "latency_ms": metrics.latency_snapshot(),
+                    "handled": sum(entry["count"] for entry in latency.values()),
+                    "latency_ms": latency,
                 }
                 if durability is not None:
                     # Operators verify recovery here: per-dataset WAL
@@ -635,8 +619,9 @@ def _make_handler(
                 started = time.perf_counter()
                 with locks.guard(request):
                     response = service.handle(request)
-                metrics.record(
-                    request.op, (time.perf_counter() - started) * 1000.0
+                _REQUESTS_TOTAL.inc(op=request.op, code="200")
+                _REQUEST_MS.observe(
+                    (time.perf_counter() - started) * 1000.0, op=request.op
                 )
                 status, payload = 200, response.to_dict()
             except (OverloadedError, WorkerCrashedError) as exc:
@@ -707,7 +692,6 @@ class OnexHttpServer:
     ) -> None:
         self.service = service or OnexService()
         self.gate = AdmissionGate(max_in_flight, max_queue)
-        self.metrics = _ServerMetrics()
         self._drain_timeout = float(drain_timeout)
         self._ready = threading.Event()
         if ready:
@@ -719,7 +703,6 @@ class OnexHttpServer:
                 _make_handler(
                     self.service,
                     self.gate,
-                    self.metrics,
                     uptime_s=lambda: time.monotonic() - self.started_monotonic,
                     ready_fn=self._ready.is_set,
                     read_timeout_s=float(read_timeout_s),

@@ -25,7 +25,7 @@ Fault containment and failover:
   per-worker heartbeat pipes.
 - **Hang detection** — each worker's heartbeat thread stops beating
   once a single request has been executing longer than
-  ``stall_limit_s``; a stale heartbeat makes the monitor ``SIGKILL``
+  ``_STALL_LIMIT_S``; a stale heartbeat makes the monitor ``SIGKILL``
   the worker, which surfaces as an EOF to the dispatcher and flows
   through the same failover path as a crash.
 - **Failover** — a read-only operation
@@ -35,11 +35,12 @@ Fault containment and failover:
   ``Retry-After``), which the client's stable ``request_id`` makes safe
   to retry — the server's idempotency window absorbs the replay.
 - **Restart policy** — per-slot exponential backoff
-  (``backoff_base_s * 2^(failures-1)``, capped), with a consecutive-
-  failure counter that resets after ``backoff_reset_s`` of healthy
-  uptime.  A slot crashing ``flap_threshold`` times within
-  ``flap_window_s`` trips its circuit breaker: the slot goes
-  ``broken`` and is only re-probed after ``flap_cooldown_s``.
+  (``_BACKOFF_BASE_S * 2^(failures-1)``, capped at ``_BACKOFF_CAP_S``),
+  with a consecutive-failure counter that resets after
+  ``_BACKOFF_RESET_S`` of healthy uptime.  A slot crashing
+  ``_FLAP_THRESHOLD`` times within ``_FLAP_WINDOW_S`` trips its circuit
+  breaker: the slot goes ``broken`` and is only re-probed after
+  ``_FLAP_COOLDOWN_S``.
 - **Degraded capacity** — every live-count change invokes
   ``on_capacity_change(live, size)`` (the HTTP server resizes its
   admission gate through it); with zero live workers ``dispatch``
@@ -52,6 +53,11 @@ Chaos hooks: the worker request loop fires the ``worker.kill`` and
 executing each dispatched request; both are inherited across the fork,
 so a test arming them in the supervisor process takes down real worker
 processes deterministically.
+
+The timings of this fault model are the module constants below, not
+constructor options: no caller tunes them, and tests substitute them
+with ``monkeypatch.setattr`` before the pool forks, so workers inherit
+the substituted values.
 """
 
 from __future__ import annotations
@@ -114,6 +120,30 @@ _FRAME_HEADER = struct.Struct(">I")
 #: Upper bound on one frame's payload — a defence against a corrupted
 #: length prefix mapping to a multi-GB allocation.
 _MAX_FRAME = 256 * 1024 * 1024
+
+#: Seconds between a worker's heartbeats.
+_HEARTBEAT_INTERVAL_S = 0.2
+#: A live worker whose heartbeat is this stale is killed as hung (six
+#: heartbeat intervals).
+_HEARTBEAT_TIMEOUT_S = 1.2
+#: A worker stops beating once one request has run this long.
+_STALL_LIMIT_S = 30.0
+#: Restart delay after the first consecutive failure; it doubles per
+#: further failure up to the cap, and the count resets after
+#: ``_BACKOFF_RESET_S`` of healthy uptime.
+_BACKOFF_BASE_S = 0.1
+_BACKOFF_CAP_S = 5.0
+_BACKOFF_RESET_S = 5.0
+#: ``_FLAP_THRESHOLD`` crashes of one slot within ``_FLAP_WINDOW_S``
+#: leave it ``broken`` for ``_FLAP_COOLDOWN_S``.
+_FLAP_THRESHOLD = 5
+_FLAP_WINDOW_S = 30.0
+_FLAP_COOLDOWN_S = 30.0
+#: A spawned worker that has not reported ready by now counts as a
+#: startup crash.
+_START_TIMEOUT_S = 60.0
+#: How long a dispatch waits for a free live worker before shedding.
+_DISPATCH_WAIT_S = 30.0
 
 
 def _send_frame(sock: socket.socket, payload: dict) -> None:
@@ -228,19 +258,17 @@ def _worker_main(
             pass  # closed by the supervisor between snapshot and fork
 
     clock = _WorkerClock()
-    interval = float(service_config.get("heartbeat_interval_s", 0.2))
-    stall_limit = service_config.get("stall_limit_s")
 
     def beat() -> None:
         while True:
-            if stall_limit is None or clock.stalled_for() < float(stall_limit):
+            if clock.stalled_for() < _STALL_LIMIT_S:
                 try:
                     os.write(heartbeat_fd, b"\x01")
                 except BlockingIOError:
                     pass  # supervisor will drain; the pipe holds plenty
                 except OSError:
                     os._exit(0)  # supervisor is gone
-            time.sleep(interval)
+            time.sleep(_HEARTBEAT_INTERVAL_S)
 
     try:
         service = OnexService(
@@ -364,42 +392,12 @@ class WorkerPool:
         size: int,
         *,
         service_config: dict | None = None,
-        heartbeat_interval_s: float = 0.2,
-        heartbeat_timeout_s: float | None = None,
-        stall_limit_s: float | None = 30.0,
-        backoff_base_s: float = 0.1,
-        backoff_cap_s: float = 5.0,
-        backoff_reset_s: float = 5.0,
-        flap_threshold: int = 5,
-        flap_window_s: float = 30.0,
-        flap_cooldown_s: float = 30.0,
-        start_timeout_s: float = 60.0,
-        dispatch_wait_s: float = 30.0,
         on_capacity_change: Callable[[int, int], None] | None = None,
     ) -> None:
         if size < 1:
             raise ValueError(f"pool size must be >= 1, got {size}")
         self.size = int(size)
         self._service_config = dict(service_config or {})
-        self._service_config.setdefault(
-            "heartbeat_interval_s", float(heartbeat_interval_s)
-        )
-        if stall_limit_s is not None:
-            self._service_config.setdefault("stall_limit_s", float(stall_limit_s))
-        self.heartbeat_interval_s = float(heartbeat_interval_s)
-        self.heartbeat_timeout_s = (
-            float(heartbeat_timeout_s)
-            if heartbeat_timeout_s is not None
-            else max(1.0, 6.0 * self.heartbeat_interval_s)
-        )
-        self.backoff_base_s = float(backoff_base_s)
-        self.backoff_cap_s = float(backoff_cap_s)
-        self.backoff_reset_s = float(backoff_reset_s)
-        self.flap_threshold = int(flap_threshold)
-        self.flap_window_s = float(flap_window_s)
-        self.flap_cooldown_s = float(flap_cooldown_s)
-        self.start_timeout_s = float(start_timeout_s)
-        self.dispatch_wait_s = float(dispatch_wait_s)
         self.on_capacity_change = on_capacity_change
         self._cond = threading.Condition()
         self._slots = [_Slot(i) for i in range(self.size)]
@@ -607,7 +605,7 @@ class WorkerPool:
             return _response_from_dict(reply)
 
     def _acquire_slot(self) -> _Slot:
-        deadline = time.monotonic() + self.dispatch_wait_s
+        deadline = time.monotonic() + _DISPATCH_WAIT_S
         with self._cond:
             while True:
                 if self._closed:
@@ -628,7 +626,7 @@ class WorkerPool:
                     _DISPATCH_TOTAL.inc(outcome="no_capacity")
                     raise OverloadedError(
                         f"all {len(live)} live workers busy for "
-                        f"{self.dispatch_wait_s:g}s",
+                        f"{_DISPATCH_WAIT_S:g}s",
                         retry_after=1.0,
                     )
                 self._cond.wait(remaining)
@@ -642,7 +640,7 @@ class WorkerPool:
         ]
         if not pending:
             return 1.0
-        return max(0.5, min(min(pending) + self.backoff_base_s, self.backoff_cap_s))
+        return max(0.5, min(min(pending) + _BACKOFF_BASE_S, _BACKOFF_CAP_S))
 
     # ------------------------------------------------------------------
     # Spawning, monitoring, restart policy (monitor thread + helpers)
@@ -740,32 +738,31 @@ class WorkerPool:
         _CRASHES_TOTAL.inc(slot=str(slot.index), kind=kind)
         _WORKER_UP.set(0.0, slot=str(slot.index))
         uptime = now - slot.started_at
-        if uptime >= self.backoff_reset_s:
+        if uptime >= _BACKOFF_RESET_S:
             slot.consecutive_failures = 1
         else:
             slot.consecutive_failures += 1
         slot.crash_times.append(now)
         while (
             slot.crash_times
-            and now - slot.crash_times[0] > self.flap_window_s
+            and now - slot.crash_times[0] > _FLAP_WINDOW_S
         ):
             slot.crash_times.popleft()
-        if len(slot.crash_times) >= self.flap_threshold:
+        if len(slot.crash_times) >= _FLAP_THRESHOLD:
             slot.state = "broken"
-            slot.restart_at = now + self.flap_cooldown_s
+            slot.restart_at = now + _FLAP_COOLDOWN_S
             log_event(
                 _LOG,
                 "error",
                 "pool.worker_broken",
                 slot=slot.index,
                 crashes_in_window=len(slot.crash_times),
-                cooldown_s=self.flap_cooldown_s,
+                cooldown_s=_FLAP_COOLDOWN_S,
             )
         else:
             delay = min(
-                self.backoff_cap_s,
-                self.backoff_base_s
-                * (2 ** max(0, slot.consecutive_failures - 1)),
+                _BACKOFF_CAP_S,
+                _BACKOFF_BASE_S * (2 ** max(0, slot.consecutive_failures - 1)),
             )
             slot.state = "backoff"
             slot.restart_at = now + delay
@@ -797,7 +794,7 @@ class WorkerPool:
                 )
 
     def _monitor_loop(self) -> None:
-        poll_s = max(0.02, self.heartbeat_interval_s / 4.0)
+        poll_s = max(0.02, _HEARTBEAT_INTERVAL_S / 4.0)
         while True:
             with self._cond:
                 if self._closed:
@@ -852,14 +849,14 @@ class WorkerPool:
                     self._capacity_changed()
                 else:
                     self._note_death(slot, proc, kind="startup")
-            elif now - slot.started_at > self.start_timeout_s:
+            elif now - slot.started_at > _START_TIMEOUT_S:
                 self._note_death(slot, proc, kind="startup")
             return
         # live: a stale heartbeat means the worker is wedged (or a
         # request exceeded the stall limit and the worker stopped
         # beating on purpose) — kill it; the dispatcher holding it sees
         # EOF and fails over.
-        if now - slot.last_beat > self.heartbeat_timeout_s:
+        if now - slot.last_beat > _HEARTBEAT_TIMEOUT_S:
             log_event(
                 _LOG,
                 "warning",

@@ -70,8 +70,10 @@ _LOAD_OPTIONS = (
     "step",
     "normalize",
     "num_workers",
-    "build_executor",
 )
+
+#: Completed mutating requests the idempotency window remembers.
+_IDEMPOTENCY_WINDOW = 1024
 
 
 class OnexService:
@@ -92,7 +94,6 @@ class OnexService:
         default_build_workers: int | None = None,
         default_timeout_ms: float | None = None,
         durability: DurabilityManager | None = None,
-        idempotency_window: int = 1024,
     ) -> None:
         self._engine = OnexEngine(query_config)
         self._default_build_workers = default_build_workers
@@ -106,7 +107,7 @@ class OnexService:
         # The idempotency window is always on (not gated on durability):
         # retry-after-timeout double execution is a liveness bug even for
         # a RAM-only server.
-        self._idempotency = IdempotencyWindow(idempotency_window)
+        self._idempotency = IdempotencyWindow(_IDEMPOTENCY_WINDOW)
         self.last_recovery = None
 
     @property
@@ -432,8 +433,6 @@ class OnexService:
             options["num_workers"] = int(options["num_workers"])
         elif self._default_build_workers is not None:
             options["num_workers"] = self._default_build_workers
-        if "build_executor" in options:
-            options["build_executor"] = str(options["build_executor"])
         stats = self._engine.load_dataset(
             dataset, deadline=self._deadline(params), **options
         )
@@ -557,8 +556,8 @@ class OnexService:
         return {"matches": [self._match_payload(name, query, m) for m in matches]}
 
     def _op_query_batch(self, params: dict) -> Any:
-        """Many best-match queries in one request (one lock acquisition,
-        one shared-state preparation, stacked kernel execution)."""
+        """Many best-match queries in one request, under one lock
+        acquisition; each runs the single-query search in turn."""
         name = str(params["dataset"])
         specs = params["queries"]
         if not isinstance(specs, list) or not specs:

@@ -93,9 +93,8 @@ class Supervisor:
     *service* stays the single authority for mutations and durability.
     *snapshot_root* holds the published mmap snapshots
     (``<root>/<slug>/epoch-<n>``); stale debris from a previous crashed
-    run is swept on :meth:`start`.  *pool_options* passes tuning knobs
-    (backoff, heartbeat, flap detection) through to
-    :class:`~repro.server.pool.WorkerPool`.
+    run is swept on :meth:`start`.  The pool's timings (backoff,
+    heartbeat, flap detection) are constants of :mod:`repro.server.pool`.
     """
 
     def __init__(
@@ -106,7 +105,6 @@ class Supervisor:
         snapshot_root: str | Path,
         query_config_kwargs: dict | None = None,
         default_timeout_ms: float | None = None,
-        pool_options: dict | None = None,
     ) -> None:
         self._service = service
         self._root = Path(snapshot_root)
@@ -124,7 +122,6 @@ class Supervisor:
             workers,
             service_config=service_config,
             on_capacity_change=self._on_capacity_change,
-            **(pool_options or {}),
         )
 
     # ------------------------------------------------------------------

@@ -66,6 +66,9 @@ _MONITOR_DTW_TOTAL = REGISTRY.counter(
     "Representative DTW evaluations made by standing monitors",
 )
 
+#: Events a registry buffers for polling; the oldest are dropped first.
+_MAX_EVENTS = 10_000
+
 
 class PatternMonitor:
     """One standing pattern query (see module docstring for semantics).
@@ -291,14 +294,14 @@ class MonitorRegistry:
     """All standing queries of one base, plus the shared event buffer.
 
     Events carry registry-wide monotonic sequence numbers; the buffer is
-    bounded (*max_events*, oldest dropped first) and polled incrementally
-    with :meth:`poll`.
+    bounded (``_MAX_EVENTS``, oldest dropped first) and polled
+    incrementally with :meth:`poll`.
     """
 
-    def __init__(self, base: OnexBase, max_events: int = 10_000) -> None:
+    def __init__(self, base: OnexBase) -> None:
         self._base = base
         self._monitors: dict[str, PatternMonitor] = {}
-        self._events: deque[StreamEvent] = deque(maxlen=max_events)
+        self._events: deque[StreamEvent] = deque(maxlen=_MAX_EVENTS)
         self._seq = 0
         self._dropped = 0
 

@@ -11,7 +11,7 @@ Covers the three layers of the rebuild:
   radius invariant for every finalized group (including the
   singleton-fallback round at an exhausted budget), and that every
   centroid is its members' sequential row sum over their count.
-- **Scheduling** — serial, thread-pool, and process-pool builds produce
+- **Scheduling** — serial and process-pool builds produce
   structure-fingerprint-identical bases, persist identically, and report
   the per-length telemetry.
 
@@ -221,15 +221,10 @@ def built(dataset, **overrides):
 
 
 class TestParallelBuild:
-    def test_workers_and_backends_build_identical_bases(self):
+    def test_worker_counts_build_identical_bases(self):
         serial = built(walks(31))
         process = built(walks(31), num_workers=3)
-        threads = built(walks(31), num_workers=4, build_executor="thread")
-        assert (
-            serial.structure_fingerprint()
-            == process.structure_fingerprint()
-            == threads.structure_fingerprint()
-        )
+        assert serial.structure_fingerprint() == process.structure_fingerprint()
         assert serial.stats.subsequences == process.stats.subsequences
         assert serial.stats.groups == process.stats.groups
         assert serial.stats.lengths == process.stats.lengths
@@ -266,9 +261,6 @@ class TestParallelBuild:
         with pytest.raises(ValidationError, match="num_workers"):
             BuildConfig(similarity_threshold=0.1, min_length=4, max_length=6,
                         num_workers=0)
-        with pytest.raises(ValidationError, match="build_executor"):
-            BuildConfig(similarity_threshold=0.1, min_length=4, max_length=6,
-                        build_executor="gpu")
 
 
 class TestPerLengthTelemetry:

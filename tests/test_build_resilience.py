@@ -74,7 +74,7 @@ class TestWorkerCrashRecovery:
 
     def test_double_failure_raises_build_worker_error(self):
         """When the serial retry fails too, the build fails loudly."""
-        base = OnexBase(_dataset(), _config(num_workers=2, build_executor="thread"))
+        base = OnexBase(_dataset(), _config(num_workers=2))
         # An unbounded raise fault hits the pool worker AND the parent's
         # serial retry of the same shard.
         with faults.inject("build.shard", "raise"):

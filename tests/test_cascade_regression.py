@@ -144,7 +144,7 @@ def run_ops(processor: QueryProcessor, qs: list[np.ndarray]) -> dict:
             stats = processor.last_stats
             counters.append([getattr(stats, f) for f in PINNED_FIELDS])
         out[name] = (answers, np.sum(counters, axis=0).tolist())
-    answers = processor.batch_matches(qs, 3, normalize=False, max_workers=2)
+    answers = processor.batch_matches(qs, 3, normalize=False)
     out["query_batch"] = (
         answers,
         [getattr(processor.last_stats, f) for f in PINNED_FIELDS],

@@ -325,7 +325,6 @@ class TestPartialResults:
         results = processor.batch_matches(
             queries,
             2,
-            max_workers=1,
             deadline=Deadline(token=token, allow_partial=True),
         )
         # The first query's second drain found the budget spent; the
@@ -464,9 +463,8 @@ class TestServiceDeadlines:
     def test_partial_over_protocol(self, service, monkeypatch):
         # The service builds its own deadline from ``timeout_ms``; hang the
         # counting token on it so the first query's second drain is where
-        # it expires — queries one after another, as on a one-core server.
+        # it expires.
         token = cancel_on_refine_unit(monkeypatch, 2)
-        monkeypatch.setattr(query_module, "_usable_cpus", lambda: 1)
         after = Deadline.after
         monkeypatch.setattr(
             Deadline,

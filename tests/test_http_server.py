@@ -463,3 +463,59 @@ class TestSlowClientTimeout:
             assert status == 400
             assert payload["ok"] is False
             assert "truncated" in payload["error"]["message"]
+
+
+class TestStrictJson:
+    """Regression: a served distance that overflows to ``inf`` was written
+    as a bare ``Infinity``, which is not JSON.  Bodies are strict JSON
+    now; a payload that cannot be encoded is a typed 500 envelope."""
+
+    @pytest.mark.filterwarnings(
+        "ignore:overflow encountered:RuntimeWarning",
+        "ignore:invalid value encountered:RuntimeWarning",
+    )
+    def test_overflowing_match_is_a_typed_500_not_infinity(self, server):
+        def no_constants(name):
+            raise AssertionError(f"non-JSON constant {name} in the body")
+
+        _, loaded = post(
+            server,
+            {
+                "op": "load_dataset",
+                "params": {
+                    "source": "electricity",
+                    "households": 2,
+                    "similarity_threshold": 2.0,
+                    "min_length": 4,
+                    "max_length": 5,
+                    "normalize": False,
+                },
+            },
+        )
+        assert loaded["ok"], loaded
+        dataset = loaded["result"]["dataset"]
+        assert loaded["result"]["groups"] < 1024
+        request = urllib.request.Request(
+            f"{server.url}/api",
+            data=json.dumps(
+                {
+                    "op": "best_match",
+                    "request_id": "strict-json",
+                    "params": {"dataset": dataset, "query": [1e308] * 3},
+                }
+            ).encode(),
+            headers={"Content-Type": "application/json"},
+        )
+        try:
+            with urllib.request.urlopen(request, timeout=30) as resp:
+                status, headers, raw = resp.status, resp.headers, resp.read()
+        except urllib.error.HTTPError as exc:
+            status, headers, raw = exc.code, exc.headers, exc.read()
+        finally:
+            post(server, {"op": "unload_dataset", "params": {"dataset": dataset}})
+        payload = json.loads(raw, parse_constant=no_constants)
+        assert status == 500
+        assert payload["ok"] is False
+        assert payload["error"]["type"] == "InternalError"
+        assert payload["request_id"] == "strict-json"
+        assert headers["X-Request-Id"] == "strict-json"

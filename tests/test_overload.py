@@ -17,7 +17,8 @@ import pytest
 
 from repro.exceptions import OverloadedError, RemoteError, ValidationError
 from repro.server.client import OnexClient
-from repro.server.http import AdmissionGate, OnexHttpServer, _ServerMetrics
+from repro.obs.metrics import histogram_quantile, parse_exposition
+from repro.server.http import AdmissionGate, OnexHttpServer
 from repro.server.service import OnexService
 from repro.testing import faults
 
@@ -108,27 +109,6 @@ class TestAdmissionGate:
         assert gate.wait_idle(2.0) == 0
 
 
-class TestServerMetrics:
-    def test_snapshot_quantiles(self):
-        metrics = _ServerMetrics(ring_size=8)
-        for ms in (1.0, 2.0, 3.0, 4.0):
-            metrics.record("k_best", ms)
-        snap = metrics.latency_snapshot()
-        assert snap["k_best"]["count"] == 4
-        assert snap["k_best"]["p50_ms"] == pytest.approx(3.0)
-        assert snap["k_best"]["p99_ms"] == pytest.approx(4.0)
-        assert metrics.handled == 4
-
-    def test_ring_is_bounded(self):
-        metrics = _ServerMetrics(ring_size=4)
-        for ms in range(100):
-            metrics.record("op", float(ms))
-        snap = metrics.latency_snapshot()
-        assert snap["op"]["count"] == 4
-        assert snap["op"]["p50_ms"] >= 96.0
-        assert metrics.handled == 100
-
-
 class TestOverloadShedding:
     @pytest.fixture()
     def server(self):
@@ -175,17 +155,38 @@ class TestOverloadShedding:
             assert "retry" in body["error"]["message"]
 
     def test_health_reports_counters_and_latency(self, server):
-        _post(server.url, "k_best", _QUERY)
+        """/health reads the one request histogram /metrics exposes: its
+        per-op count and p50/p99 are what ``histogram_quantile`` gives
+        over the scraped buckets, and ``handled`` is the counts' sum."""
+        for _ in range(3):
+            _post(server.url, "k_best", _QUERY)
         with urllib.request.urlopen(f"{server.url}/health", timeout=30) as resp:
             health = json.loads(resp.read())
+        with urllib.request.urlopen(f"{server.url}/metrics", timeout=30) as resp:
+            scrape = parse_exposition(resp.read().decode())
         assert health["status"] == "ok"
         assert health["datasets"] == [_DATASET]
         assert health["in_flight"] == 0
-        assert health["handled"] >= 2  # the load + at least one query
         latency = health["latency_ms"]
-        assert latency["k_best"]["count"] >= 1
+        assert latency["k_best"]["count"] >= 3
         assert latency["k_best"]["p50_ms"] > 0
         assert latency["k_best"]["p99_ms"] >= latency["k_best"]["p50_ms"]
+        buckets: dict = {}
+        for key, count in scrape["onex_server_request_ms_bucket"].items():
+            labels = dict(key)
+            buckets.setdefault(labels["op"], []).append(
+                (float(labels["le"]), count)
+            )
+        counts = {
+            dict(key)["op"]: count
+            for key, count in scrape["onex_server_request_ms_count"].items()
+        }
+        assert set(latency) == set(buckets)
+        for op, figures in latency.items():
+            assert figures["count"] == counts[op]
+            assert figures["p50_ms"] == histogram_quantile(buckets[op], 0.50)
+            assert figures["p99_ms"] == histogram_quantile(buckets[op], 0.99)
+        assert health["handled"] == sum(counts.values())
 
     def test_ready_while_serving(self, server):
         with urllib.request.urlopen(f"{server.url}/ready", timeout=30) as resp:

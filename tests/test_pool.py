@@ -24,6 +24,7 @@ from repro.exceptions import (
     WorkerCrashedError,
 )
 from repro.obs.metrics import REGISTRY
+from repro.server import pool as pool_module
 from repro.server.http import AdmissionGate
 from repro.server.pool import (
     _recv_frame,
@@ -60,6 +61,13 @@ def query_values(seed=9, n=12):
     return np.random.default_rng(seed).normal(size=n).cumsum().tolist()
 
 
+def tune_pool(monkeypatch, **timings):
+    """Substitute pool timing constants (``backoff_base_s=0.05`` sets
+    ``_BACKOFF_BASE_S``); workers forked afterwards inherit the values."""
+    for name, value in timings.items():
+        monkeypatch.setattr(pool_module, f"_{name.upper()}", value)
+
+
 def wait_for(predicate, timeout=15.0, interval=0.05):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
@@ -70,14 +78,10 @@ def wait_for(predicate, timeout=15.0, interval=0.05):
 
 
 @pytest.fixture()
-def supervisor(tmp_path):
+def supervisor(tmp_path, monkeypatch):
+    tune_pool(monkeypatch, backoff_base_s=0.05, backoff_cap_s=0.5)
     service = make_service()
-    sup = Supervisor(
-        service,
-        workers=2,
-        snapshot_root=tmp_path / "snaps",
-        pool_options={"backoff_base_s": 0.05, "backoff_cap_s": 0.5},
-    )
+    sup = Supervisor(service, workers=2, snapshot_root=tmp_path / "snaps")
     sup.start(timeout=60)
     try:
         yield sup
@@ -159,15 +163,11 @@ class TestDispatch:
         assert sum(w["crashes"] for w in status["workers"]) >= 1
         assert sum(w["restarts"] for w in status["workers"]) >= 3
 
-    def test_non_read_only_crash_surfaces_retryable(self, tmp_path):
+    def test_non_read_only_crash_surfaces_retryable(self, tmp_path, monkeypatch):
+        tune_pool(monkeypatch, backoff_base_s=0.05)
         service = make_service(name="crash-toy")
         with faults.inject("worker.kill", "kill-worker", times=1):
-            sup = Supervisor(
-                service,
-                workers=1,
-                snapshot_root=tmp_path / "snaps",
-                pool_options={"backoff_base_s": 0.05},
-            )
+            sup = Supervisor(service, workers=1, snapshot_root=tmp_path / "snaps")
             sup.start(timeout=60)
             try:
                 # Drive the pool directly with a mutating op: the armed
@@ -191,20 +191,14 @@ class TestDispatch:
             finally:
                 sup.close()
 
-    def test_zero_live_workers_sheds_with_retry_after(self, tmp_path):
-        service = make_service(name="zero-toy")
-        sup = Supervisor(
-            service,
-            workers=1,
-            snapshot_root=tmp_path / "snaps",
-            # One crash trips the breaker: the slot stays broken for the
-            # whole test, so capacity is provably zero.
-            pool_options={
-                "flap_threshold": 1,
-                "flap_cooldown_s": 120.0,
-                "backoff_base_s": 0.05,
-            },
+    def test_zero_live_workers_sheds_with_retry_after(self, tmp_path, monkeypatch):
+        # One crash trips the breaker: the slot stays broken for the
+        # whole test, so capacity is provably zero.
+        tune_pool(
+            monkeypatch, flap_threshold=1, flap_cooldown_s=120.0, backoff_base_s=0.05
         )
+        service = make_service(name="zero-toy")
+        sup = Supervisor(service, workers=1, snapshot_root=tmp_path / "snaps")
         sup.start(timeout=60)
         try:
             (pid,) = [p for p in sup.pool.worker_pids() if p]
@@ -224,21 +218,18 @@ class TestDispatch:
         finally:
             sup.close()
 
-    def test_hang_detection_kills_and_recovers(self, tmp_path):
+    def test_hang_detection_kills_and_recovers(self, tmp_path, monkeypatch):
+        tune_pool(
+            monkeypatch,
+            heartbeat_interval_s=0.05,
+            heartbeat_timeout_s=0.4,
+            stall_limit_s=0.2,
+            backoff_base_s=0.5,
+        )
         service = make_service(name="hang-toy")
         faults.arm("worker.hang", "sleep", seconds=30.0, times=1)
         try:
-            sup = Supervisor(
-                service,
-                workers=1,
-                snapshot_root=tmp_path / "snaps",
-                pool_options={
-                    "heartbeat_interval_s": 0.05,
-                    "heartbeat_timeout_s": 0.4,
-                    "stall_limit_s": 0.2,
-                    "backoff_base_s": 0.5,
-                },
-            )
+            sup = Supervisor(service, workers=1, snapshot_root=tmp_path / "snaps")
             sup.start(timeout=60)
             try:
                 # The worker goes quiet mid-request; the monitor must
@@ -304,19 +295,17 @@ class TestReadYourWrites:
         assert after["epoch"] == before + 1
         assert after["dirty"] is False
 
-    def test_busy_worker_cannot_answer_from_a_superseded_epoch(self, tmp_path):
+    def test_busy_worker_cannot_answer_from_a_superseded_epoch(
+        self, tmp_path, monkeypatch
+    ):
         """Regression: the remap broadcast skipped a worker that was still
         busy when its wait ran out, and that worker then answered from the
         superseded epoch forever.  Epoch-tagged dispatch has no broadcast
         to miss: the worker maps the tagged epoch before it answers."""
+        # The old broadcast gave a busy slot this long, then moved on.
+        tune_pool(monkeypatch, backoff_base_s=0.05, dispatch_wait_s=0.3)
         service = make_service()
-        sup = Supervisor(
-            service,
-            workers=2,
-            snapshot_root=tmp_path / "snaps",
-            # The old broadcast gave a busy slot this long, then moved on.
-            pool_options={"backoff_base_s": 0.05, "dispatch_wait_s": 0.3},
-        )
+        sup = Supervisor(service, workers=2, snapshot_root=tmp_path / "snaps")
         sup.start(timeout=60)
         try:
             # Arm the hang in slot 0 only: kill it while the fault is
@@ -462,18 +451,12 @@ class TestDegradedCapacity:
         with pytest.raises(ValidationError):
             gate.resize(0)
 
-    def test_capacity_callback_scales_attached_gate(self, tmp_path):
-        service = make_service(name="cap-toy")
-        sup = Supervisor(
-            service,
-            workers=2,
-            snapshot_root=tmp_path / "snaps",
-            pool_options={
-                "flap_threshold": 1,
-                "flap_cooldown_s": 120.0,
-                "backoff_base_s": 0.05,
-            },
+    def test_capacity_callback_scales_attached_gate(self, tmp_path, monkeypatch):
+        tune_pool(
+            monkeypatch, flap_threshold=1, flap_cooldown_s=120.0, backoff_base_s=0.05
         )
+        service = make_service(name="cap-toy")
+        sup = Supervisor(service, workers=2, snapshot_root=tmp_path / "snaps")
         sup.start(timeout=60)
         gate = AdmissionGate(max_in_flight=8, max_queue=4)
         sup.attach_gate(gate)

@@ -22,6 +22,9 @@ import pytest
 
 import repro
 from repro.core.grouping import cluster_subsequence_rows, cluster_subsequences
+from repro.server.pool import WorkerPool
+from repro.server.service import OnexService
+from repro.server.supervisor import Supervisor
 
 ROOT = Path(repro.__file__).resolve().parents[2]
 
@@ -75,11 +78,31 @@ class TestTopLevel:
             assert name in repro.__all__, f"{name} missing from repro.__all__"
 
 
+#: Every parameter of the entry points that once took test-only settings.
+SETTINGS = {
+    repro.QueryProcessor.batch_matches:
+        ["self", "queries", "k", "lengths", "normalize", "deadline"],
+    repro.OnexEngine.load_dataset:
+        ["self", "dataset", "similarity_threshold", "min_length", "max_length",
+         "step", "normalize", "num_workers", "deadline"],
+    WorkerPool.__init__: ["self", "size", "service_config", "on_capacity_change"],
+    Supervisor.__init__:
+        ["self", "service", "workers", "snapshot_root", "query_config_kwargs",
+         "default_timeout_ms"],
+    OnexService.__init__:
+        ["self", "query_config", "default_build_workers", "default_timeout_ms",
+         "durability"],
+    repro.MonitorRegistry.__init__: ["self", "base"],
+}  # fmt: skip
+
+
 class TestNoExecutionSelectors:
-    """DESIGN.md §1: production code has one path per operation, and a
+    """DESIGN.md §1: production code has one path per operation, a
     correctness witness is a private same-signature function a test
-    substitutes — never an argument or a config field.  A new selector
-    has to edit this test, and say why one path is not enough."""
+    substitutes — never an argument or a config field — and a setting
+    exists only while a non-test caller sets it (tests substitute module
+    constants).  A new selector or setting has to edit this test, and say
+    why one path or one value is not enough."""
 
     def test_config_fields_are_exactly_these(self):
         assert {f.name for f in dataclasses.fields(repro.QueryConfig)} == {
@@ -88,8 +111,17 @@ class TestNoExecutionSelectors:
         }  # fmt: skip
         assert {f.name for f in dataclasses.fields(repro.BuildConfig)} == {
             "similarity_threshold", "min_length", "max_length", "step",
-            "normalize", "num_workers", "build_executor",
+            "normalize", "num_workers",
         }  # fmt: skip
+
+    @pytest.mark.parametrize(
+        "function", list(SETTINGS), ids=lambda function: function.__qualname__
+    )
+    def test_settings_are_exactly_these(self, function):
+        """The thread fan-out, the build backend and the pool, service
+        and monitor timings were settings only tests set; they are
+        constants now."""
+        assert list(inspect.signature(function).parameters) == SETTINGS[function]
 
     @pytest.mark.parametrize(
         "function",

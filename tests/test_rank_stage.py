@@ -267,7 +267,7 @@ class TestRepresentativeTable:
         rng = np.random.default_rng(13)
         queries = [rng.uniform(size=n) for n in (6, 6, 7, 5, 9, 6, 8, 7)]
         processor = QueryProcessor(attached, QueryConfig(mode="exact"))
-        got = processor.batch_matches(queries, 3, normalize=False, max_workers=4)
+        got = processor.batch_matches(queries, 3, normalize=False)
         assert built == [len(attached.lengths)]
         want = QueryProcessor(walk_base, QueryConfig(mode="exact"))
         for q, matches in zip(queries, got):

@@ -209,14 +209,14 @@ def _run(processor, operation, queries):
     """One answer per query, and the work counters summed over them."""
     if operation == "batch_matches":
         return processor.batch_matches(queries, 3, normalize=False), processor.last_stats
-    answers, total = [], QueryStats()
+    answers, counters = [], []
     for q in queries:
         if operation == "k_best":
             answers.append(processor.k_best_matches(q, 3, normalize=False))
         else:
             answers.append(processor.matches_within(q, 0.06, normalize=False))
-        total.merge(processor.last_stats)
-    return answers, total
+        counters.append(processor.last_stats.as_dict())
+    return answers, QueryStats(**{f: sum(c[f] for c in counters) for f in counters[0]})
 
 
 class TestRankPruningChangesNoAnswer:

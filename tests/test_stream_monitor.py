@@ -18,6 +18,7 @@ from repro.data.dataset import TimeSeriesDataset
 from repro.distances.dtw import dtw_distance
 from repro.exceptions import DatasetError, ValidationError
 from repro.stream import MonitorRegistry, OnlineSpringMatcher, StreamIngestor
+from repro.stream import monitor as monitor_module
 
 
 def make_base(normalize=False, st_value=0.25, seed=41):
@@ -216,9 +217,10 @@ class TestMonitorRegistry:
         assert len(ing.poll_events(limit=1)) == 1
         assert ing.poll_events(since=events[-1].seq) == []
 
-    def test_bounded_buffer_drops_oldest(self):
+    def test_bounded_buffer_drops_oldest(self, monkeypatch):
+        monkeypatch.setattr(monitor_module, "_MAX_EVENTS", 5)
         base = make_base()
-        registry = MonitorRegistry(base, max_events=5)
+        registry = MonitorRegistry(base)
         ing = StreamIngestor(base, registry)
         registry.register(base.dataset[0].values[:5], epsilon=100.0)
         rng = np.random.default_rng(7)

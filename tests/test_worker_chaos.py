@@ -29,6 +29,7 @@ from repro.core.config import QueryConfig
 from repro.data.dataset import TimeSeriesDataset
 from repro.data.timeseries import TimeSeries
 from repro.server.client import OnexClient
+from repro.server import pool as pool_module
 from repro.server.http import OnexHttpServer
 from repro.server.service import OnexService
 from repro.server.supervisor import Supervisor
@@ -63,20 +64,14 @@ def wait_for(predicate, timeout=20.0, interval=0.05):
 
 
 class TestKill9UnderLoad:
-    def test_no_acknowledged_request_lost(self, tmp_path):
+    def test_no_acknowledged_request_lost(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(pool_module, "_BACKOFF_BASE_S", 0.05)
+        monkeypatch.setattr(pool_module, "_BACKOFF_CAP_S", 0.5)
+        # The flap breaker has its own test; here it must not latch a
+        # slot open while we deliberately kill workers in a loop.
+        monkeypatch.setattr(pool_module, "_FLAP_THRESHOLD", 100)
         service = make_service()
-        supervisor = Supervisor(
-            service,
-            workers=2,
-            snapshot_root=tmp_path / "snaps",
-            # The flap breaker has its own test; here it must not latch a
-            # slot open while we deliberately kill workers in a loop.
-            pool_options={
-                "backoff_base_s": 0.05,
-                "backoff_cap_s": 0.5,
-                "flap_threshold": 100,
-            },
-        )
+        supervisor = Supervisor(service, workers=2, snapshot_root=tmp_path / "snaps")
         supervisor.start(timeout=60)
         server = OnexHttpServer(supervisor, max_in_flight=8, max_queue=16)
         server.start()

@@ -3,7 +3,9 @@
 The serving stack — supervisor, pool, HTTP front end (``repro.server``),
 the one on-disk layout every save, checkpoint, publication and attach
 goes through (``repro.core.mmap_layout``, ``repro.core.persist``), the
-WAL/checkpoint/recovery subsystem (``repro.durability``), the query
+WAL/checkpoint/recovery subsystem (``repro.durability``), the engine
+facade the service calls (``repro.core.engine``) with the parameter
+records it builds (``repro.core.config``), the query
 cascade every read runs (``repro.core.query``) with the base and its
 representative table it ranks over (``repro.core.base``), the write
 path that grows that base (``repro.stream``, the clustering in
@@ -43,6 +45,8 @@ TARGETS = (
     ROOT / "src" / "repro" / "durability",
     ROOT / "src" / "repro" / "core" / "mmap_layout.py",
     ROOT / "src" / "repro" / "core" / "persist.py",
+    ROOT / "src" / "repro" / "core" / "engine.py",
+    ROOT / "src" / "repro" / "core" / "config.py",
     ROOT / "src" / "repro" / "core" / "query.py",
     ROOT / "src" / "repro" / "core" / "base.py",
     ROOT / "src" / "repro" / "core" / "grouping.py",
