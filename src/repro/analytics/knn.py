@@ -4,21 +4,21 @@
 the cleanest way to demonstrate the paper's premise that warping-robust
 similarity beats pointwise ED on misaligned shape data (experiment E14
 does exactly that on cylinder–bell–funnel).  The classifier is lazy:
-``fit`` stores the references, ``predict`` runs the distance against all
-of them with LB_Kim pre-filtering and early-abandoning DTW when the
-default metric is used.
+``fit`` stores the references as one zero-padded stack, and ``predict``
+runs the default banded DTW against all of them in one ragged kernel
+call, with no bound prescreen: it costs more than the DTW it would skip
+(DESIGN.md §4).
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
-from typing import Callable, Sequence
+from collections.abc import Callable, Hashable, Iterable, Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
-from repro.distances.dtw import dtw_distance_early_abandon, dtw_distance
-from repro.distances.lower_bounds import lb_kim
+from repro.distances.dtw import dtw_distance_batch
 from repro.distances.metrics import as_sequence
 from repro.exceptions import ValidationError
 
@@ -32,11 +32,11 @@ class KnnClassifier:
         self,
         k: int = 1,
         *,
-        distance: Callable | None = None,
+        distance: Callable[[np.ndarray, np.ndarray], float] | None = None,
         window: int | None = None,
     ) -> None:
-        """*distance* overrides the default banded DTW; when supplied,
-        the LB/early-abandon fast path is bypassed (it is DTW-specific)."""
+        """*distance* overrides the default banded DTW; it is called once
+        per reference instead of the one batched kernel call."""
         if k < 1:
             raise ValidationError(f"k must be >= 1, got {k}")
         self._k = k
@@ -44,6 +44,8 @@ class KnnClassifier:
         self._window = window
         self._references: list[np.ndarray] = []
         self._labels: list = []
+        self._padded = np.empty((0, 0))
+        self._lengths = np.empty(0, dtype=np.int64)
 
     @property
     def is_fitted(self) -> bool:
@@ -62,39 +64,32 @@ class KnnClassifier:
             )
         self._references = sequences
         self._labels = labels
+        # One zero-padded stack: a query's DTW to every reference is one
+        # ragged kernel call.
+        self._lengths = np.array([len(s) for s in sequences])
+        self._padded = np.zeros((len(sequences), int(self._lengths.max())))
+        for row, sequence in zip(self._padded, sequences):
+            row[: len(sequence)] = sequence
         return self
 
-    def neighbors(self, query) -> list[tuple[float, int]]:
-        """The k nearest ``(distance, reference_index)`` pairs."""
+    def neighbors(self, query: ArrayLike) -> list[tuple[float, int]]:
+        """The k nearest ``(distance, reference_index)`` pairs, nearest
+        first; equal distances go to the lower index."""
         if not self.is_fitted:
             raise ValidationError("classifier not fitted")
         q = as_sequence(query, name="query")
-        heap: list[tuple[float, int]] = []  # sorted ascending, size <= k
-        for idx, ref in enumerate(self._references):
-            cutoff = heap[-1][0] if len(heap) == self._k else math.inf
-            if self._distance is not None:
-                d = float(self._distance(q, ref))
-            else:
-                if math.isfinite(cutoff) and lb_kim(q, ref) > cutoff:
-                    continue
-                if math.isfinite(cutoff):
-                    d = dtw_distance_early_abandon(
-                        q, ref, cutoff, window=self._window
-                    )
-                    if math.isinf(d):
-                        continue
-                else:
-                    d = dtw_distance(q, ref, window=self._window)
-            entry = (d, idx)
-            if len(heap) < self._k:
-                heap.append(entry)
-                heap.sort()
-            elif entry < heap[-1]:
-                heap[-1] = entry
-                heap.sort()
-        return heap
+        if self._distance is None:
+            distances = dtw_distance_batch(
+                q, self._padded, window=self._window, lengths=self._lengths
+            )
+        else:
+            distances = np.array(
+                [float(self._distance(q, ref)) for ref in self._references]
+            )
+        nearest = np.lexsort((np.arange(distances.size), distances))[: self._k]
+        return [(float(distances[idx]), int(idx)) for idx in nearest]
 
-    def predict(self, query):
+    def predict(self, query: ArrayLike) -> Hashable:
         """Majority label among the k nearest references (ties: nearest)."""
         nearest = self.neighbors(query)
         votes = Counter(self._labels[idx] for _, idx in nearest)
@@ -108,10 +103,10 @@ class KnnClassifier:
                 return self._labels[idx]
         raise AssertionError("unreachable")  # pragma: no cover
 
-    def predict_batch(self, queries) -> list:
+    def predict_batch(self, queries: Iterable[ArrayLike]) -> list:
         return [self.predict(q) for q in queries]
 
-    def score(self, queries, labels) -> float:
+    def score(self, queries: Iterable[ArrayLike], labels: Iterable) -> float:
         """Fraction of *queries* classified as *labels*."""
         labels = list(labels)
         if len(labels) == 0:

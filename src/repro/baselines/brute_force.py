@@ -1,32 +1,20 @@
 """Exact brute-force DTW search — the accuracy ground truth (S10).
 
-Scans every indexed subsequence with DTW.  Two implementations share the
-public API:
-
-- ``batch=True`` (default): raw DTW to every window of a length via the
-  vectorised anti-diagonal kernel (the same kernel ONEX uses), then exact
-  normalised distances for candidates in ascending optimistic order until
-  no unverified candidate can improve the k-th best.  Exact, and the
-  fairest "no index" comparator for the speed experiments.
-- ``batch=False``: sequential scan with LB_Kim and early-abandoning DTW
-  (the careful practitioner's loop), or fully naive with ``prune=False``
-  — the cost regime of the paper's challenge 1.
+Scans every indexed subsequence with DTW: raw DTW to every window of a
+length via the vectorised kernel (the same kernel ONEX uses), then exact
+normalised distances from :func:`~repro.distances.dtw.dtw_path` for
+candidates in ascending optimistic order until no unverified candidate can
+improve the k-th best.  Exact, and the fairest "no index" comparator for
+the speed experiments; the test suite holds it to a naive scan.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-
 
 from repro.core.query import Match
 from repro.data.dataset import SubsequenceRef, TimeSeriesDataset
-from repro.distances.dtw import (
-    dtw_distance_batch,
-    dtw_distance_early_abandon,
-    dtw_path,
-)
-from repro.distances.lower_bounds import lb_kim
+from repro.distances.dtw import dtw_distance_batch, dtw_path
 from repro.distances.metrics import as_sequence
 from repro.exceptions import ValidationError
 
@@ -37,7 +25,6 @@ __all__ = ["BruteForceSearcher", "BruteForceStats"]
 class BruteForceStats:
     candidates: int = 0
     lb_prunes: int = 0
-    abandoned: int = 0
     dtw_calls: int = 0
 
 
@@ -48,14 +35,10 @@ class BruteForceSearcher:
     (normalised) dataset the ONEX base indexes so distances are comparable.
     """
 
-    def __init__(
-        self, dataset: TimeSeriesDataset, *, prune: bool = True, batch: bool = True
-    ) -> None:
+    def __init__(self, dataset: TimeSeriesDataset) -> None:
         if len(dataset) == 0:
             raise ValidationError("dataset must be non-empty")
         self._dataset = dataset
-        self._prune = prune
-        self._batch = batch
         self.last_stats = BruteForceStats()
 
     def best_match(
@@ -85,10 +68,7 @@ class BruteForceSearcher:
         if not lengths or lengths[0] < 1:
             raise ValidationError("lengths must be positive integers")
         stats = BruteForceStats()
-        if self._batch:
-            best = self._search_batch(q, k, lengths, window, stats)
-        else:
-            best = self._search_scan(q, k, lengths, window, stats)
+        best = self._search(q, k, lengths, window, stats)
         self.last_stats = stats
         if not best:
             raise ValidationError("no candidate subsequences for these lengths")
@@ -104,11 +84,7 @@ class BruteForceSearcher:
             for dist, ref, raw, path in best
         ]
 
-    # ------------------------------------------------------------------
-    # Vectorised search
-    # ------------------------------------------------------------------
-
-    def _search_batch(self, q, k, lengths, window, stats):
+    def _search(self, q, k, lengths, window, stats):
         qlen = q.shape[0]
         # Raw DTW to everything, then verify candidates in ascending order
         # of the optimistic normalised distance raw / (max path length):
@@ -136,35 +112,6 @@ class BruteForceSearcher:
             entry = (res.normalized_distance, ref, res.distance, res.path)
             self._keep_best(best, entry, k)
         stats.lb_prunes = stats.candidates - stats.dtw_calls
-        return best
-
-    # ------------------------------------------------------------------
-    # Sequential scan (prune=True adds LB_Kim + early abandoning)
-    # ------------------------------------------------------------------
-
-    def _search_scan(self, q, k, lengths, window, stats):
-        qlen = q.shape[0]
-        best: list[tuple[float, SubsequenceRef, float, tuple]] = []
-        for length in lengths:
-            max_path = qlen + length - 1
-            for ref in self._dataset.iter_subsequences(length):
-                stats.candidates += 1
-                values = self._dataset.values(ref)
-                cutoff = best[-1][0] if len(best) == k else math.inf
-                if self._prune and math.isfinite(cutoff):
-                    if lb_kim(q, values) / max_path > cutoff:
-                        stats.lb_prunes += 1
-                        continue
-                    raw = dtw_distance_early_abandon(
-                        q, values, cutoff * max_path, window=window
-                    )
-                    if math.isinf(raw):
-                        stats.abandoned += 1
-                        continue
-                stats.dtw_calls += 1
-                res = dtw_path(q, values, window=window)
-                entry = (res.normalized_distance, ref, res.distance, res.path)
-                self._keep_best(best, entry, k)
         return best
 
     @staticmethod

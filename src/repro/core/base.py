@@ -266,7 +266,9 @@ class RepresentativeTable:
         endpoints, lengths, lo, hi = self.endpoints, self.lengths, self.lo, self.hi
         if rows is not None:
             endpoints, lengths, lo, hi = endpoints[rows], lengths[rows], lo[rows], hi[rows]
-        bounds = np.maximum(
+        # ``fmax``: where a term overflowed to NaN (``inf - inf`` in the
+        # band bound's rounding margin) the other term stands.
+        bounds = np.fmax(
             lb_kim_endpoints_batch(query, endpoints, lengths),
             lb_keogh_reverse_batch(query, lo[:, None], hi[:, None]),
         )
@@ -278,7 +280,7 @@ class RepresentativeTable:
                 keogh = lb_keogh_reverse_batch(
                     query, *keogh_envelope_batch(centroids, band)
                 )
-                bounds[same] = np.maximum(bounds[same], keogh)
+                bounds[same] = np.fmax(bounds[same], keogh)
         return bounds
 
 

@@ -401,13 +401,13 @@ def _attach(
     )
 
 
-def clean_stale_snapshots(root: str | Path, *, keep_latest: int = 1) -> list[str]:
+def clean_stale_snapshots(root: str | Path) -> list[str]:
     """Sweep debris under snapshot root *root*; returns removed paths.
 
     Removes every ``*.tmp`` directory (a publish that crashed mid-write)
-    and, per dataset directory, every ``epoch-<n>`` but the newest
-    *keep_latest* — the shared-memory leftovers of a previous crashed
-    run that nothing will ever map again.  Missing *root* is a no-op.
+    and every ``epoch-<n>`` — the shared-memory leftovers of a previous
+    crashed run that nothing will ever map again.  Missing *root* is a
+    no-op.
     """
     root = Path(root)
     removed: list[str] = []
@@ -420,22 +420,14 @@ def clean_stale_snapshots(root: str | Path, *, keep_latest: int = 1) -> list[str
             shutil.rmtree(dataset_dir, ignore_errors=True)
             removed.append(str(dataset_dir))
             continue
-        epochs = []
         for entry in sorted(dataset_dir.iterdir()):
-            if not entry.is_dir():
-                continue
-            if entry.name.endswith(".tmp"):
+            epoch = entry.name[len("epoch-") :]
+            if entry.is_dir() and (
+                entry.name.endswith(".tmp")
+                or (entry.name.startswith("epoch-") and epoch.isdigit())
+            ):
                 shutil.rmtree(entry, ignore_errors=True)
                 removed.append(str(entry))
-            elif entry.name.startswith("epoch-"):
-                try:
-                    epochs.append((int(entry.name[len("epoch-") :]), entry))
-                except ValueError:
-                    continue
-        epochs.sort()
-        for _, entry in epochs[: max(0, len(epochs) - keep_latest)]:
-            shutil.rmtree(entry, ignore_errors=True)
-            removed.append(str(entry))
     if removed:
         log_event(_LOG, "info", "snapshot.cleaned", removed=len(removed))
     return removed

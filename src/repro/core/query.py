@@ -99,7 +99,7 @@ from repro.distances.lower_bounds import (
 from repro.distances.metrics import as_sequence
 from repro.distances.normalize import minmax_normalize
 from repro.distances.registry import MetricSpec, get_metric
-from repro.exceptions import DeadlineExceeded, ValidationError
+from repro.exceptions import DeadlineExceeded, InvariantError, ValidationError
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import span
 from repro.testing import faults
@@ -291,6 +291,11 @@ class _LazyOrder:
                 block = values <= np.partition(values, want - 1)[want - 1]
                 self._rest, self._rest_values = rest[~block], values[~block]
                 rest, values = rest[block], values[block]
+            if not rest.size:
+                # A NaN bound compares false with every pivot.
+                raise InvariantError(
+                    f"bound order made no progress at {self.ready} of {self.size}"
+                )
             by_bound = np.argsort(values, kind="stable")
             end = self.ready + rest.size
             self.order[self.ready : end] = rest[by_bound]

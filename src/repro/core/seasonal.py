@@ -7,16 +7,13 @@ the windows of the *single* series are clustered into similarity groups
 with ED, and groups containing several non-overlapping windows are
 reported as recurring patterns, verified pairwise under DTW.
 
-Verification is where the work is, and it runs on the batched kernel
-cascade (DESIGN.md §4): all unique occurrence pairs of a group are bounded
-at once — a vectorised mean-L1 *upper* bound plus the
-:func:`~repro.distances.lower_bounds.lb_pairwise_table` LB_Kim/LB_Keogh
-*lower* table — and exact DTW runs only for the pairs that can still
-decide the group's worst pairwise distance, stacked into condensed
-paired-kernel calls (:func:`~repro.distances.dtw.dtw_distance_condensed`).
-Tight groups resolve with a handful of kernel invocations where the seed
-implementation paid one scalar ``dtw_path`` per pair per drop iteration;
-results are identical.  :func:`_verify_scalar`, the seed's verifier, has
+Verification is where the work is, and it is one kernel call per group
+(DESIGN.md §4): every unique occurrence pair of the group runs through
+one condensed paired-kernel call
+(:func:`~repro.distances.dtw.dtw_distance_condensed`), and the drop loop
+reads the memoised matrix, where the seed implementation paid one scalar
+``dtw_path`` per pair per drop iteration; results are identical.
+:func:`_verify_scalar`, the seed's verifier, has
 :func:`_verify_batched`'s signature and nothing here calls it: the
 property suite substitutes it to cross-check them (DESIGN.md §1).
 
@@ -27,7 +24,6 @@ collection's base to cover the requested window length.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 
@@ -40,17 +36,11 @@ from repro.core.validation import as_int_arg, as_optional_int_arg
 from repro.data.dataset import SubsequenceRef, TimeSeriesDataset
 from repro.data.timeseries import TimeSeries
 from repro.distances.dtw import dtw_distance, dtw_distance_condensed
-from repro.distances.lower_bounds import lb_pairwise_table
 from repro.exceptions import DeadlineExceeded, ValidationError
 from repro.obs.trace import span
 from repro.testing import faults
 
 __all__ = ["SeasonalPattern", "find_seasonal_patterns"]
-
-#: Pairs evaluated per round of the lazy worst-pair walk; grows
-#: geometrically within one group so adversarial bound distributions cost
-#: O(log pairs) kernel calls while tight groups stop after the first one.
-_PAIR_CHUNK = 16
 
 #: ``np.triu_indices(n, 1)`` memoised by ``n`` — the verifier's drop loop
 #: re-enumerates the active pairs every iteration, and the enumeration for
@@ -124,123 +114,6 @@ def _select_nonoverlapping(
     return sorted(chosen, key=lambda ref: ref.start)
 
 
-class _PairwiseWorstFinder:
-    """Exact worst pairwise normalised DTW over a shrinking occurrence set.
-
-    Bounds every unique pair once up front — the diagonal-path mean-L1
-    upper bound (any warping path through equal-length sequences is at
-    most the diagonal's cost over at least its length) and the
-    LB_Kim/LB_Keogh lower table scaled by the maximal path length — then
-    answers each ``worst(active)`` request by evaluating exact DTW only
-    for pairs whose upper bound can still reach the running maximum, in
-    descending-bound condensed-kernel chunks.  Exact values are memoised,
-    so the drop loop of the verifier never recomputes a pair (the seed
-    implementation recomputed every pair on every drop).
-
-    The returned ``(worst, pair)`` is identical to the scalar scan's,
-    including the first-pair-wins tie-break: a pair is skipped only when
-    its upper bound is *strictly* below a proven exact value or below
-    another pair's lower bound, either of which places it strictly under
-    the maximum.
-    """
-
-    #: Below this many unique pairs the bound tables cost more than the
-    #: DTW they could save; the finder then evaluates every pair eagerly
-    #: in one condensed call and answers ``worst`` by lookup (memoisation
-    #: across drop iterations is still the big win over the scalar scan).
-    _BOUNDS_MIN_PAIRS = 16
-
-    def __init__(
-        self,
-        rows: np.ndarray,
-        window: int | None,
-        deadline: Deadline | None = None,
-    ) -> None:
-        self._rows = rows
-        self._window = window
-        self._deadline = deadline
-        n, length = rows.shape
-        self._exact = np.full((n, n), np.nan)
-        np.fill_diagonal(self._exact, 0.0)
-        self._use_bounds = n * (n - 1) // 2 >= self._BOUNDS_MIN_PAIRS
-        if self._use_bounds:
-            max_path = 2 * length - 1
-            diffs = np.abs(rows[:, None, :] - rows[None, :, :])
-            self._upper = diffs.mean(axis=2)
-            self._lower = lb_pairwise_table(rows, radius=window) / max_path
-        else:
-            iu, ju = _unique_pairs(n)
-            raws, plens = dtw_distance_condensed(
-                rows, pairs=(iu, ju), window=window, with_path_length=True
-            )
-            values = raws / plens
-            self._exact[iu, ju] = values
-            self._exact[ju, iu] = values
-
-    def worst(self, active: list[int]) -> tuple[float, tuple[int, int]]:
-        """Max exact pairwise DTW over *active* and its first attaining pair.
-
-        Returns positions into *active* (matching the scalar scan's
-        row-major pair enumeration) so the caller's drop logic is shared
-        between both implementations.
-        """
-        act = np.asarray(active, dtype=np.int64)
-        ai, aj = _unique_pairs(act.size)
-        gi, gj = act[ai], act[aj]
-        exact = self._exact[gi, gj]
-        if not self._use_bounds:
-            worst = float(exact.max())
-            first = int(np.nonzero(exact == worst)[0][0])
-            return worst, (int(ai[first]), int(aj[first]))
-        upper = self._upper[gi, gj]
-        lower = self._lower[gi, gj]
-
-        known = ~np.isnan(exact)
-        best = float(exact[known].max()) if known.any() else -math.inf
-        # Any pair's lower bound is achieved by *some* active pair, so a
-        # pair whose upper bound sits strictly below it can never be the
-        # maximum (nor tie it) — safe to leave unevaluated.
-        skip_bound = max(float(lower.max()), best)
-        pending = np.nonzero(~known & (upper >= skip_bound))[0]
-        order = pending[np.argsort(-upper[pending], kind="stable")]
-        pos = 0
-        chunk = _PAIR_CHUNK
-        while pos < order.size:
-            faults.fire("seasonal.pair_chunk")
-            if self._deadline is not None:
-                self._deadline.check(
-                    "seasonal pair verification",
-                    {"pairs_evaluated": pos, "pairs_pending": int(order.size - pos)},
-                )
-            take = order[pos : pos + chunk]
-            pos += take.size
-            chunk *= 2
-            full = take.size
-            take = take[upper[take] >= skip_bound]
-            if take.size:
-                with span("seasonal.pair_chunk", pairs=int(take.size)):
-                    raws, plens = dtw_distance_condensed(
-                        self._rows,
-                        pairs=(gi[take], gj[take]),
-                        window=self._window,
-                        with_path_length=True,
-                    )
-                values = raws / plens
-                self._exact[gi[take], gj[take]] = values
-                self._exact[gj[take], gi[take]] = values
-                exact[take] = values
-                best = max(best, float(values.max()))
-                skip_bound = max(skip_bound, best)
-            if take.size < full:
-                # The order is descending in upper bound: once one entry
-                # falls below the skip bound, every later entry does too.
-                break
-        known = ~np.isnan(exact)
-        worst = float(exact[known].max())
-        first = int(np.nonzero(known & (exact == worst))[0][0])
-        return worst, (int(ai[first]), int(aj[first]))
-
-
 def _verify_batched(
     chosen: list[SubsequenceRef],
     centroid: np.ndarray,
@@ -250,14 +123,35 @@ def _verify_batched(
     min_occurrences: int,
     deadline: Deadline | None = None,
 ) -> tuple[list[SubsequenceRef], float] | None:
-    """Batched verify-and-drop: memoised condensed DTW with bound pruning."""
+    """Batched verify-and-drop: one condensed DTW call, memoised.
+
+    The call fills the ``n x n`` matrix of every unique pair's normalised
+    DTW, and each drop iteration looks its worst pair up there, where the
+    seed recomputed every pair on every drop.  No bound prescreen: it
+    costs more than the DTW it would skip (DESIGN.md §4).  The failpoint
+    and the deadline check fire once per group, before the call.
+    """
+    n = len(chosen)
+    iu, ju = _unique_pairs(n)
+    faults.fire("seasonal.pair_chunk")
+    if deadline is not None:
+        deadline.check(
+            "seasonal pair verification", {"occurrences": n, "pairs": int(iu.size)}
+        )
+    raws, plens = dtw_distance_condensed(rows, window=window, with_path_length=True)
+    exact = np.zeros((n, n))
+    exact[iu, ju] = exact[ju, iu] = raws / plens
     centroid_dist = np.abs(rows - centroid).mean(axis=1)
-    finder = _PairwiseWorstFinder(rows, window, deadline)
-    active = list(range(len(chosen)))
+    active = list(range(n))
     while len(active) >= min_occurrences:
-        worst, (i, j) = finder.worst(active)
-        if worst <= threshold:
-            return [chosen[a] for a in active], worst
+        at = np.asarray(active)
+        ai, aj = _unique_pairs(at.size)
+        values = exact[at[ai], at[aj]]
+        # The scalar scan's tie-break: the first maximum in row-major order.
+        first = int(np.argmax(values))
+        if values[first] <= threshold:
+            return [chosen[a] for a in active], float(values[first])
+        i, j = int(ai[first]), int(aj[first])
         di = float(centroid_dist[active[i]])
         dj = float(centroid_dist[active[j]])
         active.pop(i if di >= dj else j)
@@ -340,7 +234,7 @@ def find_seasonal_patterns(
     electricity usage, as in the paper's Fig. 4 narrative) still matches on
     shape.
 
-    A *deadline* is checked per candidate group and per pair-DTW chunk;
+    A *deadline* is checked per candidate group and before its pair DTW;
     with ``allow_partial`` the miner returns the (fully verified)
     patterns found before the budget fired instead of raising.
     """

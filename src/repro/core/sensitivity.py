@@ -19,13 +19,13 @@ The default implementation rides the batched pruning cascade (DESIGN.md
 bound already clears the whole grid are skipped, the live groups'
 representatives get their warping paths from **one** ``dtw_path_batch``
 call per bucket, member rows come straight from the bucket's stacked
-member matrix, and ``verify=True`` resolves every still-ambiguous member with an
-LB_Kim/LB_Keogh prescreen followed by **one** stacked batch-DTW call per
-bucket — where the seed implementation paid one scalar ``dtw_path`` per
-ambiguous member.  Counts are identical either way:
-:func:`_profile_scalar`, the seed's implementation, has
-:func:`_profile_batched`'s signature and nothing here calls it — the
-property suite substitutes it to cross-check them (DESIGN.md §1).
+member matrix, and ``verify=True`` resolves every still-ambiguous member
+with **one** stacked batch-DTW call per bucket — where the seed
+implementation paid one scalar ``dtw_path`` per ambiguous member.  Counts
+are identical either way: :func:`_profile_scalar`, the seed's
+implementation, has :func:`_profile_batched`'s signature and nothing here
+calls it — the property suite substitutes it to cross-check them
+(DESIGN.md §1).
 
 :func:`similarity_profile` returns both count curves over a threshold
 grid (plus exact counts when ``verify=True``), which the Similarity View
@@ -48,8 +48,6 @@ from repro.core.validation import as_optional_int_arg
 from repro.data.dataset import SubsequenceRef
 from repro.distances.bounds import path_multiplicities
 from repro.distances.dtw import dtw_distance_batch, dtw_path, dtw_path_batch, effective_band
-from repro.distances.lower_bounds import lb_keogh_batch, lb_kim_batch
-from repro.distances.envelope import keogh_envelope
 from repro.distances.metrics import as_sequence
 from repro.distances.normalize import minmax_normalize
 from repro.exceptions import ValidationError
@@ -178,17 +176,11 @@ def _profile_batched(
     warping-path call per bucket, stacked member rows, and (under
     ``verify``) one batched member-DTW call per bucket.
 
-    Every shortcut is conservative against the scalar path's own bounds,
-    so the emitted counts are identical:
-
-    - a group is skipped (no warping path) only when its summary cheap
-      bound proves every member's scalar *lower* bound would already
-      exceed the whole grid — such members count toward nothing but the
-      candidate total either way;
-    - an ambiguous member skips exact DTW only when LB_Kim/LB_Keogh over
-      the maximal path length proves its distance exceeds the grid — the
-      scalar path's exact value would have counted it out at every
-      threshold too.
+    The one shortcut is conservative against the scalar path's own
+    bounds, so the emitted counts are identical: a group is skipped (no
+    warping path) only when its summary cheap bound proves every member's
+    scalar *lower* bound would already exceed the whole grid — such
+    members count toward nothing but the candidate total either way.
     """
     qlen = q.shape[0]
     grid_arr = np.asarray(grid)
@@ -196,7 +188,7 @@ def _profile_batched(
     candidates = 0
     lowers: list[np.ndarray] = []
     uppers: list[np.ndarray] = []
-    verify_units: list[tuple] = []  # (bucket, rows, base offset into arrays)
+    verify_units: list[tuple] = []  # (rows, base offset into arrays)
     offset = 0
     table = base.rep_table
     for scanned, bucket in enumerate(chosen):
@@ -236,7 +228,7 @@ def _profile_batched(
                     np.maximum(distance - max_path * cheb, 0.0) / max_path
                 )
         if verify and g_ids.size:
-            verify_units.append((bucket, stacked, offset))
+            verify_units.append((stacked, offset))
             offset += stacked.shape[0]
 
     lower = np.concatenate(lowers) if lowers else np.empty(0)
@@ -252,34 +244,16 @@ def _profile_batched(
         ambiguous_any = np.searchsorted(grid_arr, upper, side="left") > (
             np.searchsorted(grid_arr, lower, side="left")
         )
-        for scanned, (bucket, rows, start) in enumerate(verify_units):
+        for scanned, (rows, start) in enumerate(verify_units):
             _check_bucket_deadline(deadline, scanned, len(verify_units))
-            length = bucket.length
-            max_path = qlen + length - 1
             sl = slice(start, start + rows.shape[0])
             need = np.nonzero(ambiguous_any[sl])[0]
             if not need.size:
                 continue
-            need_rows = rows[need]
-            # LB prescreen: a bound already above the whole grid (scaled
-            # by the maximal path length) proves the member matches at no
-            # threshold — exactly what its exact distance would conclude.
-            bound = lb_kim_batch(q, need_rows)
-            if qlen == length:
-                radius = band_radius = effective_band(qlen, length, window)
-                if band_radius is None:
-                    radius = length - 1
-                env_lo, env_hi = keogh_envelope(q, radius)
-                bound = np.maximum(bound, lb_keogh_batch(need_rows, env_lo, env_hi))
-            decided_out = bound / max_path > st_max
-            target = exact_distance[sl]
-            target[need[decided_out]] = np.inf
-            survivors = need[~decided_out]
-            if survivors.size:
-                raws, plens = dtw_distance_batch(
-                    q, need_rows[~decided_out], window=window, with_path_length=True
-                )
-                target[survivors] = raws / plens
+            raws, plens = dtw_distance_batch(
+                q, rows[need], window=window, with_path_length=True
+            )
+            exact_distance[sl][need] = raws / plens
 
     points = _points_from_bounds(grid, lower, upper, exact_distance)
     return SensitivityProfile(

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core import analytics_metrics
+from repro.core.base import OnexBase
 from repro.core.validation import as_int_arg
 from repro.data.dataset import TimeSeriesDataset
 from repro.distances.normalize import RunningStats
@@ -70,7 +71,9 @@ class ThresholdRecommendation:
         }
 
 
-def _base_value_source(dataset: TimeSeriesDataset, normalize: bool, base):
+def _base_value_source(
+    dataset: TimeSeriesDataset, normalize: bool, base: OnexBase | None
+) -> TimeSeriesDataset | None:
     """The base's value store when it can stand in for *dataset*'s own.
 
     Valid only when *base* indexes exactly this dataset object and was
@@ -129,7 +132,7 @@ def recommend_thresholds(
     quantiles: tuple[float, ...] = _DEFAULT_QUANTILES,
     normalize: bool = True,
     seed: int = 0,
-    base=None,
+    base: OnexBase | None = None,
 ) -> ThresholdRecommendation:
     """Recommend similarity thresholds for windows of *length*.
 

@@ -41,9 +41,9 @@ Three families of implementation, each for a different job:
   independent oracle the batch kernel is tested against.
 - :func:`dtw_distance_early_abandon` — row-scan with a best-so-far
   threshold and optional cumulative lower bounds, the one-pair scan of
-  the UCR Suite baseline, the brute-force searcher and the k-NN
-  classifier.  ONEX's own cascade never calls it: its members are
-  refined by :func:`dtw_distance_batch` (:mod:`repro.core.query`).
+  the UCR Suite baseline and nothing else.  ONEX's own cascade, the
+  seasonal verifier, the sensitivity profile and the k-NN classifier
+  all run :func:`dtw_distance_batch` (or its condensed twin) instead.
 
 The batch kernel is held to :func:`dtw_path` bit for bit — distances,
 path lengths and paths, every radius, ragged or not, on both backends —
@@ -589,7 +589,6 @@ def _trace_paths(
 def dtw_distance_condensed(
     rows: ArrayLike,
     *,
-    pairs: tuple[np.ndarray, np.ndarray] | None = None,
     window: int | None = None,
     ground: str = "l1",
     with_path_length: bool = False,
@@ -597,35 +596,17 @@ def dtw_distance_condensed(
     """Condensed pairwise DTW: every unique row pair through one paired call.
 
     The pairwise twin of :func:`dtw_distance_batch`: entry ``p`` of the
-    result is ``DTW(rows[iu[p]], rows[ju[p]])`` where ``(iu, ju)`` default
-    to ``np.triu_indices(len(rows), 1)`` — the condensed upper triangle in
+    result is ``DTW(rows[iu[p]], rows[ju[p]])`` where ``(iu, ju)`` is
+    ``np.triu_indices(len(rows), 1)`` — the condensed upper triangle in
     row-major order, as :func:`scipy.spatial.distance.pdist` lays it out.
-    *pairs* restricts the evaluation to an explicit ``(iu, ju)`` subset,
-    which is how the seasonal verifier evaluates only the pairs its bound
-    prescreen could not decide.  All pairs run as **one** paired-mode
-    kernel invocation, so the per-call dispatch cost is paid once per
-    group instead of once per pair; with ``with_path_length=True`` the
-    tracked path lengths make ``distances / path_lengths`` bit-identical
-    to per-pair ``dtw_path(...).normalized_distance``.
+    All pairs run as **one** paired-mode kernel invocation, so the
+    seasonal verifier pays the per-call dispatch cost once per group
+    instead of once per pair; with ``with_path_length=True`` the tracked
+    path lengths make ``distances / path_lengths`` bit-identical to
+    per-pair ``dtw_path(...).normalized_distance``.
     """
     mat = _as_batch_rows(rows)
-    if pairs is None:
-        iu, ju = np.triu_indices(mat.shape[0], k=1)
-    else:
-        iu = np.asarray(pairs[0], dtype=np.int64)
-        ju = np.asarray(pairs[1], dtype=np.int64)
-        if iu.shape != ju.shape or iu.ndim != 1:
-            raise ValidationError(
-                f"pairs must be matching 1-D index arrays, got shapes "
-                f"{iu.shape} / {ju.shape}"
-            )
-        if iu.size and not (
-            0 <= iu.min() and iu.max() < mat.shape[0]
-            and 0 <= ju.min() and ju.max() < mat.shape[0]
-        ):
-            raise ValidationError(
-                f"pair indices out of range 0..{mat.shape[0] - 1}"
-            )
+    iu, ju = np.triu_indices(mat.shape[0], k=1)
     if not iu.size:
         empty = np.empty(0)
         return (empty, np.empty(0, dtype=np.int64)) if with_path_length else empty

@@ -10,10 +10,15 @@ results, only speed.
 Scalar and batched forms are provided side by side: :func:`lb_kim` /
 :func:`lb_keogh` bound one candidate, while :func:`lb_kim_batch` /
 :func:`lb_keogh_batch` bound every row of a 2-D candidate stack in a
-handful of vector operations.  The batched forms are the first two stages
-of the ONEX member-refinement cascade (LB_Kim → LB_Keogh → batched DTW,
-see :mod:`repro.core.query`); each is cross-checked row-by-row against its
-scalar twin by the property-test suite.
+handful of vector operations; each is cross-checked row-by-row against its
+scalar twin by the property-test suite.  The query processor is their
+consumer: :func:`lb_kim_endpoints_batch` and the closed-form band of
+:func:`lb_keogh_reverse_batch` rank every representative
+(``RepresentativeTable.cheap_bounds``), and LB_Kim → LB_Keogh filter the
+gathered members ahead of batched DTW (:mod:`repro.core.query`).  Every
+bound takes one query; the analytics views run no prescreen of their own,
+because against the batch kernel it costs more than the DTW it skips
+(DESIGN.md §4).
 
 All bounds take a ``ground`` argument matching :mod:`repro.distances.dtw`:
 ``"l1"`` (ONEX convention) or ``"squared"`` (UCR convention).
@@ -24,8 +29,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.typing import ArrayLike
 
-from repro.distances.dtw import _as_query_stack, _ground_is_squared
-from repro.distances.envelope import keogh_envelope_batch
+from repro.distances.dtw import _ground_is_squared
 from repro.distances.metrics import as_sequence
 from repro.exceptions import ValidationError
 
@@ -37,7 +41,6 @@ __all__ = [
     "lb_kim",
     "lb_kim_batch",
     "lb_kim_endpoints_batch",
-    "lb_pairwise_table",
 ]
 
 
@@ -120,18 +123,6 @@ def lb_kim_batch(x: ArrayLike, rows: ArrayLike, *, ground: str = "l1") -> np.nda
     return bound.astype(np.float64, copy=False)
 
 
-def _as_query_rows(x: ArrayLike) -> tuple[np.ndarray, bool]:
-    """*x* as a ``(Q, n)`` stack plus whether the input was a single query.
-
-    Shares the batch kernel's validator so "what counts as a query
-    stack" is defined in exactly one place.
-    """
-    probe = _as_query_stack(x)
-    if probe.ndim == 2:
-        return probe, False
-    return probe[None, :], True
-
-
 def lb_kim_endpoints_batch(
     x: ArrayLike, endpoints: ArrayLike, m: int | np.ndarray, *, ground: str = "l1"
 ) -> np.ndarray:
@@ -145,12 +136,9 @@ def lb_kim_endpoints_batch(
     per-length call, bit for bit).  Bitwise identical to
     :func:`lb_kim_batch` on the full stack (property-tested); this is the
     form the representative-layer cascade uses so the constant-time bound
-    never touches the centroid matrix.  *x* may also be a ``(Q, n)`` stack
-    of equal-length queries, giving a ``(Q, G)`` bound table in one
-    broadcasted evaluation (:func:`lb_pairwise_table` passes the stack
-    itself).
+    never touches the centroid matrix.
     """
-    qs, single = _as_query_rows(x)
+    q = as_sequence(x, name="x")
     pts = np.asarray(endpoints, dtype=np.float64)
     if pts.ndim != 2 or (pts.shape[0] and pts.shape[1] != 4):
         raise ValidationError(f"endpoints must be (G, 4), got shape {pts.shape}")
@@ -161,20 +149,19 @@ def lb_kim_endpoints_batch(
             f"shape {lens.shape} of dtype {lens.dtype}"
         )
     if pts.shape[0] == 0:
-        return np.empty(0) if single else np.empty((qs.shape[0], 0))
+        return np.empty(0)
     shortest = int(lens.min())
     if shortest < 2:
         raise ValidationError(f"candidate length must be >= 2, got {shortest}")
     squared = _ground_is_squared(ground)
 
-    def d(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        # u: one value per query (Q,); v: one value per candidate (G,).
-        return _cost(u[:, None] - v[None, :], squared)
+    def d(u: float, v: np.ndarray) -> np.ndarray:
+        return _cost(u - v, squared)
 
     first, second, penult, last = (pts[:, c] for c in range(4))
     # Candidates have >= 2 points, so the two endpoint cells are distinct.
-    bound = d(qs[:, 0], first) + d(qs[:, -1], last)
-    n = qs.shape[1]
+    bound = d(q[0], first) + d(q[-1], last)
+    n = q.shape[0]
     # The second/penultimate terms need three points on both sides and
     # four on one (see lb_kim: that keeps their candidate cell sets
     # disjoint from the endpoint cells, so no ground cost is double
@@ -182,15 +169,15 @@ def lb_kim_endpoints_batch(
     needed = 3 if n >= 4 else 4
     if n >= 3 and lens.max() >= needed:
         full = bound + np.minimum(
-            np.minimum(d(qs[:, 1], first), d(qs[:, 1], second)),
-            d(qs[:, 0], second),
+            np.minimum(d(q[1], first), d(q[1], second)),
+            d(q[0], second),
         )
         full = full + np.minimum(
-            np.minimum(d(qs[:, -2], last), d(qs[:, -2], penult)),
-            d(qs[:, -1], penult),
+            np.minimum(d(q[-2], last), d(q[-2], penult)),
+            d(q[-1], penult),
         )
         bound = full if shortest >= needed else np.where(lens >= needed, full, bound)
-    return bound[0] if single else bound
+    return bound
 
 
 def _band_breach(
@@ -244,36 +231,29 @@ def lb_keogh_reverse_batch(
     cost of *x* escaping candidate ``g``'s tube.  Provably a DTW lower
     bound whenever each envelope's radius covers the DTW band (a ``(G, 1)``
     min/max band covers any radius, including unconstrained DTW: every
-    warping path matches each ``x[i]`` to *some* candidate point).  *x*
-    may also be a ``(Q, n)`` query stack, giving a ``(Q, G)`` table.
+    warping path matches each ``x[i]`` to *some* candidate point).
 
     A ``(G, 1)`` band is evaluated in closed form (:func:`_band_breach`,
     ``O(G log n)``, never above the breach sum); only true ``(G, n)``
-    envelopes build the ``(Q, G, n)`` breach tensor.
+    envelopes build the ``(G, n)`` breach tensor.
     """
-    qs, single = _as_query_rows(x)
+    q = as_sequence(x, name="x")
     lo = np.asarray(lower, dtype=np.float64)
     hi = np.asarray(upper, dtype=np.float64)
     if lo.ndim != 2 or hi.shape != lo.shape:
         raise ValidationError(
             f"envelopes must be matching 2-D stacks, got {lo.shape} / {hi.shape}"
         )
-    if lo.shape[1] not in (1, qs.shape[1]):
+    if lo.shape[1] not in (1, q.shape[0]):
         raise ValidationError(
             f"envelope width {lo.shape[1]} matches neither the sequence "
-            f"length {qs.shape[1]} nor a (G, 1) min/max band"
+            f"length {q.shape[0]} nor a (G, 1) min/max band"
         )
     squared = _ground_is_squared(ground)
     if lo.shape[1] == 1:
-        rows = [_band_breach(q, lo[:, 0], hi[:, 0], squared) for q in qs]
-        out = rows if single else np.stack(rows)
-    else:
-        stacked = qs[:, None, :]
-        breach = np.where(
-            stacked > hi, stacked - hi, np.where(stacked < lo, lo - stacked, 0.0)
-        )
-        out = _cost(breach, squared).sum(axis=2)
-    return out[0] if single else out
+        return _band_breach(q, lo[:, 0], hi[:, 0], squared)
+    breach = np.where(q > hi, q - hi, np.where(q < lo, lo - q, 0.0))
+    return _cost(breach, squared).sum(axis=1)
 
 
 def lb_keogh_terms(
@@ -333,39 +313,3 @@ def lb_keogh_batch(
         )
     breach = np.where(mat > hi, mat - hi, np.where(mat < lo, lo - mat, 0.0))
     return _cost(breach, _ground_is_squared(ground)).sum(axis=1)
-
-
-def lb_pairwise_table(
-    rows: ArrayLike, *, radius: int | None = None, ground: str = "l1"
-) -> np.ndarray:
-    """Pairwise DTW lower-bound table over all rows of one stack.
-
-    Entry ``(i, j)`` lower-bounds ``DTW(rows[i], rows[j])`` (banded with
-    any Sakoe–Chiba radius ``<= radius``; *radius* ``None`` means the full
-    length, valid for unconstrained DTW too).  The table is the maximum of
-    the LB_Kim endpoint bound and the Keogh envelope bound, each evaluated
-    for every pair at once from one broadcasted table — no Python loop over
-    pairs.  This is the prescreening stage of the condensed-pairwise
-    seasonal verifier: pairs whose bound already decides the question never
-    reach :func:`repro.distances.dtw.dtw_distance_condensed`.
-
-    The diagonal is 0 by construction (a sequence never escapes its own
-    envelope and its endpoint costs vanish), and the table is symmetric in
-    the bound it proves, though LB_Keogh itself is evaluated row-vs-
-    envelope so entries ``(i, j)`` and ``(j, i)`` may differ; callers
-    reading unique pairs can take ``np.maximum(T, T.T)`` for the tightest
-    symmetric form — this function already returns that maximum.
-    """
-    mat = _as_candidate_stack(rows)
-    g, n = mat.shape
-    if g == 0:
-        return np.empty((0, 0))
-    if n < 2:
-        raise ValidationError(f"rows must have length >= 2, got {n}")
-    if radius is None:
-        radius = n - 1
-    kim = lb_kim_endpoints_batch(mat, mat[:, [0, 1, -2, -1]], n, ground=ground)
-    lo, hi = keogh_envelope_batch(mat, radius)
-    keogh = lb_keogh_reverse_batch(mat, lo, hi, ground=ground)
-    table = np.maximum(kim, np.maximum(keogh, keogh.T))
-    return table

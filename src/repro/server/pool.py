@@ -179,23 +179,6 @@ def _recv_frame(sock: socket.socket) -> dict | None:
     return loaded
 
 
-def _response_from_dict(payload: dict) -> Response:
-    if payload.get("ok"):
-        return Response(
-            ok=True,
-            result=payload.get("result"),
-            request_id=payload.get("request_id"),
-        )
-    error = payload.get("error") or {}
-    return Response(
-        ok=False,
-        error_type=error.get("type"),
-        error_message=error.get("message"),
-        error_details=error.get("details"),
-        request_id=payload.get("request_id"),
-    )
-
-
 # ----------------------------------------------------------------------
 # Worker process side
 # ----------------------------------------------------------------------
@@ -602,7 +585,7 @@ class WorkerPool:
                 _ATTACH_MS.observe(float(reply["attach_ms"]))
             self.dispatched += 1
             _DISPATCH_TOTAL.inc(outcome="ok")
-            return _response_from_dict(reply)
+            return Response.from_dict(reply)
 
     def _acquire_slot(self) -> _Slot:
         deadline = time.monotonic() + _DISPATCH_WAIT_S

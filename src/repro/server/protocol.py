@@ -296,11 +296,14 @@ class Response:
             raise ProtocolError(f"invalid JSON: {exc}") from exc
         if not isinstance(payload, dict) or "ok" not in payload:
             raise ProtocolError("response must be an object with 'ok'")
+        return cls.from_dict(payload)
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "Response":
+        """The response a :meth:`to_dict` envelope describes."""
         request_id = payload.get("request_id")
-        if payload["ok"]:
-            return cls(
-                ok=True, result=payload.get("result"), request_id=request_id
-            )
+        if payload.get("ok"):
+            return cls(ok=True, result=payload.get("result"), request_id=request_id)
         error = payload.get("error") or {}
         return cls(
             ok=False,

@@ -194,7 +194,7 @@ class Supervisor:
         """Sweep stale snapshots, publish loaded datasets, start workers."""
         # Every start republishes, so nothing of a previous run is kept
         # and epoch numbering can restart.
-        removed = clean_stale_snapshots(self._root, keep_latest=0)
+        removed = clean_stale_snapshots(self._root)
         if removed:
             log_event(
                 _LOG, "info", "supervisor.swept_stale", removed=len(removed)

@@ -41,8 +41,8 @@ Registered failpoint names (kept in sync with the call sites):
 - ``query.refine_unit`` — per member-refinement call, before its gather:
   once per drained chunk of a k-best search, once per length bucket of a
   threshold scan;
-- ``seasonal.pair_chunk`` — per condensed-pair DTW chunk of the
-  pairwise-worst finder;
+- ``seasonal.pair_chunk`` — per verified group of the seasonal miner,
+  before its one condensed-pair DTW call;
 - ``seasonal.group`` — per candidate group of the seasonal miner;
 - ``sensitivity.bucket`` — per length bucket of the similarity profile;
 - ``build.shard`` — inside each per-length build shard (worker side);

@@ -2,11 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.analytics.knn import KnnClassifier
 from repro.data.synthetic import cylinder_bell_funnel, noisy_sine
+from repro.distances.dtw import dtw_distance
 from repro.distances.metrics import normalized_euclidean
 from repro.exceptions import ValidationError
+
+#: Integer-valued draws, so that equal distances (ties) are common.
+integer_valued = st.integers(min_value=-3, max_value=3).map(float)
 
 
 def make_cbf(kinds, count, noise=0.2, start_seed=0, n=64):
@@ -84,3 +90,28 @@ class TestKnn:
         fitted = KnnClassifier(1).fit([np.zeros(5)], ["a"])
         with pytest.raises(ValidationError):
             fitted.score([], [])
+
+
+@pytest.mark.usefixtures("kernel_backend")
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    query=st.lists(integer_valued, min_size=1, max_size=8),
+    references=st.lists(
+        st.lists(integer_valued, min_size=1, max_size=8), min_size=3, max_size=10
+    ),
+    k=st.sampled_from([1, 3]),
+    window=st.sampled_from([None, 2]),
+)
+def test_neighbors_equal_a_per_reference_loop(query, references, k, window):
+    """One ragged kernel call per query gives the per-reference scan's
+    ``k`` smallest ``(distance, index)`` pairs, ties to the lower index."""
+    clf = KnnClassifier(k, window=window).fit(references, range(len(references)))
+    scan = sorted(
+        (dtw_distance(query, ref, window=window), idx)
+        for idx, ref in enumerate(references)
+    )
+    assert clf.neighbors(query) == scan[:k]

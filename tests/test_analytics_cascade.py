@@ -4,15 +4,16 @@ The seasonal / sensitivity rebuild (DESIGN.md §4) keeps the seed scalar
 implementations as private same-signature references that no production
 code calls; these properties substitute them (DESIGN.md §1: a witness is
 a test substitution, never an argument) and assert, over randomised
-collections, lengths, windows, and threshold grids, that the cascade
-changes *nothing* about the results, only how fast they arrive.  The
+collections, lengths, windows, and threshold grids and on both DTW
+kernels, that the batched paths change *nothing* about the results, only
+how fast they arrive.  The
 recommender has one sampler, held to the materialised window matrix, and
 ``base=`` changes nothing but cost.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import seasonal, sensitivity
@@ -24,11 +25,13 @@ from repro.core.threshold import _WindowSampler, recommend_thresholds
 from repro.core.validation import as_int_arg, as_optional_int_arg
 from repro.data.dataset import TimeSeriesDataset
 from repro.data.timeseries import TimeSeries
-from repro.distances.dtw import dtw_distance
-from repro.distances.lower_bounds import lb_pairwise_table
 from repro.exceptions import ValidationError
 
-finite_floats = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
+#: The ``kernel_backend`` fixture is set once per test, not per example;
+#: each backend runs half the examples one kernel ran alone.
+per_backend = dict(
+    deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
 
 
 def walk(seed: int, n: int) -> np.ndarray:
@@ -43,8 +46,9 @@ def with_reference(module, production: str, reference: str, call):
         return call()
 
 
+@pytest.mark.usefixtures("kernel_backend")
 class TestSeasonalEquivalence:
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=15, **per_backend)
     @given(
         seed=st.integers(0, 10_000),
         n=st.integers(40, 120),
@@ -70,6 +74,21 @@ class TestSeasonalEquivalence:
                 b.max_pairwise_dtw, abs=1e-12
             )
 
+    def test_tied_worst_pairs_drop_as_the_scalar_scan_does(self):
+        """Integer steps make equal pairwise distances common; the first
+        attaining pair in row-major order decides which occurrence goes."""
+        steps = np.random.default_rng(8465).integers(-1, 2, 54)
+        series = TimeSeries("s", steps.cumsum().astype(float))
+
+        def mine():
+            return find_seasonal_patterns(series, 4, 0.167)
+
+        a = mine()
+        b = with_reference(seasonal, "_verify_batched", "_verify_scalar", mine)
+        assert [(p.starts, p.max_pairwise_dtw) for p in a] == [
+            (p.starts, p.max_pairwise_dtw) for p in b
+        ]
+
     def test_remove_level_and_ed_threshold_equivalence(self):
         series = TimeSeries("s", walk(7, 200))
         for kwargs in (
@@ -87,6 +106,7 @@ class TestSeasonalEquivalence:
             ]
 
 
+@pytest.mark.usefixtures("kernel_backend")
 class TestSensitivityEquivalence:
     @pytest.fixture(scope="class")
     def base(self):
@@ -100,7 +120,7 @@ class TestSensitivityEquivalence:
         b.build()
         return b
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=20, **per_backend)
     @given(
         qseed=st.integers(0, 10_000),
         qlen=st.integers(4, 9),
@@ -211,35 +231,6 @@ class TestThresholdEquivalence:
         assert recommend_thresholds(
             ds, 6, normalize=False, base=base
         ) == recommend_thresholds(ds, 6, normalize=False)
-
-
-class TestPairwiseLowerBoundTable:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        rows=st.lists(
-            st.lists(finite_floats, min_size=5, max_size=5),
-            min_size=2,
-            max_size=6,
-        ),
-        window=st.one_of(st.none(), st.integers(0, 4)),
-    )
-    def test_never_exceeds_banded_dtw(self, rows, window):
-        mat = np.asarray(rows)
-        table = lb_pairwise_table(mat, radius=window)
-        assert table.shape == (mat.shape[0],) * 2
-        for i in range(mat.shape[0]):
-            for j in range(mat.shape[0]):
-                if i == j:
-                    continue
-                exact = dtw_distance(mat[i], mat[j], window=window)
-                assert table[i, j] <= exact + 1e-9
-
-    def test_validation(self):
-        with pytest.raises(ValidationError, match="2-D"):
-            lb_pairwise_table(np.zeros(3))
-        with pytest.raises(ValidationError, match="length >= 2"):
-            lb_pairwise_table(np.zeros((2, 1)))
-        assert lb_pairwise_table(np.empty((0, 4))).shape == (0, 0)
 
 
 class TestAnalyticsArgumentValidation:

@@ -1,7 +1,5 @@
 """Unit tests for repro.baselines.brute_force."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -20,13 +18,14 @@ def dataset():
     return ds.normalized()
 
 
-def naive_best(dataset, q, lengths):
-    best = (math.inf, None)
-    for length in lengths:
-        for ref in dataset.iter_subsequences(length):
-            res = dtw_path(q, dataset.values(ref))
-            best = min(best, (res.normalized_distance, ref))
-    return best
+def naive_best(dataset, q, lengths, k=None):
+    """The best ``(distance, ref)``, or the *k* best, by a ``dtw_path`` scan."""
+    scan = sorted(
+        (dtw_path(q, dataset.values(ref)).normalized_distance, ref)
+        for length in lengths
+        for ref in dataset.iter_subsequences(length)
+    )
+    return scan[0] if k is None else scan[:k]
 
 
 class TestBruteForce:
@@ -40,30 +39,17 @@ class TestBruteForce:
             assert match.distance == pytest.approx(dist)
             assert match.ref == ref
 
-    def test_all_modes_agree(self, dataset):
+    def test_k_best_equals_naive_scan(self, dataset):
         rng = np.random.default_rng(113)
         q = rng.uniform(size=6)
-        batch = BruteForceSearcher(dataset, batch=True).best_match(q, [5, 6])
-        pruned = BruteForceSearcher(dataset, batch=False, prune=True).best_match(q, [5, 6])
-        naive = BruteForceSearcher(dataset, batch=False, prune=False).best_match(q, [5, 6])
-        assert batch.distance == pytest.approx(pruned.distance)
-        assert pruned.distance == pytest.approx(naive.distance)
-        assert batch.ref == pruned.ref == naive.ref
-
-    def test_pruning_reduces_dtw_calls(self, dataset):
-        rng = np.random.default_rng(114)
-        q = rng.uniform(size=6)
-        pruner = BruteForceSearcher(dataset, batch=False, prune=True)
-        scanner = BruteForceSearcher(dataset, batch=False, prune=False)
-        pruner.best_match(q, [5, 6])
-        scanner.best_match(q, [5, 6])
-        assert pruner.last_stats.dtw_calls < scanner.last_stats.dtw_calls
-        assert pruner.last_stats.candidates == scanner.last_stats.candidates
+        matches = BruteForceSearcher(dataset).k_best_matches(q, 3, [5, 6])
+        want = naive_best(dataset, q, [5, 6], k=3)
+        assert [(m.distance, m.ref) for m in matches] == want
 
     def test_batch_verifies_few_candidates(self, dataset):
         rng = np.random.default_rng(117)
         q = rng.uniform(size=6)
-        searcher = BruteForceSearcher(dataset, batch=True)
+        searcher = BruteForceSearcher(dataset)
         searcher.best_match(q, [5, 6, 7])
         stats = searcher.last_stats
         assert stats.dtw_calls < stats.candidates

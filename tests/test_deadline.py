@@ -224,8 +224,8 @@ class TestDeadlineFiresPerStage:
         self._expect(excinfo, "seasonal group scan")
 
     def test_seasonal_pair_verification(self):
-        # 8 occurrences -> 28 unique pairs, enough for the finder's
-        # bound-pruned chunked path (its only chunk boundary) to engage.
+        # The failpoint and the check fire once per group, before the
+        # group's one condensed kernel call.
         series = TimeSeries("periodic", np.tile(np.sin(np.linspace(0, 6, 8)), 8))
         with faults.inject("seasonal.pair_chunk", "sleep", seconds=0.3):
             with pytest.raises(DeadlineExceeded) as excinfo:

@@ -334,32 +334,28 @@ class TestCondensedPairwise:
             want = dtw_path(rows[iu[p]], rows[ju[p]]).normalized_distance
             assert raws[p] / plens[p] == want
 
-    def test_explicit_pairs_and_window(self):
+    def test_window(self):
         from repro.distances.dtw import dtw_distance_condensed
 
         rng = np.random.default_rng(173)
         rows = rng.normal(size=(5, 10))
-        pairs = (np.array([0, 3, 1]), np.array([4, 2, 1]))
-        got = dtw_distance_condensed(rows, pairs=pairs, window=2)
-        for p, (i, j) in enumerate(zip(*pairs)):
+        got = dtw_distance_condensed(rows, window=2)
+        for p, (i, j) in enumerate(zip(*np.triu_indices(5, k=1))):
             assert got[p] == dtw_path(rows[i], rows[j], window=2).distance
 
-    def test_empty_pairs(self):
+    def test_fewer_than_two_rows(self):
         from repro.distances.dtw import dtw_distance_condensed
 
         assert dtw_distance_condensed(np.zeros((1, 4))).shape == (0,)
         raws, plens = dtw_distance_condensed(
-            np.zeros((2, 4)),
-            pairs=(np.empty(0, dtype=int), np.empty(0, dtype=int)),
-            with_path_length=True,
+            np.zeros((0, 4)), with_path_length=True
         )
         assert raws.shape == (0,) and plens.shape == (0,)
 
     def test_validation(self):
         from repro.distances.dtw import dtw_distance_condensed
 
-        rows = np.zeros((3, 4))
-        with pytest.raises(ValidationError, match="matching 1-D"):
-            dtw_distance_condensed(rows, pairs=(np.array([0]), np.array([0, 1])))
-        with pytest.raises(ValidationError, match="out of range"):
-            dtw_distance_condensed(rows, pairs=(np.array([0]), np.array([5])))
+        with pytest.raises(ValidationError, match="2-D"):
+            dtw_distance_condensed(np.zeros(4))
+        with pytest.raises(ValidationError, match="NaN or infinite"):
+            dtw_distance_condensed(np.array([[0.0, np.nan], [1.0, 2.0]]))

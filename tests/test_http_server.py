@@ -1,13 +1,20 @@
 """End-to-end tests of the HTTP JSON API (client/server architecture, §4)."""
 
 import json
+import os
+import subprocess
+import sys
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.server.http import OnexHttpServer
 from repro.server.service import OnexService
+
+ROOT = Path(repro.__file__).resolve().parents[2]
 
 
 @pytest.fixture(scope="module")
@@ -519,3 +526,64 @@ class TestStrictJson:
         assert payload["error"]["type"] == "InternalError"
         assert payload["request_id"] == "strict-json"
         assert headers["X-Request-Id"] == "strict-json"
+
+    def test_overflow_on_the_bench_sized_base_returns(self):
+        """Regression: on the bench base (23 739 groups, partitioned rank
+        stage) the same query spun forever — a NaN band bound selected no
+        representative, so the lazy order never advanced.  Run in a child
+        process so a hang is a timeout, not a stuck suite."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+        )
+        done = subprocess.run(
+            [sys.executable, "-W", "ignore::RuntimeWarning", "-c", _OVERFLOW_CHILD],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert done.returncode == 0, done.stderr[-2000:]
+        status, request_id, body = json.loads(done.stdout)
+
+        def no_constants(name):
+            raise AssertionError(f"non-JSON constant {name} in the body")
+
+        payload = json.loads(body, parse_constant=no_constants)
+        assert status == 500
+        assert payload["error"]["type"] == "InternalError"
+        assert payload["request_id"] == request_id == "overflow"
+
+
+#: Loads the ``python -m bench`` dataset unnormalised and sends one
+#: overflowing ``best_match``; prints ``[status, X-Request-Id, body]``.
+_OVERFLOW_CHILD = """
+import json, urllib.error, urllib.request
+from repro.server.http import OnexHttpServer
+from repro.server.service import OnexService
+
+dataset = {
+    "source": "matters", "seed": 5, "years": 40, "min_years": 34,
+    "indicators": ["GrowthRate"], "min_length": 5, "max_length": 24,
+    "similarity_threshold": 0.05, "normalize": False,
+}
+with OnexHttpServer(OnexService()) as server:
+    def post(payload):
+        request = urllib.request.Request(
+            f"{server.url}/api", data=json.dumps(payload).encode(),
+            headers={"Content-Type": "application/json"},
+        )
+        try:
+            with urllib.request.urlopen(request, timeout=60) as resp:
+                return resp.status, resp.headers, resp.read().decode()
+        except urllib.error.HTTPError as exc:
+            return exc.code, exc.headers, exc.read().decode()
+
+    _, _, loaded = post({"op": "load_dataset", "params": dataset})
+    name = json.loads(loaded)["result"]["dataset"]
+    status, headers, body = post({
+        "op": "best_match", "request_id": "overflow",
+        "params": {"dataset": name, "query": [1e308] * 3},
+    })
+    print(json.dumps([status, headers["X-Request-Id"], body]))
+"""

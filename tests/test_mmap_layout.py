@@ -265,17 +265,20 @@ class TestDurableRoundTrip:
 
 
 class TestStaleSweep:
-    def test_removes_tmp_debris_and_old_epochs(self, tmp_path):
+    def test_removes_tmp_debris_and_every_epoch(self, tmp_path):
         root = tmp_path / "snaps"
         ds = root / "toy-abc123"
         for name in ("epoch-1", "epoch-2", "epoch-3", "epoch-4.tmp"):
             (ds / name).mkdir(parents=True)
             (ds / name / "meta.json").write_text("{}")
+        (ds / "manifest.json").write_text("{}")
         (root / "other.tmp").mkdir()
         removed = clean_stale_snapshots(root)
         removed_names = {p.rsplit("/", 1)[-1] for p in removed}
-        assert removed_names == {"epoch-1", "epoch-2", "epoch-4.tmp", "other.tmp"}
-        assert (ds / "epoch-3").is_dir()
+        assert removed_names == {
+            "epoch-1", "epoch-2", "epoch-3", "epoch-4.tmp", "other.tmp"
+        }  # fmt: skip
+        assert [p.name for p in ds.iterdir()] == ["manifest.json"]
 
     def test_missing_root_is_noop(self, tmp_path):
         assert clean_stale_snapshots(tmp_path / "absent") == []

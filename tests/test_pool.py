@@ -26,12 +26,8 @@ from repro.exceptions import (
 from repro.obs.metrics import REGISTRY
 from repro.server import pool as pool_module
 from repro.server.http import AdmissionGate
-from repro.server.pool import (
-    _recv_frame,
-    _response_from_dict,
-    _send_frame,
-)
-from repro.server.protocol import Request
+from repro.server.pool import _recv_frame, _send_frame
+from repro.server.protocol import Request, Response
 from repro.server.service import OnexService
 from repro.server.supervisor import Supervisor
 from repro.testing import faults
@@ -118,9 +114,9 @@ class TestFrameProtocol:
             b.close()
 
     def test_response_from_dict(self):
-        ok = _response_from_dict({"ok": True, "result": 7, "request_id": "r"})
+        ok = Response.from_dict({"ok": True, "result": 7, "request_id": "r"})
         assert ok.ok and ok.result == 7 and ok.request_id == "r"
-        err = _response_from_dict(
+        err = Response.from_dict(
             {
                 "ok": False,
                 "error": {"type": "DatasetError", "message": "gone"},

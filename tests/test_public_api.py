@@ -21,7 +21,9 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.baselines.brute_force import BruteForceSearcher
 from repro.core.grouping import cluster_subsequence_rows, cluster_subsequences
+from repro.core.mmap_layout import clean_stale_snapshots
 from repro.server.pool import WorkerPool
 from repro.server.service import OnexService
 from repro.server.supervisor import Supervisor
@@ -93,6 +95,8 @@ SETTINGS = {
         ["self", "query_config", "default_build_workers", "default_timeout_ms",
          "durability"],
     repro.MonitorRegistry.__init__: ["self", "base"],
+    BruteForceSearcher.__init__: ["self", "dataset"],
+    clean_stale_snapshots: ["root"],
 }  # fmt: skip
 
 
@@ -118,9 +122,10 @@ class TestNoExecutionSelectors:
         "function", list(SETTINGS), ids=lambda function: function.__qualname__
     )
     def test_settings_are_exactly_these(self, function):
-        """The thread fan-out, the build backend and the pool, service
-        and monitor timings were settings only tests set; they are
-        constants now."""
+        """The thread fan-out, the build backend, the pool, service and
+        monitor timings, the brute-force scan modes and the snapshot
+        sweep's keep count were settings only tests set; they are
+        constants now, or gone with the path they selected."""
         assert list(inspect.signature(function).parameters) == SETTINGS[function]
 
     @pytest.mark.parametrize(

@@ -80,15 +80,6 @@ class TestClosedFormBand:
         for g, row in enumerate(rows):
             assert got[g] <= dtw_distance(q, row, ground=ground) + 1e-9
 
-    def test_query_stack_gives_one_row_per_query(self):
-        rng = np.random.default_rng(3)
-        qs, rows = rng.normal(size=(4, 7)), rng.normal(size=(5, 9))
-        lo, hi = rows.min(axis=1, keepdims=True), rows.max(axis=1, keepdims=True)
-        table = lb_keogh_reverse_batch(qs, lo, hi)
-        assert table.shape == (4, 5)
-        for i, q in enumerate(qs):
-            assert np.array_equal(table[i], lb_keogh_reverse_batch(q, lo, hi))
-
     def test_true_envelopes_still_take_the_breach_tensor(self):
         rng = np.random.default_rng(4)
         q, lo = rng.normal(size=6), rng.normal(size=(3, 6))

@@ -9,8 +9,11 @@ records it builds (``repro.core.config``), the query
 cascade every read runs (``repro.core.query``) with the base and its
 representative table it ranks over (``repro.core.base``), the write
 path that grows that base (``repro.stream``, the clustering in
-``repro.core.grouping``) and the sensitivity profile that reads its
-arrays (``repro.core.sensitivity``), the bounds of the rank stage (``repro.distances.lower_bounds``,
+``repro.core.grouping``), the served analytics — the sensitivity
+profile that reads its arrays (``repro.core.sensitivity``), the seasonal
+miner (``repro.core.seasonal``) and the threshold recommender
+(``repro.core.threshold``) — with the E14 classifier beside them
+(``repro.analytics.knn``), the bounds of the rank stage (``repro.distances.lower_bounds``,
 ``repro.distances.envelope``), the DTW kernel under it
 (``repro.distances.dtw``, with its compiled twin's loader
 ``repro.distances.native``) with the transfer bounds built on its paths
@@ -51,6 +54,9 @@ TARGETS = (
     ROOT / "src" / "repro" / "core" / "base.py",
     ROOT / "src" / "repro" / "core" / "grouping.py",
     ROOT / "src" / "repro" / "core" / "sensitivity.py",
+    ROOT / "src" / "repro" / "core" / "seasonal.py",
+    ROOT / "src" / "repro" / "core" / "threshold.py",
+    ROOT / "src" / "repro" / "analytics" / "knn.py",
     ROOT / "src" / "repro" / "stream",
     ROOT / "src" / "repro" / "distances" / "bounds.py",
     ROOT / "src" / "repro" / "distances" / "dtw.py",
