@@ -86,7 +86,7 @@ class KnnClassifier:
             distances = np.array(
                 [float(self._distance(q, ref)) for ref in self._references]
             )
-        nearest = np.lexsort((np.arange(distances.size), distances))[: self._k]
+        nearest = np.argsort(distances, kind="stable")[: self._k]
         return [(float(distances[idx]), int(idx)) for idx in nearest]
 
     def predict(self, query: ArrayLike) -> Hashable:

@@ -2,8 +2,9 @@
 
 ONEX never preempts: every expensive loop the engine runs — the geometric
 representative-DTW chunks and member refinements in
-:mod:`repro.core.query`, the condensed-pair chunks in
-:mod:`repro.core.seasonal` and :mod:`repro.core.sensitivity`, the
+:mod:`repro.core.query`, the per-group pair calls of
+:mod:`repro.core.seasonal`, the per-bucket calls of
+:mod:`repro.core.sensitivity`, the
 per-length build shards in :mod:`repro.core.base`, and the monitor step
 loop in :mod:`repro.stream` — already advances in bounded chunks, so a
 :class:`Deadline` checked at those chunk boundaries bounds how far past

@@ -9,9 +9,9 @@ reported as recurring patterns, verified pairwise under DTW.
 
 Verification is where the work is, and it is one kernel call per group
 (DESIGN.md §4): every unique occurrence pair of the group runs through
-one condensed paired-kernel call
-(:func:`~repro.distances.dtw.dtw_distance_condensed`), and the drop loop
-reads the memoised matrix, where the seed implementation paid one scalar
+one paired-mode call of :func:`~repro.distances.dtw.dtw_distance_batch`
+over the memoised pair enumeration, and the drop loop reads the
+resulting matrix, where the seed implementation paid one scalar
 ``dtw_path`` per pair per drop iteration; results are identical.
 :func:`_verify_scalar`, the seed's verifier, has
 :func:`_verify_batched`'s signature and nothing here calls it: the
@@ -35,16 +35,17 @@ from repro.core.grouping import cluster_subsequences
 from repro.core.validation import as_int_arg, as_optional_int_arg
 from repro.data.dataset import SubsequenceRef, TimeSeriesDataset
 from repro.data.timeseries import TimeSeries
-from repro.distances.dtw import dtw_distance, dtw_distance_condensed
+from repro.distances.dtw import dtw_distance, dtw_distance_batch
 from repro.exceptions import DeadlineExceeded, ValidationError
 from repro.obs.trace import span
 from repro.testing import faults
 
 __all__ = ["SeasonalPattern", "find_seasonal_patterns"]
 
-#: ``np.triu_indices(n, 1)`` memoised by ``n`` — the verifier's drop loop
-#: re-enumerates the active pairs every iteration, and the enumeration for
-#: one set size never changes.  The cache is bounded by total stored pair
+#: ``np.triu_indices(n, 1)`` memoised by ``n`` — the verifier pairs a
+#: group's rows with it once and its drop loop re-enumerates the active
+#: pairs every iteration, and the enumeration for one set size never
+#: changes.  The cache is bounded by total stored pair
 #: count, not entry count: one entry costs O(n^2) memory, so a plain
 #: entry cap would let a run over a long series pin O(n^3) bytes.
 _TRIU_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -123,9 +124,9 @@ def _verify_batched(
     min_occurrences: int,
     deadline: Deadline | None = None,
 ) -> tuple[list[SubsequenceRef], float] | None:
-    """Batched verify-and-drop: one condensed DTW call, memoised.
+    """Batched verify-and-drop: one paired DTW call, memoised.
 
-    The call fills the ``n x n`` matrix of every unique pair's normalised
+    The call, over the cached ``(iu, ju)`` pair enumeration, fills the ``n x n`` matrix of every unique pair's normalised
     DTW, and each drop iteration looks its worst pair up there, where the
     seed recomputed every pair on every drop.  No bound prescreen: it
     costs more than the DTW it would skip (DESIGN.md §4).  The failpoint
@@ -138,7 +139,9 @@ def _verify_batched(
         deadline.check(
             "seasonal pair verification", {"occurrences": n, "pairs": int(iu.size)}
         )
-    raws, plens = dtw_distance_condensed(rows, window=window, with_path_length=True)
+    raws, plens = dtw_distance_batch(
+        rows[iu], rows[ju], window=window, with_path_length=True
+    )
     exact = np.zeros((n, n))
     exact[iu, ju] = exact[ju, iu] = raws / plens
     centroid_dist = np.abs(rows - centroid).mean(axis=1)

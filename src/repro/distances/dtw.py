@@ -43,7 +43,7 @@ Three families of implementation, each for a different job:
   threshold and optional cumulative lower bounds, the one-pair scan of
   the UCR Suite baseline and nothing else.  ONEX's own cascade, the
   seasonal verifier, the sensitivity profile and the k-NN classifier
-  all run :func:`dtw_distance_batch` (or its condensed twin) instead.
+  all run :func:`dtw_distance_batch` instead.
 
 The batch kernel is held to :func:`dtw_path` bit for bit — distances,
 path lengths and paths, every radius, ragged or not, on both backends —
@@ -262,8 +262,8 @@ def dtw_distance_batch(
     **Paired mode**: *x* may itself be a 2-D stack with the same row count
     as *rows*, in which case row ``i`` of the result is ``DTW(x[i],
     rows[i])`` — one kernel invocation evaluates an arbitrary set of
-    equal-shape *pairs*.  This is what lets
-    :func:`dtw_distance_condensed` run every pair of a stack as a single
+    equal-shape *pairs*.  This is what lets the seasonal verifier, and
+    :func:`dtw_distance_condensed`, run every pair of a stack as a single
     dynamic program.
 
     **Ragged stacks**: with ``lengths=`` (one integer per row) row ``i``
@@ -600,8 +600,8 @@ def dtw_distance_condensed(
     ``np.triu_indices(len(rows), 1)`` — the condensed upper triangle in
     row-major order, as :func:`scipy.spatial.distance.pdist` lays it out.
     All pairs run as **one** paired-mode kernel invocation, so the
-    seasonal verifier pays the per-call dispatch cost once per group
-    instead of once per pair; with ``with_path_length=True`` the tracked
+    per-call dispatch cost is paid once per stack instead of once per
+    pair; with ``with_path_length=True`` the tracked
     path lengths make ``distances / path_lengths`` bit-identical to
     per-pair ``dtw_path(...).normalized_distance``.
     """

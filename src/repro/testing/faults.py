@@ -42,7 +42,7 @@ Registered failpoint names (kept in sync with the call sites):
   once per drained chunk of a k-best search, once per length bucket of a
   threshold scan;
 - ``seasonal.pair_chunk`` — per verified group of the seasonal miner,
-  before its one condensed-pair DTW call;
+  before its one paired DTW call;
 - ``seasonal.group`` — per candidate group of the seasonal miner;
 - ``sensitivity.bucket`` — per length bucket of the similarity profile;
 - ``build.shard`` — inside each per-length build shard (worker side);

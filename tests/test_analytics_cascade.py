@@ -27,8 +27,8 @@ from repro.data.dataset import TimeSeriesDataset
 from repro.data.timeseries import TimeSeries
 from repro.exceptions import ValidationError
 
-#: The ``kernel_backend`` fixture is set once per test, not per example;
-#: each backend runs half the examples one kernel ran alone.
+#: The ``kernel_backend`` fixture is set once per test, not per example,
+#: and each backend runs the full example count.
 per_backend = dict(
     deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
@@ -48,7 +48,7 @@ def with_reference(module, production: str, reference: str, call):
 
 @pytest.mark.usefixtures("kernel_backend")
 class TestSeasonalEquivalence:
-    @settings(max_examples=15, **per_backend)
+    @settings(max_examples=30, **per_backend)
     @given(
         seed=st.integers(0, 10_000),
         n=st.integers(40, 120),
@@ -120,7 +120,7 @@ class TestSensitivityEquivalence:
         b.build()
         return b
 
-    @settings(max_examples=20, **per_backend)
+    @settings(max_examples=40, **per_backend)
     @given(
         qseed=st.integers(0, 10_000),
         qlen=st.integers(4, 9),

@@ -225,7 +225,7 @@ class TestDeadlineFiresPerStage:
 
     def test_seasonal_pair_verification(self):
         # The failpoint and the check fire once per group, before the
-        # group's one condensed kernel call.
+        # group's one paired kernel call.
         series = TimeSeries("periodic", np.tile(np.sin(np.linspace(0, 6, 8)), 8))
         with faults.inject("seasonal.pair_chunk", "sleep", seconds=0.3):
             with pytest.raises(DeadlineExceeded) as excinfo:

@@ -26,6 +26,7 @@ from repro.data.dataset import TimeSeriesDataset
 from repro.data.timeseries import TimeSeries
 from repro.distances.dtw import dtw_distance
 from repro.distances.lower_bounds import lb_keogh_reverse_batch, lb_kim_endpoints_batch
+from repro.exceptions import InvariantError
 from repro.stream.ingest import StreamIngestor
 from repro.testing import faults
 
@@ -140,6 +141,13 @@ class TestLazyOrder:
         ranked = _LazyOrder(rng.uniform(size=20_000))
         ranked.upto(16)
         assert 16 <= ranked.ready < 2_000
+
+    def test_nan_bounds_raise_instead_of_spinning(self):
+        """A NaN bound compares false with every pivot, so a pass takes no
+        rows; the order raises rather than loop forever."""
+        ranked = _LazyOrder(np.full(50, np.nan), block=8)
+        with pytest.raises(InvariantError, match="no progress at 0 of 50"):
+            ranked.upto(1)
 
 
 def walks(seed: int = 71) -> list[np.ndarray]:
