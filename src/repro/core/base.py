@@ -84,6 +84,7 @@ __all__ = [
     "BaseStats",
     "LengthBucket",
     "LengthBuildStats",
+    "MemberTable",
     "OnexBase",
     "RepresentativeTable",
     "WindowAssignments",
@@ -164,7 +165,33 @@ def _grown(
     return grown
 
 
-class RepresentativeTable:
+class _ColumnTable:
+    """Parallel column stores that only ever grow at their end.
+
+    Each name in ``_COLUMNS`` is a store ``_name`` of capacity rows and a
+    public view ``name`` of the first ``count`` rows.
+    """
+
+    _COLUMNS: tuple[str, ...] = ()
+    #: Rows held; the columns are views of that many rows.
+    count: int
+
+    def _publish(self, count: int) -> None:
+        """Expose the first *count* rows of every store as the columns."""
+        self.count = count
+        for name in self._COLUMNS:
+            setattr(self, name, getattr(self, "_" + name)[:count])
+
+    def _reserve(self, used: int, stop: int) -> None:
+        """Grow every store to hold *stop* rows, keeping its first *used*
+        (amortised doubling)."""
+        if stop > getattr(self, "_" + self._COLUMNS[0]).shape[0]:
+            for name in self._COLUMNS:
+                store = _grown(getattr(self, "_" + name), used, needed=stop)
+                setattr(self, "_" + name, store)
+
+
+class RepresentativeTable(_ColumnTable):
     """Every representative of a base, all lengths, in one table.
 
     One row per similarity group in arrival order — the buckets' groups
@@ -176,14 +203,14 @@ class RepresentativeTable:
     cascade reads for *all* lengths at once: the LB_Kim ``endpoints``
     ``(G, 4)``, the min/max band ``lo``/``hi``, the Chebyshev ``radii``
     of the transfer bound, and the ``(lengths, gids)`` address of each
-    row's group — its bucket's length and its index there.
+    row's group — its bucket's length and its index there.  A row's
+    index is also the group's name in the :class:`MemberTable` beside
+    it, and the query drivers carry groups as table rows.
     :class:`OnexBase` owns it and keeps it current at the one place
     groups are seeded and grown (``index_new_windows``).
     """
 
     _COLUMNS = ("endpoints", "lo", "hi", "radii", "lengths", "gids")
-    #: Rows held; the columns below are views of that many rows.
-    count: int
     endpoints: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
@@ -203,12 +230,6 @@ class RepresentativeTable:
         self._publish(0)
         self.sync((bucket, ()) for bucket in buckets)
 
-    def _publish(self, count: int) -> None:
-        """Expose the first *count* rows of every store as the columns."""
-        self.count = count
-        for name in self._COLUMNS:
-            setattr(self, name, getattr(self, "_" + name)[:count])
-
     def rows_of(self, lengths: Iterable[int]) -> np.ndarray:
         """Table rows of every group of the given bucket *lengths*, ascending."""
         held = [self._rows[n] for n in lengths if n in self._rows]
@@ -218,15 +239,13 @@ class RepresentativeTable:
         """For each ``(bucket, grown)``: append the rows of the bucket's
         groups the table does not hold yet and re-read the radii of its
         groups *grown* (by new members)."""
+        stop = self.count
         for bucket, grown in touched:
             known = self._rows.get(bucket.length, np.empty(0, dtype=np.int64))
-            first, start = known.size, self.count
+            first, start = known.size, stop
             stop = start + bucket.group_count - first
             if stop > start:
-                if stop > self._lengths.shape[0]:
-                    for name in self._COLUMNS:
-                        store = _grown(getattr(self, "_" + name), start, needed=stop)
-                        setattr(self, "_" + name, store)
+                self._reserve(start, stop)
                 fresh = bucket.centroids[first:]
                 self._endpoints[start:stop] = fresh[:, [0, 1, -2, -1]]
                 # min/max over the short axis as a fold over its columns:
@@ -243,9 +262,9 @@ class RepresentativeTable:
                 known = np.concatenate([known, np.arange(start, stop)])
                 self._rows[bucket.length] = known
                 self._buckets[bucket.length] = bucket
-                self._publish(stop)
             grown = np.asarray(grown, dtype=np.int64)
             self._radii[known[grown]] = bucket.cheb_radii[grown]
+        self._publish(stop)
 
     def cheap_bounds(
         self,
@@ -282,6 +301,75 @@ class RepresentativeTable:
                 )
                 bounds[same] = np.fmax(bounds[same], keogh)
         return bounds
+
+
+class MemberTable(_ColumnTable):
+    """Every member of a base, all lengths, in one table.
+
+    One row per member in arrival order — each bucket's store rows by
+    ascending length as of the first use, then every member ingestion
+    appends, as it is appended — so, like the
+    :class:`RepresentativeTable` beside it, the table only ever grows at
+    its end.  Values stay in the buckets; the columns are what the refine
+    stage reads to select, bound and address members of *all* lengths at
+    once: ``owner`` (the :class:`RepresentativeTable` row of the member's
+    group), the LB_Kim ``endpoints`` ``(M, 4)``, ``lengths``, ``rows``
+    (the member's row in its bucket's ``member_matrix``), the
+    ``(series_index, start)`` ``handles`` and ``gids`` (its group's index
+    in the bucket).  Appended members join groups in any order, so one
+    group's rows need not be contiguous: :meth:`select` finds them by
+    owner.
+    """
+
+    _COLUMNS = ("owner", "endpoints", "lengths", "rows", "handles", "gids")
+    owner: np.ndarray
+    endpoints: np.ndarray
+    lengths: np.ndarray
+    rows: np.ndarray
+    handles: np.ndarray
+    gids: np.ndarray
+
+    def __init__(self, buckets: list["LengthBucket"], reps: RepresentativeTable) -> None:
+        total = sum(b.member_count for b in buckets)
+        self._owner, self._lengths, self._rows, self._gids = np.empty(
+            (4, total), dtype=np.int64
+        )
+        self._endpoints = np.empty((total, 4))
+        self._handles = np.empty((total, 2), dtype=np.int64)
+        #: ``length -> store rows`` of that bucket the table holds.
+        self._held: dict[int, int] = {}
+        #: Rows of the representative table the owners index.
+        self.groups = 0
+        self._publish(0)
+        self.sync(buckets, reps)
+
+    def sync(self, buckets: Iterable["LengthBucket"], reps: RepresentativeTable) -> None:
+        """Append the store rows of *buckets* the table does not hold yet;
+        *reps*, already synced, names their groups."""
+        stop = self.count
+        for bucket in buckets:
+            first, start = self._held.get(bucket.length, 0), stop
+            stop = start + bucket.member_count - first
+            if stop == start:
+                continue
+            self._reserve(start, stop)
+            handles, gids = bucket.store_rows(first)
+            self._owner[start:stop] = reps.rows_of([bucket.length])[gids]
+            self._endpoints[start:stop] = bucket.member_matrix[first:, [0, 1, -2, -1]]
+            self._lengths[start:stop] = bucket.length
+            self._rows[start:stop] = np.arange(first, bucket.member_count)
+            self._handles[start:stop] = handles
+            self._gids[start:stop] = gids
+            self._held[bucket.length] = bucket.member_count
+        self._publish(stop)
+        self.groups = reps.count
+
+    def select(self, table_rows: np.ndarray) -> np.ndarray:
+        """Rows, ascending, of every member of the groups at the
+        representative-table rows *table_rows*."""
+        wanted = np.zeros(self.groups, dtype=bool)
+        wanted[table_rows] = True
+        return np.flatnonzero(wanted[self.owner])
 
 
 class _GroupsView(Sequence):
@@ -354,7 +442,9 @@ class LengthBucket:
     ``OnexBase.add_series`` and the :mod:`repro.stream` subsystem): new
     rows land at the end of the stores in arrival order and ``_row_group``
     names every row's owner from then on.  One lookup, :meth:`group_rows`,
-    resolves groups to rows in both regimes.
+    resolves groups to rows in both regimes; :meth:`store_rows` reads the
+    rows themselves, in store order, for the base's :class:`MemberTable`,
+    through which the query stage finds members of every length at once.
     """
 
     def __init__(
@@ -479,9 +569,10 @@ class LengthBucket:
         """Where the members of groups *g_idx* live: their store rows (to
         index :attr:`member_matrix`), ``(series_index, start)`` handles
         and owning groups, row for row — index arithmetic only, no group
-        is built.  The one lookup everything that resolves a group goes
-        through; *g_idx* indexes like ``groups[i]`` (negatives wrap, out
-        of range raises ``IndexError``).
+        is built.  The one lookup that resolves a bucket's groups (the
+        query stage resolves them base-wide, through the
+        :class:`MemberTable`); *g_idx* indexes like ``groups[i]``
+        (negatives wrap, out of range raises ``IndexError``).
 
         While no append has happened the rows are the construction
         ranges the offsets delimit, group by group as *g_idx* names
@@ -503,6 +594,15 @@ class LengthBucket:
             rows = np.flatnonzero(wanted[row_group])
             owner = row_group[rows]
         return rows, self._handle_store[rows], owner
+
+    def store_rows(self, first: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """``(handles, owners)`` of the store rows from *first* on, in
+        store order: each row's ``(series_index, start)`` and group."""
+        if self._row_group is None:
+            owners = np.repeat(np.arange(self._group_count), self.cardinalities)
+        else:
+            owners = self._row_group[: self._row_count]
+        return self._handle_store[first : self._row_count], owners[first:]
 
     def _logical_order(self) -> np.ndarray | None:
         """Store rows in group-contiguous order; None while they already are.
@@ -582,9 +682,7 @@ class LengthBucket:
         known = self._group_count
         total = max(known, int(owners.max()) + 1)
         if self._row_group is None:
-            self._row_group = np.repeat(
-                np.arange(known, dtype=np.int64), self.cardinalities
-            )
+            self._row_group = self.store_rows()[1]
         if total > known:
             if not np.array_equal(owners[: total - known], np.arange(known, total)):
                 raise ValidationError(
@@ -678,6 +776,7 @@ class OnexBase:
         self._dataset = dataset.normalized() if config.normalize else dataset
         self._buckets: dict[int, LengthBucket] = {}
         self._rep_table: RepresentativeTable | None = None
+        self._member_table: MemberTable | None = None
         self._stats: BaseStats | None = None
         #: Shards re-run serially after a worker crash in the last build.
         self.build_shard_retries = 0
@@ -713,7 +812,7 @@ class OnexBase:
         """
         started = time.perf_counter()
         self._buckets = {}
-        self._rep_table = None
+        self._rep_table = self._member_table = None
         self.build_shard_retries = 0
         cfg = self._config
         lengths = list(range(cfg.min_length, cfg.max_length + 1))
@@ -890,7 +989,7 @@ class OnexBase:
         self._norm_bounds = norm_bounds
         self._dataset = norm_dataset
         self._buckets = dict(buckets)
-        self._rep_table = None
+        self._rep_table = self._member_table = None
         self._stats = stats
         self.build_shard_retries = 0
         self.read_only = read_only
@@ -972,6 +1071,19 @@ class OnexBase:
         table = self._rep_table
         if table is None:
             table = self._rep_table = RepresentativeTable(self.buckets())
+        return table
+
+    @property
+    def member_table(self) -> MemberTable:
+        """The base-wide member table the refine stage reads.
+
+        Built on first use from the buckets' stores and :attr:`rep_table`
+        (one pass per bucket), extended beside it where ingestion appends
+        members and dropped with it; the same reader rules hold.
+        """
+        table = self._member_table
+        if table is None:
+            table = self._member_table = MemberTable(self.buckets(), self.rep_table)
         return table
 
     def group(self, length: int, index: int) -> SimilarityGroup:
@@ -1139,6 +1251,8 @@ class OnexBase:
             )
         if self._rep_table is not None:
             self._rep_table.sync(touched)
+            if self._member_table is not None:
+                self._member_table.sync((b for b, _ in touched), self._rep_table)
         old = self.stats
         self._stats = BaseStats(
             subsequences=old.subsequences + starts.size,

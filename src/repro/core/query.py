@@ -38,11 +38,16 @@ representatives whose bound exceeds the running k-th best distance never
 get a DTW call at all.
 
 **Refine** (:meth:`QueryProcessor._refine`, the one member stage every
-operation drives): a chunk of ``(bucket, group)`` units of *any* lengths
-is gathered from the buckets' row arrays into one padded stack, then
+operation drives): a chunk of groups of *any* lengths, named by their
+representative-table rows, is read off the base's
+:class:`repro.core.base.MemberTable` (one row per member, every length),
+then
 
-1. LB_Kim from the rows' endpoints, and LB_Keogh against the cached query
-   envelope for the rows of the query's own length — one vectorised pass;
+1. *select* the chunk's members with one mask over the table's owner
+   column; *bound* them — LB_Kim from the table's endpoint column, and
+   LB_Keogh against the cached query envelope for the rows of the
+   query's own length, read from that bucket's member matrix; *load* the
+   values of the survivors only into one stack padded to their widest;
 2. one ragged cost-only ``dtw_distance_batch(..., lengths=)`` call for
    the survivors;
 3. a second, path-length-tracking call only for rows whose
@@ -52,11 +57,11 @@ is gathered from the buckets' row arrays into one padded stack, then
    actually returned, all of them at once, when the answer is final
    (:meth:`QueryProcessor._matches`).
 
-The operations differ in their stopping rule only.  Exact k-best drains
-verified groups best-first — ascending ``(tight bound, representative
-distance)`` — in doubling chunks that start small, so the closest groups
-set a near-final cutoff before the bulk of the base meets the member
-bounds; fast mode refines its top ``refine_groups`` groups in one call;
+The operations differ in their stopping rule only, and name groups by
+their table rows.  Exact k-best drains verified groups best-first —
+ascending ``(tight bound, representative distance)`` — in doubling
+chunks that start small, so the closest groups set a near-final cutoff
+before the bulk of the base meets the member bounds; fast mode refines its top ``refine_groups`` groups in one call;
 the threshold query verifies the groups its rank pass leaves alive in
 length-sorted chunks, one representative call and one stage call per
 chunk with the threshold as the cut.  Every prune is a strict
@@ -113,7 +118,8 @@ _INF = math.inf
 #: one refinement call.  Each doubles on its own within one query, so
 #: adversarial bound distributions cost O(log groups) rounds while the
 #: first rounds stay small enough to establish a cutoff before most
-#: representatives, or most members, are touched.
+#: representatives, or most members, are touched.  A first drain of 64, or
+#: of every bound-0 group at once, measured no faster (DESIGN.md §1).
 _REP_CHUNK = 16
 #: Bound-ordered prefix the lazy rank order sorts first; it doubles on
 #: demand.  The representative schedule above has consumed 1008 rows after
@@ -167,7 +173,7 @@ class QueryStats:
     representatives whose exact DTW never ran (pruned or left unranked by
     the lazy cascade), ``rep_dtw_calls`` those whose exact DTW did run.
     ``groups_pruned`` totals the provable group-level prunes of either
-    kind.  Member layer: of the ``members_scanned`` rows gathered,
+    kind.  Member layer: of the ``members_scanned`` rows selected,
     ``member_lb_prunes`` fell to LB_Kim/LB_Keogh, ``member_dtw_calls`` got
     a raw DTW cost and ``member_path_calls`` — those whose raw cost could
     still be within the cut — a tracked path length as well.
@@ -256,6 +262,11 @@ class _Reps(NamedTuple):
     lengths: np.ndarray
     gids: np.ndarray
     radii: np.ndarray
+
+    def at(self, take: np.ndarray) -> np.ndarray:
+        """The table rows of the positions *take* — what the member stage
+        and the drivers' queues name groups by."""
+        return take if self.rows is None else self.rows[take]
 
 
 class _LazyOrder:
@@ -569,12 +580,7 @@ class QueryProcessor:
                     "cascade.threshold_bucket", groups=int(keep.size), widest=widest
                 ):
                     found = self._refine(
-                        q,
-                        reps.lengths[keep],
-                        reps.gids[keep],
-                        threshold,
-                        stats,
-                        envelopes,
+                        q, reps.at(keep), threshold, stats, envelopes
                     )
                     out.extend(self._within(found, threshold))
         return out, False
@@ -679,53 +685,39 @@ class QueryProcessor:
     # Member-layer refinement
     # ------------------------------------------------------------------
 
-    def _gather(
-        self, unit_lengths: np.ndarray, g_ids: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Member rows of the groups ``g_ids[i]`` of the length-
-        ``unit_lengths[i]`` buckets, stacked.
-
-        Returns ``(rows, lengths, handles, gids)``: the members' values
-        padded to the widest bucket, each row's subsequence length, its
-        ``(series_index, start)`` handle and its group index — read
-        straight off the buckets' row arrays, so no ``SimilarityGroup``
-        or ``SubsequenceRef`` is built.
-        """
-        parts = []
-        for length in np.unique(unit_lengths).tolist():
-            bucket = self._base.bucket(length)
-            parts.append((bucket, *bucket.group_rows(g_ids[unit_lengths == length])))
-        count = sum(at.size for _, at, _, _ in parts)
-        width = max(b.length * b.channels for b, _, _, _ in parts)
-        rows = np.zeros((count, width))
-        lengths = np.empty(count, dtype=np.int64)
-        handles = np.empty((count, 2), dtype=np.int64)
-        gids = np.empty(count, dtype=np.int64)
-        stop = 0
-        for bucket, at, at_handles, owner in parts:
-            start, stop = stop, stop + at.size
-            matrix = bucket.member_matrix
-            rows[start:stop, : matrix.shape[1]] = matrix[at]
-            lengths[start:stop] = bucket.length
-            handles[start:stop] = at_handles
-            gids[start:stop] = owner
-        return rows, lengths, handles, gids
+    def _stack(self, lengths: np.ndarray, picks: np.ndarray, matrix: str) -> np.ndarray:
+        """Rows ``picks[i]`` of the *matrix* (``"centroids"`` or
+        ``"member_matrix"``) of the length-``lengths[i]`` buckets, zero-
+        padded into one stack as wide as the longest.  *lengths* ascend,
+        so each bucket fills one slice."""
+        padded = np.zeros((picks.size, int(lengths[-1])))
+        edges = [0, *(np.flatnonzero(np.diff(lengths)) + 1).tolist(), picks.size]
+        for lo, hi in zip(edges, edges[1:]):
+            length = int(lengths[lo])
+            source = getattr(self._base.bucket(length), matrix)
+            padded[lo:hi, :length] = source.take(picks[lo:hi], axis=0)
+        return padded
 
     def _refine(
         self,
         q: np.ndarray,
-        unit_lengths: np.ndarray,
-        g_ids: np.ndarray,
+        table_rows: np.ndarray,
         cut: float,
         stats: QueryStats,
         envelopes: QueryEnvelopeCache,
         k: int | None = None,
     ) -> _Refined:
-        """The member stage: every member of the given groups that can
-        still be within *cut*, verified exactly.
+        """The member stage: every member of the groups at the
+        representative-table rows *table_rows* that can still be within
+        *cut*, verified exactly.
 
-        The units — group ``g_ids[i]`` of the length-``unit_lengths[i]``
-        bucket — may span any lengths.
+        The groups may span any lengths.  Their members are read off the
+        base's :class:`~repro.core.base.MemberTable` in three steps:
+        *select* (the members whose owner is wanted, one mask over the
+        table), *bound* (LB_Kim from the table's endpoint column, LB_Keogh
+        from the query-length bucket's ``member_matrix`` for those rows
+        only) and *load* (values padded into a stack for the bound's
+        survivors only; handles and group ids for the rows returned).
         *cut* is a normalised distance — the running k-th best of a
         k-best search (``inf`` until k are found) or the threshold of a
         range query — and every test against it is a strict prune on a
@@ -741,19 +733,16 @@ class QueryProcessor:
         """
         cfg = self._config
         qlen = q.shape[0]
-        stats.groups_refined += g_ids.size
-        rows, lengths, handles, gids = self._gather(unit_lengths, g_ids)
-        count = lengths.size
+        stats.groups_refined += table_rows.size
+        members = self._base.member_table
+        at = members.select(table_rows)
+        count = at.size
         stats.members_scanned += count
-        max_paths = (qlen + lengths - 1).astype(np.float64)
-        alive = np.ones(count, dtype=bool)
+        lengths = members.lengths[at]
         if cfg.use_lower_bounds and math.isfinite(cut):
-            every = np.arange(count)
-            ends = np.stack(
-                [rows[:, 0], rows[:, 1], rows[every, lengths - 2], rows[every, lengths - 1]],
-                axis=1,
-            )
-            kim = lb_kim_endpoints_batch(q, ends, lengths)
+            max_paths = (qlen + lengths - 1).astype(np.float64)
+            # ``take``: a row gather several times faster than ``[at]``.
+            kim = lb_kim_endpoints_batch(q, members.endpoints.take(at, axis=0), lengths)
             alive = kim / max_paths <= cut
             same = np.flatnonzero(alive & (lengths == qlen))
             if same.size:
@@ -762,33 +751,36 @@ class QueryProcessor:
                 # which is what makes LB_Keogh provable.
                 band = effective_band(qlen, qlen, cfg.window)
                 lower, upper = envelopes.get(qlen - 1 if band is None else band)
-                keogh = lb_keogh_batch(rows[same, :qlen], lower, upper)
+                matrix = self._base.bucket(qlen).member_matrix
+                rows = matrix.take(members.rows[at[same]], axis=0)
+                keogh = lb_keogh_batch(rows, lower, upper)
                 alive[same[keogh / max_paths[same] > cut]] = False
-            stats.member_lb_prunes += count - int(alive.sum())
-        at = np.flatnonzero(alive)
+            at, lengths = at[alive], lengths[alive]
+            stats.member_lb_prunes += count - at.size
         stats.member_dtw_calls += at.size
-        # Raw cost first — unless no row can fail the raw test anyway (no
-        # cut yet, and no k-th row to take one from): then the
-        # path-length call below is the only one needed.
-        if at.size and (math.isfinite(cut) or (k is not None and at.size > k)):
-            raws = dtw_distance_batch(
-                q, rows[at], window=cfg.window, lengths=lengths[at]
-            )
-            if k is not None and at.size >= k:
-                optimistic = raws / np.maximum(qlen, lengths[at])
-                cut = min(cut, float(np.partition(optimistic, k - 1)[k - 1]))
-            at = at[raws / max_paths[at] <= cut]
         raws = plens = np.empty(0)
         if at.size:
-            stats.member_path_calls += at.size
-            raws, plens = dtw_distance_batch(
-                q,
-                rows[at],
-                window=cfg.window,
-                with_path_length=True,
-                lengths=lengths[at],
-            )
-        return _Refined(raws / plens, raws, handles[at], lengths[at], gids[at])
+            by_length = np.argsort(lengths, kind="stable")
+            at, lengths = at[by_length], lengths[by_length]
+            rows = self._stack(lengths, members.rows[at], "member_matrix")
+            # Raw cost first — unless no row can fail the raw test anyway
+            # (no cut yet, and no k-th row to take one from): then the
+            # path-length call below is the only one needed.
+            if math.isfinite(cut) or (k is not None and at.size > k):
+                costs = dtw_distance_batch(q, rows, window=cfg.window, lengths=lengths)
+                if k is not None and at.size >= k:
+                    optimistic = costs / np.maximum(qlen, lengths)
+                    cut = min(cut, float(np.partition(optimistic, k - 1)[k - 1]))
+                passed = costs / (qlen + lengths - 1).astype(np.float64) <= cut
+                at, lengths, rows = at[passed], lengths[passed], rows[passed]
+            if at.size:
+                stats.member_path_calls += at.size
+                raws, plens = dtw_distance_batch(
+                    q, rows, window=cfg.window, with_path_length=True, lengths=lengths
+                )
+        return _Refined(
+            raws / plens, raws, members.handles.take(at, axis=0), lengths, members.gids[at]
+        )
 
     @staticmethod
     def _candidates(found: _Refined, positions: np.ndarray) -> Iterator[_Candidate]:
@@ -860,8 +852,7 @@ class QueryProcessor:
 
         One ragged kernel call however many length buckets the selection
         spans.  The rows are taken bucket by bucket (a stable sort by
-        length), so each bucket's centroids fill one slice of the stack
-        padded to the longest; the result is put back in the callers'
+        length, :meth:`_stack`); the result is put back in the callers'
         order.  Assembled per call, so nothing needs invalidating when a
         bucket grows.
         """
@@ -870,12 +861,8 @@ class QueryProcessor:
         if not gids.size:
             return raws
         by_length = np.argsort(lengths, kind="stable")
-        lengths, gids = lengths[by_length], gids[by_length]
-        padded = np.zeros((gids.size, int(lengths[-1])))
-        edges = [0, *(np.flatnonzero(np.diff(lengths)) + 1).tolist(), gids.size]
-        for lo, hi in zip(edges, edges[1:]):
-            length = int(lengths[lo])
-            padded[lo:hi, :length] = self._base.bucket(length).centroids[gids[lo:hi]]
+        lengths = lengths[by_length]
+        padded = self._stack(lengths, gids[by_length], "centroids")
         raws[by_length] = dtw_distance_batch(
             q, padded, window=self._config.window, lengths=lengths
         )
@@ -896,7 +883,8 @@ class QueryProcessor:
         lengths, gids, radii = reps.lengths, reps.gids, reps.radii
         max_paths = (q.shape[0] + lengths - 1).astype(np.float64)
         # Verified groups, best first: (transfer lower bound on any
-        # member, representative's own optimistic distance, length, group).
+        # member, representative's own optimistic distance, length, table
+        # row) — within a length, table rows ascend with the group index.
         # The bound is 0 for every group whose representative lies within
         # its radius of the query — at a coarse threshold, nearly all —
         # and there the representative's distance is what says where the
@@ -905,11 +893,14 @@ class QueryProcessor:
 
         def verify(take: np.ndarray) -> None:
             with span("cascade.rep_dtw", batch=int(take.size)):
-                paths, at, g_ids = max_paths[take], lengths[take], gids[take]
-                raws = self._rep_dtw(q, at, g_ids, stats)
+                paths, at = max_paths[take], lengths[take]
+                raws = self._rep_dtw(q, at, gids[take], stats)
                 tight = np.maximum(raws - paths * radii[take], 0.0) / paths
                 for entry in zip(
-                    tight.tolist(), (raws / paths).tolist(), at.tolist(), g_ids.tolist()
+                    tight.tolist(),
+                    (raws / paths).tolist(),
+                    at.tolist(),
+                    reps.at(take).tolist(),
                 ):
                     heapq.heappush(exact_heap, entry)
 
@@ -987,6 +978,7 @@ class QueryProcessor:
         heap: list[_Negated] = []
         reps = self._reps(buckets, stats)
         lengths, gids = reps.lengths, reps.gids
+        table = self._base.rep_table
         # The ranking estimate divides raw DTW by the minimum possible
         # warping-path length — a consistent estimator, exact whenever the
         # optimal path takes no detours.
@@ -995,9 +987,9 @@ class QueryProcessor:
 
         def rank(take: np.ndarray) -> None:
             with span("cascade.rep_dtw", batch=int(take.size)):
-                at, g_ids = lengths[take], gids[take]
-                est = self._rep_dtw(q, at, g_ids, stats) / scales[take]
-                for entry in zip(est.tolist(), at.tolist(), g_ids.tolist()):
+                at = lengths[take]
+                est = self._rep_dtw(q, at, gids[take], stats) / scales[take]
+                for entry in zip(est.tolist(), at.tolist(), reps.at(take).tolist()):
                     heapq.heappush(exact_heap, entry)
 
         # Lazy ranking: cheap bounds on the estimate order the queue; a
@@ -1028,9 +1020,9 @@ class QueryProcessor:
                 ptr += take.size
                 chunk *= 2
                 rank(take)
-            _, length, g_idx = unit = heapq.heappop(exact_heap)
+            _, length, row = unit = heapq.heappop(exact_heap)
             units.append(unit)
-            members += self._base.bucket(length).members_in([g_idx])
+            members += self._base.bucket(length).members_in([int(table.gids[row])])
         stats.rep_dtw_skipped += total - ptr
         if units:
             faults.fire("query.refine_unit")
@@ -1047,13 +1039,12 @@ class QueryProcessor:
         stats: QueryStats,
         envelopes: QueryEnvelopeCache,
     ) -> None:
-        """Refine the ``(..., length, group)`` *units* in one stage call
+        """Refine the ``(..., table row)`` *units* in one stage call
         against the heap's cutoff and fold the result into the heap."""
         with span("cascade.refine", groups=len(units)):
-            unit_lengths = np.array([unit[-2] for unit in units], dtype=np.int64)
-            g_ids = np.array([unit[-1] for unit in units], dtype=np.int64)
+            table_rows = np.array([unit[-1] for unit in units], dtype=np.int64)
             found = self._refine(
-                q, unit_lengths, g_ids, self._cutoff(heap, k), stats, envelopes, k
+                q, table_rows, self._cutoff(heap, k), stats, envelopes, k
             )
             self._push(heap, k, found)
 
@@ -1138,15 +1129,19 @@ class QueryProcessor:
     def _metric_verify(
         self, q: np.ndarray, bucket: LengthBucket, g_ids: np.ndarray, stats: QueryStats
     ) -> _Refined:
-        """Exact metric distances to every member of groups *g_ids*."""
+        """Exact metric distances to every member of groups *g_ids*,
+        selected through the base's member table as :meth:`_refine` does."""
         stats.groups_refined += g_ids.size
-        rows, lengths, handles, gids = self._gather(
-            np.full(g_ids.size, bucket.length), g_ids
+        members = self._base.member_table
+        at = members.select(self._base.rep_table.rows_of([bucket.length])[g_ids])
+        stats.members_scanned += at.size
+        raws, norms = self._metric_distances(
+            q, bucket.member_matrix[members.rows[at]], bucket.length
         )
-        stats.members_scanned += lengths.size
-        raws, norms = self._metric_distances(q, rows, bucket.length)
-        stats.member_dtw_calls += lengths.size
-        return _Refined(norms, raws, handles, lengths, gids)
+        stats.member_dtw_calls += at.size
+        return _Refined(
+            norms, raws, members.handles[at], members.lengths[at], members.gids[at]
+        )
 
     def _metric_search(
         self,

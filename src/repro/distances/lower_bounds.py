@@ -15,7 +15,7 @@ scalar twin by the property-test suite.  The query processor is their
 consumer: :func:`lb_kim_endpoints_batch` and the closed-form band of
 :func:`lb_keogh_reverse_batch` rank every representative
 (``RepresentativeTable.cheap_bounds``), and LB_Kim → LB_Keogh filter the
-gathered members ahead of batched DTW (:mod:`repro.core.query`).  Every
+selected members ahead of batched DTW (:mod:`repro.core.query`).  Every
 bound takes one query; the analytics views run no prescreen of their own,
 because against the batch kernel it costs more than the DTW it skips
 (DESIGN.md §4).

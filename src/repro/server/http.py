@@ -29,7 +29,10 @@ produces.
 
 Every body is strict JSON: a payload holding a non-finite float cannot
 be encoded, and goes out as a 500 ``InternalError`` envelope (request ID
-and headers kept) instead of a body with a bare ``Infinity``.
+and headers kept) instead of a body with a bare ``Infinity``.  Any
+``InternalError`` envelope is a 500, so a pool worker's unencodable
+answer reads the same as the single process's.  A request body is
+parsed strictly too: a ``NaN`` or ``Infinity`` literal is a 400.
 
 Probe endpoints (``/health``, ``/ready``, ``/metrics``) bypass the
 admission gate on purpose: an overloaded or draining server must still
@@ -619,11 +622,14 @@ def _make_handler(
                 started = time.perf_counter()
                 with locks.guard(request):
                     response = service.handle(request)
-                _REQUESTS_TOTAL.inc(op=request.op, code="200")
+                # An unexpected failure — a pool worker's unencodable
+                # answer among them — is the server's, not the caller's.
+                status = 500 if response.error_type == "InternalError" else 200
+                _REQUESTS_TOTAL.inc(op=request.op, code=str(status))
                 _REQUEST_MS.observe(
                     (time.perf_counter() - started) * 1000.0, op=request.op
                 )
-                status, payload = 200, response.to_dict()
+                payload = response.to_dict()
             except (OverloadedError, WorkerCrashedError) as exc:
                 # Raised by the supervisor's pool dispatch: no live
                 # workers / all busy, or a worker died holding a

@@ -10,6 +10,12 @@ kernel's page cache makes every worker's member/centroid/summary stacks
 views over the same physical pages, so adding a worker adds parallelism
 without adding copies of the base.
 
+Frames are strict JSON, encoded before they meet a socket: a request
+holding a non-finite float is answered ``ProtocolError`` without taking
+a worker, and a worker whose answer holds one replies with the
+``InternalError`` envelope (request ID kept) and stays alive — so an
+encode error is never read as the broken socket of a dead worker.
+
 Snapshots reach workers *with the requests*: every dispatched frame
 carries the published ``[dataset, path, epoch]`` of its dataset (and the
 names unloaded since the worker's last frame), the worker maps that
@@ -75,7 +81,12 @@ from typing import Any, Callable
 
 from multiprocessing import get_context
 
-from repro.exceptions import OverloadedError, PersistenceError, WorkerCrashedError
+from repro.exceptions import (
+    OverloadedError,
+    PersistenceError,
+    ProtocolError,
+    WorkerCrashedError,
+)
 from repro.obs.logs import get_logger, log_event
 from repro.obs.metrics import REGISTRY
 from repro.server.protocol import READ_ONLY_OPERATIONS, Request, Response
@@ -146,9 +157,16 @@ _START_TIMEOUT_S = 60.0
 _DISPATCH_WAIT_S = 30.0
 
 
+def _frame(payload: dict) -> bytes:
+    """*payload* as one length-prefixed strict-JSON frame.  A non-finite
+    float has no JSON value and raises ``ValueError`` here, before any
+    byte reaches a socket."""
+    body = json.dumps(payload, allow_nan=False).encode()
+    return _FRAME_HEADER.pack(len(body)) + body
+
+
 def _send_frame(sock: socket.socket, payload: dict) -> None:
-    body = json.dumps(payload).encode()
-    sock.sendall(_FRAME_HEADER.pack(len(body)) + body)
+    sock.sendall(_frame(payload))
 
 
 def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
@@ -303,7 +321,21 @@ def _worker_main(
                 response = service.handle(request)
             finally:
                 clock.end()
-            _send_frame(conn, {**response.to_dict(), **served})
+            try:
+                reply = _frame({**response.to_dict(), **served})
+            except ValueError as exc:  # a non-finite float: no JSON value
+                log_event(
+                    _LOG,
+                    "error",
+                    "worker.encode_failed",
+                    request_id=response.request_id,
+                    error=str(exc),
+                )
+                failure = Response.internal_error(exc).with_request_id(
+                    response.request_id
+                )
+                reply = _frame({**failure.to_dict(), **served})
+            conn.sendall(reply)
     except (OSError, ConnectionError, KeyboardInterrupt):
         os._exit(0)
     except BaseException:  # never unwind back into forked interpreter state
@@ -528,6 +560,15 @@ class WorkerPool:
             entry = self._snapshot_table.get(dataset)
         if entry is not None:
             frame["epoch"] = [dataset, *entry]
+        # Encoded before any slot is taken: an unencodable request is the
+        # caller's error, and the ValueError the loop below reads as a
+        # broken socket must not come from here.
+        try:
+            encoded = _frame(frame)
+        except ValueError as exc:  # a non-finite float in the params
+            return Response.failure(
+                ProtocolError(f"request is not strict JSON: {exc}")
+            ).with_request_id(request.request_id)
         attempts = 0
         max_attempts = self.size + 1
         while True:
@@ -535,9 +576,10 @@ class WorkerPool:
             conn, proc = slot.conn, slot.proc
             with self._cond:
                 drop, slot.dropped = slot.dropped, []
+            data = _frame({**frame, "drop": drop}) if drop else encoded
             ok = False
             try:
-                _send_frame(conn, {**frame, "drop": drop} if drop else frame)
+                conn.sendall(data)
                 reply = _recv_frame(conn)
                 if reply is None:
                     raise ConnectionError("worker closed mid-request")

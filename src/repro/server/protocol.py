@@ -152,6 +152,10 @@ DURABLE_OPERATIONS: frozenset[str] = frozenset(
 )
 
 
+def _reject_constant(name: str) -> Any:
+    raise ProtocolError(f"invalid JSON: {name} is not a JSON value")
+
+
 @dataclass(frozen=True)
 class Request:
     """A validated client request.
@@ -180,8 +184,10 @@ class Request:
 
     @classmethod
     def from_json(cls, text: str | bytes) -> "Request":
+        """Parse a strict-JSON request: ``NaN``/``Infinity`` literals,
+        which ``json`` accepts by default, are a :class:`ProtocolError`."""
         try:
-            payload = json.loads(text)
+            payload = json.loads(text, parse_constant=_reject_constant)
         except (json.JSONDecodeError, UnicodeDecodeError, ValueError) as exc:
             # Binary bodies can fail inside codec detection before JSON
             # parsing proper, hence the wider net.

@@ -38,9 +38,9 @@ Registered failpoint names (kept in sync with the call sites):
 
 - ``query.rep_chunk`` — per chunk of the lazy representative cascade
   (exact and fast search loops);
-- ``query.refine_unit`` — per member-refinement call, before its gather:
-  once per drained chunk of a k-best search, once per length bucket of a
-  threshold scan;
+- ``query.refine_unit`` — per member-refinement call, before it selects
+  its members: once per drained chunk of a k-best search, once per
+  length-sorted chunk of a threshold scan;
 - ``seasonal.pair_chunk`` — per verified group of the seasonal miner,
   before its one paired DTW call;
 - ``seasonal.group`` — per candidate group of the seasonal miner;

@@ -6,19 +6,19 @@ the cascade beyond the row-scan ``dtw_path``; the work counters are
 pinned, so a change to *which* representatives or members get a DTW call
 shows up here.  The rest of the file pins what the member stage promises
 about its own work: path lengths only for rows that pass the raw test,
-no gather or kernel call ahead of a deadline check (per drained chunk in
+no member selection or kernel call ahead of a deadline check (per drained chunk in
 k-best, per length-sorted chunk in the threshold scan), and the
 brute-force order under exact distance ties.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.core.query as query_module
 from repro.baselines.brute_force import BruteForceSearcher
-from repro.core.base import OnexBase
+from repro.core.base import MemberTable, OnexBase
 from repro.core.config import BuildConfig, QueryConfig
 from repro.core.deadline import CancellationToken, Deadline
 from repro.core.query import QueryProcessor
@@ -215,31 +215,31 @@ class _WatchedToken:
 
 def watched_run(monkeypatch, call) -> tuple[list, QueryProcessor]:
     """Run *call(processor, deadline)*, logging failpoints, deadline
-    checks, member gathers and kernel calls in the order they happen."""
+    checks, member selections and kernel calls in the order they happen."""
     events: list = []
     base = matters_base()
     processor = QueryProcessor(base, QueryConfig(mode="exact"))
-    gather = QueryProcessor._gather
+    select = MemberTable.select
     kernel = query_module.dtw_distance_batch
 
-    def logged_gather(self, *args):
-        events.append("gather")
-        return gather(self, *args)
+    def logged_select(self, *args):
+        events.append("select")
+        return select(self, *args)
 
     def logged_kernel(*args, **kwargs):
         events.append("kernel")
         return kernel(*args, **kwargs)
 
     monkeypatch.setattr(faults, "fire", lambda point, **ctx: events.append(point))
-    monkeypatch.setattr(QueryProcessor, "_gather", logged_gather)
+    monkeypatch.setattr(MemberTable, "select", logged_select)
     monkeypatch.setattr(query_module, "dtw_distance_batch", logged_kernel)
     call(processor, Deadline(token=_WatchedToken(events)))
     return events, processor
 
 
-def assert_every_gather_follows_its_check(events: list) -> None:
+def assert_every_select_follows_its_check(events: list) -> None:
     for at, event in enumerate(events):
-        if event == "gather":
+        if event == "select":
             assert events[at - 2 : at] == ["query.refine_unit", "check"], events[: at + 1]
 
 
@@ -248,15 +248,15 @@ def test_k_best_checks_once_per_drained_chunk(monkeypatch):
     events, processor = watched_run(
         monkeypatch, lambda p, d: p.k_best_matches(q, 3, normalize=False, deadline=d)
     )
-    gathers = events.count("gather")
-    assert gathers > 1, "one chunk would not show the per-chunk boundary"
-    assert events.count("query.refine_unit") == gathers
-    assert_every_gather_follows_its_check(events)
+    selects = events.count("select")
+    assert selects > 1, "one chunk would not show the per-chunk boundary"
+    assert events.count("query.refine_unit") == selects
+    assert_every_select_follows_its_check(events)
     # One ragged cost call per chunk, plus at most one path-length call.
     member_kernels = [
         events[at + 1 : at + 3].count("kernel")
         for at, event in enumerate(events)
-        if event == "gather"
+        if event == "select"
     ]
     assert all(1 <= n <= 2 for n in member_kernels), member_kernels
 
@@ -272,14 +272,14 @@ def test_threshold_scan_checks_once_per_chunk(monkeypatch):
     chunks = events.count("query.refine_unit")
     assert chunks == 2 < len(base.lengths)
     assert events.count("check") == chunks
-    assert events.count("gather") == chunks
+    assert events.count("select") == chunks
     for at, event in enumerate(events):
         if event == "query.refine_unit":
             # Nothing of the chunk — not even its representatives' DTW —
             # runs between the failpoint and the deadline check, and the
-            # chunk is one representative call, one gather and at most a
+            # chunk is one representative call, one selection and at most a
             # cost and a path-length call.
-            assert events[at + 1 : at + 4] == ["check", "kernel", "gather"]
+            assert events[at + 1 : at + 4] == ["check", "kernel", "select"]
             after = events[at + 4 : at + 7]
             assert 1 <= (after + ["query.refine_unit"]).index("query.refine_unit") <= 2
 
@@ -374,3 +374,54 @@ def test_new_groups_are_searched_straight_away():
     assert hit.series_name == "plateau" and hit.start == 12 and hit.distance == 0.0
     within = processor.matches_within(spike, 0.01)
     assert [key(m) for m in within] == [(0.0, (4, 12, 6))]
+
+
+@pytest.mark.usefixtures("kernel_backend")
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    appends=st.lists(
+        st.tuples(st.integers(0, 2), st.integers(1, 4)), min_size=2, max_size=6
+    ),
+    k=st.integers(min_value=1, max_value=6),
+)
+@settings(
+    max_examples=20,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_interleaved_appends_answer_as_brute_force(seed, appends, k):
+    """Appends to several series interleave their joins in the stores, so
+    a group's members are not contiguous rows of the member table; exact
+    k-best, range and batch answers still equal a brute-force scan."""
+    rng = np.random.default_rng(seed)
+    arrays = [rng.normal(size=n).cumsum() for n in (12, 10, 14)]
+    base = OnexBase(
+        TimeSeriesDataset.from_arrays(arrays, name="interleaved"),
+        BuildConfig(similarity_threshold=0.3, min_length=4, max_length=7, normalize=False),
+    )
+    base.build()
+    base.member_table  # exists before the appends, so they extend it
+    ingestor = StreamIngestor(base)
+    for series, points in appends:
+        values = base.dataset[series].values
+        # Re-trace a stretch of the series: most new windows join groups.
+        at = int(rng.integers(0, values.size - points + 1))
+        ingestor.append_points(
+            base.dataset[series].name,
+            values[at : at + points] + rng.normal(scale=0.05, size=points),
+        )
+    processor = QueryProcessor(base, QueryConfig(mode="exact"))
+    oracle = BruteForceSearcher(base.dataset)
+    qs = []
+    for length in rng.integers(4, 8, size=2).tolist():
+        values = base.dataset[int(rng.integers(0, 3))].values
+        at = int(rng.integers(0, values.size - length + 1))
+        qs.append(values[at : at + length] + rng.normal(scale=0.1, size=length))
+    for q, batch in zip(qs, processor.batch_matches(qs, k)):
+        want = [key(m) for m in oracle.k_best_matches(q, k, base.lengths)]
+        assert [key(m) for m in processor.k_best_matches(q, k)] == want
+        assert [key(m) for m in batch] == want
+        truth = brute_force(base, q)
+        threshold = max(truth[min(k, len(truth)) - 1][0], 0.01)
+        within = processor.matches_within(q, threshold)
+        assert [key(m) for m in within] == [t for t in truth if t[0] <= threshold]

@@ -6,11 +6,15 @@ policy (backoff + flap circuit breaker), degraded-capacity behaviour
 lazy snapshot republication (read-your-writes after mutations).
 """
 
+import json
+import math
 import os
 import signal
 import socket
 import threading
 import time
+import urllib.error
+import urllib.request
 
 import numpy as np
 import pytest
@@ -25,7 +29,7 @@ from repro.exceptions import (
 )
 from repro.obs.metrics import REGISTRY
 from repro.server import pool as pool_module
-from repro.server.http import AdmissionGate
+from repro.server.http import AdmissionGate, OnexHttpServer
 from repro.server.pool import _recv_frame, _send_frame
 from repro.server.protocol import Request, Response
 from repro.server.service import OnexService
@@ -126,6 +130,94 @@ class TestFrameProtocol:
         assert not err.ok
         assert err.error_type == "DatasetError"
         assert err.request_id == "r2"
+
+
+def post_raw(url: str, body: bytes) -> tuple[int, dict]:
+    """POST *body* to ``/api``; the status and the strictly parsed reply."""
+
+    def no_constants(name):
+        raise AssertionError(f"non-JSON constant {name} in the body")
+
+    request = urllib.request.Request(
+        f"{url}/api", data=body, headers={"Content-Type": "application/json"}
+    )
+    try:
+        with urllib.request.urlopen(request, timeout=30) as resp:
+            status, raw = resp.status, resp.read()
+    except urllib.error.HTTPError as exc:
+        status, raw = exc.code, exc.read()
+    return status, json.loads(raw, parse_constant=no_constants)
+
+
+class TestStrictFrames:
+    """Pool frames are strict JSON, encoded apart from the socket, so a
+    non-finite value is a typed error and never a worker death."""
+
+    def test_round_trip_rejects_non_finite(self):
+        a, b = socket.socketpair()
+        try:
+            with pytest.raises(ValueError):
+                _send_frame(a, {"distance": math.inf})
+            _send_frame(a, {"distance": 1.5})
+            assert _recv_frame(b) == {"distance": 1.5}  # nothing half-sent
+        finally:
+            a.close()
+            b.close()
+
+    def test_non_finite_answer_is_a_500_from_a_live_worker(self, tmp_path, monkeypatch):
+        tune_pool(monkeypatch, backoff_base_s=0.05, backoff_cap_s=0.5)
+        rng = np.random.default_rng(5)
+        dataset = TimeSeriesDataset(
+            [TimeSeries(f"s{i}", rng.normal(size=60).cumsum()) for i in range(4)],
+            name="raw-toy",
+        )
+        service = OnexService(QueryConfig())
+        service.engine.load_dataset(
+            dataset, similarity_threshold=0.3, min_length=10, max_length=14,
+            step=2, normalize=False,
+        )
+        supervisor = Supervisor(service, workers=2, snapshot_root=tmp_path / "snaps")
+        supervisor.start(timeout=60)
+        server = OnexHttpServer(supervisor)
+        server.start()
+        try:
+            pids = supervisor.pool.worker_pids()
+            # Its DTW costs overflow: every distance of the answer is inf.
+            overflow = {"dataset": "raw-toy", "query": [1e308] * 3}
+            for rid in ("inf-1", "inf-2", "inf-3"):
+                body = json.dumps({"op": "best_match", "request_id": rid, "params": overflow})
+                status, payload = post_raw(server.url, body.encode())
+                assert status == 500, payload
+                assert payload["error"]["type"] == "InternalError"
+                assert payload["request_id"] == rid
+            assert supervisor.pool.failovers == 0
+            assert supervisor.pool.worker_pids() == pids
+            assert supervisor.pool.dispatched == 3
+
+            body = json.dumps(
+                {"op": "k_best", "params": {"dataset": "raw-toy", "query": query_values(), "k": 2}}
+            )
+            status, payload = post_raw(server.url, body.encode())
+            assert status == 200 and payload["ok"], payload
+
+            literal = b'{"op": "k_best", "params": {"dataset": "raw-toy", "query": [NaN, 1, 2], "k": 1}}'
+            status, payload = post_raw(server.url, literal)
+            assert status == 400
+            assert payload["error"]["type"] == "ProtocolError"
+            assert "NaN" in payload["error"]["message"]
+
+            # An in-process caller's non-finite request is refused before
+            # any worker takes it.
+            dispatched = supervisor.pool.dispatched
+            response = supervisor.handle(
+                Request("k_best", {"dataset": "raw-toy", "query": [math.nan, 1.0], "k": 1})
+            )
+            assert response.error_type == "ProtocolError"
+            assert supervisor.pool.dispatched == dispatched
+            assert supervisor.pool.worker_pids() == pids
+        finally:
+            server.stop()
+            supervisor.close()
 
 
 class TestDispatch:

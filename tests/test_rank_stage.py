@@ -170,12 +170,15 @@ def walk_base() -> OnexBase:
 
 
 def assert_table_matches_buckets(base: OnexBase) -> None:
-    """Every table column equals its recomputation from the buckets'
-    centroid stacks and radii — the only stored description of a
-    representative — each bucket's rows appear in group order, and a
-    writable bucket's means are its centroids' row means."""
-    table = base.rep_table
+    """Every column of both tables equals its recomputation from the
+    buckets' stores — centroid stacks and radii for the representative
+    table, ``group_rows`` and the member matrix for the member table —
+    each bucket's groups appear in group order and its members in store
+    order, and a writable bucket's means are its centroids' row means."""
+    table, members = base.rep_table, base.member_table
     assert table.count == base.stats.groups == sum(b.group_count for b in base.buckets())
+    assert members.count == base.stats.subsequences
+    assert members.count == sum(b.member_count for b in base.buckets())
     for bucket in base.buckets():
         rows = table.rows_of([bucket.length])
         centroids = bucket.centroids
@@ -187,13 +190,22 @@ def assert_table_matches_buckets(base: OnexBase) -> None:
         assert np.array_equal(table.radii[rows], bucket.cheb_radii)
         if bucket.writable:
             assert np.array_equal(bucket.centroid_means, centroids.mean(axis=1))
+        store, handles, owner = bucket.group_rows(np.arange(bucket.group_count))
+        mine = np.flatnonzero(members.lengths == bucket.length)
+        assert np.array_equal(members.rows[mine], store)
+        assert np.array_equal(members.handles[mine], handles)
+        assert np.array_equal(members.gids[mine], owner)
+        assert np.array_equal(members.owner[mine], rows[owner])
+        assert np.array_equal(
+            members.endpoints[mine], bucket.member_matrix[store][:, [0, 1, -2, -1]]
+        )
 
 
 class TestRepresentativeTable:
     def test_equals_the_bucket_summaries_through_every_change(self, tmp_path):
         base = build_walk_base()
         assert_table_matches_buckets(base)
-        built = base.rep_table
+        built, members = base.rep_table, base.member_table
         # Freshly built, the table is the buckets' rows by ascending length.
         assert np.array_equal(
             built.endpoints,
@@ -205,6 +217,7 @@ class TestRepresentativeTable:
         base.add_series(TimeSeries("appended", rng.normal(size=24).cumsum()))
         assert base.stats.groups > groups  # new groups ...
         assert base.rep_table is built, "extended in place, never rebuilt"
+        assert base.member_table is members, "appended, never rebuilt"
         assert_table_matches_buckets(base)
 
         # ... and radius growth: points that re-trace an indexed stretch
@@ -214,7 +227,9 @@ class TestRepresentativeTable:
         tail = base.raw_dataset["appended"].values[-8:]
         ingestor.append_points("appended", tail + rng.normal(scale=0.02, size=8))
         assert (built.radii[: radii.size] > radii).any()
-        assert base.rep_table is built
+        assert base.rep_table is built and base.member_table is members
+        # Joins land after the rows of the groups they join.
+        assert (np.diff(members.owner) < 0).any()
         assert_table_matches_buckets(base)
         base.save(tmp_path / "saved")
         assert_table_matches_buckets(OnexBase.load(tmp_path / "saved"))
@@ -236,10 +251,11 @@ class TestRepresentativeTable:
         )
         base.build()
         assert base.lengths == [5, 6, 7, 8]
-        built = base.rep_table
+        built, members = base.rep_table, base.member_table
         StreamIngestor(base).append_points("series-1", rng.normal(size=3).cumsum())
         assert base.lengths == [5, 6, 7, 8, 9]
         assert base.rep_table is built and built.rows_of([9]).size
+        assert base.member_table is members
         assert_table_matches_buckets(base)
         q = base.dataset["series-1"].values[1:10]
         hit = QueryProcessor(base, QueryConfig(mode="exact")).best_match(q, normalize=False)
@@ -247,9 +263,9 @@ class TestRepresentativeTable:
 
     def test_a_rebuild_starts_a_fresh_table(self):
         base = build_walk_base()
-        first = base.rep_table
+        first, members = base.rep_table, base.member_table
         base.build()
-        assert base.rep_table is not first
+        assert base.rep_table is not first and base.member_table is not members
         assert_table_matches_buckets(base)
 
     def test_batch_on_a_fresh_attach_builds_one_table(self, walk_base, tmp_path, monkeypatch):
