@@ -207,7 +207,7 @@ class RepresentativeTable(_ColumnTable):
     index is also the group's name in the :class:`MemberTable` beside
     it, and the query drivers carry groups as table rows.
     :class:`OnexBase` owns it and keeps it current at the one place
-    groups are seeded and grown (``index_new_windows``).
+    groups are seeded and grown (``apply_windows``).
     """
 
     _COLUMNS = ("endpoints", "lo", "hi", "radii", "lengths", "gids")
@@ -233,6 +233,8 @@ class RepresentativeTable(_ColumnTable):
     def rows_of(self, lengths: Iterable[int]) -> np.ndarray:
         """Table rows of every group of the given bucket *lengths*, ascending."""
         held = [self._rows[n] for n in lengths if n in self._rows]
+        if len(held) == 1:  # one bucket's rows are ascending already
+            return held[0]
         return np.sort(np.concatenate(held)) if held else np.empty(0, dtype=np.int64)
 
     def sync(self, touched: Iterable[tuple["LengthBucket", ArrayLike]]) -> None:
@@ -248,14 +250,19 @@ class RepresentativeTable(_ColumnTable):
                 self._reserve(start, stop)
                 fresh = bucket.centroids[first:]
                 self._endpoints[start:stop] = fresh[:, [0, 1, -2, -1]]
-                # min/max over the short axis as a fold over its columns:
-                # the same values as ``fresh.min(axis=1)``/``.max(axis=1)``
-                # (min and max are exact) at a third of the cost.
+                # Many rows: min/max over the short axis as a fold over its
+                # columns, the same values as ``fresh.min(axis=1)`` (min
+                # and max are exact) at a third of the cost.  The few rows
+                # of an append: one reduction each, not one call a column.
                 lo, hi = self._lo[start:stop], self._hi[start:stop]
-                lo[:] = hi[:] = fresh[:, 0]
-                for column in fresh.T[1:]:
-                    np.minimum(lo, column, out=lo)
-                    np.maximum(hi, column, out=hi)
+                if fresh.shape[0] < fresh.shape[1]:
+                    fresh.min(axis=1, out=lo)
+                    fresh.max(axis=1, out=hi)
+                else:
+                    lo[:] = hi[:] = fresh[:, 0]
+                    for column in fresh.T[1:]:
+                        np.minimum(lo, column, out=lo)
+                        np.maximum(hi, column, out=hi)
                 self._radii[start:stop] = bucket.cheb_radii[first:]
                 self._lengths[start:stop] = bucket.length
                 self._gids[start:stop] = np.arange(first, bucket.group_count)
@@ -660,6 +667,29 @@ class LengthBucket:
             if needed > store.shape[0]:
                 setattr(self, name, _grown(store, used, needed=needed))
 
+    def make_private(self) -> None:
+        """Copy a read-only bucket's stores out of its mapping, so that it
+        accepts :meth:`append` from now on (a no-op on a writable bucket).
+
+        The mapping itself stays write-protected; the copies get the
+        doubling headroom of ``_grown`` and the centroid means are derived
+        here.  How a pool worker applies the rows its supervisor appended.
+        """
+        if self.writable:
+            return
+        rows, count = self._row_count, self._group_count
+        for name, used in (
+            ("_handle_store", rows),
+            ("_member_store", rows),
+            ("_offset_store", count + 1),
+            ("_centroid_store", count),
+            ("_ed_store", count),
+            ("_cheb_store", count),
+        ):
+            setattr(self, name, _grown(getattr(self, name), used))
+        self._mean_store = self.centroids.mean(axis=1)
+        self.writable = True
+
     def append(
         self, owners: np.ndarray, handles: np.ndarray, rows: np.ndarray
     ) -> None:
@@ -667,13 +697,15 @@ class LengthBucket:
         start)`` *handles* — to the groups *owners*, growing the stores in
         place with amortised doubling.
 
-        Owners at or past ``group_count`` name new groups: their seeds —
-        one row each, the representative — lead the call, ascending from
-        ``group_count``, and any later row may join them.  For a join the
-        caller guarantees the construction invariant (``ED_n`` to the
-        representative within the group radius).  Radii are updated
-        exactly and no representative moves, so existing members'
-        guarantees are untouched.
+        Owners at or past ``group_count`` name new groups, numbered in the
+        order they are seeded: a new group's first row is its seed — the
+        representative — and any later row may join it, so one call may
+        replay the rows of several earlier ones.  For a join the caller
+        guarantees the construction invariant (``ED_n`` to the
+        representative within the group radius).  Radii are maxima,
+        updated exactly, and no representative moves, so existing
+        members' guarantees are untouched and any grouping of the same
+        rows into calls gives the same stores.
         """
         if not self.writable:
             raise ReadOnlyBaseError(
@@ -684,11 +716,17 @@ class LengthBucket:
         if self._row_group is None:
             self._row_group = self.store_rows()[1]
         if total > known:
-            if not np.array_equal(owners[: total - known], np.arange(known, total)):
+            ids, first = np.unique(owners, return_index=True)
+            ids, first = ids[ids >= known], first[ids >= known]
+            if not (
+                np.array_equal(ids, np.arange(known, total))
+                and (np.diff(first) > 0).all()
+            ):
                 raise ValidationError(
-                    f"new groups must be seeded first, ascending from {known}"
+                    f"new groups must be seeded in order from {known}, "
+                    "each at its first row"
                 )
-            seeds = rows[: total - known]
+            seeds = rows[first]
             self._reserve(
                 ("_centroid_store", "_ed_store", "_cheb_store", "_mean_store"),
                 known,
@@ -708,7 +746,9 @@ class LengthBucket:
         self._row_group[start:stop] = owners
         self._row_count = stop
         deviations = np.abs(rows - self._centroid_store[owners])
-        np.maximum.at(self._ed_store, owners, deviations.mean(axis=1))
+        # sum / width is mean() without its Python-level wrapper.
+        width = deviations.shape[1]
+        np.maximum.at(self._ed_store, owners, deviations.sum(axis=1) / width)
         np.maximum.at(self._cheb_store, owners, deviations.max(axis=1))
         self._offset_store[1 : total + 1] += np.cumsum(
             np.bincount(owners, minlength=total)
@@ -1173,13 +1213,14 @@ class OnexBase:
         beyond *previous_length* points (0 indexes the whole series).
 
         The incremental-ingestion kernel shared by :meth:`add_series`,
-        the streaming ingestor and WAL replay: :meth:`_assign_windows`
-        decides each length's windows and the bucket takes them in one
-        ``append``.  What does not depend on the length — the window
-        means of the prescreen, the handles, the representative-table
-        sync, the stats — is done once per call.  Returns the
-        :class:`WindowAssignments` of the indexed windows, in (length,
-        start) order.
+        the streaming ingestor and WAL replay, in two halves: the decide
+        half, :meth:`_assign_windows`, places each length's windows, and
+        the apply half, :meth:`apply_windows`, appends them — the one
+        path by which a pool worker also applies what this process
+        appended.  What does not depend on the length — the window means
+        of the prescreen, the handles — is done once per call.  Returns
+        the :class:`WindowAssignments` of the indexed windows, in
+        (length, start) order.
         """
         self._require_built()
         self._require_writable()
@@ -1215,23 +1256,10 @@ class OnexBase:
         groups = np.empty(starts.size, dtype=np.int64)
         created = np.zeros(starts.size, dtype=bool)
         scope = evaluated = 0
-        touched: list[tuple[LengthBucket, np.ndarray]] = []
-        per_length = {s.length: s for s in self.stats.per_length}
+        decided: list[tuple[int, np.ndarray, np.ndarray]] = []
         for (length, at), size, stop in zip(plan, sizes, np.cumsum(sizes).tolist()):
             rows = slice(stop - size, stop)
-            bucket = self._buckets.get(length)
-            if bucket is None:
-                bucket = self._buckets[length] = LengthBucket(
-                    length,
-                    np.empty((0, 2), dtype=np.int64),
-                    np.zeros(1, dtype=np.int64),
-                    np.empty((0, length * channels)),
-                    np.empty((0, length * channels)),
-                    np.empty(0),
-                    np.empty(0),
-                    channels=channels,
-                    writable=True,
-                )
+            bucket = self._bucket_for(length)
             # Channel-flatten multivariate windows to the stored row layout.
             windows = values[at[:, None] + np.arange(length)].reshape(size, -1)
             scope += size * bucket.group_count
@@ -1243,11 +1271,74 @@ class OnexBase:
             created[rows][seeds] = True  # a slice is a view
             # Store order: the call's seeds, then its joins.
             order = np.array(seeds + joined)
-            bucket.append(owners[order], handles[rows][order], windows[order])
-            touched.append((bucket, owners[joined]))
+            decided.append((length, owners[order], handles[rows][order]))
+        self.apply_windows(decided)
+        return WindowAssignments(
+            series_index, lengths, starts, groups, created, scope, evaluated
+        )
+
+    def _bucket_for(self, length: int) -> LengthBucket:
+        """The bucket of *length*, created empty (and writable) if missing."""
+        bucket = self._buckets.get(length)
+        if bucket is None:
+            width = length * self.channels
+            bucket = self._buckets[length] = LengthBucket(
+                length,
+                np.empty((0, 2), dtype=np.int64),
+                np.zeros(1, dtype=np.int64),
+                np.empty((0, width)),
+                np.empty((0, width)),
+                np.empty(0),
+                np.empty(0),
+                channels=self.channels,
+                writable=True,
+            )
+        return bucket
+
+    def _windows(self, length: int, handles: np.ndarray) -> np.ndarray:
+        """The values of the *length* windows at *handles*, channel-flattened
+        to the stored row layout: one fancy index per series they name."""
+        series, count = handles[:, 0], handles.shape[0]
+        at = handles[:, 1, None] + np.arange(length)
+        indices = np.unique(series).tolist()
+        if len(indices) == 1:  # what one ingestion call appends
+            return self._dataset[indices[0]].values[at].reshape(count, -1)
+        out = np.empty((count, length * self.channels))
+        for index in indices:
+            mine = series == index
+            out[mine] = self._dataset[index].values[at[mine]].reshape(-1, out.shape[1])
+        return out
+
+    def apply_windows(
+        self, decided: Iterable[tuple[int, np.ndarray, np.ndarray]]
+    ) -> None:
+        """The apply half of ingestion: for each ``(length, owners,
+        handles)``, append the windows at *handles* to the groups *owners*
+        of that length's bucket (see :meth:`LengthBucket.append` for how
+        owners seed groups), then bring both tables and the stats along.
+
+        The bucket is created if missing and made private if attached
+        read-only; the windows are gathered from this base's own
+        (normalised) series, which must already hold the points.  This is
+        the one path by which rows enter a bucket after a build: the
+        decide half of :meth:`index_new_windows` feeds it, and so does
+        :meth:`apply_tail` with rows another process decided.
+        """
+        per_length = {s.length: s for s in self.stats.per_length}
+        touched: list[tuple[LengthBucket, np.ndarray]] = []
+        added = seeded = 0
+        for length, owners, handles in decided:
+            bucket = self._bucket_for(length)
+            bucket.make_private()
+            known = bucket.group_count
+            bucket.append(owners, handles, self._windows(length, handles))
+            touched.append((bucket, owners))
+            fresh = bucket.group_count - known
+            added += owners.size
+            seeded += fresh
             prev = per_length.get(length) or LengthBuildStats(length, 0, 0, 0.0)
             per_length[length] = LengthBuildStats(
-                length, prev.subsequences + size, prev.groups + len(seeds), prev.seconds
+                length, prev.subsequences + owners.size, prev.groups + fresh, prev.seconds
             )
         if self._rep_table is not None:
             self._rep_table.sync(touched)
@@ -1255,14 +1346,91 @@ class OnexBase:
                 self._member_table.sync((b for b, _ in touched), self._rep_table)
         old = self.stats
         self._stats = BaseStats(
-            subsequences=old.subsequences + starts.size,
-            groups=old.groups + int(created.sum()),
+            subsequences=old.subsequences + added,
+            groups=old.groups + seeded,
             lengths=len(self._buckets),
             build_seconds=old.build_seconds,
             per_length=tuple(per_length[n] for n in sorted(per_length)),
         )
-        return WindowAssignments(
-            series_index, lengths, starts, groups, created, scope, evaluated
+
+    # ------------------------------------------------------------------
+    # Tails: what a base gained since a mark, as another process applies it
+    # ------------------------------------------------------------------
+
+    def mark(self) -> tuple[dict[int, int], list[int]]:
+        """Where this base stands: each bucket's store rows and each
+        series' points.  :meth:`tail` reads what was added after it."""
+        return (
+            {length: b.member_count for length, b in self._buckets.items()},
+            [len(s) for s in self._raw_dataset],
+        )
+
+    def tail(self, mark: tuple[dict[int, int], list[int]]) -> dict:
+        """Everything this base gained since *mark*, as plain JSON values.
+
+        ``series``: ``[index, name, metadata, raw, norm]`` per series
+        that grew — the points appended since the mark, raw and
+        normalised (``norm`` is None when the base does not normalise);
+        ``name`` and ``metadata`` are set only for a series the mark did
+        not hold.  ``buckets``: ``[length, owners, handles]`` per bucket
+        that grew — :meth:`LengthBucket.store_rows` past the mark, handles
+        flattened.  Nothing derivable is carried: :meth:`apply_tail`
+        gathers windows from the points and radii follow from the rows.
+        """
+        rows, points = mark
+        raw, norm = self._raw_dataset, self._dataset
+        series = []
+        for index, values in enumerate(raw):
+            seen = points[index] if index < len(points) else 0
+            if len(values) > seen:
+                new = index >= len(points)
+                series.append([
+                    index,
+                    values.name if new else None,
+                    dict(values.metadata) if new else None,
+                    values.values[seen:].tolist(),
+                    None if norm is raw else norm[index].values[seen:].tolist(),
+                ])
+        buckets = []
+        for length in sorted(self._buckets):
+            bucket = self._buckets[length]
+            first = rows.get(length, 0)
+            if bucket.member_count > first:
+                handles, owners = bucket.store_rows(first)
+                buckets.append([length, owners.tolist(), handles.ravel().tolist()])
+        return {"series": series, "buckets": buckets}
+
+    def apply_tail(self, tail: dict) -> None:
+        """Apply a :meth:`tail` read off another base at this base's state:
+        extend the series, then append the rows through
+        :meth:`apply_windows`.  A read-only (attached) base accepts this
+        — its touched buckets become private — while every other mutation
+        path still raises."""
+        self._require_built()
+        raw, norm = self._raw_dataset, self._dataset
+        for index, name, metadata, raw_points, norm_points in tail["series"]:
+            chunks = [(raw, raw_points)]
+            if norm is not raw:
+                chunks.append((norm, norm_points))
+            for dataset, points in chunks:
+                points = np.asarray(points, dtype=np.float64)
+                points.flags.writeable = False
+                if index == len(dataset):
+                    dataset.add(TimeSeries._wrap(name, points, metadata))
+                else:
+                    old = dataset[index]
+                    grown = np.concatenate([old.values, points])
+                    grown.flags.writeable = False
+                    dataset.replace_series(
+                        TimeSeries._wrap(old.name, grown, old.metadata)
+                    )
+        self.apply_windows(
+            (
+                int(length),
+                np.asarray(owners, dtype=np.int64),
+                np.asarray(handles, dtype=np.int64).reshape(-1, 2),
+            )
+            for length, owners, handles in tail["buckets"]
         )
 
     #: Windows per row block of the assignment; bounds the distance

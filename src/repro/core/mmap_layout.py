@@ -54,9 +54,13 @@ cannot be swapped atomically — never touching the old one is what keeps
 it intact through a crash).  The two kinds of write differ in one
 keyword of the one writer:
 
-- an **epoch** (:func:`save_base_snapshot`, the pool's publications) dies
-  with its supervisor, so ``arrays.bin`` is neither fsynced nor hashed;
-  :func:`clean_stale_snapshots` sweeps leftovers at supervisor start;
+- an **epoch snapshot** (:func:`save_base_snapshot`, the pool's full
+  publications) dies with its supervisor, so ``arrays.bin`` is neither
+  fsynced nor hashed; :func:`clean_stale_snapshots` sweeps leftovers at
+  supervisor start.  Not every pool epoch is one: most are tails that
+  travel in the pool's frames (``OnexBase.tail``) and are applied to the
+  snapshot a worker already maps, whose touched buckets then become
+  private copies;
 - a **durable** snapshot (:meth:`OnexBase.save`, which checkpoints call
   too) fsyncs both files and both directories and records the sha256 of
   ``arrays.bin``, hashed while writing.

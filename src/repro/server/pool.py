@@ -16,11 +16,15 @@ a worker, and a worker whose answer holds one replies with the
 ``InternalError`` envelope (request ID kept) and stays alive — so an
 encode error is never read as the broken socket of a dead worker.
 
-Snapshots reach workers *with the requests*: every dispatched frame
-carries the published ``[dataset, path, epoch]`` of its dataset (and the
-names unloaded since the worker's last frame), the worker maps that
-epoch first if it holds another, and its reply reports the epoch it
-answered from and what the attach cost.  There is no control channel
+Epochs reach workers *with the requests*.  An epoch is either a full
+snapshot or a *tail* on top of the last one (the rows and points the
+base gained, :meth:`~repro.core.base.OnexBase.tail`).  Every dispatched
+frame carries the published ``[dataset, path, epoch]`` snapshot of its
+dataset, the ``[epoch, tail]`` entries after it that the taking slot has
+not applied, and the names unloaded since the worker's last frame.  The
+worker maps the snapshot if it holds another, applies the tails newer
+than what it holds, in order, and its reply reports the epoch it
+answered from and what catching up cost.  There is no control channel
 and no broadcast, so no worker can miss a publication.
 
 Fault containment and failover:
@@ -56,9 +60,10 @@ Fault containment and failover:
 
 Chaos hooks: the worker request loop fires the ``worker.kill`` and
 ``worker.hang`` failpoints (:mod:`repro.testing.faults`) before
-executing each dispatched request; both are inherited across the fork,
-so a test arming them in the supervisor process takes down real worker
-processes deterministically.
+executing each dispatched request, and ``worker.tail`` before applying
+each tail; all are inherited across the fork, so a test arming them in
+the supervisor process takes down (or refuses) real worker processes
+deterministically.
 
 The timings of this fault model are the module constants below, not
 constructor options: no caller tunes them, and tests substitute them
@@ -92,7 +97,7 @@ from repro.obs.metrics import REGISTRY
 from repro.server.protocol import READ_ONLY_OPERATIONS, Request, Response
 from repro.testing import faults
 
-__all__ = ["WorkerPool"]
+__all__ = ["CatchUpError", "WorkerPool"]
 
 _LOG = get_logger("pool")
 
@@ -119,12 +124,12 @@ _DISPATCH_TOTAL = REGISTRY.counter(
 
 _ATTACH_MS = REGISTRY.histogram(
     "onex_pool_snapshot_attach_ms",
-    "Worker-side attach of a newly published epoch (the other half of "
-    "onex_pool_snapshot_publish_ms)",
+    "Worker-side catch-up to a newly published epoch: snapshot attach "
+    "plus tails (the other half of onex_pool_snapshot_publish_ms)",
 )
 _WORKER_EPOCH = REGISTRY.gauge(
     "onex_pool_worker_epoch",
-    "Snapshot epoch the slot answered its last dispatch from",
+    "Epoch the slot answered its last dispatch from",
 )
 
 _FRAME_HEADER = struct.Struct(">I")
@@ -155,6 +160,18 @@ _FLAP_COOLDOWN_S = 30.0
 _START_TIMEOUT_S = 60.0
 #: How long a dispatch waits for a free live worker before shedding.
 _DISPATCH_WAIT_S = 30.0
+
+
+class CatchUpError(PersistenceError):
+    """A worker could not bring a dataset to its published epoch.
+
+    ``snapshot`` is true when mapping the snapshot itself failed, false
+    when applying a tail after it did.
+    """
+
+    def __init__(self, message: str, *, snapshot: bool) -> None:
+        super().__init__(message)
+        self.snapshot = snapshot
 
 
 def _frame(payload: dict) -> bytes:
@@ -237,6 +254,50 @@ def _worker_attach(service: Any, name: str, path: str) -> None:
     )
 
 
+def _worker_catch_up(
+    service: Any, held: dict[str, tuple[str, int]], frame: dict
+) -> dict:
+    """Bring the dataset a frame names to its newest epoch; returns the
+    reply fields that say so.
+
+    The frame's ``epoch`` is ``[dataset, snapshot path, its epoch]`` and
+    its ``tails`` the ``[epoch, tail]`` published after that snapshot
+    which this worker lacks.  The snapshot is mapped unless this worker
+    already holds it, then every tail newer than what it holds is
+    applied, in order.  *held* maps each dataset to the ``(snapshot
+    path, epoch)`` this worker serves.  Returns ``epoch`` (plus
+    ``attach_ms`` when anything was mapped or applied), or the
+    ``attach_failed`` control frame, with ``snapshot`` true when mapping
+    the snapshot itself failed: the dataset is then dropped from *held*
+    and from the service, so the next frame starts over from the
+    snapshot.
+    """
+    name, path, epoch = frame["epoch"]
+    before = held.get(name)
+    started = time.monotonic()
+    mapping = before is None or before[0] != path
+    try:
+        if mapping:
+            held.pop(name, None)
+            _worker_attach(service, name, path)
+            held[name] = (path, epoch)
+            mapping = False
+        for tail_epoch, tail in frame.get("tails", ()):
+            if tail_epoch > held[name][1]:
+                faults.fire("worker.tail", dataset=name, epoch=tail_epoch)
+                service.engine.base(name).apply_tail(tail)
+                held[name] = (path, tail_epoch)
+    except Exception as exc:
+        held.pop(name, None)
+        if name in service.engine.dataset_names:
+            service.engine.unload_dataset(name)
+        return {"ctl": "attach_failed", "error": str(exc), "snapshot": mapping}
+    served: dict = {"epoch": held[name][1]}
+    if held[name] != before:
+        served["attach_ms"] = (time.monotonic() - started) * 1e3
+    return served
+
+
 def _worker_main(
     index: int,
     conn: socket.socket,
@@ -276,11 +337,11 @@ def _worker_main(
             QueryConfig(**(service_config.get("query_config") or {})),
             default_timeout_ms=service_config.get("default_timeout_ms"),
         )
-        #: dataset -> snapshot path this worker currently maps.
-        attached: dict[str, str] = {}
-        for name, (path, _epoch) in sorted(snapshot_table.items()):
+        #: dataset -> (snapshot path, epoch) this worker currently serves.
+        held: dict[str, tuple[str, int]] = {}
+        for name, (path, epoch) in sorted(snapshot_table.items()):
             _worker_attach(service, name, path)
-            attached[name] = path
+            held[name] = (path, epoch)
         threading.Thread(target=beat, daemon=True).start()
         _send_frame(conn, {"ctl": "ready", "pid": os.getpid()})
         while True:
@@ -288,7 +349,7 @@ def _worker_main(
             if frame is None:  # supervisor closed the pair: shut down
                 os._exit(0)
             for name in frame.get("drop", ()):  # unloaded since our last frame
-                attached.pop(name, None)
+                held.pop(name, None)
                 if name in service.engine.dataset_names:
                     service.engine.unload_dataset(name)
             request = frame.get("req")
@@ -299,23 +360,15 @@ def _worker_main(
             served: dict = {}
             clock.begin()
             try:
-                # The frame names the epoch published for the request's
-                # dataset: map it first if this worker holds another, so
-                # it never answers from an older epoch than it was asked.
+                # The frame names the snapshot published for the request's
+                # dataset and the tails after it that this worker lacks:
+                # catch up first, so it never answers from an older epoch
+                # than it was asked.
                 if "epoch" in frame:
-                    name, path, served["epoch"] = frame["epoch"]
-                    if attached.get(name) != path:
-                        started = time.monotonic()
-                        try:
-                            _worker_attach(service, name, path)
-                        except Exception as exc:
-                            attached.pop(name, None)
-                            _send_frame(
-                                conn, {"ctl": "attach_failed", "error": str(exc)}
-                            )
-                            continue
-                        attached[name] = path
-                        served["attach_ms"] = (time.monotonic() - started) * 1e3
+                    served = _worker_catch_up(service, held, frame)
+                    if "ctl" in served:
+                        _send_frame(conn, served)
+                        continue
                 faults.fire("worker.kill", op=op)
                 faults.fire("worker.hang", op=op)
                 response = service.handle(request)
@@ -416,8 +469,11 @@ class WorkerPool:
         self.on_capacity_change = on_capacity_change
         self._cond = threading.Condition()
         self._slots = [_Slot(i) for i in range(self.size)]
-        #: dataset -> (snapshot path, epoch) currently published.
+        #: dataset -> (snapshot path, its epoch) currently published.
         self._snapshot_table: dict[str, tuple[str, int]] = {}
+        #: dataset -> ``[epoch, tail]`` of every tail published after
+        #: its snapshot, ascending.
+        self._tails: dict[str, list[list]] = {}
         self._closed = False
         self._monitor: threading.Thread | None = None
         self._ctx = get_context("fork")
@@ -519,16 +575,27 @@ class WorkerPool:
         it before answering (new workers read the table at spawn).  Keep
         *path* on disk until a newer entry is recorded **and** no
         dispatch tagged with the old one is in flight — the supervisor's
-        per-dataset read/write lock guarantees both.
+        per-dataset read/write lock guarantees both.  The tails of the
+        previous snapshot are dropped with it.
         """
         with self._cond:
             self._snapshot_table[dataset] = (str(path), int(epoch))
+            self._tails[dataset] = []
+
+    def add_tail(self, dataset: str, epoch: int, tail: dict) -> None:
+        """Record epoch *epoch* of *dataset* as *tail*
+        (:meth:`~repro.core.base.OnexBase.tail`, strict JSON) on top of
+        its snapshot; nothing is sent.  Each dispatch carries the tails
+        its worker lacks, and the worker applies them before answering."""
+        with self._cond:
+            self._tails[dataset].append([int(epoch), tail])
 
     def unload(self, dataset: str) -> None:
         """Retract *dataset*; each worker drops its mapping with the next
         frame it is sent (it is never asked about *dataset* before that)."""
         with self._cond:
             self._snapshot_table.pop(dataset, None)
+            self._tails.pop(dataset, None)
             for slot in self._slots:
                 slot.epochs.pop(dataset, None)
                 slot.dropped.append(dataset)
@@ -545,11 +612,14 @@ class WorkerPool:
         death raises :class:`WorkerCrashedError` — retryable, absorbed
         by the client's request-id idempotency window.
 
-        The frame is tagged with the published epoch of the request's
-        dataset, so whichever worker takes it answers from that epoch —
-        read-your-writes per request.  A worker that cannot map it
-        raises :class:`~repro.exceptions.PersistenceError` here and the
-        supervisor answers from its own service.
+        The frame is tagged with the published snapshot of the request's
+        dataset and carries the tails after it that the slot has not
+        applied, so whichever worker takes it answers from the newest
+        epoch — read-your-writes per request.  A worker that cannot map
+        the snapshot or apply a tail raises :class:`CatchUpError` here,
+        the slot's epoch is forgotten (its next frame carries the
+        snapshot and every tail) and the supervisor answers from its own
+        service.
         """
         envelope: dict = {"op": request.op, "params": request.params}
         if request.request_id is not None:
@@ -558,11 +628,13 @@ class WorkerPool:
         dataset = str(request.params.get("dataset", ""))
         with self._cond:
             entry = self._snapshot_table.get(dataset)
+            tails = list(self._tails.get(dataset, ()))
         if entry is not None:
             frame["epoch"] = [dataset, *entry]
         # Encoded before any slot is taken: an unencodable request is the
         # caller's error, and the ValueError the loop below reads as a
-        # broken socket must not come from here.
+        # broken socket must not come from here.  (Tails were encodable
+        # when published, so adding them below cannot raise either.)
         try:
             encoded = _frame(frame)
         except ValueError as exc:  # a non-finite float in the params
@@ -576,7 +648,12 @@ class WorkerPool:
             conn, proc = slot.conn, slot.proc
             with self._cond:
                 drop, slot.dropped = slot.dropped, []
-            data = _frame({**frame, "drop": drop}) if drop else encoded
+                held = slot.epochs.get(dataset, 0)
+            extra: dict = {"drop": drop} if drop else {}
+            lacking = [t for t in tails if t[0] > held]
+            if entry is not None and lacking:
+                extra["tails"] = lacking
+            data = _frame({**frame, **extra}) if extra else encoded
             ok = False
             try:
                 conn.sendall(data)
@@ -617,9 +694,13 @@ class WorkerPool:
                             slot.epochs[dataset] = reply["epoch"]
                         self._cond.notify_all()
             if reply.get("ctl") == "attach_failed":
+                with self._cond:
+                    slot.epochs.pop(dataset, None)
                 _DISPATCH_TOTAL.inc(outcome="attach_failed")
-                raise PersistenceError(
-                    f"worker {slot.index} cannot attach {entry}: {reply['error']}"
+                raise CatchUpError(
+                    f"worker {slot.index} cannot catch up on {entry}: "
+                    f"{reply['error']}",
+                    snapshot=bool(reply.get("snapshot")),
                 )
             if "epoch" in reply:
                 _WORKER_EPOCH.set(float(reply["epoch"]), slot=str(slot.index))

@@ -18,21 +18,38 @@ Routing:
 
 Read-your-writes across processes comes from *lazy republication* plus
 *epoch-tagged dispatch*: a successful mutation marks its dataset dirty,
-and the next dispatched read first republishes the base as a fresh
-``epoch-<n>`` snapshot (:func:`~repro.core.mmap_layout.save_base_snapshot`,
-one array dump) and records its path in the pool's snapshot table.
-Nothing is broadcast: every dispatched frame carries its dataset's table
-entry and the worker that takes it maps that epoch first if it holds
-another (one ``mmap``; groups are built on demand), so a publication
-costs the reading worker one attach and idle workers nothing.  The HTTP
-layer's per-dataset read/write lock serialises mutations against reads,
-so the base is quiescent while it is published and no newer epoch can
-supersede the tagged one while a read is in flight; the per-dataset
-publish mutex only collapses concurrent readers onto one publication.
-Superseded epochs are deleted off the read's path — a worker still
-mapping one keeps the inode alive.  A worker that cannot map its tagged
-epoch says so and the supervisor answers that request itself: degraded,
-never stale.
+and the next dispatched read first publishes epoch ``n + 1`` — as a
+*tail* when one will do.  A tail (:meth:`~repro.core.base.OnexBase.tail`)
+is what the base gained since the last epoch's mark: the rows each
+bucket appended, as ``(series, start)`` handles and owning groups, and
+the raw and normalised points each series appended.  It is read off the
+supervisor's stores in well under a millisecond and recorded in the
+pool's snapshot table after the last full snapshot.  A full ``epoch-<n>``
+snapshot (:func:`~repro.core.mmap_layout.save_base_snapshot`, one array
+dump) is written instead:
+
+- on the first read after a load, a restart or a reload;
+- when the rows the tails since the last snapshot carry would exceed the
+  snapshot's own — amortised doubling, so the tails never cost more than
+  one snapshot;
+- when the tail is not strict JSON (a point normalised to ``inf``);
+- after a worker failed to map the current snapshot.
+
+Nothing is broadcast: every dispatched frame carries its dataset's
+snapshot entry and the tails the taking worker lacks; the worker maps the
+snapshot if it holds another (one ``mmap``; groups are built on demand)
+and applies the tails through the same ``apply_windows`` half that
+ingestion runs here, so a publication costs the reading worker work
+proportional to the append and idle workers nothing.  The HTTP layer's
+per-dataset read/write lock serialises mutations against reads, so the
+base is quiescent while it is published and no newer epoch can supersede
+the tagged one while a read is in flight; the per-dataset publish mutex
+only collapses concurrent readers onto one publication.  Superseded
+snapshots are deleted off the read's path — a worker still mapping one
+keeps the inode alive.  A worker that cannot map the snapshot or apply a
+tail drops the dataset and says so, and the supervisor answers that
+request itself — degraded, never stale; the slot's next frame carries
+the snapshot and every tail after it.
 
 Failure surface: :class:`~repro.exceptions.OverloadedError` (no live
 workers / all busy) and :class:`~repro.exceptions.WorkerCrashedError`
@@ -43,10 +60,12 @@ workers / all busy) and :class:`~repro.exceptions.WorkerCrashedError`
 from __future__ import annotations
 
 import hashlib
+import json
 import re
 import shutil
 import threading
 import time
+import weakref
 from pathlib import Path
 from typing import Any
 
@@ -54,7 +73,7 @@ from repro.core.mmap_layout import clean_stale_snapshots, save_base_snapshot
 from repro.exceptions import PersistenceError
 from repro.obs.logs import get_logger, log_event
 from repro.obs.metrics import REGISTRY
-from repro.server.pool import WorkerPool
+from repro.server.pool import CatchUpError, WorkerPool
 from repro.server.protocol import POOL_DISPATCHED_OPERATIONS, Request, Response
 from repro.server.service import OnexService
 
@@ -64,10 +83,11 @@ _LOG = get_logger("supervisor")
 
 _PUBLISH_TOTAL = REGISTRY.counter(
     "onex_pool_snapshot_publish_total",
-    "Base snapshots published to the worker pool, per dataset",
+    "Epochs published to the worker pool, per dataset and kind "
+    "(snapshot | tail)",
 )
 _PUBLISH_MS = REGISTRY.histogram(
-    "onex_pool_snapshot_publish_ms", "Snapshot publication latency"
+    "onex_pool_snapshot_publish_ms", "Epoch publication latency"
 )
 
 
@@ -78,13 +98,22 @@ def _dataset_slug(name: str) -> str:
 
 
 class _Publication:
-    """Publish state of one dataset: current epoch dir + dirty flag."""
+    """Publish state of one dataset: the newest epoch, its snapshot dir,
+    the base's mark at that epoch and the dirty flag."""
 
     def __init__(self) -> None:
         self.lock = threading.Lock()
         self.epoch = 0
         self.path: Path | None = None
         self.dirty = True
+        #: The base published and its ``mark()`` as of ``epoch``: where
+        #: the next tail starts.
+        self.base: Any = None
+        self.mark: tuple[dict[int, int], list[int]] | None = None
+        #: Member rows in the snapshot, and carried by the tails since.
+        self.snapshot_rows = 0
+        self.tail_rows = 0
+        self.tails = 0
 
 
 class Supervisor:
@@ -167,9 +196,13 @@ class Supervisor:
                 if self._ensure_published(dataset):
                     try:
                         return self.pool.dispatch(request)
-                    except PersistenceError as exc:
-                        # The worker could not map the tagged epoch:
-                        # answer locally, degraded but never stale.
+                    except CatchUpError as exc:
+                        # The worker could not map the snapshot or apply
+                        # a tail: answer locally, degraded but never
+                        # stale.  An unmappable snapshot is replaced by
+                        # the next publication.
+                        if exc.snapshot:
+                            self._publication(dataset).base = None
                         log_event(
                             _LOG,
                             "error",
@@ -234,6 +267,7 @@ class Supervisor:
                     "epoch": pub.epoch,
                     "dirty": pub.dirty,
                     "path": str(pub.path) if pub.path is not None else None,
+                    "tails": pub.tails,
                 }
                 for name, pub in sorted(self._pubs.items())
                 if name in self._service.engine.dataset_names
@@ -309,26 +343,40 @@ class Supervisor:
         return True
 
     def _publish_locked(self, name: str, pub: _Publication) -> None:
+        """Publish the next epoch of *name*: a tail when one will do, else
+        a full snapshot (see the module docstring for the rule)."""
         started = time.monotonic()
         base = self._service.engine.base(name)
         epoch = pub.epoch + 1
-        path = save_base_snapshot(
-            base, self._root / _dataset_slug(name) / f"epoch-{epoch}"
-        )
-        self.pool.remap(name, str(path), epoch)
-        old = pub.path
+        tail = self._tail(base, pub)
+        if tail is not None:
+            rows, tail = tail
+            self.pool.add_tail(name, epoch, tail)
+            pub.tail_rows += rows
+            pub.tails += 1
+            kind = "tail"
+        else:
+            path = save_base_snapshot(
+                base, self._root / _dataset_slug(name) / f"epoch-{epoch}"
+            )
+            self.pool.remap(name, str(path), epoch)
+            old = pub.path
+            pub.path = path
+            pub.snapshot_rows = base.stats.subsequences
+            pub.tail_rows = pub.tails = 0
+            kind = "snapshot"
+            if old is not None and old != path:
+                # Safe while workers still map it (the inode outlives the
+                # directory entry) and off this read's path; whatever a
+                # shutdown interrupts, the sweep at the next start removes.
+                threading.Thread(
+                    target=shutil.rmtree, args=(old, True), daemon=True
+                ).start()
+        pub.base, pub.mark = weakref.ref(base), base.mark()
         pub.epoch = epoch
-        pub.path = path
         pub.dirty = False
-        if old is not None and old != path:
-            # Safe while workers still map it (the inode outlives the
-            # directory entry) and off this read's path; whatever a
-            # shutdown interrupts, the sweep at the next start removes.
-            threading.Thread(
-                target=shutil.rmtree, args=(old, True), daemon=True
-            ).start()
         elapsed_ms = (time.monotonic() - started) * 1000.0
-        _PUBLISH_TOTAL.inc(dataset=name)
+        _PUBLISH_TOTAL.inc(dataset=name, kind=kind)
         _PUBLISH_MS.observe(elapsed_ms)
         log_event(
             _LOG,
@@ -336,8 +384,27 @@ class Supervisor:
             "supervisor.published",
             dataset=name,
             epoch=epoch,
+            kind=kind,
             ms=round(elapsed_ms, 2),
         )
+
+    @staticmethod
+    def _tail(base: Any, pub: _Publication) -> tuple[int, dict] | None:
+        """``(rows, tail)`` of what *base* gained since *pub*'s epoch, or
+        None when a full snapshot must be written instead: there is no
+        snapshot to build on, the tails since it would carry more rows
+        than it holds, or the tail is not strict JSON."""
+        if pub.path is None or pub.base is None or pub.base() is not base:
+            return None
+        tail = base.tail(pub.mark)
+        rows = sum(len(owners) for _, owners, _ in tail["buckets"])
+        if pub.tail_rows + rows > pub.snapshot_rows:
+            return None
+        try:
+            json.dumps(tail, allow_nan=False)
+        except (TypeError, ValueError):  # e.g. a point normalised to inf
+            return None
+        return rows, tail
 
     def _after_local_success(self, request: Request) -> None:
         """Keep publication state consistent after a local mutation.

@@ -73,7 +73,11 @@ Registered failpoint names (kept in sync with the call sites):
   hard worker death while the supervisor survives;
 - ``worker.hang`` — same site; a ``sleep`` longer than the worker's
   stall limit makes its heartbeat go quiet, so the supervisor's monitor
-  SIGKILLs it — the hang-detection path end to end.
+  SIGKILLs it — the hang-detection path end to end;
+- ``worker.tail`` — in the pool worker, before it applies each tail a
+  frame carries (receives ``dataset`` and ``epoch``); ``raise`` makes the
+  worker drop the dataset and refuse the read, which the supervisor then
+  answers itself.
 """
 
 from __future__ import annotations

@@ -3,7 +3,8 @@
 Covers the frame protocol, dispatch and failover semantics, the restart
 policy (backoff + flap circuit breaker), degraded-capacity behaviour
 (admission-gate scaling, zero-capacity shedding), and the supervisor's
-lazy snapshot republication (read-your-writes after mutations).
+lazy republication — snapshots and the tails after them — that gives
+read-your-writes after mutations.
 """
 
 import json
@@ -15,6 +16,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -66,6 +68,33 @@ def tune_pool(monkeypatch, **timings):
     ``_BACKOFF_BASE_S``); workers forked afterwards inherit the values."""
     for name, value in timings.items():
         monkeypatch.setattr(pool_module, f"_{name.upper()}", value)
+
+
+@contextmanager
+def served_by(pool, index):
+    """Hold every other idle slot busy, so slot *index* takes the next
+    dispatch."""
+    with pool._cond:
+        held = [s for s in pool._slots if s.index != index and not s.busy]
+        for slot in held:
+            slot.busy = True
+    try:
+        yield
+    finally:
+        with pool._cond:
+            for slot in held:
+                slot.busy = False
+            pool._cond.notify_all()
+
+
+def force_snapshot(sup, dataset, series="bulk"):
+    """Add a series with more windows than the last snapshot holds, so
+    the next publication is a full snapshot and not a tail."""
+    rows = sup._publication(dataset).snapshot_rows
+    values = np.random.default_rng(1).normal(size=rows + 40).cumsum().tolist()
+    assert sup.handle(
+        Request("add_series", {"dataset": dataset, "name": series, "values": values})
+    ).ok
 
 
 def wait_for(predicate, timeout=15.0, interval=0.05):
@@ -450,7 +479,8 @@ class TestReadYourWrites:
             sup.close()
 
     def test_idle_workers_skip_intermediate_epochs(self, supervisor):
-        """A publication costs only the worker that serves the read."""
+        """A publication costs idle workers nothing: the slot that next
+        serves a read applies every tail it lacks, in one frame."""
         first = supervisor.pool_status()["published"]["pool-toy"]["epoch"]
         for i in range(3):
             assert supervisor.handle(
@@ -463,27 +493,33 @@ class TestReadYourWrites:
                 Request("describe", {"dataset": "pool-toy"})
             ).ok
         status = supervisor.pool_status()
-        assert status["published"]["pool-toy"]["epoch"] == first + 3
-        # One client, so slot 0 served every read; slot 1 never attached
+        published = status["published"]["pool-toy"]
+        assert published["epoch"] == first + 3 and published["tails"] == 3
+        # One client, so slot 0 served every read; slot 1 never applied
         # anything after the epoch it was spawned with.
         assert status["workers"][0]["epochs"] == {"pool-toy": first + 3}
         assert status["workers"][1]["epochs"] == {"pool-toy": first}
         rendered = REGISTRY.render()
         assert f'onex_pool_worker_epoch{{slot="0"}} {first + 3}\n' in rendered
         assert "onex_pool_snapshot_attach_ms_count" in rendered
+        # Slot 1 catches up all three tails and answers from the newest.
+        describe = Request("describe", {"dataset": "pool-toy"})
+        with served_by(supervisor.pool, 1):
+            caught_up = supervisor.handle(describe)
+        assert supervisor.pool_status()["workers"][1]["epochs"] == {
+            "pool-toy": first + 3
+        }
+        assert caught_up.result == supervisor._service.handle(describe).result
 
     def test_unmappable_epoch_is_answered_locally(self, supervisor):
         """A worker that cannot map its tagged epoch never answers stale:
         it says so, and the supervisor serves the read itself."""
-        assert supervisor.handle(
-            Request(
-                "append_points",
-                {"dataset": "pool-toy", "series": "s0", "values": [0.5, 0.25]},
-            )
-        ).ok
+        force_snapshot(supervisor, "pool-toy")
         # Publish, then break the snapshot before any worker maps it.
         assert supervisor._ensure_published("pool-toy")
-        path = supervisor.pool_status()["published"]["pool-toy"]["path"]
+        published = supervisor.pool_status()["published"]["pool-toy"]
+        assert published["tails"] == 0  # a full snapshot, not a tail
+        path = published["path"]
         os.unlink(os.path.join(path, "arrays.bin"))
         response = supervisor.handle(Request("describe", {"dataset": "pool-toy"}))
         assert response.ok
@@ -503,6 +539,49 @@ class TestReadYourWrites:
         before = supervisor.pool.dispatched
         assert supervisor.handle(Request("describe", {"dataset": "pool-toy"})).ok
         assert supervisor.pool.dispatched == before + 1
+
+    def test_failed_tail_is_answered_locally_then_caught_up(
+        self, tmp_path, monkeypatch
+    ):
+        """A worker that fails to apply a tail drops the dataset and says
+        so; the supervisor answers that read, and the slot's next frame
+        carries the snapshot and every tail after it."""
+        tune_pool(monkeypatch, backoff_base_s=0.05)
+        service = make_service()
+        # Armed before the fork, so each worker fails its first tail once.
+        with faults.inject("worker.tail", "raise", times=1):
+            sup = Supervisor(service, workers=2, snapshot_root=tmp_path / "snaps")
+            sup.start(timeout=60)
+        try:
+            pids = sup.pool.worker_pids()
+            describe = Request("describe", {"dataset": "pool-toy"})
+            dispatched = sup.pool.dispatched
+            # One tail per write-then-read; each worker fails its first.
+            for slot, values in ((1, [0.5, 0.25]), (0, [0.75])):
+                assert sup.handle(
+                    Request(
+                        "append_points",
+                        {"dataset": "pool-toy", "series": "s0", "values": values},
+                    )
+                ).ok
+                with served_by(sup.pool, slot):
+                    failed = sup.handle(describe)
+                assert failed.result == service.handle(describe).result
+                assert "pool-toy" not in sup.pool_status()["workers"][slot]["epochs"]
+            assert sup.pool.dispatched == dispatched  # both answered locally
+            assert sup.pool.worker_pids() == pids and sup.pool.failovers == 0
+            # The same worker, live, maps the snapshot again and applies
+            # both tails (its failpoint is spent).
+            served = sup.handle(describe)
+            assert sup.pool.dispatched == dispatched + 1
+            status = sup.pool_status()
+            published = status["published"]["pool-toy"]
+            assert published["tails"] == 2
+            assert status["workers"][0]["epochs"] == {"pool-toy": published["epoch"]}
+            assert sup.pool.worker_pids() == pids
+            assert served.result == service.handle(describe).result
+        finally:
+            sup.close()
 
     def test_reload_after_unload_gets_a_new_snapshot_path(self, supervisor):
         old = supervisor.pool_status()["published"]["pool-toy"]
