@@ -30,6 +30,7 @@ from numpy.typing import ArrayLike
 from repro.core.config import BuildConfig
 from repro.core.deadline import Deadline
 from repro.core.grouping import (
+    _LB_MARGIN,
     SimilarityGroup,
     cluster_subsequence_rows,
     mean_prescreen_cutoff,
@@ -41,6 +42,7 @@ from repro.data.windows import (
     window_counts,
     window_matrix,
 )
+from repro.distances import native
 from repro.distances.envelope import keogh_envelope_batch
 from repro.distances.lower_bounds import lb_keogh_reverse_batch, lb_kim_endpoints_batch
 from repro.distances.normalize import minmax_normalize
@@ -165,6 +167,13 @@ def _grown(
     return grown
 
 
+def _endpoints(flat: np.ndarray, at: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """``row[[0, 1, -2, -1]]`` of every row laid end to end in *flat*, row
+    ``r`` at offset ``at[r]`` and ``widths[r]`` wide, in one gather."""
+    ends = at + widths
+    return flat[np.column_stack((at, at + 1, ends - 2, ends - 1))]
+
+
 class _ColumnTable:
     """Parallel column stores that only ever grow at their end.
 
@@ -207,7 +216,8 @@ class RepresentativeTable(_ColumnTable):
     index is also the group's name in the :class:`MemberTable` beside
     it, and the query drivers carry groups as table rows.
     :class:`OnexBase` owns it and keeps it current at the one place
-    groups are seeded and grown (``apply_windows``).
+    groups are seeded and grown (``apply_windows``, through
+    :meth:`extend`).
     """
 
     _COLUMNS = ("endpoints", "lo", "hi", "radii", "lengths", "gids")
@@ -228,7 +238,7 @@ class RepresentativeTable(_ColumnTable):
         #: ``length -> bucket``: where a banded bound reads its centroids.
         self._buckets: dict[int, "LengthBucket"] = {}
         self._publish(0)
-        self.sync((bucket, ()) for bucket in buckets)
+        self._add_groups(buckets)
 
     def rows_of(self, lengths: Iterable[int]) -> np.ndarray:
         """Table rows of every group of the given bucket *lengths*, ascending."""
@@ -237,41 +247,52 @@ class RepresentativeTable(_ColumnTable):
             return held[0]
         return np.sort(np.concatenate(held)) if held else np.empty(0, dtype=np.int64)
 
-    def sync(self, touched: Iterable[tuple["LengthBucket", ArrayLike]]) -> None:
-        """For each ``(bucket, grown)``: append the rows of the bucket's
-        groups the table does not hold yet and re-read the radii of its
-        groups *grown* (by new members)."""
-        stop = self.count
-        for bucket, grown in touched:
-            known = self._rows.get(bucket.length, np.empty(0, dtype=np.int64))
-            first, start = known.size, stop
-            stop = start + bucket.group_count - first
-            if stop > start:
-                self._reserve(start, stop)
-                fresh = bucket.centroids[first:]
-                self._endpoints[start:stop] = fresh[:, [0, 1, -2, -1]]
-                # Many rows: min/max over the short axis as a fold over its
-                # columns, the same values as ``fresh.min(axis=1)`` (min
-                # and max are exact) at a third of the cost.  The few rows
-                # of an append: one reduction each, not one call a column.
-                lo, hi = self._lo[start:stop], self._hi[start:stop]
-                if fresh.shape[0] < fresh.shape[1]:
-                    fresh.min(axis=1, out=lo)
-                    fresh.max(axis=1, out=hi)
-                else:
-                    lo[:] = hi[:] = fresh[:, 0]
-                    for column in fresh.T[1:]:
-                        np.minimum(lo, column, out=lo)
-                        np.maximum(hi, column, out=hi)
-                self._radii[start:stop] = bucket.cheb_radii[first:]
-                self._lengths[start:stop] = bucket.length
-                self._gids[start:stop] = np.arange(first, bucket.group_count)
-                known = np.concatenate([known, np.arange(start, stop)])
-                self._rows[bucket.length] = known
+    def _add_groups(self, buckets: Iterable["LengthBucket"]) -> None:
+        """Append a row for every group of *buckets* the table does not
+        hold yet, bucket by bucket in group order."""
+        start = stop = self.count
+        seeds, radii, firsts, lengths = [], [], [], []
+        for bucket in buckets:
+            held = self._rows.get(bucket.length, np.empty(0, dtype=np.int64))
+            if bucket.group_count > held.size:
+                rows = np.arange(stop, stop + bucket.group_count - held.size)
+                self._rows[bucket.length] = np.concatenate([held, rows])
                 self._buckets[bucket.length] = bucket
-            grown = np.asarray(grown, dtype=np.int64)
-            self._radii[known[grown]] = bucket.cheb_radii[grown]
+                seeds.append(bucket.centroids[held.size :])
+                radii.append(bucket.cheb_radii[held.size :])
+                firsts.append(held.size)
+                lengths.append(bucket.length)
+                stop += rows.size
+        if stop == start:
+            return
+        # The centroids laid end to end: one gather for the endpoints and
+        # one reduceat each for min and max, whatever the number of lengths.
+        sizes = [rows.shape[0] for rows in seeds]
+        flat = np.concatenate([rows.ravel() for rows in seeds])
+        widths = np.repeat([rows.shape[1] for rows in seeds], sizes)
+        at = np.cumsum(widths) - widths
+        self._reserve(start, stop)
+        self._endpoints[start:stop] = _endpoints(flat, at, widths)
+        self._lo[start:stop] = np.minimum.reduceat(flat, at)
+        self._hi[start:stop] = np.maximum.reduceat(flat, at)
+        self._radii[start:stop] = np.concatenate(radii)
+        self._lengths[start:stop] = np.repeat(lengths, sizes)
+        skips = np.cumsum(sizes) - sizes - firsts  # table offset - group index
+        self._gids[start:stop] = np.arange(stop - start) - np.repeat(skips, sizes)
         self._publish(stop)
+
+    def extend(
+        self, appended: list[tuple["LengthBucket", np.ndarray]], cheb: np.ndarray
+    ) -> np.ndarray:
+        """Bring the table along an append: rows for the groups the
+        appended buckets seeded, then each appended row's Chebyshev
+        deviation *cheb* folded into its group's radius, as
+        :meth:`LengthBucket.append` folds it.  *appended* pairs each
+        bucket with its appended rows' groups; returns their table rows."""
+        self._add_groups(bucket for bucket, _ in appended)
+        rows = np.concatenate([self._rows[b.length][owners] for b, owners in appended])
+        np.maximum.at(self._radii, rows, cheb)
+        return rows
 
     def cheap_bounds(
         self,
@@ -343,33 +364,32 @@ class MemberTable(_ColumnTable):
         )
         self._endpoints = np.empty((total, 4))
         self._handles = np.empty((total, 2), dtype=np.int64)
-        #: ``length -> store rows`` of that bucket the table holds.
-        self._held: dict[int, int] = {}
         #: Rows of the representative table the owners index.
         self.groups = 0
         self._publish(0)
-        self.sync(buckets, reps)
-
-    def sync(self, buckets: Iterable["LengthBucket"], reps: RepresentativeTable) -> None:
-        """Append the store rows of *buckets* the table does not hold yet;
-        *reps*, already synced, names their groups."""
-        stop = self.count
         for bucket in buckets:
-            first, start = self._held.get(bucket.length, 0), stop
-            stop = start + bucket.member_count - first
-            if stop == start:
-                continue
-            self._reserve(start, stop)
-            handles, gids = bucket.store_rows(first)
-            self._owner[start:stop] = reps.rows_of([bucket.length])[gids]
-            self._endpoints[start:stop] = bucket.member_matrix[first:, [0, 1, -2, -1]]
-            self._lengths[start:stop] = bucket.length
-            self._rows[start:stop] = np.arange(first, bucket.member_count)
-            self._handles[start:stop] = handles
-            self._gids[start:stop] = gids
-            self._held[bucket.length] = bucket.member_count
+            handles, gids = bucket.store_rows()
+            self.extend(
+                reps.count,
+                reps.rows_of([bucket.length])[gids],
+                bucket.member_matrix[:, [0, 1, -2, -1]],
+                bucket.length,
+                np.arange(bucket.member_count),
+                handles,
+                gids,
+            )
+
+    def extend(self, groups: int, owner: np.ndarray, *columns: ArrayLike) -> None:
+        """Append members: their *owner* rows, then one value per member
+        for each further column of ``_COLUMNS`` in order (a scalar holds
+        for all); *groups* is the representative table's row count."""
+        start = self.count
+        stop = start + owner.shape[0]
+        self._reserve(start, stop)
+        for name, column in zip(self._COLUMNS, (owner, *columns)):
+            getattr(self, "_" + name)[start:stop] = column
         self._publish(stop)
-        self.groups = reps.count
+        self.groups = groups
 
     def select(self, table_rows: np.ndarray) -> np.ndarray:
         """Rows, ascending, of every member of the groups at the
@@ -432,8 +452,9 @@ class LengthBucket:
     """All similarity groups for one subsequence length.
 
     **Arrays are the only stored state.**  One row per group: the stacked
-    representatives (``centroids``), both radius vectors and the
-    cumulative ``member_offsets``; one row per member, in one physical
+    representatives (``centroids``), both radius vectors and the member
+    count (``member_offsets`` is its running sum, derived when read); one
+    row per member, in one physical
     row order: its values (``member_matrix``), its ``(series_index,
     start)`` handle and — once anything was appended — its owning group.
     Stacking is what lets the query processor bound every representative
@@ -474,10 +495,11 @@ class LengthBucket:
         *member_matrix*; the other three are the per-group stacks.  The
         stores are the given arrays themselves (capacity == count), so
         mmap-backed arrays stay mmap-backed and N worker processes share
-        one page-cache copy.  Only a *writable* bucket accepts appends
-        (the arrays must then be private: radii and offsets are updated
-        in place, and the first append finds each store full and
-        reallocates it through ``_grown``); otherwise they raise
+        one page-cache copy; only the per-group member counts are derived
+        from *offsets* into an array of their own.  Only a *writable*
+        bucket accepts appends (the arrays must then be private: radii
+        are updated in place, and the first append finds each store full
+        and reallocates it through ``_grown``); otherwise they raise
         :class:`~repro.exceptions.ReadOnlyBaseError`.
         """
         self.length = int(length)
@@ -502,7 +524,9 @@ class LengthBucket:
         self._group_count = count
         self._row_count = rows
         self._handle_store = handles
-        self._offset_store = offsets
+        #: Members per group: appends count them in place, where the
+        #: running sum would be rewritten from the first grown group on.
+        self._count_store = np.diff(offsets).astype(np.int64, copy=False)
         self._member_store = member_matrix
         self._centroid_store = centroids
         self._ed_store = ed_radii
@@ -555,20 +579,22 @@ class LengthBucket:
     def member_offsets(self) -> np.ndarray:
         """Cumulative member counts delimiting groups in logical order.
 
-        A live ``(G+1,)`` view (do not mutate): group ``g`` has
-        ``offsets[g+1] - offsets[g]`` members.
+        A fresh ``(G+1,)`` array: group ``g`` has ``offsets[g+1] -
+        offsets[g]`` members.
         """
-        return self._offset_store[: self._group_count + 1]
+        offsets = np.zeros(self._group_count + 1, dtype=np.int64)
+        np.cumsum(self._count_store[: self._group_count], out=offsets[1:])
+        return offsets
 
     @property
     def cardinalities(self) -> np.ndarray:
         """Member count of every group, as a fresh ``(G,)`` array."""
-        return np.diff(self.member_offsets)
+        return self._count_store[: self._group_count].copy()
 
     def members_in(self, g_list: list[int]) -> int:
         """Combined member count of the groups *g_list* (builds no group)."""
-        offset = self._offset_store.item
-        return sum(offset(g + 1) - offset(g) for g in g_list)
+        count = self._count_store.item
+        return sum(count(g) for g in g_list)
 
     def group_rows(
         self, g_idx: np.ndarray
@@ -606,7 +632,8 @@ class LengthBucket:
         """``(handles, owners)`` of the store rows from *first* on, in
         store order: each row's ``(series_index, start)`` and group."""
         if self._row_group is None:
-            owners = np.repeat(np.arange(self._group_count), self.cardinalities)
+            count = self._group_count
+            owners = np.repeat(np.arange(count), self._count_store[:count])
         else:
             owners = self._row_group[: self._row_count]
         return self._handle_store[first : self._row_count], owners[first:]
@@ -681,7 +708,7 @@ class LengthBucket:
         for name, used in (
             ("_handle_store", rows),
             ("_member_store", rows),
-            ("_offset_store", count + 1),
+            ("_count_store", count),
             ("_centroid_store", count),
             ("_ed_store", count),
             ("_cheb_store", count),
@@ -692,7 +719,7 @@ class LengthBucket:
 
     def append(
         self, owners: np.ndarray, handles: np.ndarray, rows: np.ndarray
-    ) -> None:
+    ) -> np.ndarray:
         """Append members — *rows* of values with their ``(series_index,
         start)`` *handles* — to the groups *owners*, growing the stores in
         place with amortised doubling.
@@ -705,23 +732,26 @@ class LengthBucket:
         representative within the group radius).  Radii are maxima,
         updated exactly, and no representative moves, so existing
         members' guarantees are untouched and any grouping of the same
-        rows into calls gives the same stores.
+        rows into calls gives the same stores.  Returns each row's
+        Chebyshev deviation from its representative, which the radii took.
         """
         if not self.writable:
             raise ReadOnlyBaseError(
                 f"length-{self.length} bucket is attached read-only"
             )
         known = self._group_count
-        total = max(known, int(owners.max()) + 1)
         if self._row_group is None:
             self._row_group = self.store_rows()[1]
+        # The highest group named so far rises at each new group's first
+        # row; seeded in order, it rises by one each time.
+        top = np.maximum.accumulate(np.maximum(owners, known - 1))
+        total = int(top[-1]) + 1
         if total > known:
-            ids, first = np.unique(owners, return_index=True)
-            ids, first = ids[ids >= known], first[ids >= known]
-            if not (
-                np.array_equal(ids, np.arange(known, total))
-                and (np.diff(first) > 0).all()
-            ):
+            rises = np.empty(top.shape, dtype=bool)
+            rises[0] = top[0] >= known
+            np.not_equal(top[1:], top[:-1], out=rises[1:])
+            first = np.flatnonzero(rises)
+            if first.size != total - known:
                 raise ValidationError(
                     f"new groups must be seeded in order from {known}, "
                     "each at its first row"
@@ -732,12 +762,13 @@ class LengthBucket:
                 known,
                 total,
             )
-            self._reserve(("_offset_store",), known + 1, total + 1)
+            self._reserve(("_count_store",), known, total)
             self._centroid_store[known:total] = seeds
             self._ed_store[known:total] = 0.0
             self._cheb_store[known:total] = 0.0
-            self._mean_store[known:total] = seeds.mean(axis=1)
-            self._offset_store[known + 1 : total + 1] = self._offset_store[known]
+            # sum / width is mean() without its Python-level wrapper.
+            self._mean_store[known:total] = seeds.sum(axis=1) / seeds.shape[1]
+            self._count_store[known:total] = 0
             self._group_count = total
         start, stop = self._row_count, self._row_count + rows.shape[0]
         self._reserve(("_member_store", "_handle_store", "_row_group"), start, stop)
@@ -746,16 +777,15 @@ class LengthBucket:
         self._row_group[start:stop] = owners
         self._row_count = stop
         deviations = np.abs(rows - self._centroid_store[owners])
-        # sum / width is mean() without its Python-level wrapper.
         width = deviations.shape[1]
+        cheb = deviations.max(axis=1)
         np.maximum.at(self._ed_store, owners, deviations.sum(axis=1) / width)
-        np.maximum.at(self._cheb_store, owners, deviations.max(axis=1))
-        self._offset_store[1 : total + 1] += np.cumsum(
-            np.bincount(owners, minlength=total)
-        )
+        np.maximum.at(self._cheb_store, owners, cheb)
+        np.add.at(self._count_store, owners, 1)
         if self._built:
             for g_idx in owners.tolist():
                 self._built.pop(g_idx, None)
+        return cheb
 
 
 def _build_length_shard(
@@ -1213,36 +1243,39 @@ class OnexBase:
         beyond *previous_length* points (0 indexes the whole series).
 
         The incremental-ingestion kernel shared by :meth:`add_series`,
-        the streaming ingestor and WAL replay, in two halves: the decide
-        half, :meth:`_assign_windows`, places each length's windows, and
-        the apply half, :meth:`apply_windows`, appends them — the one
+        the streaming ingestor and WAL replay, in two halves.  The decide
+        half places every length's windows in one call of the native
+        ``assign_windows`` (:mod:`repro.distances.native`) when it loaded,
+        else of its reference, :meth:`_assign_windows`, length by length.
+        The apply half, :meth:`apply_windows`, appends them — the one
         path by which a pool worker also applies what this process
-        appended.  What does not depend on the length — the window means
-        of the prescreen, the handles — is done once per call.  Returns
-        the :class:`WindowAssignments` of the indexed windows, in
-        (length, start) order.
+        appended.  Returns the :class:`WindowAssignments` of the indexed
+        windows, in (length, start) order.
         """
         self._require_built()
         self._require_writable()
         cfg = self._config
+        step = cfg.step
         values = self._dataset[series_index].values
         n = values.shape[0]
-        channels = self.channels
-        plan: list[tuple[int, np.ndarray]] = []
+        # Per length: the first start past the windows already indexed
+        # (starts <= previous_length - length, on the step grid) and the
+        # number of windows from there.
+        plan = []
         for length in range(cfg.min_length, min(cfg.max_length, n) + 1):
-            # Windows already indexed have starts <= previous_length - length
-            # on the step grid; resume from the next grid point.
-            first = max(0, previous_length - length + 1)
-            first = -(-first // cfg.step) * cfg.step
+            first = -(-max(0, previous_length - length + 1) // step) * step
             if first <= n - length:
-                plan.append((length, np.arange(first, n - length + 1, cfg.step)))
+                plan.append((length, first, (n - length - first) // step + 1))
         if not plan:
             none = np.empty(0, dtype=np.int64)
             return WindowAssignments(series_index, none, none, none, none > 0)
-        sizes = [at.size for _, at in plan]
-        lengths = np.repeat([length for length, _ in plan], sizes)
-        starts = np.concatenate([at for _, at in plan])
-        handles = np.column_stack((np.full(starts.size, series_index), starts))
+        spans, firsts, counts = (list(column) for column in zip(*plan))
+        total = sum(counts)
+        lengths = np.repeat(spans, counts)
+        before = np.cumsum(counts) - counts
+        starts = np.repeat(np.subtract(firsts, step * before), counts)
+        starts += step * np.arange(total)
+        handles = np.column_stack((np.full(total, series_index), starts))
         # Every window mean from one running sum over the tail the windows
         # cover.  A running sum of m terms is off by at most m * eps *
         # sum|v| and a mean is the difference of two over the window's
@@ -1250,29 +1283,21 @@ class OnexBase:
         tail = int(starts.min())
         flat = values[tail:].reshape(n - tail, -1).sum(axis=1)
         csum = np.concatenate(([0.0], np.cumsum(flat)))
-        widths = lengths * channels
+        widths = lengths * self.channels
         means = (csum[starts + lengths - tail] - csum[starts - tail]) / widths
         slack = 2.0 * flat.size * np.finfo(float).eps * np.abs(flat).sum() / widths[0]
-        groups = np.empty(starts.size, dtype=np.int64)
-        created = np.zeros(starts.size, dtype=bool)
-        scope = evaluated = 0
-        decided: list[tuple[int, np.ndarray, np.ndarray]] = []
-        for (length, at), size, stop in zip(plan, sizes, np.cumsum(sizes).tolist()):
-            rows = slice(stop - size, stop)
-            bucket = self._bucket_for(length)
-            # Channel-flatten multivariate windows to the stored row layout.
-            windows = values[at[:, None] + np.arange(length)].reshape(size, -1)
-            scope += size * bucket.group_count
-            owners, seeds, joined, scanned = self._assign_windows(
-                bucket, windows, means[rows], slack
+        buckets = [self._bucket_for(length) for length in spans]
+        scope = sum(b.group_count * count for b, count in zip(buckets, counts))
+        if native.KERNEL is not None:
+            stacks = [(b.centroids, b.centroid_means) for b in buckets]
+            groups, created, order, evaluated = native.assign_windows(
+                values, step, plan, stacks, means, slack, cfg.group_radius, _LB_MARGIN
             )
-            evaluated += scanned
-            groups[rows] = owners
-            created[rows][seeds] = True  # a slice is a view
-            # Store order: the call's seeds, then its joins.
-            order = np.array(seeds + joined)
-            decided.append((length, owners[order], handles[rows][order]))
-        self.apply_windows(decided)
+        else:
+            groups, created, order, evaluated = self._assign_windows(
+                buckets, counts, lengths, handles, means, slack
+            )
+        self.apply_windows(lengths, groups[order], handles[order])
         return WindowAssignments(
             series_index, lengths, starts, groups, created, scope, evaluated
         )
@@ -1295,58 +1320,86 @@ class OnexBase:
             )
         return bucket
 
-    def _windows(self, length: int, handles: np.ndarray) -> np.ndarray:
-        """The values of the *length* windows at *handles*, channel-flattened
-        to the stored row layout: one fancy index per series they name."""
-        series, count = handles[:, 0], handles.shape[0]
-        at = handles[:, 1, None] + np.arange(length)
-        indices = np.unique(series).tolist()
-        if len(indices) == 1:  # what one ingestion call appends
-            return self._dataset[indices[0]].values[at].reshape(count, -1)
-        out = np.empty((count, length * self.channels))
-        for index in indices:
-            mine = series == index
-            out[mine] = self._dataset[index].values[at[mine]].reshape(-1, out.shape[1])
-        return out
+    def _gather(
+        self, lengths: np.ndarray, handles: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The values of the windows of *lengths* at *handles*,
+        channel-flattened to the stored row layout and laid end to end,
+        with each window's offset there: one fancy index per series."""
+        channels = self.channels
+        widths = lengths * channels
+        ends = np.cumsum(widths)
+        at = ends - widths
+        index = np.arange(ends[-1]) + np.repeat(handles[:, 1] * channels - at, widths)
+        series = handles[:, 0]
+        if (series == series[0]).all():  # what one ingestion call appends
+            return self._dataset[int(series[0])].values.reshape(-1)[index], at
+        flat = np.empty(index.size)
+        owner = np.repeat(series, widths)
+        for number in np.unique(series).tolist():
+            mine = owner == number
+            flat[mine] = self._dataset[number].values.reshape(-1)[index[mine]]
+        return flat, at
 
     def apply_windows(
-        self, decided: Iterable[tuple[int, np.ndarray, np.ndarray]]
+        self, lengths: np.ndarray, owners: np.ndarray, handles: np.ndarray
     ) -> None:
-        """The apply half of ingestion: for each ``(length, owners,
-        handles)``, append the windows at *handles* to the groups *owners*
-        of that length's bucket (see :meth:`LengthBucket.append` for how
-        owners seed groups), then bring both tables and the stats along.
+        """The apply half of ingestion: append the windows of *lengths* at
+        *handles* to the groups *owners* — one entry per window, a
+        length's windows together in its store order (see
+        :meth:`LengthBucket.append` for how owners seed groups) — then
+        extend both tables once and bring the stats along.
 
-        The bucket is created if missing and made private if attached
+        A bucket is created if missing and made private if attached
         read-only; the windows are gathered from this base's own
         (normalised) series, which must already hold the points.  This is
         the one path by which rows enter a bucket after a build: the
         decide half of :meth:`index_new_windows` feeds it, and so does
         :meth:`apply_tail` with rows another process decided.
         """
+        if not lengths.size:
+            return
+        values, at = self._gather(lengths, handles)
+        cuts = np.flatnonzero(lengths[1:] != lengths[:-1]) + 1
+        bounds = [0, *cuts.tolist(), lengths.size]
+        heads = np.array(bounds[:-1])
         per_length = {s.length: s for s in self.stats.per_length}
-        touched: list[tuple[LengthBucket, np.ndarray]] = []
-        added = seeded = 0
-        for length, owners, handles in decided:
+        appended: list[tuple[LengthBucket, np.ndarray]] = []
+        cheb, stored = [], []
+        seeded = 0
+        for lo, hi, length, offset in zip(
+            bounds, bounds[1:], lengths[heads].tolist(), at[heads].tolist()
+        ):
+            count = hi - lo
             bucket = self._bucket_for(length)
             bucket.make_private()
-            known = bucket.group_count
-            bucket.append(owners, handles, self._windows(length, handles))
-            touched.append((bucket, owners))
+            known, width = bucket.group_count, length * self.channels
+            stored.append(bucket.member_count - lo)
+            window = values[offset : offset + count * width].reshape(count, width)
+            cheb.append(bucket.append(owners[lo:hi], handles[lo:hi], window))
+            appended.append((bucket, owners[lo:hi]))
             fresh = bucket.group_count - known
-            added += owners.size
             seeded += fresh
             prev = per_length.get(length) or LengthBuildStats(length, 0, 0, 0.0)
             per_length[length] = LengthBuildStats(
-                length, prev.subsequences + owners.size, prev.groups + fresh, prev.seconds
+                length, prev.subsequences + count, prev.groups + fresh, prev.seconds
             )
-        if self._rep_table is not None:
-            self._rep_table.sync(touched)
+        reps = self._rep_table
+        if reps is not None:
+            table_rows = reps.extend(appended, np.concatenate(cheb))
             if self._member_table is not None:
-                self._member_table.sync((b for b, _ in touched), self._rep_table)
+                self._member_table.extend(
+                    reps.count,
+                    table_rows,
+                    _endpoints(values, at, lengths * self.channels),
+                    lengths,
+                    np.repeat(stored, np.diff(bounds)) + np.arange(lengths.size),
+                    handles,
+                    owners,
+                )
         old = self.stats
         self._stats = BaseStats(
-            subsequences=old.subsequences + added,
+            subsequences=old.subsequences + lengths.size,
             groups=old.groups + seeded,
             lengths=len(self._buckets),
             build_seconds=old.build_seconds,
@@ -1424,83 +1477,89 @@ class OnexBase:
                     dataset.replace_series(
                         TimeSeries._wrap(old.name, grown, old.metadata)
                     )
-        self.apply_windows(
-            (
-                int(length),
-                np.asarray(owners, dtype=np.int64),
-                np.asarray(handles, dtype=np.int64).reshape(-1, 2),
+        lengths, owners, handles = [], [], []
+        for length, grown, at in tail["buckets"]:
+            lengths.append(np.full(len(grown), int(length)))
+            owners += grown
+            handles += at
+        if lengths:
+            self.apply_windows(
+                np.concatenate(lengths),
+                np.array(owners, dtype=np.int64),
+                np.array(handles, dtype=np.int64).reshape(-1, 2),
             )
-            for length, owners, handles in tail["buckets"]
-        )
-
-    #: Windows per row block of the assignment; bounds the distance
-    #: temporary at block x prescreened centroids x length.
-    _ASSIGN_BLOCK = 128
 
     def _assign_windows(
-        self, bucket: LengthBucket, windows: np.ndarray, means: np.ndarray, slack: float
-    ) -> tuple[np.ndarray, list[int], list[int], int]:
-        """Decide the groups of same-length *windows* against *bucket*'s
-        fixed representatives (the bucket is read, not changed).
+        self,
+        buckets: list[LengthBucket],
+        counts: list[int],
+        lengths: np.ndarray,
+        handles: np.ndarray,
+        means: np.ndarray,
+        slack: float,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """The decide half without the native kernel, and the reference
+        ``native.assign_windows`` answers to bit for bit: the windows of
+        *lengths* at *handles*, ``counts[i]`` of them against ``buckets[i]``,
+        placed one at a time (the buckets are read, not changed).
 
         The rule: nearest representative by ``ED_n``, groups seeded
         earlier in the call included, lowest group on ties; join within
         the group radius, else seed.  Exact ``ED_n`` runs only where it
-        can matter: ``ED_n(w, c) >= |mean(w) - mean(c)|``, so each row
-        block is evaluated against the ascending columns whose mean is
-        within the radius (plus the builder's float margin, plus *slack*
-        for how *means* were summed) of some window of the block.  A
-        minimum within the radius survives with all of its ties, so the
-        first-of-ties argmin over the survivors is the full table's; a
-        minimum beyond it seeds either way, unless an incremental scan of
-        the call's own seeds — winning on strictly smaller distance only
-        — finds one within the radius.
+        can matter: ``ED_n(w, c) >= |mean(w) - mean(c)|``, so a window is
+        evaluated against the ascending columns whose mean is within the
+        radius (plus the builder's float margin, plus *slack* for how
+        *means* were summed) of its own.  A minimum within the radius
+        survives with all of its ties, so the first-of-ties argmin over
+        the survivors is the full table's; a minimum beyond it seeds
+        either way, unless a scan of the call's own seeds — winning on
+        strictly smaller distance only — finds one within the radius.
 
-        Returns each window's group, the windows that seeded theirs (new
-        groups count up from ``bucket.group_count`` in that order), the
-        joining windows group by group in order of each group's first
-        join, and how many (window, representative) pairs were evaluated.
+        Returns each window's group and whether it seeded it (new groups
+        count up from the bucket's ``group_count`` in window order), the
+        store order — per length its seeds, then its joins group by group
+        in order of each group's first join — and how many (window,
+        representative) pairs passed the prescreen to exact ``ED_n``.
         """
         radius = self._config.group_radius
-        existing, width = bucket.group_count, windows.shape[1]
-        centroids = bucket.centroids
-        cmeans = bucket.centroid_means
-        cutoff = mean_prescreen_cutoff(radius, means, cmeans) + slack
-        fresh = np.empty_like(windows)  # representatives seeded by this call
-        owners: list[int] = []
-        seeds: list[int] = []
-        joins: dict[int, list[int]] = {}
-        evaluated = 0
-        for b0 in range(0, windows.shape[0], self._ASSIGN_BLOCK):
-            block = windows[b0 : b0 + self._ASSIGN_BLOCK]
-            nb = block.shape[0]
-            near = np.abs(cmeans - means[b0 : b0 + nb, None]) <= cutoff
-            cols = np.flatnonzero(near.any(axis=0))
-            best_idx, best = [0] * nb, [np.inf] * nb
-            if cols.size:
-                # sum / width is mean() without its Python-level wrapper.
-                dists = np.abs(
-                    block[:, None, :] - centroids[None, cols, :]
-                ).sum(axis=2) / width
-                best_idx = cols[np.argmin(dists, axis=1)].tolist()
-                best = dists.min(axis=1).tolist()
-                evaluated += dists.size
-            for at, (g_idx, dist) in enumerate(zip(best_idx, best), b0):
-                row = windows[at]
-                if seeds:
-                    fresh_d = np.abs(fresh[: len(seeds)] - row).sum(axis=1) / width
+        windows, at = self._gather(lengths, handles)
+        groups = np.empty(lengths.size, dtype=np.int64)
+        created = np.zeros(lengths.size, dtype=bool)
+        order: list[int] = []
+        evaluated = lo = 0
+        for bucket, count in zip(buckets, counts):
+            existing, width = bucket.group_count, bucket.length * self.channels
+            centroids, cmeans = bucket.centroids, bucket.centroid_means
+            mine = means[lo : lo + count]
+            cutoff = mean_prescreen_cutoff(radius, mine, cmeans) + slack
+            block = windows[at[lo] : at[lo] + count * width].reshape(count, width)
+            fresh: list[np.ndarray] = []  # representatives seeded by this call
+            joins: dict[int, list[int]] = {}
+            for i, (row, mean) in enumerate(zip(block, mine.tolist()), lo):
+                cols = np.flatnonzero(np.abs(cmeans - mean) <= cutoff)
+                evaluated += cols.size
+                g_idx, dist = 0, np.inf
+                if cols.size:
+                    # sum / width is mean() without its Python-level wrapper.
+                    dists = np.abs(centroids[cols] - row).sum(axis=1) / width
+                    best = int(np.argmin(dists))
+                    g_idx, dist = int(cols[best]), float(dists[best])
+                if fresh:
+                    fresh_d = np.abs(np.array(fresh) - row).sum(axis=1) / width
                     f_idx = int(np.argmin(fresh_d))
                     if float(fresh_d[f_idx]) < dist:
                         g_idx, dist = existing + f_idx, float(fresh_d[f_idx])
                 if dist <= radius:
-                    joins.setdefault(g_idx, []).append(at)
+                    joins.setdefault(g_idx, []).append(i)
                 else:
-                    g_idx = existing + len(seeds)
-                    fresh[len(seeds)] = row
-                    seeds.append(at)
-                owners.append(g_idx)
-        joined = [at for members in joins.values() for at in members]
-        return np.array(owners), seeds, joined, evaluated
+                    g_idx = existing + len(fresh)
+                    fresh.append(row)
+                    created[i] = True
+                    order.append(i)
+                groups[i] = g_idx
+            order += [i for members in joins.values() for i in members]
+            lo += count
+        return groups, created, np.array(order, dtype=np.int64), evaluated
 
     # ------------------------------------------------------------------
     # Persistence

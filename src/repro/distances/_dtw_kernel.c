@@ -1,8 +1,11 @@
 /*
- * Native batched DTW: the contract of the NumPy anti-diagonal kernel in
- * dtw.py (_dtw_batch_numpy), bit for bit.  Loaded by native.py with
- * ctypes; the Python side validates every input, so nothing is checked
- * here.
+ * The native kernels, one library loaded by native.py with ctypes; each
+ * holds a NumPy reference's contract bit for bit, and the Python side
+ * validates every input, so nothing is checked here:
+ * - dtw_batch: batched DTW, the anti-diagonal kernel in dtw.py
+ *   (_dtw_batch_numpy);
+ * - assign_windows: the decide half of incremental ingestion,
+ *   OnexBase._assign_windows in core/base.py (documented below).
  *
  * Layout: candidates innermost.  A block of up to BLOCK candidates is
  * transposed to (m, nb), and the cost matrix is scanned row by row, cell
@@ -256,5 +259,199 @@ int dtw_batch(const double *x, int64_t x_stride, const double *rows,
     free(scratch);
     free(lens_scratch);
     free(codes);
+    return 0;
+}
+
+/*
+ * sum_i |a[i] - b[i]| in the order NumPy's float64 add-reduce sums a row
+ * (its pairwise_sum): below 8 terms in sequence; up to 128 in 8 strided
+ * accumulators combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 +
+ * r7)), then the remainder in sequence; longer rows split at a multiple
+ * of 8 and recurse.  The reduce adds this to its identity 0.0, a no-op
+ * for a sum of non-negative terms.
+ */
+static double abs_diff_sum(const double *a, const double *b, int64_t n)
+{
+    if (n < 8) {
+        double res = 0.0;
+        for (int64_t i = 0; i < n; i++)
+            res += fabs(a[i] - b[i]);
+        return res;
+    }
+    if (n > 128) {
+        int64_t half = n / 2;
+        half -= half % 8;
+        return abs_diff_sum(a, b, half) + abs_diff_sum(a + half, b + half, n - half);
+    }
+    double r[8];
+    int64_t i;
+    for (int j = 0; j < 8; j++)
+        r[j] = fabs(a[j] - b[j]);
+    for (i = 8; i < n - n % 8; i += 8)
+        for (int j = 0; j < 8; j++)
+            r[j] += fabs(a[i + j] - b[i + j]);
+    double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+    for (; i < n; i++)
+        res += fabs(a[i] - b[i]);
+    return res;
+}
+
+/* ndarray.max() of |x|, from 0.0: NaN as soon as one term is NaN. */
+static double max_abs(const double *x, int64_t n)
+{
+    double peak = 0.0;
+    for (int64_t i = 0; i < n; i++) {
+        double v = fabs(x[i]);
+        if (v != v)
+            return v;
+        peak = v > peak ? v : peak;
+    }
+    return peak;
+}
+
+/*
+ * Is d the new running minimum of an argmin over a row seen so far as
+ * (best, found)?  As np.argmin: the first NaN wins and holds, else the
+ * first of the smallest.
+ */
+static inline int improves(double d, double best, int found)
+{
+    return !found || (best == best && (d != d || d < best));
+}
+
+/*
+ * Decide the groups of every window one ingestion call completed, all
+ * lengths in one call.  plan holds four rows of `segments` entries: the
+ * lengths, firsts, counts and groups of the segments.  Segment s holds
+ * counts[s] windows of length lens[s], starting at firsts[s], firsts[s] +
+ * step, ...; each is read in place from the series' row-major values
+ * (channels per time step) at offset start * channels, width lens[s] *
+ * channels.  stores[s] and stores[segments + s] are that length's
+ * centroid stack and row means, groups[s] rows each; means[] are the
+ * windows' means, segment after segment.
+ *
+ * The rule, window by window: the nearest representative by ED_n among
+ * those whose mean is within the cutoff of the window's (lowest group on
+ * ties, NaN as np.argmin), then the nearest of the call's own seeds wins
+ * on a strictly smaller distance only; join within radius, else seed a
+ * group numbered groups[s] + seeds so far.  The cutoff is
+ * grouping.mean_prescreen_cutoff plus slack.
+ *
+ * Writes owners[] and created[] per window and order[], segment by
+ * segment, the store order: the segment's seeds in window order, then its
+ * joins group by group in order of each group's first join.  *evaluated
+ * counts the (window, representative) pairs whose ED_n was computed.
+ * Returns 0, or -1 when scratch cannot be allocated.
+ */
+int assign_windows(const double *values, int64_t channels, int64_t step,
+                   int64_t segments, const int64_t *plan,
+                   const double *const *stores, const double *means,
+                   double slack, double radius, double margin,
+                   int64_t *owners, int8_t *created, int64_t *order,
+                   int64_t *evaluated)
+{
+    const int64_t *lens = plan, *firsts = plan + segments;
+    const int64_t *counts = plan + 2 * segments, *groups = plan + 3 * segments;
+    int64_t most = 1, span = 1;
+    for (int64_t s = 0; s < segments; s++) {
+        most = counts[s] > most ? counts[s] : most;
+        span = groups[s] + counts[s] > span ? groups[s] + counts[s] : span;
+    }
+    const double **fresh = malloc(sizeof(double *) * most);
+    int64_t *next = malloc(sizeof(int64_t) * most);
+    int64_t *head = malloc(sizeof(int64_t) * span);
+    int64_t *tail = malloc(sizeof(int64_t) * span);
+    int64_t *near = malloc(sizeof(int64_t) * span);
+    if (!fresh || !next || !head || !tail || !near) {
+        free(fresh);
+        free(next);
+        free(head);
+        free(tail);
+        free(near);
+        return -1;
+    }
+    for (int64_t g = 0; g < span; g++)
+        head[g] = -1;
+
+    int64_t scanned = 0;
+    for (int64_t s = 0, at = 0; s < segments; at += counts[s], s++) {
+        int64_t k = counts[s], g = groups[s], width = lens[s] * channels;
+        const double *cent = stores[s], *cmean = stores[segments + s];
+        const double *mu = means + at;
+        double rows_peak = max_abs(mu, k), cent_peak = max_abs(cmean, g);
+        double peak = cent_peak > rows_peak ? cent_peak : rows_peak;
+        double cutoff = (radius + margin * (1.0 + peak)) + slack;
+        int64_t seeds = 0;
+
+        for (int64_t j = 0; j < k; j++) {
+            const double *w = values + (firsts[s] + j * step) * channels;
+            double best = INFINITY;
+            int64_t pick = 0, survivors = 0;
+            /* The prescreen's survivors, ascending, without a branch. */
+            for (int64_t c = 0; c < g; c++) {
+                near[survivors] = c;
+                survivors += fabs(cmean[c] - mu[j]) <= cutoff;
+            }
+            for (int64_t i = 0; i < survivors; i++) {
+                int64_t c = near[i];
+                double d = abs_diff_sum(w, cent + c * width, width) / (double)width;
+                if (improves(d, best, i > 0)) {
+                    best = d;
+                    pick = c;
+                }
+            }
+            scanned += survivors;
+            double nearest = 0.0;
+            int64_t f_pick = 0;
+            for (int64_t f = 0; f < seeds; f++) {
+                double d = abs_diff_sum(w, fresh[f], width) / (double)width;
+                if (improves(d, nearest, f > 0)) {
+                    nearest = d;
+                    f_pick = f;
+                }
+            }
+            if (seeds && nearest < best) {
+                best = nearest;
+                pick = g + f_pick;
+            }
+            if (best <= radius) {
+                owners[at + j] = pick;
+                created[at + j] = 0;
+            } else {
+                owners[at + j] = g + seeds;
+                created[at + j] = 1;
+                fresh[seeds++] = w;
+            }
+        }
+
+        /* The store order; head/tail/next chain each group's joins. */
+        int64_t out = at;
+        for (int64_t j = 0; j < k; j++) {
+            if (created[at + j]) {
+                order[out++] = at + j;
+                continue;
+            }
+            int64_t owner = owners[at + j];
+            if (head[owner] < 0)
+                head[owner] = j;
+            else
+                next[tail[owner]] = j;
+            tail[owner] = j;
+            next[j] = -1;
+        }
+        for (int64_t j = 0; j < k; j++)
+            if (!created[at + j] && head[owners[at + j]] == j)
+                for (int64_t x = j; x >= 0; x = next[x])
+                    order[out++] = at + x;
+        for (int64_t j = 0; j < k; j++)
+            if (!created[at + j])
+                head[owners[at + j]] = -1;
+    }
+    *evaluated = scanned;
+    free(fresh);
+    free(next);
+    free(head);
+    free(tail);
+    free(near);
     return 0;
 }

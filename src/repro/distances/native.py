@@ -1,12 +1,15 @@
-"""The native DTW kernel: ``_dtw_kernel.c``, compiled once per host, loaded with ctypes.
+"""The native kernels: ``_dtw_kernel.c``, compiled once per host, loaded with ctypes.
 
-The batch DTW entry points of :mod:`repro.distances.dtw` reach one
-kernel function, ``_dtw_batch_diagonal``; it runs :func:`dtw_batch` when
-:data:`KERNEL` loaded and the NumPy kernel otherwise.  Which one runs is
-decided by load success alone — no flag, environment variable or config
-field selects it (DESIGN.md §1) — and the two are bit-identical: the
-kernel property suite runs against both.  :func:`backend` names the one
-that runs, for ``/health`` and ``onex_server_info``.
+One library, two entry points, each bit-identical to a NumPy reference:
+:func:`dtw_batch` runs where ``dtw._dtw_batch_diagonal`` — the one kernel
+function the batch DTW entry points of :mod:`repro.distances.dtw` reach
+— would run the NumPy kernel, and :func:`assign_windows` where
+``OnexBase.index_new_windows`` would run its per-length
+``_assign_windows`` loop.  Both run when :data:`KERNEL` loaded, the
+NumPy references otherwise: load success alone decides — no flag,
+environment variable or config field (DESIGN.md §1) — and one test
+substitution, ``KERNEL = None``, switches both.  :func:`backend` names
+the one that runs, for ``/health`` and ``onex_server_info``.
 
 On first import the C source is compiled with
 ``gcc -O3 -ffp-contract=off -shared -fPIC`` into a content-addressed
@@ -17,8 +20,8 @@ so an edited source or another compiler never loads a stale library.
 The compiler writes a temporary file that is renamed into place, so
 processes racing the first compile each load a complete library; nothing
 is written beside the source.  No compiler, no writable cache directory,
-a failed compile or a library that will not load each leave
-:data:`KERNEL` ``None``.
+a failed compile or a library that will not load or lacks an entry point
+each leave :data:`KERNEL` ``None``.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from typing import Literal
 
 import numpy as np
 
-__all__ = ["KERNEL", "backend", "dtw_batch"]
+__all__ = ["KERNEL", "assign_windows", "backend", "dtw_batch"]
 
 _SOURCE = Path(__file__).with_name("_dtw_kernel.c")
 #: No ``-march=native`` (the cache may be shared across hosts of one
@@ -44,7 +47,7 @@ _SOURCE = Path(__file__).with_name("_dtw_kernel.c")
 #: differently from NumPy on the squared ground.
 _FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 _TRACKS = {None: 0, "length": 1, "path": 2}
-_ARGTYPES = (
+_DTW_ARGTYPES = (
     ctypes.c_void_p,  # x
     ctypes.c_int64,  # x_stride
     ctypes.c_void_p,  # rows
@@ -62,6 +65,22 @@ _ARGTYPES = (
     ctypes.c_void_p,  # path_j
     ctypes.c_int64,  # path_width
 )
+_ASSIGN_ARGTYPES = (
+    ctypes.c_void_p,  # values
+    ctypes.c_int64,  # channels
+    ctypes.c_int64,  # step
+    ctypes.c_int64,  # segments
+    ctypes.c_void_p,  # plan: lengths, firsts, counts, groups
+    ctypes.c_void_p,  # stores: centroids, then centroid means
+    ctypes.c_void_p,  # means
+    ctypes.c_double,  # slack
+    ctypes.c_double,  # radius
+    ctypes.c_double,  # margin
+    ctypes.c_void_p,  # owners
+    ctypes.c_void_p,  # created
+    ctypes.c_void_p,  # order
+    ctypes.c_void_p,  # evaluated
+)
 
 
 def _cache_dirs() -> list[Path]:
@@ -70,11 +89,17 @@ def _cache_dirs() -> list[Path]:
     return [home / "repro", Path(tempfile.gettempdir()) / f"repro-{os.getuid()}"]
 
 
-def _bind(path: Path) -> ctypes._CFuncPtr:
-    kernel = ctypes.CDLL(str(path)).dtw_batch
-    kernel.argtypes = _ARGTYPES
-    kernel.restype = ctypes.c_int
-    return kernel
+def _bind(path: Path) -> ctypes.CDLL:
+    """The library at *path* with both entry points typed; a missing one
+    raises ``AttributeError``, so neither is used."""
+    library = ctypes.CDLL(str(path))
+    for function, argtypes in (
+        (library.dtw_batch, _DTW_ARGTYPES),
+        (library.assign_windows, _ASSIGN_ARGTYPES),
+    ):
+        function.argtypes = argtypes
+        function.restype = ctypes.c_int
+    return library
 
 
 def _compile(compiler: str, path: Path) -> None:
@@ -116,8 +141,8 @@ def _library_name(compiler: str) -> str:
     return f"dtw_kernel-{digest[:32]}.so"
 
 
-def _load() -> ctypes._CFuncPtr | None:
-    """The compiled kernel, from the first cache directory that yields one."""
+def _load() -> ctypes.CDLL | None:
+    """The compiled library, from the first cache directory that yields one."""
     compiler = shutil.which("gcc")
     if compiler is None:
         return None
@@ -143,13 +168,13 @@ def _load() -> ctypes._CFuncPtr | None:
     return None
 
 
-#: The loaded ``dtw_batch`` C function, or ``None``: the one answer to
-#: "which kernel runs" (tests substitute ``None`` to run the NumPy one).
+#: The loaded library, or ``None``: the one answer to "which kernels
+#: run" (tests substitute ``None`` to run both NumPy references).
 KERNEL = _load()
 
 
 def backend() -> Literal["native", "numpy"]:
-    """``"native"`` when the compiled kernel loaded, else ``"numpy"``."""
+    """``"native"`` when the compiled library loaded, else ``"numpy"``."""
     return "numpy" if KERNEL is None else "native"
 
 
@@ -184,7 +209,7 @@ def dtw_batch(
     if track == "path":
         i = np.full((g, n + m - 1), -1, dtype=np.int64)
         j = np.full((g, n + m - 1), -1, dtype=np.int64)
-    status = KERNEL(
+    status = KERNEL.dtw_batch(
         a.ctypes.data,
         n if a.ndim == 2 else 0,
         mat.ctypes.data,
@@ -207,3 +232,51 @@ def dtw_batch(
     if track is None:
         return dist
     return dist, (plens if track == "length" else (plens, i, j))
+
+
+def assign_windows(
+    values: np.ndarray,
+    step: int,
+    plan: list[tuple[int, int, int]],
+    stacks: list[tuple[np.ndarray, np.ndarray]],
+    means: np.ndarray,
+    slack: float,
+    radius: float,
+    margin: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """``OnexBase._assign_windows``'s contract in C, every length in one
+    call; inputs already consistent.  Per length, *plan* holds ``(length,
+    first, count)`` — *count* windows at *first*, *first* + *step*, ... of
+    the ``(n,)`` or ``(n, channels)`` *values*, read in place, their
+    *means* after the previous length's — and *stacks* the centroid stack
+    and its row means.  Returns ``(groups, created, order, evaluated)``.
+    """
+    # Every array the C reads is held here until it returns.
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    means = np.ascontiguousarray(means, dtype=np.float64)
+    arrays = [np.ascontiguousarray(a) for pair in zip(*stacks) for a in pair]
+    stores = np.array([a.ctypes.data for a in arrays], dtype=np.uintp)
+    table = np.array([*zip(*plan), [c.shape[0] for c, _ in stacks]], dtype=np.int64)
+    total = means.shape[0]
+    groups, order = np.empty((2, total), dtype=np.int64)
+    created = np.empty(total, dtype=np.bool_)
+    evaluated = np.zeros(1, dtype=np.int64)
+    status = KERNEL.assign_windows(
+        values.ctypes.data,
+        1 if values.ndim == 1 else values.shape[1],
+        step,
+        len(plan),
+        table.ctypes.data,
+        stores.ctypes.data,
+        means.ctypes.data,
+        slack,
+        radius,
+        margin,
+        groups.ctypes.data,
+        created.ctypes.data,
+        order.ctypes.data,
+        evaluated.ctypes.data,
+    )
+    if status:
+        raise MemoryError(f"no scratch to assign {total} windows")
+    return groups, created, order, int(evaluated[0])

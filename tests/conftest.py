@@ -7,15 +7,15 @@ from repro.distances import native
 
 @pytest.fixture(params=["native", "numpy"])
 def kernel_backend(request, monkeypatch):
-    """Run a test once per DTW kernel: the compiled one, then NumPy's.
+    """Run a test once per backend: the compiled kernels, then NumPy's.
 
-    Load success alone picks the kernel in production (DESIGN.md §1), so
-    the NumPy run is a test substitution: the loaded C function is
-    replaced by ``None`` for the test's duration.  Where the C kernel did
-    not load, its run is skipped.
+    Load success alone picks the backend in production (DESIGN.md §1), so
+    the NumPy run is a test substitution: the loaded library — DTW and the
+    ingestion decide alike — is replaced by ``None`` for the test's
+    duration.  Where the library did not load, its run is skipped.
     """
     if request.param == "numpy":
         monkeypatch.setattr(native, "KERNEL", None)
     elif native.KERNEL is None:
-        pytest.skip("the native DTW kernel did not load on this host")
+        pytest.skip("the native kernels did not load on this host")
     return request.param

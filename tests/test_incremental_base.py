@@ -1,8 +1,17 @@
-"""Tests for incremental base updates (OnexBase.add_series)."""
+"""Tests for incremental base updates (OnexBase.add_series).
+
+The decide half of ingestion has two backends — the native
+``assign_windows`` and its NumPy reference, ``_assign_windows`` — and
+both answer to a sequential oracle of the assignment rule (under the
+``kernel_backend`` fixture) and to each other, bit for bit, down to
+overflowed and subnormal values.
+"""
+
+from datetime import timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.base import OnexBase
@@ -10,8 +19,10 @@ from repro.core.config import BuildConfig
 from repro.core.query import QueryProcessor
 from repro.data.dataset import TimeSeriesDataset
 from repro.data.timeseries import TimeSeries
-from repro.exceptions import DatasetError, NotBuiltError, ValidationError
+from repro.distances import native
+from repro.exceptions import DatasetError, NotBuiltError, OnexError, ValidationError
 from repro.stream import StreamIngestor
+from tests.test_pool_tails import _bucket_arrays
 
 
 def make_base(normalize=True, st=0.1):
@@ -183,6 +194,7 @@ def assignment_cases(draw):
     return config, history, added, chunk
 
 
+@pytest.mark.usefixtures("kernel_backend")
 class TestAssignmentAgainstSequentialOracle:
     @staticmethod
     def _check(base, name, previous_length, call):
@@ -260,7 +272,22 @@ class TestAssignmentAgainstSequentialOracle:
         assert seen == len(out)
 
     @given(case=assignment_cases())
-    @settings(max_examples=60, deadline=None)
+    # A window as near a group seeded earlier in the call as an existing
+    # one: the lower group, the existing one, wins the tie.
+    @example(
+        case=(
+            BuildConfig(similarity_threshold=0.25, min_length=2, max_length=2, normalize=False),
+            [np.zeros(5)],
+            np.array([0.25, 0.25, 0.0]),
+            np.array([0.25]),
+        )
+    )
+    @settings(
+        # 60 examples in all, split over the two backends.
+        max_examples=30,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
     def test_add_series_then_append_match_the_oracle(self, case):
         config, history, added, chunk = case
         base = OnexBase(TimeSeriesDataset.from_arrays(history, name="hist"), config)
@@ -282,3 +309,128 @@ class TestAssignmentAgainstSequentialOracle:
             assert np.array_equal(table.hi[at], centroids.max(axis=1))
             assert np.array_equal(table.endpoints[at], centroids[:, [0, 1, -2, -1]])
             assert np.array_equal(bucket.centroid_means, centroids.mean(axis=1))
+
+
+# ROADMAP 1(c)'s magnitudes on the write path: huge values of both signs
+# (a normalised one overflows to inf where the build-time spread is
+# below 1), subnormals and signed zeros.
+_EXTREMES = st.one_of(
+    st.sampled_from([1.7e308, -1.7e308, 1e308, -1e308]),
+    st.sampled_from([1e300, -1e300, 1e150, -1e150, 5e-324, -5e-324, 2.2e-308, -0.0]),
+)
+
+
+@st.composite
+def decide_cases(draw):
+    """A base and three writes — a new series, an append to it and an
+    append to a built one — over quarter steps with extremes mixed in."""
+    channels = draw(st.sampled_from([1, 2]))
+    levels = st.one_of(_LEVELS, _EXTREMES) if draw(st.booleans()) else _LEVELS
+
+    def series(min_points, max_points, values):
+        points = draw(st.integers(min_points, max_points))
+        flat = draw(st.lists(values, min_size=points * channels, max_size=points * channels))
+        array = np.array(flat)
+        return array.reshape(points, channels) if channels > 1 else array
+
+    low = draw(st.integers(2, 4))
+    config = BuildConfig(
+        similarity_threshold=draw(st.sampled_from([1e-6, 0.125, 0.25, 0.5, 10.0])),
+        min_length=low,
+        max_length=low + draw(st.integers(0, 4)),
+        step=draw(st.integers(1, 3)),
+        normalize=draw(st.booleans()),
+    )
+    # A narrow build-time spread: normalised, 1e308 overflows to inf.
+    scale = draw(st.sampled_from([1.0, 1e-3]))
+    history = [scale * series(5, 8, _LEVELS) for _ in range(draw(st.integers(1, 3)))]
+    writes = [
+        # Extremes here mostly end the draw in a typed error (a new
+        # series must normalise to finite values), so only sometimes.
+        ("add", series(6, 12, draw(st.sampled_from([_LEVELS, levels])))),
+        ("append", series(1, 5, levels)),
+        ("extend", series(1, 5, levels)),
+    ]
+    return config, history, writes
+
+
+def _run_writes(config, history, writes):
+    """Build a base and apply *writes*; returns every window assignment,
+    the bucket and table arrays, and the first typed error's type."""
+    base = OnexBase(TimeSeriesDataset.from_arrays(history, name="hist"), config)
+    base.build()
+    base.member_table  # exists, so the writes must extend both tables
+    ingestor = StreamIngestor(base)
+    decided = []
+    index = base.index_new_windows
+    base.index_new_windows = lambda *a: decided.append(index(*a)) or decided[-1]
+    error = None
+    try:
+        for kind, values in writes:
+            if kind == "add":
+                base.add_series(TimeSeries("new", values))
+            else:
+                ingestor.append_points("new" if kind == "append" else "series-0", values)
+        base.validate()
+    except OnexError as exc:
+        error = type(exc)
+    outcome = [
+        (a.lengths, a.starts, a.groups, a.created, a.centroids, a.evaluated)
+        for a in decided
+    ]
+    tables = [
+        (name, getattr(table, name).tobytes())
+        for table in (base.rep_table, base.member_table)
+        for name in table._COLUMNS
+    ]
+    stats = base.stats
+    counts = [(s.length, s.subsequences, s.groups) for s in stats.per_length]
+    return outcome, _bucket_arrays(base), tables, (stats.groups, counts), error
+
+
+@pytest.mark.skipif(native.KERNEL is None, reason="needs the native kernel")
+class TestNativeDecide:
+    @given(case=decide_cases())
+    @settings(
+        max_examples=40,
+        # The wall budget: a draw takes milliseconds; one that runs past
+        # this (non-finite arithmetic has hung a loop before) fails.
+        deadline=timedelta(seconds=5),
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_native_equals_numpy_bit_for_bit(self, case, monkeypatch):
+        native_run = _run_writes(*case)
+        with monkeypatch.context() as patch:
+            patch.setattr(native, "KERNEL", None)
+            numpy_run = _run_writes(*case)
+        (got, *got_state), (want, *want_state) = native_run, numpy_run
+        assert len(got) == len(want)
+        for mine, theirs in zip(got, want):
+            for a, b in zip(mine, theirs):
+                assert np.array_equal(a, b)
+        assert got_state == want_state
+
+
+@pytest.mark.usefixtures("kernel_backend")
+@pytest.mark.parametrize("length, channels", [(7, 1), (21, 1), (50, 3)])
+def test_a_distance_on_the_radius_joins(length, channels):
+    """Set the radius to ``ED_n`` as NumPy sums it (sequentially below 8
+    terms, in 8 accumulators up to 128, split past it): the window joins
+    on both backends, which a sum in any other order misses for some of
+    these rows by rounding up."""
+    rng = np.random.default_rng(length)
+    for _ in range(24):
+        shape = (2, length) if channels == 1 else (2, length, channels)
+        centroid, window = rng.normal(size=shape)
+        ed = float(np.abs(window - centroid).sum() / (length * channels))
+        base = OnexBase(
+            TimeSeriesDataset.from_arrays([centroid], name="one"),
+            BuildConfig(
+                similarity_threshold=2 * ed,
+                min_length=length,
+                max_length=length,
+                normalize=False,
+            ),
+        )
+        base.build()
+        assert base.add_series(TimeSeries("w", window))["new_groups"] == 0

@@ -1,12 +1,13 @@
-"""The native kernel's loader: every failure ends in a working kernel.
+"""The native kernels' loader: every failure ends in working kernels.
 
 Most loader tests import ``repro`` in a fresh subprocess with its own
 ``XDG_CACHE_HOME`` (and ``TMPDIR``); a ``PATH`` without ``gcc`` is how the
 compiler is hidden.  Whatever goes wrong — no compiler, an unwritable
-cache, a truncated cached library, two processes compiling at once, no
-``os.getuid`` — the import succeeds and the kernel is either ``native``
-or ``numpy``, never an exception; and importing writes nothing under the
-repository tree.
+cache, a truncated cached library, a library missing an entry point, two
+processes compiling at once, no ``os.getuid`` — the import succeeds and
+the backend is either ``native`` or ``numpy`` for both entry points
+together (DTW and the ingestion decide), never an exception; and
+importing writes nothing under the repository tree.
 """
 
 import json
@@ -14,6 +15,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -28,10 +30,15 @@ ROOT = Path(repro.__file__).resolve().parents[2]
 HAS_GCC = shutil.which("gcc") is not None
 
 #: Imports repro, prints the backend, and saves answers of every kernel
-#: mode to the file named by argv[1] (when given).
+#: mode and the buckets an ingestion decided to the file named by
+#: argv[1] (when given).
 WORKLOAD = """
 import json, sys
 import numpy as np
+from repro.core.base import OnexBase
+from repro.core.config import BuildConfig
+from repro.data.dataset import TimeSeriesDataset
+from repro.data.timeseries import TimeSeries
 from repro.distances import native
 from repro.distances.dtw import (
     dtw_distance_batch, dtw_distance_condensed, dtw_path_batch,
@@ -52,6 +59,19 @@ if len(sys.argv) > 1:
             paths = dtw_path_batch(q, rows, window=window, ground=ground, lengths=lens)
             out["i" + tag], out["j" + tag] = paths.i, paths.j
             out["c" + tag] = dtw_distance_condensed(rows[:9], window=window, ground=ground)
+    walks = [np.round(rng.normal(size=24).cumsum() * 4) / 4 for _ in range(4)]
+    base = OnexBase(
+        TimeSeriesDataset.from_arrays(walks[:3], name="walks"),
+        BuildConfig(similarity_threshold=0.2, min_length=4, max_length=9),
+    )
+    base.build()
+    base.add_series(TimeSeries("new", walks[3]))
+    for bucket in base.buckets():
+        handles, owners = bucket.store_rows()
+        tag = f"b{bucket.length}-"
+        out[tag + "owners"], out[tag + "handles"] = owners, handles
+        out[tag + "centroids"] = bucket.centroids
+        out[tag + "radii"] = np.stack([bucket.ed_radii, bucket.cheb_radii])
     np.savez(sys.argv[1], **out)
 print(json.dumps({"kernel": native.backend()}))
 """
@@ -162,6 +182,25 @@ def test_processes_racing_the_first_compile_both_load_it(first_imports):
     assert first_imports["racers"] == ["native", "native"]
     libraries = _libraries(first_imports["racing"] / "cache" / "repro")
     assert len(libraries) == 1 and libraries[0].endswith(".so")  # no temp left
+
+
+@pytest.mark.skipif(native.KERNEL is None, reason="needs a loaded kernel")
+def test_both_entry_points_are_bound():
+    assert native.KERNEL.dtw_batch.argtypes == native._DTW_ARGTYPES
+    assert native.KERNEL.assign_windows.argtypes == native._ASSIGN_ARGTYPES
+    assert native.backend() == "native"
+
+
+@pytest.mark.skipif(not HAS_GCC, reason="needs a compiler")
+def test_a_library_missing_an_entry_point_loads_neither(tmp_path, monkeypatch):
+    # As a stale or foreign library would: DTW only, no decide.
+    source = tmp_path / "_dtw_kernel.c"
+    source.write_text("int dtw_batch(void) { return 0; }\n")
+    (tmp_path / "tmp").mkdir()
+    monkeypatch.setattr(native, "_SOURCE", source)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    assert native._load() is None
 
 
 def test_no_getuid_means_no_kernel_not_an_exception(monkeypatch):

@@ -7,7 +7,7 @@ the same ``apply_windows`` half that ingestion runs).  Covered here:
 
 - the apply half, fed a base's ``store_rows`` past a mark, reproduces
   that base's bucket arrays bit for bit, including a bucket the tail
-  creates and a multivariate base;
+  creates and a multivariate base, whichever backend decided the rows;
 - a 2-worker supervisor answers exactly as its own service across
   seeded interleavings of writes, reads on alternating slots, a killed
   worker, full snapshots between tails and a forced WAL compaction;
@@ -62,6 +62,7 @@ def _series(rng, n, channels):
     return rng.normal(size=shape).cumsum(axis=0)
 
 
+@pytest.mark.usefixtures("kernel_backend")
 class TestApplyHalf:
     @pytest.mark.parametrize(
         "channels, normalize",
