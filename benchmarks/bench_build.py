@@ -79,7 +79,7 @@ def seed_build(base: OnexBase) -> None:
             base._buckets[length] = LengthBucket(
                 length,
                 np.array([(m.series_index, m.start) for m in members], dtype=np.int64),
-                np.cumsum([0] + [g.cardinality for g in groups]),
+                np.repeat(np.arange(len(groups)), [g.cardinality for g in groups]),
                 matrix[[row_of[m] for m in members]],
                 np.array([g.centroid for g in groups]),
                 np.array([g.ed_radius for g in groups]),

@@ -454,32 +454,31 @@ class LengthBucket:
     **Arrays are the only stored state.**  One row per group: the stacked
     representatives (``centroids``), both radius vectors and the member
     count (``member_offsets`` is its running sum, derived when read); one
-    row per member, in one physical
-    row order: its values (``member_matrix``), its ``(series_index,
-    start)`` handle and — once anything was appended — its owning group.
-    Stacking is what lets the query processor bound every representative
-    of a length, and refine whole groups, in single vectorised
-    operations.  Counts, the structure fingerprint, the snapshot writer
-    and every query read only these arrays; ``groups`` is a view that
-    builds a :class:`SimilarityGroup` when one is asked for, and nothing
-    on the build, load, append, query or save path asks.
+    row per member, in store order — the one row order, in memory and on
+    disk: its values (``member_matrix``), its ``(series_index, start)``
+    handle and its owning group.  Stacking is what lets the query
+    processor bound every representative of a length, and refine whole
+    groups, in single vectorised operations.  Counts, the structure
+    fingerprint, the snapshot writer and every query read only these
+    arrays; ``groups`` is a view that builds a :class:`SimilarityGroup`
+    when one is asked for, and nothing on the build, load, append, query
+    or save path asks.
 
-    The rows a bucket is constructed with are group-contiguous, so a
-    group's rows are index arithmetic over the offsets.  A *writable*
-    bucket grows in place with amortised doubling (``append``, driven by
-    ``OnexBase.add_series`` and the :mod:`repro.stream` subsystem): new
-    rows land at the end of the stores in arrival order and ``_row_group``
-    names every row's owner from then on.  One lookup, :meth:`group_rows`,
-    resolves groups to rows in both regimes; :meth:`store_rows` reads the
-    rows themselves, in store order, for the base's :class:`MemberTable`,
-    through which the query stage finds members of every length at once.
+    A build stores its rows group by group; a *writable* bucket grows in
+    place with amortised doubling (``append``, driven by
+    ``OnexBase.add_series`` and the :mod:`repro.stream` subsystem), new
+    rows landing at the end of the stores in arrival order, so a group's
+    rows need not be contiguous.  :meth:`group_rows` resolves groups to
+    rows by owner; :meth:`store_rows` reads the rows themselves for the
+    snapshot writer and the base's :class:`MemberTable`, through which
+    the query stage finds members of every length at once.
     """
 
     def __init__(
         self,
         length: int,
         handles: np.ndarray,
-        offsets: np.ndarray,
+        owners: np.ndarray,
         member_matrix: np.ndarray,
         centroids: np.ndarray,
         ed_radii: np.ndarray,
@@ -490,13 +489,15 @@ class LengthBucket:
     ) -> None:
         """Adopt the stacked arrays of a bucket *without copying them*.
 
-        *handles* is the ``(M, 2)`` member-handle array, *offsets* the
-        ``(G+1,)`` group offsets into it and into the ``(M, width)``
-        *member_matrix*; the other three are the per-group stacks.  The
-        stores are the given arrays themselves (capacity == count), so
-        mmap-backed arrays stay mmap-backed and N worker processes share
-        one page-cache copy; only the per-group member counts are derived
-        from *offsets* into an array of their own.  Only a *writable*
+        *handles* is the ``(M, 2)`` member-handle array, *owners* the
+        ``(M,)`` group of each of its rows and of the rows of the ``(M,
+        width)`` *member_matrix*; the other three are the per-group
+        stacks.  The stores are the given arrays themselves (capacity ==
+        count), so mmap-backed arrays stay mmap-backed and N worker
+        processes share one page-cache copy; only the per-group member
+        counts are derived from *owners* into an array of their own, and
+        an owner outside the groups raises
+        :class:`~repro.exceptions.ValidationError`.  Only a *writable*
         bucket accepts appends (the arrays must then be private: radii
         are updated in place, and the first append finds each store full
         and reallocates it through ``_grown``); otherwise they raise
@@ -509,10 +510,10 @@ class LengthBucket:
         #: are identical to the univariate layout.
         self.channels = int(channels)
         self.writable = writable
-        count = int(offsets.shape[0]) - 1
-        rows = int(offsets[-1])
+        count, rows = len(centroids), len(owners)
         width = self.length * self.channels
         for name, array, shape in (
+            ("member owners", owners, (rows,)),
             ("member handles", handles, (rows, 2)),
             ("member matrix", member_matrix, (rows, width)),
             ("centroid stack", centroids, (count, width)),
@@ -521,19 +522,25 @@ class LengthBucket:
         ):
             if array.shape != shape:
                 raise ValidationError(f"{name} shape {array.shape} != {shape}")
+        if rows and owners.min() < 0:
+            raise ValidationError("member owners name a negative group")
+        #: Members per group: appends count them in place, where the
+        #: running sum would be rewritten from the first grown group on.
+        self._count_store = np.bincount(owners, minlength=count)
+        if self._count_store.shape[0] != count:
+            raise ValidationError(
+                f"member owners name group {self._count_store.shape[0] - 1} "
+                f"of {count}"
+            )
         self._group_count = count
         self._row_count = rows
         self._handle_store = handles
-        #: Members per group: appends count them in place, where the
-        #: running sum would be rewritten from the first grown group on.
-        self._count_store = np.diff(offsets).astype(np.int64, copy=False)
         self._member_store = member_matrix
         self._centroid_store = centroids
         self._ed_store = ed_radii
         self._cheb_store = cheb_radii
-        #: Owning group of every store row; built by the first append
-        #: (until then the rows are exactly the construction rows).
-        self._row_group: np.ndarray | None = None
+        #: Owning group of every store row.
+        self._row_group = owners
         #: Groups the ``groups`` view has built; an append drops the ones
         #: it grows.
         self._built: dict[int, SimilarityGroup] = {}
@@ -577,11 +584,8 @@ class LengthBucket:
 
     @property
     def member_offsets(self) -> np.ndarray:
-        """Cumulative member counts delimiting groups in logical order.
-
-        A fresh ``(G+1,)`` array: group ``g`` has ``offsets[g+1] -
-        offsets[g]`` members.
-        """
+        """Running sum of the member counts: a fresh ``(G+1,)`` array,
+        group ``g`` has ``offsets[g+1] - offsets[g]`` members."""
         offsets = np.zeros(self._group_count + 1, dtype=np.int64)
         np.cumsum(self._count_store[: self._group_count], out=offsets[1:])
         return offsets
@@ -605,86 +609,31 @@ class LengthBucket:
         is built.  The one lookup that resolves a bucket's groups (the
         query stage resolves them base-wide, through the
         :class:`MemberTable`); *g_idx* indexes like ``groups[i]``
-        (negatives wrap, out of range raises ``IndexError``).
-
-        While no append has happened the rows are the construction
-        ranges the offsets delimit, group by group as *g_idx* names
-        them; afterwards ``_row_group`` names every row's owner, appended
-        ones included, and the rows come in store order (within a group
-        that is arrival order, the order of its ``members``).
+        (negatives wrap, out of range raises ``IndexError``).  Rows come
+        in store order; within a group that is arrival order, the order
+        of its ``members``.
         """
-        if self._row_group is None:
-            offsets = self.member_offsets
-            lo = offsets[:-1][g_idx]
-            counts = offsets[1:][g_idx] - lo
-            owner = np.repeat(g_idx % self._group_count, counts)
-            first = np.repeat(lo - (np.cumsum(counts) - counts), counts)
-            rows = first + np.arange(owner.size)
-        else:
-            wanted = np.zeros(self._group_count, dtype=bool)
-            wanted[g_idx] = True
-            row_group = self._row_group[: self._row_count]
-            rows = np.flatnonzero(wanted[row_group])
-            owner = row_group[rows]
-        return rows, self._handle_store[rows], owner
+        wanted = np.zeros(self._group_count, dtype=bool)
+        wanted[g_idx] = True
+        row_group = self._row_group[: self._row_count]
+        rows = np.flatnonzero(wanted[row_group])
+        return rows, self._handle_store[rows], row_group[rows]
 
     def store_rows(self, first: int = 0) -> tuple[np.ndarray, np.ndarray]:
         """``(handles, owners)`` of the store rows from *first* on, in
         store order: each row's ``(series_index, start)`` and group."""
-        if self._row_group is None:
-            count = self._group_count
-            owners = np.repeat(np.arange(count), self._count_store[:count])
-        else:
-            owners = self._row_group[: self._row_count]
-        return self._handle_store[first : self._row_count], owners[first:]
-
-    def _logical_order(self) -> np.ndarray | None:
-        """Store rows in group-contiguous order; None while they already are.
-
-        A group's rows ascend in arrival order, so a stable sort of the
-        per-row group index is exactly "group by group, members in
-        ``members`` order".
-        """
-        if self._row_group is None:
-            return None
-        group_of = self._row_group[: self._row_count]
-        if (group_of[1:] >= group_of[:-1]).all():
-            return None
-        return np.argsort(group_of, kind="stable")
-
-    @property
-    def member_handles(self) -> np.ndarray:
-        """``(M, 2)`` ``(series_index, start)`` of every member, group by
-        group as :attr:`member_offsets` delimits (a view while no append
-        has interleaved the rows, else a gathered copy)."""
-        order = self._logical_order()
-        handles = self._handle_store[: self._row_count]
-        return handles if order is None else handles[order]
+        stop = self._row_count
+        return self._handle_store[first:stop], self._row_group[first:stop]
 
     @property
     def member_matrix(self) -> np.ndarray:
-        """Every member's values as one 2-D array (live view).
-
-        Row order is group-contiguous right after ``build()``/``load()``;
-        rows appended by incremental ingestion live at the end, in arrival
-        order — resolve groups' rows with :meth:`group_rows`, and use
-        :meth:`stacked_member_matrix` where group-contiguous order matters.
-        """
+        """Every member's values as one 2-D array, in store order (live
+        view); resolve groups' rows with :meth:`group_rows`."""
         return self._member_store[: self._row_count]
 
     def member_rows(self, g_idx: int) -> np.ndarray:
         """Values of group *g_idx*'s members, ordered as its ``members``."""
         return self._member_store[self.group_rows(np.array([g_idx]))[0]]
-
-    def stacked_member_matrix(self) -> np.ndarray:
-        """Member values in group-contiguous order (for persistence).
-
-        Returns the store itself (no copy) while its rows are still
-        group-contiguous; after interleaved appends one fancy-index
-        gather over the logical row order.
-        """
-        order = self._logical_order()
-        return self.member_matrix if order is None else self.member_matrix[order]
 
     def _reserve(self, stores: tuple[str, ...], used: int, needed: int) -> None:
         """Reallocate each of the named *stores* that cannot hold *needed*
@@ -708,6 +657,7 @@ class LengthBucket:
         for name, used in (
             ("_handle_store", rows),
             ("_member_store", rows),
+            ("_row_group", rows),
             ("_count_store", count),
             ("_centroid_store", count),
             ("_ed_store", count),
@@ -740,8 +690,6 @@ class LengthBucket:
                 f"length-{self.length} bucket is attached read-only"
             )
         known = self._group_count
-        if self._row_group is None:
-            self._row_group = self.store_rows()[1]
         # The highest group named so far rises at each new group's first
         # row; seeded in order, it rises by one each time.
         top = np.maximum.accumulate(np.maximum(owners, known - 1))
@@ -799,7 +747,7 @@ def _build_length_shard(
     The unit of work of the sharded build pipeline: strided window
     extraction plus the batched clustering, returning a payload of plain
     arrays — stacked centroids, radii, and flat member-row indices with
-    group offsets — so the result pickles cheaply across a
+    their owning groups — so the result pickles cheaply across a
     :class:`~concurrent.futures.ProcessPoolExecutor` boundary.  No handle
     is created here; the parent resolves rows to ``(series_index, start)``
     handles arithmetically during reassembly.  The window matrix stays
@@ -814,22 +762,16 @@ def _build_length_shard(
         return None
     groups = cluster_subsequence_rows(matrix, group_radius)
     count = len(groups)
-    centroids = np.empty((count, matrix.shape[1]), dtype=np.float64)
-    offsets = np.empty(count + 1, dtype=np.int64)
-    offsets[0] = 0
-    for g, group in enumerate(groups):
-        centroids[g] = group.centroid
-        offsets[g + 1] = offsets[g] + group.rows.shape[0]
     return {
         "length": length,
         "windows": matrix.shape[0],
-        "centroids": centroids,
+        "centroids": np.stack([g.centroid for g in groups]),
         "ed_radii": np.fromiter((g.ed_radius for g in groups), np.float64, count),
         "cheb_radii": np.fromiter(
             (g.cheb_radius for g in groups), np.float64, count
         ),
         "member_rows": np.concatenate([g.rows for g in groups]),
-        "offsets": offsets,
+        "owners": np.repeat(np.arange(count), [g.rows.shape[0] for g in groups]),
         "seconds": time.perf_counter() - started,
     }
 
@@ -1025,7 +967,7 @@ class OnexBase:
         return LengthBucket(
             length,
             np.column_stack((series_idx, starts)).astype(np.int64, copy=False),
-            payload["offsets"],
+            payload["owners"],
             matrix[member_rows],
             payload["centroids"],
             payload["ed_radii"],
@@ -1310,7 +1252,7 @@ class OnexBase:
             bucket = self._buckets[length] = LengthBucket(
                 length,
                 np.empty((0, 2), dtype=np.int64),
-                np.zeros(1, dtype=np.int64),
+                np.empty(0, dtype=np.int64),
                 np.empty((0, width)),
                 np.empty((0, width)),
                 np.empty(0),
@@ -1599,23 +1541,26 @@ class OnexBase:
 
         Covers, per ascending length: the stacked centroid matrix, both
         radius vectors, the group member offsets, and every member's
-        ``(series_index, start)`` handle — everything the query layers
-        read, nothing timing-dependent.  Two bases are result-identical
-        iff their structure fingerprints match; the build scheduler's
-        determinism gate (serial vs process-pool builds, E18 and
-        ``tests/test_build_pipeline.py``) compares these.
+        ``(series_index, start)`` handle, group by group (a stable sort
+        of the owners, so the store order appends left is not seen) —
+        everything the query layers read, nothing timing-dependent.  Two
+        bases are result-identical iff their structure fingerprints
+        match; the build scheduler's determinism gate (serial vs
+        process-pool builds, E18 and ``tests/test_build_pipeline.py``)
+        compares these.
         """
         self._require_built()
         digest = hashlib.sha256()
         for length in self.lengths:
             bucket = self._buckets[length]
+            handles, owners = bucket.store_rows()
             digest.update(np.int64(length).tobytes())
             for array in (
                 bucket.centroids,
                 bucket.ed_radii,
                 bucket.cheb_radii,
                 bucket.member_offsets,
-                bucket.member_handles,
+                handles[np.argsort(owners, kind="stable")],
             ):
                 digest.update(np.ascontiguousarray(array))
         return digest.hexdigest()

@@ -23,7 +23,7 @@ group:
 - the mapping is write-protected, so an accidental in-place mutation in
   a worker raises instead of corrupting sibling processes;
 - **groups are materialised on demand**: a bucket's arrays — here the
-  ``(M, 2)`` member handles and ``(G+1,)`` offsets — are its only stored
+  ``(M, 2)`` member handles and ``(M,)`` owners — are its only stored
   state and a ``SimilarityGroup`` is built only when something indexes
   ``bucket.groups`` (see ``LengthBucket``); counts, the structure
   fingerprint and this module's writer read the arrays.
@@ -37,15 +37,16 @@ Arrays in the directory (``<L>`` = subsequence length)::
     len<L>_ed_radii             per-group ED_n radii
     len<L>_cheb_radii           per-group Chebyshev radii
     len<L>_members              (M, 2) int64 member handles
-    len<L>_offsets              (G+1,) int64 group row offsets
-    len<L>_member_matrix        stacked member values, group-contiguous
+    len<L>_owners               (M,) int64 owning group of every member
+    len<L>_member_matrix        stacked member values
 
-Nothing derivable from a centroid row is stored (the rank stage's table
-is rebuilt from the centroid stacks on first use), and the reader looks
-up these names only: a directory entry or meta key under any other name
-— earlier format-2 writers also stored per-representative summary stacks
-and their envelope radius — is never dereferenced, so such a snapshot
-still loads.
+The three member arrays hold their rows in the bucket's store order, the
+one row order it has in memory, so a snapshot is written without a
+gather and attaches to the rows its writer held.  Nothing derivable
+from a centroid row is stored (the rank stage's table is rebuilt from
+the centroid stacks on first use), and the reader looks up these names
+only: a directory entry or meta key under any other name is never
+dereferenced.
 
 Every snapshot is written to a ``<dir>.tmp`` sibling and renamed into
 place with ``os.replace``, so the target either does not exist or is
@@ -67,7 +68,8 @@ keyword of the one writer:
 
 There is one format and no migration: a ``.npz`` archive (the removed
 formats v2–v5) or a directory of another ``SNAPSHOT_FORMAT`` is refused
-with a :class:`PersistenceError` naming what was found.
+with a :class:`PersistenceError` naming what was found.  An owner
+outside its bucket's groups is refused the same way at attach.
 
 ``mmap_mode="r"`` yields a **read-only** base (mutation paths raise
 :class:`~repro.exceptions.ReadOnlyBaseError`); ``mmap_mode=None`` reads
@@ -116,8 +118,9 @@ _LOG = get_logger("mmap")
 #: Version tag written into ``meta.json`` and checked on load.  Format 2
 #: replaced format 1's one ``.npy`` per array (300 files at the 50-series
 #: floor, whose open/parse/map overhead was the whole attach) with the
-#: single ``arrays.bin`` + directory in ``meta.json``.
-SNAPSHOT_FORMAT = 2
+#: single ``arrays.bin`` + directory in ``meta.json``; format 3 stores
+#: each member's owner in place of group offsets over group-sorted rows.
+SNAPSHOT_FORMAT = 3
 
 ARRAYS_FILE = "arrays.bin"
 META_FILE = "meta.json"
@@ -129,7 +132,7 @@ _ALIGN = 64
 #: ``LengthBucket``.
 _BUCKET_ARRAYS = (
     "members",
-    "offsets",
+    "owners",
     "member_matrix",
     "centroids",
     "ed_radii",
@@ -152,9 +155,8 @@ def _snapshot_arrays(base: OnexBase) -> Iterator[tuple[str, np.ndarray]]:
             yield f"norm_{i}", series.values
     for bucket in base.buckets():
         arrays = (
-            bucket.member_handles,
-            bucket.member_offsets,
-            bucket.stacked_member_matrix(),
+            *bucket.store_rows(),
+            bucket.member_matrix,
             bucket.centroids,
             bucket.ed_radii,
             bucket.cheb_radii,

@@ -566,7 +566,7 @@ class QueryProcessor:
         stop = 0
         while stop < candidates.size:
             faults.fire("query.refine_unit")
-            if self._scan_deadline_fired(deadline, "threshold scan", stats, out):
+            if self._deadline_fired(deadline, "threshold scan", stats, out):
                 return out, True
             start, widest = stop, int(lengths[stop] * _THRESHOLD_SPAN)
             stop = int(np.searchsorted(lengths, widest, side="right"))
@@ -615,71 +615,39 @@ class QueryProcessor:
         deadline: Deadline | None,
         stage: str,
         stats: QueryStats,
-        heap: list["_Negated"],
+        verified: Iterable[_Candidate],
     ) -> bool:
         """Handle an expired deadline at a chunk boundary.
 
-        ``False`` while budget remains (or there is no deadline).  With
-        ``allow_partial`` and at least one verified candidate on the
-        heap, counts a partial result and returns ``True`` — the caller
-        breaks and returns its best-so-far heap.  Otherwise raises
+        ``False`` while budget remains (or there is no deadline).
+        *verified* yields the candidates verified so far (read only once
+        the deadline fired).  With ``allow_partial`` and at least one of
+        them, counts a partial result and returns ``True`` — the caller
+        breaks and returns its best-so-far result.  Otherwise raises
         :class:`DeadlineExceeded` carrying the work counters and the
         best verified candidate, if any.
         """
         if deadline is None or not deadline.expired:
             return False
-        if deadline.allow_partial and heap:
+        best = min(verified, default=None)
+        if deadline.allow_partial and best is not None:
             stats.partial_results += 1
             return True
-        best = (
-            self._best_summary(min(wrapper.candidate for wrapper in heap))
-            if heap
-            else None
-        )
-        self._raise_deadline(deadline, stage, stats, best)
-        return True  # unreachable
-
-    def _scan_deadline_fired(
-        self,
-        deadline: Deadline | None,
-        stage: str,
-        stats: QueryStats,
-        out: list[_Candidate],
-    ) -> bool:
-        """:meth:`_deadline_fired` for the threshold scans, whose verified
-        state is the candidate list *out* instead of a k-best heap."""
-        if deadline is None or not deadline.expired:
-            return False
-        if deadline.allow_partial and out:
-            stats.partial_results += 1
-            return True
-        best = self._best_summary(min(out)) if out else None
-        self._raise_deadline(deadline, stage, stats, best)
-        return True  # unreachable
-
-    @staticmethod
-    def _raise_deadline(
-        deadline: Deadline, stage: str, stats: QueryStats, best: dict | None
-    ) -> None:
-        """Raise the enriched :class:`DeadlineExceeded` for a fired deadline."""
-        progress = {
-            "groups_pruned": stats.groups_pruned,
-            "groups_refined": stats.groups_refined,
-            "rep_dtw_calls": stats.rep_dtw_calls,
-            "member_dtw_calls": stats.member_dtw_calls,
-            "members_scanned": stats.members_scanned,
-        }
         try:
-            deadline.check(stage, progress)
+            deadline.check(
+                stage,
+                {
+                    "groups_pruned": stats.groups_pruned,
+                    "groups_refined": stats.groups_refined,
+                    "rep_dtw_calls": stats.rep_dtw_calls,
+                    "member_dtw_calls": stats.member_dtw_calls,
+                    "members_scanned": stats.members_scanned,
+                },
+            )
         except DeadlineExceeded as exc:
-            exc.best = best
+            exc.best = None if best is None else self._best_summary(best)
             raise
-        raise DeadlineExceeded(  # pragma: no cover - expired deadlines raise above
-            f"deadline exceeded during {stage}",
-            stage=stage,
-            progress=progress,
-            best=best,
-        )
+        return True  # unreachable: an expired deadline's check raises
 
     # ------------------------------------------------------------------
     # Member-layer refinement
@@ -915,8 +883,9 @@ class QueryProcessor:
         drain_chunk = _REP_CHUNK
         while ptr < total or exact_heap:
             faults.fire("query.rep_chunk")
+            verified = (w.candidate for w in heap)
             if self._deadline_fired(
-                deadline, "representative cascade", stats, heap
+                deadline, "representative cascade", stats, verified
             ):
                 return heap
             cutoff = self._cutoff(heap, k)
@@ -953,7 +922,8 @@ class QueryProcessor:
             # and the prune check above (same guard, same cutoff) would
             # have stopped the loop were it over the cutoff.
             faults.fire("query.refine_unit")
-            if self._deadline_fired(deadline, "member refinement", stats, heap):
+            verified = (w.candidate for w in heap)
+            if self._deadline_fired(deadline, "member refinement", stats, verified):
                 return heap
             units = [heapq.heappop(exact_heap)]
             while exact_heap and len(units) < drain_chunk:
@@ -1007,7 +977,7 @@ class QueryProcessor:
         members = 0
         while ptr < total or exact_heap:
             faults.fire("query.rep_chunk")
-            self._deadline_fired(deadline, "representative ranking", stats, heap)
+            self._deadline_fired(deadline, "representative ranking", stats, ())
             if len(units) >= cfg.refine_groups and members >= k:
                 break
             # An exact entry is the true next-best only once no
@@ -1026,7 +996,7 @@ class QueryProcessor:
         stats.rep_dtw_skipped += total - ptr
         if units:
             faults.fire("query.refine_unit")
-            self._deadline_fired(deadline, "member refinement", stats, heap)
+            self._deadline_fired(deadline, "member refinement", stats, ())
             self._refine_into(heap, k, q, units, stats, envelopes)
         return heap
 
@@ -1168,7 +1138,8 @@ class QueryProcessor:
         ):
             for bucket in self._metric_buckets(q, buckets, stats):
                 faults.fire("query.refine_unit")
-                if self._deadline_fired(deadline, "metric scan", stats, heap):
+                verified = (w.candidate for w in heap)
+                if self._deadline_fired(deadline, "metric scan", stats, verified):
                     return heap
                 if self._spec.lower_bound is not None and cfg.use_group_pruning:
                     lbs = self._metric_group_bounds(q, bucket, stats)
@@ -1210,9 +1181,7 @@ class QueryProcessor:
         out: list[_Candidate] = []
         for bucket in self._metric_buckets(q, buckets, stats):
             faults.fire("query.refine_unit")
-            if self._scan_deadline_fired(
-                deadline, "metric threshold scan", stats, out
-            ):
+            if self._deadline_fired(deadline, "metric threshold scan", stats, out):
                 return out, True
             candidates = np.arange(bucket.group_count)
             if self._spec.lower_bound is not None and cfg.use_group_pruning:

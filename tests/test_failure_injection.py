@@ -7,7 +7,6 @@ a typed error or a clean error response, never a crash or silent wrong
 answer.
 """
 
-import hashlib
 import json
 import urllib.request
 
@@ -21,7 +20,6 @@ from repro.core.query import QueryProcessor
 from repro.data.dataset import TimeSeriesDataset
 from repro.data.timeseries import TimeSeries
 from repro.data.ucr_format import load_ucr_file
-from repro.distances.envelope import keogh_envelope_batch
 from repro.exceptions import (
     DatasetError,
     OnexError,
@@ -79,9 +77,9 @@ _HOSTILE_META = {
     "shape-negative": _set_entry("_members", 1, [-1, 2]),
     "shape-two-negatives": _set_entry("_members", 1, [-3, -2]),
     "shape-overflowing": _set_entry("_member_matrix", 1, [1 << 62, 1 << 62]),
-    "shape-fractional": _set_entry("_offsets", 1, [2.5]),
+    "shape-fractional": _set_entry("_owners", 1, [2.5]),
     "shape-wrong": _set_entry("_ed_radii", 1, [1]),
-    "shape-scalar": _set_entry("_offsets", 1, []),
+    "shape-scalar": _set_entry("_owners", 1, []),
     "dtype-unknown": _set_entry("_centroids", 0, "<q9"),
     "dtype-object": _set_entry("_centroids", 0, "|O"),
     "dtype-void": _set_entry("_centroids", 0, "|V8"),
@@ -195,33 +193,19 @@ class TestCorruptedBaseFiles:
     def test_legacy_summary_entries_are_never_dereferenced(
         self, base, tmp_path, entry, mmap_mode
     ):
-        """Format-2 snapshots written before the per-representative
-        summary stacks were dropped carry four more arrays per length and
-        a ``rep_radius`` key.  The reader never looks those names up, so
-        such a directory loads, hash and fingerprint verified, and answers
-        the same — whatever their entries say."""
+        """Entries the reader does not look up — here the
+        per-representative summary stacks and the ``rep_radius`` key that
+        earlier writers stored — are never dereferenced, so such a
+        directory loads, hash and fingerprint verified, and answers the
+        same, whatever their entries say."""
         path = tmp_path / "base"
         base.save(path)
-        blob = bytearray((path / "arrays.bin").read_bytes())
         meta = json.loads((path / "meta.json").read_text())
-        for bucket in base.buckets():
-            rows = bucket.centroids
-            lo, hi = keogh_envelope_batch(rows, 1)
-            legacy = {
-                "rep_env_lo": lo,
-                "rep_env_hi": hi,
-                "rep_endpoints": rows[:, [0, 1, -2, -1]],
-                "rep_minmax": np.column_stack((rows.min(axis=1), rows.max(axis=1))),
-            }
-            for name, array in legacy.items():
-                blob.extend(bytes(-len(blob) % 64))
-                meta["arrays"][f"len{bucket.length}_{name}"] = entry or [
-                    array.dtype.str, list(array.shape), len(blob)
-                ]
-                blob.extend(array.tobytes())
-        meta["rep_radius"] = {str(b.length): 1 for b in base.buckets()}
-        meta["arrays_sha256"] = hashlib.sha256(blob).hexdigest()
-        (path / "arrays.bin").write_bytes(blob)
+        arrays = meta["arrays"]
+        for n in base.lengths:
+            for name in ("rep_env_lo", "rep_env_hi", "rep_endpoints", "rep_minmax"):
+                arrays[f"len{n}_{name}"] = entry or arrays[f"len{n}_centroids"]
+        meta["rep_radius"] = {str(n): 1 for n in base.lengths}
         (path / "meta.json").write_text(json.dumps(meta))
         loaded, _ = load_base_snapshot(path, mmap_mode=mmap_mode, verify=True)
         assert loaded.structure_fingerprint() == base.structure_fingerprint()
@@ -241,15 +225,29 @@ class TestCorruptedBaseFiles:
             OnexBase.load(path)
 
     def test_other_snapshot_format_refused_by_name(self, base, tmp_path):
-        """A format-1 directory (one ``.npy`` per array) is not migrated."""
+        """A format-1 directory (one ``.npy`` per array) or a format-2 one
+        (group offsets over group-sorted rows) is not migrated."""
         path = tmp_path / "epoch-1"
-        path.mkdir()
-        np.save(path / "len4_centroids.npy", np.zeros((2, 4)))
-        (path / "meta.json").write_text(json.dumps({"format": 1, "lengths": [4]}))
-        with pytest.raises(PersistenceError, match="format 1"):
-            OnexBase.load(path)
-        with pytest.raises(PersistenceError, match="format 1"):
-            load_base_snapshot(path)
+        base.save(path)
+        for found in (1, 2):
+            _edit_meta(path, lambda meta: meta.update(format=found))
+            for load in (OnexBase.load, load_base_snapshot):
+                with pytest.raises(PersistenceError, match=f"format {found}"):
+                    load(path)
+
+    @pytest.mark.parametrize("owner", ["negative", "past-the-groups"])
+    @pytest.mark.parametrize("mmap_mode", [None, "r"])
+    def test_owner_outside_the_groups_refused(self, base, tmp_path, owner, mmap_mode):
+        """Corrupt ``len5_owners`` bytes, which would attach with a negative
+        or overflowing cardinality, are refused at attach by name."""
+        path = tmp_path / "base"
+        base.save(path)
+        meta = json.loads((path / "meta.json").read_text())
+        with open(path / "arrays.bin", "r+b") as fh:
+            fh.seek(meta["arrays"]["len5_owners"][2] + 8)
+            fh.write(np.int64({"negative": -1}.get(owner, base.bucket(5).group_count)))
+        with pytest.raises(PersistenceError, match="owners"):
+            load_base_snapshot(path, mmap_mode=mmap_mode)
 
 
 class TestHostileQueries:

@@ -387,7 +387,7 @@ class TestLazySequenceSemantics:
         for owner in (0, lazy.group_count):  # a join, a new group
             with pytest.raises(ReadOnlyBaseError):
                 lazy.append(
-                    np.array([owner]), lazy.member_handles[:1], lazy.centroids[:1]
+                    np.array([owner]), lazy.store_rows()[0][:1], lazy.centroids[:1]
                 )
 
 
@@ -416,9 +416,9 @@ def toy_base(tmp_path=None):
 
 
 def expected_members(bucket, g):
-    """Group *g*'s ``(series_index, start)`` list, off the logical arrays."""
-    lo, hi = bucket.member_offsets[g : g + 2].tolist()
-    return [tuple(h) for h in bucket.member_handles[lo:hi].tolist()]
+    """Group *g*'s ``(series_index, start)`` list, off the store arrays."""
+    handles, owners = bucket.store_rows()
+    return [tuple(h) for h in handles[owners == g].tolist()]
 
 
 @pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded-writable"])
@@ -493,7 +493,7 @@ def test_rows_index_like_groups(kind, tmp_path):
     ``IndexError`` out of range, exactly like ``groups[i]``."""
     bucket = indexed_buckets(tmp_path)[kind]
     count = bucket.group_count
-    assert (bucket._row_group is not None) == (kind == "appended")
+    assert np.array_equal(np.bincount(bucket.store_rows()[1]), bucket.cardinalities)
     dataset_rows = {
         g: [(m.series_index, m.start) for m in bucket.groups[g].members]
         for g in (0, count - 1)

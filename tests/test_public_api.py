@@ -226,15 +226,26 @@ class TestRepositoryLayout:
         """The converse: a backticked ``*.py``, ``BENCH_*.json`` or
         ``dir/file.ext`` in the three documents names a file of this tree
         (a bare name anywhere in it, a partial path by suffix), and the
-        names after a ``file.py::`` are defined in that file.  Names a
-        running server writes (``wal.log``, ``meta.json``) and templates
-        (``<data-dir>/...``) are not repo paths and are not checked."""
-        files = []
+        names after a ``file.py::`` are defined in that file; a
+        ``Class.attr`` of a class under ``src/`` names something its module
+        defines.  Names a running server writes (``wal.log``,
+        ``meta.json``) and templates (``<data-dir>/...``) are not repo
+        paths and are not checked."""
+        files, modules = [], {}
         for directory, subdirs, names in os.walk(ROOT):
             subdirs[:] = [d for d in subdirs if d not in (".git", ".bench_work")]
             files += [Path(directory, name).as_posix() for name in names]
+        for path in (ROOT / "src").rglob("*.py"):
+            for name in re.findall(r"^class (\w+)", path.read_text(), re.M):
+                modules[name] = path.read_text()
         for doc in ("README.md", "DESIGN.md", "EXPERIMENTS.md"):
             text = (ROOT / doc).read_text()
+            for cls, attr in set(re.findall(r"`(\w+)\.(\w+)", text)):
+                assert cls not in modules or re.search(
+                    rf"^\s*(def|class) {attr}\b|^\s*(self\.)?{attr}\s*[:=]",
+                    modules[cls],
+                    re.M,
+                ), f"{doc} names `{cls}.{attr}`; {cls}'s module defines no {attr}"
             for path, names in set(re.findall(r"`([\w./-]+)(?:::([\w:]+))?`", text)):
                 if not (
                     path.endswith(".py")

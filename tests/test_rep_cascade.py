@@ -143,7 +143,7 @@ class TestRepresentativeSummary:
         bucket = LengthBucket(
             length,
             np.zeros((count, 2), dtype=np.int64),
-            np.arange(count + 1),
+            np.arange(count),
             mat,
             mat,
             np.zeros(count),

@@ -156,22 +156,6 @@ class TestStreamIngestor:
         ing.append_points(name, [9.0, 9.5, 8.5])
         assert np.array_equal(base.dataset.values(ref), before)
 
-    def test_save_load_round_trip_after_streaming(self, tmp_path):
-        base = make_base()
-        ing = StreamIngestor(base)
-        rng = np.random.default_rng(3)
-        for v in rng.normal(size=9).cumsum():
-            ing.append_points("live", [v])
-        path = tmp_path / "streamed"
-        base.save(path)
-        loaded = OnexBase.load(path)
-        loaded.validate()
-        assert loaded.stats.groups == base.stats.groups
-        q = rng.uniform(size=5)
-        a = QueryProcessor(base, QueryConfig(mode="exact")).best_match(q)
-        b = QueryProcessor(loaded, QueryConfig(mode="exact")).best_match(q)
-        assert a.ref == b.ref and a.distance == pytest.approx(b.distance)
-
 
 class TestAppendRebuildEquivalence:
     def assert_equivalent(self, streamed_base, reference_base, queries):
@@ -310,18 +294,16 @@ class TestMemberMatrixGrowth:
                 for row, ref in zip(rows, group.members):
                     assert np.array_equal(row, base.dataset.values(ref))
 
-    def test_stacked_member_matrix_matches_group_order(self):
+    def test_group_rows_follow_store_order(self):
         base = make_base(st_value=0.4)
         ing = StreamIngestor(base)
         rng = np.random.default_rng(11)
         for v in rng.normal(size=10).cumsum():
             ing.append_points("live", [v])
         for bucket in base.buckets():
-            stacked = bucket.stacked_member_matrix()
-            offsets = bucket.member_offsets
-            for g_idx in range(bucket.group_count):
-                lo, hi = offsets[g_idx], offsets[g_idx + 1]
-                assert np.array_equal(stacked[lo:hi], bucket.member_rows(g_idx))
+            rows, handles, owners = bucket.group_rows(np.arange(bucket.group_count))
+            assert np.array_equal(rows, np.arange(bucket.member_count))
+            assert all(map(np.array_equal, (handles, owners), bucket.store_rows()))
 
     def test_refinement_is_brute_force_after_streaming(self):
         base = make_base()
