@@ -157,9 +157,9 @@ def _grown(
     """Return *array* reallocated to at least twice *used* rows.
 
     The shared amortised-doubling step of the growable stores (bucket
-    stacks here, stream buffers in :mod:`repro.stream.buffer`); the first
-    *used* rows are preserved, the rest left uninitialised.  *needed*
-    raises the floor when one append must fit more than double.
+    stacks, table columns and the series of :meth:`OnexBase.grow_series`);
+    the first *used* rows are preserved, the rest left uninitialised.
+    *needed* raises the floor when one append must fit more than double.
     """
     capacity = max(minimum, 2 * used, needed)
     grown = np.empty((capacity,) + array.shape[1:], dtype=array.dtype)
@@ -786,6 +786,7 @@ class OnexBase:
         self._raw_dataset = dataset
         self._norm_bounds = dataset.global_bounds() if config.normalize else None
         self._dataset = dataset.normalized() if config.normalize else dataset
+        self._series_stores: dict[tuple[int, int], np.ndarray] = {}
         self._buckets: dict[int, LengthBucket] = {}
         self._rep_table: RepresentativeTable | None = None
         self._member_table: MemberTable | None = None
@@ -1000,6 +1001,7 @@ class OnexBase:
         self._raw_dataset = raw_dataset
         self._norm_bounds = norm_bounds
         self._dataset = norm_dataset
+        self._series_stores = {}
         self._buckets = dict(buckets)
         self._rep_table = self._member_table = None
         self._stats = stats
@@ -1132,6 +1134,86 @@ class OnexBase:
     # Incremental updates
     # ------------------------------------------------------------------
 
+    def grow_series(
+        self, name: str, values: ArrayLike, metadata: dict | None = None
+    ) -> tuple[int, int, np.ndarray]:
+        """Append the points *values* to series *name*, creating it (with
+        *metadata*) on first contact; the one way a series gains points.
+
+        Returns ``(series index, previous length, normalised chunk)``;
+        the caller indexes the windows the points complete.  Raises, with
+        nothing changed, when the base is unbuilt or read-only or the
+        chunk is invalid.
+        """
+        self._require_built()
+        self._require_writable()
+        return self._grow_series(name, values, metadata)
+
+    def _grow_series(
+        self, name: str, values: ArrayLike, metadata: dict | None = None
+    ) -> tuple[int, int, np.ndarray]:
+        """:meth:`grow_series` without the writable check, which
+        :meth:`apply_tail` also runs on a read-only base.
+
+        The chunk is checked and normalised pointwise with the build-time
+        bounds (so chunk by chunk equals the whole series at once) before
+        anything changes.  Raw and normalised points then land in stores
+        this base owns, grown by amortised doubling (a series' first
+        growth copies its current values), and each dataset gets a
+        read-only view of the stored prefix: views handed out earlier keep
+        their bytes, since growth only writes past them.
+        """
+        if not isinstance(name, str) or not name:
+            raise ValidationError("series name must be a non-empty string")
+        chunk = np.asarray(values, dtype=np.float64)
+        channels = self.channels
+        if channels == 1:
+            if chunk.ndim != 1 or chunk.size == 0:
+                raise ValidationError(
+                    "appended values must be a non-empty 1-D sequence, got "
+                    f"shape {chunk.shape}"
+                )
+        elif chunk.ndim != 2 or chunk.shape[0] == 0 or chunk.shape[1] != channels:
+            raise ValidationError(
+                f"appended values must be a non-empty (points, {channels}) "
+                f"array for this {channels}-channel series, got shape "
+                f"{chunk.shape}"
+            )
+        if not np.all(np.isfinite(chunk)):
+            raise ValidationError("appended values contain NaN/inf")
+        normalized = chunk
+        if self._norm_bounds is not None:
+            lo, hi = self._norm_bounds
+            normalized = minmax_normalize(chunk, lo=lo, hi=hi)
+        raw = self._raw_dataset
+        new = name not in raw
+        if new:
+            index, previous, metadata = len(raw), 0, metadata or {}
+        else:
+            index = raw.index_of(name)
+            previous, metadata = len(raw[index]), raw[index].metadata
+        stop = previous + chunk.shape[0]
+        datasets = [(raw, chunk)]
+        if self._dataset is not raw:
+            datasets.append((self._dataset, normalized))
+        for which, (dataset, points) in enumerate(datasets):
+            store = self._series_stores.get(
+                (which, index), chunk[:0] if new else dataset[index].values
+            )
+            if stop > store.shape[0]:
+                store = self._series_stores[which, index] = _grown(
+                    store, previous, needed=stop
+                )
+            store[previous:stop] = points
+            view = store[:stop]
+            view.flags.writeable = False
+            series = TimeSeries._wrap(name, view, metadata)
+            if new:
+                dataset.add(series)
+            else:
+                dataset.replace_series(series)
+        return index, previous, normalized
+
     def add_series(self, series: TimeSeries) -> dict:
         """Index one new series into the built base without a rebuild.
 
@@ -1153,22 +1235,13 @@ class OnexBase:
 
         Returns a summary dict (windows indexed, groups joined/created).
         """
-        self._require_built()
-        self._require_writable()
         if not isinstance(series, TimeSeries):
             raise ValidationError(
                 f"expected TimeSeries, got {type(series).__name__}"
             )
         if series.name in self._raw_dataset:
             raise DatasetError(f"duplicate series name: {series.name!r}")
-        self._raw_dataset.add(series)
-        if self._norm_bounds is not None:
-            lo, hi = self._norm_bounds
-            normalized = series.with_values(
-                minmax_normalize(series.values, lo=lo, hi=hi)
-            )
-            self._dataset.add(normalized)
-        series_index = self._dataset.index_of(series.name)
+        series_index = self.grow_series(series.name, series.values, series.metadata)[0]
         assignments = self.index_new_windows(series_index, 0)
         created = int(assignments.created.sum())
         return {
@@ -1363,19 +1436,18 @@ class OnexBase:
     def tail(self, mark: tuple[dict[int, int], list[int]]) -> dict:
         """Everything this base gained since *mark*, as plain JSON values.
 
-        ``series``: ``[index, name, metadata, raw, norm]`` per series
-        that grew — the points appended since the mark, raw and
-        normalised (``norm`` is None when the base does not normalise);
-        ``name`` and ``metadata`` are set only for a series the mark did
-        not hold.  ``buckets``: ``[length, owners, handles]`` per bucket
-        that grew — :meth:`LengthBucket.store_rows` past the mark, handles
-        flattened.  Nothing derivable is carried: :meth:`apply_tail`
-        gathers windows from the points and radii follow from the rows.
+        ``series``: ``[index, name, metadata, raw]`` per series that
+        grew — the raw points appended since the mark, which are finite,
+        so the tail is always strict JSON; ``name`` and ``metadata`` are
+        set only for a series the mark did not hold.  ``buckets``:
+        ``[length, owners, handles]`` per bucket that grew —
+        :meth:`LengthBucket.store_rows` past the mark, handles flattened.
+        Nothing derivable is carried: :meth:`apply_tail` normalises the
+        points, gathers windows from them, and radii follow from the rows.
         """
         rows, points = mark
-        raw, norm = self._raw_dataset, self._dataset
         series = []
-        for index, values in enumerate(raw):
+        for index, values in enumerate(self._raw_dataset):
             seen = points[index] if index < len(points) else 0
             if len(values) > seen:
                 new = index >= len(points)
@@ -1384,7 +1456,6 @@ class OnexBase:
                     values.name if new else None,
                     dict(values.metadata) if new else None,
                     values.values[seen:].tolist(),
-                    None if norm is raw else norm[index].values[seen:].tolist(),
                 ])
         buckets = []
         for length in sorted(self._buckets):
@@ -1397,28 +1468,13 @@ class OnexBase:
 
     def apply_tail(self, tail: dict) -> None:
         """Apply a :meth:`tail` read off another base at this base's state:
-        extend the series, then append the rows through
-        :meth:`apply_windows`.  A read-only (attached) base accepts this
-        — its touched buckets become private — while every other mutation
-        path still raises."""
+        grow the series through :meth:`_grow_series`, then append the rows
+        through :meth:`apply_windows`.  A read-only (attached) base accepts
+        this — its touched buckets become private — while every other
+        mutation path still raises."""
         self._require_built()
-        raw, norm = self._raw_dataset, self._dataset
-        for index, name, metadata, raw_points, norm_points in tail["series"]:
-            chunks = [(raw, raw_points)]
-            if norm is not raw:
-                chunks.append((norm, norm_points))
-            for dataset, points in chunks:
-                points = np.asarray(points, dtype=np.float64)
-                points.flags.writeable = False
-                if index == len(dataset):
-                    dataset.add(TimeSeries._wrap(name, points, metadata))
-                else:
-                    old = dataset[index]
-                    grown = np.concatenate([old.values, points])
-                    grown.flags.writeable = False
-                    dataset.replace_series(
-                        TimeSeries._wrap(old.name, grown, old.metadata)
-                    )
+        for index, name, metadata, points in tail["series"]:
+            self._grow_series(name or self._raw_dataset[index].name, points, metadata)
         lengths, owners, handles = [], [], []
         for length, grown, at in tail["buckets"]:
             lengths.append(np.full(len(grown), int(length)))

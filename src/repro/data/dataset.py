@@ -88,10 +88,10 @@ class TimeSeriesDataset:
     def replace_series(self, series: TimeSeries) -> None:
         """Swap in a new version of an existing series (same name/index).
 
-        The streaming ingestor uses this to publish a longer snapshot of a
-        live series: existing :class:`SubsequenceRef` handles stay valid
-        because positions keep their index and appends never rewrite old
-        observations.
+        ``OnexBase.grow_series`` uses this to swap in a longer view of a
+        growing series: existing :class:`SubsequenceRef` handles stay
+        valid because positions keep their index and growth never
+        rewrites old observations.
         """
         if not isinstance(series, TimeSeries):
             raise ValidationError(f"expected TimeSeries, got {type(series).__name__}")

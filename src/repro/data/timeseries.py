@@ -50,12 +50,12 @@ class TimeSeries:
 
     @classmethod
     def _wrap(cls, name: str, values: np.ndarray, metadata: Mapping[str, Any]) -> "TimeSeries":
-        """Internal no-copy constructor for pre-validated snapshots.
+        """Internal no-copy constructor for pre-validated values.
 
-        The streaming ingestor publishes one snapshot per append; *values*
-        must be a 1-D float64 array the caller guarantees is finite and
-        never mutated in range (a read-only view of a grow-only buffer
-        qualifies: later appends only write past its end).
+        *values* must be a read-only float64 array the caller guarantees
+        is finite and never mutated in range: a snapshot's mapped array,
+        or a prefix view of a store ``OnexBase.grow_series`` only ever
+        writes past.
         """
         self = object.__new__(cls)
         self._name = name

@@ -22,17 +22,17 @@ and the next dispatched read first publishes epoch ``n + 1`` — as a
 *tail* when one will do.  A tail (:meth:`~repro.core.base.OnexBase.tail`)
 is what the base gained since the last epoch's mark: the rows each
 bucket appended, as ``(series, start)`` handles and owning groups, and
-the raw and normalised points each series appended.  It is read off the
-supervisor's stores in well under a millisecond and recorded in the
-pool's snapshot table after the last full snapshot.  A full ``epoch-<n>``
-snapshot (:func:`~repro.core.mmap_layout.save_base_snapshot`, one array
-dump) is written instead:
+the raw points each series appended (finite, so always strict JSON; the
+worker normalises them itself).  It is read off the supervisor's stores
+in well under a millisecond and recorded in the pool's snapshot table
+after the last full snapshot.  A full ``epoch-<n>`` snapshot
+(:func:`~repro.core.mmap_layout.save_base_snapshot`, one array dump) is
+written instead:
 
 - on the first read after a load, a restart or a reload;
 - when the rows the tails since the last snapshot carry would exceed the
   snapshot's own — amortised doubling, so the tails never cost more than
   one snapshot;
-- when the tail is not strict JSON (a point normalised to ``inf``);
 - after a worker failed to map the current snapshot.
 
 Nothing is broadcast: every dispatched frame carries its dataset's
@@ -59,9 +59,6 @@ workers / all busy) and :class:`~repro.exceptions.WorkerCrashedError`
 
 from __future__ import annotations
 
-import hashlib
-import json
-import re
 import shutil
 import threading
 import time
@@ -70,6 +67,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.core.mmap_layout import clean_stale_snapshots, save_base_snapshot
+from repro.durability.manager import dataset_slug
 from repro.exceptions import PersistenceError
 from repro.obs.logs import get_logger, log_event
 from repro.obs.metrics import REGISTRY
@@ -89,12 +87,6 @@ _PUBLISH_TOTAL = REGISTRY.counter(
 _PUBLISH_MS = REGISTRY.histogram(
     "onex_pool_snapshot_publish_ms", "Epoch publication latency"
 )
-
-
-def _dataset_slug(name: str) -> str:
-    safe = re.sub(r"[^A-Za-z0-9._-]", "_", name)[:48]
-    digest = hashlib.sha1(name.encode()).hexdigest()[:8]
-    return f"{safe}-{digest}"
 
 
 class _Publication:
@@ -357,7 +349,7 @@ class Supervisor:
             kind = "tail"
         else:
             path = save_base_snapshot(
-                base, self._root / _dataset_slug(name) / f"epoch-{epoch}"
+                base, self._root / dataset_slug(name) / f"epoch-{epoch}"
             )
             self.pool.remap(name, str(path), epoch)
             old = pub.path
@@ -392,17 +384,13 @@ class Supervisor:
     def _tail(base: Any, pub: _Publication) -> tuple[int, dict] | None:
         """``(rows, tail)`` of what *base* gained since *pub*'s epoch, or
         None when a full snapshot must be written instead: there is no
-        snapshot to build on, the tails since it would carry more rows
-        than it holds, or the tail is not strict JSON."""
+        snapshot to build on, or the tails since it would carry more rows
+        than it holds."""
         if pub.path is None or pub.base is None or pub.base() is not base:
             return None
         tail = base.tail(pub.mark)
         rows = sum(len(owners) for _, owners, _ in tail["buckets"])
         if pub.tail_rows + rows > pub.snapshot_rows:
-            return None
-        try:
-            json.dumps(tail, allow_nan=False)
-        except (TypeError, ValueError):  # e.g. a point normalised to inf
             return None
         return rows, tail
 

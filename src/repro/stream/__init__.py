@@ -3,12 +3,11 @@
 The demo's pitch is loading data "with a click"; this subsystem goes one
 step further and keeps a built base live under continuous arrivals:
 
-- :mod:`repro.stream.buffer` — grow-only per-series value buffers with
-  stable read-only snapshots (O(1) publication per append).
 - :mod:`repro.stream.ingest` — :class:`StreamIngestor`, the write path:
-  point appends complete windows that are batch-assigned to similarity
-  groups in place (append/rebuild result equivalence is the subsystem's
-  core invariant, asserted by property tests).
+  point appends grow the base's series (``OnexBase.grow_series``) and
+  complete windows that are batch-assigned to similarity groups in place
+  (append/rebuild result equivalence is the subsystem's core invariant,
+  asserted by property tests).
 - :mod:`repro.stream.spring_online` — a vectorised, exact SPRING matcher
   (Sakurai et al.) powering unconstrained subsequence match events.
 - :mod:`repro.stream.monitor` — standing pattern queries: the ONEX
@@ -21,7 +20,6 @@ dataset (``append_points`` / ``register_monitor`` / ``poll_events``), and
 the server/CLI layers wire those through to HTTP and the shell.
 """
 
-from repro.stream.buffer import SeriesBuffer
 from repro.stream.events import StreamEvent
 from repro.stream.ingest import StreamIngestor
 from repro.stream.monitor import MonitorRegistry, PatternMonitor
@@ -31,7 +29,6 @@ __all__ = [
     "MonitorRegistry",
     "OnlineSpringMatcher",
     "PatternMonitor",
-    "SeriesBuffer",
     "StreamEvent",
     "StreamIngestor",
 ]

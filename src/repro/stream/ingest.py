@@ -1,11 +1,11 @@
 """Continuous ingestion into a built ONEX base.
 
 :class:`StreamIngestor` is the write path of the live subsystem: point
-appends to named series arrive in arbitrary chunks, land in grow-only
-buffers (:mod:`repro.stream.buffer`), and are published to the base's
-datasets as stable snapshots; every window the new points complete is
-then indexed in place through the base's batched fixed-representative
-assignment (:meth:`repro.core.base.OnexBase.index_new_windows`), and the
+appends to named series arrive in arbitrary chunks and grow the base's
+series through :meth:`repro.core.base.OnexBase.grow_series`; every window
+the new points complete is then indexed in place through the base's
+batched fixed-representative assignment
+(:meth:`repro.core.base.OnexBase.index_new_windows`), and the
 :class:`~repro.stream.monitor.MonitorRegistry` is notified so standing
 queries fire.
 
@@ -25,11 +25,8 @@ from numpy.typing import ArrayLike
 
 from repro.core.base import OnexBase
 from repro.core.deadline import Deadline
-from repro.data.timeseries import TimeSeries
-from repro.exceptions import DatasetError, ValidationError
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import span
-from repro.stream.buffer import SeriesBuffer
 from repro.stream.events import StreamEvent
 from repro.stream.monitor import MonitorRegistry
 
@@ -62,17 +59,12 @@ class StreamIngestor:
         base.stats  # raises NotBuiltError early when unbuilt
         self._base = base
         self.registry = registry if registry is not None else MonitorRegistry(base)
-        self._buffers: dict[str, SeriesBuffer] = {}
         self.points_ingested = 0
         self.windows_indexed = 0
 
     @property
     def base(self) -> OnexBase:
         return self._base
-
-    def series_names(self) -> list[str]:
-        """Names of the series that have received live appends."""
-        return sorted(self._buffers)
 
     def append_points(
         self, series_name: str, values: ArrayLike, deadline: Deadline | None = None
@@ -87,36 +79,11 @@ class StreamIngestor:
         points themselves are already appended and indexed when it fires,
         so the raised error means lost *events*, not lost data.
         """
-        if not isinstance(series_name, str) or not series_name:
-            raise ValidationError("series name must be a non-empty string")
-        buffer = self._buffers.get(series_name)
-        raw_dataset = self._base.raw_dataset
-        created_series = False
-        if buffer is None:
-            if series_name in raw_dataset:
-                existing = raw_dataset[series_name]
-                buffer = SeriesBuffer(
-                    series_name,
-                    self._base.normalization_bounds,
-                    initial_raw=existing.values,
-                    initial_norm=self._base.dataset[series_name].values,
-                )
-            else:
-                buffer = SeriesBuffer(
-                    series_name,
-                    self._base.normalization_bounds,
-                    channels=self._base.channels,
-                )
-                created_series = True
-        previous_length = len(buffer)
-        normalized_chunk = buffer.extend(values)
-        # Register the buffer only once the chunk validated — a rejected
-        # first append must not leave an orphan buffer shadowing the
-        # (never created) series.
-        self._buffers[series_name] = buffer
-        self._publish(series_name, created_series)
-        series_index = self._base.dataset.index_of(series_name)
-        with span("stream.index", points=int(normalized_chunk.shape[0])) as sp:
+        series_index, previous_length, normalized_chunk = self._base.grow_series(
+            series_name, values, {"stream": True}
+        )
+        points = len(normalized_chunk)
+        with span("stream.index", points=points) as sp:
             assignments = self._base.index_new_windows(
                 series_index, previous_length
             )
@@ -134,9 +101,9 @@ class StreamIngestor:
                 deadline,
             )
             sp.add(events=len(events))
-        self.points_ingested += normalized_chunk.shape[0]
+        self.points_ingested += points
         self.windows_indexed += len(assignments)
-        _POINTS_TOTAL.inc(int(normalized_chunk.shape[0]))
+        _POINTS_TOTAL.inc(points)
         _WINDOWS_TOTAL.inc(len(assignments))
         _EVENTS_TOTAL.inc(len(events))
         _ASSIGN_CENTROIDS.inc(assignments.centroids)
@@ -144,8 +111,8 @@ class StreamIngestor:
         created_groups = int(assignments.created.sum())
         return {
             "series": series_name,
-            "points": int(normalized_chunk.shape[0]),
-            "total_points": len(buffer),
+            "points": points,
+            "total_points": previous_length + points,
             "windows": len(assignments),
             "joined_existing_groups": len(assignments) - created_groups,
             "new_groups": created_groups,
@@ -173,29 +140,3 @@ class StreamIngestor:
     def flush_monitors(self) -> list[StreamEvent]:
         """Flush pending SPRING candidates when a finite stream ends."""
         return self.registry.flush()
-
-    def _publish(self, series_name: str, created_series: bool) -> None:
-        """Swap the series' latest snapshots into the base's datasets.
-
-        Snapshots are read-only views of grow-only buffers, so publishing
-        costs O(1) regardless of history length; existing
-        ``SubsequenceRef`` handles keep resolving to identical values.
-        """
-        buffer = self._buffers[series_name]
-        raw_dataset = self._base.raw_dataset
-        norm_dataset = self._base.dataset
-        metadata = (
-            raw_dataset[series_name].metadata
-            if not created_series
-            else {"stream": True}
-        )
-        raw = TimeSeries._wrap(series_name, buffer.raw_snapshot(), metadata)
-        norm = TimeSeries._wrap(series_name, buffer.norm_snapshot(), metadata)
-        if created_series:
-            raw_dataset.add(raw)
-            if norm_dataset is not raw_dataset:
-                norm_dataset.add(norm)
-        else:
-            raw_dataset.replace_series(raw)
-            if norm_dataset is not raw_dataset:
-                norm_dataset.replace_series(norm)

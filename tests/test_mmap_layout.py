@@ -101,10 +101,17 @@ class TestRoundTrip:
 
 class TestReadOnlyGates:
     def test_mutations_raise_read_only(self, snapshot):
+        """A refused write, an append included, leaves no partial state."""
         base, _ = load_base_snapshot(snapshot)
         assert base.read_only
+        lengths = lambda: [[(s.name, len(s)) for s in d] for d in (base.raw_dataset, base.dataset)]
+        before = lengths()
         with pytest.raises(ReadOnlyBaseError):
             base.add_series(TimeSeries("nope", np.arange(30.0)))
+        for name in ("s0", "live"):  # an existing series, a new name
+            with pytest.raises(ReadOnlyBaseError):
+                StreamIngestor(base).append_points(name, [0.1, 0.2, 0.3])
+            assert lengths() == before
 
     def test_materialised_copy_is_writable(self, snapshot):
         base, _ = load_base_snapshot(snapshot, mmap_mode=None)

@@ -11,7 +11,8 @@ the same ``apply_windows`` half that ingestion runs).  Covered here:
 - a 2-worker supervisor answers exactly as its own service across
   seeded interleavings of writes, reads on alternating slots, a killed
   worker, full snapshots between tails and a forced WAL compaction;
-- a tail that is not strict JSON is published as a full snapshot.
+- a point that normalises to ``inf`` still travels as a tail: tails
+  carry raw points only, and the worker normalises them itself.
 """
 
 import json
@@ -111,6 +112,25 @@ class TestApplyHalf:
             replica.add_series(TimeSeries("late", _series(rng, 12, channels)))
         # Nothing is left to ship once the mark catches up.
         assert base.tail(base.mark()) == {"series": [], "buckets": []}
+
+    def test_second_tail_outgrows_the_first_store(self, tmp_path):
+        """The first tail copies s1 off its mmap view into a store of 48
+        points and the second grows past it: earlier views keep their bytes."""
+        rng, engine = np.random.default_rng(22), OnexEngine(QueryConfig())
+        series = [TimeSeries(f"s{i}", _series(rng, 24, 1)) for i in range(3)]
+        engine.load_dataset(TimeSeriesDataset(series, name="g"), similarity_threshold=0.2,
+                            min_length=6, max_length=8)
+        base, held = engine.base("g"), []
+        replica = load_base_snapshot(save_base_snapshot(base, tmp_path / "e1"))[0]
+        for points in (3, 60):
+            mark = base.mark()
+            engine.append_points("g", "s1", _series(rng, points, 1))
+            held += [(s.values, s.values.tobytes()) for s in (*replica.raw_dataset, *replica.dataset)]
+            replica.apply_tail(json.loads(json.dumps(base.tail(mark))))
+        assert all(view.tobytes() == saved for view, saved in held)
+        assert _bucket_arrays(replica) == _bucket_arrays(base)
+        assert _values(replica.raw_dataset) == _values(base.raw_dataset)
+        assert _values(replica.dataset) == _values(base.dataset)
 
     def test_append_takes_seeds_anywhere_in_order(self):
         engine = OnexEngine(QueryConfig())
@@ -259,10 +279,10 @@ def test_pooled_equals_single_process(durable_supervisor, seed):
     assert durable_supervisor.pool.failovers == 0
 
 
-def test_non_strict_tail_publishes_a_snapshot(tmp_path, monkeypatch):
+def test_point_normalised_to_inf_travels_as_a_tail(tmp_path, monkeypatch):
     """A finite point that normalises to ``inf`` under narrow build
-    bounds has no JSON value: that epoch is a full snapshot, and no
-    worker is lost to an unencodable frame."""
+    bounds ships raw in a strict-JSON tail, and the worker derives the
+    same ``inf``: pooled answers equal the service's, no worker lost."""
     tune_pool(monkeypatch, backoff_base_s=0.05)
     rng = np.random.default_rng(6)
     dataset = TimeSeriesDataset(
@@ -279,7 +299,7 @@ def test_non_strict_tail_publishes_a_snapshot(tmp_path, monkeypatch):
         describe = Request("describe", {"dataset": "narrow"})
         query = Request("k_best", {"dataset": "narrow", "query": [0.0, 5e-12, 1e-11, 0.0], "k": 2})
         assert sup.handle(describe).ok
-        for values, tails in (([5e-12, 2e-12], 1), ([1e300], 0), ([3e-12], 1)):
+        for tails, values in enumerate(([5e-12, 2e-12], [1e300], [3e-12]), 1):
             assert sup.handle(
                 Request("append_points", {"dataset": "narrow", "series": "s0", "values": values})
             ).ok

@@ -228,9 +228,10 @@ class TestRepositoryLayout:
         (a bare name anywhere in it, a partial path by suffix), and the
         names after a ``file.py::`` are defined in that file; a
         ``Class.attr`` of a class under ``src/`` names something its module
-        defines.  Names a running server writes (``wal.log``,
-        ``meta.json``) and templates (``<data-dir>/...``) are not repo
-        paths and are not checked."""
+        defines; a dotted ``repro.a.b`` resolves by import plus ``getattr``.
+        Names a running server writes (``wal.log``, ``meta.json``) and
+        templates (``<data-dir>/...``) are not repo paths and are not
+        checked."""
         files, modules = [], {}
         for directory, subdirs, names in os.walk(ROOT):
             subdirs[:] = [d for d in subdirs if d not in (".git", ".bench_work")]
@@ -246,6 +247,11 @@ class TestRepositoryLayout:
                     modules[cls],
                     re.M,
                 ), f"{doc} names `{cls}.{attr}`; {cls}'s module defines no {attr}"
+            for dotted in set(re.findall(r"`(repro(?:\.\w+)+)", text)):
+                try:
+                    pkgutil.resolve_name(dotted)
+                except (ImportError, AttributeError):
+                    pytest.fail(f"{doc} names `{dotted}`, which does not resolve")
             for path, names in set(re.findall(r"`([\w./-]+)(?:::([\w:]+))?`", text)):
                 if not (
                     path.endswith(".py")

@@ -1,4 +1,5 @@
-"""Tests for the streaming write path (repro.stream.ingest / buffer).
+"""Tests for the streaming write path (``OnexBase.grow_series`` and
+repro.stream.ingest).
 
 The headline contract is **append/rebuild equivalence**: any sequence of
 point appends leaves the base answering exact-strategy queries exactly
@@ -18,8 +19,9 @@ from repro.core.config import BuildConfig, QueryConfig
 from repro.core.query import QueryProcessor
 from repro.data.dataset import TimeSeriesDataset
 from repro.data.timeseries import TimeSeries
+from repro.distances.normalize import minmax_normalize
 from repro.exceptions import ValidationError
-from repro.stream import SeriesBuffer, StreamIngestor
+from repro.stream import StreamIngestor
 
 
 def make_base(normalize=True, st_value=0.15, step=1, seed=301):
@@ -41,33 +43,36 @@ def make_base(normalize=True, st_value=0.15, step=1, seed=301):
     return base
 
 
-class TestSeriesBuffer:
-    def test_snapshots_are_stable_and_readonly(self):
-        buf = SeriesBuffer("s", bounds=None)
-        buf.extend([1.0, 2.0, 3.0])
-        snap = buf.raw_snapshot()
-        buf.extend(np.arange(200, dtype=float))  # forces reallocation
-        assert snap.tolist() == [1.0, 2.0, 3.0]
+class TestGrowSeries:
+    def test_views_are_stable_and_readonly(self):
+        base = make_base(normalize=False)
+        base.grow_series("s", [1.0, 2.0, 3.0])
+        view = base.raw_dataset["s"].values
+        base.grow_series("s", np.arange(200, dtype=float))  # forces reallocation
+        assert view.tolist() == [1.0, 2.0, 3.0] == base.raw_dataset["s"].values[:3].tolist()
         with pytest.raises((ValueError, RuntimeError)):
-            snap[0] = 99.0
+            view[0] = 99.0
 
     def test_normalisation_matches_whole_series(self):
-        bounds = (0.0, 10.0)
-        buf = SeriesBuffer("s", bounds=bounds)
-        values = np.linspace(-2, 14, 40)
+        base = make_base()
+        lo, hi = base.normalization_bounds
+        values = np.linspace(lo - 2, hi + 4, 40)
         for v in values:
-            buf.extend([v])
-        from repro.distances.normalize import minmax_normalize
+            base.grow_series("s", [v])
+        expected = minmax_normalize(values, lo=lo, hi=hi)
+        assert np.array_equal(base.dataset["s"].values, expected)
 
-        expected = minmax_normalize(values, lo=bounds[0], hi=bounds[1])
-        assert np.array_equal(buf.norm_snapshot(), expected)
-
-    def test_rejects_bad_chunks(self):
-        buf = SeriesBuffer("s", bounds=None)
-        with pytest.raises(ValidationError):
-            buf.extend([])
-        with pytest.raises(ValidationError):
-            buf.extend([1.0, float("nan")])
+    def test_rejects_bad_chunks_with_nothing_added(self):
+        base = make_base()
+        lengths = lambda: [(s.name, len(s)) for d in (base.raw_dataset, base.dataset) for s in d]
+        before = lengths()
+        for name, chunk in (("s", []), ("s", [1.0, float("nan")]), ("s", [float("inf")]),
+                            ("", [1.0]), (base.raw_dataset[0].name, [[1.0], [2.0]])):
+            with pytest.raises(ValidationError):
+                base.grow_series(name, chunk)
+        assert lengths() == before
+        assert base.grow_series("s", [1.0, 2.0, 3.0])[1] == 0  # the name is still new
+        assert np.array_equal(base.raw_dataset["s"].values, [1.0, 2.0, 3.0])
 
 
 class TestStreamIngestor:
@@ -109,7 +114,6 @@ class TestStreamIngestor:
         ing.append_points("a", np.arange(3, dtype=float))
         assert ing.points_ingested == 11
         assert ing.windows_indexed > 0
-        assert ing.series_names() == ["a"]
 
     def test_step_respects_build_grid(self):
         base = make_base(step=2)
@@ -135,16 +139,6 @@ class TestStreamIngestor:
         summary = ing.append_points("live", [4.0])
         assert summary["windows"] == 1  # exactly the first length-4 window
         base.validate()
-
-    def test_rejects_garbage(self):
-        base = make_base()
-        ing = StreamIngestor(base)
-        with pytest.raises(ValidationError):
-            ing.append_points("", [1.0])
-        with pytest.raises(ValidationError):
-            ing.append_points("live", [])
-        with pytest.raises(ValidationError):
-            ing.append_points("live", [float("inf")])
 
     def test_existing_refs_still_resolve_after_appends(self):
         base = make_base()
@@ -318,17 +312,3 @@ class TestMemberMatrixGrowth:
             a = processor.best_match(q, normalize=False)
             b = oracle.best_match(q, base.lengths)
             assert (a.ref, a.distance) == (b.ref, b.distance)
-
-
-def test_rejected_first_append_leaves_series_usable():
-    """A failed first append must not orphan a buffer for the name."""
-    base = make_base()
-    ing = StreamIngestor(base)
-    with pytest.raises(ValidationError):
-        ing.append_points("live", [])
-    with pytest.raises(ValidationError):
-        ing.append_points("live", [float("nan")])
-    assert "live" not in base.raw_dataset
-    summary = ing.append_points("live", [1.0, 2.0, 3.0])
-    assert summary["total_points"] == 3
-    assert np.array_equal(base.raw_dataset["live"].values, [1.0, 2.0, 3.0])
