@@ -74,6 +74,21 @@ class TestGrowSeries:
         assert base.grow_series("s", [1.0, 2.0, 3.0])[1] == 0  # the name is still new
         assert np.array_equal(base.raw_dataset["s"].values, [1.0, 2.0, 3.0])
 
+    def test_point_by_point_growth_reallocates_logarithmically(self):
+        """200 one-point appends move each store at most five times
+        (capacities 16, 32, 64, 128, 256), and every view matches."""
+        base = make_base()
+        values = np.linspace(-1.0, 1.0, 200)
+        starts = [set(), set()]
+        for v in values:
+            base.grow_series("s", [v])
+            for seen, dataset in zip(starts, (base.raw_dataset, base.dataset)):
+                seen.add(dataset["s"].values.__array_interface__["data"][0])
+        assert [len(seen) for seen in starts] == [5, 5]
+        lo, hi = base.normalization_bounds
+        assert np.array_equal(base.raw_dataset["s"].values, values)
+        assert np.array_equal(base.dataset["s"].values, minmax_normalize(values, lo=lo, hi=hi))
+
 
 class TestStreamIngestor:
     def test_append_creates_series_and_indexes_windows(self):
@@ -139,6 +154,16 @@ class TestStreamIngestor:
         summary = ing.append_points("live", [4.0])
         assert summary["windows"] == 1  # exactly the first length-4 window
         base.validate()
+
+    def test_rejects_garbage(self):
+        base = make_base()
+        ing = StreamIngestor(base)
+        with pytest.raises(ValidationError):
+            ing.append_points("", [1.0])
+        with pytest.raises(ValidationError):
+            ing.append_points("live", [])
+        with pytest.raises(ValidationError):
+            ing.append_points("live", [float("inf")])
 
     def test_existing_refs_still_resolve_after_appends(self):
         base = make_base()
@@ -312,3 +337,17 @@ class TestMemberMatrixGrowth:
             a = processor.best_match(q, normalize=False)
             b = oracle.best_match(q, base.lengths)
             assert (a.ref, a.distance) == (b.ref, b.distance)
+
+
+def test_rejected_first_append_leaves_series_usable():
+    """A failed first append must leave no partial series under the name."""
+    base = make_base()
+    ing = StreamIngestor(base)
+    with pytest.raises(ValidationError):
+        ing.append_points("live", [])
+    with pytest.raises(ValidationError):
+        ing.append_points("live", [float("nan")])
+    assert "live" not in base.raw_dataset
+    summary = ing.append_points("live", [1.0, 2.0, 3.0])
+    assert summary["total_points"] == 3
+    assert np.array_equal(base.raw_dataset["live"].values, [1.0, 2.0, 3.0])
