@@ -120,7 +120,6 @@ def test_monitor_latency_and_exactness(benchmark, electricity, stream_values):
     events = benchmark.pedantic(run, rounds=1, iterations=1)
     benchmark.extra_info["appends"] = len(stream_values)
     benchmark.extra_info["events"] = len(events)
-    benchmark.extra_info["windows_pruned_by_prefilter"] = monitor.windows_pruned
     benchmark.extra_info["windows_checked"] = monitor.windows_checked
 
     # Exactness: SPRING events identical to a brute-force replay of the

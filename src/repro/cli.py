@@ -652,8 +652,7 @@ def _dispatch(args: argparse.Namespace) -> int:
                   f"({payload['windows_indexed']} windows indexed)")
             print(f"monitor {mon['monitor']}: pattern length "
                   f"{mon['pattern_length']}, epsilon {mon['epsilon']:.4f}, "
-                  f"prefilter pruned {mon['windows_pruned']}/"
-                  f"{mon['windows_checked']} windows")
+                  f"{mon['windows_checked']} windows checked")
             events = payload["events"]
             print(f"{len(events)} event(s):")
             for e in events[: args.max_events]:

@@ -133,10 +133,10 @@ class WindowAssignments:
     Parallel arrays, one entry per window of series ``series_index`` in
     (length, start) order: the window's ``lengths`` and ``starts``, the
     ``groups`` it was assigned to within its length's bucket and whether
-    it ``created`` its group.  The streaming monitors use these as their
-    group-level prefilter input.  Of ``centroids`` (window, same-length
-    representative) pairs in scope, the mean prescreen let ``evaluated``
-    through to exact ``ED_n``.
+    it ``created`` its group.  The streaming monitors check the
+    pattern-length windows among them.  Of ``centroids`` (window,
+    same-length representative) pairs in scope, the mean prescreen let
+    ``evaluated`` through to exact ``ED_n``.
     """
 
     series_index: int

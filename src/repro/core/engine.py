@@ -44,7 +44,6 @@ class LoadedDataset:
     dataset: TimeSeriesDataset
     base: OnexBase
     processor: QueryProcessor
-    stats: BaseStats
     ingestor: object | None = None
     #: Structure fingerprint captured at load time — the determinism
     #: handle surfaced by ``GET /health`` (incremental ingestion after
@@ -53,9 +52,6 @@ class LoadedDataset:
     #: Lazily built processors for per-request metric overrides, keyed by
     #: metric name; ``processor`` stays the default-config one.
     metric_processors: dict = field(default_factory=dict)
-    #: The processor that answered the most recent query operation —
-    #: what ``last_query_stats`` (and thus ``explain``) reads.
-    active_processor: QueryProcessor | None = None
 
 
 class OnexEngine:
@@ -122,7 +118,6 @@ class OnexEngine:
             dataset=dataset,
             base=base,
             processor=QueryProcessor(base, self._query_config),
-            stats=stats,
             fingerprint=base.structure_fingerprint(),
         )
         return stats
@@ -155,7 +150,6 @@ class OnexEngine:
             dataset=dataset,
             base=base,
             processor=QueryProcessor(base, self._query_config),
-            stats=base.stats,
             fingerprint=(
                 fingerprint
                 if fingerprint is not None
@@ -171,7 +165,7 @@ class OnexEngine:
             if stream_counters:
                 ingestor.restore_counters(**stream_counters)
             entry.ingestor = ingestor
-        return entry.stats
+        return base.stats
 
     def add_series(self, dataset_name: str, series: TimeSeries) -> dict:
         """Index one new series into a loaded dataset incrementally.
@@ -308,9 +302,6 @@ class OnexEngine:
     def base(self, name: str) -> OnexBase:
         return self._entry(name).base
 
-    def stats(self, name: str) -> BaseStats:
-        return self._entry(name).stats
-
     def fingerprint(self, name: str) -> str | None:
         """The dataset's load-time base structure fingerprint."""
         return self._entry(name).fingerprint
@@ -333,12 +324,6 @@ class OnexEngine:
             for name, entry in sorted(self._loaded.items())
         }
 
-    def last_query_stats(self, name: str) -> dict:
-        """The dataset processor's most recent ``QueryStats`` counters."""
-        entry = self._entry(name)
-        processor = entry.active_processor or entry.processor
-        return processor.last_stats.as_dict()
-
     def _processor(self, name: str, metric: str | None = None) -> QueryProcessor:
         """The dataset's query processor for *metric* (default: config's).
 
@@ -358,7 +343,6 @@ class OnexEngine:
                 config = replace(self._query_config, metric=str(metric))
                 processor = QueryProcessor(entry.base, config)
                 entry.metric_processors[metric] = processor
-        entry.active_processor = processor
         return processor
 
     # ------------------------------------------------------------------

@@ -396,11 +396,7 @@ class QueryProcessor:
             matches = self._run_search(
                 q, buckets, k, stats, deadline=self._deadline(deadline)
             )
-            sp.add(
-                groups_pruned=stats.groups_pruned,
-                rep_dtw_calls=stats.rep_dtw_calls,
-                member_dtw_calls=stats.member_dtw_calls,
-            )
+            sp.add(**stats.as_dict())
         self.last_stats = stats
         _publish_query(
             "k_best", self._config.mode, stats, started, self._config.metric
@@ -445,7 +441,7 @@ class QueryProcessor:
         outcomes: list[list[Match] | DeadlineExceeded] = []
         with span(
             "query.batch", queries=len(resolved), k=k, mode=self._config.mode
-        ):
+        ) as sp:
             for q in resolved:
                 try:
                     outcomes.append(
@@ -455,6 +451,7 @@ class QueryProcessor:
                     if not deadline.allow_partial:
                         raise
                     outcomes.append(exc)
+            sp.add(**stats.as_dict())
         self.last_stats = stats
         _publish_query(
             "batch", self._config.mode, stats, started, self._config.metric
@@ -516,11 +513,12 @@ class QueryProcessor:
         stats = QueryStats()
         with span(
             "query.threshold", threshold=float(threshold), mode=self._config.mode
-        ):
+        ) as sp:
             found, partial = self._threshold_scan(
                 q, threshold, stats, self._select_buckets(lengths), deadline
             )
             matches = self._matches(q, sorted(found), exact=not partial)
+            sp.add(**stats.as_dict())
         self.last_stats = stats
         _publish_query(
             "threshold", self._config.mode, stats, started, self._config.metric

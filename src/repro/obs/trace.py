@@ -30,6 +30,7 @@ from __future__ import annotations
 import threading
 import time
 import uuid
+from collections.abc import Iterator
 from typing import Any
 
 __all__ = [
@@ -156,11 +157,16 @@ class Trace:
     def finish(self) -> None:
         self.root.duration_ms = (time.perf_counter() - self._start) * 1000.0
 
-    def span_count(self) -> int:
-        def walk(node: Span) -> int:
-            return 1 + sum(walk(c) for c in node.children)
+    def spans(self) -> Iterator[Span]:
+        """Every recorded span in pre-order (the synthetic root excluded)."""
+        stack = list(reversed(self.root.children))
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
 
-        return walk(self.root) - 1  # the synthetic root doesn't count
+    def span_count(self) -> int:
+        return sum(1 for _ in self.spans())
 
     def as_dict(self) -> dict[str, Any]:
         return self.root.as_dict()

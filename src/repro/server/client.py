@@ -10,14 +10,13 @@ over plain urllib (stdlib only, like the server).  Its retry policy:
   retryable since the server dedupes them by ``request_id``: every call
   mints one ID and re-sends it verbatim on each retry, so a connection
   that died after the server executed yields the *recorded* response on
-  replay, never a double mutation.  ``retry_mutating=False`` restores
-  the old fail-fast behaviour (e.g. against a pre-durability server).
+  replay, never a double mutation.
 - Everything else (``load_dataset``, ``save_base``, ...) fails fast and
   leaves the decision to the caller.
 - Retries back off exponentially with full jitter; a server-sent
   ``Retry-After`` hint is honoured as the floor of the next delay; the
   *total* time spent waiting between attempts is bounded by
-  ``retry_budget_s`` so a retrying call cannot stall unboundedly.
+  ``_RETRY_BUDGET_S`` so a retrying call cannot stall unboundedly.
 - An exhausted budget raises :class:`~repro.exceptions.OverloadedError`
   (for sheds) or the underlying transport error, never a silent retry
   loop.
@@ -54,15 +53,20 @@ from repro.server.protocol import (
 
 __all__ = ["OnexClient"]
 
+#: Full-jitter exponential backoff: attempt ``n`` waits up to
+#: ``min(_BACKOFF_CAP_S, _BACKOFF_BASE_S * 2**n)`` seconds, and a call's
+#: waits together stop at ``_RETRY_BUDGET_S``.
+_BACKOFF_BASE_S = 0.1
+_BACKOFF_CAP_S = 2.0
+_RETRY_BUDGET_S = 15.0
+
 
 class OnexClient:
     """Calls one ONEX server; safe retries for idempotent operations.
 
-    *max_retries* bounds the re-sends after the first attempt;
-    *backoff_base_s*/*backoff_cap_s* shape the jittered exponential
-    delays and *retry_budget_s* bounds their total; *retry_mutating*
-    extends retries to the durable (request-id-deduplicated) mutating
-    operations.  *sleep* and *rng* exist for deterministic tests.
+    *max_retries* bounds the re-sends after the first attempt; the
+    delays between them are the module's backoff constants.  *sleep* and
+    *rng* exist for deterministic tests.
     """
 
     def __init__(
@@ -71,20 +75,12 @@ class OnexClient:
         *,
         timeout_s: float = 30.0,
         max_retries: int = 3,
-        backoff_base_s: float = 0.1,
-        backoff_cap_s: float = 2.0,
-        retry_budget_s: float = 15.0,
-        retry_mutating: bool = True,
         sleep: Callable[[float], None] = time.sleep,
         rng: random.Random | None = None,
     ) -> None:
         self.url = url.rstrip("/")
         self.timeout_s = float(timeout_s)
         self.max_retries = int(max_retries)
-        self.backoff_base_s = float(backoff_base_s)
-        self.backoff_cap_s = float(backoff_cap_s)
-        self.retry_budget_s = float(retry_budget_s)
-        self.retry_mutating = bool(retry_mutating)
         self._sleep = sleep
         self._rng = rng if rng is not None else random.Random()
         self.calls = 0
@@ -130,10 +126,8 @@ class OnexClient:
             self._mutating_stats["last_op"] = op
             self._mutating_stats["last_request_id"] = request_id
         body = request.to_json().encode()
-        retryable = op in READ_ONLY_OPERATIONS or (
-            mutating and self.retry_mutating
-        )
-        budget_expires = time.monotonic() + self.retry_budget_s
+        retryable = mutating or op in READ_ONLY_OPERATIONS
+        budget_expires = time.monotonic() + _RETRY_BUDGET_S
         attempt = 0
         while True:
             self._record_attempts(attempt + 1, mutating)
@@ -263,7 +257,7 @@ class OnexClient:
     ) -> None:
         """Sleep before re-sending: jittered exponential, floored at the
         server's ``Retry-After`` hint, capped to the remaining budget."""
-        cap = min(self.backoff_cap_s, self.backoff_base_s * (2**attempt))
+        cap = min(_BACKOFF_CAP_S, _BACKOFF_BASE_S * (2**attempt))
         delay = self._rng.uniform(0.0, cap)
         if retry_after is not None:
             delay = max(delay, retry_after)

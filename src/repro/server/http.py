@@ -104,6 +104,10 @@ __all__ = [
 
 _LOG = get_logger("server")
 
+#: How often the serve loop looks for :meth:`OnexHttpServer.stop`'s
+#: ``shutdown()``, so the longest a stop waits for it (stdlib: 0.5 s).
+_POLL_INTERVAL_S = 0.05
+
 _REQUESTS_TOTAL = REGISTRY.counter(
     "onex_server_requests_total",
     "HTTP API requests by operation and response status code",
@@ -760,7 +764,9 @@ class OnexHttpServer:
     def start(self) -> "OnexHttpServer":
         if self._thread is not None:
             return self
-        self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
+        self._thread = threading.Thread(
+            target=self._httpd.serve_forever, args=(_POLL_INTERVAL_S,), daemon=True
+        )
         self._thread.start()
         log_event(_LOG, "info", "server.started", url=self.url)
         return self

@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING, Any
 from repro.core.config import QueryConfig
 from repro.core.deadline import Deadline
 from repro.core.engine import OnexEngine
+from repro.core.query import QueryStats
 from repro.core.validation import as_bool_arg, as_optional_timeout_ms
 from repro.data.electricity import build_electricity_collection
 from repro.data.matters import build_matters_collection
@@ -61,6 +62,8 @@ _EXECUTION_ONLY_OPTIONS = ("timeout_ms", "allow_partial", "explain")
 _CASCADE_OPS = frozenset(
     {"best_match", "k_best", "query_batch", "matches_within"}
 )
+#: The ``QueryStats`` counters an explained cascade op reports.
+_STATS_KEYS = tuple(QueryStats().as_dict())
 
 #: Keyword arguments of load_dataset requests forwarded to the engine.
 _LOAD_OPTIONS = (
@@ -222,7 +225,7 @@ class OnexService:
                 with tracing(request_id) as trace:
                     with span(f"op.{op}", op=op):
                         result = handler(request.params)
-                result = self._attach_explain(op, request.params, result, trace)
+                result = self._attach_explain(op, result, trace)
             else:
                 result = handler(request.params)
             return Response.success(result).with_request_id(request_id)
@@ -361,18 +364,17 @@ class OnexService:
             raise ProtocolError(f"operation {op!r} does not accept 'explain'")
         return as_bool_arg(params["explain"], "explain")
 
-    def _attach_explain(
-        self, op: str, params: dict, result: Any, trace: Any
-    ) -> Any:
+    def _attach_explain(self, op: str, result: Any, trace: Any) -> Any:
         explain: dict[str, Any] = {
             "request_id": trace.request_id,
             "duration_ms": trace.root.duration_ms,
             "spans": trace.as_dict(),
         }
         if op in _CASCADE_OPS:
-            explain["stats"] = self._engine.last_query_stats(
-                str(params["dataset"])
-            )
+            # The request's own ``query.*`` span carries its counters; a
+            # processor's ``last_stats`` is shared by concurrent readers.
+            query = next(s for s in trace.spans() if s.name.startswith("query."))
+            explain["stats"] = {key: query.attrs[key] for key in _STATS_KEYS}
         # Every explain-capable handler returns an object payload.
         result["explain"] = explain
         return result

@@ -10,9 +10,9 @@ step further and keeps a built base live under continuous arrivals:
   asserted by property tests).
 - :mod:`repro.stream.spring_online` — a vectorised, exact SPRING matcher
   (Sakurai et al.) powering unconstrained subsequence match events.
-- :mod:`repro.stream.monitor` — standing pattern queries: the ONEX
-  group-level prefilter for window-aligned hits plus the exact SPRING
-  stream matcher, merged into one ordered event feed.
+- :mod:`repro.stream.monitor` — standing pattern queries: one batched
+  DTW check of the newly indexed pattern-length windows plus the exact
+  SPRING stream matcher, merged into one ordered event feed.
 - :mod:`repro.stream.events` — the typed, sequence-numbered events.
 
 :class:`repro.core.engine.OnexEngine` exposes the subsystem per loaded

@@ -17,7 +17,7 @@ __all__ = ["StreamEvent"]
 
 #: Exact SPRING subsequence match (unconstrained warping start/end).
 KIND_MATCH = "match"
-#: Window-aligned match surfaced by the group-level prefilter.
+#: Window-aligned match: a newly indexed pattern-length window within epsilon.
 KIND_WINDOW = "window"
 
 
@@ -28,7 +28,7 @@ class StreamEvent:
     ``kind`` is ``"match"`` for an exact SPRING subsequence match (the
     stream positions ``start``..``end`` inclusive warp onto the pattern
     within the monitor's epsilon) or ``"window"`` for a window-aligned
-    match found by the ONEX group-level prefilter (``end - start + 1``
+    match, a newly indexed window within epsilon (``end - start + 1``
     equals the pattern length).  ``distance`` is the summed L1 warping
     cost in the base's value space — the unit epsilon is expressed in.
     """

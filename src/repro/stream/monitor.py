@@ -10,23 +10,14 @@ two complementary event kinds (:class:`~repro.stream.events.StreamEvent`):
     among overlapping candidates.  These events are exact against a
     brute-force SPRING replay of the same stream.
 
-``"window"`` — the ONEX group-level prefilter.  The ingestor assigns each
-    newly completed pattern-length window to a similarity group anyway;
-    the monitor prunes in two representative-layer stages.  First the
-    base's representative table
-    (:meth:`repro.core.base.RepresentativeTable.cheap_bounds`, shared
-    with the query processor's rank stage; monitor DTW is unconstrained,
-    so the applicable bounds are the endpoint LB_Kim and per-centroid
-    min/max band — centroid Keogh envelopes only engage banded queries)
-    gives a *cheap* lower bound on ``DTW(pattern, rep)`` with no DTW at
-    all; a window whose group satisfies ``cheap - (2m-1) * cheb_radius >
-    epsilon`` is discarded without the representative ever being
-    DTW-evaluated.  Surviving groups get their exact representative DTW
-    computed once, lazily, and cached; the tighter transfer bound
-    ``DTW(p, rep) - (2m-1) * cheb_radius`` prunes again before any
-    window pays an exact DTW verification.  Representatives never move
-    (fixed-representative ingestion), so both caches stay valid; radii
-    only grow, which keeps the bounds conservative.
+``"window"`` — window-aligned hits.  The ingestor already names every
+    newly completed pattern-length window (its
+    :class:`~repro.core.base.WindowAssignments`); the monitor gathers those
+    windows from the base's normalised series and verifies them all with
+    one :func:`~repro.distances.dtw.dtw_distance_batch` call, emitting the
+    windows whose DTW to the pattern is within epsilon, in start order.
+    These events are exact against a brute-force scan of every completed
+    window.
 
 A :class:`MonitorRegistry` owns the monitors of one base, assigns the
 registry-wide event sequence numbers, and buffers events for polling.
@@ -41,9 +32,9 @@ from typing import Iterable
 import numpy as np
 from numpy.typing import ArrayLike
 
-from repro.core.base import LengthBucket, OnexBase, WindowAssignments
+from repro.core.base import OnexBase, WindowAssignments
 from repro.core.deadline import Deadline
-from repro.distances.dtw import dtw_distance
+from repro.distances.dtw import dtw_distance_batch
 from repro.distances.metrics import as_sequence
 from repro.exceptions import DatasetError, ValidationError
 from repro.obs.metrics import REGISTRY
@@ -56,14 +47,6 @@ __all__ = ["MonitorRegistry", "PatternMonitor"]
 _CHECKED_TOTAL = REGISTRY.counter(
     "onex_stream_windows_checked_total",
     "Windows inspected by standing monitors",
-)
-_PRUNED_TOTAL = REGISTRY.counter(
-    "onex_stream_windows_pruned_total",
-    "Windows pruned by monitor representative bounds",
-)
-_MONITOR_DTW_TOTAL = REGISTRY.counter(
-    "onex_stream_rep_dtw_total",
-    "Representative DTW evaluations made by standing monitors",
 )
 
 #: Events a registry buffers for polling; the oldest are dropped first.
@@ -90,9 +73,9 @@ class PatternMonitor:
         self.name = name
         self._base = base
         if base.channels > 1:
-            # SPRING matching and the representative transfer bounds are
-            # defined over scalar point streams; a multivariate standing
-            # query has no exact online semantics here yet.
+            # SPRING matching and the window check are defined over
+            # scalar point streams; a multivariate standing query has no
+            # exact online semantics here yet.
             raise ValidationError(
                 f"standing monitors support univariate bases only; this "
                 f"base has {base.channels} channels"
@@ -110,16 +93,7 @@ class PatternMonitor:
         self._epsilon = float(epsilon)
         self._series = series
         self._matchers: dict[str, tuple[int, OnlineSpringMatcher]] = {}
-        # Representative-layer caches over the pattern-length bucket,
-        # extended as ingestion spawns groups: cheap summary bounds
-        # (batched, no DTW) for every group, exact DTW(pattern, rep)
-        # computed one group at a time only when the cheap bound cannot
-        # prune (NaN = not yet needed).
-        self._rep_lb = np.empty(0)
-        self._rep_dtw = np.empty(0)
         self.windows_checked = 0
-        self.windows_pruned = 0
-        self.rep_dtw_calls = 0
 
     @property
     def pattern_length(self) -> int:
@@ -163,68 +137,29 @@ class PatternMonitor:
         assignments: WindowAssignments,
         deadline: Deadline | None = None,
     ) -> list[tuple[str, int, int, float]]:
-        """Group-prefilter the newly indexed windows; return verified hits.
+        """Verify the newly indexed pattern-length windows; return the hits.
 
-        A *deadline* is checked per pattern-length window and always
-        raises: a silently skipped window would be a lost match event, so
-        there is no partial degrade on the monitor path.
+        A *deadline* is checked once, before the one batched DTW call, and
+        always raises: a silently skipped window would be a lost match
+        event, so there is no partial degrade on the monitor path.
         """
         m = self.pattern_length
-        out: list[tuple[str, int, int, float]] = []
-        try:
-            bucket = self._base.bucket(m)
-        except DatasetError:
-            return out  # pattern length not indexed: no window-aligned view
-        max_path = 2 * m - 1
-        dataset = self._base.dataset
-        series = dataset[assignments.series_index]
-        series_name = series.name
-        if not self.watches(series_name):
-            return out
-        before = (self.windows_checked, self.windows_pruned, self.rep_dtw_calls)
-        aligned = assignments.lengths == m
-        for scanned, (start, g) in enumerate(
-            zip(
-                assignments.starts[aligned].tolist(),
-                assignments.groups[aligned].tolist(),
-            )
-        ):
-            faults.fire("stream.step")
-            if deadline is not None:
-                deadline.check(
-                    "stream window scan",
-                    {"windows_scanned": scanned, "hits": len(out)},
-                )
-            self.windows_checked += 1
-            if g >= self._rep_lb.shape[0]:
-                self._extend_rep_cache(bucket)
-            cheb = float(bucket.cheb_radii[g])
-            if self._rep_lb[g] - max_path * cheb > self._epsilon:
-                # The cheap summary bound already rules the whole group
-                # out — the representative never gets a DTW call.
-                self.windows_pruned += 1
-                continue
-            raw_rep = float(self._rep_dtw[g])
-            if math.isnan(raw_rep):
-                raw_rep = float(dtw_distance(self._pattern, bucket.centroids[g]))
-                self._rep_dtw[g] = raw_rep
-                self.rep_dtw_calls += 1
-            if raw_rep - max_path * cheb > self._epsilon:
-                self.windows_pruned += 1
-                continue
-            if cheb == 0.0:
-                # Every member of a zero-radius group equals the
-                # representative, so the cached representative DTW *is*
-                # the exact distance (fresh singletons hit this path).
-                raw = raw_rep
-            else:
-                raw = float(dtw_distance(self._pattern, series.subsequence(start, m)))
-            if raw <= self._epsilon:
-                out.append((series_name, start, start + m - 1, raw))
-        _CHECKED_TOTAL.inc(self.windows_checked - before[0])
-        _PRUNED_TOTAL.inc(self.windows_pruned - before[1])
-        _MONITOR_DTW_TOTAL.inc(self.rep_dtw_calls - before[2])
-        return out
+        series = self._base.dataset[assignments.series_index]
+        starts = assignments.starts[assignments.lengths == m]
+        if not starts.size or not self.watches(series.name):
+            return []
+        faults.fire("stream.step")
+        if deadline is not None:
+            deadline.check("stream window scan", {"windows": int(starts.size)})
+        self.windows_checked += int(starts.size)
+        _CHECKED_TOTAL.inc(int(starts.size))
+        rows = series.values[starts[:, None] + np.arange(m)]
+        dists = dtw_distance_batch(self._pattern, rows)
+        return [
+            (series.name, start, start + m - 1, raw)
+            for start, raw in zip(starts.tolist(), dists.tolist())
+            if raw <= self._epsilon
+        ]
 
     def flush(self) -> list[tuple[str, int, int, float]]:
         """Flush every matcher's pending candidate (end-of-stream report).
@@ -241,23 +176,6 @@ class PatternMonitor:
             )
         return out
 
-    def _extend_rep_cache(self, bucket: LengthBucket) -> None:
-        """Extend the cheap-bound cache to newly spawned groups.
-
-        The cheap bounds come from the base's representative table in one
-        batched evaluation (no DTW); the exact slots are seeded NaN and
-        filled one group at a time when the cheap bound cannot prune.
-        """
-        table = self._base.rep_table
-        known = self._rep_lb.shape[0]
-        fresh = table.cheap_bounds(
-            self._pattern, table.rows_of([bucket.length])[known:]
-        )
-        self._rep_lb = np.concatenate([self._rep_lb, fresh])
-        self._rep_dtw = np.concatenate(
-            [self._rep_dtw, np.full(fresh.shape[0], np.nan)]
-        )
-
     def describe(self) -> dict:
         """Registration/introspection payload."""
         return {
@@ -266,8 +184,9 @@ class PatternMonitor:
             "epsilon": self._epsilon,
             "series": self._series,
             "windows_checked": self.windows_checked,
-            "windows_pruned": self.windows_pruned,
-            "rep_dtw_calls": self.rep_dtw_calls,
+            # No window is skipped before its DTW; the key stays for
+            # readers of this payload that still sum it.
+            "windows_pruned": 0,
         }
 
     def snapshot(self) -> dict:
@@ -285,8 +204,6 @@ class PatternMonitor:
             "epsilon": self._epsilon,
             "series": self._series,
             "windows_checked": self.windows_checked,
-            "windows_pruned": self.windows_pruned,
-            "rep_dtw_calls": self.rep_dtw_calls,
         }
 
 
@@ -363,8 +280,8 @@ class MonitorRegistry:
         """Notify every applicable monitor of one append; emit its events.
 
         SPRING matches are emitted first (they were *reported* while the
-        points arrived), then the prefiltered window matches of the same
-        append, each batch in stream order.
+        points arrived), then the window matches of the same append, each
+        batch in stream order.
         """
         emitted: list[StreamEvent] = []
         for monitor in self._monitors.values():
@@ -446,8 +363,6 @@ class MonitorRegistry:
                 name=snap["name"],
             )
             monitor.windows_checked = int(snap.get("windows_checked", 0))
-            monitor.windows_pruned = int(snap.get("windows_pruned", 0))
-            monitor.rep_dtw_calls = int(snap.get("rep_dtw_calls", 0))
         self._seq = int(event_seq)
 
     @property

@@ -52,7 +52,7 @@ Registered failpoint names (kept in sync with the call sites):
   (receives the temp ``arrays.bin`` as ``path``);
 - ``persist.rename`` — after the rename, before the parent-directory
   fsync that makes it durable (receives the final directory as ``path``);
-- ``stream.step`` — per window assignment in the monitor step loop;
+- ``stream.step`` — once per monitor window check, before its DTW call;
 - ``server.handle`` — around request dispatch in the HTTP handler;
 - ``wal.append`` — before a WAL record's bytes are written (receives
   ``path`` and ``seq``);

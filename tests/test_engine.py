@@ -27,7 +27,7 @@ def engine(matters):
 
 class TestLoading:
     def test_load_reports_stats(self, engine, matters):
-        stats = engine.stats(matters.name)
+        stats = engine.base(matters.name).stats
         assert stats.groups > 0
         assert stats.compaction_ratio > 1.0
         assert engine.dataset_names == [matters.name]

@@ -16,6 +16,7 @@ import pytest
 
 from repro.durability.idempotency import IdempotencyWindow
 from repro.exceptions import OverloadedError
+from repro.server import client as client_module
 from repro.server.client import OnexClient
 from repro.server.http import OnexHttpServer
 from repro.server.protocol import Response
@@ -183,11 +184,10 @@ class TestClientMutatingRetries:
         assert metrics["mutating"]["last_attempts"] >= 2
         assert metrics["mutating"]["last_request_id"]
 
-    def test_zero_budget_fails_fast(self, server):
+    def test_zero_budget_fails_fast(self, server, monkeypatch):
+        monkeypatch.setattr(client_module, "_RETRY_BUDGET_S", 0.0)
         blocker = self._occupy(server, 0.4)
-        client = OnexClient(
-            server.url, max_retries=5, retry_budget_s=0.0, sleep=lambda s: None
-        )
+        client = OnexClient(server.url, max_retries=5, sleep=lambda s: None)
         with pytest.raises(OverloadedError):
             client.call("append_points", _APPEND)
         blocker.join(timeout=30)

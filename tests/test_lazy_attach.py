@@ -27,6 +27,7 @@ from repro.data.dataset import TimeSeriesDataset
 from repro.data.matters import build_matters_collection
 from repro.data.timeseries import TimeSeries
 from repro.exceptions import ReadOnlyBaseError
+from repro.obs.trace import tracing
 from repro.server.protocol import POOL_DISPATCHED_OPERATIONS
 from repro.server.service import OnexService
 
@@ -65,6 +66,15 @@ def floor_engine(similarity_threshold=0.05):
         max_length=24,
     )
     return engine, dataset.name
+
+
+def traced_k_best(engine, name, query):
+    """``k_best`` (k 5) under a trace: the matches and the groups the
+    request's ``query.k_best`` span says it refined."""
+    with tracing() as trace:
+        matches = engine.k_best_matches(name, query, 5)
+    (sp,) = [s for s in trace.spans() if s.name == "query.k_best"]
+    return matches, sp.attrs["groups_refined"]
 
 
 @pytest.fixture(scope="module")
@@ -107,9 +117,9 @@ class TestLazinessIsACount:
         engine.restore_dataset(base.raw_dataset, base, fingerprint="x")
         name = base.raw_dataset.name
         query = built_base.raw_dataset[3].values[2:14]
-        matches = engine.k_best_matches(name, query, 5)
+        matches, refined = traced_k_best(engine, name, query)
         assert len(matches) == 5
-        assert engine.last_query_stats(name)["groups_refined"] > 0
+        assert refined > 0
         # Member rows, handles and group ids come off the bucket arrays.
         assert group_builds == []
 
@@ -140,8 +150,9 @@ class TestLazinessIsACount:
             tail = base.raw_dataset[target].values[-4:]
             engine.append_points(name, target, tail + rng.normal(scale=0.5, size=4))
         query = base.raw_dataset[3].values[2:14]
-        assert len(engine.k_best_matches(name, query, 5)) == 5
-        assert engine.last_query_stats(name)["groups_refined"] > 0
+        matches, refined = traced_k_best(engine, name, query)
+        assert len(matches) == 5
+        assert refined > 0
         base.save(tmp_path / "grown")
         assert base.stats.groups > built.stats.groups
         assert group_builds == []

@@ -5,6 +5,7 @@ import io
 import json
 import logging
 import shutil
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -272,10 +273,43 @@ class TestExplain:
         spans = explain["spans"]
         assert spans["name"] == "trace"
         assert spans["children"][0]["name"] == "op.k_best"
-        assert isinstance(explain["stats"], dict)
+        assert list(explain["stats"]) == [
+            "representatives_total", "rep_lb_prunes", "rep_dtw_calls",
+            "rep_dtw_skipped", "groups_pruned", "groups_refined",
+            "members_scanned", "member_lb_prunes", "member_dtw_calls",
+            "member_path_calls", "batch_queries", "partial_results",
+        ]
         assert explain["stats"]["rep_dtw_calls"] >= 0
         result_only = {k: v for k, v in explained.result.items() if k != "explain"}
         assert result_only == plain.result
+
+    def test_concurrent_explains_report_their_own_counters(self, service):
+        """Explained queries racing on one dataset each report the
+        counters of their own query, not of whichever query the shared
+        processor answered last."""
+        queries = ([0.2, 0.5, 0.3, 0.6], [0.9, 0.1, 0.8, 0.2, 0.7, 0.3, 0.6])
+
+        def explained(query):
+            resp = service.handle(
+                Request(
+                    "k_best",
+                    {"dataset": "MATTERS-sim", "query": query, "k": 3,
+                     "explain": True},
+                )
+            )
+            assert resp.ok, resp.error_message
+            return resp.result["explain"]["stats"]
+
+        want = [explained(q) for q in queries]
+        assert want[0] != want[1]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                got = list(pool.map(lambda i: explained(queries[i % 2]), range(400)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert [g == want[i % 2] for i, g in enumerate(got)] == [True] * 400
 
     def test_explain_on_analytics_has_no_stats_block(self, service):
         resp = service.handle(

@@ -266,26 +266,9 @@ class TestClientRetries:
         # Every backoff was floored at the server's Retry-After hint (1s).
         assert all(delay >= 1.0 for delay in delays)
 
-    def test_mutating_op_not_retried_when_opted_out(self, server):
-        # Durable mutating ops retry by default (request-id dedup makes
-        # them idempotent — see test_idempotent_retries.py); opting out
-        # restores PR 6's fail-fast behaviour.
-        blocker = self._occupy(server, 0.4)
-        client = OnexClient(
-            server.url, max_retries=5, retry_mutating=False, sleep=lambda s: None
-        )
-        with pytest.raises(OverloadedError) as excinfo:
-            client.call(
-                "append_points",
-                {"dataset": _DATASET, "series": "live", "values": [0.1, 0.2]},
-            )
-        blocker.join(timeout=30)
-        assert client.retries_performed == 0
-        assert excinfo.value.retry_after == 1.0
-
     def test_non_durable_mutating_op_never_retried(self, server):
         # save_base is mutating but not request-id-deduplicated, so it
-        # stays non-retryable even with retry_mutating on.
+        # stays non-retryable while durable mutating ops retry.
         blocker = self._occupy(server, 0.4)
         client = OnexClient(server.url, max_retries=5, sleep=lambda s: None)
         with pytest.raises(OverloadedError):

@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 from repro.baselines.spring import SpringMatcher
 from repro.core.base import OnexBase
 from repro.core.config import BuildConfig
+from repro.core.engine import OnexEngine
 from repro.data.dataset import TimeSeriesDataset
+from repro.data.timeseries import TimeSeries
 from repro.distances.dtw import dtw_distance
 from repro.exceptions import DatasetError, ValidationError
 from repro.stream import MonitorRegistry, OnlineSpringMatcher, StreamIngestor
@@ -127,43 +129,57 @@ class TestPatternMonitor:
             assert e["distance"] == pytest.approx(w.distance, abs=1e-9)
         assert monitor.describe()["windows_checked"] > 0
 
-    def test_window_events_match_brute_force_window_scan(self):
-        base = make_base()
+    @pytest.mark.usefixtures("kernel_backend")
+    @pytest.mark.parametrize("added", [0, 36])
+    def test_window_events_match_brute_force_window_scan(self, added):
+        """Every window an append completes is checked against the
+        normalised series: 4-point appends to a new series, or a series
+        added whole (*added* points) and then one chunk completing many
+        windows, the first of them starting in the added points."""
+        base = make_base(normalize=True)
         ing = StreamIngestor(base)
         pattern = base.dataset[1].values[5:11]
-        epsilon = 0.9
-        ing.registry.register(pattern, epsilon=epsilon, series="live")
-        rng = np.random.default_rng(3)
+        epsilon = 0.4
+        monitor = ing.registry.register(pattern, epsilon=epsilon, series="live")
+        rng = np.random.default_rng(9)
+        raw = base.raw_dataset[1].values
         values = np.concatenate(
-            [rng.normal(size=15).cumsum(), pattern, rng.normal(size=10).cumsum()]
+            [rng.normal(size=30).cumsum(), raw[5:11], raw[3:14] + 0.01]
         )
         events = []
-        for i in range(0, len(values), 4):
-            events += ing.append_points("live", values[i : i + 4])["events"]
-        got = sorted(
-            (e["start"], e["end"]) for e in events if e["kind"] == "window"
-        )
+        if added:
+            base.add_series(TimeSeries("live", values[:added]))
+            events = ing.append_points("live", values[added:])["events"]
+        else:
+            for i in range(0, len(values), 4):
+                events += ing.append_points("live", values[i : i + 4])["events"]
+        got = [
+            (e["start"], e["end"], e["distance"])
+            for e in events
+            if e["kind"] == "window"
+        ]
         live = base.dataset["live"].values
         m = len(pattern)
-        want = sorted(
-            (s, s + m - 1)
-            for s in range(len(live) - m + 1)
-            if dtw_distance(pattern, live[s : s + m]) <= epsilon
-        )
-        assert got == want
+        want = [
+            (s, s + m - 1, dtw_distance(pattern, live[s : s + m]))
+            for s in range(max(added - m + 1, 0), len(live) - m + 1)
+        ]
+        assert got == [w for w in want if w[2] <= epsilon]
+        assert 2 <= len(got) < len(want)
+        assert monitor.describe()["windows_checked"] == len(want)
 
-    def test_prefilter_prunes_and_stays_exact(self):
+    def test_far_pattern_emits_no_window_events(self):
         base = make_base()
         ing = StreamIngestor(base)
-        # A pattern far outside the data's range: everything prefiltered.
+        # A pattern far outside the data's range: no window is within
+        # epsilon, yet every pattern-length window is still checked.
         pattern = np.full(6, 1e3)
         monitor = ing.registry.register(pattern, epsilon=0.5, series="live")
         rng = np.random.default_rng(4)
         for v in rng.normal(size=25).cumsum():
             ing.append_points("live", [v])
-        described = monitor.describe()
-        assert described["windows_checked"] > 0
-        assert described["windows_pruned"] == described["windows_checked"]
+        assert monitor.describe()["windows_checked"] == 25 - 6 + 1
+        assert monitor.describe()["windows_pruned"] == 0
         assert all(e.kind != "window" for e in ing.poll_events())
 
     def test_monitor_scoped_to_one_series(self):
@@ -268,6 +284,33 @@ def test_register_rejects_non_finite_epsilon():
         with pytest.raises(ValidationError):
             registry.register(base.dataset[0].values[:5], epsilon=bad)
     assert registry.monitor_names == []
+
+
+def test_restore_accepts_a_snapshot_with_prefilter_counters():
+    """A checkpoint manifest written before the representative prefilter
+    went still carries ``windows_pruned`` and ``rep_dtw_calls`` per
+    monitor; recovery restores from it and drops them."""
+    base = make_base()
+    pattern = base.dataset[0].values[:5]
+    old = {
+        "name": "old",
+        "pattern": [float(v) for v in pattern],
+        "epsilon": 5.0,
+        "series": "live",
+        "windows_checked": 40,
+        "windows_pruned": 31,
+        "rep_dtw_calls": 7,
+    }
+    engine = OnexEngine()
+    engine.restore_dataset(base.raw_dataset, base, monitors=[old], event_seq=3)
+    monitor = engine.stream_registry(base.raw_dataset.name).monitor("old")
+    assert monitor.describe()["windows_checked"] == 40
+    assert monitor.describe()["windows_pruned"] == 0
+    events = engine.append_points(base.raw_dataset.name, "live", pattern)["events"]
+    assert events and events[0]["seq"] == 4
+    assert monitor.snapshot() == {
+        key: old[key] for key in ("name", "pattern", "epsilon", "series")
+    } | {"windows_checked": monitor.windows_checked}
 
 
 def test_flush_reports_tail_candidate():

@@ -28,6 +28,7 @@ import pytest
 from repro.core.config import QueryConfig
 from repro.data.dataset import TimeSeriesDataset
 from repro.data.timeseries import TimeSeries
+from repro.server import client as client_module
 from repro.server.client import OnexClient
 from repro.server import pool as pool_module
 from repro.server.http import OnexHttpServer
@@ -67,6 +68,7 @@ class TestKill9UnderLoad:
     def test_no_acknowledged_request_lost(self, tmp_path, monkeypatch):
         monkeypatch.setattr(pool_module, "_BACKOFF_BASE_S", 0.05)
         monkeypatch.setattr(pool_module, "_BACKOFF_CAP_S", 0.5)
+        monkeypatch.setattr(client_module, "_RETRY_BUDGET_S", 30.0)
         # The flap breaker has its own test; here it must not latch a
         # slot open while we deliberately kill workers in a loop.
         monkeypatch.setattr(pool_module, "_FLAP_THRESHOLD", 100)
@@ -83,9 +85,7 @@ class TestKill9UnderLoad:
         appended = []
 
         def reader(worker_idx):
-            client = OnexClient(
-                server.url, max_retries=6, retry_budget_s=30.0
-            )
+            client = OnexClient(server.url, max_retries=6)
             i = 0
             while not stop.is_set():
                 try:
@@ -106,9 +106,7 @@ class TestKill9UnderLoad:
         def writer():
             # Mutating ops ride the request-id idempotency window: every
             # acknowledged append must be applied exactly once.
-            client = OnexClient(
-                server.url, max_retries=6, retry_budget_s=30.0
-            )
+            client = OnexClient(server.url, max_retries=6)
             i = 0
             while not stop.is_set():
                 try:
@@ -247,10 +245,9 @@ def pooled_server():
 
 
 class TestServeWorkersEndToEnd:
-    def test_kill9_worker_recovers_and_serves(self, pooled_server):
-        client = OnexClient(
-            pooled_server.url, max_retries=6, retry_budget_s=30.0
-        )
+    def test_kill9_worker_recovers_and_serves(self, pooled_server, monkeypatch):
+        monkeypatch.setattr(client_module, "_RETRY_BUDGET_S", 30.0)
+        client = OnexClient(pooled_server.url, max_retries=6)
         loaded = client.call(
             "load_dataset",
             {
