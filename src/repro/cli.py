@@ -10,10 +10,9 @@ operations so everything the HTTP API offers is scriptable:
   exact-band centroid envelopes and the band-limited kernel);
   ``--metric`` swaps the distance metric (any registry name).
 - ``seasonal`` — recurring patterns within one series.
-- ``thresholds`` — data-driven similarity-threshold suggestions.
-- ``recommend`` — the same recommendation with the sampling knobs
-  (``--samples``, ``--sample-seed``) exposed; reads the loaded base's
-  normalised value store, so it answers at serving speed.
+- ``thresholds`` — data-driven similarity-threshold suggestions
+  (``--samples`` pairs drawn with ``--sample-seed``); reads the loaded
+  base's normalised value store, so it answers at serving speed.
 - ``sensitivity`` — match-count curve across candidate thresholds.
 - ``profile`` — the full sensitivity workflow in one command: the grid
   defaults to the recommender's data-driven quantiles and ambiguous
@@ -133,11 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--remove-level", action="store_true")
 
     p = sub.add_parser("thresholds", help="similarity-threshold suggestions")
-    add_source_options(p)
-    p.add_argument("--length", type=int, required=True)
-
-    p = sub.add_parser("recommend", help="similarity-threshold recommendation "
-                                         "(thresholds + sampling knobs)")
     add_source_options(p)
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--samples", type=int, default=2000,
@@ -386,8 +380,6 @@ def _serve(args: argparse.Namespace) -> int:
             service,
             workers=args.workers,
             snapshot_root=snapshot_root,
-            query_config_kwargs={"mode": args.mode, "window": args.window},
-            default_timeout_ms=args.default_timeout_ms,
         )
     # Bind before recovery so restarts never present connection-refused;
     # the ready gate keeps /api shedding structured 503s until the
@@ -583,11 +575,13 @@ def _dispatch(args: argparse.Namespace) -> int:
         _emit(result, args, human)
         return 0
 
-    if args.command in ("thresholds", "recommend"):
-        params = {"dataset": dataset, "length": args.length}
-        if args.command == "recommend":
-            params["samples"] = args.samples
-            params["seed"] = args.sample_seed
+    if args.command == "thresholds":
+        params = {
+            "dataset": dataset,
+            "length": args.length,
+            "samples": args.samples,
+            "seed": args.sample_seed,
+        }
         result = _call(service, "thresholds", params)
 
         def human(payload):

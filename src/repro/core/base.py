@@ -95,13 +95,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LengthBuildStats:
-    """Construction telemetry for one subsequence length.
+    """One subsequence length's bucket: its counts and build cost.
 
-    ``seconds`` is the wall-clock cost of that length's shard (extraction
-    + clustering), measured inside the job — on the worker when the build
-    is fanned out, so the per-length numbers expose the shard balance the
-    scheduler achieved.  Lengths indexed after the build by incremental
-    ingestion report ``seconds == 0.0``.
+    ``subsequences`` and ``groups`` are the bucket's member and group
+    counts as they stand.  ``seconds`` is the wall-clock cost of that
+    length's shard (extraction + clustering), measured inside the job —
+    on the worker when the build is fanned out, so the per-length numbers
+    expose the shard balance the scheduler achieved.  Lengths indexed
+    after the build by incremental ingestion report ``seconds == 0.0``.
     """
 
     length: int
@@ -112,7 +113,8 @@ class LengthBuildStats:
 
 @dataclass(frozen=True)
 class BaseStats:
-    """Construction summary (reported by E1/E7/E18 benchmarks)."""
+    """Summary of a built base (reported by E1/E7/E18 benchmarks): the
+    sums of its buckets' counts, and the build's timings."""
 
     subsequences: int
     groups: int
@@ -790,7 +792,9 @@ class OnexBase:
         self._buckets: dict[int, LengthBucket] = {}
         self._rep_table: RepresentativeTable | None = None
         self._member_table: MemberTable | None = None
-        self._stats: BaseStats | None = None
+        #: The build's timings; the counts are read off the buckets.
+        self._build_seconds = 0.0
+        self._length_seconds: dict[int, float] = {}
         #: Shards re-run serially after a worker crash in the last build.
         self.build_shard_retries = 0
         #: True for mmap-attached bases served by pool workers: every
@@ -821,34 +825,33 @@ class OnexBase:
         retry bit-identical; ``build_shard_retries`` counts them) and
         raises :class:`~repro.exceptions.BuildWorkerError` only when the
         serial retry fails too.  A *deadline* is checked between merged
-        shards and raises with per-length progress.
+        shards and raises with per-length progress; the shards not yet
+        started are cancelled.  The buckets are published only once every
+        shard has merged, so a build that raises leaves the base as it
+        was: unbuilt, or the previous build intact.
         """
         started = time.perf_counter()
-        self._buckets = {}
-        self._rep_table = self._member_table = None
         self.build_shard_retries = 0
         cfg = self._config
         lengths = list(range(cfg.min_length, cfg.max_length + 1))
         series_values = [s.values for s in self._dataset]
         workers = min(cfg.num_workers, len(lengths))
-        total_subsequences = 0
-        total_groups = 0
-        per_length: list[LengthBuildStats] = []
+        buckets: dict[int, LengthBucket] = {}
+        seconds: dict[int, float] = {}
 
         def merge(payloads: Iterable[dict | None]) -> None:
             # Consumed lazily and in submission (= ascending length)
             # order, so at most one shard's window matrix is alive on
             # the parent at a time — the serial build's peak memory.
-            nonlocal total_subsequences, total_groups
             for payload in payloads:
                 faults.fire("build.merge")
                 if deadline is not None:
                     deadline.check(
                         "base build",
                         {
-                            "lengths_merged": len(per_length),
+                            "lengths_merged": len(buckets),
                             "lengths_total": len(lengths),
-                            "groups": total_groups,
+                            "groups": sum(b.group_count for b in buckets.values()),
                         },
                     )
                 if payload is None:
@@ -859,17 +862,8 @@ class OnexBase:
                     windows=payload["windows"],
                 ):
                     bucket = self._assemble_bucket(payload)
-                self._buckets[bucket.length] = bucket
-                total_subsequences += payload["windows"]
-                total_groups += bucket.group_count
-                per_length.append(
-                    LengthBuildStats(
-                        length=bucket.length,
-                        subsequences=payload["windows"],
-                        groups=bucket.group_count,
-                        seconds=payload["seconds"],
-                    )
-                )
+                buckets[bucket.length] = bucket
+                seconds[bucket.length] = payload["seconds"]
 
         if workers <= 1:
             merge(
@@ -925,26 +919,29 @@ class OnexBase:
                                     "serial retry"
                                 ) from retry_exc
 
-                merge(drain())
-        if not self._buckets:
+                try:
+                    merge(drain())
+                except BaseException:
+                    # Leaving the block waits for every queued shard
+                    # unless they are cancelled first.
+                    pool.shutdown(cancel_futures=True)
+                    raise
+        if not buckets:
             raise DatasetError(
                 "no subsequences in the configured length range "
                 f"[{cfg.min_length}, {cfg.max_length}]"
             )
-        build_seconds = time.perf_counter() - started
-        self._stats = BaseStats(
-            subsequences=total_subsequences,
-            groups=total_groups,
-            lengths=len(self._buckets),
-            build_seconds=build_seconds,
-            per_length=tuple(per_length),
-        )
+        self._buckets = buckets
+        self._rep_table = self._member_table = None
+        self._build_seconds = time.perf_counter() - started
+        self._length_seconds = seconds
+        stats = self.stats
         _BUILDS_TOTAL.inc()
-        _BUILD_WINDOWS.inc(total_subsequences)
-        _BUILD_GROUPS.inc(total_groups)
-        _BUILD_SECONDS.inc(build_seconds)
-        _BUILD_LAST.set(build_seconds)
-        return self._stats
+        _BUILD_WINDOWS.inc(stats.subsequences)
+        _BUILD_GROUPS.inc(stats.groups)
+        _BUILD_SECONDS.inc(stats.build_seconds)
+        _BUILD_LAST.set(stats.build_seconds)
+        return stats
 
     def _assemble_bucket(self, payload: dict) -> LengthBucket:
         """Reassemble one shard payload into a live :class:`LengthBucket`.
@@ -985,7 +982,8 @@ class OnexBase:
         config: BuildConfig,
         norm_bounds: tuple[float, float] | None,
         buckets: dict[int, LengthBucket],
-        stats: "BaseStats",
+        build_seconds: float,
+        length_seconds: dict[int, float],
         *,
         read_only: bool = False,
     ) -> "OnexBase":
@@ -995,6 +993,8 @@ class OnexBase:
         does not renormalise the dataset (*norm_dataset* is handed in,
         typically wrapping the snapshot's own normalised arrays), so an
         entirely mmap-backed base touches no series values at open time.
+        *build_seconds* and *length_seconds* are the saved build's
+        timings (see :attr:`stats`).
         """
         self = object.__new__(cls)
         self._config = config
@@ -1004,7 +1004,8 @@ class OnexBase:
         self._series_stores = {}
         self._buckets = dict(buckets)
         self._rep_table = self._member_table = None
-        self._stats = stats
+        self._build_seconds = build_seconds
+        self._length_seconds = dict(length_seconds)
         self.build_shard_retries = 0
         self.read_only = read_only
         return self
@@ -1047,9 +1048,25 @@ class OnexBase:
 
     @property
     def stats(self) -> BaseStats:
-        if self._stats is None:
-            raise NotBuiltError("base not built yet; call build()")
-        return self._stats
+        """The buckets' member and group counts, length by length and
+        summed, with the build's timings (0.0 seconds for a length that
+        ingestion created)."""
+        per_length = tuple(
+            LengthBuildStats(
+                bucket.length,
+                bucket.member_count,
+                bucket.group_count,
+                self._length_seconds.get(bucket.length, 0.0),
+            )
+            for bucket in self.buckets()
+        )
+        return BaseStats(
+            subsequences=sum(entry.subsequences for entry in per_length),
+            groups=sum(entry.groups for entry in per_length),
+            lengths=len(per_length),
+            build_seconds=self._build_seconds,
+            per_length=per_length,
+        )
 
     @property
     def lengths(self) -> list[int]:
@@ -1363,7 +1380,7 @@ class OnexBase:
         *handles* to the groups *owners* — one entry per window, a
         length's windows together in its store order (see
         :meth:`LengthBucket.append` for how owners seed groups) — then
-        extend both tables once and bring the stats along.
+        extend both tables once.
 
         A bucket is created if missing and made private if attached
         read-only; the windows are gathered from this base's own
@@ -1378,27 +1395,19 @@ class OnexBase:
         cuts = np.flatnonzero(lengths[1:] != lengths[:-1]) + 1
         bounds = [0, *cuts.tolist(), lengths.size]
         heads = np.array(bounds[:-1])
-        per_length = {s.length: s for s in self.stats.per_length}
         appended: list[tuple[LengthBucket, np.ndarray]] = []
         cheb, stored = [], []
-        seeded = 0
         for lo, hi, length, offset in zip(
             bounds, bounds[1:], lengths[heads].tolist(), at[heads].tolist()
         ):
             count = hi - lo
             bucket = self._bucket_for(length)
             bucket.make_private()
-            known, width = bucket.group_count, length * self.channels
+            width = length * self.channels
             stored.append(bucket.member_count - lo)
             window = values[offset : offset + count * width].reshape(count, width)
             cheb.append(bucket.append(owners[lo:hi], handles[lo:hi], window))
             appended.append((bucket, owners[lo:hi]))
-            fresh = bucket.group_count - known
-            seeded += fresh
-            prev = per_length.get(length) or LengthBuildStats(length, 0, 0, 0.0)
-            per_length[length] = LengthBuildStats(
-                length, prev.subsequences + count, prev.groups + fresh, prev.seconds
-            )
         reps = self._rep_table
         if reps is not None:
             table_rows = reps.extend(appended, np.concatenate(cheb))
@@ -1412,14 +1421,6 @@ class OnexBase:
                     handles,
                     owners,
                 )
-        old = self.stats
-        self._stats = BaseStats(
-            subsequences=old.subsequences + lengths.size,
-            groups=old.groups + seeded,
-            lengths=len(self._buckets),
-            build_seconds=old.build_seconds,
-            per_length=tuple(per_length[n] for n in sorted(per_length)),
-        )
 
     # ------------------------------------------------------------------
     # Tails: what a base gained since a mark, as another process applies it

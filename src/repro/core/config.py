@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.deadline import Deadline
 from repro.exceptions import ValidationError
 
 __all__ = ["BuildConfig", "QueryConfig"]
@@ -99,13 +98,6 @@ class QueryConfig:
         These two are the paper's §3.3 optimisations and the only
         execution toggles: no field selects between two implementations
         of one stage (DESIGN.md §1).
-    deadline:
-        Default cooperative :class:`~repro.core.deadline.Deadline` for
-        every operation run under this config, checked at the cascade's
-        chunk boundaries (DESIGN.md §6).  ``None`` (the default) runs
-        unbounded; per-call ``deadline=`` arguments override it.  A
-        finished-in-budget operation is bit-identical to an unbounded
-        one — the deadline is pure control flow, never a result knob.
     metric:
         Distance metric for query/threshold operations, resolved through
         :mod:`repro.distances.registry` (DESIGN.md §9).  ``"dtw"`` (the
@@ -122,7 +114,6 @@ class QueryConfig:
     window: int | None = None
     use_lower_bounds: bool = True
     use_group_pruning: bool = True
-    deadline: Deadline | None = None
     metric: str = "dtw"
 
     def __post_init__(self) -> None:
@@ -137,7 +128,3 @@ class QueryConfig:
             )
         if self.window is not None and self.window < 0:
             raise ValidationError(f"window must be >= 0, got {self.window}")
-        if self.deadline is not None and not isinstance(self.deadline, Deadline):
-            raise ValidationError(
-                f"deadline must be a Deadline, got {type(self.deadline).__name__}"
-            )

@@ -10,7 +10,7 @@ this class; examples and benchmarks drive it directly.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -35,23 +35,22 @@ __all__ = ["LoadedDataset", "OnexEngine"]
 
 @dataclass
 class LoadedDataset:
-    """One dataset registered with the engine, plus its built base.
+    """One dataset registered with the engine: its built base (the
+    dataset is ``base.raw_dataset``) and the query processors over it.
 
+    ``processors`` maps a metric name to its processor: the config's
+    metric is built at registration, a per-request override on first use.
     ``ingestor`` is the dataset's streaming write path, created lazily on
     the first streaming operation (:mod:`repro.stream`).
     """
 
-    dataset: TimeSeriesDataset
     base: OnexBase
-    processor: QueryProcessor
+    processors: dict[str, QueryProcessor]
     ingestor: object | None = None
     #: Structure fingerprint captured at load time — the determinism
     #: handle surfaced by ``GET /health`` (incremental ingestion after
     #: load intentionally does not refresh it).
     fingerprint: str | None = None
-    #: Lazily built processors for per-request metric overrides, keyed by
-    #: metric name; ``processor`` stays the default-config one.
-    metric_processors: dict = field(default_factory=dict)
 
 
 class OnexEngine:
@@ -60,6 +59,12 @@ class OnexEngine:
     def __init__(self, query_config: QueryConfig | None = None) -> None:
         self._query_config = query_config or QueryConfig()
         self._loaded: dict[str, LoadedDataset] = {}
+
+    @property
+    def query_config(self) -> QueryConfig:
+        """The config every query runs under (a per-request metric
+        override replaces only its metric)."""
+        return self._query_config
 
     # ------------------------------------------------------------------
     # Data loading (the demo's "Data Loading into ONEX" step)
@@ -114,17 +119,21 @@ class OnexEngine:
         )
         base = OnexBase(dataset, config)
         stats = base.build(deadline)
-        self._loaded[dataset.name] = LoadedDataset(
-            dataset=dataset,
-            base=base,
-            processor=QueryProcessor(base, self._query_config),
-            fingerprint=base.structure_fingerprint(),
-        )
+        self._register(base, base.structure_fingerprint())
         return stats
+
+    def _register(self, base: OnexBase, fingerprint: str) -> LoadedDataset:
+        entry = self._loaded[base.raw_dataset.name] = LoadedDataset(
+            base=base,
+            processors={
+                self._query_config.metric: QueryProcessor(base, self._query_config)
+            },
+            fingerprint=fingerprint,
+        )
+        return entry
 
     def restore_dataset(
         self,
-        dataset: TimeSeriesDataset,
         base: OnexBase,
         *,
         monitors: Iterable[dict] = (),
@@ -134,8 +143,8 @@ class OnexEngine:
     ) -> BaseStats:
         """Register an already-built *base* (checkpoint recovery path).
 
-        Unlike :meth:`load_dataset` nothing is rebuilt: *base* and its
-        *dataset* come out of a checkpoint's snapshot directory.
+        Unlike :meth:`load_dataset` nothing is rebuilt: *base*, dataset
+        included, comes out of a checkpoint's snapshot directory.
         *monitors* / *event_seq* / *stream_counters*
         re-seed the streaming layer from the checkpoint manifest so a
         restarted server continues event numbering monotonically; the
@@ -144,19 +153,13 @@ class OnexEngine:
         pool workers attaching an mmap snapshot pass the stored one so
         registration does not fault every page in just to rehash it.
         """
-        if dataset.name in self._loaded:
-            raise DatasetError(f"dataset {dataset.name!r} already loaded")
-        entry = LoadedDataset(
-            dataset=dataset,
-            base=base,
-            processor=QueryProcessor(base, self._query_config),
-            fingerprint=(
-                fingerprint
-                if fingerprint is not None
-                else base.structure_fingerprint()
-            ),
+        name = base.raw_dataset.name
+        if name in self._loaded:
+            raise DatasetError(f"dataset {name!r} already loaded")
+        entry = self._register(
+            base,
+            fingerprint if fingerprint is not None else base.structure_fingerprint(),
         )
-        self._loaded[dataset.name] = entry
         if monitors or event_seq or stream_counters:
             from repro.stream import StreamIngestor
 
@@ -327,22 +330,18 @@ class OnexEngine:
     def _processor(self, name: str, metric: str | None = None) -> QueryProcessor:
         """The dataset's query processor for *metric* (default: config's).
 
-        Processors are immutable over their config, so per-metric
-        overrides get their own lazily built, cached instance; the
-        default metric reuses the load-time processor, keeping the
-        default path untouched.  An unknown metric name fails here in
-        ``QueryConfig.__post_init__`` with a :class:`ValidationError`
-        listing the registered names.
+        Processors are immutable over their config, so a per-metric
+        override gets its own lazily built, cached instance whose config
+        differs from the engine's in the metric only.  An unknown metric
+        name fails here in ``QueryConfig.__post_init__`` with a
+        :class:`ValidationError` listing the registered names.
         """
         entry = self._entry(name)
-        if metric is None or metric == self._query_config.metric:
-            processor = entry.processor
-        else:
-            processor = entry.metric_processors.get(metric)
-            if processor is None:
-                config = replace(self._query_config, metric=str(metric))
-                processor = QueryProcessor(entry.base, config)
-                entry.metric_processors[metric] = processor
+        metric = self._query_config.metric if metric is None else str(metric)
+        processor = entry.processors.get(metric)
+        if processor is None:
+            config = replace(self._query_config, metric=metric)
+            processor = entry.processors[metric] = QueryProcessor(entry.base, config)
         return processor
 
     # ------------------------------------------------------------------
@@ -418,7 +417,7 @@ class OnexEngine:
         entry = self._entry(dataset_name)
         if threshold is None:
             threshold = entry.base.config.similarity_threshold
-        series = entry.dataset[series_name]
+        series = entry.base.raw_dataset[series_name]
         return find_seasonal_patterns(series, length, threshold, **kwargs)
 
     def recommend_thresholds(
@@ -427,7 +426,7 @@ class OnexEngine:
         entry = self._entry(dataset_name)
         # The built base answers the sampling from its normalised value store.
         kwargs.setdefault("base", entry.base)
-        return recommend_thresholds(entry.dataset, length, **kwargs)
+        return recommend_thresholds(entry.base.raw_dataset, length, **kwargs)
 
     def similarity_profile(
         self,
@@ -474,14 +473,14 @@ class OnexEngine:
         self, dataset_name: str, series_name: str, start: int = 0, length: int | None = None
     ) -> SubsequenceRef:
         """Build a query ref by brushing a stored series (Query Preview)."""
-        entry = self._entry(dataset_name)
-        series = entry.dataset[series_name]
+        dataset = self._entry(dataset_name).base.raw_dataset
+        series = dataset[series_name]
         if length is None:
             length = len(series) - start
         if length < 2:
             raise ValidationError("brushed query must have at least 2 points")
         series.subsequence(start, length)  # validates the window
-        return SubsequenceRef(entry.dataset.index_of(series_name), start, length)
+        return SubsequenceRef(dataset.index_of(series_name), start, length)
 
     def _entry(self, name: str) -> LoadedDataset:
         try:

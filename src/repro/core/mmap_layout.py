@@ -8,9 +8,11 @@ files**::
 
     arrays.bin   every array of the base and its dataset, C-contiguous,
                  back to back, each starting on a 64-byte boundary
-    meta.json    format tag, build config, stats, dataset and series
-                 names/metadata, normalisation bounds, indexed lengths,
-                 the structure fingerprint,
+    meta.json    format tag, build config, stats (the reader takes
+                 only the build's timings: a base reads its counts off
+                 its buckets), dataset and series names/metadata,
+                 normalisation bounds, indexed lengths, the structure
+                 fingerprint,
                  ``arrays``: name -> [dtype, shape, byte offset], and
                  ``arrays_sha256`` (durable snapshots only)
 
@@ -91,12 +93,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core import persist
-from repro.core.base import (
-    BaseStats,
-    LengthBucket,
-    LengthBuildStats,
-    OnexBase,
-)
+from repro.core.base import LengthBucket, OnexBase
 from repro.core.config import BuildConfig
 from repro.data.dataset import TimeSeriesDataset
 from repro.data.timeseries import TimeSeries
@@ -393,8 +390,7 @@ def _attach(
         buckets[length] = LengthBucket(
             length, *stacks, channels=channels, writable=not read_only
         )
-    stats = dict(meta["stats"])
-    stats["per_length"] = tuple(LengthBuildStats(**e) for e in stats["per_length"])
+    stats = meta["stats"]
     norm_bounds = meta.get("norm_bounds")
     return OnexBase.from_attached(
         raw_dataset,
@@ -402,7 +398,8 @@ def _attach(
         BuildConfig(**meta["config"]),
         tuple(norm_bounds) if norm_bounds is not None else None,
         buckets,
-        BaseStats(**stats),
+        float(stats["build_seconds"]),
+        {int(e["length"]): float(e["seconds"]) for e in stats["per_length"]},
         read_only=read_only,
     )
 

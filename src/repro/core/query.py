@@ -357,8 +357,8 @@ class QueryProcessor:
         value space when the base was built normalised, unless *normalize*
         is false) or a :class:`SubsequenceRef` into the indexed dataset.
         *lengths* optionally restricts candidate subsequence lengths.
-        *deadline* bounds the search cooperatively (default: the config's
-        deadline); see :meth:`k_best_matches`.
+        *deadline* bounds the search cooperatively; see
+        :meth:`k_best_matches`.
         """
         matches = self.k_best_matches(
             query, 1, lengths=lengths, normalize=normalize, deadline=deadline
@@ -588,10 +588,8 @@ class QueryProcessor:
     # ------------------------------------------------------------------
 
     def _deadline(self, deadline: Deadline | None) -> Deadline | None:
-        """The effective deadline: the per-call one, else the config default."""
-        if deadline is None:
-            return self._config.deadline
-        if not isinstance(deadline, Deadline):
+        """*deadline*, type-checked."""
+        if deadline is not None and not isinstance(deadline, Deadline):
             raise ValidationError(
                 f"deadline must be a Deadline, got {type(deadline).__name__}"
             )

@@ -160,7 +160,6 @@ def _recover_one(
         )
     base = checkpoint_mod.load_checkpoint(handle.directory, entry)
     engine.restore_dataset(
-        base.raw_dataset,
         base,
         monitors=entry.get("monitors", ()),
         event_seq=entry.get("event_seq", 0),

@@ -744,10 +744,6 @@ class OnexHttpServer:
         host, port = self.address
         return f"http://{host}:{port}"
 
-    @property
-    def is_ready(self) -> bool:
-        return self._ready.is_set()
-
     def set_ready(self, ready: bool = True) -> None:
         """Flip the readiness gate (the CLI keeps it down during recovery).
 

@@ -1,8 +1,10 @@
 """Supervised pre-fork worker pool over mmap-shared base snapshots.
 
 :class:`WorkerPool` forks N worker processes, each running a full
-:class:`~repro.server.service.OnexService` whose datasets are attached
-read-only from published mmap snapshots
+:class:`~repro.server.service.OnexService` — a
+:meth:`~repro.server.service.OnexService.replica` of the supervisor's,
+so it answers under the same query config and default timeout — whose
+datasets are attached read-only from published mmap snapshots
 (:mod:`repro.core.mmap_layout`).  The supervisor process keeps the
 listening socket and dispatches one protocol request at a time per
 worker over a private socketpair (length-prefixed JSON frames); the
@@ -249,9 +251,7 @@ def _worker_attach(service: Any, name: str, path: str) -> None:
     engine = service.engine
     if name in engine.dataset_names:
         engine.unload_dataset(name)
-    engine.restore_dataset(
-        base.raw_dataset, base, fingerprint=meta.get("structure_fingerprint")
-    )
+    engine.restore_dataset(base, fingerprint=meta.get("structure_fingerprint"))
 
 
 def _worker_catch_up(
@@ -302,14 +302,11 @@ def _worker_main(
     index: int,
     conn: socket.socket,
     heartbeat_fd: int,
-    service_config: dict,
+    replica: Callable[[], Any],
     snapshot_table: dict[str, tuple[str, int]],
     supervisor_ends: list[Callable[[], None]],
 ) -> None:
     """Entry point of one forked worker (never returns normally)."""
-    from repro.core.config import QueryConfig
-    from repro.server.service import OnexService
-
     # The fork copied the supervisor's ends of every slot's channel (this
     # one's included).  Drop them, or the supervisor's death would never
     # read as EOF here and an unsupervised worker would live on.
@@ -333,10 +330,7 @@ def _worker_main(
             time.sleep(_HEARTBEAT_INTERVAL_S)
 
     try:
-        service = OnexService(
-            QueryConfig(**(service_config.get("query_config") or {})),
-            default_timeout_ms=service_config.get("default_timeout_ms"),
-        )
+        service = replica()
         #: dataset -> (snapshot path, epoch) this worker currently serves.
         held: dict[str, tuple[str, int]] = {}
         for name, (path, epoch) in sorted(snapshot_table.items()):
@@ -447,9 +441,9 @@ class _Slot:
 class WorkerPool:
     """N supervised pre-fork workers serving read-only dispatches.
 
-    See the module docstring for the fault model.  *service_config*
-    carries ``query_config`` kwargs and ``default_timeout_ms`` into each
-    worker's :class:`~repro.server.service.OnexService`; snapshots are
+    See the module docstring for the fault model.  Each worker calls
+    *replica* once, after the fork, for the service it answers with
+    (:meth:`~repro.server.service.OnexService.replica`); snapshots are
     recorded with :meth:`remap` and reach a worker with the next request
     it is handed (or at spawn).  *on_capacity_change* is invoked as
     ``callback(live, size)`` on every live-count transition.
@@ -458,14 +452,14 @@ class WorkerPool:
     def __init__(
         self,
         size: int,
+        replica: Callable[[], Any],
         *,
-        service_config: dict | None = None,
         on_capacity_change: Callable[[int, int], None] | None = None,
     ) -> None:
         if size < 1:
             raise ValueError(f"pool size must be >= 1, got {size}")
         self.size = int(size)
-        self._service_config = dict(service_config or {})
+        self._replica = replica
         self.on_capacity_change = on_capacity_change
         self._cond = threading.Condition()
         self._slots = [_Slot(i) for i in range(self.size)]
@@ -770,7 +764,7 @@ class WorkerPool:
                 slot.index,
                 child_sock,
                 hb_write,
-                dict(self._service_config),
+                self._replica,
                 dict(self._snapshot_table),
                 supervisor_ends,
             ),

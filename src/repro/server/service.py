@@ -117,6 +117,14 @@ class OnexService:
     def engine(self) -> OnexEngine:
         return self._engine
 
+    def replica(self) -> OnexService:
+        """A durability-free service answering queries as this one does:
+        the same :class:`QueryConfig` object and default timeout, no
+        datasets.  Each pool worker builds its service with this."""
+        return OnexService(
+            self._engine.query_config, default_timeout_ms=self._default_timeout_ms
+        )
+
     @property
     def durability(self) -> DurabilityManager | None:
         return self._durability
@@ -454,8 +462,8 @@ class OnexService:
     def _op_describe(self, params: dict) -> Any:
         name = str(params["dataset"])
         info = self._engine.base(name).raw_dataset.describe()
-        # Live base stats (not the load-time snapshot): incremental
-        # ingestion updates the per-length breakdown in place.
+        # Live base stats (not the load-time snapshot), read off the
+        # buckets that incremental ingestion grows.
         stats = self._engine.base(name).stats
         info["groups"] = stats.groups
         info["compaction_ratio"] = stats.compaction_ratio

@@ -111,8 +111,9 @@ class _Publication:
 class Supervisor:
     """The pre-fork process manager; a drop-in ``OnexService`` facade.
 
-    *service* stays the single authority for mutations and durability.
-    *snapshot_root* holds the published mmap snapshots
+    *service* stays the single authority for mutations and durability;
+    every worker answers with a replica of it (same query config, same
+    default timeout).  *snapshot_root* holds the published mmap snapshots
     (``<root>/<slug>/epoch-<n>``); stale debris from a previous crashed
     run is swept on :meth:`start`.  The pool's timings (backoff,
     heartbeat, flap detection) are constants of :mod:`repro.server.pool`.
@@ -124,8 +125,6 @@ class Supervisor:
         *,
         workers: int,
         snapshot_root: str | Path,
-        query_config_kwargs: dict | None = None,
-        default_timeout_ms: float | None = None,
     ) -> None:
         self._service = service
         self._root = Path(snapshot_root)
@@ -134,15 +133,8 @@ class Supervisor:
         self._gate: Any = None
         self._gate_cap = 0
         self._started = False
-        service_config: dict = {
-            "query_config": dict(query_config_kwargs or {}),
-        }
-        if default_timeout_ms is not None:
-            service_config["default_timeout_ms"] = default_timeout_ms
         self.pool = WorkerPool(
-            workers,
-            service_config=service_config,
-            on_capacity_change=self._on_capacity_change,
+            workers, service.replica, on_capacity_change=self._on_capacity_change
         )
 
     # ------------------------------------------------------------------

@@ -263,6 +263,17 @@ class TestParallelBuild:
                         num_workers=0)
 
 
+def assert_counts_are_bucket_sums(base):
+    """``base.stats`` is its buckets' counts, length by length and summed."""
+    stats, buckets = base.stats, base.buckets()
+    assert [(s.length, s.subsequences, s.groups) for s in stats.per_length] == [
+        (b.length, b.member_count, b.group_count) for b in buckets
+    ]
+    assert stats.subsequences == sum(b.member_count for b in buckets)
+    assert stats.groups == sum(b.group_count for b in buckets)
+    assert stats.lengths == len(buckets)
+
+
 class TestPerLengthTelemetry:
     def test_breakdown_sums_to_totals(self):
         base = built(walks(41), num_workers=2)
@@ -271,12 +282,14 @@ class TestPerLengthTelemetry:
         assert sum(s.subsequences for s in stats.per_length) == stats.subsequences
         assert sum(s.groups for s in stats.per_length) == stats.groups
         assert all(s.seconds >= 0.0 for s in stats.per_length)
+        assert_counts_are_bucket_sums(base)
 
     def test_breakdown_round_trips_through_save(self, tmp_path):
         base = built(walks(42))
         base.save(tmp_path / "base")
         loaded = OnexBase.load(tmp_path / "base")
-        assert loaded.stats.per_length == base.stats.per_length
+        assert loaded.stats == base.stats
+        assert_counts_are_bucket_sums(loaded)
 
     def test_incremental_ingestion_updates_breakdown(self):
         from repro.data.timeseries import TimeSeries
@@ -289,9 +302,33 @@ class TestPerLengthTelemetry:
         for length in base.lengths:
             added = 10 - length + 1 if length <= 10 else 0
             assert after[length].subsequences == before[length].subsequences + added
-        assert sum(s.subsequences for s in base.stats.per_length) == (
-            base.stats.subsequences
+            assert after[length].seconds == before[length].seconds
+        assert_counts_are_bucket_sums(base)
+
+    def test_appends_and_a_worker_tail_keep_counts_on_the_buckets(self, tmp_path):
+        """Points appended past the longest series create lengths the
+        build had no window for (0.0 seconds); a read-only attach of the
+        snapshot before them reaches the same stats through the tail."""
+        from repro.core.mmap_layout import load_base_snapshot, save_base_snapshot
+        from repro.stream import StreamIngestor
+
+        base = built(walks(44), max_length=26)
+        assert base.lengths[-1] == 24
+        worker, _ = load_base_snapshot(
+            save_base_snapshot(base, tmp_path / "epoch-1"), mmap_mode="r"
         )
+        assert worker.stats == base.stats
+        mark = base.mark()
+        ingestor = StreamIngestor(base)
+        rng = np.random.default_rng(44)
+        for name in ("series-2", "series-0", "fresh", "series-2"):
+            ingestor.append_points(name, rng.normal(size=3).cumsum())
+        seconds = {s.length: s.seconds for s in base.stats.per_length}
+        assert base.lengths[-1] == 26 and seconds[25] == seconds[26] == 0.0
+        assert_counts_are_bucket_sums(base)
+        worker.apply_tail(base.tail(mark))
+        assert worker.stats == base.stats
+        assert_counts_are_bucket_sums(worker)
 
     def test_describe_payload_and_cli_formatting(self, capsys):
         from repro.cli import main

@@ -1,20 +1,31 @@
-"""Build-pool crash recovery and crash-safe persistence tests.
+"""Build-pool crash recovery, interrupted builds and crash-safe persistence.
 
 A killed pool worker must cost its shard a serial retry, never the
 build — and the retried base must be bit-identical to a serial build
-(the clustering is deterministic).  On the persistence side, a torn
+(the clustering is deterministic).  A build a deadline cuts short
+publishes nothing, and a pooled one stops without running its queued
+shards first.  On the persistence side, a torn
 write mid-``save`` must leave the previously saved archive untouched
 and loadable: the temp-file + fsync + ``os.replace`` protocol never
 exposes a half-written file under the real path.
 """
 
+import time
+
 import numpy as np
 import pytest
 
 from repro.core.base import OnexBase
-from repro.core.config import BuildConfig
+from repro.core.config import BuildConfig, QueryConfig
+from repro.core.deadline import Deadline
+from repro.core.query import QueryProcessor
 from repro.data.dataset import TimeSeriesDataset
-from repro.exceptions import BuildWorkerError, PersistenceError
+from repro.exceptions import (
+    BuildWorkerError,
+    DeadlineExceeded,
+    NotBuiltError,
+    PersistenceError,
+)
 from repro.testing import faults
 
 
@@ -80,6 +91,55 @@ class TestWorkerCrashRecovery:
         with faults.inject("build.shard", "raise"):
             with pytest.raises(BuildWorkerError, match="again on serial retry"):
                 base.build()
+
+
+class TestInterruptedBuild:
+    """Shards merge into the build's own table; the base takes it only
+    once every shard has merged."""
+
+    def test_interrupted_rebuild_keeps_the_previous_base(self):
+        base = OnexBase(_dataset(), _config())
+        base.build()
+        fingerprint, stats = base.structure_fingerprint(), base.stats
+        processor = QueryProcessor(base, QueryConfig(mode="exact"))
+        query = base.raw_dataset[1].values[5:11]
+        answer = processor.k_best_matches(query, 3)
+        # The deadline fires after a shard or two have merged.
+        with faults.inject("build.merge", "sleep", seconds=0.06):
+            with pytest.raises(DeadlineExceeded, match="base build"):
+                base.build(Deadline.after(150))
+        assert base.structure_fingerprint() == fingerprint
+        assert base.stats == stats
+        assert processor.k_best_matches(query, 3) == answer
+        assert QueryProcessor(base, QueryConfig(mode="exact")).k_best_matches(
+            query, 3
+        ) == answer
+
+    def test_interrupted_first_build_leaves_the_base_unbuilt(self):
+        base = OnexBase(_dataset(), _config())
+        with faults.inject("build.merge", "sleep", seconds=0.06):
+            with pytest.raises(DeadlineExceeded, match="base build"):
+                base.build(Deadline.after(150))
+        assert not base.is_built
+        with pytest.raises(NotBuiltError):
+            base.stats
+        with pytest.raises(NotBuiltError):
+            QueryProcessor(base)
+
+    def test_pooled_build_deadline_cancels_queued_shards(self):
+        """Forked build workers inherit the armed sleep; 13 lengths take
+        13 sleeps serially and 7 rounds on two workers.  The deadline
+        fires at the first merge, and only the shards already handed to a
+        worker still run."""
+        shard_s = 0.2
+        base = OnexBase(_dataset(), _config(max_length=16, num_workers=2))
+        with faults.inject("build.shard", "sleep", seconds=shard_s):
+            started = time.perf_counter()
+            with pytest.raises(DeadlineExceeded, match="base build"):
+                base.build(Deadline.after(50))
+            elapsed = time.perf_counter() - started
+        assert elapsed < 5 * shard_s
+        assert not base.is_built
 
 
 def _tree_bytes(path):

@@ -88,9 +88,9 @@ class TestCommands:
         assert "exact=" in out
         assert "knee" in out
 
-    def test_recommend(self, capsys):
+    def test_thresholds_sampling_options(self, capsys):
         code = main(
-            ["--json", "recommend", *FAST, "--length", "5",
+            ["--json", "thresholds", *FAST, "--length", "5",
              "--samples", "500", "--sample-seed", "3"]
         )
         assert code == 0
@@ -99,12 +99,16 @@ class TestCommands:
         assert payload["samples"] == 500
         assert "5%" in payload["suggestions"]
 
-    def test_recommend_matches_thresholds_defaults(self, capsys):
+    def test_thresholds_sampling_defaults(self, capsys):
         assert main(["--json", "thresholds", *FAST, "--length", "5"]) == 0
-        base = json.loads(capsys.readouterr().out)
-        assert main(["--json", "recommend", *FAST, "--length", "5"]) == 0
-        rec = json.loads(capsys.readouterr().out)
-        assert rec["suggestions"] == base["suggestions"]
+        default = json.loads(capsys.readouterr().out)
+        assert main(
+            ["--json", "thresholds", *FAST, "--length", "5",
+             "--samples", "2000", "--sample-seed", "0"]
+        ) == 0
+        explicit = json.loads(capsys.readouterr().out)
+        assert default["samples"] == 2000
+        assert explicit["suggestions"] == default["suggestions"]
 
     def test_profile_default_grid(self, capsys):
         code = main(

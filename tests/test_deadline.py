@@ -118,10 +118,6 @@ class TestDeadlineObject:
         with pytest.raises(DeadlineExceeded, match="cancelled"):
             d.check("scan")
 
-    def test_config_rejects_non_deadline(self):
-        with pytest.raises(ValidationError, match="deadline"):
-            QueryConfig(deadline=50)
-
     def test_processor_rejects_non_deadline(self, base):
         with pytest.raises(ValidationError, match="Deadline"):
             QueryProcessor(base).best_match([0.1, 0.2, 0.3, 0.4], deadline=50)

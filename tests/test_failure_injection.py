@@ -87,7 +87,7 @@ _HOSTILE_META = {
     "array-missing": lambda meta: meta["arrays"].pop(sorted(meta["arrays"])[0]),
     "no-arrays-key": _drop("arrays"),
     "no-config": _drop("config"),
-    "no-stats-key": _drop("stats", "groups"),
+    "no-stats-key": _drop("stats", "build_seconds"),
     "no-dataset-name": _drop("dataset", "name"),
     "config-unknown-field": lambda meta: meta["config"].update(bogus=1),
     "config-invalid": lambda meta: meta["config"].update(min_length=-4),

@@ -105,7 +105,7 @@ class TestLazinessIsACount:
                 original.members_in([0, bucket.group_count - 1])
             )
         engine = OnexEngine(QueryConfig())
-        engine.restore_dataset(base.raw_dataset, base, fingerprint="x")
+        engine.restore_dataset(base, fingerprint="x")
         panes = engine.overview(base.raw_dataset.name, limit=10)
         assert len(panes) == 10
         assert group_builds == []
@@ -114,7 +114,7 @@ class TestLazinessIsACount:
         built_base, path = floor_snapshot
         base, _ = load_base_snapshot(path, mmap_mode="r")
         engine = OnexEngine(QueryConfig())
-        engine.restore_dataset(base.raw_dataset, base, fingerprint="x")
+        engine.restore_dataset(base, fingerprint="x")
         name = base.raw_dataset.name
         query = built_base.raw_dataset[3].values[2:14]
         matches, refined = traced_k_best(engine, name, query)
@@ -139,7 +139,7 @@ class TestLazinessIsACount:
         built.save(tmp_path / "built")
         base = OnexBase.load(tmp_path / "built")
         engine = OnexEngine(QueryConfig())
-        engine.restore_dataset(base.raw_dataset, base, fingerprint="x")
+        engine.restore_dataset(base, fingerprint="x")
         rng = np.random.default_rng(8)
         summary = engine.add_series(
             name, TimeSeries("late", base.raw_dataset[0].values[:30] + 0.1)
@@ -230,7 +230,6 @@ def toy_pair(tmp_path_factory):
         attached, meta = load_base_snapshot(path, mmap_mode=mmap_mode)
         service = OnexService(QueryConfig())
         service.engine.restore_dataset(
-            attached.raw_dataset,
             attached,
             fingerprint=meta["structure_fingerprint"],
         )
@@ -422,7 +421,7 @@ def toy_base(tmp_path=None):
         engine.base("view-toy").save(tmp_path / "toy")
         base = OnexBase.load(tmp_path / "toy")
         engine = OnexEngine(QueryConfig())
-        engine.restore_dataset(base.raw_dataset, base, fingerprint="x")
+        engine.restore_dataset(base, fingerprint="x")
     return engine
 
 

@@ -39,7 +39,7 @@ from repro.server.supervisor import Supervisor
 from repro.testing import faults
 
 
-def make_service(name="pool-toy", seed=5, series=4):
+def make_service(name="pool-toy", seed=5, series=4, config=None, timeout_ms=None):
     rng = np.random.default_rng(seed)
     dataset = TimeSeriesDataset(
         [
@@ -48,7 +48,7 @@ def make_service(name="pool-toy", seed=5, series=4):
         ],
         name=name,
     )
-    service = OnexService(QueryConfig())
+    service = OnexService(config or QueryConfig(), default_timeout_ms=timeout_ms)
     service.engine.load_dataset(
         dataset,
         similarity_threshold=0.3,
@@ -250,7 +250,10 @@ class TestStrictFrames:
 
 
 class TestDispatch:
-    def test_results_identical_to_local(self, supervisor):
+    def test_results_identical_to_local(self, supervisor, tmp_path):
+        """Workers answer as their supervisor's service does: the default
+        service, and an exact-mode banded one whose default timeout a
+        request without its own ``timeout_ms`` cannot meet."""
         request = Request(
             "k_best",
             {"dataset": "pool-toy", "query": query_values(), "k": 3},
@@ -260,6 +263,31 @@ class TestDispatch:
         local = supervisor._service.handle(request)
         assert pooled.ok and local.ok
         assert pooled.result == local.result
+
+        service = make_service(
+            name="exact-toy",
+            config=QueryConfig(mode="exact", window=2),
+            timeout_ms=1e-3,
+        )
+        sup = Supervisor(service, workers=1, snapshot_root=tmp_path / "exact")
+        sup.start(timeout=60)
+        try:
+            responses = []
+            for budget in ({"timeout_ms": 60_000}, {}):
+                request = Request(
+                    "k_best",
+                    {"dataset": "exact-toy", "query": query_values(), "k": 3, **budget},
+                    request_id="same",
+                )
+                responses.append((sup.handle(request), service.handle(request)))
+            assert sup.pool.status()["dispatched"] == 2
+        finally:
+            sup.close()
+        (pooled, local), (pooled_late, local_late) = responses
+        assert pooled.ok and local.ok
+        assert pooled.result == local.result
+        assert not pooled_late.ok and not local_late.ok
+        assert pooled_late.error_type == local_late.error_type == "DeadlineExceeded"
 
     def test_read_only_failover_on_kill9(self, supervisor):
         pids = [p for p in supervisor.pool.worker_pids() if p]
@@ -589,9 +617,7 @@ class TestReadYourWrites:
             Request("unload_dataset", {"dataset": "pool-toy"})
         ).ok
         reloaded = make_service(seed=6).engine
-        supervisor._service.engine.restore_dataset(
-            reloaded.base("pool-toy").raw_dataset, reloaded.base("pool-toy")
-        )
+        supervisor._service.engine.restore_dataset(reloaded.base("pool-toy"))
         described = supervisor.handle(Request("describe", {"dataset": "pool-toy"}))
         assert described.ok
         assert described.result["structure_fingerprint"] == (

@@ -87,10 +87,8 @@ SETTINGS = {
     repro.OnexEngine.load_dataset:
         ["self", "dataset", "similarity_threshold", "min_length", "max_length",
          "step", "normalize", "num_workers", "deadline"],
-    WorkerPool.__init__: ["self", "size", "service_config", "on_capacity_change"],
-    Supervisor.__init__:
-        ["self", "service", "workers", "snapshot_root", "query_config_kwargs",
-         "default_timeout_ms"],
+    WorkerPool.__init__: ["self", "size", "replica", "on_capacity_change"],
+    Supervisor.__init__: ["self", "service", "workers", "snapshot_root"],
     OnexService.__init__:
         ["self", "query_config", "default_build_workers", "default_timeout_ms",
          "durability"],
@@ -111,7 +109,7 @@ class TestNoExecutionSelectors:
     def test_config_fields_are_exactly_these(self):
         assert {f.name for f in dataclasses.fields(repro.QueryConfig)} == {
             "mode", "refine_groups", "window", "use_lower_bounds",
-            "use_group_pruning", "deadline", "metric",
+            "use_group_pruning", "metric",
         }  # fmt: skip
         assert {f.name for f in dataclasses.fields(repro.BuildConfig)} == {
             "similarity_threshold", "min_length", "max_length", "step",

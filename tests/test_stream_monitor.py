@@ -302,7 +302,7 @@ def test_restore_accepts_a_snapshot_with_prefilter_counters():
         "rep_dtw_calls": 7,
     }
     engine = OnexEngine()
-    engine.restore_dataset(base.raw_dataset, base, monitors=[old], event_seq=3)
+    engine.restore_dataset(base, monitors=[old], event_seq=3)
     monitor = engine.stream_registry(base.raw_dataset.name).monitor("old")
     assert monitor.describe()["windows_checked"] == 40
     assert monitor.describe()["windows_pruned"] == 0
