@@ -1,7 +1,14 @@
 """HTTP client for the ONEX server, with overload-aware retries.
 
 :class:`OnexClient` speaks the :mod:`repro.server.protocol` envelopes
-over plain urllib (stdlib only, like the server).  Its retry policy:
+over ``http.client`` (stdlib only, like the server), on one kept-alive
+HTTP/1.1 connection per calling thread.  Before reusing an idle
+connection it polls the socket: a readable idle socket means the server
+closed it (its read timeout, a 4xx, ``stop()``), so the client
+reconnects before writing anything — a request that was never written
+cannot have executed.  A response marked ``Connection: close`` drops the
+connection, and so does any transport error; the next call reconnects.
+Its retry policy:
 
 - **Read-only** operations (``protocol.READ_ONLY_OPERATIONS``) are
   always retryable: a shed request (503) provably never executed, and a
@@ -11,8 +18,8 @@ over plain urllib (stdlib only, like the server).  Its retry policy:
   mints one ID and re-sends it verbatim on each retry, so a connection
   that died after the server executed yields the *recorded* response on
   replay, never a double mutation.
-- Everything else (``load_dataset``, ``save_base``, ...) fails fast and
-  leaves the decision to the caller.
+- Everything else (``load_dataset``, ``save_base``, ...) fails fast on a
+  transport error and leaves the decision to the caller.
 - Retries back off exponentially with full jitter; a server-sent
   ``Retry-After`` hint is honoured as the floor of the next delay; the
   *total* time spent waiting between attempts is bounded by
@@ -34,15 +41,22 @@ idempotent-retry path); the server's Prometheus exposition moved to
 
 from __future__ import annotations
 
+import http.client
 import json
 import random
+import select
+import socket
+import threading
 import time
-import urllib.error
-import urllib.request
 from collections.abc import Callable
 from typing import Any
 
-from repro.exceptions import OverloadedError, ProtocolError, RemoteError
+from repro.exceptions import (
+    OverloadedError,
+    ProtocolError,
+    RemoteError,
+    ValidationError,
+)
 from repro.obs.trace import new_request_id
 from repro.server.protocol import (
     DURABLE_OPERATIONS,
@@ -60,10 +74,15 @@ _BACKOFF_BASE_S = 0.1
 _BACKOFF_CAP_S = 2.0
 _RETRY_BUDGET_S = 15.0
 
+#: What a failed exchange raises (refused, reset, timed out, cut short);
+#: each drops the thread's connection.
+_TRANSPORT_ERRORS = (OSError, http.client.HTTPException)
+
 
 class OnexClient:
     """Calls one ONEX server; safe retries for idempotent operations.
 
+    *url* is ``http://host:port`` with an optional path prefix.
     *max_retries* bounds the re-sends after the first attempt; the
     delays between them are the module's backoff constants.  *sleep* and
     *rng* exist for deterministic tests.
@@ -79,6 +98,12 @@ class OnexClient:
         rng: random.Random | None = None,
     ) -> None:
         self.url = url.rstrip("/")
+        scheme, _, rest = self.url.partition("://")
+        if scheme != "http" or not rest:
+            raise ValidationError(f"OnexClient needs an http:// URL, got {url!r}")
+        self._netloc, slash, prefix = rest.partition("/")
+        self._prefix = slash + prefix
+        self._local = threading.local()
         self.timeout_s = float(timeout_s)
         self.max_retries = int(max_retries)
         self._sleep = sleep
@@ -132,8 +157,8 @@ class OnexClient:
         while True:
             self._record_attempts(attempt + 1, mutating)
             try:
-                status, headers, payload = self._post(body)
-            except (urllib.error.URLError, ConnectionError, TimeoutError):
+                status, headers, payload = self._exchange("POST", "/api", body)
+            except _TRANSPORT_ERRORS:
                 if not self._may_retry(retryable, attempt, budget_expires):
                     raise
                 self._backoff(attempt, None, budget_expires, mutating)
@@ -164,13 +189,9 @@ class OnexClient:
         return self._get("/health")
 
     def ready(self) -> bool:
-        """Whether the server currently admits requests (``/ready``)."""
-        try:
-            return bool(self._get("/ready").get("ready"))
-        except urllib.error.HTTPError as exc:
-            if exc.code == 503:  # draining: a well-formed "not ready"
-                return False
-            raise
+        """Whether the server currently admits requests (``/ready``);
+        its 503 while draining is a well-formed "not ready"."""
+        return bool(self._get("/ready", ok=(200, 503)).get("ready"))
 
     def pool_status(self) -> dict | None:
         """The worker pool's per-slot state from ``/health``.
@@ -201,35 +222,58 @@ class OnexClient:
     def scrape_metrics(self) -> str:
         """The server's ``/metrics`` Prometheus exposition text (never
         retried); parse with :func:`repro.obs.metrics.parse_exposition`."""
-        with urllib.request.urlopen(
-            f"{self.url}/metrics", timeout=self.timeout_s
-        ) as resp:
-            return resp.read().decode()
+        status, _, body = self._exchange("GET", "/metrics")
+        _expect_status("/metrics", status, (200,))
+        return body.decode()
+
+    def close(self) -> None:
+        """Close the calling thread's connection; a later call reconnects.
+
+        Another thread's connection closes when that thread ends.
+        """
+        conn = getattr(self._local, "conn", None)
+        if conn is not None:
+            conn.close()
 
     # ------------------------------------------------------------------
     # Transport
     # ------------------------------------------------------------------
 
-    def _post(self, body: bytes) -> tuple[int, dict, bytes]:
-        req = urllib.request.Request(
-            f"{self.url}/api",
-            data=body,
-            headers={"Content-Type": "application/json"},
-            method="POST",
-        )
-        try:
-            with urllib.request.urlopen(req, timeout=self.timeout_s) as resp:
-                return resp.status, dict(resp.headers), resp.read()
-        except urllib.error.HTTPError as exc:
-            # Protocol-level statuses (400 envelopes, 503 sheds) are
-            # responses, not transport failures.
-            return exc.code, dict(exc.headers or {}), exc.read()
+    def _connection(self) -> http.client.HTTPConnection:
+        """This thread's connection, not closed by the server while idle."""
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = http.client.HTTPConnection(self._netloc, timeout=self.timeout_s)
+            self._local.conn = conn
+        elif conn.sock is not None and _closed_while_idle(conn.sock):
+            conn.close()  # ``request()`` opens a new one
+        return conn
 
-    def _get(self, path: str) -> dict:
-        with urllib.request.urlopen(
-            f"{self.url}{path}", timeout=self.timeout_s
-        ) as resp:
-            payload = json.loads(resp.read())
+    def _exchange(
+        self, method: str, path: str, body: bytes | None = None
+    ) -> tuple[int, http.client.HTTPMessage, bytes]:
+        """One request/response on this thread's connection.
+
+        Every HTTP status is returned (400 envelopes and 503 sheds are
+        responses, not transport failures).  A transport error closes the connection before it propagates (its
+        state is unknown); a ``Connection: close`` response has already
+        closed it inside ``http.client``.  Either way the next exchange
+        reconnects.
+        """
+        conn = self._connection()
+        headers = {"Content-Type": "application/json"} if body is not None else {}
+        try:
+            conn.request(method, self._prefix + path, body=body, headers=headers)
+            resp = conn.getresponse()
+            return resp.status, resp.headers, resp.read()
+        except _TRANSPORT_ERRORS:
+            conn.close()
+            raise
+
+    def _get(self, path: str, ok: tuple[int, ...] = (200,)) -> dict:
+        status, _, body = self._exchange("GET", path)
+        _expect_status(path, status, ok)
+        payload = json.loads(body)
         if not isinstance(payload, dict):
             raise ProtocolError(f"{path} returned a non-object payload")
         return payload
@@ -270,11 +314,26 @@ class OnexClient:
             self._sleep(delay)
 
 
-def _parse_retry_after(headers: dict) -> float | None:
-    for name, value in headers.items():
-        if name.lower() == "retry-after":
-            try:
-                return float(value)
-            except (TypeError, ValueError):
-                return None
-    return None
+def _closed_while_idle(sock: socket.socket) -> bool:
+    """Whether the server closed *sock* since its last response.
+
+    The server sends nothing unasked, so an idle socket that polls
+    readable holds an EOF (or a reset) — never the start of an answer.
+    """
+    readable, _, _ = select.select([sock], [], [], 0)
+    return bool(readable)
+
+
+def _expect_status(path: str, status: int, ok: tuple[int, ...]) -> None:
+    if status not in ok:
+        raise ProtocolError(f"{path} answered HTTP {status}")
+
+
+def _parse_retry_after(headers: http.client.HTTPMessage) -> float | None:
+    value = headers.get("Retry-After")
+    if value is None:
+        return None
+    try:
+        return float(value)
+    except ValueError:
+        return None

@@ -38,6 +38,12 @@ Probe endpoints (``/health``, ``/ready``, ``/metrics``) bypass the
 admission gate on purpose: an overloaded or draining server must still
 answer its scrapers.
 
+Connections are HTTP/1.1 and kept alive (with TCP_NODELAY): a client
+sends its next request on the same socket and handler thread.  Every
+4xx closes the connection, since a request it rejects may leave unread
+bytes on the stream; an idle connection closes after the read timeout,
+and ``stop()`` closes the rest.
+
 Concurrency model: one reader/writer lock per loaded dataset, plus a
 registry-level lock guarding the dataset table itself.  Read-only
 operations (``protocol.READ_ONLY_OPERATIONS``) take the shared side, so
@@ -52,8 +58,8 @@ most *max_in_flight* requests execute while up to *max_queue* wait; any
 further arrival is shed immediately with a structured 503 instead of
 stacking an unbounded number of handler threads onto the engine.  A shed
 request did not execute at all, so retrying it (the client helper in
-:mod:`repro.server.client` does, for read-only operations) is always
-safe.
+:mod:`repro.server.client` does, for read-only and durable operations)
+is always safe.
 
 Throughput-sensitive clients should prefer ``query_batch`` over a stream
 of single-query requests: one request pays the HTTP round trip, JSON
@@ -69,6 +75,7 @@ in-process.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 from collections.abc import Callable, Iterable, Iterator
@@ -401,6 +408,13 @@ def _make_handler(
     class Handler(BaseHTTPRequestHandler):
         """One request thread: admission, locking, envelopes."""
 
+        # Keep-alive: a client sends its next request on the same
+        # connection and handler thread.  Headers and body are two
+        # writes, so without TCP_NODELAY the body waits on Nagle for the
+        # client's delayed ACK (~40 ms per request).
+        protocol_version = "HTTP/1.1"
+        disable_nagle_algorithm = True
+
         # Per-connection socket timeout (StreamRequestHandler.setup calls
         # settimeout with this): a client that stalls mid-body cannot
         # pin a handler thread forever — the read raises and maps to a
@@ -435,6 +449,12 @@ def _make_handler(
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
+            if 400 <= status < 500:
+                # A 4xx may leave unread body bytes (or none of a
+                # stalled body) on the stream, which would parse as the
+                # next request line: close (send_header sets
+                # close_connection).
+                self.send_header("Connection", "close")
             for name, value in (headers or {}).items():
                 self.send_header(name, value)
             self.end_headers()
@@ -509,8 +529,8 @@ def _make_handler(
             # A malformed Content-Length used to raise out of the handler,
             # killing the connection with no response; so did any decoding
             # failure Request.from_json does not translate itself.  Every
-            # malformed request now maps to a 400 envelope and the
-            # connection (and server) keeps serving.
+            # malformed request now maps to a 400 envelope (which closes
+            # the connection) and the server keeps serving.
             raw_length = self.headers.get("Content-Length", 0)
             try:
                 length = int(raw_length)
@@ -531,7 +551,6 @@ def _make_handler(
             try:
                 body = self.rfile.read(length)
             except (TimeoutError, OSError) as exc:
-                self.close_connection = True
                 self._send(
                     408,
                     Response.failure(
@@ -543,7 +562,6 @@ def _make_handler(
                 )
                 return
             if len(body) != length:
-                self.close_connection = True
                 self._send(
                     400,
                     Response.failure(
@@ -668,15 +686,62 @@ def _make_handler(
 
 
 class _ThreadingServer(ThreadingHTTPServer):
-    """The stdlib server with a listen backlog that outlasts a burst.
+    """The stdlib server with a listen backlog that outlasts a burst, and
+    a record of its open connections.
 
     With the default of 5 the kernel drops the SYNs of a burst past the
     backlog and those clients stall for the 1 s TCP retry — by then a
     slot is free, so they are admitted late where the
     :class:`AdmissionGate` was meant to shed them at once with a 503.
+
+    Handler threads are daemons, which ``server_close()`` does not join,
+    and a kept-alive connection's thread waits in its request-line read
+    until the client sends or the read timeout fires.
+    :meth:`close_connections` ends those waits, so a stopped server
+    answers nothing more on an old connection.
     """
 
     request_queue_size = 128
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        self._conn_lock = threading.Lock()
+        self._connections: dict[socket.socket, threading.Thread] = {}
+
+    def process_request(
+        self, request: socket.socket, client_address: tuple[str, int]
+    ) -> None:
+        thread = threading.Thread(
+            target=self.process_request_thread,
+            args=(request, client_address),
+            daemon=True,
+        )
+        with self._conn_lock:
+            self._connections[request] = thread
+        thread.start()
+
+    def shutdown_request(self, request: socket.socket) -> None:
+        with self._conn_lock:
+            self._connections.pop(request, None)
+        super().shutdown_request(request)
+
+    def close_connections(self, timeout: float) -> None:
+        """Shut every open connection and join its thread, up to
+        *timeout* seconds in all.
+
+        An idle thread's read returns EOF at once; a thread still
+        executing a request finishes it, then fails its write.
+        """
+        with self._conn_lock:
+            open_now = list(self._connections.items())
+        for sock, _ in open_now:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # the client or the handler closed it first
+        expires_at = time.monotonic() + timeout
+        for _, thread in open_now:
+            thread.join(max(0.0, expires_at - time.monotonic()))
 
 
 class OnexHttpServer:
@@ -685,7 +750,7 @@ class OnexHttpServer:
     *max_in_flight*/*max_queue* configure the admission gate (see
     :class:`AdmissionGate`); *drain_timeout* bounds how long ``stop()``
     waits — first for in-flight requests to finish, then for the serve
-    thread to exit.
+    thread to exit, then for the closed connections' threads.
     """
 
     def __init__(
@@ -773,7 +838,10 @@ class OnexHttpServer:
         The gate closes first, so new arrivals get clean 503s while
         in-flight requests run to completion (up to *drain_timeout*).
         Requests still running after the budget are abandoned on their
-        daemon threads and counted as aborted.  A serve thread that then
+        daemon threads and counted as aborted.  Every connection still
+        open is then shut, idle kept-alive ones included, so an old
+        client's next request fails on the transport instead of being
+        answered by a stopped server.  A serve thread that then
         fails to exit raises :class:`ShutdownTimeoutError` — previously
         this leak was silent.
         """
@@ -785,6 +853,9 @@ class OnexHttpServer:
         self._httpd.shutdown()
         self._thread.join(timeout=self._drain_timeout)
         leaked = self._thread.is_alive()
+        # No accept can follow the serve loop's exit, so this ends every
+        # kept-alive connection for good.
+        self._httpd.close_connections(self._drain_timeout)
         self._httpd.server_close()
         self._thread = None
         if leaked:

@@ -1,9 +1,12 @@
 """End-to-end tests of the HTTP JSON API (client/server architecture, §4)."""
 
+import http.client
 import json
 import os
 import subprocess
 import sys
+import threading
+import time
 import urllib.error
 import urllib.request
 from pathlib import Path
@@ -11,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.server.client import OnexClient
 from repro.server.http import OnexHttpServer
 from repro.server.service import OnexService
 
@@ -317,12 +321,16 @@ def test_lock_table_ignores_unknown_dataset_names():
     assert list(manager._locks) == ["real"]
 
 
-def raw_http(server, request_bytes: bytes) -> bytes:
-    """One raw-socket HTTP exchange (read to EOF; the server closes)."""
+def raw_http(server, request_bytes: bytes, timeout: float = 30) -> bytes:
+    """One raw-socket HTTP exchange (read to EOF; the server closes).
+
+    A server that keeps the connection open fails the read after
+    *timeout* seconds of silence.
+    """
     import socket
 
     host, port = server.address
-    with socket.create_connection((host, port), timeout=30) as sock:
+    with socket.create_connection((host, port), timeout=timeout) as sock:
         sock.sendall(request_bytes)
         chunks = []
         while True:
@@ -337,6 +345,19 @@ def parse_raw(response: bytes) -> tuple[int, dict]:
     head, _, body = response.partition(b"\r\n\r\n")
     status = int(head.split(b" ", 2)[1])
     return status, json.loads(body)
+
+
+def parse_raw_all(response: bytes) -> list[tuple[int, dict]]:
+    """Every response in one connection's bytes, split by Content-Length."""
+    out = []
+    while response:
+        head, _, rest = response.partition(b"\r\n\r\n")
+        lines = head.split(b"\r\n")
+        fields = dict(line.split(b": ", 1) for line in lines[1:])
+        length = int(fields[b"Content-Length"])
+        out.append((int(lines[0].split(b" ", 2)[1]), json.loads(rest[:length])))
+        response = rest[length:]
+    return out
 
 
 class TestMalformedRequestsSurvived:
@@ -472,6 +493,111 @@ class TestSlowClientTimeout:
             assert "truncated" in payload["error"]["message"]
 
 
+class TestKeepAlive:
+    """Each client thread holds one HTTP/1.1 connection.  The server
+    closes it after a 4xx, after an idle read timeout and on ``stop()``;
+    the client notices an idle close before it writes anything."""
+
+    _LIST = b'{"op": "list_datasets", "params": {}}'
+    _LOAD = {
+        "source": "electricity",
+        "households": 1,
+        "similarity_threshold": 0.1,
+        "min_length": 4,
+        "max_length": 4,
+    }
+
+    @classmethod
+    def _api_request(cls, extra_headers: bytes = b"") -> bytes:
+        return (
+            b"POST /api HTTP/1.1\r\nHost: t\r\n"
+            b"Content-Type: application/json\r\n"
+            + extra_headers
+            + b"Content-Length: "
+            + str(len(cls._LIST)).encode()
+            + b"\r\n\r\n"
+            + cls._LIST
+        )
+
+    @staticmethod
+    def _requests_total(client, op: str) -> float:
+        from repro.obs.metrics import parse_exposition
+
+        series = parse_exposition(client.scrape_metrics())
+        return sum(
+            value
+            for labels, value in series.get("onex_server_requests_total", {}).items()
+            if ("op", op) in labels
+        )
+
+    def test_404_closes_before_its_unread_body(self, server):
+        """The 404 does not read the body; parsed as the next request it
+        would be a second response."""
+        smuggled = self._api_request()
+        request = (
+            b"POST /nope HTTP/1.1\r\nHost: t\r\nContent-Length: "
+            + str(len(smuggled)).encode()
+            + b"\r\n\r\n"
+            + smuggled
+        )
+        responses = parse_raw_all(raw_http(server, request, timeout=5))
+        assert [status for status, _ in responses] == [404]
+
+    def test_two_requests_on_one_socket(self, server):
+        request = self._api_request() + self._api_request(b"Connection: close\r\n")
+        responses = parse_raw_all(raw_http(server, request, timeout=5))
+        assert [status for status, _ in responses] == [200, 200]
+        assert all(payload["ok"] for _, payload in responses)
+
+    def test_client_calls_share_one_connection(self, server, monkeypatch):
+        accepted = []
+        process = server._httpd.process_request
+
+        def counting(request, client_address):
+            accepted.append(client_address)
+            process(request, client_address)
+
+        monkeypatch.setattr(server._httpd, "process_request", counting)
+        client = OnexClient(server.url)
+        for _ in range(20):
+            client.call("list_datasets")
+        client.close()
+        assert len(accepted) == 1
+
+    def test_idle_close_is_noticed_before_sending(self):
+        """After the server's read timeout closed the idle connection, a
+        non-retryable op and a bodyless GET still go through, once."""
+        with OnexHttpServer(OnexService(), read_timeout_s=0.3) as srv:
+            client = OnexClient(srv.url, max_retries=0)
+            before = self._requests_total(client, "load_dataset")
+            time.sleep(0.6)
+            client.call("load_dataset", self._LOAD)
+            assert client.last_attempts == 1
+            assert self._requests_total(client, "load_dataset") == before + 1
+            time.sleep(0.6)
+            assert client.health()["status"] == "ok"
+            client.close()
+
+    def test_stop_closes_idle_connections(self):
+        drain_timeout = 2.0
+        srv = OnexHttpServer(OnexService(), drain_timeout=drain_timeout).start()
+        existing = set(threading.enumerate())
+        client = OnexClient(srv.url, max_retries=0)
+        client.call("list_datasets")
+        handlers = [
+            thread
+            for thread in threading.enumerate()
+            if thread not in existing and "process_request_thread" in thread.name
+        ]
+        assert len(handlers) == 1 and handlers[0].is_alive()
+        started = time.monotonic()
+        srv.stop()
+        assert time.monotonic() - started < drain_timeout
+        assert not handlers[0].is_alive()
+        with pytest.raises((OSError, http.client.HTTPException)):
+            client.call("list_datasets")
+
+
 class TestStrictJson:
     """Regression: a served distance that overflows to ``inf`` was written
     as a bare ``Infinity``, which is not JSON.  Bodies are strict JSON
@@ -559,6 +685,7 @@ class TestStrictJson:
 #: overflowing ``best_match``; prints ``[status, X-Request-Id, body]``.
 _OVERFLOW_CHILD = """
 import json, urllib.error, urllib.request
+from repro.server.client import OnexClient
 from repro.server.http import OnexHttpServer
 from repro.server.service import OnexService
 
