@@ -11,6 +11,8 @@ k-best, per length-sorted chunk in the threshold scan), and the
 brute-force order under exact distance ties.
 """
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -21,7 +23,7 @@ from repro.baselines.brute_force import BruteForceSearcher
 from repro.core.base import MemberTable, OnexBase
 from repro.core.config import BuildConfig, QueryConfig
 from repro.core.deadline import CancellationToken, Deadline
-from repro.core.query import QueryProcessor
+from repro.core.query import QueryProcessor, QueryStats
 from repro.data.dataset import TimeSeriesDataset
 from repro.data.matters import STATE_ABBREVIATIONS, build_matters_collection
 from repro.data.timeseries import TimeSeries
@@ -30,47 +32,46 @@ from repro.exceptions import DeadlineExceeded
 from repro.stream.ingest import StreamIngestor
 from repro.testing import faults
 
-PINNED_FIELDS = (
-    "rep_dtw_calls",
-    "member_dtw_calls",
-    "groups_refined",
-    "rep_lb_prunes",
-    "rep_dtw_skipped",
-)
+#: Every :class:`QueryStats` field, in declaration order: the pins below
+#: hold all of the work a query does, not a sample of it.
+PINNED_FIELDS = tuple(f.name for f in fields(QueryStats))
 
-#: ``(base, mode, op) -> PINNED_FIELDS`` values, re-pinned when member
-#: refinement became one best-first, raw-first stage (previous pins: commit
-#: 152ae78).  What moved, and why:
+#: ``(base, mode, op) -> PINNED_FIELDS`` values summed over the three
+#: queries, identical on both kernel backends.  The representative,
+#: ``groups_refined`` and ``member_dtw_calls`` columns date from when
+#: member refinement became one best-first, raw-first stage (previous
+#: pins: commit 152ae78):
 #:
-#: - ``matches_within`` — nothing, in either mode.
-#: - fast mode — the representative counters are unchanged; ``walk``
-#:   verifies a few more members (13 -> 14, 6 -> 11) because the top
-#:   ``refine_groups`` groups now refine in ONE call with no cutoff between
-#:   them, and because units under eight rows no longer take the deleted
+#: - ``matches_within`` — nothing moved, in either mode.
+#: - fast mode — the representative counters were unchanged; ``walk``
+#:   verified a few more members (13 -> 14, 6 -> 11) because the top
+#:   ``refine_groups`` groups refine in ONE call with no cutoff between
+#:   them, and because units under eight rows no longer took the deleted
 #:   scalar early-abandoning scan.
 #: - exact mode — ``member_dtw_calls`` only went DOWN (316 -> 254,
 #:   289 -> 232, 1100 -> 739, 903 -> 700): groups drain in ascending
 #:   (tight bound, representative distance), so the cutoff is near-final
 #:   after the first small chunk.  ``groups_refined`` fell on ``matters``
-#:   (213 -> 149) for the same reason.  ``rep_dtw_calls``,
-#:   ``rep_lb_prunes`` and ``rep_dtw_skipped`` are unchanged: the
-#:   representative-verify schedule was not touched.
-#: - ``query_batch`` has no pin of its own: it is the single-query path per
-#:   query, asserted below as the sum of its ``k_best`` counters.
+#:   (213 -> 149) for the same reason.
+#:
+#: The other columns were recorded before the five representative-table
+#: drivers became one walk, which had to reproduce every one of them.
+#: ``query_batch`` has no pin of its own: it is the single-query path per
+#: query, asserted below as the sum of its ``k_best`` counters.
 PINNED = {
-    ("walk", "fast", "k_best"): [112, 14, 5, 0, 662],
-    ("walk", "fast", "best_match"): [112, 11, 3, 0, 662],
-    ("walk", "fast", "matches_within"): [463, 685, 326, 311, 311],
-    ("walk", "exact", "k_best"): [200, 254, 110, 574, 574],
-    ("walk", "exact", "best_match"): [177, 232, 106, 597, 597],
-    ("walk", "exact", "matches_within"): [463, 685, 326, 311, 311],
-    ("matters", "fast", "k_best"): [80, 25, 3, 0, 133],
-    ("matters", "fast", "best_match"): [80, 25, 3, 0, 133],
-    ("matters", "fast", "matches_within"): [180, 1064, 159, 33, 33],
-    ("matters", "exact", "k_best"): [213, 739, 149, 0, 0],
-    ("matters", "exact", "best_match"): [213, 700, 149, 0, 0],
-    ("matters", "exact", "matches_within"): [180, 1064, 159, 33, 33],
-}
+    ("walk", "fast", "k_best"): [774, 0, 112, 662, 0, 5, 14, 0, 14, 13, 0, 0],
+    ("walk", "fast", "best_match"): [774, 0, 112, 662, 0, 3, 11, 0, 11, 5, 0, 0],
+    ("walk", "fast", "matches_within"): [774, 311, 463, 311, 448, 326, 713, 28, 685, 568, 0, 0],
+    ("walk", "exact", "k_best"): [774, 574, 200, 574, 664, 110, 443, 189, 254, 38, 0, 0],
+    ("walk", "exact", "best_match"): [774, 597, 177, 597, 668, 106, 437, 205, 232, 26, 0, 0],
+    ("walk", "exact", "matches_within"): [774, 311, 463, 311, 448, 326, 713, 28, 685, 568, 0, 0],
+    ("matters", "fast", "k_best"): [213, 0, 80, 133, 0, 3, 25, 0, 25, 19, 0, 0],
+    ("matters", "fast", "best_match"): [213, 0, 80, 133, 0, 3, 25, 0, 25, 11, 0, 0],
+    ("matters", "fast", "matches_within"): [213, 33, 180, 33, 54, 159, 1677, 613, 1064, 287, 0, 0],
+    ("matters", "exact", "k_best"): [213, 0, 213, 0, 64, 149, 1652, 913, 739, 40, 0, 0],
+    ("matters", "exact", "best_match"): [213, 0, 213, 0, 64, 149, 1652, 952, 700, 20, 0, 0],
+    ("matters", "exact", "matches_within"): [213, 33, 180, 33, 54, 159, 1677, 613, 1064, 287, 0, 0],
+}  # fmt: skip
 
 
 def walk_base() -> OnexBase:
@@ -152,16 +153,18 @@ def run_ops(processor: QueryProcessor, qs: list[np.ndarray]) -> dict:
     return out
 
 
+@pytest.mark.usefixtures("kernel_backend")
 @pytest.mark.parametrize("mode", ["fast", "exact"])
 def test_answers_and_work_counters(named_base, mode):
     name, base = named_base
     qs = queries_for(base)
     ran = run_ops(QueryProcessor(base, QueryConfig(mode=mode)), qs)
     for op in ("k_best", "best_match", "matches_within"):
-        counters = ran[op][1]
-        assert counters == PINNED[name, mode, op], (op, dict(zip(PINNED_FIELDS, counters)))
-    # The batch is a driver of the single-query path: same k, same work.
-    assert ran["query_batch"][1] == ran["k_best"][1]
+        got = dict(zip(PINNED_FIELDS, ran[op][1]))
+        assert got == dict(zip(PINNED_FIELDS, PINNED[name, mode, op])), op
+    # The batch runs the single-query path per query: same k, same work.
+    batch = dict(zip(PINNED_FIELDS, ran["k_best"][1]), batch_queries=len(qs))
+    assert dict(zip(PINNED_FIELDS, ran["query_batch"][1])) == batch
     truths = [brute_force(base, q) for q in qs]
     for q, truth, within in zip(qs, truths, ran["matches_within"][0]):
         # The threshold sweep verifies every survivor in either mode.
