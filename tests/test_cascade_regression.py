@@ -186,17 +186,19 @@ CANCELLED_OPS = {
 }
 
 
+@pytest.mark.parametrize("metric", ["dtw", "euclidean", "derivative_dtw"])
 @pytest.mark.parametrize("mode", ["fast", "exact"])
 @pytest.mark.parametrize("op", sorted(CANCELLED_OPS))
-def test_a_cancelled_query_has_run_no_dtw(op, mode):
+def test_a_cancelled_query_has_run_no_dtw(op, mode, metric):
     """The check comes first: cancelled before its first chunk, an
-    operation has verified no representative and refined no member."""
+    operation has verified no representative and refined no member —
+    under a registry metric too (the query has an indexed length)."""
     base = walk_base()
     token = CancellationToken()
     token.cancel()
     with pytest.raises(DeadlineExceeded) as raised:
         CANCELLED_OPS[op](
-            QueryProcessor(base, QueryConfig(mode=mode)),
+            QueryProcessor(base, QueryConfig(mode=mode, metric=metric)),
             queries_for(base)[0],
             Deadline(token=token),
         )
