@@ -116,8 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", default=None,
                    help="distance metric: dtw (default), euclidean, "
                         "cityblock, chebyshev, derivative_dtw, or "
-                        "weighted_dtw; non-DTW metrics answer through the "
-                        "exact registry scan")
+                        "weighted_dtw; non-DTW metrics answer exactly in "
+                        "either mode")
     p.add_argument("--explain", action="store_true",
                    help="trace the query and attach the span tree plus "
                         "pruning-cascade counters to the result (matches "

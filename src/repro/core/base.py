@@ -216,7 +216,7 @@ class RepresentativeTable(_ColumnTable):
     of the transfer bound, and the ``(lengths, gids)`` address of each
     row's group — its bucket's length and its index there.  A row's
     index is also the group's name in the :class:`MemberTable` beside
-    it, and the query drivers carry groups as table rows.
+    it, and the query walk names groups by table row.
     :class:`OnexBase` owns it and keeps it current at the one place
     groups are seeded and grown (``apply_windows``, through
     :meth:`extend`).

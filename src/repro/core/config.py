@@ -100,13 +100,13 @@ class QueryConfig:
         of one stage (DESIGN.md §1).
     metric:
         Distance metric for query/threshold operations, resolved through
-        :mod:`repro.distances.registry` (DESIGN.md §9).  ``"dtw"`` (the
-        default) on a univariate base runs the classic representative
-        cascade, bit-identical to the pre-registry engine; every other
-        metric — and any metric on a multivariate base — runs the
-        metric scan with that metric's lower-bound prescreen where one is
-        registered and a brute-force-verified full scan where it isn't.
-        Unknown names raise :class:`~repro.exceptions.ValidationError`.
+        :mod:`repro.distances.registry` (DESIGN.md §9).  Every metric runs
+        the one walk over the representative table: ``"dtw"`` (the
+        default) on a univariate base with the table's rank bounds and
+        the batch DTW kernel; every other metric, and any metric on a
+        multivariate base, with its registered bound family (none: every
+        group is refined) and kernels, exact in both modes.  Unknown
+        names raise :class:`~repro.exceptions.ValidationError`.
     """
 
     mode: str = "fast"

@@ -1,82 +1,42 @@
 """ONEX online query processor (§3.2/§3.3).
 
-Queries run DTW against the compact base instead of the raw data.  Two
-strategies are provided (:class:`repro.core.config.QueryConfig`):
+Every query — k-best, best match, the similarity-threshold query and a
+batch of them — is one best-first **walk** over the base's
+:class:`repro.core.base.RepresentativeTable` (DESIGN.md §1), with three
+parameters:
 
-``fast`` (the paper's demo behaviour)
-    Rank every group representative by length-normalised DTW to the query,
-    then exhaustively refine only the best ``refine_groups`` groups.  The
-    transfer upper bound guarantees the returned match's DTW is within the
-    group radius slack of the representative-level optimum.
+- a **bound family**: DTW's rank bounds — LB_Kim and the min/max band
+  from the table, no kernel call — with the ED→DTW transfer slack, which
+  lower-bound every member of a group; or a registry metric's
+  ``lower_bound`` over its distances to the representatives; or none,
+  and every group is a unit;
+- a **kernel pair**: one ragged batch DTW call per chunk of
+  representatives and :meth:`QueryProcessor._refine` for members, or the
+  metric's ``batch``/``pair`` on both;
+- a **stopping rule**: the k-heap cutoff (exact k-best), the top
+  ``refine_groups`` groups holding k members (``fast``, the paper's demo
+  behaviour; DTW only — a registry metric is exact in both modes) or a
+  fixed threshold (the range query).
 
-``exact``
-    Never skip a group unless a *provable* lower bound shows it cannot
-    contain a better match.  Returns the true DTW best match over all
-    indexed subsequences, usually still far cheaper than a raw scan.
-
-The search is a **staged pruning cascade**, cheap bounds first at every
-stage (DESIGN.md §1):
-
-**Rank**: one pass over the base's
-:class:`repro.core.base.RepresentativeTable` — every representative of
-every length, one row each — yields LB_Kim (ragged, from the endpoints)
-and min/max-band LB_Keogh (closed form, ``O(G log n)``) lower bounds on
-``DTW(query, representative)`` without any DTW kernel call; combined
-with the ED→DTW transfer bound they lower-bound every *member* of the
-group.  The bound order is consumed lazily (:class:`_LazyOrder`): only
-the prefix a search reaches is ever sorted.  There is no eager twin:
-under the trivial sound bound (zeros from
-:meth:`QueryProcessor._rank_bounds`) this one path verifies every
-representative up front, which is how the tests witness that rank
-pruning changes no answer (DESIGN.md §1).
-
-**Lazy verify**: representatives are visited best-first and a
-representative's exact distance is only computed (in bound-ordered
-chunks, each one ragged kernel call however many length buckets it
-spans) when its cheap bound undercuts the current cutoff —
-representatives whose bound exceeds the running k-th best distance never
-get a DTW call at all.
-
-**Refine** (:meth:`QueryProcessor._refine`, the one member stage every
-operation drives): a chunk of groups of *any* lengths, named by their
-representative-table rows, is read off the base's
-:class:`repro.core.base.MemberTable` (one row per member, every length),
-then
-
-1. *select* the chunk's members with one mask over the table's owner
-   column; *bound* them — LB_Kim from the table's endpoint column, and
-   LB_Keogh against the cached query envelope for the rows of the
-   query's own length, read from that bucket's member matrix; *load* the
-   values of the survivors only into one stack padded to their widest;
-2. one ragged cost-only ``dtw_distance_batch(..., lengths=)`` call for
-   the survivors;
-3. a second, path-length-tracking call only for rows whose
-   ``raw / (n + m - 1)`` is within the cut — a necessary condition for
-   ``raw / path_length`` to be, since no warping path is longer;
-4. one ``dtw_path_batch`` call — the warping paths of the matches
-   actually returned, all of them at once, when the answer is final
-   (:meth:`QueryProcessor._matches`).
-
-The operations differ in their stopping rule only, and name groups by
-their table rows.  Exact k-best drains verified groups best-first —
-ascending ``(tight bound, representative distance)`` — in doubling
-chunks that start small, so the closest groups set a near-final cutoff
-before the bulk of the base meets the member bounds; fast mode refines its top ``refine_groups`` groups in one call;
-the threshold query verifies the groups its rank pass leaves alive in
-length-sorted chunks, one representative call and one stage call per
-chunk with the threshold as the cut.  Every prune is a strict
+The rank keys are consumed lazily (:class:`_LazyOrder`): only the prefix
+a walk reaches is sorted.  Representatives are verified in doubling
+chunks while their key undercuts the cut, and verified groups drain into
+refinement best first by ``(tight bound, representative distance)``.
+The member stage selects a chunk's members off the
+:class:`repro.core.base.MemberTable`, bounds them (LB_Kim, and LB_Keogh
+at the query's length), computes raw costs in one ragged call and path
+lengths only for rows within the cut; the warping paths of the returned
+matches are traced in one ``dtw_path_batch`` call
+(:meth:`QueryProcessor._matches`).  Every prune is a strict
 ``bound > cut`` on a sound lower bound and the heap breaks distance ties
-by reference, so any refinement order returns exactly what a brute-force
-scan returns.  :class:`QueryStats` counts the work each stage actually
-performed.
+by reference, so any order returns what a brute-force scan returns.
+There is no eager twin: the walk under all-zero rank bounds verifies
+every representative, which is how the tests witness that pruning
+changes no answer.  :class:`QueryStats` counts the work done.
 
-:meth:`QueryProcessor.batch_matches` answers many queries in one call by
-running the single-query path on each, inline and in input order, so
-results are those of per-query submission by construction.
-
-Distances reported to callers are **normalised DTW** (cost divided by
-warping-path length), the unit in which ONEX similarity thresholds are
-expressed; ``raw_distance`` carries the unnormalised sum.
+Distances reported to callers are **normalised** (DTW cost over the
+warping-path length, the unit ONEX thresholds are expressed in);
+``raw_distance`` carries the unnormalised cost.
 """
 
 from __future__ import annotations
@@ -84,7 +44,7 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -263,11 +223,6 @@ class _Reps(NamedTuple):
     gids: np.ndarray
     radii: np.ndarray
 
-    def at(self, take: np.ndarray) -> np.ndarray:
-        """The table rows of the positions *take* — what the member stage
-        and the drivers' queues name groups by."""
-        return take if self.rows is None else self.rows[take]
-
 
 class _LazyOrder:
     """``np.argsort(bounds, kind="stable")``, sorted a prefix at a time.
@@ -314,6 +269,95 @@ class _LazyOrder:
             self.ready = end
 
 
+def _candidates(found: _Refined, positions: np.ndarray) -> Iterator[_Candidate]:
+    """Heap entries for the rows *positions* of one refinement's output."""
+    for pos in positions.tolist():
+        series, start = found.handles[pos].tolist()
+        length = int(found.lengths[pos])
+        yield _Candidate(
+            distance=float(found.norms[pos]),
+            ref=SubsequenceRef(series, start, length),
+            raw=float(found.raws[pos]),
+            group=(length, int(found.gids[pos])),
+        )
+
+
+class _Best:
+    """The k-heap stopping rule of exact k-best: the walk stops once no
+    key undercuts the k-th best distance refined so far, its cut (``inf``
+    until k are found)."""
+
+    rank_stage = "representative cascade"
+    refine_stage = "member refinement"
+    span = "cascade.refine"
+
+    def __init__(self, k: int) -> None:
+        self.k = k
+        self.heap: list[_Negated] = []
+
+    def cut(self) -> float:
+        return self.heap[0].candidate.distance if len(self.heap) >= self.k else _INF
+
+    def found(self) -> Iterator[_Candidate]:
+        return (wrapper.candidate for wrapper in self.heap)
+
+    def fold(self, found: _Refined) -> None:
+        """Fold one refinement's exact distances into the k-best heap.
+
+        Heap maintenance is pure comparisons on ``(distance, ref)``; a
+        candidate above the cut can never displace a heap entry and is
+        skipped outright.
+        """
+        norms = found.norms
+        viable = np.flatnonzero(norms <= self.cut())
+        if viable.size > self.k:
+            # Only the k best of this batch can enter the global k-best;
+            # keeping everything tied with the k-th smallest distance
+            # preserves the deterministic (distance, ref) tie-break.
+            kth = np.partition(norms[viable], self.k - 1)[self.k - 1]
+            viable = viable[norms[viable] <= kth]
+        for candidate in _candidates(found, viable):
+            if len(self.heap) < self.k:
+                heapq.heappush(self.heap, _Negated(candidate))
+            elif candidate < self.heap[0].candidate:
+                heapq.heapreplace(self.heap, _Negated(candidate))
+
+
+class _Top(_Best):
+    """The fast stopping rule: the top ``groups`` groups of the ranking,
+    extended until they hold k members — known from the group sizes
+    alone — refined in one call.  Nothing is refined before that call, so
+    the cut stays ``inf`` and a fired deadline always raises."""
+
+    rank_stage = "representative ranking"
+
+    def __init__(self, k: int, groups: int) -> None:
+        super().__init__(k)
+        self.groups = groups
+
+
+class _Within:
+    """The range stopping rule: a fixed cut, *threshold*, and every
+    candidate within it kept."""
+
+    refine_stage = "threshold scan"
+    span = "cascade.threshold_bucket"
+    k = None
+
+    def __init__(self, threshold: float) -> None:
+        self.threshold = threshold
+        self.kept: list[_Candidate] = []
+
+    def cut(self) -> float:
+        return self.threshold
+
+    def found(self) -> list[_Candidate]:
+        return self.kept
+
+    def fold(self, found: _Refined) -> None:
+        self.kept.extend(_candidates(found, np.flatnonzero(found.norms <= self.threshold)))
+
+
 class QueryProcessor:
     """Executes similarity queries against a built :class:`OnexBase`."""
 
@@ -327,12 +371,9 @@ class QueryProcessor:
                 f"metric {self._spec.name!r} supports univariate series "
                 f"only; this base indexes {base.channels}-channel series"
             )
-        # The classic DTW cascade serves only its original contract:
-        # univariate base + metric="dtw" (bit-identical to the
-        # pre-registry engine).  Everything else — any other metric, or
-        # any metric over a multivariate base — runs the metric scan
-        # (DESIGN.md §9), which answers exactly in either query mode.
-        self._metric_scan = self._config.metric != "dtw" or base.channels > 1
+        # Only DTW on a univariate base walks on the table's rank bounds
+        # and answers with warping paths (DESIGN.md §9).
+        self._warps = self._config.metric == "dtw" and base.channels == 1
         self.last_stats = QueryStats()
 
     @property
@@ -469,20 +510,14 @@ class QueryProcessor:
         stats: QueryStats,
         deadline: Deadline | None = None,
     ) -> list[Match]:
-        before = stats.partial_results
-        if self._metric_scan:
-            heap = self._metric_search(q, buckets, k, stats, deadline)
-        else:
-            envelopes = QueryEnvelopeCache(q)
-            if self._config.mode == "fast":
-                heap = self._search_fast(q, buckets, k, stats, envelopes, deadline)
-            else:
-                heap = self._search_exact(q, buckets, k, stats, envelopes, deadline)
-        if not heap:
+        cfg = self._config
+        # A registry metric is exact in both modes: only DTW ranks fast.
+        fast = cfg.mode == "fast" and self._warps
+        rule = _Top(k, cfg.refine_groups) if fast else _Best(k)
+        partial = self._walk(q, buckets, rule, stats, deadline)
+        if not rule.heap:
             raise ValidationError("no indexed subsequences matched the query")
-        partial = stats.partial_results > before
-        candidates = sorted(wrapper.candidate for wrapper in heap)
-        return self._matches(q, candidates, exact=not partial)
+        return self._matches(q, sorted(rule.found()), exact=not partial)
 
     def matches_within(
         self,
@@ -514,74 +549,16 @@ class QueryProcessor:
         with span(
             "query.threshold", threshold=float(threshold), mode=self._config.mode
         ) as sp:
-            found, partial = self._threshold_scan(
-                q, threshold, stats, self._select_buckets(lengths), deadline
-            )
-            matches = self._matches(q, sorted(found), exact=not partial)
+            rule = _Within(threshold)
+            buckets = self._select_buckets(lengths)
+            partial = self._walk(q, buckets, rule, stats, deadline)
+            matches = self._matches(q, sorted(rule.found()), exact=not partial)
             sp.add(**stats.as_dict())
         self.last_stats = stats
         _publish_query(
             "threshold", self._config.mode, stats, started, self._config.metric
         )
         return matches
-
-    def _threshold_scan(
-        self,
-        q: np.ndarray,
-        threshold: float,
-        stats: QueryStats,
-        buckets: list[LengthBucket],
-        deadline: Deadline | None,
-    ) -> tuple[list[_Candidate], bool]:
-        """The range driver of the cascade behind :meth:`matches_within`.
-
-        One rank pass over the table marks the groups whose cheap bound
-        cannot rule them out; they are then verified a length-sorted
-        chunk at a time (``_THRESHOLD_SPAN``): one ragged representative
-        DTW call, then one member refinement of the groups it keeps, with
-        the threshold as the cut.  The failpoint and the deadline check
-        open every chunk, ahead of its first kernel call.  Returns the
-        verified candidates of every chunk and whether a deadline cut the
-        scan short; the caller resolves their warping paths in one call.
-        """
-        if self._metric_scan:
-            return self._metric_threshold_scan(
-                q, threshold, stats, buckets, deadline
-            )
-        envelopes = QueryEnvelopeCache(q)
-        out: list[_Candidate] = []
-        reps = self._reps(buckets, stats)
-        max_paths = (q.shape[0] + reps.lengths - 1).astype(np.float64)
-        cheap = self._rank_bounds(q, reps)
-        alive = (cheap - max_paths * reps.radii) / max_paths <= threshold
-        candidates = np.flatnonzero(alive)
-        skipped = alive.size - candidates.size
-        stats.rep_lb_prunes += skipped
-        stats.rep_dtw_skipped += skipped
-        stats.groups_pruned += skipped
-        candidates = candidates[np.argsort(reps.lengths[candidates], kind="stable")]
-        lengths = reps.lengths[candidates]
-        stop = 0
-        while stop < candidates.size:
-            faults.fire("query.refine_unit")
-            if self._deadline_fired(deadline, "threshold scan", stats, out):
-                return out, True
-            start, widest = stop, int(lengths[stop] * _THRESHOLD_SPAN)
-            stop = int(np.searchsorted(lengths, widest, side="right"))
-            take = candidates[start:stop]
-            raws = self._rep_dtw(q, lengths[start:stop], reps.gids[take], stats)
-            lower = (raws - max_paths[take] * reps.radii[take]) / max_paths[take]
-            keep = take[lower <= threshold]
-            stats.groups_pruned += take.size - keep.size
-            if keep.size:
-                with span(
-                    "cascade.threshold_bucket", groups=int(keep.size), widest=widest
-                ):
-                    found = self._refine(
-                        q, reps.at(keep), threshold, stats, envelopes
-                    )
-                    out.extend(self._within(found, threshold))
-        return out, False
 
     # ------------------------------------------------------------------
     # Deadline handling
@@ -746,51 +723,13 @@ class QueryProcessor:
             raws / plens, raws, members.handles.take(at, axis=0), lengths, members.gids[at]
         )
 
-    @staticmethod
-    def _candidates(found: _Refined, positions: np.ndarray) -> Iterator[_Candidate]:
-        """Heap entries for the rows *positions* of one refinement's output."""
-        for pos in positions.tolist():
-            series, start = found.handles[pos].tolist()
-            length = int(found.lengths[pos])
-            yield _Candidate(
-                distance=float(found.norms[pos]),
-                ref=SubsequenceRef(series, start, length),
-                raw=float(found.raws[pos]),
-                group=(length, int(found.gids[pos])),
-            )
-
-    def _within(self, found: _Refined, threshold: float) -> Iterator[_Candidate]:
-        """The rows of one refinement's output within *threshold*."""
-        return self._candidates(found, np.flatnonzero(found.norms <= threshold))
-
-    def _push(self, heap: list["_Negated"], k: int, found: _Refined) -> None:
-        """Fold one refinement's exact distances into the k-best heap.
-
-        Heap maintenance is pure comparisons on ``(distance, ref)``; a
-        candidate above the cutoff can never displace a heap entry and is
-        skipped outright.
-        """
-        norms = found.norms
-        viable = np.flatnonzero(norms <= self._cutoff(heap, k))
-        if viable.size > k:
-            # Only the k best of this batch can enter the global k-best;
-            # keeping everything tied with the k-th smallest distance
-            # preserves the deterministic (distance, ref) tie-break.
-            kth = np.partition(norms[viable], k - 1)[k - 1]
-            viable = viable[norms[viable] <= kth]
-        for candidate in self._candidates(found, viable):
-            if len(heap) < k:
-                heapq.heappush(heap, _Negated(candidate))
-            elif candidate < heap[0].candidate:
-                heapq.heapreplace(heap, _Negated(candidate))
-
     # ------------------------------------------------------------------
-    # Representative-layer search strategies
+    # The walk over the representative table
     # ------------------------------------------------------------------
 
     def _reps(self, buckets: list[LengthBucket], stats: QueryStats) -> _Reps:
-        """The rank stage's input: the table columns of *buckets*' groups
-        (the shared entry of the exact, fast and threshold drivers)."""
+        """The representatives a walk ranks: the table columns of
+        *buckets*' groups, counted into ``representatives_total``."""
         table = self._base.rep_table
         reps = _Reps(None, table.lengths, table.gids, table.radii)
         if len(buckets) != len(self._base.lengths):
@@ -812,14 +751,10 @@ class QueryProcessor:
         self, q: np.ndarray, lengths: np.ndarray, gids: np.ndarray, stats: QueryStats
     ) -> np.ndarray:
         """Exact DTW from *q* to the representatives ``gids[i]`` of the
-        length-``lengths[i]`` buckets.
-
-        One ragged kernel call however many length buckets the selection
-        spans.  The rows are taken bucket by bucket (a stable sort by
-        length, :meth:`_stack`); the result is put back in the callers'
-        order.  Assembled per call, so nothing needs invalidating when a
-        bucket grows.
-        """
+        length-``lengths[i]`` buckets, in the callers' order: one ragged
+        kernel call however many lengths they span, its rows taken bucket
+        by bucket (:meth:`_stack`) and assembled per call, so nothing
+        needs invalidating when a bucket grows."""
         stats.rep_dtw_calls += gids.size
         raws = np.empty(gids.size)
         if not gids.size:
@@ -832,223 +767,230 @@ class QueryProcessor:
         )
         return raws
 
-    def _search_exact(
-        self,
-        q: np.ndarray,
-        buckets: list[LengthBucket],
-        k: int,
-        stats: QueryStats,
-        envelopes: QueryEnvelopeCache,
-        deadline: Deadline | None = None,
-    ) -> list["_Negated"]:
-        cfg = self._config
-        heap: list[_Negated] = []
-        reps = self._reps(buckets, stats)
-        lengths, gids, radii = reps.lengths, reps.gids, reps.radii
-        max_paths = (q.shape[0] + lengths - 1).astype(np.float64)
-        # Verified groups, best first: (transfer lower bound on any
-        # member, representative's own optimistic distance, length, table
-        # row) — within a length, table rows ascend with the group index.
-        # The bound is 0 for every group whose representative lies within
-        # its radius of the query — at a coarse threshold, nearly all —
-        # and there the representative's distance is what says where the
-        # best members are.
-        exact_heap: list[tuple[float, float, int, int]] = []
+    def _family(
+        self, q: np.ndarray, buckets: list[LengthBucket], fast: bool, stats: QueryStats
+    ) -> tuple[_Reps, np.ndarray, Callable | None, Callable]:
+        """The bound family and kernel pair of a walk: the representatives
+        it ranks, their rank keys (normalised, no kernel call), ``verify``
+        (a chunk's tight group bounds and representative distances, one
+        kernel call) and ``refine`` (the member stage).
 
-        def verify(take: np.ndarray) -> None:
-            with span("cascade.rep_dtw", batch=int(take.size)):
-                paths, at = max_paths[take], lengths[take]
-                raws = self._rep_dtw(q, at, gids[take], stats)
-                tight = np.maximum(raws - paths * radii[take], 0.0) / paths
-                for entry in zip(
-                    tight.tolist(),
-                    (raws / paths).tolist(),
-                    at.tolist(),
-                    reps.at(take).tolist(),
-                ):
-                    heapq.heappush(exact_heap, entry)
-
-        # Cheap summary bounds rank every group; exact representative DTW
-        # runs in chunks only for groups whose cheap bound undercuts the
-        # running cutoff.
-        cheap = self._rank_bounds(q, reps)
-        ranked = _LazyOrder(np.maximum(cheap - max_paths * radii, 0.0) / max_paths)
-        total = ranked.size
-        ptr = 0
-        rep_chunk = _REP_CHUNK
-        drain_chunk = _REP_CHUNK
-        while ptr < total or exact_heap:
-            faults.fire("query.rep_chunk")
-            verified = (w.candidate for w in heap)
-            if self._deadline_fired(
-                deadline, "representative cascade", stats, verified
-            ):
-                return heap
-            cutoff = self._cutoff(heap, k)
-            ranked.upto(ptr + rep_chunk)
-            next_cheap = float(ranked.values[ptr]) if ptr < total else _INF
-            next_exact = exact_heap[0][0] if exact_heap else _INF
-            if cfg.use_group_pruning and min(next_cheap, next_exact) > cutoff:
-                remaining = total - ptr
-                stats.rep_lb_prunes += remaining
-                stats.rep_dtw_skipped += remaining
-                stats.groups_pruned += remaining + len(exact_heap)
-                break
-            if next_cheap <= next_exact:
-                take = ranked.order[ptr : ptr + rep_chunk]
-                if cfg.use_group_pruning and math.isfinite(cutoff):
-                    # The chunk is sorted by bound: only the prefix at or
-                    # under the cutoff can still matter this round.
-                    viable = int(
-                        np.searchsorted(
-                            ranked.values[ptr : ptr + take.size],
-                            cutoff,
-                            side="right",
-                        )
-                    )
-                    take = take[: max(viable, 1)]
-                ptr += take.size
-                rep_chunk *= 2
-                verify(take)
-                continue
-            # Drain verified groups (tight bound within the cutoff and
-            # under every unevaluated cheap bound) into ONE refinement
-            # call, whatever lengths they span.  The top entry is always
-            # drainable here: this branch implies next_exact < next_cheap,
-            # and the prune check above (same guard, same cutoff) would
-            # have stopped the loop were it over the cutoff.
-            faults.fire("query.refine_unit")
-            verified = (w.candidate for w in heap)
-            if self._deadline_fired(deadline, "member refinement", stats, verified):
-                return heap
-            units = [heapq.heappop(exact_heap)]
-            while exact_heap and len(units) < drain_chunk:
-                tight = exact_heap[0][0]
-                if tight > next_cheap or (cfg.use_group_pruning and tight > cutoff):
-                    break
-                units.append(heapq.heappop(exact_heap))
-            drain_chunk *= 2
-            self._refine_into(heap, k, q, units, stats, envelopes)
-        return heap
-
-    def _search_fast(
-        self,
-        q: np.ndarray,
-        buckets: list[LengthBucket],
-        k: int,
-        stats: QueryStats,
-        envelopes: QueryEnvelopeCache,
-        deadline: Deadline | None = None,
-    ) -> list["_Negated"]:
-        cfg = self._config
-        heap: list[_Negated] = []
-        reps = self._reps(buckets, stats)
-        lengths, gids = reps.lengths, reps.gids
-        table = self._base.rep_table
-        # The ranking estimate divides raw DTW by the minimum possible
-        # warping-path length — a consistent estimator, exact whenever the
-        # optimal path takes no detours.
-        scales = np.maximum(q.shape[0], lengths).astype(np.float64)
-        exact_heap: list[tuple[float, int, int]] = []
-
-        def rank(take: np.ndarray) -> None:
-            with span("cascade.rep_dtw", batch=int(take.size)):
-                at = lengths[take]
-                est = self._rep_dtw(q, at, gids[take], stats) / scales[take]
-                for entry in zip(est.tolist(), at.tolist(), reps.at(take).tolist()):
-                    heapq.heappush(exact_heap, entry)
-
-        # Lazy ranking: cheap bounds on the estimate order the queue; a
-        # representative's exact DTW runs (chunk-batched) only while its
-        # bound could still place it among the refined groups.
-        ranked = _LazyOrder(self._rank_bounds(q, reps) / scales)
-        total = ranked.size
-        ptr = 0
-        chunk = _REP_CHUNK
-        # The refined set is the top ``refine_groups`` groups of the
-        # ranking, extended until it holds k members: known from the
-        # cardinalities alone, so it refines in one call — and until that
-        # call nothing is verified, so a fired deadline always raises.
-        units: list[tuple[float, int, int]] = []
-        members = 0
-        while ptr < total or exact_heap:
-            faults.fire("query.rep_chunk")
-            self._deadline_fired(deadline, "representative ranking", stats, ())
-            if len(units) >= cfg.refine_groups and members >= k:
-                break
-            # An exact entry is the true next-best only once no
-            # unevaluated bound can undercut or tie it.
-            while ptr < total:
-                ranked.upto(ptr + chunk)
-                if exact_heap and ranked.values[ptr] > exact_heap[0][0]:
-                    break
-                take = ranked.order[ptr : ptr + chunk]
-                ptr += take.size
-                chunk *= 2
-                rank(take)
-            _, length, row = unit = heapq.heappop(exact_heap)
-            units.append(unit)
-            members += self._base.bucket(length).members_in([int(table.gids[row])])
-        stats.rep_dtw_skipped += total - ptr
-        if units:
-            faults.fire("query.refine_unit")
-            self._deadline_fired(deadline, "member refinement", stats, ())
-            self._refine_into(heap, k, q, units, stats, envelopes)
-        return heap
-
-    def _refine_into(
-        self,
-        heap: list["_Negated"],
-        k: int,
-        q: np.ndarray,
-        units: list[tuple],
-        stats: QueryStats,
-        envelopes: QueryEnvelopeCache,
-    ) -> None:
-        """Refine the ``(..., table row)`` *units* in one stage call
-        against the heap's cutoff and fold the result into the heap."""
-        with span("cascade.refine", groups=len(units)):
-            table_rows = np.array([unit[-1] for unit in units], dtype=np.int64)
-            found = self._refine(
-                q, table_rows, self._cutoff(heap, k), stats, envelopes, k
-            )
-            self._push(heap, k, found)
-
-    @staticmethod
-    def _cutoff(heap: list, k: int) -> float:
-        """Current k-th best normalised distance (inf until k found)."""
-        if len(heap) < k:
-            return _INF
-        return heap[0].candidate.distance
-
-    # ------------------------------------------------------------------
-    # Metric scan (non-DTW metrics, and any metric over multivariate)
-    # ------------------------------------------------------------------
-
-    def _metric_buckets(
-        self, q: np.ndarray, buckets: list[LengthBucket], stats: QueryStats
-    ) -> list[LengthBucket]:
-        """Buckets the active metric can scan for this query.
-
-        Elastic metrics (the DTW family) compare across lengths and scan
-        everything; the Lp family requires candidates of the query's own
-        length, and an unindexed query length is a clear caller error
-        rather than an empty result.
+        DTW on a univariate base keys on the table's cheap bounds less the
+        transfer slack (fast: over ``max(n, m)``, the estimate's scale,
+        with no slack) and refines through :meth:`_refine`.  A registry
+        metric keys every group at 0, bounds a chunk through its
+        ``lower_bound`` family and runs its kernel on every member; with
+        no family, or group pruning off, ``verify`` is ``None`` and every
+        group is a unit.
         """
-        for bucket in buckets:
-            stats.representatives_total += bucket.group_count
-        if self._spec.elastic:
-            return [b for b in buckets if b.group_count]
-        qlen = q.shape[0] // self._base.channels
-        live = [b for b in buckets if b.group_count and b.length == qlen]
-        if not live:
-            lengths = self._base.lengths
-            raise ValidationError(
-                f"metric {self._spec.name!r} compares equal lengths only; "
-                f"query length {qlen} is not among the {len(lengths)} "
-                f"indexed lengths ({lengths[0]}..{lengths[-1]})"
-            )
-        return live
+        if self._warps:
+            reps = self._reps(buckets, stats)
+            envelopes = QueryEnvelopeCache(q)
+            cheap = self._rank_bounds(q, reps)
+            if fast:
+                # Raw DTW over the shortest possible warping path: a
+                # consistent estimator, exact when the path takes no detours.
+                scales = np.maximum(q.shape[0], reps.lengths).astype(np.float64)
+                keys = cheap / scales
+
+                def verify(take: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                    raws = self._rep_dtw(q, reps.lengths[take], reps.gids[take], stats)
+                    estimate = raws / scales[take]
+                    return estimate, estimate
+
+            else:
+                paths = (q.shape[0] + reps.lengths - 1).astype(np.float64)
+                slack = paths * reps.radii
+                keys = np.maximum(cheap - slack, 0.0) / paths
+
+                def verify(take: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                    raws = self._rep_dtw(q, reps.lengths[take], reps.gids[take], stats)
+                    tight = np.maximum(raws - slack[take], 0.0) / paths[take]
+                    return tight, raws / paths[take]
+
+            def refine(rows: np.ndarray, cut: float, k: int | None) -> _Refined:
+                return self._refine(q, rows, cut, stats, envelopes, k)
+
+            return reps, keys, verify, refine
+
+        spec = self._spec
+        live = [b for b in buckets if b.group_count]
+        if not spec.elastic:
+            qlen = q.shape[0] // self._base.channels
+            live = [b for b in live if b.length == qlen]
+            if not live:
+                lengths = self._base.lengths
+                raise ValidationError(
+                    f"metric {spec.name!r} compares equal lengths only; "
+                    f"query length {qlen} is not among the {len(lengths)} "
+                    f"indexed lengths ({lengths[0]}..{lengths[-1]})"
+                )
+        reps = self._reps(live, stats)
+
+        def bound(take: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            # ``ed_radius``/``cheb_radius`` are the flattened rows' mean-abs
+            # and max-abs member radii for any channel count.
+            stats.rep_dtw_calls += take.size
+            tight, near = np.empty(take.size), np.empty(take.size)
+            gids = reps.gids[take]
+            for bucket, at in self._per_length(reps.lengths[take]):
+                g = gids[at]
+                near[at] = self._metric_distances(q, bucket.centroids[g], bucket.length)[1]
+                tight[at] = spec.lower_bound(near[at], bucket.ed_radii[g], bucket.cheb_radii[g])
+            return tight, near
+
+        def scan(rows: np.ndarray, cut: float, k: int | None) -> _Refined:
+            members = self._base.member_table
+            at = members.select(rows)
+            stats.groups_refined += rows.size
+            stats.members_scanned += at.size
+            stats.member_dtw_calls += at.size
+            lengths = members.lengths[at]
+            raws, norms = np.empty(at.size), np.empty(at.size)
+            for bucket, mine in self._per_length(lengths):
+                values = bucket.member_matrix[members.rows[at[mine]]]
+                raws[mine], norms[mine] = self._metric_distances(q, values, bucket.length)
+            return _Refined(norms, raws, members.handles[at], lengths, members.gids[at])
+
+        bounded = spec.lower_bound is not None and self._config.use_group_pruning
+        return reps, np.zeros(reps.gids.size), bound if bounded else None, scan
+
+    def _walk(
+        self,
+        q: np.ndarray,
+        buckets: list[LengthBucket],
+        rule: _Best | _Within,
+        stats: QueryStats,
+        deadline: Deadline | None,
+    ) -> bool:
+        """Walk the representative table to the stopping *rule*, folding
+        what it refines into *rule*; ``True`` when a deadline cut it short.
+
+        Verified groups wait in ``pending``, keyed ``(tight bound,
+        representative distance, length, table row)``.  A k-heap or fast
+        step opens with the ``query.rep_chunk`` failpoint and a deadline
+        check, then verifies the next chunk of the lazy key order (16,
+        doubling, trimmed to the cut) while its first key is no greater
+        than the best pending one, else drains pending groups — into one
+        refinement per chunk of 16, doubling (k-heap), or one at a time
+        into the choice it refines once (fast).  The range rule's cut is
+        fixed, so order only sets the padding: each step verifies the next
+        ``_THRESHOLD_SPAN`` of the groups its keys admit, in length order,
+        and refines what the tight bounds keep.  Every refinement, and a
+        range step before its verify, opens with the ``query.refine_unit``
+        failpoint and a deadline check.
+        """
+        prune = self._config.use_group_pruning
+        fast = isinstance(rule, _Top)
+        reps, keys, verify, refine = self._family(q, buckets, fast, stats)
+        pending: list[tuple[float, float, int, int]] = []
+
+        def visit(take: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            """The tight bounds and representative distances of *take*."""
+            if verify is None:
+                return np.zeros(take.size), np.zeros(take.size)
+            with span("cascade.rep_dtw", batch=int(take.size)):
+                return verify(take)
+
+        def table_rows(take: np.ndarray) -> np.ndarray:
+            # Groups are named by table row, as the member stage reads them.
+            return take if reps.rows is None else reps.rows[take]
+
+        if isinstance(rule, _Within):
+            ranked = None
+            order = np.flatnonzero(keys <= rule.threshold) if prune else np.arange(keys.size)
+            skipped = keys.size - order.size
+            stats.rep_lb_prunes += skipped
+            stats.rep_dtw_skipped += skipped
+            stats.groups_pruned += skipped
+            order = order[np.argsort(reps.lengths[order], kind="stable")]
+            lengths = reps.lengths[order]
+        else:
+            ranked = _LazyOrder(keys)
+        total = order.size if ranked is None else keys.size
+        ptr, rep_chunk, drain_chunk, members = 0, _REP_CHUNK, _REP_CHUNK, 0
+        chosen: list[tuple] = []  # fast: the groups it will refine
+        while True:
+            take, units, done = None, [], False
+            exhausted = ptr == total and not pending
+            if ranked is not None and not exhausted:
+                faults.fire("query.rep_chunk")
+                if self._deadline_fired(deadline, rule.rank_stage, stats, rule.found()):
+                    return True
+            cut = rule.cut() if prune else _INF
+            if ranked is None:
+                if ptr == total:
+                    return False
+                widest = int(lengths[ptr] * _THRESHOLD_SPAN)
+                stop = int(np.searchsorted(lengths, widest, side="right"))
+                take, ptr = order[ptr:stop], stop
+            else:
+                ranked.upto(ptr + rep_chunk)
+                next_cheap = float(ranked.values[ptr]) if ptr < total else _INF
+                next_exact = pending[0][0] if pending else _INF
+                full = fast and len(chosen) >= rule.groups and members >= rule.k
+                if exhausted or full or min(next_cheap, next_exact) > cut:
+                    # What was never verified fell to its rank key, what
+                    # was, to its tight bound: proofs the fast rule does
+                    # not make — it skips them, and refines its choice.
+                    unverified = total - ptr
+                    stats.rep_dtw_skipped += unverified
+                    if not fast:
+                        stats.rep_lb_prunes += unverified
+                        stats.groups_pruned += unverified + len(pending)
+                    units, done = chosen, True
+                elif ptr < total and next_cheap <= next_exact:
+                    # The chunk is sorted by key: only the prefix within
+                    # the cut can still matter this round.
+                    take = ranked.order[ptr : ptr + rep_chunk]
+                    keyed = ranked.values[ptr : ptr + take.size]
+                    take = take[: max(int(np.searchsorted(keyed, cut, side="right")), 1)]
+                    ptr, rep_chunk = ptr + take.size, rep_chunk * 2
+                    tight, near = visit(take)
+                    at, named = reps.lengths[take].tolist(), table_rows(take).tolist()
+                    for entry in zip(tight.tolist(), near.tolist(), at, named):
+                        heapq.heappush(pending, entry)
+                    continue
+                else:
+                    # The top pending group is under every unverified key,
+                    # and within the cut, or the walk would have stopped.
+                    limit, ceiling = 1 if fast else drain_chunk, min(next_cheap, cut)
+                    while pending and len(units) < limit and pending[0][0] <= ceiling:
+                        units.append(heapq.heappop(pending))
+                    drain_chunk *= 2
+                    if fast:
+                        chosen += units
+                        gids = self._base.rep_table.gids
+                        for _, _, length, row in units:
+                            bucket = self._base.bucket(length)
+                            members += bucket.members_in([int(gids[row])])
+                        continue
+            if units or take is not None:
+                faults.fire("query.refine_unit")
+                if self._deadline_fired(deadline, rule.refine_stage, stats, rule.found()):
+                    return True
+            if take is None:
+                rows = np.array([unit[-1] for unit in units], dtype=np.int64)
+            else:
+                # A range step: verify the chunk, refine what its tight
+                # bounds keep within the threshold, prune the rest.
+                keep = take[visit(take)[0] <= cut]
+                stats.groups_pruned += take.size - keep.size
+                rows = table_rows(keep)
+            if rows.size:
+                with span(rule.span, groups=int(rows.size)):
+                    rule.fold(refine(rows, rule.cut(), rule.k))
+            if done:
+                return False
+
+    # ------------------------------------------------------------------
+    # Registry-metric kernels
+    # ------------------------------------------------------------------
+
+    def _per_length(self, lengths: np.ndarray) -> Iterator[tuple[LengthBucket, np.ndarray]]:
+        """Each bucket among *lengths*, with the positions of its rows."""
+        for length in np.unique(lengths).tolist():
+            yield self._base.bucket(length), np.flatnonzero(lengths == length)
 
     def _metric_distances(
         self, q: np.ndarray, rows: np.ndarray, length: int
@@ -1066,132 +1008,9 @@ class QueryProcessor:
             out = spec.batch(q, rows, length, channels, window)
             if out is not None:
                 return out
-        count = rows.shape[0]
-        raws = np.empty(count)
-        norms = np.empty(count)
-        for i in range(count):
-            raws[i], norms[i] = spec.pair_shaped(
-                q, rows[i], length, channels, window
-            )
+        pairs = [spec.pair_shaped(q, row, length, channels, window) for row in rows]
+        raws, norms = np.array(pairs, dtype=np.float64).reshape(-1, 2).T
         return raws, norms
-
-    def _metric_group_bounds(
-        self, q: np.ndarray, bucket: LengthBucket, stats: QueryStats
-    ) -> np.ndarray:
-        """Per-group lower bounds from representative distances and radii.
-
-        The registered bound family maps the normalized distance from the
-        query to each representative, plus the stored ``ed_radius`` /
-        ``cheb_radius`` (which are exactly the flattened-row mean-abs and
-        max-abs member radii, for any channel count), to a provable lower
-        bound on the distance to *any* member of the group.
-        """
-        _, rep_norms = self._metric_distances(q, bucket.centroids, bucket.length)
-        stats.rep_dtw_calls += bucket.group_count
-        return self._spec.lower_bound(
-            rep_norms, bucket.ed_radii, bucket.cheb_radii
-        )
-
-    def _metric_verify(
-        self, q: np.ndarray, bucket: LengthBucket, g_ids: np.ndarray, stats: QueryStats
-    ) -> _Refined:
-        """Exact metric distances to every member of groups *g_ids*,
-        selected through the base's member table as :meth:`_refine` does."""
-        stats.groups_refined += g_ids.size
-        members = self._base.member_table
-        at = members.select(self._base.rep_table.rows_of([bucket.length])[g_ids])
-        stats.members_scanned += at.size
-        raws, norms = self._metric_distances(
-            q, bucket.member_matrix[members.rows[at]], bucket.length
-        )
-        stats.member_dtw_calls += at.size
-        return _Refined(
-            norms, raws, members.handles[at], members.lengths[at], members.gids[at]
-        )
-
-    def _metric_search(
-        self,
-        q: np.ndarray,
-        buckets: list[LengthBucket],
-        k: int,
-        stats: QueryStats,
-        deadline: Deadline | None = None,
-    ) -> list["_Negated"]:
-        """k-best scan under the registry metric — exact in either mode.
-
-        Per bucket: when the metric registers a lower-bound family, the
-        best-bounded group is refined first to establish a finite cutoff,
-        then every group whose bound exceeds the running cutoff is pruned
-        with no member work; metrics without a bound verify every member
-        (the brute-force-verified path).  Deadlines behave exactly as in
-        the DTW cascade: checked at bucket boundaries, partial results
-        only when the deadline allows them.
-        """
-        cfg = self._config
-        heap: list[_Negated] = []
-        with span(
-            "cascade.metric_scan", metric=self._spec.name, buckets=len(buckets)
-        ):
-            for bucket in self._metric_buckets(q, buckets, stats):
-                faults.fire("query.refine_unit")
-                verified = (w.candidate for w in heap)
-                if self._deadline_fired(deadline, "metric scan", stats, verified):
-                    return heap
-                if self._spec.lower_bound is not None and cfg.use_group_pruning:
-                    lbs = self._metric_group_bounds(q, bucket, stats)
-                    order = np.argsort(lbs, kind="stable")
-                    self._push(
-                        heap, k, self._metric_verify(q, bucket, order[:1], stats)
-                    )
-                    rest = order[1:]
-                    cutoff = self._cutoff(heap, k)
-                    if math.isfinite(cutoff):
-                        keep = rest[lbs[rest] <= cutoff]
-                        pruned = int(rest.size - keep.size)
-                        stats.rep_lb_prunes += pruned
-                        stats.groups_pruned += pruned
-                        rest = keep
-                else:
-                    rest = np.arange(bucket.group_count)
-                if rest.size:
-                    self._push(heap, k, self._metric_verify(q, bucket, rest, stats))
-        return heap
-
-    def _metric_threshold_scan(
-        self,
-        q: np.ndarray,
-        threshold: float,
-        stats: QueryStats,
-        buckets: list[LengthBucket],
-        deadline: Deadline | None,
-    ) -> tuple[list[_Candidate], bool]:
-        """Threshold sweep under the registry metric (exact matches).
-
-        Group-level pruning against the *threshold* itself where the
-        metric registers a bound family; full member verification
-        everywhere else.  Partial-deadline semantics match
-        :meth:`_threshold_scan`: completed buckets' matches return
-        flagged inexact.
-        """
-        cfg = self._config
-        out: list[_Candidate] = []
-        for bucket in self._metric_buckets(q, buckets, stats):
-            faults.fire("query.refine_unit")
-            if self._deadline_fired(deadline, "metric threshold scan", stats, out):
-                return out, True
-            candidates = np.arange(bucket.group_count)
-            if self._spec.lower_bound is not None and cfg.use_group_pruning:
-                lbs = self._metric_group_bounds(q, bucket, stats)
-                keep = lbs <= threshold
-                pruned = int(candidates.size - keep.sum())
-                stats.rep_lb_prunes += pruned
-                stats.groups_pruned += pruned
-                candidates = candidates[keep]
-            if not candidates.size:
-                continue
-            found = self._metric_verify(q, bucket, candidates, stats)
-            out.extend(self._within(found, threshold))
-        return out, False
 
     # ------------------------------------------------------------------
     # Helpers
@@ -1200,12 +1019,11 @@ class QueryProcessor:
     def _resolve_query(
         self, query: ArrayLike | SubsequenceRef, normalize: bool
     ) -> np.ndarray:
+        # Multivariate values are (length, channels) blocks; the search
+        # works on the channel-flattened row layout.
         channels = self._base.channels
         if isinstance(query, SubsequenceRef):
-            values = self._base.dataset.values(query)
-            # Multivariate refs resolve to (length, channels) blocks; the
-            # search works on the channel-flattened row layout.
-            return values.ravel() if channels > 1 else values
+            return self._base.dataset.values(query).ravel()
         if channels > 1:
             q = np.asarray(query, dtype=np.float64)
             if q.ndim != 2 or q.shape[1] != channels:
@@ -1219,15 +1037,12 @@ class QueryProcessor:
                 )
             if not np.all(np.isfinite(q)):
                 raise ValidationError("query contains NaN or infinite entries")
-            bounds = self._base.normalization_bounds
-            if normalize and bounds is not None:
-                q = minmax_normalize(q, lo=bounds[0], hi=bounds[1])
-            return np.ascontiguousarray(q).ravel()
-        q = as_sequence(query, name="query")
+        else:
+            q = as_sequence(query, name="query")
         bounds = self._base.normalization_bounds
         if normalize and bounds is not None:
             q = minmax_normalize(q, lo=bounds[0], hi=bounds[1])
-        return q
+        return np.ascontiguousarray(q).ravel()
 
     def _select_buckets(self, lengths: Iterable[int] | None) -> list[LengthBucket]:
         if lengths is None:
@@ -1246,7 +1061,7 @@ class QueryProcessor:
         scan) define no warping path: their matches carry an empty one.
         """
         base = self._base
-        if self._metric_scan or not candidates:
+        if not self._warps or not candidates:
             paths: list[tuple] = [()] * len(candidates)
         else:
             lengths = np.array([c.ref.length for c in candidates])
