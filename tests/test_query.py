@@ -29,6 +29,19 @@ def base(dataset):
     return b
 
 
+@pytest.fixture(scope="module")
+def four_walks():
+    """Four raw walks at ST 0.2, lengths 5-9: 410 groups, 82 of length 7."""
+    rng = np.random.default_rng(71)
+    arrays = [rng.normal(size=n).cumsum() for n in (30, 26, 22, 28)]
+    b = OnexBase(
+        TimeSeriesDataset.from_arrays(arrays, name="four-walks"),
+        BuildConfig(similarity_threshold=0.2, min_length=5, max_length=9, normalize=False),
+    )
+    b.build()
+    return b
+
+
 def brute_best(base, q, lengths=None):
     """Exhaustive scan over all indexed subsequences (ground truth)."""
     best = (math.inf, None)
@@ -233,6 +246,35 @@ class TestStatsAndPruning:
             ]
             for r in results[1:]:
                 assert r.distance == pytest.approx(results[0].distance)
+
+    @pytest.mark.parametrize("mode", ["fast", "exact"])
+    def test_range_without_group_pruning_prunes_no_group(self, four_walks, mode):
+        """``use_group_pruning=False`` holds for the range query too: every
+        representative is verified, no group is pruned, same answers."""
+        q = four_walks.dataset[0].values[3:10] + 0.01
+        answers, stats = [], []
+        for pruning in (True, False):
+            config = QueryConfig(mode=mode, use_group_pruning=pruning)
+            processor = QueryProcessor(four_walks, config)
+            found = processor.matches_within(q, 0.05, normalize=False)
+            answers.append([(m.ref, m.distance, m.path) for m in found])
+            stats.append(processor.last_stats)
+        assert answers[0] == answers[1] and answers[0]
+        assert stats[0].groups_pruned > 0
+        assert stats[1].groups_pruned == 0
+        assert stats[1].rep_dtw_calls == stats[1].representatives_total == 410
+
+    @pytest.mark.parametrize("metric", ["euclidean", "cityblock", "chebyshev"])
+    def test_lp_counts_only_the_query_length_representatives(self, four_walks, metric):
+        """An Lp metric ranks the groups of the query's length alone, and
+        ``representatives_total`` counts those, not every bucket's."""
+        processor = QueryProcessor(four_walks, QueryConfig(metric=metric))
+        q = four_walks.dataset[0].values[3:10]
+        processor.k_best_matches(q, 3, normalize=False)
+        assert processor.last_stats.representatives_total == 82
+        assert four_walks.bucket(7).group_count == 82
+        processor.matches_within(q, 0.05, normalize=False)
+        assert processor.last_stats.representatives_total == 82
 
     def test_unbuilt_base_rejected(self, dataset):
         unbuilt = OnexBase(
