@@ -1,8 +1,7 @@
 """Pluggable distance registry: metric names → kernels and bound families.
 
-The ONEX cascade was DTW-only; everything upstream of it now resolves the
-query metric through this registry instead (DESIGN.md §9).  A registered
-:class:`MetricSpec` bundles what the query layers need:
+The query layers resolve their metric here (DESIGN.md §9).  A registered
+:class:`MetricSpec` bundles what the one query walk needs of a metric:
 
 - ``pair`` — the scalar distance on two windows, returning ``(raw,
   normalized)`` where *normalized* is the length-comparable value ONEX
@@ -13,19 +12,16 @@ query metric through this registry instead (DESIGN.md §9).  A registered
 - ``lower_bound`` — an optional group-level bound family: given the
   normalized distance from the query to each group representative and
   the group radii, a provable lower bound on the distance to *any*
-  member.  Metrics with a bound get an LB prescreen in the scan; metrics
-  without one fall back to the brute-force-verified full member scan.
+  member.  The walk prunes groups on it; without one it refines every
+  group, the brute-force-verified full member scan.
 
 Multivariate windows are stored channel-flattened (C-order ``(length,
 channels)`` rows of width ``length * channels``); ``pair`` receives the
 channel-shaped array, ``batch`` the flattened rows.  The triangle
 inequality of the Lp metrics holds verbatim on flattened rows, which is
 what makes the stored ``ed_radius`` / ``cheb_radius`` usable as bound
-inputs for any channel count.
-
-The default DTW path through the representative cascade never consults
-this registry — ``QueryConfig(metric="dtw")`` on a univariate base is
-bit-identical to the pre-registry engine.
+inputs for any channel count.  DTW on a univariate base walks on the
+representative table's own rank bounds and batch kernel instead.
 """
 
 from __future__ import annotations
@@ -35,6 +31,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from repro.distances.dtw import dtw_distance_batch, effective_band
 from repro.distances.variants import derivative, weighted_dtw
@@ -47,6 +44,9 @@ __all__ = [
     "get_metric",
     "registered_metrics",
 ]
+
+#: What a batch kernel returns: ``(raws, normalized)``, one per row.
+Distances = tuple[np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -65,14 +65,14 @@ class MetricSpec:
     batch:
         ``batch(q_flat, rows, length, channels, window) -> (raws,
         normalized)`` over flattened candidate rows, or ``None`` when the
-        metric has no vectorised kernel (the scan then loops ``pair``).
+        metric has no vectorised kernel (the walk then loops ``pair``).
     lower_bound:
         ``lower_bound(rep_normalized, ed_radii, cheb_radii) -> bounds``
         mapping per-group representative distances and radii to provable
         per-member lower bounds (normalized space), or ``None``.
     elastic:
         Whether the metric compares windows of different lengths (the
-        DTW family).  Non-elastic metrics scan only the query's length.
+        DTW family).  Non-elastic metrics walk only the query's length.
     multivariate:
         Whether the metric is defined for multi-channel windows.
     """
@@ -84,7 +84,14 @@ class MetricSpec:
     elastic: bool = True
     multivariate: bool = True
 
-    def pair_shaped(self, q_flat, row_flat, length, channels, window):
+    def pair_shaped(
+        self,
+        q_flat: np.ndarray,
+        row_flat: np.ndarray,
+        length: int,
+        channels: int,
+        window: int | None,
+    ) -> tuple[float, float]:
         """Run :attr:`pair` on flattened rows, restoring channel shape."""
         if channels > 1:
             q = q_flat.reshape(-1, channels)
@@ -137,7 +144,9 @@ class DistanceRegistry:
         return len(self._specs)
 
 
-def _dtw_pair_dependent(x, y, window) -> tuple[float, float]:
+def _dtw_pair_dependent(
+    x: ArrayLike, y: ArrayLike, window: int | None
+) -> tuple[float, float]:
     """Dependent DTW on channel-shaped windows, with tracked path length.
 
     Ground cost between time steps is the summed per-channel absolute
@@ -187,7 +196,9 @@ def _dtw_pair_dependent(x, y, window) -> tuple[float, float]:
     return float(raw), float(raw) / plen_prev[m - 1]
 
 
-def _dtw_batch(q_flat, rows, length, channels, window):
+def _dtw_batch(
+    q_flat: np.ndarray, rows: np.ndarray, length: int, channels: int, window: int | None
+) -> Distances | None:
     if channels > 1:
         return None  # dependent DTW has no batched kernel; scan loops pair
     raws, plens = dtw_distance_batch(
@@ -207,7 +218,7 @@ def _derivative_rows(rows: np.ndarray) -> np.ndarray:
     )
 
 
-def _ddtw_pair(x, y, window) -> tuple[float, float]:
+def _ddtw_pair(x: ArrayLike, y: ArrayLike, window: int | None) -> tuple[float, float]:
     a = np.asarray(x, dtype=np.float64)
     b = np.asarray(y, dtype=np.float64)
     if a.shape[0] < 3 or b.shape[0] < 3:
@@ -220,7 +231,9 @@ def _ddtw_pair(x, y, window) -> tuple[float, float]:
     return _dtw_pair_dependent(da, db, window)
 
 
-def _ddtw_batch(q_flat, rows, length, channels, window):
+def _ddtw_batch(
+    q_flat: np.ndarray, rows: np.ndarray, length: int, channels: int, window: int | None
+) -> Distances | None:
     if channels > 1:
         return None
     raws, plens = dtw_distance_batch(
@@ -232,7 +245,7 @@ def _ddtw_batch(q_flat, rows, length, channels, window):
     return raws, raws / plens
 
 
-def _wdtw_pair(x, y, window) -> tuple[float, float]:
+def _wdtw_pair(x: ArrayLike, y: ArrayLike, window: int | None) -> tuple[float, float]:
     a = np.asarray(x, dtype=np.float64)
     if a.ndim != 1:
         raise ValidationError(
@@ -244,8 +257,10 @@ def _wdtw_pair(x, y, window) -> tuple[float, float]:
     return raw, raw / max(a.shape[0], np.asarray(y).shape[0])
 
 
-def _lp_pair(norm_fn, raw_of):
-    def pair(x, y, window) -> tuple[float, float]:
+def _lp_pair(
+    norm_fn: Callable[[np.ndarray], float], raw_of: Callable[[float, int], float]
+) -> Callable:
+    def pair(x: ArrayLike, y: ArrayLike, window: int | None) -> tuple[float, float]:
         a = np.asarray(x, dtype=np.float64).ravel()
         b = np.asarray(y, dtype=np.float64).ravel()
         if a.shape[0] != b.shape[0]:
@@ -258,35 +273,47 @@ def _lp_pair(norm_fn, raw_of):
     return pair
 
 
-def _euclidean_batch(q_flat, rows, length, channels, window):
+def _euclidean_batch(
+    q_flat: np.ndarray, rows: np.ndarray, length: int, channels: int, window: int | None
+) -> Distances:
     norms = np.sqrt(((rows - q_flat) ** 2).mean(axis=1))
     return norms * math.sqrt(rows.shape[1]), norms
 
 
-def _cityblock_batch(q_flat, rows, length, channels, window):
+def _cityblock_batch(
+    q_flat: np.ndarray, rows: np.ndarray, length: int, channels: int, window: int | None
+) -> Distances:
     norms = np.abs(rows - q_flat).mean(axis=1)
     return norms * rows.shape[1], norms
 
 
-def _chebyshev_batch(q_flat, rows, length, channels, window):
+def _chebyshev_batch(
+    q_flat: np.ndarray, rows: np.ndarray, length: int, channels: int, window: int | None
+) -> Distances:
     norms = np.abs(rows - q_flat).max(axis=1)
     return norms, norms
 
 
-def _euclidean_bound(rep_norms, ed_radii, cheb_radii):
+def _euclidean_bound(
+    rep_norms: np.ndarray, ed_radii: np.ndarray, cheb_radii: np.ndarray
+) -> np.ndarray:
     # rms is (1/sqrt(width))·L2, a true metric; rms(c, m)^2 = mean(d^2)
     # <= max|d| · mean|d| <= cheb_radius · ed_radius, so the triangle
     # inequality gives rms(q, m) >= rms(q, c) - sqrt(ed · cheb).
     return np.maximum(rep_norms - np.sqrt(ed_radii * cheb_radii), 0.0)
 
 
-def _cityblock_bound(rep_norms, ed_radii, cheb_radii):
+def _cityblock_bound(
+    rep_norms: np.ndarray, ed_radii: np.ndarray, cheb_radii: np.ndarray
+) -> np.ndarray:
     # ed_radius IS the max mean-abs distance from representative to any
     # member, and mean-abs is a metric: d(q, m) >= d(q, c) - ed_radius.
     return np.maximum(rep_norms - ed_radii, 0.0)
 
 
-def _chebyshev_bound(rep_norms, ed_radii, cheb_radii):
+def _chebyshev_bound(
+    rep_norms: np.ndarray, ed_radii: np.ndarray, cheb_radii: np.ndarray
+) -> np.ndarray:
     return np.maximum(rep_norms - cheb_radii, 0.0)
 
 

@@ -6,8 +6,10 @@ goes through (``repro.core.mmap_layout``, ``repro.core.persist``), the
 WAL/checkpoint/recovery subsystem (``repro.durability``), the engine
 facade the service calls (``repro.core.engine``) with the parameter
 records it builds (``repro.core.config``), the query
-cascade every read runs (``repro.core.query``) with the base and its
-representative table it ranks over (``repro.core.base``), the write
+walk every read runs (``repro.core.query``) with the deadlines it checks
+(``repro.core.deadline``), the base and its representative table it
+ranks over (``repro.core.base``) and the registry's bound families and
+kernels it runs on every served metric (``repro.distances.registry``), the write
 path that grows that base (``repro.stream``, the clustering in
 ``repro.core.grouping``), the served analytics — the sensitivity
 profile that reads its arrays (``repro.core.sensitivity``), the seasonal
@@ -51,6 +53,7 @@ TARGETS = (
     ROOT / "src" / "repro" / "core" / "engine.py",
     ROOT / "src" / "repro" / "core" / "config.py",
     ROOT / "src" / "repro" / "core" / "query.py",
+    ROOT / "src" / "repro" / "core" / "deadline.py",
     ROOT / "src" / "repro" / "core" / "base.py",
     ROOT / "src" / "repro" / "core" / "grouping.py",
     ROOT / "src" / "repro" / "core" / "sensitivity.py",
@@ -63,6 +66,7 @@ TARGETS = (
     ROOT / "src" / "repro" / "distances" / "native.py",
     ROOT / "src" / "repro" / "distances" / "lower_bounds.py",
     ROOT / "src" / "repro" / "distances" / "envelope.py",
+    ROOT / "src" / "repro" / "distances" / "registry.py",
     ROOT / "src" / "repro" / "viz" / "payloads.py",
 )
 
