@@ -276,6 +276,16 @@ class TestStatsAndPruning:
         processor.matches_within(q, 0.05, normalize=False)
         assert processor.last_stats.representatives_total == 82
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("mode", ["fast", "exact"])
+    def test_an_overflowing_query_terminates(self, four_walks, mode):
+        """Every rank key and representative distance is ``inf``: the walk
+        still drains what it verified instead of verifying nothing forever."""
+        processor = QueryProcessor(four_walks, QueryConfig(mode=mode))
+        matches = processor.k_best_matches([1e308] * 6, 2, normalize=False)
+        assert [m.distance for m in matches] == [math.inf, math.inf]
+        assert processor.matches_within([1e308] * 6, 0.5, normalize=False) == []
+
     def test_unbuilt_base_rejected(self, dataset):
         unbuilt = OnexBase(
             dataset, BuildConfig(similarity_threshold=0.1, min_length=5, max_length=6)
