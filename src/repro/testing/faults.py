@@ -36,11 +36,11 @@ scoped with the :func:`inject` context manager::
 
 Registered failpoint names (kept in sync with the call sites):
 
-- ``query.rep_chunk`` — per chunk of the lazy representative cascade
-  (exact and fast search loops);
+- ``query.rep_chunk`` — per step of the query walk under its ranked
+  stopping rules (exact and fast k-best);
 - ``query.refine_unit`` — per member-refinement call, before it selects
-  its members: once per drained chunk of a k-best search, once per
-  length-sorted chunk of a threshold scan;
+  its members: once per drained chunk of a k-best walk, once per
+  length-sorted chunk of a range walk;
 - ``seasonal.pair_chunk`` — per verified group of the seasonal miner,
   before its one paired DTW call;
 - ``seasonal.group`` — per candidate group of the seasonal miner;
