@@ -32,6 +32,7 @@ from repro.core.config import BuildConfig
 from repro.core.grouping import cluster_subsequence_rows, cluster_subsequences
 from repro.core.query import QueryProcessor
 from repro.data.dataset import SubsequenceRef, TimeSeriesDataset
+from repro.data.timeseries import TimeSeries
 from repro.data.windows import (
     rows_to_series_starts,
     window_counts,
@@ -356,6 +357,42 @@ class TestPerLengthTelemetry:
         assert [e["length"] for e in payload["per_length"]] == [4, 5, 6]
         assert isinstance(payload["per_length"][0]["seconds"], float)
         assert LengthBuildStats(**payload["per_length"][0]).length == 4
+
+
+# ----------------------------------------------------------------------
+# A build is appends to an empty base
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.usefixtures("kernel_backend")
+@pytest.mark.parametrize("threshold, step", [(0.05, 1), (0.4, 1), (1.0, 3)])
+def test_a_build_equals_a_first_series_build_plus_add_series(threshold, step):
+    """``build()`` over N series is the structure a build over the first
+    series reaches by ``add_series`` of the others, bit for bit: the
+    fingerprint and every bucket's stores in store order."""
+    rng = np.random.default_rng(61)
+    arrays = [rng.normal(size=n).cumsum() for n in (26, 18, 31, 9, 22)]
+    config = BuildConfig(
+        similarity_threshold=threshold,
+        min_length=4,
+        max_length=12,
+        step=step,
+        normalize=False,
+    )
+    whole = OnexBase(TimeSeriesDataset.from_arrays(arrays, name="w"), config)
+    whole.build()
+    grown = OnexBase(TimeSeriesDataset.from_arrays(arrays[:1], name="w"), config)
+    grown.build()
+    for k, values in enumerate(arrays[1:], 1):
+        grown.add_series(TimeSeries(f"series-{k}", values))
+    assert whole.structure_fingerprint() == grown.structure_fingerprint()
+    assert whole.lengths == grown.lengths
+    for mine, theirs in zip(whole.buckets(), grown.buckets()):
+        for name in ("centroids", "ed_radii", "cheb_radii", "member_matrix"):
+            assert np.array_equal(getattr(mine, name), getattr(theirs, name))
+        for a, b in zip(mine.store_rows(), theirs.store_rows()):
+            assert np.array_equal(a, b)
+    whole.validate()
 
 
 # ----------------------------------------------------------------------
