@@ -81,11 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "evaluations (default: unconstrained; banded "
                             "queries engage the exact-band centroid "
                             "envelopes and the band-limited kernel)")
-        p.add_argument("--build-workers", type=int, default=None,
-                       help="fan the per-length base-construction shards "
-                            "over this many worker processes (default: 1, "
-                            "in-process; results are identical at any "
-                            "setting)")
         p.add_argument("--timeout-ms", type=float, default=None,
                        help="deadline for each long-running operation; an "
                             "exceeded budget yields a structured "
@@ -203,9 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="query strategy the service answers with")
     p.add_argument("--window", type=int, default=None,
                    help="Sakoe-Chiba band radius for all DTW evaluations")
-    p.add_argument("--build-workers", type=int, default=None,
-                   help="default worker count for server-side base "
-                        "builds (load_dataset requests may override)")
     p.add_argument("--max-in-flight", type=int, default=8,
                    help="requests executing concurrently before arrivals "
                         "queue (admission control)")
@@ -252,8 +244,6 @@ def _load_params(args: argparse.Namespace) -> dict:
         params["min_length"] = args.min_length
     if args.max_length is not None:
         params["max_length"] = args.max_length
-    if args.build_workers is not None:
-        params["num_workers"] = args.build_workers
     return params
 
 
@@ -358,7 +348,6 @@ def _serve(args: argparse.Namespace) -> int:
             ) from exc
     service = OnexService(
         QueryConfig(mode=args.mode, window=args.window),
-        default_build_workers=args.build_workers,
         default_timeout_ms=args.default_timeout_ms,
         durability=durability,
     )
@@ -483,12 +472,11 @@ def _dispatch(args: argparse.Namespace) -> int:
                   f"({payload['build_seconds']:.3f}s build)")
             per_length = payload.get("per_length") or []
             if per_length:
-                print("per-length build breakdown:")
+                print("per-length breakdown:")
                 for entry in per_length:
                     print(f"  len {entry['length']:>3}: "
                           f"{entry['subsequences']:>6} windows -> "
-                          f"{entry['groups']:>5} groups "
-                          f"in {entry['seconds'] * 1e3:7.1f} ms")
+                          f"{entry['groups']:>5} groups")
 
         _emit(info, args, human)
         return 0

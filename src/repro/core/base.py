@@ -1,9 +1,10 @@
 """The ONEX base: compact, Euclidean-prepared index of similarity groups.
 
 Offline phase (§3.1 / Fig. 1 top): every subsequence of the loaded
-collection within the configured length range is clustered, per length,
-into similarity groups using the cheap ``ED_n`` distance.  The base keeps
-only the group representatives (centroids), radii, and member handles —
+collection within the configured length range is grouped, per length,
+into similarity groups using the cheap ``ED_n`` distance — series by
+series, by the same decide/apply pair that ingestion appends with.  The
+base keeps only the group representatives, radii, and member handles —
 typically orders of magnitude fewer representatives than raw subsequences,
 which is what makes DTW-based online exploration interactive.
 
@@ -18,8 +19,7 @@ from __future__ import annotations
 import hashlib
 import operator
 import time
-from collections.abc import Iterable, Iterator, Sequence
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from typing import SupportsIndex
@@ -29,36 +29,21 @@ from numpy.typing import ArrayLike
 
 from repro.core.config import BuildConfig
 from repro.core.deadline import Deadline
-from repro.core.grouping import (
-    _LB_MARGIN,
-    SimilarityGroup,
-    cluster_subsequence_rows,
-    mean_prescreen_cutoff,
-)
+from repro.core.grouping import _LB_MARGIN, SimilarityGroup, assign_rows
 from repro.data.dataset import SubsequenceRef, TimeSeriesDataset
 from repro.data.timeseries import TimeSeries
-from repro.data.windows import (
-    rows_to_series_starts,
-    window_counts,
-    window_matrix,
-)
 from repro.distances import native
 from repro.distances.envelope import keogh_envelope_batch
 from repro.distances.lower_bounds import lb_keogh_reverse_batch, lb_kim_endpoints_batch
 from repro.distances.normalize import minmax_normalize
 from repro.exceptions import (
-    BuildWorkerError,
     DatasetError,
     NotBuiltError,
     ReadOnlyBaseError,
     ValidationError,
 )
-from repro.obs.logs import get_logger, log_event
 from repro.obs.metrics import REGISTRY
-from repro.obs.trace import span
 from repro.testing import faults
-
-_LOG = get_logger("build")
 
 # Registry-backed build telemetry: per-build LengthBuildStats stay the
 # per-call view; these accumulate across every build in the process.
@@ -73,10 +58,6 @@ _BUILD_GROUPS = REGISTRY.counter(
 )
 _BUILD_SECONDS = REGISTRY.counter(
     "onex_build_seconds_total", "Wall seconds spent in base construction"
-)
-_BUILD_RETRIES = REGISTRY.counter(
-    "onex_build_shard_retries_total",
-    "Build shards re-run serially after a pool-worker crash",
 )
 _BUILD_LAST = REGISTRY.gauge(
     "onex_build_last_seconds", "Duration of the most recent base build"
@@ -95,26 +76,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LengthBuildStats:
-    """One subsequence length's bucket: its counts and build cost.
-
-    ``subsequences`` and ``groups`` are the bucket's member and group
-    counts as they stand.  ``seconds`` is the wall-clock cost of that
-    length's shard (extraction + clustering), measured inside the job —
-    on the worker when the build is fanned out, so the per-length numbers
-    expose the shard balance the scheduler achieved.  Lengths indexed
-    after the build by incremental ingestion report ``seconds == 0.0``.
-    """
+    """One subsequence length's bucket: its member (``subsequences``) and
+    group counts as they stand."""
 
     length: int
     subsequences: int
     groups: int
-    seconds: float
 
 
 @dataclass(frozen=True)
 class BaseStats:
     """Summary of a built base (reported by E1/E7/E18 benchmarks): the
-    sums of its buckets' counts, and the build's timings."""
+    sums of its buckets' counts, and the build's wall seconds."""
 
     subsequences: int
     groups: int
@@ -466,11 +439,11 @@ class LengthBucket:
     when one is asked for, and nothing on the build, load, append, query
     or save path asks.
 
-    A build stores its rows group by group; a *writable* bucket grows in
-    place with amortised doubling (``append``, driven by
-    ``OnexBase.add_series`` and the :mod:`repro.stream` subsystem), new
-    rows landing at the end of the stores in arrival order, so a group's
-    rows need not be contiguous.  :meth:`group_rows` resolves groups to
+    A *writable* bucket grows in place with amortised doubling
+    (``append``, driven by ``OnexBase.build``, ``OnexBase.add_series``
+    and the :mod:`repro.stream` subsystem), new rows landing at the end
+    of the stores in arrival order, so a group's rows need not be
+    contiguous.  :meth:`group_rows` resolves groups to
     rows by owner; :meth:`store_rows` reads the rows themselves for the
     snapshot writer and the base's :class:`MemberTable`, through which
     the query stage finds members of every length at once.
@@ -508,7 +481,7 @@ class LengthBucket:
         self.length = int(length)
         #: Channels per time step; multivariate buckets store every row
         #: channel-flattened (C-order ``(length, channels)``, width
-        #: ``length * channels``) so clustering, radii, and persistence
+        #: ``length * channels``) so grouping, radii, and persistence
         #: are identical to the univariate layout.
         self.channels = int(channels)
         self.writable = writable
@@ -738,46 +711,6 @@ class LengthBucket:
         return cheb
 
 
-def _build_length_shard(
-    series_values: list[np.ndarray],
-    length: int,
-    step: int,
-    group_radius: float,
-) -> dict | None:
-    """Build one length's groups from raw series values (shared-nothing).
-
-    The unit of work of the sharded build pipeline: strided window
-    extraction plus the batched clustering, returning a payload of plain
-    arrays — stacked centroids, radii, and flat member-row indices with
-    their owning groups — so the result pickles cheaply across a
-    :class:`~concurrent.futures.ProcessPoolExecutor` boundary.  No handle
-    is created here; the parent resolves rows to ``(series_index, start)``
-    handles arithmetically during reassembly.  The window matrix stays
-    behind: re-extracting it on the parent is cheaper than pickling it
-    through the result pipe.  Returns ``None`` when no series is long
-    enough for *length*.
-    """
-    started = time.perf_counter()
-    faults.fire("build.shard", length=length)
-    matrix, _ = window_matrix(series_values, length, step)
-    if matrix.shape[0] == 0:
-        return None
-    groups = cluster_subsequence_rows(matrix, group_radius)
-    count = len(groups)
-    return {
-        "length": length,
-        "windows": matrix.shape[0],
-        "centroids": np.stack([g.centroid for g in groups]),
-        "ed_radii": np.fromiter((g.ed_radius for g in groups), np.float64, count),
-        "cheb_radii": np.fromiter(
-            (g.cheb_radius for g in groups), np.float64, count
-        ),
-        "member_rows": np.concatenate([g.rows for g in groups]),
-        "owners": np.repeat(np.arange(count), [g.rows.shape[0] for g in groups]),
-        "seconds": time.perf_counter() - started,
-    }
-
-
 class OnexBase:
     """The compact ONEX base over one dataset."""
 
@@ -792,11 +725,8 @@ class OnexBase:
         self._buckets: dict[int, LengthBucket] = {}
         self._rep_table: RepresentativeTable | None = None
         self._member_table: MemberTable | None = None
-        #: The build's timings; the counts are read off the buckets.
+        #: The build's wall seconds; the counts are read off the buckets.
         self._build_seconds = 0.0
-        self._length_seconds: dict[int, float] = {}
-        #: Shards re-run serially after a worker crash in the last build.
-        self.build_shard_retries = 0
         #: True for mmap-attached bases served by pool workers: every
         #: mutation path raises :class:`ReadOnlyBaseError` (writes belong
         #: to the supervisor, which republishes a fresh snapshot).
@@ -807,134 +737,44 @@ class OnexBase:
     # ------------------------------------------------------------------
 
     def build(self, deadline: Deadline | None = None) -> BaseStats:
-        """Run the offline clustering; idempotent (rebuilds from scratch).
+        """Index every series, in series order, into fresh buckets;
+        idempotent (rebuilds from scratch).
 
-        The construction is a sharded pipeline over the configured length
-        range: each length is an independent, shared-nothing job
-        (:func:`_build_length_shard` — strided extraction plus the batched
-        clustering) and ``BuildConfig.num_workers`` fans the jobs over a
-        :class:`~concurrent.futures.ProcessPoolExecutor` (``num_workers=1``
-        runs the same jobs in-process with no executor).  Shard payloads
-        are merged in ascending length order regardless of completion
-        order, and the clustering itself is deterministic, so every worker
-        count produces an identical base — :meth:`structure_fingerprint`
-        equality is asserted by the tests and the E18 benchmark gate.
-
-        A crashed or killed pool worker loses only its shard: the build
-        re-runs that length serially in the parent (determinism makes the
-        retry bit-identical; ``build_shard_retries`` counts them) and
-        raises :class:`~repro.exceptions.BuildWorkerError` only when the
-        serial retry fails too.  A *deadline* is checked between merged
-        shards and raises with per-length progress; the shards not yet
-        started are cancelled.  The buckets are published only once every
-        shard has merged, so a build that raises leaves the base as it
-        was: unbuilt, or the previous build intact.
+        A build is appends to an empty base: each series goes through
+        ingestion's decide/apply pair (:meth:`_index_windows`), so a
+        representative is its group's first window and never moves, and
+        building N series gives the structure of building the first and
+        :meth:`add_series`-ing the rest.  A *deadline* is checked before
+        each series and raises with the progress so far.  The buckets are
+        published only after the last series, so a build that raises
+        leaves the base as it was: unbuilt, or the previous build intact.
         """
         started = time.perf_counter()
-        self.build_shard_retries = 0
         cfg = self._config
-        lengths = list(range(cfg.min_length, cfg.max_length + 1))
-        series_values = [s.values for s in self._dataset]
-        workers = min(cfg.num_workers, len(lengths))
-        buckets: dict[int, LengthBucket] = {}
-        seconds: dict[int, float] = {}
-
-        def merge(payloads: Iterable[dict | None]) -> None:
-            # Consumed lazily and in submission (= ascending length)
-            # order, so at most one shard's window matrix is alive on
-            # the parent at a time — the serial build's peak memory.
-            for payload in payloads:
-                faults.fire("build.merge")
-                if deadline is not None:
-                    deadline.check(
-                        "base build",
-                        {
-                            "lengths_merged": len(buckets),
-                            "lengths_total": len(lengths),
-                            "groups": sum(b.group_count for b in buckets.values()),
-                        },
-                    )
-                if payload is None:
-                    continue
-                with span(
-                    "build.merge_shard",
-                    length=payload["length"],
-                    windows=payload["windows"],
-                ):
-                    bucket = self._assemble_bucket(payload)
-                buckets[bucket.length] = bucket
-                seconds[bucket.length] = payload["seconds"]
-
-        if workers <= 1:
-            merge(
-                _build_length_shard(series_values, length, cfg.step, cfg.group_radius)
-                for length in lengths
-            )
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(
-                        _build_length_shard,
-                        series_values,
-                        length,
-                        cfg.step,
-                        cfg.group_radius,
-                    )
-                    for length in lengths
-                ]
-
-                def drain() -> Iterator[dict | None]:
-                    # Still ascending length order — submit-per-shard
-                    # (instead of pool.map) is what lets one crashed
-                    # worker lose only its own shard.
-                    for length, future in zip(lengths, futures):
-                        try:
-                            yield future.result()
-                        except Exception as exc:
-                            # A killed worker surfaces as BrokenExecutor
-                            # (and poisons every later future of the
-                            # pool); each failed shard re-runs
-                            # serially in the parent, bit-identically.
-                            self.build_shard_retries += 1
-                            _BUILD_RETRIES.inc()
-                            log_event(
-                                _LOG,
-                                "warning",
-                                "build.shard_retry",
-                                length=length,
-                                error=str(exc),
-                                error_type=type(exc).__name__,
-                            )
-                            try:
-                                yield _build_length_shard(
-                                    series_values,
-                                    length,
-                                    cfg.step,
-                                    cfg.group_radius,
-                                )
-                            except Exception as retry_exc:
-                                raise BuildWorkerError(
-                                    f"build shard for length {length} failed "
-                                    f"in a pool worker ({exc}) and again on "
-                                    "serial retry"
-                                ) from retry_exc
-
-                try:
-                    merge(drain())
-                except BaseException:
-                    # Leaving the block waits for every queued shard
-                    # unless they are cancelled first.
-                    pool.shutdown(cancel_futures=True)
-                    raise
-        if not buckets:
+        fresh = OnexBase.from_attached(
+            self._raw_dataset, self._dataset, cfg, self._norm_bounds, {}, 0.0
+        )
+        total = len(self._dataset)
+        for index in range(total):
+            faults.fire("build.series", series=index)
+            if deadline is not None:
+                deadline.check(
+                    "base build",
+                    {
+                        "series_indexed": index,
+                        "series_total": total,
+                        "groups": sum(b.group_count for b in fresh._buckets.values()),
+                    },
+                )
+            fresh._index_windows(index, 0)
+        if not fresh._buckets:
             raise DatasetError(
                 "no subsequences in the configured length range "
                 f"[{cfg.min_length}, {cfg.max_length}]"
             )
-        self._buckets = buckets
+        self._buckets = fresh._buckets
         self._rep_table = self._member_table = None
         self._build_seconds = time.perf_counter() - started
-        self._length_seconds = seconds
         stats = self.stats
         _BUILDS_TOTAL.inc()
         _BUILD_WINDOWS.inc(stats.subsequences)
@@ -942,37 +782,6 @@ class OnexBase:
         _BUILD_SECONDS.inc(stats.build_seconds)
         _BUILD_LAST.set(stats.build_seconds)
         return stats
-
-    def _assemble_bucket(self, payload: dict) -> LengthBucket:
-        """Reassemble one shard payload into a live :class:`LengthBucket`.
-
-        Runs on the parent: member rows are resolved to ``(series_index,
-        start)`` handles with one ``searchsorted`` over the per-series
-        window counts and the bucket's refinement matrix is gathered from
-        a re-extracted window matrix; the payload's stacked arrays become
-        the bucket's stores as they are.  Bit-identical whether the shard
-        ran in-process or in a worker (the payload arrays round-trip
-        through pickle exactly).
-        """
-        length = payload["length"]
-        step = self._config.step
-        matrix, _ = window_matrix([s.values for s in self._dataset], length, step)
-        counts = window_counts(
-            [len(s) for s in self._dataset], length, step
-        )
-        member_rows = payload["member_rows"]
-        series_idx, starts = rows_to_series_starts(member_rows, counts, step)
-        return LengthBucket(
-            length,
-            np.column_stack((series_idx, starts)).astype(np.int64, copy=False),
-            payload["owners"],
-            matrix[member_rows],
-            payload["centroids"],
-            payload["ed_radii"],
-            payload["cheb_radii"],
-            channels=self._dataset.channels,
-            writable=True,
-        )
 
     @classmethod
     def from_attached(
@@ -983,7 +792,6 @@ class OnexBase:
         norm_bounds: tuple[float, float] | None,
         buckets: dict[int, LengthBucket],
         build_seconds: float,
-        length_seconds: dict[int, float],
         *,
         read_only: bool = False,
     ) -> "OnexBase":
@@ -993,8 +801,7 @@ class OnexBase:
         does not renormalise the dataset (*norm_dataset* is handed in,
         typically wrapping the snapshot's own normalised arrays), so an
         entirely mmap-backed base touches no series values at open time.
-        *build_seconds* and *length_seconds* are the saved build's
-        timings (see :attr:`stats`).
+        *build_seconds* is the saved build's wall time (see :attr:`stats`).
         """
         self = object.__new__(cls)
         self._config = config
@@ -1005,8 +812,6 @@ class OnexBase:
         self._buckets = dict(buckets)
         self._rep_table = self._member_table = None
         self._build_seconds = build_seconds
-        self._length_seconds = dict(length_seconds)
-        self.build_shard_retries = 0
         self.read_only = read_only
         return self
 
@@ -1049,15 +854,9 @@ class OnexBase:
     @property
     def stats(self) -> BaseStats:
         """The buckets' member and group counts, length by length and
-        summed, with the build's timings (0.0 seconds for a length that
-        ingestion created)."""
+        summed, with the build's wall seconds."""
         per_length = tuple(
-            LengthBuildStats(
-                bucket.length,
-                bucket.member_count,
-                bucket.group_count,
-                self._length_seconds.get(bucket.length, 0.0),
-            )
+            LengthBuildStats(bucket.length, bucket.member_count, bucket.group_count)
             for bucket in self.buckets()
         )
         return BaseStats(
@@ -1275,17 +1074,27 @@ class OnexBase:
         beyond *previous_length* points (0 indexes the whole series).
 
         The incremental-ingestion kernel shared by :meth:`add_series`,
-        the streaming ingestor and WAL replay, in two halves.  The decide
-        half places every length's windows in one call of the native
-        ``assign_windows`` (:mod:`repro.distances.native`) when it loaded,
-        else of its reference, :meth:`_assign_windows`, length by length.
-        The apply half, :meth:`apply_windows`, appends them — the one
-        path by which a pool worker also applies what this process
-        appended.  Returns the :class:`WindowAssignments` of the indexed
-        windows, in (length, start) order.
+        the streaming ingestor and WAL replay: :meth:`_index_windows` on a
+        built, writable base.
         """
         self._require_built()
         self._require_writable()
+        return self._index_windows(series_index, previous_length)
+
+    def _index_windows(
+        self, series_index: int, previous_length: int
+    ) -> WindowAssignments:
+        """:meth:`index_new_windows` without its checks, which
+        :meth:`build` also runs, series by series, on an empty base.
+
+        Two halves.  The decide half places every length's windows in one
+        call of the native ``assign_windows`` (:mod:`repro.distances.native`)
+        when it loaded, else of its reference, :meth:`_assign_windows`,
+        length by length.  The apply half, :meth:`apply_windows`, appends
+        them — the one path by which a pool worker also applies what this
+        process appended.  Returns the :class:`WindowAssignments` of the
+        indexed windows, in (length, start) order.
+        """
         cfg = self._config
         step = cfg.step
         values = self._dataset[series_index].values
@@ -1499,64 +1308,32 @@ class OnexBase:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
         """The decide half without the native kernel, and the reference
         ``native.assign_windows`` answers to bit for bit: the windows of
-        *lengths* at *handles*, ``counts[i]`` of them against ``buckets[i]``,
-        placed one at a time (the buckets are read, not changed).
-
-        The rule: nearest representative by ``ED_n``, groups seeded
-        earlier in the call included, lowest group on ties; join within
-        the group radius, else seed.  Exact ``ED_n`` runs only where it
-        can matter: ``ED_n(w, c) >= |mean(w) - mean(c)|``, so a window is
-        evaluated against the ascending columns whose mean is within the
-        radius (plus the builder's float margin, plus *slack* for how
-        *means* were summed) of its own.  A minimum within the radius
-        survives with all of its ties, so the first-of-ties argmin over
-        the survivors is the full table's; a minimum beyond it seeds
-        either way, unless a scan of the call's own seeds — winning on
-        strictly smaller distance only — finds one within the radius.
-
-        Returns each window's group and whether it seeded it (new groups
-        count up from the bucket's ``group_count`` in window order), the
-        store order — per length its seeds, then its joins group by group
-        in order of each group's first join — and how many (window,
-        representative) pairs passed the prescreen to exact ``ED_n``.
+        *lengths* at *handles*, ``counts[i]`` of them against ``buckets[i]``
+        (read, not changed), placed by :func:`~repro.core.grouping.assign_rows`
+        with *slack* for how *means* were summed.  Returns each window's
+        group, whether it seeded it, the store order and the prescreen's
+        exact evaluations, as that function does, over all lengths.
         """
-        radius = self._config.group_radius
         windows, at = self._gather(lengths, handles)
         groups = np.empty(lengths.size, dtype=np.int64)
         created = np.zeros(lengths.size, dtype=bool)
         order: list[int] = []
         evaluated = lo = 0
         for bucket, count in zip(buckets, counts):
-            existing, width = bucket.group_count, bucket.length * self.channels
-            centroids, cmeans = bucket.centroids, bucket.centroid_means
-            mine = means[lo : lo + count]
-            cutoff = mean_prescreen_cutoff(radius, mine, cmeans) + slack
+            width = bucket.length * self.channels
             block = windows[at[lo] : at[lo] + count * width].reshape(count, width)
-            fresh: list[np.ndarray] = []  # representatives seeded by this call
-            joins: dict[int, list[int]] = {}
-            for i, (row, mean) in enumerate(zip(block, mine.tolist()), lo):
-                cols = np.flatnonzero(np.abs(cmeans - mean) <= cutoff)
-                evaluated += cols.size
-                g_idx, dist = 0, np.inf
-                if cols.size:
-                    # sum / width is mean() without its Python-level wrapper.
-                    dists = np.abs(centroids[cols] - row).sum(axis=1) / width
-                    best = int(np.argmin(dists))
-                    g_idx, dist = int(cols[best]), float(dists[best])
-                if fresh:
-                    fresh_d = np.abs(np.array(fresh) - row).sum(axis=1) / width
-                    f_idx = int(np.argmin(fresh_d))
-                    if float(fresh_d[f_idx]) < dist:
-                        g_idx, dist = existing + f_idx, float(fresh_d[f_idx])
-                if dist <= radius:
-                    joins.setdefault(g_idx, []).append(i)
-                else:
-                    g_idx = existing + len(fresh)
-                    fresh.append(row)
-                    created[i] = True
-                    order.append(i)
-                groups[i] = g_idx
-            order += [i for members in joins.values() for i in members]
+            mine, seeded, placed, pairs = assign_rows(
+                block,
+                means[lo : lo + count],
+                bucket.centroids,
+                bucket.centroid_means,
+                self._config.group_radius,
+                slack,
+            )
+            groups[lo : lo + count] = mine
+            created[lo : lo + count] = seeded
+            order += [lo + i for i in placed]
+            evaluated += pairs
             lo += count
         return groups, created, np.array(order, dtype=np.int64), evaluated
 
@@ -1602,9 +1379,9 @@ class OnexBase:
         of the owners, so the store order appends left is not seen) —
         everything the query layers read, nothing timing-dependent.  Two
         bases are result-identical iff their structure fingerprints
-        match; the build scheduler's determinism gate (serial vs
-        process-pool builds, E18 and ``tests/test_build_pipeline.py``)
-        compares these.
+        match; a build equals a first-series build plus
+        :meth:`add_series` of the rest by this hash
+        (``tests/test_build_pipeline.py``).
         """
         self._require_built()
         digest = hashlib.sha256()

@@ -31,14 +31,6 @@ class BuildConfig:
     normalize:
         Min–max normalise the dataset (collection-level bounds) at load
         time; the paper always does.
-    num_workers:
-        Fan the per-length build jobs over this many worker processes.
-        ``1`` (the default) runs the jobs in-process with no executor.
-        Per-length jobs are shared-nothing and merged deterministically,
-        so every setting builds an identical base
-        (``OnexBase.structure_fingerprint``) — this is an execution knob,
-        not a semantic parameter, and it is deliberately **not**
-        persisted in saved bases.
     """
 
     similarity_threshold: float
@@ -46,7 +38,6 @@ class BuildConfig:
     max_length: int
     step: int = 1
     normalize: bool = True
-    num_workers: int = 1
 
     def __post_init__(self) -> None:
         if not self.similarity_threshold > 0:
@@ -61,10 +52,6 @@ class BuildConfig:
             )
         if self.step < 1:
             raise ValidationError(f"step must be >= 1, got {self.step}")
-        if self.num_workers < 1:
-            raise ValidationError(
-                f"num_workers must be >= 1, got {self.num_workers}"
-            )
 
     @property
     def group_radius(self) -> float:

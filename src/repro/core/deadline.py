@@ -5,7 +5,7 @@ representative-DTW chunks and member refinements in
 :mod:`repro.core.query`, the per-group pair calls of
 :mod:`repro.core.seasonal`, the per-bucket calls of
 :mod:`repro.core.sensitivity`, the
-per-length build shards in :mod:`repro.core.base`, and the monitor step
+per-series build steps in :mod:`repro.core.base`, and the monitor step
 loop in :mod:`repro.stream` — already advances in bounded chunks, so a
 :class:`Deadline` checked at those chunk boundaries bounds how far past
 its budget any operation can run by one chunk of work.

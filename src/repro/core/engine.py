@@ -79,7 +79,6 @@ class OnexEngine:
         max_length: int | None = None,
         step: int = 1,
         normalize: bool = True,
-        num_workers: int = 1,
         deadline: Deadline | None = None,
     ) -> BaseStats:
         """Register *dataset* and build its ONEX base.
@@ -90,12 +89,9 @@ class OnexEngine:
         both ends widened down to half of it — a pragmatic default that
         keeps preprocessing proportional to the data.
 
-        *num_workers* fans the per-length build shards over a process
-        pool; every setting produces an identical base, so it is purely a
-        build-latency knob.  A
-        *deadline* (:class:`~repro.core.deadline.Deadline`) bounds the
-        build cooperatively, checked between merged shards; when it
-        fires, no partially built dataset is registered.
+        A *deadline* (:class:`~repro.core.deadline.Deadline`) bounds the
+        build cooperatively, checked before each series; when it fires,
+        no partially built dataset is registered.
         """
         if dataset.name in self._loaded:
             raise DatasetError(f"dataset {dataset.name!r} already loaded")
@@ -115,7 +111,6 @@ class OnexEngine:
             max_length=max_length,
             step=step,
             normalize=normalize,
-            num_workers=num_workers,
         )
         base = OnexBase(dataset, config)
         stats = base.build(deadline)

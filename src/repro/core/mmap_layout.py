@@ -399,7 +399,6 @@ def _attach(
         tuple(norm_bounds) if norm_bounds is not None else None,
         buckets,
         float(stats["build_seconds"]),
-        {int(e["length"]): float(e["seconds"]) for e in stats["per_length"]},
         read_only=read_only,
     )
 

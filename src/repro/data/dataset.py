@@ -211,8 +211,8 @@ class TimeSeriesDataset:
 
         Returns ``(matrix, refs)`` with ``matrix[k]`` holding the values of
         ``refs[k]`` — channel-flattened to width ``length * channels`` for
-        multivariate collections.  Used by the base builder for vectorised
-        distance computations; the rows come from one strided
+        multivariate collections.  Used by the brute-force scan and the
+        seasonal miner; the rows come from one strided
         :func:`repro.data.windows.window_view` gather per series (no
         per-window copy loop), stacked into one owned array.
         """

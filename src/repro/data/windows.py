@@ -1,12 +1,9 @@
-"""Strided window extraction shared by the build, ingest, and query layers.
+"""Strided window extraction: "all windows of length ``L``" as one matrix.
 
-Every consumer of "all windows of length ``L``" used to materialise them
-one Python loop iteration at a time (``matrix[k] = values(ref)``).  The
-helpers here replace that with :func:`numpy.lib.stride_tricks.
-sliding_window_view` gathers — one O(1) strided view per series, stacked
-with a single vectorised copy — and with the flat-rank arithmetic that
-maps a row of the stacked matrix back to its ``(series, start)`` handle
-without enumerating refs.
+The whole-collection window matrix (:meth:`TimeSeriesDataset.subsequence_matrix`,
+read by the brute-force scan and the seasonal miner) is one O(1) strided
+view per series, stacked with a single vectorised copy, instead of a
+Python loop over windows (``matrix[k] = values(ref)``).
 
 Row order is the canonical enumeration order everywhere in the library:
 series by series (dataset order), window starts ascending on the step
@@ -18,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "rows_to_series_starts",
     "window_counts",
     "window_matrix",
     "window_view",
@@ -35,9 +31,9 @@ def window_view(values: np.ndarray, length: int, step: int = 1) -> np.ndarray:
     axis only.  The view aliases *values*: copy before mutating (the
     library's series are read-only anyway).  Built directly with
     ``as_strided`` (shape/strides are computed here, so the construction
-    is safe) — the build pipeline takes one view per (series, length)
-    pair and ``sliding_window_view``'s generic argument handling is
-    measurable at that call rate.
+    is safe) — :func:`window_matrix` takes one view per series and
+    ``sliding_window_view``'s generic argument handling is measurable
+    at that call rate.
     """
     n = values.shape[0]
     if values.ndim == 2:
@@ -98,19 +94,3 @@ def window_matrix(
             row += int(count)
     return matrix, counts
 
-
-def rows_to_series_starts(
-    rows: np.ndarray, counts: np.ndarray, step: int = 1
-) -> tuple[np.ndarray, np.ndarray]:
-    """Map flat window-matrix row ranks back to ``(series_index, start)``.
-
-    *rows* are ranks into the canonical enumeration whose per-series
-    window counts are *counts*; both outputs are int64 arrays.  This is
-    the inverse of :func:`window_matrix`'s row order, evaluated with one
-    ``searchsorted`` instead of materialising any handles.
-    """
-    offsets = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
-    rows = np.asarray(rows, dtype=np.int64)
-    series = np.searchsorted(offsets, rows, side="right") - 1
-    starts = (rows - offsets[series]) * step
-    return series, starts

@@ -8,7 +8,6 @@ unknown names) from internal invariant violations.
 from __future__ import annotations
 
 __all__ = [
-    "BuildWorkerError",
     "DatasetError",
     "DeadlineExceeded",
     "InvariantError",
@@ -98,15 +97,6 @@ class PersistenceError(OnexError):
     and the checkpoint manifest: a missing path, hostile ``meta.json``
     entries, a hash mismatch, a ``.npz`` archive or another format all
     raise it; so does saving onto a path that already exists.
-    """
-
-
-class BuildWorkerError(OnexError):
-    """Raised when a build shard fails in a worker *and* in the serial
-    re-execution the build pipeline falls back to.
-
-    A crashed pool worker alone never surfaces this: the failed shard is
-    re-run in-process automatically and the build proceeds.
     """
 
 

@@ -72,7 +72,6 @@ _LOAD_OPTIONS = (
     "max_length",
     "step",
     "normalize",
-    "num_workers",
 )
 
 #: Completed mutating requests the idempotency window remembers.
@@ -82,9 +81,6 @@ _IDEMPOTENCY_WINDOW = 1024
 class OnexService:
     """Handles protocol requests against one engine instance.
 
-    *default_build_workers* applies to ``load_dataset`` requests that do
-    not name ``num_workers`` themselves — the ``serve --build-workers``
-    deployment knob; explicit request parameters always win.
     *default_timeout_ms* is the server-side deadline applied to every
     long-running operation that does not carry its own ``timeout_ms``
     (see :data:`repro.server.protocol.OPERATION_OPTIONS`).
@@ -94,12 +90,10 @@ class OnexService:
         self,
         query_config: QueryConfig | None = None,
         *,
-        default_build_workers: int | None = None,
         default_timeout_ms: float | None = None,
         durability: DurabilityManager | None = None,
     ) -> None:
         self._engine = OnexEngine(query_config)
-        self._default_build_workers = default_build_workers
         self._default_timeout_ms = as_optional_timeout_ms(
             default_timeout_ms, "default_timeout_ms"
         )
@@ -439,10 +433,6 @@ class OnexService:
                 "or 'ucr:<path>')"
             )
         options = {k: params[k] for k in _LOAD_OPTIONS if k in params}
-        if "num_workers" in options:
-            options["num_workers"] = int(options["num_workers"])
-        elif self._default_build_workers is not None:
-            options["num_workers"] = self._default_build_workers
         stats = self._engine.load_dataset(
             dataset, deadline=self._deadline(params), **options
         )

@@ -45,8 +45,8 @@ Registered failpoint names (kept in sync with the call sites):
   before its one paired DTW call;
 - ``seasonal.group`` — per candidate group of the seasonal miner;
 - ``sensitivity.bucket`` — per length bucket of the similarity profile;
-- ``build.shard`` — inside each per-length build shard (worker side);
-- ``build.merge`` — per merged shard payload (parent side);
+- ``build.series`` — per series of a base build, before its deadline
+  check (receives ``series``, its index);
 - ``persist.save`` — in the snapshot writer, between writing (and
   fsyncing) the ``<dir>.tmp`` directory and renaming it into place
   (receives the temp ``arrays.bin`` as ``path``);

@@ -1,22 +1,16 @@
-"""Tests for the sharded, vectorised base-construction pipeline (PR 5).
-
-Covers the three layers of the rebuild:
+"""Tests for base construction: windows, the grouping rule, the build.
 
 - **Extraction** — the strided window kernel (:mod:`repro.data.windows`)
   against the definitional per-ref gather, at unit and non-unit steps.
-- **Clustering** — Hypothesis properties that
-  :func:`cluster_subsequence_rows` is *bit-identical* with its scan and
-  its round evaluation replaced by their private row-at-a-time
-  references, that the repair rounds re-establish the strict mean-L1
-  radius invariant for every finalized group (including the
-  singleton-fallback round at an exhausted budget), and that every
-  centroid is its members' sequential row sum over their count.
-- **Scheduling** — serial and process-pool builds produce
-  structure-fingerprint-identical bases, persist identically, and report
-  the per-length telemetry.
+- **Grouping** — a Hypothesis property that the fixed-representative
+  rule (:func:`cluster_subsequence_rows`) covers every row once, keeps
+  every member within the radius of its group's seed and records exact
+  radii.
+- **The build** — its counts are its buckets', and it equals a
+  first-series build plus ``add_series`` of the rest, on both kernel
+  backends.
 
-Plus the step>1 end-to-end coverage the refinement matrix's row ordering
-was missing.
+Plus the step>1 end-to-end coverage of the member stores' row order.
 """
 
 import json
@@ -26,19 +20,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core import grouping
 from repro.core.base import LengthBuildStats, OnexBase
 from repro.core.config import BuildConfig
 from repro.core.grouping import cluster_subsequence_rows, cluster_subsequences
 from repro.core.query import QueryProcessor
 from repro.data.dataset import SubsequenceRef, TimeSeriesDataset
 from repro.data.timeseries import TimeSeries
-from repro.data.windows import (
-    rows_to_series_starts,
-    window_counts,
-    window_matrix,
-    window_view,
-)
+from repro.data.windows import window_counts, window_view
 from repro.distances.dtw import dtw_distance
 from repro.exceptions import ValidationError
 
@@ -92,22 +80,9 @@ class TestWindowKernel:
                 ]
                 assert counts.tolist() == expected
 
-    @pytest.mark.parametrize("step", [1, 3])
-    def test_rows_to_series_starts_inverts_enumeration(self, step):
-        ds = walks(9)
-        length = 5
-        refs = list(ds.iter_subsequences(length, step=step))
-        counts = window_counts([len(s) for s in ds], length, step)
-        rows = np.arange(len(refs))
-        series, starts = rows_to_series_starts(rows, counts, step)
-        assert [
-            SubsequenceRef(int(si), int(stt), length)
-            for si, stt in zip(series, starts)
-        ] == refs
-
 
 # ----------------------------------------------------------------------
-# Clustering layer (Hypothesis properties)
+# Grouping rule (Hypothesis property)
 # ----------------------------------------------------------------------
 
 
@@ -130,59 +105,32 @@ def matrices(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    matrices(),
-    st.floats(min_value=0.01, max_value=1.2),
-    st.integers(min_value=0, max_value=4),
-)
-def test_batched_repair_identical_to_reference(matrix, radius, rounds):
-    """The one build path == itself with the row-at-a-time scan and the
-    per-draft round evaluation substituted (DESIGN.md §1: a witness is a
-    test substitution, never an argument)."""
-    batched = cluster_subsequence_rows(matrix, radius, max_repair_rounds=rounds)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(grouping, "_scan_batched", grouping._scan_reference)
-        patch.setattr(grouping, "_evaluate_round", grouping._evaluate_round_reference)
-        reference = cluster_subsequence_rows(
-            matrix, radius, max_repair_rounds=rounds
-        )
-    assert len(batched) == len(reference)
-    for a, b in zip(batched, reference):
-        assert np.array_equal(a.rows, b.rows)
-        assert np.array_equal(a.centroid, b.centroid)
-        assert a.ed_radius == b.ed_radius
-        assert a.cheb_radius == b.cheb_radius
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    matrices(),
-    st.floats(min_value=0.01, max_value=1.2),
-    st.integers(min_value=0, max_value=3),
-)
-# A draw whose repair keeps conforming cores of three or more rows — where
-# the order of a float sum shows.
-@example(np.random.default_rng(32).normal(size=(180, 5)).cumsum(axis=1), 0.8, 3)
-def test_repair_establishes_radius_invariant(matrix, radius, rounds):
-    """After any round budget — including 0, which exercises the
-    singleton-fallback path directly — every finalized group strictly
-    satisfies the mean-L1 radius invariant and covers every row once,
-    and its centroid is, bit for bit, its members' rows summed one at a
-    time in member order over their count (what the scatter joins and
-    the repair's ``cumsum`` must both reproduce)."""
-    groups = cluster_subsequence_rows(matrix, radius, max_repair_rounds=rounds)
+@given(matrices(), st.floats(min_value=0.01, max_value=1.2))
+# A draw where groups of three or more rows form around drifting walks.
+@example(np.random.default_rng(32).normal(size=(180, 5)).cumsum(axis=1), 0.8)
+def test_seed_rule_establishes_radius_invariant(matrix, radius):
+    """Every group strictly satisfies the mean-L1 radius invariant and the
+    groups cover every row once, in seed order; each representative is,
+    bit for bit, its group's first row, no row seeds a group while an
+    earlier seed lies within the radius, and the recorded radii are the
+    members' exact maxima."""
+    groups = cluster_subsequence_rows(matrix, radius)
     seen = np.concatenate([g.rows for g in groups])
     assert sorted(seen.tolist()) == list(range(matrix.shape[0]))
-    for g in groups:
-        total = np.zeros(matrix.shape[1])
-        for row in matrix[g.rows]:
-            total += row
-        assert np.array_equal(g.centroid, total / g.rows.size)
+    firsts = [int(g.rows[0]) for g in groups]
+    assert firsts == sorted(firsts)
+    for k, g in enumerate(groups):
+        assert np.array_equal(g.rows, np.sort(g.rows))
+        assert np.array_equal(g.centroid, matrix[g.rows[0]])
+        earlier = np.abs(matrix[firsts[:k]] - matrix[firsts[k]]).mean(axis=1)
+        assert (earlier > radius - _EPS).all()
         deviations = np.abs(matrix[g.rows] - g.centroid)
         eds = deviations.mean(axis=1)
         assert float(eds.max(initial=0.0)) <= radius + _EPS
         assert float(eds.max(initial=0.0)) <= g.ed_radius + _EPS
         assert float(deviations.max(initial=0.0)) <= g.cheb_radius + _EPS
+        assert g.ed_radius == pytest.approx(float(eds.max()), abs=_EPS)
+        assert g.cheb_radius == float(deviations.max())
 
 
 def test_cluster_subsequences_wrapper_resolves_refs():
@@ -207,7 +155,7 @@ def test_cluster_subsequences_validation_unchanged():
 
 
 # ----------------------------------------------------------------------
-# Scheduling layer
+# The build
 # ----------------------------------------------------------------------
 
 
@@ -219,49 +167,6 @@ def built(dataset, **overrides):
     base = OnexBase(dataset, BuildConfig(**config))
     base.build()
     return base
-
-
-class TestParallelBuild:
-    def test_worker_counts_build_identical_bases(self):
-        serial = built(walks(31))
-        process = built(walks(31), num_workers=3)
-        assert serial.structure_fingerprint() == process.structure_fingerprint()
-        assert serial.stats.subsequences == process.stats.subsequences
-        assert serial.stats.groups == process.stats.groups
-        assert serial.stats.lengths == process.stats.lengths
-        process.validate()
-
-    def test_workers_capped_by_length_count(self):
-        # More workers than lengths must not break the deterministic merge.
-        base = built(walks(32), num_workers=32)
-        assert base.structure_fingerprint() == built(walks(32)).structure_fingerprint()
-
-    def test_parallel_build_saves_and_loads_like_serial(self, tmp_path):
-        serial = built(walks(33))
-        parallel = built(walks(33), num_workers=3)
-        serial.save(tmp_path / "serial")
-        parallel.save(tmp_path / "parallel")
-        loaded_serial = OnexBase.load(tmp_path / "serial")
-        loaded_parallel = OnexBase.load(tmp_path / "parallel")
-        assert (
-            loaded_serial.structure_fingerprint()
-            == loaded_parallel.structure_fingerprint()
-            == serial.structure_fingerprint()
-        )
-        # The snapshots themselves are interchangeable modulo timings.
-        assert loaded_parallel.config == loaded_serial.config
-        loaded_parallel.validate()
-
-    def test_num_workers_not_persisted(self, tmp_path):
-        parallel = built(walks(34), num_workers=4)
-        parallel.save(tmp_path / "base")
-        loaded = OnexBase.load(tmp_path / "base")
-        assert loaded.config.num_workers == 1
-
-    def test_invalid_scheduling_config_rejected(self):
-        with pytest.raises(ValidationError, match="num_workers"):
-            BuildConfig(similarity_threshold=0.1, min_length=4, max_length=6,
-                        num_workers=0)
 
 
 def assert_counts_are_bucket_sums(base):
@@ -277,12 +182,12 @@ def assert_counts_are_bucket_sums(base):
 
 class TestPerLengthTelemetry:
     def test_breakdown_sums_to_totals(self):
-        base = built(walks(41), num_workers=2)
+        base = built(walks(41))
         stats = base.stats
         assert [s.length for s in stats.per_length] == base.lengths
         assert sum(s.subsequences for s in stats.per_length) == stats.subsequences
         assert sum(s.groups for s in stats.per_length) == stats.groups
-        assert all(s.seconds >= 0.0 for s in stats.per_length)
+        assert stats.build_seconds > 0.0
         assert_counts_are_bucket_sums(base)
 
     def test_breakdown_round_trips_through_save(self, tmp_path):
@@ -291,6 +196,20 @@ class TestPerLengthTelemetry:
         loaded = OnexBase.load(tmp_path / "base")
         assert loaded.stats == base.stats
         assert_counts_are_bucket_sums(loaded)
+
+    def test_a_snapshot_with_per_length_seconds_still_loads(self, tmp_path):
+        """Format-3 snapshots written before the build lost its per-length
+        jobs carry a ``seconds`` per length; the reader ignores them."""
+        base = built(walks(45))
+        base.save(tmp_path / "base")
+        meta_path = tmp_path / "base" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        for entry in meta["stats"]["per_length"]:
+            entry["seconds"] = 0.001
+        meta_path.write_text(json.dumps(meta, sort_keys=True))
+        loaded = OnexBase.load(tmp_path / "base")
+        assert loaded.stats == base.stats
+        assert loaded.structure_fingerprint() == base.structure_fingerprint()
 
     def test_incremental_ingestion_updates_breakdown(self):
         from repro.data.timeseries import TimeSeries
@@ -303,13 +222,12 @@ class TestPerLengthTelemetry:
         for length in base.lengths:
             added = 10 - length + 1 if length <= 10 else 0
             assert after[length].subsequences == before[length].subsequences + added
-            assert after[length].seconds == before[length].seconds
         assert_counts_are_bucket_sums(base)
 
     def test_appends_and_a_worker_tail_keep_counts_on_the_buckets(self, tmp_path):
         """Points appended past the longest series create lengths the
-        build had no window for (0.0 seconds); a read-only attach of the
-        snapshot before them reaches the same stats through the tail."""
+        build had no window for; a read-only attach of the snapshot
+        before them reaches the same stats through the tail."""
         from repro.core.mmap_layout import load_base_snapshot, save_base_snapshot
         from repro.stream import StreamIngestor
 
@@ -324,8 +242,8 @@ class TestPerLengthTelemetry:
         rng = np.random.default_rng(44)
         for name in ("series-2", "series-0", "fresh", "series-2"):
             ingestor.append_points(name, rng.normal(size=3).cumsum())
-        seconds = {s.length: s.seconds for s in base.stats.per_length}
-        assert base.lengths[-1] == 26 and seconds[25] == seconds[26] == 0.0
+        assert base.lengths[-1] == 26
+        assert [s.length for s in base.stats.per_length][-2:] == [25, 26]
         assert_counts_are_bucket_sums(base)
         worker.apply_tail(base.tail(mark))
         assert worker.stats == base.stats
@@ -337,11 +255,11 @@ class TestPerLengthTelemetry:
         code = main(
             ["describe", "--source", "matters", "--years", "10",
              "--min-years", "6", "--st", "0.15", "--min-length", "4",
-             "--max-length", "6", "--build-workers", "2"]
+             "--max-length", "6"]
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "per-length build breakdown:" in out
+        assert "per-length breakdown:" in out
         assert "len   4:" in out
 
     def test_describe_json_carries_per_length(self, capsys):
@@ -355,7 +273,7 @@ class TestPerLengthTelemetry:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert [e["length"] for e in payload["per_length"]] == [4, 5, 6]
-        assert isinstance(payload["per_length"][0]["seconds"], float)
+        assert isinstance(payload["build_seconds"], float)
         assert LengthBuildStats(**payload["per_length"][0]).length == 4
 
 
@@ -405,9 +323,8 @@ class TestStridedStep:
     def strided_base(self):
         return built(walks(55, sizes=(30, 26, 22)), step=3)
 
-    def test_member_matrix_rows_match_refs_in_group_order(self, strided_base):
+    def test_member_matrix_rows_match_refs_in_store_order(self, strided_base):
         for bucket in strided_base.buckets():
-            row = 0
             for g_idx, group in enumerate(bucket.groups):
                 values = bucket.member_rows(g_idx)
                 for m, ref in enumerate(group.members):
@@ -415,11 +332,15 @@ class TestStridedStep:
                     assert np.array_equal(
                         values[m], strided_base.dataset.values(ref)
                     )
-                    assert np.array_equal(
-                        bucket.member_matrix[row],
-                        strided_base.dataset.values(ref),
-                    )
-                    row += 1
+            handles, owners = bucket.store_rows()
+            for row, ((series, start), owner) in enumerate(
+                zip(handles.tolist(), owners.tolist())
+            ):
+                ref = SubsequenceRef(series, start, bucket.length)
+                assert ref in bucket.groups[owner].members
+                assert np.array_equal(
+                    bucket.member_matrix[row], strided_base.dataset.values(ref)
+                )
 
     def test_exact_query_hits_true_best_indexed_window(self, strided_base):
         from repro.core.config import QueryConfig
@@ -463,12 +384,3 @@ class TestStridedStep:
             query, normalize=False
         )
         assert a.ref == b.ref and a.distance == pytest.approx(b.distance)
-
-    def test_parallel_strided_build_identical(self):
-        serial = built(walks(58, sizes=(30, 26, 22)), step=2)
-        parallel = built(
-            walks(58, sizes=(30, 26, 22)), step=2, num_workers=3
-        )
-        assert (
-            serial.structure_fingerprint() == parallel.structure_fingerprint()
-        )

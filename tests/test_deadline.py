@@ -249,7 +249,7 @@ class TestDeadlineFiresPerStage:
         dataset = TimeSeriesDataset.from_arrays(
             [rng.normal(size=20).cumsum() for _ in range(3)], name="slow-build"
         )
-        with faults.inject("build.merge", "sleep", seconds=0.05):
+        with faults.inject("build.series", "sleep", seconds=0.05):
             with pytest.raises(DeadlineExceeded) as excinfo:
                 engine.load_dataset(
                     dataset,

@@ -138,17 +138,19 @@ class TestSimilarityGroupValidate:
             group.validate(ds, 1.0)
 
 
-class TestRepairStress:
-    def test_adversarial_drift_still_satisfies_invariant(self):
-        """A chain of slowly drifting points forces centroid drift; the
-        repair pass must still deliver the strict invariant."""
+class TestSeedStress:
+    def test_drifting_chain_splits_at_the_seed_radius(self):
+        """A chain of slowly drifting points, each within the radius of
+        the one before: a point joins its group's seed only while within
+        the radius of that seed, and the next one past it seeds anew."""
         radius = 0.5
-        # Points at 0, 0.45, 0.9, ... each within radius of the running
-        # mean when added, but far from the final centroid.
+        # Points at 0, 0.45, 0.9, ...: pairs (0, 0.45), (0.9, 1.35), ...
         values = np.arange(0, 10, 0.45)
         matrix = values[:, None] * np.ones((1, 3))
         groups = cluster_subsequences(matrix, refs_for(len(values), 3), radius)
+        assert [g.cardinality for g in groups] == [2] * 11 + [1]
         for g in groups:
+            assert np.array_equal(g.centroid, matrix[g.members[0].start])
             for ref in g.members:
                 ed = np.abs(matrix[ref.start] - g.centroid).mean()
                 assert ed <= radius + 1e-9

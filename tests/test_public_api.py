@@ -86,12 +86,11 @@ SETTINGS = {
         ["self", "queries", "k", "lengths", "normalize", "deadline"],
     repro.OnexEngine.load_dataset:
         ["self", "dataset", "similarity_threshold", "min_length", "max_length",
-         "step", "normalize", "num_workers", "deadline"],
+         "step", "normalize", "deadline"],
     WorkerPool.__init__: ["self", "size", "replica", "on_capacity_change"],
     Supervisor.__init__: ["self", "service", "workers", "snapshot_root"],
     OnexService.__init__:
-        ["self", "query_config", "default_build_workers", "default_timeout_ms",
-         "durability"],
+        ["self", "query_config", "default_timeout_ms", "durability"],
     repro.MonitorRegistry.__init__: ["self", "base"],
     BruteForceSearcher.__init__: ["self", "dataset"],
     clean_stale_snapshots: ["root"],
@@ -113,7 +112,7 @@ class TestNoExecutionSelectors:
         }  # fmt: skip
         assert {f.name for f in dataclasses.fields(repro.BuildConfig)} == {
             "similarity_threshold", "min_length", "max_length", "step",
-            "normalize", "num_workers",
+            "normalize",
         }  # fmt: skip
 
     @pytest.mark.parametrize(
