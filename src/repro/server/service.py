@@ -26,7 +26,12 @@ from repro.durability.idempotency import IdempotencyWindow
 if TYPE_CHECKING:
     from repro.durability import DurabilityManager
     from repro.durability.recovery import RecoveryReport
-from repro.exceptions import DeadlineExceeded, OnexError, ProtocolError
+from repro.exceptions import (
+    DeadlineExceeded,
+    OnexError,
+    ProtocolError,
+    ValidationError,
+)
 from repro.obs.logs import get_logger, log_event
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import new_request_id, span, tracing
@@ -73,6 +78,14 @@ _LOAD_OPTIONS = (
     "step",
     "normalize",
 )
+
+#: The parameters each load_dataset source reads besides ``source``
+#: (``seed`` for every source: the CLI sends it whatever the source).
+_SOURCE_PARAMS = {
+    "matters": ("seed", "years", "min_years", "indicators"),
+    "electricity": ("seed", "households"),
+    "ucr": ("seed",),
+}
 
 #: Completed mutating requests the idempotency window remembers.
 _IDEMPOTENCY_WINDOW = 1024
@@ -412,7 +425,19 @@ class OnexService:
 
     def _op_load_dataset(self, params: dict) -> Any:
         source = str(params["source"])
-        if source == "matters":
+        kind = "ucr" if source.startswith("ucr:") else source
+        if kind not in _SOURCE_PARAMS:
+            raise ProtocolError(
+                f"unknown source {source!r} (use 'matters', 'electricity', "
+                "or 'ucr:<path>')"
+            )
+        known = {"source", *_SOURCE_PARAMS[kind], *_LOAD_OPTIONS}
+        unknown = sorted(set(params) - known - {"timeout_ms", "allow_partial"})
+        if unknown:
+            raise ValidationError(
+                f"load_dataset from {kind!r} does not take {unknown}"
+            )
+        if kind == "matters":
             indicators = params.get("indicators")
             dataset = build_matters_collection(
                 seed=int(params.get("seed", 2013)),
@@ -420,18 +445,13 @@ class OnexService:
                 min_years=int(params.get("min_years", 8)),
                 indicators=tuple(indicators) if indicators else None,
             )
-        elif source == "electricity":
+        elif kind == "electricity":
             dataset = build_electricity_collection(
                 seed=int(params.get("seed", 417)),
                 households=int(params.get("households", 8)),
             )
-        elif source.startswith("ucr:"):
-            dataset = load_ucr_file(source[len("ucr:") :])
         else:
-            raise ProtocolError(
-                f"unknown source {source!r} (use 'matters', 'electricity', "
-                "or 'ucr:<path>')"
-            )
+            dataset = load_ucr_file(source[len("ucr:") :])
         options = {k: params[k] for k in _LOAD_OPTIONS if k in params}
         stats = self._engine.load_dataset(
             dataset, deadline=self._deadline(params), **options

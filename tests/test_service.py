@@ -71,6 +71,41 @@ class TestLoading:
         assert not resp.ok
         assert resp.error_type == "ProtocolError"
 
+    @pytest.mark.parametrize(
+        "params, unknown",
+        [
+            ({"source": "matters", "years": 10, "similarity_treshold": 0.2},
+             "similarity_treshold"),
+            ({"source": "matters", "years": 10, "num_workers": 2}, "num_workers"),
+            ({"source": "electricity", "years": 12}, "years"),
+            ({"source": "ucr:missing.txt", "households": 2}, "households"),
+        ],
+    )
+    def test_unknown_parameters_are_named(self, params, unknown):
+        """A misspelt or retired option fails before anything is built,
+        instead of silently building at defaults."""
+        svc = OnexService()
+        resp = svc.handle(Request("load_dataset", params))
+        assert not resp.ok
+        assert resp.error_type == "ValidationError"
+        assert repr(unknown) in resp.error_message
+        assert svc.handle(Request("list_datasets")).result["datasets"] == []
+
+    def test_every_parameter_a_load_reads_is_accepted(self):
+        svc = OnexService()
+        resp = svc.handle(
+            Request(
+                "load_dataset",
+                {
+                    "source": "electricity", "seed": 3, "households": 1,
+                    "similarity_threshold": 0.1, "min_length": 4,
+                    "max_length": 5, "step": 2, "normalize": True,
+                    "timeout_ms": 60000, "allow_partial": False,
+                },
+            )
+        )
+        assert resp.ok, resp.error_message
+
     def test_unload(self):
         svc = OnexService()
         svc.handle(
