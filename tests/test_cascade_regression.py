@@ -37,40 +37,25 @@ from repro.testing import faults
 PINNED_FIELDS = tuple(f.name for f in fields(QueryStats))
 
 #: ``(base, mode, op) -> PINNED_FIELDS`` values summed over the three
-#: queries, identical on both kernel backends.  The representative,
-#: ``groups_refined`` and ``member_dtw_calls`` columns date from when
-#: member refinement became one best-first, raw-first stage (previous
-#: pins: commit 152ae78):
-#:
-#: - ``matches_within`` — nothing moved, in either mode.
-#: - fast mode — the representative counters were unchanged; ``walk``
-#:   verified a few more members (13 -> 14, 6 -> 11) because the top
-#:   ``refine_groups`` groups refine in ONE call with no cutoff between
-#:   them, and because units under eight rows no longer took the deleted
-#:   scalar early-abandoning scan.
-#: - exact mode — ``member_dtw_calls`` only went DOWN (316 -> 254,
-#:   289 -> 232, 1100 -> 739, 903 -> 700): groups drain in ascending
-#:   (tight bound, representative distance), so the cutoff is near-final
-#:   after the first small chunk.  ``groups_refined`` fell on ``matters``
-#:   (213 -> 149) for the same reason.
-#:
-#: The other columns were recorded before the five representative-table
-#: drivers became one walk, which had to reproduce every one of them.
+#: queries, identical on both kernel backends.  Re-recorded once when a
+#: build became appends to an empty base (representatives are seeds, not
+#: moving centroids; previous pins: commit ec4577c): ``walk`` has 780
+#: groups where it had 774 and ``matters`` 240 where it had 213.
 #: ``query_batch`` has no pin of its own: it is the single-query path per
 #: query, asserted below as the sum of its ``k_best`` counters.
 PINNED = {
-    ("walk", "fast", "k_best"): [774, 0, 112, 662, 0, 5, 14, 0, 14, 13, 0, 0],
-    ("walk", "fast", "best_match"): [774, 0, 112, 662, 0, 3, 11, 0, 11, 5, 0, 0],
-    ("walk", "fast", "matches_within"): [774, 311, 463, 311, 448, 326, 713, 28, 685, 568, 0, 0],
-    ("walk", "exact", "k_best"): [774, 574, 200, 574, 664, 110, 443, 189, 254, 38, 0, 0],
-    ("walk", "exact", "best_match"): [774, 597, 177, 597, 668, 106, 437, 205, 232, 26, 0, 0],
-    ("walk", "exact", "matches_within"): [774, 311, 463, 311, 448, 326, 713, 28, 685, 568, 0, 0],
-    ("matters", "fast", "k_best"): [213, 0, 80, 133, 0, 3, 25, 0, 25, 19, 0, 0],
-    ("matters", "fast", "best_match"): [213, 0, 80, 133, 0, 3, 25, 0, 25, 11, 0, 0],
-    ("matters", "fast", "matches_within"): [213, 33, 180, 33, 54, 159, 1677, 613, 1064, 287, 0, 0],
-    ("matters", "exact", "k_best"): [213, 0, 213, 0, 64, 149, 1652, 913, 739, 40, 0, 0],
-    ("matters", "exact", "best_match"): [213, 0, 213, 0, 64, 149, 1652, 952, 700, 20, 0, 0],
-    ("matters", "exact", "matches_within"): [213, 33, 180, 33, 54, 159, 1677, 613, 1064, 287, 0, 0],
+    ("walk", "fast", "k_best"): [780, 0, 48, 732, 0, 5, 18, 0, 18, 12, 0, 0],
+    ("walk", "fast", "best_match"): [780, 0, 48, 732, 0, 3, 10, 0, 10, 5, 0, 0],
+    ("walk", "fast", "matches_within"): [780, 301, 479, 301, 429, 351, 762, 55, 707, 568, 0, 0],
+    ("walk", "exact", "k_best"): [780, 444, 336, 444, 619, 161, 539, 263, 276, 38, 0, 0],
+    ("walk", "exact", "best_match"): [780, 444, 336, 444, 624, 156, 531, 277, 254, 26, 0, 0],
+    ("walk", "exact", "matches_within"): [780, 301, 479, 301, 429, 351, 762, 55, 707, 568, 0, 0],
+    ("matters", "fast", "k_best"): [240, 0, 48, 192, 0, 3, 30, 0, 30, 30, 0, 0],
+    ("matters", "fast", "best_match"): [240, 0, 48, 192, 0, 3, 30, 0, 30, 7, 0, 0],
+    ("matters", "fast", "matches_within"): [240, 16, 224, 16, 29, 211, 1713, 640, 1073, 287, 0, 0],
+    ("matters", "exact", "k_best"): [240, 0, 240, 0, 34, 206, 1705, 1037, 668, 40, 0, 0],
+    ("matters", "exact", "best_match"): [240, 0, 240, 0, 34, 206, 1705, 1089, 616, 20, 0, 0],
+    ("matters", "exact", "matches_within"): [240, 16, 224, 16, 29, 211, 1713, 640, 1073, 287, 0, 0],
 }  # fmt: skip
 
 
@@ -257,13 +242,14 @@ def test_k_best_checks_once_per_drained_chunk(monkeypatch):
     assert selects > 1, "one chunk would not show the per-chunk boundary"
     assert events.count("query.refine_unit") == selects
     assert_every_select_follows_its_check(events)
-    # One ragged cost call per chunk, plus at most one path-length call.
+    # One ragged cost call per chunk, plus at most one path-length call;
+    # none for a chunk whose members all fall to their lower bounds.
     member_kernels = [
         events[at + 1 : at + 3].count("kernel")
         for at, event in enumerate(events)
         if event == "select"
     ]
-    assert all(1 <= n <= 2 for n in member_kernels), member_kernels
+    assert member_kernels == [2, 1, 0]
 
 
 def test_threshold_scan_checks_once_per_chunk(monkeypatch):
