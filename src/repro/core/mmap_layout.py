@@ -9,7 +9,7 @@ files**::
     arrays.bin   every array of the base and its dataset, C-contiguous,
                  back to back, each starting on a 64-byte boundary
     meta.json    format tag, build config, stats (the reader takes
-                 only the build's timings: a base reads its counts off
+                 only ``build_seconds``: a base reads its counts off
                  its buckets), dataset and series names/metadata,
                  normalisation bounds, indexed lengths, the structure
                  fingerprint,
