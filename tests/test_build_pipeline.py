@@ -6,9 +6,9 @@
   rule (:func:`cluster_subsequence_rows`) covers every row once, keeps
   every member within the radius of its group's seed and records exact
   radii.
-- **The build** — its counts are its buckets', and it equals a
-  first-series build plus ``add_series`` of the rest, on both kernel
-  backends.
+- **The build** — its counts are its buckets', it equals a first-series
+  build plus ``add_series`` of the rest, and it groups each length as
+  :func:`cluster_subsequence_rows` does, on both kernel backends.
 
 Plus the step>1 end-to-end coverage of the member stores' row order.
 """
@@ -311,6 +311,26 @@ def test_a_build_equals_a_first_series_build_plus_add_series(threshold, step):
         for a, b in zip(mine.store_rows(), theirs.store_rows()):
             assert np.array_equal(a, b)
     whole.validate()
+
+
+@pytest.mark.usefixtures("kernel_backend")
+def test_a_build_groups_each_length_as_cluster_subsequence_rows_does():
+    """The build and the seasonal miner share one rule: each bucket's
+    groups are :func:`cluster_subsequence_rows` of that length's window
+    matrix, in seed order — the same seeds, the same members, the same
+    radii."""
+    dataset = walks(62, sizes=(26, 18, 31, 9))
+    base = built(dataset, similarity_threshold=1.6, normalize=False)
+    radius = base.config.similarity_threshold / 2
+    for bucket in base.buckets():
+        matrix, refs = dataset.subsequence_matrix(bucket.length)
+        expected = cluster_subsequence_rows(matrix, radius)
+        assert bucket.group_count == len(expected)
+        for group, rows in zip(bucket.groups, expected):
+            assert np.array_equal(group.centroid, rows.centroid)
+            assert sorted(group.members) == [refs[k] for k in rows.rows.tolist()]
+            assert group.ed_radius == pytest.approx(rows.ed_radius, abs=_EPS)
+            assert group.cheb_radius == pytest.approx(rows.cheb_radius, abs=_EPS)
 
 
 # ----------------------------------------------------------------------
