@@ -35,6 +35,7 @@ from repro.data.timeseries import TimeSeries
 from repro.distances import native
 from repro.distances.envelope import keogh_envelope_batch
 from repro.distances.lower_bounds import lb_keogh_reverse_batch, lb_kim_endpoints_batch
+from repro.distances.metrics import as_sequence
 from repro.distances.normalize import minmax_normalize
 from repro.exceptions import (
     DatasetError,
@@ -286,15 +287,20 @@ class RepresentativeTable(_ColumnTable):
         band allows.
         """
         endpoints, lengths, lo, hi = self.endpoints, self.lengths, self.lo, self.hi
-        if rows is not None:
-            endpoints, lengths, lo, hi = endpoints[rows], lengths[rows], lo[rows], hi[rows]
-        # ``fmax``: where a term overflowed to NaN (``inf - inf`` in the
-        # band bound's rounding margin) the other term stands.
-        bounds = np.fmax(
-            lb_kim_endpoints_batch(query, endpoints, lengths),
-            lb_keogh_reverse_batch(query, lo[:, None], hi[:, None]),
-        )
+        if native.KERNEL is not None:  # the NumPy bounds below in one C pass
+            columns = (endpoints, lo, hi, lengths)
+            bounds = native.rank_bounds(as_sequence(query, name="x"), columns, rows)
+        else:
+            if rows is not None:
+                endpoints, lengths, lo, hi = endpoints[rows], lengths[rows], lo[rows], hi[rows]
+            # ``fmax``: where a term overflowed to NaN (``inf - inf`` in the
+            # band bound's rounding margin) the other term stands.
+            bounds = np.fmax(
+                lb_kim_endpoints_batch(query, endpoints, lengths),
+                lb_keogh_reverse_batch(query, lo[:, None], hi[:, None]),
+            )
         if band is not None:
+            lengths = self.lengths if rows is None else self.lengths[rows]
             same = np.flatnonzero(lengths == query.shape[0])
             if same.size:
                 gids = self.gids[same if rows is None else rows[same]]

@@ -5,7 +5,9 @@
  * - dtw_batch: batched DTW, the anti-diagonal kernel in dtw.py
  *   (_dtw_batch_numpy);
  * - assign_windows: the decide half of incremental ingestion,
- *   OnexBase._assign_windows in core/base.py (documented below).
+ *   OnexBase._assign_windows in core/base.py (documented below);
+ * - rank_bounds: the query's unbanded rank bound for every
+ *   representative, RepresentativeTable.cheap_bounds (documented below).
  *
  * Layout: candidates innermost.  A block of up to BLOCK candidates is
  * transposed to (m, nb), and the cost matrix is scanned row by row, cell
@@ -453,5 +455,143 @@ int assign_windows(const double *values, int64_t channels, int64_t step,
     free(head);
     free(tail);
     free(near);
+    return 0;
+}
+
+/* np.minimum, np.maximum and np.fmax of two doubles, NaN as NumPy. */
+static inline double nan_min(double a, double b)
+{
+    return (a < b || a != a) ? a : b;
+}
+
+static inline double nan_max(double a, double b)
+{
+    return (a > b || a != a) ? a : b;
+}
+
+static inline double num_max(double a, double b)
+{
+    return (a >= b || b != b) ? a : b;
+}
+
+/*
+ * One row of rank_bounds, every select NaN-exact: what the fast block
+ * below must equal.  e holds the row's first, second, penultimate and
+ * last value, len its length.
+ */
+static double rank_row(const double *q, int64_t n, const double *pts,
+                       const double *sums, double absum, double coef,
+                       const double *e, double lo, double hi, int64_t len)
+{
+    int64_t needed = n >= 4 ? 3 : 4, above = 0, below = 0;
+    double kim = fabs(q[0] - e[0]) + fabs(q[n - 1] - e[3]);
+    if (n >= 3 && len >= needed) {
+        kim = kim + nan_min(nan_min(fabs(q[1] - e[0]), fabs(q[1] - e[1])),
+                            fabs(q[0] - e[1]));
+        kim = kim + nan_min(nan_min(fabs(q[n - 2] - e[3]), fabs(q[n - 2] - e[2])),
+                            fabs(q[n - 1] - e[2]));
+    }
+    for (int64_t i = 0; i < n; i++) {
+        above += pts[i] <= hi;
+        below += pts[i] < lo;
+    }
+    double out = (sums[n] - sums[above] - (double)(n - above) * hi) +
+                 ((double)below * lo - sums[below]);
+    double scale = absum + (double)n * nan_max(-lo, hi);
+    return num_max(kim, nan_max(out - coef * scale, 0.0));
+}
+
+/*
+ * RepresentativeTable.cheap_bounds with no band, for g table rows (rows
+ * NULL: the first g; else the listed ones): LB_Kim from the (G, 4)
+ * endpoints (lb_kim_endpoints_batch with per-row lengths) combined by
+ * np.fmax with the closed-form breach of the min/max band [lo, hi]
+ * (_band_breach, ground l1), both in lower_bounds.py, rounding margin
+ * included.  q is the query (n finite points); pts, sums and absum are
+ * its sorted values, their n + 1 prefix sums (sums[0] = 0) and the sum of
+ * their magnitudes, as _band_breach computes them.  Every expression is
+ * NumPy's, term for term and in its order, so each bound is
+ * bit-identical, NaN and +-inf included.  Writes out[g]; returns 0.
+ *
+ * Rows go in blocks of RANK_BLOCK, gathered into columns.  A block runs
+ * plain ?: selects, which vectorise and equal NumPy's minimum, maximum
+ * and fmax wherever no NaN reaches them; only a NaN table value or
+ * inf - inf in the margin makes one, and either leaves the block's probe
+ * sum NaN, so such a block is redone row by row by rank_row, whose
+ * selects are NaN-exact.
+ */
+#define RANK_BLOCK 256
+
+int rank_bounds(const double *q, const double *pts, const double *sums,
+                int64_t n, double absum, const double *endpoints,
+                const double *lo, const double *hi, const int64_t *lengths,
+                const int64_t *rows, int64_t g, double *out)
+{
+    /* 4.0 * (n + 2) * np.finfo(np.float64).eps, as Python evaluates it. */
+    double coef = 4.0 * (double)(n + 2) * 2.220446049250313e-16;
+    int64_t needed = n >= 4 ? 3 : 4, full = n >= 3;
+    double q0 = q[0], q1 = q[n >= 3], qb = q[n >= 3 ? n - 2 : 0], ql = q[n - 1];
+    double e0[RANK_BLOCK], e1[RANK_BLOCK], e2[RANK_BLOCK], e3[RANK_BLOCK];
+    double lob[RANK_BLOCK], hib[RANK_BLOCK], fulls[RANK_BLOCK];
+    double above[RANK_BLOCK], below[RANK_BLOCK], over[RANK_BLOCK];
+    double under[RANK_BLOCK];
+
+    for (int64_t b0 = 0; b0 < g; b0 += RANK_BLOCK) {
+        int64_t nb = g - b0 < RANK_BLOCK ? g - b0 : RANK_BLOCK;
+        double *res = out + b0;
+        for (int64_t c = 0; c < nb; c++) {
+            int64_t r = rows ? rows[b0 + c] : b0 + c;
+            e0[c] = endpoints[4 * r];
+            e1[c] = endpoints[4 * r + 1];
+            e2[c] = endpoints[4 * r + 2];
+            e3[c] = endpoints[4 * r + 3];
+            lob[c] = lo[r];
+            hib[c] = hi[r];
+            fulls[c] = full && lengths[r] >= needed;
+            above[c] = below[c] = 0.0;
+        }
+        /* searchsorted(pts, hi, "right") and (pts, lo, "left") as counts. */
+        for (int64_t i = 0; i < n; i++) {
+            double p = pts[i];
+            for (int64_t c = 0; c < nb; c++) {
+                above[c] += p <= hib[c] ? 1.0 : 0.0;
+                below[c] += p < lob[c] ? 1.0 : 0.0;
+            }
+        }
+        for (int64_t c = 0; c < nb; c++) {
+            over[c] = sums[n] - sums[(int64_t)above[c]];
+            under[c] = sums[(int64_t)below[c]];
+        }
+        for (int64_t c = 0; c < nb; c++) {
+            double l = lob[c], h = hib[c];
+            double kim = fabs(q0 - e0[c]) + fabs(ql - e3[c]);
+            double m1 = fabs(q1 - e0[c]), m2 = fabs(q1 - e1[c]);
+            double m3 = fabs(q0 - e1[c]), m4 = fabs(qb - e3[c]);
+            double m5 = fabs(qb - e2[c]), m6 = fabs(ql - e2[c]);
+            m1 = m1 <= m2 ? m1 : m2;
+            m1 = m1 <= m3 ? m1 : m3;
+            m4 = m4 <= m5 ? m4 : m5;
+            m4 = m4 <= m6 ? m4 : m6;
+            double wide = (kim + m1) + m4;  /* read by the probe too, so */
+            kim = fulls[c] != 0.0 ? wide : kim;  /* this stays a select */
+            double reach = -l >= h ? -l : h;
+            double band = (over[c] - ((double)n - above[c]) * h) + (below[c] * l - under[c]);
+            band = band - coef * (absum + (double)n * reach);
+            double breach = band > 0.0 ? band : 0.0;
+            res[c] = kim >= breach ? kim : breach;
+            /* NaN when a select above may have met one. */
+            above[c] = ((e0[c] + e1[c]) + (e2[c] + e3[c])) + ((l + h) + (wide + band));
+        }
+        for (int64_t c = 0; c < nb; c++) {
+            if (above[c] != above[c]) {
+                for (int64_t k = 0; k < nb; k++) {
+                    int64_t r = rows ? rows[b0 + k] : b0 + k;
+                    res[k] = rank_row(q, n, pts, sums, absum, coef,
+                                      endpoints + 4 * r, lo[r], hi[r], lengths[r]);
+                }
+                break;
+            }
+        }
+    }
     return 0;
 }

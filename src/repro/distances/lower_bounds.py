@@ -217,7 +217,8 @@ def _band_breach(
     else:
         out = (over - (n - above) * hi) + (below * lo - under)
         scale = np.abs(pts).sum() + n * reach
-    return np.maximum(out - 4.0 * (n + 2) * np.finfo(np.float64).eps * scale, 0.0)
+    with np.errstate(invalid="ignore"):  # inf - inf: a NaN the callers' fmax drops
+        return np.maximum(out - 4.0 * (n + 2) * np.finfo(np.float64).eps * scale, 0.0)
 
 
 def lb_keogh_reverse_batch(

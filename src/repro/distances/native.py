@@ -1,15 +1,16 @@
 """The native kernels: ``_dtw_kernel.c``, compiled once per host, loaded with ctypes.
 
-One library, two entry points, each bit-identical to a NumPy reference:
+One library, three entry points, each bit-identical to a NumPy reference:
 :func:`dtw_batch` runs where ``dtw._dtw_batch_diagonal`` — the one kernel
 function the batch DTW entry points of :mod:`repro.distances.dtw` reach
-— would run the NumPy kernel, and :func:`assign_windows` where
-``OnexBase.index_new_windows`` would run its per-length
-``_assign_windows`` loop.  Both run when :data:`KERNEL` loaded, the
+— would run the NumPy kernel, :func:`assign_windows` where
+``OnexBase.index_new_windows`` would run its ``_assign_windows`` loop,
+and :func:`rank_bounds` where ``RepresentativeTable.cheap_bounds`` would
+compose its unbanded bound.  All run when :data:`KERNEL` loaded, the
 NumPy references otherwise: load success alone decides — no flag,
 environment variable or config field (DESIGN.md §1) — and one test
-substitution, ``KERNEL = None``, switches both.  :func:`backend` names
-the one that runs, for ``/health`` and ``onex_server_info``.
+substitution, ``KERNEL = None``, switches all three.  :func:`backend`
+names the one that runs, for ``/health`` and ``onex_server_info``.
 
 On first import the C source is compiled with
 ``gcc -O3 -ffp-contract=off -shared -fPIC`` into a content-addressed
@@ -38,7 +39,7 @@ from typing import Literal
 
 import numpy as np
 
-__all__ = ["KERNEL", "assign_windows", "backend", "dtw_batch"]
+__all__ = ["KERNEL", "assign_windows", "backend", "dtw_batch", "rank_bounds"]
 
 _SOURCE = Path(__file__).with_name("_dtw_kernel.c")
 #: No ``-march=native`` (the cache may be shared across hosts of one
@@ -81,6 +82,14 @@ _ASSIGN_ARGTYPES = (
     ctypes.c_void_p,  # order
     ctypes.c_void_p,  # evaluated
 )
+_RANK_ARGTYPES = (
+    *(ctypes.c_void_p,) * 3,  # query, sorted query, its n + 1 prefix sums
+    ctypes.c_int64,  # n
+    ctypes.c_double,  # sum of the query's magnitudes
+    *(ctypes.c_void_p,) * 5,  # endpoints, lo, hi, lengths, rows
+    ctypes.c_int64,  # g
+    ctypes.c_void_p,  # out
+)
 
 
 def _cache_dirs() -> list[Path]:
@@ -90,12 +99,13 @@ def _cache_dirs() -> list[Path]:
 
 
 def _bind(path: Path) -> ctypes.CDLL:
-    """The library at *path* with both entry points typed; a missing one
-    raises ``AttributeError``, so neither is used."""
+    """The library at *path* with every entry point typed; a missing one
+    raises ``AttributeError``, so none is used."""
     library = ctypes.CDLL(str(path))
     for function, argtypes in (
         (library.dtw_batch, _DTW_ARGTYPES),
         (library.assign_windows, _ASSIGN_ARGTYPES),
+        (library.rank_bounds, _RANK_ARGTYPES),
     ):
         function.argtypes = argtypes
         function.restype = ctypes.c_int
@@ -169,7 +179,7 @@ def _load() -> ctypes.CDLL | None:
 
 
 #: The loaded library, or ``None``: the one answer to "which kernels
-#: run" (tests substitute ``None`` to run both NumPy references).
+#: run" (tests substitute ``None`` to run every NumPy reference).
 KERNEL = _load()
 
 
@@ -280,3 +290,23 @@ def assign_windows(
     if status:
         raise MemoryError(f"no scratch to assign {total} windows")
     return groups, created, order, int(evaluated[0])
+
+
+def rank_bounds(
+    q: np.ndarray, columns: tuple[np.ndarray, ...], rows: np.ndarray | None
+) -> np.ndarray:
+    """``RepresentativeTable.cheap_bounds``'s unbanded bound in C for the
+    table *rows* (``None``: every row), reading its ``(endpoints, lo, hi,
+    lengths)`` *columns* in place; *q* already validated.  The sort, prefix
+    sums and magnitude sum of *q* are ``_band_breach``'s, in NumPy."""
+    # Every array the C reads is held here until it returns.
+    q, *columns = (np.ascontiguousarray(a) for a in (q, *columns))
+    rows = None if rows is None else np.ascontiguousarray(rows, dtype=np.int64)
+    pts = np.sort(q)
+    sums = np.concatenate(([0.0], np.cumsum(pts)))
+    out = np.empty(columns[0].shape[0] if rows is None else rows.shape[0])
+    KERNEL.rank_bounds(
+        *(a.ctypes.data for a in (q, pts, sums)), q.shape[0], np.abs(pts).sum(),
+        *(_address(a) for a in (*columns, rows)), out.shape[0], out.ctypes.data,
+    )
+    return out

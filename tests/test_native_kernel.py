@@ -5,9 +5,10 @@ Most loader tests import ``repro`` in a fresh subprocess with its own
 compiler is hidden.  Whatever goes wrong — no compiler, an unwritable
 cache, a truncated cached library, a library missing an entry point, two
 processes compiling at once, no ``os.getuid`` — the import succeeds and
-the backend is either ``native`` or ``numpy`` for both entry points
-together (DTW and the ingestion decide), never an exception; and
-importing writes nothing under the repository tree.
+the backend is either ``native`` or ``numpy`` for every entry point
+together (DTW, the ingestion decide and the rank pass), never an
+exception; and importing writes nothing under the repository tree.  The
+rank pass is held to its NumPy reference bit for bit here too.
 """
 
 import json
@@ -21,8 +22,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import repro
+from repro.core.base import LengthBucket, RepresentativeTable
 from repro.distances import native
 from repro.distances.dtw import dtw_distance_batch
 
@@ -185,22 +189,26 @@ def test_processes_racing_the_first_compile_both_load_it(first_imports):
 
 
 @pytest.mark.skipif(native.KERNEL is None, reason="needs a loaded kernel")
-def test_both_entry_points_are_bound():
+def test_every_entry_point_is_bound():
     assert native.KERNEL.dtw_batch.argtypes == native._DTW_ARGTYPES
     assert native.KERNEL.assign_windows.argtypes == native._ASSIGN_ARGTYPES
+    assert native.KERNEL.rank_bounds.argtypes == native._RANK_ARGTYPES
     assert native.backend() == "native"
 
 
 @pytest.mark.skipif(not HAS_GCC, reason="needs a compiler")
-def test_a_library_missing_an_entry_point_loads_neither(tmp_path, monkeypatch):
-    # As a stale or foreign library would: DTW only, no decide.
-    source = tmp_path / "_dtw_kernel.c"
-    source.write_text("int dtw_batch(void) { return 0; }\n")
+def test_a_library_missing_an_entry_point_loads_none(tmp_path, monkeypatch):
+    # As a stale or foreign library would: DTW only, then DTW and the
+    # decide without the rank pass.
     (tmp_path / "tmp").mkdir()
-    monkeypatch.setattr(native, "_SOURCE", source)
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
-    assert native._load() is None
+    for names in (["dtw_batch"], ["dtw_batch", "assign_windows"]):
+        source = tmp_path / f"{len(names)}" / "_dtw_kernel.c"
+        source.parent.mkdir()
+        source.write_text("".join(f"int {name}(void) {{ return 0; }}\n" for name in names))
+        monkeypatch.setattr(native, "_SOURCE", source)
+        assert native._load() is None, names
 
 
 def test_no_getuid_means_no_kernel_not_an_exception(monkeypatch):
@@ -236,3 +244,59 @@ def test_concurrent_calls_equal_serial_calls():
     for (want_d, want_p), (got_d, got_p) in zip(serial * 4, concurrent):
         assert np.array_equal(want_d, got_d)
         assert np.array_equal(want_p, got_p)
+
+
+#: Values of the rank-pass property: signed zeros, subnormals, and
+#: magnitudes whose sums overflow, where the band bound's margin is
+#: ``inf - inf``; tables may hold non-finite values too, as a normalised
+#: overflow leaves them.
+_FINITE = [0.0, -0.0, 5e-324, -5e-324, 2.5e-308, 1.0, -2.5, 0.125, 1e200, -1e200, 1e308, -1e308]
+_TABLE = _FINITE + [np.inf, -np.inf, np.nan]
+
+
+@st.composite
+def rank_cases(draw):
+    """A ragged table (lengths 2–24, some past 256 rows, so over several
+    blocks of the C pass), a query of 1–30 points and a subset of rows."""
+    scale = draw(st.sampled_from([1.0, 1e-300, 1e300]))
+    level = st.one_of(st.sampled_from(_FINITE), st.floats(-4, 4).map(lambda v: v * scale))
+    q = np.array(draw(st.lists(level, min_size=1, max_size=30)))
+    if draw(st.booleans()):
+        q[:] = q[0]  # constant: every band that holds it lets no point escape
+    buckets = []
+    lengths = draw(st.lists(st.integers(2, 24), min_size=1, max_size=4, unique=True))
+    for length in lengths:
+        values = st.one_of(st.sampled_from(_TABLE), st.floats(-4, 4))
+        rows = draw(st.lists(st.lists(values, min_size=length, max_size=length), min_size=1, max_size=4))
+        mat = np.tile(np.array(rows), (draw(st.sampled_from([1, 1, 90])), 1))
+        if length == q.shape[0]:
+            mat[0] = q  # the query itself: bound exactly 0
+        count = mat.shape[0]
+        owners = np.arange(count)
+        buckets.append(
+            LengthBucket(length, np.zeros((count, 2), dtype=np.int64), owners, mat, mat,
+                         np.zeros(count), np.zeros(count), writable=False)
+        )
+    table = RepresentativeTable(buckets)
+    rows = draw(st.one_of(st.none(), st.lists(st.integers(0, table.count - 1), max_size=40)))
+    return table, q, None if rows is None else np.array(rows, dtype=np.int64)
+
+
+@pytest.mark.usefixtures("kernel_backend")
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the reference's overflows
+@given(case=rank_cases())
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_rank_pass_equals_numpy_cheap_bounds_bit_for_bit(case):
+    """The rank pass against ``cheap_bounds``'s NumPy composition: equal
+    down to NaN and the sign of zero, on every backend."""
+    table, q, rows = case
+    got = table.cheap_bounds(q, rows)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(native, "KERNEL", None)
+        want = table.cheap_bounds(q, rows)
+    assert got.shape == want.shape == (table.count if rows is None else rows.size,)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    own = table.rows_of([q.shape[0]])
+    if own.size and rows is None:  # the row that is the query
+        assert got[own[0]] == 0.0 and not np.signbit(got[own[0]])

@@ -276,11 +276,17 @@ class TestStatsAndPruning:
         processor.matches_within(q, 0.05, normalize=False)
         assert processor.last_stats.representatives_total == 82
 
+    # The upper mark wins: overflow is expected, any other RuntimeWarning fails.
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("mode", ["fast", "exact"])
+    @pytest.mark.usefixtures("kernel_backend")
     def test_an_overflowing_query_terminates(self, four_walks, mode):
         """Every rank key and representative distance is ``inf``: the walk
-        still drains what it verified instead of verifying nothing forever."""
+        still drains what it verified instead of verifying nothing forever.
+        The band bound's margin is NaN there, by design (``fmax`` drops
+        it), so it must not warn: any RuntimeWarning but the overflow
+        fails the test, on either backend."""
         processor = QueryProcessor(four_walks, QueryConfig(mode=mode))
         matches = processor.k_best_matches([1e308] * 6, 2, normalize=False)
         assert [m.distance for m in matches] == [math.inf, math.inf]
