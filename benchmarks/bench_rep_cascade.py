@@ -12,7 +12,7 @@ Five measurements:
   23 740 subsequences, ST 0.2): one ragged call per representative chunk
   and per drained member chunk, plus a path-length call for the rows
   that pass the raw test;
-- the **rank stage** at ST 0.05 on the same floor (21 741 groups, the
+- the **rank stage** at ST 0.05 on the same floor (21 744 groups, the
   serving benchmark's ``explore_fine`` base): µs per representative of
   the one table pass (ragged LB_Kim + closed-form min/max band) on each
   backend, the C pass and its NumPy reference, held to

