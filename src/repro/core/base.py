@@ -286,10 +286,11 @@ class RepresentativeTable(_ColumnTable):
         radius — so they are valid for every band and as tight as the
         band allows.
         """
+        bounds = None
         if native.KERNEL is not None:  # the NumPy bounds below in one C pass
             columns = (self.endpoints, self.lo, self.hi, self.lengths)
             bounds = native.rank_bounds(as_sequence(query, name="x"), columns, rows)
-        else:
+        if bounds is None:
             endpoints, lengths, lo, hi = self.endpoints, self.lengths, self.lo, self.hi
             if rows is not None:
                 endpoints, lengths, lo, hi = endpoints[rows], lengths[rows], lo[rows], hi[rows]

@@ -458,49 +458,6 @@ int assign_windows(const double *values, int64_t channels, int64_t step,
     return 0;
 }
 
-/* np.minimum, np.maximum and np.fmax of two doubles, NaN as NumPy. */
-static inline double nan_min(double a, double b)
-{
-    return (a < b || a != a) ? a : b;
-}
-
-static inline double nan_max(double a, double b)
-{
-    return (a > b || a != a) ? a : b;
-}
-
-static inline double num_max(double a, double b)
-{
-    return (a >= b || b != b) ? a : b;
-}
-
-/*
- * One row of rank_bounds, every select NaN-exact: what the fast block
- * below must equal.  e holds the row's first, second, penultimate and
- * last value, len its length.
- */
-static double rank_row(const double *q, int64_t n, const double *pts,
-                       const double *sums, double absum, double coef,
-                       const double *e, double lo, double hi, int64_t len)
-{
-    int64_t needed = n >= 4 ? 3 : 4, above = 0, below = 0;
-    double kim = fabs(q[0] - e[0]) + fabs(q[n - 1] - e[3]);
-    if (n >= 3 && len >= needed) {
-        kim = kim + nan_min(nan_min(fabs(q[1] - e[0]), fabs(q[1] - e[1])),
-                            fabs(q[0] - e[1]));
-        kim = kim + nan_min(nan_min(fabs(q[n - 2] - e[3]), fabs(q[n - 2] - e[2])),
-                            fabs(q[n - 1] - e[2]));
-    }
-    for (int64_t i = 0; i < n; i++) {
-        above += pts[i] <= hi;
-        below += pts[i] < lo;
-    }
-    double out = (sums[n] - sums[above] - (double)(n - above) * hi) +
-                 ((double)below * lo - sums[below]);
-    double scale = absum + (double)n * nan_max(-lo, hi);
-    return num_max(kim, nan_max(out - coef * scale, 0.0));
-}
-
 /*
  * RepresentativeTable.cheap_bounds with no band, for g table rows (rows
  * NULL: the first g; else the listed ones): LB_Kim from the (G, 4)
@@ -511,14 +468,17 @@ static double rank_row(const double *q, int64_t n, const double *pts,
  * its sorted values, their n + 1 prefix sums (sums[0] = 0) and the sum of
  * their magnitudes, as _band_breach computes them.  Every expression is
  * NumPy's, term for term and in its order, so each bound is
- * bit-identical, NaN and +-inf included.  Writes out[g]; returns 0.
+ * bit-identical, +-inf included.  Writes out[g] and returns 0, or
+ * returns 1 where a NaN reached a select (below).
  *
- * Rows go in blocks of RANK_BLOCK, gathered into columns.  A block runs
- * plain ?: selects, which vectorise and equal NumPy's minimum, maximum
- * and fmax wherever no NaN reaches them; only a NaN table value or
- * inf - inf in the margin makes one, and either leaves the block's probe
- * sum NaN, so such a block is redone row by row by rank_row, whose
- * selects are NaN-exact.
+ * Rows go in blocks of RANK_BLOCK, gathered into columns, and each row's
+ * two searchsorted counts are branchless binary searches of about
+ * log2(n) + 1 steps, not n compares, so the pass stays ahead of NumPy at
+ * every query length.  A block runs plain ?: selects, which vectorise
+ * and equal NumPy's minimum, maximum and fmax wherever no NaN reaches
+ * them; only a NaN table value or inf - inf in the margin makes one, and
+ * either leaves the block's probe sum NaN.  Then nothing is finished:
+ * it returns 1 and the caller runs the NumPy composition.
  */
 #define RANK_BLOCK 256
 
@@ -535,6 +495,7 @@ int rank_bounds(const double *q, const double *pts, const double *sums,
     double lob[RANK_BLOCK], hib[RANK_BLOCK], fulls[RANK_BLOCK];
     double above[RANK_BLOCK], below[RANK_BLOCK], over[RANK_BLOCK];
     double under[RANK_BLOCK];
+    int64_t ia[RANK_BLOCK], ib[RANK_BLOCK];
 
     for (int64_t b0 = 0; b0 < g; b0 += RANK_BLOCK) {
         int64_t nb = g - b0 < RANK_BLOCK ? g - b0 : RANK_BLOCK;
@@ -548,19 +509,28 @@ int rank_bounds(const double *q, const double *pts, const double *sums,
             lob[c] = lo[r];
             hib[c] = hi[r];
             fulls[c] = full && lengths[r] >= needed;
-            above[c] = below[c] = 0.0;
         }
-        /* searchsorted(pts, hi, "right") and (pts, lo, "left") as counts. */
-        for (int64_t i = 0; i < n; i++) {
-            double p = pts[i];
+        /*
+         * searchsorted(pts, hi, "right") and (pts, lo, "left") for the
+         * block at once: each count lies in [ia, ia + len], and len's
+         * steps depend on n alone.
+         */
+        for (int64_t c = 0; c < nb; c++)
+            ia[c] = ib[c] = 0;
+        for (int64_t len = n; len > 1; len -= len / 2) {
+            int64_t half = len / 2;
+            const double *p = pts + half - 1;
             for (int64_t c = 0; c < nb; c++) {
-                above[c] += p <= hib[c] ? 1.0 : 0.0;
-                below[c] += p < lob[c] ? 1.0 : 0.0;
+                ia[c] += p[ia[c]] <= hib[c] ? half : 0;
+                ib[c] += p[ib[c]] < lob[c] ? half : 0;
             }
         }
         for (int64_t c = 0; c < nb; c++) {
-            over[c] = sums[n] - sums[(int64_t)above[c]];
-            under[c] = sums[(int64_t)below[c]];
+            int64_t a = ia[c] + (pts[ia[c]] <= hib[c]), b = ib[c] + (pts[ib[c]] < lob[c]);
+            above[c] = (double)a;
+            below[c] = (double)b;
+            over[c] = sums[n] - sums[a];
+            under[c] = sums[b];
         }
         for (int64_t c = 0; c < nb; c++) {
             double l = lob[c], h = hib[c];
@@ -582,16 +552,9 @@ int rank_bounds(const double *q, const double *pts, const double *sums,
             /* NaN when a select above may have met one. */
             above[c] = ((e0[c] + e1[c]) + (e2[c] + e3[c])) + ((l + h) + (wide + band));
         }
-        for (int64_t c = 0; c < nb; c++) {
-            if (above[c] != above[c]) {
-                for (int64_t k = 0; k < nb; k++) {
-                    int64_t r = rows ? rows[b0 + k] : b0 + k;
-                    res[k] = rank_row(q, n, pts, sums, absum, coef,
-                                      endpoints + 4 * r, lo[r], hi[r], lengths[r]);
-                }
-                break;
-            }
-        }
+        for (int64_t c = 0; c < nb; c++)
+            if (above[c] != above[c])
+                return 1;
     }
     return 0;
 }

@@ -294,19 +294,21 @@ def assign_windows(
 
 def rank_bounds(
     q: np.ndarray, columns: tuple[np.ndarray, ...], rows: np.ndarray | None
-) -> np.ndarray:
+) -> np.ndarray | None:
     """``RepresentativeTable.cheap_bounds``'s unbanded bound in C for the
     table *rows* (``None``: every row), reading its ``(endpoints, lo, hi,
     lengths)`` *columns* in place; *q* already validated.  The sort, prefix
-    sums and magnitude sum of *q* are ``_band_breach``'s, in NumPy."""
+    sums and magnitude sum of *q* are ``_band_breach``'s, in NumPy.
+    ``None`` where a NaN met the C's selects (a NaN table value, or an
+    overflowing query's ``inf - inf``): the NumPy composition decides those."""
     # Every array the C reads is held here until it returns.
     q, *columns = (np.ascontiguousarray(a) for a in (q, *columns))
     rows = None if rows is None else np.ascontiguousarray(rows, dtype=np.int64)
     pts = np.sort(q)
     sums = np.concatenate(([0.0], np.cumsum(pts)))
     out = np.empty(columns[0].shape[0] if rows is None else rows.shape[0])
-    KERNEL.rank_bounds(
+    status = KERNEL.rank_bounds(
         *(a.ctypes.data for a in (q, pts, sums)), q.shape[0], np.abs(pts).sum(),
         *(_address(a) for a in (*columns, rows)), out.shape[0], out.ctypes.data,
     )
-    return out
+    return None if status else out
