@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
@@ -285,17 +285,13 @@ def rank_cases(draw):
     return table, q, None if rows is None else np.array(rows, dtype=np.int64)
 
 
-@pytest.mark.usefixtures("kernel_backend")
+@pytest.mark.skipif(native.KERNEL is None, reason="needs a loaded kernel")
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the reference's overflows
 @given(case=rank_cases())
-@settings(
-    max_examples=100,
-    deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
+@settings(max_examples=100, deadline=None)
 def test_rank_pass_equals_numpy_cheap_bounds_bit_for_bit(case):
     """The rank pass against ``cheap_bounds``'s NumPy composition: equal
-    down to NaN and the sign of zero, on every backend."""
+    down to NaN and the sign of zero."""
     table, q, rows = case
     got = table.cheap_bounds(q, rows)
     with pytest.MonkeyPatch.context() as patch:
@@ -308,3 +304,18 @@ def test_rank_pass_equals_numpy_cheap_bounds_bit_for_bit(case):
     own = table.rows_of([q.shape[0]])
     if own.size and rows is None:  # the row that is the query
         assert got[own[0]] == 0.0 and not np.signbit(got[own[0]])
+
+
+@pytest.mark.skipif(native.KERNEL is None, reason="needs a loaded kernel")
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_the_rank_pass_leaves_a_nan_to_numpy():
+    mat = np.array([[0.0, 1.0, 2.0], [3.0, np.nan, 1.0]] * 200)  # two blocks
+    handles, radii = np.zeros((400, 2), dtype=np.int64), np.zeros(400)
+    table = RepresentativeTable(
+        [LengthBucket(3, handles, np.arange(400), mat, mat, radii, radii, writable=False)]
+    )
+    columns = (table.endpoints, table.lo, table.hi, table.lengths)
+    q = np.array([0.5, 1.5, 2.5])
+    assert native.rank_bounds(q, columns, np.arange(0, 400, 2)) is not None
+    assert native.rank_bounds(q, columns, None) is None
+    assert native.rank_bounds(np.full(3, 1e308), columns, np.arange(1)) is None  # inf - inf
