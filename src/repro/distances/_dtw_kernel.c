@@ -549,8 +549,9 @@ int rank_bounds(const double *q, const double *pts, const double *sums,
             band = band - coef * (absum + (double)n * reach);
             double breach = band > 0.0 ? band : 0.0;
             res[c] = kim >= breach ? kim : breach;
-            /* NaN when a select above may have met one. */
-            above[c] = ((e0[c] + e1[c]) + (e2[c] + e3[c])) + ((l + h) + (wide + band));
+            /* NaN when a select above may have met one: a NaN endpoint
+             * makes wide NaN, a NaN l or h or inf - inf makes band NaN. */
+            above[c] = wide + band;
         }
         for (int64_t c = 0; c < nb; c++)
             if (above[c] != above[c])
