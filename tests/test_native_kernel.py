@@ -29,6 +29,7 @@ import repro
 from repro.core.base import LengthBucket, RepresentativeTable
 from repro.distances import native
 from repro.distances.dtw import dtw_distance_batch
+from repro.distances.lower_bounds import lb_kim_endpoints_batch
 
 ROOT = Path(repro.__file__).resolve().parents[2]
 HAS_GCC = shutil.which("gcc") is not None
@@ -248,11 +249,32 @@ def test_concurrent_calls_equal_serial_calls():
 
 #: Values of the rank-pass property: signed zeros, subnormals, and
 #: magnitudes whose sums overflow, where the band bound's margin is
-#: ``inf - inf``; tables may hold non-finite values too, as a normalised
-#: overflow leaves them.
+#: ``inf - inf``; a quarter of the tables may hold non-finite values too,
+#: as a normalised overflow leaves them (the C leaves a NaN to NumPy, so
+#: the rest are what hold the C to it).
 _FINITE = [0.0, -0.0, 5e-324, -5e-324, 2.5e-308, 1.0, -2.5, 0.125]
 _FINITE += [1e200, -1e200, 1e308, -1e308]
 _TABLE = _FINITE + [np.inf, -np.inf, np.nan]
+
+
+def _rep_table(mats):
+    """A table whose representatives are the rows of *mats*, one per length."""
+    buckets = []
+    for mat in mats:
+        count = mat.shape[0]
+        handles, radii = np.zeros((count, 2), dtype=np.int64), np.zeros(count)
+        buckets.append(
+            LengthBucket(
+                mat.shape[1], handles, np.arange(count), mat, mat, radii, radii, writable=False
+            )
+        )
+    return RepresentativeTable(buckets)
+
+
+def _numpy_cheap_bounds(table, q, rows):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(native, "KERNEL", None)
+        return table.cheap_bounds(q, rows)
 
 
 @st.composite
@@ -264,23 +286,18 @@ def rank_cases(draw):
     q = np.array(draw(st.lists(level, min_size=1, max_size=30)))
     if draw(st.booleans()):
         q[:] = q[0]  # constant: every band that holds it lets no point escape
-    buckets = []
+    mats = []
     lengths = draw(st.lists(st.integers(2, 24), min_size=1, max_size=4, unique=True))
+    special = _TABLE if draw(st.integers(0, 3)) == 0 else _FINITE
     for length in lengths:
-        values = st.one_of(st.sampled_from(_TABLE), st.floats(-4, 4))
+        values = st.one_of(st.sampled_from(special), st.floats(-4, 4))
         row = st.lists(values, min_size=length, max_size=length)
         rows = draw(st.lists(row, min_size=1, max_size=4))
         mat = np.tile(np.array(rows), (draw(st.sampled_from([1, 1, 90])), 1))
         if length == q.shape[0]:
             mat[0] = q  # the query itself: bound exactly 0
-        count = mat.shape[0]
-        handles, radii = np.zeros((count, 2), dtype=np.int64), np.zeros(count)
-        buckets.append(
-            LengthBucket(
-                length, handles, np.arange(count), mat, mat, radii, radii, writable=False
-            )
-        )
-    table = RepresentativeTable(buckets)
+        mats.append(mat)
+    table = _rep_table(mats)
     rows = draw(st.one_of(st.none(), st.lists(st.integers(0, table.count - 1), max_size=40)))
     return table, q, None if rows is None else np.array(rows, dtype=np.int64)
 
@@ -293,10 +310,7 @@ def test_rank_pass_equals_numpy_cheap_bounds_bit_for_bit(case):
     """The rank pass against ``cheap_bounds``'s NumPy composition: equal
     down to NaN and the sign of zero."""
     table, q, rows = case
-    got = table.cheap_bounds(q, rows)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(native, "KERNEL", None)
-        want = table.cheap_bounds(q, rows)
+    got, want = table.cheap_bounds(q, rows), _numpy_cheap_bounds(table, q, rows)
     assert got.shape == want.shape == (table.count if rows is None else rows.size,)
     assert np.array_equal(got, want, equal_nan=True)
     zero = want == 0.0  # a NaN's sign bit is no part of the contract
@@ -307,13 +321,30 @@ def test_rank_pass_equals_numpy_cheap_bounds_bit_for_bit(case):
 
 
 @pytest.mark.skipif(native.KERNEL is None, reason="needs a loaded kernel")
+def test_the_rank_pass_counts_every_escaping_point():
+    """Random walks against queries of up to 200 points, values on a 0.1
+    grid so points tie band edges: the band term decides many rows here,
+    which the property's draws seldom make it do."""
+    rng = np.random.default_rng(7)
+    mats = [np.cumsum(rng.normal(size=(30, m)), axis=1).round(1) for m in range(2, 25)]
+    table = _rep_table(mats)  # 690 rows, three blocks
+    columns = (table.endpoints, table.lo, table.hi, table.lengths)
+    decided = 0
+    for n in (1, 2, 3, 4, 5, 24, 65, 200):
+        q = (2 * np.cumsum(rng.normal(size=n))).round(1)
+        for rows in (None, rng.integers(0, table.count, size=300)):
+            got, want = native.rank_bounds(q, columns, rows), _numpy_cheap_bounds(table, q, rows)
+            assert got is not None and np.array_equal(got, want)
+            some = slice(None) if rows is None else rows
+            kim = lb_kim_endpoints_batch(q, table.endpoints[some], table.lengths[some])
+            decided += (want > kim).sum()
+    assert decided > 1000
+
+
+@pytest.mark.skipif(native.KERNEL is None, reason="needs a loaded kernel")
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_the_rank_pass_leaves_a_nan_to_numpy():
-    mat = np.array([[0.0, 1.0, 2.0], [3.0, np.nan, 1.0]] * 200)  # two blocks
-    handles, radii = np.zeros((400, 2), dtype=np.int64), np.zeros(400)
-    table = RepresentativeTable(
-        [LengthBucket(3, handles, np.arange(400), mat, mat, radii, radii, writable=False)]
-    )
+    table = _rep_table([np.array([[0.0, 1.0, 2.0], [3.0, np.nan, 1.0]] * 200)])  # two blocks
     columns = (table.endpoints, table.lo, table.hi, table.lengths)
     q = np.array([0.5, 1.5, 2.5])
     assert native.rank_bounds(q, columns, np.arange(0, 400, 2)) is not None
