@@ -530,6 +530,8 @@ class LengthBucket:
         #: prescreens with: derived, never persisted, and kept only where
         #: assignment can happen.
         self._mean_store = centroids.mean(axis=1) if writable else None
+        #: ``native_stores``: the two stores it addressed, and where.
+        self._addressed: tuple = (None, None, 0, 0)
 
     @property
     def groups(self) -> _GroupsView:
@@ -571,6 +573,16 @@ class LengthBucket:
         offsets = np.zeros(self._group_count + 1, dtype=np.int64)
         np.cumsum(self._count_store[: self._group_count], out=offsets[1:])
         return offsets
+
+    def native_stores(self) -> tuple[int, int]:
+        """Addresses of the centroid stack and the ``int64`` member counts,
+        which the native fast walk reads in place: cached while the bucket
+        holds the same two stores (both are C-contiguous)."""
+        held = self._addressed
+        if held[0] is not self._centroid_store or held[1] is not self._count_store:
+            stores = (self._centroid_store, self._count_store)
+            held = self._addressed = (*stores, *(a.ctypes.data for a in stores))
+        return held[2], held[3]
 
     @property
     def cardinalities(self) -> np.ndarray:

@@ -55,6 +55,7 @@ from repro.core.base import LengthBucket, OnexBase
 from repro.core.config import QueryConfig
 from repro.core.deadline import Deadline
 from repro.data.dataset import SubsequenceRef
+from repro.distances import native
 from repro.distances.dtw import dtw_distance_batch, dtw_path_batch, effective_band
 from repro.distances.envelope import QueryEnvelopeCache
 from repro.distances.lower_bounds import (
@@ -883,6 +884,29 @@ class QueryProcessor:
         prune = self._config.use_group_pruning
         fast = isinstance(rule, _Top)
         reps, keys, verify, refine = self._family(q, buckets, fast, stats)
+        if fast and keys.size and native.KERNEL is not None:
+            # The fast walk in one native call, under one failpoint and
+            # check; a NaN hands it back to the loop below.
+            faults.fire("query.rep_chunk")
+            if self._deadline_fired(deadline, rule.rank_stage, stats, rule.found()):
+                return True
+            stores = [(b.length, *b.native_stores()) for b in buckets]
+            with span("cascade.rep_dtw") as sp:
+                columns = (reps.lengths, reps.gids, reps.rows)
+                walked = native.fast_walk(
+                    q, keys, columns, stores, rule.k, rule.groups, self._config.window
+                )
+                sp.add(batch=0 if walked is None else walked[1])
+            if walked is not None:
+                rows, verified = walked
+                stats.rep_dtw_calls += verified
+                stats.rep_dtw_skipped += keys.size - verified
+                faults.fire("query.refine_unit")
+                if self._deadline_fired(deadline, rule.refine_stage, stats, rule.found()):
+                    return True
+                with span(rule.span, groups=int(rows.size)):
+                    rule.fold(refine(rows, rule.cut(), rule.k))
+                return False
         pending: list[tuple[float, float, int, int]] = []
 
         def visit(take: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

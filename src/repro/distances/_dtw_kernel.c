@@ -30,6 +30,7 @@
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 #define BLOCK 64
 
@@ -558,4 +559,267 @@ int rank_bounds(const double *q, const double *pts, const double *sums,
                 return 1;
     }
     return 0;
+}
+
+/*
+ * A min-heap entry of the fast walk's pending groups, ordered by
+ * (estimate, length, row) as the Python walk's heap tuple is; at rides
+ * along.  No estimate is NaN.
+ */
+typedef struct {
+    double key;
+    int64_t length, row, at;
+} entry;
+
+static inline int before(const entry *x, const entry *y)
+{
+    if (x->key != y->key)
+        return x->key < y->key;
+    if (x->length != y->length)
+        return x->length < y->length;
+    return x->row < y->row;
+}
+
+static void push(entry *heap, int64_t *size, entry e)
+{
+    int64_t i = (*size)++;
+    for (int64_t parent; i && before(&e, &heap[parent = (i - 1) / 2]); i = parent)
+        heap[i] = heap[parent];
+    heap[i] = e;
+}
+
+static entry pop(entry *heap, int64_t *size)
+{
+    entry top = heap[0], moving = heap[--*size];
+    int64_t i = 0;
+    for (int64_t child; (child = 2 * i + 1) < *size; i = child) {
+        if (child + 1 < *size && before(&heap[child + 1], &heap[child]))
+            child++;
+        if (!before(&heap[child], &moving))
+            break;
+        heap[i] = heap[child];
+    }
+    heap[i] = moving;
+    return top;
+}
+
+/* A rank key and its index. */
+typedef struct {
+    double key;
+    int64_t at;
+} ranked;
+
+/* The kth smallest of v[0..n), 0 <= kth < n; reorders v. */
+static double select_kth(double *v, int64_t n, int64_t kth)
+{
+    int64_t lo = 0, hi = n - 1;
+    while (lo < hi) {
+        double a = v[lo], b = v[lo + (hi - lo) / 2], c = v[hi];
+        double pivot = a < b ? (b < c ? b : (a < c ? c : a)) : (a < c ? a : (b < c ? c : b));
+        int64_t i = lo, j = hi;
+        while (i <= j) {
+            while (v[i] < pivot)
+                i++;
+            while (v[j] > pivot)
+                j--;
+            if (i <= j) {
+                double t = v[i];
+                v[i++] = v[j];
+                v[j--] = t;
+            }
+        }
+        if (kth <= j)
+            hi = j;
+        else if (kth >= i)
+            lo = i;
+        else
+            return v[kth];
+    }
+    return v[kth];
+}
+
+/* Sort x[0..n) by key, stably; tmp holds n entries. */
+static void merge_sort(ranked *x, ranked *tmp, int64_t n)
+{
+    if (n < 16) {
+        for (int64_t i = 1; i < n; i++) {
+            ranked moving = x[i];
+            int64_t j = i;
+            for (; j && moving.key < x[j - 1].key; j--)
+                x[j] = x[j - 1];
+            x[j] = moving;
+        }
+        return;
+    }
+    int64_t half = n / 2, i = 0, j = half, out = 0;
+    merge_sort(x, tmp, half);
+    merge_sort(x + half, tmp, n - half);
+    while (i < half && j < n)
+        tmp[out++] = x[j].key < x[i].key ? x[j++] : x[i++];
+    while (i < half)
+        tmp[out++] = x[i++];
+    memcpy(x, tmp, sizeof(ranked) * out);
+}
+
+/*
+ * _LazyOrder.upto(stop) for the fast walk: order[0..*ready) is the head
+ * of np.argsort(keys, kind="stable"), and keys above *floor (every key
+ * while *fresh) are in no block yet.  A block is every such key no
+ * greater than a pivot, collected in index order and merge-sorted by key,
+ * so the head stays the stable argsort whatever the pivot.  The pivot is
+ * the quantile of every 16th such key that should admit twice what the
+ * walk wants (the rest of stop, and at least 256); a block that falls
+ * short is followed by another.  rest is scratch of g / 16 + 1 keys,
+ * order and spare of g entries.
+ */
+static void extend(const double *keys, int64_t g, int64_t stop, ranked *order,
+                   int64_t *ready, double *floor, int *fresh, double *rest,
+                   ranked *spare)
+{
+    while (*ready < stop) {
+        double low = *floor;
+        int all = *fresh;
+        int64_t want = stop - *ready > 256 ? stop - *ready : 256, left = 0;
+        for (int64_t i = 0; i < g; i += 16)
+            if (all || keys[i] > low)
+                rest[left++] = keys[i];
+        int64_t rank = want / 8;
+        double pivot = rank < left ? select_kth(rest, left, rank) : INFINITY;
+        int64_t start = *ready;
+        for (int64_t i = 0; i < g; i++)
+            if ((all || keys[i] > low) && keys[i] <= pivot)
+                order[(*ready)++] = (ranked){keys[i], i};
+        merge_sort(order + start, spare, *ready - start);
+        *floor = pivot;
+        *fresh = 0;
+    }
+}
+
+/*
+ * QueryProcessor._walk under its fast rule (_Top) for g representatives:
+ * keys[i] is representative i's rank key, lengths[i] and gids[i] its
+ * bucket and group there, rows[i] its table row (rows NULL: i).  stores[L]
+ * is the length-L bucket's centroid stack and stores[top + L] its member
+ * counts (int64), both read in place.
+ *
+ * The rule, step by step: stop once `groups` groups holding >= k members
+ * are chosen, or nothing is left; else verify the next chunk of the key
+ * order (16, doubling) when its first key is no greater than the best
+ * pending estimate, else choose the best pending group.  The key order is
+ * np.argsort(keys, kind="stable"), sorted a block at a time (extend).  A
+ * verified representative's estimate is raw DTW over
+ * max(n, L), from dtw_batch: the chunk is sorted by length and run in
+ * blocks of BLOCK, each as wide as its own widest row, which changes no
+ * row's cost.
+ *
+ * Writes the chosen table rows, in order, to chosen[] and (chosen,
+ * verified) to tally[2]; returns 0.  Returns 1, having chosen nothing,
+ * where a key is NaN or a verified centroid holds a non-finite value
+ * (the caller's walk decides those), and -1 when scratch cannot be
+ * allocated.
+ */
+int fast_walk(const double *q, int64_t n, const double *keys,
+              const int64_t *lengths, const int64_t *gids, const int64_t *rows,
+              int64_t g, const void *const *stores, int64_t top, int64_t k,
+              int64_t groups, int64_t window, int64_t *chosen, int64_t *tally)
+{
+    for (int64_t i = 0; i < g; i++)
+        if (keys[i] != keys[i])
+            return 1;
+    int64_t most = g ? g : 1;
+    double *rest = malloc(sizeof(double) * (g / 16 + 1));
+    ranked *order = malloc(sizeof(ranked) * most);
+    ranked *spare = malloc(sizeof(ranked) * most);
+    entry *pending = malloc(sizeof(entry) * most);
+    int64_t *take = malloc(sizeof(int64_t) * most);
+    int64_t *sorted = malloc(sizeof(int64_t) * most);
+    int64_t *lens = malloc(sizeof(int64_t) * most);
+    int64_t *slots = calloc(top + 1, sizeof(int64_t));
+    double *dist = malloc(sizeof(double) * most);
+    double *padded = NULL;
+    int status = -1;
+    if (!rest || !order || !spare || !pending || !take || !sorted || !lens ||
+        !slots || !dist)
+        goto done;
+
+    int64_t ready = 0, verified = 0, waiting = 0, picked = 0, members = 0;
+    int fresh = 1;
+    double floor = 0.0;
+    for (int64_t chunk = 16; waiting || verified < g; ) {
+        if (picked >= groups && members >= k)
+            break;
+        /* The key order is extended only as far as the walk reads it. */
+        int64_t stop = verified + chunk < g ? verified + chunk : g;
+        if (ready == verified)
+            extend(keys, g, stop, order, &ready, &floor, &fresh, rest, spare);
+        if (verified == g || (waiting && pending[0].key < order[verified].key)) {
+            entry best = pop(pending, &waiting);
+            chosen[picked++] = best.row;
+            members += ((const int64_t *)stores[top + best.length])[gids[best.at]];
+            continue;
+        }
+        extend(keys, g, stop, order, &ready, &floor, &fresh, rest, spare);
+        int64_t size = stop - verified, widest = 0;
+        chunk *= 2;
+        /* The chunk in key order, then stably by length (a counting sort). */
+        for (int64_t c = 0; c < size; c++) {
+            take[c] = order[verified + c].at;
+            slots[lengths[take[c]]]++;
+        }
+        for (int64_t length = 0, at = 0; length <= top; length++) {
+            int64_t count = slots[length];
+            slots[length] = at;
+            at += count;
+            widest = count ? length : widest;
+        }
+        for (int64_t c = 0; c < size; c++)
+            sorted[slots[lengths[take[c]]]++] = take[c];
+        for (int64_t length = 0; length <= top; length++)
+            slots[length] = 0;
+        free(padded);
+        padded = malloc(sizeof(double) * size * widest);
+        if (!padded)
+            goto done;
+        for (int64_t c = 0; c < size; c++) {
+            int64_t at = sorted[c], length = lengths[at];
+            const double *src = (const double *)stores[length] + gids[at] * length;
+            for (int64_t j = 0; j < length; j++) {
+                if (!isfinite(src[j])) {
+                    status = 1;
+                    goto done;
+                }
+                padded[c * widest + j] = src[j];
+            }
+            lens[c] = length;
+        }
+        for (int64_t b0 = 0; b0 < size; b0 += BLOCK) {
+            int64_t nb = size - b0 < BLOCK ? size - b0 : BLOCK;
+            if (dtw_batch(q, 0, padded + b0 * widest, widest, lens + b0, nb, n,
+                          lens[b0 + nb - 1], window, 0, TRACK_NONE, dist + b0,
+                          NULL, NULL, NULL, 0))
+                goto done;
+        }
+        for (int64_t c = 0; c < size; c++) {
+            int64_t at = sorted[c], length = lens[c];
+            double estimate = dist[c] / (double)(n > length ? n : length);
+            push(pending, &waiting,
+                 (entry){estimate, length, rows ? rows[at] : at, at});
+        }
+        verified += size;
+    }
+    tally[0] = picked;
+    tally[1] = verified;
+    status = 0;
+done:
+    free(rest);
+    free(order);
+    free(spare);
+    free(pending);
+    free(take);
+    free(sorted);
+    free(lens);
+    free(slots);
+    free(dist);
+    free(padded);
+    return status;
 }

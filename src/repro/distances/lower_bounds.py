@@ -206,18 +206,20 @@ def _band_breach(
     above = np.searchsorted(pts, hi, side="right")  # pts[above:] > hi
     below = np.searchsorted(pts, lo, side="left")  # pts[:below] < lo
     sums = np.concatenate(([0.0], np.cumsum(pts)))
-    over, under = sums[n] - sums[above], sums[below]
-    reach = np.maximum(-lo, hi)  # max(|lo|, |hi|), as lo <= hi
-    if squared:
-        squares = np.concatenate(([0.0], np.cumsum(pts * pts)))
-        out = ((squares[n] - squares[above]) - 2.0 * hi * over + (n - above) * hi * hi) + (
-            squares[below] - 2.0 * lo * under + below * lo * lo
-        )
-        scale = squares[n] + 2.0 * reach * np.abs(pts).sum() + n * reach * reach
-    else:
-        out = (over - (n - above) * hi) + (below * lo - under)
-        scale = np.abs(pts).sum() + n * reach
-    with np.errstate(invalid="ignore"):  # inf - inf: a NaN the callers' fmax drops
+    # inf - inf anywhere below (a prefix sum, a term or the margin) is a
+    # NaN the callers' fmax drops.
+    with np.errstate(invalid="ignore"):
+        over, under = sums[n] - sums[above], sums[below]
+        reach = np.maximum(-lo, hi)  # max(|lo|, |hi|), as lo <= hi
+        if squared:
+            squares = np.concatenate(([0.0], np.cumsum(pts * pts)))
+            out = ((squares[n] - squares[above]) - 2.0 * hi * over + (n - above) * hi * hi) + (
+                squares[below] - 2.0 * lo * under + below * lo * lo
+            )
+            scale = squares[n] + 2.0 * reach * np.abs(pts).sum() + n * reach * reach
+        else:
+            out = (over - (n - above) * hi) + (below * lo - under)
+            scale = np.abs(pts).sum() + n * reach
         return np.maximum(out - 4.0 * (n + 2) * np.finfo(np.float64).eps * scale, 0.0)
 
 

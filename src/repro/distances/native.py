@@ -39,7 +39,7 @@ from typing import Literal
 
 import numpy as np
 
-__all__ = ["KERNEL", "assign_windows", "backend", "dtw_batch", "rank_bounds"]
+__all__ = ["KERNEL", "assign_windows", "backend", "dtw_batch", "fast_walk", "rank_bounds"]
 
 _SOURCE = Path(__file__).with_name("_dtw_kernel.c")
 #: No ``-march=native`` (the cache may be shared across hosts of one
@@ -90,6 +90,15 @@ _RANK_ARGTYPES = (
     ctypes.c_int64,  # g
     ctypes.c_void_p,  # out
 )
+_WALK_ARGTYPES = (
+    ctypes.c_void_p,  # query
+    ctypes.c_int64,  # n
+    *(ctypes.c_void_p,) * 4,  # keys, lengths, gids, rows
+    ctypes.c_int64,  # g
+    ctypes.c_void_p,  # stores: centroids by length, then member counts
+    *(ctypes.c_int64,) * 4,  # top, k, groups, window
+    *(ctypes.c_void_p,) * 2,  # chosen, tally
+)
 
 
 def _cache_dirs() -> list[Path]:
@@ -106,6 +115,7 @@ def _bind(path: Path) -> ctypes.CDLL:
         (library.dtw_batch, _DTW_ARGTYPES),
         (library.assign_windows, _ASSIGN_ARGTYPES),
         (library.rank_bounds, _RANK_ARGTYPES),
+        (library.fast_walk, _WALK_ARGTYPES),
     ):
         function.argtypes = argtypes
         function.restype = ctypes.c_int
@@ -312,3 +322,35 @@ def rank_bounds(
         *(_address(a) for a in (*columns, rows)), out.shape[0], out.ctypes.data,
     )
     return None if status else out
+
+
+def fast_walk(
+    q: np.ndarray,
+    keys: np.ndarray,
+    columns: tuple[np.ndarray, np.ndarray, np.ndarray | None],
+    stores: list[tuple[int, int, int]],
+    k: int,
+    groups: int,
+    window: int | None,
+) -> tuple[np.ndarray, int] | None:
+    """``QueryProcessor._walk`` under its fast rule in C: the table rows it
+    refines, in its order, and how many representatives it verified.
+    *columns* are the walk's ``(lengths, gids, rows)`` (*rows* ``None``:
+    the table's own), *stores* each length's ``(length, centroid stack
+    address, member counts address)``.  ``None`` where a NaN key or a
+    non-finite centroid met the walk: the Python walk decides those."""
+    # Every array the C reads is held here until it returns.
+    q, *arrays = [None if a is None else np.ascontiguousarray(a) for a in (q, keys, *columns)]
+    at = np.array(stores, dtype=np.uintp).T
+    top = int(at[0].max()) + 1
+    table = np.zeros(2 * top, dtype=np.uintp)
+    table[at[0]], table[top + at[0]] = at[1], at[2]
+    chosen, tally = np.empty(keys.shape[0], dtype=np.int64), np.zeros(2, dtype=np.int64)
+    status = KERNEL.fast_walk(
+        q.ctypes.data, q.shape[0], *map(_address, arrays),
+        keys.shape[0], table.ctypes.data, top, k, groups, -1 if window is None else window,
+        chosen.ctypes.data, tally.ctypes.data,
+    )
+    if status < 0:
+        raise MemoryError(f"no scratch for a fast walk over {keys.shape[0]} representatives")
+    return None if status else (chosen[: tally[0]], int(tally[1]))

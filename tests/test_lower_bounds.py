@@ -5,7 +5,12 @@ import pytest
 
 from repro.distances.dtw import dtw_distance
 from repro.distances.envelope import keogh_envelope
-from repro.distances.lower_bounds import lb_keogh, lb_keogh_terms, lb_kim
+from repro.distances.lower_bounds import (
+    lb_keogh,
+    lb_keogh_reverse_batch,
+    lb_keogh_terms,
+    lb_kim,
+)
 from repro.exceptions import ValidationError
 
 
@@ -86,3 +91,19 @@ class TestLbKeogh:
         lower, upper = keogh_envelope([1.0, 2.0], 0)
         with pytest.raises(ValidationError, match="lengths differ"):
             lb_keogh([1.0, 2.0, 3.0], lower, upper)
+
+
+class TestBandBreach:
+    # The upper mark wins: overflow is expected, any other RuntimeWarning fails.
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("ground", ["l1", "squared"])
+    def test_a_mixed_overflowing_query_does_not_warn(self, ground):
+        """Prefix sums of ``+-1e308`` points are ``inf - inf`` inside the
+        closed form, not only in its margin: a NaN the callers' ``fmax``
+        drops, raised as no warning but the overflow."""
+        q = [1e308, 1e308, -1e308, -1e308, -1e308, 5.0]
+        lo = np.array([[0.0], [-1e307], [-1.0]])
+        hi = np.array([[1.0], [3e307], [2e308 / 3]])
+        bounds = lb_keogh_reverse_batch(q, lo, hi, ground=ground)
+        assert bounds.shape == (3,)

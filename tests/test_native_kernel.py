@@ -6,9 +6,10 @@ compiler is hidden.  Whatever goes wrong — no compiler, an unwritable
 cache, a truncated cached library, a library missing an entry point, two
 processes compiling at once, no ``os.getuid`` — the import succeeds and
 the backend is either ``native`` or ``numpy`` for every entry point
-together (DTW, the ingestion decide and the rank pass), never an
-exception; and importing writes nothing under the repository tree.  The
-rank pass is held to its NumPy reference bit for bit here too.
+together (DTW, the ingestion decide, the rank pass and the fast walk),
+never an exception; and importing writes nothing under the repository
+tree.  The rank pass and the fast walk are held to their NumPy
+references bit for bit here too.
 """
 
 import json
@@ -26,7 +27,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.core.base import LengthBucket, RepresentativeTable
+from repro.core.base import LengthBucket, OnexBase, RepresentativeTable
+from repro.core.config import BuildConfig, QueryConfig
+from repro.core.query import QueryProcessor
+from repro.data.dataset import TimeSeriesDataset
 from repro.distances import native
 from repro.distances.dtw import dtw_distance_batch
 from repro.distances.lower_bounds import lb_kim_endpoints_batch
@@ -194,17 +198,19 @@ def test_every_entry_point_is_bound():
     assert native.KERNEL.dtw_batch.argtypes == native._DTW_ARGTYPES
     assert native.KERNEL.assign_windows.argtypes == native._ASSIGN_ARGTYPES
     assert native.KERNEL.rank_bounds.argtypes == native._RANK_ARGTYPES
+    assert native.KERNEL.fast_walk.argtypes == native._WALK_ARGTYPES
     assert native.backend() == "native"
 
 
 @pytest.mark.skipif(not HAS_GCC, reason="needs a compiler")
 def test_a_library_missing_an_entry_point_loads_none(tmp_path, monkeypatch):
-    # As a stale or foreign library would: DTW only, then DTW and the
-    # decide without the rank pass.
+    # As a stale or foreign library would: DTW only, then one more entry
+    # point at a time, up to all but the fast walk.
     (tmp_path / "tmp").mkdir()
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
-    for names in (["dtw_batch"], ["dtw_batch", "assign_windows"]):
+    entry_points = ["dtw_batch", "assign_windows", "rank_bounds"]
+    for names in (entry_points[:1], entry_points[:2], entry_points):
         source = tmp_path / f"{len(names)}" / "_dtw_kernel.c"
         source.parent.mkdir()
         source.write_text("".join(f"int {name}(void) {{ return 0; }}\n" for name in names))
@@ -350,3 +356,97 @@ def test_the_rank_pass_leaves_a_nan_to_numpy():
     assert native.rank_bounds(q, columns, np.arange(0, 400, 2)) is not None
     assert native.rank_bounds(q, columns, None) is None
     assert native.rank_bounds(np.full(3, 1e308), columns, np.arange(1)) is None  # inf - inf
+
+
+class _Rekeyed(QueryProcessor):
+    """Ranks on ``rekey`` of the table's bounds: the rank seam the tests'
+    zero-bound witness substitutes, here with any keys."""
+
+    def __init__(self, base, config, rekey):
+        super().__init__(base, config)
+        self._rekey = rekey
+
+    def _rank_bounds(self, q, reps):
+        return self._rekey(super()._rank_bounds(q, reps))
+
+
+#: The keys a walk case ranks on: the table's bounds, all zeros (every
+#: representative verified), and integers above every estimate, so the
+#: walk chooses from its first chunks and ties cross their boundaries.
+_REKEYS = [lambda bounds: bounds, np.zeros_like, lambda bounds: np.floor(bounds) + 100.0]
+
+
+@st.composite
+def walk_cases(draw):
+    """A small base of random walks on a half-step grid, so windows,
+    keys and estimates tie (a duplicated series makes more ties), at an ST
+    from near-singleton groups to a few coarse ones; a fast query of it,
+    or one of ``1e308``s whose keys and estimates are all ``inf``."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = draw(st.lists(st.integers(5, 24), min_size=1, max_size=3))
+    arrays = [np.round(rng.normal(size=n).cumsum() * 2) / 2 for n in sizes]
+    if draw(st.booleans()):
+        arrays.append(arrays[0].copy())
+    base = OnexBase(
+        TimeSeriesDataset.from_arrays(arrays, name="walks"),
+        BuildConfig(
+            similarity_threshold=draw(st.sampled_from([0.01, 0.05, 0.2, 0.6])),
+            min_length=3,
+            max_length=6,
+            normalize=False,
+        ),
+    )
+    base.build()
+    if draw(st.integers(0, 7)) == 0:
+        q = np.full(6, 1e308)
+    else:
+        q = np.round(rng.normal(size=draw(st.integers(2, 8))).cumsum() * 2) / 2
+    subset = st.lists(st.sampled_from(base.lengths), min_size=1, unique=True)
+    config = QueryConfig(
+        mode="fast",
+        window=draw(st.sampled_from([None, 0, 2])),
+        refine_groups=draw(st.integers(1, 3)),
+    )
+    rekey = draw(st.sampled_from(_REKEYS))
+    return base, q, draw(st.integers(1, 8)), draw(st.none() | subset), config, rekey
+
+
+def _fast_query(base, q, k, lengths, config, rekey):
+    """The answers, every ``QueryStats`` field and the table rows each
+    refinement was handed, of one fast ``k_best``."""
+    refined = []
+    refine = QueryProcessor._refine
+
+    def spy(self, q, rows, *args):
+        refined.append(rows.tolist())
+        return refine(self, q, rows, *args)
+
+    processor = _Rekeyed(base, config, rekey)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(QueryProcessor, "_refine", spy)
+        matches = processor.k_best_matches(q, k, lengths=lengths, normalize=False)
+    answers = [(m.ref, m.distance, m.raw_distance, m.path, m.group) for m in matches]
+    return answers, processor.last_stats.as_dict(), refined
+
+
+@pytest.mark.skipif(native.KERNEL is None, reason="needs a loaded kernel")
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the reference's overflows
+@given(case=walk_cases())
+@settings(max_examples=60, deadline=None)
+def test_the_fast_walk_equals_the_python_walk_bit_for_bit(case):
+    """The native fast walk chooses the Python walk's groups in its order,
+    does its work and returns its answers, ties and ``inf`` included."""
+    walked = []
+    fast_walk = native.fast_walk
+
+    def counted(*args):
+        walked.append(fast_walk(*args))
+        return walked[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(native, "fast_walk", counted)
+        got = _fast_query(*case)
+        patch.setattr(native, "KERNEL", None)
+        want = _fast_query(*case)
+    assert len(walked) == 1 and walked[0] is not None  # no hand-back
+    assert got == want
