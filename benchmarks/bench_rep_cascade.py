@@ -17,8 +17,9 @@ Five measurements:
   the one table pass (ragged LB_Kim + closed-form min/max band) on each
   backend, the C pass and its NumPy reference, held to
   the per-bucket breach-tensor bounds it replaced — never above them,
-  within 1e-12 — and kernel calls per ``matches_within``, answers
-  identical to the zero-bound witness;
+  within 1e-12 — kernel calls per ``matches_within``, answers
+  identical to the zero-bound witness, and µs per fast ``k_best`` (k 5)
+  spent in the walk on each backend (recorded, not gated);
 - the **batch DTW kernel** in ns per cell at the three stack shapes the
   serving benchmark's cascade produces (a representative chunk, a member
   refinement with path lengths, a whole-bucket scan), bit-identical to
@@ -185,6 +186,28 @@ def breach_tensor_bounds(base: OnexBase, q: np.ndarray) -> np.ndarray:
     return np.concatenate(parts)
 
 
+def fast_walk_us(processor: QueryProcessor, queries: list[np.ndarray], repeats: int = 3) -> float:
+    """Best-of-*repeats* µs per query that fast ``k_best`` (k 5) spends in
+    the walk: rank pass, verification, choice and member refinement."""
+    spent: list[float] = []
+    walk = QueryProcessor._walk
+
+    def timed(self, *args):
+        start = time.perf_counter()
+        try:
+            return walk(self, *args)
+        finally:
+            spent[-1] += time.perf_counter() - start
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(QueryProcessor, "_walk", timed)
+        for _ in range(repeats):
+            spent.append(0.0)
+            for q in queries:
+                processor.k_best_matches(q, 5, normalize=False)
+    return min(spent) * 1e6 / len(queries)
+
+
 def test_rank_stage_at_a_fine_threshold(benchmark, monkeypatch):
     """One pass over one table ranks the base; a range query is a dozen
     kernel calls, not three per length bucket."""
@@ -207,7 +230,7 @@ def test_rank_stage_at_a_fine_threshold(benchmark, monkeypatch):
     backends = ["numpy"] if native.KERNEL is None else ["native", "numpy"]
 
     def measure():
-        per_rep = {}
+        per_rep, walk_us = {}, {}
         for backend in backends:
             with pytest.MonkeyPatch.context() as patch:
                 if backend == "numpy":
@@ -215,17 +238,21 @@ def test_rank_stage_at_a_fine_threshold(benchmark, monkeypatch):
                 seconds = min(
                     _best_seconds(lambda: table.cheap_bounds(q), inner=5) for q in queries
                 )
+                walk_us[backend] = fast_walk_us(cascade, queries)
             per_rep[backend] = seconds * 1e6 / table.count
         calls.clear()
         for q in queries:
             cascade.matches_within(q, 0.02, normalize=False)
-        return per_rep, len(calls) / len(queries)
+        return per_rep, walk_us, len(calls) / len(queries)
 
-    per_rep, calls_per_query = benchmark.pedantic(measure, rounds=1, iterations=1)
+    per_rep, walk_us, calls_per_query = benchmark.pedantic(measure, rounds=1, iterations=1)
     us_per_rep = per_rep[native.backend()]
     benchmark.extra_info["representatives"] = table.count
     benchmark.extra_info["rank_us_per_representative"] = {
         backend: round(us, 4) for backend, us in per_rep.items()
+    }
+    benchmark.extra_info["fast_walk_us_per_k_best"] = {
+        backend: round(us, 1) for backend, us in walk_us.items()
     }
     benchmark.extra_info["kernel_calls_per_matches_within"] = round(calls_per_query, 2)
     if not SOFT:

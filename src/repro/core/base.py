@@ -530,8 +530,7 @@ class LengthBucket:
         #: prescreens with: derived, never persisted, and kept only where
         #: assignment can happen.
         self._mean_store = centroids.mean(axis=1) if writable else None
-        #: ``native_stores``: the two stores it addressed, and where.
-        self._addressed: tuple = (None, None, 0, 0)
+        self._addressed: tuple = (None, None)  # native_stores: stores, addresses
 
     @property
     def groups(self) -> _GroupsView:
@@ -575,14 +574,12 @@ class LengthBucket:
         return offsets
 
     def native_stores(self) -> tuple[int, int]:
-        """Addresses of the centroid stack and the ``int64`` member counts,
-        which the native fast walk reads in place: cached while the bucket
-        holds the same two stores (both are C-contiguous)."""
-        held = self._addressed
-        if held[0] is not self._centroid_store or held[1] is not self._count_store:
-            stores = (self._centroid_store, self._count_store)
-            held = self._addressed = (*stores, *(a.ctypes.data for a in stores))
-        return held[2], held[3]
+        """Addresses of the (C-contiguous) centroid stack and ``int64`` member
+        counts, which the native fast walk reads in place; cached per store."""
+        stores = (self._centroid_store, self._count_store)
+        if self._addressed[0] is not stores[0] or self._addressed[1] is not stores[1]:
+            self._addressed = (*stores, stores[0].ctypes.data, stores[1].ctypes.data)
+        return self._addressed[2:]
 
     @property
     def cardinalities(self) -> np.ndarray:

@@ -885,17 +885,14 @@ class QueryProcessor:
         fast = isinstance(rule, _Top)
         reps, keys, verify, refine = self._family(q, buckets, fast, stats)
         if fast and keys.size and native.KERNEL is not None:
-            # The fast walk in one native call, under one failpoint and
-            # check; a NaN hands it back to the loop below.
+            # One native call, one failpoint and check; a NaN hands it back.
             faults.fire("query.rep_chunk")
             if self._deadline_fired(deadline, rule.rank_stage, stats, rule.found()):
                 return True
             stores = [(b.length, *b.native_stores()) for b in buckets]
+            columns, window = (reps.lengths, reps.gids, reps.rows), self._config.window
             with span("cascade.rep_dtw") as sp:
-                columns = (reps.lengths, reps.gids, reps.rows)
-                walked = native.fast_walk(
-                    q, keys, columns, stores, rule.k, rule.groups, self._config.window
-                )
+                walked = native.fast_walk(q, keys, columns, stores, rule.k, rule.groups, window)
                 sp.add(batch=0 if walked is None else walked[1])
             if walked is not None:
                 rows, verified = walked

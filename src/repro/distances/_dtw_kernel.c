@@ -7,7 +7,9 @@
  * - assign_windows: the decide half of incremental ingestion,
  *   OnexBase._assign_windows in core/base.py (documented below);
  * - rank_bounds: the query's unbanded rank bound for every
- *   representative, RepresentativeTable.cheap_bounds (documented below).
+ *   representative, RepresentativeTable.cheap_bounds (documented below);
+ * - fast_walk: a fast query's walk over the representatives,
+ *   QueryProcessor._walk under its fast rule (documented below).
  *
  * Layout: candidates innermost.  A block of up to BLOCK candidates is
  * transposed to (m, nb), and the cost matrix is scanned row by row, cell
@@ -663,7 +665,7 @@ static void merge_sort(ranked *x, ranked *tmp, int64_t n)
 
 /*
  * _LazyOrder.upto(stop) for the fast walk: order[0..*ready) is the head
- * of np.argsort(keys, kind="stable"), and keys above *floor (every key
+ * of np.argsort(keys, kind="stable"), and keys above *edge (every key
  * while *fresh) are in no block yet.  A block is every such key no
  * greater than a pivot, collected in index order and merge-sorted by key,
  * so the head stays the stable argsort whatever the pivot.  The pivot is
@@ -673,11 +675,11 @@ static void merge_sort(ranked *x, ranked *tmp, int64_t n)
  * order and spare of g entries.
  */
 static void extend(const double *keys, int64_t g, int64_t stop, ranked *order,
-                   int64_t *ready, double *floor, int *fresh, double *rest,
+                   int64_t *ready, double *edge, int *fresh, double *rest,
                    ranked *spare)
 {
     while (*ready < stop) {
-        double low = *floor;
+        double low = *edge;
         int all = *fresh;
         int64_t want = stop - *ready > 256 ? stop - *ready : 256, left = 0;
         for (int64_t i = 0; i < g; i += 16)
@@ -690,7 +692,7 @@ static void extend(const double *keys, int64_t g, int64_t stop, ranked *order,
             if ((all || keys[i] > low) && keys[i] <= pivot)
                 order[(*ready)++] = (ranked){keys[i], i};
         merge_sort(order + start, spare, *ready - start);
-        *floor = pivot;
+        *edge = pivot;
         *fresh = 0;
     }
 }
@@ -707,17 +709,19 @@ static void extend(const double *keys, int64_t g, int64_t stop, ranked *order,
  * order (16, doubling) when its first key is no greater than the best
  * pending estimate, else choose the best pending group.  The key order is
  * np.argsort(keys, kind="stable"), sorted a block at a time (extend).  A
- * verified representative's estimate is raw DTW over
- * max(n, L), from dtw_batch: the chunk is sorted by length and run in
- * blocks of BLOCK, each as wide as its own widest row, which changes no
- * row's cost.
+ * verified representative's estimate is raw DTW over max(n, L), from
+ * dtw_batch: the chunk is sorted by length and run in blocks of BLOCK,
+ * each as wide as its own widest row, which changes no row's cost.
  *
  * Writes the chosen table rows, in order, to chosen[] and (chosen,
  * verified) to tally[2]; returns 0.  Returns 1, having chosen nothing,
  * where a key is NaN or a verified centroid holds a non-finite value
- * (the caller's walk decides those), and -1 when scratch cannot be
+ * (the caller's walk decides those: the heap would not order a NaN, and
+ * dtw_batch's callers reject such rows), and -1 when scratch cannot be
  * allocated.
  */
+#define AHEAD 8 /* centroid rows fetched ahead of the one copied */
+
 int fast_walk(const double *q, int64_t n, const double *keys,
               const int64_t *lengths, const int64_t *gids, const int64_t *rows,
               int64_t g, const void *const *stores, int64_t top, int64_t k,
@@ -731,41 +735,40 @@ int fast_walk(const double *q, int64_t n, const double *keys,
     ranked *order = malloc(sizeof(ranked) * most);
     ranked *spare = malloc(sizeof(ranked) * most);
     entry *pending = malloc(sizeof(entry) * most);
-    int64_t *take = malloc(sizeof(int64_t) * most);
     int64_t *sorted = malloc(sizeof(int64_t) * most);
     int64_t *lens = malloc(sizeof(int64_t) * most);
+    const double **rowp = malloc(sizeof(double *) * most);
     int64_t *slots = calloc(top + 1, sizeof(int64_t));
     double *dist = malloc(sizeof(double) * most);
     double *padded = NULL;
     int status = -1;
-    if (!rest || !order || !spare || !pending || !take || !sorted || !lens ||
+    if (!rest || !order || !spare || !pending || !sorted || !lens || !rowp ||
         !slots || !dist)
         goto done;
 
     int64_t ready = 0, verified = 0, waiting = 0, picked = 0, members = 0;
     int fresh = 1;
-    double floor = 0.0;
+    double edge = 0.0;
     for (int64_t chunk = 16; waiting || verified < g; ) {
         if (picked >= groups && members >= k)
             break;
         /* The key order is extended only as far as the walk reads it. */
         int64_t stop = verified + chunk < g ? verified + chunk : g;
         if (ready == verified)
-            extend(keys, g, stop, order, &ready, &floor, &fresh, rest, spare);
+            extend(keys, g, stop, order, &ready, &edge, &fresh, rest, spare);
         if (verified == g || (waiting && pending[0].key < order[verified].key)) {
             entry best = pop(pending, &waiting);
             chosen[picked++] = best.row;
             members += ((const int64_t *)stores[top + best.length])[gids[best.at]];
             continue;
         }
-        extend(keys, g, stop, order, &ready, &floor, &fresh, rest, spare);
+        extend(keys, g, stop, order, &ready, &edge, &fresh, rest, spare);
+        const ranked *take = order + verified;
         int64_t size = stop - verified, widest = 0;
         chunk *= 2;
-        /* The chunk in key order, then stably by length (a counting sort). */
-        for (int64_t c = 0; c < size; c++) {
-            take[c] = order[verified + c].at;
-            slots[lengths[take[c]]]++;
-        }
+        /* The chunk by length, stably (a counting sort). */
+        for (int64_t c = 0; c < size; c++)
+            slots[lengths[take[c].at]]++;
         for (int64_t length = 0, at = 0; length <= top; length++) {
             int64_t count = slots[length];
             slots[length] = at;
@@ -773,24 +776,34 @@ int fast_walk(const double *q, int64_t n, const double *keys,
             widest = count ? length : widest;
         }
         for (int64_t c = 0; c < size; c++)
-            sorted[slots[lengths[take[c]]]++] = take[c];
+            sorted[slots[lengths[take[c].at]]++] = take[c].at;
         for (int64_t length = 0; length <= top; length++)
             slots[length] = 0;
         free(padded);
         padded = malloc(sizeof(double) * size * widest);
         if (!padded)
             goto done;
+        /* The rows are scattered over the stores: each is fetched ahead. */
         for (int64_t c = 0; c < size; c++) {
             int64_t at = sorted[c], length = lengths[at];
-            const double *src = (const double *)stores[length] + gids[at] * length;
-            for (int64_t j = 0; j < length; j++) {
-                if (!isfinite(src[j])) {
-                    status = 1;
-                    goto done;
-                }
-                padded[c * widest + j] = src[j];
-            }
             lens[c] = length;
+            rowp[c] = (const double *)stores[length] + gids[at] * length;
+        }
+        for (int64_t c = 0; c < size && c < AHEAD; c++)
+            __builtin_prefetch(rowp[c]);
+        double probe = 0.0; /* NaN once a copied value is not finite */
+        for (int64_t c = 0; c < size; c++) {
+            const double *src = rowp[c];
+            if (c + AHEAD < size)
+                __builtin_prefetch(rowp[c + AHEAD]);
+            for (int64_t j = 0; j < lens[c]; j++) {
+                padded[c * widest + j] = src[j];
+                probe += src[j] - src[j];
+            }
+        }
+        if (probe != probe) {
+            status = 1;
+            goto done;
         }
         for (int64_t b0 = 0; b0 < size; b0 += BLOCK) {
             int64_t nb = size - b0 < BLOCK ? size - b0 : BLOCK;
@@ -815,9 +828,9 @@ done:
     free(order);
     free(spare);
     free(pending);
-    free(take);
     free(sorted);
     free(lens);
+    free(rowp);
     free(slots);
     free(dist);
     free(padded);

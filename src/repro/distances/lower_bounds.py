@@ -206,9 +206,7 @@ def _band_breach(
     above = np.searchsorted(pts, hi, side="right")  # pts[above:] > hi
     below = np.searchsorted(pts, lo, side="left")  # pts[:below] < lo
     sums = np.concatenate(([0.0], np.cumsum(pts)))
-    # inf - inf anywhere below (a prefix sum, a term or the margin) is a
-    # NaN the callers' fmax drops.
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore"):  # inf - inf: a NaN the callers' fmax drops
         over, under = sums[n] - sums[above], sums[below]
         reach = np.maximum(-lo, hi)  # max(|lo|, |hi|), as lo <= hi
         if squared:

@@ -1,16 +1,18 @@
 """The native kernels: ``_dtw_kernel.c``, compiled once per host, loaded with ctypes.
 
-One library, three entry points, each bit-identical to a NumPy reference:
+One library, four entry points, each bit-identical to a NumPy reference:
 :func:`dtw_batch` runs where ``dtw._dtw_batch_diagonal`` — the one kernel
 function the batch DTW entry points of :mod:`repro.distances.dtw` reach
 — would run the NumPy kernel, :func:`assign_windows` where
 ``OnexBase.index_new_windows`` would run its ``_assign_windows`` loop,
-and :func:`rank_bounds` where ``RepresentativeTable.cheap_bounds`` would
-compose its unbanded bound.  All run when :data:`KERNEL` loaded, the
-NumPy references otherwise: load success alone decides — no flag,
-environment variable or config field (DESIGN.md §1) — and one test
-substitution, ``KERNEL = None``, switches all three.  :func:`backend`
-names the one that runs, for ``/health`` and ``onex_server_info``.
+:func:`rank_bounds` where ``RepresentativeTable.cheap_bounds`` would
+compose its unbanded bound, and :func:`fast_walk` where
+``QueryProcessor._walk`` would walk a fast query.  All run when
+:data:`KERNEL` loaded, the references otherwise: load success alone
+decides — no flag, environment variable or config field (DESIGN.md §1) —
+and one test substitution, ``KERNEL = None``, switches all four.
+:func:`backend` names the one that runs, for ``/health`` and
+``onex_server_info``.
 
 On first import the C source is compiled with
 ``gcc -O3 -ffp-contract=off -shared -fPIC`` into a content-addressed
@@ -91,12 +93,9 @@ _RANK_ARGTYPES = (
     ctypes.c_void_p,  # out
 )
 _WALK_ARGTYPES = (
-    ctypes.c_void_p,  # query
-    ctypes.c_int64,  # n
-    *(ctypes.c_void_p,) * 4,  # keys, lengths, gids, rows
-    ctypes.c_int64,  # g
-    ctypes.c_void_p,  # stores: centroids by length, then member counts
-    *(ctypes.c_int64,) * 4,  # top, k, groups, window
+    ctypes.c_void_p, ctypes.c_int64,  # query, n
+    *(ctypes.c_void_p,) * 4, ctypes.c_int64,  # keys, lengths, gids, rows; g
+    ctypes.c_void_p, *(ctypes.c_int64,) * 4,  # stores; top, k, groups, window
     *(ctypes.c_void_p,) * 2,  # chosen, tally
 )
 
@@ -325,31 +324,24 @@ def rank_bounds(
 
 
 def fast_walk(
-    q: np.ndarray,
-    keys: np.ndarray,
-    columns: tuple[np.ndarray, np.ndarray, np.ndarray | None],
-    stores: list[tuple[int, int, int]],
-    k: int,
-    groups: int,
+    q: np.ndarray, keys: np.ndarray, columns: tuple, stores: list, k: int, groups: int,
     window: int | None,
 ) -> tuple[np.ndarray, int] | None:
-    """``QueryProcessor._walk`` under its fast rule in C: the table rows it
-    refines, in its order, and how many representatives it verified.
-    *columns* are the walk's ``(lengths, gids, rows)`` (*rows* ``None``:
-    the table's own), *stores* each length's ``(length, centroid stack
-    address, member counts address)``.  ``None`` where a NaN key or a
-    non-finite centroid met the walk: the Python walk decides those."""
+    """``QueryProcessor._walk``'s fast rule in C: the table rows it refines,
+    in order, and how many representatives it verified, from its *keys*,
+    ``(lengths, gids, rows)`` *columns* and each length's ``(length,
+    centroids address, member counts address)``.  ``None`` where a NaN key
+    or a non-finite centroid met the walk: the Python walk decides those."""
     # Every array the C reads is held here until it returns.
     q, *arrays = [None if a is None else np.ascontiguousarray(a) for a in (q, keys, *columns)]
-    at = np.array(stores, dtype=np.uintp).T
-    top = int(at[0].max()) + 1
+    top = max(length for length, _, _ in stores) + 1
     table = np.zeros(2 * top, dtype=np.uintp)
-    table[at[0]], table[top + at[0]] = at[1], at[2]
+    for length, centroids, counts in stores:
+        table[length], table[top + length] = centroids, counts
     chosen, tally = np.empty(keys.shape[0], dtype=np.int64), np.zeros(2, dtype=np.int64)
     status = KERNEL.fast_walk(
-        q.ctypes.data, q.shape[0], *map(_address, arrays),
-        keys.shape[0], table.ctypes.data, top, k, groups, -1 if window is None else window,
-        chosen.ctypes.data, tally.ctypes.data,
+        q.ctypes.data, q.shape[0], *map(_address, arrays), keys.shape[0], table.ctypes.data,
+        top, k, groups, -1 if window is None else window, chosen.ctypes.data, tally.ctypes.data,
     )
     if status < 0:
         raise MemoryError(f"no scratch for a fast walk over {keys.shape[0]} representatives")

@@ -37,7 +37,8 @@ scoped with the :func:`inject` context manager::
 Registered failpoint names (kept in sync with the call sites):
 
 - ``query.rep_chunk`` — per step of the query walk under its ranked
-  stopping rules (exact and fast k-best);
+  stopping rules (exact and fast k-best); once, before the native call,
+  for a fast walk the native kernels run;
 - ``query.refine_unit`` — per member-refinement call, before it selects
   its members: once per drained chunk of a k-best walk, once per
   length-sorted chunk of a range walk;

@@ -450,3 +450,28 @@ def test_the_fast_walk_equals_the_python_walk_bit_for_bit(case):
         want = _fast_query(*case)
     assert len(walked) == 1 and walked[0] is not None  # no hand-back
     assert got == want
+
+
+@pytest.mark.skipif(native.KERNEL is None, reason="needs a loaded kernel")
+def test_the_fast_walk_leaves_a_nan_to_the_python_walk():
+    """A NaN key, or a non-finite centroid the walk verifies, hands the
+    call back, as the rank pass hands back a NaN."""
+    rng = np.random.default_rng(5)
+    base = OnexBase(
+        TimeSeriesDataset.from_arrays([rng.normal(size=30).cumsum()], name="walk"),
+        BuildConfig(similarity_threshold=0.2, min_length=3, max_length=5, normalize=False),
+    )
+    base.build()
+    table = base.rep_table
+    columns = (table.lengths, table.gids, None)
+    stores = [(b.length, *b.native_stores()) for b in base.buckets()]
+    q, keys = rng.normal(size=4), np.zeros(table.count)  # all verified
+
+    def walk(keys):
+        return native.fast_walk(q, keys, columns, stores, 1, 1, None)
+
+    assert walk(keys)[1] == table.count
+    keys[-1] = np.nan
+    assert walk(keys) is None
+    base.bucket(5).centroids[-1, 2] = np.inf  # the bucket's own store
+    assert walk(np.zeros(table.count)) is None
