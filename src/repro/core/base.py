@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import operator
 import time
+import weakref
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -530,7 +531,7 @@ class LengthBucket:
         #: prescreens with: derived, never persisted, and kept only where
         #: assignment can happen.
         self._mean_store = centroids.mean(axis=1) if writable else None
-        self._addressed: tuple = (None, None)  # native_stores: stores, addresses
+        self._addressed: tuple = ()  # native_stores: weak stores, addresses
 
     @property
     def groups(self) -> _GroupsView:
@@ -575,11 +576,12 @@ class LengthBucket:
 
     def native_stores(self) -> tuple[int, int]:
         """Addresses of the (C-contiguous) centroid stack and ``int64`` member
-        counts, which the native fast walk reads in place; cached per store."""
-        stores = (self._centroid_store, self._count_store)
-        if self._addressed[0] is not stores[0] or self._addressed[1] is not stores[1]:
-            self._addressed = (*stores, stores[0].ctypes.data, stores[1].ctypes.data)
-        return self._addressed[2:]
+        counts, which the native fast walk reads in place: cached per store,
+        held weakly so that no copy of the bucket reads another's memory."""
+        stores, held = (self._centroid_store, self._count_store), self._addressed
+        if not held or held[0]() is not stores[0] or held[1]() is not stores[1]:
+            held = self._addressed = (*map(weakref.ref, stores), *(a.ctypes.data for a in stores))
+        return held[2:]
 
     @property
     def cardinalities(self) -> np.ndarray:

@@ -869,7 +869,8 @@ class QueryProcessor:
 
         Verified groups wait in ``pending``, keyed ``(tight bound,
         representative distance, length, table row)``.  A k-heap or fast
-        step opens with the ``query.rep_chunk`` failpoint and a deadline
+        step (the whole fast walk, where :func:`native.fast_walk` runs it)
+        opens with the ``query.rep_chunk`` failpoint and a deadline
         check, then verifies the next chunk of the lazy key order (16,
         doubling, trimmed to the cut) while its first key is no greater
         than the best pending one, else drains pending groups — into one

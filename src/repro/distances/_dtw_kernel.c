@@ -640,34 +640,53 @@ static double select_kth(double *v, int64_t n, int64_t kth)
     return v[kth];
 }
 
-/* Sort x[0..n) by key, stably; tmp holds n entries. */
-static void merge_sort(ranked *x, ranked *tmp, int64_t n)
+/* A key's bits as an unsigned integer in the keys' order; -0.0 is 0.0. */
+static inline uint64_t ordered(double key)
 {
-    if (n < 16) {
-        for (int64_t i = 1; i < n; i++) {
-            ranked moving = x[i];
-            int64_t j = i;
-            for (; j && moving.key < x[j - 1].key; j--)
-                x[j] = x[j - 1];
-            x[j] = moving;
-        }
-        return;
+    double canonical = key + 0.0;
+    uint64_t bits;
+    memcpy(&bits, &canonical, sizeof bits);
+    return bits ^ (bits >> 63 ? ~(uint64_t)0 : (uint64_t)1 << 63);
+}
+
+/*
+ * Sort x[0..n) by key, stably: a least-significant-byte radix sort of the
+ * ordered key bits, skipping a byte that every key shares.  tmp holds n
+ * entries.
+ */
+static void radix_sort(ranked *x, ranked *tmp, int64_t n)
+{
+    int64_t counts[8][256] = {{0}};
+    for (int64_t i = 0; i < n; i++) {
+        uint64_t bits = ordered(x[i].key);
+        for (int d = 0; d < 8; d++)
+            counts[d][(bits >> 8 * d) & 255]++;
     }
-    int64_t half = n / 2, i = 0, j = half, out = 0;
-    merge_sort(x, tmp, half);
-    merge_sort(x + half, tmp, n - half);
-    while (i < half && j < n)
-        tmp[out++] = x[j].key < x[i].key ? x[j++] : x[i++];
-    while (i < half)
-        tmp[out++] = x[i++];
-    memcpy(x, tmp, sizeof(ranked) * out);
+    ranked *from = x, *to = tmp;
+    for (int d = 0; n && d < 8; d++) {
+        int64_t *slot = counts[d];
+        if (slot[(ordered(from[0].key) >> 8 * d) & 255] == n)
+            continue;
+        for (int64_t b = 0, at = 0; b < 256; b++) {
+            int64_t count = slot[b];
+            slot[b] = at;
+            at += count;
+        }
+        for (int64_t i = 0; i < n; i++)
+            to[slot[(ordered(from[i].key) >> 8 * d) & 255]++] = from[i];
+        ranked *swap = from;
+        from = to;
+        to = swap;
+    }
+    if (from != x)
+        memcpy(x, from, sizeof(ranked) * n);
 }
 
 /*
  * _LazyOrder.upto(stop) for the fast walk: order[0..*ready) is the head
  * of np.argsort(keys, kind="stable"), and keys above *edge (every key
  * while *fresh) are in no block yet.  A block is every such key no
- * greater than a pivot, collected in index order and merge-sorted by key,
+ * greater than a pivot, collected in index order and radix-sorted by key,
  * so the head stays the stable argsort whatever the pivot.  The pivot is
  * the quantile of every 16th such key that should admit twice what the
  * walk wants (the rest of stop, and at least 256); a block that falls
@@ -687,11 +706,20 @@ static void extend(const double *keys, int64_t g, int64_t stop, ranked *order,
                 rest[left++] = keys[i];
         int64_t rank = want / 8;
         double pivot = rank < left ? select_kth(rest, left, rank) : INFINITY;
-        int64_t start = *ready;
-        for (int64_t i = 0; i < g; i++)
-            if ((all || keys[i] > low) && keys[i] <= pivot)
-                order[(*ready)++] = (ranked){keys[i], i};
-        merge_sort(order + start, spare, *ready - start);
+        int64_t start = *ready, got = start;
+        for (int64_t i0 = 0; i0 < g; i0 += 8) {
+            /* Eight keys at a time: only a run whose least key is within
+             * the pivot is looked at key by key. */
+            double least = keys[i0];
+            for (int64_t i = i0 + 1; i < i0 + 8 && i < g; i++)
+                least = keys[i] < least ? keys[i] : least;
+            if (least <= pivot)
+                for (int64_t i = i0; i < i0 + 8 && i < g; i++)
+                    if ((all || keys[i] > low) && keys[i] <= pivot)
+                        order[got++] = (ranked){keys[i], i};
+        }
+        *ready = got;
+        radix_sort(order + start, spare, got - start);
         *edge = pivot;
         *fresh = 0;
     }
