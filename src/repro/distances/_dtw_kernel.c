@@ -780,7 +780,8 @@ int fast_walk(const double *q, int64_t n, const double *keys,
     for (int64_t chunk = 16; waiting || verified < g; ) {
         if (picked >= groups && members >= k)
             break;
-        /* The key order is extended only as far as the walk reads it. */
+        /* The key order is extended only as far as the walk reads it: a
+         * step that chooses reads the next key, one that verifies a chunk. */
         int64_t stop = verified + chunk < g ? verified + chunk : g;
         if (ready == verified)
             extend(keys, g, stop, order, &ready, &edge, &fresh, rest, spare);
