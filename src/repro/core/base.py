@@ -40,6 +40,7 @@ from repro.distances.metrics import as_sequence
 from repro.distances.normalize import minmax_normalize
 from repro.exceptions import (
     DatasetError,
+    InvariantError,
     NotBuiltError,
     ReadOnlyBaseError,
     ValidationError,
@@ -580,6 +581,8 @@ class LengthBucket:
         held weakly so that no copy of the bucket reads another's memory."""
         stores, held = (self._centroid_store, self._count_store), self._addressed
         if not held or held[0]() is not stores[0] or held[1]() is not stores[1]:
+            if not all(a.flags.c_contiguous for a in stores):  # the C reads rows by offset
+                raise InvariantError(f"length-{self.length} stores are not C-contiguous")
             held = self._addressed = (*map(weakref.ref, stores), *(a.ctypes.data for a in stores))
         return held[2:]
 

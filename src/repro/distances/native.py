@@ -329,9 +329,10 @@ def fast_walk(
 ) -> tuple[np.ndarray, int] | None:
     """``QueryProcessor._walk``'s fast rule in C: the table rows it refines,
     in order, and how many representatives it verified, from its *keys*,
-    ``(lengths, gids, rows)`` *columns* and each length's ``(length,
-    centroids address, member counts address)``.  ``None`` where a NaN key
-    or a non-finite centroid met the walk: the Python walk decides those."""
+    ``(lengths, gids, rows)`` *columns* and *stores*, each length's
+    ``(length, centroids address, member counts address)``.  ``None`` where
+    a NaN key or a non-finite centroid met the walk: the Python walk
+    decides those."""
     # Every array the C reads is held here until it returns.
     q, *arrays = [None if a is None else np.ascontiguousarray(a) for a in (q, keys, *columns)]
     top = max(length for length, _, _ in stores) + 1
