@@ -372,8 +372,14 @@ class _Rekeyed(QueryProcessor):
 
 #: The keys a walk case ranks on: the table's bounds, all zeros (every
 #: representative verified), and integers above every estimate, so the
-#: walk chooses from its first chunks and ties cross their boundaries.
-_REKEYS = [lambda bounds: bounds, np.zeros_like, lambda bounds: np.floor(bounds) + 100.0]
+#: walk chooses from its first chunks and ties cross their boundaries —
+#: also with the first key below the rest, alone in its high bytes.
+_REKEYS = [
+    lambda bounds: bounds,
+    np.zeros_like,
+    lambda bounds: np.floor(bounds) + 100.0,
+    lambda bounds: np.where(np.arange(bounds.size) == 0, 0.5, np.floor(bounds) + 100.0),
+]
 
 
 @st.composite
@@ -408,7 +414,8 @@ def walk_cases(draw):
         refine_groups=draw(st.integers(1, 3)),
     )
     rekey = draw(st.sampled_from(_REKEYS))
-    return base, q, draw(st.integers(1, 8)), draw(st.none() | subset), config, rekey
+    k = draw(st.integers(1, 8) | st.just(500))  # 500: every group is chosen, in walk order
+    return base, q, k, draw(st.none() | subset), config, rekey
 
 
 def _fast_query(base, q, k, lengths, config, rekey):
