@@ -1020,17 +1020,15 @@ class QueryProcessor:
         """``(raw, normalized)`` metric distances from *q* to stacked rows.
 
         One vectorised kernel call when the registered metric has a batch
-        kernel for this shape; otherwise a scalar ``pair`` loop — the
-        brute-force-verified fallback every metric is guaranteed to have.
+        kernel; otherwise (``weighted_dtw``) a scalar ``pair`` loop.
         """
         spec = self._spec
         channels = self._base.channels
         window = self._config.window
         if spec.batch is not None:
-            out = spec.batch(q, rows, length, channels, window)
-            if out is not None:
-                return out
-        pairs = [spec.pair_shaped(q, row, length, channels, window) for row in rows]
+            return spec.batch(q, rows, length, channels, window)
+        shape = (-1, channels) if channels > 1 else (-1,)
+        pairs = [spec.pair(q.reshape(shape), row.reshape(shape), window) for row in rows]
         raws, norms = np.array(pairs, dtype=np.float64).reshape(-1, 2).T
         return raws, norms
 

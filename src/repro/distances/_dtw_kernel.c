@@ -144,10 +144,16 @@ static int64_t trace(const int8_t *codes, int64_t nb, int64_t m, int64_t c,
     return p;
 }
 
+static double abs_diff_sum(const double *a, const double *b, int64_t n);
+
 /*
  * DTW from x to g candidates, the rows of a (g, width) matrix of which
- * row c is read to lens[c] (to m when lens is NULL; m <= width).  x is one
- * query of length n (x_stride 0) or, paired, a (g, n) stack (x_stride n).
+ * row c is read to lens[c] time steps (to m when lens is NULL).  x is one
+ * query of n time steps (x_stride 0) or, paired, a (g, n * channels) stack
+ * (x_stride n * channels).  A time step is channels contiguous values;
+ * with more than one, row i's ground costs are abs_diff_sum over them,
+ * read in place (the block copies go unused), and run through step_* as
+ * y against a zero x lane, which the l1 ground reads back unchanged.
  * window < 0 is unconstrained; otherwise candidate c's band is
  * max(window, |n - m_c|).  Writes dist[g]; with TRACK_LENGTH plens[g];
  * with TRACK_PATH plens[g] and each path's cells into rows of path_i and
@@ -156,14 +162,15 @@ static int64_t trace(const int8_t *codes, int64_t nb, int64_t m, int64_t c,
  */
 int dtw_batch(const double *x, int64_t x_stride, const double *rows,
               int64_t width, const int64_t *lens, int64_t g, int64_t n,
-              int64_t m, int64_t window, int32_t squared, int32_t track,
+              int64_t m, int64_t channels, int64_t window, int32_t squared,
+              int32_t track,
               double *dist, int64_t *plens, int64_t *path_i, int64_t *path_j,
               int64_t path_width)
 {
     int64_t cap = g < BLOCK ? g : BLOCK;
     int64_t row = m * cap;
     int lengths = track == TRACK_LENGTH;
-    double *scratch = malloc(sizeof(double) * (n * cap + 3 * row + 3 * cap));
+    double *scratch = malloc(sizeof(double) * (n * cap + 4 * row + 3 * cap));
     double *lens_scratch = lengths ? calloc(2 * row, sizeof(double)) : NULL;
     int8_t *codes = track == TRACK_PATH ? malloc((size_t)(n * row)) : NULL;
     if (!scratch || (lengths && !lens_scratch) || (track == TRACK_PATH && !codes)) {
@@ -182,6 +189,7 @@ int dtw_batch(const double *x, int64_t x_stride, const double *rows,
         double *band = cur + row;          /* per-candidate bands */
         double *inf = band + cap;
         double *zero = inf + cap;
+        double *grounds = zero + cap;      /* (m, nb) row i's, channels > 1 */
         double *len_prev = lens_scratch;
         double *len_cur = lengths ? lens_scratch + row : NULL;
 
@@ -217,8 +225,18 @@ int dtw_batch(const double *x, int64_t x_stride, const double *rows,
                 lo = i - widest > 0 ? i - widest : 0;
                 hi = i + widest < m - 1 ? i + widest : m - 1;
             }
+            const double *x_row = xs + i * nb, *y_cols = cols;
+            if (channels > 1) {
+                for (int64_t j = lo; j <= hi; j++)
+                    for (int64_t c = 0; c < nb; c++)
+                        grounds[j * nb + c] = abs_diff_sum(
+                            x + (b0 + c) * x_stride + i * channels,
+                            rows + (b0 + c) * width + j * channels, channels);
+                x_row = zero;
+                y_cols = grounds;
+            }
             for (int64_t j = lo; j <= hi; j++) {
-                const double *xi = xs + i * nb, *yj = cols + j * nb;
+                const double *xi = x_row, *yj = y_cols + j * nb;
                 const double *up = i ? prev + j * nb : inf;
                 const double *left = j > lo ? cur + (j - 1) * nb : inf;
                 const double *diag = i && j ? prev + (j - 1) * nb
@@ -837,7 +855,7 @@ int fast_walk(const double *q, int64_t n, const double *keys,
         for (int64_t b0 = 0; b0 < size; b0 += BLOCK) {
             int64_t nb = size - b0 < BLOCK ? size - b0 : BLOCK;
             if (dtw_batch(q, 0, padded + b0 * widest, widest, lens + b0, nb, n,
-                          lens[b0 + nb - 1], window, 0, TRACK_NONE, dist + b0,
+                          lens[b0 + nb - 1], 1, window, 0, TRACK_NONE, dist + b0,
                           NULL, NULL, NULL, 0))
                 goto done;
         }

@@ -13,7 +13,9 @@ Three families of implementation, each for a different job:
 - :func:`dtw_distance_batch` (and :func:`dtw_distance`, its one-pair
   form, :func:`dtw_path_batch` and :func:`dtw_distance_condensed`) —
   **one** kernel entry point, ``_dtw_batch_diagonal``, the workhorse of
-  the ONEX query processor, with two backends bit-identical to each
+  the ONEX query processor, the seasonal verifier, the sensitivity
+  profile, the k-NN classifier and the registry's ``dtw`` and
+  ``derivative_dtw`` batches, with two backends bit-identical to each
   other: the **native** one (:mod:`repro.distances.native`, 3–30x faster
   per call) and the **NumPy** anti-diagonal kernel below, which runs
   wherever the C one did not load and is the oracle it is held to.
@@ -37,17 +39,25 @@ Three families of implementation, each for a different job:
   connectors of a whole response, or the transfer-bound paths of a
   bucket's representatives, for the price of one kernel call.
 - :func:`dtw_cost_matrix` / :func:`dtw_path` — straightforward row-scan DP
-  with traceback: the path of the reference implementations, and the
-  independent oracle the batch kernel is tested against.
+  with traceback: the path of the reference implementations, the
+  registry's ``dtw`` and ``derivative_dtw`` ``pair``, and the
+  independent oracle the batch kernel is tested against.  Its scan,
+  ``_row_scan``, also runs ``weighted_dtw`` over that metric's weighted
+  ground costs.
 - :func:`dtw_distance_early_abandon` — row-scan with a best-so-far
   threshold and optional cumulative lower bounds, the one-pair scan of
-  the UCR Suite baseline and nothing else.  ONEX's own cascade, the
-  seasonal verifier, the sensitivity profile and the k-NN classifier
-  all run :func:`dtw_distance_batch` instead.
+  the UCR Suite baseline and nothing else.
+
+*Channels*: :func:`dtw_distance_batch`, :func:`dtw_cost_matrix` and
+:func:`dtw_path` also take ``(length, channels)`` windows
+(multi-dimensional, "dependent" DTW after Shokoohi-Yekta et al.): the
+ground cost of a cell is then ``sum_c |a_ic - b_jc|``, added up in
+NumPy's ``sum(axis=-1)`` order, and the recurrence and tie-break are the
+univariate ones.  The squared ground is univariate only.
 
 The batch kernel is held to :func:`dtw_path` bit for bit — distances,
-path lengths and paths, every radius, ragged or not, on both backends —
-in the property-test suite.
+path lengths and paths, every radius, ragged or not, at one channel or
+several, on both backends — in the property-test suite.
 """
 
 from __future__ import annotations
@@ -60,7 +70,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from repro.distances import native
-from repro.distances.metrics import as_sequence
+from repro.distances.metrics import as_sequence, as_window
 from repro.exceptions import ValidationError
 
 __all__ = [
@@ -150,59 +160,76 @@ def dtw_cost_matrix(
 ) -> np.ndarray:
     """Full cumulative-cost matrix ``C`` with ``C[i, j] = DTW(x[:i+1], y[:j+1])``.
 
-    Cells outside the Sakoe–Chiba band are ``inf``.  Quadratic memory; use
-    :func:`dtw_distance` when only the final distance is needed.
+    *x* and *y* are 1-D, or ``(length, channels)`` windows of one channel
+    count.  Cells outside the Sakoe–Chiba band are ``inf``.  Quadratic
+    memory; use :func:`dtw_distance` when only the final distance is needed.
     """
-    a = as_sequence(x, name="x")
-    b = as_sequence(y, name="y")
-    squared = _ground_is_squared(ground)
-    n, m = a.shape[0], b.shape[0]
-    band = effective_band(n, m, window)
+    return np.array(_cost_rows(x, y, window, ground))
 
-    cost = np.full((n, m), _INF, dtype=np.float64)
-    for i in range(n):
+
+def _cost_rows(x: ArrayLike, y: ArrayLike, window: int | None, ground: str) -> list[list[float]]:
+    """:func:`dtw_cost_matrix`'s rows, as lists of floats."""
+    a = as_window(x, name="x")
+    b = as_window(y, name="y")
+    squared = _ground_is_squared(ground)
+    if a.shape[1:] != b.shape[1:] or (squared and a.ndim == 2):
+        raise ValidationError(
+            f"x and y must be 1-D, or l1-ground windows of one channel count; "
+            f"got shapes {a.shape} and {b.shape}"
+        )
+    diff = a[:, None] - b[None, :]
+    local = diff * diff if squared else np.abs(diff)
+    band = effective_band(a.shape[0], b.shape[0], window)
+    return _row_scan(local.sum(axis=-1) if a.ndim == 2 else local, band)
+
+
+def _row_scan(local: np.ndarray, band: int | None) -> list[list[float]]:
+    """The cumulative costs of an ``(n, m)`` matrix of ground costs, in *band*."""
+    m = local.shape[1]
+    cost: list[list[float]] = []
+    prev = [_INF] * m
+    for i, ground_i in enumerate(local.tolist()):
         j_lo, j_hi = 0, m - 1
         if band is not None:
             j_lo, j_hi = max(0, i - band), min(m - 1, i + band)
-        row_prev = cost[i - 1] if i > 0 else None
-        running = _INF  # cost[i, j-1] as the scan moves right
-        xi = a[i]
+        row = [_INF] * m
+        running = _INF if i else 0.0  # cost[i][j - 1]; 0 left of the origin
         for j in range(j_lo, j_hi + 1):
-            diff = xi - b[j]
-            d = diff * diff if squared else abs(diff)
-            if i == 0 and j == 0:
-                best = 0.0
-            else:
-                up = row_prev[j] if row_prev is not None else _INF
-                diag = row_prev[j - 1] if (row_prev is not None and j > 0) else _INF
-                best = min(up, diag, running)
-            value = d + best
-            cost[i, j] = value
-            running = value
+            # min(up, diag, left), inlined: the first of equals wins.
+            best = prev[j]
+            if j and prev[j - 1] < best:
+                best = prev[j - 1]
+            if running < best:
+                best = running
+            running = row[j] = ground_i[j] + best
+        cost.append(row)
+        prev = row
     return cost
 
 
 def _as_batch_rows(rows: ArrayLike) -> np.ndarray:
+    """*rows* as a ``(g, m)`` stack or a ``(g, m, channels)`` one."""
     mat = np.asarray(rows, dtype=np.float64)
-    if mat.ndim != 2:
-        raise ValidationError(f"rows must be 2-D, got shape {mat.shape}")
-    if mat.shape[0] and mat.shape[1] == 0:
-        raise ValidationError("rows must have at least one column")
+    if mat.ndim not in (2, 3):
+        raise ValidationError(f"rows must be 2-D or 3-D (rows, length, channels), got {mat.shape}")
+    if mat.shape[0] and 0 in mat.shape[1:]:
+        raise ValidationError("rows must have at least one column and channel")
     if not np.all(np.isfinite(mat)):
         raise ValidationError("rows contain NaN or infinite values")
     return mat
 
 
-def _as_query_stack(x: ArrayLike) -> np.ndarray:
-    """*x* as a 1-D query or a paired 2-D query stack (see paired mode)."""
+def _as_query_stack(x: ArrayLike, mat: np.ndarray) -> np.ndarray:
+    """*x* as one query of *mat*'s rows' shape or, with one more axis, a
+    paired stack (see paired mode)."""
     probe = np.asarray(x, dtype=np.float64)
-    if probe.ndim == 2:
-        if probe.shape[1] == 0:
-            raise ValidationError("paired queries must have at least one column")
-        if not np.all(np.isfinite(probe)):
-            raise ValidationError("paired queries contain NaN or infinite values")
-        return probe
-    return as_sequence(x, name="x")
+    if probe.ndim != mat.ndim:
+        probe = as_window(probe, name="x")
+    elif 0 in probe.shape[1:] or not np.all(np.isfinite(probe)):
+        raise ValidationError("paired queries must be non-empty and finite")
+    if mat.ndim == 3 and (probe.ndim < 2 or probe.shape[-1] != mat.shape[2]):
+        raise ValidationError(f"queries of shape {probe.shape} do not fit rows of {mat.shape}")
+    return probe
 
 
 def _as_row_lengths(lengths: ArrayLike, mat: np.ndarray) -> np.ndarray:
@@ -228,6 +255,8 @@ def _as_candidates(
     mat = _as_batch_rows(rows)
     lens = None if lengths is None else _as_row_lengths(lengths, mat)
     squared = _ground_is_squared(ground)
+    if squared and mat.ndim == 3:
+        raise ValidationError("the squared ground is univariate only")
     if window is not None and window < 0:
         raise ValidationError(f"window must be >= 0, got {window}")
     return mat, lens, squared
@@ -275,12 +304,19 @@ def dtw_distance_batch(
     representative cascade verify one bound-ordered chunk spanning many
     length buckets in a single call.
 
+    **Channels**: *rows* may be a ``(g, m, channels)`` stack, and *x* is
+    then one ``(n, channels)`` window or a paired ``(g, n, channels)``
+    stack; a cell's ground cost is the per-channel L1 sum (module
+    docstring).  One channel runs the univariate kernel.
+
     The property-test suite holds every mode to :func:`dtw_path`, bit
     for bit.
     """
-    a = _as_query_stack(x)
     mat, lens, squared = _as_candidates(rows, lengths, window, ground)
-    if a.ndim == 2 and a.shape[0] != mat.shape[0]:
+    a = _as_query_stack(x, mat)
+    if mat.ndim == 3 and mat.shape[2] == 1:
+        a, mat = a[..., 0], mat[..., 0]  # one channel: the univariate kernel
+    if a.ndim == mat.ndim and a.shape[0] != mat.shape[0]:
         raise ValidationError(
             f"paired mode needs matching row counts, got {a.shape[0]} "
             f"queries for {mat.shape[0]} candidates"
@@ -340,6 +376,9 @@ def _dtw_batch_numpy(
     read.  A band can hold ``i_lo`` still for two diagonals, so the row
     under the range is reset to ``inf`` as each diagonal is written.
 
+    With channels, a diagonal's ground is first its ``(width, g,
+    channels)`` absolute differences, then their sum over the last axis.
+
     *track* says what to keep of the two comparisons that pick every
     cell's predecessor: ``None`` nothing (distances only); ``"length"``
     the tie-broken path's running length, returned second; ``"path"``
@@ -349,8 +388,8 @@ def _dtw_batch_numpy(
     """
     if lens is not None:
         mat = mat[:, : lens.max()]  # columns no candidate reaches
-    g, m = mat.shape
-    n = a.shape[-1]
+    g, m = mat.shape[:2]
+    n = a.shape[1] if a.ndim == mat.ndim else a.shape[0]
     # Diagonals on which candidates finish (corner cell (n-1, m_c-1)).
     if lens is None:
         ends: dict[int, slice | np.ndarray] = {n + m - 2: slice(None)}
@@ -379,12 +418,15 @@ def _dtw_batch_numpy(
             else:
                 twice_i = 2 * np.arange(n)[:, None]
 
-    rev = np.ascontiguousarray(mat[:, ::-1].T)  # rev[t] is column m - 1 - t
-    q = np.ascontiguousarray(a.T) if a.ndim == 2 else a[:, None]
+    # rev[t] is column m - 1 - t; a channel axis stays last.
+    rev = np.ascontiguousarray(mat[:, ::-1].swapaxes(0, 1))
+    q = np.ascontiguousarray(a.swapaxes(0, 1)) if a.ndim == mat.ndim else a[:, None]
     prev = np.full((n + 1, g), _INF)
     prevprev = np.full((n + 1, g), _INF)
     cur = np.full((n + 1, g), _INF)
     ground = np.empty((n, g))
+    # Per-channel |differences|, each lane's channels contiguous.
+    lanes = np.empty((n, g, mat.shape[2])) if mat.ndim == 3 else None
     out = np.empty(g)
     codes = plens = None
     if track == "path":
@@ -413,12 +455,15 @@ def _dtw_batch_numpy(
         width = i_hi - i_lo + 1
         lo, hi = slice(i_lo, i_hi + 1), slice(i_lo + 1, i_hi + 2)
         d = ground[:width]
+        e = d if lanes is None else lanes[:width]
         t_lo = m - 1 - k + i_lo
-        np.subtract(rev[t_lo : t_lo + width], q[lo], out=d)
+        np.subtract(rev[t_lo : t_lo + width], q[lo], out=e)
         if squared:
             np.multiply(d, d, out=d)
         else:
-            np.abs(d, out=d)
+            np.abs(e, out=e)
+        if lanes is not None:
+            e.sum(axis=-1, out=d)
         cell = cur[hi]
         if k == 0:
             cell[...] = d
@@ -530,6 +575,8 @@ def dtw_path_batch(
     """
     a = as_sequence(x, name="x")
     mat, lens, squared = _as_candidates(rows, lengths, window, ground)
+    if mat.ndim == 3:
+        raise ValidationError("dtw_path_batch takes univariate (2-D) rows")
     g, n = mat.shape[0], a.shape[0]
     widths = np.full(g, mat.shape[1]) if lens is None else lens
     longest = n + int(widths.max(initial=1)) - 1
@@ -654,28 +701,25 @@ def dtw_path(
     symmetric; ``path_length`` and therefore ``normalized_distance`` need
     not be (``x = [0, 0, -1, 0, 0, 0]``, ``y = [-1, 1, 0, 0, 0]``: raw 3.0
     both ways, normalised 3/6 against 3/7).  Every caller ranks with the
-    query as *x*, so answers are deterministic either way.
+    query as *x*, so answers are deterministic either way.  *x* and *y*
+    may be ``(length, channels)`` windows, as in :func:`dtw_cost_matrix`.
     """
-    a = as_sequence(x, name="x")
-    b = as_sequence(y, name="y")
-    cost = dtw_cost_matrix(a, b, window=window, ground=ground)
-    n, m = cost.shape
-    distance = float(cost[n - 1, m - 1])
+    cost = _cost_rows(x, y, window, ground)
+    n, m = len(cost), len(cost[0])
+    distance = cost[n - 1][m - 1]
     if not math.isfinite(distance):
         raise ValidationError(
             "no feasible warping path (window too narrow for these lengths)"
         )
     path: list[tuple[int, int]] = [(n - 1, m - 1)]
     i, j = n - 1, m - 1
-    while (i, j) != (0, 0):
-        candidates: list[tuple[float, tuple[int, int]]] = []
-        if i > 0 and j > 0:
-            candidates.append((cost[i - 1, j - 1], (i - 1, j - 1)))
-        if i > 0:
-            candidates.append((cost[i - 1, j], (i - 1, j)))
-        if j > 0:
-            candidates.append((cost[i, j - 1], (i, j - 1)))
-        _, (i, j) = min(candidates, key=lambda item: item[0])
+    while i or j:
+        if i and j:
+            steps = [(i - 1, j - 1), (i - 1, j), (i, j - 1)]
+        else:
+            steps = [(i - 1, j)] if i else [(i, j - 1)]
+        # The first of equal costs wins: diagonal, vertical, horizontal.
+        i, j = min(steps, key=lambda step: cost[step[0]][step[1]])
         path.append((i, j))
     path.reverse()
     return DtwResult(distance=distance, path=tuple(path))

@@ -17,6 +17,7 @@ from repro.exceptions import ValidationError
 
 __all__ = [
     "as_sequence",
+    "as_window",
     "chebyshev",
     "euclidean",
     "euclidean_l1",
@@ -37,6 +38,22 @@ def as_sequence(values, *, name: str = "sequence") -> np.ndarray:
         raise ValidationError(f"{name} must be 1-D, got shape {arr.shape}")
     if arr.size == 0:
         raise ValidationError(f"{name} must be non-empty")
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError(f"{name} contains NaN or infinite values")
+    return arr
+
+
+def as_window(values, *, name: str = "sequence") -> np.ndarray:
+    """Like :func:`as_sequence` but also admits 2-D ``(length, channels)``
+    multichannel values."""
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim == 1:
+        return as_sequence(arr, name=name)
+    if arr.ndim != 2 or arr.size == 0:
+        raise ValidationError(
+            f"{name} must be a non-empty 1-D or (length, channels) array, "
+            f"got shape {arr.shape}"
+        )
     if not np.all(np.isfinite(arr)):
         raise ValidationError(f"{name} contains NaN or infinite values")
     return arr

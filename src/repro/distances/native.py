@@ -59,6 +59,7 @@ _DTW_ARGTYPES = (
     ctypes.c_int64,  # g
     ctypes.c_int64,  # n
     ctypes.c_int64,  # m
+    ctypes.c_int64,  # channels
     ctypes.c_int64,  # window
     ctypes.c_int32,  # squared
     ctypes.c_int32,  # track
@@ -211,14 +212,18 @@ def dtw_batch(
 ) -> np.ndarray | tuple[np.ndarray, object]:
     """``_dtw_batch_diagonal``'s contract in C; inputs already validated.
 
-    Returns the distances; with ``track="length"`` also the path lengths;
-    with ``track="path"`` also ``(path_lengths, i, j)``, the ``-1``-padded
-    path cells of :class:`~repro.distances.dtw.DtwPathBatch`.
+    A ``(g, m, channels)`` *mat* takes ``(n, channels)`` queries, as the
+    NumPy kernel does.  Returns the distances; with ``track="length"``
+    also the path lengths; with ``track="path"`` also ``(path_lengths, i,
+    j)``, the ``-1``-padded path cells of
+    :class:`~repro.distances.dtw.DtwPathBatch`.
     """
     a = np.ascontiguousarray(a)
     mat = np.ascontiguousarray(mat)
-    g, width = mat.shape
-    n = a.shape[-1]
+    g, width = mat.shape[:2]
+    channels = mat.shape[2] if mat.ndim == 3 else 1
+    paired = a.ndim == mat.ndim
+    n = a.shape[1] if paired else a.shape[0]
     m = width if lens is None else int(lens.max())
     if lens is not None:
         lens = np.ascontiguousarray(lens)
@@ -230,13 +235,14 @@ def dtw_batch(
         j = np.full((g, n + m - 1), -1, dtype=np.int64)
     status = KERNEL.dtw_batch(
         a.ctypes.data,
-        n if a.ndim == 2 else 0,
+        n * channels if paired else 0,
         mat.ctypes.data,
-        width,
+        width * channels,
         _address(lens),
         g,
         n,
         m,
+        channels,
         -1 if window is None else int(window),
         squared,
         _TRACKS[track],

@@ -8,7 +8,8 @@ The query layers resolve their metric here (DESIGN.md §9).  A registered
   thresholds are expressed in (mean-per-element for the Lp family, cost
   per warping-path step for the DTW family);
 - ``batch`` — an optional vectorised kernel evaluating one query against
-  a stack of flattened candidate rows in a single numpy dispatch;
+  a stack of flattened candidate rows in one call (``weighted_dtw`` alone
+  has none);
 - ``lower_bound`` — an optional group-level bound family: given the
   normalized distance from the query to each group representative and
   the group radii, a provable lower bound on the distance to *any*
@@ -20,7 +21,11 @@ channels)`` rows of width ``length * channels``); ``pair`` receives the
 channel-shaped array, ``batch`` the flattened rows.  The triangle
 inequality of the Lp metrics holds verbatim on flattened rows, which is
 what makes the stored ``ed_radius`` / ``cheb_radius`` usable as bound
-inputs for any channel count.  DTW on a univariate base walks on the
+inputs for any channel count.  ``dtw`` and ``derivative_dtw`` run the
+one DTW recurrence of :mod:`repro.distances.dtw` at every channel count:
+``pair`` is :func:`~repro.distances.dtw.dtw_path` and ``batch`` the batch
+kernel on rows reshaped to ``(rows, length, channels)``, with the ground
+cost summed over channels.  DTW on a univariate base walks on the
 representative table's own rank bounds and batch kernel instead.
 """
 
@@ -33,8 +38,8 @@ from typing import Callable
 import numpy as np
 from numpy.typing import ArrayLike
 
-from repro.distances.dtw import dtw_distance_batch, effective_band
-from repro.distances.variants import derivative, weighted_dtw
+from repro.distances.dtw import dtw_distance_batch, dtw_path
+from repro.distances.variants import weighted_dtw
 from repro.exceptions import ValidationError
 
 __all__ = [
@@ -64,8 +69,9 @@ class MetricSpec:
         univariate windows, ``(length, channels)`` otherwise).
     batch:
         ``batch(q_flat, rows, length, channels, window) -> (raws,
-        normalized)`` over flattened candidate rows, or ``None`` when the
-        metric has no vectorised kernel (the walk then loops ``pair``).
+        normalized)`` over flattened candidate rows, for every channel
+        count; ``None`` when the metric has no vectorised kernel (the walk
+        then loops ``pair``).
     lower_bound:
         ``lower_bound(rep_normalized, ed_radii, cheb_radii) -> bounds``
         mapping per-group representative distances and radii to provable
@@ -83,22 +89,6 @@ class MetricSpec:
     lower_bound: Callable | None = None
     elastic: bool = True
     multivariate: bool = True
-
-    def pair_shaped(
-        self,
-        q_flat: np.ndarray,
-        row_flat: np.ndarray,
-        length: int,
-        channels: int,
-        window: int | None,
-    ) -> tuple[float, float]:
-        """Run :attr:`pair` on flattened rows, restoring channel shape."""
-        if channels > 1:
-            q = q_flat.reshape(-1, channels)
-            r = row_flat.reshape(length, channels)
-        else:
-            q, r = q_flat, row_flat
-        return self.pair(q, r, window)
 
 
 class DistanceRegistry:
@@ -144,71 +134,27 @@ class DistanceRegistry:
         return len(self._specs)
 
 
-def _dtw_pair_dependent(
-    x: ArrayLike, y: ArrayLike, window: int | None
-) -> tuple[float, float]:
-    """Dependent DTW on channel-shaped windows, with tracked path length.
+def _dtw_pair(x: ArrayLike, y: ArrayLike, window: int | None) -> tuple[float, float]:
+    result = dtw_path(x, y, window=window)
+    return result.distance, result.normalized_distance
 
-    Ground cost between time steps is the summed per-channel absolute
-    difference (for 1-D inputs this is exactly the library's default
-    ``ground="l1"`` DTW).  The predecessor tie-break — diagonal, then
-    vertical, then horizontal — matches :func:`repro.distances.dtw.
-    dtw_path`, so the normalized value agrees with the cascade's on
-    univariate input.
-    """
-    a = np.atleast_2d(np.asarray(x, dtype=np.float64).T).T
-    b = np.atleast_2d(np.asarray(y, dtype=np.float64).T).T
-    n, m = a.shape[0], b.shape[0]
-    band = effective_band(n, m, window)
-    inf = math.inf
-    cost_prev = [inf] * m
-    plen_prev = [0] * m
-    ground = np.abs(a[:, None, :] - b[None, :, :]).sum(axis=2)
-    for i in range(n):
-        j_lo, j_hi = 0, m - 1
-        if band is not None:
-            j_lo, j_hi = max(0, i - band), min(m - 1, i + band)
-        cost_cur = [inf] * m
-        plen_cur = [0] * m
-        for j in range(j_lo, j_hi + 1):
-            d = ground[i, j]
-            if i == 0 and j == 0:
-                cost_cur[0] = d
-                plen_cur[0] = 1
-                continue
-            up = cost_prev[j]
-            diag = cost_prev[j - 1] if j > 0 else inf
-            left = cost_cur[j - 1] if j > 0 else inf
-            if diag <= up and diag <= left:
-                best, plen = diag, plen_prev[j - 1]
-            elif up <= left:
-                best, plen = up, plen_prev[j]
-            else:
-                best, plen = left, plen_cur[j - 1]
-            cost_cur[j] = d + best
-            plen_cur[j] = plen + 1
-        cost_prev, plen_prev = cost_cur, plen_cur
-    raw = cost_prev[m - 1]
-    if not math.isfinite(raw):
-        raise ValidationError(
-            "no feasible warping path (window too narrow for these lengths)"
-        )
-    return float(raw), float(raw) / plen_prev[m - 1]
+
+def _dtw_normalized(q: np.ndarray, rows: np.ndarray, window: int | None) -> Distances:
+    """Batch DTW on channel-shaped windows, with its cost per path step."""
+    raws, plens = dtw_distance_batch(q, rows, window=window, with_path_length=True)
+    return raws, raws / plens
 
 
 def _dtw_batch(
     q_flat: np.ndarray, rows: np.ndarray, length: int, channels: int, window: int | None
-) -> Distances | None:
-    if channels > 1:
-        return None  # dependent DTW has no batched kernel; scan loops pair
-    raws, plens = dtw_distance_batch(
-        q_flat, rows, window=window, with_path_length=True
+) -> Distances:
+    return _dtw_normalized(
+        q_flat.reshape(-1, channels), rows.reshape(len(rows), length, channels), window
     )
-    return raws, raws / plens
 
 
 def _derivative_rows(rows: np.ndarray) -> np.ndarray:
-    """Keogh–Pazzani derivative of every row of a 2-D stack."""
+    """Keogh–Pazzani derivative of every row of a stack, per channel."""
     if rows.shape[1] < 3:
         raise ValidationError("derivative needs at least 3 points")
     x = rows
@@ -219,42 +165,25 @@ def _derivative_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def _ddtw_pair(x: ArrayLike, y: ArrayLike, window: int | None) -> tuple[float, float]:
-    a = np.asarray(x, dtype=np.float64)
-    b = np.asarray(y, dtype=np.float64)
-    if a.shape[0] < 3 or b.shape[0] < 3:
-        raise ValidationError("derivative needs at least 3 points")
-    if a.ndim == 2:
-        da = np.column_stack([derivative(a[:, c]) for c in range(a.shape[1])])
-        db = np.column_stack([derivative(b[:, c]) for c in range(b.shape[1])])
-    else:
-        da, db = derivative(a), derivative(b)
-    return _dtw_pair_dependent(da, db, window)
+    dx, dy = (_derivative_rows(np.asarray(v, dtype=np.float64)[None])[0] for v in (x, y))
+    return _dtw_pair(dx, dy, window)
 
 
 def _ddtw_batch(
     q_flat: np.ndarray, rows: np.ndarray, length: int, channels: int, window: int | None
-) -> Distances | None:
-    if channels > 1:
-        return None
-    raws, plens = dtw_distance_batch(
-        _derivative_rows(q_flat[None, :])[0],
-        _derivative_rows(rows),
-        window=window,
-        with_path_length=True,
+) -> Distances:
+    return _dtw_normalized(
+        _derivative_rows(q_flat.reshape(1, -1, channels))[0],
+        _derivative_rows(rows.reshape(len(rows), length, channels)),
+        window,
     )
-    return raws, raws / plens
 
 
 def _wdtw_pair(x: ArrayLike, y: ArrayLike, window: int | None) -> tuple[float, float]:
-    a = np.asarray(x, dtype=np.float64)
-    if a.ndim != 1:
-        raise ValidationError(
-            "metric 'weighted_dtw' supports univariate series only"
-        )
-    raw = weighted_dtw(x, y)
+    raw = weighted_dtw(x, y, window=window)
     # No warping path is tracked; the minimum possible path length is the
     # consistent normaliser (exact when the optimal path is the diagonal).
-    return raw, raw / max(a.shape[0], np.asarray(y).shape[0])
+    return raw, raw / max(len(x), len(y))
 
 
 def _lp_pair(
@@ -323,7 +252,7 @@ REGISTRY = DistanceRegistry()
 REGISTRY.register(
     MetricSpec(
         name="dtw",
-        pair=_dtw_pair_dependent,
+        pair=_dtw_pair,
         batch=_dtw_batch,
         lower_bound=None,  # the univariate cascade has its own LB family
         elastic=True,

@@ -19,11 +19,9 @@ discussion motivates directly:
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from repro.distances.dtw import dtw_distance, dtw_path
+from repro.distances.dtw import _row_scan, dtw_distance, dtw_path, effective_band
 from repro.distances.metrics import as_sequence
 from repro.exceptions import ValidationError
 
@@ -61,14 +59,17 @@ def derivative_dtw(
     )
 
 
-def weighted_dtw(x, y, *, g: float = 0.05, w_max: float = 1.0) -> float:
+def weighted_dtw(
+    x, y, *, g: float = 0.05, w_max: float = 1.0, window: int | None = None
+) -> float:
     """Weighted DTW: ground costs scaled by a sigmoid of |i - j|.
 
     ``w(d) = w_max / (1 + exp(-g * (d - m/2)))`` with ``m`` the longer
     length — small for near-diagonal cells, approaching *w_max* far from
     it.  ``g`` controls how sharply off-diagonal matching is penalised
     (``g=0`` gives a flat ``w_max/2`` weighting, recovering plain DTW up
-    to a constant factor).
+    to a constant factor).  A finite *window* also bands the alignment
+    to a Sakoe–Chiba radius, widened as :func:`effective_band` widens it.
     """
     a = as_sequence(x, name="x")
     b = as_sequence(y, name="y")
@@ -81,24 +82,9 @@ def weighted_dtw(x, y, *, g: float = 0.05, w_max: float = 1.0) -> float:
     # Precompute weights per |i - j| (bounded by max(n, m) - 1).
     offsets = np.arange(max(n, m))
     weights = w_max / (1.0 + np.exp(-g * (offsets - half)))
-
-    inf = math.inf
-    prev = [inf] * m
-    for i in range(n):
-        cur = [inf] * m
-        running = inf
-        for j in range(m):
-            cost = weights[abs(i - j)] * abs(a[i] - b[j])
-            if i == 0 and j == 0:
-                best = 0.0
-            else:
-                diag = prev[j - 1] if j > 0 else inf
-                best = min(prev[j], diag, running)
-            value = cost + best
-            cur[j] = value
-            running = value
-        prev = cur
-    return float(prev[m - 1])
+    local = weights[np.abs(np.subtract.outer(np.arange(n), np.arange(m)))]
+    local *= np.abs(a[:, None] - b[None, :])
+    return _row_scan(local, effective_band(n, m, window))[-1][-1]
 
 
 def dtw_barycenter(

@@ -17,7 +17,7 @@ from numpy.typing import ArrayLike
 from repro.core.query import Match
 from repro.core.seasonal import SeasonalPattern
 from repro.data.timeseries import TimeSeries
-from repro.distances.metrics import as_sequence
+from repro.distances.metrics import as_sequence, as_window
 from repro.exceptions import ValidationError
 
 __all__ = [
@@ -69,21 +69,6 @@ def query_preview_payload(series: TimeSeries, start: int, length: int) -> dict:
     }
 
 
-def _view_values(values: ArrayLike, *, name: str) -> np.ndarray:
-    """Like :func:`as_sequence` but also admits 2-D multichannel values."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim == 1:
-        return as_sequence(arr, name=name)
-    if arr.ndim != 2 or arr.size == 0:
-        raise ValidationError(
-            f"{name} must be a non-empty 1-D or (length, channels) array, "
-            f"got shape {arr.shape}"
-        )
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{name} contains NaN or infinite values")
-    return arr
-
-
 def _path_cells(match: Match, n: int, m: int) -> np.ndarray:
     """``match.path`` as a ``(cells, 2)`` index array that fits an
     ``n``-point query and an ``m``-point match."""
@@ -104,8 +89,8 @@ def similarity_view_payload(
     Multivariate values pass through as ``(length, channels)`` row lists;
     the path indexes time steps, so the connector check is on axis 0.
     """
-    q = _view_values(query, name="query")
-    m = _view_values(match_values, name="match_values")
+    q = as_window(query, name="query")
+    m = as_window(match_values, name="match_values")
     cells = _path_cells(match, q.shape[0], m.shape[0])
     return {
         "view": "similarity",

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.distances import dtw
 from repro.distances.bounds import path_multiplicities
@@ -309,6 +310,57 @@ class TestPathBatch:
             got.multiplicities(2, 3)
         with pytest.raises(ValidationError, match="out of range"):
             got.multiplicities(1, 2)
+
+
+@st.composite
+def channel_stacks(draw):
+    """``(x, rows, lengths)`` at 1, 2, 3 or 9 channels (nine reach the
+    pairwise branch of the channel sum): one query or a paired stack, and
+    ``lengths`` ``None`` (dense) or ragged.  One channel keeps its axis."""
+    channels = draw(st.sampled_from([1, 2, 3, 9]))
+    lengths = draw(st.lists(st.integers(1, 8), min_size=1, max_size=5))
+    n = draw(st.integers(1, 8))
+    values = draw(st.sampled_from([finite_floats, tied_values]))
+
+    def stack(*shape):  # every value drawn on its own (no fill): sums round
+        return arrays(np.float64, shape, elements=values, fill=st.nothing())
+
+    lead = (len(lengths),) if draw(st.booleans()) else ()  # paired
+    x = draw(stack(*lead, n, channels))
+    rows = draw(stack(len(lengths), max(lengths), channels))
+    return x, rows, np.asarray(lengths) if draw(st.booleans()) else None
+
+
+class TestChannels:
+    """``(length, channels)`` windows: the ground is the channel L1 sum."""
+
+    @settings(per_backend, max_examples=100)
+    @given(stack=channel_stacks(), window=st.sampled_from([None, 0, 1, 3]))
+    def test_each_row_equals_dtw_path(self, stack, window):
+        x, rows, lengths = stack
+        dists, plens = dtw_distance_batch(
+            x, rows, window=window, with_path_length=True, lengths=lengths
+        )
+        assert np.array_equal(
+            dists, dtw_distance_batch(x, rows, window=window, lengths=lengths)
+        )
+        for c in range(rows.shape[0]):
+            m = rows.shape[1] if lengths is None else lengths[c]
+            want = dtw_path(x[c] if x.ndim == 3 else x, rows[c, :m], window=window)
+            assert dists[c] == want.distance
+            assert plens[c] == want.path_length
+
+    def test_validation(self):
+        rows = np.zeros((2, 4, 3))
+        for query in (np.zeros(4), np.zeros((4, 2)), np.zeros((2, 4, 2))):
+            with pytest.raises(ValidationError, match="do not fit"):
+                dtw_distance_batch(query, rows)
+        with pytest.raises(ValidationError, match="squared"):
+            dtw_distance_batch(np.zeros((4, 3)), rows, ground="squared")
+        with pytest.raises(ValidationError, match="channel"):
+            dtw_path(np.zeros((4, 3)), np.zeros((4, 2)))
+        with pytest.raises(ValidationError, match="univariate"):
+            dtw_path_batch(np.zeros(4), rows)
 
 
 class TestCondensedPairwise:

@@ -244,6 +244,17 @@ class TestScanExactness:
             naive = _naive_best(engine, dataset.name, metric, qn)
             assert math.isclose(match.distance, naive, rel_tol=1e-9, abs_tol=1e-9)
 
+    def test_weighted_dtw_pair_honours_the_window(self):
+        # Peaks three steps apart: free warping aligns them at no cost; a
+        # zero radius forces the diagonal, w(0) * sum |x - y| = w(0) * 10.
+        spec = get_metric("weighted_dtw")
+        x = np.array([0.0, 0, 0, 5, 0, 0, 0, 0])
+        y = np.array([0.0, 0, 0, 0, 0, 0, 5, 0])
+        assert spec.pair(x, y, None) == (0.0, 0.0)
+        raw, norm = spec.pair(x, y, 0)
+        assert raw == pytest.approx(10.0 / (1.0 + math.exp(0.05 * 4.0)))
+        assert norm == raw / 8
+
     @pytest.mark.parametrize("metric", ("euclidean", "derivative_dtw"))
     def test_matches_within_equals_naive_scan(self, metric):
         engine, dataset = _small_engine(seed=23)

@@ -87,18 +87,21 @@ class TestBaseBuildAndQuery:
         base2 = _build(_mv_dataset())
         assert fp1 == base2.structure_fingerprint()
 
-    def test_default_dtw_matches_naive_scan(self):
-        ds = _mv_dataset(seed=9)
+    @pytest.mark.parametrize(
+        "metric, channels", [("dtw", 2), ("dtw", 3), ("derivative_dtw", 2)]
+    )
+    def test_default_dtw_matches_naive_scan(self, metric, channels):
+        ds = _mv_dataset(seed=9, channels=channels)
         engine = OnexEngine()
         engine.load_dataset(ds, min_length=8, max_length=10)
         rng = np.random.default_rng(1)
-        spec = get_metric("dtw")
+        spec = get_metric(metric)
         base = engine.base(ds.name)
         lo, hi = base.normalization_bounds
         for _ in range(2):
-            q = rng.normal(size=(9, 2))
+            q = rng.normal(size=(9, channels))
             qn = (q - lo) / (hi - lo)
-            match = engine.best_match(ds.name, q)
+            match = engine.best_match(ds.name, q, metric=metric)
             best = math.inf
             for bucket in base.buckets():
                 for group in bucket.groups:
@@ -106,6 +109,16 @@ class TestBaseBuildAndQuery:
                         _, norm = spec.pair(qn, base.dataset.values(ref), None)
                         best = min(best, norm)
             assert math.isclose(match.distance, best, rel_tol=1e-9, abs_tol=1e-9)
+
+    @pytest.mark.usefixtures("kernel_backend")
+    @pytest.mark.parametrize("window", [None, 1])
+    def test_derivative_dtw_batch_equals_pair(self, window):
+        spec = get_metric("derivative_dtw")
+        rng = np.random.default_rng(12)
+        q, rows = rng.normal(size=(9, 2)), rng.normal(size=(70, 10, 2))
+        raws, norms = spec.batch(q.ravel(), rows.reshape(70, -1), 10, 2, window)
+        for k, row in enumerate(rows):
+            assert (raws[k], norms[k]) == spec.pair(q, row, window)
 
     @pytest.mark.parametrize("metric", ("euclidean", "cityblock", "chebyshev"))
     def test_lp_metrics_match_naive_scan(self, metric):
