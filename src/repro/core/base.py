@@ -1362,28 +1362,28 @@ class OnexBase:
     # Persistence
     # ------------------------------------------------------------------
 
-    def save(self, path: str | Path) -> dict[str, str]:
+    def save(self, path: str | Path, *, stream: dict | None = None) -> None:
         """Persist the built base **and its dataset** as a snapshot directory.
 
         A thin delegate to the one on-disk writer
         (:mod:`repro.core.mmap_layout`, durable mode): *path* becomes a
-        directory of ``arrays.bin`` + ``meta.json``, fsynced and hashed.
+        directory of ``arrays.bin`` + ``meta.json``, fsynced and hashed,
+        with *stream* (a checkpoint's streaming state) stored in the meta.
         *path* must not exist — a directory cannot be replaced atomically,
         so an earlier save is kept intact by never touching it
         (:class:`~repro.exceptions.PersistenceError`; save to a fresh path).
-        Returns ``{file name: sha256}`` of the two files as written (the
-        checkpoint manifest's hashes, at no second read).
         """
         from repro.core.mmap_layout import _write_snapshot
 
-        return _write_snapshot(self, path, durable=True)
+        _write_snapshot(self, path, durable=True, stream=stream)
 
     @classmethod
     def load(cls, path: str | Path) -> "OnexBase":
         """Load a saved base as a private, writable base over its own dataset.
 
-        ``arrays.bin`` is checked against the recorded sha256 and the
-        assembled structure against the stored fingerprint; anything
+        ``meta.json`` is checked against its own digest, ``arrays.bin``
+        against the recorded sha256 and the assembled structure against
+        the stored fingerprint; anything
         unreadable (missing, truncated, a ``.npz`` archive, another
         format) raises :class:`~repro.exceptions.PersistenceError`.
         """

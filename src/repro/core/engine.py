@@ -141,7 +141,7 @@ class OnexEngine:
         Unlike :meth:`load_dataset` nothing is rebuilt: *base*, dataset
         included, comes out of a checkpoint's snapshot directory.
         *monitors* / *event_seq* / *stream_counters*
-        re-seed the streaming layer from the checkpoint manifest so a
+        re-seed the streaming layer from the checkpoint's meta so a
         restarted server continues event numbering monotonically; the
         ingestor is created eagerly whenever any of them is present.
         *fingerprint* supplies a precomputed structure fingerprint —

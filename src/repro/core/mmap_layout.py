@@ -12,9 +12,11 @@ files**::
                  only ``build_seconds``: a base reads its counts off
                  its buckets), dataset and series names/metadata,
                  normalisation bounds, indexed lengths, the structure
-                 fingerprint,
-                 ``arrays``: name -> [dtype, shape, byte offset], and
-                 ``arrays_sha256`` (durable snapshots only)
+                 fingerprint, ``arrays``: name -> [dtype, shape, byte
+                 offset], ``arrays_sha256`` (durable snapshots only),
+                 ``stream`` (a checkpoint's monitors, event seq and
+                 stream counters; else null) and ``meta_sha256``, the
+                 digest of every other key
 
 so writing is one sequential dump and attaching is one ``mmap(2)`` (or
 one read) plus a view per directory entry — neither costs anything per
@@ -66,7 +68,15 @@ keyword of the one writer:
   private copies;
 - a **durable** snapshot (:meth:`OnexBase.save`, which checkpoints call
   too) fsyncs both files and both directories and records the sha256 of
-  ``arrays.bin``, hashed while writing.
+  ``arrays.bin``, hashed while writing.  Once the parent directory's
+  fsync returns the snapshot is committed: a checkpoint is nothing more
+  (:mod:`repro.durability.checkpoint`).
+
+With ``verify=True`` (:meth:`OnexBase.load`, checkpoint recovery) a
+snapshot proves itself whole: ``meta.json`` against its own digest,
+``arrays.bin`` against its recorded sha256 and the assembled structure
+against the stored fingerprint.  Unverified (an attaching pool worker)
+the reader still bounds-checks every entry it dereferences.
 
 There is one format and no migration: a ``.npz`` archive (the removed
 formats v2–v5) or a directory of another ``SNAPSHOT_FORMAT`` is refused
@@ -116,8 +126,9 @@ _LOG = get_logger("mmap")
 #: replaced format 1's one ``.npy`` per array (300 files at the 50-series
 #: floor, whose open/parse/map overhead was the whole attach) with the
 #: single ``arrays.bin`` + directory in ``meta.json``; format 3 stores
-#: each member's owner in place of group offsets over group-sorted rows.
-SNAPSHOT_FORMAT = 3
+#: each member's owner in place of group offsets over group-sorted rows;
+#: format 4 adds ``meta_sha256`` and a checkpoint's ``stream`` state.
+SNAPSHOT_FORMAT = 4
 
 ARRAYS_FILE = "arrays.bin"
 META_FILE = "meta.json"
@@ -176,10 +187,14 @@ def save_base_snapshot(base: OnexBase, directory: str | Path) -> Path:
 
 
 def _write_snapshot(
-    base: OnexBase, directory: str | Path, *, durable: bool
-) -> dict[str, str]:
+    base: OnexBase,
+    directory: str | Path,
+    *,
+    durable: bool,
+    stream: dict | None = None,
+) -> None:
     """The one writer (see the module docstring for what *durable* adds);
-    returns ``{file name: sha256}`` of the two files — empty unless *durable*."""
+    *stream* is stored as ``meta["stream"]``."""
     final = Path(directory)
     if final.exists():
         raise PersistenceError(f"snapshot directory {final} already exists")
@@ -188,7 +203,6 @@ def _write_snapshot(
     if tmp.exists():
         shutil.rmtree(tmp)
     tmp.mkdir(parents=True)
-    digests: dict[str, str] = {}
     try:
         arrays: dict[str, list] = {}
         offset = 0
@@ -208,7 +222,6 @@ def _write_snapshot(
             if digest is not None:
                 fh.flush()
                 os.fsync(fh.fileno())
-                digests[ARRAYS_FILE] = digest.hexdigest()
         raw = base.raw_dataset
         bounds = base.normalization_bounds
         meta = {
@@ -227,15 +240,17 @@ def _write_snapshot(
             "lengths": base.lengths,
             "structure_fingerprint": base.structure_fingerprint(),
             "arrays": arrays,
-            "arrays_sha256": digests.get(ARRAYS_FILE),
+            "arrays_sha256": digest.hexdigest() if digest is not None else None,
+            "stream": stream,
         }
-        data = json.dumps(meta, sort_keys=True).encode()
+        # Digest the form a reader parses back (JSON-native, string keys).
+        meta = json.loads(json.dumps(meta, default=float))
+        meta["meta_sha256"] = _meta_digest(meta)
         with open(tmp / META_FILE, "wb") as fh:
-            fh.write(data)
+            fh.write(json.dumps(meta, sort_keys=True).encode())
             fh.flush()
             os.fsync(fh.fileno())
         if durable:
-            digests[META_FILE] = hashlib.sha256(data).hexdigest()
             persist.fsync_dir(tmp)
         faults.fire("persist.save", path=str(tmp / ARRAYS_FILE))
         os.replace(tmp, final)
@@ -246,7 +261,12 @@ def _write_snapshot(
     # in the page cache until the parent directory itself is fsynced.
     faults.fire("persist.rename", path=str(final))
     persist.fsync_dir(final.parent)
-    return digests
+
+
+def _meta_digest(meta: dict) -> str:
+    """sha256 of every key of a parsed ``meta.json`` but ``meta_sha256``."""
+    body = {key: value for key, value in meta.items() if key != "meta_sha256"}
+    return hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
 
 
 def _open_arrays(
@@ -307,11 +327,12 @@ def load_base_snapshot(
     write-protected memory map, the base is **read-only** (mutations
     raise) and its groups are materialised on demand; pass
     ``mmap_mode=None`` to read a private writable copy instead.
-    *verify* checks ``arrays.bin`` against the sha256 a durable write
-    recorded and recomputes the structure fingerprint against the stored
-    one — it touches every page, so it is off by default (epoch attach
-    stays an mmap; a checkpoint's files are hash-checked against the
-    manifest before they get here) and on for :meth:`OnexBase.load`.
+    *verify* checks ``meta.json`` against its own digest, ``arrays.bin``
+    against the sha256 a durable write recorded, and the structure it
+    assembles against the stored fingerprint — it touches every page, so
+    it is off by default (epoch attach stays an mmap) and on for
+    :meth:`OnexBase.load` and checkpoint recovery, whose returned
+    ``meta["structure_fingerprint"]`` is then the verified one.
     Anything but a readable snapshot of this ``SNAPSHOT_FORMAT`` raises
     :class:`PersistenceError`.
     """
@@ -335,6 +356,10 @@ def load_base_snapshot(
         raise PersistenceError(
             f"snapshot {directory} has format {found!r}; only format "
             f"{SNAPSHOT_FORMAT} is read (no migration: rebuild the base)"
+        )
+    if verify and meta.get("meta_sha256") != _meta_digest(meta):
+        raise PersistenceError(
+            f"snapshot meta {meta_path} failed its digest (tampered with)"
         )
     try:
         base = _attach(directory, meta, mmap_mode, verify)

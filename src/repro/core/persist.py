@@ -20,7 +20,6 @@ filesystem's problem.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from pathlib import Path
@@ -28,7 +27,6 @@ from pathlib import Path
 __all__ = [
     "atomic_json_write",
     "fsync_dir",
-    "sha256_file",
 ]
 
 
@@ -62,12 +60,3 @@ def atomic_json_write(path: str | Path, obj: object) -> None:
             pass  # the original error matters; leftovers are swept as *.tmp
         raise
     fsync_dir(path.parent)
-
-
-def sha256_file(path: str | Path) -> str:
-    """Content hash of one file, streamed in 1 MiB chunks."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()

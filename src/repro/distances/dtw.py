@@ -169,18 +169,24 @@ def dtw_cost_matrix(
 
 def _cost_rows(x: ArrayLike, y: ArrayLike, window: int | None, ground: str) -> list[list[float]]:
     """:func:`dtw_cost_matrix`'s rows, as lists of floats."""
+    a, b = _windows(x, y, ground)
+    diff = a[:, None] - b[None, :]
+    local = diff * diff if _ground_is_squared(ground) else np.abs(diff)
+    band = effective_band(a.shape[0], b.shape[0], window)
+    return _row_scan(local.sum(axis=-1) if a.ndim == 2 else local, band)
+
+
+def _windows(x: ArrayLike, y: ArrayLike, ground: str) -> tuple[np.ndarray, np.ndarray]:
+    """*x* and *y* as 1-D, or l1-ground ``(length, channels)``, windows of
+    one channel count — every single-pair entry point's reading."""
     a = as_window(x, name="x")
     b = as_window(y, name="y")
-    squared = _ground_is_squared(ground)
-    if a.shape[1:] != b.shape[1:] or (squared and a.ndim == 2):
+    if a.shape[1:] != b.shape[1:] or (_ground_is_squared(ground) and a.ndim == 2):
         raise ValidationError(
             f"x and y must be 1-D, or l1-ground windows of one channel count; "
             f"got shapes {a.shape} and {b.shape}"
         )
-    diff = a[:, None] - b[None, :]
-    local = diff * diff if squared else np.abs(diff)
-    band = effective_band(a.shape[0], b.shape[0], window)
-    return _row_scan(local.sum(axis=-1) if a.ndim == 2 else local, band)
+    return a, b
 
 
 def _row_scan(local: np.ndarray, band: int | None) -> list[list[float]]:
@@ -676,14 +682,16 @@ def dtw_distance(
 ) -> float:
     """DTW distance via the batch kernel, one candidate.
 
-    With ``normalized=True`` the summed cost is divided by the optimal
+    *x* and *y* are read as :func:`dtw_path` reads them: 1-D, or
+    ``(length, channels)`` windows of one channel count.  With
+    ``normalized=True`` the summed cost is divided by the optimal
     warping-path length (requires a traceback, so it delegates to
     :func:`dtw_path`).
     """
     if normalized:
         return dtw_path(x, y, window=window, ground=ground).normalized_distance
-    b = as_sequence(y, name="y")
-    return float(dtw_distance_batch(x, b[None, :], window=window, ground=ground)[0])
+    a, b = _windows(x, y, ground)
+    return float(dtw_distance_batch(a, b[None], window=window, ground=ground)[0])
 
 
 def dtw_path(

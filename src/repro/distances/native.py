@@ -22,9 +22,10 @@ sha256 of the source, the flags, the compiler path and the machine type,
 so an edited source or another compiler never loads a stale library.
 The compiler writes a temporary file that is renamed into place, so
 processes racing the first compile each load a complete library; nothing
-is written beside the source.  No compiler, no writable cache directory,
-a failed compile or a library that will not load or lacks an entry point
-each leave :data:`KERNEL` ``None``.
+is written beside the source.  Once a library is bound, the other
+libraries in its cache directory are removed.  No compiler, no writable
+cache directory, a failed compile or a library that will not load or
+lacks an entry point each leave :data:`KERNEL` ``None``.
 """
 
 from __future__ import annotations
@@ -182,7 +183,14 @@ def _load() -> ctypes.CDLL | None:
                     continue
             if not (path.exists() and _intact(path)):
                 _compile(compiler, path)
-            return _bind(path)
+            library = _bind(path)
+            # Every other library here is an edited source's leftover (a
+            # process still using one keeps its mapping); a ``*.tmp`` may
+            # be another process's compile in flight, so it stays.
+            for stale in directory.glob("dtw_kernel-*.so"):
+                if stale != path:
+                    stale.unlink(missing_ok=True)
+            return library
         except (OSError, AttributeError, subprocess.SubprocessError):
             continue
     return None

@@ -6,8 +6,8 @@ The service layer talks to a single :class:`DurabilityManager` rooted at
     <data-dir>/<slug>/
         dataset.json     identity file: the (unslugged) dataset name
         wal.log          write-ahead log
-        base-<seq>/      checkpoint snapshot directories (see checkpoint.py)
-        manifest.json
+        base-<seq>/      checkpoints: durable snapshot directories (see
+                         checkpoint.py), the two newest
 
 The slug is the dataset name with non-``[A-Za-z0-9._-]`` characters
 replaced by ``_`` plus a short hash suffix whenever the substitution
@@ -84,9 +84,9 @@ class DatasetDurability:
     def checkpoint(self, base: OnexBase, stream_state: dict | None = None) -> dict:
         """Commit a checkpoint at the current WAL position; compact.
 
-        The WAL is fsynced first so the manifest never claims coverage
+        The WAL is fsynced first so the checkpoint never claims coverage
         the log cannot back; compaction keeps everything after the
-        *previous* retained checkpoint (fallback path).
+        *older* retained checkpoint (fallback path).
         """
         self.wal.sync_now()
         entry = checkpoint_mod.write_checkpoint(
@@ -95,8 +95,7 @@ class DatasetDurability:
             wal_seq=self.wal.last_seq,
             stream_state=stream_state,
         )
-        retained = checkpoint_mod.read_manifest(self.directory)["checkpoints"]
-        freed = self.wal.compact(min(c["seq"] for c in retained))
+        freed = self.wal.compact(checkpoint_mod.checkpoint_seqs(self.directory)[0])
         self.checkpoint_seq = entry["seq"]
         self.appends_since_checkpoint = 0
         _WAL_SIZE.set(self.wal.size())
@@ -150,10 +149,9 @@ class DurabilityManager:
         empty; an existing directory (recovery) yields the tail to
         replay.  The identity file is (re)written before any append so
         recovery can always map the directory back to its dataset.
-        Crash debris (temp files, uncommitted snapshot directories) is
-        swept first; a manifest of another format is refused before
-        anything is touched.  ``checkpoint_seq`` starts at 0: recovery
-        sets it from the entry it verified, a load from its checkpoint.
+        Crash debris (``*.tmp``) is swept first.  ``checkpoint_seq``
+        starts at 0: recovery sets it from the checkpoint it loaded, a
+        load from its checkpoint.
         """
         with self._lock:
             if name in self._datasets:

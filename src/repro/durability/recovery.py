@@ -3,11 +3,15 @@
 :func:`recover_all` walks every identity-bearing subdirectory of the
 manager's data dir, and per dataset:
 
-1. verifies and loads the newest checkpoint whose artifacts hash-check
-   (falling back to the previous retained entry, then to "none");
+1. loads the newest checkpoint that loads verified — the
+   ``load_base_snapshot(..., verify=True)`` of :meth:`OnexBase.load` —
+   falling back to the older retained one
+   (:func:`repro.durability.checkpoint.load_latest`);
 2. re-registers the dataset with the engine via
    :meth:`~repro.core.engine.OnexEngine.restore_dataset`, reseeding
-   monitors, the event sequence, and stream counters from the manifest;
+   monitors, the event sequence, and stream counters from the
+   checkpoint's ``meta["stream"]`` and passing its verified structure
+   fingerprint, so the base is hashed once;
 3. opens the WAL (truncating any torn tail) and replays every record
    with ``seq > checkpoint_seq`` through the caller's ``apply`` hook —
    the service routes these through the very handlers that produced
@@ -37,7 +41,6 @@ from repro.core.engine import OnexEngine
 from repro.durability import checkpoint as checkpoint_mod
 from repro.durability.manager import DurabilityManager
 from repro.durability.wal import WalRecord
-from repro.exceptions import PersistenceError
 from repro.obs.logs import get_logger, log_event
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import span
@@ -153,36 +156,35 @@ def _recover_one(
     # or fail one dataset (raise) to observe degraded partial recovery.
     faults.fire("recovery.dataset", dataset=name)
     handle, scan = manager.attach(name)
-    entry = checkpoint_mod.latest_valid_checkpoint(handle.directory)
-    if entry is None:
-        raise PersistenceError(
-            f"dataset {name!r} has no valid checkpoint to restore from"
-        )
-    base = checkpoint_mod.load_checkpoint(handle.directory, entry)
+    seq, base, meta = checkpoint_mod.load_latest(handle.directory)
+    stream = meta.get("stream") or {}
     engine.restore_dataset(
         base,
-        monitors=entry.get("monitors", ()),
-        event_seq=entry.get("event_seq", 0),
-        stream_counters=entry.get("stream_counters") or None,
+        monitors=stream.get("monitors", ()),
+        event_seq=stream.get("event_seq", 0),
+        stream_counters=stream.get("stream_counters") or None,
+        fingerprint=meta["structure_fingerprint"],
     )
-    handle.checkpoint_seq = entry["seq"]
-    tail = [r for r in scan.records if r.seq > entry["seq"]]
+    handle.checkpoint_seq = seq
+    tail = [r for r in scan.records if r.seq > seq]
     if mark is not None:
-        # Compaction keeps everything after the *previous* checkpoint,
-        # so covered records back to one full checkpoint interval are
+        # Compaction keeps everything after the *older* checkpoint, so
+        # covered records back to one full checkpoint interval are
         # still here for idempotency reseeding.
         for record in scan.records:
-            if record.seq <= entry["seq"]:
+            if record.seq <= seq:
                 mark(name, record)
     for record in tail:
         apply(name, record)
     handle.appends_since_checkpoint = len(tail)
     return {
-        "checkpoint_seq": entry["seq"],
+        "checkpoint_seq": seq,
         "wal_seq": handle.wal.last_seq,
         "replayed": len(tail),
         "torn_bytes": scan.torn_bytes,
         # Post-replay, not the checkpoint snapshot: the chaos suite
         # compares this against the never-crashed reference.
-        "fingerprint": engine.refresh_fingerprint(name),
+        "fingerprint": (
+            engine.refresh_fingerprint(name) if tail else meta["structure_fingerprint"]
+        ),
     }

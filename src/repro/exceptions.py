@@ -93,10 +93,10 @@ class PersistenceError(OnexError):
     """Raised when a persisted base snapshot is truncated, tampered with,
     or otherwise unreadable.
 
-    The one error of the on-disk reader (:mod:`repro.core.mmap_layout`)
-    and the checkpoint manifest: a missing path, hostile ``meta.json``
-    entries, a hash mismatch, a ``.npz`` archive or another format all
-    raise it; so does saving onto a path that already exists.
+    The one error of the on-disk reader (:mod:`repro.core.mmap_layout`),
+    and so of checkpoint recovery: a missing path, hostile ``meta.json``
+    entries, a digest or hash mismatch, a ``.npz`` archive or another
+    format all raise it; so does saving onto a path that already exists.
     """
 
 

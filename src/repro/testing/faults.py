@@ -49,8 +49,9 @@ Registered failpoint names (kept in sync with the call sites):
 - ``build.series`` — per series of a base build, before its deadline
   check (receives ``series``, its index);
 - ``persist.save`` — in the snapshot writer, between writing (and
-  fsyncing) the ``<dir>.tmp`` directory and renaming it into place
-  (receives the temp ``arrays.bin`` as ``path``);
+  fsyncing) the ``<dir>.tmp`` directory and renaming it into place —
+  for a checkpoint, just before its commit (receives the temp
+  ``arrays.bin`` as ``path``);
 - ``persist.rename`` — after the rename, before the parent-directory
   fsync that makes it durable (receives the final directory as ``path``);
 - ``stream.step`` — once per monitor window check, before its DTW call;
@@ -62,9 +63,6 @@ Registered failpoint names (kept in sync with the call sites):
   natural target for ``torn-tail``);
 - ``wal.fsync`` — immediately before the WAL file is fsynced (receives
   ``path``);
-- ``checkpoint.manifest`` — after the checkpoint's ``base-<seq>/``
-  snapshot is written, before the manifest replace commits it (receives
-  the manifest ``path``);
 - ``recovery.dataset`` — at the top of each dataset's recovery pass
   (receives ``dataset``); ``sleep`` stretches the not-ready window for
   the recovery x serving tests, ``raise`` degrades one dataset;

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from repro.core.base import LengthBuildStats, OnexBase
 from repro.core.config import BuildConfig
 from repro.core.grouping import cluster_subsequence_rows, cluster_subsequences
+from repro.core.mmap_layout import _meta_digest
 from repro.core.query import QueryProcessor
 from repro.data.dataset import SubsequenceRef, TimeSeriesDataset
 from repro.data.timeseries import TimeSeries
@@ -198,14 +199,15 @@ class TestPerLengthTelemetry:
         assert_counts_are_bucket_sums(loaded)
 
     def test_a_snapshot_with_per_length_seconds_still_loads(self, tmp_path):
-        """Format-3 snapshots written before the build lost its per-length
-        jobs carry a ``seconds`` per length; the reader ignores them."""
+        """Writers before the build lost its per-length jobs stored a
+        ``seconds`` per length; the reader ignores them."""
         base = built(walks(45))
         base.save(tmp_path / "base")
         meta_path = tmp_path / "base" / "meta.json"
         meta = json.loads(meta_path.read_text())
         for entry in meta["stats"]["per_length"]:
             entry["seconds"] = 0.001
+        meta["meta_sha256"] = _meta_digest(meta)
         meta_path.write_text(json.dumps(meta, sort_keys=True))
         loaded = OnexBase.load(tmp_path / "base")
         assert loaded.stats == base.stats

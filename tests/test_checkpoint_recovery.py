@@ -1,8 +1,9 @@
 """Checkpoint and recovery tests (repro.durability).
 
-Covers the manifest commit protocol (atomic replace, two-deep retention,
-sha-verified fallback), and in-process crash/recover cycles through the
-service: every acknowledged mutating op survives, recovered state is
+Covers checkpoints as snapshot directories (the writer's rename as the
+commit point, two-deep retention, verified newest-first fallback), and
+in-process crash/recover cycles through the service: every
+acknowledged mutating op survives, recovered state is
 *identical* (structure fingerprint and query results) to the pre-crash
 state, event sequence numbers stay monotonic, and the idempotency window
 is reseeded so post-restart client retries still dedupe.  Subprocess
@@ -10,13 +11,14 @@ SIGKILL chaos lives in test_durability_chaos.py.
 """
 
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
 
 from repro.core.base import OnexBase
 from repro.core.config import BuildConfig
-from repro.core.persist import sha256_file
+from repro.core.mmap_layout import _meta_digest
 from repro.data.dataset import TimeSeriesDataset
 from repro.durability import DurabilityManager, dataset_slug
 from repro.durability import checkpoint as cp
@@ -46,6 +48,35 @@ def make_base(seed=301):
     return base
 
 
+def crash_at(point, fn):
+    """Run *fn* in a forked child that dies at failpoint *point* the way
+    ``kill -9`` would: no ``except``, no ``finally``, no cleanup."""
+    with faults.inject(point, "kill-worker"):
+        child = multiprocessing.get_context("fork").Process(target=fn)
+        child.start()
+        child.join(60)
+    if child.is_alive():
+        child.kill()
+        child.join()
+    assert child.exitcode == 17, child.exitcode
+
+
+def flip_byte(path, position=0):
+    data = bytearray(path.read_bytes())
+    data[position] ^= 0x01
+    path.write_bytes(bytes(data))
+
+
+def edit_meta(path, edit, *, reseal=False):
+    """Edit a snapshot's ``meta.json`` in place; *reseal* recomputes its
+    digest, as a writer of the edited value would have."""
+    meta = json.loads((path / "meta.json").read_text())
+    edit(meta)
+    if reseal:
+        meta["meta_sha256"] = _meta_digest(meta)
+    (path / "meta.json").write_text(json.dumps(meta))
+
+
 class TestCheckpointModule:
     def test_write_load_round_trip(self, tmp_path):
         base = make_base()
@@ -54,140 +85,109 @@ class TestCheckpointModule:
             "monitors": [],
             "stream_counters": {"points_ingested": 3, "windows_indexed": 9},
         }
-        entry = cp.write_checkpoint(
+        record = cp.write_checkpoint(
             tmp_path, base, wal_seq=5, stream_state=stream_state
         )
-        assert entry["seq"] == 5 and entry["event_seq"] == 7
-        picked = cp.latest_valid_checkpoint(tmp_path)
-        assert picked == entry
-        loaded = cp.load_checkpoint(tmp_path, picked)
+        assert record == {
+            "seq": 5,
+            "base_file": "base-5/arrays.bin",
+            "data_file": "base-5/meta.json",
+        }
+        assert all((tmp_path / record[k]).is_file() for k in ("base_file", "data_file"))
+        seq, loaded, meta = cp.load_latest(tmp_path)
+        assert seq == 5 and meta["stream"] == stream_state
         assert loaded.raw_dataset.name == base.raw_dataset.name
         assert loaded.structure_fingerprint() == base.structure_fingerprint()
+        assert meta["structure_fingerprint"] == base.structure_fingerprint()
 
-    def test_retention_keeps_two_and_unlinks_older_artifacts(self, tmp_path):
+    def test_retention_keeps_two_and_deletes_older(self, tmp_path):
         base = make_base()
-        for seq in (1, 2, 3):
+        for seq in (1, 2, 10):
             cp.write_checkpoint(tmp_path, base, wal_seq=seq)
-        manifest = cp.read_manifest(tmp_path)
-        assert [c["seq"] for c in manifest["checkpoints"]] == [2, 3]
-        assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "base-2",
-            "base-3",
-            cp.MANIFEST_NAME,
-        ]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["base-10", "base-2"]
+        assert cp.checkpoint_seqs(tmp_path) == [2, 10]
 
-    def test_entry_names_the_two_snapshot_files(self, tmp_path):
-        entry = cp.write_checkpoint(tmp_path, make_base(), wal_seq=4)
-        assert entry["base_file"] == "base-4/arrays.bin"
-        assert entry["data_file"] == "base-4/meta.json"
-        for key in ("base", "data"):
-            path = tmp_path / entry[f"{key}_file"]
-            assert path.is_file()
-            assert sha256_file(path) == entry[f"{key}_sha256"]
-
-    def test_falls_back_when_newest_artifact_is_corrupt(self, tmp_path):
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda d: flip_byte(d / "arrays.bin", 100),
+            lambda d: edit_meta(d, lambda m: m["stream"].update(event_seq=99)),
+            lambda d: edit_meta(d, lambda m: m["stats"].update(build_seconds=0.5)),
+            lambda d: (d / "meta.json").unlink(),
+        ],
+        ids=["arrays-flipped-byte", "meta-stream-value", "meta-stats-value", "no-meta"],
+    )
+    def test_falls_back_past_a_newest_that_does_not_load(self, tmp_path, damage):
         base = make_base()
-        cp.write_checkpoint(tmp_path, base, wal_seq=1)
-        cp.write_checkpoint(tmp_path, base, wal_seq=2)
-        (tmp_path / "base-2" / "arrays.bin").write_bytes(b"bitrot")
-        picked = cp.latest_valid_checkpoint(tmp_path)
-        assert picked["seq"] == 1
-        loaded = cp.load_checkpoint(tmp_path, picked)
+        cp.write_checkpoint(tmp_path, base, wal_seq=1, stream_state={"event_seq": 1})
+        cp.write_checkpoint(tmp_path, base, wal_seq=2, stream_state={"event_seq": 2})
+        damage(tmp_path / "base-2")
+        seq, loaded, meta = cp.load_latest(tmp_path)
+        assert seq == 1 and meta["stream"] == {"event_seq": 1}
         assert loaded.structure_fingerprint() == base.structure_fingerprint()
 
-    def test_falls_back_when_newest_artifact_is_missing(self, tmp_path):
-        base = make_base()
-        cp.write_checkpoint(tmp_path, base, wal_seq=1)
-        cp.write_checkpoint(tmp_path, base, wal_seq=2)
-        (tmp_path / "base-2" / "meta.json").unlink()
-        assert cp.latest_valid_checkpoint(tmp_path)["seq"] == 1
-
-    def test_manifest_failpoint_leaves_previous_commit(self, tmp_path):
-        """A crash before the manifest replace keeps the old checkpoint
-        authoritative — half-written artifacts are invisible garbage."""
-        base = make_base()
-        cp.write_checkpoint(tmp_path, base, wal_seq=1)
-        with faults.inject("checkpoint.manifest", "raise"):
-            with pytest.raises(faults.FaultInjectedError):
-                cp.write_checkpoint(tmp_path, base, wal_seq=2)
-        manifest = cp.read_manifest(tmp_path)
-        assert [c["seq"] for c in manifest["checkpoints"]] == [1]
-        assert cp.latest_valid_checkpoint(tmp_path)["seq"] == 1
-
-    def test_uncommitted_directory_is_swept_not_collided_with(self, tmp_path):
-        """The garbage of a crash before the commit is removed by the
-        sweep (attach runs it; so does the next checkpoint), so a later
-        checkpoint at the same seq does not collide with it."""
-        base = make_base()
-        cp.write_checkpoint(tmp_path, base, wal_seq=1)
-        with faults.inject("checkpoint.manifest", "raise"):
-            with pytest.raises(faults.FaultInjectedError):
-                cp.write_checkpoint(tmp_path, base, wal_seq=2)
-        (tmp_path / "base-9.tmp").mkdir()
-        (tmp_path / "manifest.json.tmp").write_text("{")
-        assert (tmp_path / "base-2").is_dir()
-        assert cp.sweep_debris(tmp_path) == ["base-2", "base-9.tmp", "manifest.json.tmp"]
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["base-1", cp.MANIFEST_NAME]
-        # ... and without an explicit sweep the next checkpoint does it.
-        with faults.inject("checkpoint.manifest", "raise"):
-            with pytest.raises(faults.FaultInjectedError):
-                cp.write_checkpoint(tmp_path, base, wal_seq=2)
-        entry = cp.write_checkpoint(tmp_path, base, wal_seq=2)
-        assert cp.latest_valid_checkpoint(tmp_path) == entry
-
-    def test_recheckpoint_at_same_seq_never_touches_the_committed_one(self, tmp_path):
-        base = make_base()
-        first = cp.write_checkpoint(tmp_path, base, wal_seq=5)
-        with faults.inject("checkpoint.manifest", "raise"):
-            with pytest.raises(faults.FaultInjectedError):
-                cp.write_checkpoint(tmp_path, base, wal_seq=5)
-        # The failed attempt wrote beside, not over, the committed one.
-        assert cp.latest_valid_checkpoint(tmp_path) == first
-        second = cp.write_checkpoint(tmp_path, base, wal_seq=5)
-        assert second["base_file"] != first["base_file"]
-        assert cp.read_manifest(tmp_path)["checkpoints"] == [second]
-        assert not (tmp_path / first["base_file"]).exists()
-        third = cp.write_checkpoint(tmp_path, base, wal_seq=5)
-        assert third["base_file"] == first["base_file"]
-        loaded = cp.load_checkpoint(tmp_path, cp.latest_valid_checkpoint(tmp_path))
-        assert loaded.structure_fingerprint() == base.structure_fingerprint()
-
-    def test_sweep_touches_nothing_under_an_unreadable_manifest(self, tmp_path):
+    def test_none_loads(self, tmp_path):
+        with pytest.raises(PersistenceError, match="no checkpoint"):
+            cp.load_latest(tmp_path)
         cp.write_checkpoint(tmp_path, make_base(), wal_seq=1)
-        (tmp_path / cp.MANIFEST_NAME).write_text("{not json")
+        flip_byte(tmp_path / "base-1" / "arrays.bin")
+        with pytest.raises(PersistenceError, match="no checkpoint .* loads.*sha256"):
+            cp.load_latest(tmp_path)
+
+    def test_persist_save_failpoint_leaves_previous_checkpoint(self, tmp_path):
+        """A failure before the rename leaves the previous checkpoint in
+        force; a crash there leaves a ``.tmp`` that only the sweep removes."""
+        base = make_base()
+        cp.write_checkpoint(tmp_path, base, wal_seq=1)
+        with faults.inject("persist.save", "raise"):
+            with pytest.raises(faults.FaultInjectedError):
+                cp.write_checkpoint(tmp_path, base, wal_seq=2)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["base-1"]
+        crash_at("persist.save", lambda: cp.write_checkpoint(tmp_path, base, wal_seq=2))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["base-1", "base-2.tmp"]
+        assert cp.load_latest(tmp_path)[0] == 1
+        (tmp_path / "dataset.json.tmp").write_text("{")
+        assert cp.sweep_debris(tmp_path) == ["base-2.tmp", "dataset.json.tmp"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["base-1"]
+
+    def test_persist_rename_failpoint_leaves_new_checkpoint(self, tmp_path):
+        base = make_base()
+        cp.write_checkpoint(tmp_path, base, wal_seq=1)
+        cp.write_checkpoint(tmp_path, base, wal_seq=2)
+        crash_at("persist.rename", lambda: cp.write_checkpoint(tmp_path, base, wal_seq=3))
+        # Committed, and the crash came before the older one was deleted.
+        assert cp.checkpoint_seqs(tmp_path) == [1, 2, 3]
+        assert cp.load_latest(tmp_path)[0] == 3
+        cp.write_checkpoint(tmp_path, base, wal_seq=4)
+        assert cp.checkpoint_seqs(tmp_path) == [3, 4]
+
+    def test_recheckpoint_at_same_seq(self, tmp_path):
+        """A directory that loads is left untouched; one that does not
+        (recovery fell past it) is replaced."""
+        base = make_base()
+        cp.write_checkpoint(tmp_path, base, wal_seq=5)
+        meta_path = tmp_path / "base-5" / "meta.json"
+        before = meta_path.stat()
+        cp.write_checkpoint(tmp_path, base, wal_seq=5)
+        after = meta_path.stat()
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+        flip_byte(tmp_path / "base-5" / "arrays.bin")
+        cp.write_checkpoint(tmp_path, base, wal_seq=5)
+        seq, loaded, _ = cp.load_latest(tmp_path)
+        assert seq == 5
+        assert loaded.structure_fingerprint() == base.structure_fingerprint()
+
+    def test_previous_format_is_refused_by_name(self, tmp_path):
+        """A data dir the previous format wrote (``meta.json`` format 3
+        and a ``manifest.json``) fails with the reader's format message
+        and nothing in it is deleted."""
+        cp.write_checkpoint(tmp_path, make_base(), wal_seq=3)
+        edit_meta(tmp_path / "base-3", lambda m: m.update(format=3))
+        (tmp_path / "manifest.json").write_text('{"format": 2, "checkpoints": []}')
+        with pytest.raises(PersistenceError, match="format 3; only format 4"):
+            cp.load_latest(tmp_path)
         assert cp.sweep_debris(tmp_path) == []
-        assert (tmp_path / "base-1" / "arrays.bin").is_file()
-
-    def test_old_manifest_format_is_refused_by_name(self, tmp_path):
-        """A data dir from before checkpoints were snapshot directories
-        fails with a message naming the format — not as a hash mismatch
-        — and nothing in it is swept."""
-        (tmp_path / "base-3.npz").write_bytes(b"PK")
-        (tmp_path / "data-3.npz").write_bytes(b"PK")
-        old = {
-            "format": 1,
-            "dataset": "ckpt-base",
-            "checkpoints": [
-                {"seq": 3, "base_file": "base-3.npz", "data_file": "data-3.npz"}
-            ],
-        }
-        (tmp_path / cp.MANIFEST_NAME).write_text(json.dumps(old))
-        for call in (
-            cp.read_manifest,
-            cp.latest_valid_checkpoint,
-            cp.sweep_debris,
-            lambda d: cp.write_checkpoint(d, make_base(), wal_seq=4),
-        ):
-            with pytest.raises(PersistenceError, match="format 1"):
-                call(tmp_path)
-        assert (tmp_path / "base-3.npz").exists()
-
-    def test_garbled_manifest_reads_as_no_checkpoints(self, tmp_path):
-        (tmp_path / cp.MANIFEST_NAME).write_text("{not json")
-        assert cp.read_manifest(tmp_path) is None
-        assert cp.latest_valid_checkpoint(tmp_path) is None
-        (tmp_path / cp.MANIFEST_NAME).write_text(json.dumps({"no": "key"}))
-        assert cp.read_manifest(tmp_path) is None
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["base-3", "manifest.json"]
 
 
 class TestDatasetSlug:
@@ -448,62 +448,75 @@ class TestServiceRecovery:
         )
         assert "deduplicated" not in result
 
-    def test_crash_before_manifest_commit_then_checkpoint_at_same_seq(self, tmp_path):
-        """Crash between writing ``base-<seq>/`` and the manifest replace,
-        recover, checkpoint again at the same seq, recover again."""
+    @pytest.mark.parametrize(
+        "point, committed", [("persist.save", False), ("persist.rename", True)]
+    )
+    def test_crash_mid_checkpoint(self, tmp_path, point, committed):
+        """``kill -9`` before the snapshot rename leaves the load-time
+        checkpoint in force and a ``.tmp`` the next attach sweeps; after
+        the rename, the new checkpoint is in force.  Either way the
+        recovered state is the pre-crash state."""
         service = make_service(tmp_path, checkpoint_every=100)
         before = seed_state(service)
         handle = service.durability.get(_DATASET)
         seq = handle.wal.last_seq
-        with faults.inject("checkpoint.manifest", "raise"):
-            with pytest.raises(faults.FaultInjectedError):
-                handle.checkpoint(
-                    service.engine.base(_DATASET),
-                    service.engine.stream_state(_DATASET),
-                )
-        debris = handle.directory / f"base-{seq}"
-        assert debris.is_dir()  # written, never committed
+        crash_at(
+            point,
+            lambda: handle.checkpoint(
+                service.engine.base(_DATASET), service.engine.stream_state(_DATASET)
+            ),
+        )
+        debris = handle.directory / f"base-{seq}.tmp"
+        assert debris.exists() != committed
 
         revived = make_service(tmp_path, checkpoint_every=100)
         report = revived.recover()
         assert not report.errors
-        assert report.datasets[_DATASET]["checkpoint_seq"] == 0
-        assert report.datasets[_DATASET]["fingerprint"] == before["fingerprint"]
-        assert not debris.exists()  # swept at attach
-        handle = revived.durability.get(_DATASET)
-        assert handle.wal.last_seq == seq
-        entry = handle.checkpoint(
-            revived.engine.base(_DATASET), revived.engine.stream_state(_DATASET)
-        )
-        assert entry["seq"] == seq and debris.is_dir()
-
-        third = make_service(tmp_path, checkpoint_every=100)
-        report = third.recover()
-        assert not report.errors
         summary = report.datasets[_DATASET]
-        assert summary["checkpoint_seq"] == seq and summary["replayed"] == 0
+        assert summary["checkpoint_seq"] == (seq if committed else 0)
+        assert summary["replayed"] == (0 if committed else 8)
         assert summary["fingerprint"] == before["fingerprint"]
-        assert call(third, "k_best", _QUERY)["matches"] == before["matches"]
-        events = call(third, "poll_events", {"dataset": _DATASET})
+        assert not debris.exists()  # swept at attach
+        assert call(revived, "k_best", _QUERY)["matches"] == before["matches"]
+        events = call(revived, "poll_events", {"dataset": _DATASET})
         assert events["last_seq"] == before["events"]["last_seq"]
 
+    def test_recovery_fingerprints_the_base_once(self, tmp_path, monkeypatch):
+        """The verified load's fingerprint is the one registered: with no
+        tail to replay, recovery hashes the structure exactly once."""
+        service = make_service(tmp_path, checkpoint_every=100)
+        before = seed_state(service)
+        service.durability.get(_DATASET).checkpoint(
+            service.engine.base(_DATASET), service.engine.stream_state(_DATASET)
+        )
+        calls = []
+        fingerprint = OnexBase.structure_fingerprint
+        monkeypatch.setattr(
+            OnexBase,
+            "structure_fingerprint",
+            lambda base: calls.append(base) or fingerprint(base),
+        )
+        report = make_service(tmp_path, checkpoint_every=100).recover()
+        assert report.datasets[_DATASET]["replayed"] == 0
+        assert report.datasets[_DATASET]["fingerprint"] == before["fingerprint"]
+        assert len(calls) == 1
+
     def test_unreadable_checkpoints_register_nothing(self, tmp_path):
-        """Both retained checkpoints hash-verify but hold a ``meta.json``
-        the reader refuses: a typed error in the report, no dataset half
-        registered, no durability handle left attached."""
+        """Both retained checkpoints verify their digests but hold a
+        ``meta.json`` the reader refuses: a typed error in the report, no
+        dataset half registered, no durability handle left attached."""
         service = make_service(tmp_path, checkpoint_every=3)
         seed_state(service)
         directory = service.durability.get(_DATASET).directory
-        manifest = cp.read_manifest(directory)
-        assert len(manifest["checkpoints"]) == 2
-        for entry in manifest["checkpoints"]:
-            meta_path = directory / entry["data_file"]
-            meta = json.loads(meta_path.read_text())
+        seqs = cp.checkpoint_seqs(directory)
+        assert len(seqs) == 2
+
+        def past_the_end(meta):
             name = next(n for n in meta["arrays"] if n.endswith("_member_matrix"))
-            meta["arrays"][name][2] = 1 << 40  # offset far past the end
-            meta_path.write_text(json.dumps(meta))
-            entry["data_sha256"] = sha256_file(meta_path)
-        (directory / cp.MANIFEST_NAME).write_text(json.dumps(manifest))
+            meta["arrays"][name][2] = 1 << 40
+
+        for seq in seqs:
+            edit_meta(directory / f"base-{seq}", past_the_end, reseal=True)
 
         revived = make_service(tmp_path, checkpoint_every=3)
         report = revived.recover()
@@ -513,18 +526,17 @@ class TestServiceRecovery:
         assert revived.engine.dataset_names == []
         assert revived.durability.get(_DATASET) is None
 
-    def test_data_dir_of_the_old_format_is_refused(self, tmp_path):
-        slug_dir = tmp_path / "old"
-        slug_dir.mkdir()
-        (slug_dir / "dataset.json").write_text(json.dumps({"dataset": "old"}))
-        (slug_dir / "base-0.npz").write_bytes(b"PK")
-        (slug_dir / cp.MANIFEST_NAME).write_text(
-            json.dumps({"format": 1, "dataset": "old", "checkpoints": []})
-        )
+    def test_data_dir_of_the_previous_format_is_refused(self, tmp_path):
+        service = make_service(tmp_path, checkpoint_every=100)
+        call(service, "load_dataset", _LOAD)
+        directory = service.durability.get(_DATASET).directory
+        edit_meta(directory / "base-0", lambda m: m.update(format=3))
+        (directory / "manifest.json").write_text('{"format": 2, "checkpoints": []}')
+        names = sorted(p.name for p in directory.iterdir())
         report = make_service(tmp_path).recover()
         assert report.datasets == {}
-        assert "format 1" in report.errors[0]["error"]
-        assert (slug_dir / "base-0.npz").exists()
+        assert "format 3" in report.errors[0]["error"]
+        assert sorted(p.name for p in directory.iterdir()) == names
 
     def test_dataset_without_checkpoint_reports_error(self, tmp_path):
         slug_dir = tmp_path / "ghost"

@@ -114,6 +114,32 @@ class TestDtwDistance:
         with pytest.raises(ValidationError, match="ground"):
             dtw_distance([1.0], [1.0], ground="l3")
 
+    @pytest.mark.parametrize(
+        "x, y, kwargs",
+        [
+            ([[1.0, 2.0]], [3.0], {}),  # a (1, 2) window, not a paired stack
+            ([3.0], [[1.0, 2.0]], {}),
+            ([[1.0, 2.0], [0.5, 0.0]], [[3.0, 1.0]], {}),
+            ([[1.0, 2.0], [0.5, 0.0]], [[3.0, 1.0, 0.0]], {}),
+            ([[1.0], [2.0]], [[3.0], [1.0], [4.0]], {"window": 0}),
+            ([[1.0, 2.0]], [[3.0, 1.0]], {"ground": "squared"}),
+            ([1.0, 2.0, 5.0], [3.0], {"ground": "squared", "window": 1}),
+            ([1.0, 2.0], [0.0, 2.0, 4.0], {"window": 0}),
+            ([[[1.0]]], [1.0], {}),
+            ([], [1.0], {}),
+            ([1.0, float("nan")], [1.0], {}),
+        ],
+    )
+    def test_reads_its_operands_as_dtw_path_does(self, x, y, kwargs):
+        """Equal to ``dtw_path(x, y).distance``, or both raise."""
+        try:
+            want = dtw_path(x, y, **kwargs).distance
+        except ValidationError:
+            with pytest.raises(ValidationError):
+                dtw_distance(x, y, **kwargs)
+        else:
+            assert dtw_distance(x, y, **kwargs) == want
+
 
 class TestDtwCostMatrix:
     def test_corner_is_distance(self):

@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.base import OnexBase
 from repro.core.config import BuildConfig
-from repro.core.mmap_layout import load_base_snapshot
+from repro.core.mmap_layout import _meta_digest, load_base_snapshot
 from repro.core.query import QueryProcessor
 from repro.data.dataset import TimeSeriesDataset
 from repro.data.timeseries import TimeSeries
@@ -42,9 +42,13 @@ def base():
     return b
 
 
-def _edit_meta(path, edit):
+def _edit_meta(path, edit, *, reseal=True):
+    """Apply *edit* to a snapshot's ``meta.json``; *reseal* recomputes its
+    digest, so a verified load reaches the reader's own checks."""
     meta = json.loads((path / "meta.json").read_text())
     edit(meta)
+    if reseal:
+        meta["meta_sha256"] = _meta_digest(meta)
     (path / "meta.json").write_text(json.dumps(meta))
 
 
@@ -185,6 +189,38 @@ class TestCorruptedBaseFiles:
             load_base_snapshot(path, mmap_mode=mmap_mode, verify=True)
 
     @pytest.mark.parametrize(
+        "case", sorted(set(_HOSTILE_META) - {"swapped-radius-arrays"})
+    )
+    def test_hostile_meta_is_refused_unverified(self, base, tmp_path, case):
+        """An attaching worker skips the digests; the reader's own checks
+        still refuse every hostile entry it dereferences (a swapped pair
+        of same-shaped arrays needs the fingerprint)."""
+        path = tmp_path / "base"
+        base.save(path)
+        _edit_meta(path, _HOSTILE_META[case], reseal=False)
+        with pytest.raises(PersistenceError):
+            load_base_snapshot(path, mmap_mode="r")
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda meta: meta["dataset"]["series"][0].update(name="renamed"),
+            lambda meta: meta["stats"].update(build_seconds=123.0),
+            lambda meta: meta.update(stream={"event_seq": 5}),
+        ],
+        ids=["series-name", "build-seconds", "stream"],
+    )
+    def test_a_changed_meta_value_fails_the_digest(self, base, tmp_path, edit):
+        """A value the structure fingerprint does not cover, changed so the
+        meta still parses, is caught by ``meta.json``'s own digest."""
+        path = tmp_path / "base"
+        base.save(path)
+        _edit_meta(path, edit, reseal=False)
+        with pytest.raises(PersistenceError, match="digest"):
+            OnexBase.load(path)
+        assert load_base_snapshot(path)[0].lengths == base.lengths
+
+    @pytest.mark.parametrize(
         "entry",
         [None, ["<f8", [4, 4], 1 << 40], ["|O", [1], 0]],
         ids=["as-written", "out-of-range", "non-numeric"],
@@ -200,13 +236,15 @@ class TestCorruptedBaseFiles:
         same, whatever their entries say."""
         path = tmp_path / "base"
         base.save(path)
-        meta = json.loads((path / "meta.json").read_text())
-        arrays = meta["arrays"]
-        for n in base.lengths:
-            for name in ("rep_env_lo", "rep_env_hi", "rep_endpoints", "rep_minmax"):
-                arrays[f"len{n}_{name}"] = entry or arrays[f"len{n}_centroids"]
-        meta["rep_radius"] = {str(n): 1 for n in base.lengths}
-        (path / "meta.json").write_text(json.dumps(meta))
+
+        def legacy(meta):
+            arrays = meta["arrays"]
+            for n in base.lengths:
+                for name in ("rep_env_lo", "rep_env_hi", "rep_endpoints", "rep_minmax"):
+                    arrays[f"len{n}_{name}"] = entry or arrays[f"len{n}_centroids"]
+            meta["rep_radius"] = {str(n): 1 for n in base.lengths}
+
+        _edit_meta(path, legacy)
         loaded, _ = load_base_snapshot(path, mmap_mode=mmap_mode, verify=True)
         assert loaded.structure_fingerprint() == base.structure_fingerprint()
         q = base.dataset[0].values[2:7]

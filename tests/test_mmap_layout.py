@@ -8,6 +8,7 @@ bit-identical to the original, and every mutation path raises
 ``ReadOnlyBaseError`` instead of corrupting sibling processes.
 """
 
+import hashlib
 import json
 
 import numpy as np
@@ -17,11 +18,11 @@ from repro.core.base import OnexBase
 from repro.core.config import BuildConfig, QueryConfig
 from repro.core.engine import OnexEngine
 from repro.core.mmap_layout import (
+    _meta_digest,
     clean_stale_snapshots,
     load_base_snapshot,
     save_base_snapshot,
 )
-from repro.core.persist import sha256_file
 from repro.core.query import QueryProcessor
 from repro.data.dataset import TimeSeriesDataset
 from repro.data.timeseries import TimeSeries
@@ -231,17 +232,18 @@ class TestDurableRoundTrip:
         for other in (loaded, attached, load_base_snapshot(epoch)[0]):
             assert arrays(other) == arrays(base)
 
-    def test_durable_write_records_the_file_hashes(self, built_base, tmp_path):
-        digests = built_base.save(tmp_path / "saved")
-        assert digests == {
-            name: sha256_file(tmp_path / "saved" / name)
-            for name in ("arrays.bin", "meta.json")
-        }
+    def test_durable_write_records_the_hashes(self, built_base, tmp_path):
+        built_base.save(tmp_path / "saved", stream={"event_seq": 4})
         meta = json.loads((tmp_path / "saved" / "meta.json").read_text())
-        assert meta["arrays_sha256"] == digests["arrays.bin"]
-        # An epoch is the same layout, unhashed.
+        assert meta["arrays_sha256"] == hashlib.sha256(
+            (tmp_path / "saved" / "arrays.bin").read_bytes()
+        ).hexdigest()
+        assert meta["meta_sha256"] == _meta_digest(meta)
+        assert meta["stream"] == {"event_seq": 4}
+        # An epoch is the same layout, its arrays unhashed.
         epoch = save_base_snapshot(built_base, tmp_path / "epoch-1")
-        assert json.loads((epoch / "meta.json").read_text())["arrays_sha256"] is None
+        meta = json.loads((epoch / "meta.json").read_text())
+        assert meta["arrays_sha256"] is None and meta["stream"] is None
         assert (epoch / "arrays.bin").read_bytes() == (
             tmp_path / "saved" / "arrays.bin"
         ).read_bytes()

@@ -235,6 +235,8 @@ class TestPersistence:
         with the stored row widths is refused."""
         import json
 
+        from repro.core.mmap_layout import _meta_digest
+
         ds = _mv_dataset(seed=22)
         base = _build(ds)
         path = tmp_path / "mv-base"
@@ -242,6 +244,7 @@ class TestPersistence:
         meta = json.loads((path / "meta.json").read_text())
         assert meta["channels"] == 2
         meta["channels"] = 1
+        meta["meta_sha256"] = _meta_digest(meta)
         (path / "meta.json").write_text(json.dumps(meta))
         with pytest.raises(PersistenceError, match="shape"):
             OnexBase.load(path)
@@ -250,18 +253,13 @@ class TestPersistence:
 class TestCheckpointRecovery:
     def test_multichannel_state_survives_recovery(self, tmp_path):
         """WAL + checkpoint carry channel metadata through recovery."""
-        from repro.durability.checkpoint import (
-            latest_valid_checkpoint,
-            load_checkpoint,
-            write_checkpoint,
-        )
+        from repro.durability.checkpoint import load_latest, write_checkpoint
 
         ds = _mv_dataset(seed=27)
         base = _build(ds)
         write_checkpoint(tmp_path, base, wal_seq=7)
-        entry = latest_valid_checkpoint(tmp_path)
-        assert entry is not None and entry["seq"] == 7
-        restored = load_checkpoint(tmp_path, entry)
+        seq, restored, _ = load_latest(tmp_path)
+        assert seq == 7
         assert restored.raw_dataset.channels == 2
         assert restored.channels == 2
         assert (

@@ -186,6 +186,22 @@ def test_truncated_library_is_rebuilt(tmp_path):
     assert _libraries(cache) == [library.name]
 
 
+@pytest.mark.skipif(native.KERNEL is None, reason="needs a loaded kernel")
+def test_loading_prunes_the_other_libraries_of_its_cache(tmp_path, monkeypatch):
+    """Libraries of other sources go once a library is bound; a compile's
+    ``*.tmp`` and foreign files stay.  The bound library is a copy of
+    this process's, so nothing is compiled."""
+    name = native._library_name(shutil.which("gcc"))
+    ours = next(d / name for d in native._cache_dirs() if (d / name).exists())
+    (tmp_path / name).write_bytes(ours.read_bytes())
+    kept = [name, f"dtw_kernel-{'e' * 32}.so1x2y3z.tmp", "notes.txt"]
+    for other in [f"dtw_kernel-{c * 32}.so" for c in "abcd"] + kept[1:]:
+        (tmp_path / other).write_bytes(b"\x7fELF")
+    monkeypatch.setattr(native, "_cache_dirs", lambda: [tmp_path])
+    assert native._load() is not None
+    assert _libraries(tmp_path) == sorted(kept)
+
+
 @pytest.mark.skipif(not HAS_GCC, reason="needs a compiler")
 def test_processes_racing_the_first_compile_both_load_it(first_imports):
     assert first_imports["racers"] == ["native", "native"]
@@ -459,26 +475,49 @@ def test_the_fast_walk_equals_the_python_walk_bit_for_bit(case):
     assert got == want
 
 
+#: The fast walk's hand-back cases, run by the test below in a subprocess.
+NAN_HANDBACK = """
+import numpy as np
+from repro.core.base import OnexBase
+from repro.core.config import BuildConfig
+from repro.data.dataset import TimeSeriesDataset
+from repro.distances import native
+
+assert native.KERNEL is not None
+rng = np.random.default_rng(5)
+base = OnexBase(
+    TimeSeriesDataset.from_arrays([rng.normal(size=30).cumsum()], name="walk"),
+    BuildConfig(similarity_threshold=0.2, min_length=3, max_length=5, normalize=False),
+)
+base.build()
+table = base.rep_table
+columns = (table.lengths, table.gids, None)
+stores = [(b.length, *b.native_stores()) for b in base.buckets()]
+q, keys = rng.normal(size=4), np.zeros(table.count)  # all verified
+
+def walk(keys):
+    return native.fast_walk(q, keys, columns, stores, 1, 1, None)
+
+assert walk(keys)[1] == table.count
+keys[-1] = np.nan
+assert walk(keys) is None
+base.bucket(5).centroids[-1, 2] = np.inf  # the bucket's own store
+assert walk(np.zeros(table.count)) is None
+"""
+
+
 @pytest.mark.skipif(native.KERNEL is None, reason="needs a loaded kernel")
 def test_the_fast_walk_leaves_a_nan_to_the_python_walk():
     """A NaN key, or a non-finite centroid the walk verifies, hands the
-    call back, as the rank pass hands back a NaN."""
-    rng = np.random.default_rng(5)
-    base = OnexBase(
-        TimeSeriesDataset.from_arrays([rng.normal(size=30).cumsum()], name="walk"),
-        BuildConfig(similarity_threshold=0.2, min_length=3, max_length=5, normalize=False),
+    call back, as the rank pass hands back a NaN.  Run in a subprocess
+    under a wall timeout: without its NaN-key guard the C walk loops
+    forever, which fails here instead of hanging the suite."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", NAN_HANDBACK],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
     )
-    base.build()
-    table = base.rep_table
-    columns = (table.lengths, table.gids, None)
-    stores = [(b.length, *b.native_stores()) for b in base.buckets()]
-    q, keys = rng.normal(size=4), np.zeros(table.count)  # all verified
-
-    def walk(keys):
-        return native.fast_walk(q, keys, columns, stores, 1, 1, None)
-
-    assert walk(keys)[1] == table.count
-    keys[-1] = np.nan
-    assert walk(keys) is None
-    base.bucket(5).centroids[-1, 2] = np.inf  # the bucket's own store
-    assert walk(np.zeros(table.count)) is None
+    assert done.returncode == 0, done.stderr

@@ -7,6 +7,7 @@ module has a consumer named in DESIGN.md §3, and the README's example
 scripts run.
 """
 
+import argparse
 import dataclasses
 import importlib
 import inspect
@@ -218,6 +219,23 @@ class TestRepositoryLayout:
             assert bench.name in design, (
                 f"{bench.name} not referenced in DESIGN.md's experiment index"
             )
+
+    def test_every_readme_flag_is_an_option(self):
+        """Every ``--flag`` README.md names is an option of the ``repro``
+        CLI (any subcommand) or of the ``python -m bench`` parser."""
+        from bench.__main__ import _parser as bench_parser
+        from repro.cli import build_parser
+
+        def options(parser):
+            for action in parser._actions:
+                yield from action.option_strings
+                if isinstance(action, argparse._SubParsersAction):
+                    for sub in action.choices.values():
+                        yield from options(sub)
+
+        known = set(options(build_parser())) | set(options(bench_parser()))
+        named = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", (ROOT / "README.md").read_text()))
+        assert named and not named - known, sorted(named - known)
 
     def test_every_documented_path_resolves(self):
         """The converse: a backticked ``*.py``, ``BENCH_*.json`` or

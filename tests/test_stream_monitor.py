@@ -287,7 +287,7 @@ def test_register_rejects_non_finite_epsilon():
 
 
 def test_restore_accepts_a_snapshot_with_prefilter_counters():
-    """A checkpoint manifest written before the representative prefilter
+    """A checkpoint written before the representative prefilter
     went still carries ``windows_pruned`` and ``rep_dtw_calls`` per
     monitor; recovery restores from it and drops them."""
     base = make_base()

@@ -222,10 +222,3 @@ class TestDirectoryFsyncHelpers:
 
         assert json.loads(target.read_text()) == {"a": 1}
         assert not (tmp_path / "m.json.tmp").exists()
-
-    def test_sha256_file(self, tmp_path):
-        f = tmp_path / "blob"
-        f.write_bytes(b"abc")
-        assert persist.sha256_file(f) == (
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-        )
