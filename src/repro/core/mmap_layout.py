@@ -70,7 +70,7 @@ keyword of the one writer:
   too) fsyncs both files and both directories and records the sha256 of
   ``arrays.bin``, hashed while writing.  Once the parent directory's
   fsync returns the snapshot is committed: a checkpoint is nothing more
-  (:mod:`repro.durability.checkpoint`).
+  (:mod:`repro.durability.manager`).
 
 With ``verify=True`` (:meth:`OnexBase.load`, checkpoint recovery) a
 snapshot proves itself whole: ``meta.json`` against its own digest,

@@ -170,8 +170,8 @@ int dtw_batch(const double *x, int64_t x_stride, const double *rows,
     int64_t cap = g < BLOCK ? g : BLOCK;
     int64_t row = m * cap;
     int lengths = track == TRACK_LENGTH;
-    double *scratch = malloc(sizeof(double) * (n * cap + 4 * row + 3 * cap));
-    double *lens_scratch = lengths ? calloc(2 * row, sizeof(double)) : NULL;
+    double *scratch = malloc(sizeof(double) * (size_t)(n * cap + 4 * row + 3 * cap));
+    double *lens_scratch = lengths ? calloc((size_t)(2 * row), sizeof(double)) : NULL;
     int8_t *codes = track == TRACK_PATH ? malloc((size_t)(n * row)) : NULL;
     if (!scratch || (lengths && !lens_scratch) || (track == TRACK_PATH && !codes)) {
         free(scratch);
@@ -380,11 +380,11 @@ int assign_windows(const double *values, int64_t channels, int64_t step,
         most = counts[s] > most ? counts[s] : most;
         span = groups[s] + counts[s] > span ? groups[s] + counts[s] : span;
     }
-    const double **fresh = malloc(sizeof(double *) * most);
-    int64_t *next = malloc(sizeof(int64_t) * most);
-    int64_t *head = malloc(sizeof(int64_t) * span);
-    int64_t *tail = malloc(sizeof(int64_t) * span);
-    int64_t *near = malloc(sizeof(int64_t) * span);
+    const double **fresh = malloc(sizeof(double *) * (size_t)most);
+    int64_t *next = malloc(sizeof(int64_t) * (size_t)most);
+    int64_t *head = malloc(sizeof(int64_t) * (size_t)span);
+    int64_t *tail = malloc(sizeof(int64_t) * (size_t)span);
+    int64_t *near = malloc(sizeof(int64_t) * (size_t)span);
     if (!fresh || !next || !head || !tail || !near) {
         free(fresh);
         free(next);
@@ -697,7 +697,7 @@ static void radix_sort(ranked *x, ranked *tmp, int64_t n)
         to = swap;
     }
     if (from != x)
-        memcpy(x, from, sizeof(ranked) * n);
+        memcpy(x, from, sizeof(ranked) * (size_t)n);
 }
 
 /*
@@ -777,15 +777,15 @@ int fast_walk(const double *q, int64_t n, const double *keys,
         if (keys[i] != keys[i])
             return 1;
     int64_t most = g ? g : 1;
-    double *rest = malloc(sizeof(double) * (g / 16 + 1));
-    ranked *order = malloc(sizeof(ranked) * most);
-    ranked *spare = malloc(sizeof(ranked) * most);
-    entry *pending = malloc(sizeof(entry) * most);
-    int64_t *sorted = malloc(sizeof(int64_t) * most);
-    int64_t *lens = malloc(sizeof(int64_t) * most);
-    const double **rowp = malloc(sizeof(double *) * most);
-    int64_t *slots = calloc(top + 1, sizeof(int64_t));
-    double *dist = malloc(sizeof(double) * most);
+    double *rest = malloc(sizeof(double) * (size_t)(g / 16 + 1));
+    ranked *order = malloc(sizeof(ranked) * (size_t)most);
+    ranked *spare = malloc(sizeof(ranked) * (size_t)most);
+    entry *pending = malloc(sizeof(entry) * (size_t)most);
+    int64_t *sorted = malloc(sizeof(int64_t) * (size_t)most);
+    int64_t *lens = malloc(sizeof(int64_t) * (size_t)most);
+    const double **rowp = malloc(sizeof(double *) * (size_t)most);
+    int64_t *slots = calloc((size_t)(top + 1), sizeof(int64_t));
+    double *dist = malloc(sizeof(double) * (size_t)most);
     double *padded = NULL;
     int status = -1;
     if (!rest || !order || !spare || !pending || !sorted || !lens || !rowp ||
@@ -827,7 +827,7 @@ int fast_walk(const double *q, int64_t n, const double *keys,
         for (int64_t length = 0; length <= top; length++)
             slots[length] = 0;
         free(padded);
-        padded = malloc(sizeof(double) * size * widest);
+        padded = malloc(sizeof(double) * (size_t)size * (size_t)widest);
         if (!padded)
             goto done;
         /* The rows are scattered over the stores: each is fetched ahead. */

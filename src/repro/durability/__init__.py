@@ -6,14 +6,12 @@ mutating slice of the API survive process death (see DESIGN.md §8):
 - :mod:`repro.durability.wal` — per-dataset append-only write-ahead log
   with CRC-per-record framing, group-commit fsync, and a torn-tail
   tolerant scanner;
-- :mod:`repro.durability.checkpoint` — periodic checkpoints, each a
-  durable ``base-<seq>/`` snapshot directory (:meth:`OnexBase.save`'s)
-  that carries the streaming state and verifies itself; the log is then
-  compacted;
-- :mod:`repro.durability.recovery` — restore each dataset from its
-  newest checkpoint that loads and replay the WAL tail;
 - :mod:`repro.durability.manager` — the per-server façade the service
-  layer talks to (attach/log/checkpoint/status);
+  layer talks to, and per dataset a handle that logs, writes
+  checkpoints (durable ``base-<seq>/`` snapshot directories) and
+  restores from one; which checkpoints it keeps is its rule;
+- :mod:`repro.durability.recovery` — restore each dataset through its
+  handle and replay the WAL tail;
 - :mod:`repro.durability.idempotency` — the bounded request-id replay
   window that makes mutating retries safe.
 """

@@ -5,9 +5,10 @@ The service layer talks to a single :class:`DurabilityManager` rooted at
 
     <data-dir>/<slug>/
         dataset.json     identity file: the (unslugged) dataset name
-        wal.log          write-ahead log
-        base-<seq>/      checkpoints: durable snapshot directories (see
-                         checkpoint.py), the two newest
+        wal.log          write-ahead log (repro.durability.wal)
+        base-<seq>/      checkpoints: durable snapshot directories
+                         (:meth:`OnexBase.save`'s) of the base, its
+                         dataset and its streaming state as of WAL seq <seq>
 
 The slug is the dataset name with non-``[A-Za-z0-9._-]`` characters
 replaced by ``_`` plus a short hash suffix whenever the substitution
@@ -15,10 +16,19 @@ changed anything, so distinct exotic names never collide on disk; the
 ``dataset.json`` identity file (written before the first WAL append)
 keeps the real name recoverable without parsing any checkpoint.
 
-Checkpoint cadence is append-count based (``checkpoint_every``); after
-each committed checkpoint the WAL is compacted up to the *previous*
-retained checkpoint's seq, preserving the fallback path described in
-:mod:`repro.durability.checkpoint`.
+A checkpoint commits with the snapshot writer's own rename (tmp, fsync,
+``os.replace``, directory fsync), so ``base-<seq>/`` is either absent or
+complete, and it verifies itself.  Each :class:`DatasetDurability`
+handle records the seq of the checkpoint it last loaded (recovery,
+newest-first past every one that does not load) or last wrote — its
+*own* checkpoint — and one rule follows from it: a new checkpoint keeps
+itself and the handle's own, deletes every other ``base-*`` once it is
+durable, and compacts the WAL to the handle's own, so a new checkpoint
+that turns out not to load falls back to one that did, with the WAL
+tail it needs.  A checkpoint at the handle's own seq is skipped; any
+other directory at that seq did not load, and is replaced.  A crash
+before the rename leaves a ``*.tmp``, swept at the next attach.
+Checkpoint cadence is append-count based (``checkpoint_every``).
 """
 
 from __future__ import annotations
@@ -27,15 +37,17 @@ import hashlib
 import re
 import shutil
 import threading
+import time
 from pathlib import Path
 
 from repro.core.base import OnexBase
+from repro.core.mmap_layout import ARRAYS_FILE, META_FILE, load_base_snapshot
 from repro.core.persist import atomic_json_write
-from repro.durability import checkpoint as checkpoint_mod
 from repro.durability.wal import WalRecord, WalScanResult, WriteAheadLog
 from repro.exceptions import PersistenceError
 from repro.obs.logs import get_logger, log_event
 from repro.obs.metrics import REGISTRY
+from repro.obs.trace import span
 
 __all__ = ["DatasetDurability", "DurabilityManager", "dataset_slug"]
 
@@ -44,8 +56,15 @@ _LOGGER = get_logger("durability")
 _WAL_SIZE = REGISTRY.gauge(
     "onex_wal_size_bytes", "Current size of each dataset write-ahead log"
 )
+_CHECKPOINTS_TOTAL = REGISTRY.counter(
+    "onex_checkpoints_total", "Checkpoints committed",
+)
+_CHECKPOINT_SECONDS = REGISTRY.gauge(
+    "onex_checkpoint_last_seconds", "Wall-clock duration of the last checkpoint"
+)
 
 _SLUG_UNSAFE = re.compile(r"[^A-Za-z0-9._-]")
+_CHECKPOINT = re.compile(r"base-([0-9]+)")
 IDENTITY_NAME = "dataset.json"
 
 
@@ -58,19 +77,18 @@ def dataset_slug(name: str) -> str:
 
 
 class DatasetDurability:
-    """WAL + checkpoint state of one attached dataset."""
+    """WAL + checkpoint state of one attached dataset.
 
-    def __init__(
-        self,
-        name: str,
-        directory: Path,
-        wal: WriteAheadLog,
-        checkpoint_seq: int = 0,
-    ) -> None:
+    ``checkpoint_seq`` is the handle's own checkpoint (module docstring):
+    ``None`` until :meth:`restore` loads one or :meth:`checkpoint` writes
+    one.
+    """
+
+    def __init__(self, name: str, directory: Path, wal: WriteAheadLog) -> None:
         self.name = name
         self.directory = directory
         self.wal = wal
-        self.checkpoint_seq = checkpoint_seq
+        self.checkpoint_seq: int | None = None
         self.appends_since_checkpoint = 0
 
     def log(
@@ -81,22 +99,71 @@ class DatasetDurability:
         _WAL_SIZE.set(self.wal.size())
         return record
 
+    def _seqs(self) -> list[int]:
+        """WAL seqs of the ``base-<seq>/`` directories here, ascending."""
+        return sorted(
+            int(match.group(1))
+            for entry in self.directory.iterdir()
+            if (match := _CHECKPOINT.fullmatch(entry.name)) and entry.is_dir()
+        )
+
+    def restore(
+        self, records: list[WalRecord]
+    ) -> tuple[OnexBase, dict, list[WalRecord]]:
+        """Load the newest checkpoint that loads and make it the handle's own.
+
+        Loads as :meth:`OnexBase.load` does (verified), newest-first past
+        every directory that raises :class:`PersistenceError`.  Returns
+        ``(base, meta, tail)``: *tail* is the part of *records* after the
+        checkpoint, to replay.  When none loads, raises one naming the
+        newest failure (for a data dir of another format, the format found).
+        """
+        failure = None
+        for seq in reversed(self._seqs()):
+            try:
+                base, meta = load_base_snapshot(
+                    self.directory / f"base-{seq}", mmap_mode=None, verify=True
+                )
+            except PersistenceError as exc:
+                log_event(_LOGGER, "warning", "checkpoint.skipped", seq=seq, error=str(exc))
+                failure = failure or exc
+                continue
+            tail = [record for record in records if record.seq > seq]
+            self.checkpoint_seq = seq
+            self.appends_since_checkpoint = len(tail)
+            return base, meta, tail
+        if failure is None:
+            raise PersistenceError(f"{self.directory} holds no checkpoint to restore from")
+        raise PersistenceError(f"no checkpoint of {self.directory} loads: {failure}")
+
     def checkpoint(self, base: OnexBase, stream_state: dict | None = None) -> dict:
-        """Commit a checkpoint at the current WAL position; compact.
+        """Commit ``base-<seq>/`` at the current WAL position (module docstring).
 
         The WAL is fsynced first so the checkpoint never claims coverage
-        the log cannot back; compaction keeps everything after the
-        *older* retained checkpoint (fallback path).
+        the log cannot back.  Returns ``{seq, base_file, data_file}``,
+        the files relative to the dataset's directory.
         """
         self.wal.sync_now()
-        entry = checkpoint_mod.write_checkpoint(
-            self.directory,
-            base,
-            wal_seq=self.wal.last_seq,
-            stream_state=stream_state,
-        )
-        freed = self.wal.compact(checkpoint_mod.checkpoint_seqs(self.directory)[0])
-        self.checkpoint_seq = entry["seq"]
+        seq, own = self.wal.last_seq, self.checkpoint_seq
+        path = self.directory / f"base-{seq}"
+        entry = {
+            "seq": seq,
+            "base_file": f"{path.name}/{ARRAYS_FILE}",
+            "data_file": f"{path.name}/{META_FILE}",
+        }
+        if seq == own:
+            return entry
+        started = time.monotonic()
+        with span("wal.checkpoint", wal_seq=seq):
+            shutil.rmtree(path, ignore_errors=True)
+            base.save(path, stream=stream_state or {})
+            # Only now that base-<seq>/ is durable are the others garbage.
+            for other in set(self._seqs()) - {seq, own}:
+                shutil.rmtree(self.directory / f"base-{other}", ignore_errors=True)
+        _CHECKPOINTS_TOTAL.inc()
+        _CHECKPOINT_SECONDS.set(time.monotonic() - started)
+        freed = self.wal.compact(own) if own is not None else 0
+        self.checkpoint_seq = seq
         self.appends_since_checkpoint = 0
         _WAL_SIZE.set(self.wal.size())
         log_event(
@@ -104,7 +171,7 @@ class DatasetDurability:
             "info",
             "checkpoint.committed",
             dataset=self.name,
-            wal_seq=entry["seq"],
+            wal_seq=seq,
             compacted_bytes=freed,
         )
         return entry
@@ -149,16 +216,18 @@ class DurabilityManager:
         empty; an existing directory (recovery) yields the tail to
         replay.  The identity file is (re)written before any append so
         recovery can always map the directory back to its dataset.
-        Crash debris (``*.tmp``) is swept first.  ``checkpoint_seq``
-        starts at 0: recovery sets it from the checkpoint it loaded, a
-        load from its checkpoint.
+        Crash debris (``*.tmp``) is swept first.
         """
         with self._lock:
             if name in self._datasets:
                 raise PersistenceError(f"dataset {name!r} already attached")
             directory = self.data_dir / dataset_slug(name)
             directory.mkdir(parents=True, exist_ok=True)
-            checkpoint_mod.sweep_debris(directory)
+            for debris in directory.glob("*.tmp"):
+                if debris.is_dir():
+                    shutil.rmtree(debris, ignore_errors=True)
+                else:
+                    debris.unlink(missing_ok=True)
             atomic_json_write(directory / IDENTITY_NAME, {"dataset": name})
             wal = WriteAheadLog(
                 directory / "wal.log",

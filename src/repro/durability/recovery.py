@@ -3,17 +3,17 @@
 :func:`recover_all` walks every identity-bearing subdirectory of the
 manager's data dir, and per dataset:
 
-1. loads the newest checkpoint that loads verified — the
-   ``load_base_snapshot(..., verify=True)`` of :meth:`OnexBase.load` —
-   falling back to the older retained one
-   (:func:`repro.durability.checkpoint.load_latest`);
+1. asks the dataset's handle to restore
+   (:meth:`~repro.durability.manager.DatasetDurability.restore`): the
+   newest checkpoint that loads, verified as :meth:`OnexBase.load`
+   loads, becomes the handle's own;
 2. re-registers the dataset with the engine via
    :meth:`~repro.core.engine.OnexEngine.restore_dataset`, reseeding
    monitors, the event sequence, and stream counters from the
    checkpoint's ``meta["stream"]`` and passing its verified structure
    fingerprint, so the base is hashed once;
 3. opens the WAL (truncating any torn tail) and replays every record
-   with ``seq > checkpoint_seq`` through the caller's ``apply`` hook —
+   after the checkpoint through the caller's ``apply`` hook —
    the service routes these through the very handlers that produced
    them, so replay preserves acknowledged state *and* refills the
    idempotency window.
@@ -38,7 +38,6 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.core.engine import OnexEngine
-from repro.durability import checkpoint as checkpoint_mod
 from repro.durability.manager import DurabilityManager
 from repro.durability.wal import WalRecord
 from repro.obs.logs import get_logger, log_event
@@ -156,7 +155,8 @@ def _recover_one(
     # or fail one dataset (raise) to observe degraded partial recovery.
     faults.fire("recovery.dataset", dataset=name)
     handle, scan = manager.attach(name)
-    seq, base, meta = checkpoint_mod.load_latest(handle.directory)
+    base, meta, tail = handle.restore(scan.records)
+    seq = handle.checkpoint_seq
     stream = meta.get("stream") or {}
     engine.restore_dataset(
         base,
@@ -165,10 +165,8 @@ def _recover_one(
         stream_counters=stream.get("stream_counters") or None,
         fingerprint=meta["structure_fingerprint"],
     )
-    handle.checkpoint_seq = seq
-    tail = [r for r in scan.records if r.seq > seq]
     if mark is not None:
-        # Compaction keeps everything after the *older* checkpoint, so
+        # Compaction keeps everything after the previous checkpoint, so
         # covered records back to one full checkpoint interval are
         # still here for idempotency reseeding.
         for record in scan.records:
@@ -176,7 +174,6 @@ def _recover_one(
                 mark(name, record)
     for record in tail:
         apply(name, record)
-    handle.appends_since_checkpoint = len(tail)
     return {
         "checkpoint_seq": seq,
         "wal_seq": handle.wal.last_seq,

@@ -3,6 +3,15 @@
 import pytest
 
 from repro.distances import native
+from repro.testing import faults
+
+
+@pytest.fixture(autouse=True)
+def disarmed_faults():
+    """Every test starts and ends with no failpoint armed."""
+    faults.disarm_all()
+    yield
+    faults.disarm_all()
 
 
 @pytest.fixture(params=["native", "numpy"])

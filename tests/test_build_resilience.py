@@ -19,13 +19,6 @@ from repro.exceptions import DeadlineExceeded, NotBuiltError, PersistenceError
 from repro.testing import faults
 
 
-@pytest.fixture(autouse=True)
-def clean_registry():
-    faults.disarm_all()
-    yield
-    faults.disarm_all()
-
-
 def _dataset() -> TimeSeriesDataset:
     rng = np.random.default_rng(43)
     return TimeSeriesDataset.from_arrays(

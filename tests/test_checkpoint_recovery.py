@@ -1,8 +1,8 @@
 """Checkpoint and recovery tests (repro.durability).
 
-Covers checkpoints as snapshot directories (the writer's rename as the
-commit point, two-deep retention, verified newest-first fallback), and
-in-process crash/recover cycles through the service: every
+Covers a handle's checkpoints under faults (the writer's rename as the
+commit point, no checkpoint to load), and in-process crash/recover
+cycles through the service: every
 acknowledged mutating op survives, recovered state is
 *identical* (structure fingerprint and query results) to the pre-crash
 state, event sequence numbers stay monotonic, and the idempotency window
@@ -18,21 +18,13 @@ import pytest
 
 from repro.core.base import OnexBase
 from repro.core.config import BuildConfig
-from repro.core.mmap_layout import _meta_digest
 from repro.data.dataset import TimeSeriesDataset
 from repro.durability import DurabilityManager, dataset_slug
-from repro.durability import checkpoint as cp
 from repro.exceptions import PersistenceError
 from repro.server.protocol import Request
 from repro.server.service import OnexService
 from repro.testing import faults
-
-
-@pytest.fixture(autouse=True)
-def clean_faults():
-    faults.disarm_all()
-    yield
-    faults.disarm_all()
+from tests.damage import edit_meta, flip_byte
 
 
 def make_base(seed=301):
@@ -61,133 +53,65 @@ def crash_at(point, fn):
     assert child.exitcode == 17, child.exitcode
 
 
-def flip_byte(path, position=0):
-    data = bytearray(path.read_bytes())
-    data[position] ^= 0x01
-    path.write_bytes(bytes(data))
+def attach(data_dir):
+    """A fresh handle on ``ckpt-base``'s directory, as a restart opens it."""
+    return DurabilityManager(data_dir, wal_sync="never").attach("ckpt-base")[0]
 
 
-def edit_meta(path, edit, *, reseal=False):
-    """Edit a snapshot's ``meta.json`` in place; *reseal* recomputes its
-    digest, as a writer of the edited value would have."""
-    meta = json.loads((path / "meta.json").read_text())
-    edit(meta)
-    if reseal:
-        meta["meta_sha256"] = _meta_digest(meta)
-    (path / "meta.json").write_text(json.dumps(meta))
+def checkpoint_at(handle, base, seq):
+    """Log records up to WAL seq *seq*, then checkpoint there."""
+    while handle.wal.last_seq < seq:
+        handle.log("append_points", {})
+    return handle.checkpoint(base)
 
 
-class TestCheckpointModule:
-    def test_write_load_round_trip(self, tmp_path):
-        base = make_base()
-        stream_state = {
-            "event_seq": 7,
-            "monitors": [],
-            "stream_counters": {"points_ingested": 3, "windows_indexed": 9},
-        }
-        record = cp.write_checkpoint(
-            tmp_path, base, wal_seq=5, stream_state=stream_state
-        )
-        assert record == {
-            "seq": 5,
-            "base_file": "base-5/arrays.bin",
-            "data_file": "base-5/meta.json",
-        }
-        assert all((tmp_path / record[k]).is_file() for k in ("base_file", "data_file"))
-        seq, loaded, meta = cp.load_latest(tmp_path)
-        assert seq == 5 and meta["stream"] == stream_state
-        assert loaded.raw_dataset.name == base.raw_dataset.name
-        assert loaded.structure_fingerprint() == base.structure_fingerprint()
-        assert meta["structure_fingerprint"] == base.structure_fingerprint()
+def checkpoints(directory):
+    return sorted(p.name for p in directory.glob("base-*"))
 
-    def test_retention_keeps_two_and_deletes_older(self, tmp_path):
-        base = make_base()
-        for seq in (1, 2, 10):
-            cp.write_checkpoint(tmp_path, base, wal_seq=seq)
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["base-10", "base-2"]
-        assert cp.checkpoint_seqs(tmp_path) == [2, 10]
 
-    @pytest.mark.parametrize(
-        "damage",
-        [
-            lambda d: flip_byte(d / "arrays.bin", 100),
-            lambda d: edit_meta(d, lambda m: m["stream"].update(event_seq=99)),
-            lambda d: edit_meta(d, lambda m: m["stats"].update(build_seconds=0.5)),
-            lambda d: (d / "meta.json").unlink(),
-        ],
-        ids=["arrays-flipped-byte", "meta-stream-value", "meta-stats-value", "no-meta"],
-    )
-    def test_falls_back_past_a_newest_that_does_not_load(self, tmp_path, damage):
-        base = make_base()
-        cp.write_checkpoint(tmp_path, base, wal_seq=1, stream_state={"event_seq": 1})
-        cp.write_checkpoint(tmp_path, base, wal_seq=2, stream_state={"event_seq": 2})
-        damage(tmp_path / "base-2")
-        seq, loaded, meta = cp.load_latest(tmp_path)
-        assert seq == 1 and meta["stream"] == {"event_seq": 1}
-        assert loaded.structure_fingerprint() == base.structure_fingerprint()
-
+class TestHandleCheckpoints:
     def test_none_loads(self, tmp_path):
+        handle = attach(tmp_path)
         with pytest.raises(PersistenceError, match="no checkpoint"):
-            cp.load_latest(tmp_path)
-        cp.write_checkpoint(tmp_path, make_base(), wal_seq=1)
-        flip_byte(tmp_path / "base-1" / "arrays.bin")
+            handle.restore([])
+        handle.checkpoint(make_base())
+        flip_byte(handle.directory / "base-0" / "arrays.bin")
         with pytest.raises(PersistenceError, match="no checkpoint .* loads.*sha256"):
-            cp.load_latest(tmp_path)
+            handle.restore([])
 
     def test_persist_save_failpoint_leaves_previous_checkpoint(self, tmp_path):
         """A failure before the rename leaves the previous checkpoint in
-        force; a crash there leaves a ``.tmp`` that only the sweep removes."""
+        force; a crash there leaves a ``.tmp`` that the next attach sweeps."""
         base = make_base()
-        cp.write_checkpoint(tmp_path, base, wal_seq=1)
+        handle = attach(tmp_path)
+        checkpoint_at(handle, base, 1)
         with faults.inject("persist.save", "raise"):
             with pytest.raises(faults.FaultInjectedError):
-                cp.write_checkpoint(tmp_path, base, wal_seq=2)
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["base-1"]
-        crash_at("persist.save", lambda: cp.write_checkpoint(tmp_path, base, wal_seq=2))
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["base-1", "base-2.tmp"]
-        assert cp.load_latest(tmp_path)[0] == 1
-        (tmp_path / "dataset.json.tmp").write_text("{")
-        assert cp.sweep_debris(tmp_path) == ["base-2.tmp", "dataset.json.tmp"]
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["base-1"]
+                checkpoint_at(handle, base, 2)
+        assert checkpoints(handle.directory) == ["base-1"]
+        crash_at("persist.save", lambda: handle.checkpoint(base))
+        assert checkpoints(handle.directory) == ["base-1", "base-2.tmp"]
+        (handle.directory / "dataset.json.tmp").write_text("{")
+        revived = attach(tmp_path)
+        assert not list(revived.directory.glob("*.tmp"))
+        # A first checkpoint compacts nothing: an emptied WAL numbers from 1.
+        assert [record.seq for record in revived.wal.records()] == [1, 2]
+        revived.restore([])
+        assert revived.checkpoint_seq == 1
 
     def test_persist_rename_failpoint_leaves_new_checkpoint(self, tmp_path):
         base = make_base()
-        cp.write_checkpoint(tmp_path, base, wal_seq=1)
-        cp.write_checkpoint(tmp_path, base, wal_seq=2)
-        crash_at("persist.rename", lambda: cp.write_checkpoint(tmp_path, base, wal_seq=3))
-        # Committed, and the crash came before the older one was deleted.
-        assert cp.checkpoint_seqs(tmp_path) == [1, 2, 3]
-        assert cp.load_latest(tmp_path)[0] == 3
-        cp.write_checkpoint(tmp_path, base, wal_seq=4)
-        assert cp.checkpoint_seqs(tmp_path) == [3, 4]
-
-    def test_recheckpoint_at_same_seq(self, tmp_path):
-        """A directory that loads is left untouched; one that does not
-        (recovery fell past it) is replaced."""
-        base = make_base()
-        cp.write_checkpoint(tmp_path, base, wal_seq=5)
-        meta_path = tmp_path / "base-5" / "meta.json"
-        before = meta_path.stat()
-        cp.write_checkpoint(tmp_path, base, wal_seq=5)
-        after = meta_path.stat()
-        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
-        flip_byte(tmp_path / "base-5" / "arrays.bin")
-        cp.write_checkpoint(tmp_path, base, wal_seq=5)
-        seq, loaded, _ = cp.load_latest(tmp_path)
-        assert seq == 5
-        assert loaded.structure_fingerprint() == base.structure_fingerprint()
-
-    def test_previous_format_is_refused_by_name(self, tmp_path):
-        """A data dir the previous format wrote (``meta.json`` format 3
-        and a ``manifest.json``) fails with the reader's format message
-        and nothing in it is deleted."""
-        cp.write_checkpoint(tmp_path, make_base(), wal_seq=3)
-        edit_meta(tmp_path / "base-3", lambda m: m.update(format=3))
-        (tmp_path / "manifest.json").write_text('{"format": 2, "checkpoints": []}')
-        with pytest.raises(PersistenceError, match="format 3; only format 4"):
-            cp.load_latest(tmp_path)
-        assert cp.sweep_debris(tmp_path) == []
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["base-3", "manifest.json"]
+        handle = attach(tmp_path)
+        checkpoint_at(handle, base, 1)
+        checkpoint_at(handle, base, 2)
+        crash_at("persist.rename", lambda: checkpoint_at(handle, base, 3))
+        # Committed, and the crash came before the older ones were deleted.
+        assert checkpoints(handle.directory) == ["base-1", "base-2", "base-3"]
+        revived = attach(tmp_path)
+        revived.restore([])
+        assert revived.checkpoint_seq == 3
+        checkpoint_at(revived, base, 4)
+        assert checkpoints(revived.directory) == ["base-3", "base-4"]
 
 
 class TestDatasetSlug:
@@ -304,19 +228,6 @@ class TestServiceRecovery:
         events = call(revived, "poll_events", {"dataset": _DATASET})
         assert events["last_seq"] == before["events"]["last_seq"]
         assert [m["monitor"] for m in events["monitors"]] == ["m1"]
-
-    def test_recovery_with_mid_run_checkpoints(self, tmp_path):
-        service = make_service(tmp_path, checkpoint_every=3)
-        before = seed_state(service)
-        handle = service.durability.get(_DATASET)
-        assert handle.checkpoint_seq > 0  # cadence fired mid-run
-        revived = make_service(tmp_path, checkpoint_every=3)
-        report = revived.recover()
-        assert not report.errors
-        summary = report.datasets[_DATASET]
-        assert summary["replayed"] < 8  # the checkpoint absorbed a prefix
-        assert summary["fingerprint"] == before["fingerprint"]
-        assert call(revived, "k_best", _QUERY)["matches"] == before["matches"]
 
     def test_cadence_bounds_the_wal_and_the_replay(self, tmp_path):
         """However long the stream, compaction keeps at most two cadence
@@ -481,6 +392,30 @@ class TestServiceRecovery:
         events = call(revived, "poll_events", {"dataset": _DATASET})
         assert events["last_seq"] == before["events"]["last_seq"]
 
+    def test_newest_checkpoint_damaged_twice_over_loses_nothing(self, tmp_path):
+        """Recovery fell past a damaged ``base-1`` to ``base-0``, so the
+        checkpoint at 2 keeps ``base-0`` and the WAL after it, and a damaged
+        ``base-2`` falls back to them too."""
+        reference, service = OnexService(), make_service(tmp_path, checkpoint_every=100)
+        for target in (reference, service):
+            call(target, "load_dataset", _LOAD)
+        for seq in (1, 2):
+            append = {"dataset": _DATASET, "series": "live", "values": [seq, 0.5, -seq]}
+            for target in (reference, service):
+                call(target, "append_points", append)
+            service.durability.get(_DATASET).checkpoint(
+                service.engine.base(_DATASET), service.engine.stream_state(_DATASET)
+            )
+            flip_byte(tmp_path / dataset_slug(_DATASET) / f"base-{seq}" / "arrays.bin", 100)
+            service = make_service(tmp_path, checkpoint_every=100)
+            report = service.recover()
+            assert not report.errors
+            summary = report.datasets[_DATASET]
+            assert (summary["checkpoint_seq"], summary["replayed"]) == (0, seq)
+        want = call(reference, "describe", {"dataset": _DATASET})["structure_fingerprint"]
+        assert summary["fingerprint"] == want
+        assert call(service, "k_best", _QUERY) == call(reference, "k_best", _QUERY)
+
     def test_recovery_fingerprints_the_base_once(self, tmp_path, monkeypatch):
         """The verified load's fingerprint is the one registered: with no
         tail to replay, recovery hashes the structure exactly once."""
@@ -508,15 +443,15 @@ class TestServiceRecovery:
         service = make_service(tmp_path, checkpoint_every=3)
         seed_state(service)
         directory = service.durability.get(_DATASET).directory
-        seqs = cp.checkpoint_seqs(directory)
-        assert len(seqs) == 2
+        retained = list(directory.glob("base-*"))
+        assert len(retained) == 2
 
         def past_the_end(meta):
             name = next(n for n in meta["arrays"] if n.endswith("_member_matrix"))
             meta["arrays"][name][2] = 1 << 40
 
-        for seq in seqs:
-            edit_meta(directory / f"base-{seq}", past_the_end, reseal=True)
+        for path in retained:
+            edit_meta(path, past_the_end, reseal=True)
 
         revived = make_service(tmp_path, checkpoint_every=3)
         report = revived.recover()
@@ -530,12 +465,12 @@ class TestServiceRecovery:
         service = make_service(tmp_path, checkpoint_every=100)
         call(service, "load_dataset", _LOAD)
         directory = service.durability.get(_DATASET).directory
-        edit_meta(directory / "base-0", lambda m: m.update(format=3))
+        edit_meta(directory / "base-0", lambda m: m.update(format=3), reseal=False)
         (directory / "manifest.json").write_text('{"format": 2, "checkpoints": []}')
         names = sorted(p.name for p in directory.iterdir())
         report = make_service(tmp_path).recover()
         assert report.datasets == {}
-        assert "format 3" in report.errors[0]["error"]
+        assert "format 3; only format 4" in report.errors[0]["error"]
         assert sorted(p.name for p in directory.iterdir()) == names
 
     def test_dataset_without_checkpoint_reports_error(self, tmp_path):

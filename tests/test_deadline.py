@@ -36,13 +36,6 @@ from repro.testing import faults
 finite_floats = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 
 
-@pytest.fixture(autouse=True)
-def clean_registry():
-    faults.disarm_all()
-    yield
-    faults.disarm_all()
-
-
 @pytest.fixture(scope="module")
 def base():
     rng = np.random.default_rng(61)

@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.base import OnexBase
 from repro.core.config import BuildConfig
-from repro.core.mmap_layout import _meta_digest, load_base_snapshot
+from repro.core.mmap_layout import load_base_snapshot
 from repro.core.query import QueryProcessor
 from repro.data.dataset import TimeSeriesDataset
 from repro.data.timeseries import TimeSeries
@@ -29,6 +29,7 @@ from repro.exceptions import (
 from repro.server.http import OnexHttpServer
 from repro.server.protocol import Request
 from repro.server.service import OnexService
+from tests.damage import edit_meta, flip_byte
 
 
 @pytest.fixture(scope="module")
@@ -40,16 +41,6 @@ def base():
     b = OnexBase(ds, BuildConfig(similarity_threshold=0.1, min_length=4, max_length=6))
     b.build()
     return b
-
-
-def _edit_meta(path, edit, *, reseal=True):
-    """Apply *edit* to a snapshot's ``meta.json``; *reseal* recomputes its
-    digest, so a verified load reaches the reader's own checks."""
-    meta = json.loads((path / "meta.json").read_text())
-    edit(meta)
-    if reseal:
-        meta["meta_sha256"] = _meta_digest(meta)
-    (path / "meta.json").write_text(json.dumps(meta))
 
 
 def _set_entry(name_suffix, position, value):
@@ -156,14 +147,12 @@ class TestCorruptedBaseFiles:
         """One flipped byte anywhere in ``arrays.bin`` trips the sha256."""
         path = tmp_path / "base"
         base.save(path)
-        data = bytearray((path / "arrays.bin").read_bytes())
-        for position in (0, len(data) // 2, len(data) - 1):
-            flipped = bytearray(data)
-            flipped[position] ^= 0x01
-            (path / "arrays.bin").write_bytes(flipped)
+        size = (path / "arrays.bin").stat().st_size
+        for position in (0, size // 2, size - 1):
+            flip_byte(path / "arrays.bin", position)
             with pytest.raises(PersistenceError, match="sha256"):
                 OnexBase.load(path)
-        (path / "arrays.bin").write_bytes(data)
+            flip_byte(path / "arrays.bin", position)
         assert (
             OnexBase.load(path).structure_fingerprint()
             == base.structure_fingerprint()
@@ -175,7 +164,7 @@ class TestCorruptedBaseFiles:
         fingerprint catches it."""
         path = tmp_path / "base"
         base.save(path)
-        _edit_meta(path, _HOSTILE_META["swapped-radius-arrays"])
+        edit_meta(path, _HOSTILE_META["swapped-radius-arrays"], reseal=True)
         with pytest.raises(PersistenceError, match="structure fingerprint"):
             OnexBase.load(path)
 
@@ -184,7 +173,7 @@ class TestCorruptedBaseFiles:
     def test_hostile_meta_is_a_persistence_error(self, base, tmp_path, case, mmap_mode):
         path = tmp_path / "base"
         base.save(path)
-        _edit_meta(path, _HOSTILE_META[case])
+        edit_meta(path, _HOSTILE_META[case], reseal=True)
         with pytest.raises(PersistenceError):
             load_base_snapshot(path, mmap_mode=mmap_mode, verify=True)
 
@@ -197,7 +186,7 @@ class TestCorruptedBaseFiles:
         of same-shaped arrays needs the fingerprint)."""
         path = tmp_path / "base"
         base.save(path)
-        _edit_meta(path, _HOSTILE_META[case], reseal=False)
+        edit_meta(path, _HOSTILE_META[case], reseal=False)
         with pytest.raises(PersistenceError):
             load_base_snapshot(path, mmap_mode="r")
 
@@ -215,7 +204,7 @@ class TestCorruptedBaseFiles:
         meta still parses, is caught by ``meta.json``'s own digest."""
         path = tmp_path / "base"
         base.save(path)
-        _edit_meta(path, edit, reseal=False)
+        edit_meta(path, edit, reseal=False)
         with pytest.raises(PersistenceError, match="digest"):
             OnexBase.load(path)
         assert load_base_snapshot(path)[0].lengths == base.lengths
@@ -244,7 +233,7 @@ class TestCorruptedBaseFiles:
                     arrays[f"len{n}_{name}"] = entry or arrays[f"len{n}_centroids"]
             meta["rep_radius"] = {str(n): 1 for n in base.lengths}
 
-        _edit_meta(path, legacy)
+        edit_meta(path, legacy, reseal=True)
         loaded, _ = load_base_snapshot(path, mmap_mode=mmap_mode, verify=True)
         assert loaded.structure_fingerprint() == base.structure_fingerprint()
         q = base.dataset[0].values[2:7]
@@ -268,7 +257,7 @@ class TestCorruptedBaseFiles:
         path = tmp_path / "epoch-1"
         base.save(path)
         for found in (1, 2):
-            _edit_meta(path, lambda meta: meta.update(format=found))
+            edit_meta(path, lambda meta: meta.update(format=found), reseal=True)
             for load in (OnexBase.load, load_base_snapshot):
                 with pytest.raises(PersistenceError, match=f"format {found}"):
                     load(path)

@@ -12,13 +12,6 @@ import pytest
 from repro.testing import faults
 
 
-@pytest.fixture(autouse=True)
-def clean_registry():
-    faults.disarm_all()
-    yield
-    faults.disarm_all()
-
-
 class TestRegistry:
     def test_fire_with_nothing_armed_is_noop(self):
         faults.fire("query.rep_chunk")  # must not raise

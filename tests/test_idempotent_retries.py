@@ -24,13 +24,6 @@ from repro.server.service import OnexService
 from repro.testing import faults
 
 
-@pytest.fixture(autouse=True)
-def clean_faults():
-    faults.disarm_all()
-    yield
-    faults.disarm_all()
-
-
 class TestIdempotencyWindow:
     def test_miss_then_hit(self):
         window = IdempotencyWindow(4)

@@ -253,13 +253,14 @@ class TestPersistence:
 class TestCheckpointRecovery:
     def test_multichannel_state_survives_recovery(self, tmp_path):
         """WAL + checkpoint carry channel metadata through recovery."""
-        from repro.durability.checkpoint import load_latest, write_checkpoint
+        from repro.durability import DurabilityManager
 
         ds = _mv_dataset(seed=27)
         base = _build(ds)
-        write_checkpoint(tmp_path, base, wal_seq=7)
-        seq, restored, _ = load_latest(tmp_path)
-        assert seq == 7
+        handle, _ = DurabilityManager(tmp_path).attach(ds.name)
+        handle.checkpoint(base)
+        restored, _, _ = handle.restore([])
+        handle.close()
         assert restored.raw_dataset.channels == 2
         assert restored.channels == 2
         assert (

@@ -23,13 +23,6 @@ from repro.server.service import OnexService
 from repro.testing import faults
 
 
-@pytest.fixture(autouse=True)
-def clean_registry():
-    faults.disarm_all()
-    yield
-    faults.disarm_all()
-
-
 def _post(url: str, op: str, params: dict) -> tuple[int, dict | None, dict]:
     """POST one request; returns (status, headers, body) without raising."""
     req = urllib.request.Request(

@@ -26,6 +26,7 @@ from repro.baselines.brute_force import BruteForceSearcher
 from repro.core.grouping import cluster_subsequence_rows, cluster_subsequences
 from repro.core.mmap_layout import clean_stale_snapshots
 from repro.server.pool import WorkerPool
+from repro.server.protocol import Request
 from repro.server.service import OnexService
 from repro.server.supervisor import Supervisor
 
@@ -236,6 +237,15 @@ class TestRepositoryLayout:
         known = set(options(build_parser())) | set(options(bench_parser()))
         named = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", (ROOT / "README.md").read_text()))
         assert named and not named - known, sorted(named - known)
+
+    def test_every_readme_api_body_is_a_request(self):
+        """Each ``curl … /api -d '{…}'`` body of README.md parses through
+        ``Request.from_json``, which refuses an unknown op or a missing
+        required param."""
+        text = (ROOT / "README.md").read_text()
+        bodies = re.findall(r"curl -s \S+/api -d '(\{.*?\})'", text, re.S)
+        ops = [Request.from_json(body).op for body in bodies]
+        assert ops == ["query_batch", "best_match", "k_best"]
 
     def test_every_documented_path_resolves(self):
         """The converse: a backticked ``*.py``, ``BENCH_*.json`` or

@@ -15,7 +15,6 @@ import urllib.error
 import urllib.request
 
 import numpy as np
-import pytest
 
 from repro.durability import DurabilityManager
 from repro.server.http import OnexHttpServer
@@ -31,13 +30,6 @@ _LOAD = {
     "max_length": 4,
 }
 _DATASET = "ElectricityLoad-sim"
-
-
-@pytest.fixture(autouse=True)
-def clean_faults():
-    faults.disarm_all()
-    yield
-    faults.disarm_all()
 
 
 def call(service, op, params, request_id=None):

@@ -1,12 +1,14 @@
 """The stateful differential oracle: a base grown through every write path
 answers every read as a brute-force scan of a plain model does.
 
-A Hypothesis state machine builds an :class:`OnexBase` over three
-12-point random walks (lengths 3-6, ST 0.05, 0.2 or 0.6, normalised or
-not) and keeps the raw points in plain lists.  It grows the base as a
-server does — ``add_series``, streaming appends, save → load, a replica
-started from a save and fed tails — and holds every read to a scan of the
-model's windows (normalised by the base's bounds where it normalises):
+A Hypothesis state machine loads three 12-point random walks (lengths
+3-6, ST 0.05, 0.2 or 0.6, normalised or not) into an ``OnexService`` on a
+``DurabilityManager`` and keeps the raw points in plain lists.  It grows
+the base as a server does — ``add_series`` and streaming appends through
+the service, checkpoints, crash → recovery (from the checkpoint the model
+keeps, past a damaged newer one), a replica started from a save and fed
+tails — and holds every read to a scan of the model's windows
+(normalised by the base's bounds where it normalises):
 exact ``k_best`` to ``dtw_path``'s distances and paths; fast ``k_best``
 to true distances, never better than exact at each rank, inside the
 transfer interval of the group's representative; ``matches_within`` in
@@ -28,18 +30,20 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant
 from hypothesis.stateful import precondition, rule, run_state_machine_as_test
 
 from repro.core.base import OnexBase
-from repro.core.config import BuildConfig, QueryConfig
+from repro.core.config import QueryConfig
 from repro.core.query import QueryProcessor
-from repro.data.dataset import TimeSeriesDataset
-from repro.data.timeseries import TimeSeries
 from repro.distances.bounds import transfer_bounds
 from repro.distances.dtw import dtw_path
 from repro.distances.normalize import minmax_normalize
 from repro.distances.registry import get_metric
-from repro.stream.ingest import StreamIngestor
+from repro.durability import DurabilityManager
+from repro.server.protocol import Request
+from repro.server.service import OnexService
+from tests.damage import flip_byte
 from tests.test_rank_stage import assert_table_matches_buckets
 
 MIN_LENGTH, MAX_LENGTH = 3, 6
+NAME = "oracle"
 EUCLIDEAN = get_metric("euclidean")
 
 values = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
@@ -71,23 +75,46 @@ class OracleMachine(RuleBasedStateMachine):
         self.saves, self.replica, self.mark, self.caught_up = 0, None, None, False
 
     def teardown(self) -> None:
+        if hasattr(self, "service"):
+            self.service.close()
         self.scratch.cleanup()
+
+    def serve(self) -> None:
+        data = Path(self.scratch.name) / "data"
+        manager = DurabilityManager(data, wal_sync="never", checkpoint_every=self.every)
+        self.service = OnexService(durability=manager)
+
+    def call(self, op: str, **params) -> dict:
+        response = self.service.handle(Request(op, params))
+        assert response.ok, (op, response.error_message)
+        return response.result
 
     @initialize(
         seed=st.integers(0, 2**16),
         threshold=st.sampled_from((0.05, 0.2, 0.6)),
         normalize=st.booleans(),
+        every=st.sampled_from((1, 2)),  # a cadence short enough to fall back often
     )
-    def build(self, seed: int, threshold: float, normalize: bool) -> None:
+    def build(self, seed: int, threshold: float, normalize: bool, every: int) -> None:
         rng = np.random.default_rng(seed)
-        self.model = {f"s{i}": rng.normal(size=12).cumsum().tolist() for i in range(3)}
-        series = [TimeSeries(name, np.array(v)) for name, v in self.model.items()]
-        self.base = OnexBase(
-            TimeSeriesDataset(series, name="oracle"),
-            BuildConfig(threshold, MIN_LENGTH, MAX_LENGTH, normalize=normalize),
+        walks = [rng.normal(size=12).cumsum().tolist() for _ in range(3)]
+        self.model = {f"{NAME}-{i + 1}": walk for i, walk in enumerate(walks)}
+        source = Path(self.scratch.name) / f"{NAME}.txt"
+        source.write_text("".join(f"0,{','.join(map(repr, w))}\n" for w in walks))
+        self.every = every
+        self.serve()
+        self.call(
+            "load_dataset",
+            source=f"ucr:{source}",
+            similarity_threshold=threshold,
+            min_length=MIN_LENGTH,
+            max_length=MAX_LENGTH,
+            normalize=normalize,
         )
-        self.base.build()
-        self.ingestor = StreamIngestor(self.base)
+        self.base = self.service.engine.base(NAME)
+        # The durability model: WAL seq, the handle's own checkpoint, the
+        # appends since it, and each kept checkpoint's seq -> intact.
+        self.seq, self.own, self.since, self.kept = 0, 0, 0, {0: True}
 
     # -- the model ------------------------------------------------------
 
@@ -122,36 +149,74 @@ class OracleMachine(RuleBasedStateMachine):
 
     # -- writes ---------------------------------------------------------
 
+    def wrote(self) -> None:
+        self.seq, self.since, self.caught_up = self.seq + 1, self.since + 1, False
+        if self.since >= self.every:
+            self.checkpointed()
+
+    def checkpointed(self) -> None:
+        """A checkpoint keeps itself and the handle's own, nothing else."""
+        if self.seq != self.own:
+            self.kept = {self.seq: True, self.own: self.kept[self.own]}
+            self.own, self.since = self.seq, 0
+
     @precondition(lambda self: len(self.model) < 5)
     @rule(points=st.lists(values, min_size=MAX_LENGTH, max_size=12))
     def add_series(self, points: list[float]) -> None:
         name = f"s{len(self.model)}"
-        self.base.add_series(TimeSeries(name, np.cumsum(points)))
         self.model[name] = np.cumsum(points).tolist()
-        self.caught_up = False
+        self.call("add_series", dataset=NAME, name=name, values=self.model[name])
+        self.wrote()
 
     @rule(which=st.integers(0, 10), points=st.lists(values, min_size=1, max_size=6))
     def append_points(self, which: int, points: list[float]) -> None:
         name = list(self.model)[which % len(self.model)]
-        self.ingestor.append_points(name, points)
+        self.call("append_points", dataset=NAME, series=name, values=points)
         self.model[name] += points
-        self.caught_up = False
-
-    def save(self) -> Path:
-        self.saves += 1
-        path = Path(self.scratch.name) / f"base-{self.saves}"
-        self.base.save(path)
-        return path
+        self.wrote()
 
     @rule()
-    def save_and_load(self) -> None:
-        self.base = OnexBase.load(self.save())
-        self.ingestor = StreamIngestor(self.base)
+    def checkpoint(self) -> None:
+        handle = self.service.durability.get(NAME)
+        handle.checkpoint(self.base, self.service.engine.stream_state(NAME))
+        self.checkpointed()
+
+    @rule()
+    def crash_and_recover(self) -> None:
+        """Crash (every acknowledged write is in the WAL's file already, so
+        closing it leaves what a kill would) and recover on a fresh service:
+        from the newest kept checkpoint that is intact, replaying the rest."""
+        self.service.close()
+        self.serve()
+        report = self.service.recover()
+        assert not report.errors, report.errors
+        self.own = max(seq for seq, ok in self.kept.items() if ok)
+        self.since = self.seq - self.own
+        summary = report.datasets[NAME]
+        assert (summary["checkpoint_seq"], summary["replayed"]) == (self.own, self.since)
+        self.base = self.service.engine.base(NAME)
+        assert {s.name: s.values.tolist() for s in self.base.raw_dataset} == self.model
         self.replica, self.caught_up = None, False
+
+    @precondition(lambda self: sum(self.kept.values()) > 1)
+    @rule(at=st.integers(0, 2**32))
+    def damage_and_recover(self, at: int) -> None:
+        """Flip one byte of the newest kept checkpoint while an older one
+        is intact, then crash and recover.  Only a load reads a checkpoint,
+        so this is damage done at any step since it was written."""
+        seq = max(self.kept)
+        path = self.service.durability.get(NAME).directory / f"base-{seq}"
+        path /= ("arrays.bin", "meta.json")[at % 2]
+        flip_byte(path, at % path.stat().st_size)
+        self.kept[seq] = False
+        self.crash_and_recover()
 
     @rule()
     def start_replica(self) -> None:
-        self.replica = OnexBase.load(self.save())
+        self.saves += 1
+        path = Path(self.scratch.name) / f"base-{self.saves}"
+        self.base.save(path)
+        self.replica = OnexBase.load(path)
         self.mark = self.base.mark()
         self.caught_up = True
 
@@ -243,7 +308,9 @@ class OracleMachine(RuleBasedStateMachine):
 
 @pytest.mark.usefixtures("kernel_backend")
 def test_every_read_answers_as_the_model():
+    # 20 steps fit a fallback, a checkpoint and a second fallback: the
+    # sequence that loses data if retention ignores the handle's own.
     run_state_machine_as_test(
         OracleMachine,
-        settings=settings(max_examples=30, stateful_step_count=12, deadline=None),
+        settings=settings(max_examples=30, stateful_step_count=20, deadline=None),
     )

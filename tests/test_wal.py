@@ -17,13 +17,6 @@ from repro.exceptions import PersistenceError
 from repro.testing import faults
 
 
-@pytest.fixture(autouse=True)
-def clean_faults():
-    faults.disarm_all()
-    yield
-    faults.disarm_all()
-
-
 def make_wal(tmp_path, **kwargs):
     wal = WriteAheadLog(tmp_path / "wal.log", **kwargs)
     wal.open()
