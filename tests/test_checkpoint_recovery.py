@@ -1,7 +1,8 @@
 """Checkpoint and recovery tests (repro.durability).
 
-Covers a handle's checkpoints under faults (the writer's rename as the
-commit point, no checkpoint to load), and in-process crash/recover
+Covers a handle's checkpoints (the writer's rename as the commit point,
+retention and WAL compaction by the handle's own checkpoint, verified
+newest-first fallback, the same-seq rule), and in-process crash/recover
 cycles through the service: every
 acknowledged mutating op survives, recovered state is
 *identical* (structure fingerprint and query results) to the pre-crash
@@ -58,18 +59,100 @@ def attach(data_dir):
     return DurabilityManager(data_dir, wal_sync="never").attach("ckpt-base")[0]
 
 
-def checkpoint_at(handle, base, seq):
+def checkpoint_at(handle, base, seq, stream_state=None):
     """Log records up to WAL seq *seq*, then checkpoint there."""
     while handle.wal.last_seq < seq:
         handle.log("append_points", {})
-    return handle.checkpoint(base)
+    return handle.checkpoint(base, stream_state)
 
 
 def checkpoints(directory):
     return sorted(p.name for p in directory.glob("base-*"))
 
 
+def wal_seqs(handle):
+    return [record.seq for record in handle.wal.records()]
+
+
 class TestHandleCheckpoints:
+    def test_write_load_round_trip(self, tmp_path):
+        base = make_base()
+        stream_state = {
+            "event_seq": 7,
+            "monitors": [],
+            "stream_counters": {"points_ingested": 3, "windows_indexed": 9},
+        }
+        handle = attach(tmp_path)
+        record = checkpoint_at(handle, base, 5, stream_state)
+        assert record == {
+            "seq": 5,
+            "base_file": "base-5/arrays.bin",
+            "data_file": "base-5/meta.json",
+        }
+        assert all(
+            (handle.directory / record[k]).is_file() for k in ("base_file", "data_file")
+        )
+        revived = attach(tmp_path)
+        loaded, meta, tail = revived.restore(list(revived.wal.records()))
+        assert revived.checkpoint_seq == 5 and tail == []
+        assert meta["stream"] == stream_state
+        assert loaded.raw_dataset.name == base.raw_dataset.name
+        assert loaded.structure_fingerprint() == base.structure_fingerprint()
+        assert meta["structure_fingerprint"] == base.structure_fingerprint()
+
+    def test_retention_keeps_two_and_deletes_older(self, tmp_path):
+        """Each checkpoint keeps itself and the one the handle wrote
+        before it, and the WAL keeps what follows that one."""
+        base = make_base()
+        handle = attach(tmp_path)
+        for seq in (1, 2, 10):
+            checkpoint_at(handle, base, seq)
+        assert checkpoints(handle.directory) == ["base-10", "base-2"]
+        assert handle.checkpoint_seq == 10
+        assert wal_seqs(handle) == list(range(3, 11))
+
+    def test_retention_keeps_the_checkpoint_that_loaded(self, tmp_path):
+        """Recovery fell past a damaged ``base-20`` to ``base-10``: the
+        next checkpoint keeps ``base-10`` and the WAL after it, not the
+        newer directory that does not load."""
+        base = make_base()
+        handle = attach(tmp_path)
+        checkpoint_at(handle, base, 10)
+        checkpoint_at(handle, base, 20)
+        flip_byte(handle.directory / "base-20" / "arrays.bin", 100)
+        revived = attach(tmp_path)
+        revived.restore(list(revived.wal.records()))
+        assert revived.checkpoint_seq == 10
+        checkpoint_at(revived, base, 30)
+        assert checkpoints(revived.directory) == ["base-10", "base-30"]
+        assert wal_seqs(revived) == list(range(11, 31))
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda d: flip_byte(d / "arrays.bin", 100),
+            lambda d: edit_meta(
+                d, lambda m: m["stream"].update(event_seq=99), reseal=False
+            ),
+            lambda d: edit_meta(
+                d, lambda m: m["stats"].update(build_seconds=0.5), reseal=False
+            ),
+            lambda d: (d / "meta.json").unlink(),
+        ],
+        ids=["arrays-flipped-byte", "meta-stream-value", "meta-stats-value", "no-meta"],
+    )
+    def test_falls_back_past_a_newest_that_does_not_load(self, tmp_path, damage):
+        base = make_base()
+        handle = attach(tmp_path)
+        checkpoint_at(handle, base, 1, {"event_seq": 1})
+        checkpoint_at(handle, base, 2, {"event_seq": 2})
+        damage(handle.directory / "base-2")
+        revived = attach(tmp_path)
+        loaded, meta, tail = revived.restore(list(revived.wal.records()))
+        assert revived.checkpoint_seq == 1 and meta["stream"] == {"event_seq": 1}
+        assert [record.seq for record in tail] == [2]
+        assert loaded.structure_fingerprint() == base.structure_fingerprint()
+
     def test_none_loads(self, tmp_path):
         handle = attach(tmp_path)
         with pytest.raises(PersistenceError, match="no checkpoint"):
@@ -112,6 +195,43 @@ class TestHandleCheckpoints:
         assert revived.checkpoint_seq == 3
         checkpoint_at(revived, base, 4)
         assert checkpoints(revived.directory) == ["base-3", "base-4"]
+
+    def test_recheckpoint_at_same_seq(self, tmp_path):
+        """The handle's own directory at the seq is left untouched; one it
+        did not load (recovery fell past it) is replaced."""
+        base = make_base()
+        handle = attach(tmp_path)
+        checkpoint_at(handle, base, 4)
+        checkpoint_at(handle, base, 5)
+        meta_path = handle.directory / "base-5" / "meta.json"
+        before = meta_path.stat()
+        handle.checkpoint(base)
+        after = meta_path.stat()
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+        flip_byte(handle.directory / "base-5" / "arrays.bin")
+        revived = attach(tmp_path)
+        revived.restore([])
+        assert revived.checkpoint_seq == 4
+        revived.checkpoint(base)
+        assert checkpoints(revived.directory) == ["base-4", "base-5"]
+        again = attach(tmp_path)
+        loaded, _, _ = again.restore([])
+        assert again.checkpoint_seq == 5
+        assert loaded.structure_fingerprint() == base.structure_fingerprint()
+
+    def test_previous_format_is_refused_by_name(self, tmp_path):
+        """A data dir the previous format wrote (``meta.json`` format 3
+        and a ``manifest.json``) fails with the reader's format message
+        and nothing in it is deleted."""
+        handle = attach(tmp_path)
+        checkpoint_at(handle, make_base(), 3)
+        edit_meta(handle.directory / "base-3", lambda m: m.update(format=3), reseal=False)
+        (handle.directory / "manifest.json").write_text('{"format": 2, "checkpoints": []}')
+        names = sorted(p.name for p in handle.directory.iterdir())
+        revived = attach(tmp_path)
+        with pytest.raises(PersistenceError, match="format 3; only format 4"):
+            revived.restore([])
+        assert sorted(p.name for p in revived.directory.iterdir()) == names
 
 
 class TestDatasetSlug:
@@ -228,6 +348,19 @@ class TestServiceRecovery:
         events = call(revived, "poll_events", {"dataset": _DATASET})
         assert events["last_seq"] == before["events"]["last_seq"]
         assert [m["monitor"] for m in events["monitors"]] == ["m1"]
+
+    def test_recovery_with_mid_run_checkpoints(self, tmp_path):
+        service = make_service(tmp_path, checkpoint_every=3)
+        before = seed_state(service)
+        handle = service.durability.get(_DATASET)
+        assert handle.checkpoint_seq > 0  # cadence fired mid-run
+        revived = make_service(tmp_path, checkpoint_every=3)
+        report = revived.recover()
+        assert not report.errors
+        summary = report.datasets[_DATASET]
+        assert summary["replayed"] < 8  # the checkpoint absorbed a prefix
+        assert summary["fingerprint"] == before["fingerprint"]
+        assert call(revived, "k_best", _QUERY)["matches"] == before["matches"]
 
     def test_cadence_bounds_the_wal_and_the_replay(self, tmp_path):
         """However long the stream, compaction keeps at most two cadence
