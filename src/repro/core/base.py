@@ -863,6 +863,39 @@ class OnexBase:
         """
         return self._norm_bounds
 
+    def resolve_query(
+        self, query: ArrayLike | SubsequenceRef, normalize: bool
+    ) -> np.ndarray:
+        """*query* as a channel-flattened row in this base's value space.
+
+        A ref gives its stored values.  Raw values are validated — 1-D,
+        or ``(length, channels)`` for a multichannel base — then mapped
+        with the build-time :attr:`normalization_bounds` unless
+        *normalize* is false.
+        """
+        if isinstance(query, SubsequenceRef):
+            return self._dataset.values(query).ravel()
+        channels = self.channels
+        if channels > 1:
+            q = np.asarray(query, dtype=np.float64)
+            if q.ndim != 2 or q.shape[1] != channels:
+                raise ValidationError(
+                    f"query for a {channels}-channel base must be 2-D "
+                    f"(length, {channels}), got shape {q.shape}"
+                )
+            if q.shape[0] < 2:
+                raise ValidationError(
+                    f"query must have at least 2 time steps, got {q.shape[0]}"
+                )
+            if not np.all(np.isfinite(q)):
+                raise ValidationError("query contains NaN or infinite entries")
+        else:
+            q = as_sequence(query, name="query")
+        bounds = self._norm_bounds
+        if normalize and bounds is not None:
+            q = minmax_normalize(q, lo=bounds[0], hi=bounds[1])
+        return np.ascontiguousarray(q).ravel()
+
     @property
     def channels(self) -> int:
         """Channels per time step of the indexed dataset (1 = univariate)."""

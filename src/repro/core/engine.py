@@ -24,7 +24,6 @@ from repro.core.seasonal import SeasonalPattern, find_seasonal_patterns
 from repro.core.sensitivity import SensitivityProfile, similarity_profile
 from repro.core.threshold import ThresholdRecommendation, recommend_thresholds
 from repro.data.dataset import SubsequenceRef, TimeSeries, TimeSeriesDataset
-from repro.distances.normalize import minmax_normalize
 from repro.exceptions import DatasetError, ValidationError
 
 if TYPE_CHECKING:
@@ -133,17 +132,16 @@ class OnexEngine:
         *,
         monitors: Iterable[dict] = (),
         event_seq: int = 0,
-        stream_counters: dict | None = None,
         fingerprint: str | None = None,
     ) -> BaseStats:
         """Register an already-built *base* (checkpoint recovery path).
 
         Unlike :meth:`load_dataset` nothing is rebuilt: *base*, dataset
         included, comes out of a checkpoint's snapshot directory.
-        *monitors* / *event_seq* / *stream_counters*
-        re-seed the streaming layer from the checkpoint's meta so a
-        restarted server continues event numbering monotonically; the
-        ingestor is created eagerly whenever any of them is present.
+        *monitors* / *event_seq* re-seed the streaming layer from the
+        checkpoint's meta so a restarted server continues event numbering
+        monotonically; the ingestor is created eagerly whenever either is
+        present.
         *fingerprint* supplies a precomputed structure fingerprint —
         pool workers attaching an mmap snapshot pass the stored one so
         registration does not fault every page in just to rehash it.
@@ -155,14 +153,11 @@ class OnexEngine:
             base,
             fingerprint if fingerprint is not None else base.structure_fingerprint(),
         )
-        if monitors or event_seq or stream_counters:
+        if monitors or event_seq:
             from repro.stream import StreamIngestor
 
-            ingestor = StreamIngestor(base)
-            ingestor.registry.restore(monitors, event_seq)
-            if stream_counters:
-                ingestor.restore_counters(**stream_counters)
-            entry.ingestor = ingestor
+            entry.ingestor = StreamIngestor(base)
+            entry.ingestor.registry.restore(monitors, event_seq)
         return base.stats
 
     def add_series(self, dataset_name: str, series: TimeSeries) -> dict:
@@ -226,15 +221,8 @@ class OnexEngine:
         equivalent of one ONEX similarity threshold at pattern length
         ``m``.  Returns the monitor's description payload.
         """
-        entry = self._entry(dataset_name)
-        base = entry.base
-        if isinstance(pattern, SubsequenceRef):
-            values = base.dataset.values(pattern)
-        else:
-            values = np.asarray([float(v) for v in pattern], dtype=np.float64)
-            bounds = base.normalization_bounds
-            if normalize and bounds is not None:
-                values = minmax_normalize(values, lo=bounds[0], hi=bounds[1])
+        base = self._entry(dataset_name).base
+        values = base.resolve_query(pattern, normalize)
         if epsilon is None:
             epsilon = base.config.similarity_threshold * (2 * len(values) - 1)
         monitor = self.stream(dataset_name).registry.register(
@@ -250,21 +238,15 @@ class OnexEngine:
         registry.unregister(name)
 
     def stream_state(self, dataset_name: str) -> dict:
-        """Checkpointable streaming state (monitors, event seq, counters).
+        """Checkpointable streaming state (monitors, event seq).
 
         Read-only like :meth:`stream_registry` — a dataset that never
         streamed reports the empty state without creating an ingestor.
         """
         entry = self._entry(dataset_name)
-        ingestor = entry.ingestor
-        if ingestor is None:
-            return {"event_seq": 0, "monitors": [], "stream_counters": {}}
-        snap = ingestor.registry.snapshot()
-        return {
-            "event_seq": snap["event_seq"],
-            "monitors": snap["monitors"],
-            "stream_counters": ingestor.counters(),
-        }
+        if entry.ingestor is None:
+            return {"event_seq": 0, "monitors": []}
+        return entry.ingestor.registry.snapshot()
 
     def stream_registry(self, dataset_name: str) -> MonitorRegistry | None:
         """The dataset's monitor registry, or None before any streaming.
@@ -299,10 +281,6 @@ class OnexEngine:
 
     def base(self, name: str) -> OnexBase:
         return self._entry(name).base
-
-    def fingerprint(self, name: str) -> str | None:
-        """The dataset's load-time base structure fingerprint."""
-        return self._entry(name).fingerprint
 
     def refresh_fingerprint(self, name: str) -> str | None:
         """Recompute and store the dataset's structure fingerprint.

@@ -14,9 +14,9 @@ files**::
                  normalisation bounds, indexed lengths, the structure
                  fingerprint, ``arrays``: name -> [dtype, shape, byte
                  offset], ``arrays_sha256`` (durable snapshots only),
-                 ``stream`` (a checkpoint's monitors, event seq and
-                 stream counters; else null) and ``meta_sha256``, the
-                 digest of every other key
+                 ``stream`` (a checkpoint's monitors and event seq;
+                 else null) and ``meta_sha256``, the digest of every
+                 other key
 
 so writing is one sequential dump and attaching is one ``mmap(2)`` (or
 one read) plus a view per directory entry — neither costs anything per

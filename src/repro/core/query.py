@@ -62,8 +62,6 @@ from repro.distances.lower_bounds import (
     lb_keogh_batch,
     lb_kim_endpoints_batch,
 )
-from repro.distances.metrics import as_sequence
-from repro.distances.normalize import minmax_normalize
 from repro.distances.registry import MetricSpec, get_metric
 from repro.exceptions import DeadlineExceeded, InvariantError, ValidationError
 from repro.obs.metrics import REGISTRY
@@ -429,7 +427,7 @@ class QueryProcessor:
         if k < 1:
             raise ValidationError(f"k must be >= 1, got {k}")
         started = time.perf_counter()
-        q = self._resolve_query(query, normalize)
+        q = self._base.resolve_query(query, normalize)
         buckets = self._select_buckets(lengths)
         stats = QueryStats()
         with span(
@@ -473,7 +471,7 @@ class QueryProcessor:
             raise ValidationError(f"k must be >= 1, got {k}")
         started = time.perf_counter()
         deadline = self._deadline(deadline)
-        resolved = [self._resolve_query(query, normalize) for query in queries]
+        resolved = [self._base.resolve_query(query, normalize) for query in queries]
         stats = QueryStats()
         stats.batch_queries = len(resolved)
         if not resolved:
@@ -545,7 +543,7 @@ class QueryProcessor:
             raise ValidationError(f"threshold must be > 0, got {threshold}")
         started = time.perf_counter()
         deadline = self._deadline(deadline)
-        q = self._resolve_query(query, normalize)
+        q = self._base.resolve_query(query, normalize)
         stats = QueryStats()
         with span(
             "query.threshold", threshold=float(threshold), mode=self._config.mode
@@ -1035,34 +1033,6 @@ class QueryProcessor:
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-
-    def _resolve_query(
-        self, query: ArrayLike | SubsequenceRef, normalize: bool
-    ) -> np.ndarray:
-        # Multivariate values are (length, channels) blocks; the search
-        # works on the channel-flattened row layout.
-        channels = self._base.channels
-        if isinstance(query, SubsequenceRef):
-            return self._base.dataset.values(query).ravel()
-        if channels > 1:
-            q = np.asarray(query, dtype=np.float64)
-            if q.ndim != 2 or q.shape[1] != channels:
-                raise ValidationError(
-                    f"query for a {channels}-channel base must be 2-D "
-                    f"(length, {channels}), got shape {q.shape}"
-                )
-            if q.shape[0] < 2:
-                raise ValidationError(
-                    f"query must have at least 2 time steps, got {q.shape[0]}"
-                )
-            if not np.all(np.isfinite(q)):
-                raise ValidationError("query contains NaN or infinite entries")
-        else:
-            q = as_sequence(query, name="query")
-        bounds = self._base.normalization_bounds
-        if normalize and bounds is not None:
-            q = minmax_normalize(q, lo=bounds[0], hi=bounds[1])
-        return np.ascontiguousarray(q).ravel()
 
     def _select_buckets(self, lengths: Iterable[int] | None) -> list[LengthBucket]:
         if lengths is None:

@@ -48,8 +48,6 @@ from repro.core.validation import as_optional_int_arg
 from repro.data.dataset import SubsequenceRef
 from repro.distances.bounds import path_multiplicities
 from repro.distances.dtw import dtw_distance_batch, dtw_path, dtw_path_batch, effective_band
-from repro.distances.metrics import as_sequence
-from repro.distances.normalize import minmax_normalize
 from repro.exceptions import ValidationError
 from repro.obs.trace import span
 from repro.testing import faults
@@ -134,7 +132,12 @@ def similarity_profile(
     grid = tuple(sorted(float(t) for t in thresholds))
     if not grid or grid[0] <= 0:
         raise ValidationError("thresholds must be positive and non-empty")
-    q = _resolve_query(base, query, normalize)
+    if base.channels > 1:
+        raise ValidationError(
+            f"similarity profiles support univariate bases only; this base "
+            f"has {base.channels} channels"
+        )
+    q = base.resolve_query(query, normalize)
 
     chosen = base.buckets() if lengths is None else [
         base.bucket(int(n)) for n in sorted(set(lengths))
@@ -344,15 +347,3 @@ def _points_from_bounds(
 def _decided_everywhere(lo: float, hi: float, grid: tuple[float, ...]) -> bool:
     """True when no grid threshold falls inside the open interval (lo, hi]."""
     return all(hi <= st or lo > st for st in grid)
-
-
-def _resolve_query(
-    base: OnexBase, query: ArrayLike | SubsequenceRef, normalize: bool
-) -> np.ndarray:
-    if isinstance(query, SubsequenceRef):
-        return base.dataset.values(query)
-    q = as_sequence(query, name="query")
-    bounds = base.normalization_bounds
-    if normalize and bounds is not None:
-        q = minmax_normalize(q, lo=bounds[0], hi=bounds[1])
-    return q

@@ -189,23 +189,6 @@ class TimeSeriesDataset:
             for start in range(0, len(series) - length + 1, step):
                 yield SubsequenceRef(idx, start, length)
 
-    def count_subsequences(self, min_length: int, max_length: int, *, step: int = 1) -> int:
-        """How many windows exist with lengths in [min_length, max_length].
-
-        This is the "huge number of subsequences" of challenge 1 in §1; the
-        compaction ratio of the ONEX base is measured against it.
-        """
-        if min_length <= 0 or max_length < min_length:
-            raise ValidationError(
-                f"invalid length range [{min_length}, {max_length}]"
-            )
-        total = 0
-        for series in self._series:
-            n = len(series)
-            for length in range(min_length, min(max_length, n) + 1):
-                total += (n - length) // step + 1
-        return total
-
     def subsequence_matrix(self, length: int, *, step: int = 1) -> tuple[np.ndarray, list[SubsequenceRef]]:
         """Stack every window of *length* into a 2-D array.
 

@@ -14,11 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "window_counts",
-    "window_matrix",
-    "window_view",
-]
+__all__ = ["window_matrix", "window_view"]
 
 
 def window_view(values: np.ndarray, length: int, step: int = 1) -> np.ndarray:
@@ -58,12 +54,6 @@ def window_view(values: np.ndarray, length: int, step: int = 1) -> np.ndarray:
     )
 
 
-def window_counts(series_lengths, length: int, step: int = 1) -> np.ndarray:
-    """Windows per series for one subsequence length (int64 array)."""
-    n = np.asarray(series_lengths, dtype=np.int64)
-    return np.where(n >= length, (n - length) // step + 1, 0)
-
-
 def window_matrix(
     series_values: list[np.ndarray], length: int, step: int = 1
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -83,7 +73,8 @@ def window_matrix(
     if not series_values:
         return np.empty((0, length), dtype=np.float64), np.empty(0, np.int64)
     channels = 1 if series_values[0].ndim == 1 else series_values[0].shape[1]
-    counts = window_counts([v.shape[0] for v in series_values], length, step)
+    n = np.asarray([v.shape[0] for v in series_values], dtype=np.int64)
+    counts = np.where(n >= length, (n - length) // step + 1, 0)
     total = int(counts.sum())
     matrix = np.empty((total, length * channels), dtype=np.float64)
     row = 0

@@ -11,7 +11,7 @@ of the optimal path, which is what makes a single similarity threshold
 Three families of implementation, each for a different job:
 
 - :func:`dtw_distance_batch` (and :func:`dtw_distance`, its one-pair
-  form, :func:`dtw_path_batch` and :func:`dtw_distance_condensed`) —
+  form, and :func:`dtw_path_batch`) —
   **one** kernel entry point, ``_dtw_batch_diagonal``, the workhorse of
   the ONEX query processor, the seasonal verifier, the sensitivity
   profile, the k-NN classifier and the registry's ``dtw`` and
@@ -79,7 +79,6 @@ __all__ = [
     "dtw_cost_matrix",
     "dtw_distance",
     "dtw_distance_batch",
-    "dtw_distance_condensed",
     "dtw_distance_early_abandon",
     "dtw_path",
     "dtw_path_batch",
@@ -297,9 +296,8 @@ def dtw_distance_batch(
     **Paired mode**: *x* may itself be a 2-D stack with the same row count
     as *rows*, in which case row ``i`` of the result is ``DTW(x[i],
     rows[i])`` — one kernel invocation evaluates an arbitrary set of
-    equal-shape *pairs*.  This is what lets the seasonal verifier, and
-    :func:`dtw_distance_condensed`, run every pair of a stack as a single
-    dynamic program.
+    equal-shape *pairs*.  This is what lets the seasonal verifier run
+    every pair it checks as a single dynamic program.
 
     **Ragged stacks**: with ``lengths=`` (one integer per row) row ``i``
     is the candidate ``rows[i, :lengths[i]]`` and the columns beyond it
@@ -637,39 +635,6 @@ def _trace_paths(
     i[src < 0] = -1
     j[src < 0] = -1
     return plens, i, j
-
-
-def dtw_distance_condensed(
-    rows: ArrayLike,
-    *,
-    window: int | None = None,
-    ground: str = "l1",
-    with_path_length: bool = False,
-) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """Condensed pairwise DTW: every unique row pair through one paired call.
-
-    The pairwise twin of :func:`dtw_distance_batch`: entry ``p`` of the
-    result is ``DTW(rows[iu[p]], rows[ju[p]])`` where ``(iu, ju)`` is
-    ``np.triu_indices(len(rows), 1)`` — the condensed upper triangle in
-    row-major order, as :func:`scipy.spatial.distance.pdist` lays it out.
-    All pairs run as **one** paired-mode kernel invocation, so the
-    per-call dispatch cost is paid once per stack instead of once per
-    pair; with ``with_path_length=True`` the tracked
-    path lengths make ``distances / path_lengths`` bit-identical to
-    per-pair ``dtw_path(...).normalized_distance``.
-    """
-    mat = _as_batch_rows(rows)
-    iu, ju = np.triu_indices(mat.shape[0], k=1)
-    if not iu.size:
-        empty = np.empty(0)
-        return (empty, np.empty(0, dtype=np.int64)) if with_path_length else empty
-    return dtw_distance_batch(
-        mat[iu],
-        mat[ju],
-        window=window,
-        ground=ground,
-        with_path_length=with_path_length,
-    )
 
 
 def dtw_distance(

@@ -255,14 +255,6 @@ class DurabilityManager:
 
     # -- hooks the service calls --------------------------------------
 
-    def log(
-        self, name: str, op: str, params: dict, request_id: str | None
-    ) -> WalRecord:
-        handle = self.get(name)
-        if handle is None:
-            raise PersistenceError(f"dataset {name!r} has no durability state")
-        return handle.log(op, params, request_id)
-
     def maybe_checkpoint(
         self, name: str, base: OnexBase, stream_state: dict | None = None
     ) -> dict | None:

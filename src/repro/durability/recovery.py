@@ -9,8 +9,8 @@ manager's data dir, and per dataset:
    loads, becomes the handle's own;
 2. re-registers the dataset with the engine via
    :meth:`~repro.core.engine.OnexEngine.restore_dataset`, reseeding
-   monitors, the event sequence, and stream counters from the
-   checkpoint's ``meta["stream"]`` and passing its verified structure
+   monitors and the event sequence from the checkpoint's
+   ``meta["stream"]`` and passing its verified structure
    fingerprint, so the base is hashed once;
 3. opens the WAL (truncating any torn tail) and replays every record
    after the checkpoint through the caller's ``apply`` hook —
@@ -91,7 +91,7 @@ def recover_all(
     manager: DurabilityManager,
     engine: OnexEngine,
     apply: _Hook,
-    mark: _Hook | None = None,
+    mark: _Hook,
 ) -> RecoveryReport:
     """Restore every stored dataset into *engine* (see module docstring).
 
@@ -147,7 +147,7 @@ def _recover_one(
     manager: DurabilityManager,
     engine: OnexEngine,
     apply: _Hook,
-    mark: _Hook | None,
+    mark: _Hook,
     name: str,
 ) -> dict:
     # Chaos hook: the recovery x serving interleaving tests stretch this
@@ -162,16 +162,14 @@ def _recover_one(
         base,
         monitors=stream.get("monitors", ()),
         event_seq=stream.get("event_seq", 0),
-        stream_counters=stream.get("stream_counters") or None,
         fingerprint=meta["structure_fingerprint"],
     )
-    if mark is not None:
-        # Compaction keeps everything after the previous checkpoint, so
-        # covered records back to one full checkpoint interval are
-        # still here for idempotency reseeding.
-        for record in scan.records:
-            if record.seq <= seq:
-                mark(name, record)
+    # Compaction keeps everything after the previous checkpoint, so
+    # covered records back to one full checkpoint interval are still here
+    # for idempotency reseeding.
+    for record in scan.records:
+        if record.seq <= seq:
+            mark(name, record)
     for record in tail:
         apply(name, record)
     return {

@@ -60,7 +60,7 @@ class ProtocolError(OnexError):
 
 
 class DeadlineExceeded(OnexError):
-    """Raised when a cooperative deadline or cancellation fires mid-operation.
+    """Raised when a cooperative deadline fires mid-operation.
 
     Carries what the operation accomplished before the budget ran out:
     *stage* names the chunk boundary that observed the expiry, *progress*

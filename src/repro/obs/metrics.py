@@ -120,10 +120,6 @@ class Counter(_Metric):
         with self._lock:
             return float(self._series.get(_label_key(labels), 0.0))
 
-    def total(self) -> float:
-        with self._lock:
-            return float(sum(self._series.values()))
-
     def _render(self) -> Iterable[str]:
         with self._lock:
             items = sorted(self._series.items())
@@ -144,9 +140,6 @@ class Gauge(_Metric):
         key = _label_key(labels)
         with self._lock:
             self._series[key] = self._series.get(key, 0.0) + float(value)
-
-    def dec(self, value: float = 1.0, **labels: str) -> None:
-        self.inc(-value, **labels)
 
     def value(self, **labels: str) -> float:
         with self._lock:
@@ -215,10 +208,6 @@ class Histogram(_Metric):
             running += c
             cumulative.append((bound, running))
         return {"buckets": cumulative, "sum": total, "count": n}
-
-    def quantile(self, q: float, **labels: str) -> float:
-        snap = self.snapshot(**labels)
-        return histogram_quantile(snap["buckets"], q)
 
     def _render(self) -> Iterable[str]:
         with self._lock:

@@ -165,9 +165,6 @@ class Trace:
             yield node
             stack.extend(reversed(node.children))
 
-    def span_count(self) -> int:
-        return sum(1 for _ in self.spans())
-
     def as_dict(self) -> dict[str, Any]:
         return self.root.as_dict()
 

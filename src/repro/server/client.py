@@ -48,7 +48,6 @@ import select
 import socket
 import threading
 import time
-from collections.abc import Callable
 from typing import Any
 
 from repro.exceptions import (
@@ -74,6 +73,9 @@ _BACKOFF_BASE_S = 0.1
 _BACKOFF_CAP_S = 2.0
 _RETRY_BUDGET_S = 15.0
 
+#: How a retry waits out its backoff (tests substitute it).
+_sleep = time.sleep
+
 #: What a failed exchange raises (refused, reset, timed out, cut short);
 #: each drops the thread's connection.
 _TRANSPORT_ERRORS = (OSError, http.client.HTTPException)
@@ -84,8 +86,7 @@ class OnexClient:
 
     *url* is ``http://host:port`` with an optional path prefix.
     *max_retries* bounds the re-sends after the first attempt; the
-    delays between them are the module's backoff constants.  *sleep* and
-    *rng* exist for deterministic tests.
+    delays between them are the module's backoff constants.
     """
 
     def __init__(
@@ -94,8 +95,6 @@ class OnexClient:
         *,
         timeout_s: float = 30.0,
         max_retries: int = 3,
-        sleep: Callable[[float], None] = time.sleep,
-        rng: random.Random | None = None,
     ) -> None:
         self.url = url.rstrip("/")
         scheme, _, rest = self.url.partition("://")
@@ -106,8 +105,6 @@ class OnexClient:
         self._local = threading.local()
         self.timeout_s = float(timeout_s)
         self.max_retries = int(max_retries)
-        self._sleep = sleep
-        self._rng = rng if rng is not None else random.Random()
         self.calls = 0
         self.retries_performed = 0
         #: Operation and attempt count of the most recent ``call()``.
@@ -302,7 +299,7 @@ class OnexClient:
         """Sleep before re-sending: jittered exponential, floored at the
         server's ``Retry-After`` hint, capped to the remaining budget."""
         cap = min(_BACKOFF_CAP_S, _BACKOFF_BASE_S * (2**attempt))
-        delay = self._rng.uniform(0.0, cap)
+        delay = random.uniform(0.0, cap)
         if retry_after is not None:
             delay = max(delay, retry_after)
         remaining = budget_expires - time.monotonic()
@@ -311,7 +308,7 @@ class OnexClient:
         if mutating:
             self._mutating_stats["retries"] += 1
         if delay > 0:
-            self._sleep(delay)
+            _sleep(delay)
 
 
 def _closed_while_idle(sock: socket.socket) -> bool:

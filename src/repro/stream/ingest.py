@@ -55,12 +55,10 @@ _ASSIGN_EVALUATED = REGISTRY.counter(
 class StreamIngestor:
     """Accepts live point appends and keeps one base queryable throughout."""
 
-    def __init__(self, base: OnexBase, registry: MonitorRegistry | None = None) -> None:
+    def __init__(self, base: OnexBase) -> None:
         base.stats  # raises NotBuiltError early when unbuilt
         self._base = base
-        self.registry = registry if registry is not None else MonitorRegistry(base)
-        self.points_ingested = 0
-        self.windows_indexed = 0
+        self.registry = MonitorRegistry(base)
 
     @property
     def base(self) -> OnexBase:
@@ -101,8 +99,6 @@ class StreamIngestor:
                 deadline,
             )
             sp.add(events=len(events))
-        self.points_ingested += points
-        self.windows_indexed += len(assignments)
         _POINTS_TOTAL.inc(points)
         _WINDOWS_TOTAL.inc(len(assignments))
         _EVENTS_TOTAL.inc(len(events))
@@ -118,20 +114,6 @@ class StreamIngestor:
             "new_groups": created_groups,
             "events": [e.as_dict() for e in events],
         }
-
-    def counters(self) -> dict:
-        """Checkpointable lifetime counters."""
-        return {
-            "points_ingested": self.points_ingested,
-            "windows_indexed": self.windows_indexed,
-        }
-
-    def restore_counters(
-        self, points_ingested: int = 0, windows_indexed: int = 0
-    ) -> None:
-        """Seed lifetime counters from a checkpoint (recovery only)."""
-        self.points_ingested = int(points_ingested)
-        self.windows_indexed = int(windows_indexed)
 
     def poll_events(self, since: int = 0, limit: int | None = None) -> list[StreamEvent]:
         """Monitor events with ``seq > since`` (see the registry)."""

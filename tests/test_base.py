@@ -37,7 +37,9 @@ def built_base(small_dataset):
 class TestBuild:
     def test_stats_reflect_construction(self, built_base, small_dataset):
         stats = built_base.stats
-        expected = small_dataset.count_subsequences(4, 8)
+        expected = sum(
+            small_dataset.subsequence_matrix(n)[0].shape[0] for n in range(4, 9)
+        )
         assert stats.subsequences == expected
         assert stats.groups >= 1
         assert stats.lengths == 5

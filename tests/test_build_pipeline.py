@@ -27,7 +27,7 @@ from repro.core.mmap_layout import _meta_digest
 from repro.core.query import QueryProcessor
 from repro.data.dataset import SubsequenceRef, TimeSeriesDataset
 from repro.data.timeseries import TimeSeries
-from repro.data.windows import window_counts, window_view
+from repro.data.windows import window_matrix, window_view
 from repro.distances.dtw import dtw_distance
 from repro.exceptions import ValidationError
 
@@ -70,7 +70,9 @@ class TestWindowKernel:
         ds = walks(8)
         for length in (3, 12, 25):
             for step in (1, 2, 4):
-                counts = window_counts([len(s) for s in ds], length, step)
+                matrix, counts = window_matrix([s.values for s in ds], length, step)
+                rows, _ = ds.subsequence_matrix(length, step=step)
+                assert matrix.shape[0] == rows.shape[0]
                 expected = [
                     sum(
                         1

@@ -22,7 +22,7 @@ import repro.core.query as query_module
 from repro.baselines.brute_force import BruteForceSearcher
 from repro.core.base import MemberTable, OnexBase
 from repro.core.config import BuildConfig, QueryConfig
-from repro.core.deadline import CancellationToken, Deadline
+from repro.core.deadline import Deadline
 from repro.core.query import QueryProcessor, QueryStats
 from repro.data.dataset import TimeSeriesDataset
 from repro.data.matters import STATE_ABBREVIATIONS, build_matters_collection
@@ -31,6 +31,7 @@ from repro.distances.dtw import dtw_path
 from repro.exceptions import DeadlineExceeded
 from repro.stream.ingest import StreamIngestor
 from repro.testing import faults
+from tests.deadlines import expire_at_refine_unit
 
 #: Every :class:`QueryStats` field, in declaration order: the pins below
 #: hold all of the work a query does, not a sample of it.
@@ -174,31 +175,31 @@ CANCELLED_OPS = {
 @pytest.mark.parametrize("metric", ["dtw", "euclidean", "derivative_dtw"])
 @pytest.mark.parametrize("mode", ["fast", "exact"])
 @pytest.mark.parametrize("op", sorted(CANCELLED_OPS))
-def test_a_cancelled_query_has_run_no_dtw(op, mode, metric):
-    """The check comes first: cancelled before its first chunk, an
+def test_a_cancelled_query_has_run_no_dtw(op, mode, metric, monkeypatch):
+    """The check comes first: expired before its first chunk, an
     operation has verified no representative and refined no member —
     under a registry metric too (the query has an indexed length)."""
     base = walk_base()
-    token = CancellationToken()
-    token.cancel()
+    expire_at_refine_unit(monkeypatch, 0)
     with pytest.raises(DeadlineExceeded) as raised:
         CANCELLED_OPS[op](
             QueryProcessor(base, QueryConfig(mode=mode, metric=metric)),
             queries_for(base)[0],
-            Deadline(token=token),
+            Deadline(120_000),
         )
     assert raised.value.progress["rep_dtw_calls"] == 0
     assert raised.value.progress["member_dtw_calls"] == 0
 
 
-class _WatchedToken:
-    """A never-cancelled token that logs every deadline check."""
+class _WatchedDeadline(Deadline):
+    """A deadline that never fires and logs every check."""
 
     def __init__(self, events: list) -> None:
+        super().__init__(120_000)
         self._events = events
 
     @property
-    def cancelled(self) -> bool:
+    def expired(self) -> bool:
         self._events.append("check")
         return False
 
@@ -223,7 +224,7 @@ def watched_run(monkeypatch, call) -> tuple[list, QueryProcessor]:
     monkeypatch.setattr(faults, "fire", lambda point, **ctx: events.append(point))
     monkeypatch.setattr(MemberTable, "select", logged_select)
     monkeypatch.setattr(query_module, "dtw_distance_batch", logged_kernel)
-    call(processor, Deadline(token=_WatchedToken(events)))
+    call(processor, _WatchedDeadline(events))
     return events, processor
 
 

@@ -19,6 +19,7 @@ import pytest
 
 from repro.core.base import OnexBase
 from repro.core.config import BuildConfig
+from repro.core.mmap_layout import SNAPSHOT_FORMAT
 from repro.data.dataset import TimeSeriesDataset
 from repro.durability import DurabilityManager, dataset_slug
 from repro.exceptions import PersistenceError
@@ -77,11 +78,7 @@ def wal_seqs(handle):
 class TestHandleCheckpoints:
     def test_write_load_round_trip(self, tmp_path):
         base = make_base()
-        stream_state = {
-            "event_seq": 7,
-            "monitors": [],
-            "stream_counters": {"points_ingested": 3, "windows_indexed": 9},
-        }
+        stream_state = {"event_seq": 7, "monitors": []}
         handle = attach(tmp_path)
         record = checkpoint_at(handle, base, 5, stream_state)
         assert record == {
@@ -361,6 +358,48 @@ class TestServiceRecovery:
         assert summary["replayed"] < 8  # the checkpoint absorbed a prefix
         assert summary["fingerprint"] == before["fingerprint"]
         assert call(revived, "k_best", _QUERY)["matches"] == before["matches"]
+
+    def test_a_checkpoint_with_stream_counters_still_recovers(self, tmp_path):
+        """The previous writer also stored ``stream_counters`` under
+        ``meta["stream"]`` (the same format 4, digest over them): such a
+        ``base-<seq>/`` restores and recovers with its monitors and event
+        seq intact, and the counters are not carried forward."""
+        service = make_service(tmp_path, checkpoint_every=100)
+        before = seed_state(service)
+        handle = service.durability.get(_DATASET)
+        seq = handle.wal.last_seq
+        handle.checkpoint(
+            service.engine.base(_DATASET), service.engine.stream_state(_DATASET)
+        )
+        counters = {"points_ingested": 18, "windows_indexed": 9}
+        edit_meta(
+            handle.directory / f"base-{seq}",
+            lambda m: m["stream"].update(stream_counters=counters),
+            reseal=True,
+        )
+        service.durability.detach(_DATASET)
+
+        manager = DurabilityManager(tmp_path, wal_sync="never")
+        restored, scan = manager.attach(_DATASET)
+        _, meta, tail = restored.restore(scan.records)
+        assert restored.checkpoint_seq == seq and tail == []
+        assert meta["format"] == SNAPSHOT_FORMAT == 4
+        assert meta["stream"]["stream_counters"] == counters
+        assert meta["stream"]["event_seq"] == before["events"]["last_seq"]
+        assert [m["name"] for m in meta["stream"]["monitors"]] == ["m1"]
+        manager.detach(_DATASET)
+
+        revived = make_service(tmp_path, checkpoint_every=100)
+        report = revived.recover()
+        assert not report.errors
+        summary = report.datasets[_DATASET]
+        assert (summary["checkpoint_seq"], summary["replayed"]) == (seq, 0)
+        assert summary["fingerprint"] == before["fingerprint"]
+        assert call(revived, "k_best", _QUERY)["matches"] == before["matches"]
+        events = call(revived, "poll_events", {"dataset": _DATASET})
+        assert events["last_seq"] == before["events"]["last_seq"]
+        assert [m["monitor"] for m in events["monitors"]] == ["m1"]
+        assert set(revived.engine.stream_state(_DATASET)) == {"event_seq", "monitors"}
 
     def test_cadence_bounds_the_wal_and_the_replay(self, tmp_path):
         """However long the stream, compaction keeps at most two cadence

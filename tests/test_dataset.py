@@ -107,17 +107,21 @@ class TestSubsequences:
 
     def test_count_subsequences_matches_enumeration(self):
         ds = make_dataset()
-        total = sum(len(list(ds.iter_subsequences(n))) for n in (2, 3))
-        assert ds.count_subsequences(2, 3) == total
+        for n in (2, 3):
+            matrix, refs = ds.subsequence_matrix(n)
+            assert matrix.shape[0] == len(refs) == len(list(ds.iter_subsequences(n)))
+        assert sum(ds.subsequence_matrix(n)[0].shape[0] for n in (2, 3)) == 9
 
     def test_count_subsequences_handles_long_lengths(self):
         ds = make_dataset()
-        # max_length above every series length is fine.
-        assert ds.count_subsequences(4, 10) == 1  # only 'a' has length 4
+        # A length above every series length is fine: no rows.
+        assert ds.subsequence_matrix(4)[0].shape[0] == 1  # only 'a' has length 4
+        assert ds.subsequence_matrix(10)[0].shape[0] == 0
 
     def test_count_rejects_bad_range(self):
-        with pytest.raises(ValidationError):
-            make_dataset().count_subsequences(3, 2)
+        for length, step in ((0, 1), (-2, 1), (2, 0)):
+            with pytest.raises(ValidationError):
+                make_dataset().subsequence_matrix(length, step=step)
 
     def test_subsequence_matrix(self):
         ds = make_dataset()

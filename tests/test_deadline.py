@@ -1,4 +1,4 @@
-"""Deadline & cancellation tests: the cooperative budget layer end to end.
+"""Deadline tests: the cooperative budget layer end to end.
 
 Three families of guarantees:
 
@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import repro.core.query as query_module
 from repro.core.base import OnexBase
 from repro.core.config import BuildConfig, QueryConfig
-from repro.core.deadline import CancellationToken, Deadline
+from repro.core.deadline import Deadline
 from repro.core.engine import OnexEngine
 from repro.core.query import QueryProcessor
 from repro.core.seasonal import find_seasonal_patterns
@@ -32,6 +32,7 @@ from repro.exceptions import DeadlineExceeded, ValidationError
 from repro.server.protocol import Request
 from repro.server.service import OnexService
 from repro.testing import faults
+from tests.deadlines import expire_at_refine_unit
 
 finite_floats = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 
@@ -48,25 +49,6 @@ def base():
     return b
 
 
-def cancel_on_refine_unit(monkeypatch, nth: int) -> CancellationToken:
-    """A token cancelled when ``query.refine_unit`` fires for the *nth* time.
-
-    Expiry by count, not by clock: the checks before that failpoint pass
-    and the one right after it fires, however loaded the runner is.
-    """
-    token = CancellationToken()
-    fired = []
-
-    def fire(point, **ctx):
-        if point == "query.refine_unit":
-            fired.append(point)
-            if len(fired) == nth:
-                token.cancel()
-
-    monkeypatch.setattr(faults, "fire", fire)
-    return token
-
-
 def _as_tuples(matches):
     return [
         (m.ref, m.distance, m.raw_distance, m.path, m.exact) for m in matches
@@ -75,21 +57,23 @@ def _as_tuples(matches):
 
 class TestDeadlineObject:
     def test_validation(self):
-        for bad in (0, -1, float("inf"), float("nan"), True, "50"):
+        for bad in (0, -1, float("inf"), float("nan"), True, "50", None):
             with pytest.raises(ValidationError):
                 Deadline(bad)
 
-    def test_no_budget_never_expires(self):
-        d = Deadline()
+    def test_a_budget_is_required(self):
+        """A budget is required: the service builds a deadline only from
+        a ``timeout_ms``."""
+        with pytest.raises(TypeError):
+            Deadline()
+        d = Deadline(120_000)
         assert not d.expired
-        assert d.remaining_ms() == float("inf")
+        assert 0 < d.remaining_ms() <= 120_000
         d.check("anywhere")  # no-op
 
-    def test_check_reports_stage_and_progress(self):
-        d = Deadline.after(0.001)
-        import time
-
-        time.sleep(0.002)
+    def test_check_reports_stage_and_progress(self, monkeypatch):
+        expire_at_refine_unit(monkeypatch, 0)
+        d = Deadline.after(1.0)
         with pytest.raises(DeadlineExceeded) as excinfo:
             d.check("some stage", {"done": 3})
         err = excinfo.value
@@ -102,13 +86,17 @@ class TestDeadlineObject:
         }
         assert "some stage" in str(err)
 
-    def test_token_cancels_unbounded_deadline(self):
-        token = CancellationToken()
-        d = Deadline(token=token)
+    def test_expires_at_the_nth_refine_unit(self, monkeypatch):
+        """The count-based expiry the tests below use: the deadline fires
+        at the nth ``query.refine_unit`` failpoint, not before."""
+        expire_at_refine_unit(monkeypatch, 2)
+        d = Deadline(1.0)
+        faults.fire("query.refine_unit")
         assert not d.expired
-        token.cancel()
+        d.check("scan")
+        faults.fire("query.refine_unit")
         assert d.expired
-        with pytest.raises(DeadlineExceeded, match="cancelled"):
+        with pytest.raises(DeadlineExceeded, match="exceeded during scan"):
             d.check("scan")
 
     def test_processor_rejects_non_deadline(self, base):
@@ -310,11 +298,11 @@ class TestPartialResults:
     def test_batch_degrades_per_query(self, base, monkeypatch):
         processor = QueryProcessor(base, QueryConfig(mode="exact"))
         queries = [[0.1, 0.4, 0.2, 0.5], [0.5, 0.2, 0.4, 0.1]]
-        token = cancel_on_refine_unit(monkeypatch, 2)
+        expire_at_refine_unit(monkeypatch, 2)
         results = processor.batch_matches(
             queries,
             2,
-            deadline=Deadline(token=token, allow_partial=True),
+            deadline=Deadline(120_000, allow_partial=True),
         )
         # The first query's second drain found the budget spent; the
         # second query never verified anything.
@@ -354,11 +342,11 @@ class TestPartialResults:
             return path_batch(x, rows, **kwargs)
 
         monkeypatch.setattr(query_module, "dtw_path_batch", counting)
-        token = cancel_on_refine_unit(monkeypatch, 2)
+        expire_at_refine_unit(monkeypatch, 2)
         matches = processor.matches_within(
             [0.1, 0.4, 0.2, 0.5],
             10.0,
-            deadline=Deadline(token=token, allow_partial=True),
+            deadline=Deadline(120_000, allow_partial=True),
         )
         assert matches and all(not m.exact for m in matches)
         assert [(m.ref, m.distance, m.path) for m in matches] == [
@@ -368,11 +356,10 @@ class TestPartialResults:
         # Paths are traced once, for the answer that is returned ...
         assert path_calls == [len(matches)]
         # ... and a deadline that raises never pays for a traceback.
+        expire_at_refine_unit(monkeypatch, 2)
         with pytest.raises(DeadlineExceeded):
             processor.matches_within(
-                [0.1, 0.4, 0.2, 0.5],
-                10.0,
-                deadline=Deadline(token=cancel_on_refine_unit(monkeypatch, 2)),
+                [0.1, 0.4, 0.2, 0.5], 10.0, deadline=Deadline(120_000)
             )
         assert path_calls == [len(matches)]
 
@@ -450,16 +437,9 @@ class TestServiceDeadlines:
         assert rebuilt.error_details == resp.error_details
 
     def test_partial_over_protocol(self, service, monkeypatch):
-        # The service builds its own deadline from ``timeout_ms``; hang the
-        # counting token on it so the first query's second drain is where
-        # it expires.
-        token = cancel_on_refine_unit(monkeypatch, 2)
-        after = Deadline.after
-        monkeypatch.setattr(
-            Deadline,
-            "after",
-            classmethod(lambda cls, ms, **kw: after(ms, token=token, **kw)),
-        )
+        # The service builds its own deadline from ``timeout_ms``; it
+        # expires at the first query's second drain.
+        expire_at_refine_unit(monkeypatch, 2)
         resp = service.handle(
             Request(
                 "query_batch",

@@ -364,50 +364,46 @@ class TestChannels:
 
 
 class TestCondensedPairwise:
-    def test_matches_scalar_pairs(self):
-        from repro.distances.dtw import dtw_distance_condensed
+    """Every unique row pair of one stack through one paired-mode call."""
 
+    @staticmethod
+    def pairs(rows):
+        iu, ju = np.triu_indices(len(rows), k=1)
+        return rows[iu], rows[ju]
+
+    def test_matches_scalar_pairs(self):
         rng = np.random.default_rng(171)
         rows = rng.normal(size=(7, 9))
-        got = dtw_distance_condensed(rows)
-        iu, ju = np.triu_indices(7, k=1)
-        assert got.shape == (iu.size,)
-        for p in range(iu.size):
-            assert got[p] == dtw_path(rows[iu[p]], rows[ju[p]]).distance
+        left, right = self.pairs(rows)
+        got = dtw_distance_batch(left, right)
+        assert got.shape == (21,)
+        for p in range(21):
+            assert got[p] == dtw_path(left[p], right[p]).distance
 
     def test_normalized_matches_dtw_path(self):
-        from repro.distances.dtw import dtw_distance_condensed, dtw_path
-
         rng = np.random.default_rng(172)
-        rows = rng.normal(size=(6, 8))
-        raws, plens = dtw_distance_condensed(rows, with_path_length=True)
-        iu, ju = np.triu_indices(6, k=1)
-        for p in range(iu.size):
-            want = dtw_path(rows[iu[p]], rows[ju[p]]).normalized_distance
+        left, right = self.pairs(rng.normal(size=(6, 8)))
+        raws, plens = dtw_distance_batch(left, right, with_path_length=True)
+        for p in range(len(left)):
+            want = dtw_path(left[p], right[p]).normalized_distance
             assert raws[p] / plens[p] == want
 
     def test_window(self):
-        from repro.distances.dtw import dtw_distance_condensed
-
         rng = np.random.default_rng(173)
-        rows = rng.normal(size=(5, 10))
-        got = dtw_distance_condensed(rows, window=2)
-        for p, (i, j) in enumerate(zip(*np.triu_indices(5, k=1))):
-            assert got[p] == dtw_path(rows[i], rows[j], window=2).distance
+        left, right = self.pairs(rng.normal(size=(5, 10)))
+        got = dtw_distance_batch(left, right, window=2)
+        for p in range(len(left)):
+            assert got[p] == dtw_path(left[p], right[p], window=2).distance
 
     def test_fewer_than_two_rows(self):
-        from repro.distances.dtw import dtw_distance_condensed
-
-        assert dtw_distance_condensed(np.zeros((1, 4))).shape == (0,)
-        raws, plens = dtw_distance_condensed(
-            np.zeros((0, 4)), with_path_length=True
+        assert dtw_distance_batch(*self.pairs(np.zeros((1, 4)))).shape == (0,)
+        raws, plens = dtw_distance_batch(
+            *self.pairs(np.zeros((0, 4))), with_path_length=True
         )
         assert raws.shape == (0,) and plens.shape == (0,)
 
     def test_validation(self):
-        from repro.distances.dtw import dtw_distance_condensed
-
         with pytest.raises(ValidationError, match="2-D"):
-            dtw_distance_condensed(np.zeros(4))
-        with pytest.raises(ValidationError, match="NaN or infinite"):
-            dtw_distance_condensed(np.array([[0.0, np.nan], [1.0, 2.0]]))
+            dtw_distance_batch(np.zeros(4), np.zeros(4))
+        with pytest.raises(ValidationError, match="non-empty and finite"):
+            dtw_distance_batch(*self.pairs(np.array([[0.0, np.nan], [1.0, 2.0]])))

@@ -158,12 +158,15 @@ class TestClientMutatingRetries:
         time.sleep(0.1)
         return blocker
 
-    def test_shed_then_retried_mutation_executes_exactly_once(self, server):
+    def test_shed_then_retried_mutation_executes_exactly_once(
+        self, server, monkeypatch
+    ):
         def patient_sleep(seconds):
             time.sleep(max(seconds, 0.15))
 
+        monkeypatch.setattr(client_module, "_sleep", patient_sleep)
         blocker = self._occupy(server, 0.3)
-        client = OnexClient(server.url, max_retries=5, sleep=patient_sleep)
+        client = OnexClient(server.url, max_retries=5)
         result = client.call("append_points", _APPEND)
         blocker.join(timeout=30)
         assert result["points" if "points" in result else "total_points"] == 4
@@ -179,19 +182,19 @@ class TestClientMutatingRetries:
 
     def test_zero_budget_fails_fast(self, server, monkeypatch):
         monkeypatch.setattr(client_module, "_RETRY_BUDGET_S", 0.0)
+        monkeypatch.setattr(client_module, "_sleep", lambda s: None)
         blocker = self._occupy(server, 0.4)
-        client = OnexClient(server.url, max_retries=5, sleep=lambda s: None)
+        client = OnexClient(server.url, max_retries=5)
         with pytest.raises(OverloadedError):
             client.call("append_points", _APPEND)
         blocker.join(timeout=30)
         assert client.retries_performed == 0
 
-    def test_retry_reuses_one_request_id(self, server):
+    def test_retry_reuses_one_request_id(self, server, monkeypatch):
         """Every resend carries the same id — the key dedup hinges on."""
+        monkeypatch.setattr(client_module, "_sleep", lambda s: time.sleep(0.15))
         blocker = self._occupy(server, 0.3)
-        client = OnexClient(
-            server.url, max_retries=5, sleep=lambda s: time.sleep(0.15)
-        )
+        client = OnexClient(server.url, max_retries=5)
         client.call("append_points", _APPEND)
         blocker.join(timeout=30)
         metrics = client.metrics()

@@ -44,12 +44,19 @@ def group_builds(monkeypatch):
         built.append(("group", kwargs["length"]))
         return real_group(**kwargs)
 
-    def counting_ref(*args):
-        built.append(("ref", args))
-        return real_ref(*args)
+    class CountingRef(type):
+        """The stand-in's type: a call is counted, ``isinstance`` (which
+        ``OnexBase.resolve_query`` asks) still sees the real class."""
+
+        def __call__(cls, *args):
+            built.append(("ref", args))
+            return real_ref(*args)
+
+        def __instancecheck__(cls, obj):
+            return isinstance(obj, real_ref)
 
     monkeypatch.setattr(core_base, "SimilarityGroup", counting_group)
-    monkeypatch.setattr(core_base, "SubsequenceRef", counting_ref)
+    monkeypatch.setattr(core_base, "SubsequenceRef", CountingRef("SubsequenceRef", (), {}))
     return built
 
 

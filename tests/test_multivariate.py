@@ -18,7 +18,8 @@ import pytest
 from repro.core.base import OnexBase
 from repro.core.config import BuildConfig
 from repro.core.engine import OnexEngine
-from repro.data.dataset import TimeSeriesDataset
+from repro.core.sensitivity import similarity_profile
+from repro.data.dataset import SubsequenceRef, TimeSeriesDataset
 from repro.data.timeseries import TimeSeries
 from repro.data.windows import window_matrix, window_view
 from repro.distances.registry import get_metric
@@ -156,6 +157,14 @@ class TestBaseBuildAndQuery:
             engine.best_match(
                 ds.name, np.zeros((9, 2)) + 0.5, metric="weighted_dtw"
             )
+
+    def test_similarity_profile_rejected_on_multivariate(self):
+        """Multichannel queries resolve like any query, but the profile's
+        path bounds are univariate: a typed error, whatever the query."""
+        base = _build(_mv_dataset(seed=7))
+        for query in (np.zeros((9, 2)) + 0.5, SubsequenceRef(0, 0, 9)):
+            with pytest.raises(ValidationError, match="univariate"):
+                similarity_profile(base, query, [0.1, 0.2])
 
     def test_add_series_indexes_multichannel(self):
         ds = _mv_dataset(seed=8)

@@ -49,14 +49,13 @@ from repro.core.config import BuildConfig
 from repro.data.dataset import TimeSeriesDataset
 from repro.data.timeseries import TimeSeries
 from repro.distances import native
-from repro.distances.dtw import (
-    dtw_distance_batch, dtw_distance_condensed, dtw_path_batch,
-)
+from repro.distances.dtw import dtw_distance_batch, dtw_path_batch
 if len(sys.argv) > 1:
     rng = np.random.default_rng(7)
     q = np.round(rng.normal(size=11) * 2) / 2
     rows = np.round(rng.normal(size=(40, 16)) * 2) / 2
     lens = rng.integers(1, 17, size=40)
+    iu, ju = np.triu_indices(9, k=1)
     out = {}
     for window in (None, 0, 2):
         for ground in ("l1", "squared"):
@@ -67,7 +66,9 @@ if len(sys.argv) > 1:
             )
             paths = dtw_path_batch(q, rows, window=window, ground=ground, lengths=lens)
             out["i" + tag], out["j" + tag] = paths.i, paths.j
-            out["c" + tag] = dtw_distance_condensed(rows[:9], window=window, ground=ground)
+            out["c" + tag] = dtw_distance_batch(
+                rows[iu], rows[ju], window=window, ground=ground
+            )
     walks = [np.round(rng.normal(size=24).cumsum() * 4) / 4 for _ in range(4)]
     base = OnexBase(
         TimeSeriesDataset.from_arrays(walks[:3], name="walks"),

@@ -16,6 +16,7 @@ import urllib.request
 import pytest
 
 from repro.exceptions import OverloadedError, RemoteError, ValidationError
+from repro.server import client as client_module
 from repro.server.client import OnexClient
 from repro.obs.metrics import histogram_quantile, parse_exposition
 from repro.server.http import AdmissionGate, OnexHttpServer
@@ -243,15 +244,16 @@ class TestClientRetries:
             client.call("k_best", {**_QUERY, "dataset": "ghost"})
         assert excinfo.value.error_type == "DatasetError"
 
-    def test_read_only_retry_honours_retry_after(self, server):
+    def test_read_only_retry_honours_retry_after(self, server, monkeypatch):
         delays = []
 
         def fake_sleep(seconds):
             delays.append(seconds)
             time.sleep(0.15)  # wait long enough for the slot to free up
 
+        monkeypatch.setattr(client_module, "_sleep", fake_sleep)
         blocker = self._occupy(server, 0.3)
-        client = OnexClient(server.url, max_retries=5, sleep=fake_sleep)
+        client = OnexClient(server.url, max_retries=5)
         result = client.call("k_best", _QUERY)
         blocker.join(timeout=30)
         assert result["matches"]
@@ -259,19 +261,21 @@ class TestClientRetries:
         # Every backoff was floored at the server's Retry-After hint (1s).
         assert all(delay >= 1.0 for delay in delays)
 
-    def test_non_durable_mutating_op_never_retried(self, server):
+    def test_non_durable_mutating_op_never_retried(self, server, monkeypatch):
         # save_base is mutating but not request-id-deduplicated, so it
         # stays non-retryable while durable mutating ops retry.
+        monkeypatch.setattr(client_module, "_sleep", lambda s: None)
         blocker = self._occupy(server, 0.4)
-        client = OnexClient(server.url, max_retries=5, sleep=lambda s: None)
+        client = OnexClient(server.url, max_retries=5)
         with pytest.raises(OverloadedError):
             client.call("save_base", {"dataset": _DATASET, "path": "/tmp/x"})
         blocker.join(timeout=30)
         assert client.retries_performed == 0
 
-    def test_exhausted_retries_raise_overloaded(self, server):
+    def test_exhausted_retries_raise_overloaded(self, server, monkeypatch):
+        monkeypatch.setattr(client_module, "_sleep", lambda s: None)
         blocker = self._occupy(server, 0.6)
-        client = OnexClient(server.url, max_retries=2, sleep=lambda s: None)
+        client = OnexClient(server.url, max_retries=2)
         with pytest.raises(OverloadedError, match="3 attempt"):
             client.call("k_best", _QUERY)
         blocker.join(timeout=30)

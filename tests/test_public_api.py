@@ -23,8 +23,11 @@ import pytest
 
 import repro
 from repro.baselines.brute_force import BruteForceSearcher
+from repro.core.deadline import Deadline
 from repro.core.grouping import cluster_subsequence_rows, cluster_subsequences
 from repro.core.mmap_layout import clean_stale_snapshots
+from repro.durability.recovery import recover_all
+from repro.server.client import OnexClient
 from repro.server.pool import WorkerPool
 from repro.server.protocol import Request
 from repro.server.service import OnexService
@@ -82,20 +85,28 @@ class TestTopLevel:
             assert name in repro.__all__, f"{name} missing from repro.__all__"
 
 
-#: Every parameter of the entry points that once took test-only settings.
+#: Every parameter of the entry points that once took test-only settings,
+#: ``=`` marking one with a default.
 SETTINGS = {
     repro.QueryProcessor.batch_matches:
-        ["self", "queries", "k", "lengths", "normalize", "deadline"],
+        ["self", "queries", "k=", "lengths=", "normalize=", "deadline="],
     repro.OnexEngine.load_dataset:
-        ["self", "dataset", "similarity_threshold", "min_length", "max_length",
-         "step", "normalize", "deadline"],
-    WorkerPool.__init__: ["self", "size", "replica", "on_capacity_change"],
+        ["self", "dataset", "similarity_threshold=", "min_length=", "max_length=",
+         "step=", "normalize=", "deadline="],
+    WorkerPool.__init__: ["self", "size", "replica", "on_capacity_change="],
     Supervisor.__init__: ["self", "service", "workers", "snapshot_root"],
     OnexService.__init__:
-        ["self", "query_config", "default_timeout_ms", "durability"],
+        ["self", "query_config=", "default_timeout_ms=", "durability="],
     repro.MonitorRegistry.__init__: ["self", "base"],
     BruteForceSearcher.__init__: ["self", "dataset"],
     clean_stale_snapshots: ["root"],
+    Deadline.__init__: ["self", "timeout_ms", "allow_partial="],
+    Deadline.after: ["timeout_ms", "allow_partial="],
+    OnexClient.__init__: ["self", "url", "timeout_s=", "max_retries="],
+    repro.StreamIngestor.__init__: ["self", "base"],
+    repro.OnexEngine.restore_dataset:
+        ["self", "base", "monitors=", "event_seq=", "fingerprint="],
+    recover_all: ["manager", "engine", "apply", "mark"],
 }  # fmt: skip
 
 
@@ -122,10 +133,15 @@ class TestNoExecutionSelectors:
     )
     def test_settings_are_exactly_these(self, function):
         """The thread fan-out, the build backend, the pool, service and
-        monitor timings, the brute-force scan modes and the snapshot
-        sweep's keep count were settings only tests set; they are
-        constants now, or gone with the path they selected."""
-        assert list(inspect.signature(function).parameters) == SETTINGS[function]
+        monitor timings, the brute-force scan modes, the snapshot sweep's
+        keep count, the deadline's cancellation token, the client's sleep
+        and jitter source, the ingestor's registry and recovery's optional
+        mark were settings only tests set; they are constants now, or
+        gone with the path they selected."""
+        parameters = inspect.signature(function).parameters.values()
+        assert [
+            p.name + ("=" if p.default is not p.empty else "") for p in parameters
+        ] == SETTINGS[function]
 
     @pytest.mark.parametrize(
         "function",
@@ -188,6 +204,24 @@ class TestRepositoryLayout:
             timeout=300,
         )
         assert done.returncode == 0, f"{example} failed:\n{done.stderr[-2000:]}"
+
+    def test_the_traced_benchmark_finds_its_hook_points(self):
+        """``bench/traced_serve.py`` wraps library names by string; a
+        rename that breaks a wrapper fails here, not only in a traced
+        serving-benchmark run."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT)])
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import bench.traced_serve as t; t.install(); print('ok')"],
+            cwd=ROOT,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )  # fmt: skip
+        assert done.returncode == 0, done.stderr[-2000:]
+        assert done.stdout.strip() == "ok"
 
     def test_every_module_has_a_consumer_row(self):
         """DESIGN.md §3's consumer table names every module of

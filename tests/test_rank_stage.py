@@ -19,7 +19,7 @@ from repro.baselines.brute_force import BruteForceSearcher
 from repro.core import base as core_base
 from repro.core.base import OnexBase, RepresentativeTable
 from repro.core.config import BuildConfig, QueryConfig
-from repro.core.deadline import CancellationToken, Deadline
+from repro.core.deadline import Deadline
 from repro.core.mmap_layout import load_base_snapshot, save_base_snapshot
 from repro.core.query import QueryProcessor, _LazyOrder
 from repro.data.dataset import TimeSeriesDataset
@@ -28,7 +28,7 @@ from repro.distances.dtw import dtw_distance
 from repro.distances.lower_bounds import lb_keogh_reverse_batch, lb_kim_endpoints_batch
 from repro.exceptions import InvariantError
 from repro.stream.ingest import StreamIngestor
-from repro.testing import faults
+from tests.deadlines import expire_at_refine_unit
 
 values = st.floats(min_value=-25.0, max_value=25.0, allow_nan=False)
 
@@ -316,18 +316,9 @@ class TestThresholdDriver:
     def test_a_fired_partial_deadline_returns_the_chunks_verified(self, walk_base, monkeypatch):
         q = walk_base.dataset[0].values[2:8]
         processor = QueryProcessor(walk_base, QueryConfig(mode="exact"))
-        token = CancellationToken()
-        fired = []
-
-        def fire(point, **ctx):
-            if point == "query.refine_unit":
-                fired.append(point)
-                if len(fired) == 2:
-                    token.cancel()
-
-        monkeypatch.setattr(faults, "fire", fire)
+        expire_at_refine_unit(monkeypatch, 2)
         got = processor.matches_within(
-            q, 0.08, normalize=False, deadline=Deadline(token=token, allow_partial=True)
+            q, 0.08, normalize=False, deadline=Deadline(120_000, allow_partial=True)
         )
         # Lengths 5-7 are the first chunk, 8-9 the second: the first
         # chunk's matches are complete, flagged inexact as a set.

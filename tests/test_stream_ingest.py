@@ -21,6 +21,7 @@ from repro.data.dataset import TimeSeriesDataset
 from repro.data.timeseries import TimeSeries
 from repro.distances.normalize import minmax_normalize
 from repro.exceptions import ValidationError
+from repro.obs.metrics import REGISTRY
 from repro.stream import StreamIngestor
 
 
@@ -123,12 +124,20 @@ class TestStreamIngestor:
         base.validate()
 
     def test_stats_and_counters(self):
+        """The registry's stream totals are the one count of points and
+        windows ingested."""
+        points = REGISTRY.get("onex_stream_points_total")
+        windows = REGISTRY.get("onex_stream_windows_indexed_total")
+        before = points.value(), windows.value()
         base = make_base()
         ing = StreamIngestor(base)
-        ing.append_points("a", np.arange(8, dtype=float))
-        ing.append_points("a", np.arange(3, dtype=float))
-        assert ing.points_ingested == 11
-        assert ing.windows_indexed > 0
+        summaries = [
+            ing.append_points("a", np.arange(8, dtype=float)),
+            ing.append_points("a", np.arange(3, dtype=float)),
+        ]
+        assert points.value() - before[0] == 11
+        indexed = sum(s["windows"] for s in summaries)
+        assert indexed > 0 and windows.value() - before[1] == indexed
 
     def test_step_respects_build_grid(self):
         base = make_base(step=2)

@@ -236,8 +236,8 @@ class TestMonitorRegistry:
     def test_bounded_buffer_drops_oldest(self, monkeypatch):
         monkeypatch.setattr(monitor_module, "_MAX_EVENTS", 5)
         base = make_base()
-        registry = MonitorRegistry(base)
-        ing = StreamIngestor(base, registry)
+        ing = StreamIngestor(base)
+        registry = ing.registry
         registry.register(base.dataset[0].values[:5], epsilon=100.0)
         rng = np.random.default_rng(7)
         for v in rng.normal(size=30).cumsum():
