@@ -59,10 +59,6 @@ class Deadline:
         """A deadline expiring *timeout_ms* from now."""
         return cls(timeout_ms, allow_partial=allow_partial)
 
-    def remaining_ms(self) -> float:
-        """Milliseconds left in the budget."""
-        return max(0.0, (self._expires_at - time.monotonic()) * 1000.0)
-
     @property
     def expired(self) -> bool:
         """Whether the budget ran out."""
@@ -84,8 +80,8 @@ class Deadline:
             )
 
     def __repr__(self) -> str:
+        remaining = max(0.0, self._expires_at - time.monotonic()) * 1000.0
         return (
-            f"Deadline(timeout={self.timeout_ms:g}ms, "
-            f"remaining={self.remaining_ms():.1f}ms, "
+            f"Deadline(timeout={self.timeout_ms:g}ms, remaining={remaining:.1f}ms, "
             f"allow_partial={self.allow_partial})"
         )

@@ -56,6 +56,7 @@ from repro.core.config import QueryConfig
 from repro.core.deadline import Deadline
 from repro.data.dataset import SubsequenceRef
 from repro.distances import native
+from repro.distances.bounds import transfer_lower
 from repro.distances.dtw import dtw_distance_batch, dtw_path_batch, effective_band
 from repro.distances.envelope import QueryEnvelopeCache
 from repro.distances.lower_bounds import (
@@ -237,9 +238,8 @@ class _LazyOrder:
     sort the global tie-break.
     """
 
-    def __init__(self, bounds: np.ndarray, block: int = _ORDER_BLOCK) -> None:
+    def __init__(self, bounds: np.ndarray) -> None:
         self.size = bounds.size
-        self._block = block
         self.order = np.empty(self.size, dtype=np.int64)
         self.values = np.empty(self.size)
         self.ready = 0
@@ -251,7 +251,7 @@ class _LazyOrder:
         stop = min(stop, self.size)
         while self.ready < stop:
             rest, values = self._rest, self._rest_values
-            want = max(stop - self.ready, self.ready, self._block)
+            want = max(stop - self.ready, self.ready, _ORDER_BLOCK)
             if want < rest.size:
                 block = values <= np.partition(values, want - 1)[want - 1]
                 self._rest, self._rest_values = rest[~block], values[~block]
@@ -798,14 +798,15 @@ class QueryProcessor:
                     return estimate, estimate
 
             else:
-                paths = (q.shape[0] + reps.lengths - 1).astype(np.float64)
-                slack = paths * reps.radii
-                keys = np.maximum(cheap - slack, 0.0) / paths
+                qlen = q.shape[0]
+                paths = (qlen + reps.lengths - 1).astype(np.float64)
+                keys = transfer_lower(cheap, qlen, reps.lengths, reps.radii) / paths
 
                 def verify(take: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-                    raws = self._rep_dtw(q, reps.lengths[take], reps.gids[take], stats)
-                    tight = np.maximum(raws - slack[take], 0.0) / paths[take]
-                    return tight, raws / paths[take]
+                    lengths = reps.lengths[take]
+                    raws = self._rep_dtw(q, lengths, reps.gids[take], stats)
+                    tight = transfer_lower(raws, qlen, lengths, reps.radii[take])
+                    return tight / paths[take], raws / paths[take]
 
             def refine(rows: np.ndarray, cut: float, k: int | None) -> _Refined:
                 return self._refine(q, rows, cut, stats, envelopes, k)

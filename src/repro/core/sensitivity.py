@@ -46,7 +46,7 @@ from repro.core.base import OnexBase
 from repro.core.deadline import Deadline
 from repro.core.validation import as_optional_int_arg
 from repro.data.dataset import SubsequenceRef
-from repro.distances.bounds import path_multiplicities
+from repro.distances.bounds import path_multiplicities, transfer_lower, transfer_upper
 from repro.distances.dtw import dtw_distance_batch, dtw_path, dtw_path_batch, effective_band
 from repro.exceptions import ValidationError
 from repro.obs.trace import span
@@ -208,7 +208,8 @@ def _profile_batched(
         # cheap bound never exceeds DTW(q, rep) and the group Chebyshev
         # radius never understates a member's, so a group failing this
         # test has every member's scalar lower bound above the grid.
-        alive = (cheap - max_path * bucket.cheb_radii) / max_path <= st_max
+        floor = transfer_lower(cheap, qlen, length, bucket.cheb_radii)
+        alive = floor / max_path <= st_max
         g_ids = np.flatnonzero(alive)
         # One lookup for the bucket; the stable sort puts the rows group
         # by group, members in arrival order, whatever the store order.
@@ -223,13 +224,10 @@ def _profile_batched(
                 [0] + stops, stops,
             )
             for centroid, distance, mult, lo, hi in units:
-                diffs = np.abs(stacked[lo:hi] - centroid)
-                slack = diffs @ mult
-                cheb = diffs.max(axis=1)
-                uppers.append((distance + slack) / min_path)
-                lowers.append(
-                    np.maximum(distance - max_path * cheb, 0.0) / max_path
-                )
+                gaps = np.abs(stacked[lo:hi] - centroid)
+                uppers.append(transfer_upper(distance, gaps, mult) / min_path)
+                lower = transfer_lower(distance, qlen, length, gaps.max(axis=1))
+                lowers.append(lower / max_path)
         if verify and g_ids.size:
             verify_units.append((stacked, offset))
             offset += stacked.shape[0]

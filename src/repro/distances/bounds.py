@@ -15,31 +15,24 @@ and symmetrically, bounding the unknown optimal ``(q, s)`` path length by
 
     DTW(q, s) >= DTW(q, r) - (len(q) + len(s) - 1) * max_j |r_j - s_j|  (lower)
 
-The upper bound is what carries a representative-level match to every
-member of its group; the lower bound is what lets the query processor
-discard whole groups without touching their members.  Both directions are
-verified by hypothesis property tests against exact DTW.
+Both hold under a Sakoe–Chiba band as well: ``r`` and ``s`` have one
+length, so each optimal banded path of one pair is a banded path of the
+other.  :func:`transfer_upper` carries a representative-level match to
+every member of its group (the sensitivity profile); :func:`transfer_lower`
+lets the query walk and the profile discard whole groups without touching
+their members.  Both work in raw cost on arrays; callers divide by their
+own path lengths.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
-from numpy.typing import ArrayLike
 
-from repro.distances.dtw import DtwResult, dtw_path
-from repro.distances.metrics import as_sequence
 from repro.exceptions import ValidationError
 
-__all__ = [
-    "TransferBound",
-    "group_pruning_lower_bound",
-    "path_multiplicities",
-    "transfer_bounds",
-    "transfer_slack",
-]
+__all__ = ["path_multiplicities", "transfer_lower", "transfer_upper"]
 
 
 def path_multiplicities(
@@ -61,94 +54,22 @@ def path_multiplicities(
     return np.bincount(index, minlength=length)
 
 
-def transfer_slack(
-    path: Sequence[tuple[int, int]], r: ArrayLike, s: ArrayLike, *, axis: int = 1
-) -> float:
-    """``sum_j m_j * |r_j - s_j|`` — the slack term of the transfer lemma."""
-    rv = as_sequence(r, name="r")
-    sv = as_sequence(s, name="s")
-    if rv.shape[0] != sv.shape[0]:
-        raise ValidationError(
-            f"r and s must have equal length, got {rv.shape[0]} and {sv.shape[0]}"
-        )
-    mult = path_multiplicities(path, rv.shape[0], axis=axis)
-    return float((mult * np.abs(rv - sv)).sum())
-
-
-@dataclass(frozen=True)
-class TransferBound:
-    """Interval guaranteed to contain ``DTW(q, s)`` for a group member ``s``.
-
-    Produced from one DTW computation against the group representative
-    only — no DTW against ``s`` itself is performed.
-    """
-
-    dtw_query_rep: float
-    lower: float
-    upper: float
-
-    def __post_init__(self) -> None:
-        if self.lower > self.upper:
-            raise ValidationError(
-                f"inconsistent bound: lower {self.lower} > upper {self.upper}"
-            )
-
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
-
-
-def transfer_bounds(
-    q: ArrayLike,
-    r: ArrayLike,
-    s: ArrayLike,
-    *,
-    window: int | None = None,
-    rep_result: DtwResult | None = None,
-) -> TransferBound:
-    """Bound ``DTW(q, s)`` using only ``DTW(q, r)`` and ``ED(r, s)``.
-
-    *r* and *s* must be equal length (they share a similarity group).
-    *rep_result* may carry a precomputed ``dtw_path(q, r)`` so that one
-    representative evaluation serves every member of the group.
-
-    Note the guarantee is for **unconstrained** DTW on ``(q, s)``: the lower
-    bound caps the unknown optimal path length at ``len(q) + len(s) - 1``,
-    and a *window* only restricts the ``(q, r)`` evaluation.
-    """
-    qv = as_sequence(q, name="q")
-    rv = as_sequence(r, name="r")
-    sv = as_sequence(s, name="s")
-    if rv.shape[0] != sv.shape[0]:
-        raise ValidationError(
-            f"r and s must have equal length, got {rv.shape[0]} and {sv.shape[0]}"
-        )
-    if rep_result is None:
-        rep_result = dtw_path(qv, rv, window=window)
-    slack = transfer_slack(rep_result.path, rv, sv, axis=1)
-    cheb = float(np.abs(rv - sv).max())
-    max_path = qv.shape[0] + sv.shape[0] - 1
-    lower = max(0.0, rep_result.distance - max_path * cheb)
-    upper = rep_result.distance + slack
-    return TransferBound(dtw_query_rep=rep_result.distance, lower=lower, upper=upper)
-
-
-def group_pruning_lower_bound(
-    dtw_query_rep: float,
+def transfer_lower(
+    dtw_qr: np.ndarray | float,
     query_length: int,
-    member_length: int,
-    chebyshev_radius: float,
-) -> float:
-    """Lower bound on ``DTW(q, s)`` for **every** member ``s`` of a group.
+    lengths: np.ndarray | int,
+    radii: np.ndarray | float,
+) -> np.ndarray:
+    """``max(DTW(q, r) - (len(q) + len(s) - 1) * radius, 0)``: a lower
+    bound on raw ``DTW(q, s)`` for every ``s`` of length *lengths* within
+    Chebyshev distance *radii* of ``r`` (elementwise)."""
+    return np.maximum(dtw_qr - (query_length + lengths - 1) * radii, 0.0)
 
-    *chebyshev_radius* is the maximum ``max_j |r_j - s_j|`` over the group's
-    members, which the ONEX base maintains incrementally during
-    construction.  If this bound already exceeds the best match found so
-    far, the whole group is skipped — the key online-phase optimisation.
-    """
-    if chebyshev_radius < 0:
-        raise ValidationError("chebyshev_radius must be >= 0")
-    if query_length <= 0 or member_length <= 0:
-        raise ValidationError("lengths must be positive")
-    max_path = query_length + member_length - 1
-    return max(0.0, dtw_query_rep - max_path * chebyshev_radius)
+
+def transfer_upper(
+    dtw_qr: np.ndarray | float, gaps: np.ndarray, multiplicities: np.ndarray
+) -> np.ndarray:
+    """``DTW(q, r) + sum_j m_j * |r_j - s_j|``: an upper bound on raw
+    ``DTW(q, s)`` per row of *gaps* (``|r - s|``), with ``m_j`` the
+    *multiplicities* of the optimal ``(q, r)`` path on ``r``."""
+    return dtw_qr + gaps @ multiplicities

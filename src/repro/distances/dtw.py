@@ -70,6 +70,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from repro.distances import native
+from repro.distances.bounds import path_multiplicities
 from repro.distances.metrics import as_sequence, as_window
 from repro.exceptions import ValidationError
 
@@ -148,9 +149,6 @@ class DtwResult:
         This is the ``m_j`` vector of the ED→DTW transfer lemma
         (DESIGN.md §2).
         """
-        # Imported here: bounds.py builds on this module.
-        from repro.distances.bounds import path_multiplicities
-
         return path_multiplicities(self.path, length, axis=axis)
 
 

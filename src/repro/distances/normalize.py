@@ -11,8 +11,10 @@ it needs.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from repro.exceptions import ValidationError
 
@@ -33,7 +35,7 @@ _FLAT_EPS = 1e-12
 _CANCELLATION_FLOOR = 1e-6
 
 
-def minmax_params(values) -> tuple[float, float]:
+def minmax_params(values: ArrayLike) -> tuple[float, float]:
     """Return ``(lo, hi)`` bounds used for min–max scaling of *values*."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.size == 0:
@@ -43,7 +45,9 @@ def minmax_params(values) -> tuple[float, float]:
     return float(arr.min()), float(arr.max())
 
 
-def minmax_normalize(values, *, lo: float | None = None, hi: float | None = None) -> np.ndarray:
+def minmax_normalize(
+    values: ArrayLike, *, lo: float | None = None, hi: float | None = None
+) -> np.ndarray:
     """Scale *values* affinely so that [lo, hi] maps to [0, 1].
 
     When *lo*/*hi* are omitted they are taken from the data itself.  A flat
@@ -69,10 +73,10 @@ def minmax_normalize(values, *, lo: float | None = None, hi: float | None = None
     return (arr - lo) / spread
 
 
-def znormalize(values, *, eps: float = _FLAT_EPS) -> np.ndarray:
+def znormalize(values: ArrayLike) -> np.ndarray:
     """Subtract the mean and divide by the standard deviation.
 
-    Flat sequences (std <= eps) are returned as all zeros — the same
+    Flat sequences (std <= ``_FLAT_EPS``) are returned as all zeros — the same
     convention the original UCR Suite code uses, and the one our UCR Suite
     baseline relies on.
     """
@@ -83,12 +87,12 @@ def znormalize(values, *, eps: float = _FLAT_EPS) -> np.ndarray:
         raise ValidationError("values contain NaN or infinite entries")
     mean = arr.mean()
     std = arr.std()
-    if std <= eps:
+    if std <= _FLAT_EPS:
         return np.zeros_like(arr)
     return (arr - mean) / std
 
 
-def sliding_mean_std(values, window: int) -> tuple[np.ndarray, np.ndarray]:
+def sliding_mean_std(values: ArrayLike, window: int) -> tuple[np.ndarray, np.ndarray]:
     """Mean and std of every length-*window* sliding window, in O(n).
 
     Uses cumulative sums (the trick from Rakthanmanon et al., SIGKDD 2012)
@@ -151,7 +155,7 @@ class RunningStats:
         self._min = min(self._min, value)
         self._max = max(self._max, value)
 
-    def extend(self, values) -> None:
+    def extend(self, values: Iterable[float]) -> None:
         """Push every element of an iterable of floats."""
         for value in values:
             self.push(float(value))

@@ -1,7 +1,8 @@
-"""Pluggable distance registry: metric names → kernels and bound families.
+"""The distance registry: metric names → kernels and bound families.
 
-The query layers resolve their metric here (DESIGN.md §9).  A registered
-:class:`MetricSpec` bundles what the one query walk needs of a metric:
+The query layers resolve their metric here (DESIGN.md §9).  Each
+:class:`MetricSpec` of the closed :data:`REGISTRY` mapping bundles what
+the one query walk needs of a metric:
 
 - ``pair`` — the scalar distance on two windows, returning ``(raw,
   normalized)`` where *normalized* is the length-comparable value ONEX
@@ -32,7 +33,9 @@ representative table's own rank bounds and batch kernel instead.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Callable
 
 import numpy as np
@@ -43,7 +46,6 @@ from repro.distances.variants import weighted_dtw
 from repro.exceptions import ValidationError
 
 __all__ = [
-    "DistanceRegistry",
     "MetricSpec",
     "REGISTRY",
     "get_metric",
@@ -89,49 +91,6 @@ class MetricSpec:
     lower_bound: Callable | None = None
     elastic: bool = True
     multivariate: bool = True
-
-
-class DistanceRegistry:
-    """Name → :class:`MetricSpec` mapping with a closed, known key set."""
-
-    def __init__(self) -> None:
-        self._specs: dict[str, MetricSpec] = {}
-
-    def register(self, spec: MetricSpec) -> MetricSpec:
-        if not isinstance(spec, MetricSpec):
-            raise ValidationError(
-                f"expected MetricSpec, got {type(spec).__name__}"
-            )
-        if not spec.name or not isinstance(spec.name, str):
-            raise ValidationError("metric name must be a non-empty string")
-        if spec.name in self._specs:
-            raise ValidationError(f"metric {spec.name!r} already registered")
-        self._specs[spec.name] = spec
-        return spec
-
-    def get(self, name: str) -> MetricSpec:
-        """Resolve *name*, raising a clear error for unknown metrics."""
-        if not isinstance(name, str):
-            raise ValidationError(
-                f"metric must be a string, got {type(name).__name__}"
-            )
-        try:
-            return self._specs[name]
-        except KeyError:
-            raise ValidationError(
-                f"unknown metric {name!r} (registered: "
-                f"{', '.join(self.names())})"
-            ) from None
-
-    def names(self) -> tuple[str, ...]:
-        """Registered metric names, sorted."""
-        return tuple(sorted(self._specs))
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._specs
-
-    def __len__(self) -> int:
-        return len(self._specs)
 
 
 def _dtw_pair(x: ArrayLike, y: ArrayLike, window: int | None) -> tuple[float, float]:
@@ -246,84 +205,83 @@ def _chebyshev_bound(
     return np.maximum(rep_norms - cheb_radii, 0.0)
 
 
-#: The process-wide default registry consulted by the query layers.
-REGISTRY = DistanceRegistry()
-
-REGISTRY.register(
-    MetricSpec(
-        name="dtw",
-        pair=_dtw_pair,
-        batch=_dtw_batch,
-        lower_bound=None,  # the univariate cascade has its own LB family
-        elastic=True,
-        multivariate=True,
-    )
-)
-REGISTRY.register(
-    MetricSpec(
-        name="euclidean",
-        pair=_lp_pair(
-            lambda d: float(np.sqrt((d**2).mean())),
-            lambda norm, width: norm * math.sqrt(width),
+#: Every metric the query layers serve, by name — a closed set built
+#: once at import.
+REGISTRY: Mapping[str, MetricSpec] = MappingProxyType({
+    spec.name: spec
+    for spec in (
+        MetricSpec(
+            name="dtw",
+            pair=_dtw_pair,
+            batch=_dtw_batch,
+            lower_bound=None,  # the univariate cascade has its own LB family
+            elastic=True,
+            multivariate=True,
         ),
-        batch=_euclidean_batch,
-        lower_bound=_euclidean_bound,
-        elastic=False,
-        multivariate=True,
-    )
-)
-REGISTRY.register(
-    MetricSpec(
-        name="cityblock",
-        pair=_lp_pair(
-            lambda d: float(np.abs(d).mean()),
-            lambda norm, width: norm * width,
+        MetricSpec(
+            name="euclidean",
+            pair=_lp_pair(
+                lambda d: float(np.sqrt((d**2).mean())),
+                lambda norm, width: norm * math.sqrt(width),
+            ),
+            batch=_euclidean_batch,
+            lower_bound=_euclidean_bound,
+            elastic=False,
+            multivariate=True,
         ),
-        batch=_cityblock_batch,
-        lower_bound=_cityblock_bound,
-        elastic=False,
-        multivariate=True,
-    )
-)
-REGISTRY.register(
-    MetricSpec(
-        name="chebyshev",
-        pair=_lp_pair(
-            lambda d: float(np.abs(d).max()), lambda norm, width: norm
+        MetricSpec(
+            name="cityblock",
+            pair=_lp_pair(
+                lambda d: float(np.abs(d).mean()),
+                lambda norm, width: norm * width,
+            ),
+            batch=_cityblock_batch,
+            lower_bound=_cityblock_bound,
+            elastic=False,
+            multivariate=True,
         ),
-        batch=_chebyshev_batch,
-        lower_bound=_chebyshev_bound,
-        elastic=False,
-        multivariate=True,
+        MetricSpec(
+            name="chebyshev",
+            pair=_lp_pair(
+                lambda d: float(np.abs(d).max()), lambda norm, width: norm
+            ),
+            batch=_chebyshev_batch,
+            lower_bound=_chebyshev_bound,
+            elastic=False,
+            multivariate=True,
+        ),
+        MetricSpec(
+            name="derivative_dtw",
+            pair=_ddtw_pair,
+            batch=_ddtw_batch,
+            lower_bound=None,
+            elastic=True,
+            multivariate=True,
+        ),
+        MetricSpec(
+            name="weighted_dtw",
+            pair=_wdtw_pair,
+            batch=None,
+            lower_bound=None,
+            elastic=True,
+            multivariate=False,
+        ),
     )
-)
-REGISTRY.register(
-    MetricSpec(
-        name="derivative_dtw",
-        pair=_ddtw_pair,
-        batch=_ddtw_batch,
-        lower_bound=None,
-        elastic=True,
-        multivariate=True,
-    )
-)
-REGISTRY.register(
-    MetricSpec(
-        name="weighted_dtw",
-        pair=_wdtw_pair,
-        batch=None,
-        lower_bound=None,
-        elastic=True,
-        multivariate=False,
-    )
-)
+})
 
 
 def get_metric(name: str) -> MetricSpec:
-    """Resolve *name* against the default registry (ValidationError if unknown)."""
-    return REGISTRY.get(name)
+    """Resolve *name* against :data:`REGISTRY` (ValidationError if unknown)."""
+    if not isinstance(name, str):
+        raise ValidationError(f"metric must be a string, got {type(name).__name__}")
+    try:
+        return REGISTRY[name]
+    except KeyError:
+        raise ValidationError(
+            f"unknown metric {name!r} (registered: {', '.join(registered_metrics())})"
+        ) from None
 
 
 def registered_metrics() -> tuple[str, ...]:
-    """Names in the default registry — the closed metric label set."""
-    return REGISTRY.names()
+    """Registered metric names, sorted — the closed metric label set."""
+    return tuple(sorted(REGISTRY))

@@ -27,7 +27,6 @@ from repro.core.base import OnexBase
 from repro.core.deadline import Deadline
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import span
-from repro.stream.events import StreamEvent
 from repro.stream.monitor import MonitorRegistry
 
 __all__ = ["StreamIngestor"]
@@ -114,11 +113,3 @@ class StreamIngestor:
             "new_groups": created_groups,
             "events": [e.as_dict() for e in events],
         }
-
-    def poll_events(self, since: int = 0, limit: int | None = None) -> list[StreamEvent]:
-        """Monitor events with ``seq > since`` (see the registry)."""
-        return self.registry.poll(since, limit)
-
-    def flush_monitors(self) -> list[StreamEvent]:
-        """Flush pending SPRING candidates when a finite stream ends."""
-        return self.registry.flush()

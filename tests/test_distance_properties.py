@@ -8,10 +8,9 @@ justifies the entire ONEX architecture.
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.distances.bounds import transfer_bounds
 from repro.distances.dtw import (
     dtw_cost_matrix,
     dtw_distance,
@@ -20,7 +19,9 @@ from repro.distances.dtw import (
 )
 from repro.distances.envelope import keogh_envelope
 from repro.distances.lower_bounds import lb_keogh, lb_kim
-from repro.distances.metrics import euclidean_l1, normalized_euclidean
+from repro.distances.metrics import normalized_euclidean
+from repro.distances.registry import get_metric
+from tests.test_bounds import transfer_interval
 
 finite_floats = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
 
@@ -75,7 +76,7 @@ def test_banded_dtw_upper_bounds_unconstrained(x, window):
 def test_dtw_bounded_by_euclidean_when_equal_length(x, y):
     n = min(len(x), len(y))
     x, y = x[:n], y[:n]
-    assert dtw_distance(x, y) <= euclidean_l1(x, y) + 1e-9
+    assert dtw_distance(x, y) <= get_metric("cityblock").pair(x, y, None)[0] + 1e-9
 
 
 @settings(max_examples=150, deadline=None)
@@ -97,16 +98,20 @@ def test_lb_keogh_never_exceeds_banded_dtw(q, radius, rnd):
     seq(min_size=2, max_size=12),
     seq(min_size=2, max_size=12),
     st.lists(st.floats(min_value=-2.0, max_value=2.0, allow_nan=False), min_size=2, max_size=12),
+    st.sampled_from([None, 0, 1, 2, 3]),
 )
-def test_transfer_lemma_contains_true_dtw(q, r, noise):
-    """The central ONEX theorem: DTW(q,s) lies within the transfer bounds."""
+# The optimal (q, s) path outruns both lengths (4 cells on 3 x 3).
+@example(q=[-3.0, 0.0, -2.0], r=[2.0, -4.0, 3.0], noise=[-1.0, 1.0, -1.0], window=None)
+def test_transfer_lemma_contains_true_dtw(q, r, noise, window):
+    """The central ONEX theorem: DTW(q,s) lies within the transfer bounds,
+    unconstrained or under the Sakoe–Chiba band exact mode prunes with."""
     n = min(len(r), len(noise))
     r = r[:n]
     s = [r_i + d_i for r_i, d_i in zip(r, noise[:n])]
-    bound = transfer_bounds(q, r, s)
-    true = dtw_distance(q, s)
-    assert bound.lower <= true + 1e-9
-    assert true <= bound.upper + 1e-9
+    lower, upper = transfer_interval(q, r, s, window)
+    true = dtw_distance(q, s, window=window)
+    assert lower <= true + 1e-9
+    assert true <= upper + 1e-9
 
 
 @settings(max_examples=100, deadline=None)

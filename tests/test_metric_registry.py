@@ -20,13 +20,7 @@ from repro.core.config import QueryConfig
 from repro.core.engine import OnexEngine
 from repro.data.dataset import TimeSeriesDataset
 from repro.data.timeseries import TimeSeries
-from repro.distances.registry import (
-    REGISTRY,
-    DistanceRegistry,
-    MetricSpec,
-    get_metric,
-    registered_metrics,
-)
+from repro.distances.registry import REGISTRY, MetricSpec, get_metric, registered_metrics
 from repro.exceptions import ValidationError
 from repro.server.protocol import Request
 from repro.server.service import OnexService
@@ -96,18 +90,16 @@ class TestRegistrySurface:
         assert not get_metric("weighted_dtw").multivariate
         assert get_metric("cityblock").multivariate
 
-    def test_custom_registry_is_isolated(self):
-        mine = DistanceRegistry()
-        mine.register(get_metric("dtw"))
-        assert mine.names() == ("dtw",)
-        with pytest.raises(ValidationError):
-            mine.get("euclidean")
+    def test_keys_are_spec_names(self):
+        assert all(spec.name == name for name, spec in REGISTRY.items())
 
-    def test_duplicate_registration_rejected(self):
-        mine = DistanceRegistry()
-        mine.register(get_metric("dtw"))
-        with pytest.raises(ValidationError, match="already registered"):
-            mine.register(get_metric("dtw"))
+    def test_the_metric_set_is_closed(self):
+        with pytest.raises(TypeError):
+            REGISTRY["mine"] = get_metric("dtw")
+
+    def test_non_string_metric_rejected(self):
+        with pytest.raises(ValidationError, match="must be a string"):
+            get_metric(["dtw"])
 
     def test_query_config_validates_metric(self):
         QueryConfig(metric="chebyshev")  # ok

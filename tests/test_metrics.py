@@ -3,14 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.distances.metrics import (
-    as_sequence,
-    chebyshev,
-    euclidean,
-    euclidean_l1,
-    euclidean_l2,
-    normalized_euclidean,
-)
+from repro.distances import metrics
+from repro.distances.metrics import as_sequence, normalized_euclidean
+from repro.distances.registry import get_metric
 from repro.exceptions import ValidationError
 
 
@@ -41,51 +36,56 @@ class TestAsSequence:
             as_sequence([], name="query")
 
 
+def raw(name, x, y):
+    return get_metric(name).pair(np.asarray(x, float), np.asarray(y, float), None)[0]
+
+
 class TestEuclideanFamily:
+    """The registry's Lp kernels on known values; the metric axioms over
+    random draws are tests/test_metric_registry.py's."""
+
     def test_l1_known_value(self):
-        assert euclidean_l1([0, 0, 0], [1, 2, 3]) == 6.0
+        assert raw("cityblock", [0, 0, 0], [1, 2, 3]) == 6.0
 
     def test_l2_known_value(self):
-        assert euclidean_l2([0, 0], [3, 4]) == 5.0
+        assert raw("euclidean", [0, 0], [3, 4]) == pytest.approx(5.0)
 
     def test_chebyshev_known_value(self):
-        assert chebyshev([0, 0, 0], [1, -5, 3]) == 5.0
+        assert raw("chebyshev", [0, 0, 0], [1, -5, 3]) == 5.0
 
-    def test_identical_inputs_are_zero(self):
+    @pytest.mark.parametrize("name", ["cityblock", "euclidean", "chebyshev"])
+    def test_identical_inputs_are_zero(self, name):
         x = [1.5, -2.0, 7.25]
-        assert euclidean_l1(x, x) == 0.0
-        assert euclidean_l2(x, x) == 0.0
-        assert chebyshev(x, x) == 0.0
+        assert raw(name, x, x) == 0.0
 
-    def test_symmetry(self):
+    @pytest.mark.parametrize("name", ["cityblock", "euclidean", "chebyshev"])
+    def test_symmetry(self, name):
         x, y = [1, 2, 3], [4, 0, -1]
-        assert euclidean_l1(x, y) == euclidean_l1(y, x)
-        assert euclidean_l2(x, y) == euclidean_l2(y, x)
-        assert chebyshev(x, y) == chebyshev(y, x)
+        assert raw(name, x, y) == raw(name, y, x)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValidationError, match="equal lengths"):
-            euclidean_l1([1, 2], [1, 2, 3])
+            raw("cityblock", [1, 2], [1, 2, 3])
+        with pytest.raises(ValidationError, match="equal lengths"):
+            normalized_euclidean([1, 2], [1, 2, 3])
 
     def test_normalized_l1_is_mean(self):
         assert normalized_euclidean([0, 0, 0, 0], [1, 1, 1, 1]) == 1.0
         assert normalized_euclidean([0, 0], [1, 3]) == 2.0
 
-    def test_normalized_l2_is_rms(self):
-        assert normalized_euclidean([0, 0], [3, 3], order=2) == pytest.approx(3.0)
+    def test_normalized_l2_is_rms(self, monkeypatch):
+        monkeypatch.setattr(metrics, "_ORDER", 2)
+        assert normalized_euclidean([0, 0], [3, 3]) == pytest.approx(3.0)
+        assert normalized_euclidean([0, 0], [3, 4]) == pytest.approx(12.5**0.5)
 
-    def test_normalized_invalid_order(self):
+    def test_normalized_invalid_order(self, monkeypatch):
+        monkeypatch.setattr(metrics, "_ORDER", 3)
         with pytest.raises(ValidationError, match="order"):
-            normalized_euclidean([1], [2], order=3)
+            normalized_euclidean([1], [2])
 
-    def test_euclidean_dispatch(self):
+    def test_normalized_is_the_cityblock_norm(self):
         x, y = [0, 0, 0], [1, 2, 3]
-        assert euclidean(x, y, order=1, normalized=False) == 6.0
-        assert euclidean(x, y, order=1, normalized=True) == 2.0
-        assert euclidean(x, y, order=2, normalized=False) == pytest.approx(
-            np.sqrt(14)
-        )
-
-    def test_euclidean_invalid_order(self):
-        with pytest.raises(ValidationError):
-            euclidean([1], [2], order=0, normalized=False)
+        assert normalized_euclidean(x, y) == get_metric("cityblock").pair(
+            np.asarray(x, float), np.asarray(y, float), None
+        )[1]
+        assert raw("euclidean", x, y) == pytest.approx(np.sqrt(14))

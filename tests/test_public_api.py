@@ -26,6 +26,10 @@ from repro.baselines.brute_force import BruteForceSearcher
 from repro.core.deadline import Deadline
 from repro.core.grouping import cluster_subsequence_rows, cluster_subsequences
 from repro.core.mmap_layout import clean_stale_snapshots
+from repro.core.query import _LazyOrder
+from repro.distances.metrics import normalized_euclidean
+from repro.distances.normalize import znormalize
+from repro.distances.variants import dtw_barycenter, weighted_dtw
 from repro.durability.recovery import recover_all
 from repro.server.client import OnexClient
 from repro.server.pool import WorkerPool
@@ -107,6 +111,11 @@ SETTINGS = {
     repro.OnexEngine.restore_dataset:
         ["self", "base", "monitors=", "event_seq=", "fingerprint="],
     recover_all: ["manager", "engine", "apply", "mark"],
+    weighted_dtw: ["x", "y", "window="],
+    normalized_euclidean: ["x", "y"],
+    dtw_barycenter: ["sequences", "length=", "iterations="],
+    znormalize: ["values"],
+    _LazyOrder.__init__: ["self", "bounds"],
 }  # fmt: skip
 
 
@@ -135,9 +144,11 @@ class TestNoExecutionSelectors:
         """The thread fan-out, the build backend, the pool, service and
         monitor timings, the brute-force scan modes, the snapshot sweep's
         keep count, the deadline's cancellation token, the client's sleep
-        and jitter source, the ingestor's registry and recovery's optional
-        mark were settings only tests set; they are constants now, or
-        gone with the path they selected."""
+        and jitter source, the ingestor's registry, recovery's optional
+        mark, WDTW's sigmoid, the ED order, DBA's tolerance, the flat
+        z-normalisation floor and the lazy order's block were settings
+        only tests set; they are constants now, or gone with the path
+        they selected."""
         parameters = inspect.signature(function).parameters.values()
         assert [
             p.name + ("=" if p.default is not p.empty else "") for p in parameters

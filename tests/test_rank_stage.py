@@ -10,6 +10,8 @@ element for element).  The threshold driver is held to the brute-force
 scan, ``lengths=`` and a fired partial deadline included.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.baselines.brute_force import BruteForceSearcher
 from repro.core import base as core_base
+from repro.core import query as query_module
 from repro.core.base import OnexBase, RepresentativeTable
 from repro.core.config import BuildConfig, QueryConfig
 from repro.core.deadline import Deadline
@@ -121,15 +124,16 @@ class TestLazyOrder:
     def test_prefix_of_the_stable_argsort(self, bounds, block, steps):
         bounds = np.asarray(bounds, dtype=np.float64)
         want = np.argsort(bounds, kind="stable")
-        ranked = _LazyOrder(bounds, block)
+        ranked = _LazyOrder(bounds)
         stop = 0
-        for step in steps + [bounds.size]:
-            stop += step
-            ranked.upto(stop)
-            ready = ranked.ready
-            assert ready >= min(stop, bounds.size)
-            assert np.array_equal(ranked.order[:ready], want[:ready])
-            assert np.array_equal(ranked.values[:ready], bounds[want[:ready]])
+        with mock.patch.object(query_module, "_ORDER_BLOCK", block):
+            for step in steps + [bounds.size]:
+                stop += step
+                ranked.upto(stop)
+                ready = ranked.ready
+                assert ready >= min(stop, bounds.size)
+                assert np.array_equal(ranked.order[:ready], want[:ready])
+                assert np.array_equal(ranked.values[:ready], bounds[want[:ready]])
 
     def test_all_zero_bounds_as_at_a_coarse_threshold(self):
         ranked = _LazyOrder(np.zeros(5000))
@@ -142,10 +146,11 @@ class TestLazyOrder:
         ranked.upto(16)
         assert 16 <= ranked.ready < 2_000
 
-    def test_nan_bounds_raise_instead_of_spinning(self):
+    def test_nan_bounds_raise_instead_of_spinning(self, monkeypatch):
         """A NaN bound compares false with every pivot, so a pass takes no
         rows; the order raises rather than loop forever."""
-        ranked = _LazyOrder(np.full(50, np.nan), block=8)
+        monkeypatch.setattr(query_module, "_ORDER_BLOCK", 8)
+        ranked = _LazyOrder(np.full(50, np.nan))
         with pytest.raises(InvariantError, match="no progress at 0 of 50"):
             ranked.upto(1)
 

@@ -9,8 +9,6 @@ in exact mode, brute force), and the multi-query execution layer returns
 exactly what per-query submission returns.
 """
 
-from functools import partial
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -21,7 +19,7 @@ from repro.core.base import LengthBucket, OnexBase, RepresentativeTable
 from repro.core.config import BuildConfig, QueryConfig
 from repro.core.mmap_layout import load_base_snapshot, save_base_snapshot
 import repro.core.query as query_module
-from repro.core.query import QueryProcessor, QueryStats, _LazyOrder
+from repro.core.query import QueryProcessor, QueryStats
 from repro.data.dataset import TimeSeriesDataset
 from repro.distances.dtw import (
     dtw_distance,
@@ -235,7 +233,7 @@ class TestRankPruningChangesNoAnswer:
         DTW than the fixed-radius envelopes did."""
         # Blocks of 8 make this base's few hundred groups span as many
         # blocks of the lazy order as a served base's 1024-row ones do.
-        monkeypatch.setattr(query_module, "_LazyOrder", partial(_LazyOrder, block=8))
+        monkeypatch.setattr(query_module, "_ORDER_BLOCK", 8)
         config = QueryConfig(mode=mode, window=window, refine_groups=3)
         queries = _windowed_queries()
         got, real = _run(QueryProcessor(walk_base, config), operation, queries)

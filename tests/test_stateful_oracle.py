@@ -32,7 +32,6 @@ from hypothesis.stateful import precondition, rule, run_state_machine_as_test
 from repro.core.base import OnexBase
 from repro.core.config import QueryConfig
 from repro.core.query import QueryProcessor
-from repro.distances.bounds import transfer_bounds
 from repro.distances.dtw import dtw_path
 from repro.distances.normalize import minmax_normalize
 from repro.distances.registry import get_metric
@@ -40,6 +39,7 @@ from repro.durability import DurabilityManager
 from repro.server.protocol import Request
 from repro.server.service import OnexService
 from tests.damage import flip_byte
+from tests.test_bounds import transfer_interval
 from tests.test_rank_stage import assert_table_matches_buckets
 
 MIN_LENGTH, MAX_LENGTH = 3, 6
@@ -260,9 +260,9 @@ class OracleMachine(RuleBasedStateMachine):
             length, gid = m.group
             rep = self.base.bucket(length).centroids[gid]
             member = self.base.member_values(m.ref)
-            interval = transfer_bounds(self.scaled(q), rep, member, window=band)
-            slack = 1e-9 * (1.0 + interval.upper)
-            assert interval.lower - slack <= m.raw_distance <= interval.upper + slack
+            lower, upper = transfer_interval(self.scaled(q), rep, member, band)
+            slack = 1e-9 * (1.0 + upper)
+            assert lower - slack <= m.raw_distance <= upper + slack
 
     @rule(spec=queries, threshold=thresholds, band=bands, mode=modes)
     def matches_within(self, spec: tuple, threshold: float, band, mode: str) -> None:

@@ -180,7 +180,7 @@ class TestPatternMonitor:
             ing.append_points("live", [v])
         assert monitor.describe()["windows_checked"] == 25 - 6 + 1
         assert monitor.describe()["windows_pruned"] == 0
-        assert all(e.kind != "window" for e in ing.poll_events())
+        assert all(e.kind != "window" for e in ing.registry.poll())
 
     def test_monitor_scoped_to_one_series(self):
         base = make_base()
@@ -188,9 +188,9 @@ class TestPatternMonitor:
         pattern = base.dataset[0].values[:5]
         ing.registry.register(pattern, epsilon=5.0, series="only-this")
         ing.append_points("other", np.asarray(pattern, dtype=float))
-        assert ing.poll_events() == []
+        assert ing.registry.poll() == []
         ing.append_points("only-this", np.asarray(pattern, dtype=float))
-        assert any(e.series == "only-this" for e in ing.poll_events())
+        assert any(e.series == "only-this" for e in ing.registry.poll())
 
     def test_unscoped_monitor_watches_every_live_series(self):
         base = make_base()
@@ -199,7 +199,7 @@ class TestPatternMonitor:
         ing.registry.register(pattern, epsilon=5.0)
         ing.append_points("a", np.asarray(pattern, dtype=float))
         ing.append_points("b", np.asarray(pattern, dtype=float))
-        series_seen = {e.series for e in ing.poll_events()}
+        series_seen = {e.series for e in ing.registry.poll()}
         assert {"a", "b"} <= series_seen
 
 
@@ -211,7 +211,7 @@ class TestMonitorRegistry:
         rng = np.random.default_rng(5)
         for v in rng.normal(size=20).cumsum():
             ing.append_points("live", [v])
-        events = ing.poll_events()
+        events = ing.registry.poll()
         seqs = [e.seq for e in events]
         assert seqs == sorted(seqs)
         assert len(set(seqs)) == len(seqs)
@@ -226,12 +226,12 @@ class TestMonitorRegistry:
         rng = np.random.default_rng(6)
         for v in rng.normal(size=15).cumsum():
             ing.append_points("live", [v])
-        events = ing.poll_events()
+        events = ing.registry.poll()
         assert len(events) >= 2
-        tail = ing.poll_events(since=events[0].seq)
+        tail = ing.registry.poll(since=events[0].seq)
         assert [e.seq for e in tail] == [e.seq for e in events[1:]]
-        assert len(ing.poll_events(limit=1)) == 1
-        assert ing.poll_events(since=events[-1].seq) == []
+        assert len(ing.registry.poll(limit=1)) == 1
+        assert ing.registry.poll(since=events[-1].seq) == []
 
     def test_bounded_buffer_drops_oldest(self, monkeypatch):
         monkeypatch.setattr(monitor_module, "_MAX_EVENTS", 5)
@@ -324,15 +324,15 @@ def test_flush_reports_tail_candidate():
     # ends on the last appended sample and stays deferred.
     ing.append_points("live", rng.normal(size=20).cumsum())
     ing.append_points("live", np.asarray(pattern, dtype=float))
-    before = [e for e in ing.poll_events() if e.kind == "match"]
-    flushed = ing.flush_monitors()
+    before = [e for e in ing.registry.poll() if e.kind == "match"]
+    flushed = ing.registry.flush()
     tail = [e for e in flushed if e.kind == "match"]
     assert tail, "flush must report the pending tail candidate"
     assert tail[-1].end == len(base.dataset["live"].values) - 1
     assert tail[-1].distance == pytest.approx(0.0, abs=1e-9)
     assert all(e.end < tail[-1].start for e in before)
     # Flushed events land in the ordered feed like any other.
-    polled = [e for e in ing.poll_events() if e.kind == "match"]
+    polled = [e for e in ing.registry.poll() if e.kind == "match"]
     assert polled[-1].seq == tail[-1].seq
     # Idempotent once drained.
-    assert ing.flush_monitors() == []
+    assert ing.registry.flush() == []

@@ -15,11 +15,11 @@ path that grows that base (``repro.stream``, the clustering in
 profile that reads its arrays (``repro.core.sensitivity``), the seasonal
 miner (``repro.core.seasonal``) and the threshold recommender
 (``repro.core.threshold``) — with the E14 classifier beside them
-(``repro.analytics.knn``), the bounds of the rank stage (``repro.distances.lower_bounds``,
-``repro.distances.envelope``), the DTW kernel under it
-(``repro.distances.dtw``, with its compiled twin's loader
-``repro.distances.native``) with the transfer bounds built on its paths
-(``repro.distances.bounds``) and the payload builders every match
+(``repro.analytics.knn``), the whole distance substrate
+(``repro.distances``: the input validation every query passes, the
+rank-stage bounds, the DTW kernel and its compiled twin's loader, the
+transfer lemma the walk and the profile prune on, the served variants and
+the normalisation) and the payload builders every match
 leaves through (``repro.viz.payloads``) — is the code that runs unattended, so it
 gets the strictest gate in the repo.  ``mypy``
 is not part of the baked toolchain, so this checker enforces the
@@ -61,12 +61,7 @@ TARGETS = (
     ROOT / "src" / "repro" / "core" / "threshold.py",
     ROOT / "src" / "repro" / "analytics" / "knn.py",
     ROOT / "src" / "repro" / "stream",
-    ROOT / "src" / "repro" / "distances" / "bounds.py",
-    ROOT / "src" / "repro" / "distances" / "dtw.py",
-    ROOT / "src" / "repro" / "distances" / "native.py",
-    ROOT / "src" / "repro" / "distances" / "lower_bounds.py",
-    ROOT / "src" / "repro" / "distances" / "envelope.py",
-    ROOT / "src" / "repro" / "distances" / "registry.py",
+    ROOT / "src" / "repro" / "distances",
     ROOT / "src" / "repro" / "viz" / "payloads.py",
 )
 
