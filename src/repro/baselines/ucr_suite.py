@@ -64,18 +64,6 @@ class UcrSearchStats:
     dtw_abandons: int = 0
     dtw_calls: int = 0
 
-    @property
-    def pruning_rate(self) -> float:
-        if self.candidates == 0:
-            return 0.0
-        pruned = (
-            self.kim_prunes
-            + self.keogh_eq_prunes
-            + self.keogh_ec_prunes
-            + self.dtw_abandons
-        )
-        return pruned / self.candidates
-
 
 class UcrSuiteSearcher:
     """Best-match subsequence search with the UCR Suite optimisations."""

@@ -86,13 +86,14 @@ _REP_CHUNK = 16
 #: six rounds, which is where a k-best over the 21 741-group floor stops
 #: (~950 representatives verified), so the usual query sorts one block.
 _ORDER_BLOCK = 1024
-#: A threshold chunk spans the lengths ``L .. 1.5 L``: the ragged kernel
-#: computes every row at the chunk's widest length, so no row is padded by
-#: more than half its own width.  Over the 5..24 floor that is four chunks
-#: (5-7, 8-12, 13-19, 20-24): measured at ST 0.05, 10.1 kernel calls per
-#: range query instead of 46.3 for 1.15x its ``dtw.cells`` (span 1.25:
-#: 14.8 calls, 1.09x; span 2: 7.5 calls, 1.28x; wall time flat from 1.25
-#: to 1.6, worse outside — benchmarks/bench_rep_cascade.py gates the calls).
+#: A threshold chunk spans the lengths ``L .. 1.5 L``, four chunks over the
+#: 5..24 floor (5-7, 8-12, 13-19, 20-24).  It is the range query's deadline
+#: and partial-result unit.  On the NumPy path it also bounds the padding:
+#: that kernel computes every row at the chunk's widest length, so no row
+#: is padded by more than half its own width (measured at ST 0.05: 10.1
+#: kernel calls per range query instead of 46.3 for 1.15x its
+#: ``dtw.cells``; span 1.25: 14.8 calls, 1.09x; span 2: 7.5 calls, 1.28x).
+#: The native walk computes each block of 64 at its own widest row.
 _THRESHOLD_SPAN = 1.5
 
 
@@ -868,31 +869,38 @@ class QueryProcessor:
 
         Verified groups wait in ``pending``, keyed ``(tight bound,
         representative distance, length, table row)``.  A k-heap or fast
-        step (the whole fast walk, where :func:`native.fast_walk` runs it)
+        step (the whole fast walk, where :func:`native.walk` runs it)
         opens with the ``query.rep_chunk`` failpoint and a deadline
         check, then verifies the next chunk of the lazy key order (16,
         doubling, trimmed to the cut) while its first key is no greater
         than the best pending one, else drains pending groups — into one
         refinement per chunk of 16, doubling (k-heap), or one at a time
         into the choice it refines once (fast).  The range rule's cut is
-        fixed, so order only sets the padding: each step verifies the next
-        ``_THRESHOLD_SPAN`` of the groups its keys admit, in length order,
-        and refines what the tight bounds keep.  Every refinement, and a
-        range step before its verify, opens with the ``query.refine_unit``
+        fixed, so order does not matter: each step verifies the next
+        ``_THRESHOLD_SPAN`` of the groups its keys admit, in length order
+        (one :func:`native.walk` call where the kernels loaded), and
+        refines what the tight bounds keep.  Every refinement, and a range
+        step before its verify, opens with the ``query.refine_unit``
         failpoint and a deadline check.
         """
-        prune = self._config.use_group_pruning
-        fast = isinstance(rule, _Top)
+        prune, window = self._config.use_group_pruning, self._config.window
+        fast, ranged = isinstance(rule, _Top), isinstance(rule, _Within)
         reps, keys, verify, refine = self._family(q, buckets, fast, stats)
-        if fast and keys.size and native.KERNEL is not None:
+        # The native walk, a fast one whole and a range one a chunk at a
+        # time, reads the centroids in place from these stores.
+        stores = []
+        if (fast or ranged) and self._warps and keys.size and native.KERNEL is not None:
+            stores = [(b.length, *b.native_stores()) for b in buckets]
+        if fast and stores:
             # One native call, one failpoint and check; a NaN hands it back.
             faults.fire("query.rep_chunk")
             if self._deadline_fired(deadline, rule.rank_stage, stats, rule.found()):
                 return True
-            stores = [(b.length, *b.native_stores()) for b in buckets]
-            columns, window = (reps.lengths, reps.gids, reps.rows), self._config.window
+            columns = (reps.lengths, reps.gids, reps.rows)
             with span("cascade.rep_dtw") as sp:
-                walked = native.fast_walk(q, keys, columns, stores, rule.k, rule.groups, window)
+                walked = native.walk(
+                    q, columns, stores, window, keys=keys, k=rule.k, groups=rule.groups
+                )
                 sp.add(batch=0 if walked is None else walked[1])
             if walked is not None:
                 rows, verified = walked
@@ -917,7 +925,20 @@ class QueryProcessor:
             # Groups are named by table row, as the member stage reads them.
             return take if reps.rows is None else reps.rows[take]
 
-        if isinstance(rule, _Within):
+        def within(take: np.ndarray, cut: float) -> np.ndarray:
+            """The table rows of *take* whose tight bounds are within *cut*."""
+            if stores:
+                columns = (reps.lengths[take], reps.gids[take], table_rows(take))
+                with span("cascade.rep_dtw", batch=int(take.size)):
+                    walked = native.walk(
+                        q, columns, stores, window, radii=reps.radii[take], threshold=cut
+                    )
+                if walked is not None:
+                    stats.rep_dtw_calls += walked[1]
+                    return walked[0]
+            return table_rows(take[visit(take)[0] <= cut])
+
+        if ranged:
             ranked = None
             order = np.flatnonzero(keys <= rule.threshold) if prune else np.arange(keys.size)
             skipped = keys.size - order.size
@@ -995,9 +1016,8 @@ class QueryProcessor:
             else:
                 # A range step: verify the chunk, refine what its tight
                 # bounds keep within the threshold, prune the rest.
-                keep = take[visit(take)[0] <= cut]
-                stats.groups_pruned += take.size - keep.size
-                rows = table_rows(keep)
+                rows = within(take, cut)
+                stats.groups_pruned += take.size - rows.size
             if rows.size:
                 with span(rule.span, groups=int(rows.size)):
                     rule.fold(refine(rows, rule.cut(), rule.k))

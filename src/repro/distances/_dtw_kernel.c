@@ -8,19 +8,20 @@
  *   OnexBase._assign_windows in core/base.py (documented below);
  * - rank_bounds: the query's unbanded rank bound for every
  *   representative, RepresentativeTable.cheap_bounds (documented below);
- * - fast_walk: a fast query's walk over the representatives,
- *   QueryProcessor._walk under its fast rule (documented below).
+ * - walk: QueryProcessor._walk over the representatives, the whole walk
+ *   of a fast query or one chunk of a range query (documented below).
  *
  * Layout: candidates innermost.  A block of up to BLOCK candidates is
- * transposed to (m, nb), and the cost matrix is scanned row by row, cell
- * (i, j) of every candidate of the block at once: one call of a loop over
- * the candidates with restrict pointers, unconditional loads and ?:
- * selects, which GCC vectorises (and unswitches on the ground).  Edge
- * predecessors point at an inf row (or, for cell (0, 0), a zero row)
- * instead of branching, and path lengths ride in double lanes (exact
- * below 2^53) beside the costs: int lanes beside double ones do not
- * vectorise.  Blocks of 64 keep a block's rows in cache; a whole
- * 2 843-candidate stack per row scan ran 1.2-1.5x slower.
+ * transposed to (m_b, nb), m_b its own widest row, and the cost matrix is
+ * scanned row by row, cell (i, j) of every candidate of the block at once:
+ * one call of a loop over the candidates with restrict pointers,
+ * unconditional loads and ?: selects, which GCC vectorises (and
+ * unswitches on the ground).  Edge predecessors point at an inf row (or,
+ * for cell (0, 0), a zero row) instead of branching, and path lengths
+ * ride in double lanes (exact below 2^53) beside the costs: int lanes
+ * beside double ones do not vectorise.  Blocks of 64 keep a block's rows
+ * in cache; a whole 2 843-candidate stack per row scan ran 1.2-1.5x
+ * slower.
  *
  * The tie-break is dtw_path's: the diagonal wins if diag <= min(up, left),
  * else the vertical step if up <= left, else the horizontal.  The flags
@@ -35,6 +36,19 @@
 #include <string.h>
 
 #define BLOCK 64
+
+/*
+ * dtw_batch and rank_bounds are built three times, for AVX-512, AVX2 and
+ * the baseline (SSE2 on x86-64), and the dynamic loader binds the one the
+ * host runs: no -march=native, so one cached library serves any host of a
+ * machine type.  Every clone is built under _FLAGS' -ffp-contract=off, and
+ * neither function reassociates a sum, so each clone rounds as the others.
+ */
+#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__)
+#define CLONED __attribute__((target_clones("avx512f", "avx2", "default")))
+#else
+#define CLONED
+#endif
 
 enum { TRACK_NONE = 0, TRACK_LENGTH = 1, TRACK_PATH = 2 };
 
@@ -148,7 +162,8 @@ static double abs_diff_sum(const double *a, const double *b, int64_t n);
 
 /*
  * DTW from x to g candidates, the rows of a (g, width) matrix of which
- * row c is read to lens[c] time steps (to m when lens is NULL).  x is one
+ * row c is read to lens[c] time steps (to m, the widest, when lens is
+ * NULL); each block of BLOCK rows is computed at its own widest.  x is one
  * query of n time steps (x_stride 0) or, paired, a (g, n * channels) stack
  * (x_stride n * channels).  A time step is channels contiguous values;
  * with more than one, row i's ground costs are abs_diff_sum over them,
@@ -160,6 +175,7 @@ static double abs_diff_sum(const double *a, const double *b, int64_t n);
  * path_j (path_width >= n + m - 1 wide, prefilled by the caller).
  * Returns 0, or -1 when scratch cannot be allocated.
  */
+CLONED
 int dtw_batch(const double *x, int64_t x_stride, const double *rows,
               int64_t width, const int64_t *lens, int64_t g, int64_t n,
               int64_t m, int64_t channels, int64_t window, int32_t squared,
@@ -182,14 +198,19 @@ int dtw_batch(const double *x, int64_t x_stride, const double *rows,
 
     for (int64_t b0 = 0; b0 < g; b0 += cap) {
         int64_t nb = g - b0 < cap ? g - b0 : cap;
+        /* The block is as wide as its own widest row: a cell reads only
+         * cells left of and above it, so wider columns change no value. */
+        int64_t mb = lens ? 0 : m;
+        for (int64_t c = 0; lens && c < nb; c++)
+            mb = lens[b0 + c] > mb ? lens[b0 + c] : mb;
         double *xs = scratch;              /* (n, nb) query values */
-        double *cols = xs + n * cap;       /* (m, nb) candidates */
+        double *cols = xs + n * cap;       /* (m_b, nb) candidates */
         double *prev = cols + row;         /* row i - 1 of the cost matrix */
         double *cur = prev + row;          /* row i */
         double *band = cur + row;          /* per-candidate bands */
         double *inf = band + cap;
         double *zero = inf + cap;
-        double *grounds = zero + cap;      /* (m, nb) row i's, channels > 1 */
+        double *grounds = zero + cap;      /* (m_b, nb) row i's, channels > 1 */
         double *len_prev = lens_scratch;
         double *len_cur = lengths ? lens_scratch + row : NULL;
 
@@ -198,12 +219,12 @@ int dtw_batch(const double *x, int64_t x_stride, const double *rows,
                 xs[i * nb + c] = x[(b0 + c) * x_stride + i];
         for (int64_t c = 0; c < nb; c++) {
             const double *src = rows + (b0 + c) * width;
-            for (int64_t j = 0; j < m; j++)
+            for (int64_t j = 0; j < mb; j++)
                 cols[j * nb + c] = src[j];
         }
         /* Cells right of a row's band are read once, as inf, by the next
          * row; they are never written, so one fill per block suffices. */
-        for (int64_t k = 0; k < m * nb; k++)
+        for (int64_t k = 0; k < mb * nb; k++)
             prev[k] = cur[k] = INFINITY;
         int64_t widest = -1, narrowest = -1;
         for (int64_t c = 0; c < nb; c++) {
@@ -220,10 +241,10 @@ int dtw_batch(const double *x, int64_t x_stride, const double *rows,
         }
 
         for (int64_t i = 0; i < n; i++) {
-            int64_t lo = 0, hi = m - 1;
+            int64_t lo = 0, hi = mb - 1;
             if (widest >= 0) {
                 lo = i - widest > 0 ? i - widest : 0;
-                hi = i + widest < m - 1 ? i + widest : m - 1;
+                hi = i + widest < mb - 1 ? i + widest : mb - 1;
             }
             const double *x_row = xs + i * nb, *y_cols = cols;
             if (channels > 1) {
@@ -250,7 +271,7 @@ int dtw_batch(const double *x, int64_t x_stride, const double *rows,
                                 len_cur + j * nb);
                 } else if (track == TRACK_PATH) {
                     step_codes(nb, squared, xi, yj, up, left, diag, out,
-                               codes + (i * m + j) * nb);
+                               codes + (i * mb + j) * nb);
                 } else {
                     step_cost(nb, squared, xi, yj, up, left, diag, out);
                 }
@@ -274,7 +295,7 @@ int dtw_batch(const double *x, int64_t x_stride, const double *rows,
             if (lengths)
                 plens[b0 + c] = (int64_t)len_prev[(mc - 1) * nb + c];
             else if (track == TRACK_PATH)
-                plens[b0 + c] = trace(codes, nb, m, c, n - 1, mc - 1,
+                plens[b0 + c] = trace(codes, nb, mb, c, n - 1, mc - 1,
                                       path_i + (b0 + c) * path_width,
                                       path_j + (b0 + c) * path_width);
         }
@@ -503,6 +524,7 @@ int assign_windows(const double *values, int64_t channels, int64_t step,
  */
 #define RANK_BLOCK 256
 
+CLONED
 int rank_bounds(const double *q, const double *pts, const double *sums,
                 int64_t n, double absum, const double *endpoints,
                 const double *lo, const double *hi, const int64_t *lengths,
@@ -743,37 +765,110 @@ static void extend(const double *keys, int64_t g, int64_t stop, ranked *order,
     }
 }
 
+/* A walk's scratch for the representatives it verifies at once. */
+typedef struct {
+    int64_t *slots;       /* per length: a counting sort's slots, zeroed */
+    int64_t *sorted;      /* the representatives, stably sorted by length */
+    int64_t *lens;        /* their lengths */
+    const double **rowp;  /* their centroids in the stores */
+    double *dist;         /* their raw DTW */
+    double *padded;       /* their centroids copied side by side */
+} verifier;
+
+#define AHEAD 8 /* centroid rows fetched ahead of the one copied */
+
 /*
- * QueryProcessor._walk under its fast rule (_Top) for g representatives:
- * keys[i] is representative i's rank key, lengths[i] and gids[i] its
- * bucket and group there, rows[i] its table row (rows NULL: i).  stores[L]
- * is the length-L bucket's centroid stack and stores[top + L] its member
- * counts (int64), both read in place.
+ * Raw DTW from q to the representatives named by take[0..size) (take
+ * NULL: 0..size), each read in place from its bucket's store: sorted by length,
+ * copied side by side and run through dtw_batch in one call, whose blocks
+ * of BLOCK are each as wide as their own widest row.  v->dist[c] is
+ * representative v->sorted[c]'s.  Returns 0; 1 where a copied value is not
+ * finite (dtw_batch's callers reject such rows); -1 when scratch cannot be
+ * allocated.
+ */
+static int gather_verify(const double *q, int64_t n, int64_t window, const ranked *take,
+                         int64_t size, const int64_t *lengths, const int64_t *gids,
+                         const void *const *stores, int64_t top, verifier *v)
+{
+    int64_t widest = 0, *slots = v->slots;
+    if (!size)
+        return 0;
+    for (int64_t c = 0; c < size; c++)
+        slots[lengths[take ? take[c].at : c]]++;
+    for (int64_t length = 0, at = 0; length <= top; length++) {
+        int64_t count = slots[length];
+        slots[length] = at;
+        at += count;
+        widest = count ? length : widest;
+    }
+    for (int64_t c = 0; c < size; c++) {
+        int64_t at = take ? take[c].at : c;
+        v->sorted[slots[lengths[at]]++] = at;
+    }
+    for (int64_t length = 0; length <= top; length++)
+        slots[length] = 0;
+    free(v->padded);
+    v->padded = malloc(sizeof(double) * (size_t)size * (size_t)widest);
+    if (!v->padded)
+        return -1;
+    /* The rows are scattered over the stores: each is fetched ahead. */
+    for (int64_t c = 0; c < size; c++) {
+        int64_t at = v->sorted[c], length = lengths[at];
+        v->lens[c] = length;
+        v->rowp[c] = (const double *)stores[length] + gids[at] * length;
+    }
+    for (int64_t c = 0; c < size && c < AHEAD; c++)
+        __builtin_prefetch(v->rowp[c]);
+    double probe = 0.0; /* NaN once a copied value is not finite */
+    for (int64_t c = 0; c < size; c++) {
+        const double *src = v->rowp[c];
+        if (c + AHEAD < size)
+            __builtin_prefetch(v->rowp[c + AHEAD]);
+        for (int64_t j = 0; j < v->lens[c]; j++) {
+            v->padded[c * widest + j] = src[j];
+            probe += src[j] - src[j];
+        }
+    }
+    if (probe != probe)
+        return 1;
+    return dtw_batch(q, 0, v->padded, widest, v->lens, size, n, widest, 1, window, 0,
+                     TRACK_NONE, v->dist, NULL, NULL, NULL, 0);
+}
+
+/*
+ * QueryProcessor._walk for g representatives under one of its two rules:
+ * lengths[i] and gids[i] are representative i's bucket and group there,
+ * rows[i] its table row (rows NULL: i).  stores[L] is the length-L
+ * bucket's centroid stack and stores[top + L] its member counts (int64),
+ * both read in place.  Both rules verify through gather_verify.
  *
- * The rule, step by step: stop once `groups` groups holding >= k members
- * are chosen, or nothing is left; else verify the next chunk of the key
- * order (16, doubling) when its first key is no greater than the best
- * pending estimate, else choose the best pending group.  The key order is
+ * With keys, the fast rule (_Top), keys[i] being representative i's rank
+ * key: stop once `groups` groups holding >= k members are chosen, or
+ * nothing is left; else verify the next chunk of the key order (16,
+ * doubling) when its first key is no greater than the best pending
+ * estimate, else choose the best pending group.  The key order is
  * np.argsort(keys, kind="stable"), sorted a block at a time (extend).  A
- * verified representative's estimate is raw DTW over max(n, L), from
- * dtw_batch: the chunk is sorted by length and run in blocks of BLOCK,
- * each as wide as its own widest row, which changes no row's cost.
+ * verified representative's estimate is raw DTW over max(n, L).
+ *
+ * Without keys, one chunk of the range rule (_Within): verify every
+ * representative and choose, in order, each whose tight bound
+ * max(raw - (n + L - 1) * radii[i], 0) / (n + L - 1) is <= threshold:
+ * transfer_lower's float operations over the longest path, so a NaN bound
+ * chooses nothing, as NumPy's maximum and compare do.
  *
  * Writes the chosen table rows, in order, to chosen[] and (chosen,
  * verified) to tally[2]; returns 0.  Returns 1, having chosen nothing,
- * where a key is NaN or a verified centroid holds a non-finite value
- * (the caller's walk decides those: the heap would not order a NaN, and
+ * where a key is NaN or a verified centroid holds a non-finite value (the
+ * caller's walk decides those: the heap would not order a NaN, and
  * dtw_batch's callers reject such rows), and -1 when scratch cannot be
  * allocated.
  */
-#define AHEAD 8 /* centroid rows fetched ahead of the one copied */
-
-int fast_walk(const double *q, int64_t n, const double *keys,
-              const int64_t *lengths, const int64_t *gids, const int64_t *rows,
-              int64_t g, const void *const *stores, int64_t top, int64_t k,
-              int64_t groups, int64_t window, int64_t *chosen, int64_t *tally)
+int walk(const double *q, int64_t n, const double *keys, const double *radii,
+         const int64_t *lengths, const int64_t *gids, const int64_t *rows, int64_t g,
+         const void *const *stores, int64_t top, int64_t k, int64_t groups,
+         double threshold, int64_t window, int64_t *chosen, int64_t *tally)
 {
-    for (int64_t i = 0; i < g; i++)
+    for (int64_t i = 0; keys && i < g; i++)
         if (keys[i] != keys[i])
             return 1;
     int64_t most = g ? g : 1;
@@ -781,16 +876,38 @@ int fast_walk(const double *q, int64_t n, const double *keys,
     ranked *order = malloc(sizeof(ranked) * (size_t)most);
     ranked *spare = malloc(sizeof(ranked) * (size_t)most);
     entry *pending = malloc(sizeof(entry) * (size_t)most);
-    int64_t *sorted = malloc(sizeof(int64_t) * (size_t)most);
-    int64_t *lens = malloc(sizeof(int64_t) * (size_t)most);
-    const double **rowp = malloc(sizeof(double *) * (size_t)most);
-    int64_t *slots = calloc((size_t)(top + 1), sizeof(int64_t));
-    double *dist = malloc(sizeof(double) * (size_t)most);
-    double *padded = NULL;
+    verifier v = {
+        calloc((size_t)(top + 1), sizeof(int64_t)),
+        malloc(sizeof(int64_t) * (size_t)most),
+        malloc(sizeof(int64_t) * (size_t)most),
+        malloc(sizeof(double *) * (size_t)most),
+        malloc(sizeof(double) * (size_t)most),
+        NULL,
+    };
     int status = -1;
-    if (!rest || !order || !spare || !pending || !sorted || !lens || !rowp ||
-        !slots || !dist)
+    if (!rest || !order || !spare || !pending || !v.slots || !v.sorted || !v.lens ||
+        !v.rowp || !v.dist)
         goto done;
+
+    if (!keys) {
+        if ((status = gather_verify(q, n, window, NULL, g, lengths, gids, stores, top, &v)))
+            goto done;
+        /* chosen[i] flags representative i, then the flagged rows pack. */
+        for (int64_t c = 0; c < g; c++) {
+            int64_t at = v.sorted[c];
+            double paths = (double)(n + v.lens[c] - 1);
+            double tight = v.dist[c] - paths * radii[at];
+            tight = tight < 0.0 ? 0.0 : tight;
+            chosen[at] = tight / paths <= threshold;
+        }
+        int64_t kept = 0;
+        for (int64_t at = 0; at < g; at++)
+            if (chosen[at])
+                chosen[kept++] = rows ? rows[at] : at;
+        tally[0] = kept;
+        tally[1] = g;
+        goto done;
+    }
 
     int64_t ready = 0, verified = 0, waiting = 0, picked = 0, members = 0;
     int fresh = 1;
@@ -810,58 +927,15 @@ int fast_walk(const double *q, int64_t n, const double *keys,
             continue;
         }
         extend(keys, g, stop, order, &ready, &edge, &fresh, rest, spare);
-        const ranked *take = order + verified;
-        int64_t size = stop - verified, widest = 0;
+        int64_t size = stop - verified;
         chunk *= 2;
-        /* The chunk by length, stably (a counting sort). */
-        for (int64_t c = 0; c < size; c++)
-            slots[lengths[take[c].at]]++;
-        for (int64_t length = 0, at = 0; length <= top; length++) {
-            int64_t count = slots[length];
-            slots[length] = at;
-            at += count;
-            widest = count ? length : widest;
-        }
-        for (int64_t c = 0; c < size; c++)
-            sorted[slots[lengths[take[c].at]]++] = take[c].at;
-        for (int64_t length = 0; length <= top; length++)
-            slots[length] = 0;
-        free(padded);
-        padded = malloc(sizeof(double) * (size_t)size * (size_t)widest);
-        if (!padded)
+        status = gather_verify(q, n, window, order + verified, size, lengths, gids, stores,
+                               top, &v);
+        if (status)
             goto done;
-        /* The rows are scattered over the stores: each is fetched ahead. */
         for (int64_t c = 0; c < size; c++) {
-            int64_t at = sorted[c], length = lengths[at];
-            lens[c] = length;
-            rowp[c] = (const double *)stores[length] + gids[at] * length;
-        }
-        for (int64_t c = 0; c < size && c < AHEAD; c++)
-            __builtin_prefetch(rowp[c]);
-        double probe = 0.0; /* NaN once a copied value is not finite */
-        for (int64_t c = 0; c < size; c++) {
-            const double *src = rowp[c];
-            if (c + AHEAD < size)
-                __builtin_prefetch(rowp[c + AHEAD]);
-            for (int64_t j = 0; j < lens[c]; j++) {
-                padded[c * widest + j] = src[j];
-                probe += src[j] - src[j];
-            }
-        }
-        if (probe != probe) {
-            status = 1;
-            goto done;
-        }
-        for (int64_t b0 = 0; b0 < size; b0 += BLOCK) {
-            int64_t nb = size - b0 < BLOCK ? size - b0 : BLOCK;
-            if (dtw_batch(q, 0, padded + b0 * widest, widest, lens + b0, nb, n,
-                          lens[b0 + nb - 1], 1, window, 0, TRACK_NONE, dist + b0,
-                          NULL, NULL, NULL, 0))
-                goto done;
-        }
-        for (int64_t c = 0; c < size; c++) {
-            int64_t at = sorted[c], length = lens[c];
-            double estimate = dist[c] / (double)(n > length ? n : length);
+            int64_t at = v.sorted[c], length = v.lens[c];
+            double estimate = v.dist[c] / (double)(n > length ? n : length);
             push(pending, &waiting,
                  (entry){estimate, length, rows ? rows[at] : at, at});
         }
@@ -875,11 +949,11 @@ done:
     free(order);
     free(spare);
     free(pending);
-    free(sorted);
-    free(lens);
-    free(rowp);
-    free(slots);
-    free(dist);
-    free(padded);
+    free(v.slots);
+    free(v.sorted);
+    free(v.lens);
+    free(v.rowp);
+    free(v.dist);
+    free(v.padded);
     return status;
 }

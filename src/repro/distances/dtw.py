@@ -70,7 +70,6 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from repro.distances import native
-from repro.distances.bounds import path_multiplicities
 from repro.distances.metrics import as_sequence, as_window
 from repro.exceptions import ValidationError
 
@@ -142,14 +141,6 @@ class DtwResult:
     def normalized_distance(self) -> float:
         """Distance divided by warping-path length (ONEX's comparable DTW)."""
         return self.distance / len(self.path)
-
-    def multiplicities(self, axis: int, length: int) -> np.ndarray:
-        """How many path entries touch each index along *axis* (0=x, 1=y).
-
-        This is the ``m_j`` vector of the ED→DTW transfer lemma
-        (DESIGN.md §2).
-        """
-        return path_multiplicities(self.path, length, axis=axis)
 
 
 def dtw_cost_matrix(

@@ -6,13 +6,13 @@ function the batch DTW entry points of :mod:`repro.distances.dtw` reach
 — would run the NumPy kernel, :func:`assign_windows` where
 ``OnexBase.index_new_windows`` would run its ``_assign_windows`` loop,
 :func:`rank_bounds` where ``RepresentativeTable.cheap_bounds`` would
-compose its unbanded bound, and :func:`fast_walk` where
-``QueryProcessor._walk`` would walk a fast query.  All run when
-:data:`KERNEL` loaded, the references otherwise: load success alone
-decides — no flag, environment variable or config field (DESIGN.md §1) —
-and one test substitution, ``KERNEL = None``, switches all four.
-:func:`backend` names the one that runs, for ``/health`` and
-``onex_server_info``.
+compose its unbanded bound, and :func:`walk` where
+``QueryProcessor._walk`` would walk a fast query, or verify a chunk of a
+range query.  All run when :data:`KERNEL` loaded, the references
+otherwise: load success alone decides — no flag, environment variable or
+config field (DESIGN.md §1) — and one test substitution, ``KERNEL =
+None``, switches all four.  :func:`backend` names the one that runs, for
+``/health`` and ``onex_server_info``.
 
 On first import the C source is compiled with
 ``gcc -O3 -ffp-contract=off -shared -fPIC`` into a content-addressed
@@ -20,12 +20,16 @@ cache — ``$XDG_CACHE_HOME/repro`` or ``~/.cache/repro``, else a private
 per-user directory under :func:`tempfile.gettempdir` — named by the
 sha256 of the source, the flags, the compiler path and the machine type,
 so an edited source or another compiler never loads a stale library.
-The compiler writes a temporary file that is renamed into place, so
-processes racing the first compile each load a complete library; nothing
-is written beside the source.  Once a library is bound, the other
-libraries in its cache directory are removed.  No compiler, no writable
-cache directory, a failed compile or a library that will not load or
-lacks an entry point each leave :data:`KERNEL` ``None``.
+With GCC on x86-64, ``dtw_batch`` and ``rank_bounds`` are built as
+AVX-512, AVX2 and baseline clones, of which the dynamic loader binds the
+one the host supports; that makes the compile take ~2.5 s instead of
+~0.6 s, once per source.  The compiler writes a temporary file that is
+renamed into place, so processes racing the first compile each load a
+complete library; nothing is written beside the source.  Once a library
+is bound, the other libraries in its cache directory are removed.  No
+compiler, no writable cache directory, a failed compile or a library
+that will not load or lacks an entry point each leave :data:`KERNEL`
+``None``.
 """
 
 from __future__ import annotations
@@ -42,12 +46,13 @@ from typing import Literal
 
 import numpy as np
 
-__all__ = ["KERNEL", "assign_windows", "backend", "dtw_batch", "fast_walk", "rank_bounds"]
+__all__ = ["KERNEL", "assign_windows", "backend", "dtw_batch", "rank_bounds", "walk"]
 
 _SOURCE = Path(__file__).with_name("_dtw_kernel.c")
 #: No ``-march=native`` (the cache may be shared across hosts of one
-#: machine type) and no ``-ffast-math``; ``-ffp-contract=off`` keeps
-#: ``d * d + best`` from fusing into an FMA, which would round
+#: machine type; the per-ISA clones are picked at load) and no
+#: ``-ffast-math``; ``-ffp-contract=off`` keeps ``d * d + best`` from
+#: fusing into an FMA in the clones that have one, which would round
 #: differently from NumPy on the squared ground.
 _FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 _TRACKS = {None: 0, "length": 1, "path": 2}
@@ -96,8 +101,9 @@ _RANK_ARGTYPES = (
 )
 _WALK_ARGTYPES = (
     ctypes.c_void_p, ctypes.c_int64,  # query, n
-    *(ctypes.c_void_p,) * 4, ctypes.c_int64,  # keys, lengths, gids, rows; g
-    ctypes.c_void_p, *(ctypes.c_int64,) * 4,  # stores; top, k, groups, window
+    *(ctypes.c_void_p,) * 5, ctypes.c_int64,  # keys, radii, lengths, gids, rows; g
+    ctypes.c_void_p, *(ctypes.c_int64,) * 3,  # stores; top, k, groups
+    ctypes.c_double, ctypes.c_int64,  # threshold, window
     *(ctypes.c_void_p,) * 2,  # chosen, tally
 )
 
@@ -116,7 +122,7 @@ def _bind(path: Path) -> ctypes.CDLL:
         (library.dtw_batch, _DTW_ARGTYPES),
         (library.assign_windows, _ASSIGN_ARGTYPES),
         (library.rank_bounds, _RANK_ARGTYPES),
-        (library.fast_walk, _WALK_ARGTYPES),
+        (library.walk, _WALK_ARGTYPES),
     ):
         function.argtypes = argtypes
         function.restype = ctypes.c_int
@@ -337,27 +343,34 @@ def rank_bounds(
     return None if status else out
 
 
-def fast_walk(
-    q: np.ndarray, keys: np.ndarray, columns: tuple, stores: list, k: int, groups: int,
-    window: int | None,
+def walk(
+    q: np.ndarray, columns: tuple, stores: list, window: int | None, *,
+    keys: np.ndarray | None = None, k: int = 0, groups: int = 0,
+    radii: np.ndarray | None = None, threshold: float = 0.0,
 ) -> tuple[np.ndarray, int] | None:
-    """``QueryProcessor._walk``'s fast rule in C: the table rows it refines,
-    in order, and how many representatives it verified, from its *keys*,
-    ``(lengths, gids, rows)`` *columns* and *stores*, each length's
-    ``(length, centroids address, member counts address)``.  ``None`` where
-    a NaN key or a non-finite centroid met the walk: the Python walk
-    decides those."""
+    """``QueryProcessor._walk`` in C: the table rows it refines, in order,
+    and how many representatives it verified, from the ``(lengths, gids,
+    rows)`` *columns* and *stores*, each length's ``(length, centroids
+    address, member counts address)``.  With *keys*, the whole walk under
+    the fast rule (the top *groups* groups holding *k* members); with
+    *radii* instead, one chunk of the range rule (the rows whose tight
+    bound is within *threshold*).  ``None`` where a NaN key or a
+    non-finite centroid met the walk: the Python walk decides those."""
     # Every array the C reads is held here until it returns.
-    q, *arrays = [None if a is None else np.ascontiguousarray(a) for a in (q, keys, *columns)]
+    q, keys, radii, *arrays = [
+        None if a is None else np.ascontiguousarray(a) for a in (q, keys, radii, *columns)
+    ]
+    g = arrays[0].shape[0]
     top = max(length for length, _, _ in stores) + 1
     table = np.zeros(2 * top, dtype=np.uintp)
     for length, centroids, counts in stores:
         table[length], table[top + length] = centroids, counts
-    chosen, tally = np.empty(keys.shape[0], dtype=np.int64), np.zeros(2, dtype=np.int64)
-    status = KERNEL.fast_walk(
-        q.ctypes.data, q.shape[0], *map(_address, arrays), keys.shape[0], table.ctypes.data,
-        top, k, groups, -1 if window is None else window, chosen.ctypes.data, tally.ctypes.data,
+    chosen, tally = np.empty(g, dtype=np.int64), np.zeros(2, dtype=np.int64)
+    status = KERNEL.walk(
+        q.ctypes.data, q.shape[0], *map(_address, (keys, radii, *arrays)), g,
+        table.ctypes.data, top, k, groups, threshold, -1 if window is None else window,
+        chosen.ctypes.data, tally.ctypes.data,
     )
     if status < 0:
-        raise MemoryError(f"no scratch for a fast walk over {keys.shape[0]} representatives")
+        raise MemoryError(f"no scratch for a walk over {g} representatives")
     return None if status else (chosen[: tally[0]], int(tally[1]))

@@ -15,7 +15,7 @@ def transfer_interval(q, r, s, window=None):
     rep = dtw_path(q, r, window=window)
     gaps = np.abs(s - r)
     lower = transfer_lower(rep.distance, len(q), s.size, gaps.max())
-    upper = transfer_upper(rep.distance, gaps, rep.multiplicities(1, r.size))
+    upper = transfer_upper(rep.distance, gaps, path_multiplicities(rep.path, r.size, axis=1))
     return float(lower), float(upper)
 
 
@@ -72,7 +72,7 @@ class TestTransferInterval:
 class TestTransferUpper:
     def test_zero_slack_for_identical(self):
         r = np.array([0.0, 1.0, 2.0])
-        mult = dtw_path(r, r).multiplicities(1, 3)
+        mult = path_multiplicities(dtw_path(r, r).path, 3, axis=1)
         assert transfer_upper(1.5, np.zeros(3), mult) == 1.5
 
     def test_manual_example(self):

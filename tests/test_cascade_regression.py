@@ -27,6 +27,7 @@ from repro.core.query import QueryProcessor, QueryStats
 from repro.data.dataset import TimeSeriesDataset
 from repro.data.matters import STATE_ABBREVIATIONS, build_matters_collection
 from repro.data.timeseries import TimeSeries
+from repro.distances import native
 from repro.distances.dtw import dtw_path
 from repro.exceptions import DeadlineExceeded
 from repro.stream.ingest import StreamIngestor
@@ -206,12 +207,14 @@ class _WatchedDeadline(Deadline):
 
 def watched_run(monkeypatch, call) -> tuple[list, QueryProcessor]:
     """Run *call(processor, deadline)*, logging failpoints, deadline
-    checks, member selections and kernel calls in the order they happen."""
+    checks, member selections and kernel calls — the native walk's too —
+    in the order they happen."""
     events: list = []
     base = matters_base()
     processor = QueryProcessor(base, QueryConfig(mode="exact"))
     select = MemberTable.select
     kernel = query_module.dtw_distance_batch
+    walk = native.walk
 
     def logged_select(self, *args):
         events.append("select")
@@ -221,9 +224,14 @@ def watched_run(monkeypatch, call) -> tuple[list, QueryProcessor]:
         events.append("kernel")
         return kernel(*args, **kwargs)
 
+    def logged_walk(*args, **kwargs):
+        events.append("kernel")
+        return walk(*args, **kwargs)
+
     monkeypatch.setattr(faults, "fire", lambda point, **ctx: events.append(point))
     monkeypatch.setattr(MemberTable, "select", logged_select)
     monkeypatch.setattr(query_module, "dtw_distance_batch", logged_kernel)
+    monkeypatch.setattr(native, "walk", logged_walk)
     call(processor, _WatchedDeadline(events))
     return events, processor
 
@@ -253,7 +261,7 @@ def test_k_best_checks_once_per_drained_chunk(monkeypatch):
     assert member_kernels == [2, 1, 0]
 
 
-def test_threshold_scan_checks_once_per_chunk(monkeypatch):
+def test_threshold_scan_checks_once_per_chunk(kernel_backend, monkeypatch):
     base = matters_base()
     q = queries_for(base)[1]
     events, _ = watched_run(

@@ -186,6 +186,32 @@ class TestRaggedKernel:
             if with_path_length:
                 assert plens[i] == want.path_length
 
+    @pytest.mark.parametrize("window", [None, 0, 2])
+    def test_blocks_past_64_rows_each_at_their_own_width(self, window):
+        """150 rows of unsorted lengths, over three blocks of the compiled
+        kernel (64 rows each, computed at each block's widest row): no
+        block's widest row is its last, and the last block is narrower
+        than the stack.  Every row's cost, path length and traced path
+        still equal ``dtw_path``'s."""
+        rng = np.random.default_rng(29)
+        q = rng.integers(-6, 7, size=11) / 4
+        lengths = np.concatenate([rng.integers(1, 25, size=128), rng.integers(1, 13, size=22)])
+        lengths[[63, 127, 149]] = 2
+        rows = np.full((150, 26), 1e150)
+        for c, m in enumerate(lengths):
+            rows[c, :m] = rng.integers(-6, 7, size=m) / 4
+        costs = dtw_distance_batch(q, rows, window=window, lengths=lengths)
+        dists, plens = dtw_distance_batch(
+            q, rows, window=window, with_path_length=True, lengths=lengths
+        )
+        traced = dtw_path_batch(q, rows, window=window, lengths=lengths)
+        paths = traced.paths()
+        for c, m in enumerate(lengths):
+            want = dtw_path(q, rows[c, :m], window=window)
+            assert costs[c] == dists[c] == traced.distances[c] == want.distance
+            assert plens[c] == traced.path_lengths[c] == want.path_length
+            assert paths[c] == want.path
+
     def test_lengths_validation(self):
         rows = np.zeros((3, 4))
         for bad in ([4, 4], [[4, 4, 4]], [4, 0, 4], [4, 5, 4], [4.0, 4.0, 4.0]):

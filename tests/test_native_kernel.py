@@ -6,12 +6,15 @@ compiler is hidden.  Whatever goes wrong — no compiler, an unwritable
 cache, a truncated cached library, a library missing an entry point, two
 processes compiling at once, no ``os.getuid`` — the import succeeds and
 the backend is either ``native`` or ``numpy`` for every entry point
-together (DTW, the ingestion decide, the rank pass and the fast walk),
-never an exception; and importing writes nothing under the repository
-tree.  The rank pass and the fast walk are held to their NumPy
-references bit for bit here too.
+together (DTW, the ingestion decide, the rank pass and the walk), never
+an exception; and importing writes nothing under the repository tree.
+The rank pass and both rules of the walk are held to their NumPy
+references bit for bit here too, on the loaded library and on a build
+without its per-ISA clones (the baseline code a pre-AVX2 host runs).
 """
 
+import dataclasses
+import inspect
 import json
 import os
 import shutil
@@ -23,35 +26,28 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro
 from repro.core.base import LengthBucket, OnexBase, RepresentativeTable
 from repro.core.config import BuildConfig, QueryConfig
-from repro.core.query import QueryProcessor
+from repro.core.query import QueryProcessor, QueryStats
 from repro.data.dataset import TimeSeriesDataset
 from repro.distances import native
-from repro.distances.dtw import dtw_distance_batch
+from repro.distances.bounds import transfer_lower
+from repro.distances.dtw import dtw_distance_batch, dtw_path_batch
 from repro.distances.lower_bounds import lb_kim_endpoints_batch
+from repro.exceptions import ValidationError
 
 ROOT = Path(repro.__file__).resolve().parents[2]
 HAS_GCC = shutil.which("gcc") is not None
 
-#: Imports repro, prints the backend, and saves answers of every kernel
-#: mode and the buckets an ingestion decided to the file named by
-#: argv[1] (when given).
-WORKLOAD = """
-import json, sys
-import numpy as np
-from repro.core.base import OnexBase
-from repro.core.config import BuildConfig
-from repro.data.dataset import TimeSeriesDataset
-from repro.data.timeseries import TimeSeries
-from repro.distances import native
-from repro.distances.dtw import dtw_distance_batch, dtw_path_batch
-if len(sys.argv) > 1:
-    rng = np.random.default_rng(7)
+
+def dtw_answers(rng):
+    """The batch DTW answers of every kernel mode, by name: each window
+    and ground over one ragged stack, with path lengths and traced paths,
+    and in paired mode (run in-process, and in WORKLOAD as source)."""
     q = np.round(rng.normal(size=11) * 2) / 2
     rows = np.round(rng.normal(size=(40, 16)) * 2) / 2
     lens = rng.integers(1, 17, size=40)
@@ -69,6 +65,24 @@ if len(sys.argv) > 1:
             out["c" + tag] = dtw_distance_batch(
                 rows[iu], rows[ju], window=window, ground=ground
             )
+    return out
+
+
+#: Imports repro, prints the backend, and saves answers of every kernel
+#: mode and the buckets an ingestion decided to the file named by
+#: argv[1] (when given).
+WORKLOAD = inspect.getsource(dtw_answers) + """
+import json, sys
+import numpy as np
+from repro.core.base import OnexBase
+from repro.core.config import BuildConfig
+from repro.data.dataset import TimeSeriesDataset
+from repro.data.timeseries import TimeSeries
+from repro.distances import native
+from repro.distances.dtw import dtw_distance_batch, dtw_path_batch
+if len(sys.argv) > 1:
+    rng = np.random.default_rng(7)
+    out = dtw_answers(rng)
     walks = [np.round(rng.normal(size=24).cumsum() * 4) / 4 for _ in range(4)]
     base = OnexBase(
         TimeSeriesDataset.from_arrays(walks[:3], name="walks"),
@@ -215,14 +229,15 @@ def test_every_entry_point_is_bound():
     assert native.KERNEL.dtw_batch.argtypes == native._DTW_ARGTYPES
     assert native.KERNEL.assign_windows.argtypes == native._ASSIGN_ARGTYPES
     assert native.KERNEL.rank_bounds.argtypes == native._RANK_ARGTYPES
-    assert native.KERNEL.fast_walk.argtypes == native._WALK_ARGTYPES
+    assert native.KERNEL.walk.argtypes == native._WALK_ARGTYPES
+    assert not hasattr(native.KERNEL, "fast_walk")  # one walk, both rules
     assert native.backend() == "native"
 
 
 @pytest.mark.skipif(not HAS_GCC, reason="needs a compiler")
 def test_a_library_missing_an_entry_point_loads_none(tmp_path, monkeypatch):
     # As a stale or foreign library would: DTW only, then one more entry
-    # point at a time, up to all but the fast walk.
+    # point at a time, up to all but the walk.
     (tmp_path / "tmp").mkdir()
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
@@ -268,6 +283,52 @@ def test_concurrent_calls_equal_serial_calls():
     for (want_d, want_p), (got_d, got_p) in zip(serial * 4, concurrent):
         assert np.array_equal(want_d, got_d)
         assert np.array_equal(want_p, got_p)
+
+
+#: The attribute that builds dtw_batch and rank_bounds once per ISA.
+_CLONES = '__attribute__((target_clones("avx512f", "avx2", "default")))'
+
+
+@pytest.fixture(scope="module")
+def baseline_library(tmp_path_factory):
+    """The library built from the source with its ``target_clones``
+    attribute stripped, under the production flags: the baseline (SSE2)
+    code that a host without AVX2 runs, here on any host."""
+    source = native._SOURCE.read_text()
+    assert _CLONES in source
+    directory = tmp_path_factory.mktemp("baseline")
+    stripped, path = directory / native._SOURCE.name, directory / "dtw_kernel.so"
+    stripped.write_text(source.replace(_CLONES, ""))
+    subprocess.run(
+        ["gcc", *native._FLAGS, "-o", str(path), str(stripped)], check=True, capture_output=True
+    )
+    return native._bind(path)
+
+
+@pytest.fixture(params=["loaded", "baseline"])
+def library(request, monkeypatch):
+    """Run a test on the loaded library (the clone this host picks), then
+    on the baseline build substituted for it."""
+    if native.KERNEL is None:
+        pytest.skip("needs a loaded kernel")
+    if request.param == "baseline":
+        monkeypatch.setattr(native, "KERNEL", request.getfixturevalue("baseline_library"))
+    return request.param
+
+
+#: Hypothesis settings of a property test that takes the ``library`` fixture.
+per_library = settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def test_every_dtw_mode_equals_numpy_bit_for_bit(library):
+    """Every batch DTW mode, bit for bit against the NumPy kernel."""
+    got = dtw_answers(np.random.default_rng(7))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(native, "KERNEL", None)
+        want = dtw_answers(np.random.default_rng(7))
+    assert sorted(got) == sorted(want)
+    for name in want:
+        assert np.array_equal(got[name], want[name]), name
 
 
 #: Values of the rank-pass property: signed zeros, subnormals, and
@@ -325,11 +386,10 @@ def rank_cases(draw):
     return table, q, None if rows is None else np.array(rows, dtype=np.int64)
 
 
-@pytest.mark.skipif(native.KERNEL is None, reason="needs a loaded kernel")
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the reference's overflows
 @given(case=rank_cases())
-@settings(max_examples=100, deadline=None)
-def test_rank_pass_equals_numpy_cheap_bounds_bit_for_bit(case):
+@settings(per_library, max_examples=100)
+def test_rank_pass_equals_numpy_cheap_bounds_bit_for_bit(library, case):
     """The rank pass against ``cheap_bounds``'s NumPy composition: equal
     down to NaN and the sign of zero."""
     table, q, rows = case
@@ -343,8 +403,7 @@ def test_rank_pass_equals_numpy_cheap_bounds_bit_for_bit(case):
         assert got[own[0]] == 0.0 and not np.signbit(got[own[0]])
 
 
-@pytest.mark.skipif(native.KERNEL is None, reason="needs a loaded kernel")
-def test_the_rank_pass_counts_every_escaping_point():
+def test_the_rank_pass_counts_every_escaping_point(library):
     """Random walks against queries of up to 200 points, values on a 0.1
     grid so points tie band edges: the band term decides many rows here,
     which the property's draws seldom make it do."""
@@ -364,9 +423,8 @@ def test_the_rank_pass_counts_every_escaping_point():
     assert decided > 1000
 
 
-@pytest.mark.skipif(native.KERNEL is None, reason="needs a loaded kernel")
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-def test_the_rank_pass_leaves_a_nan_to_numpy():
+def test_the_rank_pass_leaves_a_nan_to_numpy(library):
     table = _rep_table([np.array([[0.0, 1.0, 2.0], [3.0, np.nan, 1.0]] * 200)])  # two blocks
     columns = (table.endpoints, table.lo, table.hi, table.lengths)
     q = np.array([0.5, 1.5, 2.5])
@@ -435,9 +493,9 @@ def walk_cases(draw):
     return base, q, k, draw(st.none() | subset), config, rekey
 
 
-def _fast_query(base, q, k, lengths, config, rekey):
+def _walked(base, config, rekey, ask):
     """The answers, every ``QueryStats`` field and the table rows each
-    refinement was handed, of one fast ``k_best``."""
+    refinement was handed, of ``ask(processor)``."""
     refined = []
     refine = QueryProcessor._refine
 
@@ -448,32 +506,146 @@ def _fast_query(base, q, k, lengths, config, rekey):
     processor = _Rekeyed(base, config, rekey)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(QueryProcessor, "_refine", spy)
-        matches = processor.k_best_matches(q, k, lengths=lengths, normalize=False)
+        matches = ask(processor)
     answers = [(m.ref, m.distance, m.raw_distance, m.path, m.group) for m in matches]
     return answers, processor.last_stats.as_dict(), refined
 
 
-@pytest.mark.skipif(native.KERNEL is None, reason="needs a loaded kernel")
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the reference's overflows
-@given(case=walk_cases())
-@settings(max_examples=60, deadline=None)
-def test_the_fast_walk_equals_the_python_walk_bit_for_bit(case):
-    """The native fast walk chooses the Python walk's groups in its order,
-    does its work and returns its answers, ties and ``inf`` included."""
+def _against_python(base, config, rekey, ask):
+    """``_walked`` on the native walk, then on the Python walk, and what
+    each native walk call returned."""
     walked = []
-    fast_walk = native.fast_walk
+    walk = native.walk
 
-    def counted(*args):
-        walked.append(fast_walk(*args))
+    def counted(*args, **kwargs):
+        walked.append(walk(*args, **kwargs))
         return walked[-1]
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(native, "fast_walk", counted)
-        got = _fast_query(*case)
+        patch.setattr(native, "walk", counted)
+        got = _walked(base, config, rekey, ask)
         patch.setattr(native, "KERNEL", None)
-        want = _fast_query(*case)
+        return got, _walked(base, config, rekey, ask), walked
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the reference's overflows
+@given(case=walk_cases())
+@settings(per_library, max_examples=60)
+def test_the_fast_walk_equals_the_python_walk_bit_for_bit(library, case):
+    """The native fast walk chooses the Python walk's groups in its order,
+    does its work and returns its answers, ties and ``inf`` included."""
+    base, q, k, lengths, config, rekey = case
+    got, want, walked = _against_python(
+        base, config, rekey, lambda p: p.k_best_matches(q, k, lengths=lengths, normalize=False)
+    )
     assert len(walked) == 1 and walked[0] is not None  # no hand-back
     assert got == want
+
+
+def _tight_bounds(base, q, window):
+    """Every representative's tight range bound, as the Python walk's
+    verify computes it: ``transfer_lower`` over the longest path."""
+    table, n = base.rep_table, q.shape[0]
+    raws = QueryProcessor(base, QueryConfig(window=window))._rep_dtw(
+        q, table.lengths, table.gids, QueryStats()
+    )
+    paths = (n + table.lengths - 1).astype(np.float64)
+    return transfer_lower(raws, n, table.lengths, table.radii) / paths
+
+
+@st.composite
+def range_cases(draw):
+    """A walk case's base, query and lengths, in either mode, with group
+    pruning on or off, at a threshold equal to one representative's tight
+    bound where one is positive and finite: a bound that the rule keeps."""
+    base, q, _, lengths, config, _ = draw(walk_cases())
+    config = dataclasses.replace(
+        config,
+        mode=draw(st.sampled_from(["fast", "exact"])),
+        use_group_pruning=draw(st.booleans()),
+    )
+    tight = _tight_bounds(base, q, config.window)
+    if lengths is not None:
+        tight = tight[base.rep_table.rows_of(lengths)]
+    tight = tight[np.isfinite(tight) & (tight > 0)]
+    threshold = draw(st.sampled_from(sorted(set(tight.tolist())))) if tight.size else 0.5
+    return base, q, threshold, lengths, config, draw(st.sampled_from(_REKEYS[:2]))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the reference's overflows
+@given(case=range_cases())
+@settings(per_library, max_examples=60)
+def test_the_range_rule_equals_the_python_walk_bit_for_bit(library, case):
+    """Each native range chunk keeps the Python branch's rows: the same
+    answers, every ``QueryStats`` field (``rep_dtw_calls``,
+    ``groups_pruned`` and ``rep_dtw_skipped`` among them) and the rows
+    each refinement is handed, banded or not."""
+    base, q, threshold, lengths, config, rekey = case
+    got, want, walked = _against_python(
+        base,
+        config,
+        rekey,
+        lambda p: p.matches_within(q, threshold, lengths=lengths, normalize=False),
+    )
+    assert all(w is not None for w in walked)  # no hand-back
+    assert got == want
+
+
+def _small_base():
+    """A base of one random walk (lengths 3-5) and a query for it."""
+    rng = np.random.default_rng(5)
+    base = OnexBase(
+        TimeSeriesDataset.from_arrays([rng.normal(size=30).cumsum()], name="walk"),
+        BuildConfig(similarity_threshold=0.2, min_length=3, max_length=5, normalize=False),
+    )
+    base.build()
+    return base, rng.normal(size=4)
+
+
+def _range_step(base, q, window):
+    """One native range chunk of *base*'s table rows, at a threshold."""
+    table = base.rep_table
+    stores = [(b.length, *b.native_stores()) for b in base.buckets()]
+
+    def within(take, threshold):
+        columns = (table.lengths[take], table.gids[take], take)
+        return native.walk(q, columns, stores, window, radii=table.radii[take], threshold=threshold)
+
+    return within
+
+
+@pytest.mark.parametrize("window", [None, 1])
+def test_the_range_rule_keeps_a_bound_equal_to_the_threshold(library, window):
+    """Direct range chunks against the Python verify's bounds: an empty
+    chunk; each row alone at its own bound (kept) and at the float below
+    it (verified, not kept); a shuffled whole table at every bound, its
+    rows kept in the chunk's order."""
+    base, q = _small_base()
+    within, tight = _range_step(base, q, window), _tight_bounds(base, q, window)
+    rows, verified = within(np.arange(0), 1.0)
+    assert rows.size == verified == 0
+    for row, bound in enumerate(tight.tolist()):
+        assert within(np.array([row]), bound)[0].tolist() == [row]
+        rows, verified = within(np.array([row]), np.nextafter(bound, -np.inf))
+        assert rows.size == 0 and verified == 1
+    take = np.random.default_rng(3).permutation(tight.size)
+    for bound in tight.tolist():
+        rows, verified = within(take, bound)
+        assert rows.tolist() == take[tight[take] <= bound].tolist()
+        assert verified == tight.size
+
+
+def test_the_range_rule_leaves_a_non_finite_centroid_to_python(library):
+    """A chunk with a non-finite centroid hands the call back, and the
+    Python walk decides: its verify rejects the row on either backend."""
+    base, q = _small_base()
+    base.bucket(5).centroids[-1, 2] = np.inf  # the bucket's own store
+    assert _range_step(base, q, None)(np.arange(base.rep_table.count), 10.0) is None
+    for kernel in (native.KERNEL, None):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(native, "KERNEL", kernel)
+            with pytest.raises(ValidationError, match="infinite"):
+                QueryProcessor(base).matches_within(q, 10.0, normalize=False)
 
 
 #: The fast walk's hand-back cases, run by the test below in a subprocess.
@@ -497,7 +669,7 @@ stores = [(b.length, *b.native_stores()) for b in base.buckets()]
 q, keys = rng.normal(size=4), np.zeros(table.count)  # all verified
 
 def walk(keys):
-    return native.fast_walk(q, keys, columns, stores, 1, 1, None)
+    return native.walk(q, columns, stores, None, keys=keys, k=1, groups=1)
 
 assert walk(keys)[1] == table.count
 keys[-1] = np.nan

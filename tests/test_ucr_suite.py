@@ -77,7 +77,10 @@ class TestPruning:
         searcher.best_match(rng.normal(size=14).cumsum())
         stats = searcher.last_stats
         assert stats.candidates > 0
-        assert stats.pruning_rate > 0.3
+        pruned = (
+            stats.kim_prunes + stats.keogh_eq_prunes + stats.keogh_ec_prunes + stats.dtw_abandons
+        )
+        assert pruned > 0.3 * stats.candidates
         assert stats.dtw_calls + stats.dtw_abandons <= stats.candidates
 
     def test_stats_partition_candidates(self, dataset):
